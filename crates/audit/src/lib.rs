@@ -9,21 +9,21 @@
 //!
 //! - [`AuditRecord`]: one structured entry — who did what, to which
 //!   event, about which person, for which purpose, with which outcome.
-//! - [`AuditLog`]: an append-only, hash-chained ([`css_crypto::HashChain`])
-//!   and optionally disk-backed log; tampering with any past record is
-//!   detectable from the chain head.
+//! - [`AuditShards`]: the append-only, hash-chained
+//!   ([`css_crypto::HashChain`]) log, partitioned into one persisted
+//!   shard per backend it is opened on; tampering with any past record
+//!   is detectable from the chain head.
 //! - [`AuditQuery`]: the inquiry interface ("who accessed the data of
 //!   person X, and why?").
 //! - [`report`]: aggregate summaries (accesses per purpose, denial
 //!   rates) of the kind the governing body needs.
 
-pub mod log;
+mod log;
 pub mod query;
 pub mod record;
 pub mod report;
 pub mod shards;
 
-pub use log::AuditLog;
 pub use query::AuditQuery;
 pub use record::{AuditAction, AuditOutcome, AuditRecord};
 pub use report::AuditReport;

@@ -1,9 +1,8 @@
-//! The tamper-evident audit log.
+//! One shard of the tamper-evident audit log.
 //!
-//! Records are appended to a [`css_crypto::HashChain`] and, when the log
-//! is disk-backed, to a `css-storage` record log. Reloading verifies the
-//! whole chain, so any offline modification of the persisted log is
-//! detected at open time.
+//! Records are appended to a [`css_crypto::HashChain`] and to a
+//! `css-storage` record log. Reloading verifies the whole chain, so any
+//! offline modification of the persisted log is detected at open time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -14,65 +13,31 @@ use css_types::{CssError, CssResult};
 
 use crate::query::AuditQuery;
 use crate::record::AuditRecord;
-use crate::report::AuditReport;
 
-/// Append-only audit log with hash chaining and optional persistence.
+/// Append-only, hash-chained, persisted log holding one shard of an
+/// [`crate::AuditShards`] plane.
 ///
-/// A log numbers its records in one of two modes:
-///
-/// - **self-sequenced** (the default): seq equals the record's position
-///   in this log, so the persisted stream is densely numbered `0, 1,
-///   2, …` and recovery rejects any gap.
-/// - **globally sequenced** ([`AuditLog::in_memory_sequenced`] /
-///   [`AuditLog::open_sequenced`]): seq is drawn from a shared
-///   [`AtomicU64`] that several shard-local logs allocate from. Each
-///   shard's stream is then strictly increasing but *gappy* (the gaps
-///   live on sibling shards), and recovery only enforces monotonicity,
-///   advancing the shared counter past the highest recovered seq.
-pub struct AuditLog<B: LogBackend> {
+/// Seq is drawn from the plane's shared [`AtomicU64`], which every
+/// shard-local log allocates from. Each shard's stream is therefore
+/// strictly increasing but *gappy* (the gaps live on sibling shards),
+/// and recovery enforces monotonicity, advancing the shared counter
+/// past the highest recovered seq.
+pub(crate) struct ShardLog<B: LogBackend> {
     chain: HashChain,
     records: Vec<AuditRecord>,
-    storage: Option<RecordLog<B>>,
-    sequencer: Option<Arc<AtomicU64>>,
+    storage: RecordLog<B>,
+    sequencer: Arc<AtomicU64>,
 }
 
-impl<B: LogBackend> AuditLog<B> {
-    /// A purely in-memory log (benchmarks, short-lived simulations).
-    pub fn in_memory() -> Self {
-        AuditLog {
-            chain: HashChain::new(),
-            records: Vec::new(),
-            storage: None,
-            sequencer: None,
-        }
-    }
-
-    /// An in-memory log drawing sequence numbers from a shared counter
-    /// (one shard of a sharded audit plane).
-    pub fn in_memory_sequenced(sequencer: Arc<AtomicU64>) -> Self {
-        AuditLog {
-            sequencer: Some(sequencer),
-            ..Self::in_memory()
-        }
-    }
-
-    /// Open a disk-backed log, replaying and verifying existing records.
+impl<B: LogBackend> ShardLog<B> {
+    /// Open the shard log on `backend`, replaying and verifying existing
+    /// records. Recovery accepts the strictly-increasing (gappy)
+    /// sequence a shard produces and advances `sequencer` past the
+    /// highest recovered seq so restarts never reuse a number.
     ///
     /// Fails if any persisted record is malformed or if the rebuilt
     /// chain does not verify (evidence of offline tampering).
-    pub fn open(backend: B) -> CssResult<Self> {
-        Self::open_inner(backend, None)
-    }
-
-    /// Open a disk-backed shard log that numbers records from a shared
-    /// counter. Recovery accepts the strictly-increasing (gappy)
-    /// sequence a shard produces and advances `sequencer` past the
-    /// highest recovered seq so restarts never reuse a number.
-    pub fn open_sequenced(backend: B, sequencer: Arc<AtomicU64>) -> CssResult<Self> {
-        Self::open_inner(backend, Some(sequencer))
-    }
-
-    fn open_inner(backend: B, sequencer: Option<Arc<AtomicU64>>) -> CssResult<Self> {
+    pub(crate) fn open(backend: B, sequencer: Arc<AtomicU64>) -> CssResult<Self> {
         let (storage, outcome) = RecordLog::recover(backend)?;
         let mut chain = HashChain::new();
         let mut records: Vec<AuditRecord> = Vec::with_capacity(outcome.records.len());
@@ -82,57 +47,34 @@ impl<B: LogBackend> AuditLog<B> {
                 .map_err(|e| CssError::Serialization(format!("audit record not UTF-8: {e}")))?;
             let doc = css_xml::parse(&text).map_err(|e| CssError::Serialization(e.to_string()))?;
             let record = AuditRecord::from_xml(&doc)?;
-            match &sequencer {
-                None => {
-                    let expected_seq = records.len() as u64;
-                    if record.seq != expected_seq {
-                        return Err(CssError::Storage(format!(
-                            "audit log sequence gap: expected {expected_seq}, found {}",
-                            record.seq
-                        )));
-                    }
-                }
-                Some(seq) => {
-                    if let Some(prev) = records.last() {
-                        if record.seq <= prev.seq {
-                            return Err(CssError::Storage(format!(
-                                "audit shard sequence not increasing: {} after {}",
-                                record.seq, prev.seq
-                            )));
-                        }
-                    }
-                    seq.fetch_max(record.seq + 1, Ordering::AcqRel);
+            if let Some(prev) = records.last() {
+                if record.seq <= prev.seq {
+                    return Err(CssError::Storage(format!(
+                        "audit shard sequence not increasing: {} after {}",
+                        record.seq, prev.seq
+                    )));
                 }
             }
+            sequencer.fetch_max(record.seq + 1, Ordering::AcqRel);
             chain.append(payload);
             records.push(record);
         }
         chain
             .verify()
             .map_err(|e: ChainVerifyError| CssError::Crypto(e.to_string()))?;
-        Ok(AuditLog {
+        Ok(ShardLog {
             chain,
             records,
-            storage: Some(storage),
+            storage,
             sequencer,
         })
     }
 
-    /// Allocate `n` consecutive sequence numbers in this log's mode.
-    fn alloc_seq(&self, n: u64) -> u64 {
-        match &self.sequencer {
-            Some(seq) => seq.fetch_add(n, Ordering::AcqRel),
-            None => self.records.len() as u64,
-        }
-    }
-
     /// Append a record, assigning its sequence number. Returns the seq.
-    pub fn append(&mut self, mut record: AuditRecord) -> CssResult<u64> {
-        record.seq = self.alloc_seq(1);
+    pub(crate) fn append(&mut self, mut record: AuditRecord) -> CssResult<u64> {
+        record.seq = self.sequencer.fetch_add(1, Ordering::AcqRel);
         let payload = css_xml::to_string(&record.to_xml()).into_bytes();
-        if let Some(storage) = &mut self.storage {
-            storage.append(&payload)?;
-        }
+        self.storage.append(&payload)?;
         self.chain.append(payload);
         let seq = record.seq;
         self.records.push(record);
@@ -143,15 +85,17 @@ impl<B: LogBackend> AuditLog<B> {
     /// sequence numbers. Returns the seq of the first record.
     ///
     /// The persisted frames are byte-identical to sequential
-    /// [`AuditLog::append`] calls — recovery cannot tell them apart —
+    /// [`ShardLog::append`] calls — recovery cannot tell them apart —
     /// but the storage backend sees a single write for the whole batch.
     /// The publish path uses this for the per-consumer Delivery fan-out.
-    pub fn append_batch(
+    pub(crate) fn append_batch(
         &mut self,
         records: impl IntoIterator<Item = AuditRecord>,
     ) -> CssResult<u64> {
         let records: Vec<AuditRecord> = records.into_iter().collect();
-        let first_seq = self.alloc_seq(records.len() as u64);
+        let first_seq = self
+            .sequencer
+            .fetch_add(records.len() as u64, Ordering::AcqRel);
         let mut assigned = Vec::new();
         let mut payloads = Vec::new();
         for mut record in records {
@@ -162,10 +106,8 @@ impl<B: LogBackend> AuditLog<B> {
         if assigned.is_empty() {
             return Ok(first_seq);
         }
-        if let Some(storage) = &mut self.storage {
-            let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
-            storage.append_batch(&refs)?;
-        }
+        let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+        self.storage.append_batch(&refs)?;
         for (record, payload) in assigned.into_iter().zip(payloads) {
             self.chain.append(payload);
             self.records.push(record);
@@ -173,56 +115,31 @@ impl<B: LogBackend> AuditLog<B> {
         Ok(first_seq)
     }
 
-    /// Tear down the log, returning its storage backend (reopen tests,
-    /// migrations between shard layouts).
-    pub fn into_backend(self) -> Option<B> {
-        self.storage.map(RecordLog::into_backend)
-    }
-
     /// Flush persisted records to stable storage.
-    pub fn sync(&mut self) -> CssResult<()> {
-        if let Some(storage) = &mut self.storage {
-            storage.sync()?;
-        }
-        Ok(())
+    pub(crate) fn sync(&mut self) -> CssResult<()> {
+        self.storage.sync()
     }
 
-    /// The chain head covering the whole log — hand this digest to an
-    /// external auditor to pin the log's current state.
-    pub fn head(&self) -> [u8; 32] {
+    /// The chain head covering the whole shard log.
+    pub(crate) fn head(&self) -> [u8; 32] {
         self.chain.head()
     }
 
     /// Re-derive and check every chain link.
-    pub fn verify(&self) -> CssResult<()> {
+    pub(crate) fn verify(&self) -> CssResult<()> {
         self.chain
             .verify()
             .map_err(|e| CssError::Crypto(e.to_string()))
     }
 
     /// Number of records.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.records.len()
     }
 
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// All records, in order.
-    pub fn records(&self) -> &[AuditRecord] {
-        &self.records
-    }
-
-    /// Run an inquiry over the log.
-    pub fn query(&self, q: &AuditQuery) -> Vec<&AuditRecord> {
+    /// Run an inquiry over the shard.
+    pub(crate) fn query(&self, q: &AuditQuery) -> Vec<&AuditRecord> {
         self.records.iter().filter(|r| q.matches(r)).collect()
-    }
-
-    /// Aggregate report over the records matching `q`.
-    pub fn report(&self, q: &AuditQuery) -> AuditReport {
-        AuditReport::from_records(self.query(q).into_iter())
     }
 }
 
@@ -238,18 +155,22 @@ mod tests {
             .event(GlobalEventId(i))
     }
 
+    fn open<B: LogBackend>(backend: B) -> CssResult<ShardLog<B>> {
+        ShardLog::open(backend, Arc::new(AtomicU64::new(0)))
+    }
+
     #[test]
     fn append_assigns_sequence() {
-        let mut log = AuditLog::<MemBackend>::in_memory();
+        let mut log = open(MemBackend::new()).unwrap();
         assert_eq!(log.append(rec(0)).unwrap(), 0);
         assert_eq!(log.append(rec(1)).unwrap(), 1);
-        assert_eq!(log.records()[1].seq, 1);
+        assert_eq!(log.records[1].seq, 1);
         log.verify().unwrap();
     }
 
     #[test]
     fn head_changes_with_each_append() {
-        let mut log = AuditLog::<MemBackend>::in_memory();
+        let mut log = open(MemBackend::new()).unwrap();
         let h0 = log.head();
         log.append(rec(0)).unwrap();
         let h1 = log.head();
@@ -260,11 +181,11 @@ mod tests {
 
     #[test]
     fn append_batch_matches_sequential_appends() {
-        let mut sequential = AuditLog::open(MemBackend::new()).unwrap();
+        let mut sequential = open(MemBackend::new()).unwrap();
         for i in 0..6 {
             sequential.append(rec(i)).unwrap();
         }
-        let mut batched = AuditLog::open(MemBackend::new()).unwrap();
+        let mut batched = open(MemBackend::new()).unwrap();
         batched.append(rec(0)).unwrap();
         let first = batched.append_batch((1..6).map(rec)).unwrap();
         assert_eq!(first, 1);
@@ -272,16 +193,15 @@ mod tests {
         assert_eq!(batched.head(), sequential.head());
         batched.verify().unwrap();
         // Reopen replays batched frames exactly like sequential ones.
-        let backend = batched.storage.unwrap().into_backend();
-        let reopened = AuditLog::open(backend).unwrap();
+        let reopened = open(batched.storage.into_backend()).unwrap();
         assert_eq!(reopened.len(), 6);
         assert_eq!(reopened.head(), sequential.head());
-        assert_eq!(reopened.records()[4].seq, 4);
+        assert_eq!(reopened.records[4].seq, 4);
     }
 
     #[test]
     fn empty_batch_is_a_noop() {
-        let mut log = AuditLog::<MemBackend>::in_memory();
+        let mut log = open(MemBackend::new()).unwrap();
         log.append(rec(0)).unwrap();
         let head = log.head();
         assert_eq!(log.append_batch(std::iter::empty()).unwrap(), 1);
@@ -291,16 +211,25 @@ mod tests {
 
     #[test]
     fn persisted_log_reloads_and_verifies() {
-        let mut log = AuditLog::open(MemBackend::new()).unwrap();
+        let mut log = open(MemBackend::new()).unwrap();
         for i in 0..10 {
             log.append(rec(i)).unwrap();
         }
         let head = log.head();
-        // Extract the backend and reopen.
-        let backend = log.storage.unwrap().into_backend();
-        let reopened = AuditLog::open(backend).unwrap();
+        let reopened = open(log.storage.into_backend()).unwrap();
         assert_eq!(reopened.len(), 10);
         assert_eq!(reopened.head(), head);
+        // The plane's counter resumes past the highest recovered seq.
+        assert_eq!(reopened.sequencer.load(Ordering::Acquire), 10);
+    }
+
+    #[test]
+    fn non_increasing_sequence_rejected_at_open() {
+        let mut log = open(MemBackend::new()).unwrap();
+        log.append(rec(0)).unwrap();
+        log.sequencer.store(0, Ordering::Release);
+        log.append(rec(1)).unwrap();
+        assert!(open(log.storage.into_backend()).is_err());
     }
 
     #[test]
@@ -310,7 +239,7 @@ mod tests {
         let path = dir.join("audit.log");
         let _ = std::fs::remove_file(&path);
         {
-            let mut log = AuditLog::open(FileBackend::open(&path).unwrap()).unwrap();
+            let mut log = open(FileBackend::open(&path).unwrap()).unwrap();
             for i in 0..5 {
                 log.append(rec(i)).unwrap();
             }
@@ -326,20 +255,18 @@ mod tests {
             .expect("record text present");
         bytes[pos + 5] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
-        assert!(AuditLog::open(FileBackend::open(&path).unwrap()).is_err());
+        assert!(open(FileBackend::open(&path).unwrap()).is_err());
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn query_and_report_integration() {
-        let mut log = AuditLog::<MemBackend>::in_memory();
+    fn query_filters_records() {
+        let mut log = open(MemBackend::new()).unwrap();
         for i in 0..9 {
             log.append(rec(i)).unwrap();
         }
         let q = AuditQuery::new().actor(ActorId(1));
-        let hits = log.query(&q);
-        assert_eq!(hits.len(), 3);
-        let report = log.report(&AuditQuery::new());
-        assert_eq!(report.total, 9);
+        assert_eq!(log.query(&q).len(), 3);
+        assert_eq!(log.query(&AuditQuery::new()).len(), 9);
     }
 }

@@ -3,7 +3,7 @@
 //! One audit log serializes every publish, inquiry, and detail request
 //! behind a single lock — the same bottleneck the sharded events index
 //! removes from the data plane. [`AuditShards`] partitions the log into
-//! N shard-local [`AuditLog`]s, each behind its own mutex, routed by
+//! N shard-local logs, each behind its own mutex, routed by
 //! the record's data subject (falling back to the acting party for
 //! records without a person dimension). A publish group commit carries
 //! one person, so the whole batch lands on one shard as a single
@@ -22,36 +22,23 @@ use parking_lot::Mutex;
 use css_storage::LogBackend;
 use css_types::{CssError, CssResult};
 
-use crate::log::AuditLog;
+use crate::log::ShardLog;
 use crate::query::AuditQuery;
 use crate::record::AuditRecord;
 use crate::report::AuditReport;
 
-/// Fibonacci-hash a routing key onto `n` shards (multiplicative
-/// spreading keeps sequential person ids from clustering).
-fn spread(key: u64, n: usize) -> usize {
-    ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % n
-}
-
 /// N shard-local audit logs sharing one global sequence counter.
 pub struct AuditShards<B: LogBackend> {
-    shards: Vec<Mutex<AuditLog<B>>>,
+    shards: Vec<Mutex<ShardLog<B>>>,
     sequencer: Arc<AtomicU64>,
 }
 
 impl<B: LogBackend> AuditShards<B> {
-    /// `n` purely in-memory shards (n is clamped to at least 1).
-    pub fn in_memory(n: usize) -> Self {
-        let sequencer = Arc::new(AtomicU64::new(0));
-        let shards = (0..n.max(1))
-            .map(|_| Mutex::new(AuditLog::in_memory_sequenced(sequencer.clone())))
-            .collect();
-        AuditShards { shards, sequencer }
-    }
-
-    /// Open one disk-backed shard per backend, replaying and verifying
-    /// each shard's chain and advancing the shared sequencer past the
-    /// highest recovered seq.
+    /// Open the plane, one shard per backend: the shard count **is**
+    /// `backends.len()` (a one-element vector is the unsharded log, a
+    /// [`css_storage::MemBackend`] an in-memory one). Replays and
+    /// verifies each shard's chain and advances the shared sequencer
+    /// past the highest recovered seq.
     pub fn open(backends: Vec<B>) -> CssResult<Self> {
         if backends.is_empty() {
             return Err(CssError::Invalid(
@@ -61,26 +48,7 @@ impl<B: LogBackend> AuditShards<B> {
         let sequencer = Arc::new(AtomicU64::new(0));
         let mut shards = Vec::with_capacity(backends.len());
         for backend in backends {
-            shards.push(Mutex::new(AuditLog::open_sequenced(
-                backend,
-                sequencer.clone(),
-            )?));
-        }
-        Ok(AuditShards { shards, sequencer })
-    }
-
-    /// Shard 0 disk-backed on `backend`, shards `1..n` in-memory — the
-    /// shape a controller constructed with a single audit backend takes
-    /// when asked for an `n`-shard plane. Recovery replays shard 0 and
-    /// resumes the shared sequencer past its highest seq.
-    pub fn open_padded(backend: B, n: usize) -> CssResult<Self> {
-        let sequencer = Arc::new(AtomicU64::new(0));
-        let mut shards = vec![Mutex::new(AuditLog::open_sequenced(
-            backend,
-            sequencer.clone(),
-        )?)];
-        for _ in 1..n.max(1) {
-            shards.push(Mutex::new(AuditLog::in_memory_sequenced(sequencer.clone())));
+            shards.push(Mutex::new(ShardLog::open(backend, sequencer.clone())?));
         }
         Ok(AuditShards { shards, sequencer })
     }
@@ -90,20 +58,14 @@ impl<B: LogBackend> AuditShards<B> {
         self.shards.len()
     }
 
-    /// The shared sequence counter (shard-local logs of the same plane
-    /// must allocate from it).
-    pub fn sequencer(&self) -> Arc<AtomicU64> {
-        self.sequencer.clone()
-    }
-
     /// Which shard a record routes to: by data subject when the record
     /// has a person dimension, by acting party otherwise.
-    pub fn shard_of(&self, record: &AuditRecord) -> usize {
+    fn shard_of(&self, record: &AuditRecord) -> usize {
         let key = record
             .person
             .map(|p| p.value())
             .unwrap_or_else(|| record.actor.value());
-        spread(key, self.shards.len())
+        css_types::shard_of(key, self.shards.len())
     }
 
     /// Append one record to its shard. Returns the global seq.
@@ -144,10 +106,12 @@ impl<B: LogBackend> AuditShards<B> {
         self.query(&AuditQuery::new())
     }
 
-    /// The digest pinning the whole plane's state. With one shard this
-    /// is that shard's chain head (identical to an unsharded log); with
+    /// The digest pinning the whole plane's state — hand it to an
+    /// external auditor. With one shard this is that shard's chain head
+    /// (a plain [`css_crypto::HashChain`] over the payloads); with
     /// several it is the hash over the concatenated shard heads, so any
     /// offline modification of any shard changes the combined head.
+    /// Both values are pinned by auditors of existing deployments.
     pub fn head(&self) -> [u8; 32] {
         if self.shards.len() == 1 {
             return self.shards[0].lock().head();
@@ -204,9 +168,18 @@ mod tests {
             .person(PersonId(person))
     }
 
+    fn plane(n: usize) -> AuditShards<MemBackend> {
+        AuditShards::open((0..n).map(|_| MemBackend::new()).collect()).unwrap()
+    }
+
+    #[test]
+    fn no_backends_is_an_error() {
+        assert!(AuditShards::<MemBackend>::open(Vec::new()).is_err());
+    }
+
     #[test]
     fn appends_route_by_person_and_merge_in_seq_order() {
-        let shards = AuditShards::<MemBackend>::in_memory(4);
+        let shards = plane(4);
         for i in 0..32 {
             shards.append(rec(i, i)).unwrap();
         }
@@ -223,7 +196,7 @@ mod tests {
 
     #[test]
     fn same_person_batch_lands_on_one_shard_contiguously() {
-        let shards = AuditShards::<MemBackend>::in_memory(4);
+        let shards = plane(4);
         shards.append(rec(0, 1)).unwrap();
         let first = shards
             .append_batch((0..5).map(|i| rec(i, 7)).collect())
@@ -236,20 +209,23 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_head_matches_unsharded_log() {
-        let shards = AuditShards::<MemBackend>::in_memory(1);
-        let mut plain = AuditLog::<MemBackend>::in_memory();
+    fn one_shard_head_is_the_hash_chain_over_the_payloads() {
+        let shards = plane(1);
+        let mut chain = css_crypto::HashChain::new();
+        assert_eq!(shards.head(), chain.head());
         for i in 0..6 {
-            shards.append(rec(i, i)).unwrap();
-            plain.append(rec(i, i)).unwrap();
+            let seq = shards.append(rec(i, i)).unwrap();
+            let mut expected = rec(i, i);
+            expected.seq = seq;
+            chain.append(css_xml::to_string(&expected.to_xml()).into_bytes());
+            assert_eq!(shards.head(), chain.head());
         }
-        assert_eq!(shards.head(), plain.head());
     }
 
     #[test]
     fn multi_shard_head_detects_any_shard_change() {
-        let a = AuditShards::<MemBackend>::in_memory(4);
-        let b = AuditShards::<MemBackend>::in_memory(4);
+        let a = plane(4);
+        let b = plane(4);
         for i in 0..8 {
             a.append(rec(i, i)).unwrap();
             b.append(rec(i, i)).unwrap();
@@ -260,31 +236,23 @@ mod tests {
     }
 
     #[test]
-    fn sharded_logs_reopen_with_gappy_seqs() {
-        let shards = AuditShards::open(vec![MemBackend::new(), MemBackend::new()]).unwrap();
-        for i in 0..10 {
-            shards.append(rec(i, i)).unwrap();
-        }
+    fn empty_batch_allocates_nothing() {
+        let shards = plane(2);
+        shards.append(rec(0, 0)).unwrap();
         let head = shards.head();
-        // Extract both backends and reopen: each shard's stream is
-        // gappy but increasing; the sequencer resumes past the max.
-        let backends: Vec<MemBackend> = shards
-            .shards
-            .into_iter()
-            .map(|s| s.into_inner().into_backend().unwrap())
-            .collect();
-        let reopened = AuditShards::open(backends).unwrap();
-        assert_eq!(reopened.len(), 10);
-        assert_eq!(reopened.head(), head);
-        let next = reopened.append(rec(50, 50)).unwrap();
-        assert_eq!(next, 10);
+        assert_eq!(shards.append_batch(Vec::new()).unwrap(), 1);
+        assert_eq!((shards.len(), shards.head()), (1, head));
+        assert_eq!(shards.append(rec(1, 1)).unwrap(), 1);
     }
 
     #[test]
-    fn empty_batch_allocates_nothing() {
-        let shards = AuditShards::<MemBackend>::in_memory(2);
-        shards.append(rec(0, 0)).unwrap();
-        shards.append_batch(Vec::new()).unwrap();
-        assert_eq!(shards.append(rec(1, 1)).unwrap(), 1);
+    fn query_and_report_cover_every_shard() {
+        let shards = plane(2);
+        for i in 0..9 {
+            shards.append(rec(i, i)).unwrap();
+        }
+        let hits = shards.query(&AuditQuery::new().actor(ActorId(1)));
+        assert_eq!(hits.len(), 3);
+        assert_eq!(shards.report(&AuditQuery::new()).total, 9);
     }
 }

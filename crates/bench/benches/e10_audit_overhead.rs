@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use css_audit::{AuditAction, AuditLog, AuditQuery, AuditRecord};
+use css_audit::{AuditAction, AuditQuery, AuditRecord, AuditShards};
 use css_bench::print_header;
 use css_storage::MemBackend;
 use css_types::{ActorId, GlobalEventId, PersonId, Purpose, Timestamp};
@@ -16,20 +16,17 @@ fn record(i: u64) -> AuditRecord {
         .purpose(Purpose::HealthcareTreatment)
 }
 
+/// The one-shard plane — the unsharded log as the platform opens it.
+fn log() -> AuditShards<MemBackend> {
+    AuditShards::open(vec![MemBackend::new()]).unwrap()
+}
+
 fn bench(c: &mut Criterion) {
     print_header("E10", "audit append overhead & verification vs log length");
     let mut group = c.benchmark_group("e10_audit");
 
-    group.bench_function("append_in_memory", |b| {
-        let mut log = AuditLog::<MemBackend>::in_memory();
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            log.append(record(i)).unwrap()
-        })
-    });
     group.bench_function("append_persisted", |b| {
-        let mut log = AuditLog::open(MemBackend::new()).unwrap();
+        let log = log();
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
@@ -38,7 +35,7 @@ fn bench(c: &mut Criterion) {
     });
 
     for &len in &[1_000usize, 10_000, 100_000] {
-        let mut log = AuditLog::<MemBackend>::in_memory();
+        let log = log();
         for i in 0..len as u64 {
             log.append(record(i)).unwrap();
         }
@@ -54,7 +51,7 @@ fn bench(c: &mut Criterion) {
 
     // Print the series once: verification time scales linearly.
     for &len in &[1_000usize, 10_000, 100_000] {
-        let mut log = AuditLog::<MemBackend>::in_memory();
+        let log = log();
         for i in 0..len as u64 {
             log.append(record(i)).unwrap();
         }

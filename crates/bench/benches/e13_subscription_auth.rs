@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use css_bench::{micro_world, print_header};
+use css_trace::Tracer;
 use css_types::{EventTypeId, PersonId};
 
 fn bench(c: &mut Criterion) {
@@ -13,7 +14,7 @@ fn bench(c: &mut Criterion) {
 
     // Grant path: consumer 0 has a policy.
     {
-        let world = micro_world(2);
+        let world = micro_world(2, 1, Tracer::disabled());
         let granted = world.consumers[0];
         group.bench_function("subscribe_granted", |b| {
             b.iter(|| {
@@ -28,7 +29,7 @@ fn bench(c: &mut Criterion) {
 
     // Deny path: a consumer with a contract but no policy.
     {
-        let world = micro_world(1);
+        let world = micro_world(1, 1, Tracer::disabled());
         let stranger = css_types::ActorId(900);
         world
             .controller
@@ -51,7 +52,7 @@ fn bench(c: &mut Criterion) {
     // Index inquiry with mixed authorization: 1000 indexed events, the
     // consumer is authorized for the class, inquiry decrypts + filters.
     {
-        let mut world = micro_world(1);
+        let mut world = micro_world(1, 1, Tracer::disabled());
         for src in 1..=1_000u64 {
             world.publish_one(src);
         }
@@ -62,7 +63,7 @@ fn bench(c: &mut Criterion) {
                 p = p % 900 + 1;
                 world
                     .controller
-                    .inquire_by_person(consumer, PersonId(p))
+                    .inquire_by_person(consumer, PersonId(p), None)
                     .unwrap()
             })
         });

@@ -18,9 +18,10 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use css_bench::{blood_test_details, micro_world_sharded, print_header, HOSPITAL};
+use css_bench::{blood_test_details, micro_world, print_header, HOSPITAL};
 use css_controller::{DataController, SharedGateway};
 use css_storage::MemBackend;
+use css_trace::Tracer;
 use css_types::{EventTypeId, GlobalEventId, PersonId, Purpose, SourceEventId, Timestamp};
 
 const EVENTS: u64 = 500;
@@ -42,12 +43,12 @@ fn mixed_op(
         0..=6 => {
             let id = event_ids[(i % event_ids.len() as u64) as usize];
             controller
-                .request_details(consumer, ty, id, Purpose::HealthcareTreatment)
+                .request_details(consumer, ty, id, Purpose::HealthcareTreatment, None)
                 .unwrap();
         }
         7 | 8 => {
             controller
-                .inquire_by_person(consumer, PersonId(i % EVENTS + 1))
+                .inquire_by_person(consumer, PersonId(i % EVENTS + 1), None)
                 .unwrap();
         }
         _ => {
@@ -82,7 +83,7 @@ fn bench(c: &mut Criterion) {
     // World: four consumer organizations, each subscribed and granted a
     // policy; a corpus of published events to request against; the data
     // plane split into SHARDS citizen-hashed shards.
-    let mut world = micro_world_sharded(4, SHARDS);
+    let mut world = micro_world(4, SHARDS, Tracer::disabled());
     let ty = EventTypeId::v1("blood-test");
     let subs: Vec<_> = world
         .consumers

@@ -18,9 +18,7 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use css_bench::{
-    blood_test_details, micro_world_traced, person, print_header, MicroWorld, HOSPITAL,
-};
+use css_bench::{blood_test_details, micro_world, person, print_header, MicroWorld, HOSPITAL};
 use css_controller::{DataController, SharedGateway};
 use css_storage::MemBackend;
 use css_trace::Tracer;
@@ -49,12 +47,12 @@ fn mixed_op(
         0..=6 => {
             let id = event_ids[(i % event_ids.len() as u64) as usize];
             controller
-                .request_details(consumer, ty, id, Purpose::HealthcareTreatment)
+                .request_details(consumer, ty, id, Purpose::HealthcareTreatment, None)
                 .unwrap();
         }
         7 | 8 => {
             controller
-                .inquire_by_person(consumer, PersonId(i % EVENTS + 1))
+                .inquire_by_person(consumer, PersonId(i % EVENTS + 1), None)
                 .unwrap();
         }
         _ => {
@@ -90,7 +88,7 @@ fn mixed_op(
 /// A world with the corpus published, consumers notified, and the live
 /// queues dropped so measured publishes never back up.
 fn prepared_world(tracer: Tracer) -> (MicroWorld, Vec<GlobalEventId>) {
-    let mut world = micro_world_traced(2, tracer);
+    let mut world = micro_world(2, 1, tracer);
     let ty = EventTypeId::v1("blood-test");
     let subs: Vec<_> = world
         .consumers

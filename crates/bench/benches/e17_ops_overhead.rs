@@ -22,6 +22,7 @@ use css_bench::{blood_test_details, micro_world, person, print_header, MicroWorl
 use css_controller::{DataController, SharedGateway};
 use css_health::{Sampler, Slo, SloEngine};
 use css_storage::MemBackend;
+use css_trace::Tracer;
 use css_types::{Clock, EventTypeId, GlobalEventId, PersonId, Purpose, SourceEventId, Timestamp};
 
 const EVENTS: u64 = 200;
@@ -45,12 +46,12 @@ fn mixed_op(
         0..=6 => {
             let id = event_ids[(i % event_ids.len() as u64) as usize];
             controller
-                .request_details(consumer, ty, id, Purpose::HealthcareTreatment)
+                .request_details(consumer, ty, id, Purpose::HealthcareTreatment, None)
                 .unwrap();
         }
         7 | 8 => {
             controller
-                .inquire_by_person(consumer, PersonId(i % EVENTS + 1))
+                .inquire_by_person(consumer, PersonId(i % EVENTS + 1), None)
                 .unwrap();
         }
         _ => {
@@ -83,7 +84,7 @@ fn mixed_op(
 
 /// Corpus published, consumers drained, live queues dropped.
 fn prepared_world() -> (MicroWorld, Vec<GlobalEventId>) {
-    let mut world = micro_world(2);
+    let mut world = micro_world(2, 1, Tracer::disabled());
     let ty = EventTypeId::v1("blood-test");
     let subs: Vec<_> = world
         .consumers

@@ -28,8 +28,9 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use css_bench::{micro_world_sharded, print_header};
+use css_bench::{micro_world, print_header};
 use css_sim::{synth_details, Scenario, ScenarioConfig};
+use css_trace::Tracer;
 use css_types::{PersonId, Timestamp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -58,7 +59,7 @@ fn pct(sorted: &[u64], p: f64) -> u64 {
 /// The threads × shards grid over the person-inquiry hot path.
 fn grid(consumer_slots: usize) {
     for shards in [1usize, 2, 4, 8] {
-        let mut world = micro_world_sharded(consumer_slots, shards);
+        let mut world = micro_world(consumer_slots, shards, Tracer::disabled());
         for src in 1..=GRID_EVENTS {
             world.publish_one(src);
         }
@@ -76,7 +77,9 @@ fn grid(consumer_slots: usize) {
                     std::thread::spawn(move || {
                         for i in 0..ops_per_thread {
                             let person = PersonId((salt + i) % GRID_EVENTS + 1);
-                            controller.inquire_by_person(consumer, person).unwrap();
+                            controller
+                                .inquire_by_person(consumer, person, None)
+                                .unwrap();
                         }
                     })
                 })

@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use css_bench::print_header;
-use css_bus::{Broker, SubscriptionConfig};
+use css_bus::{Bus, SubscriptionConfig};
 use css_sim::baseline::FlowParams;
 use css_sim::{
     full_push_exposure, over_constrained_exposure, point_to_point_exposure, two_phase_exposure,
@@ -50,7 +50,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e1_delivery");
     for consumers in [1usize, 5, 10, 25] {
         // Bus fan-out: one publish reaches all subscribers.
-        let broker: Broker<String> = Broker::new();
+        let broker: Bus<String> = Bus::in_memory();
         broker.create_topic("t");
         let subs: Vec<_> = (0..consumers)
             .map(|_| {
@@ -70,7 +70,9 @@ fn bench(c: &mut Criterion) {
             &consumers,
             |b, _| {
                 b.iter(|| {
-                    broker.publish("t", "notification".to_string()).unwrap();
+                    broker
+                        .publish("t", "notification".to_string(), None)
+                        .unwrap();
                     for s in &subs {
                         while let Some(d) = s.poll().unwrap() {
                             s.ack(d.delivery_id).unwrap();

@@ -24,6 +24,7 @@ use css_blackbox::{FlightRecorder, Severity, SloSample};
 use css_controller::{DataController, SharedGateway};
 use css_health::{AlertLevel, Sampler, Slo, SloEngine};
 use css_storage::MemBackend;
+use css_trace::Tracer;
 use css_types::{Clock, EventTypeId, GlobalEventId, PersonId, Purpose, SourceEventId, Timestamp};
 
 const EVENTS: u64 = 200;
@@ -49,12 +50,12 @@ fn mixed_op(
         0..=6 => {
             let id = event_ids[(i % event_ids.len() as u64) as usize];
             controller
-                .request_details(consumer, ty, id, Purpose::HealthcareTreatment)
+                .request_details(consumer, ty, id, Purpose::HealthcareTreatment, None)
                 .unwrap();
         }
         7 | 8 => {
             controller
-                .inquire_by_person(consumer, PersonId(i % EVENTS + 1))
+                .inquire_by_person(consumer, PersonId(i % EVENTS + 1), None)
                 .unwrap();
         }
         _ => {
@@ -85,7 +86,7 @@ fn mixed_op(
 
 /// Corpus published, consumers drained, live queues dropped.
 fn prepared_world() -> (MicroWorld, Vec<GlobalEventId>) {
-    let mut world = micro_world(2);
+    let mut world = micro_world(2, 1, Tracer::disabled());
     let ty = EventTypeId::v1("blood-test");
     let subs: Vec<_> = world
         .consumers

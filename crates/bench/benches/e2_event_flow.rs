@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use css_bench::{micro_world, print_header};
+use css_trace::Tracer;
 use css_types::EventTypeId;
 
 fn bench(c: &mut Criterion) {
@@ -12,7 +13,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e2_event_flow");
     group.sample_size(20);
     for subscribers in [0usize, 1, 5, 10, 25] {
-        let mut world = micro_world(subscribers.max(1));
+        let mut world = micro_world(subscribers.max(1), 1, Tracer::disabled());
         let handles: Vec<_> = world
             .consumers
             .iter()

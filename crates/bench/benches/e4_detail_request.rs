@@ -10,6 +10,7 @@ use css_bench::{blood_test_details, micro_world, person, print_header, HOSPITAL}
 use css_controller::{EventsIndex, GatewayClient};
 use css_event::NotificationMessage;
 use css_policy::{DetailRequest, PolicyDecisionPoint};
+use css_trace::Tracer;
 use css_types::{
     Actor, ActorId, ActorRegistry, EventTypeId, GlobalEventId, Purpose, RequestId, SourceEventId,
     Timestamp,
@@ -20,7 +21,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e4_detail_request");
 
     // --- stage: PIP (events index resolve) ---------------------------
-    let mut index = EventsIndex::<css_storage::MemBackend>::new(b"bench-key");
+    let mut index = EventsIndex::open(b"bench-key", css_storage::MemBackend::new()).unwrap();
     for i in 1..=10_000u64 {
         let n = NotificationMessage {
             global_id: GlobalEventId(i),
@@ -59,7 +60,7 @@ fn bench(c: &mut Criterion) {
     });
 
     // --- stage: gateway getResponse (Algorithm 2) -----------------------
-    let mut world = micro_world(1);
+    let mut world = micro_world(1, 1, Tracer::disabled());
     for src in 1..=1_000u64 {
         world
             .gateway
@@ -110,6 +111,7 @@ fn bench(c: &mut Criterion) {
                     EventTypeId::v1("blood-test"),
                     id,
                     Purpose::HealthcareTreatment,
+                    None,
                 )
                 .unwrap()
         })
@@ -126,6 +128,7 @@ fn bench(c: &mut Criterion) {
                     EventTypeId::v1("blood-test"),
                     id,
                     Purpose::StatisticalAnalysis,
+                    None,
                 )
                 .unwrap_err()
         })

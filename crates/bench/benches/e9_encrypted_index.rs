@@ -30,7 +30,7 @@ fn bench(c: &mut Criterion) {
     // Insert path: seal + index vs plain map insert of the same data.
     group.bench_function("index_insert_sealed", |b| {
         let mut i = 0u64;
-        let mut index = EventsIndex::<css_storage::MemBackend>::new(b"bench-key");
+        let mut index = EventsIndex::open(b"bench-key", css_storage::MemBackend::new()).unwrap();
         b.iter(|| {
             i += 1;
             index
@@ -48,7 +48,7 @@ fn bench(c: &mut Criterion) {
     });
 
     // Inquiry path: per-person lookup + decryption.
-    let mut index = EventsIndex::<css_storage::MemBackend>::new(b"bench-key");
+    let mut index = EventsIndex::open(b"bench-key", css_storage::MemBackend::new()).unwrap();
     for i in 1..=20_000u64 {
         index
             .insert(&notification(i), SourceEventId(i), HashSet::new())

@@ -90,30 +90,16 @@ pub struct MicroWorld {
     pub consumers: Vec<ActorId>,
 }
 
-/// Build a [`MicroWorld`] (tracing off).
-pub fn micro_world(consumers: usize) -> MicroWorld {
-    micro_world_traced(consumers, Tracer::disabled())
-}
-
-/// Build a [`MicroWorld`] whose controller mints spans into `tracer` —
-/// the fixture for traced-vs-untraced overhead comparisons (E16).
-pub fn micro_world_traced(consumers: usize, tracer: Tracer) -> MicroWorld {
-    micro_world_config(consumers, tracer, 1)
-}
-
-/// Build a [`MicroWorld`] whose controller partitions its data plane
-/// into `shards` citizen-hashed shards — the fixture for the E15/E19
-/// multicore-scaling runs.
-pub fn micro_world_sharded(consumers: usize, shards: usize) -> MicroWorld {
-    micro_world_config(consumers, Tracer::disabled(), shards)
-}
-
-fn micro_world_config(consumers: usize, tracer: Tracer, shards: usize) -> MicroWorld {
+/// Build a [`MicroWorld`] over [`DataController::open`] — the path the
+/// platform runs — with `shards` in-memory audit and index backends
+/// (`1` is the unsharded layout; E15/E19 sweep it) and the controller
+/// minting spans into `tracer` ([`Tracer::disabled`] except for E16's
+/// traced-vs-untraced comparison).
+pub fn micro_world(consumers: usize, shards: usize, tracer: Tracer) -> MicroWorld {
     let clock = SimClock::starting_at(Timestamp(1_000_000));
-    let config = ControllerConfig::with_clock(Arc::new(clock.clone()))
-        .with_tracer(tracer)
-        .with_shards(shards);
-    let controller = DataController::new(config, MemBackend::new()).unwrap();
+    let config = ControllerConfig::with_clock(Arc::new(clock.clone())).with_tracer(tracer);
+    let backends = || (0..shards).map(|_| MemBackend::new()).collect();
+    let controller = DataController::open(config, backends(), backends()).unwrap();
     controller
         .register_actor(Actor::organization(HOSPITAL, "Hospital"))
         .unwrap();

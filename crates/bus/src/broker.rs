@@ -3,7 +3,6 @@
 //! bounded redelivery with backoff, and replay from a retained log.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -14,7 +13,7 @@ use css_types::{CssError, CssResult, SubscriptionId};
 
 use crate::driver::{BusDriver, PublishOptions, PublishOutcome};
 use crate::stats::{BrokerStats, SubscriptionStats};
-use crate::subscription::{DeadLetter, Delivery, SubscriberHandle};
+use crate::subscription::{DeadLetter, Delivery};
 
 /// Publish dedup keys remembered per topic before the oldest is forgotten.
 const DEDUP_WINDOW: usize = 4096;
@@ -199,20 +198,11 @@ pub(crate) struct Inner<M> {
 
 /// The in-memory publish/subscribe broker over named topics.
 ///
-/// Cheaply cloneable; clones share the same broker state. This is the
-/// default [`BusDriver`] — the platform talks to it through
-/// [`crate::Bus`], and its inherent methods mirror the trait for tests
-/// and callers that hold the concrete type.
+/// This is the default [`BusDriver`] and nothing else — the platform,
+/// tests and benches all talk to it through [`crate::Bus`], whose clones
+/// share the one broker.
 pub struct Broker<M: Clone + Send + 'static> {
-    inner: Arc<Inner<M>>,
-}
-
-impl<M: Clone + Send + 'static> Clone for Broker<M> {
-    fn clone(&self) -> Self {
-        Broker {
-            inner: Arc::clone(&self.inner),
-        }
-    }
+    inner: Inner<M>,
 }
 
 impl<M: Clone + Send + 'static> Default for Broker<M> {
@@ -239,7 +229,7 @@ impl<M: Clone + Send + 'static> Broker<M> {
 
     fn build(telemetry: Option<BusInstruments>) -> Self {
         Broker {
-            inner: Arc::new(Inner {
+            inner: Inner {
                 state: Mutex::new(State {
                     topics: HashMap::new(),
                     groups: HashMap::new(),
@@ -253,140 +243,28 @@ impl<M: Clone + Send + 'static> Broker<M> {
                 }),
                 arrivals: Condvar::new(),
                 telemetry,
-            }),
+            },
         }
     }
+}
 
-    fn as_driver(&self) -> Arc<dyn BusDriver<M>> {
-        Arc::new(self.clone())
-    }
-
-    /// Declare a topic. Idempotent.
-    pub fn create_topic(&self, name: impl Into<String>) {
+impl<M: Clone + Send + 'static> BusDriver<M> for Broker<M> {
+    fn create_topic(&self, name: &str) {
         let mut st = self.inner.state.lock();
-        st.topics.entry(name.into()).or_insert_with(TopicState::new);
+        st.topics
+            .entry(name.to_string())
+            .or_insert_with(TopicState::new);
     }
 
-    /// Whether the topic exists.
-    pub fn has_topic(&self, name: &str) -> bool {
+    fn has_topic(&self, name: &str) -> bool {
         self.inner.state.lock().topics.contains_key(name)
     }
 
-    /// All declared topics, sorted.
-    pub fn topics(&self) -> Vec<String> {
+    fn topics(&self) -> Vec<String> {
         let st = self.inner.state.lock();
         let mut out: Vec<String> = st.topics.keys().cloned().collect();
         out.sort();
         out
-    }
-
-    /// Subscribe to a topic in a private delivery group (fan-out).
-    pub fn subscribe(
-        &self,
-        topic: &str,
-        config: SubscriptionConfig,
-    ) -> CssResult<SubscriberHandle<M>> {
-        let id = self.inner.attach(topic, None, config)?;
-        Ok(SubscriberHandle::new(self.as_driver(), id))
-    }
-
-    /// Join the named competing-consumer group on `topic`: members
-    /// share one queue and each message is delivered to exactly one of
-    /// them.
-    pub fn subscribe_group(
-        &self,
-        topic: &str,
-        group: &str,
-        config: SubscriptionConfig,
-    ) -> CssResult<SubscriberHandle<M>> {
-        let id = self.inner.attach(topic, Some(group), config)?;
-        Ok(SubscriberHandle::new(self.as_driver(), id))
-    }
-
-    /// Publish a message to every delivery group of `topic`.
-    ///
-    /// Returns the number of groups the message was enqueued for. With
-    /// [`OverflowPolicy::Reject`], a single full queue fails the whole
-    /// publish *before* any enqueue (all-or-nothing), so producers see
-    /// consistent back-pressure.
-    pub fn publish(&self, topic: &str, message: M) -> CssResult<usize> {
-        self.inner
-            .publish_opts(topic, message, PublishOptions::new())
-            .map(|o| o.routed())
-    }
-
-    /// Publish with full options (dedup key, trace).
-    pub fn publish_opts(
-        &self,
-        topic: &str,
-        message: M,
-        opts: PublishOptions<'_>,
-    ) -> CssResult<PublishOutcome> {
-        self.inner.publish_opts(topic, message, opts)
-    }
-
-    /// [`Broker::publish`], continuing the caller's trace.
-    #[deprecated(note = "use publish_opts with PublishOptions::traced")]
-    pub fn publish_traced(
-        &self,
-        topic: &str,
-        message: M,
-        ctx: Option<&TraceContext>,
-    ) -> CssResult<usize> {
-        self.inner
-            .publish_opts(topic, message, PublishOptions::new().traced_opt(ctx))
-            .map(|o| o.routed())
-    }
-
-    /// Broker-wide statistics.
-    pub fn stats(&self) -> BrokerStats {
-        self.inner.state.lock().stats
-    }
-
-    /// Snapshot of the dead-letter queue.
-    pub fn dead_letters(&self) -> Vec<DeadLetter<M>> {
-        self.inner.state.lock().dlq.clone()
-    }
-
-    /// Active member subscriptions across all groups of a topic.
-    pub fn subscriber_count(&self, topic: &str) -> usize {
-        let st = self.inner.state.lock();
-        let Some(topic) = st.topics.get(topic) else {
-            return 0;
-        };
-        topic
-            .groups
-            .iter()
-            .filter_map(|gid| st.groups.get(gid))
-            .map(|g| g.members.len())
-            .sum()
-    }
-
-    /// Delivery groups on a topic (private and named).
-    pub fn group_count(&self, topic: &str) -> usize {
-        let st = self.inner.state.lock();
-        st.topics.get(topic).map(|t| t.groups.len()).unwrap_or(0)
-    }
-
-    /// Force a visibility-timeout sweep across all groups.
-    pub fn sweep(&self) -> usize {
-        self.inner.sweep_all()
-    }
-}
-
-/// The driver contract, implemented by delegation to the same
-/// internals the inherent methods use.
-impl<M: Clone + Send + 'static> BusDriver<M> for Broker<M> {
-    fn create_topic(&self, name: &str) {
-        Broker::create_topic(self, name);
-    }
-
-    fn has_topic(&self, name: &str) -> bool {
-        Broker::has_topic(self, name)
-    }
-
-    fn topics(&self) -> Vec<String> {
-        Broker::topics(self)
     }
 
     fn attach(
@@ -448,15 +326,24 @@ impl<M: Clone + Send + 'static> BusDriver<M> for Broker<M> {
     }
 
     fn stats(&self) -> BrokerStats {
-        Broker::stats(self)
+        self.inner.state.lock().stats
     }
 
     fn dead_letters(&self) -> Vec<DeadLetter<M>> {
-        Broker::dead_letters(self)
+        self.inner.state.lock().dlq.clone()
     }
 
     fn subscriber_count(&self, topic: &str) -> usize {
-        Broker::subscriber_count(self, topic)
+        let st = self.inner.state.lock();
+        let Some(topic) = st.topics.get(topic) else {
+            return 0;
+        };
+        topic
+            .groups
+            .iter()
+            .filter_map(|gid| st.groups.get(gid))
+            .map(|g| g.members.len())
+            .sum()
     }
 }
 
@@ -990,23 +877,24 @@ fn new_group<M>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::Bus;
 
-    fn broker() -> Broker<String> {
-        let b = Broker::new();
+    fn broker() -> Bus<String> {
+        let b = Bus::in_memory();
         b.create_topic("blood-test");
         b
     }
 
     #[test]
     fn publish_without_topic_fails() {
-        let b: Broker<String> = Broker::new();
-        assert!(b.publish("nope", "m".into()).is_err());
+        let b: Bus<String> = Bus::in_memory();
+        assert!(b.publish("nope", "m".into(), None).is_err());
         assert_eq!(b.stats().rejected, 1);
     }
 
     #[test]
     fn subscribe_unknown_topic_fails() {
-        let b: Broker<String> = Broker::new();
+        let b: Bus<String> = Bus::in_memory();
         assert!(b.subscribe("nope", SubscriptionConfig::default()).is_err());
     }
 
@@ -1019,7 +907,7 @@ mod tests {
         let s2 = b
             .subscribe("blood-test", SubscriptionConfig::default())
             .unwrap();
-        let n = b.publish("blood-test", "hello".into()).unwrap();
+        let n = b.publish("blood-test", "hello".into(), None).unwrap();
         assert_eq!(n, 2);
         assert_eq!(s1.drain().unwrap(), vec!["hello"]);
         assert_eq!(s2.drain().unwrap(), vec!["hello"]);
@@ -1029,7 +917,7 @@ mod tests {
     #[test]
     fn publish_with_no_subscribers_is_ok() {
         let b = broker();
-        assert_eq!(b.publish("blood-test", "m".into()).unwrap(), 0);
+        assert_eq!(b.publish("blood-test", "m".into(), None).unwrap(), 0);
     }
 
     #[test]
@@ -1039,7 +927,7 @@ mod tests {
             .subscribe("blood-test", SubscriptionConfig::default())
             .unwrap();
         for i in 0..5 {
-            b.publish("blood-test", format!("m{i}")).unwrap();
+            b.publish("blood-test", format!("m{i}"), None).unwrap();
         }
         assert_eq!(s.drain().unwrap(), vec!["m0", "m1", "m2", "m3", "m4"]);
     }
@@ -1050,7 +938,7 @@ mod tests {
         let s = b
             .subscribe("blood-test", SubscriptionConfig::default())
             .unwrap();
-        b.publish("blood-test", "m".into()).unwrap();
+        b.publish("blood-test", "m".into(), None).unwrap();
         let d = s.poll().unwrap().unwrap();
         // Queue is drained but message not acked.
         assert!(s.poll().unwrap().is_none());
@@ -1066,8 +954,8 @@ mod tests {
         let s = b
             .subscribe("blood-test", SubscriptionConfig::default())
             .unwrap();
-        b.publish("blood-test", "first".into()).unwrap();
-        b.publish("blood-test", "second".into()).unwrap();
+        b.publish("blood-test", "first".into(), None).unwrap();
+        b.publish("blood-test", "second".into(), None).unwrap();
         let d = s.poll().unwrap().unwrap();
         assert_eq!(d.message, "first");
         s.nack(d.delivery_id).unwrap();
@@ -1085,7 +973,7 @@ mod tests {
             ..Default::default()
         };
         let s = b.subscribe("blood-test", cfg).unwrap();
-        b.publish("blood-test", "poison".into()).unwrap();
+        b.publish("blood-test", "poison".into(), None).unwrap();
         for _ in 0..2 {
             let d = s.poll().unwrap().unwrap();
             s.nack(d.delivery_id).unwrap();
@@ -1109,10 +997,10 @@ mod tests {
         let roomy = b
             .subscribe("blood-test", SubscriptionConfig::default())
             .unwrap();
-        b.publish("blood-test", "m1".into()).unwrap();
+        b.publish("blood-test", "m1".into(), None).unwrap();
         // full's queue is at capacity → next publish must fail and NOT
         // enqueue for roomy either.
-        assert!(b.publish("blood-test", "m2".into()).is_err());
+        assert!(b.publish("blood-test", "m2".into(), None).is_err());
         assert_eq!(roomy.backlog().unwrap(), 1);
         assert_eq!(full.backlog().unwrap(), 1);
     }
@@ -1127,7 +1015,7 @@ mod tests {
         };
         let s = b.subscribe("blood-test", cfg).unwrap();
         for i in 0..4 {
-            b.publish("blood-test", format!("m{i}")).unwrap();
+            b.publish("blood-test", format!("m{i}"), None).unwrap();
         }
         assert_eq!(s.drain().unwrap(), vec!["m2", "m3"]);
         assert_eq!(s.stats().unwrap().dropped, 2);
@@ -1142,7 +1030,7 @@ mod tests {
         assert_eq!(b.subscriber_count("blood-test"), 1);
         s.unsubscribe().unwrap();
         assert_eq!(b.subscriber_count("blood-test"), 0);
-        assert_eq!(b.publish("blood-test", "m".into()).unwrap(), 0);
+        assert_eq!(b.publish("blood-test", "m".into(), None).unwrap(), 0);
     }
 
     #[test]
@@ -1178,7 +1066,9 @@ mod tests {
         let publisher = b.clone();
         let t = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
-            publisher.publish("blood-test", "wake".into()).unwrap();
+            publisher
+                .publish("blood-test", "wake".into(), None)
+                .unwrap();
         });
         let d = s.poll_wait(Duration::from_secs(5)).unwrap().unwrap();
         assert_eq!(d.message, "wake");
@@ -1203,7 +1093,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..250 {
                     publisher
-                        .publish("blood-test", format!("t{t}-m{i}"))
+                        .publish("blood-test", format!("t{t}-m{i}"), None)
                         .unwrap();
                 }
             }));
@@ -1220,12 +1110,12 @@ mod tests {
     #[test]
     fn telemetry_tracks_lifecycle() {
         let registry = MetricsRegistry::new();
-        let b: Broker<String> = Broker::with_telemetry(&registry);
+        let b: Bus<String> = Bus::in_memory_with_telemetry(&registry);
         b.create_topic("t");
         let s1 = b.subscribe("t", SubscriptionConfig::default()).unwrap();
         let s2 = b.subscribe("t", SubscriptionConfig::default()).unwrap();
         for i in 0..3 {
-            b.publish("t", format!("m{i}")).unwrap();
+            b.publish("t", format!("m{i}"), None).unwrap();
         }
         assert_eq!(registry.snapshot().gauge("bus.queue_depth"), 6);
 
@@ -1286,24 +1176,12 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_publish_traced_still_delegates() {
-        let b = broker();
-        let s = b
-            .subscribe("blood-test", SubscriptionConfig::default())
-            .unwrap();
-        #[allow(deprecated)]
-        let n = b.publish_traced("blood-test", "m".into(), None).unwrap();
-        assert_eq!(n, 1);
-        assert_eq!(s.drain().unwrap(), vec!["m"]);
-    }
-
-    #[test]
     fn untraced_publish_leaves_delivery_trace_empty() {
         let b = broker();
         let s = b
             .subscribe("blood-test", SubscriptionConfig::default())
             .unwrap();
-        b.publish("blood-test", "m".into()).unwrap();
+        b.publish("blood-test", "m".into(), None).unwrap();
         let d = s.poll().unwrap().unwrap();
         assert_eq!(d.trace, None);
     }
@@ -1314,7 +1192,7 @@ mod tests {
         let s = b
             .subscribe("blood-test", SubscriptionConfig::default())
             .unwrap();
-        b.publish("blood-test", "m".into()).unwrap();
+        b.publish("blood-test", "m".into(), None).unwrap();
         let d = s.poll().unwrap().unwrap();
         s.ack(d.delivery_id).unwrap();
         // No registry was attached; nothing to assert beyond "works".
@@ -1328,7 +1206,7 @@ mod tests {
         let s = b
             .subscribe("blood-test", SubscriptionConfig::default())
             .unwrap();
-        b.publish("blood-test", "still there".into()).unwrap();
+        b.publish("blood-test", "still there".into(), None).unwrap();
         assert_eq!(s.drain().unwrap().len(), 1);
         assert_eq!(b.topics(), vec!["blood-test"]);
     }
@@ -1346,11 +1224,10 @@ mod tests {
         let c = b
             .subscribe_group("blood-test", "workers", SubscriptionConfig::default())
             .unwrap();
-        assert_eq!(b.group_count("blood-test"), 1);
         assert_eq!(b.subscriber_count("blood-test"), 2);
         // One group → fan-out of 1 per publish.
-        assert_eq!(b.publish("blood-test", "m0".into()).unwrap(), 1);
-        assert_eq!(b.publish("blood-test", "m1".into()).unwrap(), 1);
+        assert_eq!(b.publish("blood-test", "m0".into(), None).unwrap(), 1);
+        assert_eq!(b.publish("blood-test", "m1".into(), None).unwrap(), 1);
         let da = a.poll().unwrap().unwrap();
         let dc = c.poll().unwrap().unwrap();
         assert_ne!(da.message, dc.message);
@@ -1371,7 +1248,7 @@ mod tests {
         let c = b
             .subscribe_group("other", "workers", SubscriptionConfig::default())
             .unwrap();
-        b.publish("blood-test", "m".into()).unwrap();
+        b.publish("blood-test", "m".into(), None).unwrap();
         assert_eq!(a.backlog().unwrap(), 1);
         assert_eq!(c.backlog().unwrap(), 0);
     }
@@ -1385,7 +1262,7 @@ mod tests {
         let c = b
             .subscribe_group("blood-test", "workers", SubscriptionConfig::default())
             .unwrap();
-        b.publish("blood-test", "job".into()).unwrap();
+        b.publish("blood-test", "job".into(), None).unwrap();
         let da = a.poll().unwrap().unwrap();
         assert_eq!(da.attempt, 1);
         a.nack(da.delivery_id).unwrap();
@@ -1404,7 +1281,7 @@ mod tests {
         let c = b
             .subscribe_group("blood-test", "workers", SubscriptionConfig::default())
             .unwrap();
-        b.publish("blood-test", "job".into()).unwrap();
+        b.publish("blood-test", "job".into(), None).unwrap();
         let da = a.poll().unwrap().unwrap();
         assert!(c.ack(da.delivery_id).is_err());
         assert!(c.nack(da.delivery_id).is_err());
@@ -1420,7 +1297,7 @@ mod tests {
         let c = b
             .subscribe_group("blood-test", "workers", SubscriptionConfig::default())
             .unwrap();
-        b.publish("blood-test", "job".into()).unwrap();
+        b.publish("blood-test", "job".into(), None).unwrap();
         let da = a.poll().unwrap().unwrap();
         assert_eq!(da.message, "job");
         a.unsubscribe().unwrap();
@@ -1437,9 +1314,10 @@ mod tests {
         let a = b
             .subscribe_group("blood-test", "workers", SubscriptionConfig::default())
             .unwrap();
-        b.publish("blood-test", "m".into()).unwrap();
+        b.publish("blood-test", "m".into(), None).unwrap();
         a.unsubscribe().unwrap();
-        assert_eq!(b.group_count("blood-test"), 0);
+        // The group is gone: the next publish routes to no queue.
+        assert_eq!(b.publish("blood-test", "n".into(), None).unwrap(), 0);
         // Re-joining the same name creates a fresh group (empty queue).
         let c = b
             .subscribe_group("blood-test", "workers", SubscriptionConfig::default())
@@ -1495,7 +1373,7 @@ mod tests {
 
     #[test]
     fn dedup_window_evicts_oldest_keys() {
-        let b: Broker<u32> = Broker::new();
+        let b: Bus<u32> = Bus::in_memory();
         b.create_topic("t");
         for i in 0..(DEDUP_WINDOW + 1) {
             let key = format!("k{i}");
@@ -1521,7 +1399,7 @@ mod tests {
                 },
             )
             .unwrap();
-        b.publish("blood-test", "fill".into()).unwrap();
+        b.publish("blood-test", "fill".into(), None).unwrap();
         let err = b.publish_opts(
             "blood-test",
             "m".into(),
@@ -1552,7 +1430,7 @@ mod tests {
             ..Default::default()
         };
         let s = b.subscribe("blood-test", cfg).unwrap();
-        b.publish("blood-test", "m".into()).unwrap();
+        b.publish("blood-test", "m".into(), None).unwrap();
         let d = s.poll().unwrap().unwrap();
         assert_eq!(d.attempt, 1);
         std::thread::sleep(Duration::from_millis(30));
@@ -1575,7 +1453,7 @@ mod tests {
             ..Default::default()
         };
         let s = b.subscribe("blood-test", cfg).unwrap();
-        b.publish("blood-test", "slow".into()).unwrap();
+        b.publish("blood-test", "slow".into(), None).unwrap();
         let _d = s.poll().unwrap().unwrap();
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(b.sweep(), 1);
@@ -1592,7 +1470,7 @@ mod tests {
             ..Default::default()
         };
         let s = b.subscribe("blood-test", cfg).unwrap();
-        b.publish("blood-test", "m".into()).unwrap();
+        b.publish("blood-test", "m".into(), None).unwrap();
         let d = s.poll().unwrap().unwrap();
         s.nack(d.delivery_id).unwrap();
         // Immediately after the nack the message is still backing off.
@@ -1611,8 +1489,8 @@ mod tests {
             ..Default::default()
         };
         let s = b.subscribe("blood-test", cfg).unwrap();
-        b.publish("blood-test", "poison".into()).unwrap();
-        b.publish("blood-test", "fine".into()).unwrap();
+        b.publish("blood-test", "poison".into(), None).unwrap();
+        b.publish("blood-test", "fine".into(), None).unwrap();
         let d = s.poll().unwrap().unwrap();
         assert_eq!(d.message, "poison");
         s.nack(d.delivery_id).unwrap();
@@ -1664,7 +1542,7 @@ mod tests {
         };
         let s = b.subscribe("blood-test", cfg).unwrap();
         for i in 0..4 {
-            b.publish("blood-test", format!("m{i}")).unwrap();
+            b.publish("blood-test", format!("m{i}"), None).unwrap();
         }
         let first = s.drain().unwrap();
         assert_eq!(first, vec!["m0", "m1", "m2", "m3"]);
@@ -1684,7 +1562,7 @@ mod tests {
         };
         let s = b.subscribe("blood-test", cfg).unwrap();
         for i in 0..5 {
-            b.publish("blood-test", format!("m{i}")).unwrap();
+            b.publish("blood-test", format!("m{i}"), None).unwrap();
         }
         s.drain().unwrap();
         // Only the newest 2 are retained.
@@ -1696,10 +1574,11 @@ mod tests {
 #[cfg(test)]
 mod race_tests {
     use super::*;
+    use crate::driver::Bus;
 
     #[test]
     fn poll_wait_errors_after_concurrent_unsubscribe() {
-        let b: Broker<String> = Broker::new();
+        let b: Bus<String> = Bus::in_memory();
         b.create_topic("t");
         let s = b.subscribe("t", SubscriptionConfig::default()).unwrap();
         let waiter = s.clone();
@@ -1715,11 +1594,11 @@ mod race_tests {
 
     #[test]
     fn nack_of_foreign_delivery_id_rejected() {
-        let b: Broker<u32> = Broker::new();
+        let b: Bus<u32> = Bus::in_memory();
         b.create_topic("t");
         let s1 = b.subscribe("t", SubscriptionConfig::default()).unwrap();
         let s2 = b.subscribe("t", SubscriptionConfig::default()).unwrap();
-        b.publish("t", 1).unwrap();
+        b.publish("t", 1, None).unwrap();
         let d1 = s1.poll().unwrap().unwrap();
         // s2 cannot ack or nack s1's delivery.
         assert!(s2.ack(d1.delivery_id).is_err());
@@ -1729,7 +1608,7 @@ mod race_tests {
 
     #[test]
     fn competing_pollers_never_share_a_delivery() {
-        let b: Broker<u64> = Broker::new();
+        let b: Bus<u64> = Bus::in_memory();
         b.create_topic("t");
         let cfg = SubscriptionConfig {
             capacity: 10_000,
@@ -1739,7 +1618,7 @@ mod race_tests {
             .map(|_| b.subscribe_group("t", "workers", cfg).unwrap())
             .collect();
         for i in 0..1_000u64 {
-            b.publish("t", i).unwrap();
+            b.publish("t", i, None).unwrap();
         }
         let mut threads = Vec::new();
         for s in subs {

@@ -114,12 +114,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::broker::Broker;
+    use crate::driver::Bus;
     use std::sync::Mutex;
 
     #[test]
     fn dispatcher_processes_and_acks() {
-        let broker: Broker<u32> = Broker::new();
+        let broker: Bus<u32> = Bus::in_memory();
         broker.create_topic("t");
         let sub = broker
             .subscribe("t", SubscriptionConfig::default())
@@ -132,7 +132,7 @@ mod tests {
             Ok(())
         });
         for i in 0..50 {
-            broker.publish("t", i).unwrap();
+            broker.publish("t", i, None).unwrap();
         }
         // Wait for drain.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -147,7 +147,7 @@ mod tests {
 
     #[test]
     fn failing_handler_dead_letters() {
-        let broker: Broker<&'static str> = Broker::new();
+        let broker: Bus<&'static str> = Bus::in_memory();
         broker.create_topic("t");
         let cfg = SubscriptionConfig {
             max_attempts: 2,
@@ -155,7 +155,7 @@ mod tests {
         };
         let sub = broker.subscribe("t", cfg).unwrap();
         let dispatcher = spawn_dispatcher(sub, |_m| Err(()));
-        broker.publish("t", "poison").unwrap();
+        broker.publish("t", "poison", None).unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while broker.dead_letters().is_empty() && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
@@ -168,7 +168,7 @@ mod tests {
 
     #[test]
     fn drop_stops_the_worker() {
-        let broker: Broker<u32> = Broker::new();
+        let broker: Bus<u32> = Bus::in_memory();
         broker.create_topic("t");
         let sub = broker
             .subscribe("t", SubscriptionConfig::default())
@@ -176,7 +176,7 @@ mod tests {
         {
             let _dispatcher = spawn_dispatcher(sub, |_m| Ok(()));
         } // dropped here; must not hang
-        broker.publish("t", 1).unwrap();
+        broker.publish("t", 1, None).unwrap();
     }
 
     #[test]
@@ -207,7 +207,7 @@ mod tests {
 
     #[test]
     fn two_dispatchers_on_two_subscriptions() {
-        let broker: Broker<u32> = Broker::new();
+        let broker: Bus<u32> = Bus::in_memory();
         broker.create_topic("t");
         let a = broker
             .subscribe("t", SubscriptionConfig::default())
@@ -226,7 +226,7 @@ mod tests {
             Ok(())
         });
         for i in 0..20 {
-            broker.publish("t", i).unwrap();
+            broker.publish("t", i, None).unwrap();
         }
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while count.load(Ordering::SeqCst) < 40 && std::time::Instant::now() < deadline {

@@ -89,7 +89,7 @@ fn worker_pool_is_load_balanced_and_exactly_once() {
 /// group name so the failure can be joined back to its causal record.
 #[test]
 fn poison_message_dead_letters_with_original_trace() {
-    let broker: Broker<&'static str> = Broker::new();
+    let broker: Bus<&'static str> = Bus::in_memory();
     broker.create_topic("t");
     let cfg = SubscriptionConfig {
         max_attempts: 3,
@@ -165,7 +165,7 @@ proptest! {
         messages in proptest::collection::vec(any::<u16>(), 1..60),
         from_fraction in 0u8..=100,
     ) {
-        let broker: Broker<u16> = Broker::new();
+        let broker: Bus<u16> = Bus::in_memory();
         broker.create_topic("t");
         let sub = broker.subscribe("t", SubscriptionConfig {
             capacity: 1 << 10,
@@ -173,7 +173,7 @@ proptest! {
             ..Default::default()
         }).unwrap();
         for m in &messages {
-            broker.publish("t", *m).unwrap();
+            broker.publish("t", *m, None).unwrap();
         }
         let live = sub.drain().unwrap();
         prop_assert_eq!(&live, &messages);
@@ -193,7 +193,7 @@ proptest! {
         members in 1usize..6,
         messages in 1u64..80,
     ) {
-        let broker: Broker<u64> = Broker::new();
+        let broker: Bus<u64> = Bus::in_memory();
         broker.create_topic("t");
         let subs: Vec<_> = (0..members)
             .map(|_| broker.subscribe_group("t", "g", SubscriptionConfig {
@@ -202,7 +202,7 @@ proptest! {
             }).unwrap())
             .collect();
         for i in 0..messages {
-            broker.publish("t", i).unwrap();
+            broker.publish("t", i, None).unwrap();
         }
         let mut seen: HashMap<u64, usize> = HashMap::new();
         loop {

@@ -35,7 +35,7 @@ use crate::consent::{ConsentDecision, ConsentRegistry, ConsentScope};
 use crate::contract::{ContractRegistry, ParticipantContract, ParticipantRole};
 use crate::gateway_client::GatewayClient;
 use crate::pep::PolicyEnforcementPoint;
-use crate::shards::{HashedShards, IndexShards, ShardMap, SingleShard};
+use crate::shards::IndexShards;
 
 /// Construction parameters for a controller.
 pub struct ControllerConfig {
@@ -58,11 +58,6 @@ pub struct ControllerConfig {
     /// a [`css_bus::RecordingDriver`] in tests, a networked broker in a
     /// multi-site deployment).
     pub bus_driver: Option<Arc<dyn BusDriver<NotificationMessage>>>,
-    /// How many data-plane shards (events index + audit) the controller
-    /// partitions its state into. `1` (the default) reproduces the
-    /// unsharded layout exactly; a multicore deployment wants one shard
-    /// per expected concurrent writer, e.g. `min(8, cores)`.
-    pub shards: usize,
 }
 
 impl ControllerConfig {
@@ -75,7 +70,6 @@ impl ControllerConfig {
             telemetry: MetricsRegistry::new(),
             tracer: Tracer::disabled(),
             bus_driver: None,
-            shards: 1,
         }
     }
 
@@ -99,22 +93,6 @@ impl ControllerConfig {
     pub fn with_bus_driver(mut self, driver: Arc<dyn BusDriver<NotificationMessage>>) -> Self {
         self.bus_driver = Some(driver);
         self
-    }
-
-    /// Partition the data plane into `n` citizen-hashed shards
-    /// (clamped to at least 1).
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.shards = n.max(1);
-        self
-    }
-
-    /// The shard map this configuration implies.
-    fn shard_map(&self) -> Arc<dyn ShardMap> {
-        if self.shards <= 1 {
-            Arc::new(SingleShard)
-        } else {
-            Arc::new(HashedShards::new(self.shards))
-        }
     }
 }
 
@@ -154,39 +132,17 @@ pub struct DataController<B: LogBackend> {
 }
 
 impl<B: LogBackend> DataController<B> {
-    /// Create a controller whose audit log lives on `audit_backend`.
-    ///
-    /// With `config.shards > 1` the events index is partitioned
-    /// in-memory and the audit plane keeps shard 0 on the given
-    /// backend (sibling shards are memory-resident).
-    pub fn new(config: ControllerConfig, audit_backend: B) -> CssResult<Self> {
-        let map = config.shard_map();
-        let index = IndexShards::new(&config.master_key, map);
-        let audit = AuditShards::open_padded(audit_backend, config.shards)?;
-        Self::assemble(config, index, audit)
-    }
-
-    /// Create a controller whose audit log AND events index are both
-    /// disk-backed, on one backend each. The index replays persisted
-    /// notifications on open, so a controller restart loses no events.
-    /// This layout is single-shard regardless of `config.shards`; a
-    /// sharded persistent deployment uses
-    /// [`DataController::with_shard_backends`].
-    pub fn with_backends(
+    /// Open a controller with one audit backend and one index backend
+    /// **per shard**: the shard count of the data plane (events index +
+    /// audit) **is** the length of the two vectors, which must be equal.
+    /// One backend each is the unsharded layout; `MemBackend`s give an
+    /// in-memory controller; a multicore deployment wants one shard per
+    /// expected concurrent writer, e.g. `min(8, cores)`. Both planes
+    /// replay what their backends hold, and index replay re-routes
+    /// every persisted entry to its current owner shard, so reopening
+    /// with more shards loses nothing.
+    pub fn open(
         config: ControllerConfig,
-        audit_backend: B,
-        index_backend: B,
-    ) -> CssResult<Self> {
-        Self::with_shard_backends(config, vec![audit_backend], vec![index_backend])
-    }
-
-    /// Create a fully disk-backed controller with one audit backend and
-    /// one index backend **per shard**. The two backend vectors must be
-    /// the same length; that length overrides `config.shards`. Index
-    /// replay re-routes every persisted entry to its current owner
-    /// shard, so reopening with a different shard count loses nothing.
-    pub fn with_shard_backends(
-        mut config: ControllerConfig,
         audit_backends: Vec<B>,
         index_backends: Vec<B>,
     ) -> CssResult<Self> {
@@ -197,18 +153,8 @@ impl<B: LogBackend> DataController<B> {
                 index_backends.len()
             )));
         }
-        config.shards = index_backends.len().max(1);
-        let map = config.shard_map();
-        let index = IndexShards::open(&config.master_key, map, index_backends)?;
+        let mut index = IndexShards::open(&config.master_key, index_backends)?;
         let audit = AuditShards::open(audit_backends)?;
-        Self::assemble(config, index, audit)
-    }
-
-    fn assemble(
-        config: ControllerConfig,
-        mut index: IndexShards<B>,
-        audit: AuditShards<B>,
-    ) -> CssResult<Self> {
         index.instrument(&config.telemetry);
         // Continue minting global ids after the highest recovered one so
         // restarts never reuse an eID (nonce safety for the sealer).
@@ -642,48 +588,16 @@ impl<B: LogBackend> DataController<B> {
         })
     }
 
-    /// [`DataController::publish`] under its pre-consolidation name.
-    #[allow(clippy::too_many_arguments)]
-    #[deprecated(note = "use publish with an optional parent TraceContext")]
-    pub fn publish_traced(
-        &self,
-        producer: ActorId,
-        person: PersonIdentity,
-        description: String,
-        event_type: EventTypeId,
-        occurred_at: Timestamp,
-        src_event_id: SourceEventId,
-        parent: Option<&TraceContext>,
-    ) -> CssResult<PublishReceipt> {
-        self.publish(
-            producer,
-            person,
-            description,
-            event_type,
-            occurred_at,
-            src_event_id,
-            parent,
-        )
-    }
-
     // ---- index inquiry ----------------------------------------------------
 
     /// Consumer queries the events index for notifications about one
     /// person. Only events of classes the consumer is authorized for are
     /// returned; each returned event is marked as notified to the
     /// consumer (inquiry and pub/sub are equivalent notification
-    /// channels, Section 4). Touches exactly one index shard.
+    /// channels, Section 4). Touches exactly one index shard. Continues
+    /// the caller's trace, or mints an `inquiry` root span when `parent`
+    /// is none.
     pub fn inquire_by_person(
-        &self,
-        consumer: ActorId,
-        person: PersonId,
-    ) -> CssResult<Vec<NotificationMessage>> {
-        self.inquire_by_person_traced(consumer, person, None)
-    }
-
-    /// [`DataController::inquire_by_person`], continuing the caller's
-    /// trace (or minting an `inquiry` root span when `parent` is none).
-    pub fn inquire_by_person_traced(
         &self,
         consumer: ActorId,
         person: PersonId,
@@ -760,23 +674,13 @@ impl<B: LogBackend> DataController<B> {
 
     // ---- detail requests ----------------------------------------------------
 
-    /// Consumer requests the details of an event (Algorithm 1).
+    /// Consumer requests the details of an event (Algorithm 1),
+    /// continuing the caller's trace (or minting a `detail_request` root
+    /// span when `parent` is none). Every Algorithm 1 stage the PEP
+    /// reaches becomes a child span, and the root span status mirrors
+    /// the outcome: `Denied` for policy denials, `Error` for
+    /// infrastructure faults.
     pub fn request_details(
-        &self,
-        consumer: ActorId,
-        event_type: EventTypeId,
-        event_id: GlobalEventId,
-        purpose: Purpose,
-    ) -> CssResult<css_event::PrivacyAwareEvent> {
-        self.request_details_traced(consumer, event_type, event_id, purpose, None)
-    }
-
-    /// [`DataController::request_details`], continuing the caller's
-    /// trace (or minting a `detail_request` root span when `parent` is
-    /// none). Every Algorithm 1 stage the PEP reaches becomes a child
-    /// span, and the root span status mirrors the outcome: `Denied` for
-    /// policy denials, `Error` for infrastructure faults.
-    pub fn request_details_traced(
         &self,
         consumer: ActorId,
         event_type: EventTypeId,

@@ -31,17 +31,6 @@ pub trait GatewayClient: Send + Sync {
         allowed: &BTreeSet<String>,
         ctx: Option<&TraceContext>,
     ) -> CssResult<EventDetails>;
-
-    /// [`GatewayClient::get_response`] under its pre-consolidation name.
-    #[deprecated(note = "use get_response with an optional TraceContext")]
-    fn get_response_traced(
-        &self,
-        src_event_id: SourceEventId,
-        allowed: &BTreeSet<String>,
-        ctx: Option<&TraceContext>,
-    ) -> CssResult<EventDetails> {
-        self.get_response(src_event_id, allowed, ctx)
-    }
 }
 
 /// A shareable in-process gateway endpoint.

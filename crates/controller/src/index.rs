@@ -15,7 +15,7 @@
 //! - the set of consumer organizations that were notified — possessing
 //!   the notification is the prerequisite for a detail request.
 //!
-//! The index can be **disk-backed** ([`EventsIndex::open`]): inserts and
+//! The index is **persisted** ([`EventsIndex::open`]): inserts and
 //! notified-markers are appended to a `css-storage` record log (sealed
 //! identity persisted as hex, never plaintext) and replayed on restart,
 //! so a controller restart loses no notifications.
@@ -122,7 +122,7 @@ impl IndexEntry {
     }
 }
 
-/// The controller's index of all notifications, optionally disk-backed.
+/// The controller's index of all notifications, persisted on its backend.
 pub struct EventsIndex<B: LogBackend = MemBackend> {
     sealer: SealedBox,
     tag_key: Vec<u8>,
@@ -134,7 +134,7 @@ pub struct EventsIndex<B: LogBackend = MemBackend> {
     by_time: BTreeMap<Timestamp, Vec<GlobalEventId>>,
     /// Largest indexed event id (assembly resumes numbering from here).
     max_id: Option<GlobalEventId>,
-    storage: Option<RecordLog<B>>,
+    storage: RecordLog<B>,
 }
 
 /// The keyed-lookup-tag key derivation shared by every shard of an
@@ -147,89 +147,88 @@ pub(crate) fn derive_tag_key(master_key: &[u8]) -> Vec<u8> {
 }
 
 impl<B: LogBackend> EventsIndex<B> {
-    /// A purely in-memory index sealing identities under keys derived
-    /// from `master_key`.
-    pub fn new(master_key: &[u8]) -> Self {
-        let tag_key = derive_tag_key(master_key);
-        EventsIndex {
-            sealer: SealedBox::new(master_key),
-            tag_key,
-            entries: HashMap::new(),
-            by_person_tag: HashMap::new(),
-            by_type: HashMap::new(),
-            by_time: BTreeMap::new(),
-            max_id: None,
-            storage: None,
-        }
+    /// Open an index on `backend` (a [`MemBackend`] for an in-memory
+    /// one), sealing identities under keys derived from `master_key`
+    /// and replaying any persisted entries and notified-markers.
+    pub fn open(master_key: &[u8], backend: B) -> CssResult<Self> {
+        Self::open_all(master_key, vec![backend], |_| 0)?
+            .pop()
+            .ok_or_else(|| CssError::Invalid("one backend must open one index".into()))
     }
 
-    /// Open a disk-backed index, replaying any persisted entries and
-    /// notified-markers.
-    pub fn open(master_key: &[u8], backend: B) -> CssResult<Self> {
-        let (storage, outcome) = RecordLog::recover(backend)?;
-        let mut index = Self::new(master_key);
-        for ptr in &outcome.records {
-            let payload = storage.read(*ptr)?;
-            let text = String::from_utf8(payload)
-                .map_err(|e| CssError::Serialization(format!("index record not UTF-8: {e}")))?;
-            let doc = css_xml::parse(&text).map_err(|e| CssError::Serialization(e.to_string()))?;
-            match doc.name.as_str() {
-                "IndexEntry" => {
-                    let entry = IndexEntry::from_xml(&doc)?;
-                    index.link_entry(entry);
-                }
-                "Notified" => {
-                    let bad =
-                        |msg: &str| CssError::Serialization(format!("Notified marker: {msg}"));
-                    let event: GlobalEventId = doc
-                        .attribute("eventId")
-                        .ok_or_else(|| bad("missing eventId"))?
-                        .parse()
-                        .map_err(|e| bad(&format!("bad eventId: {e}")))?;
-                    let actor: ActorId = doc
-                        .attribute("actor")
-                        .ok_or_else(|| bad("missing actor"))?
-                        .parse()
-                        .map_err(|e| bad(&format!("bad actor: {e}")))?;
-                    if let Some(entry) = index.entries.get_mut(&event) {
-                        entry.notified.insert(actor);
+    /// Open one index per backend — the shards of a plane — replaying
+    /// every persisted entry into the index `owner` names for its person
+    /// tag, which may differ from the backend it was read off: a plane
+    /// that changed its shard count still recovers every event into the
+    /// right partition. Entries first, then notified-markers, so
+    /// markers resolve regardless of which backend they were read off.
+    pub(crate) fn open_all(
+        master_key: &[u8],
+        backends: Vec<B>,
+        owner: impl Fn(&[u8; 32]) -> usize,
+    ) -> CssResult<Vec<Self>> {
+        let mut shards = Vec::with_capacity(backends.len());
+        let mut recovered = Vec::with_capacity(backends.len());
+        for backend in backends {
+            let (storage, outcome) = RecordLog::recover(backend)?;
+            recovered.push(outcome.records);
+            shards.push(EventsIndex {
+                sealer: SealedBox::new(master_key),
+                tag_key: derive_tag_key(master_key),
+                entries: HashMap::new(),
+                by_person_tag: HashMap::new(),
+                by_type: HashMap::new(),
+                by_time: BTreeMap::new(),
+                max_id: None,
+                storage,
+            });
+        }
+        let mut markers: Vec<(GlobalEventId, ActorId)> = Vec::new();
+        for (i, records) in recovered.iter().enumerate() {
+            for ptr in records {
+                let payload = shards[i].storage.read(*ptr)?;
+                let text = String::from_utf8(payload)
+                    .map_err(|e| CssError::Serialization(format!("index record not UTF-8: {e}")))?;
+                let doc =
+                    css_xml::parse(&text).map_err(|e| CssError::Serialization(e.to_string()))?;
+                match doc.name.as_str() {
+                    "IndexEntry" => {
+                        let entry = IndexEntry::from_xml(&doc)?;
+                        shards[owner(&entry.person_tag)].link_entry(entry);
+                    }
+                    "Notified" => {
+                        let bad =
+                            |msg: &str| CssError::Serialization(format!("Notified marker: {msg}"));
+                        let event: GlobalEventId = doc
+                            .attribute("eventId")
+                            .ok_or_else(|| bad("missing eventId"))?
+                            .parse()
+                            .map_err(|e| bad(&format!("bad eventId: {e}")))?;
+                        let actor: ActorId = doc
+                            .attribute("actor")
+                            .ok_or_else(|| bad("missing actor"))?
+                            .parse()
+                            .map_err(|e| bad(&format!("bad actor: {e}")))?;
+                        markers.push((event, actor));
+                    }
+                    other => {
+                        return Err(CssError::Serialization(format!(
+                            "unknown index record <{other}>"
+                        )))
                     }
                 }
-                other => {
-                    return Err(CssError::Serialization(format!(
-                        "unknown index record <{other}>"
-                    )))
+            }
+        }
+        // Markers for unknown events are silently skipped.
+        for (event, actor) in markers {
+            for shard in &mut shards {
+                if let Some(entry) = shard.entries.get_mut(&event) {
+                    entry.notified.insert(actor);
+                    break;
                 }
             }
         }
-        index.storage = Some(storage);
-        Ok(index)
-    }
-
-    /// Adopt a recovered entry in memory only (no persistence) — the
-    /// shard layer re-routes replayed entries to their current owner
-    /// shard, which may differ from the backend they were read off.
-    pub(crate) fn adopt_entry(&mut self, entry: IndexEntry) {
-        self.link_entry(entry);
-    }
-
-    /// Adopt a recovered notified-marker in memory only. Returns whether
-    /// this index holds the marked event (the shard layer probes shards
-    /// until one does).
-    pub(crate) fn adopt_marker(&mut self, id: GlobalEventId, actor: ActorId) -> bool {
-        match self.entries.get_mut(&id) {
-            Some(entry) => {
-                entry.notified.insert(actor);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Attach the shard's own record log after replay; subsequent
-    /// inserts and markers append to it.
-    pub(crate) fn attach_storage(&mut self, storage: RecordLog<B>) {
-        self.storage = Some(storage);
+        Ok(shards)
     }
 
     fn link_entry(&mut self, entry: IndexEntry) {
@@ -252,9 +251,7 @@ impl<B: LogBackend> EventsIndex<B> {
     }
 
     fn persist(&mut self, doc: &Element) -> CssResult<()> {
-        if let Some(storage) = &mut self.storage {
-            storage.append(css_xml::to_string(doc).as_bytes())?;
-        }
+        self.storage.append(css_xml::to_string(doc).as_bytes())?;
         Ok(())
     }
 
@@ -431,19 +428,14 @@ impl<B: LogBackend> EventsIndex<B> {
                 markers.push(css_xml::to_string(&marker).into_bytes());
             }
         }
-        if let Some(storage) = &mut self.storage {
-            let refs: Vec<&[u8]> = markers.iter().map(Vec::as_slice).collect();
-            storage.append_batch(&refs)?;
-        }
+        let refs: Vec<&[u8]> = markers.iter().map(Vec::as_slice).collect();
+        self.storage.append_batch(&refs)?;
         Ok(out)
     }
 
     /// Flush persisted records to stable storage.
     pub fn sync(&mut self) -> CssResult<()> {
-        if let Some(storage) = &mut self.storage {
-            storage.sync()?;
-        }
-        Ok(())
+        self.storage.sync()
     }
 
     /// Number of indexed events.
@@ -478,7 +470,7 @@ mod tests {
     }
 
     fn index() -> EventsIndex<MemBackend> {
-        EventsIndex::new(b"controller master key")
+        EventsIndex::open(b"controller master key", MemBackend::new()).unwrap()
     }
 
     #[test]
@@ -628,10 +620,10 @@ mod tests {
         assert!(idx.was_notified(GlobalEventId(1), ActorId(5)));
         assert!(!idx.was_notified(GlobalEventId(2), ActorId(5)));
         // Re-running adds no new markers (and so no new bytes).
-        let bytes = idx.storage.as_ref().unwrap().byte_len();
+        let bytes = idx.storage.byte_len();
         idx.filter_authorized(&candidates, ActorId(5), |ty| *ty == open)
             .unwrap();
-        assert_eq!(idx.storage.as_ref().unwrap().byte_len(), bytes);
+        assert_eq!(idx.storage.byte_len(), bytes);
     }
 
     #[test]
@@ -650,12 +642,12 @@ mod tests {
 
     #[test]
     fn different_master_keys_isolate_indices() {
-        let mut a = EventsIndex::<MemBackend>::new(b"key-a");
+        let mut a = EventsIndex::open(b"key-a", MemBackend::new()).unwrap();
         let n = notif(1, 7, "x");
         a.insert(&n, SourceEventId(1), HashSet::new()).unwrap();
         let entry = a.entry(GlobalEventId(1)).unwrap().clone();
         // An index with a different key cannot open the sealed blob.
-        let b = EventsIndex::<MemBackend>::new(b"key-b");
+        let b = EventsIndex::open(b"key-b", MemBackend::new()).unwrap();
         assert!(b.sealer.open(&entry.sealed_identity).is_err());
     }
 
@@ -725,8 +717,8 @@ mod tests {
         idx.insert(&notif(1, 7, "x"), SourceEventId(1), HashSet::new())
             .unwrap();
         idx.mark_notified(GlobalEventId(1), ActorId(5)).unwrap();
-        let bytes_after_first = idx.storage.as_ref().unwrap().byte_len();
+        let bytes_after_first = idx.storage.byte_len();
         idx.mark_notified(GlobalEventId(1), ActorId(5)).unwrap();
-        assert_eq!(idx.storage.as_ref().unwrap().byte_len(), bytes_after_first);
+        assert_eq!(idx.storage.byte_len(), bytes_after_first);
     }
 }

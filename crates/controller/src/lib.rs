@@ -36,4 +36,4 @@ pub use gateway_client::{GatewayClient, SharedGateway};
 pub use identity::{Credential, IdentityManager};
 pub use index::{EventsIndex, IndexEntry};
 pub use pep::PolicyEnforcementPoint;
-pub use shards::{HashedShards, IndexShards, ShardMap, SingleShard};
+pub use shards::IndexShards;

@@ -4,9 +4,8 @@
 //! BENCH_e15 measured flat-to-negative scaling from 1 to 8 threads
 //! because of exactly that. [`IndexShards`] hash-partitions the index
 //! by **citizen** into N independent shards, each behind its own
-//! mutex, selected by a pluggable [`ShardMap`] (the same split a
-//! driver-based bus uses: the policy of *where* a key lives is a trait,
-//! so a future remote shard backend slots in without touching callers).
+//! mutex, one per backend the plane is opened on ([`css_types::shard_of`]
+//! decides where a key lives; one backend is the unsharded index).
 //!
 //! Routing uses the keyed person tag (HMAC over the person id under
 //! the controller master key) — the same value the index already
@@ -23,61 +22,19 @@
 //! into the right partition.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::{Mutex, MutexGuard};
 
 use css_event::NotificationMessage;
-use css_storage::{LogBackend, MemBackend, RecordLog};
+use css_storage::{LogBackend, MemBackend};
 use css_telemetry::{Counter, Histogram, MetricsRegistry};
 use css_types::{
-    ActorId, CssError, CssResult, EventTypeId, GlobalEventId, PersonId, SourceEventId, Timestamp,
+    shard_of, ActorId, CssError, CssResult, EventTypeId, GlobalEventId, PersonId, SourceEventId,
+    Timestamp,
 };
 
-use crate::index::{derive_tag_key, EventsIndex, IndexEntry};
-
-/// Where a routing key lives: the pluggable partition policy of the
-/// sharded data plane.
-pub trait ShardMap: Send + Sync {
-    /// How many shards the map spreads keys over.
-    fn shard_count(&self) -> usize;
-    /// The shard owning `key` (must be `< shard_count()`).
-    fn shard_of(&self, key: u64) -> usize;
-}
-
-/// Everything on one shard — the unsharded controller, unchanged.
-pub struct SingleShard;
-
-impl ShardMap for SingleShard {
-    fn shard_count(&self) -> usize {
-        1
-    }
-    fn shard_of(&self, _key: u64) -> usize {
-        0
-    }
-}
-
-/// Fibonacci-hash keys onto `n` shards.
-pub struct HashedShards {
-    n: usize,
-}
-
-impl HashedShards {
-    /// A map over `n` shards (clamped to at least 1).
-    pub fn new(n: usize) -> Self {
-        HashedShards { n: n.max(1) }
-    }
-}
-
-impl ShardMap for HashedShards {
-    fn shard_count(&self) -> usize {
-        self.n
-    }
-    fn shard_of(&self, key: u64) -> usize {
-        ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % self.n
-    }
-}
+use crate::index::{derive_tag_key, EventsIndex};
 
 /// The routing key a person tag reduces to.
 fn tag_key_bits(tag: &[u8; 32]) -> u64 {
@@ -92,7 +49,6 @@ fn tag_key_bits(tag: &[u8; 32]) -> u64 {
 /// at a time.
 pub struct IndexShards<B: LogBackend = MemBackend> {
     shards: Vec<Mutex<EventsIndex<B>>>,
-    map: Arc<dyn ShardMap>,
     tag_key: Vec<u8>,
     /// Per-shard operation counters (`shard.{i}.ops` once instrumented).
     ops: Vec<Counter>,
@@ -103,87 +59,26 @@ pub struct IndexShards<B: LogBackend = MemBackend> {
 }
 
 impl<B: LogBackend> IndexShards<B> {
-    /// A purely in-memory plane partitioned by `map`.
-    pub fn new(master_key: &[u8], map: Arc<dyn ShardMap>) -> Self {
-        let n = map.shard_count().max(1);
-        IndexShards {
-            shards: (0..n)
-                .map(|_| Mutex::new(EventsIndex::new(master_key)))
-                .collect(),
-            map,
+    /// Open the plane, one shard per backend: the shard count **is**
+    /// `backends.len()` (a one-element vector is the unsharded index, a
+    /// [`MemBackend`] an in-memory one). Every persisted entry is
+    /// replayed into its **current** owner shard.
+    pub fn open(master_key: &[u8], backends: Vec<B>) -> CssResult<Self> {
+        let n = backends.len();
+        if n == 0 {
+            return Err(CssError::Invalid(
+                "index plane needs at least one backend".into(),
+            ));
+        }
+        let shards =
+            EventsIndex::open_all(master_key, backends, |tag| shard_of(tag_key_bits(tag), n))?;
+        Ok(IndexShards {
+            shards: shards.into_iter().map(Mutex::new).collect(),
             tag_key: derive_tag_key(master_key),
             ops: (0..n).map(|_| Counter::new()).collect(),
             ops_total: Counter::new(),
             lock_wait: Histogram::new(),
-        }
-    }
-
-    /// Open a disk-backed plane, one backend per shard, replaying every
-    /// persisted entry into its **current** owner shard (entries first,
-    /// then notified-markers, so markers resolve regardless of which
-    /// backend they were read off).
-    pub fn open(master_key: &[u8], map: Arc<dyn ShardMap>, backends: Vec<B>) -> CssResult<Self> {
-        let n = map.shard_count().max(1);
-        if backends.len() != n {
-            return Err(CssError::Invalid(format!(
-                "index plane wants {n} backends, got {}",
-                backends.len()
-            )));
-        }
-        let mut plane = Self::new(master_key, map);
-        let mut markers: Vec<(GlobalEventId, ActorId)> = Vec::new();
-        let mut logs: Vec<RecordLog<B>> = Vec::with_capacity(n);
-        for backend in backends {
-            let (storage, outcome) = RecordLog::recover(backend)?;
-            for ptr in &outcome.records {
-                let payload = storage.read(*ptr)?;
-                let text = String::from_utf8(payload)
-                    .map_err(|e| CssError::Serialization(format!("index record not UTF-8: {e}")))?;
-                let doc =
-                    css_xml::parse(&text).map_err(|e| CssError::Serialization(e.to_string()))?;
-                match doc.name.as_str() {
-                    "IndexEntry" => {
-                        let entry = IndexEntry::from_xml(&doc)?;
-                        let owner = plane.map.shard_of(tag_key_bits(&entry.person_tag));
-                        plane.shards[owner].get_mut().adopt_entry(entry);
-                    }
-                    "Notified" => {
-                        let bad =
-                            |msg: &str| CssError::Serialization(format!("Notified marker: {msg}"));
-                        let event: GlobalEventId = doc
-                            .attribute("eventId")
-                            .ok_or_else(|| bad("missing eventId"))?
-                            .parse()
-                            .map_err(|e| bad(&format!("bad eventId: {e}")))?;
-                        let actor: ActorId = doc
-                            .attribute("actor")
-                            .ok_or_else(|| bad("missing actor"))?
-                            .parse()
-                            .map_err(|e| bad(&format!("bad actor: {e}")))?;
-                        markers.push((event, actor));
-                    }
-                    other => {
-                        return Err(CssError::Serialization(format!(
-                            "unknown index record <{other}>"
-                        )))
-                    }
-                }
-            }
-            logs.push(storage);
-        }
-        // Markers for unknown events are silently skipped, matching the
-        // unsharded replay.
-        for (event, actor) in markers {
-            for shard in &mut plane.shards {
-                if shard.get_mut().adopt_marker(event, actor) {
-                    break;
-                }
-            }
-        }
-        for (shard, log) in plane.shards.iter_mut().zip(logs) {
-            shard.get_mut().attach_storage(log);
-        }
-        Ok(plane)
+        })
     }
 
     /// Register this plane's instruments: per-shard `shard.{i}.ops`
@@ -218,7 +113,7 @@ impl<B: LogBackend> IndexShards<B> {
 
     /// The shard owning a citizen's events.
     pub fn shard_of_person(&self, person: PersonId) -> usize {
-        self.map.shard_of(tag_key_bits(&self.person_tag(person)))
+        shard_of(tag_key_bits(&self.person_tag(person)), self.shards.len())
     }
 
     /// Store a notification on its owner shard.
@@ -402,7 +297,8 @@ mod tests {
     }
 
     fn plane(n: usize) -> IndexShards<MemBackend> {
-        IndexShards::new(b"controller master key", Arc::new(HashedShards::new(n)))
+        let backends = (0..n).map(|_| MemBackend::new()).collect();
+        IndexShards::open(b"controller master key", backends).unwrap()
     }
 
     #[test]
@@ -486,12 +382,7 @@ mod tests {
         }
         let file = |i: usize| css_storage::FileBackend::open(path(i)).unwrap();
         {
-            let two = IndexShards::open(
-                b"master",
-                Arc::new(HashedShards::new(2)),
-                vec![file(0), file(1)],
-            )
-            .unwrap();
+            let two = IndexShards::open(b"master", vec![file(0), file(1)]).unwrap();
             for id in 1..=20u64 {
                 two.insert(&notif(id, id, "x"), SourceEventId(id), HashSet::new())
                     .unwrap();
@@ -499,12 +390,7 @@ mod tests {
             two.mark_notified(GlobalEventId(3), ActorId(9)).unwrap();
             two.sync().unwrap();
         }
-        let four = IndexShards::open(
-            b"master",
-            Arc::new(HashedShards::new(4)),
-            (0..4).map(file).collect(),
-        )
-        .unwrap();
+        let four = IndexShards::open(b"master", (0..4).map(file).collect()).unwrap();
         assert_eq!(four.len(), 20);
         for id in 1..=20u64 {
             assert_eq!(
@@ -519,15 +405,5 @@ mod tests {
         for i in 0..4 {
             let _ = std::fs::remove_file(path(i));
         }
-    }
-
-    #[test]
-    fn single_shard_map_routes_everything_to_shard_zero() {
-        let one = IndexShards::<MemBackend>::new(b"k", Arc::new(SingleShard));
-        for id in 1..=5u64 {
-            one.insert(&notif(id, id, "x"), SourceEventId(id), HashSet::new())
-                .unwrap();
-        }
-        assert_eq!(one.shard_lens(), vec![5]);
     }
 }

@@ -49,7 +49,7 @@ fn mario() -> PersonIdentity {
 fn setup() -> World {
     let clock = SimClock::starting_at(Timestamp(1_000_000));
     let config = ControllerConfig::with_clock(Arc::new(clock.clone()));
-    let c = DataController::new(config, MemBackend::new()).unwrap();
+    let c = DataController::open(config, vec![MemBackend::new()], vec![MemBackend::new()]).unwrap();
 
     c.register_actor(Actor::organization(HOSPITAL, "Hospital S. Maria"))
         .unwrap();
@@ -167,6 +167,7 @@ fn full_two_phase_flow() {
             EventTypeId::v1("blood-test"),
             eid,
             Purpose::HealthcareTreatment,
+            None,
         )
         .unwrap();
     assert!(response.is_privacy_safe());
@@ -197,6 +198,7 @@ fn detail_request_denied_for_wrong_purpose() {
             EventTypeId::v1("blood-test"),
             eid,
             Purpose::StatisticalAnalysis,
+            None,
         )
         .unwrap_err();
     assert_eq!(err, CssError::AccessDenied(DenyReason::PurposeNotAllowed));
@@ -216,6 +218,7 @@ fn detail_request_denied_without_notification() {
             EventTypeId::v1("blood-test"),
             eid,
             Purpose::HealthcareTreatment,
+            None,
         )
         .unwrap_err();
     assert_eq!(err, CssError::AccessDenied(DenyReason::NotNotified));
@@ -229,7 +232,7 @@ fn index_inquiry_counts_as_notification() {
     // The doctor inquires the index instead of subscribing.
     let found = w
         .controller
-        .inquire_by_person(DOCTOR, PersonId(42))
+        .inquire_by_person(DOCTOR, PersonId(42), None)
         .unwrap();
     assert_eq!(found.len(), 1);
     assert_eq!(found[0].global_id, eid);
@@ -241,6 +244,7 @@ fn index_inquiry_counts_as_notification() {
             EventTypeId::v1("blood-test"),
             eid,
             Purpose::HealthcareTreatment,
+            None,
         )
         .unwrap();
     assert!(response.is_privacy_safe());
@@ -254,7 +258,7 @@ fn inquiry_filters_unauthorized_consumers() {
     // Welfare has a contract but no policy for blood tests.
     let found = w
         .controller
-        .inquire_by_person(WELFARE, PersonId(42))
+        .inquire_by_person(WELFARE, PersonId(42), None)
         .unwrap();
     assert!(found.is_empty());
 }
@@ -278,7 +282,8 @@ fn expired_policy_blocks_new_requests() {
             DOCTOR,
             EventTypeId::v1("blood-test"),
             eid,
-            Purpose::HealthcareTreatment
+            Purpose::HealthcareTreatment,
+            None,
         )
         .is_ok());
     // After expiry: denied.
@@ -290,6 +295,7 @@ fn expired_policy_blocks_new_requests() {
             EventTypeId::v1("blood-test"),
             eid,
             Purpose::HealthcareTreatment,
+            None,
         )
         .unwrap_err();
     assert_eq!(err, CssError::AccessDenied(DenyReason::PolicyExpired));
@@ -314,6 +320,7 @@ fn revoked_policy_blocks_requests() {
             EventTypeId::v1("blood-test"),
             eid,
             Purpose::HealthcareTreatment,
+            None,
         )
         .unwrap_err();
     assert!(matches!(err, CssError::AccessDenied(_)));
@@ -376,6 +383,7 @@ fn opt_out_after_publication_blocks_details() {
             EventTypeId::v1("blood-test"),
             eid,
             Purpose::HealthcareTreatment,
+            None,
         )
         .unwrap_err();
     assert_eq!(err, CssError::AccessDenied(DenyReason::ConsentWithheld));
@@ -414,6 +422,7 @@ fn laboratory_covered_by_hospital_grant() {
             EventTypeId::v1("blood-test"),
             eid,
             Purpose::SocialAssistance,
+            None,
         )
         .unwrap();
     assert_eq!(
@@ -502,12 +511,14 @@ fn audit_trail_is_complete_and_verifiable() {
         EventTypeId::v1("blood-test"),
         eid,
         Purpose::HealthcareTreatment,
+        None,
     );
     let _ = w.controller.request_details(
         DOCTOR,
         EventTypeId::v1("blood-test"),
         eid,
         Purpose::StatisticalAnalysis,
+        None,
     );
     w.controller.verify_audit().unwrap();
     // Who accessed Mario's data and why?
@@ -547,6 +558,7 @@ fn wrong_declared_type_rejected() {
             EventTypeId::v1("discharge"),
             eid,
             Purpose::HealthcareTreatment,
+            None,
         )
         .unwrap_err();
     assert!(matches!(err, CssError::Invalid(_)));
@@ -584,6 +596,7 @@ fn multiple_subscribers_fan_out() {
             EventTypeId::v1("blood-test"),
             receipt_id,
             Purpose::HealthcareTreatment,
+            None,
         )
         .unwrap();
     let welfare_resp = w
@@ -593,6 +606,7 @@ fn multiple_subscribers_fan_out() {
             EventTypeId::v1("blood-test"),
             receipt_id,
             Purpose::SocialAssistance,
+            None,
         )
         .unwrap();
     assert!(doc_resp.allowed_fields.contains("Result"));

@@ -3,7 +3,9 @@
 //!
 //! The property drives the *same* random interleaving of publishes,
 //! person inquiries, detail requests, and policy revocations/restores
-//! against a 1-shard and an 8-shard controller and asserts that every
+//! against 1-, 2- and 8-shard controllers — each opened through the one
+//! constructor, so the counts do not depend on host cores — and asserts
+//! that every
 //! observable output matches step by step: publish receipts, inquiry
 //! result sets (scatter-gather must preserve the single-index
 //! ordering), allow/deny decisions on detail requests (the segmented
@@ -70,8 +72,9 @@ struct World {
 
 fn world(shards: usize) -> World {
     let clock = SimClock::starting_at(Timestamp(1_000_000));
-    let config = ControllerConfig::with_clock(Arc::new(clock)).with_shards(shards);
-    let controller = DataController::new(config, MemBackend::new()).unwrap();
+    let config = ControllerConfig::with_clock(Arc::new(clock));
+    let backends = || (0..shards).map(|_| MemBackend::new()).collect();
+    let controller = DataController::open(config, backends(), backends()).unwrap();
     controller
         .register_actor(Actor::organization(HOSPITAL, "Hospital"))
         .unwrap();
@@ -136,7 +139,10 @@ fn step(w: &World, op: u8, x: u64, src: &mut u64, published: &mut Vec<GlobalEven
             format!("{r:?}")
         }
         // Inquire citizen `x` as the doctor.
-        2 => format!("{:?}", w.controller.inquire_by_person(DOCTOR, PersonId(x))),
+        2 => format!(
+            "{:?}",
+            w.controller.inquire_by_person(DOCTOR, PersonId(x), None)
+        ),
         // Request details of a published event; consumer by parity, so
         // the revoke toggle below flips these between allow and deny.
         3 => {
@@ -148,7 +154,7 @@ fn step(w: &World, op: u8, x: u64, src: &mut u64, published: &mut Vec<GlobalEven
             format!(
                 "{:?}",
                 w.controller
-                    .request_details(consumer, ty, id, Purpose::HealthcareTreatment)
+                    .request_details(consumer, ty, id, Purpose::HealthcareTreatment, None)
             )
         }
         // Toggle the doctor's policy: revoke on even, restore on odd.
@@ -165,47 +171,57 @@ fn step(w: &World, op: u8, x: u64, src: &mut u64, published: &mut Vec<GlobalEven
 
 proptest! {
     /// Random publish / inquiry / detail-request / revoke interleavings
-    /// observe identical behavior on 1-shard and 8-shard controllers.
+    /// observe identical behavior on 1-, 2- and 8-shard controllers.
     #[test]
     fn sharded_controller_is_observationally_equivalent(
         ops in proptest::collection::vec((0u8..5, 1u64..200), 1..80),
     ) {
-        let single = world(1);
-        let sharded = world(8);
-        prop_assert_eq!(single.controller.shard_count(), 1);
-        prop_assert_eq!(sharded.controller.shard_count(), 8);
+        let worlds = [world(1), world(2), world(8)];
+        for (w, n) in worlds.iter().zip([1, 2, 8]) {
+            prop_assert_eq!(w.controller.shard_count(), n);
+        }
+        let (single, sharded) = worlds.split_first().expect("three worlds");
 
-        let (mut src_a, mut src_b) = (0u64, 0u64);
-        let (mut pub_a, mut pub_b) = (Vec::new(), Vec::new());
+        let mut srcs = [0u64; 3];
+        let mut published = [Vec::new(), Vec::new(), Vec::new()];
         for (op, raw) in ops {
             let x = raw % PERSONS + 1;
             // `raw` (not `x`) picks detail-request targets and the
             // revoke/restore direction so they cover the full range.
             let arg = if op >= 3 { raw } else { x };
-            let a = step(&single, op, arg, &mut src_a, &mut pub_a);
-            let b = step(&sharded, op, arg, &mut src_b, &mut pub_b);
-            prop_assert_eq!(a, b);
+            let seen: Vec<String> = worlds
+                .iter()
+                .zip(srcs.iter_mut().zip(published.iter_mut()))
+                .map(|(w, (src, published))| step(w, op, arg, src, published))
+                .collect();
+            prop_assert_eq!(&seen[0], &seen[1]);
+            prop_assert_eq!(&seen[0], &seen[2]);
         }
 
         // Every citizen's inquiry comes back identical — scatter-gather
-        // across shards must reproduce the single-index ordering.
-        for p in 1..=PERSONS {
-            let a = single.controller.inquire_by_person(DOCTOR, PersonId(p));
-            let b = sharded.controller.inquire_by_person(DOCTOR, PersonId(p));
-            prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        }
-
-        // The audit streams match record for record (global seq order),
-        // and both sharded chains verify.
-        let audit_a = single.controller.audit_query(&AuditQuery::new());
-        let audit_b = sharded.controller.audit_query(&AuditQuery::new());
-        prop_assert_eq!(format!("{audit_a:?}"), format!("{audit_b:?}"));
+        // across shards must reproduce the single-index ordering. (Each
+        // inquiry is itself audited, so every world is asked once.)
+        let inquire_all = |w: &World| -> Vec<String> {
+            (1..=PERSONS)
+                .map(|p| format!("{:?}", w.controller.inquire_by_person(DOCTOR, PersonId(p), None)))
+                .collect()
+        };
+        let inquiries = inquire_all(single);
+        let audit = single.controller.audit_query(&AuditQuery::new());
         prop_assert!(single.controller.verify_audit().is_ok());
-        prop_assert!(sharded.controller.verify_audit().is_ok());
-        prop_assert_eq!(single.controller.index_len(), sharded.controller.index_len());
-        prop_assert_eq!(
-            single.controller.index_len(),
-            sharded.controller.index_shard_lens().iter().sum::<usize>()
-        );
+        for other in sharded {
+            prop_assert_eq!(&inquiries, &inquire_all(other));
+
+            // The audit streams match record for record (global seq
+            // order), and the sharded chains verify.
+            let audit_b = other.controller.audit_query(&AuditQuery::new());
+            prop_assert_eq!(format!("{audit:?}"), format!("{audit_b:?}"));
+            prop_assert!(other.controller.verify_audit().is_ok());
+            prop_assert_eq!(single.controller.index_len(), other.controller.index_len());
+            prop_assert_eq!(
+                single.controller.index_len(),
+                other.controller.index_shard_lens().iter().sum::<usize>()
+            );
+        }
     }
 }

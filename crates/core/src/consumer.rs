@@ -62,13 +62,6 @@ impl Subscription {
         }
     }
 
-    /// [`Subscription::next`] under its pre-consolidation name and
-    /// shape.
-    #[deprecated(note = "use next(); Delivered carries the trace id")]
-    pub fn next_traced(&self) -> CssResult<Option<(NotificationMessage, Option<TraceId>)>> {
-        Ok(self.next()?.map(|d| (d.message, d.trace)))
-    }
-
     /// Next notification, waiting up to `timeout` for one to arrive
     /// (acknowledged on receipt). For threaded consumers.
     pub fn next_wait(&self, timeout: std::time::Duration) -> CssResult<Option<Delivered>> {
@@ -195,7 +188,7 @@ impl<P: BackendProvider> ConsumerHandle<P> {
 
     /// Query the events index for notifications about one person.
     pub fn inquire_by_person(&self, person: PersonId) -> CssResult<Vec<NotificationMessage>> {
-        self.controller.inquire_by_person(self.actor, person)
+        self.controller.inquire_by_person(self.actor, person, None)
     }
 
     /// [`ConsumerHandle::inquire_by_person`], continuing the caller's
@@ -206,7 +199,7 @@ impl<P: BackendProvider> ConsumerHandle<P> {
         parent: Option<&TraceContext>,
     ) -> CssResult<Vec<NotificationMessage>> {
         self.controller
-            .inquire_by_person_traced(self.actor, person, parent)
+            .inquire_by_person(self.actor, person, parent)
     }
 
     /// Query the events index for notifications of one class.
@@ -246,7 +239,7 @@ impl<P: BackendProvider> ConsumerHandle<P> {
         purpose: Purpose,
     ) -> CssResult<PrivacyAwareEvent> {
         self.controller
-            .request_details(self.actor, event_type, event_id, purpose)
+            .request_details(self.actor, event_type, event_id, purpose, None)
     }
 
     /// [`ConsumerHandle::request_details_by_id`], continuing the
@@ -259,7 +252,7 @@ impl<P: BackendProvider> ConsumerHandle<P> {
         parent: Option<&TraceContext>,
     ) -> CssResult<PrivacyAwareEvent> {
         self.controller
-            .request_details_traced(self.actor, event_type, event_id, purpose, parent)
+            .request_details(self.actor, event_type, event_id, purpose, parent)
     }
 
     /// File an access request for a class this consumer has no policy

@@ -59,7 +59,7 @@ pub use consumer::{ConsumerHandle, Delivered, Subscription};
 pub use elicitation::{PolicyWizard, WizardError};
 pub use ops::OpsPlane;
 pub use pending::{AccessRequest, AccessRequestStatus, PendingQueue, DEFAULT_PENDING_CAPACITY};
-pub use platform::{default_shard_count, CssPlatform, CssPlatformBuilder, PlatformStats, Role};
+pub use platform::{default_shard_count, CssPlatform, CssPlatformBuilder, Role};
 pub use producer::ProducerHandle;
 pub use provider::{BackendProvider, DirProvider, MemoryProvider};
 

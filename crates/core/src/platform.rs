@@ -14,7 +14,7 @@ use css_controller::{
 use css_event::NotificationMessage;
 use css_gateway::LocalCooperationGateway;
 use css_policy::PolicyRepository;
-use css_storage::InstrumentedBackend;
+use css_storage::{InstrumentedBackend, LogBackend, RecordLog};
 use css_telemetry::{MetricsRegistry, TelemetrySnapshot};
 use css_trace::Tracer;
 use css_types::{
@@ -184,8 +184,12 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
 
     /// Partition the controller data plane (events index, notified
     /// markers, audit group commits) into `n` citizen-hashed shards,
-    /// each behind its own lock (clamped to at least 1). Defaults to
-    /// [`default_shard_count`] — `min(8, cores)`.
+    /// each behind its own lock (clamped to at least 1). When not
+    /// called, a platform reopening existing data adopts the count the
+    /// data was written with and a fresh one uses
+    /// [`default_shard_count`] — `min(8, cores)`. Reopening with more
+    /// shards than the data holds re-routes it; asking for fewer fails
+    /// the build with [`CssError::Invalid`].
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = Some(n.max(1));
         self
@@ -309,35 +313,79 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
             Some(capacity) => Tracer::with_metrics(capacity, &telemetry),
             None => Tracer::disabled(),
         };
-        let shards = shards.unwrap_or_else(default_shard_count);
+        // Shard 0 keeps the legacy backend names so existing single-shard
+        // deployments reopen their data; shards 1..n get suffixed names.
+        let open_shard = |i: usize| -> CssResult<[P::Backend; 2]> {
+            let suffix = if i == 0 {
+                String::new()
+            } else {
+                format!("-{i}")
+            };
+            Ok([
+                provider.backend(&format!("audit{suffix}"))?,
+                provider.backend(&format!("events-index{suffix}"))?,
+            ])
+        };
+        // The shard count of an existing deployment is a property of
+        // its data, recorded beside it: opening fewer shards than were
+        // written would skip the rest and still verify. Data older than
+        // the record is counted instead — shards are opened until one
+        // holds nothing.
+        let (mut shard_record, outcome) = RecordLog::recover(provider.backend("shards")?)?;
+        let recorded = outcome
+            .records
+            .last()
+            .map(|ptr| {
+                String::from_utf8_lossy(&shard_record.read(*ptr)?)
+                    .parse::<usize>()
+                    .map_err(|e| CssError::Storage(format!("shard record malformed: {e}")))
+            })
+            .transpose()?;
+        let mut opened = Vec::new();
+        let written = match recorded {
+            Some(written) => written,
+            None => loop {
+                let shard = open_shard(opened.len())?;
+                let holds_data = shard.iter().any(|b| !b.is_empty());
+                opened.push(shard);
+                if !holds_data {
+                    break opened.len() - 1;
+                }
+            },
+        };
+        let shards = match shards {
+            Some(asked) if asked < written => {
+                return Err(CssError::Invalid(format!(
+                    "{asked} shards requested but the data was written with {written}"
+                )))
+            }
+            Some(asked) => asked,
+            None if written > 0 => written,
+            None => default_shard_count(),
+        };
+        while opened.len() < shards {
+            opened.push(open_shard(opened.len())?);
+        }
+        opened.truncate(shards);
+        let (audit_backends, index_backends) = opened
+            .into_iter()
+            .map(|[audit, index]| {
+                (
+                    InstrumentedBackend::new(audit, &telemetry),
+                    InstrumentedBackend::new(index, &telemetry),
+                )
+            })
+            .unzip();
         let mut config = ControllerConfig::with_clock(clock.clone())
             .with_telemetry(telemetry.clone())
-            .with_tracer(tracer.clone())
-            .with_shards(shards);
+            .with_tracer(tracer.clone());
         if let Some(driver) = bus_driver {
             config = config.with_bus_driver(driver);
         }
-        // Shard 0 keeps the legacy backend names so existing single-shard
-        // deployments reopen their data; shards 1..n get suffixed names.
-        let mut audit_backends = Vec::with_capacity(shards);
-        let mut index_backends = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let (audit_name, index_name) = if i == 0 {
-                ("audit".to_string(), "events-index".to_string())
-            } else {
-                (format!("audit-{i}"), format!("events-index-{i}"))
-            };
-            audit_backends.push(InstrumentedBackend::new(
-                provider.backend(&audit_name)?,
-                &telemetry,
-            ));
-            index_backends.push(InstrumentedBackend::new(
-                provider.backend(&index_name)?,
-                &telemetry,
-            ));
+        let controller = DataController::open(config, audit_backends, index_backends)?;
+        if recorded != Some(shards) {
+            shard_record.append(shards.to_string().as_bytes())?;
         }
-        let controller =
-            DataController::with_shard_backends(config, audit_backends, index_backends)?;
         let policy_repo = PolicyRepository::open(InstrumentedBackend::new(
             provider.backend("policies")?,
             &telemetry,
@@ -745,9 +793,6 @@ impl<P: BackendProvider> CssPlatform<P> {
     /// publish pipeline (`publish.*`), the Algorithm-1 enforcement
     /// stages (`stage.*`), and the sharded data plane (`shard.*`), plus
     /// `platform.*` state-size gauges.
-    ///
-    /// This subsumes [`CssPlatform::stats`], which remains as a
-    /// compatibility shim over the same underlying counters.
     pub fn telemetry(&self) -> TelemetrySnapshot {
         refresh_platform_gauges(
             &self.controller,
@@ -810,43 +855,10 @@ impl<P: BackendProvider> CssPlatform<P> {
         Some(recorder.dump(reason, &snapshot, &spans, self.clock.now().0))
     }
 
-    /// Operational snapshot: sizes of the platform's core state, the
-    /// kind of dashboard numbers a platform operator watches.
-    ///
-    /// Compatibility shim — prefer [`CssPlatform::telemetry`], which
-    /// adds latency histograms and hot-path counters.
-    pub fn stats(&self) -> PlatformStats {
-        PlatformStats {
-            indexed_events: self.controller.index_len(),
-            audit_records: self.controller.audit_len(),
-            policies: self.controller.policy_count(),
-            actors: self.controller.actors().len(),
-            bus: self.controller.bus_stats(),
-            pending_requests: self.pending.pending_count(),
-        }
-    }
-
     /// All pending access requests (any producer).
     pub fn pending_requests(&self) -> Vec<AccessRequest> {
         self.pending.all()
     }
-}
-
-/// Operational counters reported by [`CssPlatform::stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlatformStats {
-    /// Notifications held in the events index.
-    pub indexed_events: usize,
-    /// Records on the audit log.
-    pub audit_records: usize,
-    /// Privacy policies installed at the decision point.
-    pub policies: usize,
-    /// Actors in the organizational registry.
-    pub actors: usize,
-    /// Bus counters.
-    pub bus: css_bus::BrokerStats,
-    /// Access requests awaiting a producer decision.
-    pub pending_requests: usize,
 }
 
 #[cfg(test)]

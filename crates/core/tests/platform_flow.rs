@@ -585,7 +585,7 @@ fn join_both_widens() {
 }
 
 #[test]
-fn telemetry_subsumes_stats() {
+fn telemetry_gauges_report_platform_state() {
     let w = setup();
     let producer = w.platform.producer(w.hospital).unwrap();
     producer
@@ -603,25 +603,31 @@ fn telemetry_subsumes_stats() {
         .publish(mario(), "bt", details(), w.clock.now())
         .unwrap();
 
-    let stats = w.platform.stats();
+    let controller = w.platform.controller();
     let telemetry = w.platform.telemetry();
+    assert_eq!(telemetry.gauge("platform.indexed_events"), 1);
     assert_eq!(
         telemetry.gauge("platform.indexed_events") as usize,
-        stats.indexed_events
+        controller.index_len()
     );
     assert_eq!(
         telemetry.gauge("platform.audit_records") as usize,
-        stats.audit_records
+        controller.audit_len()
+    );
+    assert_eq!(telemetry.gauge("platform.policies"), 1);
+    assert_eq!(
+        telemetry.gauge("platform.actors") as usize,
+        controller.actors().len()
     );
     assert_eq!(
-        telemetry.gauge("platform.policies") as usize,
-        stats.policies
+        telemetry.gauge("platform.pending_requests") as usize,
+        w.platform.pending_requests().len()
     );
-    assert_eq!(telemetry.counter("bus.published"), stats.bus.published);
     assert_eq!(
-        telemetry.counter("controller.published"),
-        stats.bus.published
+        telemetry.counter("bus.published"),
+        controller.bus_stats().published
     );
+    assert_eq!(telemetry.counter("controller.published"), 1);
     assert!(telemetry.histogram("publish.total").is_some());
 }
 

@@ -196,17 +196,6 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
         Ok(filtered)
     }
 
-    /// [`Self::get_response`] under its pre-consolidation name.
-    #[deprecated(note = "use get_response with an optional TraceContext")]
-    pub fn get_response_traced(
-        &self,
-        src_event_id: SourceEventId,
-        allowed: &BTreeSet<String>,
-        ctx: Option<&TraceContext>,
-    ) -> CssResult<EventDetails> {
-        self.get_response(src_event_id, allowed, ctx)
-    }
-
     /// Simulate the legacy source system going offline. Gateway answers
     /// are unaffected.
     pub fn set_source_online(&mut self, online: bool) {

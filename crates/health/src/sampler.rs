@@ -136,8 +136,10 @@ mod tests {
             engine.clone(),
             Duration::from_millis(1),
         );
-        // Generate a regression and wait for at least two ticks (one
-        // baseline + one delta).
+        // Generate a regression after the baseline tick (anything
+        // recorded before it would be part of the baseline and never
+        // show as a delta) and wait for the delta tick.
+        wait_for_ticks(&sampler, 1);
         for _ in 0..100 {
             registry.histogram("stage.total").record(10_000_000);
         }
@@ -199,6 +201,8 @@ mod tests {
                 ));
             },
         );
+        // After the baseline tick, so the regression shows as a delta.
+        wait_for_ticks(&sampler, 1);
         for _ in 0..100 {
             registry.histogram("stage.total").record(10_000_000);
         }

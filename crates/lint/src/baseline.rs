@@ -1,4 +1,4 @@
-//! Waiver-budget ratchet against a committed baseline.
+//! Waiver-budget and size ratchets against a committed baseline.
 //!
 //! `lint-baseline.json` records the waivers the workspace is allowed to
 //! carry, as (rule, file) pairs. A lint run checked against the
@@ -8,6 +8,14 @@
 //! regenerating the baseline in the same change, which makes waiver
 //! growth visible in review instead of accreting silently. Removing
 //! waivers never fails: the ratchet only turns one way.
+//!
+//! The same file records each crate's production size
+//! ([`crate::engine::CrateSize`]): a run fails when a crate holds more
+//! production lines or public items than its entry. Regenerating the
+//! baseline over a smaller one writes the larger count with an empty
+//! `"reason"` beside it, and an empty reason fails the check — so a
+//! count only rises together with a sentence, visible in review, that
+//! says why. Shrinking never fails and drops the reason.
 
 use std::fs;
 use std::path::Path;
@@ -23,8 +31,26 @@ pub struct BaselineEntry {
     pub file: String,
 }
 
+/// One crate's size ceiling, with the reason its last rise recorded.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SizeEntry {
+    pub crate_name: String,
+    pub prod_lines: usize,
+    pub pub_items: usize,
+    pub reason: Option<String>,
+}
+
+/// The parsed baseline file.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Baseline {
+    pub waivers: Vec<BaselineEntry>,
+    /// Empty for a baseline written before the size ratchet existed
+    /// (sizes are then not enforced).
+    pub sizes: Vec<SizeEntry>,
+}
+
 /// Load the baseline file. `Err` carries a human-readable reason.
-pub fn load(path: &Path) -> Result<Vec<BaselineEntry>, String> {
+pub fn load(path: &Path) -> Result<Baseline, String> {
     let src = fs::read_to_string(path)
         .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?;
     let doc =
@@ -33,7 +59,7 @@ pub fn load(path: &Path) -> Result<Vec<BaselineEntry>, String> {
         .get("waivers")
         .and_then(Json::as_arr)
         .ok_or_else(|| format!("baseline {} has no \"waivers\" array", path.display()))?;
-    let mut out = Vec::new();
+    let mut out = Baseline::default();
     for w in waivers {
         let (Some(rule), Some(file)) = (
             w.get("rule").and_then(Json::as_str),
@@ -44,20 +70,40 @@ pub fn load(path: &Path) -> Result<Vec<BaselineEntry>, String> {
                 path.display()
             ));
         };
-        out.push(BaselineEntry {
+        out.waivers.push(BaselineEntry {
             rule: rule.to_string(),
             file: file.to_string(),
+        });
+    }
+    for s in doc.get("sizes").and_then(Json::as_arr).unwrap_or_default() {
+        let (Some(name), Some(lines), Some(items)) = (
+            s.get("crate").and_then(Json::as_str),
+            s.get("prod_lines").and_then(Json::as_u64),
+            s.get("pub_items").and_then(Json::as_u64),
+        ) else {
+            return Err(format!(
+                "baseline {} size entry missing crate/prod_lines/pub_items",
+                path.display()
+            ));
+        };
+        out.sizes.push(SizeEntry {
+            crate_name: name.to_string(),
+            prod_lines: lines as usize,
+            pub_items: items as usize,
+            reason: s.get("reason").and_then(Json::as_str).map(str::to_string),
         });
     }
     Ok(out)
 }
 
-/// Check the report's waivers against the baseline. Returns the list
-/// of violations (empty = pass): each violation is a waiver present in
-/// the report but not covered by a remaining baseline entry (multiset
-/// semantics — two waivers of one rule in one file need two entries).
-pub fn check(report: &Report, baseline: &[BaselineEntry]) -> Vec<String> {
-    let mut budget: Vec<BaselineEntry> = baseline.to_vec();
+/// Check the report against the baseline. Returns the list of
+/// violations (empty = pass): a waiver present in the report but not
+/// covered by a remaining baseline entry (multiset semantics — two
+/// waivers of one rule in one file need two entries), a crate larger
+/// than its size entry (or without one), or a size entry whose rise
+/// still lacks its reason.
+pub fn check(report: &Report, baseline: &Baseline) -> Vec<String> {
+    let mut budget: Vec<BaselineEntry> = baseline.waivers.clone();
     let mut violations = Vec::new();
     for f in &report.waived {
         let entry = BaselineEntry {
@@ -74,12 +120,34 @@ pub fn check(report: &Report, baseline: &[BaselineEntry]) -> Vec<String> {
             )),
         }
     }
+    if baseline.sizes.is_empty() {
+        return violations;
+    }
+    for size in &report.sizes {
+        let name = &size.crate_name;
+        match baseline.sizes.iter().find(|e| e.crate_name == *name) {
+            None => violations.push(format!("crate {name} has no size entry in the baseline")),
+            Some(e) if size.prod_lines > e.prod_lines || size.pub_items > e.pub_items => violations
+                .push(format!(
+                    "crate {name} grew past its baseline: {} production lines (baseline {}), \
+                     {} public items (baseline {})",
+                    size.prod_lines, e.prod_lines, size.pub_items, e.pub_items
+                )),
+            Some(e) if e.reason.as_deref() == Some("") => violations.push(format!(
+                "crate {name} rose in the baseline without a reason: fill in its \"reason\""
+            )),
+            Some(_) => {}
+        }
+    }
     violations
 }
 
-/// Render the current report's waivers as a baseline document, for
-/// deliberate regeneration (`css-lint --write-baseline`).
-pub fn render(report: &Report) -> String {
+/// Render the current report's waivers and sizes as a baseline
+/// document, for deliberate regeneration (`css-lint --write-baseline`).
+/// Against the `previous` baseline, a crate whose count rose (or that
+/// is new) gets an empty `"reason"` to fill in, an unchanged one keeps
+/// its reason, and one that shrank loses it.
+pub fn render(report: &Report, previous: Option<&Baseline>) -> String {
     let mut entries: Vec<String> = report
         .waived
         .iter()
@@ -92,9 +160,38 @@ pub fn render(report: &Report) -> String {
         })
         .collect();
     entries.sort();
+    let previous = previous.map(|b| b.sizes.as_slice()).unwrap_or_default();
+    let sizes: Vec<String> = report
+        .sizes
+        .iter()
+        .map(|s| {
+            let was = previous.iter().find(|e| e.crate_name == s.crate_name);
+            let reason = match was {
+                _ if previous.is_empty() => None,
+                None => Some(String::new()),
+                Some(e) if s.prod_lines > e.prod_lines || s.pub_items > e.pub_items => {
+                    Some(String::new())
+                }
+                Some(e) if (s.prod_lines, s.pub_items) == (e.prod_lines, e.pub_items) => {
+                    e.reason.clone()
+                }
+                Some(_) => None,
+            };
+            format!(
+                "    {{\"crate\":\"{}\",\"prod_lines\":{},\"pub_items\":{}{}}}",
+                escape(&s.crate_name),
+                s.prod_lines,
+                s.pub_items,
+                reason
+                    .map(|r| format!(",\"reason\":\"{}\"", escape(&r)))
+                    .unwrap_or_default()
+            )
+        })
+        .collect();
     format!(
-        "{{\n  \"version\": 1,\n  \"waivers\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
+        "{{\n  \"version\": 1,\n  \"waivers\": [\n{}\n  ],\n  \"sizes\": [\n{}\n  ]\n}}\n",
+        entries.join(",\n"),
+        sizes.join(",\n")
     )
 }
 
@@ -102,6 +199,7 @@ pub fn render(report: &Report) -> String {
 mod tests {
     use super::*;
     use crate::diag::{Finding, Severity};
+    use crate::engine::CrateSize;
 
     fn waived(rule: &'static str, file: &str) -> Finding {
         Finding {
@@ -129,12 +227,47 @@ mod tests {
         }
     }
 
+    fn waivers(entries: Vec<BaselineEntry>) -> Baseline {
+        Baseline {
+            waivers: entries,
+            sizes: Vec::new(),
+        }
+    }
+
+    fn sized(sizes: &[(&str, usize, usize)]) -> Report {
+        Report {
+            sizes: sizes
+                .iter()
+                .map(|(name, prod_lines, pub_items)| CrateSize {
+                    crate_name: name.to_string(),
+                    prod_lines: *prod_lines,
+                    pub_items: *pub_items,
+                })
+                .collect(),
+            ..Report::default()
+        }
+    }
+
+    fn reparse(doc: &str) -> Baseline {
+        // Tests run in parallel: one directory per call.
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("css-lint-baseline-{}-{call}", std::process::id()));
+        let _ = fs::create_dir_all(&dir);
+        let path = dir.join("lint-baseline.json");
+        fs::write(&path, doc).unwrap();
+        let loaded = load(&path).expect("load");
+        let _ = fs::remove_dir_all(&dir);
+        loaded
+    }
+
     #[test]
     fn subset_passes_and_new_waiver_fails() {
-        let baseline = vec![
+        let baseline = waivers(vec![
             entry("no-panic-hot-path", "a.rs"),
             entry("layering", "b.rs"),
-        ];
+        ]);
         let ok = report_with(vec![waived("no-panic-hot-path", "a.rs")]);
         assert!(check(&ok, &baseline).is_empty());
         let bad = report_with(vec![waived("identity-taint", "c.rs")]);
@@ -145,7 +278,7 @@ mod tests {
 
     #[test]
     fn multiset_semantics_need_one_entry_per_waiver() {
-        let baseline = vec![entry("no-panic-hot-path", "a.rs")];
+        let baseline = waivers(vec![entry("no-panic-hot-path", "a.rs")]);
         let two = report_with(vec![
             waived("no-panic-hot-path", "a.rs"),
             waived("no-panic-hot-path", "a.rs"),
@@ -159,15 +292,53 @@ mod tests {
             waived("no-panic-hot-path", "a.rs"),
             waived("audit-before-release", "b.rs"),
         ]);
-        let doc = render(&report);
-        let dir = std::env::temp_dir().join("css-lint-baseline-test");
-        let _ = fs::create_dir_all(&dir);
-        let path = dir.join("lint-baseline.json");
-        fs::write(&path, &doc).unwrap();
-        let loaded = load(&path).expect("load");
-        assert_eq!(loaded.len(), 2);
-        assert!(loaded.contains(&entry("no-panic-hot-path", "a.rs")));
+        let loaded = reparse(&render(&report, None));
+        assert_eq!(loaded.waivers.len(), 2);
+        assert!(loaded.waivers.contains(&entry("no-panic-hot-path", "a.rs")));
         assert!(check(&report, &loaded).is_empty());
-        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sizes_may_shrink_but_not_grow() {
+        let baseline = reparse(&render(&sized(&[("a", 100, 10), ("b", 50, 5)]), None));
+        assert!(baseline.sizes.iter().all(|e| e.reason.is_none()));
+        assert!(check(&sized(&[("a", 100, 10), ("b", 40, 5)]), &baseline).is_empty());
+        let more_lines = check(&sized(&[("a", 101, 10), ("b", 50, 5)]), &baseline);
+        assert_eq!(more_lines.len(), 1, "{more_lines:?}");
+        assert!(more_lines[0].contains("101") && more_lines[0].contains("100"));
+        assert_eq!(
+            check(&sized(&[("a", 100, 10), ("b", 50, 6)]), &baseline).len(),
+            1
+        );
+        // A crate the baseline has never seen is growth too.
+        let new_crate = sized(&[("a", 100, 10), ("b", 50, 5), ("c", 1, 0)]);
+        assert_eq!(check(&new_crate, &baseline).len(), 1);
+        // A baseline from before the ratchet enforces no sizes.
+        assert!(check(&new_crate, &waivers(Vec::new())).is_empty());
+    }
+
+    #[test]
+    fn a_count_rises_only_with_a_reason_beside_it() {
+        let before = reparse(&render(&sized(&[("a", 100, 10), ("b", 50, 5)]), None));
+        let grown = sized(&[("a", 120, 10), ("b", 50, 5)]);
+        // Regenerating over the smaller baseline leaves the reason to fill in…
+        let doc = render(&grown, Some(&before));
+        let unfilled = reparse(&doc);
+        assert_eq!(unfilled.sizes[0].reason.as_deref(), Some(""));
+        assert_eq!(unfilled.sizes[1].reason, None);
+        let violations = check(&grown, &unfilled);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("reason"));
+        // …and passes once it is.
+        let filled = reparse(&doc.replace("\"reason\":\"\"", "\"reason\":\"new subsystem\""));
+        assert!(check(&grown, &filled).is_empty());
+        // An unchanged count keeps its reason; a shrunk one drops it.
+        let kept = reparse(&render(&grown, Some(&filled)));
+        assert_eq!(kept.sizes[0].reason.as_deref(), Some("new subsystem"));
+        let shrunk = reparse(&render(
+            &sized(&[("a", 90, 10), ("b", 50, 5)]),
+            Some(&filled),
+        ));
+        assert_eq!(shrunk.sizes[0].reason, None);
     }
 }

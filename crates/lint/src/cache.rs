@@ -336,6 +336,8 @@ fn read_entry(entry: &Json) -> Option<(String, CachedFile)> {
         findings,
         waivers,
         fns,
+        prod_lines: entry.get("prod_lines")?.as_u64()? as usize,
+        pub_items: entry.get("pub_items")?.as_u64()? as usize,
     };
     Some((
         path,
@@ -426,7 +428,8 @@ fn write_entry(path: &str, mtime_ns: u128, size: u64, facts: &FileFacts) -> Stri
     let fns: Vec<String> = facts.fns.iter().map(write_fn).collect();
     format!(
         "{{\"path\":\"{}\",\"mtime\":{mtime_ns},\"size\":{size},\"crate\":\"{}\",\"role\":\"{}\",\
-         \"findings\":[{}],\"waivers\":[{}],\"fns\":[{}]}}",
+         \"findings\":[{}],\"waivers\":[{}],\"fns\":[{}],\
+         \"prod_lines\":{},\"pub_items\":{}}}",
         escape(path),
         escape(&facts.crate_name),
         match facts.role {
@@ -435,7 +438,9 @@ fn write_entry(path: &str, mtime_ns: u128, size: u64, facts: &FileFacts) -> Stri
         },
         findings.join(","),
         waivers.join(","),
-        fns.join(",")
+        fns.join(","),
+        facts.prod_lines,
+        facts.pub_items
     )
 }
 
@@ -549,6 +554,8 @@ mod tests {
                 }],
                 filing_calls: vec![],
             }],
+            prod_lines: 12,
+            pub_items: 2,
         };
         let dir = std::env::temp_dir().join("css-lint-cache-test");
         let path = dir.join("cache.json");
@@ -568,6 +575,7 @@ mod tests {
         assert_eq!(entry.facts.findings, facts.findings);
         assert_eq!(entry.facts.waivers, facts.waivers);
         assert_eq!(entry.facts.fns, facts.fns);
+        assert_eq!((entry.facts.prod_lines, entry.facts.pub_items), (12, 2));
         let _ = fs::remove_dir_all(&dir);
     }
 

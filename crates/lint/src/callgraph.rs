@@ -24,11 +24,7 @@ use crate::waiver::Waiver;
 
 /// Calls that constitute a release of protected data (shared with the
 /// audit-before-release rule).
-pub const RELEASE_CALLS: &[&str] = &[
-    "decrypt_notification",
-    "get_response",
-    "get_response_traced",
-];
+pub const RELEASE_CALLS: &[&str] = &["decrypt_notification", "get_response"];
 
 /// Calls that file into the bounded pending-access queue.
 pub const FILING_CALLS: &[&str] = &["file", "request_access"];
@@ -86,6 +82,9 @@ pub struct FileFacts {
     pub findings: Vec<Finding>,
     pub waivers: Vec<Waiver>,
     pub fns: Vec<FnSummary>,
+    /// Production lines and public items ([`SourceFile::prod_size`]).
+    pub prod_lines: usize,
+    pub pub_items: usize,
 }
 
 /// Distill every fn body of a parsed file into summaries.
@@ -311,6 +310,8 @@ mod tests {
             findings: Vec::new(),
             waivers: file.waivers.clone(),
             fns: extract_fn_summaries(&file),
+            prod_lines: 0,
+            pub_items: 0,
         }
     }
 

@@ -15,7 +15,7 @@
 //! findings (e.g. a waived `audit-before-release`) exactly like
 //! file-scoped ones.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::UNIX_EPOCH;
@@ -41,6 +41,16 @@ pub struct Timing {
     pub files_parsed: usize,
 }
 
+/// Production code a crate carries: lines holding a production token
+/// and `pub fn | struct | trait | enum | type` items (`#[cfg(test)]`
+/// regions, tests, benches and examples excluded).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CrateSize {
+    pub crate_name: String,
+    pub prod_lines: usize,
+    pub pub_items: usize,
+}
+
 /// The lint result for a whole workspace (or a single file).
 #[derive(Debug, Default)]
 pub struct Report {
@@ -51,6 +61,9 @@ pub struct Report {
     /// Findings suppressed by an inline waiver, with the reason.
     pub waived: Vec<Finding>,
     pub files_scanned: usize,
+    /// Production size per crate, by crate name — what the baseline's
+    /// size ratchet compares.
+    pub sizes: Vec<CrateSize>,
     /// Run statistics; `None` for engine-produced reports (the CLI
     /// fills it in, and renderers omit it when absent).
     pub timing: Option<Timing>,
@@ -130,6 +143,7 @@ fn build_file_facts(
         }
     }
     let fns = extract_fn_summaries(&file);
+    let (prod_lines, pub_items) = file.prod_size();
     FileFacts {
         crate_name: crate_name.to_string(),
         path: rel_path.to_string(),
@@ -137,6 +151,8 @@ fn build_file_facts(
         findings,
         waivers: file.waivers,
         fns,
+        prod_lines,
+        pub_items,
     }
 }
 
@@ -168,9 +184,23 @@ fn assemble(
         by_file.insert(file.path.as_str(), file);
     }
 
+    let mut sizes: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
+    for file in &project.files {
+        let size = sizes.entry(file.crate_name.as_str()).or_default();
+        size.0 += file.prod_lines;
+        size.1 += file.pub_items;
+    }
     let mut report = Report {
         root,
         files_scanned,
+        sizes: sizes
+            .into_iter()
+            .map(|(name, (prod_lines, pub_items))| CrateSize {
+                crate_name: name.to_string(),
+                prod_lines,
+                pub_items,
+            })
+            .collect(),
         ..Report::default()
     };
     for finding in all {

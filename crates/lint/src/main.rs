@@ -11,10 +11,13 @@
 //! files. `--no-cache` forces a cold run (and leaves any cache file
 //! untouched).
 //!
-//! `--baseline PATH` enforces the waiver-budget ratchet: the run fails
-//! (exit 1) if any current waiver is not covered by the committed
-//! baseline. `--write-baseline PATH` regenerates the baseline from the
-//! current waivers instead of checking.
+//! `--baseline PATH` enforces the waiver-budget and size ratchets: the
+//! run fails (exit 1) if any current waiver is not covered by the
+//! committed baseline, or a crate holds more production lines or public
+//! items than the baseline records. `--write-baseline PATH` regenerates
+//! the baseline from the current waivers and sizes instead of checking;
+//! a size that rose past the file being replaced is written with an
+//! empty `"reason"` that must be filled in before the check passes.
 //!
 //! Exit codes: 0 — no error-severity findings and the baseline holds;
 //! 1 — at least one error finding or a baseline violation; 2 — usage or
@@ -147,13 +150,16 @@ fn main() -> ExitCode {
     });
 
     if let Some(path) = write_baseline {
-        if let Err(e) = std::fs::write(&path, baseline::render(&report)) {
+        // Sizes that rose since the file being replaced need a reason.
+        let previous = baseline::load(&path).ok();
+        if let Err(e) = std::fs::write(&path, baseline::render(&report, previous.as_ref())) {
             eprintln!("css-lint: cannot write baseline {}: {e}", path.display());
             return ExitCode::from(2);
         }
         eprintln!(
-            "css-lint: wrote {} waiver(s) to {}",
+            "css-lint: wrote {} waiver(s) and {} crate size(s) to {}",
             report.waived.len(),
+            report.sizes.len(),
             path.display()
         );
     }

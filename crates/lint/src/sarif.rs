@@ -112,6 +112,7 @@ mod tests {
                 waive_reason: Some("bounded test harness".into()),
             }],
             files_scanned: 2,
+            sizes: Vec::new(),
             timing: None,
         }
     }

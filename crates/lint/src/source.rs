@@ -65,6 +65,28 @@ impl SourceFile {
         self.role == FileRole::Production && !self.test_mask.get(i).copied().unwrap_or(false)
     }
 
+    /// The production size of this file for the size ratchet: distinct
+    /// source lines carrying a production token (so comments, blanks and
+    /// `#[cfg(test)]` items do not count), and the `pub fn | struct |
+    /// trait | enum | type` items among them.
+    pub fn prod_size(&self) -> (usize, usize) {
+        let item = |k: &str| matches!(k, "fn" | "struct" | "trait" | "enum" | "type");
+        let (mut lines, mut last_line, mut items) = (0, 0, 0);
+        for (i, t) in self.tokens.iter().enumerate() {
+            if !self.is_prod(i) {
+                continue;
+            }
+            if t.line != last_line {
+                lines += 1;
+                last_line = t.line;
+            }
+            if t.is_ident("pub") && self.ident(i + 1).is_some_and(item) {
+                items += 1;
+            }
+        }
+        (lines, items)
+    }
+
     /// The identifier text of token `i`, if it is an identifier.
     pub fn ident(&self, i: usize) -> Option<&str> {
         let t = self.tokens.get(i)?;

@@ -29,6 +29,7 @@ fn sample_report() -> Report {
             waive_reason: Some("E12 demo path".into()),
         }],
         files_scanned: 2,
+        sizes: Vec::new(),
         timing: None,
     }
 }

@@ -251,6 +251,15 @@ impl Default for IdGenerator {
     }
 }
 
+/// The shard owning routing key `key` on a plane of `n` shards
+/// (`n ≥ 1`): Fibonacci multiply-shift, so sequential ids do not
+/// cluster. Every sharded plane routes through this one function —
+/// the mapping is part of the at-rest layout (a reopened directory
+/// must find each citizen on the shard that wrote them).
+pub fn shard_of(key: u64, n: usize) -> usize {
+    ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % n
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,6 +317,37 @@ mod tests {
         let a: GlobalEventId = g.next_id();
         let b: GlobalEventId = g.next_id();
         assert!(b.value() > a.value());
+    }
+
+    #[test]
+    fn shard_routing_is_pinned() {
+        // (key, shard at n = 1, 2, 8) as routed since the planes were
+        // sharded; a change here strands persisted records.
+        let table: [(u64, usize, usize, usize); 16] = [
+            (0x0, 0, 0, 0),
+            (0x1, 0, 1, 1),
+            (0x2, 0, 0, 2),
+            (0x3, 0, 0, 4),
+            (0x7, 0, 0, 2),
+            (0x8, 0, 1, 3),
+            (0x2a, 0, 0, 6),
+            (0x64, 0, 1, 5),
+            (0xff, 0, 1, 5),
+            (0x100, 0, 1, 7),
+            (0x3e8, 0, 1, 1),
+            (0xffff, 0, 0, 0),
+            (0xdead_beef, 0, 1, 7),
+            (0x1_0000_0000, 0, 1, 5),
+            (0x8000_0000_0000_3039, 0, 1, 3),
+            (u64::MAX, 0, 0, 6),
+        ];
+        for (key, one, two, eight) in table {
+            assert_eq!(
+                (shard_of(key, 1), shard_of(key, 2), shard_of(key, 8)),
+                (one, two, eight),
+                "key {key:#x}"
+            );
+        }
     }
 
     #[test]

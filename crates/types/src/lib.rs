@@ -23,8 +23,8 @@ pub mod time;
 pub use actor::{Actor, ActorKind, ActorRegistry};
 pub use error::{CssError, CssResult, DenyReason};
 pub use id::{
-    ActorId, EventTypeId, GlobalEventId, IdGenerator, IdParseError, PersonId, PolicyId, RequestId,
-    SourceEventId, SubscriptionId,
+    shard_of, ActorId, EventTypeId, GlobalEventId, IdGenerator, IdParseError, PersonId, PolicyId,
+    RequestId, SourceEventId, SubscriptionId,
 };
 pub use person::{Person, PersonIdentity};
 pub use purpose::Purpose;

@@ -10,16 +10,16 @@ cargo fmt --all --check
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== css-lint: privacy-invariant pass (waiver budget vs lint-baseline.json)"
+echo "== css-lint: privacy-invariant pass (waiver budget + size ratchet vs lint-baseline.json)"
 scripts/lint.sh
 
 echo "== tracing: unit + end-to-end suite"
 cargo test -q -p css-trace
 cargo test -q --test trace_integration
 
-echo "== tier-1: build + test"
+echo "== tier-1: build + test (whole workspace; one red test hides no suite after it)"
 cargo build --release
-cargo test -q
+cargo test -q --workspace --no-fail-fast
 
 echo "== ops plane: live scrape smoke"
 scripts/obs.sh

@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use css::bus::{spawn_dispatcher, Broker, SubscriptionConfig};
+use css::bus::{spawn_dispatcher, Bus, SubscriptionConfig};
 use css::prelude::*;
 
 fn build_platform() -> (Arc<CssPlatform>, ActorId, ActorId, SimClock) {
@@ -108,7 +108,7 @@ fn concurrent_producers_and_detail_requests() {
 
 #[test]
 fn dispatcher_fleet_processes_fanout() {
-    let broker: Broker<u64> = Broker::new();
+    let broker: Bus<u64> = Bus::in_memory();
     broker.create_topic("events");
     let total = Arc::new(AtomicUsize::new(0));
     let mut dispatchers = Vec::new();
@@ -127,7 +127,7 @@ fn dispatcher_fleet_processes_fanout() {
         let broker = broker.clone();
         publishers.push(std::thread::spawn(move || {
             for i in 0..100 {
-                broker.publish("events", t * 100 + i).unwrap();
+                broker.publish("events", t * 100 + i, None).unwrap();
             }
         }));
     }

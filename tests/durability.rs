@@ -287,3 +287,83 @@ fn full_restart_preserves_events_policies_and_details() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A disk-backed platform with `orgs` joined organisations — one audit
+/// record each, spread over the shards by actor id.
+fn joined_platform(
+    dir: &std::path::Path,
+    shards: Option<usize>,
+    orgs: usize,
+) -> CssResult<CssPlatform<css::core::DirProvider>> {
+    let mut builder = CssPlatform::builder()
+        .provider(css::core::DirProvider::new(dir)?)
+        .clock(Arc::new(SimClock::starting_at(Timestamp(1_000))));
+    if let Some(n) = shards {
+        builder = builder.shards(n);
+    }
+    let mut platform = builder.build()?;
+    for i in 0..orgs {
+        let org = platform.register_organization(&format!("Org {i}"))?;
+        platform.join(org, Role::Consumer)?;
+    }
+    Ok(platform)
+}
+
+/// The shard count of an existing deployment is a property of its data:
+/// asking for fewer shards than were written fails the build instead of
+/// loading a quarter of the audit log and verifying it; not asking
+/// adopts the written count whatever the host's core count; growing
+/// keeps every record. Holds with the count recorded (`shards.log`) and
+/// for data older than the record (the log removed).
+#[test]
+fn shard_count_follows_the_data() {
+    for recorded in [true, false] {
+        let dir = temp_dir(if recorded { "shards" } else { "shards-legacy" });
+        let forget_record = || {
+            if !recorded {
+                std::fs::remove_file(dir.join("shards.log")).unwrap();
+            }
+        };
+        let written = joined_platform(&dir, Some(4), 16).unwrap();
+        assert_eq!(written.controller().audit_len(), 16);
+        let head = written.controller().audit_head();
+        drop(written);
+        forget_record();
+
+        // 4 → 1: refused, naming both numbers.
+        match joined_platform(&dir, Some(1), 0).map(|_| ()) {
+            Err(CssError::Invalid(msg)) => {
+                assert!(msg.contains('1') && msg.contains('4'), "{msg}")
+            }
+            other => panic!("4 → 1 must be refused, got {other:?}"),
+        }
+        forget_record();
+
+        // 4 → default: the written count is adopted.
+        let adopted = joined_platform(&dir, None, 0).unwrap();
+        assert_eq!(adopted.shard_count(), 4);
+        assert_eq!(adopted.controller().audit_len(), 16);
+        assert_eq!(adopted.controller().audit_head(), head);
+        adopted.verify_audit().unwrap();
+        drop(adopted);
+        forget_record();
+
+        // 4 → 6: growing serves every record through the wider plane.
+        let grown = joined_platform(&dir, Some(6), 0).unwrap();
+        assert_eq!(grown.shard_count(), 6);
+        assert_eq!(grown.controller().audit_len(), 16);
+        grown.verify_audit().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // n → default adopts n on any host (2 is this container's core
+    // count, 5 is not).
+    for n in [2, 5] {
+        let dir = temp_dir(&format!("shards-{n}"));
+        drop(joined_platform(&dir, Some(n), 8).unwrap());
+        let reopened = joined_platform(&dir, None, 0).unwrap();
+        assert_eq!(reopened.shard_count(), n);
+        assert_eq!(reopened.controller().audit_len(), 8);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use css::bus::{Broker, OverflowPolicy, SubscriptionConfig};
+use css::bus::{Bus, OverflowPolicy, SubscriptionConfig};
 use css::controller::{ConsentDecision, ConsentRegistry, ConsentScope};
 use css::monitor::{ProcessDefinition, ProcessMonitor, Step};
 use css::storage::{KvStore, MemBackend};
@@ -14,14 +14,14 @@ proptest! {
     /// FIFO per subscription: any publish sequence is drained in order.
     #[test]
     fn bus_preserves_publish_order(messages in proptest::collection::vec(any::<u32>(), 0..100)) {
-        let broker: Broker<u32> = Broker::new();
+        let broker: Bus<u32> = Bus::in_memory();
         broker.create_topic("t");
         let sub = broker.subscribe("t", SubscriptionConfig {
             capacity: 1 << 10,
             ..Default::default()
         }).unwrap();
         for m in &messages {
-            broker.publish("t", *m).unwrap();
+            broker.publish("t", *m, None).unwrap();
         }
         prop_assert_eq!(sub.drain().unwrap(), messages);
     }
@@ -32,7 +32,7 @@ proptest! {
         messages in proptest::collection::vec(any::<u16>(), 1..80),
         capacity in 1usize..20,
     ) {
-        let broker: Broker<u16> = Broker::new();
+        let broker: Bus<u16> = Bus::in_memory();
         broker.create_topic("t");
         let sub = broker.subscribe("t", SubscriptionConfig {
             capacity,
@@ -40,7 +40,7 @@ proptest! {
             ..Default::default()
         }).unwrap();
         for m in &messages {
-            broker.publish("t", *m).unwrap();
+            broker.publish("t", *m, None).unwrap();
         }
         let expected: Vec<u16> = messages
             .iter()
@@ -56,7 +56,7 @@ proptest! {
         publishes in 0usize..60,
         subscribers in 1usize..5,
     ) {
-        let broker: Broker<usize> = Broker::new();
+        let broker: Bus<usize> = Bus::in_memory();
         broker.create_topic("t");
         let subs: Vec<_> = (0..subscribers)
             .map(|_| broker.subscribe("t", SubscriptionConfig {
@@ -65,7 +65,7 @@ proptest! {
             }).unwrap())
             .collect();
         for i in 0..publishes {
-            broker.publish("t", i).unwrap();
+            broker.publish("t", i, None).unwrap();
         }
         let mut acked = 0u64;
         for s in &subs {
