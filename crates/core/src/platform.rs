@@ -127,6 +127,11 @@ pub fn default_shard_count() -> usize {
     cores.clamp(1, 8)
 }
 
+/// How many shards in a row must hold nothing before a deployment
+/// without a shard record counts as ended: the widest default plane
+/// written before the record existed.
+const UNRECORDED_GAP: usize = 8;
+
 impl<P: BackendProvider> CssPlatformBuilder<P> {
     /// Use a different storage backend provider (changes the platform's
     /// type parameter).
@@ -329,8 +334,9 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
         // The shard count of an existing deployment is a property of
         // its data, recorded beside it: opening fewer shards than were
         // written would skip the rest and still verify. Data older than
-        // the record is counted instead — shards are opened until one
-        // holds nothing.
+        // the record is counted instead. Routing by hash leaves holes in
+        // a lightly filled plane, so the count ends only after
+        // `UNRECORDED_GAP` shards in a row hold nothing.
         let (mut shard_record, outcome) = RecordLog::recover(provider.backend("shards")?)?;
         let recorded = outcome
             .records
@@ -344,14 +350,17 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
         let mut opened = Vec::new();
         let written = match recorded {
             Some(written) => written,
-            None => loop {
-                let shard = open_shard(opened.len())?;
-                let holds_data = shard.iter().any(|b| !b.is_empty());
-                opened.push(shard);
-                if !holds_data {
-                    break opened.len() - 1;
+            None => {
+                let mut written = 0;
+                while opened.len() < written + UNRECORDED_GAP {
+                    let shard = open_shard(opened.len())?;
+                    if shard.iter().any(|b| !b.is_empty()) {
+                        written = opened.len() + 1;
+                    }
+                    opened.push(shard);
                 }
-            },
+                written
+            }
         };
         let shards = match shards {
             Some(asked) if asked < written => {
@@ -363,6 +372,12 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
             None if written > 0 => written,
             None => default_shard_count(),
         };
+        // The record is durable before any shard beyond it can take data:
+        // a crash must not leave a count smaller than the plane in use.
+        if recorded != Some(shards) {
+            shard_record.append(shards.to_string().as_bytes())?;
+            shard_record.sync()?;
+        }
         while opened.len() < shards {
             opened.push(open_shard(opened.len())?);
         }
@@ -383,9 +398,6 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
             config = config.with_bus_driver(driver);
         }
         let controller = DataController::open(config, audit_backends, index_backends)?;
-        if recorded != Some(shards) {
-            shard_record.append(shards.to_string().as_bytes())?;
-        }
         let policy_repo = PolicyRepository::open(InstrumentedBackend::new(
             provider.backend("policies")?,
             &telemetry,

@@ -120,9 +120,6 @@ pub fn check(report: &Report, baseline: &Baseline) -> Vec<String> {
             )),
         }
     }
-    if baseline.sizes.is_empty() {
-        return violations;
-    }
     for size in &report.sizes {
         let name = &size.crate_name;
         match baseline.sizes.iter().find(|e| e.crate_name == *name) {
@@ -146,7 +143,8 @@ pub fn check(report: &Report, baseline: &Baseline) -> Vec<String> {
 /// document, for deliberate regeneration (`css-lint --write-baseline`).
 /// Against the `previous` baseline, a crate whose count rose (or that
 /// is new) gets an empty `"reason"` to fill in, an unchanged one keeps
-/// its reason, and one that shrank loses it.
+/// its reason, and one that shrank loses it. With no previous baseline
+/// there is nothing to rise from and no reason is asked for.
 pub fn render(report: &Report, previous: Option<&Baseline>) -> String {
     let mut entries: Vec<String> = report
         .waived
@@ -160,22 +158,21 @@ pub fn render(report: &Report, previous: Option<&Baseline>) -> String {
         })
         .collect();
     entries.sort();
-    let previous = previous.map(|b| b.sizes.as_slice()).unwrap_or_default();
     let sizes: Vec<String> = report
         .sizes
         .iter()
         .map(|s| {
-            let was = previous.iter().find(|e| e.crate_name == s.crate_name);
+            let was = previous.map(|b| b.sizes.iter().find(|e| e.crate_name == s.crate_name));
             let reason = match was {
-                _ if previous.is_empty() => None,
-                None => Some(String::new()),
-                Some(e) if s.prod_lines > e.prod_lines || s.pub_items > e.pub_items => {
+                None => None,
+                Some(None) => Some(String::new()),
+                Some(Some(e)) if s.prod_lines > e.prod_lines || s.pub_items > e.pub_items => {
                     Some(String::new())
                 }
-                Some(e) if (s.prod_lines, s.pub_items) == (e.prod_lines, e.pub_items) => {
+                Some(Some(e)) if (s.prod_lines, s.pub_items) == (e.prod_lines, e.pub_items) => {
                     e.reason.clone()
                 }
-                Some(_) => None,
+                Some(Some(_)) => None,
             };
             format!(
                 "    {{\"crate\":\"{}\",\"prod_lines\":{},\"pub_items\":{}{}}}",
@@ -313,8 +310,8 @@ mod tests {
         // A crate the baseline has never seen is growth too.
         let new_crate = sized(&[("a", 100, 10), ("b", 50, 5), ("c", 1, 0)]);
         assert_eq!(check(&new_crate, &baseline).len(), 1);
-        // A baseline from before the ratchet enforces no sizes.
-        assert!(check(&new_crate, &waivers(Vec::new())).is_empty());
+        // A baseline without sizes fails until it is regenerated.
+        assert_eq!(check(&new_crate, &waivers(Vec::new())).len(), 3);
     }
 
     #[test]

@@ -356,6 +356,32 @@ fn shard_count_follows_the_data() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    // Data older than the record, lightly filled: routing by hash leaves
+    // empty shards between full ones, and counting must not stop at them.
+    for orgs in [1, 3, 6] {
+        let dir = temp_dir(&format!("shards-sparse-{orgs}"));
+        let written = joined_platform(&dir, Some(8), orgs).unwrap();
+        let lens = written.controller().audit_shard_lens();
+        let top = lens.iter().rposition(|&len| len > 0).unwrap() + 1;
+        assert!(
+            lens[..top].contains(&0),
+            "no hole below the top shard: {lens:?}"
+        );
+        drop(written);
+        std::fs::remove_file(dir.join("shards.log")).unwrap();
+        match joined_platform(&dir, Some(1), 0) {
+            Err(CssError::Invalid(msg)) => assert!(msg.contains(&top.to_string()), "{msg}"),
+            Ok(all) if top == 1 => assert_eq!(all.controller().audit_len(), orgs),
+            other => panic!("8 → 1 must be refused, got {:?}", other.map(|_| ())),
+        }
+        std::fs::remove_file(dir.join("shards.log")).unwrap();
+        let adopted = joined_platform(&dir, None, 0).unwrap();
+        assert_eq!(adopted.shard_count(), top);
+        assert_eq!(adopted.controller().audit_len(), orgs);
+        adopted.verify_audit().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     // n → default adopts n on any host (2 is this container's core
     // count, 5 is not).
     for n in [2, 5] {
