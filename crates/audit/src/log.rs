@@ -4,12 +4,13 @@
 //! `css-storage` record log. Reloading verifies the whole chain, so any
 //! offline modification of the persisted log is detected at open time.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use css_crypto::{ChainVerifyError, HashChain};
+use css_crypto::HashChain;
 use css_storage::{LogBackend, RecordLog};
-use css_types::{CssError, CssResult};
+use css_types::{CssError, CssResult, PersonId};
 
 use crate::query::AuditQuery;
 use crate::record::AuditRecord;
@@ -22,9 +23,16 @@ use crate::record::AuditRecord;
 /// strictly increasing but *gappy* (the gaps live on sibling shards),
 /// and recovery enforces monotonicity, advancing the shared counter
 /// past the highest recovered seq.
+///
+/// `by_person` is the posting list of the citizen's view ("who touched
+/// my data"): for each data subject, the positions in `records` of the
+/// records about them, ascending. It is derived state — rebuilt by
+/// replay at open, never persisted — and is written only by
+/// [`ShardLog::push`], the one place a record enters `records`.
 pub(crate) struct ShardLog<B: LogBackend> {
     chain: HashChain,
     records: Vec<AuditRecord>,
+    by_person: HashMap<PersonId, Vec<u32>>,
     storage: RecordLog<B>,
     sequencer: Arc<AtomicU64>,
 }
@@ -39,15 +47,20 @@ impl<B: LogBackend> ShardLog<B> {
     /// chain does not verify (evidence of offline tampering).
     pub(crate) fn open(backend: B, sequencer: Arc<AtomicU64>) -> CssResult<Self> {
         let (storage, outcome) = RecordLog::recover(backend)?;
-        let mut chain = HashChain::new();
-        let mut records: Vec<AuditRecord> = Vec::with_capacity(outcome.records.len());
+        let mut log = ShardLog {
+            chain: HashChain::new(),
+            records: Vec::with_capacity(outcome.records.len()),
+            by_person: HashMap::new(),
+            storage,
+            sequencer,
+        };
         for ptr in &outcome.records {
-            let payload = storage.read(*ptr)?;
+            let payload = log.storage.read(*ptr)?;
             let text = String::from_utf8(payload.clone())
                 .map_err(|e| CssError::Serialization(format!("audit record not UTF-8: {e}")))?;
             let doc = css_xml::parse(&text).map_err(|e| CssError::Serialization(e.to_string()))?;
             let record = AuditRecord::from_xml(&doc)?;
-            if let Some(prev) = records.last() {
+            if let Some(prev) = log.records.last() {
                 if record.seq <= prev.seq {
                     return Err(CssError::Storage(format!(
                         "audit shard sequence not increasing: {} after {}",
@@ -55,19 +68,24 @@ impl<B: LogBackend> ShardLog<B> {
                     )));
                 }
             }
-            sequencer.fetch_max(record.seq + 1, Ordering::AcqRel);
-            chain.append(payload);
-            records.push(record);
+            log.sequencer.fetch_max(record.seq + 1, Ordering::AcqRel);
+            log.push(record, payload);
         }
-        chain
-            .verify()
-            .map_err(|e: ChainVerifyError| CssError::Crypto(e.to_string()))?;
-        Ok(ShardLog {
-            chain,
-            records,
-            storage,
-            sequencer,
-        })
+        log.verify()?;
+        Ok(log)
+    }
+
+    /// Take a record whose `payload` is (already, or as of this call)
+    /// on storage into the in-memory state: chain link, record vector,
+    /// posting list. Append, group commit and replay all end here.
+    fn push(&mut self, record: AuditRecord, payload: Vec<u8>) {
+        self.chain.append(payload);
+        if let Some(person) = record.person {
+            let position = u32::try_from(self.records.len())
+                .expect("one in-memory audit shard holds fewer than 2^32 records");
+            self.by_person.entry(person).or_default().push(position);
+        }
+        self.records.push(record);
     }
 
     /// Append a record, assigning its sequence number. Returns the seq.
@@ -75,9 +93,8 @@ impl<B: LogBackend> ShardLog<B> {
         record.seq = self.sequencer.fetch_add(1, Ordering::AcqRel);
         let payload = css_xml::to_string(&record.to_xml()).into_bytes();
         self.storage.append(&payload)?;
-        self.chain.append(payload);
         let seq = record.seq;
-        self.records.push(record);
+        self.push(record, payload);
         Ok(seq)
     }
 
@@ -109,8 +126,7 @@ impl<B: LogBackend> ShardLog<B> {
         let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
         self.storage.append_batch(&refs)?;
         for (record, payload) in assigned.into_iter().zip(payloads) {
-            self.chain.append(payload);
-            self.records.push(record);
+            self.push(record, payload);
         }
         Ok(first_seq)
     }
@@ -137,9 +153,22 @@ impl<B: LogBackend> ShardLog<B> {
         self.records.len()
     }
 
-    /// Run an inquiry over the shard.
+    /// Run an inquiry over the shard, in log order. A query naming a
+    /// data subject walks that person's posting list — O(records about
+    /// them) — and applies the remaining dimensions; any other query
+    /// scans the shard.
     pub(crate) fn query(&self, q: &AuditQuery) -> Vec<&AuditRecord> {
-        self.records.iter().filter(|r| q.matches(r)).collect()
+        match q.subject() {
+            Some(person) => self
+                .by_person
+                .get(&person)
+                .into_iter()
+                .flatten()
+                .map(|&position| &self.records[position as usize])
+                .filter(|r| q.matches(r))
+                .collect(),
+            None => self.records.iter().filter(|r| q.matches(r)).collect(),
+        }
     }
 }
 

@@ -78,6 +78,12 @@ impl AuditQuery {
         self
     }
 
+    /// The data subject the query names, if any — the dimension the
+    /// shard logs keep a posting list for.
+    pub(crate) fn subject(&self) -> Option<PersonId> {
+        self.person
+    }
+
     /// Whether a record matches.
     pub fn matches(&self, r: &AuditRecord) -> bool {
         self.actor.is_none_or(|a| r.actor == a)

@@ -86,6 +86,12 @@ impl<B: LogBackend> AuditShards<B> {
     }
 
     /// Run an inquiry across every shard, merged into global seq order.
+    ///
+    /// A query naming a data subject costs O(records about them): each
+    /// shard answers from that person's posting list (every shard is
+    /// asked, since a plane reopened at another shard count keeps old
+    /// records where they were written). Any other query scans. Either
+    /// way a shard's records are read under its mutex.
     pub fn query(&self, q: &AuditQuery) -> Vec<AuditRecord> {
         let mut out: Vec<AuditRecord> = Vec::new();
         for shard in &self.shards {

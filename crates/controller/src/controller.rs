@@ -472,15 +472,11 @@ impl<B: LogBackend> DataController<B> {
         parent: Option<&TraceContext>,
     ) -> CssResult<PublishReceipt> {
         self.contracts.read().require_producer(producer)?;
-        {
-            let catalog = self.catalog.read();
-            let schema = catalog.schema(&event_type)?;
-            if schema.producer != producer {
-                return Err(CssError::Invalid(format!(
-                    "event class {event_type} belongs to {}, not to {producer}",
-                    schema.producer
-                )));
-            }
+        let owner = self.catalog.read().owner(&event_type)?;
+        if owner != producer {
+            return Err(CssError::Invalid(format!(
+                "event class {event_type} belongs to {owner}, not to {producer}"
+            )));
         }
         let now = self.now();
         let mut timer = StageTimer::start(&self.telemetry, "publish");

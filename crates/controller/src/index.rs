@@ -22,7 +22,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use css_crypto::SealedBox;
+use css_crypto::{HmacKey, SealedBox};
 use css_event::NotificationMessage;
 use css_storage::{LogBackend, MemBackend, RecordLog};
 use css_types::{
@@ -125,7 +125,7 @@ impl IndexEntry {
 /// The controller's index of all notifications, persisted on its backend.
 pub struct EventsIndex<B: LogBackend = MemBackend> {
     sealer: SealedBox,
-    tag_key: Vec<u8>,
+    tag_key: HmacKey,
     entries: HashMap<GlobalEventId, IndexEntry>,
     by_person_tag: HashMap<[u8; 32], Vec<GlobalEventId>>,
     by_type: HashMap<EventTypeId, Vec<GlobalEventId>>,
@@ -140,10 +140,10 @@ pub struct EventsIndex<B: LogBackend = MemBackend> {
 /// The keyed-lookup-tag key derivation shared by every shard of an
 /// index plane: identical master keys must yield identical person tags,
 /// or per-person routing would scatter.
-pub(crate) fn derive_tag_key(master_key: &[u8]) -> Vec<u8> {
+pub(crate) fn derive_tag_key(master_key: &[u8]) -> HmacKey {
     let mut tag_key = b"css-person-tag-v1:".to_vec();
     tag_key.extend_from_slice(master_key);
-    tag_key
+    HmacKey::new(&tag_key)
 }
 
 impl<B: LogBackend> EventsIndex<B> {
@@ -256,7 +256,7 @@ impl<B: LogBackend> EventsIndex<B> {
     }
 
     fn tag(&self, person: PersonId) -> [u8; 32] {
-        css_crypto::hmac_sha256(&self.tag_key, &person.value().to_le_bytes())
+        self.tag_key.mac(&person.value().to_le_bytes())
     }
 
     /// Store a notification, sealing the identifying fields.

@@ -49,7 +49,7 @@ fn tag_key_bits(tag: &[u8; 32]) -> u64 {
 /// at a time.
 pub struct IndexShards<B: LogBackend = MemBackend> {
     shards: Vec<Mutex<EventsIndex<B>>>,
-    tag_key: Vec<u8>,
+    tag_key: css_crypto::HmacKey,
     /// Per-shard operation counters (`shard.{i}.ops` once instrumented).
     ops: Vec<Counter>,
     /// Aggregate operation counter (`shard.ops`).
@@ -108,7 +108,7 @@ impl<B: LogBackend> IndexShards<B> {
     }
 
     fn person_tag(&self, person: PersonId) -> [u8; 32] {
-        css_crypto::hmac_sha256(&self.tag_key, &person.value().to_le_bytes())
+        self.tag_key.mac(&person.value().to_le_bytes())
     }
 
     /// The shard owning a citizen's events.

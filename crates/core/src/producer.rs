@@ -140,8 +140,7 @@ impl<P: BackendProvider> ProducerHandle<P> {
     ) -> CssResult<AccessRequest> {
         self.pending.decide(request_id, new_status, |request| {
             // Ownership check: the class must be this producer's.
-            let schema = self.controller.catalog().schema(&request.event_type)?;
-            if schema.producer != self.actor {
+            if self.controller.catalog().owner(&request.event_type)? != self.actor {
                 return Err(css_types::CssError::Invalid(format!(
                     "request {request_id} targets another producer's class"
                 )));

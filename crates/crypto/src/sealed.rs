@@ -13,7 +13,7 @@
 use std::fmt;
 
 use crate::chacha20::ChaCha20;
-use crate::hmac::{hmac_sha256, verify_mac};
+use crate::hmac::{verify_mac, HmacKey};
 use crate::sha256::Sha256;
 
 /// Failure to open a sealed payload.
@@ -42,7 +42,7 @@ impl std::error::Error for SealError {}
 #[derive(Clone)]
 pub struct SealedBox {
     enc_key: [u8; 32],
-    mac_key: [u8; 32],
+    mac_key: HmacKey,
 }
 
 impl fmt::Debug for SealedBox {
@@ -66,7 +66,7 @@ impl SealedBox {
         };
         SealedBox {
             enc_key: derive(b"css-enc-v1:"),
-            mac_key: derive(b"css-mac-v1:"),
+            mac_key: HmacKey::new(&derive(b"css-mac-v1:")),
         }
     }
 
@@ -83,7 +83,7 @@ impl SealedBox {
         let mut out = Vec::with_capacity(plaintext.len() + Self::OVERHEAD);
         out.extend_from_slice(&nonce);
         out.extend_from_slice(&cipher.process(plaintext, 0));
-        let mac = hmac_sha256(&self.mac_key, &out);
+        let mac = self.mac_key.mac(&out);
         out.extend_from_slice(&mac);
         out
     }
@@ -94,7 +94,7 @@ impl SealedBox {
             return Err(SealError::Truncated);
         }
         let (body, mac_bytes) = sealed.split_at(sealed.len() - MAC_LEN);
-        let expected = hmac_sha256(&self.mac_key, body);
+        let expected = self.mac_key.mac(body);
         let actual: [u8; 32] = mac_bytes.try_into().expect("split length");
         if !verify_mac(&expected, &actual) {
             return Err(SealError::MacMismatch);
@@ -178,6 +178,45 @@ mod tests {
         let sealed = b.seal(5, b"");
         assert_eq!(sealed.len(), SealedBox::OVERHEAD);
         assert_eq!(b.open(&sealed).unwrap(), Vec::<u8>::new());
+    }
+
+    /// `(sequence, plaintext, sealed hex)` written by the code before
+    /// the MAC key kept its pad states: the at-rest form must not move.
+    fn pinned() -> [(u64, Vec<u8>, &'static str); 3] {
+        [
+            (
+                1,
+                b"Mario Rossi RSSMRA45C12L378Y".to_vec(),
+                "01000000000000006373732196484bcec8f62e1a108652bc88da6e3efcf1e8ed\
+                 01f9464a009d2f81beaf2cde64dd24509b62e33fc7f08ca609de4485aeab2037\
+                 04c8dfafdd7ec472",
+            ),
+            (
+                7,
+                Vec::new(),
+                "070000000000000063737321c65dfdf006cafb62d29467f14394f9507dbef238\
+                 7aee9a2935802904ce24f803",
+            ),
+            (
+                u64::MAX,
+                vec![0xAB; 100],
+                "ffffffffffffffff63737321839e8d35d2e58be47d83c8397fb9ac037cbc9740\
+                 54ed7f3804d8c8ae8eb43313b4fb9cec4d67249a2df750d8d90d5792f4a64812\
+                 9a1fe64fb5a2cb35d90bca93df5cbcc83facf8375af01e51290a9485aeebcdca\
+                 7797da1f1715aa6381cb4bd5768530223a6d160255757e6a068702f5b16f97b1\
+                 d84edf81032089e765394a7a2f1ddc6b",
+            ),
+        ]
+    }
+
+    #[test]
+    fn blobs_sealed_before_the_key_state_open_and_seal_is_byte_identical() {
+        let b = bx();
+        for (sequence, plaintext, hex) in pinned() {
+            let sealed = crate::sha256::from_hex(hex).expect("pinned hex");
+            assert_eq!(b.open(&sealed).unwrap(), plaintext, "sequence {sequence}");
+            assert_eq!(b.seal(sequence, &plaintext), sealed, "sequence {sequence}");
+        }
     }
 
     #[test]

@@ -141,9 +141,11 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 /// Render bytes as lowercase hex (for logs, tests, and persisting
 /// binary blobs inside XML documents).
 pub fn to_hex(digest: &[u8]) -> String {
+    const NIBBLES: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(digest.len() * 2);
     for b in digest {
-        s.push_str(&format!("{b:02x}"));
+        s.push(NIBBLES[usize::from(b >> 4)] as char);
+        s.push(NIBBLES[usize::from(b & 0x0f)] as char);
     }
     s
 }
@@ -239,6 +241,16 @@ mod hex_tests {
         let data = vec![0x00, 0x7f, 0xff, 0x10, 0xab];
         assert_eq!(from_hex(&to_hex(&data)).unwrap(), data);
         assert_eq!(from_hex("").unwrap(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn hex_roundtrips_every_byte_value() {
+        let all: Vec<u8> = (0..=255).collect();
+        let hex = to_hex(&all);
+        assert_eq!(hex.len(), 512);
+        assert!(hex.starts_with("000102") && hex.ends_with("fdfeff"));
+        assert!(hex.bytes().all(|c| matches!(c, b'0'..=b'9' | b'a'..=b'f')));
+        assert_eq!(from_hex(&hex).unwrap(), all);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use css_telemetry::{Counter, Histogram, MetricsRegistry};
 use css_trace::{SpanStatus, TraceContext};
 use css_types::{ActorId, CssError, CssResult, EventTypeId, SourceEventId};
 
-use crate::store::DetailStore;
+use crate::store::{stored_type, DetailStore};
 
 /// Cached telemetry handles for the gateway's Algorithm 2 path.
 struct GatewayInstruments {
@@ -136,9 +136,9 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
     ///
     /// When `ctx` is given the call continues the caller's trace with
     /// one child span per Algorithm 2 stage: `gateway.retrieve`
-    /// (repository lookup), `gateway.parse` (type/schema resolution +
-    /// record load), `gateway.filter` (field filtering + privacy
-    /// postcondition).
+    /// (the one read of the stored document), `gateway.parse`
+    /// (type/schema resolution + decoding that same document),
+    /// `gateway.filter` (field filtering + privacy postcondition).
     pub fn get_response(
         &self,
         src_event_id: SourceEventId,
@@ -147,35 +147,22 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
     ) -> CssResult<EventDetails> {
         let started = Instant::now();
         let mut retrieve = TraceContext::child_opt(ctx, "gateway.retrieve");
-        let ty_text = match self.store.stored_type(src_event_id)? {
-            Some(t) => t,
-            None => {
-                retrieve.set_status(SpanStatus::Error);
-                return Err(CssError::NotFound(format!("no details for {src_event_id}")));
-            }
+        let doc = self.store.document(src_event_id)?;
+        let ty_text = doc.as_ref().and_then(stored_type);
+        let (Some(doc), Some(ty_text)) = (&doc, ty_text) else {
+            retrieve.set_status(SpanStatus::Error);
+            return Err(CssError::NotFound(format!("no details for {src_event_id}")));
         };
         retrieve.finish();
         let mut parse = TraceContext::child_opt(ctx, "gateway.parse");
-        let parsed: Result<&EventSchema, CssError> = ty_text
-            .parse::<EventTypeId>()
-            .map_err(|e| CssError::Serialization(format!("stored type malformed: {e}")))
-            .and_then(|ty| {
-                self.schemas
-                    .get(&ty)
-                    .ok_or_else(|| CssError::NotFound(format!("no schema registered for {ty}")))
-            });
-        let schema = match parsed {
-            Ok(s) => s,
+        let decoded = self
+            .schema_named(ty_text)
+            .and_then(|schema| DetailMessage::from_xml(schema, doc));
+        let message = match decoded {
+            Ok(m) => m,
             Err(e) => {
                 parse.set_status(SpanStatus::Error);
                 return Err(e);
-            }
-        };
-        let message = match self.store.load(schema, src_event_id)? {
-            Some(m) => m,
-            None => {
-                parse.set_status(SpanStatus::Error);
-                return Err(CssError::NotFound(format!("no details for {src_event_id}")));
             }
         };
         parse.finish();
@@ -216,26 +203,31 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
     }
 
     fn all_fields_of(&self, src_event_id: SourceEventId) -> CssResult<BTreeSet<String>> {
-        let ty_text = self
-            .store
-            .stored_type(src_event_id)?
+        let doc = self.store.document(src_event_id)?;
+        let ty_text = doc
+            .as_ref()
+            .and_then(stored_type)
             .ok_or_else(|| CssError::NotFound(format!("no details for {src_event_id}")))?;
-        let ty: EventTypeId = ty_text
-            .parse()
-            .map_err(|e| CssError::Serialization(format!("stored type malformed: {e}")))?;
-        let schema = self
-            .schemas
-            .get(&ty)
-            .ok_or_else(|| CssError::NotFound(format!("no schema registered for {ty}")))?;
+        let schema = self.schema_named(ty_text)?;
         Ok(schema.field_names().map(str::to_string).collect())
     }
 
-    /// Number of persisted detail messages.
+    /// The registered schema a stored type string names.
+    fn schema_named(&self, ty_text: &str) -> CssResult<&EventSchema> {
+        let ty: EventTypeId = ty_text
+            .parse()
+            .map_err(|e| CssError::Serialization(format!("stored type malformed: {e}")))?;
+        self.schemas
+            .get(&ty)
+            .ok_or_else(|| CssError::NotFound(format!("no schema registered for {ty}")))
+    }
+
     /// Highest source event id persisted, if any (restart support).
     pub fn max_src_id(&self) -> Option<SourceEventId> {
         self.store.max_src_id()
     }
 
+    /// Number of persisted detail messages.
     pub fn stored_count(&self) -> usize {
         self.store.len()
     }
@@ -445,6 +437,82 @@ mod tests {
         let retrieve = spans.iter().find(|s| s.name == "gateway.retrieve").unwrap();
         assert_eq!(retrieve.status, SpanStatus::Error);
         assert!(!spans.iter().any(|s| s.name == "gateway.parse"));
+    }
+
+    #[test]
+    fn one_record_read_per_response() {
+        let registry = css_telemetry::MetricsRegistry::new();
+        let backend = css_storage::InstrumentedBackend::new(MemBackend::new(), &registry);
+        let mut gw = LocalCooperationGateway::open(ActorId(1), backend).unwrap();
+        gw.register_schema(schema()).unwrap();
+        for src in 1..=3 {
+            gw.persist(&message(src)).unwrap();
+        }
+        // `storage.read` counts the backend's `read_at` calls.
+        let reads = || registry.snapshot().histogram("storage.read").unwrap().count;
+        for src in 1..=3 {
+            let before = reads();
+            gw.get_response(SourceEventId(src), &allowed(&["PatientId"]), None)
+                .unwrap();
+            // One record: its header, then its payload.
+            assert_eq!(reads() - before, 2, "src {src}");
+        }
+        let before = reads();
+        assert!(gw
+            .get_response(SourceEventId(404), &allowed(&["PatientId"]), None)
+            .is_err());
+        assert_eq!(reads(), before, "a miss reads nothing");
+    }
+
+    #[test]
+    fn bad_stored_documents_keep_their_error_variants() {
+        let dir = std::env::temp_dir().join(format!("css-gw-bad-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("gw.log");
+        let _ = std::fs::remove_file(&path);
+        {
+            let (mut planted, _) =
+                css_storage::KvStore::open(FileBackend::open(&path).unwrap()).unwrap();
+            let foreign = r#"<DetailMessage producer="actor-1"><X type="x-ray@v1" srcEventId="src-1"/></DetailMessage>"#;
+            planted.put(b"detail:1", foreign.as_bytes()).unwrap();
+            planted.put(b"detail:2", &[0xff, 0xfe, 0x00]).unwrap();
+            planted
+                .put(b"detail:3", b"<DetailMessage><unclosed>")
+                .unwrap();
+            planted.put(b"detail:4", b"<DetailMessage/>").unwrap();
+            planted
+                .put(
+                    b"detail:5",
+                    br#"<DetailMessage><X type="@@"/></DetailMessage>"#,
+                )
+                .unwrap();
+            planted.sync().unwrap();
+        }
+        let mut gw =
+            LocalCooperationGateway::open(ActorId(1), FileBackend::open(&path).unwrap()).unwrap();
+        gw.register_schema(schema()).unwrap();
+        let ask = |src| gw.get_response(SourceEventId(src), &allowed(&["PatientId"]), None);
+        // Stored type without a registered schema.
+        assert!(matches!(ask(1), Err(CssError::NotFound(m)) if m.contains("no schema registered")));
+        // Not UTF-8, then not well-formed.
+        assert!(matches!(ask(2), Err(CssError::Serialization(m)) if m.contains("UTF-8")));
+        assert!(matches!(ask(3), Err(CssError::Serialization(_))));
+        // No typed child at all reads as "no details".
+        assert!(matches!(ask(4), Err(CssError::NotFound(m)) if m.contains("no details")));
+        assert!(
+            matches!(ask(5), Err(CssError::Serialization(m)) if m.contains("stored type malformed"))
+        );
+        assert!(matches!(ask(6), Err(CssError::NotFound(m)) if m.contains("no details")));
+        // The E12 path starts from the same read and fails the same way.
+        assert!(matches!(
+            gw.query_source_directly(SourceEventId(1)),
+            Err(CssError::NotFound(_))
+        ));
+        assert!(matches!(
+            gw.query_source_directly(SourceEventId(2)),
+            Err(CssError::Serialization(_))
+        ));
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use css_event::{DetailMessage, EventSchema};
 use css_storage::{KvStore, LogBackend};
 use css_types::{CssError, CssResult, SourceEventId};
+use css_xml::Element;
 
 /// Keyed, durable store of detail messages (XML at rest), indexed by
 /// source event id.
@@ -32,47 +33,19 @@ impl<B: LogBackend> DetailStore<B> {
         self.store.sync()
     }
 
-    /// Retrieve a detail message, parsing it with the given schema.
-    pub fn load(
-        &self,
-        schema: &EventSchema,
-        id: SourceEventId,
-    ) -> CssResult<Option<DetailMessage>> {
-        match self.store.get(&key(id))? {
-            None => Ok(None),
-            Some(bytes) => {
-                let text = String::from_utf8(bytes).map_err(|e| {
-                    CssError::Serialization(format!("detail message not UTF-8: {e}"))
-                })?;
-                let doc =
-                    css_xml::parse(&text).map_err(|e| CssError::Serialization(e.to_string()))?;
-                Ok(Some(DetailMessage::from_xml(schema, &doc)?))
-            }
-        }
+    /// The stored document for an id: one record read (CRC-checked),
+    /// one UTF-8 check, one XML parse. The gateway picks the schema off
+    /// it and [`DetailMessage::from_xml`] decodes the same document.
+    pub fn document(&self, id: SourceEventId) -> CssResult<Option<Element>> {
+        let Some(bytes) = self.store.get(&key(id))? else {
+            return Ok(None);
+        };
+        let text = String::from_utf8(bytes)
+            .map_err(|e| CssError::Serialization(format!("detail message not UTF-8: {e}")))?;
+        let doc = css_xml::parse(&text).map_err(|e| CssError::Serialization(e.to_string()))?;
+        Ok(Some(doc))
     }
 
-    /// The raw event-type string stored for an id, read without a schema
-    /// (used to select the right schema before a full parse).
-    pub fn stored_type(&self, id: SourceEventId) -> CssResult<Option<String>> {
-        match self.store.get(&key(id))? {
-            None => Ok(None),
-            Some(bytes) => {
-                let text = String::from_utf8(bytes).map_err(|e| {
-                    CssError::Serialization(format!("detail message not UTF-8: {e}"))
-                })?;
-                let doc =
-                    css_xml::parse(&text).map_err(|e| CssError::Serialization(e.to_string()))?;
-                let ty = doc
-                    .elements()
-                    .next()
-                    .and_then(|inner| inner.attribute("type"))
-                    .map(str::to_string);
-                Ok(ty)
-            }
-        }
-    }
-
-    /// Number of persisted messages.
     /// Highest source event id persisted, if any. Used after a restart
     /// to resume id generation past the recovered records.
     pub fn max_src_id(&self) -> Option<SourceEventId> {
@@ -89,6 +62,7 @@ impl<B: LogBackend> DetailStore<B> {
             .map(SourceEventId)
     }
 
+    /// Number of persisted messages.
     pub fn len(&self) -> usize {
         self.store.len()
     }
@@ -102,6 +76,12 @@ impl<B: LogBackend> DetailStore<B> {
     pub fn log_bytes(&self) -> u64 {
         self.store.log_bytes()
     }
+}
+
+/// The raw event-type string of a stored document, readable without a
+/// schema (it selects the schema the document is then decoded with).
+pub(crate) fn stored_type(doc: &Element) -> Option<&str> {
+    doc.elements().next()?.attribute("type")
 }
 
 fn key(id: SourceEventId) -> Vec<u8> {
@@ -135,9 +115,12 @@ mod tests {
     fn persist_load_roundtrip() {
         let mut store = DetailStore::open(MemBackend::new()).unwrap();
         store.persist(&schema(), &message(1)).unwrap();
-        let loaded = store.load(&schema(), SourceEventId(1)).unwrap().unwrap();
-        assert_eq!(loaded, message(1));
-        assert!(store.load(&schema(), SourceEventId(2)).unwrap().is_none());
+        let doc = store.document(SourceEventId(1)).unwrap().unwrap();
+        assert_eq!(
+            DetailMessage::from_xml(&schema(), &doc).unwrap(),
+            message(1)
+        );
+        assert!(store.document(SourceEventId(2)).unwrap().is_none());
     }
 
     #[test]
@@ -154,11 +137,9 @@ mod tests {
     fn stored_type_readable_without_schema() {
         let mut store = DetailStore::open(MemBackend::new()).unwrap();
         store.persist(&schema(), &message(1)).unwrap();
-        assert_eq!(
-            store.stored_type(SourceEventId(1)).unwrap().unwrap(),
-            "blood-test@v1"
-        );
-        assert!(store.stored_type(SourceEventId(9)).unwrap().is_none());
+        let doc = store.document(SourceEventId(1)).unwrap().unwrap();
+        assert_eq!(stored_type(&doc), Some("blood-test@v1"));
+        assert_eq!(stored_type(&Element::new("DetailMessage")), None);
     }
 
     #[test]
@@ -175,8 +156,9 @@ mod tests {
         }
         let store = DetailStore::open(FileBackend::open(&path).unwrap()).unwrap();
         assert_eq!(store.len(), 20);
+        let doc = store.document(SourceEventId(13)).unwrap().unwrap();
         assert_eq!(
-            store.load(&schema(), SourceEventId(13)).unwrap().unwrap(),
+            DetailMessage::from_xml(&schema(), &doc).unwrap(),
             message(13)
         );
         let _ = std::fs::remove_file(&path);

@@ -16,8 +16,9 @@
 //! `.decrypt_notification(..)`, `.unseal(..)` and
 //! `PersonIdentity::from_bytes(..)`.
 //!
-//! Sanitizers: `seal`, `hmac_sha256`, `sha256`, `derive_tag_key`,
-//! `person_tag`, `len`, `is_empty`, `count` — calls whose result is a
+//! Sanitizers: `seal`, `hmac_sha256`, `mac` (the same MAC under a kept
+//! `HmacKey`), `sha256`, `derive_tag_key`, `person_tag`, `len`,
+//! `is_empty`, `count` — calls whose result is a
 //! ciphertext, keyed tag, or cardinality, none of which identify.
 //!
 //! Sinks: `SpanAttr::<ctor>(..)` arguments (traces), `.counter(` /
@@ -45,6 +46,7 @@ const SOURCE_CALLS: &[&str] = &["decrypt_notification", "unseal"];
 const SANITIZERS: &[&str] = &[
     "seal",
     "hmac_sha256",
+    "mac",
     "sha256",
     "derive_tag_key",
     "person_tag",

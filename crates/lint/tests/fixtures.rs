@@ -465,6 +465,29 @@ fn identity_taint_fires_on_bundle_capture() {
     assert!(clean.is_empty(), "sanitized capture flagged: {clean:#?}");
 }
 
+/// `HmacKey::mac` is `hmac_sha256` with the key state kept: its result
+/// is a keyed tag, its argument is still plaintext.
+#[test]
+fn identity_taint_treats_the_kept_key_mac_as_a_sanitizer() {
+    let clean = fire(
+        "css-controller",
+        "identity_taint/mac_clean.rs",
+        "identity-taint",
+    );
+    assert!(clean.is_empty(), "keyed tag flagged: {clean:#?}");
+
+    let hits = fire(
+        "css-controller",
+        "identity_taint/mac_fire.rs",
+        "identity-taint",
+    );
+    assert_eq!(hits.len(), 1, "{hits:#?}");
+    assert!(
+        hits[0].message.contains("metric name"),
+        "names the metric sink: {hits:#?}"
+    );
+}
+
 #[test]
 fn identity_taint_waiver_moves_finding_to_waived() {
     let src = fixture("identity_taint/waived.rs");

@@ -9,7 +9,11 @@
 //! The catalog is a view over the [`Registry`]: every declared class of
 //! event details becomes an approved `EventSchema` registry object whose
 //! repository content is the schema's XML document, classified under the
-//! care-domain taxonomy.
+//! care-domain taxonomy. That document is the paper-facing form; the
+//! catalog also keeps the [`EventSchema`] it was handed at `declare`,
+//! so no request re-parses XML the platform wrote itself.
+
+use std::collections::HashMap;
 
 use css_event::EventSchema;
 use css_types::{ActorId, CssError, CssResult, EventTypeId};
@@ -23,6 +27,10 @@ use crate::registry::Registry;
 #[derive(Debug, Default)]
 pub struct EventCatalog {
     registry: Registry,
+    /// The schema each registry object was built from. An object's
+    /// content never changes once submitted (`registry()` hands out
+    /// `&Registry` only), so the two cannot drift apart.
+    schemas: HashMap<EventTypeId, EventSchema>,
 }
 
 /// Scheme id used to classify event classes by care domain.
@@ -41,7 +49,10 @@ impl EventCatalog {
                 .with_node("social/telecare")
                 .with_node("social/welfare"),
         );
-        EventCatalog { registry }
+        EventCatalog {
+            registry,
+            schemas: HashMap::new(),
+        }
     }
 
     fn object_id(event_type: &EventTypeId) -> String {
@@ -60,6 +71,7 @@ impl EventCatalog {
             .with_content(xml)
             .with_status(ObjectStatus::Approved);
         self.registry.submit(object)?;
+        self.schemas.insert(schema.id.clone(), schema.clone());
         if let Some(node) = domain {
             self.registry.classify(&id, CARE_DOMAIN_SCHEME, node)?;
         }
@@ -83,22 +95,23 @@ impl EventCatalog {
 
     /// Fetch the schema of a declared class.
     pub fn schema(&self, event_type: &EventTypeId) -> CssResult<EventSchema> {
-        let id = Self::object_id(event_type);
-        let object = self
-            .registry
-            .get(&id)
-            .ok_or_else(|| CssError::NotFound(format!("event class {event_type} not declared")))?;
-        let content = object
-            .content
-            .as_deref()
-            .ok_or_else(|| CssError::Storage(format!("catalog entry {id} has no content")))?;
-        let doc = css_xml::parse(content).map_err(|e| CssError::Serialization(e.to_string()))?;
-        EventSchema::from_xml(&doc)
+        self.declared(event_type).cloned()
+    }
+
+    /// The producer that declared a class — all an ownership check needs.
+    pub fn owner(&self, event_type: &EventTypeId) -> CssResult<ActorId> {
+        self.declared(event_type).map(|schema| schema.producer)
+    }
+
+    fn declared(&self, event_type: &EventTypeId) -> CssResult<&EventSchema> {
+        self.schemas
+            .get(event_type)
+            .ok_or_else(|| CssError::NotFound(format!("event class {event_type} not declared")))
     }
 
     /// Whether the class is declared.
     pub fn contains(&self, event_type: &EventTypeId) -> bool {
-        self.registry.get(&Self::object_id(event_type)).is_some()
+        self.schemas.contains_key(event_type)
     }
 
     /// Every class declared by a producer.
@@ -232,6 +245,54 @@ mod tests {
         // Both versions remain fetchable.
         assert!(cat.schema(&EventTypeId::new("blood-test", 1)).is_ok());
         assert!(cat.schema(&EventTypeId::new("blood-test", 2)).is_ok());
+    }
+
+    /// What the catalog answered when it parsed the registry object's
+    /// content on every call.
+    fn from_registry_content(cat: &EventCatalog, ty: &EventTypeId) -> EventSchema {
+        let object = cat.registry().get(&EventCatalog::object_id(ty)).unwrap();
+        let doc = css_xml::parse(object.content.as_deref().unwrap()).unwrap();
+        EventSchema::from_xml(&doc).unwrap()
+    }
+
+    #[test]
+    fn kept_schema_equals_the_registry_content_for_every_class() {
+        let mut cat = EventCatalog::new();
+        cat.declare(&blood_test(1), Some("health/laboratory"))
+            .unwrap();
+        let home_care = EventSchema::new(EventTypeId::v1("home-care"), "Home Care", ActorId(2))
+            .field(FieldDef::optional("Hours", FieldKind::Integer));
+        cat.declare(&home_care, Some("social/home-care")).unwrap();
+        // v2 deprecates v1's registry object; v1 still answers.
+        let v2 = blood_test(2).field(FieldDef::optional("Lab", FieldKind::Text));
+        cat.declare(&v2, None).unwrap();
+        let types = cat.all_types();
+        assert_eq!(types.len(), 3);
+        for ty in &types {
+            let kept = cat.schema(ty).unwrap();
+            assert_eq!(kept, from_registry_content(&cat, ty), "{ty}");
+            assert_eq!(cat.owner(ty).unwrap(), kept.producer, "{ty}");
+        }
+        assert_eq!(cat.schema(&v2.id).unwrap(), v2);
+        assert_eq!(cat.schema(&blood_test(1).id).unwrap(), blood_test(1));
+    }
+
+    #[test]
+    fn rejected_duplicate_leaves_the_catalog_answering_as_before() {
+        let mut cat = EventCatalog::new();
+        cat.declare(&blood_test(1), None).unwrap();
+        // Same class id, different producer and fields: rejected whole.
+        let usurper = EventSchema::new(EventTypeId::v1("blood-test"), "Usurper", ActorId(9));
+        assert!(cat.declare(&usurper, None).is_err());
+        let ty = EventTypeId::v1("blood-test");
+        assert_eq!(cat.schema(&ty).unwrap(), blood_test(1));
+        assert_eq!(cat.owner(&ty).unwrap(), ActorId(1));
+        assert_eq!(from_registry_content(&cat, &ty), blood_test(1));
+        assert_eq!(cat.len(), 1);
+        assert!(matches!(
+            cat.owner(&EventTypeId::v1("nope")),
+            Err(CssError::NotFound(_))
+        ));
     }
 
     #[test]

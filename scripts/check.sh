@@ -1,35 +1,52 @@
 #!/usr/bin/env bash
-# Repo-wide quality gate: formatting, lints, build, tests.
+# Repo-wide quality gate: formatting, lints, build, tests, ops smoke,
+# macrobench package, bench ratchet. Every step runs even when an
+# earlier one fails; the exit status is non-zero if any did, and the
+# failed steps are listed at the end.
 # Usage: scripts/check.sh
-set -euo pipefail
+set -uo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== cargo fmt --check"
-cargo fmt --all --check
+failed=()
+step() {
+  local name=$1
+  shift
+  echo "== $name"
+  "$@" || failed+=("$name")
+}
 
-echo "== cargo clippy (deny warnings)"
-cargo clippy --workspace --all-targets -- -D warnings
+step "cargo fmt --check" cargo fmt --all --check
+step "cargo clippy (deny warnings)" cargo clippy --workspace --all-targets -- -D warnings
+step "css-lint: privacy-invariant pass (waiver budget + size ratchet vs lint-baseline.json)" scripts/lint.sh
+step "tracing: unit suite" cargo test -q -p css-trace
+step "tracing: end-to-end suite" cargo test -q --test trace_integration
+step "tier-1: release build" cargo build --release
+step "tier-1: tests (whole workspace; one red test hides no suite after it)" \
+  cargo test -q --workspace --no-fail-fast
+step "ops plane: live scrape smoke" scripts/obs.sh
 
-echo "== css-lint: privacy-invariant pass (waiver budget + size ratchet vs lint-baseline.json)"
-scripts/lint.sh
+# The macrobench is a package of its own that `cargo build` at the root
+# never compiles, and it calls the product crates directly: build its
+# tests and run every workload once so an API break shows here.
+macrobench=crates/bench/examples/macrobench
+step "macrobench: package tests" \
+  env CARGO_TARGET_DIR=target/macrobench/build \
+  cargo test -q --release --offline --manifest-path "$macrobench/Cargo.toml"
+step "macrobench: smoke run (every workload, untraced + traced)" bash "$macrobench/run.sh" --smoke
 
-echo "== tracing: unit + end-to-end suite"
-cargo test -q -p css-trace
-cargo test -q --test trace_integration
-
-echo "== tier-1: build + test (whole workspace; one red test hides no suite after it)"
-cargo build --release
-cargo test -q --workspace --no-fail-fast
-
-echo "== ops plane: live scrape smoke"
-scripts/obs.sh
-
-echo "== benches: build + smoke run + perf-regression ratchet"
-cargo build --benches
+step "benches: build" cargo build --benches
 # Smoke sizes only — a real BENCH_*.json refresh is a plain
 # `scripts/bench.sh` (e19 then builds its full-scale sim world).
 # --ratchet compares the fresh ns_per_iter against the committed
 # BENCH_*.json values (warn >15%, fail >40%); after a green check,
 # regenerate the JSONs at full scale with `scripts/bench.sh` so the
 # committed baseline stays a full-scale run.
-CSS_BENCH_MS=5 CSS_E19_EVENTS=20000 CSS_E19_PERSONS=500 scripts/bench.sh --ratchet
+step "benches: smoke run + perf-regression ratchet" \
+  env CSS_BENCH_MS=5 CSS_E19_EVENTS=20000 CSS_E19_PERSONS=500 scripts/bench.sh --ratchet
+
+if [ ${#failed[@]} -ne 0 ]; then
+  echo "== check.sh: ${#failed[@]} step(s) failed:" >&2
+  printf '   - %s\n' "${failed[@]}" >&2
+  exit 1
+fi
+echo "== check.sh: every step passed"
