@@ -9,8 +9,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use css_crypto::HashChain;
-use css_storage::{LogBackend, RecordLog};
+use css_storage::{split_records, LogBackend, RecordLog};
 use css_types::{CssError, CssResult, PersonId};
+use css_xml::StreamSink;
 
 use crate::query::AuditQuery;
 use crate::record::AuditRecord;
@@ -91,7 +92,9 @@ impl<B: LogBackend> ShardLog<B> {
     /// Append a record, assigning its sequence number. Returns the seq.
     pub(crate) fn append(&mut self, mut record: AuditRecord) -> CssResult<u64> {
         record.seq = self.sequencer.fetch_add(1, Ordering::AcqRel);
-        let payload = css_xml::to_string(&record.to_xml()).into_bytes();
+        let mut text = String::with_capacity(256);
+        record.encode(&mut StreamSink::new(&mut text));
+        let payload = text.into_bytes();
         self.storage.append(&payload)?;
         let seq = record.seq;
         self.push(record, payload);
@@ -109,24 +112,26 @@ impl<B: LogBackend> ShardLog<B> {
         &mut self,
         records: impl IntoIterator<Item = AuditRecord>,
     ) -> CssResult<u64> {
-        let records: Vec<AuditRecord> = records.into_iter().collect();
+        let mut records: Vec<AuditRecord> = records.into_iter().collect();
         let first_seq = self
             .sequencer
             .fetch_add(records.len() as u64, Ordering::AcqRel);
-        let mut assigned = Vec::new();
-        let mut payloads = Vec::new();
-        for mut record in records {
-            record.seq = first_seq + assigned.len() as u64;
-            payloads.push(css_xml::to_string(&record.to_xml()).into_bytes());
-            assigned.push(record);
-        }
-        if assigned.is_empty() {
+        if records.is_empty() {
             return Ok(first_seq);
         }
-        let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
-        self.storage.append_batch(&refs)?;
-        for (record, payload) in assigned.into_iter().zip(payloads) {
-            self.push(record, payload);
+        // Every record streams into one buffer; a payload is the slice
+        // between two record ends.
+        let mut text = String::with_capacity(256 * records.len());
+        let mut ends = Vec::with_capacity(records.len());
+        for (i, record) in records.iter_mut().enumerate() {
+            record.seq = first_seq + i as u64;
+            record.encode(&mut StreamSink::new(&mut text));
+            ends.push(text.len());
+        }
+        let payloads = split_records(text.as_bytes(), &ends);
+        self.storage.append_batch(&payloads)?;
+        for (record, payload) in records.into_iter().zip(payloads) {
+            self.push(record, payload.to_vec());
         }
         Ok(first_seq)
     }

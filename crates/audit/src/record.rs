@@ -5,7 +5,7 @@ use css_types::{
     ActorId, CssError, CssResult, EventTypeId, GlobalEventId, PersonId, Purpose, RequestId,
     Timestamp,
 };
-use css_xml::Element;
+use css_xml::{Element, TreeSink, XmlSink};
 
 /// The kind of action an audit record describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -180,41 +180,49 @@ impl AuditRecord {
         self
     }
 
-    /// Serialize to the XML persistence form.
-    pub fn to_xml(&self) -> Element {
-        let mut e = Element::new("AuditRecord")
-            .attr("seq", self.seq.to_string())
-            .attr("at", self.at.as_millis().to_string())
-            .attr("actor", self.actor.to_string())
-            .attr("action", self.action.code());
+    /// Write the XML persistence form into `sink` — the one encoder:
+    /// the log streams it to the bytes it frames, [`AuditRecord::to_xml`]
+    /// builds the tree from it.
+    pub fn encode(&self, sink: &mut impl XmlSink) {
+        sink.open("AuditRecord");
+        sink.attr("seq", self.seq);
+        sink.attr("at", self.at.as_millis());
+        sink.attr("actor", self.actor);
+        sink.attr("action", self.action.code());
         if let Some(id) = self.event {
-            e = e.attr("event", id.to_string());
+            sink.attr("event", id);
         }
         if let Some(ty) = &self.event_type {
-            e = e.attr("eventType", ty.to_string());
+            sink.attr("eventType", ty);
         }
         if let Some(p) = self.person {
-            e = e.attr("person", p.to_string());
+            sink.attr("person", p);
         }
         if let Some(p) = &self.purpose {
-            e = e.attr("purpose", p.code());
+            sink.attr("purpose", p.code());
         }
         if let Some(r) = self.request {
-            e = e.attr("request", r.to_string());
+            sink.attr("request", r);
         }
         if let Some(t) = self.trace {
-            e = e.attr("trace", t.to_string());
+            sink.attr("trace", t);
         }
         match &self.outcome {
-            AuditOutcome::Permitted => e = e.attr("outcome", "permitted"),
+            AuditOutcome::Permitted => sink.attr("outcome", "permitted"),
             AuditOutcome::Denied(reason) => {
-                e = e.attr("outcome", "denied").attr("reason", reason.clone());
+                sink.attr("outcome", "denied");
+                sink.attr("reason", reason);
             }
         }
         if !self.detail.is_empty() {
-            e = e.child(Element::leaf("Detail", self.detail.clone()));
+            sink.leaf("Detail", &self.detail);
         }
-        e
+        sink.close();
+    }
+
+    /// The XML persistence form as a tree.
+    pub fn to_xml(&self) -> Element {
+        TreeSink::build(|tree| self.encode(tree))
     }
 
     /// Parse from the XML persistence form.
@@ -359,5 +367,72 @@ mod tests {
             .attr("action", "espionage")
             .attr("outcome", "permitted");
         assert!(AuditRecord::from_xml(&bad_action).is_err());
+    }
+
+    fn streamed(r: &AuditRecord) -> String {
+        let mut out = String::new();
+        r.encode(&mut css_xml::StreamSink::new(&mut out));
+        out
+    }
+
+    /// Bytes `css_xml::to_string(&r.to_xml())` produced at the last
+    /// commit that built the tree on the write path: the encoder must
+    /// keep producing them, streamed or through the tree.
+    #[test]
+    fn encodings_match_pinned_bytes() {
+        let mut full = AuditRecord::new(
+            Timestamp(1_700_000_000_123),
+            ActorId(4),
+            AuditAction::DetailRequest,
+        )
+        .event(GlobalEventId(9))
+        .event_type(EventTypeId::v1("blood-test"))
+        .person(PersonId(2))
+        .purpose(Purpose::HealthcareTreatment)
+        .request(RequestId(55))
+        .trace(Some(TraceId::mint(123, 1)));
+        full.seq = 17;
+        let mut denied =
+            AuditRecord::new(Timestamp(5), ActorId(12_345_678_901), AuditAction::Publish)
+                .person(PersonId(3))
+                .purpose(Purpose::Custom("trial \"x\" & <y>".into()))
+                .denied("gateway failure: \"src-00000007\" <not found> & 'gone'");
+        denied.seq = u64::MAX;
+        let detailed = AuditRecord::new(Timestamp(0), ActorId(1), AuditAction::IndexInquiry)
+            .with_detail("matched pol-00000001 & <pol-00000002>; \"2\" events returned");
+        let pinned = [
+            "<AuditRecord seq=\"17\" at=\"1700000000123\" actor=\"act-00000004\" action=\"detail-request\" event=\"evt-00000009\" eventType=\"blood-test@v1\" person=\"per-00000002\" purpose=\"healthcare-treatment\" request=\"req-00000055\" trace=\"0000007b00000001\" outcome=\"permitted\"/>",
+            "<AuditRecord seq=\"18446744073709551615\" at=\"5\" actor=\"act-12345678901\" action=\"publish\" person=\"per-00000003\" purpose=\"trial &quot;x&quot; &amp; &lt;y&gt;\" outcome=\"denied\" reason=\"gateway failure: &quot;src-00000007&quot; &lt;not found&gt; &amp; &apos;gone&apos;\"/>",
+            "<AuditRecord seq=\"0\" at=\"0\" actor=\"act-00000001\" action=\"index-inquiry\" outcome=\"permitted\"><Detail>matched pol-00000001 &amp; &lt;pol-00000002&gt;; \"2\" events returned</Detail></AuditRecord>",
+        ];
+        for (record, bytes) in [full, denied, detailed].iter().zip(pinned) {
+            assert_eq!(streamed(record), bytes);
+            assert_eq!(css_xml::to_string(&record.to_xml()), bytes);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn streamed_equals_tree_for_any_record(
+            (seq, at, actor) in (proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()),
+            dims in proptest::collection::vec(proptest::option::of(0u64..1_000_000_000_000), 5),
+            code in "[a-z][a-z0-9-]{0,12}",
+            reason in proptest::option::of("[ -~]{0,40}"),
+            detail in "[ -~]{0,40}",
+        ) {
+            let mut r = AuditRecord::new(Timestamp(at), ActorId(actor), AuditAction::DetailRequest)
+                .with_detail(detail)
+                .trace(dims[4].map(|t| TraceId::mint(t, t + 1)));
+            r.seq = seq;
+            r.event = dims[0].map(GlobalEventId);
+            r.event_type = dims[1].map(|v| EventTypeId::new(code.clone(), v as u32 % 9 + 1));
+            r.person = dims[2].map(PersonId);
+            r.request = dims[3].map(RequestId);
+            r.purpose = dims[0].map(|_| Purpose::Custom(code.clone()));
+            if let Some(reason) = reason {
+                r = r.denied(reason);
+            }
+            proptest::prop_assert_eq!(streamed(&r), css_xml::to_string(&r.to_xml()));
+        }
     }
 }

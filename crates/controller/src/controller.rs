@@ -37,6 +37,14 @@ use crate::gateway_client::GatewayClient;
 use crate::pep::PolicyEnforcementPoint;
 use crate::shards::IndexShards;
 
+/// Which events an index inquiry considers.
+enum Candidates {
+    /// Every event about one person: looked up inside the owner shard.
+    OfPerson(PersonId),
+    /// Ids gathered across shards beforehand (by type, by time).
+    Listed(Vec<GlobalEventId>),
+}
+
 /// Construction parameters for a controller.
 pub struct ControllerConfig {
     /// Master key for sealing identifying data in the events index.
@@ -545,16 +553,19 @@ impl<B: LogBackend> DataController<B> {
             .filter(|(_, ty)| *ty == event_type)
             .map(|(actor, _)| *actor)
             .collect();
+        // Ascending, for the receipt and for the Delivery records: the
+        // bytes of the audit log must not depend on a hash seed.
+        let mut receivers: Vec<ActorId> = notified.iter().copied().collect();
+        receivers.sort();
         let index_span = ctx.child("index.insert");
-        self.index
-            .insert(&notification, src_event_id, notified.clone())?;
+        self.index.insert(&notification, src_event_id, notified)?;
         index_span.finish();
         timer.stage("index");
         // One group commit for the Publish record and the per-consumer
         // Delivery fan-out: a single storage write instead of 1 + N.
         // Every record carries the same person, so the whole batch
         // lands on one audit shard.
-        let mut records = Vec::with_capacity(1 + notified.len());
+        let mut records = Vec::with_capacity(1 + receivers.len());
         records.push(
             AuditRecord::new(now, producer, AuditAction::Publish)
                 .event(global_id)
@@ -562,7 +573,7 @@ impl<B: LogBackend> DataController<B> {
                 .person(person.id)
                 .trace(trace_id),
         );
-        for consumer in &notified {
+        for consumer in &receivers {
             records.push(
                 AuditRecord::new(now, *consumer, AuditAction::Delivery)
                     .event(global_id)
@@ -576,11 +587,9 @@ impl<B: LogBackend> DataController<B> {
         timer.finish();
         span.finish();
         self.telemetry.counter("controller.published").inc();
-        let mut notified: Vec<ActorId> = notified.into_iter().collect();
-        notified.sort();
         Ok(PublishReceipt {
             global_id,
-            notified,
+            notified: receivers,
         })
     }
 
@@ -599,8 +608,7 @@ impl<B: LogBackend> DataController<B> {
         person: PersonId,
         parent: Option<&TraceContext>,
     ) -> CssResult<Vec<NotificationMessage>> {
-        let ids = self.index.events_of_person(person);
-        self.filter_inquiry(consumer, ids, parent)
+        self.filter_inquiry(consumer, Candidates::OfPerson(person), parent)
     }
 
     /// Consumer queries the events index for notifications of one class.
@@ -611,7 +619,7 @@ impl<B: LogBackend> DataController<B> {
         event_type: &EventTypeId,
     ) -> CssResult<Vec<NotificationMessage>> {
         let ids = self.index.events_of_type(event_type);
-        self.filter_inquiry(consumer, ids, None)
+        self.filter_inquiry(consumer, Candidates::Listed(ids), None)
     }
 
     /// Consumer queries the events index for notifications in a time
@@ -623,13 +631,13 @@ impl<B: LogBackend> DataController<B> {
         to: Timestamp,
     ) -> CssResult<Vec<NotificationMessage>> {
         let ids = self.index.events_between(from, to);
-        self.filter_inquiry(consumer, ids, None)
+        self.filter_inquiry(consumer, Candidates::Listed(ids), None)
     }
 
     fn filter_inquiry(
         &self,
         consumer: ActorId,
-        candidates: Vec<GlobalEventId>,
+        candidates: Candidates,
         parent: Option<&TraceContext>,
     ) -> CssResult<Vec<NotificationMessage>> {
         let org = self
@@ -653,9 +661,26 @@ impl<B: LogBackend> DataController<B> {
         let mut out = {
             let pdp = self.pdp.read();
             let actors = self.actors.read();
-            self.index.filter_authorized(&candidates, consumer, |ty| {
-                pdp.is_authorized(consumer, ty, &actors, now)
-            })?
+            // With both guards held and `now` fixed, the answer for an
+            // event class cannot change inside this inquiry: ask the
+            // PDP once per class, not once per event.
+            let mut decided: Vec<(EventTypeId, bool)> = Vec::new();
+            let authorize = |ty: &EventTypeId| {
+                if let Some((_, permitted)) = decided.iter().find(|(seen, _)| seen == ty) {
+                    return *permitted;
+                }
+                let permitted = pdp.is_authorized(consumer, ty, &actors, now);
+                decided.push((ty.clone(), permitted));
+                permitted
+            };
+            match candidates {
+                Candidates::OfPerson(person) => self
+                    .index
+                    .filter_authorized_of_person(person, consumer, authorize)?,
+                Candidates::Listed(ids) => {
+                    self.index.filter_authorized(&ids, consumer, authorize)?
+                }
+            }
         };
         filter_span.finish();
         self.audit.append(

@@ -22,14 +22,14 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use css_crypto::{HmacKey, SealedBox};
+use css_crypto::{Hex, HmacKey, SealedBox};
 use css_event::NotificationMessage;
-use css_storage::{LogBackend, MemBackend, RecordLog};
+use css_storage::{split_records, LogBackend, MemBackend, RecordLog};
 use css_types::{
     ActorId, CssError, CssResult, EventTypeId, GlobalEventId, PersonId, PersonIdentity,
     SourceEventId, Timestamp,
 };
-use css_xml::Element;
+use css_xml::{Element, StreamSink, XmlSink};
 
 /// One stored notification, with identifying data encrypted at rest.
 #[derive(Debug, Clone)]
@@ -56,22 +56,27 @@ pub struct IndexEntry {
 }
 
 impl IndexEntry {
-    pub(crate) fn to_xml(&self) -> Element {
-        let mut e = Element::new("IndexEntry")
-            .attr("eventId", self.global_id.to_string())
-            .attr("type", self.event_type.to_string())
-            .attr("sealed", css_crypto::to_hex(&self.sealed_identity))
-            .attr("tag", css_crypto::to_hex(&self.person_tag))
-            .attr("occurredAt", self.occurred_at.as_millis().to_string())
-            .attr("producer", self.producer.to_string())
-            .attr("srcEventId", self.src_event_id.to_string())
-            .child(Element::leaf("What", self.description.clone()));
+    /// Write the persisted form into `sink` — the one encoder. The
+    /// sealed identity and the tag go out as hex digits, never as a
+    /// `String` of their own.
+    pub(crate) fn encode(&self, sink: &mut impl XmlSink) {
+        sink.open("IndexEntry");
+        sink.attr("eventId", self.global_id);
+        sink.attr("type", &self.event_type);
+        sink.attr("sealed", Hex(&self.sealed_identity));
+        sink.attr("tag", Hex(&self.person_tag));
+        sink.attr("occurredAt", self.occurred_at.as_millis());
+        sink.attr("producer", self.producer);
+        sink.attr("srcEventId", self.src_event_id);
+        sink.leaf("What", &self.description);
         let mut notified: Vec<ActorId> = self.notified.iter().copied().collect();
         notified.sort();
         for actor in notified {
-            e = e.child(Element::new("Notified").attr("actor", actor.to_string()));
+            sink.open("Notified");
+            sink.attr("actor", actor);
+            sink.close();
         }
-        e
+        sink.close();
     }
 
     pub(crate) fn from_xml(e: &Element) -> CssResult<Self> {
@@ -120,6 +125,15 @@ impl IndexEntry {
             notified,
         })
     }
+}
+
+/// Write the standalone record that adds `actor` to the notified set
+/// of an already persisted entry.
+fn encode_notified_marker(event: GlobalEventId, actor: ActorId, sink: &mut impl XmlSink) {
+    sink.open("Notified");
+    sink.attr("eventId", event);
+    sink.attr("actor", actor);
+    sink.close();
 }
 
 /// The controller's index of all notifications, persisted on its backend.
@@ -250,11 +264,6 @@ impl<B: LogBackend> EventsIndex<B> {
         self.entries.insert(entry.global_id, entry);
     }
 
-    fn persist(&mut self, doc: &Element) -> CssResult<()> {
-        self.storage.append(css_xml::to_string(doc).as_bytes())?;
-        Ok(())
-    }
-
     fn tag(&self, person: PersonId) -> [u8; 32] {
         self.tag_key.mac(&person.value().to_le_bytes())
     }
@@ -262,6 +271,19 @@ impl<B: LogBackend> EventsIndex<B> {
     /// Store a notification, sealing the identifying fields.
     pub fn insert(
         &mut self,
+        notification: &NotificationMessage,
+        src_event_id: SourceEventId,
+        notified: HashSet<ActorId>,
+    ) -> CssResult<()> {
+        let person_tag = self.tag(notification.person.id);
+        self.insert_tagged(person_tag, notification, src_event_id, notified)
+    }
+
+    /// [`EventsIndex::insert`] for a caller that already holds the
+    /// person's tag — the plane derives it to pick this shard.
+    pub(crate) fn insert_tagged(
+        &mut self,
+        person_tag: [u8; 32],
         notification: &NotificationMessage,
         src_event_id: SourceEventId,
         notified: HashSet<ActorId>,
@@ -275,7 +297,6 @@ impl<B: LogBackend> EventsIndex<B> {
         let sealed_identity = self
             .sealer
             .seal(id.value(), &notification.person.to_bytes());
-        let person_tag = self.tag(notification.person.id);
         let entry = IndexEntry {
             global_id: id,
             event_type: notification.event_type.clone(),
@@ -287,7 +308,9 @@ impl<B: LogBackend> EventsIndex<B> {
             src_event_id,
             notified,
         };
-        self.persist(&entry.to_xml())?;
+        let mut text = String::with_capacity(640);
+        entry.encode(&mut StreamSink::new(&mut text));
+        self.storage.append(text.as_bytes())?;
         self.link_entry(entry);
         Ok(())
     }
@@ -313,12 +336,10 @@ impl<B: LogBackend> EventsIndex<B> {
         let Some(entry) = self.entries.get_mut(&id) else {
             return Err(CssError::NotFound(format!("event {id} not in index")));
         };
-        let newly = entry.notified.insert(consumer);
-        if newly {
-            let marker = Element::new("Notified")
-                .attr("eventId", id.to_string())
-                .attr("actor", consumer.to_string());
-            self.persist(&marker)?;
+        if entry.notified.insert(consumer) {
+            let mut marker = String::with_capacity(64);
+            encode_notified_marker(id, consumer, &mut StreamSink::new(&mut marker));
+            self.storage.append(marker.as_bytes())?;
         }
         Ok(())
     }
@@ -355,8 +376,13 @@ impl<B: LogBackend> EventsIndex<B> {
 
     /// Event ids about one person (via the keyed tag; no decryption).
     pub fn events_of_person(&self, person: PersonId) -> Vec<GlobalEventId> {
+        self.events_tagged(&self.tag(person))
+    }
+
+    /// Event ids filed under a person tag the caller already derived.
+    pub(crate) fn events_tagged(&self, person_tag: &[u8; 32]) -> Vec<GlobalEventId> {
         self.by_person_tag
-            .get(&self.tag(person))
+            .get(person_tag)
             .cloned()
             .unwrap_or_default()
     }
@@ -399,7 +425,10 @@ impl<B: LogBackend> EventsIndex<B> {
         mut authorize: impl FnMut(&EventTypeId) -> bool,
     ) -> CssResult<Vec<NotificationMessage>> {
         let mut out = Vec::new();
-        let mut markers: Vec<Vec<u8>> = Vec::new();
+        // Markers stream into one buffer; each is the slice between
+        // two ends.
+        let mut markers = String::new();
+        let mut marker_ends: Vec<usize> = Vec::new();
         for &id in candidates {
             let Some(entry) = self.entries.get_mut(&id) else {
                 continue;
@@ -422,14 +451,12 @@ impl<B: LogBackend> EventsIndex<B> {
                 producer: entry.producer,
             });
             if entry.notified.insert(consumer) {
-                let marker = Element::new("Notified")
-                    .attr("eventId", id.to_string())
-                    .attr("actor", consumer.to_string());
-                markers.push(css_xml::to_string(&marker).into_bytes());
+                encode_notified_marker(id, consumer, &mut StreamSink::new(&mut markers));
+                marker_ends.push(markers.len());
             }
         }
-        let refs: Vec<&[u8]> = markers.iter().map(Vec::as_slice).collect();
-        self.storage.append_batch(&refs)?;
+        self.storage
+            .append_batch(&split_records(markers.as_bytes(), &marker_ends))?;
         Ok(out)
     }
 
@@ -720,5 +747,88 @@ mod tests {
         let bytes_after_first = idx.storage.byte_len();
         idx.mark_notified(GlobalEventId(1), ActorId(5)).unwrap();
         assert_eq!(idx.storage.byte_len(), bytes_after_first);
+    }
+
+    fn streamed(encode: impl FnOnce(&mut StreamSink<'_>)) -> String {
+        let mut out = String::new();
+        encode(&mut StreamSink::new(&mut out));
+        out
+    }
+
+    fn tree(encode: impl FnOnce(&mut css_xml::TreeSink)) -> String {
+        css_xml::to_string(&css_xml::TreeSink::build(encode))
+    }
+
+    fn entry_with(description: &str, notified: &[u64]) -> IndexEntry {
+        let mut person_tag = [0u8; 32];
+        for (i, b) in person_tag.iter_mut().enumerate() {
+            *b = (i as u8).wrapping_mul(73) ^ 0xA5;
+        }
+        IndexEntry {
+            global_id: GlobalEventId(1),
+            event_type: EventTypeId::v1("lab-result"),
+            sealed_identity: (0u8..110)
+                .map(|i| i.wrapping_mul(37).wrapping_add(11))
+                .collect(),
+            person_tag,
+            description: description.into(),
+            occurred_at: Timestamp(1_700_000_000_000),
+            producer: ActorId(1),
+            src_event_id: SourceEventId(91),
+            notified: notified.iter().copied().map(ActorId).collect(),
+        }
+    }
+
+    /// Bytes `css_xml::to_string(&entry.to_xml())` (and the hand-built
+    /// marker element) produced at the last commit that built the tree
+    /// on the write path.
+    #[test]
+    fn encodings_match_pinned_bytes() {
+        const SEALED_AND_TAG: &str = "sealed=\"0b30557a9fc4e90e33587da2c7ec11365b80a5caef14395e83a8cdf2173c6186abd0f51a3f6489aed3f81d42678cb1d6fb20456a8fb4d9fe23486d92b7dc01264b7095badf04294e7398bde2072c51769bc0e50a2f54799ec3e80d32577ca1c6eb10355a7fa4c9ee13385d82a7cc\" tag=\"a5ec377e81c8135aed347f86c9105be2357c87ce1158e32a7d84cf1659e02b72\"";
+        let bare = entry_with("", &[]);
+        let fanned = IndexEntry {
+            global_id: GlobalEventId(123_456_789_012),
+            ..entry_with("check-up & <follow-up> \"soon\"", &[30, 4, 200])
+        };
+        let pinned = [
+            format!("<IndexEntry eventId=\"evt-00000001\" type=\"lab-result@v1\" {SEALED_AND_TAG} occurredAt=\"1700000000000\" producer=\"act-00000001\" srcEventId=\"src-00000091\"><What></What></IndexEntry>"),
+            format!("<IndexEntry eventId=\"evt-123456789012\" type=\"lab-result@v1\" {SEALED_AND_TAG} occurredAt=\"1700000000000\" producer=\"act-00000001\" srcEventId=\"src-00000091\"><What>check-up &amp; &lt;follow-up&gt; \"soon\"</What><Notified actor=\"act-00000004\"/><Notified actor=\"act-00000030\"/><Notified actor=\"act-00000200\"/></IndexEntry>"),
+        ];
+        for (entry, bytes) in [bare, fanned].iter().zip(pinned) {
+            assert_eq!(streamed(|s| entry.encode(s)), bytes);
+            assert_eq!(tree(|s| entry.encode(s)), bytes);
+        }
+        let marker = "<Notified eventId=\"evt-00000077\" actor=\"act-00000005\"/>";
+        assert_eq!(
+            streamed(|s| encode_notified_marker(GlobalEventId(77), ActorId(5), s)),
+            marker
+        );
+        assert_eq!(
+            tree(|s| encode_notified_marker(GlobalEventId(77), ActorId(5), s)),
+            marker
+        );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn streamed_equals_tree_for_any_entry(
+            (id, at, src) in (proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()),
+            sealed in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..200),
+            description in "[ -~]{0,40}",
+            notified in proptest::collection::vec(0u64..1_000_000_000_000, 0..6),
+        ) {
+            let entry = IndexEntry {
+                global_id: GlobalEventId(id),
+                sealed_identity: sealed,
+                occurred_at: Timestamp(at),
+                src_event_id: SourceEventId(src),
+                ..entry_with(&description, &notified)
+            };
+            let text = streamed(|s| entry.encode(s));
+            proptest::prop_assert_eq!(&text, &tree(|s| entry.encode(s)));
+            let back = IndexEntry::from_xml(&css_xml::parse(&text).unwrap()).unwrap();
+            proptest::prop_assert_eq!(back.sealed_identity, entry.sealed_identity);
+            proptest::prop_assert_eq!(back.notified, entry.notified);
+        }
     }
 }

@@ -111,21 +111,22 @@ impl<B: LogBackend> IndexShards<B> {
         self.tag_key.mac(&person.value().to_le_bytes())
     }
 
-    /// The shard owning a citizen's events.
-    pub fn shard_of_person(&self, person: PersonId) -> usize {
-        shard_of(tag_key_bits(&self.person_tag(person)), self.shards.len())
+    /// The shard owning the events filed under a person tag.
+    fn shard_of_tag(&self, tag: &[u8; 32]) -> usize {
+        shard_of(tag_key_bits(tag), self.shards.len())
     }
 
-    /// Store a notification on its owner shard.
+    /// Store a notification on its owner shard; the tag that picks the
+    /// shard is the tag the entry is filed under.
     pub fn insert(
         &self,
         notification: &NotificationMessage,
         src_event_id: SourceEventId,
         notified: HashSet<ActorId>,
     ) -> CssResult<()> {
-        let owner = self.shard_of_person(notification.person.id);
-        let mut shard = self.shard(owner);
-        shard.insert(notification, src_event_id, notified)
+        let tag = self.person_tag(notification.person.id);
+        let mut shard = self.shard(self.shard_of_tag(&tag));
+        shard.insert_tagged(tag, notification, src_event_id, notified)
     }
 
     /// The PIP mapping: `eID → (producer, src_eID, type)`, probing
@@ -193,8 +194,8 @@ impl<B: LogBackend> IndexShards<B> {
 
     /// Event ids about one person — exactly one shard is touched.
     pub fn events_of_person(&self, person: PersonId) -> Vec<GlobalEventId> {
-        let owner = self.shard_of_person(person);
-        self.shard(owner).events_of_person(person)
+        let tag = self.person_tag(person);
+        self.shard(self.shard_of_tag(&tag)).events_tagged(&tag)
     }
 
     /// Event ids of one class: scatter-gather over every shard, merged
@@ -237,6 +238,21 @@ impl<B: LogBackend> IndexShards<B> {
             out.extend(shard.filter_authorized(candidates, consumer, &mut authorize)?);
         }
         Ok(out)
+    }
+
+    /// [`IndexShards::filter_authorized`] over one person's events: the
+    /// tag is derived once and the owner shard is visited once, looking
+    /// the candidates up and resolving them under the same lock.
+    pub fn filter_authorized_of_person(
+        &self,
+        person: PersonId,
+        consumer: ActorId,
+        authorize: impl FnMut(&EventTypeId) -> bool,
+    ) -> CssResult<Vec<NotificationMessage>> {
+        let tag = self.person_tag(person);
+        let mut shard = self.shard(self.shard_of_tag(&tag));
+        let candidates = shard.events_tagged(&tag);
+        shard.filter_authorized(&candidates, consumer, authorize)
     }
 
     /// Largest indexed event id across shards (assembly resumes global

@@ -26,4 +26,4 @@ pub use chacha20::ChaCha20;
 pub use chain::{ChainVerifyError, HashChain, Link};
 pub use hmac::{hmac_sha256, HmacKey};
 pub use sealed::{SealError, SealedBox};
-pub use sha256::{from_hex, sha256, to_hex, Sha256};
+pub use sha256::{from_hex, sha256, to_hex, Hex, Sha256};

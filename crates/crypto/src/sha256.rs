@@ -71,11 +71,15 @@ impl Sha256 {
     /// Finish and produce the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
+        // `update` never leaves a full buffer, so the 0x80 marker fits.
+        self.buffer[self.buffered] = 0x80;
+        self.buffer[self.buffered + 1..].fill(0);
+        if self.buffered >= 56 {
+            // No room left for the length: it goes in a block of its own.
+            let block = self.buffer;
+            self.compress(&block);
+            self.buffer.fill(0);
         }
-        // Can't go through update() for the length or total_len changes.
         self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buffer;
         self.compress(&block);
@@ -138,16 +142,39 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     h.finalize()
 }
 
+const NIBBLES: &[u8; 16] = b"0123456789abcdef";
+
 /// Render bytes as lowercase hex (for logs, tests, and persisting
 /// binary blobs inside XML documents).
 pub fn to_hex(digest: &[u8]) -> String {
-    const NIBBLES: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(digest.len() * 2);
     for b in digest {
         s.push(NIBBLES[usize::from(b >> 4)] as char);
         s.push(NIBBLES[usize::from(b & 0x0f)] as char);
     }
     s
+}
+
+/// Bytes that display as the lowercase hex [`to_hex`] renders, for
+/// writing into a formatter or an XML sink without the `String`.
+#[derive(Debug, Clone, Copy)]
+pub struct Hex<'a>(pub &'a [u8]);
+
+impl std::fmt::Display for Hex<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // 32 bytes a step: one `write_str` per 64 digits, not per digit.
+        let mut digits = [0u8; 64];
+        for chunk in self.0.chunks(32) {
+            for (pair, b) in digits.chunks_exact_mut(2).zip(chunk) {
+                pair[0] = NIBBLES[usize::from(b >> 4)];
+                pair[1] = NIBBLES[usize::from(b & 0x0f)];
+            }
+            let text =
+                std::str::from_utf8(&digits[..chunk.len() * 2]).expect("hex digits are ASCII");
+            f.write_str(text)?;
+        }
+        Ok(())
+    }
 }
 
 /// Inverse of [`to_hex`]. Rejects odd lengths and non-hex characters.
@@ -230,6 +257,41 @@ mod tests {
             assert!(digests.insert(sha256(&data)));
         }
     }
+
+    #[test]
+    fn padding_boundaries_match_reference_digests() {
+        // 0xAB repeated, at the lengths where the padding changes shape
+        // (length fits / needs a block of its own / block-aligned);
+        // digests from an independent implementation.
+        for (len, hex) in [
+            (
+                55,
+                "48d76eab30e51201f4f03ec7a85dab8510fb3409ccd15b54767f9b4435c9f54d",
+            ),
+            (
+                56,
+                "a8c9906ade2a2eff868fd8f97a570bbc01a13cddc32c3dfdc9a18f0618d69e55",
+            ),
+            (
+                63,
+                "d1036ba30d050c74b1a5ab301fa29ff0c607a27cc55af3412577f7e06dbd190b",
+            ),
+            (
+                64,
+                "ec65c8798ecf95902413c40f7b9e6d4b0068885f5f324aba1f9ba1c8e14aea61",
+            ),
+            (
+                119,
+                "a773085d98f8978583efd89d0f06e29076a12e2e059103ec533f63e1c6f17dd7",
+            ),
+            (
+                120,
+                "3442eea54f994b0d41c1da867e8347d69fa1a40e2d8a437dcde54dae74504922",
+            ),
+        ] {
+            assert_eq!(to_hex(&sha256(&vec![0xAB; len])), hex, "length {len}");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -251,6 +313,14 @@ mod hex_tests {
         assert!(hex.starts_with("000102") && hex.ends_with("fdfeff"));
         assert!(hex.bytes().all(|c| matches!(c, b'0'..=b'9' | b'a'..=b'f')));
         assert_eq!(from_hex(&hex).unwrap(), all);
+    }
+
+    #[test]
+    fn hex_display_matches_to_hex_at_every_chunk_boundary() {
+        let all: Vec<u8> = (0..=255).collect();
+        for len in [0, 1, 31, 32, 33, 64, 110, 256] {
+            assert_eq!(Hex(&all[..len]).to_string(), to_hex(&all[..len]));
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Event details instances and the field-filtering obligation.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 use css_types::{CssError, CssResult, EventTypeId};
-use css_xml::Element;
+use css_xml::{Element, TreeSink, XmlSink};
 
 use crate::field::FieldValue;
 use crate::schema::EventSchema;
@@ -109,23 +110,33 @@ impl EventDetails {
             .all(|(name, value)| value.is_empty() || allowed.contains(name))
     }
 
-    /// Serialize to XML using the schema's element naming. The optional
-    /// `src_event_id` attribute is how detail messages carry their
-    /// producer-local identifier.
-    pub fn to_xml(&self, schema: &EventSchema, src_event_id: Option<&str>) -> Element {
-        let mut root =
-            Element::new(schema.root_element()).attr("type", self.event_type.to_string());
+    /// Write the XML form into `sink`, using the schema's element
+    /// naming — the one encoder. The optional `srcEventId` attribute
+    /// is how detail messages carry their producer-local identifier.
+    pub fn encode(
+        &self,
+        schema: &EventSchema,
+        src_event_id: Option<impl fmt::Display>,
+        sink: &mut impl XmlSink,
+    ) {
+        sink.open(&schema.root_element());
+        sink.attr("type", &self.event_type);
         if let Some(id) = src_event_id {
-            root = root.attr("srcEventId", id);
+            sink.attr("srcEventId", id);
         }
         // Serialize in schema declaration order for stable output,
         // including empty fields (they carry the "blanked" signal).
         for def in &schema.fields {
             if let Some(v) = self.fields.get(&def.name) {
-                root = root.child(Element::leaf(def.name.clone(), v.render()));
+                sink.leaf(&def.name, v);
             }
         }
-        root
+        sink.close();
+    }
+
+    /// The XML form as a tree (see [`EventDetails::encode`]).
+    pub fn to_xml(&self, schema: &EventSchema, src_event_id: Option<&str>) -> Element {
+        TreeSink::build(|tree| self.encode(schema, src_event_id, tree))
     }
 
     /// Parse an instance from XML, typing fields via the schema.

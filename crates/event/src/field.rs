@@ -250,15 +250,7 @@ impl FieldValue {
 
     /// Textual form used in XML serialization. Empty renders as "".
     pub fn render(&self) -> String {
-        match self {
-            FieldValue::Text(s) => s.clone(),
-            FieldValue::Integer(i) => i.to_string(),
-            FieldValue::Decimal(d) => d.to_string(),
-            FieldValue::Boolean(b) => b.to_string(),
-            FieldValue::DateTime(t) => t.to_string(),
-            FieldValue::Code(c) => c.clone(),
-            FieldValue::Empty => String::new(),
-        }
+        self.to_string()
     }
 
     /// Approximate serialized size in bytes, used by the benchmark
@@ -270,7 +262,14 @@ impl FieldValue {
 
 impl fmt::Display for FieldValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render())
+        match self {
+            FieldValue::Text(s) | FieldValue::Code(s) => f.write_str(s),
+            FieldValue::Integer(i) => write!(f, "{i}"),
+            FieldValue::Decimal(d) => write!(f, "{d}"),
+            FieldValue::Boolean(b) => write!(f, "{b}"),
+            FieldValue::DateTime(t) => write!(f, "{t}"),
+            FieldValue::Empty => Ok(()),
+        }
     }
 }
 

@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 
 use css_types::{ActorId, CssError, CssResult, GlobalEventId, SourceEventId};
-use css_xml::Element;
+use css_xml::{Element, TreeSink, XmlSink};
 
 use crate::details::EventDetails;
 use crate::schema::EventSchema;
@@ -21,14 +21,19 @@ pub struct DetailMessage {
 }
 
 impl DetailMessage {
-    /// Serialize using the schema's element naming.
+    /// Write the XML form into `sink`, using the schema's element
+    /// naming — the one encoder: the gateway streams it to the bytes
+    /// it stores, [`DetailMessage::to_xml`] builds the tree from it.
+    pub fn encode(&self, schema: &EventSchema, sink: &mut impl XmlSink) {
+        sink.open("DetailMessage");
+        sink.attr("producer", self.producer);
+        self.details.encode(schema, Some(self.src_event_id), sink);
+        sink.close();
+    }
+
+    /// The XML form as a tree.
     pub fn to_xml(&self, schema: &EventSchema) -> Element {
-        Element::new("DetailMessage")
-            .attr("producer", self.producer.to_string())
-            .child(
-                self.details
-                    .to_xml(schema, Some(&self.src_event_id.to_string())),
-            )
+        TreeSink::build(|tree| self.encode(schema, tree))
     }
 
     /// Parse from the XML form.
@@ -256,5 +261,69 @@ mod tests {
             .attr("producer", "act-00000003")
             .child(details().to_xml(&s, None));
         assert!(DetailMessage::from_xml(&s, &doc).is_err());
+    }
+
+    fn streamed(m: &DetailMessage, s: &EventSchema) -> String {
+        let mut out = String::new();
+        m.encode(s, &mut css_xml::StreamSink::new(&mut out));
+        out
+    }
+
+    /// Bytes `css_xml::to_string(&m.to_xml(&schema))` produced at the
+    /// last commit that built the tree on the gateway's write path.
+    #[test]
+    fn encodings_match_pinned_bytes() {
+        let blanked = DetailMessage {
+            src_event_id: SourceEventId(9),
+            producer: ActorId(3),
+            details: details()
+                .with(
+                    "Service",
+                    FieldValue::Text("meals & <transport> \"daily\"".into()),
+                )
+                .with("CareNotes", FieldValue::Empty),
+        };
+        let bare = DetailMessage {
+            src_event_id: SourceEventId(10),
+            producer: ActorId(3),
+            details: EventDetails::new(EventTypeId::v1("home-care-service-event")),
+        };
+        let pinned = [
+            "<DetailMessage producer=\"act-00000003\"><HomeCareServiceEvent type=\"home-care-service-event@v1\" srcEventId=\"src-00000009\"><PatientId>42</PatientId><Service>meals &amp; &lt;transport&gt; \"daily\"</Service><CareNotes></CareNotes></HomeCareServiceEvent></DetailMessage>",
+            "<DetailMessage producer=\"act-00000003\"><HomeCareServiceEvent type=\"home-care-service-event@v1\" srcEventId=\"src-00000010\"/></DetailMessage>",
+        ];
+        let s = schema();
+        for (message, bytes) in [blanked, bare].iter().zip(pinned) {
+            assert_eq!(streamed(message, &s), bytes);
+            assert_eq!(css_xml::to_string(&message.to_xml(&s)), bytes);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn streamed_equals_tree_for_any_message(
+            (src, producer) in (proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()),
+            patient in proptest::option::of(proptest::prelude::any::<i64>()),
+            service in proptest::option::of("[ -~]{0,40}"),
+            notes in proptest::option::of(proptest::option::of("[ -~]{1,40}")),
+        ) {
+            let mut details = EventDetails::new(EventTypeId::v1("home-care-service-event"));
+            if let Some(p) = patient {
+                details.set("PatientId", FieldValue::Integer(p));
+            }
+            if let Some(text) = service {
+                details.set("Service", FieldValue::Text(text));
+            }
+            if let Some(notes) = notes {
+                details.set("CareNotes", notes.map_or(FieldValue::Empty, FieldValue::Text));
+            }
+            let m = DetailMessage {
+                src_event_id: SourceEventId(src),
+                producer: ActorId(producer),
+                details,
+            };
+            let s = schema();
+            proptest::prop_assert_eq!(streamed(&m, &s), css_xml::to_string(&m.to_xml(&s)));
+        }
     }
 }

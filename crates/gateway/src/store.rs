@@ -3,7 +3,7 @@
 use css_event::{DetailMessage, EventSchema};
 use css_storage::{KvStore, LogBackend};
 use css_types::{CssError, CssResult, SourceEventId};
-use css_xml::Element;
+use css_xml::{Element, StreamSink};
 
 /// Keyed, durable store of detail messages (XML at rest), indexed by
 /// source event id.
@@ -28,7 +28,8 @@ impl<B: LogBackend> DetailStore<B> {
                 message.src_event_id
             )));
         }
-        let xml = css_xml::to_string(&message.to_xml(schema));
+        let mut xml = String::with_capacity(512);
+        message.encode(schema, &mut StreamSink::new(&mut xml));
         self.store.put(&k, xml.as_bytes())?;
         self.store.sync()
     }

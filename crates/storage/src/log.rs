@@ -175,6 +175,20 @@ impl<B: LogBackend> RecordLog<B> {
     }
 }
 
+/// The payloads of records written back to back into one buffer, as
+/// [`RecordLog::append_batch`] takes them: `ends[i]` is the offset at
+/// which record `i` stops (and record `i + 1` starts).
+pub fn split_records<'a>(buffer: &'a [u8], ends: &[usize]) -> Vec<&'a [u8]> {
+    let mut start = 0;
+    ends.iter()
+        .map(|&end| {
+            let payload = &buffer[start..end];
+            start = end;
+            payload
+        })
+        .collect()
+}
+
 fn frame_into(buf: &mut Vec<u8>, payload: &[u8]) {
     buf.push(MAGIC);
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -295,6 +309,13 @@ mod tests {
         }
         let (_, outcome) = RecordLog::recover(batched.into_backend()).unwrap();
         assert_eq!(outcome.records, seq_ptrs);
+    }
+
+    #[test]
+    fn split_records_cuts_at_the_ends() {
+        let payloads = split_records(b"onethree-three", &[3, 3, 14]);
+        assert_eq!(payloads, vec![&b"one"[..], b"", b"three-three"]);
+        assert!(split_records(b"", &[]).is_empty());
     }
 
     #[test]

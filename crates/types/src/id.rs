@@ -12,6 +12,26 @@ use std::fmt;
 use std::num::ParseIntError;
 use std::str::FromStr;
 
+/// `n` in decimal, zero-padded to at least `min_width` digits: what
+/// `{:0min_width$}` writes, as one `write_str` of digits laid out on
+/// the stack. Identifiers are formatted into every audit record, index
+/// entry and detail message the platform stores.
+fn write_zero_padded(f: &mut fmt::Formatter<'_>, n: u64, min_width: usize) -> fmt::Result {
+    let mut digits = [b'0'; 20];
+    let mut first = digits.len();
+    let mut rest = n;
+    loop {
+        first -= 1;
+        digits[first] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    let first = first.min(digits.len() - min_width);
+    f.write_str(std::str::from_utf8(&digits[first..]).expect("decimal digits are ASCII"))
+}
+
 macro_rules! numeric_id {
     ($(#[$doc:meta])* $name:ident, $prefix:expr) => {
         $(#[$doc])*
@@ -30,7 +50,8 @@ macro_rules! numeric_id {
 
         impl fmt::Display for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, "{}-{:08}", $prefix, self.0)
+                f.write_str(concat!($prefix, "-"))?;
+                write_zero_padded(f, self.0, 8)
             }
         }
 
@@ -157,7 +178,9 @@ impl EventTypeId {
 
 impl fmt::Display for EventTypeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}@v{}", self.code, self.version)
+        f.write_str(&self.code)?;
+        f.write_str("@v")?;
+        write_zero_padded(f, u64::from(self.version), 1)
     }
 }
 
@@ -270,6 +293,17 @@ mod tests {
         let s = id.to_string();
         assert_eq!(s, "evt-00000042");
         assert_eq!(s.parse::<GlobalEventId>().unwrap(), id);
+    }
+
+    #[test]
+    fn display_equals_the_format_machinery_at_every_width() {
+        for n in [0, 7, 99_999_999, 100_000_000, 12_345_678_901, u64::MAX] {
+            assert_eq!(ActorId(n).to_string(), format!("act-{n:08}"));
+            assert_eq!(SourceEventId(n).to_string(), format!("src-{n:08}"));
+        }
+        for v in [0, 1, 10, u32::MAX] {
+            assert_eq!(EventTypeId::new("x", v).to_string(), format!("x@v{v}"));
+        }
     }
 
     #[test]

@@ -1,25 +1,14 @@
 //! Escaping and unescaping of XML character data.
 
-use std::borrow::Cow;
-
-/// Escape text content (`&`, `<`, `>`).
-pub fn escape_text(s: &str) -> Cow<'_, str> {
-    escape_inner(s, false)
+/// Whether `b` must be written as an entity: `&`, `<`, `>` anywhere,
+/// and the two quotes inside attribute values.
+fn needs_escape(b: u8, attr: bool) -> bool {
+    matches!(b, b'&' | b'<' | b'>') || (attr && matches!(b, b'"' | b'\''))
 }
 
-/// Escape attribute values (`&`, `<`, `>`, `"`, `'`).
-pub fn escape_attr(s: &str) -> Cow<'_, str> {
-    escape_inner(s, true)
-}
-
-fn escape_inner(s: &str, attr: bool) -> Cow<'_, str> {
-    let needs = s
-        .bytes()
-        .any(|b| matches!(b, b'&' | b'<' | b'>') || (attr && matches!(b, b'"' | b'\'')));
-    if !needs {
-        return Cow::Borrowed(s);
-    }
-    let mut out = String::with_capacity(s.len() + 8);
+/// Append `s` to `out` with the predefined entities substituted — the
+/// one place the entity text is written.
+fn push_escaped(out: &mut String, s: &str, attr: bool) {
     for c in s.chars() {
         match c {
             '&' => out.push_str("&amp;"),
@@ -30,7 +19,19 @@ fn escape_inner(s: &str, attr: bool) -> Cow<'_, str> {
             other => out.push(other),
         }
     }
-    Cow::Owned(out)
+}
+
+/// Escape, in place, what was appended to `out` from byte `start` on.
+/// Values that need no escaping — ids, numbers, hex, most text — cost
+/// one scan and no copy.
+pub(crate) fn escape_tail(out: &mut String, start: usize, attr: bool) {
+    let first = out.as_bytes()[start..]
+        .iter()
+        .position(|&b| needs_escape(b, attr));
+    if let Some(first) = first {
+        let tail = out.split_off(start + first);
+        push_escaped(out, &tail, attr);
+    }
 }
 
 /// Expand the five predefined entities plus decimal/hex character
@@ -73,28 +74,38 @@ pub fn unescape(s: &str) -> Option<String> {
 mod tests {
     use super::*;
 
+    /// `s` escaped as the tail of a buffer whose head would itself need
+    /// escaping: only the tail may change.
+    fn escaped(s: &str, attr: bool) -> String {
+        let mut out = String::from("kept<");
+        out.push_str(s);
+        escape_tail(&mut out, 5, attr);
+        assert!(out.starts_with("kept<"));
+        out.split_off(5)
+    }
+
     #[test]
-    fn plain_text_is_borrowed() {
-        assert!(matches!(escape_text("hello"), Cow::Borrowed(_)));
+    fn plain_tail_is_left_alone() {
+        assert_eq!(escaped("hello", true), "hello");
+        assert_eq!(escaped("", false), "");
     }
 
     #[test]
     fn text_escaping() {
-        assert_eq!(escape_text("a<b&c>d"), "a&lt;b&amp;c&gt;d");
+        assert_eq!(escaped("a<b&c>d", false), "a&lt;b&amp;c&gt;d");
         // Quotes are left alone in text content.
-        assert_eq!(escape_text(r#"say "hi""#), r#"say "hi""#);
+        assert_eq!(escaped(r#"say "hi""#, false), r#"say "hi""#);
     }
 
     #[test]
     fn attr_escaping() {
-        assert_eq!(escape_attr(r#"a"b'c"#), "a&quot;b&apos;c");
+        assert_eq!(escaped(r#"a"b'c"#, true), "a&quot;b&apos;c");
     }
 
     #[test]
     fn unescape_roundtrip() {
         let original = r#"<results> "AIDS test" & more's </results>"#;
-        let escaped = escape_attr(original);
-        assert_eq!(unescape(&escaped).unwrap(), original);
+        assert_eq!(unescape(&escaped(original, true)).unwrap(), original);
     }
 
     #[test]
@@ -113,7 +124,7 @@ mod tests {
 
     #[test]
     fn unicode_passthrough() {
-        assert_eq!(escape_text("trentò"), "trentò");
+        assert_eq!(escaped("trentò", false), "trentò");
         assert_eq!(unescape("trentò").unwrap(), "trentò");
     }
 }

@@ -7,6 +7,8 @@
 //! XML subset the platform needs:
 //!
 //! - an element tree model with a builder API ([`Element`]),
+//! - a sink interface types encode themselves through ([`sink`]):
+//!   streamed straight to text, or built into a tree,
 //! - a writer with correct escaping ([`writer`]),
 //! - a recursive-descent parser for the same subset ([`parser`]),
 //! - a schema language playing the role of XSD ([`schema`]): typed
@@ -20,9 +22,11 @@ pub mod doc;
 pub mod escape;
 pub mod parser;
 pub mod schema;
+pub mod sink;
 pub mod writer;
 
 pub use doc::{Element, Node};
 pub use parser::{parse, ParseError};
 pub use schema::{ElementDecl, Occurs, Schema, SchemaError, ValueType};
+pub use sink::{StreamSink, TreeSink, XmlSink};
 pub use writer::{to_document_string, to_string, to_string_pretty};

@@ -1,12 +1,12 @@
 //! Serialization of element trees to XML text.
 
 use crate::doc::{Element, Node};
-use crate::escape::{escape_attr, escape_text};
+use crate::sink::{StreamSink, XmlSink};
 
 /// Serialize compactly (no insignificant whitespace).
 pub fn to_string(root: &Element) -> String {
     let mut out = String::with_capacity(256);
-    write_element(&mut out, root, None, 0);
+    walk(root, &mut StreamSink::new(&mut out));
     out
 }
 
@@ -24,55 +24,24 @@ pub fn to_document_string(root: &Element) -> String {
 /// remain whitespace-exact.
 pub fn to_string_pretty(root: &Element) -> String {
     let mut out = String::with_capacity(512);
-    write_element(&mut out, root, Some(2), 0);
+    walk(root, &mut StreamSink::indented(&mut out, 2));
     out.push('\n');
     out
 }
 
-fn write_element(out: &mut String, e: &Element, indent: Option<usize>, depth: usize) {
-    let pad = |out: &mut String, depth: usize| {
-        if let Some(width) = indent {
-            if depth > 0 {
-                out.push('\n');
-            }
-            for _ in 0..depth * width {
-                out.push(' ');
-            }
-        }
-    };
-    pad(out, depth);
-    out.push('<');
-    out.push_str(&e.name);
+/// Replay a tree as sink calls.
+fn walk(e: &Element, sink: &mut StreamSink<'_>) {
+    sink.open(&e.name);
     for (k, v) in &e.attributes {
-        out.push(' ');
-        out.push_str(k);
-        out.push_str("=\"");
-        out.push_str(&escape_attr(v));
-        out.push('"');
+        sink.attr(k, v);
     }
-    if e.children.is_empty() {
-        out.push_str("/>");
-        return;
-    }
-    out.push('>');
-    let text_only = e.children.iter().all(|n| matches!(n, Node::Text(_)));
     for child in &e.children {
         match child {
-            Node::Element(el) => write_element(out, el, indent, depth + 1),
-            Node::Text(t) => out.push_str(&escape_text(t)),
+            Node::Element(el) => walk(el, sink),
+            Node::Text(t) => sink.text(t),
         }
     }
-    if let Some(width) = indent {
-        if !text_only {
-            out.push('\n');
-            for _ in 0..depth * width {
-                out.push(' ');
-            }
-        }
-    }
-    out.push_str("</");
-    out.push_str(&e.name);
-    out.push('>');
+    sink.close();
 }
 
 #[cfg(test)]

@@ -393,3 +393,275 @@ fn shard_count_follows_the_data() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// One fixed operation sequence over a disk-backed platform on a
+/// simulated clock: every kind of record the three at-rest logs hold —
+/// publishes with fan-out 0, 1 and 3, an inquiry that sets a new
+/// `Notified` marker, a permit, two denials, a policy define + revoke,
+/// a consent change and the refused publish after it, a citizen's
+/// audit-trail view — with text that needs every XML escape.
+fn drive_fixed_sequence(
+    dir: &std::path::Path,
+    shards: usize,
+) -> CssPlatform<css::core::DirProvider> {
+    use css::types::Duration;
+    let clock = SimClock::starting_at(Timestamp(1_700_000_000_000));
+    let tick = || clock.advance(Duration::millis(137));
+    let mut platform = CssPlatform::builder()
+        .provider(css::core::DirProvider::new(dir).unwrap())
+        .clock(Arc::new(clock.clone()))
+        .shards(shards)
+        .build()
+        .unwrap();
+    let hospital = platform.register_organization("Hospital").unwrap();
+    let clinic = platform.register_organization("Clinic").unwrap();
+    let doctor = platform.register_organization("Family doctor").unwrap();
+    let social = platform.register_organization("Social services").unwrap();
+    let stats = platform.register_organization("Statistics office").unwrap();
+    platform.join(hospital, Role::Producer).unwrap();
+    for consumer in [clinic, doctor, social, stats] {
+        platform.join(consumer, Role::Consumer).unwrap();
+    }
+    let visit = EventTypeId::v1("visit");
+    let lab = EventTypeId::v1("lab-result");
+    let producer = platform.producer(hospital).unwrap();
+    producer
+        .declare(
+            &EventSchema::new(visit.clone(), "Visit", hospital)
+                .field(FieldDef::required("PatientId", FieldKind::Integer))
+                .field(FieldDef::optional("Notes", FieldKind::Text).sensitive())
+                .field(FieldDef::optional("Score", FieldKind::Decimal))
+                .field(FieldDef::optional("SeenAt", FieldKind::DateTime)),
+            Some("health"),
+        )
+        .unwrap();
+    producer
+        .declare(
+            &EventSchema::new(lab.clone(), "Lab result", hospital)
+                .field(FieldDef::required("PatientId", FieldKind::Integer))
+                .field(FieldDef::optional("Positive", FieldKind::Boolean).sensitive()),
+            None,
+        )
+        .unwrap();
+    tick();
+    producer
+        .policy_wizard(&visit)
+        .unwrap()
+        .select_fields(["PatientId", "Score", "SeenAt"])
+        .unwrap()
+        .grant_to([clinic, doctor])
+        .unwrap()
+        .for_purposes([Purpose::HealthcareTreatment])
+        .labeled("carers' \"read\" <most> & more", "who treats may read")
+        .save()
+        .unwrap();
+    let revocable = producer
+        .policy_wizard(&visit)
+        .unwrap()
+        .select_fields(["PatientId"])
+        .unwrap()
+        .grant_to([social])
+        .unwrap()
+        .for_purposes([Purpose::SocialAssistance])
+        .labeled("social", "")
+        .save()
+        .unwrap();
+    producer
+        .policy_wizard(&lab)
+        .unwrap()
+        .select_all_fields()
+        .grant_to([doctor])
+        .unwrap()
+        .for_purposes([Purpose::HealthcareTreatment])
+        .labeled("lab", "")
+        .save()
+        .unwrap();
+    tick();
+    let subscriptions: Vec<_> = [clinic, doctor, social]
+        .iter()
+        .map(|&c| platform.consumer(c).unwrap().subscribe(&visit).unwrap())
+        .collect();
+    let person = |id: u64, name: &str| PersonIdentity {
+        id: PersonId(id),
+        fiscal_code: format!("FC{id:06}"),
+        name: name.into(),
+        surname: "O'Brien & <Sons>".into(),
+    };
+    // Fan-out 3, every escape in the description and in a field.
+    let first = producer
+        .publish(
+            person(1, "Ada"),
+            "check-up & <follow-up> \"soon\"",
+            EventDetails::new(visit.clone())
+                .with("PatientId", FieldValue::Integer(1))
+                .with(
+                    "Notes",
+                    FieldValue::Text("said \"fine\" & left <early>".into()),
+                )
+                .with("Score", FieldValue::Decimal("13.50".parse().unwrap()))
+                .with("SeenAt", FieldValue::DateTime(tick())),
+            clock.now(),
+        )
+        .unwrap();
+    assert_eq!(first.notified.len(), 3);
+    tick();
+    // Fan-out 0, an empty description, a blank field.
+    let second = producer
+        .publish(
+            person(1, "Ada"),
+            "",
+            EventDetails::new(lab.clone())
+                .with("PatientId", FieldValue::Integer(1))
+                .with("Positive", FieldValue::Empty),
+            clock.now(),
+        )
+        .unwrap();
+    assert!(second.notified.is_empty());
+    tick();
+    // Social services lose their policy and their subscription: the
+    // next visit fans out to two.
+    producer.revoke_policy(revocable[0]).unwrap();
+    let mut subscriptions = subscriptions.into_iter();
+    let (clinic_sub, doctor_sub, social_sub) = (
+        subscriptions.next().unwrap(),
+        subscriptions.next().unwrap(),
+        subscriptions.next().unwrap(),
+    );
+    drop(social_sub);
+    tick();
+    let third = producer
+        .publish(
+            person(2, "Bruno"),
+            "visit",
+            EventDetails::new(visit.clone()).with("PatientId", FieldValue::Integer(2)),
+            clock.now(),
+        )
+        .unwrap();
+    tick();
+    let doctor_handle = platform.consumer(doctor).unwrap();
+    // The doctor never subscribed to lab results: the inquiry returns
+    // both of person 1's events and marks the second as notified.
+    let found = doctor_handle.inquire_by_person(PersonId(1)).unwrap();
+    assert_eq!(found.len(), 2);
+    tick();
+    doctor_handle
+        .request_details(&found[0], Purpose::HealthcareTreatment)
+        .unwrap();
+    tick();
+    assert!(doctor_handle
+        .request_details(&found[0], Purpose::StatisticalAnalysis)
+        .is_err());
+    assert!(platform
+        .consumer(stats)
+        .unwrap()
+        .request_details_by_id(visit.clone(), third.global_id, Purpose::StatisticalAnalysis)
+        .is_err());
+    tick();
+    platform
+        .citizen(PersonId(2))
+        .opt_out(ConsentScope::EventType(visit.clone()))
+        .unwrap();
+    assert!(producer
+        .publish(
+            person(2, "Bruno"),
+            "refused",
+            EventDetails::new(visit.clone()).with("PatientId", FieldValue::Integer(2)),
+            clock.now(),
+        )
+        .is_err());
+    tick();
+    assert!(!platform
+        .citizen(PersonId(1))
+        .who_accessed_my_data()
+        .unwrap()
+        .is_empty());
+    drop((clinic_sub, doctor_sub));
+    platform
+}
+
+/// The files of a deployment directory that hold at-rest records, by
+/// name, with their bytes.
+fn at_rest_files(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(Result::ok)
+        .map(|e| (e.file_name().to_string_lossy().into_owned(), e.path()))
+        .filter(|(name, _)| {
+            ["audit", "events-index", "gateway-", "policies"]
+                .iter()
+                .any(|prefix| name.starts_with(prefix))
+        })
+        .map(|(name, path)| (name, std::fs::read(path).unwrap()))
+        // Opening probes for shards beyond the count and leaves their
+        // empty files behind; the fixture holds no empty file.
+        .filter(|(_, bytes)| !bytes.is_empty())
+        .collect()
+}
+
+const FIXTURE_AUDIT_LEN: usize = 29;
+const FIXTURE_HEAD_1: &str = "e6eea79715dcaffa72ef1d660b2fa60d8abeab9d066182692a51a44e6474cbab";
+const FIXTURE_HEAD_2: &str = "fdc560314b8eb3c98b4d8ec5ea6628e2cafb10f1567a698b531eea79e891aa72";
+
+/// "Same bytes" held still: `tests/fixtures/at-rest-{1,2}` are the
+/// directories [`drive_fixed_sequence`] wrote at commit 2347129 (the
+/// last one whose write paths built `Element` trees and whose CRC went
+/// a byte a step), at 1 and 2 shards. Today's code must read them to
+/// the same state, and must write the same bytes for the same sequence.
+#[test]
+fn at_rest_bytes_match_the_committed_fixture() {
+    for (shards, audit_len, head) in [
+        (1, FIXTURE_AUDIT_LEN, FIXTURE_HEAD_1),
+        (2, FIXTURE_AUDIT_LEN, FIXTURE_HEAD_2),
+    ] {
+        let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join(format!("tests/fixtures/at-rest-{shards}"));
+        let expected = at_rest_files(&fixture);
+        assert!(expected.len() >= 4, "fixture incomplete: {expected:?}");
+
+        // Reading: a copy of the fixture reopens to the recorded state.
+        let copy = temp_dir(&format!("fixture-copy-{shards}"));
+        for entry in std::fs::read_dir(&fixture).unwrap() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
+        }
+        let reopened = CssPlatform::builder()
+            .provider(css::core::DirProvider::new(&copy).unwrap())
+            .clock(Arc::new(SimClock::starting_at(Timestamp(1))))
+            .build()
+            .unwrap();
+        assert_eq!(reopened.shard_count(), shards);
+        assert_eq!(reopened.controller().audit_len(), audit_len);
+        assert_eq!(reopened.controller().index_len(), 3);
+        assert_eq!(
+            css::crypto::to_hex(&reopened.controller().audit_head()),
+            head
+        );
+        reopened.verify_audit().unwrap();
+        drop(reopened);
+
+        // Writing: the same sequence on a fresh directory.
+        let fresh = temp_dir(&format!("fixture-fresh-{shards}"));
+        let written = drive_fixed_sequence(&fresh, shards);
+        assert_eq!(written.controller().audit_len(), audit_len);
+        assert_eq!(
+            css::crypto::to_hex(&written.controller().audit_head()),
+            head
+        );
+        drop(written);
+        let actual = at_rest_files(&fresh);
+        assert_eq!(
+            actual.keys().collect::<Vec<_>>(),
+            expected.keys().collect::<Vec<_>>()
+        );
+        for (name, bytes) in &expected {
+            assert!(
+                actual[name] == *bytes,
+                "{name} differs from the fixture at {shards} shard(s):\n{}\nvs\n{}",
+                String::from_utf8_lossy(&actual[name]),
+                String::from_utf8_lossy(bytes)
+            );
+        }
+        let _ = std::fs::remove_dir_all(&copy);
+        let _ = std::fs::remove_dir_all(&fresh);
+    }
+}
