@@ -1,253 +1,141 @@
-//! E17 — ops-plane sampler overhead on the E15 mixed workload.
+//! E17 — ops-plane overhead on the E15 mixed workload (plane off vs on).
 //!
-//! The live ops plane (E17, DESIGN.md §11) watches a platform by
-//! snapshotting its telemetry registry from a background thread and
-//! feeding the deltas into the SLO burn-rate engine. The only cost the
-//! *workload* can feel is lock contention: every snapshot briefly takes
-//! the same registry locks the hot path records through. This bench
-//! drives the E16/E15 mix (70% detail requests, 20% inquiries, 10%
-//! publishes) against two identical untraced worlds — one bare, one
-//! with a sampler ticking every `SAMPLE_MS` (far faster than the 250 ms
-//! production default, to make any contention visible) — using the same
-//! paired alternating-batch timing as E16. Target: < 1% per-op delta.
-//! Both series are printed in the harness result format so
-//! `scripts/bench.sh` folds them into `BENCH_e17_ops_overhead.json`.
+//! The live ops plane (DESIGN.md §11) watches a platform from one
+//! background thread: every tick it snapshots the telemetry registry,
+//! subtracts the previous snapshot once, and feeds the SLO windows, the
+//! metrics history with its drift detector, the health checks and the
+//! flight-recorder ring. All of that runs on the sampler thread; the
+//! only cost the *workload* can feel is lock contention — every
+//! snapshot briefly takes the same registry locks the hot path records
+//! through. This bench drives the E16/E15 mix (70% detail requests, 20%
+//! inquiries, 10% publishes) against two identical untraced worlds —
+//! one bare, one watched by the whole plane through its public
+//! constructor, ticking every `SAMPLE_MS` (far faster than the 250 ms
+//! production default, to make any contention visible) — using the
+//! same paired alternating-batch timing as E16. Target: within ±2% per
+//! op at this stress cadence. Both series are printed in the harness
+//! result format so `scripts/bench.sh` folds them into
+//! `BENCH_e17_ops_overhead.json`; they keep the names
+//! `sampler_off`/`sampler_on` they had when the on-lane ran the
+//! sampler and SLO engine alone, so the ratchet has a history. (E21 and
+//! E22 priced the recorder and the history separately while they could
+//! be switched off; their last values are in EXPERIMENTS.md.)
 
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use css_bench::{blood_test_details, micro_world, person, print_header, MicroWorld, HOSPITAL};
-use css_controller::{DataController, SharedGateway};
-use css_health::{Sampler, Slo, SloEngine};
-use css_storage::MemBackend;
+use css_bench::{print_header, run_paired, Lane};
+use css_health::{AlertLevel, Check, OpsPlane, Sampler, Slo};
 use css_trace::Tracer;
-use css_types::{Clock, EventTypeId, GlobalEventId, PersonId, Purpose, SourceEventId, Timestamp};
 
-const EVENTS: u64 = 200;
 /// Sampling period for the on-lane: 50× the production default, so a
-/// smoke run still lands dozens of snapshots inside the timed window.
+/// smoke run still lands dozens of ticks inside the timed window.
 const SAMPLE_MS: u64 = 5;
-/// Ops per alternating batch (see E16: pairing cancels machine noise).
-const BATCH: u64 = 100;
 
-/// One step of the E15 mix, identical across both lanes.
-fn mixed_op(
-    controller: &mut DataController<MemBackend>,
-    gateway: &SharedGateway<MemBackend>,
-    consumer: css_types::ActorId,
-    event_ids: &[GlobalEventId],
-    i: u64,
-    publish_src: &mut u64,
-) {
-    let ty = EventTypeId::v1("blood-test");
-    match i % 10 {
-        0..=6 => {
-            let id = event_ids[(i % event_ids.len() as u64) as usize];
-            controller
-                .request_details(consumer, ty, id, Purpose::HealthcareTreatment, None)
-                .unwrap();
-        }
-        7 | 8 => {
-            controller
-                .inquire_by_person(consumer, PersonId(i % EVENTS + 1), None)
-                .unwrap();
-        }
-        _ => {
-            *publish_src += 1;
-            let src = *publish_src;
-            gateway
-                .lock()
-                .persist(&css_event::DetailMessage {
-                    src_event_id: SourceEventId(src),
-                    producer: HOSPITAL,
-                    details: blood_test_details(src),
-                })
-                .unwrap();
-            // Outside the inquiry range, as in E16: keeps inquiries
-            // fixed-cost so drift cannot swamp the ~ns sampler delta.
-            controller
-                .publish(
-                    HOSPITAL,
-                    person(EVENTS + 1 + src % 10_000),
-                    "blood test completed".into(),
-                    ty,
-                    Timestamp(1_000_000),
-                    SourceEventId(src),
-                    None,
-                )
-                .unwrap();
-        }
-    }
-}
-
-/// Corpus published, consumers drained, live queues dropped.
-fn prepared_world() -> (MicroWorld, Vec<GlobalEventId>) {
-    let mut world = micro_world(2, 1, Tracer::disabled());
-    let ty = EventTypeId::v1("blood-test");
-    let subs: Vec<_> = world
-        .consumers
-        .iter()
-        .map(|c| world.controller.subscribe(*c, &ty).unwrap())
-        .collect();
-    let mut event_ids = Vec::new();
-    for src in 1..=EVENTS {
-        event_ids.push(world.publish_one(src));
-    }
-    for sub in subs {
-        while let Some(d) = sub.poll().unwrap() {
-            sub.ack(d.delivery_id).unwrap();
-        }
-        world.controller.unsubscribe(sub).unwrap();
-    }
-    (world, event_ids)
-}
-
-/// The production SLO set the sampler evaluates each tick.
-fn slo_engine() -> SloEngine {
-    let mut engine = SloEngine::new();
-    engine.register(Slo::latency_p99(
-        "detail_request_p99",
-        "stage.total",
-        200_000,
-    ));
-    engine.register(Slo::error_ratio(
-        "publish_errors",
-        "controller.publish_denied",
-        &["controller.published", "controller.publish_denied"],
-        0.001,
-    ));
-    engine
-}
-
-struct Lane {
-    world: MicroWorld,
-    event_ids: Vec<GlobalEventId>,
-    /// Keeps the on-lane's background thread alive for the whole run.
-    sampler: Option<(Sampler, Arc<Mutex<SloEngine>>)>,
-    i: u64,
-    src: u64,
-    total_ns: u128,
-    ops: u64,
-}
-
-impl Lane {
-    fn new(sampled: bool) -> Lane {
-        let (world, event_ids) = prepared_world();
-        let sampler = sampled.then(|| {
-            let engine = Arc::new(Mutex::new(slo_engine()));
-            let clock: Arc<dyn Clock> = Arc::new(world.clock.clone());
-            let sampler = Sampler::spawn(
-                world.controller.telemetry().clone(),
-                clock,
-                engine.clone(),
-                Duration::from_millis(SAMPLE_MS),
-            );
-            (sampler, engine)
-        });
-        Lane {
-            world,
-            event_ids,
-            sampler,
-            i: 0,
-            src: 10_000_000,
-            total_ns: 0,
-            ops: 0,
-        }
-    }
-
-    fn run_batch(&mut self, timed: bool) {
-        let consumers = self.world.consumers.clone();
-        let gateway = self.world.gateway.clone();
-        let started = Instant::now();
-        for _ in 0..BATCH {
-            self.i += 1;
-            mixed_op(
-                &mut self.world.controller,
-                &gateway,
-                consumers[(self.i % 2) as usize],
-                &self.event_ids,
-                self.i,
-                &mut self.src,
-            );
-        }
-        if timed {
-            self.total_ns += started.elapsed().as_nanos();
-            self.ops += BATCH;
-        }
-    }
+/// The plane a platform gets from `.ops_server()`, minus the checks
+/// that probe what this world does not have (a backend provider, a
+/// drained bus). The latency target is lenient enough that this
+/// single-core bench world never trips it: the bench measures
+/// steady-state overhead, and a capture mid-run would perturb the
+/// timing. (The trigger path itself is exercised by the plane's tick
+/// tests, tests/blackbox_integration.rs and scripts/obs.sh.)
+fn plane_over(lane: &Lane) -> Arc<OpsPlane> {
+    let registry = lane.world.controller.telemetry().clone();
+    let source = registry.clone();
+    let incident_dir = std::env::temp_dir().join("css-e17-bench");
+    let _ = std::fs::remove_dir_all(&incident_dir);
+    Arc::new(OpsPlane::new(
+        move || source.snapshot(),
+        Arc::new(lane.world.clock.clone()),
+        Tracer::disabled(),
+        &registry,
+        vec![
+            Check::gauge_above("bus-queue", "bus.queue_depth", 10_000, Some(100_000)),
+            Check::hit_rate_below("policy", "pdp.cache_hit", "pdp.cache_miss", 0.5, 10_000),
+            Check::drop_rate_above(
+                "blackbox",
+                "blackbox.frames_dropped",
+                "blackbox.frames_recorded",
+                0.25,
+                1_000,
+            ),
+        ],
+        vec![
+            Slo::latency_p99("detail_request_p99", "stage.total", 10_000_000),
+            Slo::error_ratio(
+                "publish_errors",
+                "controller.publish_denied",
+                &["controller.published", "controller.publish_denied"],
+                0.001,
+            ),
+        ],
+        incident_dir,
+    ))
 }
 
 fn bench(_c: &mut Criterion) {
-    print_header("E17", "ops-plane sampler overhead (sampler off vs on)");
+    print_header("E17", "ops-plane overhead (plane off vs on)");
 
     let mut lanes = [
-        ("sampler_off", Lane::new(false)),
-        ("sampler_on", Lane::new(true)),
+        ("sampler_off", Lane::new(Tracer::disabled())),
+        ("sampler_on", Lane::new(Tracer::disabled())),
     ];
+    let plane = plane_over(&lanes[1].1);
+    // Keeps the on-lane's background thread alive for the whole run.
+    let sampler = Sampler::spawn(plane.clone(), Duration::from_millis(SAMPLE_MS));
 
-    let budget_ms: u64 = std::env::var("CSS_BENCH_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(50);
-    for (_, lane) in lanes.iter_mut() {
-        for _ in 0..3 {
-            lane.run_batch(false);
-        }
-    }
-    let started = Instant::now();
-    while started.elapsed().as_millis() < 2 * budget_ms as u128 {
-        for (_, lane) in lanes.iter_mut() {
-            lane.run_batch(true);
-        }
-    }
-    for (label, lane) in &lanes {
-        let ns_per_op = lane.total_ns as f64 / lane.ops as f64;
-        let id = format!("e17_ops_overhead/{label}");
-        eprintln!("{id:<45} time: {ns_per_op:>10.3} ns/iter (n={})", lane.ops);
-    }
-    let off = lanes[0].1.total_ns as f64 / lanes[0].1.ops as f64;
-    let on = lanes[1].1.total_ns as f64 / lanes[1].1.ops as f64;
+    let (off, on) = run_paired("e17_ops_overhead", &mut lanes);
     let pct = 100.0 * (on - off) / off;
     let stress = 250 / SAMPLE_MS;
     eprintln!(
-        "paired batches: sampling every {SAMPLE_MS}ms costs {:+.0} ns/op ({pct:+.1}%); \
-         at the 250ms production default that is ~{:+.2}% (target < 1%)",
+        "paired batches: the plane ticking every {SAMPLE_MS}ms costs {:+.0} ns/op ({pct:+.1}%); \
+         at the 250ms production default that is ~{:+.2}% (target ±2% at the stress cadence)",
         on - off,
         pct / stress as f64
     );
 
-    // ---- the sampler actually watched the run, and saw a healthy one.
-    let (sampler, engine) = lanes[1].1.sampler.take().expect("on-lane sampler");
+    // ---- the plane actually watched the run, and saw a healthy one.
     let ticks = sampler.ticks();
     drop(sampler);
     assert!(ticks >= 2, "sampler must tick during the run (got {ticks})");
-    let engine = engine.lock().unwrap_or_else(PoisonError::into_inner);
-    let table = engine.table();
-    let publish_errors = table
-        .iter()
-        .find(|s| s.name == "publish_errors")
-        .expect("publish_errors SLO");
-    assert_eq!(
-        publish_errors.alert,
-        css_health::AlertLevel::Ok,
-        "no publishes denied in this workload: {table:?}"
+    let table = plane.slo_table();
+    assert!(
+        table.iter().all(|s| s.alert == AlertLevel::Ok),
+        "no publish denied and a 10 ms latency target: {table:?}"
+    );
+    let snapshot = lanes[1].1.world.controller.telemetry().snapshot();
+    assert!(
+        snapshot.counter("chronicle.appends") >= ticks,
+        "appends lag the sampler: {} < {ticks}",
+        snapshot.counter("chronicle.appends")
+    );
+    // No SLO or health edge can happen in this world, so a bundle can
+    // only be the drift detector's: at this cadence one tick's p99 is
+    // the slowest of ~150 requests, and a single descheduled request on
+    // a shared box is a 4× jump (a production tick holds ~8 000). It is
+    // counted, not fatal — the smoke ratchet must not flake on the
+    // host's scheduler — and a committed BENCH run shows 0.
+    let incidents = plane.incidents();
+    assert!(
+        incidents.iter().all(|i| i.kind == "anomaly"),
+        "spurious incident mid-run: {incidents:?}"
     );
     eprintln!(
-        "sampler: {ticks} snapshots, {} engine ticks",
-        engine.ticks()
+        "plane: {ticks} ticks, {} frames recorded ({} dropped), {} history points, {} incidents",
+        snapshot.counter("blackbox.frames_recorded"),
+        snapshot.counter("blackbox.frames_dropped"),
+        snapshot.gauge("chronicle.points"),
+        incidents.len(),
     );
 
     // Telemetry-format line for scripts/bench.sh → BENCH JSON.
-    let snapshot = lanes[1].1.world.controller.telemetry().snapshot();
-    for (name, h) in &snapshot.histograms {
-        if name == "stage.total" {
-            eprintln!(
-                "stage.total: count={} p50={}ns p99={}ns",
-                h.count, h.p50_ns, h.p99_ns
-            );
-        }
+    if let Some(h) = snapshot.histogram("stage.total") {
+        eprintln!(
+            "stage.total: count={} p50={}ns p99={}ns",
+            h.count, h.p50_ns, h.p99_ns
+        );
     }
 }
 

@@ -7,6 +7,7 @@
 //! expected shapes.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use css_controller::{ControllerConfig, DataController, SharedGateway};
 use css_core::{CssPlatform, MemoryProvider};
@@ -17,8 +18,8 @@ use css_sim::{Scenario, ScenarioConfig};
 use css_storage::MemBackend;
 use css_trace::Tracer;
 use css_types::{
-    Actor, ActorId, EventTypeId, PersonId, PersonIdentity, PolicyId, Purpose, SimClock,
-    SourceEventId, Timestamp,
+    Actor, ActorId, EventTypeId, GlobalEventId, PersonId, PersonIdentity, PolicyId, Purpose,
+    SimClock, SourceEventId, Timestamp,
 };
 use parking_lot::Mutex;
 
@@ -160,6 +161,153 @@ impl MicroWorld {
             .unwrap()
             .global_id
     }
+}
+
+// ---- the paired-overhead harness (E16, E17) --------------------------------
+
+/// Events in a [`Lane`]'s pre-published corpus.
+const EVENTS: u64 = 200;
+/// Ops per alternating batch; small enough that dozens of off/on pairs
+/// fit even in a smoke run.
+const BATCH: u64 = 100;
+
+/// One side of a paired overhead measurement: a world with the corpus
+/// published, consumers notified, and the live queues dropped so
+/// measured publishes never back up, driven through the E15 mix (70%
+/// detail requests, 20% inquiries, 10% publishes) — identical on both
+/// sides but for the one thing being priced.
+pub struct Lane {
+    /// The world under load.
+    pub world: MicroWorld,
+    event_ids: Vec<GlobalEventId>,
+    i: u64,
+    src: u64,
+    total_ns: u128,
+    ops: u64,
+}
+
+impl Lane {
+    /// A prepared lane whose controller mints spans into `tracer`.
+    pub fn new(tracer: Tracer) -> Lane {
+        let mut world = micro_world(2, 1, tracer);
+        let ty = EventTypeId::v1("blood-test");
+        let subs: Vec<_> = world
+            .consumers
+            .iter()
+            .map(|c| world.controller.subscribe(*c, &ty).unwrap())
+            .collect();
+        let event_ids = (1..=EVENTS).map(|src| world.publish_one(src)).collect();
+        for sub in subs {
+            while let Some(d) = sub.poll().unwrap() {
+                sub.ack(d.delivery_id).unwrap();
+            }
+            world.controller.unsubscribe(sub).unwrap();
+        }
+        Lane {
+            world,
+            event_ids,
+            i: 0,
+            src: 10_000_000,
+            total_ns: 0,
+            ops: 0,
+        }
+    }
+
+    /// One step of the E15 mix.
+    fn mixed_op(&mut self) {
+        self.i += 1;
+        let i = self.i;
+        let consumer = self.world.consumers[(i % 2) as usize];
+        let ty = EventTypeId::v1("blood-test");
+        match i % 10 {
+            0..=6 => {
+                let id = self.event_ids[(i % self.event_ids.len() as u64) as usize];
+                self.world
+                    .controller
+                    .request_details(consumer, ty, id, Purpose::HealthcareTreatment, None)
+                    .unwrap();
+            }
+            7 | 8 => {
+                self.world
+                    .controller
+                    .inquire_by_person(consumer, PersonId(i % EVENTS + 1), None)
+                    .unwrap();
+            }
+            _ => {
+                self.src += 1;
+                let src = self.src;
+                self.world
+                    .gateway
+                    .lock()
+                    .persist(&DetailMessage {
+                        src_event_id: SourceEventId(src),
+                        producer: HOSPITAL,
+                        details: blood_test_details(src),
+                    })
+                    .unwrap();
+                // Publish to persons *outside* the inquiry range so the
+                // measured inquiries stay fixed-cost: otherwise every
+                // publish grows a queried person's event list and the
+                // drift swamps the ~µs delta being measured.
+                self.world
+                    .controller
+                    .publish(
+                        HOSPITAL,
+                        person(EVENTS + 1 + src % 10_000),
+                        "blood test completed".into(),
+                        ty,
+                        Timestamp(1_000_000),
+                        SourceEventId(src),
+                        None,
+                    )
+                    .unwrap();
+            }
+        }
+    }
+
+    fn run_batch(&mut self, timed: bool) {
+        let started = Instant::now();
+        for _ in 0..BATCH {
+            self.mixed_op();
+        }
+        if timed {
+            self.total_ns += started.elapsed().as_nanos();
+            self.ops += BATCH;
+        }
+    }
+}
+
+/// Time two lanes *paired*: warm both, then alternate timed batches
+/// until the budget (per lane, the same `CSS_BENCH_MS` knob the
+/// criterion shim honors) is spent, so machine noise and any residual
+/// state drift hit both configurations equally — two back-to-back
+/// single-config runs were observed to disagree by more than the
+/// deltas being measured. Prints each series as `<bench>/<label>` in
+/// the harness result format (`scripts/bench.sh` folds them into the
+/// BENCH JSON) and returns the `(off, on)` ns per op.
+pub fn run_paired(bench: &str, lanes: &mut [(&str, Lane); 2]) -> (f64, f64) {
+    let budget_ms: u64 = std::env::var("CSS_BENCH_MS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(50);
+    for (_, lane) in lanes.iter_mut() {
+        for _ in 0..3 {
+            lane.run_batch(false);
+        }
+    }
+    let started = Instant::now();
+    while started.elapsed().as_millis() < 2 * budget_ms as u128 {
+        for (_, lane) in lanes.iter_mut() {
+            lane.run_batch(true);
+        }
+    }
+    let ns_per_op = |lane: &Lane| lane.total_ns as f64 / lane.ops as f64;
+    for (label, lane) in lanes.iter() {
+        let id = format!("{bench}/{label}");
+        let ns = ns_per_op(lane);
+        eprintln!("{id:<45} time: {ns:>10.3} ns/iter (n={})", lane.ops);
+    }
+    (ns_per_op(&lanes[0].1), ns_per_op(&lanes[1].1))
 }
 
 /// A small full-platform scenario for macro benches.

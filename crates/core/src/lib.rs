@@ -57,14 +57,14 @@ pub mod provider;
 pub use citizen::CitizenHandle;
 pub use consumer::{ConsumerHandle, Delivered, Subscription};
 pub use elicitation::{PolicyWizard, WizardError};
-pub use ops::OpsPlane;
 pub use pending::{AccessRequest, AccessRequestStatus, PendingQueue, DEFAULT_PENDING_CAPACITY};
 pub use platform::{default_shard_count, CssPlatform, CssPlatformBuilder, Role};
 pub use producer::ProducerHandle;
 pub use provider::{BackendProvider, DirProvider, MemoryProvider};
 
-pub use css_blackbox::{CaptureOutcome, FlightRecorder, IncidentRef};
-pub use css_chronicle::{AnomalyStatus, Chronicle, Resolution, Retention};
+pub use css_health::{
+    AnomalyStatus, CaptureOutcome, IncidentRef, OpsHandle, OpsPlane, Resolution, Trigger,
+};
 
 /// Commonly used items across the whole platform.
 pub mod prelude {

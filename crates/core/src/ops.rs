@@ -2,30 +2,28 @@
 //! exposition server assembly behind
 //! [`CssPlatformBuilder::ops_server`](crate::CssPlatformBuilder::ops_server).
 //!
+//! The plane itself — the tick, the stores, the server — is
+//! `css-health`'s; this module keeps what is the platform's to decide:
+//! thresholds, the default checks and SLOs, the storage probe, the
+//! `/monitor` body and the snapshot source.
+//!
 //! Everything served is an aggregate — counters, gauges, histogram
-//! buckets, span timings, KPI totals. The closures handed to
-//! [`css_health::OpsState`] are built exclusively from the platform's
+//! buckets, span timings, KPI totals. What is handed to
+//! [`css_health::OpsPlane`] is built exclusively from the platform's
 //! telemetry registry and the privacy-safe read models (trace spans,
 //! process KPIs); event payloads and decrypted identifiers are not
 //! reachable from here, and `css-lint`'s detail-confinement rule keeps
 //! it that way.
 
-use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex as StdMutex, PoisonError};
 use std::time::Duration as StdDuration;
 
-use css_blackbox::{ComponentState, FlightRecorder, HealthSample, Severity, SloSample, Trigger};
-use css_chronicle::{AnomalyConfig, AnomalyDetector, AnomalyStatus, Chronicle, Retention};
-use css_health::{
-    AlertLevel, DropRateCheck, FnCheck, GaugeThresholdCheck, HealthCheck, HealthRegistry,
-    HealthStatus, JsonBuf, LatencyCheck, OpsHandle, OpsServer, OpsState, RatioFloorCheck, Sampler,
-    Slo, SloEngine, SloStatus,
-};
+use css_health::{Check, HealthStatus, OpsHandle, OpsPlane, OpsServer, Sampler, Slo};
 use css_monitor::{Kpis, ProcessMonitor};
 use css_storage::LogBackend;
-use css_telemetry::{MetricsRegistry, TelemetrySnapshot};
-use css_trace::{render_chrome_trace, Tracer};
+use css_telemetry::{JsonBuf, MetricsRegistry};
+use css_trace::Tracer;
 use css_types::{Clock, CssResult, Timestamp};
 
 use crate::platform::{refresh_platform_gauges, SharedController, SharedPending};
@@ -34,8 +32,8 @@ use crate::provider::BackendProvider;
 // ---- default thresholds ---------------------------------------------------
 //
 // Chosen for the paper's regional-deployment scale (tens of
-// organizations, thousands of events/day); override by registering
-// custom checks/SLOs on the builder.
+// organizations, thousands of events/day); add objectives with
+// `.ops_slo()` on the builder.
 
 /// Bus backlog that merits operator attention.
 const BUS_QUEUE_DEPTH_DEGRADED: i64 = 10_000;
@@ -75,112 +73,16 @@ const BLACKBOX_MIN_FRAMES: u64 = 1_000;
 /// Where incident bundles land unless `.incident_dir()` overrides it.
 const DEFAULT_INCIDENT_DIR: &str = "target/incidents";
 
-/// The metric the chronicle's anomaly detector watches (per-tick p99).
-const ANOMALY_METRIC: &str = "stage.total";
-/// How much raw history an anomaly-triggered bundle embeds (5 min).
-const ANOMALY_HISTORY_WINDOW_MS: u64 = 300_000;
-
 /// Ops-plane knobs accumulated by the builder.
 pub(crate) struct OpsConfig {
     pub addr: String,
     pub interval: StdDuration,
-    pub checks: Vec<Box<dyn HealthCheck>>,
     pub slos: Vec<Slo>,
     pub monitor: Option<Arc<parking_lot::Mutex<ProcessMonitor>>>,
-    /// Flight-recorder ring capacity; `None` leaves the recorder off.
-    pub blackbox: Option<usize>,
     /// Incident bundle directory (default `target/incidents`).
     pub incident_dir: Option<PathBuf>,
-    /// Metrics-history retention; `None` leaves the chronicle off.
-    pub chronicle: Option<Retention>,
     /// When the platform was built (uptime zero point).
     pub boot: Timestamp,
-}
-
-/// The running ops plane: exposition server + background sampler +
-/// shared SLO engine. Dropping it (with the platform) stops the
-/// sampler and shuts the server down gracefully.
-pub struct OpsPlane {
-    handle: OpsHandle,
-    engine: Arc<StdMutex<SloEngine>>,
-    recorder: Option<Arc<FlightRecorder>>,
-    chronicle: Option<Arc<Chronicle>>,
-    anomaly: Option<Arc<AnomalyDetector>>,
-    _sampler: Sampler,
-}
-
-impl OpsPlane {
-    /// The exposition server handle (bound address, shutdown on drop).
-    pub fn handle(&self) -> &OpsHandle {
-        &self.handle
-    }
-
-    /// Where the server is listening — with `ops_server("127.0.0.1:0")`
-    /// this is the ephemeral port that was assigned.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.handle.local_addr()
-    }
-
-    /// The current SLO table (same data as `GET /slo`).
-    pub fn slo_table(&self) -> Vec<SloStatus> {
-        self.engine
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .table()
-    }
-
-    /// The incident flight recorder, when
-    /// [`blackbox`](crate::CssPlatformBuilder::blackbox) enabled it.
-    pub fn blackbox(&self) -> Option<&Arc<FlightRecorder>> {
-        self.recorder.as_ref()
-    }
-
-    /// The metrics history, when
-    /// [`chronicle`](crate::CssPlatformBuilder::chronicle) enabled it.
-    pub fn chronicle(&self) -> Option<&Arc<Chronicle>> {
-        self.chronicle.as_ref()
-    }
-
-    /// The anomaly detector's current state, when the chronicle is on.
-    pub fn anomaly_status(&self) -> Option<AnomalyStatus> {
-        self.anomaly.as_ref().map(|d| d.status())
-    }
-}
-
-/// Adapt the SLO engine's alert table to the recorder's plain samples
-/// (css-health and css-blackbox sit side by side at layer 3 of the
-/// lint DAG, so the platform translates between them).
-fn slo_samples(table: &[SloStatus]) -> Vec<SloSample> {
-    table
-        .iter()
-        .map(|s| SloSample {
-            name: s.name.clone(),
-            fast_burn: s.fast_burn,
-            slow_burn: s.slow_burn,
-            severity: match s.alert {
-                AlertLevel::Ok => Severity::Ok,
-                AlertLevel::Warning => Severity::Warning,
-                AlertLevel::Critical => Severity::Critical,
-            },
-        })
-        .collect()
-}
-
-/// Adapt a health report to the recorder's plain samples.
-fn health_samples(report: &css_health::HealthReport) -> Vec<HealthSample> {
-    report
-        .components
-        .iter()
-        .map(|c| HealthSample {
-            component: c.component.clone(),
-            state: match &c.status {
-                HealthStatus::Healthy => ComponentState::Healthy,
-                HealthStatus::Degraded { .. } => ComponentState::Degraded,
-                HealthStatus::Unhealthy { .. } => ComponentState::Unhealthy,
-            },
-            reason: c.status.reason().map(str::to_string),
-        })
-        .collect()
 }
 
 /// Append a probe marker, read it back, and truncate it away again —
@@ -205,50 +107,60 @@ fn storage_probe(backend: &mut impl LogBackend) -> HealthStatus {
 
 /// The component checks every platform gets: storage round-trip, bus
 /// backlog and delivery lag, PDP cache hit rate, gateway pending
-/// backlog, trace-ring drop rate, index-shard balance.
-fn default_checks<B: LogBackend + 'static>(probe_backend: B) -> Vec<Box<dyn HealthCheck>> {
+/// backlog, trace-ring drop rate, index-shard balance, flight-recorder
+/// drop rate. (The plane appends its own drift check.)
+fn default_checks<B: LogBackend + 'static>(probe_backend: B) -> Vec<Check> {
     let probe = StdMutex::new(probe_backend);
     vec![
-        Box::new(FnCheck::new("storage", move || {
+        Check::new("storage", move |_| {
             storage_probe(&mut *probe.lock().unwrap_or_else(PoisonError::into_inner))
-        })),
-        Box::new(
-            GaugeThresholdCheck::new("bus-queue", "bus.queue_depth", BUS_QUEUE_DEPTH_DEGRADED)
-                .unhealthy_above(BUS_QUEUE_DEPTH_DEGRADED * 10),
+        }),
+        Check::gauge_above(
+            "bus-queue",
+            "bus.queue_depth",
+            BUS_QUEUE_DEPTH_DEGRADED,
+            Some(BUS_QUEUE_DEPTH_DEGRADED * 10),
         ),
-        Box::new(
-            GaugeThresholdCheck::new("bus-inflight", "bus.inflight", BUS_INFLIGHT_DEGRADED)
-                .unhealthy_above(BUS_INFLIGHT_DEGRADED * 10),
+        Check::gauge_above(
+            "bus-inflight",
+            "bus.inflight",
+            BUS_INFLIGHT_DEGRADED,
+            Some(BUS_INFLIGHT_DEGRADED * 10),
         ),
-        Box::new(LatencyCheck::new(
-            "bus-delivery",
-            "bus.deliver",
-            BUS_DELIVER_P99_CEILING_NS,
-        )),
-        Box::new(RatioFloorCheck::new(
+        Check::p99_above("bus-delivery", "bus.deliver", BUS_DELIVER_P99_CEILING_NS),
+        Check::hit_rate_below(
             "policy",
             "pdp.cache_hit",
             "pdp.cache_miss",
             PDP_HIT_RATE_FLOOR,
             PDP_MIN_LOOKUPS,
-        )),
-        Box::new(GaugeThresholdCheck::new(
+        ),
+        Check::gauge_above(
             "gateway",
             "platform.pending_requests",
             GATEWAY_PENDING_DEGRADED,
-        )),
-        Box::new(DropRateCheck::new(
+            None,
+        ),
+        Check::drop_rate_above(
             "trace",
             "trace.spans_dropped",
             "trace.spans_recorded",
             TRACE_DROP_CEILING,
             TRACE_MIN_SPANS,
-        )),
-        Box::new(GaugeThresholdCheck::new(
+        ),
+        Check::gauge_above(
             "shard-balance",
             "shard.imbalance_pct",
             SHARD_IMBALANCE_DEGRADED,
-        )),
+            None,
+        ),
+        Check::drop_rate_above(
+            "blackbox",
+            "blackbox.frames_dropped",
+            "blackbox.frames_recorded",
+            BLACKBOX_DROP_CEILING,
+            BLACKBOX_MIN_FRAMES,
+        ),
     ]
 }
 
@@ -284,9 +196,10 @@ fn kpis_json(kpis: &Kpis) -> String {
     j.finish()
 }
 
-/// Assemble and start the ops plane: build the check/SLO sets, spawn
-/// the sampler, bind the server.
-#[allow(clippy::too_many_arguments)] // one-shot internal assembly call
+/// Assemble and start the ops plane: hand `css-health` the platform's
+/// checks, SLOs and snapshot source, bind the server, spawn the
+/// sampler. Dropping the pair (with the platform) stops the sampler and
+/// shuts the server down gracefully.
 pub(crate) fn start_ops<P: BackendProvider>(
     config: OpsConfig,
     provider: &P,
@@ -295,233 +208,38 @@ pub(crate) fn start_ops<P: BackendProvider>(
     tracer: &Tracer,
     controller: &SharedController<P>,
     pending: &SharedPending,
-) -> CssResult<OpsPlane> {
-    let OpsConfig {
-        addr,
-        interval,
-        checks,
-        slos,
-        monitor,
-        blackbox,
-        incident_dir,
-        chronicle,
-        boot,
-    } = config;
-
-    let recorder = blackbox.map(|capacity| {
-        let dir = incident_dir.unwrap_or_else(|| PathBuf::from(DEFAULT_INCIDENT_DIR));
-        Arc::new(FlightRecorder::new(capacity, dir, registry))
-    });
-    let chronicle = chronicle.map(|retention| Arc::new(Chronicle::new(retention, registry)));
-    let anomaly = chronicle
-        .as_ref()
-        .map(|_| Arc::new(AnomalyDetector::new(AnomalyConfig::new(ANOMALY_METRIC))));
-
-    let mut health = HealthRegistry::new();
-    for check in default_checks(provider.backend("health-probe")?) {
-        health.register(check);
-    }
-    if recorder.is_some() {
-        health.register(Box::new(DropRateCheck::new(
-            "blackbox",
-            "blackbox.frames_dropped",
-            "blackbox.frames_recorded",
-            BLACKBOX_DROP_CEILING,
-            BLACKBOX_MIN_FRAMES,
-        )));
-    }
-    if let Some(detector) = &anomaly {
-        // Drift is visible on `/health` for as long as it lasts: the
-        // detector freezes its baselines while anomalous, so the check
-        // stays Degraded until the metric actually recovers.
-        let detector = detector.clone();
-        health.register(Box::new(FnCheck::new("chronicle-anomaly", move || {
-            let s = detector.status();
-            if s.anomalous {
-                HealthStatus::degraded(format!(
-                    "{} drifting: {:.0} vs expected {:.0}",
-                    s.metric, s.value, s.expected
-                ))
-            } else {
-                HealthStatus::Healthy
-            }
-        })));
-    }
-    for check in checks {
-        health.register(check);
-    }
-    let health = Arc::new(health);
-
-    let mut engine = SloEngine::new();
-    for slo in default_slos() {
-        engine.register(slo);
-    }
-    for slo in slos {
-        engine.register(slo);
-    }
-    let engine = Arc::new(StdMutex::new(engine));
-
-    // One shared snapshot closure: refresh the platform.* gauges (the
-    // same path `CssPlatform::telemetry` takes), then snapshot — so
-    // `/metrics` and the health checks see identical, current numbers.
-    let snapshot_fn = {
-        let controller = controller.clone();
-        let pending = pending.clone();
-        let registry = registry.clone();
-        let clock = clock.clone();
-        Arc::new(move || {
+) -> CssResult<(OpsHandle, Sampler)> {
+    let mut slos = default_slos();
+    slos.extend(config.slos);
+    // The snapshot source: refresh the platform.* gauges (the same
+    // path `CssPlatform::telemetry` takes), then snapshot — so the
+    // tick, `/metrics` and the health checks see identical, current
+    // numbers.
+    let source = {
+        let (controller, pending) = (controller.clone(), pending.clone());
+        let (registry, clock, boot) = (registry.clone(), clock.clone(), config.boot);
+        move || {
             refresh_platform_gauges(&controller, &pending, &registry, clock.as_ref(), boot);
             registry.snapshot()
-        })
-    };
-
-    let metrics_fn = snapshot_fn.clone();
-    let health_fn = {
-        let snapshot_fn = snapshot_fn.clone();
-        let health = health.clone();
-        move || health.report(&snapshot_fn())
-    };
-    let slo_fn = {
-        let engine = engine.clone();
-        move || {
-            engine
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .to_json()
         }
     };
-    let traces_fn = {
-        let tracer = tracer.clone();
-        move || render_chrome_trace(&tracer.finished_spans())
-    };
-
-    let mut state = OpsState::new(move || metrics_fn(), health_fn, slo_fn).with_traces(traces_fn);
-    if let Some(monitor) = monitor {
-        state = state.with_monitor(move || kpis_json(&monitor.lock().kpis()));
+    let mut plane = OpsPlane::new(
+        source,
+        clock.clone(),
+        tracer.clone(),
+        registry,
+        default_checks(provider.backend("health-probe")?),
+        slos,
+        config
+            .incident_dir
+            .unwrap_or_else(|| PathBuf::from(DEFAULT_INCIDENT_DIR)),
+    );
+    if let Some(monitor) = config.monitor {
+        plane = plane.with_monitor(move || kpis_json(&monitor.lock().kpis()));
     }
-    if let Some(chronicle) = &chronicle {
-        let query = chronicle.clone();
-        let range = chronicle.clone();
-        state = state
-            .with_query(move |raw| css_chronicle::query_json(&query, raw))
-            .with_range(move |raw| css_chronicle::range_json(&range, raw));
-    }
-    if let Some(recorder) = &recorder {
-        state = state
-            .with_incidents({
-                let recorder = recorder.clone();
-                move || recorder.incidents_json()
-            })
-            .with_exemplars({
-                let snapshot_fn = snapshot_fn.clone();
-                move || css_blackbox::exemplars_json(&snapshot_fn())
-            })
-            .with_capture({
-                let recorder = recorder.clone();
-                let snapshot_fn = snapshot_fn.clone();
-                let tracer = tracer.clone();
-                let clock = clock.clone();
-                move || {
-                    let snapshot = snapshot_fn();
-                    let spans = tracer.finished_spans();
-                    recorder
-                        .dump("POST /debug/capture", &snapshot, &spans, clock.now().0)
-                        .json
-                }
-            });
-    }
-
-    let sampler = if recorder.is_none() && chronicle.is_none() {
-        Sampler::spawn(registry.clone(), clock.clone(), engine.clone(), interval)
-    } else {
-        // The chronicle and the recorder ride the sampler: every tick
-        // they see the same snapshot the SLO engine just consumed,
-        // plus the post-tick alert table and the health report. The
-        // recorder fires a capture on each transition into
-        // Critical/Unhealthy; the anomaly detector's rising edge fires
-        // one with the relevant history window embedded.
-        let observer = {
-            let recorder = recorder.clone();
-            let chronicle = chronicle.clone();
-            let anomaly = anomaly.clone();
-            let tracer = tracer.clone();
-            let health = health.clone();
-            move |snapshot: &TelemetrySnapshot, now: Timestamp, table: &[SloStatus]| {
-                let at_ms = now.0;
-                // History first, so this tick's point is queryable by
-                // the detector and embedded in any capture below.
-                let mut anomaly_trigger = None;
-                if let Some(chronicle) = &chronicle {
-                    chronicle.append(snapshot, now);
-                    if let Some(detector) = &anomaly {
-                        if let Some(point) = chronicle.latest(detector.metric()) {
-                            // Judge only ticks that recorded fresh
-                            // observations — an idle platform is not a
-                            // latency recovery.
-                            if point.to_ms == at_ms {
-                                let v = detector.observe(point.last);
-                                if v.edge {
-                                    anomaly_trigger = Some(Trigger::Anomaly {
-                                        metric: detector.metric().to_string(),
-                                        value: v.value,
-                                        expected: v.expected,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-                if let Some(recorder) = &recorder {
-                    recorder.observe_telemetry(snapshot, at_ms);
-                    let spans = tracer.finished_spans();
-                    recorder.observe_spans(&spans, at_ms);
-                    let mut triggers = recorder.observe_slos(&slo_samples(table), at_ms);
-                    let report = health.report(snapshot);
-                    triggers.extend(recorder.observe_health(&health_samples(&report), at_ms));
-                    for trigger in triggers {
-                        recorder.capture(trigger, snapshot, &spans, at_ms);
-                    }
-                    if let Some(trigger) = anomaly_trigger {
-                        let history = chronicle.as_ref().map(|c| {
-                            css_chronicle::history_json(
-                                c,
-                                &[ANOMALY_METRIC],
-                                anomaly.as_deref(),
-                                at_ms.saturating_sub(ANOMALY_HISTORY_WINDOW_MS),
-                                at_ms,
-                            )
-                        });
-                        recorder.capture_with_history(
-                            trigger,
-                            snapshot,
-                            &spans,
-                            at_ms,
-                            history.as_deref(),
-                        );
-                    }
-                }
-            }
-        };
-        Sampler::spawn_observed(
-            {
-                let snapshot_fn = snapshot_fn.clone();
-                move || snapshot_fn()
-            },
-            clock.clone(),
-            engine.clone(),
-            interval,
-            observer,
-        )
-    };
-    let handle = OpsServer::bind(addr.as_str(), state)?;
-    Ok(OpsPlane {
-        handle,
-        engine,
-        recorder,
-        chronicle,
-        anomaly,
-        _sampler: sampler,
-    })
+    let plane = Arc::new(plane);
+    let handle = OpsServer::bind(config.addr.as_str(), plane.clone())?;
+    Ok((handle, Sampler::spawn(plane, config.interval)))
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use css_types::{
 
 use crate::citizen::CitizenHandle;
 use crate::consumer::ConsumerHandle;
-use crate::ops::{OpsConfig, OpsPlane};
+use crate::ops::OpsConfig;
 use crate::pending::{AccessRequest, PendingQueue, DEFAULT_PENDING_CAPACITY};
 use crate::producer::ProducerHandle;
 use crate::provider::{BackendProvider, DirProvider, MemoryProvider};
@@ -76,13 +76,10 @@ pub struct CssPlatformBuilder<P: BackendProvider = MemoryProvider> {
     pending_capacity: usize,
     ops_addr: Option<String>,
     ops_interval: std::time::Duration,
-    ops_checks: Vec<Box<dyn css_health::HealthCheck>>,
     ops_slos: Vec<css_health::Slo>,
     ops_monitor: Option<Arc<Mutex<css_monitor::ProcessMonitor>>>,
     bus_driver: Option<Arc<dyn BusDriver<NotificationMessage>>>,
-    blackbox_capacity: Option<usize>,
     incident_dir: Option<std::path::PathBuf>,
-    chronicle: Option<css_chronicle::Retention>,
 }
 
 impl Default for CssPlatformBuilder<MemoryProvider> {
@@ -105,13 +102,10 @@ impl CssPlatformBuilder<MemoryProvider> {
             pending_capacity: DEFAULT_PENDING_CAPACITY,
             ops_addr: None,
             ops_interval: std::time::Duration::from_millis(250),
-            ops_checks: Vec::new(),
             ops_slos: Vec::new(),
             ops_monitor: None,
             bus_driver: None,
-            blackbox_capacity: None,
             incident_dir: None,
-            chronicle: None,
         }
     }
 }
@@ -146,13 +140,10 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
             pending_capacity: self.pending_capacity,
             ops_addr: self.ops_addr,
             ops_interval: self.ops_interval,
-            ops_checks: self.ops_checks,
             ops_slos: self.ops_slos,
             ops_monitor: self.ops_monitor,
             bus_driver: self.bus_driver,
-            blackbox_capacity: self.blackbox_capacity,
             incident_dir: self.incident_dir,
-            chronicle: self.chronicle,
         }
     }
 
@@ -217,28 +208,28 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
         self
     }
 
-    /// Serve the live ops plane on `addr` (`GET /metrics`, `/health`,
-    /// `/slo`, `/traces`, `/monitor`). Use `"127.0.0.1:0"` for an
-    /// ephemeral port and read it back from
-    /// [`CssPlatform::ops_handle`]. Off by default; the server and its
-    /// background sampler shut down when the platform drops.
+    /// Run the live ops plane and serve it on `addr`: a background
+    /// sampler ticking the SLO burn-rate windows, the metrics history
+    /// (raw → 1-minute → 1-hour rings) with its EWMA+MAD drift check
+    /// over `stage.total` p99, the component health checks, and the
+    /// incident flight recorder, which freezes its ring of recent
+    /// observations into a bundle under
+    /// [`incident_dir`](CssPlatformBuilder::incident_dir) when an SLO
+    /// reaches Critical, a check goes Unhealthy, the drift check flips,
+    /// or an operator asks. Routes: `GET /metrics`, `/health`, `/slo`,
+    /// `/query`, `/range`, `/traces`, `/monitor`, `/debug/incidents`,
+    /// `/debug/exemplars` and `POST /debug/capture`. Use
+    /// `"127.0.0.1:0"` for an ephemeral port and read it back from
+    /// [`CssPlatform::ops`]. Off by default; the server and the sampler
+    /// shut down when the platform drops.
     pub fn ops_server(mut self, addr: impl Into<String>) -> Self {
         self.ops_addr = Some(addr.into());
         self
     }
 
-    /// How often the ops sampler snapshots telemetry into the SLO
-    /// engine (default 250 ms).
+    /// How often the ops sampler ticks the plane (default 250 ms).
     pub fn ops_sample_interval(mut self, interval: std::time::Duration) -> Self {
         self.ops_interval = interval;
-        self
-    }
-
-    /// Register an additional component health check alongside the
-    /// defaults (storage probe, bus backlog/lag, PDP cache, gateway
-    /// backlog, trace drop rate, shard balance).
-    pub fn health_check(mut self, check: Box<dyn css_health::HealthCheck>) -> Self {
-        self.ops_checks.push(check);
         self
     }
 
@@ -255,36 +246,10 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
         self
     }
 
-    /// Run the incident flight recorder next to the ops sampler: a
-    /// bounded drop-oldest ring of the most recent `capacity`
-    /// observation frames (telemetry deltas, SLO burn samples, health
-    /// transitions, root spans), frozen into an incident bundle when an
-    /// SLO reaches Critical, a check goes Unhealthy, or
-    /// `POST /debug/capture` asks for one. Requires
-    /// [`ops_server`](CssPlatformBuilder::ops_server); off by default.
-    pub fn blackbox(mut self, capacity: usize) -> Self {
-        self.blackbox_capacity = Some(capacity.max(1));
-        self
-    }
-
     /// Where the flight recorder writes incident bundles (default
     /// `target/incidents`).
     pub fn incident_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.incident_dir = Some(dir.into());
-        self
-    }
-
-    /// Keep a long-horizon metrics history next to the ops sampler: a
-    /// per-metric ring of rings (raw ticks → 1-minute → 1-hour
-    /// aggregates with merged histogram buckets) served as
-    /// `GET /query` and `GET /range`, plus an EWMA+MAD anomaly
-    /// detector over `stage.total` p99 that reports drift as a
-    /// `Degraded` health check and — with
-    /// [`blackbox`](CssPlatformBuilder::blackbox) on — freezes an
-    /// incident bundle with the history window embedded. Requires
-    /// [`ops_server`](CssPlatformBuilder::ops_server); off by default.
-    pub fn chronicle(mut self, retention: css_chronicle::Retention) -> Self {
-        self.chronicle = Some(retention);
         self
     }
 
@@ -300,13 +265,10 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
             pending_capacity,
             ops_addr,
             ops_interval,
-            ops_checks,
             ops_slos,
             ops_monitor,
             bus_driver,
-            blackbox_capacity,
             incident_dir,
-            chronicle,
         } = self;
         // Builder time is the platform's birth: `css_uptime_seconds`
         // counts from here, and the build-info metric is pinned once.
@@ -412,12 +374,9 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
                 OpsConfig {
                     addr,
                     interval: ops_interval,
-                    checks: ops_checks,
                     slos: ops_slos,
                     monitor: ops_monitor,
-                    blackbox: blackbox_capacity,
                     incident_dir,
-                    chronicle,
                     boot,
                 },
                 &provider,
@@ -465,7 +424,7 @@ pub struct CssPlatform<P: BackendProvider = MemoryProvider> {
     provider: P,
     clock: Arc<dyn Clock>,
     boot: Timestamp,
-    ops: Option<OpsPlane>,
+    ops: Option<(css_health::OpsHandle, css_health::Sampler)>,
 }
 
 /// Percent by which the busiest shard exceeds the mean shard load
@@ -831,40 +790,14 @@ impl<P: BackendProvider> CssPlatform<P> {
     }
 
     /// The running ops plane, when the builder enabled
-    /// [`CssPlatformBuilder::ops_server`].
-    pub fn ops(&self) -> Option<&OpsPlane> {
-        self.ops.as_ref()
-    }
-
-    /// The ops exposition server handle — its
-    /// [`local_addr`](css_health::OpsHandle::local_addr) is where
-    /// `/metrics`, `/health`, `/slo`, `/traces`, and `/monitor` are
-    /// served. `None` unless the builder enabled
-    /// [`CssPlatformBuilder::ops_server`].
-    pub fn ops_handle(&self) -> Option<&css_health::OpsHandle> {
-        self.ops.as_ref().map(OpsPlane::handle)
-    }
-
-    /// The incident flight recorder, when the builder enabled
-    /// [`CssPlatformBuilder::blackbox`].
-    pub fn blackbox(&self) -> Option<&Arc<css_blackbox::FlightRecorder>> {
-        self.ops.as_ref().and_then(OpsPlane::blackbox)
-    }
-
-    /// The long-horizon metrics history, when the builder enabled
-    /// [`CssPlatformBuilder::chronicle`].
-    pub fn chronicle(&self) -> Option<&Arc<css_chronicle::Chronicle>> {
-        self.ops.as_ref().and_then(OpsPlane::chronicle)
-    }
-
-    /// Freeze the flight recorder's ring into an incident bundle right
-    /// now (the in-process equivalent of `POST /debug/capture`).
-    /// Returns `None` when the recorder is off.
-    pub fn capture_incident(&self, reason: &str) -> Option<css_blackbox::CaptureOutcome> {
-        let recorder = self.blackbox()?;
-        let snapshot = self.telemetry();
-        let spans = self.tracer.finished_spans();
-        Some(recorder.dump(reason, &snapshot, &spans, self.clock.now().0))
+    /// [`CssPlatformBuilder::ops_server`]: its
+    /// [`local_addr`](css_health::OpsHandle::local_addr) is where the
+    /// routes are served, and it dereferences to the
+    /// [`css_health::OpsPlane`] behind them — SLO table, incident
+    /// captures (the in-process `POST /debug/capture`), history queries,
+    /// anomaly status.
+    pub fn ops(&self) -> Option<&css_health::OpsHandle> {
+        self.ops.as_ref().map(|(handle, _sampler)| handle)
     }
 
     /// All pending access requests (any producer).

@@ -5,13 +5,13 @@
 //! of handler threads over a bounded channel, a bounded request read
 //! (8 KiB, 2 s timeout), `Connection: close` on every response. The
 //! server holds no platform locks while reading from the network — it
-//! only calls the [`OpsState`] closures after a request has fully
-//! parsed, so a slow or malicious scraper cannot stall the platform.
+//! only asks the [`OpsPlane`] after a request has fully parsed, so a
+//! slow or malicious scraper cannot stall the platform.
 //!
 //! Everything served is an *aggregate* (counters, gauges, histogram
 //! buckets, span timings, KPI totals). Payload bytes, decrypted
-//! identifiers, and policy inputs never reach this module: the closures
-//! are built from [`css_telemetry::TelemetrySnapshot`] and the other
+//! identifiers, and policy inputs never reach this module: the plane
+//! is built from [`css_telemetry::TelemetrySnapshot`]s and the other
 //! privacy-safe read models, none of which can name a detail payload
 //! (enforced workspace-wide by `css-lint`'s detail-confinement rule,
 //! which covers this crate).
@@ -24,10 +24,13 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use css_telemetry::TelemetrySnapshot;
+use css_trace::render_chrome_trace;
 
+use crate::bundle::exemplars_json;
+use crate::plane::OpsPlane;
 use crate::prometheus::render_prometheus;
-use crate::status::HealthReport;
+use crate::query::{query_json, range_json};
+use crate::recorder::Trigger;
 
 /// Handler threads in the pool.
 const POOL_SIZE: usize = 2;
@@ -38,109 +41,14 @@ const MAX_REQUEST_BYTES: usize = 8 * 1024;
 /// Per-connection read deadline.
 const READ_TIMEOUT: Duration = Duration::from_secs(2);
 
-type SnapshotFn = Arc<dyn Fn() -> TelemetrySnapshot + Send + Sync>;
-type ReportFn = Arc<dyn Fn() -> HealthReport + Send + Sync>;
-type JsonFn = Arc<dyn Fn() -> String + Send + Sync>;
-type QueryFn = Arc<dyn Fn(&str) -> String + Send + Sync>;
-
-/// The read models behind each endpoint, injected as closures so this
-/// crate stays independent of the crates that own them (the platform
-/// wires `/traces` from `css-trace` and `/monitor` from `css-monitor`
-/// without this crate depending on either).
-#[derive(Clone)]
-pub struct OpsState {
-    metrics: SnapshotFn,
-    health: ReportFn,
-    slo: JsonFn,
-    traces: JsonFn,
-    monitor: JsonFn,
-    incidents: JsonFn,
-    exemplars: JsonFn,
-    capture: Option<JsonFn>,
-    query: Option<QueryFn>,
-    range: Option<QueryFn>,
-}
-
-impl OpsState {
-    /// State serving `/metrics`, `/health`, and `/slo`; `/traces` and
-    /// `/monitor` default to empty documents until injected.
-    pub fn new(
-        metrics: impl Fn() -> TelemetrySnapshot + Send + Sync + 'static,
-        health: impl Fn() -> HealthReport + Send + Sync + 'static,
-        slo: impl Fn() -> String + Send + Sync + 'static,
-    ) -> Self {
-        OpsState {
-            metrics: Arc::new(metrics),
-            health: Arc::new(health),
-            slo: Arc::new(slo),
-            traces: Arc::new(|| "[]".to_string()),
-            monitor: Arc::new(|| "{}".to_string()),
-            incidents: Arc::new(|| r#"{"incidents":[]}"#.to_string()),
-            exemplars: Arc::new(|| r#"{"exemplars":[]}"#.to_string()),
-            capture: None,
-            query: None,
-            range: None,
-        }
-    }
-
-    /// Serve `f`'s output (Chrome trace JSON) on `GET /traces`.
-    pub fn with_traces(mut self, f: impl Fn() -> String + Send + Sync + 'static) -> Self {
-        self.traces = Arc::new(f);
-        self
-    }
-
-    /// Serve `f`'s output (PRM KPI JSON) on `GET /monitor`.
-    pub fn with_monitor(mut self, f: impl Fn() -> String + Send + Sync + 'static) -> Self {
-        self.monitor = Arc::new(f);
-        self
-    }
-
-    /// Serve `f`'s output (the flight recorder's recent-incident list)
-    /// on `GET /debug/incidents`.
-    pub fn with_incidents(mut self, f: impl Fn() -> String + Send + Sync + 'static) -> Self {
-        self.incidents = Arc::new(f);
-        self
-    }
-
-    /// Serve `f`'s output (current histogram exemplars, trace ids
-    /// only) on `GET /debug/exemplars`.
-    pub fn with_exemplars(mut self, f: impl Fn() -> String + Send + Sync + 'static) -> Self {
-        self.exemplars = Arc::new(f);
-        self
-    }
-
-    /// Run `f` (a manual flight-recorder capture, returning the frozen
-    /// bundle JSON) on `POST /debug/capture`. Until wired, the endpoint
-    /// answers 404.
-    pub fn with_capture(mut self, f: impl Fn() -> String + Send + Sync + 'static) -> Self {
-        self.capture = Some(Arc::new(f));
-        self
-    }
-
-    /// Serve `f(raw_query)` (a chronicle instant/function evaluation)
-    /// on `GET /query?metric=...`. Until wired, the endpoint answers
-    /// 404.
-    pub fn with_query(mut self, f: impl Fn(&str) -> String + Send + Sync + 'static) -> Self {
-        self.query = Some(Arc::new(f));
-        self
-    }
-
-    /// Serve `f(raw_query)` (a chronicle range dump) on
-    /// `GET /range?metric=...`. Until wired, the endpoint answers 404.
-    pub fn with_range(mut self, f: impl Fn(&str) -> String + Send + Sync + 'static) -> Self {
-        self.range = Some(Arc::new(f));
-        self
-    }
-}
-
 /// The exposition server. [`OpsServer::bind`] starts it and returns the
 /// [`OpsHandle`] that owns its threads.
 pub struct OpsServer;
 
 impl OpsServer {
     /// Bind `addr` (use port 0 for an ephemeral port) and start
-    /// serving `state`.
-    pub fn bind(addr: impl ToSocketAddrs, state: OpsState) -> std::io::Result<OpsHandle> {
+    /// serving `plane`.
+    pub fn bind(addr: impl ToSocketAddrs, plane: Arc<OpsPlane>) -> std::io::Result<OpsHandle> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -150,10 +58,10 @@ impl OpsServer {
         let workers = (0..POOL_SIZE)
             .map(|i| {
                 let rx = rx.clone();
-                let state = state.clone();
+                let plane = plane.clone();
                 std::thread::Builder::new()
                     .name(format!("css-ops-worker-{i}"))
-                    .spawn(move || worker_loop(&rx, &state))
+                    .spawn(move || worker_loop(&rx, &plane))
                     .expect("spawn ops worker")
             })
             .collect();
@@ -165,6 +73,7 @@ impl OpsServer {
             .expect("spawn ops acceptor");
 
         Ok(OpsHandle {
+            plane,
             local_addr,
             stop,
             accept: Some(accept),
@@ -175,7 +84,11 @@ impl OpsServer {
 
 /// Owns the server threads; dropping it shuts the server down
 /// gracefully (stops accepting, drains the pool, joins every thread).
+/// Dereferences to the [`OpsPlane`] it serves, so the handle is the
+/// one in-process accessor: the bound address here, the SLO table,
+/// captures, incidents, history queries and anomaly status there.
 pub struct OpsHandle {
+    plane: Arc<OpsPlane>,
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
@@ -187,6 +100,13 @@ impl OpsHandle {
     /// port landed.
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
+    }
+}
+
+impl std::ops::Deref for OpsHandle {
+    type Target = OpsPlane;
+    fn deref(&self) -> &OpsPlane {
+        &self.plane
     }
 }
 
@@ -227,20 +147,20 @@ fn accept_loop(listener: &TcpListener, tx: &SyncSender<TcpStream>, stop: &Atomic
     }
 }
 
-fn worker_loop(rx: &Arc<Mutex<Receiver<TcpStream>>>, state: &OpsState) {
+fn worker_loop(rx: &Arc<Mutex<Receiver<TcpStream>>>, plane: &OpsPlane) {
     loop {
         let stream = {
             let rx = rx.lock().unwrap_or_else(PoisonError::into_inner);
             rx.recv()
         };
         match stream {
-            Ok(stream) => handle_connection(stream, state),
+            Ok(stream) => handle_connection(stream, plane),
             Err(_) => return, // channel closed: shutting down
         }
     }
 }
 
-fn handle_connection(mut stream: TcpStream, state: &OpsState) {
+fn handle_connection(mut stream: TcpStream, plane: &OpsPlane) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let request = match read_request_head(&mut stream) {
         Some(head) => head,
@@ -261,22 +181,17 @@ fn handle_connection(mut stream: TcpStream, state: &OpsState) {
     // The one mutating endpoint: a manual flight-recorder capture.
     // Everything else is read-only and GET.
     if path == "/debug/capture" {
-        match (method, &state.capture) {
-            ("POST", Some(capture)) => {
-                respond(&mut stream, 200, "application/json", &capture());
-            }
-            ("POST", None) => respond(
-                &mut stream,
-                404,
-                "application/json",
-                r#"{"error":"no flight recorder configured"}"#,
-            ),
-            _ => respond(
+        if method == "POST" {
+            let reason = "POST /debug/capture".to_string();
+            let bundle = plane.capture(Trigger::Manual { reason }).json;
+            respond(&mut stream, 200, "application/json", &bundle);
+        } else {
+            respond(
                 &mut stream,
                 405,
                 "text/plain",
                 "method not allowed: use POST",
-            ),
+            );
         }
         return;
     }
@@ -284,9 +199,12 @@ fn handle_connection(mut stream: TcpStream, state: &OpsState) {
         respond(&mut stream, 405, "text/plain", "method not allowed");
         return;
     }
+    let json = |stream: &mut TcpStream, body: String| {
+        respond(stream, 200, "application/json", &body);
+    };
     match path {
         "/metrics" => {
-            let body = render_prometheus(&(state.metrics)());
+            let body = render_prometheus(&plane.snapshot());
             respond(
                 &mut stream,
                 200,
@@ -295,31 +213,20 @@ fn handle_connection(mut stream: TcpStream, state: &OpsState) {
             );
         }
         "/health" => {
-            let report = (state.health)();
+            let report = plane.health();
             let code = if report.is_serving() { 200 } else { 503 };
             respond(&mut stream, code, "application/json", &report.to_json());
         }
-        "/slo" => respond(&mut stream, 200, "application/json", &(state.slo)()),
-        "/traces" => respond(&mut stream, 200, "application/json", &(state.traces)()),
-        "/monitor" => respond(&mut stream, 200, "application/json", &(state.monitor)()),
-        "/debug/incidents" => respond(&mut stream, 200, "application/json", &(state.incidents)()),
-        "/debug/exemplars" => respond(&mut stream, 200, "application/json", &(state.exemplars)()),
-        "/query" | "/range" => {
-            let f = if path == "/query" {
-                &state.query
-            } else {
-                &state.range
-            };
-            match f {
-                Some(f) => respond(&mut stream, 200, "application/json", &f(raw_query)),
-                None => respond(
-                    &mut stream,
-                    404,
-                    "application/json",
-                    r#"{"error":"no chronicle configured"}"#,
-                ),
-            }
-        }
+        "/slo" => json(&mut stream, plane.slo_json()),
+        "/traces" => json(
+            &mut stream,
+            render_chrome_trace(&plane.tracer.finished_spans()),
+        ),
+        "/monitor" => json(&mut stream, plane.monitor_json()),
+        "/debug/incidents" => json(&mut stream, plane.recorder.incidents_json()),
+        "/debug/exemplars" => json(&mut stream, exemplars_json(&plane.snapshot())),
+        "/query" => json(&mut stream, query_json(&plane.history, raw_query)),
+        "/range" => json(&mut stream, range_json(&plane.history, raw_query)),
         _ => respond(
             &mut stream,
             404,
@@ -377,13 +284,12 @@ fn respond(stream: &mut TcpStream, code: u16, content_type: &str, body: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checks::{FnCheck, HealthRegistry};
-    use crate::status::HealthStatus;
-    use css_telemetry::MetricsRegistry;
+    use crate::plane::tests::{rig, Rig};
+    use css_types::Clock;
 
-    fn get(addr: SocketAddr, path: &str) -> (u16, String) {
+    fn http(addr: SocketAddr, method: &str, path: &str) -> (u16, String) {
         let mut stream = TcpStream::connect(addr).expect("connect");
-        write!(stream, "GET {path} HTTP/1.0\r\nHost: x\r\n\r\n").expect("write");
+        write!(stream, "{method} {path} HTTP/1.0\r\nHost: x\r\n\r\n").expect("write");
         let mut response = String::new();
         stream.read_to_string(&mut response).expect("read");
         let code: u16 = response
@@ -399,34 +305,21 @@ mod tests {
         (code, body)
     }
 
-    fn test_state(registry: &MetricsRegistry, healthy: bool) -> OpsState {
-        let metrics_reg = registry.clone();
-        let health_reg = registry.clone();
-        OpsState::new(
-            move || metrics_reg.snapshot(),
-            move || {
-                let mut checks = HealthRegistry::new();
-                checks.register(Box::new(FnCheck::new("storage", move || {
-                    if healthy {
-                        HealthStatus::Healthy
-                    } else {
-                        HealthStatus::unhealthy("probe read mismatch")
-                    }
-                })));
-                checks.report(&health_reg.snapshot())
-            },
-            || r#"{"slos":[]}"#.to_string(),
-        )
-        .with_traces(|| r#"[{"name":"publish"}]"#.to_string())
-        .with_monitor(|| r#"{"total":7}"#.to_string())
+    fn get(addr: SocketAddr, path: &str) -> (u16, String) {
+        http(addr, "GET", path)
+    }
+
+    fn serve(tag: &str) -> (Rig, OpsHandle) {
+        let rig = rig(tag);
+        let handle = OpsServer::bind("127.0.0.1:0", rig.plane.clone()).expect("bind ephemeral");
+        (rig, handle)
     }
 
     #[test]
     fn serves_all_endpoints() {
-        let registry = MetricsRegistry::new();
-        registry.counter("controller.published").add(9);
-        let handle =
-            OpsServer::bind("127.0.0.1:0", test_state(&registry, true)).expect("bind ephemeral");
+        let (rig, handle) = serve("endpoints");
+        rig.registry.counter("controller.published").add(9);
+        rig.plane.tracer.root("publish", rig.clock.now()).finish();
         let addr = handle.local_addr();
 
         let (code, body) = get(addr, "/metrics");
@@ -439,11 +332,15 @@ mod tests {
 
         let (code, body) = get(addr, "/slo");
         assert_eq!(code, 200);
-        assert_eq!(body, r#"{"slos":[]}"#);
+        assert!(body.starts_with(r#"{"ticks":0,"#), "{body}");
+        assert!(body.contains(r#""name":"detail_request_p99""#), "{body}");
 
         let (code, body) = get(addr, "/traces");
         assert_eq!(code, 200);
-        assert_eq!(body, r#"[{"name":"publish"}]"#);
+        assert!(
+            body.contains(r#"{"name":"publish","cat":"css","ph":"B""#),
+            "{body}"
+        );
 
         let (code, body) = get(addr, "/monitor");
         assert_eq!(code, 200);
@@ -456,129 +353,83 @@ mod tests {
 
     #[test]
     fn unhealthy_rollup_returns_503_with_reason() {
-        let registry = MetricsRegistry::new();
-        let handle =
-            OpsServer::bind("127.0.0.1:0", test_state(&registry, false)).expect("bind ephemeral");
+        let (rig, handle) = serve("503");
+        rig.storage_down.store(true, Ordering::SeqCst);
         let (code, body) = get(handle.local_addr(), "/health");
         assert_eq!(code, 503);
         assert!(body.contains(r#""reason":"probe read mismatch""#), "{body}");
     }
 
     #[test]
-    fn debug_endpoints_default_to_empty_and_unconfigured() {
-        let registry = MetricsRegistry::new();
-        let handle =
-            OpsServer::bind("127.0.0.1:0", test_state(&registry, true)).expect("bind ephemeral");
+    fn debug_endpoints_serve_and_capture() {
+        let (rig, handle) = serve("debug");
         let addr = handle.local_addr();
 
+        // An idle plane serves empty documents, not errors.
         let (code, body) = get(addr, "/debug/incidents");
         assert_eq!(code, 200);
         assert_eq!(body, r#"{"incidents":[]}"#);
-
         let (code, body) = get(addr, "/debug/exemplars");
         assert_eq!(code, 200);
         assert_eq!(body, r#"{"exemplars":[]}"#);
 
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        write!(stream, "POST /debug/capture HTTP/1.0\r\n\r\n").expect("write");
-        let mut response = String::new();
-        stream.read_to_string(&mut response).expect("read");
-        assert!(response.starts_with("HTTP/1.0 404"), "{response}");
-        assert!(
-            response.contains("no flight recorder configured"),
-            "{response}"
-        );
-    }
-
-    #[test]
-    fn wired_debug_endpoints_serve_and_capture() {
-        let registry = MetricsRegistry::new();
-        let captures = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let counted = captures.clone();
-        let state = test_state(&registry, true)
-            .with_incidents(|| r#"{"incidents":[{"seq":1}]}"#.to_string())
-            .with_exemplars(|| r#"{"exemplars":[{"trace_id":"00000000000000ff"}]}"#.to_string())
-            .with_capture(move || {
-                counted.fetch_add(1, Ordering::SeqCst);
-                r#"{"trigger":{"kind":"manual"}}"#.to_string()
-            });
-        let handle = OpsServer::bind("127.0.0.1:0", state).expect("bind ephemeral");
-        let addr = handle.local_addr();
-
-        let (code, body) = get(addr, "/debug/incidents");
-        assert_eq!(code, 200);
-        assert!(body.contains(r#""seq":1"#), "{body}");
-
+        rig.registry
+            .histogram("stage.total")
+            .record_with_exemplar(1_000, 0xFF, 7);
         let (code, body) = get(addr, "/debug/exemplars");
         assert_eq!(code, 200);
         assert!(body.contains("00000000000000ff"), "{body}");
 
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        write!(stream, "POST /debug/capture HTTP/1.0\r\n\r\n").expect("write");
-        let mut response = String::new();
-        stream.read_to_string(&mut response).expect("read");
-        assert!(response.starts_with("HTTP/1.0 200"), "{response}");
-        assert!(response.contains(r#""kind":"manual""#), "{response}");
-        assert_eq!(captures.load(Ordering::SeqCst), 1);
+        let (code, body) = http(addr, "POST", "/debug/capture");
+        assert_eq!(code, 200, "{body}");
+        assert!(body.contains(r#""kind":"manual""#), "{body}");
+        assert!(body.contains(r#""reason":"POST /debug/capture""#), "{body}");
+        assert_eq!(rig.plane.incidents().len(), 1);
 
         // Capture mutates: a GET must not trigger it.
         let (code, _) = get(addr, "/debug/capture");
         assert_eq!(code, 405);
-        assert_eq!(captures.load(Ordering::SeqCst), 1);
+        assert_eq!(rig.plane.incidents().len(), 1);
+
+        let (code, body) = get(addr, "/debug/incidents");
+        assert_eq!(code, 200);
+        assert!(body.contains(r#""seq":1"#), "{body}");
     }
 
     #[test]
     fn query_endpoints_receive_the_query_string() {
-        let registry = MetricsRegistry::new();
-        let state = test_state(&registry, true)
-            .with_query(|q| format!(r#"{{"echo":"{q}"}}"#))
-            .with_range(|q| format!(r#"{{"range":"{q}"}}"#));
-        let handle = OpsServer::bind("127.0.0.1:0", state).expect("bind ephemeral");
+        let (rig, handle) = serve("query");
+        rig.plane.tick();
+        rig.step(1_000);
         let addr = handle.local_addr();
 
         let (code, body) = get(addr, "/query?metric=stage.total&fn=p99");
         assert_eq!(code, 200);
-        assert_eq!(body, r#"{"echo":"metric=stage.total&fn=p99"}"#);
+        assert!(body.contains(r#""fn":"quantile_over_time""#), "{body}");
+        assert!(body.contains(r#""value":1023.0000"#), "{body}");
 
-        let (code, body) = get(addr, "/range?metric=bus.published");
+        let (code, body) = get(addr, "/range?metric=stage.total&res=raw");
         assert_eq!(code, 200);
-        assert_eq!(body, r#"{"range":"metric=bus.published"}"#);
+        assert!(body.contains(r#""resolution":"raw""#), "{body}");
+        assert!(body.contains(r#""count":100"#), "{body}");
 
-        // No query string at all still reaches the closure.
+        // No query string at all still reaches the query layer, which
+        // answers with its own error document.
         let (code, body) = get(addr, "/query");
         assert_eq!(code, 200);
-        assert_eq!(body, r#"{"echo":""}"#);
-    }
-
-    #[test]
-    fn query_endpoints_unwired_answer_404() {
-        let registry = MetricsRegistry::new();
-        let handle =
-            OpsServer::bind("127.0.0.1:0", test_state(&registry, true)).expect("bind ephemeral");
-        let (code, body) = get(handle.local_addr(), "/query?metric=x");
-        assert_eq!(code, 404);
-        assert!(body.contains("no chronicle configured"), "{body}");
-        let (code, _) = get(handle.local_addr(), "/range");
-        assert_eq!(code, 404);
+        assert!(body.contains("missing required param: metric"), "{body}");
     }
 
     #[test]
     fn non_get_is_rejected() {
-        let registry = MetricsRegistry::new();
-        let handle =
-            OpsServer::bind("127.0.0.1:0", test_state(&registry, true)).expect("bind ephemeral");
-        let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
-        write!(stream, "POST /metrics HTTP/1.0\r\n\r\n").expect("write");
-        let mut response = String::new();
-        stream.read_to_string(&mut response).expect("read");
-        assert!(response.starts_with("HTTP/1.0 405"), "{response}");
+        let (_rig, handle) = serve("post");
+        let (code, _) = http(handle.local_addr(), "POST", "/metrics");
+        assert_eq!(code, 405);
     }
 
     #[test]
     fn oversized_request_head_is_rejected() {
-        let registry = MetricsRegistry::new();
-        let handle =
-            OpsServer::bind("127.0.0.1:0", test_state(&registry, true)).expect("bind ephemeral");
+        let (_rig, handle) = serve("oversized");
         let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
         // A header that never terminates, larger than the bound. The
         // server answers 400 and closes mid-upload, so the client may
@@ -596,15 +447,13 @@ mod tests {
 
     #[test]
     fn drop_shuts_down_and_joins() {
-        let registry = MetricsRegistry::new();
-        let handle =
-            OpsServer::bind("127.0.0.1:0", test_state(&registry, true)).expect("bind ephemeral");
-        let addr = handle.local_addr();
-        let (code, _) = get(addr, "/health");
+        let (rig, handle) = serve("drop");
+        let (code, _) = get(handle.local_addr(), "/health");
         assert_eq!(code, 200);
         drop(handle); // must not hang
-                      // A fresh server can bind and serve again immediately.
-        let handle = OpsServer::bind("127.0.0.1:0", test_state(&registry, true)).expect("rebind");
+        assert_eq!(Arc::strong_count(&rig.plane), 1, "every worker joined");
+        // A fresh server can bind and serve again immediately.
+        let handle = OpsServer::bind("127.0.0.1:0", rig.plane.clone()).expect("rebind");
         let (code, _) = get(handle.local_addr(), "/health");
         assert_eq!(code, 200);
     }

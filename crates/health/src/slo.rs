@@ -1,9 +1,9 @@
 //! Declarative SLOs evaluated as multi-window error-budget burn rates.
 //!
-//! The engine consumes periodic [`TelemetrySnapshot`]s (the sampler
-//! thread takes one per tick), diffs each snapshot against the
-//! previous one, and classifies the *new* observations in the window as
-//! good or bad per objective:
+//! The engine consumes one [`SnapshotDelta`] per tick (the plane
+//! subtracts the previous snapshot once, for every consumer) and
+//! classifies the *new* observations in it as good or bad per
+//! objective:
 //!
 //! - a **latency** objective (`detail_request p99 < 200µs`) counts an
 //!   observation bad when its log₂ bucket's upper bound exceeds the
@@ -23,10 +23,10 @@
 
 use std::collections::VecDeque;
 
-use css_telemetry::{HistogramSnapshot, TelemetrySnapshot};
+use css_telemetry::JsonBuf;
 use css_types::Timestamp;
 
-use css_telemetry::JsonBuf;
+use crate::delta::SnapshotDelta;
 
 /// Samples in the fast (paging) window.
 pub const FAST_WINDOW: usize = 5;
@@ -186,65 +186,47 @@ impl SloWindow {
     }
 }
 
-/// The burn-rate engine: feed it snapshots, read the alert table.
-#[derive(Default)]
-pub struct SloEngine {
+/// The burn-rate engine: feed it tick deltas, read the alert table.
+pub(crate) struct SloEngine {
     windows: Vec<SloWindow>,
-    prev: Option<TelemetrySnapshot>,
     ticks: u64,
     last_sample_at: Timestamp,
 }
 
 impl SloEngine {
-    /// An engine with no objectives.
-    pub fn new() -> Self {
-        Self::default()
+    /// An engine over `slos` (report order = the given order).
+    pub(crate) fn new(slos: Vec<Slo>) -> Self {
+        SloEngine {
+            windows: slos
+                .into_iter()
+                .map(|slo| SloWindow {
+                    slo,
+                    ticks: VecDeque::with_capacity(SLOW_WINDOW),
+                })
+                .collect(),
+            ticks: 0,
+            last_sample_at: Timestamp::default(),
+        }
     }
 
-    /// Register an objective (report order = registration order).
-    pub fn register(&mut self, slo: Slo) {
-        self.windows.push(SloWindow {
-            slo,
-            ticks: VecDeque::with_capacity(SLOW_WINDOW),
-        });
-    }
-
-    /// Objectives registered.
-    pub fn len(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// Whether no objectives are registered.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
-    }
-
-    /// Snapshots consumed so far.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-
-    /// Consume one snapshot taken at platform time `at`: diff it
-    /// against the previous one and push each SLO's `(bad, total)`
-    /// delta into its window. The first snapshot only establishes the
-    /// baseline.
-    pub fn tick(&mut self, snapshot: &TelemetrySnapshot, at: Timestamp) {
+    /// Consume one tick taken at platform time `at`: push each SLO's
+    /// `(bad, total)` of the new observations into its window. The
+    /// first tick has no previous snapshot to subtract (`None`) and
+    /// only establishes the baseline.
+    pub(crate) fn tick(&mut self, delta: Option<&SnapshotDelta>, at: Timestamp) {
         self.ticks += 1;
         self.last_sample_at = at;
-        if let Some(prev) = &self.prev {
-            for w in &mut self.windows {
-                let sample = eval_delta(&w.slo.objective, prev, snapshot);
-                if w.ticks.len() == SLOW_WINDOW {
-                    w.ticks.pop_front();
-                }
-                w.ticks.push_back(sample);
+        let Some(delta) = delta else { return };
+        for w in &mut self.windows {
+            if w.ticks.len() == SLOW_WINDOW {
+                w.ticks.pop_front();
             }
+            w.ticks.push_back(bad_and_total(&w.slo.objective, delta));
         }
-        self.prev = Some(snapshot.clone());
     }
 
     /// The evaluated burn-rate table, in registration order.
-    pub fn table(&self) -> Vec<SloStatus> {
+    pub(crate) fn table(&self) -> Vec<SloStatus> {
         self.windows
             .iter()
             .map(|w| {
@@ -276,7 +258,7 @@ impl SloEngine {
     }
 
     /// The JSON document served on `GET /slo`.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut j = JsonBuf::new();
         j.begin_object();
         j.key("ticks").u64(self.ticks);
@@ -303,71 +285,59 @@ impl SloEngine {
     }
 }
 
-/// The `(bad, total)` of observations that arrived between two
-/// snapshots, per the objective.
-fn eval_delta(
-    objective: &SloObjective,
-    prev: &TelemetrySnapshot,
-    cur: &TelemetrySnapshot,
-) -> (u64, u64) {
+/// The `(bad, total)` of the observations one tick added, per the
+/// objective. A latency bucket counts as over when its upper bound
+/// exceeds the threshold — the histogram's own upper-bound quantile
+/// convention, so `p99 < t` and `burn(t) < 1` agree.
+fn bad_and_total(objective: &SloObjective, delta: &SnapshotDelta) -> (u64, u64) {
     match objective {
         SloObjective::LatencyP99 {
             histogram,
             threshold_ns,
         } => {
-            let empty = HistogramSnapshot::default();
-            let a = prev.histogram(histogram).unwrap_or(&empty);
-            let b = cur.histogram(histogram).unwrap_or(&empty);
-            histogram_delta_over(a, b, *threshold_ns)
+            let Some(h) = delta.histograms.get(histogram) else {
+                return (0, 0);
+            };
+            let over = h.buckets.iter().filter(|(bound, _)| bound > threshold_ns);
+            (
+                over.map(|(_, n)| n).sum(),
+                h.buckets.iter().map(|(_, n)| n).sum(),
+            )
         }
         SloObjective::ErrorRatio { errors, attempts } => {
-            let bad = cur.counter(errors).saturating_sub(prev.counter(errors));
-            let total: u64 = attempts
-                .iter()
-                .map(|c| cur.counter(c).saturating_sub(prev.counter(c)))
-                .sum();
-            (bad.min(total), total)
+            let total: u64 = attempts.iter().map(|c| delta.counter(c)).sum();
+            (delta.counter(errors).min(total), total)
         }
     }
-}
-
-/// New observations between two cumulative histogram snapshots, split
-/// into (over threshold, all). A bucket counts as over when its upper
-/// bound exceeds the threshold — the histogram's own upper-bound
-/// quantile convention, so `p99 < t` and `burn(t) < 1` agree.
-fn histogram_delta_over(
-    prev: &HistogramSnapshot,
-    cur: &HistogramSnapshot,
-    threshold_ns: u64,
-) -> (u64, u64) {
-    let mut bad = 0u64;
-    let mut total = 0u64;
-    for (bound, n) in &cur.buckets {
-        let before = prev
-            .buckets
-            .iter()
-            .find(|(b, _)| b == bound)
-            .map(|(_, n)| *n)
-            .unwrap_or(0);
-        let delta = n.saturating_sub(before);
-        total += delta;
-        if *bound > threshold_ns {
-            bad += delta;
-        }
-    }
-    (bad, total)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use css_telemetry::MetricsRegistry;
+    use css_telemetry::{MetricsRegistry, TelemetrySnapshot};
 
-    fn engine_with(slo: Slo) -> (MetricsRegistry, SloEngine) {
-        let reg = MetricsRegistry::new();
-        let mut engine = SloEngine::new();
-        engine.register(slo);
-        (reg, engine)
+    /// An engine fed the way the plane feeds it: one delta per tick
+    /// against the previous snapshot, none on the first.
+    struct Fed {
+        engine: SloEngine,
+        prev: Option<TelemetrySnapshot>,
+    }
+
+    impl Fed {
+        fn tick(&mut self, cur: &TelemetrySnapshot, at: Timestamp) {
+            let delta = self.prev.as_ref().map(|p| SnapshotDelta::between(p, cur));
+            self.engine.tick(delta.as_ref(), at);
+            self.prev = Some(cur.clone());
+        }
+
+        fn table(&self) -> Vec<SloStatus> {
+            self.engine.table()
+        }
+    }
+
+    fn engine_with(slo: Slo) -> (MetricsRegistry, Fed) {
+        let engine = SloEngine::new(vec![slo]);
+        (MetricsRegistry::new(), Fed { engine, prev: None })
     }
 
     #[test]
@@ -477,14 +447,14 @@ mod tests {
             engine.tick(&reg.snapshot(), Timestamp(i));
         }
         assert_eq!(engine.table()[0].samples, SLOW_WINDOW);
-        assert_eq!(engine.ticks(), SLOW_WINDOW as u64 + 20);
+        assert_eq!(engine.engine.ticks, SLOW_WINDOW as u64 + 20);
     }
 
     #[test]
     fn json_renders_the_table() {
         let (reg, mut engine) = engine_with(Slo::latency_p99("lat", "stage.total", 200_000));
         engine.tick(&reg.snapshot(), Timestamp(42));
-        let json = engine.to_json();
+        let json = engine.engine.to_json();
         assert!(
             json.starts_with("{\"ticks\":1,\"last_sample_at_ms\":42,"),
             "{json}"

@@ -75,16 +75,10 @@ pub struct DetailConfinement;
 /// Types that hold unfiltered detail payloads at rest.
 const CONFINED_TYPES: &[&str] = &["DetailMessage", "DetailStore"];
 /// Crates that must never name them outside tests. The ops plane
-/// (`css-health`) is confined too: an exposition endpoint that could
-/// name a detail payload could leak it to any scraper.
-const CONFINED_CRATES: &[&str] = &[
-    "css-controller",
-    "css-bus",
-    "css-registry",
-    "css-health",
-    "css-blackbox",
-    "css-chronicle",
-];
+/// (`css-health`) is confined too: an exposition endpoint, an incident
+/// bundle or a history ring that could name a detail payload could
+/// leak it to any scraper.
+const CONFINED_CRATES: &[&str] = &["css-controller", "css-bus", "css-registry", "css-health"];
 
 impl Rule for DetailConfinement {
     fn id(&self) -> &'static str {
@@ -753,8 +747,6 @@ const LAYERS: &[(&str, u8)] = &[
     ("css-gateway", 3),
     ("css-monitor", 3),
     ("css-health", 3),
-    ("css-blackbox", 3),
-    ("css-chronicle", 3),
     ("css-controller", 4),
     ("css-core", 5),
     ("css-sim", 6),

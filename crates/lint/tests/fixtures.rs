@@ -69,8 +69,10 @@ fn detail_confinement_covers_bus_driver_impls() {
     assert!(outside.is_empty(), "fired outside boundary: {outside:#?}");
 }
 
-/// The ops plane is confined: were css-health able to name a detail
-/// payload, any of its HTTP endpoints could leak it to a scraper.
+/// The ops plane is confined: its HTTP endpoints serve state to any
+/// scraper, its incident bundles are written to disk, and its history
+/// rings outlive any single request — so css-health must be
+/// structurally unable to name a detail payload.
 #[test]
 fn detail_confinement_covers_the_ops_plane() {
     let hits = fire(
@@ -80,44 +82,9 @@ fn detail_confinement_covers_the_ops_plane() {
     );
     assert_eq!(hits.len(), 2, "DetailMessage + DetailStore: {hits:#?}");
     assert!(hits.iter().all(|f| f.severity == Severity::Error));
-}
-
-/// The flight recorder is confined too: its bundles are written to
-/// disk and served over HTTP, so css-blackbox must be structurally
-/// unable to name a detail payload.
-#[test]
-fn detail_confinement_covers_the_flight_recorder() {
-    let hits = fire(
-        "css-blackbox",
-        "detail_confinement/fire.rs",
-        "detail-confinement",
-    );
-    assert_eq!(hits.len(), 2, "DetailMessage + DetailStore: {hits:#?}");
-    assert!(hits.iter().all(|f| f.severity == Severity::Error));
 
     let clean = fire(
-        "css-blackbox",
-        "detail_confinement/clean.rs",
-        "detail-confinement",
-    );
-    assert!(clean.is_empty(), "clean fixture fired: {clean:#?}");
-}
-
-/// The history store is confined as well: its ring buffers outlive any
-/// single request and are served over `/query`, so css-chronicle must
-/// be structurally unable to name a detail payload.
-#[test]
-fn detail_confinement_covers_the_chronicle() {
-    let hits = fire(
-        "css-chronicle",
-        "detail_confinement/fire.rs",
-        "detail-confinement",
-    );
-    assert_eq!(hits.len(), 2, "DetailMessage + DetailStore: {hits:#?}");
-    assert!(hits.iter().all(|f| f.severity == Severity::Error));
-
-    let clean = fire(
-        "css-chronicle",
+        "css-health",
         "detail_confinement/clean.rs",
         "detail-confinement",
     );
@@ -125,33 +92,11 @@ fn detail_confinement_covers_the_chronicle() {
 }
 
 #[test]
-fn detail_confinement_chronicle_waiver_moves_finding_to_waived() {
-    let src = fixture("detail_confinement/chronicle_waived.rs");
+fn detail_confinement_ops_plane_waiver_moves_finding_to_waived() {
+    let src = fixture("detail_confinement/health_waived.rs");
     let all = lint_file_source(
-        "css-chronicle",
-        "detail_confinement/chronicle_waived.rs",
-        FileRole::Production,
-        &src,
-    );
-    let (waived, active): (Vec<_>, Vec<_>) = all.into_iter().partition(|f| f.is_waived());
-    assert!(
-        active.iter().all(|f| f.rule != "detail-confinement"),
-        "{active:#?}"
-    );
-    assert_eq!(waived.len(), 1, "{waived:#?}");
-    assert!(waived[0]
-        .waive_reason
-        .as_deref()
-        .unwrap_or("")
-        .contains("negative assertion"));
-}
-
-#[test]
-fn detail_confinement_blackbox_waiver_moves_finding_to_waived() {
-    let src = fixture("detail_confinement/blackbox_waived.rs");
-    let all = lint_file_source(
-        "css-blackbox",
-        "detail_confinement/blackbox_waived.rs",
+        "css-health",
+        "detail_confinement/health_waived.rs",
         FileRole::Production,
         &src,
     );
@@ -352,14 +297,14 @@ fn layering_fires_on_upward_dep_and_clean_passes() {
     );
 }
 
-/// css-blackbox sits on layer 3 beside css-health: a production dep on
-/// health must fire, while the lower-layer-only manifest (with health
-/// as a dev-dependency) must pass.
+/// css-monitor sits on layer 3 beside css-health: a production dep on
+/// a same-layer sibling must fire, while the lower-layer-only manifest
+/// (with the sibling as a dev-dependency) must pass.
 #[test]
-fn layering_constrains_the_blackbox_crate() {
+fn layering_constrains_same_layer_siblings() {
     let base = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/layering");
 
-    let report = lint_workspace(&base.join("blackbox_fire")).expect("lint blackbox_fire");
+    let report = lint_workspace(&base.join("sibling_fire")).expect("lint sibling_fire");
     let hits: Vec<_> = report
         .findings
         .iter()
@@ -367,34 +312,9 @@ fn layering_constrains_the_blackbox_crate() {
         .collect();
     assert_eq!(hits.len(), 1, "{:#?}", report.findings);
     assert!(hits[0].message.contains("css-health"), "{hits:#?}");
-    assert!(hits[0].file.contains("blackbox"), "{hits:#?}");
+    assert!(hits[0].file.contains("monitor"), "{hits:#?}");
 
-    let report = lint_workspace(&base.join("blackbox_clean")).expect("lint blackbox_clean");
-    assert!(
-        report.findings.iter().all(|f| f.rule != "layering"),
-        "dev-dep on css-health must not fire: {:#?}",
-        report.findings
-    );
-}
-
-/// css-chronicle joins layer 3 beside css-health and css-blackbox: a
-/// production dep on health must fire, while the lower-layer-only
-/// manifest (with health as a dev-dependency) must pass.
-#[test]
-fn layering_constrains_the_chronicle_crate() {
-    let base = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/layering");
-
-    let report = lint_workspace(&base.join("chronicle_fire")).expect("lint chronicle_fire");
-    let hits: Vec<_> = report
-        .findings
-        .iter()
-        .filter(|f| f.rule == "layering")
-        .collect();
-    assert_eq!(hits.len(), 1, "{:#?}", report.findings);
-    assert!(hits[0].message.contains("css-health"), "{hits:#?}");
-    assert!(hits[0].file.contains("chronicle"), "{hits:#?}");
-
-    let report = lint_workspace(&base.join("chronicle_clean")).expect("lint chronicle_clean");
+    let report = lint_workspace(&base.join("sibling_clean")).expect("lint sibling_clean");
     assert!(
         report.findings.iter().all(|f| f.rule != "layering"),
         "dev-dep on css-health must not fire: {:#?}",

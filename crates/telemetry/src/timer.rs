@@ -1,7 +1,7 @@
 //! Multi-stage pipeline timing.
 
 use crate::MetricsRegistry;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Splits one pass through a pipeline into per-stage histograms.
 ///
@@ -79,11 +79,6 @@ impl<'a> StageTimer<'a> {
         self.last = now;
     }
 
-    /// Time since `start`, across all stages so far.
-    pub fn elapsed_total(&self) -> Duration {
-        self.started.elapsed()
-    }
-
     /// Record the whole pass into `"{prefix}.total"` and consume the
     /// timer. A timer dropped without `finish` (early return, `?`,
     /// panic unwind) records the open stage into `"{prefix}.partial"`
@@ -134,6 +129,7 @@ impl Drop for StageTimer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn stages_record_into_prefixed_histograms() {

@@ -3,6 +3,8 @@
 
 use std::collections::BTreeMap;
 
+use css_telemetry::JsonBuf;
+
 use crate::id::{SpanId, TraceId};
 use crate::span::Span;
 
@@ -126,62 +128,35 @@ pub fn render_chrome_trace(spans: &[Span]) -> String {
         })
     });
 
-    let mut out = String::from("{\"traceEvents\":[");
-    for (i, (ts_ns, kind, _, span)) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let tid = lanes[&span.trace];
-        let ts = format!("{}.{:03}", ts_ns / 1_000, ts_ns % 1_000);
-        match kind {
-            Kind::Begin => {
-                out.push_str(&format!(
-                    "{{\"name\":{},\"cat\":\"css\",\"ph\":\"B\",\"ts\":{ts},\"pid\":1,\"tid\":{tid},\"args\":{{",
-                    json_string(span.name)
-                ));
-                out.push_str(&format!(
-                    "\"trace\":{}",
-                    json_string(&span.trace.to_string())
-                ));
-                out.push_str(&format!(",\"status\":{}", json_string(span.status.code())));
-                for attr in &span.attrs {
-                    out.push_str(&format!(
-                        ",{}:{}",
-                        json_string(attr.key()),
-                        json_string(&attr.render_value())
-                    ));
-                }
-                out.push_str("}}");
+    let mut j = JsonBuf::new();
+    j.begin_object().key("traceEvents").begin_array();
+    for (ts_ns, kind, _, span) in &events {
+        j.begin_object();
+        j.key("name").string(span.name);
+        j.key("cat").string("css");
+        j.key("ph").string(match kind {
+            Kind::Begin => "B",
+            Kind::End => "E",
+        });
+        // Microseconds with the nanoseconds as three decimals: not a
+        // float the writer could format, so spelled out and embedded.
+        j.key("ts")
+            .raw(&format!("{}.{:03}", ts_ns / 1_000, ts_ns % 1_000));
+        j.key("pid").u64(1);
+        j.key("tid").u64(lanes[&span.trace] as u64);
+        if let Kind::Begin = kind {
+            j.key("args").begin_object();
+            j.key("trace").string(&span.trace.to_string());
+            j.key("status").string(span.status.code());
+            for attr in &span.attrs {
+                j.key(attr.key()).string(&attr.render_value());
             }
-            Kind::End => {
-                out.push_str(&format!(
-                    "{{\"name\":{},\"cat\":\"css\",\"ph\":\"E\",\"ts\":{ts},\"pid\":1,\"tid\":{tid}}}",
-                    json_string(span.name)
-                ));
-            }
+            j.end_object();
         }
+        j.end_object();
     }
-    out.push_str("]}");
-    out
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    j.end_array().end_object();
+    j.finish()
 }
 
 fn group_by_trace(spans: &[Span]) -> Vec<(TraceId, Vec<&Span>)> {
@@ -311,9 +286,54 @@ mod tests {
         assert!(json.contains("\"tid\":2"));
     }
 
+    /// Bytes pinned from the writer this module had before it went
+    /// through `JsonBuf`: escapes in names and attribute values, every
+    /// attribute kind, a denied status, a zero-width span, two lanes.
     #[test]
-    fn json_string_escapes_specials() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+    fn chrome_trace_bytes_are_pinned() {
+        use css_types::{ActorId, EventTypeId, Purpose};
+        let mut root = span(
+            0x2a00000001,
+            1,
+            None,
+            "detail \"request\"\n",
+            1_234,
+            905_678,
+        );
+        root.attrs.push(SpanAttr::event(GlobalEventId(9)));
+        root.attrs
+            .push(SpanAttr::event_type(&EventTypeId::v1("blood-test")));
+        root.attrs.push(SpanAttr::actor(ActorId(7)));
+        root.attrs
+            .push(SpanAttr::purpose(&Purpose::HealthcareTreatment));
+        let mut pdp = span(
+            0x2a00000001,
+            2,
+            Some(1),
+            "pep.pdp_evaluate",
+            10_000,
+            905_678,
+        );
+        pdp.status = SpanStatus::Denied;
+        pdp.attrs.push(SpanAttr::decision(false));
+        pdp.attrs.push(SpanAttr::cache_hit(true));
+        pdp.attrs.push(SpanAttr::stage("tab\tbed\\"));
+        let other = span(0x2a00000002, 3, None, "publish\u{1}", 5_000, 5_000);
+        assert_eq!(
+            render_chrome_trace(&[pdp, root, other]),
+            concat!(
+                r#"{"traceEvents":[{"name":"detail \"request\"\n","cat":"css","ph":"B","ts":1.234,"pid":1,"tid":1,"#,
+                r#""args":{"trace":"0000002a00000001","status":"ok","event":"9","event_type":"blood-test@v1","#,
+                r#""actor":"7","purpose":"healthcare-treatment"}},"#,
+                r#"{"name":"publish\u0001","cat":"css","ph":"E","ts":5.000,"pid":1,"tid":2},"#,
+                r#"{"name":"publish\u0001","cat":"css","ph":"B","ts":5.000,"pid":1,"tid":2,"#,
+                r#""args":{"trace":"0000002a00000002","status":"ok"}},"#,
+                r#"{"name":"pep.pdp_evaluate","cat":"css","ph":"B","ts":10.000,"pid":1,"tid":1,"#,
+                r#""args":{"trace":"0000002a00000001","status":"denied","decision":"deny","cache_hit":"true","#,
+                r#""stage":"tab\tbed\\"}},"#,
+                r#"{"name":"pep.pdp_evaluate","cat":"css","ph":"E","ts":905.678,"pid":1,"tid":1},"#,
+                r#"{"name":"detail \"request\"\n","cat":"css","ph":"E","ts":905.678,"pid":1,"tid":1}]}"#,
+            )
+        );
     }
 }

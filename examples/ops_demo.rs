@@ -22,9 +22,7 @@ fn main() -> CssResult<()> {
         .tracing(1024)
         .ops_server(addr)
         .ops_sample_interval(Duration::from_millis(250))
-        .ops_monitor(monitor.clone())
-        .chronicle(css::core::Retention::default())
-        .blackbox(512);
+        .ops_monitor(monitor.clone());
     // CSS_OPS_INCIDENT_DIR redirects incident bundles (the obs.sh smoke
     // captures one and greps it for identifier leaks); unset, they land
     // under target/incidents/.
@@ -64,7 +62,7 @@ fn main() -> CssResult<()> {
     let consumer = platform.consumer(doctor)?;
     let sub = consumer.subscribe(&ty)?;
 
-    let ops = platform.ops_handle().expect("ops server enabled");
+    let ops = platform.ops().expect("ops server enabled");
     println!("ops plane listening at http://{}", ops.local_addr());
     println!("  curl http://{}/metrics", ops.local_addr());
     println!("  curl http://{}/health", ops.local_addr());

@@ -6,8 +6,7 @@
 # Usage: scripts/bench.sh [--ratchet] [bench ...]
 #   (default benches: e4_detail_request e9_encrypted_index
 #    e11_policy_scaling e15_mixed_workload e16_trace_overhead
-#    e17_ops_overhead e18_consumer_groups e19_shard_scaling
-#    e21_blackbox_overhead e22_chronicle_overhead)
+#    e17_ops_overhead e18_consumer_groups e19_shard_scaling)
 #
 # --ratchet: before overwriting each BENCH_<name>.json, keep the
 #   committed copy and compare fresh ns_per_iter per benchmark id
@@ -38,7 +37,7 @@ if [ "${1:-}" = "--ratchet" ]; then
 fi
 BENCHES=("$@")
 if [ ${#BENCHES[@]} -eq 0 ]; then
-  BENCHES=(e4_detail_request e9_encrypted_index e11_policy_scaling e15_mixed_workload e16_trace_overhead e17_ops_overhead e18_consumer_groups e19_shard_scaling e21_blackbox_overhead e22_chronicle_overhead)
+  BENCHES=(e4_detail_request e9_encrypted_index e11_policy_scaling e15_mixed_workload e16_trace_overhead e17_ops_overhead e18_consumer_groups e19_shard_scaling)
 fi
 : "${CSS_BENCH_MS:=50}"
 export CSS_BENCH_MS

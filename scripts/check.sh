@@ -18,8 +18,6 @@ step() {
 step "cargo fmt --check" cargo fmt --all --check
 step "cargo clippy (deny warnings)" cargo clippy --workspace --all-targets -- -D warnings
 step "css-lint: privacy-invariant pass (waiver budget + size ratchet vs lint-baseline.json)" scripts/lint.sh
-step "tracing: unit suite" cargo test -q -p css-trace
-step "tracing: end-to-end suite" cargo test -q --test trace_integration
 step "tier-1: release build" cargo build --release
 step "tier-1: tests (whole workspace; one red test hides no suite after it)" \
   cargo test -q --workspace --no-fail-fast

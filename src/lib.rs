@@ -8,7 +8,6 @@
 //! ```
 
 pub use css_audit as audit;
-pub use css_blackbox as blackbox;
 pub use css_bus as bus;
 pub use css_controller as controller;
 pub use css_core as core;

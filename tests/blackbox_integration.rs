@@ -1,5 +1,5 @@
 //! The flight recorder end to end: boot a platform with
-//! `.blackbox(..)`, drive a traced detail request through a slowed
+//! `.ops_server(..)`, drive a traced detail request through a slowed
 //! storage backend so a real exemplar lands in a slow histogram
 //! bucket, then force the `detail_request_p99` SLO critical and prove
 //! the recorder freezes an incident bundle to disk — whose exemplar
@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use css::audit::{AuditAction, AuditQuery};
-use css::core::{BackendProvider, CssPlatform, CssPlatformBuilder};
+use css::core::{BackendProvider, CssPlatform, CssPlatformBuilder, Trigger};
 use css::prelude::*;
 use css::storage::{LogBackend, MemBackend};
 use css::trace::TraceId;
@@ -160,11 +160,10 @@ fn blackbox_platform(
         .tracing(1024)
         .ops_server("127.0.0.1:0")
         .ops_sample_interval(Duration::from_millis(10))
-        .blackbox(512)
         .incident_dir(dir.clone())
         .build()
         .expect("boot platform");
-    let addr = platform.ops_handle().expect("ops enabled").local_addr();
+    let addr = platform.ops().expect("ops enabled").local_addr();
 
     let hospital = platform.register_organization("Hospital").unwrap();
     let doctor = platform.register_organization("Doctor").unwrap();
@@ -364,9 +363,11 @@ fn debug_endpoints_serve_exemplars_incidents_and_manual_capture() {
 fn capture_incident_api_writes_the_bundle_it_returns() {
     let (platform, _addr, _dir, _doctor, _n) =
         blackbox_platform("api", Arc::new(AtomicBool::new(false)));
+    let reason = "operator request".to_string();
     let outcome = platform
-        .capture_incident("operator request")
-        .expect("recorder configured");
+        .ops()
+        .expect("ops enabled")
+        .capture(Trigger::Manual { reason });
     assert!(
         outcome.json.contains(r#""kind":"manual""#),
         "{}",
@@ -380,19 +381,5 @@ fn capture_incident_api_writes_the_bundle_it_returns() {
     let path = outcome.path.as_ref().expect("bundle written to disk");
     let on_disk = std::fs::read_to_string(path).expect("read bundle file");
     assert_eq!(on_disk, outcome.json, "disk bundle differs from returned");
-    assert_no_leak("capture_incident bundle", &outcome.json);
-}
-
-#[test]
-fn platform_without_blackbox_serves_404_for_capture() {
-    let platform = CssPlatformBuilder::new()
-        .ops_server("127.0.0.1:0")
-        .build()
-        .expect("boot platform");
-    let addr = platform.ops_handle().expect("ops enabled").local_addr();
-    assert!(platform.blackbox().is_none());
-    assert!(platform.capture_incident("noop").is_none());
-    let (code, body) = http(addr, "POST", "/debug/capture");
-    assert_eq!(code, 404, "{body}");
-    assert!(body.contains("no flight recorder"), "{body}");
+    assert_no_leak("in-process capture bundle", &outcome.json);
 }

@@ -1,5 +1,5 @@
 //! The metrics chronicle end to end: boot a platform with
-//! `.chronicle(..)` on a simulated clock, drive a two-minute latency
+//! `.ops_server(..)` on a simulated clock, drive a two-minute latency
 //! degradation through the sampler, and prove the history answers for
 //! it — `quantile_over_time(stage.total, p99)` shows the regression
 //! over HTTP at raw *and* one-minute resolution, the anomaly detector
@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant};
 
-use css::core::{CssPlatform, CssPlatformBuilder, MemoryProvider, Retention};
+use css::core::{CssPlatform, CssPlatformBuilder, MemoryProvider};
 use css::prelude::*;
 
 /// A payload value that must never appear in any query answer.
@@ -106,12 +106,10 @@ fn chronicle_platform(tag: &str) -> (CssPlatform<MemoryProvider>, SocketAddr, Pa
         .tracing(1024)
         .ops_server("127.0.0.1:0")
         .ops_sample_interval(StdDuration::from_millis(2))
-        .chronicle(Retention::default())
-        .blackbox(512)
         .incident_dir(dir.clone())
         .build()
         .expect("boot platform");
-    let addr = platform.ops_handle().expect("ops enabled").local_addr();
+    let addr = platform.ops().expect("ops enabled").local_addr();
 
     let hospital = platform.register_organization("Hospital").unwrap();
     let doctor = platform.register_organization("Doctor").unwrap();
@@ -332,18 +330,17 @@ fn two_minute_degradation_is_queryable_and_captured() {
         "history carries the raw window: {bundle}"
     );
 
-    // The platform-side accessors agree with the HTTP view.
-    let chronicle = platform.chronicle().expect("chronicle enabled");
+    // The platform-side accessor agrees with the HTTP view.
+    let ops = platform.ops().expect("ops enabled");
     assert!(
-        chronicle
-            .quantile_over_time(
-                "stage.total",
-                0.99,
-                css::core::Resolution::Minute,
-                degraded_from,
-                degraded_to,
-            )
-            .expect("degraded window retained")
+        ops.quantile_over_time(
+            "stage.total",
+            0.99,
+            css::core::Resolution::Minute,
+            degraded_from,
+            degraded_to,
+        )
+        .expect("degraded window retained")
             >= DEGRADED_NS
     );
 
@@ -356,20 +353,10 @@ fn two_minute_degradation_is_queryable_and_captured() {
     assert!(range.contains(r#""p99_ns":"#), "{range}");
 }
 
-/// `/query` and `/range` answer 404 without a chronicle, and with one
-/// they list retained metrics on a bad request instead of guessing.
+/// `/query` and `/range` list the retained metrics on a bad request
+/// instead of guessing.
 #[test]
 fn query_endpoints_degrade_gracefully() {
-    let platform = CssPlatformBuilder::new()
-        .ops_server("127.0.0.1:0")
-        .build()
-        .expect("boot platform");
-    let addr = platform.ops_handle().expect("ops enabled").local_addr();
-    assert!(platform.chronicle().is_none());
-    let (code, body) = get(addr, "/query?metric=stage.total");
-    assert_eq!(code, 404, "{body}");
-    assert!(body.contains("no chronicle configured"), "{body}");
-
     let (platform, addr, _dir, clock) = chronicle_platform("graceful");
     step(&platform, addr, &clock, HEALTHY_NS);
     let (code, body) = get(addr, "/query?metric=no.such.metric");

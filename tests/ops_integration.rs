@@ -8,7 +8,7 @@
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -211,6 +211,14 @@ fn json_u64(body: &str, key: &str) -> u64 {
 /// publish → deliver → detail request, so every subsystem has traffic.
 fn ops_platform(fail: Arc<AtomicBool>) -> (CssPlatform<FaultableProvider>, SocketAddr) {
     let monitor = Arc::new(parking_lot::Mutex::new(ProcessMonitor::new()));
+    // Every ops plane writes a bundle on an edge (the forced p99
+    // regression below is one): keep them out of `target/incidents`.
+    static BOOTS: AtomicUsize = AtomicUsize::new(0);
+    let incident_dir = std::env::temp_dir().join(format!(
+        "css-ops-int-{}-{}",
+        std::process::id(),
+        BOOTS.fetch_add(1, Ordering::SeqCst)
+    ));
     let mut platform = CssPlatformBuilder::new()
         .provider(FaultableProvider { fail })
         .tracing(256)
@@ -222,9 +230,10 @@ fn ops_platform(fail: Arc<AtomicBool>) -> (CssPlatform<FaultableProvider>, Socke
             200_000,
         ))
         .ops_monitor(monitor)
+        .incident_dir(incident_dir)
         .build()
         .expect("boot platform");
-    let addr = platform.ops_handle().expect("ops enabled").local_addr();
+    let addr = platform.ops().expect("ops enabled").local_addr();
 
     let hospital = platform.register_organization("Hospital").unwrap();
     let doctor = platform.register_organization("Doctor").unwrap();
@@ -386,6 +395,31 @@ fn traces_and_monitor_endpoints_serve_aggregates() {
     assert_eq!(code, 200);
     assert!(body.contains(r#""total":"#), "{body}");
     assert!(body.contains(r#""completion_rate":"#), "{body}");
+}
+
+/// `.ops_server()` alone is the whole plane: the history answers and a
+/// manual capture freezes a bundle without any further builder option.
+#[test]
+fn ops_server_alone_serves_history_and_capture() {
+    let (platform, addr) = ops_platform(Arc::new(AtomicBool::new(false)));
+    let (code, body) = get(addr, "/query?metric=no.such.metric");
+    assert_eq!(code, 200, "{body}");
+    assert!(body.contains(r#""error":"unknown metric"#), "{body}");
+    let (code, body) = get(addr, "/range?metric=no.such.metric");
+    assert_eq!(code, 200, "{body}");
+
+    let mut stream = TcpStream::connect(addr).expect("connect ops server");
+    write!(stream, "POST /debug/capture HTTP/1.0\r\n\r\n").expect("send request");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read response");
+    assert!(response.starts_with("HTTP/1.0 200"), "{response}");
+    assert!(
+        response.contains(r#""schema":"css-blackbox/1""#),
+        "{response}"
+    );
+    let ops = platform.ops().expect("ops enabled");
+    assert_eq!(ops.incidents().len(), 1);
+    assert!(!ops.anomaly_status().anomalous);
 }
 
 /// The trust argument of the ops plane: every endpoint serves
