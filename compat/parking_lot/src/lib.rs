@@ -157,7 +157,9 @@ impl Condvar {
 /// API takes `&mut`. Bridging needs a take-and-put-back, which is done
 /// with a panic-on-unwind bomb avoided by `f` never panicking in
 /// practice (waits don't run user code).
-// The workspace denies unsafe_code; this is the one audited exception —
+// The workspace denies unsafe_code; this is one of its two audited
+// exceptions (the other is css-crypto's call into its SHA-NI body,
+// `compress_blocks_hardware` in sha256.rs) —
 // the guard move-out/move-in below is sound because `f` cannot panic
 // (Condvar waits run no user code) and the Bomb aborts if it somehow does.
 #[allow(unsafe_code)]

@@ -12,7 +12,7 @@
 //! shard lock; audit shard locks are taken last, with no other guard
 //! held. Cross-shard operations hold one shard lock at a time.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::{RwLock, RwLockReadGuard};
@@ -23,7 +23,7 @@ use css_event::{EventSchema, NotificationMessage};
 use css_policy::{DetailRequest, PolicyDecisionPoint, PrivacyPolicy};
 use css_registry::EventCatalog;
 use css_storage::LogBackend;
-use css_telemetry::{MetricsRegistry, StageTimer};
+use css_telemetry::{Counter, MetricsRegistry, StageTimer};
 use css_trace::{SpanAttr, SpanStatus, TraceContext, Tracer};
 use css_types::{
     Actor, ActorId, ActorRegistry, Clock, CssError, CssResult, DenyReason, EventTypeId,
@@ -104,6 +104,44 @@ impl ControllerConfig {
     }
 }
 
+/// Counters of the request paths, resolved once at
+/// [`DataController::open`] like the bus's and the index plane's
+/// instruments: a request increments them without consulting the
+/// registry.
+pub(crate) struct RequestCounters {
+    /// `controller.published` — publishes routed, indexed and audited.
+    published: Counter,
+    /// `controller.publish_denied` — publishes the consent gate refused.
+    publish_denied: Counter,
+    /// `controller.publish_deduped` — producer retries the bus dropped.
+    publish_deduped: Counter,
+    /// `controller.detail_requests` — Algorithm 1 invocations.
+    pub(crate) detail_requests: Counter,
+    /// `controller.detail_denies` — requests that released nothing.
+    pub(crate) detail_denies: Counter,
+    /// `controller.detail_permits` — requests that released details.
+    pub(crate) detail_permits: Counter,
+    /// `pdp.cache_hit` — decisions answered from the decision cache.
+    pub(crate) pdp_cache_hit: Counter,
+    /// `pdp.cache_miss` — decisions that evaluated the policy set.
+    pub(crate) pdp_cache_miss: Counter,
+}
+
+impl RequestCounters {
+    fn resolve(registry: &MetricsRegistry) -> Self {
+        RequestCounters {
+            published: registry.counter("controller.published"),
+            publish_denied: registry.counter("controller.publish_denied"),
+            publish_deduped: registry.counter("controller.publish_deduped"),
+            detail_requests: registry.counter("controller.detail_requests"),
+            detail_denies: registry.counter("controller.detail_denies"),
+            detail_permits: registry.counter("controller.detail_permits"),
+            pdp_cache_hit: registry.counter("pdp.cache_hit"),
+            pdp_cache_miss: registry.counter("pdp.cache_miss"),
+        }
+    }
+}
+
 /// Outcome of a successful publish.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PublishReceipt {
@@ -128,11 +166,14 @@ pub struct DataController<B: LogBackend> {
     consent: RwLock<ConsentRegistry>,
     audit: AuditShards<B>,
     gateways: RwLock<HashMap<ActorId, Arc<dyn GatewayClient>>>,
-    /// consumer org per live subscription, for routing bookkeeping.
-    subscribers: RwLock<HashMap<SubscriptionId, (ActorId, EventTypeId)>>,
+    /// The live subscriptions of each event class, consumers ascending:
+    /// a publish reads the receivers of its own class, already in the
+    /// order the receipt and the Delivery records want.
+    subscribers: RwLock<HashMap<EventTypeId, Vec<(SubscriptionId, ActorId)>>>,
     clock: Arc<dyn Clock>,
     subscription_config: SubscriptionConfig,
     telemetry: MetricsRegistry,
+    counters: RequestCounters,
     tracer: Tracer,
     eid_gen: IdGenerator,
     policy_gen: IdGenerator,
@@ -183,6 +224,7 @@ impl<B: LogBackend> DataController<B> {
             subscribers: RwLock::new(HashMap::new()),
             clock: config.clock,
             subscription_config: config.subscription,
+            counters: RequestCounters::resolve(&config.telemetry),
             telemetry: config.telemetry,
             tracer: config.tracer,
             eid_gen: IdGenerator::starting_at(next_eid),
@@ -432,9 +474,12 @@ impl<B: LogBackend> DataController<B> {
                 .subscribe_group(&topic, g, self.subscription_config)?,
             None => self.bus.subscribe(&topic, self.subscription_config)?,
         };
-        self.subscribers
-            .write()
-            .insert(handle.id(), (consumer, event_type.clone()));
+        {
+            let mut subscribers = self.subscribers.write();
+            let of_class = subscribers.entry(event_type.clone()).or_default();
+            let at = of_class.partition_point(|(_, actor)| *actor <= consumer);
+            of_class.insert(at, (handle.id(), consumer));
+        }
         self.audit.append(
             AuditRecord::new(now, consumer, AuditAction::Subscribe).event_type(event_type.clone()),
         )?;
@@ -443,7 +488,10 @@ impl<B: LogBackend> DataController<B> {
 
     /// Remove a subscription (consumer-initiated).
     pub fn unsubscribe(&self, handle: SubscriberHandle<NotificationMessage>) -> CssResult<()> {
-        self.subscribers.write().remove(&handle.id());
+        self.subscribers.write().retain(|_, of_class| {
+            of_class.retain(|(id, _)| *id != handle.id());
+            !of_class.is_empty()
+        });
         handle.unsubscribe()
     }
 
@@ -503,7 +551,7 @@ impl<B: LogBackend> DataController<B> {
         if !self.consent.read().allows(person.id, producer, &event_type) {
             timer.stage("consent_gate");
             span.set_status(SpanStatus::Denied);
-            self.telemetry.counter("controller.publish_denied").inc();
+            self.counters.publish_denied.inc();
             self.audit.append(
                 AuditRecord::new(now, producer, AuditAction::Publish)
                     .event_type(event_type.clone())
@@ -540,25 +588,29 @@ impl<B: LogBackend> DataController<B> {
             timer.stage("route");
             span.set_status(SpanStatus::Error);
             span.finish();
-            self.telemetry.counter("controller.publish_deduped").inc();
+            self.counters.publish_deduped.inc();
             return Err(CssError::AlreadyExists(format!(
                 "source event {src_event_id} of {producer} was already published"
             )));
         }
         timer.stage("route");
-        let notified: HashSet<ActorId> = self
+        // Ascending (the class list is kept so), for the receipt and
+        // for the Delivery records: the bytes of the audit log must not
+        // depend on a hash seed. A consumer holding several
+        // subscriptions to the class is one receiver.
+        let mut receivers: Vec<ActorId> = self
             .subscribers
             .read()
-            .values()
-            .filter(|(_, ty)| *ty == event_type)
-            .map(|(actor, _)| *actor)
-            .collect();
-        // Ascending, for the receipt and for the Delivery records: the
-        // bytes of the audit log must not depend on a hash seed.
-        let mut receivers: Vec<ActorId> = notified.iter().copied().collect();
-        receivers.sort();
+            .get(&event_type)
+            .map(|of_class| of_class.iter().map(|(_, actor)| *actor).collect())
+            .unwrap_or_default();
+        receivers.dedup();
         let index_span = ctx.child("index.insert");
-        self.index.insert(&notification, src_event_id, notified)?;
+        self.index.insert(
+            &notification,
+            src_event_id,
+            receivers.iter().copied().collect(),
+        )?;
         index_span.finish();
         timer.stage("index");
         // One group commit for the Publish record and the per-consumer
@@ -586,7 +638,7 @@ impl<B: LogBackend> DataController<B> {
         timer.stage("audit");
         timer.finish();
         span.finish();
-        self.telemetry.counter("controller.published").inc();
+        self.counters.published.inc();
         Ok(PublishReceipt {
             global_id,
             notified: receivers,
@@ -739,6 +791,7 @@ impl<B: LogBackend> DataController<B> {
             audit: &self.audit,
             gateways: &self.gateways,
             telemetry: &self.telemetry,
+            counters: &self.counters,
             trace: span.context(),
             now,
         };

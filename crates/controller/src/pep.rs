@@ -37,6 +37,7 @@ use css_trace::{SpanAttr, SpanStatus, TraceContext};
 use css_types::{ActorId, ActorRegistry, CssError, CssResult, DenyReason, Timestamp};
 
 use crate::consent::ConsentRegistry;
+use crate::controller::RequestCounters;
 use crate::gateway_client::GatewayClient;
 use crate::shards::IndexShards;
 
@@ -54,8 +55,10 @@ pub struct PolicyEnforcementPoint<'a, B: LogBackend> {
     pub audit: &'a AuditShards<B>,
     /// Producer gateways, keyed by producer organization.
     pub gateways: &'a RwLock<HashMap<ActorId, Arc<dyn GatewayClient>>>,
-    /// Per-stage latency histograms (`stage.*`) and request counters.
+    /// Per-stage latency histograms (`stage.*`).
     pub telemetry: &'a MetricsRegistry,
+    /// Request and decision-cache counters, resolved by the controller.
+    pub(crate) counters: &'a RequestCounters,
     /// Causal trace of the enclosing detail request; each Algorithm 1
     /// stage becomes a child span, and the trace id is stamped into the
     /// audit record. Disabled context when tracing is off.
@@ -73,8 +76,8 @@ impl<'a, B: LogBackend> PolicyEnforcementPoint<'a, B> {
     /// timer's drop guard, `stage.partial` and `stage.total`), a
     /// permitted one records all six and `stage.total`.
     pub fn get_event_details(&self, request: &DetailRequest) -> CssResult<PrivacyAwareEvent> {
-        self.telemetry.counter("controller.detail_requests").inc();
-        let denies = self.telemetry.counter("controller.detail_denies");
+        self.counters.detail_requests.inc();
+        let denies = &self.counters.detail_denies;
         let mut timer = StageTimer::start(self.telemetry, "stage");
         let trace_id = self.trace.trace_id();
         if let Some(t) = trace_id {
@@ -176,9 +179,9 @@ impl<'a, B: LogBackend> PolicyEnforcementPoint<'a, B> {
             Decision::Permit { .. }
         )));
         if cache_hit {
-            self.telemetry.counter("pdp.cache_hit").inc();
+            self.counters.pdp_cache_hit.inc();
         } else {
-            self.telemetry.counter("pdp.cache_miss").inc();
+            self.counters.pdp_cache_miss.inc();
         }
         match decision {
             Decision::Deny(reason) => {
@@ -253,7 +256,7 @@ impl<'a, B: LogBackend> PolicyEnforcementPoint<'a, B> {
                         .with_detail(format!("matched: {matched}")),
                 )?;
                 timer.finish();
-                self.telemetry.counter("controller.detail_permits").inc();
+                self.counters.detail_permits.inc();
                 Ok(response)
             }
         }

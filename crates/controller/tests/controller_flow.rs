@@ -612,3 +612,73 @@ fn multiple_subscribers_fan_out() {
     assert!(doc_resp.allowed_fields.contains("Result"));
     assert!(!welfare_resp.allowed_fields.contains("Result"));
 }
+
+#[test]
+fn publish_notifies_the_receivers_of_its_class_ascending_and_once() {
+    let mut w = setup();
+    let blood_test = EventTypeId::v1("blood-test");
+    let discharge = EventTypeId::v1("discharge");
+    w.controller
+        .declare_event_class(
+            &EventSchema::new(discharge.clone(), "Discharge", HOSPITAL)
+                .field(FieldDef::required("PatientId", FieldKind::Integer)),
+            None,
+        )
+        .unwrap();
+    for (consumer, class) in [
+        (DOCTOR, &blood_test),
+        (WELFARE, &blood_test),
+        (DOCTOR, &discharge),
+    ] {
+        let policy = PrivacyPolicy::new(
+            w.controller.next_policy_id(),
+            HOSPITAL,
+            consumer,
+            class.clone(),
+            [Purpose::HealthcareTreatment],
+            ["PatientId".to_string()],
+        );
+        w.controller.define_policy(policy).unwrap();
+    }
+    // Subscribed out of actor order, one consumer twice, and one
+    // subscription to another class.
+    let _welfare = w.controller.subscribe(WELFARE, &blood_test).unwrap();
+    let doctor = w.controller.subscribe(DOCTOR, &blood_test).unwrap();
+    let doctor_workers = w
+        .controller
+        .subscribe_grouped(DOCTOR, &blood_test, "workers")
+        .unwrap();
+    let _other_class = w.controller.subscribe(DOCTOR, &discharge).unwrap();
+
+    let mut src = 0;
+    let mut notified = |w: &mut World, class: &EventTypeId| {
+        src += 1;
+        w.controller
+            .publish(
+                HOSPITAL,
+                mario(),
+                "event".into(),
+                class.clone(),
+                w.clock.now(),
+                SourceEventId(src),
+                None,
+            )
+            .unwrap()
+            .notified
+    };
+    assert_eq!(notified(&mut w, &blood_test), [DOCTOR, WELFARE]);
+    assert_eq!(notified(&mut w, &discharge), [DOCTOR]);
+    // One of a consumer's two subscriptions going away leaves it a
+    // receiver; the last one going away removes it.
+    w.controller.unsubscribe(doctor).unwrap();
+    assert_eq!(notified(&mut w, &blood_test), [DOCTOR, WELFARE]);
+    w.controller.unsubscribe(doctor_workers).unwrap();
+    assert_eq!(notified(&mut w, &blood_test), [WELFARE]);
+    // The Delivery records follow the receipts: 2 + 1 + 2 + 1.
+    assert_eq!(
+        w.controller
+            .audit_query(&AuditQuery::new().action(AuditAction::Delivery))
+            .len(),
+        6
+    );
+}

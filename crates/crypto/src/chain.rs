@@ -1,9 +1,11 @@
 //! Tamper-evident hash chains for the audit log.
 //!
 //! Every audit record is chained to its predecessor:
-//! `h_i = SHA-256(h_{i-1} || seq_i || payload_i)`. An auditor holding
-//! the latest head can detect any modification, insertion, deletion or
-//! reordering of past records by re-deriving the chain.
+//! `h_i = SHA-256(h_{i-1} || seq_i || len(payload_i) || payload_i)`,
+//! `seq_i` and the byte length each a little-endian `u64`, and `h_{-1}`
+//! the digest of a fixed genesis label. An auditor holding the latest
+//! head can detect any modification, insertion, deletion or reordering
+//! of past records by re-deriving the chain.
 
 use std::fmt;
 

@@ -76,7 +76,7 @@ pub fn verify_mac(expected: &[u8; 32], actual: &[u8; 32]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sha256::to_hex;
+    use crate::sha256::{bodies, to_hex};
 
     /// RFC 4231 test cases 1, 2, 3, 4, 6 and 7 (key, data, HMAC-SHA-256).
     fn rfc4231() -> Vec<(Vec<u8>, Vec<u8>, &'static str)> {
@@ -122,6 +122,37 @@ mod tests {
         for (key, data, expected) in rfc4231() {
             assert_eq!(to_hex(&HmacKey::new(&key).mac(&data)), expected);
             assert_eq!(to_hex(&hmac_sha256(&key, &data)), expected);
+        }
+    }
+
+    /// RFC 2104 written out over one body of the compression function:
+    /// `H((K ^ opad) || H((K ^ ipad) || text))`.
+    fn hmac_through(body: bodies::Body, key: &[u8], message: &[u8]) -> [u8; 32] {
+        let mut key_block = [0u8; BLOCK];
+        if key.len() > BLOCK {
+            key_block[..32].copy_from_slice(&bodies::digest(body, key));
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let inner = [&key_block.map(|b| b ^ 0x36)[..], message].concat();
+        let outer = [
+            &key_block.map(|b| b ^ 0x5c)[..],
+            &bodies::digest(body, &inner),
+        ]
+        .concat();
+        bodies::digest(body, &outer)
+    }
+
+    #[test]
+    fn rfc4231_vectors_through_each_body() {
+        for (name, body) in bodies::each() {
+            for (key, data, expected) in rfc4231() {
+                assert_eq!(
+                    to_hex(&hmac_through(body, &key, &data)),
+                    expected,
+                    "{name} body"
+                );
+            }
         }
     }
 

@@ -454,8 +454,8 @@ mod tests {
             let before = reads();
             gw.get_response(SourceEventId(src), &allowed(&["PatientId"]), None)
                 .unwrap();
-            // One record: its header, then its payload.
-            assert_eq!(reads() - before, 2, "src {src}");
+            // One record, header and payload in one read.
+            assert_eq!(reads() - before, 1, "src {src}");
         }
         let before = reads();
         assert!(gw

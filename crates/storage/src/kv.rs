@@ -16,10 +16,30 @@ use css_types::{CssError, CssResult};
 const OP_PUT: u8 = 1;
 const OP_DELETE: u8 = 2;
 
+/// Where a live key's latest record sits and how long its payload
+/// is: with the length known, a `get` is one backend read (header and
+/// payload together) instead of a header read that learns it first.
+#[derive(Clone, Copy)]
+struct Slot {
+    ptr: RecordPtr,
+    payload_len: u32,
+}
+
+impl Slot {
+    /// The slot of `payload` stored at `ptr`. Record lengths are `u32`
+    /// on disk, so the cast keeps what the frame header holds.
+    fn of(ptr: RecordPtr, payload: &[u8]) -> Self {
+        Slot {
+            ptr,
+            payload_len: payload.len() as u32,
+        }
+    }
+}
+
 /// Keyed store with log-structured persistence.
 pub struct KvStore<B: LogBackend> {
     log: RecordLog<B>,
-    index: HashMap<Vec<u8>, RecordPtr>,
+    index: HashMap<Vec<u8>, Slot>,
     /// Records (live + dead) appended since the store was opened or
     /// compacted; drives the compaction heuristic.
     dead_records: usize,
@@ -40,7 +60,7 @@ impl<B: LogBackend> KvStore<B> {
             let (op, key, _) = decode(&payload)?;
             match op {
                 OP_PUT => {
-                    if index.insert(key, *ptr).is_some() {
+                    if index.insert(key, Slot::of(*ptr, &payload)).is_some() {
                         dead += 1;
                     }
                 }
@@ -71,7 +91,8 @@ impl<B: LogBackend> KvStore<B> {
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> CssResult<()> {
         let record = encode(OP_PUT, key, value);
         let ptr = self.log.append(&record)?;
-        if self.index.insert(key.to_vec(), ptr).is_some() {
+        let slot = Slot::of(ptr, &record);
+        if self.index.insert(key.to_vec(), slot).is_some() {
             self.dead_records += 1;
         } else {
             self.live_records += 1;
@@ -95,8 +116,9 @@ impl<B: LogBackend> KvStore<B> {
             .collect();
         let refs: Vec<&[u8]> = records.iter().map(Vec::as_slice).collect();
         let ptrs = self.log.append_batch(&refs)?;
-        for ((key, _), ptr) in pairs.iter().zip(ptrs) {
-            if self.index.insert(key.to_vec(), ptr).is_some() {
+        for (((key, _), ptr), record) in pairs.iter().zip(ptrs).zip(&records) {
+            let slot = Slot::of(ptr, record);
+            if self.index.insert(key.to_vec(), slot).is_some() {
                 self.dead_records += 1;
             } else {
                 self.live_records += 1;
@@ -109,8 +131,8 @@ impl<B: LogBackend> KvStore<B> {
     pub fn get(&self, key: &[u8]) -> CssResult<Option<Vec<u8>>> {
         match self.index.get(key) {
             None => Ok(None),
-            Some(ptr) => {
-                let payload = self.log.read(*ptr)?;
+            Some(slot) => {
+                let payload = self.log.read_sized(slot.ptr, slot.payload_len as usize)?;
                 let (_, _, value) = decode(&payload)?;
                 Ok(Some(value))
             }
@@ -175,10 +197,10 @@ impl<B: LogBackend> KvStore<B> {
     pub fn compact_into(self, backend: B) -> CssResult<Self> {
         let mut fresh = RecordLog::new(backend);
         let mut new_index = HashMap::with_capacity(self.index.len());
-        for (key, ptr) in &self.index {
-            let payload = self.log.read(*ptr)?;
+        for (key, slot) in &self.index {
+            let payload = self.log.read_sized(slot.ptr, slot.payload_len as usize)?;
             let new_ptr = fresh.append(&payload)?;
-            new_index.insert(key.clone(), new_ptr);
+            new_index.insert(key.clone(), Slot::of(new_ptr, &payload));
         }
         fresh.sync()?;
         let live = new_index.len();
@@ -241,6 +263,50 @@ mod tests {
         assert!(!kv.delete(b"k1").unwrap());
         assert_eq!(kv.get(b"k1").unwrap(), None);
         assert_eq!(kv.len(), 1);
+    }
+
+    #[test]
+    fn get_is_one_backend_read_however_the_key_was_written() {
+        let registry = css_telemetry::MetricsRegistry::new();
+        let reads = || {
+            registry
+                .snapshot()
+                .histogram("storage.read")
+                .map_or(0, |h| h.count)
+        };
+        let open = |backend| {
+            KvStore::open(crate::InstrumentedBackend::new(backend, &registry))
+                .unwrap()
+                .0
+        };
+        let mut kv = open(MemBackend::new());
+        kv.put(b"put", b"one").unwrap();
+        kv.put_batch(&[(b"batch-a", b"two"), (b"batch-b", b"")])
+            .unwrap();
+        kv.put(b"put", b"one, replaced by a longer value").unwrap();
+        let expect = |kv: &KvStore<_>| {
+            for (key, value) in [
+                (&b"put"[..], &b"one, replaced by a longer value"[..]),
+                (b"batch-a", b"two"),
+                (b"batch-b", b""),
+            ] {
+                let before = reads();
+                assert_eq!(kv.get(key).unwrap().unwrap(), value);
+                assert_eq!(reads() - before, 1);
+            }
+        };
+        expect(&kv);
+        // The lengths are rebuilt by replay and carried by compaction.
+        let replayed = open(kv.log.into_backend().into_inner());
+        expect(&replayed);
+        expect(
+            &replayed
+                .compact_into(crate::InstrumentedBackend::new(
+                    MemBackend::new(),
+                    &registry,
+                ))
+                .unwrap(),
+        );
     }
 
     #[test]

@@ -147,16 +147,40 @@ impl<B: LogBackend> RecordLog<B> {
         Ok(offsets.into_iter().map(|o| RecordPtr(base + o)).collect())
     }
 
-    /// Read the record at `ptr`, verifying its checksum.
+    /// Read the record at `ptr`, verifying its checksum: one backend
+    /// read for the header, to learn the length, then
+    /// [`RecordLog::read_sized`].
     pub fn read(&self, ptr: RecordPtr) -> CssResult<Vec<u8>> {
-        let total = self.backend.len();
-        let (len, stored_crc) = Self::read_header(&self.backend, ptr.0, total)
+        let (len, _) = Self::read_header(&self.backend, ptr.0, self.backend.len())
             .map_err(|_| CssError::Storage(format!("invalid record pointer {ptr:?}")))?;
-        let payload = self.backend.read_at(ptr.0 + HEADER_LEN as u64, len)?;
-        if crc32(&payload) != stored_crc {
+        self.read_sized(ptr, len)
+    }
+
+    /// Read the record at `ptr` whose payload the caller knows to be
+    /// `payload_len` bytes, with **one** backend read: header and
+    /// payload come back in one buffer, and magic, length field and
+    /// checksum are all checked from it. A pointer or length that does
+    /// not match what is stored is a `Storage` error, never a short or
+    /// foreign payload.
+    pub(crate) fn read_sized(&self, ptr: RecordPtr, payload_len: usize) -> CssResult<Vec<u8>> {
+        let invalid = || CssError::Storage(format!("invalid record pointer {ptr:?}"));
+        let mut frame = self
+            .backend
+            .read_at(ptr.0, HEADER_LEN + payload_len)
+            .map_err(|_| invalid())?;
+        if frame.len() != HEADER_LEN + payload_len || frame[0] != MAGIC {
+            return Err(invalid());
+        }
+        let stored_len = crate::le_u32(&frame[1..5]).ok_or_else(invalid)? as usize;
+        let stored_crc = crate::le_u32(&frame[5..9]).ok_or_else(invalid)?;
+        if stored_len != payload_len {
+            return Err(invalid());
+        }
+        frame.drain(..HEADER_LEN);
+        if crc32(&frame) != stored_crc {
             return Err(CssError::Storage(format!("checksum mismatch at {ptr:?}")));
         }
-        Ok(payload)
+        Ok(frame)
     }
 
     /// Flush to stable storage.
@@ -288,6 +312,36 @@ mod tests {
         log.append(b"data").unwrap();
         assert!(log.read(RecordPtr(3)).is_err());
         assert!(log.read(RecordPtr(1_000)).is_err());
+    }
+
+    #[test]
+    fn read_sized_checks_everything_from_the_one_buffer() {
+        let mut log = RecordLog::new(MemBackend::new());
+        let a = log.append(b"first").unwrap();
+        let b = log.append(b"second!").unwrap();
+        assert_eq!(log.read_sized(a, 5).unwrap(), b"first");
+        assert_eq!(log.read_sized(b, 7).unwrap(), b"second!");
+        // A length that disagrees with the header: shorter, longer but
+        // in range, past the end of the log.
+        for wrong in [4, 6, 70] {
+            assert!(matches!(
+                log.read_sized(a, wrong),
+                Err(CssError::Storage(_))
+            ));
+        }
+        // A pointer that is not a record start.
+        assert!(matches!(
+            log.read_sized(RecordPtr(a.0 + 1), 5),
+            Err(CssError::Storage(_))
+        ));
+        // A flipped payload byte under a right pointer and length.
+        let mut bytes = log.into_backend().read_at(0, 9 + 5 + 9 + 7).unwrap();
+        bytes[9] ^= 0x01;
+        let mut tampered = MemBackend::new();
+        tampered.append(&bytes).unwrap();
+        let log = RecordLog::new(tampered);
+        assert!(matches!(log.read_sized(a, 5), Err(CssError::Storage(_))));
+        assert_eq!(log.read_sized(b, 7).unwrap(), b"second!");
     }
 
     #[test]

@@ -3,14 +3,16 @@
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// A shared, named collection of instruments.
 ///
 /// Cloning is cheap and shares state, so one registry can thread
-/// through every subsystem of a platform instance. The internal mutex
-/// guards only the name → handle maps: components resolve their
-/// handles once (get-or-create) and then record lock-free.
+/// through every subsystem of a platform instance. The internal locks
+/// guard only the name → handle maps: components resolve their
+/// handles once (get-or-create) and then record lock-free. A lookup
+/// that finds its name takes the read side and allocates nothing; only
+/// the first use of a name takes the write side and copies the name.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     inner: Arc<Inner>,
@@ -18,9 +20,27 @@ pub struct MetricsRegistry {
 
 #[derive(Debug, Default)]
 struct Inner {
-    counters: Mutex<BTreeMap<String, Counter>>,
-    gauges: Mutex<BTreeMap<String, Gauge>>,
-    histograms: Mutex<BTreeMap<String, Histogram>>,
+    counters: RwLock<BTreeMap<String, Counter>>,
+    gauges: RwLock<BTreeMap<String, Gauge>>,
+    histograms: RwLock<BTreeMap<String, Histogram>>,
+}
+
+/// The handle registered under `name`, created on first use.
+///
+/// The name-map locks recover from poisoning
+/// (`PoisonError::into_inner`): the maps hold only name → handle
+/// entries, and an insert that panicked mid-way leaves the map
+/// valid — so observability keeps working even after a panic
+/// elsewhere took a registry lock down with it.
+fn get_or_create<T: Clone + Default>(map: &RwLock<BTreeMap<String, T>>, name: &str) -> T {
+    if let Some(handle) = map.read().unwrap_or_else(PoisonError::into_inner).get(name) {
+        return handle.clone();
+    }
+    map.write()
+        .unwrap_or_else(PoisonError::into_inner)
+        .entry(name.to_string())
+        .or_default()
+        .clone()
 }
 
 impl MetricsRegistry {
@@ -30,39 +50,18 @@ impl MetricsRegistry {
     }
 
     /// Get or create the counter registered under `name`.
-    ///
-    /// The name-map locks recover from poisoning
-    /// (`PoisonError::into_inner`): the maps hold only name → handle
-    /// entries, and an insert that panicked mid-way leaves the map
-    /// valid — so observability keeps working even after a panic
-    /// elsewhere took a registry lock down with it.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self
-            .inner
-            .counters
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        map.entry(name.to_string()).or_default().clone()
+        get_or_create(&self.inner.counters, name)
     }
 
     /// Get or create the gauge registered under `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self
-            .inner
-            .gauges
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        map.entry(name.to_string()).or_default().clone()
+        get_or_create(&self.inner.gauges, name)
     }
 
     /// Get or create the histogram registered under `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut map = self
-            .inner
-            .histograms
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        map.entry(name.to_string()).or_default().clone()
+        get_or_create(&self.inner.histograms, name)
     }
 
     /// Freeze every instrument into plain data.
@@ -70,7 +69,7 @@ impl MetricsRegistry {
         let counters = self
             .inner
             .counters
-            .lock()
+            .read()
             .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(name, c)| (name.clone(), c.get()))
@@ -78,7 +77,7 @@ impl MetricsRegistry {
         let gauges = self
             .inner
             .gauges
-            .lock()
+            .read()
             .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(name, g)| (name.clone(), g.get()))
@@ -86,7 +85,7 @@ impl MetricsRegistry {
         let histograms = self
             .inner
             .histograms
-            .lock()
+            .read()
             .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(name, h)| (name.clone(), h.snapshot()))
@@ -274,14 +273,14 @@ mod tests {
         // held (a handle resolution is in flight when the panic hits).
         let clone = reg.clone();
         std::thread::spawn(move || {
-            let _counters = clone.inner.counters.lock().unwrap();
-            let _gauges = clone.inner.gauges.lock().unwrap();
-            let _histograms = clone.inner.histograms.lock().unwrap();
+            let _counters = clone.inner.counters.write().unwrap();
+            let _gauges = clone.inner.gauges.write().unwrap();
+            let _histograms = clone.inner.histograms.write().unwrap();
             panic!("poison the telemetry locks");
         })
         .join()
         .unwrap_err();
-        assert!(reg.inner.counters.lock().is_err(), "lock must be poisoned");
+        assert!(reg.inner.counters.read().is_err(), "lock must be poisoned");
 
         // Every operation still works.
         reg.counter("before.poison").inc();

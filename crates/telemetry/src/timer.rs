@@ -1,6 +1,6 @@
 //! Multi-stage pipeline timing.
 
-use crate::MetricsRegistry;
+use crate::{Histogram, MetricsRegistry};
 use std::time::Instant;
 
 /// Splits one pass through a pipeline into per-stage histograms.
@@ -31,20 +31,33 @@ use std::time::Instant;
 #[derive(Debug)]
 pub struct StageTimer<'a> {
     registry: &'a MetricsRegistry,
-    prefix: &'a str,
+    /// `"{prefix}."` followed by the stage being looked up: written
+    /// once at `start`, truncated back and re-filled per boundary, so a
+    /// pass formats no name and allocates once.
+    name: String,
+    prefix_len: usize,
     started: Instant,
     last: Instant,
     finished: bool,
     exemplar: Option<(u64, u64)>,
 }
 
+/// Capacity reserved past the prefix so the usual stage names
+/// (`obligation_filter` is the longest in the tree) never regrow the
+/// buffer; a longer name still works, it just reallocates.
+const STAGE_NAME_ROOM: usize = 24;
+
 impl<'a> StageTimer<'a> {
     /// Start timing; the first `stage` call measures from here.
-    pub fn start(registry: &'a MetricsRegistry, prefix: &'a str) -> Self {
+    pub fn start(registry: &'a MetricsRegistry, prefix: &str) -> Self {
+        let mut name = String::with_capacity(prefix.len() + 1 + STAGE_NAME_ROOM);
+        name.push_str(prefix);
+        name.push('.');
         let now = Instant::now();
         StageTimer {
             registry,
-            prefix,
+            prefix_len: name.len(),
+            name,
             started: now,
             last: now,
             finished: false,
@@ -63,11 +76,18 @@ impl<'a> StageTimer<'a> {
         }
     }
 
+    /// The histogram `"{prefix}.{stage}"`.
+    fn histogram(&mut self, stage: &str) -> Histogram {
+        self.name.truncate(self.prefix_len);
+        self.name.push_str(stage);
+        self.registry.histogram(&self.name)
+    }
+
     /// Close the current stage: record the time since the previous
     /// boundary into `"{prefix}.{stage}"` and start the next stage.
     pub fn stage(&mut self, stage: &str) {
         let now = Instant::now();
-        let histogram = self.registry.histogram(&format!("{}.{stage}", self.prefix));
+        let histogram = self.histogram(stage);
         match self.exemplar {
             Some((trace_id, at_ms)) => histogram.record_duration_with_exemplar(
                 now.duration_since(self.last),
@@ -85,7 +105,7 @@ impl<'a> StageTimer<'a> {
     /// and still contributes to `"{prefix}.total"`.
     pub fn finish(mut self) {
         self.finished = true;
-        let histogram = self.registry.histogram(&format!("{}.total", self.prefix));
+        let histogram = self.histogram("total");
         match self.exemplar {
             Some((trace_id, at_ms)) => {
                 histogram.record_duration_with_exemplar(self.started.elapsed(), trace_id, at_ms)
@@ -101,10 +121,7 @@ impl Drop for StageTimer<'_> {
             return;
         }
         let now = Instant::now();
-        let (partial, total) = (
-            self.registry.histogram(&format!("{}.partial", self.prefix)),
-            self.registry.histogram(&format!("{}.total", self.prefix)),
-        );
+        let (partial, total) = (self.histogram("partial"), self.histogram("total"));
         match self.exemplar {
             Some((trace_id, at_ms)) => {
                 partial.record_duration_with_exemplar(
