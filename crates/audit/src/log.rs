@@ -11,7 +11,7 @@ use std::sync::Arc;
 use css_crypto::HashChain;
 use css_storage::{split_records, LogBackend, RecordLog};
 use css_types::{CssError, CssResult, PersonId};
-use css_xml::StreamSink;
+use css_xml::{Reader, StreamSink};
 
 use crate::query::AuditQuery;
 use crate::record::AuditRecord;
@@ -57,10 +57,9 @@ impl<B: LogBackend> ShardLog<B> {
         };
         for ptr in &outcome.records {
             let payload = log.storage.read(*ptr)?;
-            let text = String::from_utf8(payload.clone())
+            let text = std::str::from_utf8(&payload)
                 .map_err(|e| CssError::Serialization(format!("audit record not UTF-8: {e}")))?;
-            let doc = css_xml::parse(&text).map_err(|e| CssError::Serialization(e.to_string()))?;
-            let record = AuditRecord::from_xml(&doc)?;
+            let record = AuditRecord::decode(&mut Reader::new(text))?;
             if let Some(prev) = log.records.last() {
                 if record.seq <= prev.seq {
                     return Err(CssError::Storage(format!(

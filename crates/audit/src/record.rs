@@ -5,7 +5,7 @@ use css_types::{
     ActorId, CssError, CssResult, EventTypeId, GlobalEventId, PersonId, Purpose, RequestId,
     Timestamp,
 };
-use css_xml::{Element, TreeSink, XmlSink};
+use css_xml::{Element, TreeSink, TreeSource, XmlSink, XmlSource};
 
 /// The kind of action an audit record describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -225,16 +225,47 @@ impl AuditRecord {
         TreeSink::build(|tree| self.encode(tree))
     }
 
-    /// Parse from the XML persistence form.
+    /// Parse from the XML persistence form: the decoder fed from the
+    /// tree.
     pub fn from_xml(e: &Element) -> CssResult<Self> {
+        Self::decode(&mut TreeSource::new(e))
+    }
+
+    /// The one decoder: read the record off `src`, to the end of the
+    /// document. Log replay feeds it the stored text.
+    pub fn decode<'a>(src: &mut impl XmlSource<'a>) -> CssResult<Self> {
         let bad = |msg: String| CssError::Serialization(format!("AuditRecord: {msg}"));
-        if e.name != "AuditRecord" {
-            return Err(bad(format!("wrong root <{}>", e.name)));
+        let root = src.root()?;
+        if root != "AuditRecord" {
+            return Err(bad(format!("wrong root <{root}>")));
         }
-        let req = |attr: &str| {
-            e.attribute(attr)
-                .ok_or_else(|| bad(format!("missing {attr}")))
-        };
+        let (attrs, mut token) = src.attributes([
+            "seq",
+            "at",
+            "actor",
+            "action",
+            "event",
+            "eventType",
+            "person",
+            "purpose",
+            "request",
+            "trace",
+            "outcome",
+            "reason",
+        ])?;
+        let mut detail = None;
+        while let Some(child) = src.child(token)? {
+            match child {
+                "Detail" if detail.is_none() => {
+                    detail = Some(src.text_content()?.into_owned());
+                }
+                _ => src.skip_element()?,
+            }
+            token = src.next()?;
+        }
+        src.finish()?;
+        let opt = |attr: &str| attrs.get(attr);
+        let req = |attr: &str| opt(attr).ok_or_else(|| bad(format!("missing {attr}")));
         let seq: u64 = req("seq")?
             .parse()
             .map_err(|x| bad(format!("bad seq: {x}")))?;
@@ -247,8 +278,7 @@ impl AuditRecord {
             .parse()
             .map_err(|x| bad(format!("bad actor: {x}")))?;
         let action = AuditAction::from_code(req("action")?)
-            .ok_or_else(|| bad(format!("unknown action {:?}", e.attribute("action"))))?;
-        let opt = |attr: &str| e.attribute(attr);
+            .ok_or_else(|| bad(format!("unknown action {:?}", opt("action"))))?;
         let event = opt("event")
             .map(|s| s.parse::<GlobalEventId>())
             .transpose()
@@ -275,7 +305,6 @@ impl AuditRecord {
             "denied" => AuditOutcome::Denied(opt("reason").unwrap_or("").to_string()),
             other => return Err(bad(format!("unknown outcome {other:?}"))),
         };
-        let detail = e.child_text("Detail").unwrap_or_default();
         Ok(AuditRecord {
             seq,
             at,
@@ -288,7 +317,7 @@ impl AuditRecord {
             request,
             trace,
             outcome,
-            detail,
+            detail: detail.unwrap_or_default(),
         })
     }
 }

@@ -813,11 +813,7 @@ impl<B: LogBackend> DataController<B> {
     /// them, regardless of consumer policies — the right of access that
     /// underpins the PHR use the paper projects. Audited.
     pub fn subject_profile(&self, person: PersonId) -> CssResult<Vec<NotificationMessage>> {
-        let ids = self.index.events_of_person(person);
-        let mut out = Vec::with_capacity(ids.len());
-        for id in ids {
-            out.push(self.index.decrypt_notification(id)?);
-        }
+        let mut out = self.index.notifications_of_person(person)?;
         out.sort_by_key(|n| (n.occurred_at, n.global_id));
         self.audit.append(
             AuditRecord::new(self.now(), ActorId(0), AuditAction::SubjectAccess)

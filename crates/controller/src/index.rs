@@ -29,7 +29,7 @@ use css_types::{
     ActorId, CssError, CssResult, EventTypeId, GlobalEventId, PersonId, PersonIdentity,
     SourceEventId, Timestamp,
 };
-use css_xml::{Element, StreamSink, XmlSink};
+use css_xml::{Reader, StreamSink, Token, XmlSink, XmlSource};
 
 /// One stored notification, with identifying data encrypted at rest.
 #[derive(Debug, Clone)]
@@ -79,10 +79,58 @@ impl IndexEntry {
         sink.close();
     }
 
-    pub(crate) fn from_xml(e: &Element) -> CssResult<Self> {
+    /// The tree-fed form of [`IndexRecord::decode`], for an entry.
+    #[cfg(test)]
+    pub(crate) fn from_xml(e: &css_xml::Element) -> CssResult<Self> {
+        let mut src = css_xml::TreeSource::new(e);
+        src.root()?;
+        Self::decode(&mut src)
+    }
+
+    /// Read the entry whose root element `src` has just opened, to the
+    /// end of the document.
+    fn decode<'a>(src: &mut impl XmlSource<'a>) -> CssResult<Self> {
         let bad = |msg: String| CssError::Serialization(format!("IndexEntry: {msg}"));
+        let (attrs, mut token) = src.attributes([
+            "eventId",
+            "type",
+            "sealed",
+            "tag",
+            "occurredAt",
+            "producer",
+            "srcEventId",
+        ])?;
+        let mut description = None;
+        let mut notified = Vec::new();
+        loop {
+            match token {
+                Token::Open("What") if description.is_none() => {
+                    description = Some(src.text_content()?.into_owned());
+                }
+                Token::Open("Notified") => {
+                    let (marker, rest) = src.attributes(["actor"])?;
+                    src.skip_rest(rest)?;
+                    notified.push(
+                        marker
+                            .get("actor")
+                            .ok_or_else(|| bad("Notified without actor".into()))
+                            .and_then(|actor| {
+                                actor
+                                    .parse::<ActorId>()
+                                    .map_err(|err| bad(format!("bad notified actor: {err}")))
+                            }),
+                    );
+                }
+                Token::Open(_) => src.skip_element()?,
+                Token::Close | Token::Eof => break,
+                Token::Attr(..) | Token::Text(_) => {}
+            }
+            token = src.next()?;
+        }
+        src.finish()?;
         let req = |attr: &str| {
-            e.attribute(attr)
+            attrs
+                .get(attr)
                 .ok_or_else(|| bad(format!("missing {attr}")))
         };
         let sealed_identity =
@@ -92,15 +140,7 @@ impl IndexEntry {
         let person_tag: [u8; 32] = tag_bytes
             .try_into()
             .map_err(|_| bad("tag must be 32 bytes".into()))?;
-        let mut notified = HashSet::new();
-        for n in e.find_all("Notified") {
-            let actor: ActorId = n
-                .attribute("actor")
-                .ok_or_else(|| bad("Notified without actor".into()))?
-                .parse()
-                .map_err(|err| bad(format!("bad notified actor: {err}")))?;
-            notified.insert(actor);
-        }
+        let notified = notified.into_iter().collect::<CssResult<_>>()?;
         Ok(IndexEntry {
             global_id: req("eventId")?
                 .parse()
@@ -110,7 +150,7 @@ impl IndexEntry {
                 .map_err(|err| bad(format!("bad type: {err}")))?,
             sealed_identity,
             person_tag,
-            description: e.child_text("What").unwrap_or_default(),
+            description: description.unwrap_or_default(),
             occurred_at: Timestamp(
                 req("occurredAt")?
                     .parse()
@@ -127,6 +167,42 @@ impl IndexEntry {
     }
 }
 
+/// One record of the index log: an entry, or the marker that adds a
+/// consumer to the notified set of an entry persisted earlier.
+enum IndexRecord {
+    Entry(IndexEntry),
+    Notified(GlobalEventId, ActorId),
+}
+
+impl IndexRecord {
+    /// The one decoder of the index log: replay feeds it the stored text.
+    fn decode<'a>(src: &mut impl XmlSource<'a>) -> CssResult<Self> {
+        match src.root()? {
+            "IndexEntry" => IndexEntry::decode(src).map(IndexRecord::Entry),
+            "Notified" => {
+                let bad = |msg: &str| CssError::Serialization(format!("Notified marker: {msg}"));
+                let (attrs, rest) = src.attributes(["eventId", "actor"])?;
+                src.skip_rest(rest)?;
+                src.finish()?;
+                let event: GlobalEventId = attrs
+                    .get("eventId")
+                    .ok_or_else(|| bad("missing eventId"))?
+                    .parse()
+                    .map_err(|e| bad(&format!("bad eventId: {e}")))?;
+                let actor: ActorId = attrs
+                    .get("actor")
+                    .ok_or_else(|| bad("missing actor"))?
+                    .parse()
+                    .map_err(|e| bad(&format!("bad actor: {e}")))?;
+                Ok(IndexRecord::Notified(event, actor))
+            }
+            other => Err(CssError::Serialization(format!(
+                "unknown index record <{other}>"
+            ))),
+        }
+    }
+}
+
 /// Write the standalone record that adds `actor` to the notified set
 /// of an already persisted entry.
 fn encode_notified_marker(event: GlobalEventId, actor: ActorId, sink: &mut impl XmlSink) {
@@ -134,6 +210,49 @@ fn encode_notified_marker(event: GlobalEventId, actor: ActorId, sink: &mut impl 
     sink.attr("eventId", event);
     sink.attr("actor", actor);
     sink.close();
+}
+
+/// Open the identity sealed into `entry`.
+fn open_identity(sealer: &SealedBox, entry: &IndexEntry) -> CssResult<PersonIdentity> {
+    let bytes = sealer
+        .open(&entry.sealed_identity)
+        .map_err(|e| CssError::Crypto(e.to_string()))?;
+    PersonIdentity::from_bytes(&bytes)
+        .ok_or_else(|| CssError::Crypto("sealed identity malformed".into()))
+}
+
+/// The full notification `entry` stands for, its identity opened.
+fn notification_of(sealer: &SealedBox, entry: &IndexEntry) -> CssResult<NotificationMessage> {
+    Ok(NotificationMessage {
+        global_id: entry.global_id,
+        event_type: entry.event_type.clone(),
+        person: open_identity(sealer, entry)?,
+        description: entry.description.clone(),
+        occurred_at: entry.occurred_at,
+        producer: entry.producer,
+    })
+}
+
+/// What the index holds about a detail request, in the order
+/// Algorithm 1 asks: the outcome of one visit to the event's entry.
+#[derive(Debug)]
+pub enum DetailResolution {
+    /// The event is indexed under another class than the request
+    /// declares: this one.
+    TypeMismatch(EventTypeId),
+    /// Neither the requester nor an organization enclosing it received
+    /// the notification.
+    NotNotified,
+    /// Both preconditions hold.
+    Resolved {
+        /// The PIP mapping of Algorithm 1 step 1.
+        producer: ActorId,
+        /// The PIP mapping of Algorithm 1 step 1.
+        src_event_id: SourceEventId,
+        /// The data subject, unsealed for the consent check (or why
+        /// the sealed identity would not open).
+        subject: CssResult<PersonId>,
+    },
 }
 
 /// The controller's index of all notifications, persisted on its backend.
@@ -201,35 +320,13 @@ impl<B: LogBackend> EventsIndex<B> {
         for (i, records) in recovered.iter().enumerate() {
             for ptr in records {
                 let payload = shards[i].storage.read(*ptr)?;
-                let text = String::from_utf8(payload)
+                let text = std::str::from_utf8(&payload)
                     .map_err(|e| CssError::Serialization(format!("index record not UTF-8: {e}")))?;
-                let doc =
-                    css_xml::parse(&text).map_err(|e| CssError::Serialization(e.to_string()))?;
-                match doc.name.as_str() {
-                    "IndexEntry" => {
-                        let entry = IndexEntry::from_xml(&doc)?;
+                match IndexRecord::decode(&mut Reader::new(text))? {
+                    IndexRecord::Entry(entry) => {
                         shards[owner(&entry.person_tag)].link_entry(entry);
                     }
-                    "Notified" => {
-                        let bad =
-                            |msg: &str| CssError::Serialization(format!("Notified marker: {msg}"));
-                        let event: GlobalEventId = doc
-                            .attribute("eventId")
-                            .ok_or_else(|| bad("missing eventId"))?
-                            .parse()
-                            .map_err(|e| bad(&format!("bad eventId: {e}")))?;
-                        let actor: ActorId = doc
-                            .attribute("actor")
-                            .ok_or_else(|| bad("missing actor"))?
-                            .parse()
-                            .map_err(|e| bad(&format!("bad actor: {e}")))?;
-                        markers.push((event, actor));
-                    }
-                    other => {
-                        return Err(CssError::Serialization(format!(
-                            "unknown index record <{other}>"
-                        )))
-                    }
+                    IndexRecord::Notified(event, actor) => markers.push((event, actor)),
                 }
             }
         }
@@ -351,6 +448,36 @@ impl<B: LogBackend> EventsIndex<B> {
             .is_some_and(|e| e.notified.contains(&consumer))
     }
 
+    /// Everything Algorithm 1 asks the index about one request, from
+    /// one look at the event's entry: the PIP mapping, whether the
+    /// indexed class is the `declared` one, whether `consumer` or one
+    /// of its enclosing organizations (`ancestors`) was notified, and —
+    /// only when both hold — the unsealed data subject. `None` when the
+    /// event is not in this index.
+    pub fn resolve_detail_request(
+        &self,
+        id: GlobalEventId,
+        declared: &EventTypeId,
+        consumer: ActorId,
+        ancestors: &[ActorId],
+    ) -> Option<DetailResolution> {
+        let entry = self.entries.get(&id)?;
+        Some(if entry.event_type != *declared {
+            DetailResolution::TypeMismatch(entry.event_type.clone())
+        } else if !std::iter::once(&consumer)
+            .chain(ancestors)
+            .any(|actor| entry.notified.contains(actor))
+        {
+            DetailResolution::NotNotified
+        } else {
+            DetailResolution::Resolved {
+                producer: entry.producer,
+                src_event_id: entry.src_event_id,
+                subject: open_identity(&self.sealer, entry).map(|person| person.id),
+            }
+        })
+    }
+
     /// Rebuild the full notification (decrypting the identity). Only the
     /// controller itself may do this, on behalf of authorized consumers.
     pub fn decrypt_notification(&self, id: GlobalEventId) -> CssResult<NotificationMessage> {
@@ -358,20 +485,7 @@ impl<B: LogBackend> EventsIndex<B> {
             .entries
             .get(&id)
             .ok_or_else(|| CssError::NotFound(format!("event {id} not in index")))?;
-        let bytes = self
-            .sealer
-            .open(&entry.sealed_identity)
-            .map_err(|e| CssError::Crypto(e.to_string()))?;
-        let person = PersonIdentity::from_bytes(&bytes)
-            .ok_or_else(|| CssError::Crypto("sealed identity malformed".into()))?;
-        Ok(NotificationMessage {
-            global_id: entry.global_id,
-            event_type: entry.event_type.clone(),
-            person,
-            description: entry.description.clone(),
-            occurred_at: entry.occurred_at,
-            producer: entry.producer,
-        })
+        notification_of(&self.sealer, entry)
     }
 
     /// Event ids about one person (via the keyed tag; no decryption).
@@ -385,6 +499,19 @@ impl<B: LogBackend> EventsIndex<B> {
             .get(person_tag)
             .cloned()
             .unwrap_or_default()
+    }
+
+    /// Every notification filed under a person tag, identities opened.
+    pub(crate) fn notifications_tagged(
+        &self,
+        person_tag: &[u8; 32],
+    ) -> CssResult<Vec<NotificationMessage>> {
+        let ids = self.by_person_tag.get(person_tag);
+        ids.into_iter()
+            .flatten()
+            .filter_map(|id| self.entries.get(id))
+            .map(|entry| notification_of(&self.sealer, entry))
+            .collect()
     }
 
     /// Event ids of one class.
@@ -436,20 +563,7 @@ impl<B: LogBackend> EventsIndex<B> {
             if !authorize(&entry.event_type) {
                 continue;
             }
-            let bytes = self
-                .sealer
-                .open(&entry.sealed_identity)
-                .map_err(|e| CssError::Crypto(e.to_string()))?;
-            let person = PersonIdentity::from_bytes(&bytes)
-                .ok_or_else(|| CssError::Crypto("sealed identity malformed".into()))?;
-            out.push(NotificationMessage {
-                global_id: entry.global_id,
-                event_type: entry.event_type.clone(),
-                person,
-                description: entry.description.clone(),
-                occurred_at: entry.occurred_at,
-                producer: entry.producer,
-            });
+            out.push(notification_of(&self.sealer, entry)?);
             if entry.notified.insert(consumer) {
                 encode_notified_marker(id, consumer, &mut StreamSink::new(&mut markers));
                 marker_ends.push(markers.len());
@@ -807,6 +921,110 @@ mod tests {
             tree(|s| encode_notified_marker(GlobalEventId(77), ActorId(5), s)),
             marker
         );
+    }
+
+    /// Every record of the committed at-rest fixtures decodes to the
+    /// same value off the stored text as off the tree parsed from it.
+    #[test]
+    fn fixture_records_decode_alike_from_stream_and_tree() {
+        fn describe(record: IndexRecord) -> String {
+            match record {
+                IndexRecord::Entry(e) => {
+                    let mut notified: Vec<ActorId> = e.notified.iter().copied().collect();
+                    notified.sort();
+                    format!(
+                        "{:?}",
+                        IndexEntry {
+                            notified: HashSet::new(),
+                            ..e
+                        }
+                    ) + &format!("{notified:?}")
+                }
+                IndexRecord::Notified(event, actor) => format!("{event} {actor}"),
+            }
+        }
+        let fixtures =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures");
+        let (mut entries, mut markers) = (0, 0);
+        for file in [
+            "at-rest-1/events-index.log",
+            "at-rest-2/events-index.log",
+            "at-rest-2/events-index-1.log",
+        ] {
+            // Recovery reads through a backend; give it the bytes in memory.
+            let mut backend = MemBackend::new();
+            backend
+                .append(&std::fs::read(fixtures.join(file)).unwrap())
+                .unwrap();
+            let (log, outcome) = RecordLog::recover(backend).unwrap();
+            assert_eq!(outcome.truncated_bytes, 0, "{file}");
+            for ptr in outcome.records {
+                let payload = log.read(ptr).unwrap();
+                let text = std::str::from_utf8(&payload).unwrap();
+                let streamed = IndexRecord::decode(&mut Reader::new(text)).unwrap();
+                match &streamed {
+                    IndexRecord::Entry(_) => entries += 1,
+                    IndexRecord::Notified(..) => markers += 1,
+                }
+                let tree = css_xml::parse(text).unwrap();
+                let from_tree = IndexRecord::decode(&mut css_xml::TreeSource::new(&tree)).unwrap();
+                assert_eq!(describe(streamed), describe(from_tree), "{file}");
+            }
+        }
+        // Three events, indexed once at one shard and once at two.
+        assert_eq!(entries, 6);
+        assert!(markers > 0);
+    }
+
+    #[test]
+    fn malformed_index_records_keep_their_messages() {
+        let decode = |text: &str| {
+            IndexRecord::decode(&mut Reader::new(text))
+                .map(|_| ())
+                .unwrap_err()
+                .to_string()
+        };
+        let entry = streamed(|s| entry_with("x", &[4]).encode(s));
+        for (text, message) in [
+            ("<Other/>".to_string(), "unknown index record <Other>"),
+            (
+                "<Notified actor=\"act-00000001\"/>".to_string(),
+                "Notified marker: missing eventId",
+            ),
+            (
+                "<Notified eventId=\"evt-00000001\" actor=\"x\"/>".to_string(),
+                "Notified marker: bad actor",
+            ),
+            (
+                entry.replace(" sealed=\"", " sealed=\"zz"),
+                "IndexEntry: bad sealed hex",
+            ),
+            (
+                entry.replace(" tag=\"a5", " tag=\""),
+                "IndexEntry: tag must be 32 bytes",
+            ),
+            // A bad notified child is reported before a bad event id,
+            // after a bad tag: the order the fields were always checked in.
+            (
+                entry
+                    .replace("evt-00000001", "evt")
+                    .replace("<Notified actor=\"act-00000004\"/>", "<Notified/>"),
+                "IndexEntry: Notified without actor",
+            ),
+            (
+                entry.replace("evt-00000001", "evt"),
+                "IndexEntry: bad eventId",
+            ),
+            (
+                entry.replace(" producer=\"act-00000001\"", ""),
+                "IndexEntry: missing producer",
+            ),
+            (entry.replace("</IndexEntry>", ""), "XML parse error"),
+            (format!("{entry}<More/>"), "XML parse error"),
+        ] {
+            let got = decode(&text);
+            assert!(got.contains(message), "{text}: {got}");
+        }
     }
 
     proptest::proptest! {

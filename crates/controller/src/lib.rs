@@ -34,6 +34,6 @@ pub use contract::{ContractRegistry, ParticipantContract, ParticipantRole};
 pub use controller::{ControllerConfig, DataController, PublishReceipt};
 pub use gateway_client::{GatewayClient, SharedGateway};
 pub use identity::{Credential, IdentityManager};
-pub use index::{EventsIndex, IndexEntry};
+pub use index::{DetailResolution, EventsIndex, IndexEntry};
 pub use pep::PolicyEnforcementPoint;
 pub use shards::IndexShards;

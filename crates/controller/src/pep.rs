@@ -39,6 +39,7 @@ use css_types::{ActorId, ActorRegistry, CssError, CssResult, DenyReason, Timesta
 use crate::consent::ConsentRegistry;
 use crate::controller::RequestCounters;
 use crate::gateway_client::GatewayClient;
+use crate::index::DetailResolution;
 use crate::shards::IndexShards;
 
 /// A per-request enforcement context borrowing the controller's parts.
@@ -94,21 +95,31 @@ impl<'a, B: LogBackend> PolicyEnforcementPoint<'a, B> {
                 .trace(trace_id)
         };
 
-        // Step 1 — PIP: eID → (producer, src_eID, type).
+        // Step 1 — PIP: eID → (producer, src_eID, type). One visit to
+        // the event's owner shard answers this stage and the two
+        // preconditions after it; each is still checked, timed and
+        // audited at its own boundary below. The ancestor chain is
+        // resolved first: the registry lock is not taken under a
+        // shard's.
         let mut span = self.trace.child("pep.pip_resolve");
-        let (producer, src_event_id, indexed_type) =
-            match self.index.resolve_source(request.event_id) {
-                Ok(t) => t,
-                Err(e) => {
-                    timer.stage("pip_resolve");
-                    span.set_status(SpanStatus::Error);
-                    denies.inc();
-                    self.audit
-                        .append(audit_base().denied("event not found in index"))?;
-                    return Err(e);
-                }
-            };
-        if indexed_type != request.event_type {
+        let ancestors = self.actors.read().ancestors(request.actor);
+        let resolution = match self.index.resolve_detail_request(
+            request.event_id,
+            &request.event_type,
+            request.actor,
+            &ancestors,
+        ) {
+            Ok(r) => r,
+            Err(e) => {
+                timer.stage("pip_resolve");
+                span.set_status(SpanStatus::Error);
+                denies.inc();
+                self.audit
+                    .append(audit_base().denied("event not found in index"))?;
+                return Err(e);
+            }
+        };
+        if let DetailResolution::TypeMismatch(indexed_type) = &resolution {
             timer.stage("pip_resolve");
             span.set_status(SpanStatus::Denied);
             denies.inc();
@@ -123,38 +134,39 @@ impl<'a, B: LogBackend> PolicyEnforcementPoint<'a, B> {
         span.finish();
 
         // Precondition: the requester (or an enclosing organization)
-        // received the notification. The ancestor chain is resolved
-        // first so one shard probe covers the whole check.
+        // received the notification.
         let mut span = self.trace.child("pep.notified_check");
-        let ancestors = self.actors.read().ancestors(request.actor);
-        let notified = self
-            .index
-            .was_notified_any(request.event_id, request.actor, &ancestors);
         timer.stage("notified_check");
-        if !notified {
+        let DetailResolution::Resolved {
+            producer,
+            src_event_id,
+            subject,
+        } = resolution
+        else {
             span.set_status(SpanStatus::Denied);
             denies.inc();
             self.audit
                 .append(audit_base().denied(DenyReason::NotNotified.to_string()))?;
             return Err(CssError::AccessDenied(DenyReason::NotNotified));
-        }
+        };
         span.finish();
 
         // Precondition: data-subject consent (needs the person id, so
-        // the controller unseals the identity it sealed at publish time).
+        // the controller unsealed the identity it sealed at publish
+        // time — only once the checks above had passed).
         let mut span = self.trace.child("pep.consent_check");
-        let notification = self.index.decrypt_notification(request.event_id)?;
-        let consented =
-            self.consent
-                .read()
-                .allows(notification.person.id, producer, &request.event_type);
+        let subject = subject?;
+        let consented = self
+            .consent
+            .read()
+            .allows(subject, producer, &request.event_type);
         timer.stage("consent_check");
         if !consented {
             span.set_status(SpanStatus::Denied);
             denies.inc();
             self.audit.append(
                 audit_base()
-                    .person(notification.person.id)
+                    .person(subject)
                     .denied(DenyReason::ConsentWithheld.to_string()),
             )?;
             return Err(CssError::AccessDenied(DenyReason::ConsentWithheld));
@@ -188,11 +200,8 @@ impl<'a, B: LogBackend> PolicyEnforcementPoint<'a, B> {
                 span.set_status(SpanStatus::Denied);
                 drop(span);
                 denies.inc();
-                self.audit.append(
-                    audit_base()
-                        .person(notification.person.id)
-                        .denied(reason.to_string()),
-                )?;
+                self.audit
+                    .append(audit_base().person(subject).denied(reason.to_string()))?;
                 Err(CssError::AccessDenied(reason))
             }
             Decision::Permit {
@@ -213,7 +222,7 @@ impl<'a, B: LogBackend> PolicyEnforcementPoint<'a, B> {
                         denies.inc();
                         self.audit.append(
                             audit_base()
-                                .person(notification.person.id)
+                                .person(subject)
                                 .denied("producer gateway not registered"),
                         )?;
                         return Err(CssError::NotFound(format!(
@@ -229,7 +238,7 @@ impl<'a, B: LogBackend> PolicyEnforcementPoint<'a, B> {
                             denies.inc();
                             self.audit.append(
                                 audit_base()
-                                    .person(notification.person.id)
+                                    .person(subject)
                                     .denied(format!("gateway failure: {e}")),
                             )?;
                             return Err(e);
@@ -237,12 +246,8 @@ impl<'a, B: LogBackend> PolicyEnforcementPoint<'a, B> {
                     };
                 timer.stage("gateway_retrieve");
                 let span = self.trace.child("pep.obligation_filter");
-                let response = PrivacyAwareEvent::release(
-                    request.event_id,
-                    producer,
-                    &details,
-                    allowed_fields,
-                );
+                let response =
+                    PrivacyAwareEvent::release(request.event_id, producer, details, allowed_fields);
                 timer.stage("obligation_filter");
                 span.finish();
                 let matched = matched_policies
@@ -252,7 +257,7 @@ impl<'a, B: LogBackend> PolicyEnforcementPoint<'a, B> {
                     .join(",");
                 self.audit.append(
                     audit_base()
-                        .person(notification.person.id)
+                        .person(subject)
                         .with_detail(format!("matched: {matched}")),
                 )?;
                 timer.finish();

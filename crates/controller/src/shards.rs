@@ -34,7 +34,7 @@ use css_types::{
     Timestamp,
 };
 
-use crate::index::{derive_tag_key, EventsIndex};
+use crate::index::{derive_tag_key, DetailResolution, EventsIndex};
 
 /// The routing key a person tag reduces to.
 fn tag_key_bits(tag: &[u8; 32]) -> u64 {
@@ -129,43 +129,27 @@ impl<B: LogBackend> IndexShards<B> {
         shard.insert_tagged(tag, notification, src_event_id, notified)
     }
 
-    /// The PIP mapping: `eID → (producer, src_eID, type)`, probing
-    /// shards for the owner (each probe is one short map lookup).
-    pub fn resolve_source(
+    /// Everything Algorithm 1 asks the index about one request, in one
+    /// visit to the event's owner shard (shards are probed for it, each
+    /// probe one short map lookup; the owner answers the rest under
+    /// the same lock): see [`EventsIndex::resolve_detail_request`].
+    ///
+    /// `ancestors` — the organizations enclosing `consumer` — are the
+    /// caller's to resolve *before* the call: the actor registry's lock
+    /// is never taken under a shard's.
+    pub fn resolve_detail_request(
         &self,
         id: GlobalEventId,
-    ) -> CssResult<(ActorId, SourceEventId, EventTypeId)> {
-        for i in 0..self.shards.len() {
-            let shard = self.shard(i);
-            if let Some(e) = shard.entry(id) {
-                return Ok((e.producer, e.src_event_id, e.event_type.clone()));
-            }
-        }
-        Err(CssError::NotFound(format!("event {id} not in index")))
-    }
-
-    /// Whether `consumer` — or any of the given enclosing organizations
-    /// — was notified of event `id`. One shard lock covers the whole
-    /// chain check.
-    pub fn was_notified_any(
-        &self,
-        id: GlobalEventId,
+        declared: &EventTypeId,
         consumer: ActorId,
         ancestors: &[ActorId],
-    ) -> bool {
-        for i in 0..self.shards.len() {
-            let shard = self.shard(i);
-            if shard.entry(id).is_some() {
-                return shard.was_notified(id, consumer)
-                    || ancestors.iter().any(|a| shard.was_notified(id, *a));
-            }
-        }
-        false
-    }
-
-    /// Whether `consumer` was notified of event `id`.
-    pub fn was_notified(&self, id: GlobalEventId, consumer: ActorId) -> bool {
-        self.was_notified_any(id, consumer, &[])
+    ) -> CssResult<DetailResolution> {
+        (0..self.shards.len())
+            .find_map(|i| {
+                self.shard(i)
+                    .resolve_detail_request(id, declared, consumer, ancestors)
+            })
+            .ok_or_else(|| CssError::NotFound(format!("event {id} not in index")))
     }
 
     /// Record that `consumer` has been notified of event `id`.
@@ -179,23 +163,13 @@ impl<B: LogBackend> IndexShards<B> {
         Err(CssError::NotFound(format!("event {id} not in index")))
     }
 
-    /// Rebuild the full notification (decrypting the identity) from the
-    /// owning shard. Only the controller itself may do this, on behalf
-    /// of authorized consumers.
-    pub fn decrypt_notification(&self, id: GlobalEventId) -> CssResult<NotificationMessage> {
-        for i in 0..self.shards.len() {
-            let shard = self.shard(i);
-            if shard.entry(id).is_some() {
-                return shard.decrypt_notification(id);
-            }
-        }
-        Err(CssError::NotFound(format!("event {id} not in index")))
-    }
-
-    /// Event ids about one person — exactly one shard is touched.
-    pub fn events_of_person(&self, person: PersonId) -> Vec<GlobalEventId> {
+    /// Every notification about one person, identities opened — exactly
+    /// one shard is touched, once. Only the controller itself may do
+    /// this, for the data subject.
+    pub fn notifications_of_person(&self, person: PersonId) -> CssResult<Vec<NotificationMessage>> {
         let tag = self.person_tag(person);
-        self.shard(self.shard_of_tag(&tag)).events_tagged(&tag)
+        self.shard(self.shard_of_tag(&tag))
+            .notifications_tagged(&tag)
     }
 
     /// Event ids of one class: scatter-gather over every shard, merged
@@ -317,6 +291,29 @@ mod tests {
         IndexShards::open(b"controller master key", backends).unwrap()
     }
 
+    /// Ids of the events about one person, in the order the owner
+    /// shard filed them.
+    fn events_of_person<B: LogBackend>(plane: &IndexShards<B>, person: u64) -> Vec<GlobalEventId> {
+        let profile = plane.notifications_of_person(PersonId(person)).unwrap();
+        assert!(profile.iter().all(|n| n.person.id == PersonId(person)));
+        profile.iter().map(|n| n.global_id).collect()
+    }
+
+    /// Whether the one-visit lookup finds `actor` notified of an event
+    /// of class `ty`.
+    fn was_notified<B: LogBackend>(
+        plane: &IndexShards<B>,
+        id: u64,
+        ty: &str,
+        actor: ActorId,
+    ) -> bool {
+        let resolution = plane
+            .resolve_detail_request(GlobalEventId(id), &EventTypeId::v1(ty), actor, &[])
+            .unwrap();
+        assert!(!matches!(resolution, DetailResolution::TypeMismatch(_)));
+        matches!(resolution, DetailResolution::Resolved { .. })
+    }
+
     #[test]
     fn sharded_lookups_agree_with_single_shard() {
         let one = plane(1);
@@ -328,11 +325,12 @@ mod tests {
         }
         assert_eq!(one.len(), eight.len());
         for p in 0..7u64 {
-            assert_eq!(one.events_of_person(PersonId(p)), {
-                let mut v = eight.events_of_person(PersonId(p));
-                v.sort();
-                v
-            });
+            assert_eq!(events_of_person(&one, p), events_of_person(&eight, p));
+            let expected: Vec<GlobalEventId> = (1..=40u64)
+                .filter(|id| id % 7 == p)
+                .map(GlobalEventId)
+                .collect();
+            assert_eq!(events_of_person(&one, p), expected);
         }
         assert_eq!(
             one.events_of_type(&EventTypeId::v1("even")),
@@ -343,10 +341,103 @@ mod tests {
             eight.events_between(Timestamp(500), Timestamp(2000))
         );
         assert_eq!(one.max_event_id(), eight.max_event_id());
-        // Per-event probes find the owner regardless of shard.
-        let (prod, src, _) = eight.resolve_source(GlobalEventId(17)).unwrap();
-        assert_eq!((prod, src), (ActorId(1), SourceEventId(17)));
-        assert!(eight.resolve_source(GlobalEventId(404)).is_err());
+    }
+
+    #[test]
+    fn one_visit_resolves_a_detail_request_on_any_shard_count() {
+        for plane in [plane(1), plane(8)] {
+            let notified: HashSet<ActorId> = [ActorId(5), ActorId(60)].into();
+            for id in 1..=40u64 {
+                plane
+                    .insert(
+                        &notif(id, id % 7, "odd"),
+                        SourceEventId(id),
+                        notified.clone(),
+                    )
+                    .unwrap();
+            }
+            let odd = EventTypeId::v1("odd");
+            let ask = |id, ty: &EventTypeId, actor, ancestors: &[ActorId]| {
+                plane.resolve_detail_request(GlobalEventId(id), ty, actor, ancestors)
+            };
+            // The probe finds the owner regardless of shard: PIP
+            // mapping and subject come from the same entry.
+            for id in 1..=40u64 {
+                match ask(id, &odd, ActorId(5), &[]).unwrap() {
+                    DetailResolution::Resolved {
+                        producer,
+                        src_event_id,
+                        subject,
+                    } => {
+                        assert_eq!((producer, src_event_id), (ActorId(1), SourceEventId(id)));
+                        assert_eq!(subject.unwrap(), PersonId(id % 7));
+                    }
+                    other => panic!("event {id}: {other:?}"),
+                }
+            }
+            // Checked in Algorithm 1's order: indexed, declared class,
+            // notified — the requester itself or any enclosing
+            // organization.
+            assert!(matches!(
+                ask(404, &odd, ActorId(5), &[]),
+                Err(CssError::NotFound(m)) if m == "event evt-00000404 not in index"
+            ));
+            assert!(matches!(
+                ask(17, &EventTypeId::v1("even"), ActorId(9), &[]).unwrap(),
+                DetailResolution::TypeMismatch(indexed) if indexed == odd
+            ));
+            assert!(matches!(
+                ask(17, &odd, ActorId(9), &[ActorId(8)]).unwrap(),
+                DetailResolution::NotNotified
+            ));
+            assert!(matches!(
+                ask(17, &odd, ActorId(9), &[ActorId(8), ActorId(60)]).unwrap(),
+                DetailResolution::Resolved { .. }
+            ));
+        }
+    }
+
+    #[test]
+    fn a_detail_request_walks_the_shards_once_up_to_the_owner() {
+        let registry = MetricsRegistry::new();
+        let mut eight = plane(8);
+        eight.instrument(&registry);
+        let notified: HashSet<ActorId> = [ActorId(5)].into();
+        for id in 1..=16u64 {
+            eight
+                .insert(&notif(id, id, "x"), SourceEventId(id), notified.clone())
+                .unwrap();
+        }
+        let ops = || registry.snapshot().counter("shard.ops");
+        let x = EventTypeId::v1("x");
+        let lens = eight.shard_lens();
+        let mut owners = HashSet::new();
+        for id in 1..=16u64 {
+            let owner = {
+                let tag = eight.person_tag(PersonId(id));
+                eight.shard_of_tag(&tag)
+            };
+            owners.insert(owner);
+            // Every outcome costs the same single walk: shards 0..=owner.
+            for (ty, actor) in [
+                (&x, ActorId(5)),
+                (&x, ActorId(6)),
+                (&EventTypeId::v1("y"), ActorId(5)),
+            ] {
+                let before = ops();
+                eight
+                    .resolve_detail_request(GlobalEventId(id), ty, actor, &[])
+                    .unwrap();
+                assert_eq!(ops() - before, owner as u64 + 1, "event {id}");
+            }
+        }
+        assert!(owners.len() > 1, "events spread over shards: {lens:?}");
+        // An event nobody indexed costs one probe of every shard.
+        let before = ops();
+        assert!(eight
+            .resolve_detail_request(GlobalEventId(404), &x, ActorId(5), &[])
+            .is_err());
+        assert_eq!(ops() - before, 8);
     }
 
     #[test]
@@ -382,8 +473,8 @@ mod tests {
             .unwrap();
         out.sort_by_key(|n| n.global_id);
         assert_eq!(out.len(), 7);
-        assert!(eight.was_notified(GlobalEventId(1), ActorId(5)));
-        assert!(!eight.was_notified(GlobalEventId(3), ActorId(5)));
+        assert!(was_notified(&eight, 1, "open", ActorId(5)));
+        assert!(!was_notified(&eight, 3, "secret", ActorId(5)));
     }
 
     #[test]
@@ -410,14 +501,14 @@ mod tests {
         assert_eq!(four.len(), 20);
         for id in 1..=20u64 {
             assert_eq!(
-                four.events_of_person(PersonId(id)),
+                events_of_person(&four, id),
                 vec![GlobalEventId(id)],
                 "person {id} lost after re-shard"
             );
         }
-        assert!(four.was_notified(GlobalEventId(3), ActorId(9)));
-        let n = four.decrypt_notification(GlobalEventId(5)).unwrap();
-        assert_eq!(n.person.fiscal_code, "FC5");
+        assert!(was_notified(&four, 3, "x", ActorId(9)));
+        let profile = four.notifications_of_person(PersonId(5)).unwrap();
+        assert_eq!(profile[0].person.fiscal_code, "FC5");
         for i in 0..4 {
             let _ = std::fs::remove_file(path(i));
         }

@@ -47,9 +47,14 @@ fn mario() -> PersonIdentity {
 }
 
 fn setup() -> World {
+    setup_on(1)
+}
+
+fn setup_on(shards: usize) -> World {
     let clock = SimClock::starting_at(Timestamp(1_000_000));
     let config = ControllerConfig::with_clock(Arc::new(clock.clone()));
-    let c = DataController::open(config, vec![MemBackend::new()], vec![MemBackend::new()]).unwrap();
+    let backends = || (0..shards).map(|_| MemBackend::new()).collect();
+    let c = DataController::open(config, backends(), backends()).unwrap();
 
     c.register_actor(Actor::organization(HOSPITAL, "Hospital S. Maria"))
         .unwrap();
@@ -96,6 +101,14 @@ fn doctor_policy(w: &World) -> PrivacyPolicy {
 
 /// Persist a detail message at the gateway and publish its notification.
 fn publish_event(w: &mut World, src: u64) -> css_types::GlobalEventId {
+    publish_event_about(w, src, mario())
+}
+
+fn publish_event_about(
+    w: &mut World,
+    src: u64,
+    person: PersonIdentity,
+) -> css_types::GlobalEventId {
     let details = EventDetails::new(EventTypeId::v1("blood-test"))
         .with("PatientId", FieldValue::Integer(42))
         .with("Result", FieldValue::Text("negative".into()))
@@ -112,7 +125,7 @@ fn publish_event(w: &mut World, src: u64) -> css_types::GlobalEventId {
         .controller
         .publish(
             HOSPITAL,
-            mario(),
+            person,
             "blood test completed".into(),
             EventTypeId::v1("blood-test"),
             w.clock.now(),
@@ -680,5 +693,207 @@ fn publish_notifies_the_receivers_of_its_class_ascending_and_once() {
             .audit_query(&AuditQuery::new().action(AuditAction::Delivery))
             .len(),
         6
+    );
+}
+
+/// Algorithm 1 asks the index once per request: one walk of the shards
+/// up to the event's owner, whatever the outcome — and every outcome
+/// still passes the stage boundaries it always passed and leaves the
+/// audit record it always left.
+#[test]
+fn detail_request_visits_the_index_once_whatever_the_outcome() {
+    const SHARDS: usize = 4;
+    let mut w = setup_on(SHARDS);
+    w.controller.define_policy(doctor_policy(&w)).unwrap();
+    let _sub = w
+        .controller
+        .subscribe(DOCTOR, &EventTypeId::v1("blood-test"))
+        .unwrap();
+    let other = EventSchema::new(EventTypeId::v1("discharge"), "Discharge", HOSPITAL)
+        .field(FieldDef::required("PatientId", FieldKind::Integer));
+    w.controller.declare_event_class(&other, None).unwrap();
+    // Citizens enough to land on more than one shard; the last opts out
+    // after the event about them was published.
+    let events: Vec<_> = (1..=8u64)
+        .map(|i| {
+            let person = PersonIdentity {
+                id: PersonId(100 + i),
+                ..mario()
+            };
+            publish_event_about(&mut w, i, person)
+        })
+        .collect();
+    w.controller
+        .record_consent(PersonId(108), ConsentScope::All, ConsentDecision::OptOut)
+        .unwrap();
+    w.clock.advance(css_types::Duration::millis(5));
+
+    let stages = [
+        "pip_resolve",
+        "notified_check",
+        "consent_check",
+        "pdp_evaluate",
+        "gateway_retrieve",
+        "obligation_filter",
+    ];
+    let observe = |w: &World| {
+        let snap = w.controller.telemetry().snapshot();
+        let per_shard: Vec<u64> = (0..SHARDS)
+            .map(|i| snap.counter(&format!("shard.{i}.ops")))
+            .collect();
+        let per_stage: Vec<u64> = stages
+            .iter()
+            .map(|stage| {
+                snap.histogram(&format!("stage.{stage}"))
+                    .map_or(0, |h| h.count)
+            })
+            .collect();
+        (snap.counter("shard.ops"), per_shard, per_stage)
+    };
+    // (requester, declared class, event, purpose, stages passed, error)
+    let missing = css_types::GlobalEventId(404);
+    let cases: Vec<(
+        ActorId,
+        &str,
+        css_types::GlobalEventId,
+        Purpose,
+        usize,
+        &str,
+    )> = vec![
+        (
+            DOCTOR,
+            "blood-test",
+            missing,
+            Purpose::HealthcareTreatment,
+            1,
+            "not found: event evt-00000404 not in index",
+        ),
+        (
+            DOCTOR,
+            "discharge",
+            events[0],
+            Purpose::HealthcareTreatment,
+            1,
+            "invalid: request declares type discharge@v1 but event evt-00000001 is a blood-test@v1",
+        ),
+        (
+            WELFARE,
+            "blood-test",
+            events[1],
+            Purpose::SocialAssistance,
+            2,
+            "access denied: requester was not notified of the event",
+        ),
+        (
+            DOCTOR,
+            "blood-test",
+            events[7],
+            Purpose::HealthcareTreatment,
+            3,
+            "access denied: data subject withheld consent",
+        ),
+        (
+            DOCTOR,
+            "blood-test",
+            events[2],
+            Purpose::StatisticalAnalysis,
+            4,
+            "access denied: purpose not allowed",
+        ),
+        (
+            DOCTOR,
+            "blood-test",
+            events[3],
+            Purpose::HealthcareTreatment,
+            6,
+            "",
+        ),
+        (
+            DOCTOR,
+            "blood-test",
+            events[4],
+            Purpose::HealthcareTreatment,
+            6,
+            "",
+        ),
+        (
+            DOCTOR,
+            "blood-test",
+            events[5],
+            Purpose::HealthcareTreatment,
+            6,
+            "",
+        ),
+        (
+            DOCTOR,
+            "blood-test",
+            events[6],
+            Purpose::HealthcareTreatment,
+            6,
+            "",
+        ),
+    ];
+    let mut owners = std::collections::BTreeSet::new();
+    for (actor, ty, event, purpose, passed, error) in cases {
+        let (ops, per_shard, per_stage) = observe(&w);
+        let outcome =
+            w.controller
+                .request_details(actor, EventTypeId::v1(ty), event, purpose, None);
+        let (ops_after, per_shard_after, per_stage_after) = observe(&w);
+        assert_eq!(
+            outcome.as_ref().map(|_| ()).map_err(ToString::to_string),
+            if error.is_empty() {
+                Ok(())
+            } else {
+                Err(error.to_string())
+            },
+            "{ty} {event}"
+        );
+        // Shards 0..=owner probed once each, none after it; an event
+        // nobody indexed costs one probe of every shard.
+        let visits: Vec<u64> = per_shard_after
+            .iter()
+            .zip(&per_shard)
+            .map(|(after, before)| after - before)
+            .collect();
+        let walked = visits.iter().take_while(|&&v| v == 1).count();
+        assert!(
+            walked >= 1 && visits[walked..].iter().all(|&v| v == 0),
+            "{visits:?}"
+        );
+        assert_eq!(ops_after - ops, walked as u64);
+        if event == missing {
+            assert_eq!(walked, SHARDS);
+        } else {
+            owners.insert(walked - 1);
+        }
+        // The stages up to the deciding one record their boundary.
+        let reached: Vec<u64> = per_stage_after
+            .iter()
+            .zip(&per_stage)
+            .map(|(after, before)| after - before)
+            .collect();
+        let expected: Vec<u64> = (0..stages.len()).map(|i| u64::from(i < passed)).collect();
+        assert_eq!(reached, expected, "{ty} {event}");
+    }
+    assert!(owners.len() > 1, "events on one shard only: {owners:?}");
+
+    // The four early denials, as the audit log holds them: the bytes
+    // the three-lookup PEP wrote for the same requests.
+    let denied: Vec<String> = w
+        .controller
+        .audit_query(&AuditQuery::new().action(AuditAction::DetailRequest))
+        .iter()
+        .take(4)
+        .map(|r| css_xml::to_string(&r.to_xml()))
+        .collect();
+    assert_eq!(
+        denied,
+        [
+            r#"<AuditRecord seq="22" at="1000005" actor="act-00000003" action="detail-request" event="evt-00000404" eventType="blood-test@v1" purpose="healthcare-treatment" request="req-00000001" outcome="denied" reason="event not found in index"/>"#,
+            r#"<AuditRecord seq="23" at="1000005" actor="act-00000003" action="detail-request" event="evt-00000001" eventType="discharge@v1" purpose="healthcare-treatment" request="req-00000002" outcome="denied" reason="declared event type mismatch"/>"#,
+            r#"<AuditRecord seq="24" at="1000005" actor="act-00000004" action="detail-request" event="evt-00000002" eventType="blood-test@v1" purpose="social-assistance" request="req-00000003" outcome="denied" reason="requester was not notified of the event"/>"#,
+            r#"<AuditRecord seq="25" at="1000005" actor="act-00000003" action="detail-request" event="evt-00000008" eventType="blood-test@v1" person="per-00000108" purpose="healthcare-treatment" request="req-00000004" outcome="denied" reason="data subject withheld consent"/>"#,
+        ]
     );
 }

@@ -1,13 +1,38 @@
 //! Event details instances and the field-filtering obligation.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use css_types::{CssError, CssResult, EventTypeId};
-use css_xml::{Element, TreeSink, XmlSink};
+use css_xml::{Element, Token, TreeSink, TreeSource, XmlSink, XmlSource};
 
 use crate::field::FieldValue;
-use crate::schema::EventSchema;
+use crate::schema::{EventSchema, InstanceNames};
+
+/// The start tag of an instance element, read before the schema that
+/// types its fields need be known.
+pub(crate) struct InstanceTag<'a> {
+    pub(crate) name: &'a str,
+    /// The `type` attribute: the stored type text.
+    pub(crate) ty: Option<Cow<'a, str>>,
+    pub(crate) src_event_id: Option<Cow<'a, str>>,
+    /// The first token of the element's content.
+    pub(crate) content: Token<'a>,
+}
+
+impl<'a> InstanceTag<'a> {
+    /// Read the attributes of the element `src` just opened as `name`.
+    pub(crate) fn read(name: &'a str, src: &mut impl XmlSource<'a>) -> CssResult<Self> {
+        let (mut attrs, content) = src.attributes(["type", "srcEventId"])?;
+        Ok(InstanceTag {
+            name,
+            ty: attrs.take("type"),
+            src_event_id: attrs.take("srcEventId"),
+            content,
+        })
+    }
+}
 
 /// An instance of a class of event details: the sensitive payload that
 /// stays at the producer (Definition 1: `e = {f_1, ..., f_k}`).
@@ -83,22 +108,24 @@ impl EventDetails {
         self.fields.values().map(FieldValue::byte_size).sum()
     }
 
-    /// The obligation of Algorithm 2, step 2: produce a copy where every
-    /// field **not** in `allowed` is blanked ("parses the Event Details
-    /// to filter out the values of the fields that are not allowed").
+    /// The obligation of Algorithm 2, step 2, in place: every field
+    /// **not** in `allowed` is blanked ("parses the Event Details to
+    /// filter out the values of the fields that are not allowed").
     ///
     /// The shape (set of field names) is preserved so consumers can
     /// still validate the response against the published schema.
-    pub fn filtered_to(&self, allowed: &BTreeSet<String>) -> EventDetails {
-        let mut out = EventDetails::new(self.event_type.clone());
-        for (name, value) in &self.fields {
-            let v = if allowed.contains(name) {
-                value.clone()
-            } else {
-                FieldValue::Empty
-            };
-            out.fields.insert(name.clone(), v);
+    pub fn blank_outside(&mut self, allowed: &BTreeSet<String>) {
+        for (name, value) in &mut self.fields {
+            if !allowed.contains(name) {
+                *value = FieldValue::Empty;
+            }
         }
+    }
+
+    /// A copy with [`EventDetails::blank_outside`] applied.
+    pub fn filtered_to(&self, allowed: &BTreeSet<String>) -> EventDetails {
+        let mut out = self.clone();
+        out.blank_outside(allowed);
         out
     }
 
@@ -139,36 +166,60 @@ impl EventDetails {
         TreeSink::build(|tree| self.encode(schema, src_event_id, tree))
     }
 
-    /// Parse an instance from XML, typing fields via the schema.
-    pub fn from_xml(schema: &EventSchema, e: &Element) -> CssResult<Self> {
-        if e.name != schema.root_element() {
+    /// The one decoder: the instance whose start tag is `tag`, its
+    /// fields read from `src` through the element's end and typed via
+    /// the schema (`names` being its [`EventSchema::instance_names`]).
+    ///
+    /// A field `keep` turns down is checked against its declared kind
+    /// like any other but comes back [`FieldValue::Empty`]: its value
+    /// is never built.
+    pub(crate) fn decode<'a>(
+        schema: &EventSchema,
+        names: &InstanceNames,
+        tag: InstanceTag<'a>,
+        src: &mut impl XmlSource<'a>,
+        keep: impl Fn(&str) -> bool,
+    ) -> CssResult<Self> {
+        if tag.name != names.root {
             return Err(CssError::Serialization(format!(
                 "expected <{}>, found <{}>",
-                schema.root_element(),
-                e.name
+                names.root, tag.name
             )));
         }
-        let declared_type = e
-            .attribute("type")
+        let declared_type = tag
+            .ty
             .ok_or_else(|| CssError::Serialization("details missing type attribute".into()))?;
-        if declared_type != schema.id.to_string() {
+        if declared_type != names.type_text {
             return Err(CssError::Serialization(format!(
                 "details type {declared_type:?} does not match schema {}",
                 schema.id
             )));
         }
         let mut out = EventDetails::new(schema.id.clone());
-        for child in e.elements() {
-            let def = schema.field_def(&child.name).ok_or_else(|| {
-                CssError::Serialization(format!("undeclared field <{}>", child.name))
-            })?;
-            let value = def
-                .kind
-                .parse_value(&child.text_content())
-                .map_err(CssError::Serialization)?;
-            out.fields.insert(def.name.clone(), value);
+        let mut token = tag.content;
+        while let Some(field) = src.child(token)? {
+            let def = schema
+                .field_def(field)
+                .ok_or_else(|| CssError::Serialization(format!("undeclared field <{field}>")))?;
+            let text = src.text_content()?;
+            let value = if keep(&def.name) {
+                def.kind.parse_value(&text)
+            } else {
+                def.kind.check_value(&text).map(|()| FieldValue::Empty)
+            };
+            out.fields
+                .insert(def.name.clone(), value.map_err(CssError::Serialization)?);
+            token = src.next()?;
         }
         Ok(out)
+    }
+
+    /// Parse an instance from XML, typing fields via the schema: the
+    /// decoder fed from the tree.
+    pub fn from_xml(schema: &EventSchema, e: &Element) -> CssResult<Self> {
+        let mut src = TreeSource::new(e);
+        let tag = InstanceTag::read(src.root()?, &mut src)?;
+        Self::decode(schema, &schema.instance_names(), tag, &mut src, |_| true)
     }
 }
 

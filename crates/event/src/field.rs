@@ -165,13 +165,30 @@ impl FieldKind {
                 .map(FieldValue::DateTime)
                 .ok_or_else(|| format!("bad datetime {text:?}")),
             FieldKind::Code(allowed) => {
-                if allowed.iter().any(|a| a == text) {
-                    Ok(FieldValue::Code(text.to_string()))
-                } else {
-                    Err(format!("code {text:?} not in enumeration"))
-                }
+                in_enumeration(allowed, text).map(|()| FieldValue::Code(text.to_string()))
             }
         }
+    }
+
+    /// Whether `text` is a well-typed value of this kind — the outcome
+    /// of [`FieldKind::parse_value`] without the value: what a decoder
+    /// does with a field it checks but may not hold.
+    pub fn check_value(&self, text: &str) -> Result<(), String> {
+        match self {
+            // Any text is a text value, and nothing is copied to say so.
+            FieldKind::Text => Ok(()),
+            FieldKind::Code(allowed) if !text.is_empty() => in_enumeration(allowed, text),
+            // The other kinds parse to plain numbers: parsing is the check.
+            _ => self.parse_value(text).map(drop),
+        }
+    }
+}
+
+fn in_enumeration(allowed: &[String], text: &str) -> Result<(), String> {
+    if allowed.iter().any(|a| a == text) {
+        Ok(())
+    } else {
+        Err(format!("code {text:?} not in enumeration"))
     }
 }
 
@@ -369,6 +386,36 @@ mod tests {
             FieldValue::Code("negative".into())
         );
         assert!(code.parse_value("inconclusive").is_err());
+    }
+
+    #[test]
+    fn check_value_agrees_with_parse_value() {
+        let kinds = [
+            FieldKind::Text,
+            FieldKind::Integer,
+            FieldKind::Decimal,
+            FieldKind::Boolean,
+            FieldKind::DateTime,
+            FieldKind::Code(vec!["positive".into(), "negative".into()]),
+        ];
+        let texts = [
+            "",
+            "42",
+            "-1.50",
+            "true",
+            "2010-09-13T08:30:00.000Z",
+            "negative",
+            "anything at all",
+        ];
+        for kind in &kinds {
+            for text in texts {
+                assert_eq!(
+                    kind.check_value(text),
+                    kind.parse_value(text).map(drop),
+                    "{kind:?} {text:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,9 +13,12 @@
 //!
 //! [`EventSchema`] plays the role of the XSD "installed" in the event
 //! catalog: it declares the fields of a class of event details and
-//! validates instances. [`EventDetails::filtered_to`] implements the
+//! validates instances. [`EventDetails::blank_outside`] implements the
 //! paper's obligation semantics — "fields that are not authorized are
-//! left empty" — and [`EventDetails::is_privacy_safe`] is Definition 4.
+//! left empty" — which the gateway applies *in* the decode of a stored
+//! message ([`DetailDecoder::finish`]: a field outside the allowed set
+//! is type-checked and never built), and
+//! [`EventDetails::is_privacy_safe`] is Definition 4.
 
 pub mod details;
 pub mod field;
@@ -25,6 +28,6 @@ pub mod schema;
 
 pub use details::EventDetails;
 pub use field::{Decimal, FieldDef, FieldKind, FieldValue};
-pub use message::{DetailMessage, PrivacyAwareEvent};
+pub use message::{DetailDecoder, DetailMessage, PrivacyAwareEvent};
 pub use notification::NotificationMessage;
-pub use schema::EventSchema;
+pub use schema::{EventSchema, InstanceNames};

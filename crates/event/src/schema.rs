@@ -26,6 +26,17 @@ pub struct EventSchema {
     pub fields: Vec<FieldDef>,
 }
 
+/// The two strings the XML form of an instance takes from its schema's
+/// id. Both are built from the id on every call that wants them;
+/// whoever decodes often (the gateway) derives them once per schema.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InstanceNames {
+    /// [`EventSchema::root_element`].
+    pub root: String,
+    /// The id's canonical text — the value of the `type` attribute.
+    pub type_text: String,
+}
+
 impl EventSchema {
     /// Create a schema with no fields yet.
     pub fn new(id: EventTypeId, display_name: impl Into<String>, producer: ActorId) -> Self {
@@ -86,6 +97,14 @@ impl EventSchema {
                 }
             })
             .collect()
+    }
+
+    /// Root element name and type text of this schema's instances.
+    pub fn instance_names(&self) -> InstanceNames {
+        InstanceNames {
+            root: self.root_element(),
+            type_text: self.id.to_string(),
+        }
     }
 
     /// The `css-xml` schema equivalent, used to publish the structure in

@@ -1,23 +1,25 @@
 //! The gateway proper: schema registry + detail store + Algorithm 2.
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
 
-use css_event::{DetailMessage, EventDetails, EventSchema};
+use css_event::{DetailDecoder, DetailMessage, EventDetails, EventSchema, InstanceNames};
 use css_storage::LogBackend;
 use css_telemetry::{Counter, Histogram, MetricsRegistry};
 use css_trace::{SpanStatus, TraceContext};
 use css_types::{ActorId, CssError, CssResult, EventTypeId, SourceEventId};
+use css_xml::Reader;
 
-use crate::store::{stored_type, DetailStore};
+use crate::store::DetailStore;
 
 /// Cached telemetry handles for the gateway's Algorithm 2 path.
 struct GatewayInstruments {
     /// `gateway.persist` — schema validation + store append.
     persist_latency: Histogram,
-    /// `gateway.retrieve` — repository lookup + record load.
+    /// `gateway.retrieve` — record load + the filtered decode of it.
     retrieve_latency: Histogram,
-    /// `gateway.filter` — field filtering into the privacy-aware view.
+    /// `gateway.filter` — the privacy postcondition on what was decoded.
     filter_latency: Histogram,
     /// `gateway.persisted` — detail messages stored.
     persisted: Counter,
@@ -37,6 +39,29 @@ impl GatewayInstruments {
     }
 }
 
+/// A declared schema and the strings every decode of one of its
+/// instances compares against, derived once at registration.
+struct Registered {
+    schema: EventSchema,
+    names: InstanceNames,
+}
+
+/// Header step of a stored document's decoder, over the bytes where
+/// they lie: UTF-8 check, then the tokens up to the stored type. The
+/// decoder and that type text; `None` when there is no document, or
+/// none with a typed element in it.
+fn typed(
+    stored: &Option<Vec<u8>>,
+) -> CssResult<Option<(DetailDecoder<'_, Reader<'_>>, Cow<'_, str>)>> {
+    let Some(bytes) = stored else {
+        return Ok(None);
+    };
+    let text = std::str::from_utf8(bytes)
+        .map_err(|e| CssError::Serialization(format!("detail message not UTF-8: {e}")))?;
+    let decoder = DetailDecoder::open(Reader::new(text))?;
+    Ok(decoder.stored_type().map(|ty| (decoder, ty)))
+}
+
 /// The producer-side gateway.
 ///
 /// Holds the producer's declared schemas, persists every detail message
@@ -45,7 +70,12 @@ impl GatewayInstruments {
 /// independently of whether the source system behind it is reachable.
 pub struct LocalCooperationGateway<B: LogBackend> {
     producer: ActorId,
-    schemas: HashMap<EventTypeId, EventSchema>,
+    /// The declared schemas; the two maps below index them.
+    schemas: Vec<Registered>,
+    by_id: HashMap<EventTypeId, usize>,
+    /// By canonical type text, which is how stored documents name
+    /// their schema.
+    by_type_text: HashMap<String, usize>,
     store: DetailStore<B>,
     /// Whether the legacy source system behind the gateway is reachable.
     /// The gateway itself keeps answering when this is `false`; the flag
@@ -59,7 +89,9 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
     pub fn open(producer: ActorId, backend: B) -> CssResult<Self> {
         Ok(LocalCooperationGateway {
             producer,
-            schemas: HashMap::new(),
+            schemas: Vec::new(),
+            by_id: HashMap::new(),
+            by_type_text: HashMap::new(),
             store: DetailStore::open(backend)?,
             source_online: true,
             telemetry: None,
@@ -86,13 +118,22 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
                 schema.id, schema.producer, self.producer
             )));
         }
-        self.schemas.insert(schema.id.clone(), schema);
+        let names = schema.instance_names();
+        match self.by_id.get(&schema.id) {
+            Some(&slot) => self.schemas[slot] = Registered { schema, names },
+            None => {
+                let slot = self.schemas.len();
+                self.by_id.insert(schema.id.clone(), slot);
+                self.by_type_text.insert(names.type_text.clone(), slot);
+                self.schemas.push(Registered { schema, names });
+            }
+        }
         Ok(())
     }
 
     /// Schema for an event type, if registered.
     pub fn schema(&self, ty: &EventTypeId) -> Option<&EventSchema> {
-        self.schemas.get(ty)
+        self.by_id.get(ty).map(|&slot| &self.schemas[slot].schema)
     }
 
     /// Persist a detail message at notification time. Validates the
@@ -105,8 +146,9 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
             )));
         }
         let schema = self
-            .schemas
+            .by_id
             .get(&message.details.event_type)
+            .map(|&slot| &self.schemas[slot].schema)
             .ok_or_else(|| {
                 CssError::NotFound(format!(
                     "no schema registered for {}",
@@ -134,11 +176,17 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
     /// The returned details are guaranteed privacy-safe for `F`
     /// (Definition 4); this postcondition is asserted.
     ///
+    /// Step 2 happens *in* the parse of step 1's record: one streaming
+    /// decode builds the values of the fields in `F` and nothing else —
+    /// a field outside `F` is checked against its declared kind and
+    /// left blank, never held — and reads the document to its end
+    /// before anything is returned.
+    ///
     /// When `ctx` is given the call continues the caller's trace with
-    /// one child span per Algorithm 2 stage: `gateway.retrieve`
-    /// (the one read of the stored document), `gateway.parse`
-    /// (type/schema resolution + decoding that same document),
-    /// `gateway.filter` (field filtering + privacy postcondition).
+    /// one child span per stage: `gateway.retrieve` (the one read of
+    /// the stored record, up to the stored type it names),
+    /// `gateway.parse` (schema resolution + the filtered decode of
+    /// that same record), `gateway.filter` (the privacy postcondition).
     pub fn get_response(
         &self,
         src_event_id: SourceEventId,
@@ -147,19 +195,20 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
     ) -> CssResult<EventDetails> {
         let started = Instant::now();
         let mut retrieve = TraceContext::child_opt(ctx, "gateway.retrieve");
-        let doc = self.store.document(src_event_id)?;
-        let ty_text = doc.as_ref().and_then(stored_type);
-        let (Some(doc), Some(ty_text)) = (&doc, ty_text) else {
+        let stored = self.store.stored(src_event_id)?;
+        let Some((decoder, ty_text)) = typed(&stored)? else {
             retrieve.set_status(SpanStatus::Error);
             return Err(CssError::NotFound(format!("no details for {src_event_id}")));
         };
         retrieve.finish();
         let mut parse = TraceContext::child_opt(ctx, "gateway.parse");
-        let decoded = self
-            .schema_named(ty_text)
-            .and_then(|schema| DetailMessage::from_xml(schema, doc));
-        let message = match decoded {
-            Ok(m) => m,
+        let decoded = self.schema_named(&ty_text).and_then(|registered| {
+            decoder.finish(&registered.schema, &registered.names, |field| {
+                allowed.contains(field)
+            })
+        });
+        let filtered = match decoded {
+            Ok(message) => message.details,
             Err(e) => {
                 parse.set_status(SpanStatus::Error);
                 return Err(e);
@@ -168,7 +217,6 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
         parse.finish();
         let retrieved = Instant::now();
         let filter = TraceContext::child_opt(ctx, "gateway.filter");
-        let filtered = message.details.filtered_to(allowed);
         assert!(
             filtered.is_privacy_safe(allowed),
             "gateway postcondition: response must be privacy safe"
@@ -203,22 +251,27 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
     }
 
     fn all_fields_of(&self, src_event_id: SourceEventId) -> CssResult<BTreeSet<String>> {
-        let doc = self.store.document(src_event_id)?;
-        let ty_text = doc
-            .as_ref()
-            .and_then(stored_type)
+        let stored = self.store.stored(src_event_id)?;
+        let (_, ty_text) = typed(&stored)?
             .ok_or_else(|| CssError::NotFound(format!("no details for {src_event_id}")))?;
-        let schema = self.schema_named(ty_text)?;
+        let schema = &self.schema_named(&ty_text)?.schema;
         Ok(schema.field_names().map(str::to_string).collect())
     }
 
-    /// The registered schema a stored type string names.
-    fn schema_named(&self, ty_text: &str) -> CssResult<&EventSchema> {
+    /// The registered schema a stored type text names. Stored documents
+    /// spell the type canonically, so the text is the key; one that
+    /// misses is parsed, to say — as ever — whether it is no type at
+    /// all or a type nobody registered.
+    fn schema_named(&self, ty_text: &str) -> CssResult<&Registered> {
+        if let Some(&slot) = self.by_type_text.get(ty_text) {
+            return Ok(&self.schemas[slot]);
+        }
         let ty: EventTypeId = ty_text
             .parse()
             .map_err(|e| CssError::Serialization(format!("stored type malformed: {e}")))?;
-        self.schemas
+        self.by_id
             .get(&ty)
+            .map(|&slot| &self.schemas[slot])
             .ok_or_else(|| CssError::NotFound(format!("no schema registered for {ty}")))
     }
 
@@ -513,6 +566,121 @@ mod tests {
             Err(CssError::Serialization(_))
         ));
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A gateway (blood-test schema registered) over a store holding
+    /// `documents` verbatim, whatever they are.
+    fn gateway_over(name: &str, documents: &[&str]) -> LocalCooperationGateway<FileBackend> {
+        let dir = std::env::temp_dir().join(format!("css-gw-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("gw.log");
+        let _ = std::fs::remove_file(&path);
+        let (mut planted, _) =
+            css_storage::KvStore::open(FileBackend::open(&path).unwrap()).unwrap();
+        for (i, document) in documents.iter().enumerate() {
+            let key = format!("detail:{}", i + 1);
+            planted.put(key.as_bytes(), document.as_bytes()).unwrap();
+        }
+        planted.sync().unwrap();
+        drop(planted);
+        let mut gw =
+            LocalCooperationGateway::open(ActorId(1), FileBackend::open(&path).unwrap()).unwrap();
+        gw.register_schema(schema()).unwrap();
+        let _ = std::fs::remove_file(&path);
+        gw
+    }
+
+    fn stored_document(fields: &str) -> String {
+        format!(
+            r#"<DetailMessage producer="act-00000001"><BloodTest type="blood-test@v1" srcEventId="src-00000001">{fields}</BloodTest></DetailMessage>"#
+        )
+    }
+
+    #[test]
+    fn a_disallowed_value_is_never_in_the_response() {
+        const MARKER: &str = "MARKER-7f3a";
+        let gw = gateway_over(
+            "marker",
+            &[&stored_document(&format!(
+                "<PatientId>42</PatientId><Result>{MARKER}</Result><Notes><![CDATA[{MARKER}]]> &amp; {MARKER}</Notes>"
+            ))],
+        );
+        let resp = gw
+            .get_response(SourceEventId(1), &allowed(&["PatientId"]), None)
+            .unwrap();
+        assert_eq!(resp.get("PatientId").unwrap(), &FieldValue::Integer(42));
+        assert_eq!(resp.get("Result").unwrap(), &FieldValue::Empty);
+        assert_eq!(resp.get("Notes").unwrap(), &FieldValue::Empty);
+        assert!(!format!("{resp:?}").contains(MARKER));
+        // Allowed, the same bytes are the value.
+        let resp = gw
+            .get_response(SourceEventId(1), &allowed(&["Notes"]), None)
+            .unwrap();
+        assert_eq!(
+            resp.get("Notes").unwrap(),
+            &FieldValue::Text(format!("{MARKER} & {MARKER}"))
+        );
+    }
+
+    #[test]
+    fn a_corrupt_disallowed_field_still_fails_the_request() {
+        let gw = gateway_over(
+            "corrupt",
+            &[
+                &stored_document("<PatientId>forty-two</PatientId><Result>negative</Result>"),
+                &stored_document("<PatientId>42</PatientId><Undeclared>x</Undeclared>"),
+            ],
+        );
+        // PatientId is outside the allowed set, and checked all the same.
+        let err = gw
+            .get_response(SourceEventId(1), &allowed(&["Result"]), None)
+            .unwrap_err();
+        assert!(matches!(err, CssError::Serialization(m) if m.contains("bad integer")));
+        let err = gw
+            .get_response(SourceEventId(2), &allowed(&["PatientId"]), None)
+            .unwrap_err();
+        assert!(matches!(err, CssError::Serialization(m) if m.contains("undeclared field")));
+    }
+
+    #[test]
+    fn nothing_is_released_from_a_document_malformed_after_its_last_field() {
+        let whole = stored_document("<PatientId>42</PatientId><Result>negative</Result>");
+        let cut_in_end_tag = &whole[..whole.len() - 3];
+        let cut_after_instance = &whole[..whole.len() - "</DetailMessage>".len()];
+        let trailing = format!("{whole}<More/>");
+        let gw = gateway_over(
+            "truncated",
+            &[&whole, cut_in_end_tag, cut_after_instance, &trailing],
+        );
+        let ask = |src| gw.get_response(SourceEventId(src), &allowed(&["PatientId"]), None);
+        assert!(ask(1).is_ok());
+        for src in 2..=4 {
+            assert!(
+                matches!(ask(src), Err(CssError::Serialization(m)) if m.contains("XML parse error")),
+                "document {src}"
+            );
+        }
+    }
+
+    #[test]
+    fn reregistering_a_schema_replaces_it() {
+        let mut gw = gateway();
+        gw.persist(&message(1)).unwrap();
+        let narrower = EventSchema::new(EventTypeId::v1("blood-test"), "Blood Test", ActorId(1))
+            .field(FieldDef::required("PatientId", FieldKind::Integer));
+        gw.register_schema(narrower).unwrap();
+        assert_eq!(
+            gw.schema(&EventTypeId::v1("blood-test"))
+                .unwrap()
+                .fields
+                .len(),
+            1
+        );
+        // The stored document now holds fields the schema does not declare.
+        assert!(matches!(
+            gw.get_response(SourceEventId(1), &allowed(&["PatientId"]), None),
+            Err(CssError::Serialization(m)) if m.contains("undeclared field")
+        ));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use css_event::{DetailMessage, EventSchema};
 use css_storage::{KvStore, LogBackend};
 use css_types::{CssError, CssResult, SourceEventId};
-use css_xml::{Element, StreamSink};
+use css_xml::StreamSink;
 
 /// Keyed, durable store of detail messages (XML at rest), indexed by
 /// source event id.
@@ -34,17 +34,11 @@ impl<B: LogBackend> DetailStore<B> {
         self.store.sync()
     }
 
-    /// The stored document for an id: one record read (CRC-checked),
-    /// one UTF-8 check, one XML parse. The gateway picks the schema off
-    /// it and [`DetailMessage::from_xml`] decodes the same document.
-    pub fn document(&self, id: SourceEventId) -> CssResult<Option<Element>> {
-        let Some(bytes) = self.store.get(&key(id))? else {
-            return Ok(None);
-        };
-        let text = String::from_utf8(bytes)
-            .map_err(|e| CssError::Serialization(format!("detail message not UTF-8: {e}")))?;
-        let doc = css_xml::parse(&text).map_err(|e| CssError::Serialization(e.to_string()))?;
-        Ok(Some(doc))
+    /// The stored document for an id, as the bytes [`DetailStore::persist`]
+    /// wrote: one record read (CRC-checked). The gateway decodes them
+    /// where they lie.
+    pub(crate) fn stored(&self, id: SourceEventId) -> CssResult<Option<Vec<u8>>> {
+        self.store.get(&key(id))
     }
 
     /// Highest source event id persisted, if any. Used after a restart
@@ -79,12 +73,6 @@ impl<B: LogBackend> DetailStore<B> {
     }
 }
 
-/// The raw event-type string of a stored document, readable without a
-/// schema (it selects the schema the document is then decoded with).
-pub(crate) fn stored_type(doc: &Element) -> Option<&str> {
-    doc.elements().next()?.attribute("type")
-}
-
 fn key(id: SourceEventId) -> Vec<u8> {
     format!("detail:{}", id.value()).into_bytes()
 }
@@ -112,16 +100,21 @@ mod tests {
         }
     }
 
+    /// What the store holds for `id`, decoded the way the gateway does.
+    fn load<B: LogBackend>(store: &DetailStore<B>, id: u64) -> Option<DetailMessage> {
+        let bytes = store.stored(SourceEventId(id)).unwrap()?;
+        let text = std::str::from_utf8(&bytes).unwrap();
+        let decoder = css_event::DetailDecoder::open(css_xml::Reader::new(text)).unwrap();
+        let s = schema();
+        Some(decoder.finish(&s, &s.instance_names(), |_| true).unwrap())
+    }
+
     #[test]
     fn persist_load_roundtrip() {
         let mut store = DetailStore::open(MemBackend::new()).unwrap();
         store.persist(&schema(), &message(1)).unwrap();
-        let doc = store.document(SourceEventId(1)).unwrap().unwrap();
-        assert_eq!(
-            DetailMessage::from_xml(&schema(), &doc).unwrap(),
-            message(1)
-        );
-        assert!(store.document(SourceEventId(2)).unwrap().is_none());
+        assert_eq!(load(&store, 1), Some(message(1)));
+        assert_eq!(load(&store, 2), None);
     }
 
     #[test]
@@ -132,15 +125,6 @@ mod tests {
             store.persist(&schema(), &message(1)),
             Err(CssError::AlreadyExists(_))
         ));
-    }
-
-    #[test]
-    fn stored_type_readable_without_schema() {
-        let mut store = DetailStore::open(MemBackend::new()).unwrap();
-        store.persist(&schema(), &message(1)).unwrap();
-        let doc = store.document(SourceEventId(1)).unwrap().unwrap();
-        assert_eq!(stored_type(&doc), Some("blood-test@v1"));
-        assert_eq!(stored_type(&Element::new("DetailMessage")), None);
     }
 
     #[test]
@@ -157,11 +141,7 @@ mod tests {
         }
         let store = DetailStore::open(FileBackend::open(&path).unwrap()).unwrap();
         assert_eq!(store.len(), 20);
-        let doc = store.document(SourceEventId(13)).unwrap().unwrap();
-        assert_eq!(
-            DetailMessage::from_xml(&schema(), &doc).unwrap(),
-            message(13)
-        );
+        assert_eq!(load(&store, 13), Some(message(13)));
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -24,7 +24,12 @@ use crate::waiver::Waiver;
 
 /// Calls that constitute a release of protected data (shared with the
 /// audit-before-release rule).
-pub const RELEASE_CALLS: &[&str] = &["decrypt_notification", "get_response"];
+pub const RELEASE_CALLS: &[&str] = &[
+    "decrypt_notification",
+    "resolve_detail_request",
+    "notifications_of_person",
+    "get_response",
+];
 
 /// Calls that file into the bounded pending-access queue.
 pub const FILING_CALLS: &[&str] = &["file", "request_access"];

@@ -13,7 +13,9 @@
 //!
 //! Sources: `.fiscal_code` field reads; `.name`/`.surname` reads whose
 //! receiver chain mentions a person/identity; returns of
-//! `.decrypt_notification(..)`, `.unseal(..)` and
+//! `.decrypt_notification(..)`, `.resolve_detail_request(..)` (the
+//! PEP's one index visit, which unseals the data subject),
+//! `.notifications_of_person(..)`, `.unseal(..)` and
 //! `PersonIdentity::from_bytes(..)`.
 //!
 //! Sanitizers: `seal`, `hmac_sha256`, `mac` (the same MAC under a kept
@@ -41,7 +43,12 @@ const SOURCE_FIELDS_ALWAYS: &[&str] = &["fiscal_code"];
 /// person/identity (bare `.name` is too common — XML nodes, docs).
 const SOURCE_FIELDS_PERSONAL: &[&str] = &["name", "surname"];
 /// Method calls whose return value is decrypted identity material.
-const SOURCE_CALLS: &[&str] = &["decrypt_notification", "unseal"];
+const SOURCE_CALLS: &[&str] = &[
+    "decrypt_notification",
+    "resolve_detail_request",
+    "notifications_of_person",
+    "unseal",
+];
 /// Calls that erase taint: ciphertexts, keyed tags, cardinalities.
 const SANITIZERS: &[&str] = &[
     "seal",

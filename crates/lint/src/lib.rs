@@ -20,6 +20,7 @@
 //! | `shard-lock-order`     | shard locks nest only in ascending index order       |
 //! | `unchecked-backpressure` | pending-queue filings handle `CssError::Backpressure` |
 //! | `trace-hygiene`        | span attributes only via the closed `SpanAttr` constructors |
+//! | `dom-free-read-path`   | at-rest records decoded from `Reader` tokens, never via `css_xml::parse` |
 //! | `layering`             | crate dependencies point strictly down the stack     |
 //!
 //! Rules run in three phases: per-file (token walk over one parsed

@@ -39,6 +39,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(ShardLockOrder),
         Box::new(UncheckedBackpressure),
         Box::new(TraceHygiene),
+        Box::new(DomFreeReadPath),
         Box::new(Layering),
     ]
 }
@@ -225,7 +226,7 @@ impl Rule for AuditBeforeRelease {
         Severity::Error
     }
     fn description(&self) -> &'static str {
-        "functions releasing notification identities or gateway details must append an audit record (directly or via a same-crate callee)"
+        "functions releasing notification identities (decrypt, the one-visit detail lookup, a subject's profile) or gateway details must append an audit record (directly or via a same-crate callee)"
     }
     fn check_project(&self, project: &Project, out: &mut Vec<Finding>) {
         for (fi, file) in project.files.iter().enumerate() {
@@ -285,7 +286,7 @@ impl Rule for IdentityTaint {
         Severity::Error
     }
     fn description(&self) -> &'static str {
-        "identity-derived values must not reach span attrs, metric names, bus publishes, or ops responses"
+        "identity-derived values (fields, decrypted notifications, the one-visit detail lookup) must not reach span attrs, metric names, bus publishes, or ops responses"
     }
     fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {
         for body in &file.fns {
@@ -722,7 +723,74 @@ impl Rule for TraceHygiene {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 10: layering
+// Rule 10: dom-free-read-path
+// ---------------------------------------------------------------------------
+
+/// The at-rest logs are decoded from the token stream
+/// (`css_xml::Reader`), one decoder per stored type: nothing on the
+/// request or replay path builds an `Element` tree it would only walk
+/// once and drop — and nothing outside the allowed field set is
+/// materialised on the way out of the gateway. `css_xml::parse` stays
+/// for the paper-facing documents read at open (`css-policy`'s XACML
+/// repository, `css-registry`); in the crates below it may appear in
+/// tests only, so the carve-out cannot grow back unnoticed.
+pub struct DomFreeReadPath;
+
+/// Crates whose production code reads at-rest records.
+const DOM_FREE_CRATES: &[&str] = &["css-gateway", "css-audit", "css-controller", "css-storage"];
+
+impl Rule for DomFreeReadPath {
+    fn id(&self) -> &'static str {
+        "dom-free-read-path"
+    }
+    fn severity(&self) -> Severity {
+        Severity::Error
+    }
+    fn description(&self) -> &'static str {
+        "gateway/audit/controller/storage production code decodes stored records from `css_xml::Reader` tokens, never via `css_xml::parse`"
+    }
+    fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {
+        if !DOM_FREE_CRATES.contains(&file.crate_name.as_str()) {
+            return;
+        }
+        let toks = &file.tokens;
+        for i in 0..toks.len() {
+            if !(file.is_prod(i) && toks[i].is_ident("css_xml") && file.puncts(i + 1, "::")) {
+                continue;
+            }
+            // What the path rooted here names: every identifier of a
+            // `{ .. }` import group, or the segments of a plain path.
+            let mut j = i + 3;
+            let end = if toks.get(j).is_some_and(|t| t.is_punct('{')) {
+                matching_brace(toks, j)
+            } else {
+                while file.ident(j).is_some() && file.puncts(j + 1, "::") {
+                    j += 3;
+                }
+                j
+            };
+            for (k, tok) in toks.iter().enumerate().take(end + 1).skip(i + 3) {
+                if tok.is_ident("parse") {
+                    out.push(finding(
+                        self.id(),
+                        self.severity(),
+                        file,
+                        k,
+                        format!(
+                            "`css_xml::parse` in production code of `{}`: stored records \
+                             are decoded from `css_xml::Reader` tokens (one decoder per \
+                             type), no tree is built on the read path",
+                            file.crate_name
+                        ),
+                    ));
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Rule 11: layering
 // ---------------------------------------------------------------------------
 
 /// The crate DAG is the privacy architecture: types at the bottom,

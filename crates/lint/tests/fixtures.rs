@@ -177,6 +177,46 @@ fn audit_before_release_fires_and_clean_passes() {
     );
 }
 
+/// The PEP's one index visit and a subject's profile unseal identities
+/// inside the controller: release points beside `decrypt_notification`.
+#[test]
+fn audit_before_release_covers_the_one_visit_lookups() {
+    let hits = fire(
+        "css-controller",
+        "audit_release/one_visit_fire.rs",
+        "audit-before-release",
+    );
+    assert_eq!(hits.len(), 2, "{hits:#?}");
+    assert!(hits[0].message.contains("resolve_detail_request"));
+    assert!(hits[1].message.contains("notifications_of_person"));
+
+    let clean = fire(
+        "css-controller",
+        "audit_release/one_visit_clean.rs",
+        "audit-before-release",
+    );
+    assert!(
+        clean.is_empty(),
+        "audited/forwarding fns flagged: {clean:#?}"
+    );
+}
+
+#[test]
+fn dom_free_read_path_fires_and_clean_passes() {
+    for krate in ["css-audit", "css-gateway", "css-controller", "css-storage"] {
+        let hits = fire(krate, "dom_free/fire.rs", "dom-free-read-path");
+        assert_eq!(hits.len(), 2, "import group + path call: {hits:#?}");
+        assert!(hits.iter().all(|f| f.severity == Severity::Error));
+        let clean = fire(krate, "dom_free/clean.rs", "dom-free-read-path");
+        assert!(clean.is_empty(), "token decode flagged: {clean:#?}");
+    }
+    // The paper-facing formats keep the tree: read at open, queried after.
+    for krate in ["css-policy", "css-registry", "css-event"] {
+        let hits = fire(krate, "dom_free/fire.rs", "dom-free-read-path");
+        assert!(hits.is_empty(), "fired outside the read path: {hits:#?}");
+    }
+}
+
 #[test]
 fn no_panic_hot_path_fires_and_clean_passes() {
     let hits = fire("css-storage", "no_panic/fire.rs", "no-panic-hot-path");
@@ -357,6 +397,27 @@ fn identity_taint_fires_on_span_metric_and_publish() {
     let clean = fire(
         "css-controller",
         "identity_taint/clean.rs",
+        "identity-taint",
+    );
+    assert!(clean.is_empty(), "sanitized flows flagged: {clean:#?}");
+}
+
+/// What the one-visit lookups return is identity material like a
+/// decrypted notification.
+#[test]
+fn identity_taint_treats_the_one_visit_lookups_as_sources() {
+    let hits = fire(
+        "css-controller",
+        "identity_taint/one_visit_fire.rs",
+        "identity-taint",
+    );
+    assert_eq!(hits.len(), 2, "metric name + publish: {hits:#?}");
+    assert!(hits[0].message.contains("metric name"), "{hits:#?}");
+    assert!(hits[1].message.contains("bus publish"), "{hits:#?}");
+
+    let clean = fire(
+        "css-controller",
+        "identity_taint/one_visit_clean.rs",
         "identity-taint",
     );
     assert!(clean.is_empty(), "sanitized flows flagged: {clean:#?}");

@@ -47,7 +47,7 @@ fn json_has_versioned_envelope_and_summary() {
 }
 
 #[test]
-fn json_lists_all_ten_rules_with_severities() {
+fn json_lists_all_eleven_rules_with_severities() {
     let json = render_json(&Report::default());
     for rule in [
         "detail-confinement",
@@ -59,6 +59,7 @@ fn json_lists_all_ten_rules_with_severities() {
         "shard-lock-order",
         "unchecked-backpressure",
         "trace-hygiene",
+        "dom-free-read-path",
         "layering",
     ] {
         assert!(

@@ -25,8 +25,9 @@
 //! The cache never answers differently from a fresh evaluation; it only
 //! skips re-deriving an answer that provably cannot have changed.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
@@ -104,7 +105,8 @@ impl StabilityInterval {
     }
 }
 
-struct Entry<V> {
+struct Entry<K, V> {
+    key: K,
     generation: u64,
     stable: StabilityInterval,
     value: V,
@@ -125,19 +127,61 @@ pub struct CacheStats {
 /// on the same segment, not on one global mutex.
 const CACHE_SEGMENTS: usize = 8;
 
+/// What a lookup is made with: the key's parts, borrowed. It hashes as
+/// the key does and knows the key when it sees it, so a lookup builds
+/// (allocates) no key; a key is its own probe.
+pub trait Probe<K>: Hash {
+    /// Whether `key` is the key these parts make up.
+    fn is(&self, key: &K) -> bool;
+}
+
+impl<K: Hash + Eq> Probe<K> for K {
+    fn is(&self, key: &K) -> bool {
+        self == key
+    }
+}
+
+/// The hasher of a map whose keys are hashes already.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type Segment<K, V> = Mutex<HashMap<u64, Entry<K, V>, BuildHasherDefault<Prehashed>>>;
+
 /// A keyed memo of decisions, validated against a [`Generation`] and a
 /// per-entry [`StabilityInterval`].
 ///
 /// Internally the map is split into [`CACHE_SEGMENTS`] segments, each
-/// behind its own mutex, keyed by the entry's hash — the sharded
-/// controller data plane hits the cache from many threads at once, and
-/// a single map mutex would re-serialize what the shards just
-/// parallelized. All segments share the owning PDP's one [`Generation`]
-/// counter, so a revocation invalidates every segment at the same
-/// instant. The PDP's evaluation path stays `&self` so concurrent
-/// readers share one cache.
+/// behind its own mutex — the sharded controller data plane hits the
+/// cache from many threads at once, and a single map mutex would
+/// re-serialize what the shards just parallelized. All segments share
+/// the owning PDP's one [`Generation`] counter, so a revocation
+/// invalidates every segment at the same instant. The PDP's evaluation
+/// path stays `&self` so concurrent readers share one cache.
+///
+/// A lookup hashes its [`Probe`] once, under the cache's own randomly
+/// keyed hasher: the hash picks the segment and is the segment map's
+/// key, and the entry holds the owned key the probe is compared with.
+/// Two keys with one 64-bit hash share a slot — the later evicts the
+/// earlier, which then misses: a cache may forget, never confuse.
 pub struct DecisionCache<K, V> {
-    segments: Vec<Mutex<HashMap<K, Entry<V>>>>,
+    hasher: RandomState,
+    segments: Vec<Segment<K, V>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -145,8 +189,9 @@ pub struct DecisionCache<K, V> {
 impl<K, V> Default for DecisionCache<K, V> {
     fn default() -> Self {
         DecisionCache {
+            hasher: RandomState::new(),
             segments: (0..CACHE_SEGMENTS)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(HashMap::default()))
                 .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -155,19 +200,21 @@ impl<K, V> Default for DecisionCache<K, V> {
 }
 
 impl<K: Eq + Hash, V: Clone> DecisionCache<K, V> {
-    fn segment(&self, key: &K) -> &Mutex<HashMap<K, Entry<V>>> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.segments[(hasher.finish() as usize) % self.segments.len()]
+    /// The segment a hash lives in. Taken from its middle bits: the
+    /// segment's table indexes by the low ones and tags by the high.
+    fn segment(&self, hash: u64) -> &Segment<K, V> {
+        &self.segments[(hash >> 32) as usize % self.segments.len()]
     }
 
-    /// The cached value for `key`, if it was computed under
-    /// `generation` and its stability interval contains `now`.
-    pub fn get(&self, key: &K, generation: u64, now: Timestamp) -> Option<V> {
-        let entries = self.segment(key).lock();
+    /// The cached value for the key `probe` stands for, if it was
+    /// computed under `generation` and its stability interval contains
+    /// `now`.
+    pub fn get(&self, probe: &impl Probe<K>, generation: u64, now: Timestamp) -> Option<V> {
+        let hash = self.hasher.hash_one(probe);
+        let entries = self.segment(hash).lock();
         let hit = entries
-            .get(key)
-            .filter(|e| e.generation == generation && e.stable.contains(now))
+            .get(&hash)
+            .filter(|e| probe.is(&e.key) && e.generation == generation && e.stable.contains(now))
             .map(|e| e.value.clone());
         drop(entries);
         if hit.is_some() {
@@ -181,9 +228,11 @@ impl<K: Eq + Hash, V: Clone> DecisionCache<K, V> {
     /// Memoize `value` for `key` under `generation`, stable on
     /// `stable`. An entry from an older generation is replaced.
     pub fn put(&self, key: K, generation: u64, stable: StabilityInterval, value: V) {
-        self.segment(&key).lock().insert(
-            key,
+        let hash = self.hasher.hash_one(&key);
+        self.segment(hash).lock().insert(
+            hash,
             Entry {
+                key,
                 generation,
                 stable,
                 value,
@@ -309,6 +358,26 @@ mod tests {
         }
         cache.clear();
         assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn keys_sharing_a_hash_evict_and_never_answer_for_each_other() {
+        #[derive(PartialEq, Eq)]
+        struct Colliding(u8);
+        impl Hash for Colliding {
+            fn hash<H: Hasher>(&self, state: &mut H) {
+                state.write_u8(0);
+            }
+        }
+        let cache: DecisionCache<Colliding, u8> = DecisionCache::default();
+        let stable = StabilityInterval::around(Timestamp(0), []);
+        cache.put(Colliding(1), 0, stable, 10);
+        assert_eq!(cache.get(&Colliding(1), 0, Timestamp(0)), Some(10));
+        assert_eq!(cache.get(&Colliding(2), 0, Timestamp(0)), None);
+        cache.put(Colliding(2), 0, stable, 20);
+        assert_eq!(cache.get(&Colliding(2), 0, Timestamp(0)), Some(20));
+        assert_eq!(cache.get(&Colliding(1), 0, Timestamp(0)), None);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

@@ -17,11 +17,29 @@ use std::fmt;
 
 use css_types::{ActorId, ActorRegistry, DenyReason, EventTypeId, PolicyId, Purpose, Timestamp};
 
-use crate::cache::{CacheStats, DecisionCache, Generation, StabilityInterval};
+use crate::cache::{CacheStats, DecisionCache, Generation, Probe, StabilityInterval};
 use crate::decision::Decision;
 use crate::matching::{matches, MatchOutcome};
 use crate::model::PrivacyPolicy;
 use crate::request::DetailRequest;
+
+/// Key of the evaluation cache, and the borrowed parts it is probed with.
+type EvalKey = (ActorId, EventTypeId, Purpose);
+
+impl Probe<EvalKey> for (ActorId, &EventTypeId, &Purpose) {
+    fn is(&self, key: &EvalKey) -> bool {
+        (self.0, self.1, self.2) == (key.0, &key.1, &key.2)
+    }
+}
+
+/// Key of the authorization cache, and the borrowed parts it is probed with.
+type AuthKey = (ActorId, EventTypeId);
+
+impl Probe<AuthKey> for (ActorId, &EventTypeId) {
+    fn is(&self, key: &AuthKey) -> bool {
+        (self.0, self.1) == (key.0, &key.1)
+    }
+}
 
 /// In-memory decision point over an indexed policy set, with a
 /// generation-stamped decision cache over the evaluation paths.
@@ -33,8 +51,8 @@ pub struct PolicyDecisionPoint {
     by_id: HashMap<PolicyId, EventTypeId>,
     /// Bumped on every policy mutation; stale cache entries miss.
     generation: Generation,
-    eval_cache: DecisionCache<(ActorId, EventTypeId, Purpose), Decision>,
-    auth_cache: DecisionCache<(ActorId, EventTypeId), bool>,
+    eval_cache: DecisionCache<EvalKey, Decision>,
+    auth_cache: DecisionCache<AuthKey, bool>,
 }
 
 impl fmt::Debug for PolicyDecisionPoint {
@@ -171,16 +189,17 @@ impl PolicyDecisionPoint {
         now: Timestamp,
     ) -> (Decision, bool) {
         let generation = self.generation.current();
+        let probe = (request.actor, &request.event_type, &request.purpose);
+        if let Some(decision) = self.eval_cache.get(&probe, generation, now) {
+            return (decision, true);
+        }
+        let decision = self.evaluate_uncached(request, actors, now);
+        let stable = StabilityInterval::around(now, self.policies_for(&request.event_type));
         let key = (
             request.actor,
             request.event_type.clone(),
             request.purpose.clone(),
         );
-        if let Some(decision) = self.eval_cache.get(&key, generation, now) {
-            return (decision, true);
-        }
-        let decision = self.evaluate_uncached(request, actors, now);
-        let stable = StabilityInterval::around(now, self.policies_for(&request.event_type));
         self.eval_cache
             .put(key, generation, stable, decision.clone());
         (decision, false)
@@ -197,8 +216,10 @@ impl PolicyDecisionPoint {
         now: Timestamp,
     ) -> bool {
         let generation = self.generation.current();
-        let key = (consumer, event_type.clone());
-        if let Some(authorized) = self.auth_cache.get(&key, generation, now) {
+        if let Some(authorized) = self
+            .auth_cache
+            .get(&(consumer, event_type), generation, now)
+        {
             return authorized;
         }
         let candidates = self.policies_for(event_type);
@@ -208,7 +229,12 @@ impl PolicyDecisionPoint {
                 && actors.is_same_or_descendant(consumer, p.actor)
         });
         let stable = StabilityInterval::around(now, candidates);
-        self.auth_cache.put(key, generation, stable, authorized);
+        self.auth_cache.put(
+            (consumer, event_type.clone()),
+            generation,
+            stable,
+            authorized,
+        );
         authorized
     }
 

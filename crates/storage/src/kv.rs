@@ -60,12 +60,15 @@ impl<B: LogBackend> KvStore<B> {
             let (op, key, _) = decode(&payload)?;
             match op {
                 OP_PUT => {
-                    if index.insert(key, Slot::of(*ptr, &payload)).is_some() {
+                    if index
+                        .insert(key.to_vec(), Slot::of(*ptr, &payload))
+                        .is_some()
+                    {
                         dead += 1;
                     }
                 }
                 OP_DELETE => {
-                    if index.remove(&key).is_some() {
+                    if index.remove(key).is_some() {
                         dead += 1;
                     }
                     dead += 1; // the delete record itself is dead weight
@@ -127,14 +130,17 @@ impl<B: LogBackend> KvStore<B> {
         Ok(())
     }
 
-    /// Fetch a value.
+    /// Fetch a value: the one buffer the record read produced, with
+    /// what precedes the value in it dropped.
     pub fn get(&self, key: &[u8]) -> CssResult<Option<Vec<u8>>> {
         match self.index.get(key) {
             None => Ok(None),
             Some(slot) => {
-                let payload = self.log.read_sized(slot.ptr, slot.payload_len as usize)?;
-                let (_, _, value) = decode(&payload)?;
-                Ok(Some(value))
+                let mut record = self.log.read_sized(slot.ptr, slot.payload_len as usize)?;
+                let (_, _, value) = decode(&record)?;
+                let value_start = record.len() - value.len();
+                record.drain(..value_start);
+                Ok(Some(record))
             }
         }
     }
@@ -223,7 +229,8 @@ fn encode(op: u8, key: &[u8], value: &[u8]) -> Vec<u8> {
     out
 }
 
-fn decode(payload: &[u8]) -> CssResult<(u8, Vec<u8>, Vec<u8>)> {
+/// Opcode, key and value of a record, borrowed from it.
+fn decode(payload: &[u8]) -> CssResult<(u8, &[u8], &[u8])> {
     let err = || CssError::Storage("malformed kv record".into());
     if payload.len() < 9 {
         return Err(err());
@@ -233,14 +240,13 @@ fn decode(payload: &[u8]) -> CssResult<(u8, Vec<u8>, Vec<u8>)> {
     if payload.len() < 5 + klen + 4 {
         return Err(err());
     }
-    let key = payload[5..5 + klen].to_vec();
+    let key = &payload[5..5 + klen];
     let vstart = 5 + klen + 4;
     let vlen = crate::le_u32(&payload[5 + klen..vstart]).ok_or_else(err)? as usize;
     if payload.len() != vstart + vlen {
         return Err(err());
     }
-    let value = payload[vstart..].to_vec();
-    Ok((op, key, value))
+    Ok((op, key, &payload[vstart..]))
 }
 
 #[cfg(test)]

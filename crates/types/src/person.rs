@@ -41,38 +41,23 @@ impl PersonIdentity {
         out
     }
 
-    /// Inverse of [`to_bytes`](Self::to_bytes).
+    /// Inverse of [`to_bytes`](Self::to_bytes). Slices the input in
+    /// place: the three strings are all it allocates.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut cur = bytes;
-        let take = |cur: &mut &[u8], n: usize| -> Option<Vec<u8>> {
-            if cur.len() < n {
-                return None;
-            }
-            let (head, tail) = cur.split_at(n);
-            *cur = tail;
-            Some(head.to_vec())
+        let (id, mut rest) = bytes.split_first_chunk::<8>()?;
+        let mut string = || {
+            let (len, tail) = rest.split_first_chunk::<4>()?;
+            let (raw, tail) = tail.split_at_checked(u32::from_le_bytes(*len) as usize)?;
+            rest = tail;
+            std::str::from_utf8(raw).ok().map(str::to_owned)
         };
-        let id_bytes = take(&mut cur, 8)?;
-        let id = PersonId(u64::from_le_bytes(id_bytes.try_into().ok()?));
-        let mut strings = Vec::with_capacity(3);
-        for _ in 0..3 {
-            let len_bytes = take(&mut cur, 4)?;
-            let len = u32::from_le_bytes(len_bytes.try_into().ok()?) as usize;
-            let raw = take(&mut cur, len)?;
-            strings.push(String::from_utf8(raw).ok()?);
-        }
-        if !cur.is_empty() {
-            return None;
-        }
-        let surname = strings.pop()?;
-        let name = strings.pop()?;
-        let fiscal_code = strings.pop()?;
-        Some(PersonIdentity {
-            id,
-            fiscal_code,
-            name,
-            surname,
-        })
+        let identity = PersonIdentity {
+            id: PersonId(u64::from_le_bytes(*id)),
+            fiscal_code: string()?,
+            name: string()?,
+            surname: string()?,
+        };
+        rest.is_empty().then_some(identity)
     }
 }
 
@@ -142,6 +127,21 @@ mod tests {
         let bytes = ident().to_bytes();
         for cut in [0, 1, 7, 8, 11, bytes.len() - 1] {
             assert!(PersonIdentity::from_bytes(&bytes[..cut]).is_none());
+        }
+    }
+
+    #[test]
+    fn over_long_length_field_rejected() {
+        let bytes = ident().to_bytes();
+        // Each of the three length fields in turn claims one byte more
+        // than follows it, then far more than any input holds.
+        for at in [8, 8 + 4 + 16, 8 + 4 + 16 + 4 + 5] {
+            let rest = (bytes.len() - at - 4) as u32;
+            for len in [rest + 1, u32::MAX] {
+                let mut bad = bytes.clone();
+                bad[at..at + 4].copy_from_slice(&len.to_le_bytes());
+                assert!(PersonIdentity::from_bytes(&bad).is_none(), "{at} {len}");
+            }
         }
     }
 

@@ -1,5 +1,7 @@
 //! Escaping and unescaping of XML character data.
 
+use std::borrow::Cow;
+
 /// Whether `b` must be written as an entity: `&`, `<`, `>` anywhere,
 /// and the two quotes inside attribute values.
 fn needs_escape(b: u8, attr: bool) -> bool {
@@ -36,12 +38,15 @@ pub(crate) fn escape_tail(out: &mut String, start: usize, attr: bool) {
 
 /// Expand the five predefined entities plus decimal/hex character
 /// references. Unknown entities are an error (returned as `None`).
-pub fn unescape(s: &str) -> Option<String> {
-    if !s.contains('&') {
-        return Some(s.to_string());
-    }
+/// Text without an entity — ids, numbers, hex, most values — comes back
+/// borrowed.
+pub fn unescape(s: &str) -> Option<Cow<'_, str>> {
+    let Some(first) = s.find('&') else {
+        return Some(Cow::Borrowed(s));
+    };
     let mut out = String::with_capacity(s.len());
-    let mut rest = s;
+    out.push_str(&s[..first]);
+    let mut rest = &s[first..];
     while let Some(pos) = rest.find('&') {
         out.push_str(&rest[..pos]);
         rest = &rest[pos..];
@@ -67,7 +72,7 @@ pub fn unescape(s: &str) -> Option<String> {
         rest = &rest[end + 1..];
     }
     out.push_str(rest);
-    Some(out)
+    Some(Cow::Owned(out))
 }
 
 #[cfg(test)]

@@ -10,7 +10,9 @@
 //! - a sink interface types encode themselves through ([`sink`]):
 //!   streamed straight to text, or built into a tree,
 //! - a writer with correct escaping ([`writer`]),
-//! - a recursive-descent parser for the same subset ([`parser`]),
+//! - the matching source interface types decode themselves from
+//!   ([`reader`]): tokens pulled off the text in place, or replayed
+//!   from a tree — and [`parse`], those tokens folded into a tree,
 //! - a schema language playing the role of XSD ([`schema`]): typed
 //!   fields, required/optional occurrence, enumerations.
 //!
@@ -21,12 +23,14 @@
 pub mod doc;
 pub mod escape;
 pub mod parser;
+pub mod reader;
 pub mod schema;
 pub mod sink;
 pub mod writer;
 
 pub use doc::{Element, Node};
 pub use parser::{parse, ParseError};
+pub use reader::{Attributes, Reader, Token, TreeSource, XmlSource};
 pub use schema::{ElementDecl, Occurs, Schema, SchemaError, ValueType};
 pub use sink::{StreamSink, TreeSink, XmlSink};
 pub use writer::{to_document_string, to_string, to_string_pretty};

@@ -1,15 +1,18 @@
-//! A recursive-descent parser for the XML subset the platform emits.
+//! Parsing serialized text into an [`Element`] tree.
 //!
-//! Supported: elements, attributes (single or double quoted), text with
-//! the predefined entities and numeric character references, comments,
-//! CDATA sections, and an optional leading XML declaration. Not
-//! supported (by design): DTDs, processing instructions other than the
-//! declaration, external entities.
+//! The grammar lives in [`crate::reader`]; [`parse`] is its tokens
+//! folded into a tree, for the documents that are queried or shown
+//! after they are read (XACML policies, registry objects, wire
+//! messages). What is only ever decoded — the at-rest logs — pulls the
+//! tokens itself and builds no tree.
 
 use std::fmt;
 
-use crate::doc::{Element, Node};
-use crate::escape::unescape;
+use css_types::CssError;
+
+use crate::doc::Element;
+use crate::reader::{Reader, Token, XmlSource};
+use crate::sink::{TreeSink, XmlSink};
 
 /// Error produced when parsing malformed XML.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,220 +35,26 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+impl From<ParseError> for CssError {
+    fn from(e: ParseError) -> Self {
+        CssError::Serialization(e.to_string())
+    }
+}
+
 /// Parse a complete document into its root element.
 ///
 /// Trailing content after the root element (other than whitespace or
 /// comments) is an error, as is an empty document.
 pub fn parse(input: &str) -> Result<Element, ParseError> {
-    let mut p = Parser { input, pos: 0 };
-    p.skip_prolog();
-    let root = p.parse_element()?;
-    p.skip_misc();
-    if p.pos != p.input.len() {
-        return Err(p.err("unexpected content after root element"));
-    }
-    Ok(root)
-}
-
-struct Parser<'a> {
-    input: &'a str,
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, message: impl Into<String>) -> ParseError {
-        ParseError {
-            offset: self.pos,
-            message: message.into(),
-        }
-    }
-
-    fn rest(&self) -> &'a str {
-        &self.input[self.pos..]
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.rest().chars().next()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.pos += c.len_utf8();
-        Some(c)
-    }
-
-    fn eat(&mut self, s: &str) -> bool {
-        if self.rest().starts_with(s) {
-            self.pos += s.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, s: &str) -> Result<(), ParseError> {
-        if self.eat(s) {
-            Ok(())
-        } else {
-            Err(self.err(format!("expected {s:?}")))
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.bump();
-        }
-    }
-
-    fn skip_prolog(&mut self) {
-        self.skip_ws();
-        if self.rest().starts_with("<?xml") {
-            if let Some(end) = self.rest().find("?>") {
-                self.pos += end + 2;
-            }
-        }
-        self.skip_misc();
-    }
-
-    /// Skip whitespace and comments between top-level constructs.
-    fn skip_misc(&mut self) {
-        loop {
-            self.skip_ws();
-            if self.rest().starts_with("<!--") {
-                match self.rest().find("-->") {
-                    Some(end) => self.pos += end + 3,
-                    None => {
-                        self.pos = self.input.len();
-                        return;
-                    }
-                }
-            } else {
-                return;
-            }
-        }
-    }
-
-    fn parse_name(&mut self) -> Result<String, ParseError> {
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c.is_alphanumeric() || matches!(c, '_' | '-' | '.' | ':') {
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        if self.pos == start {
-            return Err(self.err("expected a name"));
-        }
-        let name = &self.input[start..self.pos];
-        if name.starts_with(|c: char| c.is_ascii_digit() || c == '-' || c == '.') {
-            return Err(self.err(format!("invalid name start in {name:?}")));
-        }
-        Ok(name.to_string())
-    }
-
-    fn parse_attr_value(&mut self) -> Result<String, ParseError> {
-        let quote = match self.bump() {
-            Some(q @ ('"' | '\'')) => q,
-            _ => return Err(self.err("expected quoted attribute value")),
-        };
-        let start = self.pos;
-        loop {
-            match self.peek() {
-                Some(c) if c == quote => break,
-                Some('<') => return Err(self.err("'<' not allowed in attribute value")),
-                Some(_) => {
-                    self.bump();
-                }
-                None => return Err(self.err("unterminated attribute value")),
-            }
-        }
-        let raw = &self.input[start..self.pos];
-        self.bump(); // closing quote
-        unescape(raw).ok_or_else(|| self.err(format!("bad entity in attribute value {raw:?}")))
-    }
-
-    fn parse_element(&mut self) -> Result<Element, ParseError> {
-        self.expect("<")?;
-        let name = self.parse_name()?;
-        let mut element = Element::new(name.clone());
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some('/') => {
-                    self.bump();
-                    self.expect(">")?;
-                    return Ok(element);
-                }
-                Some('>') => {
-                    self.bump();
-                    break;
-                }
-                Some(_) => {
-                    let key = self.parse_name()?;
-                    self.skip_ws();
-                    self.expect("=")?;
-                    self.skip_ws();
-                    let value = self.parse_attr_value()?;
-                    if element.attribute(&key).is_some() {
-                        return Err(self.err(format!("duplicate attribute {key:?}")));
-                    }
-                    element.attributes.push((key, value));
-                }
-                None => return Err(self.err("unterminated start tag")),
-            }
-        }
-        // Content until the matching end tag.
-        loop {
-            if self.eat("<!--") {
-                match self.rest().find("-->") {
-                    Some(end) => self.pos += end + 3,
-                    None => return Err(self.err("unterminated comment")),
-                }
-                continue;
-            }
-            if self.eat("<![CDATA[") {
-                match self.rest().find("]]>") {
-                    Some(end) => {
-                        let text = self.rest()[..end].to_string();
-                        self.pos += end + 3;
-                        element.children.push(Node::Text(text));
-                    }
-                    None => return Err(self.err("unterminated CDATA section")),
-                }
-                continue;
-            }
-            if self.rest().starts_with("</") {
-                self.pos += 2;
-                let end_name = self.parse_name()?;
-                if end_name != name {
-                    return Err(self.err(format!(
-                        "mismatched end tag: expected </{name}>, found </{end_name}>"
-                    )));
-                }
-                self.skip_ws();
-                self.expect(">")?;
-                return Ok(element);
-            }
-            match self.peek() {
-                Some('<') => {
-                    let child = self.parse_element()?;
-                    element.children.push(Node::Element(child));
-                }
-                Some(_) => {
-                    let start = self.pos;
-                    while matches!(self.peek(), Some(c) if c != '<') {
-                        self.bump();
-                    }
-                    let raw = &self.input[start..self.pos];
-                    let text = unescape(raw)
-                        .ok_or_else(|| self.err(format!("bad entity in text {raw:?}")))?;
-                    if !text.trim().is_empty() {
-                        element.children.push(Node::Text(text));
-                    }
-                }
-                None => return Err(self.err(format!("unterminated element <{name}>"))),
-            }
+    let mut reader = Reader::new(input);
+    let mut tree = TreeSink::default();
+    loop {
+        match reader.next()? {
+            Token::Open(name) => tree.open(name),
+            Token::Attr(key, value) => tree.attr(key, value),
+            Token::Text(text) => tree.text(text),
+            Token::Close => tree.close(),
+            Token::Eof => return Ok(tree.into_root()),
         }
     }
 }

@@ -180,8 +180,13 @@ impl TreeSink {
     pub fn build(encode: impl FnOnce(&mut TreeSink)) -> Element {
         let mut tree = TreeSink::default();
         encode(&mut tree);
-        assert!(tree.open.is_empty(), "element left open in a TreeSink");
-        tree.root.expect("no element was written into the TreeSink")
+        tree.into_root()
+    }
+
+    /// The finished tree (same panics as [`TreeSink::build`]).
+    pub(crate) fn into_root(self) -> Element {
+        assert!(self.open.is_empty(), "element left open in a TreeSink");
+        self.root.expect("no element was written into the TreeSink")
     }
 
     fn current(&mut self) -> &mut Element {

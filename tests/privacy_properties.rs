@@ -84,7 +84,7 @@ proptest! {
         let released = PrivacyAwareEvent::release(
             GlobalEventId(1),
             ActorId(1),
-            &d,
+            d,
             f,
         );
         prop_assert!(released.is_privacy_safe());
