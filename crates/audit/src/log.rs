@@ -1,15 +1,25 @@
 //! One shard of the tamper-evident audit log.
 //!
-//! Records are appended to a [`css_crypto::HashChain`] and to a
-//! `css-storage` record log. Reloading verifies the whole chain, so any
-//! offline modification of the persisted log is detected at open time.
+//! A record's bytes are held once, on its `css-storage` record log;
+//! in memory the shard keeps the decoded record, the digest of its
+//! chain link ([`css_crypto::chain_step`], the step of
+//! [`css_crypto::HashChain`]) and where its frame lies.
+//!
+//! What open checks: every frame's CRC (the recovery scan), that every
+//! payload decodes, and that sequence numbers increase. It *derives*
+//! the chain from the bytes it finds, so the head it arrives at
+//! vouches for nothing by itself — compare it with a head noted before
+//! the restart (an anchor the log carries across restarts is ROADMAP
+//! item 1). What [`ShardLog::verify`] checks: that the bytes on the
+//! backend **now** still chain to the digests noted when each record
+//! was taken in.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use css_crypto::HashChain;
-use css_storage::{split_records, LogBackend, RecordLog};
+use css_crypto::{chain_step, ChainVerifyError, HashChain};
+use css_storage::{split_records, LogBackend, RecordLog, RecordPtr};
 use css_types::{CssError, CssResult, PersonId};
 use css_xml::{Reader, StreamSink};
 
@@ -24,62 +34,38 @@ use crate::record::AuditRecord;
 /// strictly increasing but *gappy* (the gaps live on sibling shards),
 /// and recovery enforces monotonicity, advancing the shared counter
 /// past the highest recovered seq.
+pub(crate) struct ShardLog<B: LogBackend> {
+    held: Held,
+    storage: RecordLog<B>,
+    sequencer: Arc<AtomicU64>,
+    /// The text of the append in progress, kept between appends.
+    text: String,
+}
+
+/// What the shard holds in memory about the records on its storage.
 ///
 /// `by_person` is the posting list of the citizen's view ("who touched
 /// my data"): for each data subject, the positions in `records` of the
 /// records about them, ascending. It is derived state — rebuilt by
 /// replay at open, never persisted — and is written only by
-/// [`ShardLog::push`], the one place a record enters `records`.
-pub(crate) struct ShardLog<B: LogBackend> {
-    chain: HashChain,
+/// [`Held::push`], the one place a record enters `records`.
+struct Held {
+    /// Per record, in log order: the digest of its chain link and the
+    /// frame on storage the digest was derived from.
+    links: Vec<([u8; 32], RecordPtr)>,
+    /// The last link's digest; of the empty chain before the first.
+    head: [u8; 32],
     records: Vec<AuditRecord>,
     by_person: HashMap<PersonId, Vec<u32>>,
-    storage: RecordLog<B>,
-    sequencer: Arc<AtomicU64>,
 }
 
-impl<B: LogBackend> ShardLog<B> {
-    /// Open the shard log on `backend`, replaying and verifying existing
-    /// records. Recovery accepts the strictly-increasing (gappy)
-    /// sequence a shard produces and advances `sequencer` past the
-    /// highest recovered seq so restarts never reuse a number.
-    ///
-    /// Fails if any persisted record is malformed or if the rebuilt
-    /// chain does not verify (evidence of offline tampering).
-    pub(crate) fn open(backend: B, sequencer: Arc<AtomicU64>) -> CssResult<Self> {
-        let (storage, outcome) = RecordLog::recover(backend)?;
-        let mut log = ShardLog {
-            chain: HashChain::new(),
-            records: Vec::with_capacity(outcome.records.len()),
-            by_person: HashMap::new(),
-            storage,
-            sequencer,
-        };
-        for ptr in &outcome.records {
-            let payload = log.storage.read(*ptr)?;
-            let text = std::str::from_utf8(&payload)
-                .map_err(|e| CssError::Serialization(format!("audit record not UTF-8: {e}")))?;
-            let record = AuditRecord::decode(&mut Reader::new(text))?;
-            if let Some(prev) = log.records.last() {
-                if record.seq <= prev.seq {
-                    return Err(CssError::Storage(format!(
-                        "audit shard sequence not increasing: {} after {}",
-                        record.seq, prev.seq
-                    )));
-                }
-            }
-            log.sequencer.fetch_max(record.seq + 1, Ordering::AcqRel);
-            log.push(record, payload);
-        }
-        log.verify()?;
-        Ok(log)
-    }
-
-    /// Take a record whose `payload` is (already, or as of this call)
-    /// on storage into the in-memory state: chain link, record vector,
-    /// posting list. Append, group commit and replay all end here.
-    fn push(&mut self, record: AuditRecord, payload: Vec<u8>) {
-        self.chain.append(payload);
+impl Held {
+    /// Take a record whose `payload` lies at `ptr` on storage (already,
+    /// or as of this call): chain link, record vector, posting list.
+    /// Append, group commit and replay all end here.
+    fn push(&mut self, record: AuditRecord, payload: &[u8], ptr: RecordPtr) {
+        self.head = chain_step(&self.head, self.links.len() as u64, payload);
+        self.links.push((self.head, ptr));
         if let Some(person) = record.person {
             let position = u32::try_from(self.records.len())
                 .expect("one in-memory audit shard holds fewer than 2^32 records");
@@ -87,16 +73,57 @@ impl<B: LogBackend> ShardLog<B> {
         }
         self.records.push(record);
     }
+}
+
+impl<B: LogBackend> ShardLog<B> {
+    /// Open the shard log on `backend`, replaying existing records in
+    /// one sequential pass: each is decoded and chained from the bytes
+    /// the pass has just read. Recovery accepts the strictly-increasing
+    /// (gappy) sequence a shard produces and advances `sequencer` past
+    /// the highest recovered seq so restarts never reuse a number.
+    ///
+    /// Fails if any persisted record is corrupt (frame CRC), malformed
+    /// or out of sequence.
+    pub(crate) fn open(backend: B, sequencer: Arc<AtomicU64>) -> CssResult<Self> {
+        let (storage, outcome) = RecordLog::recover(backend)?;
+        let mut held = Held {
+            links: Vec::with_capacity(outcome.records.len()),
+            head: HashChain::new().head(),
+            records: Vec::with_capacity(outcome.records.len()),
+            by_person: HashMap::new(),
+        };
+        storage.scan(|ptr, payload| {
+            let text = std::str::from_utf8(payload)
+                .map_err(|e| CssError::Serialization(format!("audit record not UTF-8: {e}")))?;
+            let record = AuditRecord::decode(&mut Reader::new(text))?;
+            if let Some(prev) = held.records.last() {
+                if record.seq <= prev.seq {
+                    return Err(CssError::Storage(format!(
+                        "audit shard sequence not increasing: {} after {}",
+                        record.seq, prev.seq
+                    )));
+                }
+            }
+            sequencer.fetch_max(record.seq + 1, Ordering::AcqRel);
+            held.push(record, payload, ptr);
+            Ok(())
+        })?;
+        Ok(ShardLog {
+            held,
+            storage,
+            sequencer,
+            text: String::new(),
+        })
+    }
 
     /// Append a record, assigning its sequence number. Returns the seq.
     pub(crate) fn append(&mut self, mut record: AuditRecord) -> CssResult<u64> {
         record.seq = self.sequencer.fetch_add(1, Ordering::AcqRel);
-        let mut text = String::with_capacity(256);
-        record.encode(&mut StreamSink::new(&mut text));
-        let payload = text.into_bytes();
-        self.storage.append(&payload)?;
+        self.text.clear();
+        record.encode(&mut StreamSink::new(&mut self.text));
+        let ptr = self.storage.append(self.text.as_bytes())?;
         let seq = record.seq;
-        self.push(record, payload);
+        self.held.push(record, self.text.as_bytes(), ptr);
         Ok(seq)
     }
 
@@ -120,17 +147,17 @@ impl<B: LogBackend> ShardLog<B> {
         }
         // Every record streams into one buffer; a payload is the slice
         // between two record ends.
-        let mut text = String::with_capacity(256 * records.len());
+        self.text.clear();
         let mut ends = Vec::with_capacity(records.len());
         for (i, record) in records.iter_mut().enumerate() {
             record.seq = first_seq + i as u64;
-            record.encode(&mut StreamSink::new(&mut text));
-            ends.push(text.len());
+            record.encode(&mut StreamSink::new(&mut self.text));
+            ends.push(self.text.len());
         }
-        let payloads = split_records(text.as_bytes(), &ends);
-        self.storage.append_batch(&payloads)?;
-        for (record, payload) in records.into_iter().zip(payloads) {
-            self.push(record, payload.to_vec());
+        let payloads = split_records(self.text.as_bytes(), &ends);
+        let ptrs = self.storage.append_batch(&payloads)?;
+        for ((record, payload), ptr) in records.into_iter().zip(payloads).zip(ptrs) {
+            self.held.push(record, payload, ptr);
         }
         Ok(first_seq)
     }
@@ -142,19 +169,39 @@ impl<B: LogBackend> ShardLog<B> {
 
     /// The chain head covering the whole shard log.
     pub(crate) fn head(&self) -> [u8; 32] {
-        self.chain.head()
+        self.held.head
     }
 
-    /// Re-derive and check every chain link.
+    /// Re-derive every chain link from the bytes on storage, in one
+    /// sequential pass, and compare it with the digest noted when the
+    /// record was taken in. A frame that no longer passes its CRC is a
+    /// storage error; one that passes but chains to another digest — a
+    /// payload rewritten with its checksum repaired — is a broken
+    /// chain, as is a log holding other records than were taken in.
+    /// Either way `head()` is left as it was.
     pub(crate) fn verify(&self) -> CssResult<()> {
-        self.chain
-            .verify()
-            .map_err(|e| CssError::Crypto(e.to_string()))
+        let broken =
+            |seq| CssError::Crypto(ChainVerifyError::HashMismatch { seq: seq as u64 }.to_string());
+        let mut prev = HashChain::new().head();
+        let mut checked = 0;
+        self.storage.scan(|ptr, payload| {
+            let link = chain_step(&prev, checked as u64, payload);
+            if self.held.links.get(checked) != Some(&(link, ptr)) {
+                return Err(broken(checked));
+            }
+            prev = link;
+            checked += 1;
+            Ok(())
+        })?;
+        if checked < self.held.links.len() {
+            return Err(broken(checked));
+        }
+        Ok(())
     }
 
     /// Number of records.
     pub(crate) fn len(&self) -> usize {
-        self.records.len()
+        self.held.records.len()
     }
 
     /// Run an inquiry over the shard, in log order. A query naming a
@@ -162,16 +209,18 @@ impl<B: LogBackend> ShardLog<B> {
     /// them) — and applies the remaining dimensions; any other query
     /// scans the shard.
     pub(crate) fn query(&self, q: &AuditQuery) -> Vec<&AuditRecord> {
+        let records = &self.held.records;
         match q.subject() {
             Some(person) => self
+                .held
                 .by_person
                 .get(&person)
                 .into_iter()
                 .flatten()
-                .map(|&position| &self.records[position as usize])
+                .map(|&position| &records[position as usize])
                 .filter(|r| q.matches(r))
                 .collect(),
-            None => self.records.iter().filter(|r| q.matches(r)).collect(),
+            None => records.iter().filter(|r| q.matches(r)).collect(),
         }
     }
 }
@@ -197,7 +246,7 @@ mod tests {
         let mut log = open(MemBackend::new()).unwrap();
         assert_eq!(log.append(rec(0)).unwrap(), 0);
         assert_eq!(log.append(rec(1)).unwrap(), 1);
-        assert_eq!(log.records[1].seq, 1);
+        assert_eq!(log.held.records[1].seq, 1);
         log.verify().unwrap();
     }
 
@@ -229,7 +278,7 @@ mod tests {
         let reopened = open(batched.storage.into_backend()).unwrap();
         assert_eq!(reopened.len(), 6);
         assert_eq!(reopened.head(), sequential.head());
-        assert_eq!(reopened.records[4].seq, 4);
+        assert_eq!(reopened.held.records[4].seq, 4);
     }
 
     #[test]
@@ -290,6 +339,93 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(open(FileBackend::open(&path).unwrap()).is_err());
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A memory backend whose bytes the test still reaches while a
+    /// log owns it — what an attacker with the disk has.
+    #[derive(Clone, Default)]
+    struct SharedBackend(Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl LogBackend for SharedBackend {
+        fn append(&mut self, data: &[u8]) -> CssResult<u64> {
+            let mut bytes = self.0.lock().unwrap();
+            let at = bytes.len() as u64;
+            bytes.extend_from_slice(data);
+            Ok(at)
+        }
+        fn read_at(&self, offset: u64, len: usize) -> CssResult<Vec<u8>> {
+            let bytes = self.0.lock().unwrap();
+            bytes
+                .get(offset as usize..offset as usize + len)
+                .map(<[u8]>::to_vec)
+                .ok_or_else(|| CssError::Storage("read past end".into()))
+        }
+        fn len(&self) -> u64 {
+            self.0.lock().unwrap().len() as u64
+        }
+        fn sync(&mut self) -> CssResult<()> {
+            Ok(())
+        }
+        fn truncate(&mut self, len: u64) -> CssResult<()> {
+            self.0.lock().unwrap().truncate(len as usize);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn verify_reads_the_stored_bytes_of_a_live_log() {
+        let backend = SharedBackend::default();
+        let mut log = open(backend.clone()).unwrap();
+        log.append(rec(0)).unwrap();
+        log.append_batch((1..5).map(rec)).unwrap();
+        log.verify().unwrap();
+        let head = log.head();
+        // Rewrite one byte of record 2's payload in place, under the
+        // running process. Frame: magic, len (4), crc (4), payload.
+        let (_, frame) = log.held.links[2];
+        let at = frame.0 as usize;
+        let payload_len = {
+            let mut bytes = backend.0.lock().unwrap();
+            bytes[at + 9 + 20] ^= 0x01;
+            u32::from_le_bytes(bytes[at + 1..at + 5].try_into().unwrap()) as usize
+        };
+        // The frame checksum notices that much ...
+        assert!(matches!(log.verify(), Err(CssError::Storage(_))));
+        // ... and once it is repaired, only the chain does: the digest
+        // noted at append no longer derives from what is stored.
+        {
+            let mut bytes = backend.0.lock().unwrap();
+            let crc = css_storage::crc::crc32(&bytes[at + 9..at + 9 + payload_len]);
+            bytes[at + 5..at + 9].copy_from_slice(&crc.to_le_bytes());
+        }
+        match log.verify() {
+            Err(CssError::Crypto(why)) => assert_eq!(why, "hash chain broken at link 2"),
+            other => panic!("a rewritten payload verified: {other:?}"),
+        }
+        assert_eq!(log.head(), head);
+        assert_eq!(log.len(), 5);
+    }
+
+    #[test]
+    fn open_reads_the_log_twice_and_verify_once_more() {
+        let mut log = open(MemBackend::new()).unwrap();
+        log.append(rec(0)).unwrap();
+        log.append_batch((1..40).map(rec)).unwrap();
+        let head = log.head();
+        let backend = log.storage.into_backend();
+        let stored = backend.len();
+        let registry = css_telemetry::MetricsRegistry::new();
+        let read = || registry.snapshot().counter("storage.read_bytes");
+        // One sequential pass is recovery (every frame's CRC, the torn
+        // tail), one is replay, which decodes each record and chains it
+        // from the bytes it has just read: nothing after that re-reads
+        // or re-hashes them.
+        let reopened = open(css_storage::InstrumentedBackend::new(backend, &registry)).unwrap();
+        assert_eq!(read(), 2 * stored);
+        assert_eq!(reopened.head(), head);
+        // Verification is the pass that reads the stored bytes again.
+        reopened.verify().unwrap();
+        assert_eq!(read(), 3 * stored);
     }
 
     #[test]

@@ -36,9 +36,11 @@ pub struct AuditShards<B: LogBackend> {
 impl<B: LogBackend> AuditShards<B> {
     /// Open the plane, one shard per backend: the shard count **is**
     /// `backends.len()` (a one-element vector is the unsharded log, a
-    /// [`css_storage::MemBackend`] an in-memory one). Replays and
-    /// verifies each shard's chain and advances the shared sequencer
-    /// past the highest recovered seq.
+    /// [`css_storage::MemBackend`] an in-memory one). Replays each
+    /// shard — frame checksums, the record decoder, increasing seq;
+    /// the chain is derived from what is found, not checked against
+    /// anything — and advances the shared sequencer past the highest
+    /// recovered seq.
     pub fn open(backends: Vec<B>) -> CssResult<Self> {
         if backends.is_empty() {
             return Err(CssError::Invalid(
@@ -129,7 +131,9 @@ impl<B: LogBackend> AuditShards<B> {
         css_crypto::sha256(&all)
     }
 
-    /// Re-derive and check every chain link of every shard.
+    /// Re-derive every chain link of every shard from the bytes its
+    /// backend holds now and check it against the digest noted when
+    /// the record was appended (or replayed).
     pub fn verify(&self) -> CssResult<()> {
         for shard in &self.shards {
             shard.lock().verify()?;

@@ -2,7 +2,9 @@
 //! acknowledgement protocol, publish dedup, visibility timeouts,
 //! bounded redelivery with backoff, and replay from a retained log.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -161,9 +163,10 @@ struct GroupState<M> {
 
 struct TopicState {
     groups: Vec<GroupId>,
-    /// Publish dedup window: keys seen recently, with eviction order.
-    dedup_recent: HashSet<String>,
-    dedup_order: VecDeque<String>,
+    /// Publish dedup window: the keys seen recently and their eviction
+    /// order. A key is held once; set and ring share it.
+    dedup_recent: HashSet<Arc<str>>,
+    dedup_order: VecDeque<Arc<str>>,
 }
 
 impl TopicState {
@@ -176,18 +179,39 @@ impl TopicState {
     }
 }
 
+type Slot<M> = Option<Box<GroupState<M>>>;
+
+/// What every group's operations write besides the group itself.
+struct Shared<M> {
+    dlq: Vec<DeadLetter<M>>,
+    stats: BrokerStats,
+    next_delivery: u64,
+}
+
 struct State<M> {
     topics: HashMap<String, TopicState>,
-    groups: HashMap<GroupId, GroupState<M>>,
+    /// Every group ever created, at the index that is its id; the
+    /// slot of a group whose last member left stays empty (ids are not
+    /// reused). Slot 0 is never filled: ids start at 1.
+    groups: Vec<Slot<M>>,
     /// (topic, group name) → group, for named-group joins.
     named: HashMap<(String, String), GroupId>,
     /// Member subscription → its group.
     members: HashMap<SubscriptionId, GroupId>,
-    dlq: Vec<DeadLetter<M>>,
-    stats: BrokerStats,
-    next_group: u64,
+    shared: Shared<M>,
     next_sub: u64,
-    next_delivery: u64,
+    /// Callers parked in [`Inner::poll_wait`]. Incremented under the
+    /// state lock before the wait releases it and read under the same
+    /// lock by whoever enqueues: a publish that finds it zero skips
+    /// the wake-up, and none can be lost — a poller either is counted
+    /// before the publisher reads, or takes the lock after the enqueue
+    /// and sees the message in its readiness re-check.
+    parked: usize,
+}
+
+/// The live group `gid`, borrowed where it lives.
+fn group_mut<M>(groups: &mut [Slot<M>], gid: GroupId) -> Option<&mut GroupState<M>> {
+    groups.get_mut(gid as usize)?.as_deref_mut()
 }
 
 pub(crate) struct Inner<M> {
@@ -201,6 +225,12 @@ pub(crate) struct Inner<M> {
 /// This is the default [`BusDriver`] and nothing else — the platform,
 /// tests and benches all talk to it through [`crate::Bus`], whose clones
 /// share the one broker.
+///
+/// The broker moves `M` and clones it once per delivery group and once
+/// per delivery; it never looks inside. A caller whose message is
+/// large instantiates it over a pointer (`Broker<Arc<T>>`), and every
+/// queue entry, in-flight entry, retained or dead-lettered message and
+/// every [`Delivery`] is then that one allocation.
 pub struct Broker<M: Clone + Send + 'static> {
     inner: Inner<M>,
 }
@@ -232,14 +262,16 @@ impl<M: Clone + Send + 'static> Broker<M> {
             inner: Inner {
                 state: Mutex::new(State {
                     topics: HashMap::new(),
-                    groups: HashMap::new(),
+                    groups: vec![None],
                     named: HashMap::new(),
                     members: HashMap::new(),
-                    dlq: Vec::new(),
-                    stats: BrokerStats::default(),
-                    next_group: 1,
+                    shared: Shared {
+                        dlq: Vec::new(),
+                        stats: BrokerStats::default(),
+                        next_delivery: 1,
+                    },
                     next_sub: 1,
-                    next_delivery: 1,
+                    parked: 0,
                 }),
                 arrivals: Condvar::new(),
                 telemetry,
@@ -306,15 +338,15 @@ impl<M: Clone + Send + 'static> BusDriver<M> for Broker<M> {
     }
 
     fn backlog(&self, id: SubscriptionId) -> CssResult<usize> {
-        self.inner.with_member(id, |_st, g| Ok(g.queue.len()))
+        self.inner.with_member(id, |_, g| Ok(g.queue.len()))
     }
 
     fn in_flight(&self, id: SubscriptionId) -> CssResult<usize> {
-        self.inner.with_member(id, |_st, g| Ok(g.in_flight.len()))
+        self.inner.with_member(id, |_, g| Ok(g.in_flight.len()))
     }
 
     fn sub_stats(&self, id: SubscriptionId) -> CssResult<SubscriptionStats> {
-        self.inner.with_member(id, |_st, g| Ok(g.stats))
+        self.inner.with_member(id, |_, g| Ok(g.stats))
     }
 
     fn replay_from(&self, id: SubscriptionId, offset: u64) -> CssResult<usize> {
@@ -326,11 +358,11 @@ impl<M: Clone + Send + 'static> BusDriver<M> for Broker<M> {
     }
 
     fn stats(&self) -> BrokerStats {
-        self.inner.state.lock().stats
+        self.inner.state.lock().shared.stats
     }
 
     fn dead_letters(&self) -> Vec<DeadLetter<M>> {
-        self.inner.state.lock().dlq.clone()
+        self.inner.state.lock().shared.dlq.clone()
     }
 
     fn subscriber_count(&self, topic: &str) -> usize {
@@ -341,7 +373,7 @@ impl<M: Clone + Send + 'static> BusDriver<M> for Broker<M> {
         topic
             .groups
             .iter()
-            .filter_map(|gid| st.groups.get(gid))
+            .filter_map(|&gid| st.groups.get(gid as usize)?.as_deref())
             .map(|g| g.members.len())
             .sum()
     }
@@ -374,7 +406,7 @@ impl<M: Clone + Send + 'static> Inner<M> {
             }
             None => new_group(&mut st, topic, None, config),
         };
-        if let Some(g) = st.groups.get_mut(&gid) {
+        if let Some(g) = group_mut(&mut st.groups, gid) {
             g.members.push(id);
         }
         st.members.insert(id, gid);
@@ -384,12 +416,13 @@ impl<M: Clone + Send + 'static> Inner<M> {
     fn detach(&self, id: SubscriptionId) -> CssResult<()> {
         let mut st = self.state.lock();
         let gid = st.members.remove(&id).ok_or_else(|| unknown_sub(id))?;
-        let Some(mut group) = st.groups.remove(&gid) else {
-            return Err(unknown_sub(id));
-        };
+        let group = group_mut(&mut st.groups, gid).ok_or_else(|| unknown_sub(id))?;
         group.members.retain(|m| *m != id);
         if group.members.is_empty() {
             // Last member out: drop the whole group.
+            let Some(group) = st.groups[gid as usize].take() else {
+                return Err(unknown_sub(id));
+            };
             if let Some(t) = &self.telemetry {
                 t.queue_depth.sub(group.queue.len() as i64);
                 t.inflight.sub(group.in_flight.len() as i64);
@@ -397,8 +430,8 @@ impl<M: Clone + Send + 'static> Inner<M> {
             if let Some(topic) = st.topics.get_mut(&group.topic) {
                 topic.groups.retain(|g| *g != gid);
             }
-            if let Some(name) = &group.name {
-                st.named.remove(&(group.topic.clone(), name.clone()));
+            if let Some(name) = group.name {
+                st.named.remove(&(group.topic, name));
             }
         } else {
             // Return the leaver's in-flight deliveries to the peers.
@@ -419,7 +452,6 @@ impl<M: Clone + Send + 'static> Inner<M> {
                     }
                 }
             }
-            st.groups.insert(gid, group);
         }
         drop(st);
         // Wake any member blocked in poll_wait so it re-checks state.
@@ -435,17 +467,18 @@ impl<M: Clone + Send + 'static> Inner<M> {
     ) -> CssResult<PublishOutcome> {
         let started = Instant::now();
         let mut route = TraceContext::child_opt(opts.trace, "bus.route");
-        let mut st = self.state.lock();
-        let Some(topic_state) = st.topics.get(topic) else {
-            st.stats.rejected += 1;
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        let Some(topic_state) = st.topics.get_mut(topic) else {
+            st.shared.stats.rejected += 1;
             route.set_status(SpanStatus::Error);
             return Err(CssError::Bus(format!("no such topic {topic:?}")));
         };
         // Dedup first: a duplicate is dropped regardless of queue state.
         if let Some(key) = opts.dedup_key {
             if topic_state.dedup_recent.contains(key) {
-                st.stats.dedup_dropped += 1;
-                drop(st);
+                st.shared.stats.dedup_dropped += 1;
+                drop(guard);
                 route.finish();
                 if let Some(t) = &self.telemetry {
                     t.dedup_dropped.inc();
@@ -453,15 +486,17 @@ impl<M: Clone + Send + 'static> Inner<M> {
                 return Ok(PublishOutcome::DuplicateDropped);
             }
         }
-        let group_ids = topic_state.groups.clone();
         // Pre-flight: with Reject overflow, check all queues first.
-        let overflowing = group_ids.iter().find_map(|gid| {
-            let g = st.groups.get(gid)?;
+        // (The topic list and the slab are kept in sync; a group that
+        // is in one and not the other is skipped, here and below.)
+        let groups = &mut st.groups;
+        let overflowing = topic_state.groups.iter().find_map(|&gid| {
+            let g = groups.get(gid as usize)?.as_deref()?;
             (g.config.overflow == OverflowPolicy::Reject && g.queue.len() >= g.config.capacity)
-                .then_some((*gid, g.config.capacity))
+                .then_some((gid, g.config.capacity))
         });
         if let Some((gid, capacity)) = overflowing {
-            st.stats.rejected += 1;
+            st.shared.stats.rejected += 1;
             route.set_status(SpanStatus::Error);
             // The key was NOT recorded, so a retry after back-pressure
             // clears is not treated as a duplicate.
@@ -470,13 +505,12 @@ impl<M: Clone + Send + 'static> Inner<M> {
             )));
         }
         if let Some(key) = opts.dedup_key {
-            if let Some(topic_state) = st.topics.get_mut(topic) {
-                topic_state.dedup_recent.insert(key.to_string());
-                topic_state.dedup_order.push_back(key.to_string());
-                while topic_state.dedup_order.len() > DEDUP_WINDOW {
-                    if let Some(old) = topic_state.dedup_order.pop_front() {
-                        topic_state.dedup_recent.remove(&old);
-                    }
+            let key: Arc<str> = Arc::from(key);
+            topic_state.dedup_recent.insert(Arc::clone(&key));
+            topic_state.dedup_order.push_back(key);
+            while topic_state.dedup_order.len() > DEDUP_WINDOW {
+                if let Some(old) = topic_state.dedup_order.pop_front() {
+                    topic_state.dedup_recent.remove(&*old);
                 }
             }
         }
@@ -484,10 +518,8 @@ impl<M: Clone + Send + 'static> Inner<M> {
         let keep_ctx = route_ctx.trace_id().is_some();
         let mut fanout = 0usize;
         let mut dropped = 0i64;
-        for gid in &group_ids {
-            // The topic list and the group map are kept in sync; a
-            // missing entry means the group raced away — skip.
-            let Some(g) = st.groups.get_mut(gid) else {
+        for &gid in &topic_state.groups {
+            let Some(g) = group_mut(groups, gid) else {
                 continue;
             };
             if g.queue.len() >= g.config.capacity {
@@ -521,9 +553,10 @@ impl<M: Clone + Send + 'static> Inner<M> {
             g.stats.enqueued += 1;
             fanout += 1;
         }
-        st.stats.published += 1;
-        st.stats.fanned_out += fanout as u64;
-        drop(st);
+        st.shared.stats.published += 1;
+        st.shared.stats.fanned_out += fanout as u64;
+        let parked = st.parked > 0;
+        drop(guard);
         route.finish();
         if let Some(t) = &self.telemetry {
             t.published.inc();
@@ -531,32 +564,41 @@ impl<M: Clone + Send + 'static> Inner<M> {
             t.queue_depth.add(fanout as i64 - dropped);
             t.publish_latency.record_duration(started.elapsed());
         }
-        self.arrivals.notify_all();
+        if parked {
+            self.arrivals.notify_all();
+        }
         Ok(PublishOutcome::Routed(fanout))
     }
 
-    /// Run `f` with the member's group temporarily removed from the
-    /// map, so the closure can touch both group and broker state.
+    /// Run `f` on the member's group, borrowed where it lives, and on
+    /// the state every group's operations share.
     fn with_member<R>(
         &self,
         id: SubscriptionId,
-        f: impl FnOnce(&mut State<M>, &mut GroupState<M>) -> CssResult<R>,
+        f: impl FnOnce(&mut Shared<M>, &mut GroupState<M>) -> CssResult<R>,
     ) -> CssResult<R> {
-        let mut st = self.state.lock();
-        let Some(&gid) = st.members.get(&id) else {
-            return Err(unknown_sub(id));
-        };
-        let Some(mut group) = st.groups.remove(&gid) else {
-            return Err(unknown_sub(id));
-        };
-        let out = f(&mut st, &mut group);
-        st.groups.insert(gid, group);
-        out
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        let group = st
+            .members
+            .get(&id)
+            .and_then(|&gid| group_mut(&mut st.groups, gid))
+            .ok_or_else(|| unknown_sub(id))?;
+        f(&mut st.shared, group)
     }
 
     /// Requeue or dead-letter every expired in-flight delivery of one
     /// group. Returns how many moved.
-    fn sweep_group(&self, st: &mut State<M>, group: &mut GroupState<M>, now: Instant) -> usize {
+    fn sweep_group(
+        &self,
+        shared: &mut Shared<M>,
+        group: &mut GroupState<M>,
+        now: Instant,
+    ) -> usize {
+        // Only a visibility timeout gives a delivery an expiry.
+        if group.config.visibility_timeout.is_none() {
+            return 0;
+        }
         let expired: Vec<u64> = group
             .in_flight
             .iter()
@@ -572,7 +614,7 @@ impl<M: Clone + Send + 'static> Inner<M> {
             if let Some(t) = &self.telemetry {
                 t.inflight.dec();
             }
-            self.retire_or_requeue(st, group, f.holder, f.pending, None);
+            self.retire_or_requeue(shared, group, f.holder, f.pending, None);
             moved += 1;
         }
         moved
@@ -583,7 +625,7 @@ impl<M: Clone + Send + 'static> Inner<M> {
     /// attempt budget is spent.
     fn retire_or_requeue(
         &self,
-        st: &mut State<M>,
+        shared: &mut Shared<M>,
         group: &mut GroupState<M>,
         holder: SubscriptionId,
         mut pending: Pending<M>,
@@ -591,7 +633,7 @@ impl<M: Clone + Send + 'static> Inner<M> {
     ) {
         if pending.attempts >= group.config.max_attempts {
             group.stats.dead_lettered += 1;
-            st.dlq.push(DeadLetter {
+            shared.dlq.push(DeadLetter {
                 subscription: holder,
                 topic: group.topic.clone(),
                 group: group.name.clone(),
@@ -611,8 +653,8 @@ impl<M: Clone + Send + 'static> Inner<M> {
 
     pub(crate) fn poll(&self, id: SubscriptionId) -> CssResult<Option<Delivery<M>>> {
         let now = Instant::now();
-        self.with_member(id, |st, group| {
-            self.sweep_group(st, group, now);
+        self.with_member(id, |shared, group| {
+            self.sweep_group(shared, group, now);
             // First queued message past its backoff; later entries may
             // be ready while a freshly-nacked head still backs off.
             let ready = group
@@ -626,8 +668,8 @@ impl<M: Clone + Send + 'static> Inner<M> {
                 return Ok(None);
             };
             pending.attempts += 1;
-            let delivery_id = st.next_delivery;
-            st.next_delivery += 1;
+            let delivery_id = shared.next_delivery;
+            shared.next_delivery += 1;
             if let Some(span) = pending.deliver_span.take() {
                 span.finish();
             }
@@ -686,7 +728,7 @@ impl<M: Clone + Send + 'static> Inner<M> {
             let now = Instant::now();
             let mut ready = false;
             let mut next_event: Option<Instant> = None;
-            if let Some(group) = st.groups.get(&gid) {
+            if let Some(group) = group_mut(&mut st.groups, gid) {
                 for p in &group.queue {
                     match p.not_before {
                         None => ready = true,
@@ -708,7 +750,9 @@ impl<M: Clone + Send + 'static> Inner<M> {
                 continue;
             }
             let target = next_event.map_or(deadline, |n| n.min(deadline));
+            st.parked += 1;
             let timed_out = self.arrivals.wait_until(&mut st, target).timed_out();
+            st.parked -= 1;
             drop(st);
             if timed_out && Instant::now() >= deadline {
                 return self.poll(id);
@@ -717,61 +761,26 @@ impl<M: Clone + Send + 'static> Inner<M> {
     }
 
     pub(crate) fn ack(&self, id: SubscriptionId, delivery_id: u64) -> CssResult<()> {
-        self.with_member(id, |_st, group| {
-            match group.in_flight.get(&delivery_id) {
-                Some(f) if f.holder == id => {}
-                Some(_) => {
-                    return Err(CssError::Bus(format!(
-                        "delivery {delivery_id} is held by another group member"
-                    )))
-                }
-                None => {
-                    return Err(CssError::Bus(format!(
-                        "no in-flight delivery {delivery_id}"
-                    )))
-                }
-            }
-            let Some(f) = group.in_flight.remove(&delivery_id) else {
-                return Err(CssError::Bus(format!(
-                    "no in-flight delivery {delivery_id}"
-                )));
-            };
+        self.with_member(id, |_, group| {
+            let f = take_held(group, id, delivery_id)?;
             group.stats.acked += 1;
             if let Some(t) = &self.telemetry {
                 t.ack_latency.record_duration(f.pending.since.elapsed());
                 t.inflight.dec();
             }
             Ok(())
-        })?;
-        Ok(())
+        })
     }
 
     pub(crate) fn nack(&self, id: SubscriptionId, delivery_id: u64) -> CssResult<()> {
         let now = Instant::now();
-        self.with_member(id, |st, group| {
-            match group.in_flight.get(&delivery_id) {
-                Some(f) if f.holder == id => {}
-                Some(_) => {
-                    return Err(CssError::Bus(format!(
-                        "delivery {delivery_id} is held by another group member"
-                    )))
-                }
-                None => {
-                    return Err(CssError::Bus(format!(
-                        "no in-flight delivery {delivery_id}"
-                    )))
-                }
-            }
-            let Some(f) = group.in_flight.remove(&delivery_id) else {
-                return Err(CssError::Bus(format!(
-                    "no in-flight delivery {delivery_id}"
-                )));
-            };
+        self.with_member(id, |shared, group| {
+            let f = take_held(group, id, delivery_id)?;
             if let Some(t) = &self.telemetry {
                 t.inflight.dec();
             }
             let not_before = backoff_until(&group.config, f.pending.attempts, now);
-            self.retire_or_requeue(st, group, id, f.pending, not_before);
+            self.retire_or_requeue(shared, group, id, f.pending, not_before);
             Ok(())
         })?;
         self.arrivals.notify_all();
@@ -780,7 +789,7 @@ impl<M: Clone + Send + 'static> Inner<M> {
 
     fn replay_from(&self, id: SubscriptionId, offset: u64) -> CssResult<usize> {
         let now = Instant::now();
-        let replayed = self.with_member(id, |_st, group| {
+        let replayed = self.with_member(id, |_, group| {
             if group.config.retain == 0 {
                 return Err(CssError::Bus(
                     "replay requires a subscription with retain > 0".into(),
@@ -812,21 +821,36 @@ impl<M: Clone + Send + 'static> Inner<M> {
 
     fn sweep_all(&self) -> usize {
         let now = Instant::now();
-        let mut st = self.state.lock();
-        let gids: Vec<GroupId> = st.groups.keys().copied().collect();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
         let mut moved = 0usize;
-        for gid in gids {
-            let Some(mut group) = st.groups.remove(&gid) else {
-                continue;
-            };
-            moved += self.sweep_group(&mut st, &mut group, now);
-            st.groups.insert(gid, group);
+        for group in st.groups.iter_mut().flatten() {
+            moved += self.sweep_group(&mut st.shared, group, now);
         }
-        drop(st);
+        drop(guard);
         if moved > 0 {
             self.arrivals.notify_all();
         }
         moved
+    }
+}
+
+/// The in-flight delivery `delivery_id`, taken out of the group for
+/// the member that holds it; an error, and nothing taken, for anybody
+/// else.
+fn take_held<M>(
+    group: &mut GroupState<M>,
+    id: SubscriptionId,
+    delivery_id: u64,
+) -> CssResult<InFlight<M>> {
+    match group.in_flight.entry(delivery_id) {
+        Entry::Occupied(held) if held.get().holder == id => Ok(held.remove()),
+        Entry::Occupied(_) => Err(CssError::Bus(format!(
+            "delivery {delivery_id} is held by another group member"
+        ))),
+        Entry::Vacant(_) => Err(CssError::Bus(format!(
+            "no in-flight delivery {delivery_id}"
+        ))),
     }
 }
 
@@ -852,22 +876,18 @@ fn new_group<M>(
     name: Option<String>,
     config: SubscriptionConfig,
 ) -> GroupId {
-    let gid = st.next_group;
-    st.next_group += 1;
-    st.groups.insert(
-        gid,
-        GroupState {
-            topic: topic.to_string(),
-            name,
-            config,
-            members: Vec::new(),
-            queue: VecDeque::new(),
-            in_flight: HashMap::new(),
-            log: VecDeque::new(),
-            next_offset: 0,
-            stats: SubscriptionStats::default(),
-        },
-    );
+    let gid = st.groups.len() as GroupId;
+    st.groups.push(Some(Box::new(GroupState {
+        topic: topic.to_string(),
+        name,
+        config,
+        members: Vec::new(),
+        queue: VecDeque::new(),
+        in_flight: HashMap::new(),
+        log: VecDeque::new(),
+        next_offset: 0,
+        stats: SubscriptionStats::default(),
+    })));
     if let Some(topic_state) = st.topics.get_mut(topic) {
         topic_state.groups.push(gid);
     }
@@ -1568,6 +1588,195 @@ mod tests {
         // Only the newest 2 are retained.
         assert_eq!(s.replay_from(0).unwrap(), 2);
         assert_eq!(s.drain().unwrap(), vec!["m3", "m4"]);
+    }
+}
+
+/// With `M = Arc<_>` a publish is one allocation however many groups,
+/// deliveries, retained entries and dead letters point at it.
+#[cfg(test)]
+mod sharing_tests {
+    use super::*;
+    use crate::driver::Bus;
+    use std::sync::Weak;
+
+    fn bus() -> Bus<Arc<String>> {
+        let b = Bus::in_memory();
+        b.create_topic("t");
+        b
+    }
+
+    #[test]
+    fn every_holder_of_a_publish_points_at_the_one_message() {
+        let b = bus();
+        let retaining = SubscriptionConfig {
+            retain: 4,
+            max_attempts: 2,
+            ..Default::default()
+        };
+        let solo = b.subscribe("t", SubscriptionConfig::default()).unwrap();
+        let worker = b.subscribe_group("t", "workers", retaining).unwrap();
+        let message = Arc::new(String::from("who / what / when / where"));
+        assert_eq!(b.publish("t", Arc::clone(&message), None).unwrap(), 2);
+
+        // Each group's delivery is the published allocation.
+        let d = solo.poll().unwrap().unwrap();
+        assert!(Arc::ptr_eq(&d.message, &message));
+        solo.ack(d.delivery_id).unwrap();
+        // So is the in-flight entry a nack puts back on the queue ...
+        let first = worker.poll().unwrap().unwrap();
+        assert!(Arc::ptr_eq(&first.message, &message));
+        worker.nack(first.delivery_id).unwrap();
+        let again = worker.poll().unwrap().unwrap();
+        assert_eq!(again.attempt, 2);
+        assert!(Arc::ptr_eq(&again.message, &message));
+        // ... the dead letter it becomes once attempts run out ...
+        worker.nack(again.delivery_id).unwrap();
+        let dlq = b.dead_letters();
+        assert_eq!(dlq.len(), 1);
+        assert!(Arc::ptr_eq(&dlq[0].message, &message));
+        // ... and the retained copy a replay re-enqueues.
+        assert_eq!(worker.replay_from(0).unwrap(), 1);
+        let replayed = worker.poll().unwrap().unwrap();
+        assert!(Arc::ptr_eq(&replayed.message, &message));
+        worker.ack(replayed.delivery_id).unwrap();
+    }
+
+    #[test]
+    fn the_last_ack_frees_the_message() {
+        let b = bus();
+        let subs: Vec<_> = (0..3)
+            .map(|_| b.subscribe("t", SubscriptionConfig::default()).unwrap())
+            .collect();
+        let message = Arc::new(String::from("m"));
+        let weak: Weak<String> = Arc::downgrade(&message);
+        b.publish_opts("t", message, PublishOptions::new().dedup_key("k"))
+            .unwrap();
+        for (i, s) in subs.iter().enumerate() {
+            // Still queued for the subscribers that have not polled.
+            assert!(weak.upgrade().is_some(), "freed before subscriber {i}");
+            let d = s.poll().unwrap().unwrap();
+            s.ack(d.delivery_id).unwrap();
+        }
+        // No retention, no dead letter, every delivery dropped: nothing
+        // in the broker (its dedup window included) holds the message.
+        assert!(weak.upgrade().is_none());
+    }
+}
+
+/// The wake-up a publish skips when nobody is parked is never one
+/// somebody needed; the other wakers still wake.
+#[cfg(test)]
+mod wake_tests {
+    use super::*;
+    use crate::driver::Bus;
+    use crate::subscription::SubscriberHandle;
+
+    /// Long enough that a lost wake-up shows as a test that takes it.
+    const PATIENCE: Duration = Duration::from_secs(20);
+
+    fn setup() -> (Arc<Broker<String>>, Bus<String>) {
+        let broker = Arc::new(Broker::new());
+        let bus = Bus::from_driver(broker.clone());
+        bus.create_topic("t");
+        (broker, bus)
+    }
+
+    /// Park `s` in `poll_wait` on its own thread; returns once the
+    /// broker counts it parked — from then on it is inside the wait
+    /// (the count is raised under the state lock the wait releases).
+    fn park(
+        broker: &Arc<Broker<String>>,
+        s: &SubscriberHandle<String>,
+        parked: usize,
+    ) -> std::thread::JoinHandle<(Option<Delivery<String>>, Duration)> {
+        let s = s.clone();
+        let t = std::thread::spawn(move || {
+            let started = Instant::now();
+            (s.poll_wait(PATIENCE).unwrap(), started.elapsed())
+        });
+        while broker.inner.state.lock().parked < parked {
+            std::thread::yield_now();
+        }
+        t
+    }
+
+    fn woken(t: std::thread::JoinHandle<(Option<Delivery<String>>, Duration)>) -> Delivery<String> {
+        let (delivery, waited) = t.join().unwrap();
+        assert!(waited < PATIENCE / 2, "woke by deadline, not by notify");
+        delivery.expect("woken with a message")
+    }
+
+    #[test]
+    fn a_poller_parked_before_a_publish_wakes_on_it() {
+        let (broker, bus) = setup();
+        let s = bus.subscribe("t", SubscriptionConfig::default()).unwrap();
+        let t = park(&broker, &s, 1);
+        bus.publish("t", "m".into(), None).unwrap();
+        assert_eq!(woken(t).message, "m");
+        assert_eq!(broker.inner.state.lock().parked, 0);
+    }
+
+    #[test]
+    fn a_publish_with_nobody_parked_is_not_a_lost_wake_up() {
+        let (broker, bus) = setup();
+        let s = bus.subscribe("t", SubscriptionConfig::default()).unwrap();
+        assert_eq!(broker.inner.state.lock().parked, 0);
+        bus.publish("t", "m".into(), None).unwrap();
+        let started = Instant::now();
+        let d = s.poll_wait(PATIENCE).unwrap().unwrap();
+        assert_eq!(d.message, "m");
+        assert!(started.elapsed() < PATIENCE / 2);
+    }
+
+    #[test]
+    fn two_parked_members_of_one_group_each_wake_for_a_message() {
+        let (broker, bus) = setup();
+        let cfg = SubscriptionConfig::default();
+        let a = bus.subscribe_group("t", "workers", cfg).unwrap();
+        let b = bus.subscribe_group("t", "workers", cfg).unwrap();
+        let ta = park(&broker, &a, 1);
+        let tb = park(&broker, &b, 2);
+        bus.publish("t", "m0".into(), None).unwrap();
+        bus.publish("t", "m1".into(), None).unwrap();
+        let mut got = vec![woken(ta).message, woken(tb).message];
+        got.sort();
+        assert_eq!(got, ["m0", "m1"]);
+    }
+
+    #[test]
+    fn nack_detach_and_replay_still_wake_a_parked_peer() {
+        let (broker, bus) = setup();
+        let cfg = SubscriptionConfig {
+            retain: 4,
+            max_attempts: 5,
+            ..Default::default()
+        };
+        let holder = bus.subscribe_group("t", "workers", cfg).unwrap();
+        let peer = bus.subscribe_group("t", "workers", cfg).unwrap();
+        bus.publish("t", "job".into(), None).unwrap();
+
+        // nack: the delivery returns to the queue the peer waits on.
+        let held = holder.poll().unwrap().unwrap();
+        let t = park(&broker, &peer, 1);
+        holder.nack(held.delivery_id).unwrap();
+        let d = woken(t);
+        assert_eq!((d.message.as_str(), d.attempt), ("job", 2));
+        peer.ack(d.delivery_id).unwrap();
+
+        // replay_from: retained messages re-enter the queue.
+        let t = park(&broker, &peer, 1);
+        assert_eq!(holder.replay_from(0).unwrap(), 1);
+        let d = woken(t);
+        assert_eq!((d.message.as_str(), d.attempt), ("job", 1));
+        peer.nack(d.delivery_id).unwrap();
+
+        // detach: what the leaver held goes back to its peers.
+        let held = holder.poll().unwrap().unwrap();
+        assert_eq!(held.attempt, 2);
+        let t = park(&broker, &peer, 1);
+        holder.unsubscribe().unwrap();
+        let d = woken(t);
+        assert_eq!((d.message.as_str(), d.attempt), ("job", 3));
     }
 }
 

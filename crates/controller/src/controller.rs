@@ -64,8 +64,9 @@ pub struct ControllerConfig {
     /// (the default) builds a private in-memory broker instrumented
     /// against `telemetry`; supply a driver to swap the transport (e.g.
     /// a [`css_bus::RecordingDriver`] in tests, a networked broker in a
-    /// multi-site deployment).
-    pub bus_driver: Option<Arc<dyn BusDriver<NotificationMessage>>>,
+    /// multi-site deployment). The bus carries a pointer to the one
+    /// notification a publish builds.
+    pub bus_driver: Option<Arc<dyn BusDriver<Arc<NotificationMessage>>>>,
 }
 
 impl ControllerConfig {
@@ -98,7 +99,7 @@ impl ControllerConfig {
     /// Route notifications through the given driver instead of a
     /// private in-memory broker. The driver is payload-blind; detail
     /// confinement holds regardless of the transport chosen here.
-    pub fn with_bus_driver(mut self, driver: Arc<dyn BusDriver<NotificationMessage>>) -> Self {
+    pub fn with_bus_driver(mut self, driver: Arc<dyn BusDriver<Arc<NotificationMessage>>>) -> Self {
         self.bus_driver = Some(driver);
         self
     }
@@ -142,6 +143,16 @@ impl RequestCounters {
     }
 }
 
+/// How notifications of one declared class reach their consumers.
+struct ClassRoute {
+    /// The class's bus topic: the canonical text of its id.
+    topic: String,
+    /// The live subscriptions, consumers ascending: a publish reads
+    /// them already in the order the receipt and the Delivery records
+    /// want.
+    receivers: Vec<(SubscriptionId, ActorId)>,
+}
+
 /// Outcome of a successful publish.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PublishReceipt {
@@ -160,16 +171,18 @@ pub struct DataController<B: LogBackend> {
     actors: RwLock<ActorRegistry>,
     contracts: RwLock<ContractRegistry>,
     catalog: RwLock<EventCatalog>,
-    bus: Bus<NotificationMessage>,
+    /// Payload-blind and handed a pointer: every queue entry, delivery,
+    /// retained and dead-lettered message of one publish is the one
+    /// notification that publish built.
+    bus: Bus<Arc<NotificationMessage>>,
     index: IndexShards<B>,
     pdp: RwLock<PolicyDecisionPoint>,
     consent: RwLock<ConsentRegistry>,
     audit: AuditShards<B>,
     gateways: RwLock<HashMap<ActorId, Arc<dyn GatewayClient>>>,
-    /// The live subscriptions of each event class, consumers ascending:
-    /// a publish reads the receivers of its own class, already in the
-    /// order the receipt and the Delivery records want.
-    subscribers: RwLock<HashMap<EventTypeId, Vec<(SubscriptionId, ActorId)>>>,
+    /// What a publish needs to route a declared class, written at
+    /// declare / subscribe / unsubscribe.
+    routes: RwLock<HashMap<EventTypeId, ClassRoute>>,
     clock: Arc<dyn Clock>,
     subscription_config: SubscriptionConfig,
     telemetry: MetricsRegistry,
@@ -221,7 +234,7 @@ impl<B: LogBackend> DataController<B> {
             consent: RwLock::new(ConsentRegistry::new()),
             audit,
             gateways: RwLock::new(HashMap::new()),
-            subscribers: RwLock::new(HashMap::new()),
+            routes: RwLock::new(HashMap::new()),
             clock: config.clock,
             subscription_config: config.subscription,
             counters: RequestCounters::resolve(&config.telemetry),
@@ -307,7 +320,15 @@ impl<B: LogBackend> DataController<B> {
     pub fn declare_event_class(&self, schema: &EventSchema, domain: Option<&str>) -> CssResult<()> {
         self.contracts.read().require_producer(schema.producer)?;
         self.catalog.write().declare(schema, domain)?;
-        self.bus.create_topic(&schema.id.to_string());
+        let topic = schema.id.to_string();
+        self.bus.create_topic(&topic);
+        self.routes
+            .write()
+            .entry(schema.id.clone())
+            .or_insert_with(|| ClassRoute {
+                topic,
+                receivers: Vec::new(),
+            });
         Ok(())
     }
 
@@ -420,7 +441,7 @@ impl<B: LogBackend> DataController<B> {
         &self,
         consumer: ActorId,
         event_type: &EventTypeId,
-    ) -> CssResult<SubscriberHandle<NotificationMessage>> {
+    ) -> CssResult<SubscriberHandle<Arc<NotificationMessage>>> {
         self.subscribe_inner(consumer, event_type, None)
     }
 
@@ -436,7 +457,7 @@ impl<B: LogBackend> DataController<B> {
         consumer: ActorId,
         event_type: &EventTypeId,
         group: &str,
-    ) -> CssResult<SubscriberHandle<NotificationMessage>> {
+    ) -> CssResult<SubscriberHandle<Arc<NotificationMessage>>> {
         let scoped = format!("{consumer}:{group}");
         self.subscribe_inner(consumer, event_type, Some(&scoped))
     }
@@ -446,7 +467,7 @@ impl<B: LogBackend> DataController<B> {
         consumer: ActorId,
         event_type: &EventTypeId,
         group: Option<&str>,
-    ) -> CssResult<SubscriberHandle<NotificationMessage>> {
+    ) -> CssResult<SubscriberHandle<Arc<NotificationMessage>>> {
         let org = self
             .actors
             .read()
@@ -467,19 +488,21 @@ impl<B: LogBackend> DataController<B> {
             )?;
             return Err(CssError::AccessDenied(DenyReason::NoMatchingPolicy));
         }
-        let topic = event_type.to_string();
+        let mut routes = self.routes.write();
+        let route = routes
+            .get_mut(event_type)
+            .ok_or_else(|| CssError::NotFound(format!("event class {event_type} not declared")))?;
         let handle = match group {
             Some(g) => self
                 .bus
-                .subscribe_group(&topic, g, self.subscription_config)?,
-            None => self.bus.subscribe(&topic, self.subscription_config)?,
+                .subscribe_group(&route.topic, g, self.subscription_config)?,
+            None => self.bus.subscribe(&route.topic, self.subscription_config)?,
         };
-        {
-            let mut subscribers = self.subscribers.write();
-            let of_class = subscribers.entry(event_type.clone()).or_default();
-            let at = of_class.partition_point(|(_, actor)| *actor <= consumer);
-            of_class.insert(at, (handle.id(), consumer));
-        }
+        let at = route
+            .receivers
+            .partition_point(|(_, actor)| *actor <= consumer);
+        route.receivers.insert(at, (handle.id(), consumer));
+        drop(routes);
         self.audit.append(
             AuditRecord::new(now, consumer, AuditAction::Subscribe).event_type(event_type.clone()),
         )?;
@@ -487,11 +510,10 @@ impl<B: LogBackend> DataController<B> {
     }
 
     /// Remove a subscription (consumer-initiated).
-    pub fn unsubscribe(&self, handle: SubscriberHandle<NotificationMessage>) -> CssResult<()> {
-        self.subscribers.write().retain(|_, of_class| {
-            of_class.retain(|(id, _)| *id != handle.id());
-            !of_class.is_empty()
-        });
+    pub fn unsubscribe(&self, handle: SubscriberHandle<Arc<NotificationMessage>>) -> CssResult<()> {
+        for route in self.routes.write().values_mut() {
+            route.receivers.retain(|(id, _)| *id != handle.id());
+        }
         handle.unsubscribe()
     }
 
@@ -567,21 +589,29 @@ impl<B: LogBackend> DataController<B> {
         timer.stage("consent_gate");
         let global_id: GlobalEventId = self.eid_gen.next_id();
         span.attr(SpanAttr::event(global_id));
-        let notification = NotificationMessage {
+        // Built by move and held once: the bus, every delivery and the
+        // index insert below read this one allocation.
+        let notification = Arc::new(NotificationMessage {
             global_id,
-            event_type: event_type.clone(),
-            person: person.clone(),
+            event_type,
+            person,
             description,
             occurred_at,
             producer,
-        };
+        });
+        let event_type = &notification.event_type;
+        let person = notification.person.id;
         // Route first (all-or-nothing on overflow), then index. The
         // dedup key makes producer retries idempotent at the bus.
         let ctx = span.context();
         let dedup_key = format!("{producer}:{src_event_id}");
+        let routes = self.routes.read();
+        let route = routes
+            .get(event_type)
+            .ok_or_else(|| CssError::NotFound(format!("event class {event_type} not declared")))?;
         let outcome = self.bus.publish_opts(
-            &event_type.to_string(),
-            notification.clone(),
+            &route.topic,
+            Arc::clone(&notification),
             PublishOptions::new().dedup_key(&dedup_key).traced(&ctx),
         )?;
         if outcome.is_duplicate() {
@@ -598,12 +628,8 @@ impl<B: LogBackend> DataController<B> {
         // for the Delivery records: the bytes of the audit log must not
         // depend on a hash seed. A consumer holding several
         // subscriptions to the class is one receiver.
-        let mut receivers: Vec<ActorId> = self
-            .subscribers
-            .read()
-            .get(&event_type)
-            .map(|of_class| of_class.iter().map(|(_, actor)| *actor).collect())
-            .unwrap_or_default();
+        let mut receivers: Vec<ActorId> = route.receivers.iter().map(|(_, actor)| *actor).collect();
+        drop(routes);
         receivers.dedup();
         let index_span = ctx.child("index.insert");
         self.index.insert(
@@ -622,7 +648,7 @@ impl<B: LogBackend> DataController<B> {
             AuditRecord::new(now, producer, AuditAction::Publish)
                 .event(global_id)
                 .event_type(event_type.clone())
-                .person(person.id)
+                .person(person)
                 .trace(trace_id),
         );
         for consumer in &receivers {
@@ -630,7 +656,7 @@ impl<B: LogBackend> DataController<B> {
                 AuditRecord::new(now, *consumer, AuditAction::Delivery)
                     .event(global_id)
                     .event_type(event_type.clone())
-                    .person(person.id)
+                    .person(person)
                     .trace(trace_id),
             );
         }
@@ -895,7 +921,7 @@ impl<B: LogBackend> DataController<B> {
     /// Notifications that exhausted their redelivery budget, with the
     /// delivery group and original publish trace that dead-lettered
     /// them.
-    pub fn bus_dead_letters(&self) -> Vec<css_bus::DeadLetter<NotificationMessage>> {
+    pub fn bus_dead_letters(&self) -> Vec<css_bus::DeadLetter<Arc<NotificationMessage>>> {
         self.bus.dead_letters()
     }
 

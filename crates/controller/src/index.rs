@@ -268,6 +268,8 @@ pub struct EventsIndex<B: LogBackend = MemBackend> {
     /// Largest indexed event id (assembly resumes numbering from here).
     max_id: Option<GlobalEventId>,
     storage: RecordLog<B>,
+    /// The record being written, kept between writes.
+    text: String,
 }
 
 /// The keyed-lookup-tag key derivation shared by every shard of an
@@ -314,6 +316,7 @@ impl<B: LogBackend> EventsIndex<B> {
                 by_time: BTreeMap::new(),
                 max_id: None,
                 storage,
+                text: String::new(),
             });
         }
         let mut markers: Vec<(GlobalEventId, ActorId)> = Vec::new();
@@ -405,9 +408,9 @@ impl<B: LogBackend> EventsIndex<B> {
             src_event_id,
             notified,
         };
-        let mut text = String::with_capacity(640);
-        entry.encode(&mut StreamSink::new(&mut text));
-        self.storage.append(text.as_bytes())?;
+        self.text.clear();
+        entry.encode(&mut StreamSink::new(&mut self.text));
+        self.storage.append(self.text.as_bytes())?;
         self.link_entry(entry);
         Ok(())
     }
@@ -434,9 +437,9 @@ impl<B: LogBackend> EventsIndex<B> {
             return Err(CssError::NotFound(format!("event {id} not in index")));
         };
         if entry.notified.insert(consumer) {
-            let mut marker = String::with_capacity(64);
-            encode_notified_marker(id, consumer, &mut StreamSink::new(&mut marker));
-            self.storage.append(marker.as_bytes())?;
+            self.text.clear();
+            encode_notified_marker(id, consumer, &mut StreamSink::new(&mut self.text));
+            self.storage.append(self.text.as_bytes())?;
         }
         Ok(())
     }

@@ -1,5 +1,7 @@
 //! The consumer-side handle.
 
+use std::sync::Arc;
+
 use css_bus::SubscriberHandle;
 use css_event::{NotificationMessage, PrivacyAwareEvent};
 use css_trace::{TraceContext, TraceId};
@@ -13,8 +15,10 @@ use crate::provider::BackendProvider;
 /// metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Delivered {
-    /// The notification payload.
-    pub message: NotificationMessage,
+    /// The notification payload: the one allocation the publish built,
+    /// shared with every other consumer it was delivered to
+    /// (`d.message.global_id` reads through the pointer).
+    pub message: Arc<NotificationMessage>,
     /// The causal trace of the publish that routed the notification
     /// (present when the producer published under an enabled tracer) —
     /// hand it to `ProcessMonitor::feed_traced` to join monitoring KPIs
@@ -28,7 +32,7 @@ pub struct Delivered {
 }
 
 impl Delivered {
-    fn from_bus(d: css_bus::Delivery<NotificationMessage>) -> Self {
+    fn from_bus(d: css_bus::Delivery<Arc<NotificationMessage>>) -> Self {
         Delivered {
             message: d.message,
             trace: d.trace,
@@ -41,7 +45,7 @@ impl Delivered {
 /// A live subscription to a class of events, yielding notification
 /// messages.
 pub struct Subscription {
-    inner: SubscriberHandle<NotificationMessage>,
+    inner: SubscriberHandle<Arc<NotificationMessage>>,
     event_type: EventTypeId,
 }
 
@@ -78,7 +82,7 @@ impl Subscription {
     /// [`Subscription::ack`] on success or [`Subscription::nack`] to
     /// hand the notification to another worker of the group (bounded by
     /// the subscription's `max_attempts`, then dead-lettered).
-    pub fn next_unacked(&self) -> CssResult<Option<css_bus::Delivery<NotificationMessage>>> {
+    pub fn next_unacked(&self) -> CssResult<Option<css_bus::Delivery<Arc<NotificationMessage>>>> {
         self.inner.poll()
     }
 
@@ -95,7 +99,7 @@ impl Subscription {
     }
 
     /// Drain every queued notification.
-    pub fn drain(&self) -> CssResult<Vec<NotificationMessage>> {
+    pub fn drain(&self) -> CssResult<Vec<Arc<NotificationMessage>>> {
         self.inner.drain()
     }
 

@@ -78,7 +78,7 @@ pub struct CssPlatformBuilder<P: BackendProvider = MemoryProvider> {
     ops_interval: std::time::Duration,
     ops_slos: Vec<css_health::Slo>,
     ops_monitor: Option<Arc<Mutex<css_monitor::ProcessMonitor>>>,
-    bus_driver: Option<Arc<dyn BusDriver<NotificationMessage>>>,
+    bus_driver: Option<Arc<dyn BusDriver<Arc<NotificationMessage>>>>,
     incident_dir: Option<std::path::PathBuf>,
 }
 
@@ -153,7 +153,7 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
     /// networked broker in a multi-site deployment. The driver is
     /// payload-blind: it moves opaque notification values and can never
     /// see event details.
-    pub fn bus_driver(mut self, driver: Arc<dyn BusDriver<NotificationMessage>>) -> Self {
+    pub fn bus_driver(mut self, driver: Arc<dyn BusDriver<Arc<NotificationMessage>>>) -> Self {
         self.bus_driver = Some(driver);
         self
     }

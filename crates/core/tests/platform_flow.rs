@@ -734,7 +734,7 @@ fn grouped_subscription_redelivers_nacked_work_to_a_peer() {
 /// never person data.
 #[test]
 fn platform_runs_on_a_recording_bus_driver() {
-    let driver = Arc::new(css_bus::RecordingDriver::<NotificationMessage>::in_memory());
+    let driver = Arc::new(css_bus::RecordingDriver::<Arc<NotificationMessage>>::in_memory());
     let clock = SimClock::starting_at(Timestamp(1_000));
     let mut platform = CssPlatformBuilder::new()
         .clock(Arc::new(clock.clone()))

@@ -69,7 +69,13 @@ fn genesis() -> [u8; 32] {
     h.finalize()
 }
 
-fn derive(prev: &[u8; 32], seq: u64, payload: &[u8]) -> [u8; 32] {
+/// The one chain step: the digest of the link at position `seq`
+/// (zero-based) over `payload`, given the digest `prev` of the link
+/// before it (the head of an empty [`HashChain`] for the first).
+/// [`HashChain::append`] is this plus keeping the payload; a log that
+/// keeps its payloads elsewhere calls it directly and arrives at the
+/// same heads.
+pub fn chain_step(prev: &[u8; 32], seq: u64, payload: &[u8]) -> [u8; 32] {
     let mut h = Sha256::new();
     h.update(prev);
     h.update(&seq.to_le_bytes());
@@ -96,7 +102,7 @@ impl HashChain {
     /// Append a payload, returning the new link's sequence number.
     pub fn append(&mut self, payload: Vec<u8>) -> u64 {
         let seq = self.links.len() as u64;
-        let hash = derive(&self.head, seq, &payload);
+        let hash = chain_step(&self.head, seq, &payload);
         self.head = hash;
         self.links.push(Link { seq, payload, hash });
         seq
@@ -138,7 +144,7 @@ impl HashChain {
                     found: link.seq,
                 });
             }
-            let expect = derive(&prev, link.seq, &link.payload);
+            let expect = chain_step(&prev, link.seq, &link.payload);
             if expect != link.hash {
                 return Err(ChainVerifyError::HashMismatch { seq: link.seq });
             }
@@ -186,7 +192,7 @@ mod tests {
         // Forge payload *and* recompute its hash — the next link breaks.
         c.links[3].payload = b"record-3-FORGED".to_vec();
         let prev = c.links[2].hash;
-        c.links[3].hash = derive(&prev, 3, &c.links[3].payload);
+        c.links[3].hash = chain_step(&prev, 3, &c.links[3].payload);
         assert_eq!(c.verify(), Err(ChainVerifyError::HashMismatch { seq: 4 }));
     }
 

@@ -23,7 +23,7 @@ pub mod sealed;
 pub mod sha256;
 
 pub use chacha20::ChaCha20;
-pub use chain::{ChainVerifyError, HashChain, Link};
+pub use chain::{chain_step, ChainVerifyError, HashChain, Link};
 pub use hmac::{hmac_sha256, HmacKey};
 pub use sealed::{SealError, SealedBox};
 pub use sha256::{from_hex, sha256, to_hex, Hex, Sha256};

@@ -10,7 +10,7 @@ use css_types::{ActorId, CssError, CssResult, EventTypeId};
 use css_xml::{Element, ElementDecl, Schema};
 
 use crate::details::EventDetails;
-use crate::field::{FieldDef, FieldKind};
+use crate::field::{FieldDef, FieldKind, FieldValue};
 
 /// Declaration of a class of event details (an entry of `E(D_i)` in
 /// Definition 1).
@@ -166,8 +166,7 @@ impl EventSchema {
                         )));
                     }
                     if !v.is_empty() {
-                        // Re-parse the rendered form to confirm the kind.
-                        def.kind.parse_value(&v.render()).map_err(|e| {
+                        well_typed(&def.kind, v).map_err(|e| {
                             CssError::Invalid(format!(
                                 "field {:?} ill-typed in event of type {}: {e}",
                                 def.name, self.id
@@ -249,6 +248,24 @@ impl EventSchema {
             });
         }
         Ok(schema)
+    }
+}
+
+/// Whether `value` is a well-typed value of `kind`: whether its
+/// rendered form parses as one. Text is checked where it lies, and a
+/// number, flag or instant in a field declared as that renders to a
+/// form that parses back by construction; any other pairing (a
+/// decimal's scale can exceed what the parser takes) is rendered and
+/// parsed to find out.
+fn well_typed(kind: &FieldKind, value: &FieldValue) -> Result<(), String> {
+    match (kind, value) {
+        (FieldKind::Text | FieldKind::Code(_), FieldValue::Text(s) | FieldValue::Code(s)) => {
+            kind.check_value(s)
+        }
+        (FieldKind::Integer, FieldValue::Integer(_))
+        | (FieldKind::Boolean, FieldValue::Boolean(_))
+        | (FieldKind::DateTime, FieldValue::DateTime(_)) => Ok(()),
+        _ => kind.check_value(&value.render()),
     }
 }
 
@@ -377,6 +394,104 @@ mod tests {
         let _ = EventSchema::new(EventTypeId::v1("x"), "X", ActorId(1))
             .field(FieldDef::required("a", FieldKind::Text))
             .field(FieldDef::required("a", FieldKind::Text));
+    }
+
+    /// What `validate` did before it checked the value it holds:
+    /// render to a fresh string, parse it back.
+    fn render_then_parse(kind: &FieldKind, value: &FieldValue) -> Result<(), String> {
+        kind.parse_value(&value.render()).map(drop)
+    }
+
+    fn kinds() -> Vec<FieldKind> {
+        let codes = [
+            "negative",
+            "12",
+            "true",
+            "-1.50",
+            "1970-01-01T00:16:40.000Z",
+        ];
+        vec![
+            FieldKind::Text,
+            FieldKind::Integer,
+            FieldKind::Decimal,
+            FieldKind::Boolean,
+            FieldKind::DateTime,
+            FieldKind::Code(codes.map(String::from).to_vec()),
+            FieldKind::Code(Vec::new()),
+        ]
+    }
+
+    #[test]
+    fn well_typed_agrees_with_render_then_parse_at_the_edges() {
+        use crate::field::Decimal;
+        let mut values = vec![FieldValue::Empty];
+        for text in [
+            "",
+            "negative",
+            "12",
+            "-0",
+            "true",
+            "-1.50",
+            "1.",
+            "9223372036854775808",
+            "1970-01-01T00:16:40.000Z",
+            "1970-13-01T00:00:00.000Z",
+        ] {
+            values.push(FieldValue::Text(text.into()));
+            values.push(FieldValue::Code(text.into()));
+        }
+        for i in [i64::MIN, -1, 0, 1, i64::MAX] {
+            values.push(FieldValue::Integer(i));
+            // Scale 19 renders more fraction digits than the parser
+            // takes, i64::MIN a mantissa it cannot hold: a decimal in a
+            // decimal field is *not* well-typed by construction.
+            for scale in [0, 1, 18, 19] {
+                values.push(FieldValue::Decimal(Decimal::new(i, scale)));
+            }
+        }
+        values.extend([true, false].map(FieldValue::Boolean));
+        values.extend(
+            [0, 1, 951_782_400_000, u64::MAX].map(|ms| FieldValue::DateTime(Timestamp(ms))),
+        );
+        let mut refused = 0;
+        for kind in kinds() {
+            for value in &values {
+                let expected = render_then_parse(&kind, value);
+                refused += usize::from(expected.is_err());
+                assert_eq!(well_typed(&kind, value), expected, "{kind:?} / {value:?}");
+            }
+        }
+        assert!(refused > 100, "the table exercises refusals too: {refused}");
+    }
+
+    proptest::proptest! {
+        /// Any value in a field of any kind — its own or another — is
+        /// accepted or refused, with the same message, as rendering it
+        /// and parsing the text back would.
+        #[test]
+        fn well_typed_agrees_with_render_then_parse(
+            kind in 0usize..7,
+            text in "[a-z0-9TZ:.-]{0,12}",
+            integer in proptest::prelude::any::<i64>(),
+            scale in 0u8..=19,
+            instant in proptest::prelude::any::<u64>(),
+        ) {
+            let kind = &kinds()[kind];
+            for value in [
+                FieldValue::Text(text.clone()),
+                FieldValue::Code(text.clone()),
+                FieldValue::Integer(integer),
+                FieldValue::Decimal(crate::field::Decimal::new(integer, scale)),
+                FieldValue::Boolean(integer % 2 == 0),
+                FieldValue::DateTime(Timestamp(instant)),
+            ] {
+                proptest::prop_assert_eq!(
+                    well_typed(kind, &value),
+                    render_then_parse(kind, &value),
+                    "{:?} / {:?}", kind, value
+                );
+            }
+        }
     }
 
     #[test]

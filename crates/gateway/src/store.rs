@@ -9,13 +9,18 @@ use css_xml::StreamSink;
 /// source event id.
 pub struct DetailStore<B: LogBackend> {
     store: KvStore<B>,
+    /// The document being persisted, kept between persists.
+    xml: String,
 }
 
 impl<B: LogBackend> DetailStore<B> {
     /// Open the store over a backend, replaying existing messages.
     pub fn open(backend: B) -> CssResult<Self> {
         let (store, _torn) = KvStore::open(backend)?;
-        Ok(DetailStore { store })
+        Ok(DetailStore {
+            store,
+            xml: String::new(),
+        })
     }
 
     /// Persist a detail message. Fails on duplicate source event ids —
@@ -28,9 +33,9 @@ impl<B: LogBackend> DetailStore<B> {
                 message.src_event_id
             )));
         }
-        let mut xml = String::with_capacity(512);
-        message.encode(schema, &mut StreamSink::new(&mut xml));
-        self.store.put(&k, xml.as_bytes())?;
+        self.xml.clear();
+        message.encode(schema, &mut StreamSink::new(&mut self.xml));
+        self.store.put(&k, self.xml.as_bytes())?;
         self.store.sync()
     }
 

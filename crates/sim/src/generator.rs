@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use css_core::{ConsumerHandle, MemoryProvider, Subscription};
-use css_event::{EventDetails, FieldValue, NotificationMessage};
+use css_event::{EventDetails, FieldValue};
 use css_types::{CssError, Duration, EventTypeId, PersonId, Purpose};
 
 use crate::scenario::{types, Scenario};
@@ -268,9 +268,7 @@ pub fn run_workload(scenario: &Scenario, config: WorkloadConfig) -> WorkloadRepo
         // Consumers drain and maybe chase details.
         for consumer in &consumers {
             for sub in &consumer.subs {
-                let notifications: Vec<NotificationMessage> =
-                    sub.drain().expect("subscription alive");
-                for n in notifications {
+                for n in sub.drain().expect("subscription alive") {
                     report.notifications_delivered += 1;
                     if rng.gen_bool(config.detail_request_prob) {
                         let purpose = if rng.gen_bool(config.wrong_purpose_prob) {

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use crate::backend::LogBackend;
-use crate::log::{RecordLog, RecordPtr};
+use crate::log::{split_records, RecordLog, RecordPtr};
 
 use css_types::{CssError, CssResult};
 
@@ -26,12 +26,13 @@ struct Slot {
 }
 
 impl Slot {
-    /// The slot of `payload` stored at `ptr`. Record lengths are `u32`
-    /// on disk, so the cast keeps what the frame header holds.
-    fn of(ptr: RecordPtr, payload: &[u8]) -> Self {
+    /// The slot of a `payload_len`-byte record stored at `ptr`. Record
+    /// lengths are `u32` on disk, so the cast keeps what the frame
+    /// header holds.
+    fn of(ptr: RecordPtr, payload_len: usize) -> Self {
         Slot {
             ptr,
-            payload_len: payload.len() as u32,
+            payload_len: payload_len as u32,
         }
     }
 }
@@ -44,6 +45,9 @@ pub struct KvStore<B: LogBackend> {
     /// compacted; drives the compaction heuristic.
     dead_records: usize,
     live_records: usize,
+    /// The records of the mutation in progress, encoded back to back;
+    /// kept between mutations, cleared before each.
+    records: Vec<u8>,
 }
 
 impl<B: LogBackend> KvStore<B> {
@@ -61,7 +65,7 @@ impl<B: LogBackend> KvStore<B> {
             match op {
                 OP_PUT => {
                     if index
-                        .insert(key.to_vec(), Slot::of(*ptr, &payload))
+                        .insert(key.to_vec(), Slot::of(*ptr, payload.len()))
                         .is_some()
                     {
                         dead += 1;
@@ -85,6 +89,7 @@ impl<B: LogBackend> KvStore<B> {
                 index,
                 dead_records: dead,
                 live_records: live,
+                records: Vec::new(),
             },
             outcome.truncated_bytes,
         ))
@@ -92,15 +97,20 @@ impl<B: LogBackend> KvStore<B> {
 
     /// Insert or replace a value.
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> CssResult<()> {
-        let record = encode(OP_PUT, key, value);
-        let ptr = self.log.append(&record)?;
-        let slot = Slot::of(ptr, &record);
+        self.records.clear();
+        encode_into(&mut self.records, OP_PUT, key, value);
+        let ptr = self.log.append(&self.records)?;
+        self.link(key, Slot::of(ptr, self.records.len()));
+        Ok(())
+    }
+
+    /// Point `key` at its latest record.
+    fn link(&mut self, key: &[u8], slot: Slot) {
         if self.index.insert(key.to_vec(), slot).is_some() {
             self.dead_records += 1;
         } else {
             self.live_records += 1;
         }
-        Ok(())
     }
 
     /// Insert or replace several values as one group commit.
@@ -113,19 +123,19 @@ impl<B: LogBackend> KvStore<B> {
         if pairs.is_empty() {
             return Ok(());
         }
-        let records: Vec<Vec<u8>> = pairs
-            .iter()
-            .map(|(key, value)| encode(OP_PUT, key, value))
-            .collect();
-        let refs: Vec<&[u8]> = records.iter().map(Vec::as_slice).collect();
-        let ptrs = self.log.append_batch(&refs)?;
-        for (((key, _), ptr), record) in pairs.iter().zip(ptrs).zip(&records) {
-            let slot = Slot::of(ptr, record);
-            if self.index.insert(key.to_vec(), slot).is_some() {
-                self.dead_records += 1;
-            } else {
-                self.live_records += 1;
-            }
+        self.records.clear();
+        let mut ends = Vec::with_capacity(pairs.len());
+        for (key, value) in pairs {
+            encode_into(&mut self.records, OP_PUT, key, value);
+            ends.push(self.records.len());
+        }
+        let ptrs = self
+            .log
+            .append_batch(&split_records(&self.records, &ends))?;
+        let mut start = 0;
+        for (((key, _), ptr), end) in pairs.iter().zip(ptrs).zip(ends) {
+            self.link(key, Slot::of(ptr, end - start));
+            start = end;
         }
         Ok(())
     }
@@ -155,8 +165,9 @@ impl<B: LogBackend> KvStore<B> {
         if !self.index.contains_key(key) {
             return Ok(false);
         }
-        let record = encode(OP_DELETE, key, b"");
-        self.log.append(&record)?;
+        self.records.clear();
+        encode_into(&mut self.records, OP_DELETE, key, b"");
+        self.log.append(&self.records)?;
         self.index.remove(key);
         self.live_records -= 1;
         self.dead_records += 2;
@@ -206,7 +217,7 @@ impl<B: LogBackend> KvStore<B> {
         for (key, slot) in &self.index {
             let payload = self.log.read_sized(slot.ptr, slot.payload_len as usize)?;
             let new_ptr = fresh.append(&payload)?;
-            new_index.insert(key.clone(), Slot::of(new_ptr, &payload));
+            new_index.insert(key.clone(), Slot::of(new_ptr, payload.len()));
         }
         fresh.sync()?;
         let live = new_index.len();
@@ -215,18 +226,18 @@ impl<B: LogBackend> KvStore<B> {
             index: new_index,
             dead_records: 0,
             live_records: live,
+            records: self.records,
         })
     }
 }
 
-fn encode(op: u8, key: &[u8], value: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(9 + key.len() + value.len());
+/// Append the record of one mutation to `out`.
+fn encode_into(out: &mut Vec<u8>, op: u8, key: &[u8], value: &[u8]) {
     out.push(op);
     out.extend_from_slice(&(key.len() as u32).to_le_bytes());
     out.extend_from_slice(key);
     out.extend_from_slice(&(value.len() as u32).to_le_bytes());
     out.extend_from_slice(value);
-    out
 }
 
 /// Opcode, key and value of a record, borrowed from it.
@@ -313,6 +324,38 @@ mod tests {
                 ))
                 .unwrap(),
         );
+    }
+
+    #[test]
+    fn each_mutation_writes_exactly_its_own_record() {
+        // The record buffer is kept between mutations: whatever came
+        // before, a mutation adds frame header + its own record.
+        let mut kv = mem();
+        let record = |key: &[u8], value: &[u8]| (9 + 9 + key.len() + value.len()) as u64;
+        let long = vec![7u8; 200];
+        kv.put(b"long", &long).unwrap();
+        let before = kv.log_bytes();
+        kv.put(b"k", b"v").unwrap();
+        assert_eq!(kv.log_bytes() - before, record(b"k", b"v"));
+        let before = kv.log_bytes();
+        kv.put_batch(&[(b"a", b"1"), (b"bb", b"")]).unwrap();
+        assert_eq!(
+            kv.log_bytes() - before,
+            record(b"a", b"1") + record(b"bb", b"")
+        );
+        let before = kv.log_bytes();
+        assert!(kv.delete(b"k").unwrap());
+        assert_eq!(kv.log_bytes() - before, record(b"k", b""));
+        let (replayed, torn) = KvStore::open(kv.log.into_backend()).unwrap();
+        assert_eq!(torn, 0);
+        for (key, value) in [
+            (&b"long"[..], Some(&long[..])),
+            (b"k", None),
+            (b"a", Some(b"1")),
+            (b"bb", Some(b"")),
+        ] {
+            assert_eq!(replayed.get(key).unwrap().as_deref(), value);
+        }
     }
 
     #[test]

@@ -28,13 +28,20 @@ pub struct ScanOutcome {
 /// An append-only log of checksummed records over a [`LogBackend`].
 pub struct RecordLog<B: LogBackend> {
     backend: B,
+    /// The frames of the append in progress, kept between appends so a
+    /// warm log frames into memory it already owns. Cleared before
+    /// each use: it never carries bytes from one append to the next.
+    frames: Vec<u8>,
 }
 
 impl<B: LogBackend> RecordLog<B> {
     /// Wrap a backend **without** scanning it. Use [`RecordLog::recover`]
     /// for logs that may contain existing data.
     pub fn new(backend: B) -> Self {
-        RecordLog { backend }
+        RecordLog {
+            backend,
+            frames: Vec::new(),
+        }
     }
 
     /// Open a log over a backend, validating existing content.
@@ -44,81 +51,46 @@ impl<B: LogBackend> RecordLog<B> {
     /// dropping acknowledged records would violate durability.
     pub fn recover(mut backend: B) -> CssResult<(Self, ScanOutcome)> {
         let mut records = Vec::new();
-        let mut pos = 0u64;
         let total = backend.len();
-        let mut torn_at: Option<u64> = None;
-        while pos < total {
-            match Self::read_header(&backend, pos, total) {
-                Ok((payload_len, stored_crc)) => {
-                    let payload_at = pos + HEADER_LEN as u64;
-                    if payload_at + payload_len as u64 > total {
-                        torn_at = Some(pos);
-                        break;
-                    }
-                    let payload = backend.read_at(payload_at, payload_len)?;
-                    if crc32(&payload) != stored_crc {
-                        // A bad checksum on the *last* record is a torn
-                        // write; anywhere else it is corruption.
-                        if payload_at + payload_len as u64 == total {
-                            torn_at = Some(pos);
-                            break;
-                        }
-                        return Err(CssError::Storage(format!("corrupt record at offset {pos}")));
-                    }
-                    records.push(RecordPtr(pos));
-                    pos = payload_at + payload_len as u64;
-                }
-                Err(HeaderIssue::Torn) => {
-                    torn_at = Some(pos);
-                    break;
-                }
-                Err(HeaderIssue::BadMagic) => {
-                    return Err(CssError::Storage(format!(
-                        "bad record magic at offset {pos}"
-                    )));
-                }
-            }
+        let intact = walk(&backend, |ptr, _| {
+            records.push(ptr);
+            Ok(())
+        })?;
+        if intact < total {
+            backend.truncate(intact)?;
         }
-        let truncated_bytes = match torn_at {
-            Some(at) => {
-                let dropped = total - at;
-                backend.truncate(at)?;
-                dropped
-            }
-            None => 0,
-        };
         Ok((
-            RecordLog { backend },
+            RecordLog::new(backend),
             ScanOutcome {
                 records,
-                truncated_bytes,
+                truncated_bytes: total - intact,
             },
         ))
     }
 
-    fn read_header(backend: &B, pos: u64, total: u64) -> Result<(usize, u32), HeaderIssue> {
-        if pos + HEADER_LEN as u64 > total {
-            return Err(HeaderIssue::Torn);
+    /// Visit every record from the first, in append order, with its
+    /// pointer and its payload: one sequential pass that reads the
+    /// backend in large pieces and checks every frame (magic, length,
+    /// checksum) before handing its payload over — for a caller that
+    /// wants the whole log (the audit chain's replay and verification),
+    /// where [`RecordLog::read`] per record would be two backend reads
+    /// each. A log that does not end on a whole record is an error
+    /// here: [`RecordLog::recover`] is what forgives a torn tail.
+    pub fn scan(&self, visit: impl FnMut(RecordPtr, &[u8]) -> CssResult<()>) -> CssResult<()> {
+        let intact = walk(&self.backend, visit)?;
+        if intact < self.backend.len() {
+            return Err(CssError::Storage(format!(
+                "corrupt record at offset {intact}"
+            )));
         }
-        let header = backend
-            .read_at(pos, HEADER_LEN)
-            .map_err(|_| HeaderIssue::Torn)?;
-        if header.len() < HEADER_LEN {
-            return Err(HeaderIssue::Torn);
-        }
-        if header[0] != MAGIC {
-            return Err(HeaderIssue::BadMagic);
-        }
-        let len = crate::le_u32(&header[1..5]).ok_or(HeaderIssue::Torn)? as usize;
-        let crc = crate::le_u32(&header[5..9]).ok_or(HeaderIssue::Torn)?;
-        Ok((len, crc))
+        Ok(())
     }
 
     /// Append a record, returning its pointer.
     pub fn append(&mut self, payload: &[u8]) -> CssResult<RecordPtr> {
-        let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
-        frame_into(&mut buf, payload);
-        let offset = self.backend.append(&buf)?;
+        self.frames.clear();
+        frame_into(&mut self.frames, payload);
+        let offset = self.backend.append(&self.frames)?;
         Ok(RecordPtr(offset))
     }
 
@@ -136,24 +108,39 @@ impl<B: LogBackend> RecordLog<B> {
         if payloads.is_empty() {
             return Ok(Vec::new());
         }
-        let total: usize = payloads.iter().map(|p| HEADER_LEN + p.len()).sum();
-        let mut buf = Vec::with_capacity(total);
-        let mut offsets = Vec::with_capacity(payloads.len());
+        self.frames.clear();
+        // Offsets within the batch first, moved to where the batch
+        // landed once the backend has said where that is.
+        let mut ptrs = Vec::with_capacity(payloads.len());
         for payload in payloads {
-            offsets.push(buf.len() as u64);
-            frame_into(&mut buf, payload);
+            ptrs.push(RecordPtr(self.frames.len() as u64));
+            frame_into(&mut self.frames, payload);
         }
-        let base = self.backend.append(&buf)?;
-        Ok(offsets.into_iter().map(|o| RecordPtr(base + o)).collect())
+        let base = self.backend.append(&self.frames)?;
+        for ptr in &mut ptrs {
+            ptr.0 += base;
+        }
+        Ok(ptrs)
     }
 
     /// Read the record at `ptr`, verifying its checksum: one backend
     /// read for the header, to learn the length, then
-    /// [`RecordLog::read_sized`].
+    /// [`RecordLog::read_sized`], which checks the whole frame.
     pub fn read(&self, ptr: RecordPtr) -> CssResult<Vec<u8>> {
-        let (len, _) = Self::read_header(&self.backend, ptr.0, self.backend.len())
-            .map_err(|_| CssError::Storage(format!("invalid record pointer {ptr:?}")))?;
-        self.read_sized(ptr, len)
+        let invalid = || CssError::Storage(format!("invalid record pointer {ptr:?}"));
+        let header = self
+            .backend
+            .read_at(ptr.0, HEADER_LEN)
+            .map_err(|_| invalid())?;
+        // Not a record start: say so before reading a length's worth.
+        if header.first() != Some(&MAGIC) {
+            return Err(invalid());
+        }
+        let len = header
+            .get(1..5)
+            .and_then(crate::le_u32)
+            .ok_or_else(invalid)?;
+        self.read_sized(ptr, len as usize)
     }
 
     /// Read the record at `ptr` whose payload the caller knows to be
@@ -213,16 +200,79 @@ pub fn split_records<'a>(buffer: &'a [u8], ends: &[usize]) -> Vec<&'a [u8]> {
         .collect()
 }
 
+/// How much of the backend a sequential pass reads at a time.
+const WINDOW: usize = 256 * 1024;
+
+/// Walk the frames of `backend` from offset 0, handing each intact
+/// record to `visit`. Returns the offset at which the intact records
+/// end: the backend's length, or where a torn tail starts — a header
+/// or payload cut short by the end of the log, or a *final* record
+/// whose checksum fails. A bad magic byte, or a bad checksum before
+/// the final record, is corruption and an error.
+fn walk<B: LogBackend>(
+    backend: &B,
+    mut visit: impl FnMut(RecordPtr, &[u8]) -> CssResult<()>,
+) -> CssResult<u64> {
+    let total = backend.len();
+    // `window` holds the bytes of the log from `window_at` on.
+    let (mut window, mut window_at) = (Vec::new(), 0u64);
+    let mut pos = 0u64;
+    while pos < total {
+        let in_window = (pos - window_at) as usize;
+        let Some(header) = window.get(in_window..in_window + HEADER_LEN) else {
+            if total - pos < HEADER_LEN as u64 {
+                break;
+            }
+            (window, window_at) = (read_window(backend, pos, HEADER_LEN)?, pos);
+            continue;
+        };
+        if header[0] != MAGIC {
+            return Err(CssError::Storage(format!(
+                "bad record magic at offset {pos}"
+            )));
+        }
+        let malformed = || CssError::Storage(format!("corrupt record at offset {pos}"));
+        let len = crate::le_u32(&header[1..5]).ok_or_else(malformed)? as usize;
+        let stored_crc = crate::le_u32(&header[5..9]).ok_or_else(malformed)?;
+        let frame_len = HEADER_LEN + len;
+        let Some(payload) = window.get(in_window + HEADER_LEN..in_window + frame_len) else {
+            if total - pos < frame_len as u64 {
+                break;
+            }
+            (window, window_at) = (read_window(backend, pos, frame_len)?, pos);
+            continue;
+        };
+        if crc32(payload) != stored_crc {
+            // A bad checksum on the *last* record is a torn write;
+            // anywhere else it is corruption.
+            if pos + frame_len as u64 == total {
+                break;
+            }
+            return Err(malformed());
+        }
+        visit(RecordPtr(pos), payload)?;
+        pos += frame_len as u64;
+    }
+    Ok(pos)
+}
+
+/// The bytes of `backend` from `pos` on: a window's worth, at least
+/// `need` (the caller has checked the log holds that many), at most
+/// what is left.
+fn read_window<B: LogBackend>(backend: &B, pos: u64, need: usize) -> CssResult<Vec<u8>> {
+    let left = backend.len() - pos;
+    let window = backend.read_at(pos, need.max(WINDOW).min(left as usize))?;
+    if window.len() < need {
+        return Err(CssError::Storage(format!("short read at offset {pos}")));
+    }
+    Ok(window)
+}
+
 fn frame_into(buf: &mut Vec<u8>, payload: &[u8]) {
     buf.push(MAGIC);
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(&crc32(payload).to_le_bytes());
     buf.extend_from_slice(payload);
-}
-
-enum HeaderIssue {
-    Torn,
-    BadMagic,
 }
 
 #[cfg(test)]
@@ -363,6 +413,112 @@ mod tests {
         }
         let (_, outcome) = RecordLog::recover(batched.into_backend()).unwrap();
         assert_eq!(outcome.records, seq_ptrs);
+    }
+
+    #[test]
+    fn each_append_writes_exactly_its_own_frames() {
+        // The frame buffer is kept between appends: a short record
+        // after a long one, a batch after a single append and a single
+        // append after a batch must each add their own bytes only.
+        let mut log = RecordLog::new(MemBackend::new());
+        let long = vec![0xAB; 300];
+        let mut ptrs = vec![log.append(&long).unwrap()];
+        let before = log.byte_len();
+        ptrs.push(log.append(b"s").unwrap());
+        assert_eq!(log.byte_len() - before, (HEADER_LEN + 1) as u64);
+        let before = log.byte_len();
+        ptrs.extend(log.append_batch(&[b"b1", b"", b"b-three"]).unwrap());
+        assert_eq!(log.byte_len() - before, (3 * HEADER_LEN + 2 + 7) as u64);
+        let before = log.byte_len();
+        ptrs.push(log.append(b"after").unwrap());
+        assert_eq!(log.byte_len() - before, (HEADER_LEN + 5) as u64);
+        let (log, outcome) = RecordLog::recover(log.into_backend()).unwrap();
+        assert_eq!(outcome.records, ptrs);
+        assert_eq!(outcome.truncated_bytes, 0);
+        let expected: [&[u8]; 6] = [&long, b"s", b"b1", b"", b"b-three", b"after"];
+        for (ptr, payload) in ptrs.iter().zip(expected) {
+            assert_eq!(log.read(*ptr).unwrap(), payload);
+        }
+    }
+
+    #[test]
+    fn scan_walks_windows_and_records_longer_than_one() {
+        let registry = css_telemetry::MetricsRegistry::new();
+        let mut log = RecordLog::new(crate::InstrumentedBackend::new(
+            MemBackend::new(),
+            &registry,
+        ));
+        // Three windows' worth of small records (some empty), then one
+        // record longer than a window, then a small one.
+        let mut written: Vec<(RecordPtr, Vec<u8>)> = Vec::new();
+        let mut put = |log: &mut RecordLog<_>, payload: Vec<u8>| {
+            written.push((log.append(&payload).unwrap(), payload));
+        };
+        let mut i = 0usize;
+        while log.byte_len() < 3 * WINDOW as u64 {
+            put(&mut log, vec![i as u8; i % 257]);
+            i += 1;
+        }
+        put(&mut log, vec![0x5A; WINDOW + 1_000]);
+        put(&mut log, b"last".to_vec());
+        let reads = || registry.snapshot().histogram("storage.read").unwrap().count;
+        let mut seen = 0;
+        log.scan(|ptr, payload| {
+            assert_eq!((ptr, payload), (written[seen].0, &written[seen].1[..]));
+            seen += 1;
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(seen, written.len());
+        // A handful of window reads, not one or two per record.
+        assert!(reads() < 12, "{} reads for {seen} records", reads());
+        // Recovery walks the same way to the same pointers.
+        let (log, outcome) = RecordLog::recover(log.into_backend()).unwrap();
+        assert_eq!(outcome.truncated_bytes, 0);
+        assert!(outcome
+            .records
+            .iter()
+            .eq(written.iter().map(|(ptr, _)| ptr)));
+        // The visitor's error stops the pass and is the pass's error.
+        let mut visited = 0;
+        let stopped = log.scan(|_, _| {
+            visited += 1;
+            Err(CssError::Invalid("enough".into()))
+        });
+        assert!(matches!(stopped, Err(CssError::Invalid(_))));
+        assert_eq!(visited, 1);
+    }
+
+    #[test]
+    fn scan_refuses_what_recover_would_forgive_or_refuse() {
+        let mut log = RecordLog::new(MemBackend::new());
+        log.append(b"whole").unwrap();
+        let last = log.append(b"final record").unwrap();
+        let mut backend = log.into_backend();
+        // A torn tail: recover would truncate it, a scan of a live log
+        // must not find one.
+        backend.append(&[MAGIC, 3, 0, 0]).unwrap();
+        let log = RecordLog::new(backend);
+        let mut seen = 0;
+        let torn = log.scan(|_, _| {
+            seen += 1;
+            Ok(())
+        });
+        assert!(matches!(torn, Err(CssError::Storage(_))));
+        assert_eq!(seen, 2);
+        // A payload byte of the final whole record flipped: its
+        // checksum fails, and nothing of it is handed over.
+        let mut bytes = log.into_backend().read_at(0, 9 + 5 + 9 + 12).unwrap();
+        bytes[last.0 as usize + HEADER_LEN] ^= 0x01;
+        let mut tampered = MemBackend::new();
+        tampered.append(&bytes).unwrap();
+        let mut payloads = Vec::new();
+        let bad = RecordLog::new(tampered).scan(|_, payload| {
+            payloads.push(payload.to_vec());
+            Ok(())
+        });
+        assert!(matches!(bad, Err(CssError::Storage(_))));
+        assert_eq!(payloads, [b"whole"]);
     }
 
     #[test]

@@ -152,7 +152,7 @@ fn blackbox_platform(
     SocketAddr,
     PathBuf,
     ActorId,
-    NotificationMessage,
+    Arc<NotificationMessage>,
 ) {
     let dir = incident_dir(tag);
     let mut platform = CssPlatformBuilder::new()

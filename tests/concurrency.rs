@@ -78,7 +78,7 @@ fn concurrent_producers_and_detail_requests() {
     let permits = Arc::new(AtomicUsize::new(0));
     let mut consumers = Vec::new();
     for chunk in notifications.chunks(50) {
-        let chunk: Vec<NotificationMessage> = chunk.to_vec();
+        let chunk: Vec<Arc<NotificationMessage>> = chunk.to_vec();
         let platform = platform.clone();
         let permits = permits.clone();
         consumers.push(std::thread::spawn(move || {
