@@ -5,8 +5,9 @@
 //! chain link ([`css_crypto::chain_step`], the step of
 //! [`css_crypto::HashChain`]) and where its frame lies.
 //!
-//! What open checks: every frame's CRC (the recovery scan), that every
-//! payload decodes, and that sequence numbers increase. It *derives*
+//! What open checks, in the one pass recovery makes over the log: every
+//! frame's CRC, that every payload decodes, and that sequence numbers
+//! increase. It *derives*
 //! the chain from the bytes it finds, so the head it arrives at
 //! vouches for nothing by itself — compare it with a head noted before
 //! the restart (an anchor the log carries across restarts is ROADMAP
@@ -85,14 +86,13 @@ impl<B: LogBackend> ShardLog<B> {
     /// Fails if any persisted record is corrupt (frame CRC), malformed
     /// or out of sequence.
     pub(crate) fn open(backend: B, sequencer: Arc<AtomicU64>) -> CssResult<Self> {
-        let (storage, outcome) = RecordLog::recover(backend)?;
         let mut held = Held {
-            links: Vec::with_capacity(outcome.records.len()),
+            links: Vec::new(),
             head: HashChain::new().head(),
-            records: Vec::with_capacity(outcome.records.len()),
+            records: Vec::new(),
             by_person: HashMap::new(),
         };
-        storage.scan(|ptr, payload| {
+        let (storage, _) = RecordLog::recover(backend, |ptr, payload| {
             let text = std::str::from_utf8(payload)
                 .map_err(|e| CssError::Serialization(format!("audit record not UTF-8: {e}")))?;
             let record = AuditRecord::decode(&mut Reader::new(text))?;
@@ -407,7 +407,7 @@ mod tests {
     }
 
     #[test]
-    fn open_reads_the_log_twice_and_verify_once_more() {
+    fn open_reads_the_log_once_and_verify_once_more() {
         let mut log = open(MemBackend::new()).unwrap();
         log.append(rec(0)).unwrap();
         log.append_batch((1..40).map(rec)).unwrap();
@@ -416,16 +416,16 @@ mod tests {
         let stored = backend.len();
         let registry = css_telemetry::MetricsRegistry::new();
         let read = || registry.snapshot().counter("storage.read_bytes");
-        // One sequential pass is recovery (every frame's CRC, the torn
-        // tail), one is replay, which decodes each record and chains it
-        // from the bytes it has just read: nothing after that re-reads
-        // or re-hashes them.
+        // Recovery (every frame's CRC, the torn tail) and replay are
+        // one sequential pass: each record is decoded and chained from
+        // the bytes the pass has just checked, and nothing after that
+        // re-reads or re-hashes them.
         let reopened = open(css_storage::InstrumentedBackend::new(backend, &registry)).unwrap();
-        assert_eq!(read(), 2 * stored);
+        assert_eq!(read(), stored);
         assert_eq!(reopened.head(), head);
         // Verification is the pass that reads the stored bytes again.
         reopened.verify().unwrap();
-        assert_eq!(read(), 3 * stored);
+        assert_eq!(read(), 2 * stored);
     }
 
     #[test]

@@ -11,14 +11,13 @@
 //! member rejects dead-letters within the bounded attempt budget with
 //! the original publish trace id intact.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use css_bench::print_header;
-use css_bus::{spawn_worker_pool, Bus, PublishOptions, SubscriptionConfig};
+use css_bus::{Bus, PublishOptions, SubscriptionConfig};
 use css_trace::Tracer;
 use css_types::Timestamp;
 
@@ -34,44 +33,84 @@ fn simulated_downstream_call() {
     std::thread::sleep(Duration::from_micros(200));
 }
 
+/// Run `workers` threads competing over the group "workers" on "jobs"
+/// while `drive` runs on this thread: each worker polls, acks a delivery
+/// `handle` accepts and nacks one it rejects (so the redelivery /
+/// dead-letter machinery applies). Returns the deliveries handled.
+fn work_group(
+    bus: &Bus<u64>,
+    cfg: SubscriptionConfig,
+    workers: usize,
+    handle: impl Fn(u64) -> bool + Sync,
+    drive: impl FnOnce(),
+) -> u64 {
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let pool: Vec<_> = (0..workers)
+            .map(|_| {
+                let sub = bus.subscribe_group("jobs", "workers", cfg).expect("join");
+                let (stop, handle) = (&stop, &handle);
+                scope.spawn(move || {
+                    let mut handled = 0u64;
+                    while !stop.load(Ordering::SeqCst) {
+                        let wait = Duration::from_millis(20);
+                        let Some(d) = sub.poll_for(wait).expect("subscribed") else {
+                            continue;
+                        };
+                        let settled = if handle(d.message) {
+                            sub.ack(d.delivery_id)
+                        } else {
+                            sub.nack(d.delivery_id)
+                        };
+                        settled.expect("held by this worker");
+                        handled += 1;
+                    }
+                    handled
+                })
+            })
+            .collect();
+        drive();
+        stop.store(true, Ordering::SeqCst);
+        pool.into_iter()
+            .map(|t| t.join().expect("worker panicked"))
+            .sum()
+    })
+}
+
 /// Publish `MESSAGES` jobs into a fresh group of `workers` members and
 /// time wall-clock to full drain; returns ns/message.
 fn drain_with_pool(workers: usize) -> f64 {
     let bus: Bus<u64> = Bus::in_memory();
     bus.create_topic("jobs");
-    let processed = Arc::new(AtomicU64::new(0));
-    let sink = processed.clone();
+    let processed = AtomicU64::new(0);
     // The whole stream is published up-front, so the queue must hold it
     // (the default 1024-cap Reject policy would bounce the publisher).
     let cfg = SubscriptionConfig {
         capacity: MESSAGES as usize,
         ..Default::default()
     };
-    let pool = spawn_worker_pool(
+    let mut elapsed = Duration::ZERO;
+    let total = work_group(
         &bus,
-        "jobs",
-        "workers",
         cfg,
         workers,
-        move |_worker, _m: u64| {
+        |_m| {
             simulated_downstream_call();
-            sink.fetch_add(1, Ordering::SeqCst);
-            Ok(())
+            processed.fetch_add(1, Ordering::SeqCst);
+            true
         },
-    )
-    .expect("subscribe pool");
-
-    let started = Instant::now();
-    for i in 0..MESSAGES {
-        bus.publish("jobs", i, None).expect("publish");
-    }
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while processed.load(Ordering::SeqCst) < MESSAGES && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    let elapsed = started.elapsed();
-
-    let total: u64 = pool.into_iter().map(|d| d.stop()).sum();
+        || {
+            let started = Instant::now();
+            for i in 0..MESSAGES {
+                bus.publish("jobs", i, None).expect("publish");
+            }
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while processed.load(Ordering::SeqCst) < MESSAGES && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            elapsed = started.elapsed();
+        },
+    );
     assert_eq!(total, MESSAGES, "pool must drain the stream exactly once");
     assert!(bus.dead_letters().is_empty());
     elapsed.as_nanos() as f64 / MESSAGES as f64
@@ -130,30 +169,27 @@ fn bench(c: &mut Criterion) {
         ..Default::default()
     };
     const POISON: u64 = u64::MAX;
-    let pool = spawn_worker_pool(&bus, "jobs", "workers", cfg, 2, |_worker, m: u64| {
-        if m == POISON {
-            Err(())
-        } else {
-            Ok(())
-        }
-    })
-    .expect("subscribe pool");
     let tracer = Tracer::new(64);
     let root = tracer.root("publish", Timestamp(1));
     let ctx = root.context();
-    bus.publish_opts("jobs", POISON, PublishOptions::new().traced(&ctx))
-        .expect("publish poison");
-    root.finish();
-    for m in 0..50u64 {
-        bus.publish("jobs", m, None).expect("publish");
-    }
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while bus.dead_letters().is_empty() && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    pool.into_iter().for_each(|d| {
-        d.stop();
-    });
+    work_group(
+        &bus,
+        cfg,
+        2,
+        |m| m != POISON,
+        || {
+            bus.publish_opts("jobs", POISON, PublishOptions::new().traced(&ctx))
+                .expect("publish poison");
+            root.finish();
+            for m in 0..50u64 {
+                bus.publish("jobs", m, None).expect("publish");
+            }
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while bus.dead_letters().is_empty() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        },
+    );
     let dlq = bus.dead_letters();
     assert_eq!(dlq.len(), 1, "poison message must dead-letter");
     assert_eq!(dlq[0].attempts, 3);

@@ -2,6 +2,7 @@
 //! acknowledgement protocol, publish dedup, visibility timeouts,
 //! bounded redelivery with backoff, and replay from a retained log.
 
+use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -13,9 +14,9 @@ use css_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use css_trace::{SpanGuard, SpanStatus, TraceContext, TraceId};
 use css_types::{CssError, CssResult, SubscriptionId};
 
-use crate::driver::{BusDriver, PublishOptions, PublishOutcome};
+use crate::driver::{BusDriver, BusSnapshot, GroupSnapshot, PublishOptions, PublishOutcome};
 use crate::stats::{BrokerStats, SubscriptionStats};
-use crate::subscription::{DeadLetter, Delivery};
+use crate::subscription::{unknown_sub, DeadLetter, Delivery};
 
 /// Publish dedup keys remembered per topic before the oldest is forgotten.
 const DEDUP_WINDOW: usize = 4096;
@@ -23,8 +24,10 @@ const DEDUP_WINDOW: usize = 4096;
 /// Cap on the redelivery backoff exponent (base × 2^10 at most).
 const MAX_BACKOFF_EXP: u32 = 10;
 
-/// Cached telemetry handles for the broker hot paths (resolved once at
-/// construction; recording is lock-free).
+/// Telemetry handles for the broker hot paths (recording is
+/// lock-free). Always present: without a registry they are detached
+/// cells nobody reads.
+#[derive(Default)]
 struct BusInstruments {
     /// `bus.publish` — duration of each publish call.
     publish_latency: Histogram,
@@ -161,22 +164,13 @@ struct GroupState<M> {
     stats: SubscriptionStats,
 }
 
+#[derive(Default)]
 struct TopicState {
     groups: Vec<GroupId>,
     /// Publish dedup window: the keys seen recently and their eviction
     /// order. A key is held once; set and ring share it.
     dedup_recent: HashSet<Arc<str>>,
     dedup_order: VecDeque<Arc<str>>,
-}
-
-impl TopicState {
-    fn new() -> Self {
-        TopicState {
-            groups: Vec::new(),
-            dedup_recent: HashSet::new(),
-            dedup_order: VecDeque::new(),
-        }
-    }
 }
 
 type Slot<M> = Option<Box<GroupState<M>>>;
@@ -200,12 +194,12 @@ struct State<M> {
     members: HashMap<SubscriptionId, GroupId>,
     shared: Shared<M>,
     next_sub: u64,
-    /// Callers parked in [`Inner::poll_wait`]. Incremented under the
-    /// state lock before the wait releases it and read under the same
-    /// lock by whoever enqueues: a publish that finds it zero skips
-    /// the wake-up, and none can be lost — a poller either is counted
-    /// before the publisher reads, or takes the lock after the enqueue
-    /// and sees the message in its readiness re-check.
+    /// Callers parked in a waiting [`BusDriver::poll`]. Incremented
+    /// under the state lock before the wait releases it and read under
+    /// the same lock by whoever enqueues: a publish that finds it zero
+    /// skips the wake-up, and none can be lost — a poller either is
+    /// counted before the publisher reads, or takes the lock after the
+    /// enqueue and sees the message before it parks.
     parked: usize,
 }
 
@@ -214,10 +208,18 @@ fn group_mut<M>(groups: &mut [Slot<M>], gid: GroupId) -> Option<&mut GroupState<
     groups.get_mut(gid as usize)?.as_deref_mut()
 }
 
-pub(crate) struct Inner<M> {
-    state: Mutex<State<M>>,
-    arrivals: Condvar,
-    telemetry: Option<BusInstruments>,
+/// The member's group, borrowed where it lives, and the state every
+/// group's operations share.
+fn member_group<M>(
+    st: &mut State<M>,
+    id: SubscriptionId,
+) -> CssResult<(&mut Shared<M>, &mut GroupState<M>)> {
+    let group = st
+        .members
+        .get(&id)
+        .and_then(|&gid| group_mut(&mut st.groups, gid))
+        .ok_or_else(|| unknown_sub(id))?;
+    Ok((&mut st.shared, group))
 }
 
 /// The in-memory publish/subscribe broker over named topics.
@@ -232,7 +234,9 @@ pub(crate) struct Inner<M> {
 /// queue entry, in-flight entry, retained or dead-lettered message and
 /// every [`Delivery`] is then that one allocation.
 pub struct Broker<M: Clone + Send + 'static> {
-    inner: Inner<M>,
+    state: Mutex<State<M>>,
+    arrivals: Condvar,
+    telemetry: BusInstruments,
 }
 
 impl<M: Clone + Send + 'static> Default for Broker<M> {
@@ -241,145 +245,149 @@ impl<M: Clone + Send + 'static> Default for Broker<M> {
     }
 }
 
-fn unknown_sub(id: SubscriptionId) -> CssError {
-    CssError::Bus(format!("unknown subscription {id}"))
-}
-
 impl<M: Clone + Send + 'static> Broker<M> {
-    /// A broker with no topics.
+    /// A broker with no topics, recording into instruments of its own.
     pub fn new() -> Self {
-        Self::build(None)
+        Self::build(BusInstruments::default())
     }
 
     /// A broker recording latency histograms, throughput counters and
     /// depth gauges into `registry` under `bus.*` names.
     pub fn with_telemetry(registry: &MetricsRegistry) -> Self {
-        Self::build(Some(BusInstruments::resolve(registry)))
+        Self::build(BusInstruments::resolve(registry))
     }
 
-    fn build(telemetry: Option<BusInstruments>) -> Self {
+    fn build(telemetry: BusInstruments) -> Self {
         Broker {
-            inner: Inner {
-                state: Mutex::new(State {
-                    topics: HashMap::new(),
-                    groups: vec![None],
-                    named: HashMap::new(),
-                    members: HashMap::new(),
-                    shared: Shared {
-                        dlq: Vec::new(),
-                        stats: BrokerStats::default(),
-                        next_delivery: 1,
-                    },
-                    next_sub: 1,
-                    parked: 0,
-                }),
-                arrivals: Condvar::new(),
-                telemetry,
-            },
+            state: Mutex::new(State {
+                topics: HashMap::new(),
+                groups: vec![None],
+                named: HashMap::new(),
+                members: HashMap::new(),
+                shared: Shared {
+                    dlq: Vec::new(),
+                    stats: BrokerStats::default(),
+                    next_delivery: 1,
+                },
+                next_sub: 1,
+                parked: 0,
+            }),
+            arrivals: Condvar::new(),
+            telemetry,
         }
+    }
+
+    /// Requeue or dead-letter every expired in-flight delivery of one
+    /// group. Returns how many moved.
+    fn sweep_group(
+        &self,
+        shared: &mut Shared<M>,
+        group: &mut GroupState<M>,
+        now: Instant,
+    ) -> usize {
+        // Only a visibility timeout gives a delivery an expiry.
+        if group.config.visibility_timeout.is_none() {
+            return 0;
+        }
+        let expired = take_in_flight(group, |f| f.expires.is_some_and(|e| e <= now));
+        let moved = expired.len();
+        for f in expired {
+            group.stats.timed_out += 1;
+            self.telemetry.inflight.dec();
+            self.retire_or_requeue(shared, group, f.holder, f.pending, None);
+        }
+        moved
+    }
+
+    /// A message leaving in-flight without an ack: back to the head of
+    /// the queue for another attempt, or to the dead-letter queue when
+    /// the attempt budget is spent.
+    fn retire_or_requeue(
+        &self,
+        shared: &mut Shared<M>,
+        group: &mut GroupState<M>,
+        holder: SubscriptionId,
+        mut pending: Pending<M>,
+        not_before: Option<Instant>,
+    ) {
+        if pending.attempts >= group.config.max_attempts {
+            group.stats.dead_lettered += 1;
+            shared.dlq.push(DeadLetter {
+                subscription: holder,
+                topic: group.topic.clone(),
+                group: group.name.clone(),
+                attempts: pending.attempts,
+                trace: pending.trace,
+                message: pending.message,
+            });
+        } else {
+            pending.deliver_span = redeliver_span(&pending);
+            pending.not_before = not_before;
+            group.queue.push_front(pending);
+            self.telemetry.queue_depth.inc();
+        }
+    }
+
+    /// Hand member `id` the first queued message that is past its
+    /// backoff, moving it in flight.
+    fn take_next(
+        &self,
+        shared: &mut Shared<M>,
+        group: &mut GroupState<M>,
+        id: SubscriptionId,
+        now: Instant,
+    ) -> Option<Delivery<M>> {
+        // Later entries may be ready while a freshly-nacked head still
+        // backs off.
+        let ready = group
+            .queue
+            .iter()
+            .position(|p| p.not_before.is_none_or(|t| t <= now))?;
+        let mut pending = group.queue.remove(ready)?;
+        pending.attempts += 1;
+        let delivery_id = shared.next_delivery;
+        shared.next_delivery += 1;
+        if let Some(span) = pending.deliver_span.take() {
+            span.finish();
+        }
+        let delivery = Delivery {
+            delivery_id,
+            attempt: pending.attempts,
+            offset: pending.offset,
+            trace: pending.trace,
+            message: pending.message.clone(),
+        };
+        if pending.attempts > 1 {
+            group.stats.redelivered += 1;
+            self.telemetry.redelivered.inc();
+        }
+        group.stats.delivered += 1;
+        let t = &self.telemetry;
+        t.deliver_latency
+            .record_duration(now.saturating_duration_since(pending.since));
+        t.queue_depth.dec();
+        t.inflight.inc();
+        // Re-stamp: from here `since` means "delivered at".
+        pending.since = now;
+        let expires = group.config.visibility_timeout.map(|d| now + d);
+        group.in_flight.insert(
+            delivery_id,
+            InFlight {
+                pending,
+                holder: id,
+                expires,
+            },
+        );
+        Some(delivery)
     }
 }
 
 impl<M: Clone + Send + 'static> BusDriver<M> for Broker<M> {
     fn create_topic(&self, name: &str) {
-        let mut st = self.inner.state.lock();
-        st.topics
-            .entry(name.to_string())
-            .or_insert_with(TopicState::new);
+        let mut st = self.state.lock();
+        st.topics.entry(name.to_string()).or_default();
     }
 
-    fn has_topic(&self, name: &str) -> bool {
-        self.inner.state.lock().topics.contains_key(name)
-    }
-
-    fn topics(&self) -> Vec<String> {
-        let st = self.inner.state.lock();
-        let mut out: Vec<String> = st.topics.keys().cloned().collect();
-        out.sort();
-        out
-    }
-
-    fn attach(
-        &self,
-        topic: &str,
-        group: Option<&str>,
-        config: SubscriptionConfig,
-    ) -> CssResult<SubscriptionId> {
-        self.inner.attach(topic, group, config)
-    }
-
-    fn detach(&self, id: SubscriptionId) -> CssResult<()> {
-        self.inner.detach(id)
-    }
-
-    fn publish_opts(
-        &self,
-        topic: &str,
-        message: M,
-        opts: PublishOptions<'_>,
-    ) -> CssResult<PublishOutcome> {
-        self.inner.publish_opts(topic, message, opts)
-    }
-
-    fn poll(&self, id: SubscriptionId) -> CssResult<Option<Delivery<M>>> {
-        self.inner.poll(id)
-    }
-
-    fn poll_wait(&self, id: SubscriptionId, timeout: Duration) -> CssResult<Option<Delivery<M>>> {
-        self.inner.poll_wait(id, timeout)
-    }
-
-    fn ack(&self, id: SubscriptionId, delivery_id: u64) -> CssResult<()> {
-        self.inner.ack(id, delivery_id)
-    }
-
-    fn nack(&self, id: SubscriptionId, delivery_id: u64) -> CssResult<()> {
-        self.inner.nack(id, delivery_id)
-    }
-
-    fn backlog(&self, id: SubscriptionId) -> CssResult<usize> {
-        self.inner.with_member(id, |_, g| Ok(g.queue.len()))
-    }
-
-    fn in_flight(&self, id: SubscriptionId) -> CssResult<usize> {
-        self.inner.with_member(id, |_, g| Ok(g.in_flight.len()))
-    }
-
-    fn sub_stats(&self, id: SubscriptionId) -> CssResult<SubscriptionStats> {
-        self.inner.with_member(id, |_, g| Ok(g.stats))
-    }
-
-    fn replay_from(&self, id: SubscriptionId, offset: u64) -> CssResult<usize> {
-        self.inner.replay_from(id, offset)
-    }
-
-    fn sweep(&self) -> usize {
-        self.inner.sweep_all()
-    }
-
-    fn stats(&self) -> BrokerStats {
-        self.inner.state.lock().shared.stats
-    }
-
-    fn dead_letters(&self) -> Vec<DeadLetter<M>> {
-        self.inner.state.lock().shared.dlq.clone()
-    }
-
-    fn subscriber_count(&self, topic: &str) -> usize {
-        let st = self.inner.state.lock();
-        let Some(topic) = st.topics.get(topic) else {
-            return 0;
-        };
-        topic
-            .groups
-            .iter()
-            .filter_map(|&gid| st.groups.get(gid as usize)?.as_deref())
-            .map(|g| g.members.len())
-            .sum()
-    }
-}
-
-impl<M: Clone + Send + 'static> Inner<M> {
     fn attach(
         &self,
         topic: &str,
@@ -418,15 +426,14 @@ impl<M: Clone + Send + 'static> Inner<M> {
         let gid = st.members.remove(&id).ok_or_else(|| unknown_sub(id))?;
         let group = group_mut(&mut st.groups, gid).ok_or_else(|| unknown_sub(id))?;
         group.members.retain(|m| *m != id);
+        let t = &self.telemetry;
         if group.members.is_empty() {
             // Last member out: drop the whole group.
             let Some(group) = st.groups[gid as usize].take() else {
                 return Err(unknown_sub(id));
             };
-            if let Some(t) = &self.telemetry {
-                t.queue_depth.sub(group.queue.len() as i64);
-                t.inflight.sub(group.in_flight.len() as i64);
-            }
+            t.queue_depth.sub(group.queue.len() as i64);
+            t.inflight.sub(group.in_flight.len() as i64);
             if let Some(topic) = st.topics.get_mut(&group.topic) {
                 topic.groups.retain(|g| *g != gid);
             }
@@ -435,26 +442,16 @@ impl<M: Clone + Send + 'static> Inner<M> {
             }
         } else {
             // Return the leaver's in-flight deliveries to the peers.
-            let held: Vec<u64> = group
-                .in_flight
-                .iter()
-                .filter(|(_, f)| f.holder == id)
-                .map(|(d, _)| *d)
-                .collect();
-            for delivery_id in held {
-                if let Some(mut f) = group.in_flight.remove(&delivery_id) {
-                    f.pending.deliver_span = redeliver_span(&f.pending);
-                    f.pending.not_before = None;
-                    group.queue.push_front(f.pending);
-                    if let Some(t) = &self.telemetry {
-                        t.inflight.dec();
-                        t.queue_depth.inc();
-                    }
-                }
+            for mut f in take_in_flight(group, |f| f.holder == id) {
+                f.pending.deliver_span = redeliver_span(&f.pending);
+                f.pending.not_before = None;
+                group.queue.push_front(f.pending);
+                t.inflight.dec();
+                t.queue_depth.inc();
             }
         }
         drop(st);
-        // Wake any member blocked in poll_wait so it re-checks state.
+        // Wake any member parked in `poll` so it re-checks state.
         self.arrivals.notify_all();
         Ok(())
     }
@@ -480,9 +477,7 @@ impl<M: Clone + Send + 'static> Inner<M> {
                 st.shared.stats.dedup_dropped += 1;
                 drop(guard);
                 route.finish();
-                if let Some(t) = &self.telemetry {
-                    t.dedup_dropped.inc();
-                }
+                self.telemetry.dedup_dropped.inc();
                 return Ok(PublishOutcome::DuplicateDropped);
             }
         }
@@ -558,268 +553,98 @@ impl<M: Clone + Send + 'static> Inner<M> {
         let parked = st.parked > 0;
         drop(guard);
         route.finish();
-        if let Some(t) = &self.telemetry {
-            t.published.inc();
-            t.fanned_out.add(fanout as u64);
-            t.queue_depth.add(fanout as i64 - dropped);
-            t.publish_latency.record_duration(started.elapsed());
-        }
+        let t = &self.telemetry;
+        t.published.inc();
+        t.fanned_out.add(fanout as u64);
+        t.queue_depth.add(fanout as i64 - dropped);
+        t.publish_latency.record_duration(started.elapsed());
         if parked {
             self.arrivals.notify_all();
         }
         Ok(PublishOutcome::Routed(fanout))
     }
 
-    /// Run `f` on the member's group, borrowed where it lives, and on
-    /// the state every group's operations share.
-    fn with_member<R>(
-        &self,
-        id: SubscriptionId,
-        f: impl FnOnce(&mut Shared<M>, &mut GroupState<M>) -> CssResult<R>,
-    ) -> CssResult<R> {
+    fn poll(&self, id: SubscriptionId, wait: Duration) -> CssResult<Option<Delivery<M>>> {
+        let mut now = Instant::now();
+        let deadline = now + wait;
         let mut guard = self.state.lock();
-        let st = &mut *guard;
-        let group = st
-            .members
-            .get(&id)
-            .and_then(|&gid| group_mut(&mut st.groups, gid))
-            .ok_or_else(|| unknown_sub(id))?;
-        f(&mut st.shared, group)
-    }
-
-    /// Requeue or dead-letter every expired in-flight delivery of one
-    /// group. Returns how many moved.
-    fn sweep_group(
-        &self,
-        shared: &mut Shared<M>,
-        group: &mut GroupState<M>,
-        now: Instant,
-    ) -> usize {
-        // Only a visibility timeout gives a delivery an expiry.
-        if group.config.visibility_timeout.is_none() {
-            return 0;
-        }
-        let expired: Vec<u64> = group
-            .in_flight
-            .iter()
-            .filter(|(_, f)| f.expires.is_some_and(|e| e <= now))
-            .map(|(d, _)| *d)
-            .collect();
-        let mut moved = 0usize;
-        for delivery_id in expired {
-            let Some(f) = group.in_flight.remove(&delivery_id) else {
-                continue;
-            };
-            group.stats.timed_out += 1;
-            if let Some(t) = &self.telemetry {
-                t.inflight.dec();
-            }
-            self.retire_or_requeue(shared, group, f.holder, f.pending, None);
-            moved += 1;
-        }
-        moved
-    }
-
-    /// A message leaving in-flight without an ack: back to the queue
-    /// for another attempt, or to the dead-letter queue when the
-    /// attempt budget is spent.
-    fn retire_or_requeue(
-        &self,
-        shared: &mut Shared<M>,
-        group: &mut GroupState<M>,
-        holder: SubscriptionId,
-        mut pending: Pending<M>,
-        not_before: Option<Instant>,
-    ) {
-        if pending.attempts >= group.config.max_attempts {
-            group.stats.dead_lettered += 1;
-            shared.dlq.push(DeadLetter {
-                subscription: holder,
-                topic: group.topic.clone(),
-                group: group.name.clone(),
-                attempts: pending.attempts,
-                trace: pending.trace,
-                message: pending.message,
-            });
-        } else {
-            pending.deliver_span = redeliver_span(&pending);
-            pending.not_before = not_before;
-            group.queue.push_front(pending);
-            if let Some(t) = &self.telemetry {
-                t.queue_depth.inc();
-            }
-        }
-    }
-
-    pub(crate) fn poll(&self, id: SubscriptionId) -> CssResult<Option<Delivery<M>>> {
-        let now = Instant::now();
-        self.with_member(id, |shared, group| {
-            self.sweep_group(shared, group, now);
-            // First queued message past its backoff; later entries may
-            // be ready while a freshly-nacked head still backs off.
-            let ready = group
-                .queue
-                .iter()
-                .position(|p| p.not_before.is_none_or(|t| t <= now));
-            let Some(idx) = ready else {
-                return Ok(None);
-            };
-            let Some(mut pending) = group.queue.remove(idx) else {
-                return Ok(None);
-            };
-            pending.attempts += 1;
-            let delivery_id = shared.next_delivery;
-            shared.next_delivery += 1;
-            if let Some(span) = pending.deliver_span.take() {
-                span.finish();
-            }
-            let delivery = Delivery {
-                delivery_id,
-                attempt: pending.attempts,
-                offset: pending.offset,
-                trace: pending.trace,
-                message: pending.message.clone(),
-            };
-            if pending.attempts > 1 {
-                group.stats.redelivered += 1;
-                if let Some(t) = &self.telemetry {
-                    t.redelivered.inc();
-                }
-            }
-            group.stats.delivered += 1;
-            if let Some(t) = &self.telemetry {
-                t.deliver_latency
-                    .record_duration(now.saturating_duration_since(pending.since));
-                t.queue_depth.dec();
-                t.inflight.inc();
-            }
-            // Re-stamp: from here `since` means "delivered at".
-            pending.since = now;
-            let expires = group.config.visibility_timeout.map(|d| now + d);
-            group.in_flight.insert(
-                delivery_id,
-                InFlight {
-                    pending,
-                    holder: id,
-                    expires,
-                },
-            );
-            Ok(Some(delivery))
-        })
-    }
-
-    pub(crate) fn poll_wait(
-        &self,
-        id: SubscriptionId,
-        timeout: Duration,
-    ) -> CssResult<Option<Delivery<M>>> {
-        let deadline = Instant::now() + timeout;
         loop {
-            if let Some(d) = self.poll(id)? {
-                return Ok(Some(d));
+            let (shared, group) = member_group(&mut guard, id)?;
+            self.sweep_group(shared, group, now);
+            if let Some(delivery) = self.take_next(shared, group, id, now) {
+                return Ok(Some(delivery));
             }
-            let mut st = self.state.lock();
-            let Some(&gid) = st.members.get(&id) else {
-                return Err(unknown_sub(id));
-            };
-            // Re-check readiness under the lock to avoid a lost wakeup,
-            // and find the earliest backoff/visibility deadline so the
-            // wait wakes when a message becomes redeliverable.
-            let now = Instant::now();
-            let mut ready = false;
-            let mut next_event: Option<Instant> = None;
-            if let Some(group) = group_mut(&mut st.groups, gid) {
-                for p in &group.queue {
-                    match p.not_before {
-                        None => ready = true,
-                        Some(t) if t <= now => ready = true,
-                        Some(t) => next_event = Some(next_event.map_or(t, |n| n.min(t))),
-                    }
-                }
-                for f in group.in_flight.values() {
-                    if let Some(t) = f.expires {
-                        if t <= now {
-                            ready = true;
-                        } else {
-                            next_event = Some(next_event.map_or(t, |n| n.min(t)));
-                        }
-                    }
-                }
+            if now >= deadline {
+                return Ok(None);
             }
-            if ready {
-                continue;
-            }
-            let target = next_event.map_or(deadline, |n| n.min(deadline));
-            st.parked += 1;
-            let timed_out = self.arrivals.wait_until(&mut st, target).timed_out();
-            st.parked -= 1;
-            drop(st);
-            if timed_out && Instant::now() >= deadline {
-                return self.poll(id);
-            }
+            // Whatever the group still holds lies ahead: park until a
+            // wake-up, the deadline, or the first backoff or visibility
+            // timeout to run out — whichever comes first.
+            let backoffs = group.queue.iter().filter_map(|p| p.not_before);
+            let expiries = group.in_flight.values().filter_map(|f| f.expires);
+            let target = backoffs.chain(expiries).fold(deadline, Instant::min);
+            guard.parked += 1;
+            self.arrivals.wait_until(&mut guard, target);
+            guard.parked -= 1;
+            now = Instant::now();
         }
     }
 
-    pub(crate) fn ack(&self, id: SubscriptionId, delivery_id: u64) -> CssResult<()> {
-        self.with_member(id, |_, group| {
-            let f = take_held(group, id, delivery_id)?;
-            group.stats.acked += 1;
-            if let Some(t) = &self.telemetry {
-                t.ack_latency.record_duration(f.pending.since.elapsed());
-                t.inflight.dec();
-            }
-            Ok(())
-        })
+    fn ack(&self, id: SubscriptionId, delivery_id: u64) -> CssResult<()> {
+        let mut st = self.state.lock();
+        let (_, group) = member_group(&mut st, id)?;
+        let f = take_held(group, id, delivery_id)?;
+        group.stats.acked += 1;
+        let t = &self.telemetry;
+        t.ack_latency.record_duration(f.pending.since.elapsed());
+        t.inflight.dec();
+        Ok(())
     }
 
-    pub(crate) fn nack(&self, id: SubscriptionId, delivery_id: u64) -> CssResult<()> {
+    fn nack(&self, id: SubscriptionId, delivery_id: u64) -> CssResult<()> {
         let now = Instant::now();
-        self.with_member(id, |shared, group| {
-            let f = take_held(group, id, delivery_id)?;
-            if let Some(t) = &self.telemetry {
-                t.inflight.dec();
-            }
-            let not_before = backoff_until(&group.config, f.pending.attempts, now);
-            self.retire_or_requeue(shared, group, id, f.pending, not_before);
-            Ok(())
-        })?;
+        let mut st = self.state.lock();
+        let (shared, group) = member_group(&mut st, id)?;
+        let f = take_held(group, id, delivery_id)?;
+        self.telemetry.inflight.dec();
+        let not_before = backoff_until(&group.config, f.pending.attempts, now);
+        self.retire_or_requeue(shared, group, id, f.pending, not_before);
+        drop(st);
         self.arrivals.notify_all();
         Ok(())
     }
 
     fn replay_from(&self, id: SubscriptionId, offset: u64) -> CssResult<usize> {
         let now = Instant::now();
-        let replayed = self.with_member(id, |_, group| {
-            if group.config.retain == 0 {
-                return Err(CssError::Bus(
-                    "replay requires a subscription with retain > 0".into(),
-                ));
-            }
-            let mut n = 0usize;
-            for r in group.log.iter().filter(|r| r.offset >= offset) {
-                group.queue.push_back(Pending {
-                    message: r.message.clone(),
-                    attempts: 0,
-                    since: now,
-                    offset: r.offset,
-                    not_before: None,
-                    trace: r.trace,
-                    ctx: None,
-                    deliver_span: None,
-                });
-                n += 1;
-            }
-            group.stats.replayed += n as u64;
-            if let Some(t) = &self.telemetry {
-                t.queue_depth.add(n as i64);
-            }
-            Ok(n)
-        })?;
+        let mut st = self.state.lock();
+        let (_, group) = member_group(&mut st, id)?;
+        if group.config.retain == 0 {
+            return Err(CssError::Bus(
+                "replay requires a subscription with retain > 0".into(),
+            ));
+        }
+        let mut replayed = 0usize;
+        for r in group.log.iter().filter(|r| r.offset >= offset) {
+            group.queue.push_back(Pending {
+                message: r.message.clone(),
+                attempts: 0,
+                since: now,
+                offset: r.offset,
+                not_before: None,
+                trace: r.trace,
+                ctx: None,
+                deliver_span: None,
+            });
+            replayed += 1;
+        }
+        group.stats.replayed += replayed as u64;
+        self.telemetry.queue_depth.add(replayed as i64);
+        drop(st);
         self.arrivals.notify_all();
         Ok(replayed)
     }
 
-    fn sweep_all(&self) -> usize {
+    fn sweep(&self) -> usize {
         let now = Instant::now();
         let mut guard = self.state.lock();
         let st = &mut *guard;
@@ -832,6 +657,31 @@ impl<M: Clone + Send + 'static> Inner<M> {
             self.arrivals.notify_all();
         }
         moved
+    }
+
+    fn snapshot(&self, member: Option<SubscriptionId>) -> BusSnapshot<M> {
+        let st = self.state.lock();
+        let live = |gid: &GroupId| st.groups.get(*gid as usize)?.as_deref();
+        let mut topics: Vec<(String, usize)> = st
+            .topics
+            .iter()
+            .map(|(name, topic)| {
+                let groups = topic.groups.iter().filter_map(live);
+                (name.clone(), groups.map(|g| g.members.len()).sum())
+            })
+            .collect();
+        topics.sort();
+        let group = member.and_then(|id| st.members.get(&id)).and_then(live);
+        BusSnapshot {
+            stats: st.shared.stats,
+            topics,
+            dead_letters: st.shared.dlq.clone(),
+            group: group.map(|g| GroupSnapshot {
+                queued: g.queue.len(),
+                in_flight: g.in_flight.len(),
+                stats: g.stats,
+            }),
+        }
     }
 }
 
@@ -852,6 +702,27 @@ fn take_held<M>(
             "no in-flight delivery {delivery_id}"
         ))),
     }
+}
+
+/// Every in-flight delivery of the group that `leaves`, taken out
+/// newest first (the map iterates in hash order): pushed onto the front
+/// of the queue one by one in that order, the oldest ends up at the
+/// head and the group's members see them in publish order.
+fn take_in_flight<M>(
+    group: &mut GroupState<M>,
+    leaves: impl Fn(&InFlight<M>) -> bool,
+) -> Vec<InFlight<M>> {
+    let mut leaving: Vec<(u64, u64)> = group
+        .in_flight
+        .iter()
+        .filter(|(_, f)| leaves(f))
+        .map(|(delivery_id, f)| (f.pending.offset, *delivery_id))
+        .collect();
+    leaving.sort_unstable_by_key(|&at| Reverse(at));
+    leaving
+        .into_iter()
+        .filter_map(|(_, delivery_id)| group.in_flight.remove(&delivery_id))
+        .collect()
 }
 
 /// A `bus.redeliver` span under the message's original trace, opened
@@ -898,6 +769,7 @@ fn new_group<M>(
 mod tests {
     use super::*;
     use crate::driver::Bus;
+    use crate::subscription::SubscriberHandle;
 
     fn broker() -> Bus<String> {
         let b = Bus::in_memory();
@@ -1066,19 +938,19 @@ mod tests {
     }
 
     #[test]
-    fn poll_wait_times_out_empty() {
+    fn waiting_poll_times_out_empty() {
         let b = broker();
         let s = b
             .subscribe("blood-test", SubscriptionConfig::default())
             .unwrap();
         let start = std::time::Instant::now();
-        let out = s.poll_wait(Duration::from_millis(30)).unwrap();
+        let out = s.poll_for(Duration::from_millis(30)).unwrap();
         assert!(out.is_none());
         assert!(start.elapsed() >= Duration::from_millis(25));
     }
 
     #[test]
-    fn poll_wait_wakes_on_publish_from_thread() {
+    fn waiting_poll_wakes_on_publish_from_thread() {
         let b = broker();
         let s = b
             .subscribe("blood-test", SubscriptionConfig::default())
@@ -1090,7 +962,7 @@ mod tests {
                 .publish("blood-test", "wake".into(), None)
                 .unwrap();
         });
-        let d = s.poll_wait(Duration::from_secs(5)).unwrap().unwrap();
+        let d = s.poll_for(Duration::from_secs(5)).unwrap().unwrap();
         assert_eq!(d.message, "wake");
         t.join().unwrap();
     }
@@ -1207,19 +1079,6 @@ mod tests {
     }
 
     #[test]
-    fn uninstrumented_broker_records_nothing() {
-        let b = broker();
-        let s = b
-            .subscribe("blood-test", SubscriptionConfig::default())
-            .unwrap();
-        b.publish("blood-test", "m".into(), None).unwrap();
-        let d = s.poll().unwrap().unwrap();
-        s.ack(d.delivery_id).unwrap();
-        // No registry was attached; nothing to assert beyond "works".
-        assert_eq!(b.stats().published, 1);
-    }
-
-    #[test]
     fn create_topic_idempotent() {
         let b = broker();
         b.create_topic("blood-test");
@@ -1228,7 +1087,7 @@ mod tests {
             .unwrap();
         b.publish("blood-test", "still there".into(), None).unwrap();
         assert_eq!(s.drain().unwrap().len(), 1);
-        assert_eq!(b.topics(), vec!["blood-test"]);
+        assert_eq!(b.snapshot().topics, vec![("blood-test".to_string(), 1)]);
     }
 
     // ------------------------------------------------------------------
@@ -1326,6 +1185,43 @@ mod tests {
         assert_eq!(dc.message, "job");
         assert_eq!(dc.attempt, 2);
         c.ack(dc.delivery_id).unwrap();
+    }
+
+    /// Six publishes to a two-member group; `a` takes them all unacked.
+    fn holder_of_six(
+        b: &Bus<String>,
+        cfg: SubscriptionConfig,
+    ) -> (SubscriberHandle<String>, SubscriberHandle<String>) {
+        let a = b.subscribe_group("blood-test", "workers", cfg).unwrap();
+        let c = b.subscribe_group("blood-test", "workers", cfg).unwrap();
+        for i in 0..6 {
+            b.publish("blood-test", format!("m{i}"), None).unwrap();
+        }
+        for offset in 0..6 {
+            assert_eq!(a.poll().unwrap().unwrap().offset, offset);
+        }
+        (a, c)
+    }
+
+    #[test]
+    fn detach_requeues_in_publish_order() {
+        let b = broker();
+        let (a, c) = holder_of_six(&b, SubscriptionConfig::default());
+        a.unsubscribe().unwrap();
+        assert_eq!(c.drain().unwrap(), ["m0", "m1", "m2", "m3", "m4", "m5"]);
+    }
+
+    #[test]
+    fn visibility_timeout_requeues_in_publish_order() {
+        let b = broker();
+        let cfg = SubscriptionConfig {
+            visibility_timeout: Some(Duration::from_millis(10)),
+            ..Default::default()
+        };
+        let (_a, c) = holder_of_six(&b, cfg);
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(b.sweep(), 6);
+        assert_eq!(c.drain().unwrap(), ["m0", "m1", "m2", "m3", "m4", "m5"]);
     }
 
     #[test]
@@ -1495,8 +1391,8 @@ mod tests {
         s.nack(d.delivery_id).unwrap();
         // Immediately after the nack the message is still backing off.
         assert!(s.poll().unwrap().is_none());
-        // poll_wait wakes itself when the backoff expires.
-        let d2 = s.poll_wait(Duration::from_secs(5)).unwrap().unwrap();
+        // A waiting poll wakes itself when the backoff expires.
+        let d2 = s.poll_for(Duration::from_secs(5)).unwrap().unwrap();
         assert_eq!(d2.attempt, 2);
         s.ack(d2.delivery_id).unwrap();
     }
@@ -1681,7 +1577,7 @@ mod wake_tests {
         (broker, bus)
     }
 
-    /// Park `s` in `poll_wait` on its own thread; returns once the
+    /// Park `s` in a waiting poll on its own thread; returns once the
     /// broker counts it parked — from then on it is inside the wait
     /// (the count is raised under the state lock the wait releases).
     fn park(
@@ -1692,9 +1588,9 @@ mod wake_tests {
         let s = s.clone();
         let t = std::thread::spawn(move || {
             let started = Instant::now();
-            (s.poll_wait(PATIENCE).unwrap(), started.elapsed())
+            (s.poll_for(PATIENCE).unwrap(), started.elapsed())
         });
-        while broker.inner.state.lock().parked < parked {
+        while broker.state.lock().parked < parked {
             std::thread::yield_now();
         }
         t
@@ -1713,17 +1609,17 @@ mod wake_tests {
         let t = park(&broker, &s, 1);
         bus.publish("t", "m".into(), None).unwrap();
         assert_eq!(woken(t).message, "m");
-        assert_eq!(broker.inner.state.lock().parked, 0);
+        assert_eq!(broker.state.lock().parked, 0);
     }
 
     #[test]
     fn a_publish_with_nobody_parked_is_not_a_lost_wake_up() {
         let (broker, bus) = setup();
         let s = bus.subscribe("t", SubscriptionConfig::default()).unwrap();
-        assert_eq!(broker.inner.state.lock().parked, 0);
+        assert_eq!(broker.state.lock().parked, 0);
         bus.publish("t", "m".into(), None).unwrap();
         let started = Instant::now();
-        let d = s.poll_wait(PATIENCE).unwrap().unwrap();
+        let d = s.poll_for(PATIENCE).unwrap().unwrap();
         assert_eq!(d.message, "m");
         assert!(started.elapsed() < PATIENCE / 2);
     }
@@ -1786,12 +1682,12 @@ mod race_tests {
     use crate::driver::Bus;
 
     #[test]
-    fn poll_wait_errors_after_concurrent_unsubscribe() {
+    fn waiting_poll_errors_after_concurrent_unsubscribe() {
         let b: Bus<String> = Bus::in_memory();
         b.create_topic("t");
         let s = b.subscribe("t", SubscriptionConfig::default()).unwrap();
         let waiter = s.clone();
-        let t = std::thread::spawn(move || waiter.poll_wait(Duration::from_secs(10)));
+        let t = std::thread::spawn(move || waiter.poll_for(Duration::from_secs(10)));
         std::thread::sleep(Duration::from_millis(30));
         s.unsubscribe().unwrap();
         // The waiter must terminate promptly with an error, not block

@@ -2,8 +2,24 @@
 //!
 //! The platform's delivery substrate is defined as a trait so the
 //! in-memory broker, a recording wrapper, or (later) a networked
-//! multi-site driver can slot in behind the same surface. Two rules
-//! shape the contract:
+//! multi-site driver can slot in behind the same surface. A transport
+//! implements ten verbs and nothing else:
+//!
+//! | verb | what it does |
+//! |---|---|
+//! | `create_topic` | declare a topic (idempotent) |
+//! | `attach` / `detach` | join / leave a delivery group |
+//! | `publish_opts` | route one message to every group of a topic |
+//! | `poll(id, wait)` | take the next delivery, waiting up to `wait` |
+//! | `ack` / `nack` | retire a delivery / send it round again |
+//! | `replay_from` | re-enqueue the retained suffix of a group's log |
+//! | `sweep` | requeue every expired in-flight delivery |
+//! | `snapshot` | everything introspection reads, at one instant |
+//!
+//! Everything else callers see — [`Bus::stats`], a handle's `backlog`,
+//! the controller's `bus_dead_letters` — is a one-line read of the
+//! snapshot, written once here and not once per driver. Two rules shape
+//! the contract:
 //!
 //! - **sync / std-only**: every method is a plain blocking call, so a
 //!   driver can be backed by a mutex, a socket, or a file without
@@ -60,12 +76,6 @@ impl<'a> PublishOptions<'a> {
         self.trace = Some(ctx);
         self
     }
-
-    /// [`PublishOptions::traced`] for optionally-traced call sites.
-    pub fn traced_opt(mut self, ctx: Option<&'a TraceContext>) -> Self {
-        self.trace = ctx;
-        self
-    }
 }
 
 /// What happened to a publish.
@@ -92,12 +102,12 @@ impl PublishOutcome {
     }
 }
 
-/// The broker contract every delivery substrate implements.
+/// The broker contract every delivery substrate implements: ten verbs.
 ///
 /// Object-safe and generic over the payload `M`: implementors move
 /// opaque values around and can never inspect or name event types. All
-/// methods are synchronous; blocking behaviour is explicit
-/// ([`BusDriver::poll_wait`]) and everything else returns immediately.
+/// methods are synchronous; the only one that may block is
+/// [`BusDriver::poll`] with a non-zero `wait`.
 ///
 /// Subscriptions attach to **delivery groups**. `attach(topic, None,
 /// ..)` creates a private group (classic fan-out: every such
@@ -117,15 +127,12 @@ impl PublishOutcome {
 ///     |                         left ----------------> dead-letter queue
 ///     +--replay_from (retained log) — fresh attempt counter
 /// ```
+///
+/// Deliveries that return to the queue together (a detach, one sweep)
+/// keep their publish order: the oldest is at the head.
 pub trait BusDriver<M: Clone + Send + 'static>: Send + Sync {
     /// Declare a topic. Idempotent.
     fn create_topic(&self, name: &str);
-
-    /// Whether the topic exists.
-    fn has_topic(&self, name: &str) -> bool;
-
-    /// All declared topics, sorted.
-    fn topics(&self) -> Vec<String>;
 
     /// Attach a subscription to `topic`, joining the named delivery
     /// `group` (or a private group when `None`). The first member's
@@ -156,14 +163,11 @@ pub trait BusDriver<M: Clone + Send + 'static>: Send + Sync {
         opts: PublishOptions<'_>,
     ) -> CssResult<PublishOutcome>;
 
-    /// Take the next available message for this member. Non-blocking.
+    /// Take the next available message for this member, waiting up to
+    /// `wait` for one to arrive or become redeliverable (backoff
+    /// expiry, visibility timeout); [`Duration::ZERO`] never blocks.
     /// Also sweeps the group's visibility timeouts.
-    fn poll(&self, id: SubscriptionId) -> CssResult<Option<Delivery<M>>>;
-
-    /// [`BusDriver::poll`], waiting up to `timeout` for a message —
-    /// including one becoming redeliverable via backoff expiry or a
-    /// visibility timeout.
-    fn poll_wait(&self, id: SubscriptionId, timeout: Duration) -> CssResult<Option<Delivery<M>>>;
+    fn poll(&self, id: SubscriptionId, wait: Duration) -> CssResult<Option<Delivery<M>>>;
 
     /// Acknowledge a delivery held by this member, retiring it.
     fn ack(&self, id: SubscriptionId, delivery_id: u64) -> CssResult<()>;
@@ -172,15 +176,6 @@ pub trait BusDriver<M: Clone + Send + 'static>: Send + Sync {
     /// for another attempt (after the group's redelivery backoff), or
     /// dead-letter once attempts are exhausted.
     fn nack(&self, id: SubscriptionId, delivery_id: u64) -> CssResult<()>;
-
-    /// Messages queued for the member's group (excluding in-flight).
-    fn backlog(&self, id: SubscriptionId) -> CssResult<usize>;
-
-    /// Deliveries of the member's group currently awaiting ack/nack.
-    fn in_flight(&self, id: SubscriptionId) -> CssResult<usize>;
-
-    /// Statistics of the member's delivery group.
-    fn sub_stats(&self, id: SubscriptionId) -> CssResult<SubscriptionStats>;
 
     /// Re-enqueue retained messages with offset ≥ `offset` for the
     /// member's group, oldest first, with fresh attempt counters.
@@ -193,14 +188,45 @@ pub trait BusDriver<M: Clone + Send + 'static>: Send + Sync {
     /// sweeps lazily; this forces a pass for tests and ops tooling.
     fn sweep(&self) -> usize;
 
-    /// Broker-wide statistics.
-    fn stats(&self) -> BrokerStats;
+    /// Everything introspection reads, taken at one instant: broker
+    /// counters, topics with their member counts, the dead-letter
+    /// queue, and — when `member` is a live subscription — its
+    /// delivery group's depth and counters.
+    fn snapshot(&self, member: Option<SubscriptionId>) -> BusSnapshot<M>;
+}
 
-    /// Snapshot of the dead-letter queue.
-    fn dead_letters(&self) -> Vec<DeadLetter<M>>;
+/// What [`BusDriver::snapshot`] returns.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BusSnapshot<M> {
+    /// Broker-wide counters.
+    pub stats: BrokerStats,
+    /// Declared topics, sorted, each with its active member
+    /// subscriptions across all of its groups.
+    pub topics: Vec<(String, usize)>,
+    /// The dead-letter queue, in the order messages were given up on.
+    pub dead_letters: Vec<DeadLetter<M>>,
+    /// The asked-for member's delivery group; `None` when no member
+    /// was named or the subscription is gone.
+    pub group: Option<GroupSnapshot>,
+}
 
-    /// Active member subscriptions across all groups of a topic.
-    fn subscriber_count(&self, topic: &str) -> usize;
+impl<M> BusSnapshot<M> {
+    /// Active member subscriptions of `topic`; `None` if undeclared.
+    pub fn members_of(&self, topic: &str) -> Option<usize> {
+        let found = self.topics.iter().find(|(name, _)| name == topic);
+        found.map(|(_, members)| *members)
+    }
+}
+
+/// One delivery group as a member sees it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GroupSnapshot {
+    /// Messages queued for the group (excluding in-flight).
+    pub queued: usize,
+    /// Deliveries currently awaiting ack/nack.
+    pub in_flight: usize,
+    /// The group's counters, shared by all its members.
+    pub stats: SubscriptionStats,
 }
 
 /// Handle to a broker behind some [`BusDriver`].
@@ -208,8 +234,8 @@ pub trait BusDriver<M: Clone + Send + 'static>: Send + Sync {
 /// This is what the platform wires through: cheap to clone, driver
 /// chosen at construction ([`Bus::in_memory`] by default, anything else
 /// via [`Bus::from_driver`]). It adds the ergonomic layer the trait
-/// deliberately lacks: typed [`SubscriberHandle`]s and convenience
-/// publish methods.
+/// deliberately lacks: typed [`SubscriberHandle`]s, convenience publish
+/// methods and one-line reads of [`BusDriver::snapshot`].
 pub struct Bus<M: Clone + Send + 'static> {
     driver: Arc<dyn BusDriver<M>>,
 }
@@ -222,25 +248,15 @@ impl<M: Clone + Send + 'static> Clone for Bus<M> {
     }
 }
 
-impl<M: Clone + Send + 'static> Default for Bus<M> {
-    fn default() -> Self {
-        Self::in_memory()
-    }
-}
-
 impl<M: Clone + Send + 'static> Bus<M> {
     /// A bus over the built-in in-memory driver ([`Broker`]).
     pub fn in_memory() -> Self {
-        Bus {
-            driver: Arc::new(Broker::new()),
-        }
+        Self::from_driver(Arc::new(Broker::new()))
     }
 
     /// An in-memory bus recording `bus.*` telemetry into `registry`.
     pub fn in_memory_with_telemetry(registry: &css_telemetry::MetricsRegistry) -> Self {
-        Bus {
-            driver: Arc::new(Broker::with_telemetry(registry)),
-        }
+        Self::from_driver(Arc::new(Broker::with_telemetry(registry)))
     }
 
     /// A bus over a caller-supplied driver.
@@ -248,24 +264,9 @@ impl<M: Clone + Send + 'static> Bus<M> {
         Bus { driver }
     }
 
-    /// The underlying driver.
-    pub fn driver(&self) -> &Arc<dyn BusDriver<M>> {
-        &self.driver
-    }
-
     /// Declare a topic. Idempotent.
     pub fn create_topic(&self, name: &str) {
         self.driver.create_topic(name);
-    }
-
-    /// Whether the topic exists.
-    pub fn has_topic(&self, name: &str) -> bool {
-        self.driver.has_topic(name)
-    }
-
-    /// All declared topics, sorted.
-    pub fn topics(&self) -> Vec<String> {
-        self.driver.topics()
     }
 
     /// Subscribe to a topic in a private delivery group (fan-out).
@@ -302,29 +303,36 @@ impl<M: Clone + Send + 'static> Bus<M> {
     /// Publish a message, returning the number of delivery groups it
     /// was enqueued for. Optionally continues `ctx`'s trace.
     pub fn publish(&self, topic: &str, message: M, ctx: Option<&TraceContext>) -> CssResult<usize> {
-        self.driver
-            .publish_opts(topic, message, PublishOptions::new().traced_opt(ctx))
-            .map(|o| o.routed())
-    }
-
-    /// Broker-wide statistics.
-    pub fn stats(&self) -> BrokerStats {
-        self.driver.stats()
-    }
-
-    /// Snapshot of the dead-letter queue.
-    pub fn dead_letters(&self) -> Vec<DeadLetter<M>> {
-        self.driver.dead_letters()
-    }
-
-    /// Active member subscriptions across all groups of a topic.
-    pub fn subscriber_count(&self, topic: &str) -> usize {
-        self.driver.subscriber_count(topic)
+        let opts = PublishOptions {
+            trace: ctx,
+            ..PublishOptions::new()
+        };
+        self.publish_opts(topic, message, opts).map(|o| o.routed())
     }
 
     /// Force a visibility-timeout sweep across all groups.
     pub fn sweep(&self) -> usize {
         self.driver.sweep()
+    }
+
+    /// Counters, topics and dead letters at one instant.
+    pub fn snapshot(&self) -> BusSnapshot<M> {
+        self.driver.snapshot(None)
+    }
+
+    /// Broker-wide statistics.
+    pub fn stats(&self) -> BrokerStats {
+        self.snapshot().stats
+    }
+
+    /// Snapshot of the dead-letter queue.
+    pub fn dead_letters(&self) -> Vec<DeadLetter<M>> {
+        self.snapshot().dead_letters
+    }
+
+    /// Active member subscriptions across all groups of a topic.
+    pub fn subscriber_count(&self, topic: &str) -> usize {
+        self.snapshot().members_of(topic).unwrap_or(0)
     }
 }
 
@@ -337,7 +345,6 @@ mod tests {
         let opts = PublishOptions::new().dedup_key("k");
         assert_eq!(opts.dedup_key, Some("k"));
         assert!(opts.trace.is_none());
-        assert!(PublishOptions::new().traced_opt(None).trace.is_none());
     }
 
     #[test]
@@ -352,7 +359,8 @@ mod tests {
     fn bus_facade_routes_through_the_driver() {
         let bus: Bus<u32> = Bus::in_memory();
         bus.create_topic("t");
-        assert!(bus.has_topic("t"));
+        assert_eq!(bus.snapshot().members_of("t"), Some(0));
+        assert_eq!(bus.snapshot().members_of("u"), None);
         let sub = bus.subscribe("t", SubscriptionConfig::default()).unwrap();
         assert_eq!(bus.publish("t", 7, None).unwrap(), 1);
         assert_eq!(bus.subscriber_count("t"), 1);

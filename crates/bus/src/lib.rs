@@ -8,9 +8,15 @@
 //! contract:
 //!
 //! - the [`BusDriver`] trait — the broker contract (sync, std-only,
-//!   payload-blind) that an in-memory broker, a recording wrapper, or a
-//!   future networked multi-site driver all implement; the platform
-//!   holds a [`Bus`] facade over `Arc<dyn BusDriver>`,
+//!   payload-blind), ten verbs: `create_topic`, `attach`, `detach`,
+//!   `publish_opts`, `poll(id, wait)`, `ack`, `nack`, `replay_from`,
+//!   `sweep`, and `snapshot` (the one read-only call: counters, topics,
+//!   dead letters, a member's group). The in-memory [`Broker`], the
+//!   [`RecordingDriver`] wrapper, or a future networked multi-site
+//!   driver implement those and nothing more; the platform holds a
+//!   [`Bus`] facade over `Arc<dyn BusDriver>`, and every other name
+//!   callers use ([`Bus::stats`], [`SubscriberHandle::backlog`], ..)
+//!   is a one-line read of the snapshot,
 //! - named **topics** (one per class of events),
 //! - **delivery groups** with explicit acknowledgement: a private group
 //!   per subscriber gives classic fan-out, while N members of a named
@@ -28,20 +34,21 @@
 //!   E1/E2/E18.
 //!
 //! The broker is generic over the message type; the data controller
-//! instantiates it with notification messages. Delivery is pull-based
-//! (`poll`), which keeps integration tests deterministic; a blocking
-//! `poll_wait` built on a condvar supports threaded consumers.
+//! instantiates it with notification messages. Delivery is pull-based,
+//! which keeps integration tests deterministic: `poll` with a zero wait
+//! never blocks, and the same call with a wait parks on a condvar for
+//! threaded consumers. Pushing is the caller's loop — a dozen lines of
+//! `poll_for` / `ack` / `nack` on its own thread (E18,
+//! `tests/consumer_groups.rs`).
 
 pub mod broker;
-pub mod dispatcher;
 pub mod driver;
 pub mod recording;
 pub mod stats;
 pub mod subscription;
 
 pub use broker::{Broker, OverflowPolicy, SubscriptionConfig};
-pub use dispatcher::{spawn_dispatcher, spawn_worker_pool, DispatcherHandle};
-pub use driver::{Bus, BusDriver, PublishOptions, PublishOutcome};
+pub use driver::{Bus, BusDriver, BusSnapshot, GroupSnapshot, PublishOptions, PublishOutcome};
 pub use recording::{BusOp, RecordingDriver};
 pub use stats::{BrokerStats, SubscriptionStats};
 pub use subscription::{DeadLetter, Delivery, SubscriberHandle};

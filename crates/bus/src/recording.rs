@@ -15,9 +15,8 @@ use parking_lot::Mutex;
 use css_types::{CssResult, SubscriptionId};
 
 use crate::broker::{Broker, SubscriptionConfig};
-use crate::driver::{BusDriver, PublishOptions, PublishOutcome};
-use crate::stats::{BrokerStats, SubscriptionStats};
-use crate::subscription::{DeadLetter, Delivery};
+use crate::driver::{BusDriver, BusSnapshot, PublishOptions, PublishOutcome};
+use crate::subscription::Delivery;
 
 /// Journal entries are bounded; the oldest are dropped beyond this.
 const JOURNAL_CAP: usize = 65_536;
@@ -82,11 +81,6 @@ impl<M: Clone + Send + 'static> RecordingDriver<M> {
         self.journal.lock().clone()
     }
 
-    /// Operations recorded (journal may have dropped older entries).
-    pub fn journal_len(&self) -> usize {
-        self.journal.lock().len()
-    }
-
     fn record(&self, op: BusOp) {
         let mut j = self.journal.lock();
         if j.len() >= JOURNAL_CAP {
@@ -100,14 +94,6 @@ impl<M: Clone + Send + 'static> BusDriver<M> for RecordingDriver<M> {
     fn create_topic(&self, name: &str) {
         self.inner.create_topic(name);
         self.record(BusOp::CreateTopic(name.to_string()));
-    }
-
-    fn has_topic(&self, name: &str) -> bool {
-        self.inner.has_topic(name)
-    }
-
-    fn topics(&self) -> Vec<String> {
-        self.inner.topics()
     }
 
     fn attach(
@@ -144,17 +130,8 @@ impl<M: Clone + Send + 'static> BusDriver<M> for RecordingDriver<M> {
         Ok(outcome)
     }
 
-    fn poll(&self, id: SubscriptionId) -> CssResult<Option<Delivery<M>>> {
-        let out = self.inner.poll(id)?;
-        self.record(BusOp::Poll {
-            subscription: id,
-            delivered: out.is_some(),
-        });
-        Ok(out)
-    }
-
-    fn poll_wait(&self, id: SubscriptionId, timeout: Duration) -> CssResult<Option<Delivery<M>>> {
-        let out = self.inner.poll_wait(id, timeout)?;
+    fn poll(&self, id: SubscriptionId, wait: Duration) -> CssResult<Option<Delivery<M>>> {
+        let out = self.inner.poll(id, wait)?;
         self.record(BusOp::Poll {
             subscription: id,
             delivered: out.is_some(),
@@ -174,18 +151,6 @@ impl<M: Clone + Send + 'static> BusDriver<M> for RecordingDriver<M> {
         Ok(())
     }
 
-    fn backlog(&self, id: SubscriptionId) -> CssResult<usize> {
-        self.inner.backlog(id)
-    }
-
-    fn in_flight(&self, id: SubscriptionId) -> CssResult<usize> {
-        self.inner.in_flight(id)
-    }
-
-    fn sub_stats(&self, id: SubscriptionId) -> CssResult<SubscriptionStats> {
-        self.inner.sub_stats(id)
-    }
-
     fn replay_from(&self, id: SubscriptionId, offset: u64) -> CssResult<usize> {
         let replayed = self.inner.replay_from(id, offset)?;
         self.record(BusOp::Replay {
@@ -202,16 +167,8 @@ impl<M: Clone + Send + 'static> BusDriver<M> for RecordingDriver<M> {
         moved
     }
 
-    fn stats(&self) -> BrokerStats {
-        self.inner.stats()
-    }
-
-    fn dead_letters(&self) -> Vec<DeadLetter<M>> {
-        self.inner.dead_letters()
-    }
-
-    fn subscriber_count(&self, topic: &str) -> usize {
-        self.inner.subscriber_count(topic)
+    fn snapshot(&self, member: Option<SubscriptionId>) -> BusSnapshot<M> {
+        self.inner.snapshot(member)
     }
 }
 

@@ -4,10 +4,15 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use css_trace::TraceId;
-use css_types::{CssResult, SubscriptionId};
+use css_types::{CssError, CssResult, SubscriptionId};
 
-use crate::driver::BusDriver;
+use crate::driver::{BusDriver, GroupSnapshot};
 use crate::stats::SubscriptionStats;
+
+/// The error every operation on a detached subscription returns.
+pub(crate) fn unknown_sub(id: SubscriptionId) -> CssError {
+    CssError::Bus(format!("unknown subscription {id}"))
+}
 
 /// One delivery of a message to a group member. The message stays owned
 /// by the group until [`SubscriberHandle::ack`]'d.
@@ -84,13 +89,13 @@ impl<M: Clone + Send + 'static> SubscriberHandle<M> {
 
     /// Take the next message, if one is available. Non-blocking.
     pub fn poll(&self) -> CssResult<Option<Delivery<M>>> {
-        self.driver.poll(self.id)
+        self.poll_for(Duration::ZERO)
     }
 
-    /// Take the next message, waiting up to `timeout` for one to arrive
+    /// Take the next message, waiting up to `wait` for one to arrive
     /// (or become redeliverable).
-    pub fn poll_wait(&self, timeout: Duration) -> CssResult<Option<Delivery<M>>> {
-        self.driver.poll_wait(self.id, timeout)
+    pub fn poll_for(&self, wait: Duration) -> CssResult<Option<Delivery<M>>> {
+        self.driver.poll(self.id, wait)
     }
 
     /// Acknowledge a delivery, removing the message for good.
@@ -106,20 +111,28 @@ impl<M: Clone + Send + 'static> SubscriberHandle<M> {
         self.driver.nack(self.id, delivery_id)
     }
 
+    /// This subscription's delivery group at one instant: queued and
+    /// in-flight counts and the group's counters. Errors once the
+    /// subscription is gone.
+    pub fn group(&self) -> CssResult<GroupSnapshot> {
+        let group = self.driver.snapshot(Some(self.id)).group;
+        group.ok_or_else(|| unknown_sub(self.id))
+    }
+
     /// Messages currently queued for the group (not counting in-flight
     /// deliveries).
     pub fn backlog(&self) -> CssResult<usize> {
-        self.driver.backlog(self.id)
+        self.group().map(|g| g.queued)
     }
 
     /// Deliveries of the group currently awaiting ack/nack.
     pub fn in_flight(&self) -> CssResult<usize> {
-        self.driver.in_flight(self.id)
+        self.group().map(|g| g.in_flight)
     }
 
     /// Statistics for this subscription's delivery group.
     pub fn stats(&self) -> CssResult<SubscriptionStats> {
-        self.driver.sub_stats(self.id)
+        self.group().map(|g| g.stats)
     }
 
     /// Re-enqueue retained messages with offset ≥ `offset`, oldest

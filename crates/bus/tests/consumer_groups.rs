@@ -4,15 +4,13 @@
 //! platform itself uses, plus a toy driver compiled against the trait.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
 
-use css_bus::{
-    spawn_worker_pool, Broker, Bus, BusDriver, PublishOptions, RecordingDriver, SubscriptionConfig,
-};
+use css_bus::{Broker, Bus, BusDriver, PublishOptions, RecordingDriver, SubscriptionConfig};
 use css_trace::Tracer;
 use css_types::Timestamp;
 
@@ -27,39 +25,50 @@ fn worker_pool_is_load_balanced_and_exactly_once() {
 
     let bus: Bus<u64> = Bus::in_memory();
     bus.create_topic("jobs");
-    let per_worker: Arc<Vec<AtomicU64>> =
-        Arc::new((0..WORKERS).map(|_| AtomicU64::new(0)).collect());
-    let counts = per_worker.clone();
-    let pool = spawn_worker_pool(
-        &bus,
-        "jobs",
-        "shift",
-        SubscriptionConfig::default(),
-        WORKERS,
-        move |worker, _m: u64| {
-            counts[worker].fetch_add(1, Ordering::SeqCst);
-            // A tiny stall so the pull-based balancing has something to
-            // balance (otherwise one fast worker can drain everything).
-            std::thread::sleep(Duration::from_micros(200));
-            Ok(())
-        },
-    )
-    .unwrap();
+    let per_worker: Vec<AtomicU64> = (0..WORKERS).map(|_| AtomicU64::new(0)).collect();
+    let handled = || {
+        per_worker
+            .iter()
+            .map(|c| c.load(Ordering::SeqCst))
+            .sum::<u64>()
+    };
+    let stop = AtomicBool::new(false);
 
-    for i in 0..MESSAGES {
-        bus.publish("jobs", i, None).unwrap();
-    }
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while per_worker
-        .iter()
-        .map(|c| c.load(Ordering::SeqCst))
-        .sum::<u64>()
-        < MESSAGES
-        && std::time::Instant::now() < deadline
-    {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let processed: u64 = pool.into_iter().map(|d| d.stop()).sum();
+    let processed: u64 = std::thread::scope(|scope| {
+        let pool: Vec<_> = (0..WORKERS)
+            .map(|worker| {
+                let sub = bus
+                    .subscribe_group("jobs", "shift", SubscriptionConfig::default())
+                    .unwrap();
+                let (stop, count) = (&stop, &per_worker[worker]);
+                scope.spawn(move || {
+                    let mut acked = 0u64;
+                    while !stop.load(Ordering::SeqCst) {
+                        let Some(d) = sub.poll_for(Duration::from_millis(20)).unwrap() else {
+                            continue;
+                        };
+                        count.fetch_add(1, Ordering::SeqCst);
+                        // A tiny stall so the pull-based balancing has
+                        // something to balance (otherwise one fast
+                        // worker can drain everything).
+                        std::thread::sleep(Duration::from_micros(200));
+                        sub.ack(d.delivery_id).unwrap();
+                        acked += 1;
+                    }
+                    acked
+                })
+            })
+            .collect();
+        for i in 0..MESSAGES {
+            bus.publish("jobs", i, None).unwrap();
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while handled() < MESSAGES && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        stop.store(true, Ordering::SeqCst);
+        pool.into_iter().map(|t| t.join().unwrap()).sum()
+    });
 
     // Exactly-once: the group fanned out one copy per message, and the
     // pool collectively processed each copy once.

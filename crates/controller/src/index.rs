@@ -295,18 +295,28 @@ impl<B: LogBackend> EventsIndex<B> {
     /// every persisted entry into the index `owner` names for its person
     /// tag, which may differ from the backend it was read off: a plane
     /// that changed its shard count still recovers every event into the
-    /// right partition. Entries first, then notified-markers, so
-    /// markers resolve regardless of which backend they were read off.
+    /// right partition. Every record is decoded in the one pass
+    /// recovery makes over its log; entries are linked once every shard
+    /// exists, then notified-markers, so markers resolve regardless of
+    /// which backend they were read off.
     pub(crate) fn open_all(
         master_key: &[u8],
         backends: Vec<B>,
         owner: impl Fn(&[u8; 32]) -> usize,
     ) -> CssResult<Vec<Self>> {
         let mut shards = Vec::with_capacity(backends.len());
-        let mut recovered = Vec::with_capacity(backends.len());
+        let mut entries: Vec<IndexEntry> = Vec::new();
+        let mut markers: Vec<(GlobalEventId, ActorId)> = Vec::new();
         for backend in backends {
-            let (storage, outcome) = RecordLog::recover(backend)?;
-            recovered.push(outcome.records);
+            let (storage, _) = RecordLog::recover(backend, |_, payload| {
+                let text = std::str::from_utf8(payload)
+                    .map_err(|e| CssError::Serialization(format!("index record not UTF-8: {e}")))?;
+                match IndexRecord::decode(&mut Reader::new(text))? {
+                    IndexRecord::Entry(entry) => entries.push(entry),
+                    IndexRecord::Notified(event, actor) => markers.push((event, actor)),
+                }
+                Ok(())
+            })?;
             shards.push(EventsIndex {
                 sealer: SealedBox::new(master_key),
                 tag_key: derive_tag_key(master_key),
@@ -319,19 +329,8 @@ impl<B: LogBackend> EventsIndex<B> {
                 text: String::new(),
             });
         }
-        let mut markers: Vec<(GlobalEventId, ActorId)> = Vec::new();
-        for (i, records) in recovered.iter().enumerate() {
-            for ptr in records {
-                let payload = shards[i].storage.read(*ptr)?;
-                let text = std::str::from_utf8(&payload)
-                    .map_err(|e| CssError::Serialization(format!("index record not UTF-8: {e}")))?;
-                match IndexRecord::decode(&mut Reader::new(text))? {
-                    IndexRecord::Entry(entry) => {
-                        shards[owner(&entry.person_tag)].link_entry(entry);
-                    }
-                    IndexRecord::Notified(event, actor) => markers.push((event, actor)),
-                }
-            }
+        for entry in entries {
+            shards[owner(&entry.person_tag)].link_entry(entry);
         }
         // Markers for unknown events are silently skipped.
         for (event, actor) in markers {
@@ -959,11 +958,8 @@ mod tests {
             backend
                 .append(&std::fs::read(fixtures.join(file)).unwrap())
                 .unwrap();
-            let (log, outcome) = RecordLog::recover(backend).unwrap();
-            assert_eq!(outcome.truncated_bytes, 0, "{file}");
-            for ptr in outcome.records {
-                let payload = log.read(ptr).unwrap();
-                let text = std::str::from_utf8(&payload).unwrap();
+            let (_, truncated) = RecordLog::recover(backend, |_, payload| {
+                let text = std::str::from_utf8(payload).unwrap();
                 let streamed = IndexRecord::decode(&mut Reader::new(text)).unwrap();
                 match &streamed {
                     IndexRecord::Entry(_) => entries += 1,
@@ -972,7 +968,10 @@ mod tests {
                 let tree = css_xml::parse(text).unwrap();
                 let from_tree = IndexRecord::decode(&mut css_xml::TreeSource::new(&tree)).unwrap();
                 assert_eq!(describe(streamed), describe(from_tree), "{file}");
-            }
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(truncated, 0, "{file}");
         }
         // Three events, indexed once at one shard and once at two.
         assert_eq!(entries, 6);

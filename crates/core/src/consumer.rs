@@ -69,7 +69,7 @@ impl Subscription {
     /// Next notification, waiting up to `timeout` for one to arrive
     /// (acknowledged on receipt). For threaded consumers.
     pub fn next_wait(&self, timeout: std::time::Duration) -> CssResult<Option<Delivered>> {
-        match self.inner.poll_wait(timeout)? {
+        match self.inner.poll_for(timeout)? {
             None => Ok(None),
             Some(delivery) => {
                 self.inner.ack(delivery.delivery_id)?;

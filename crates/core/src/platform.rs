@@ -299,16 +299,17 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
         // the record is counted instead. Routing by hash leaves holes in
         // a lightly filled plane, so the count ends only after
         // `UNRECORDED_GAP` shards in a row hold nothing.
-        let (mut shard_record, outcome) = RecordLog::recover(provider.backend("shards")?)?;
-        let recorded = outcome
-            .records
-            .last()
-            .map(|ptr| {
-                String::from_utf8_lossy(&shard_record.read(*ptr)?)
-                    .parse::<usize>()
-                    .map_err(|e| CssError::Storage(format!("shard record malformed: {e}")))
-            })
-            .transpose()?;
+        let mut recorded = None;
+        let (mut shard_record, _) =
+            RecordLog::recover(provider.backend("shards")?, |_, payload| {
+                let count = String::from_utf8_lossy(payload).parse::<usize>();
+                recorded = Some(count);
+                Ok(())
+            })?;
+        // Only the last record counts, and only it has to parse.
+        let recorded = recorded
+            .transpose()
+            .map_err(|e| CssError::Storage(format!("shard record malformed: {e}")))?;
         let mut opened = Vec::new();
         let written = match recorded {
             Some(written) => written,

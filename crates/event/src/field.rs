@@ -11,7 +11,6 @@ use std::fmt;
 use std::str::FromStr;
 
 use css_types::Timestamp;
-use css_xml::ValueType;
 
 /// A fixed-point decimal (mantissa × 10^-scale).
 ///
@@ -132,18 +131,6 @@ pub enum FieldKind {
 }
 
 impl FieldKind {
-    /// The XML schema value type corresponding to this kind.
-    pub fn to_value_type(&self) -> ValueType {
-        match self {
-            FieldKind::Text => ValueType::String,
-            FieldKind::Integer => ValueType::Integer,
-            FieldKind::Decimal => ValueType::Decimal,
-            FieldKind::Boolean => ValueType::Boolean,
-            FieldKind::DateTime => ValueType::DateTime,
-            FieldKind::Code(allowed) => ValueType::Enumeration(allowed.clone()),
-        }
-    }
-
     /// Parse a textual value into a [`FieldValue`] of this kind.
     pub fn parse_value(&self, text: &str) -> Result<FieldValue, String> {
         if text.is_empty() {

@@ -7,7 +7,7 @@
 //! form for interchange.
 
 use css_types::{ActorId, CssError, CssResult, EventTypeId};
-use css_xml::{Element, ElementDecl, Schema};
+use css_xml::Element;
 
 use crate::details::EventDetails;
 use crate::field::{FieldDef, FieldKind, FieldValue};
@@ -105,28 +105,6 @@ impl EventSchema {
             root: self.root_element(),
             type_text: self.id.to_string(),
         }
-    }
-
-    /// The `css-xml` schema equivalent, used to publish the structure in
-    /// the event catalog.
-    ///
-    /// All elements are declared nillable because privacy-aware
-    /// responses blank unauthorized fields; *source-side* requiredness
-    /// is enforced by [`EventSchema::validate`] instead.
-    pub fn to_xml_schema(&self) -> Schema {
-        let mut schema = Schema::new(self.root_element())
-            .attribute("type", true)
-            .attribute("srcEventId", false);
-        for f in &self.fields {
-            let decl = ElementDecl {
-                name: f.name.clone(),
-                value_type: f.kind.to_value_type(),
-                occurs: css_xml::Occurs::Optional,
-                nillable: true,
-            };
-            schema = schema.element(decl);
-        }
-        schema
     }
 
     /// Validate a full (source-side) instance: every declared field must
@@ -492,13 +470,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn xml_schema_conversion_validates_instances() {
-        let schema = blood_test_schema();
-        let xml_schema = schema.to_xml_schema();
-        let doc = valid_details().to_xml(&schema, None);
-        assert!(xml_schema.validate(&doc).is_ok());
     }
 }

@@ -20,9 +20,9 @@
 use std::fs;
 use std::path::Path;
 
-use crate::cache::{parse_json, Json};
 use crate::engine::Report;
 use crate::json::escape;
+use crate::json::{parse_json, Json};
 
 /// One allowed waiver: the rule and the file it is waived in.
 #[derive(Debug, Clone, PartialEq, Eq)]

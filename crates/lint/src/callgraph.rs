@@ -11,15 +11,14 @@
 //! the graph restrict resolution further (e.g. same-crate only for the
 //! audit obligation) to keep false edges from absolving a violation.
 //!
-//! Summaries are cheap, order-stable, and serializable — they are what
-//! the incremental cache persists per file, so project-scoped rules can
-//! rerun from cache without re-scanning unchanged sources.
+//! Summaries are cheap and order-stable: project-scoped rules run over
+//! them, not over source.
 
 use std::collections::HashMap;
 
 use crate::diag::Finding;
 use crate::scanner::TokenKind;
-use crate::source::{matching_paren, FileRole, FnBody, SourceFile};
+use crate::source::{matching_paren, FnBody, SourceFile};
 use crate::waiver::Waiver;
 
 /// Calls that constitute a release of protected data (shared with the
@@ -75,14 +74,12 @@ pub struct FnSummary {
 
 /// Everything the engine keeps per file: the file-scoped findings
 /// (waivers *not* yet applied), the waivers themselves, and the fn
-/// summaries project rules run over. This is the unit the incremental
-/// cache persists.
+/// summaries project rules run over.
 #[derive(Debug, Clone)]
 pub struct FileFacts {
     pub crate_name: String,
     /// Path relative to the workspace root.
     pub path: String,
-    pub role: FileRole,
     /// File-scoped findings, unwaived (waivers apply at assembly time).
     pub findings: Vec<Finding>,
     pub waivers: Vec<Waiver>,
@@ -305,13 +302,13 @@ impl Project {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::FileRole;
 
     fn facts(crate_name: &str, path: &str, src: &str) -> FileFacts {
         let file = SourceFile::parse(crate_name, path, FileRole::Production, src);
         FileFacts {
             crate_name: crate_name.into(),
             path: path.into(),
-            role: FileRole::Production,
             findings: Vec::new(),
             waivers: file.waivers.clone(),
             fns: extract_fn_summaries(&file),

@@ -4,8 +4,7 @@
 //!
 //! 1. **File phase** — each source file is parsed once and distilled
 //!    into [`FileFacts`]: file-scoped rule findings (waivers not yet
-//!    applied), the file's waivers, and per-fn summaries. This phase is
-//!    the expensive one and is what the incremental cache skips.
+//!    applied), the file's waivers, and per-fn summaries.
 //! 2. **Project phase** — the facts are assembled into a
 //!    [`Project`] (cross-file call graph) and every rule's
 //!    `check_project` runs over the summaries.
@@ -18,9 +17,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::time::UNIX_EPOCH;
 
-use crate::cache;
 use crate::callgraph::{extract_fn_summaries, FileFacts, Project};
 use crate::diag::{Finding, Severity};
 use crate::manifest::{expand_members, read_manifest, Manifest};
@@ -28,14 +25,16 @@ use crate::rules::{all_rules, Rule};
 use crate::source::{FileRole, SourceFile};
 use crate::waiver::apply_waivers;
 
-/// Wall-clock and cache statistics for one lint run. Populated by the
-/// CLI, never by the engine, so that two engine runs over identical
-/// sources produce byte-identical reports regardless of timing.
+/// Wall-clock statistics for one lint run, in the shape report schema
+/// v2 fixed. Populated by the CLI, never by the engine, so that two
+/// engine runs over identical sources produce byte-identical reports
+/// regardless of timing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Timing {
     /// End-to-end wall time of the run, in milliseconds.
     pub wall_ms: u64,
-    /// Files whose facts were served from the incremental cache.
+    /// Always 0 — every run parses every file; the field is part of
+    /// the v2 report shape.
     pub files_reused: usize,
     /// Files that were read and parsed from disk.
     pub files_parsed: usize,
@@ -94,13 +93,6 @@ impl Report {
     }
 }
 
-/// How many file-phase results came from the cache vs. a fresh parse.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CacheStats {
-    pub reused: usize,
-    pub parsed: usize,
-}
-
 /// Source subdirectories of a crate and the role their files get.
 const SOURCE_DIRS: &[(&str, FileRole)] = &[
     ("src", FileRole::Production),
@@ -124,7 +116,7 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Phase 1 for one file: parse and distill into cacheable facts.
+/// Phase 1 for one file: parse and distill into facts.
 fn build_file_facts(
     rules: &[Box<dyn Rule>],
     crate_name: &str,
@@ -147,7 +139,6 @@ fn build_file_facts(
     FileFacts {
         crate_name: crate_name.to_string(),
         path: rel_path.to_string(),
-        role,
         findings,
         waivers: file.waivers,
         fns,
@@ -157,14 +148,13 @@ fn build_file_facts(
 }
 
 /// Phases 2–3: build the project, run project + workspace rules, apply
-/// each file's waivers to every finding that lands in it. Returns the
-/// facts back out so callers can persist them to the cache.
+/// each file's waivers to every finding that lands in it.
 fn assemble(
     root: String,
     facts: Vec<FileFacts>,
     manifests: &[Manifest],
     rules: &[Box<dyn Rule>],
-) -> (Report, Vec<FileFacts>) {
+) -> Report {
     let files_scanned = facts.len();
     let project = Project::new(facts);
 
@@ -216,7 +206,7 @@ fn assemble(
             report.findings.push(resolved);
         }
     }
-    (report, project.files)
+    report
 }
 
 /// Run one file through every file-scoped *and* project-scoped rule
@@ -231,26 +221,15 @@ pub fn lint_file_source(
 ) -> Vec<Finding> {
     let rules = all_rules();
     let facts = build_file_facts(&rules, crate_name, rel_path, role, src);
-    let (report, _) = assemble(String::new(), vec![facts], &[], &rules);
+    let report = assemble(String::new(), vec![facts], &[], &rules);
     let mut out = report.findings;
     out.extend(report.waived);
     out
 }
 
 /// Lint the workspace rooted at `root`: every member crate's sources
-/// plus the manifest dependency graph. No incremental cache.
+/// plus the manifest dependency graph.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
-    lint_workspace_with_cache(root, None).map(|(report, _)| report)
-}
-
-/// Lint the workspace, optionally reusing and refreshing the
-/// incremental facts cache at `cache_path`. A cached entry is reused
-/// when its (mtime, size) stat, crate name, and role all match; the
-/// cache file itself is versioned by a fingerprint of the rule set.
-pub fn lint_workspace_with_cache(
-    root: &Path,
-    cache_path: Option<&Path>,
-) -> std::io::Result<(Report, CacheStats)> {
     let rules = all_rules();
     let root_manifest = read_manifest(root, ".")?;
     let mut manifests: Vec<Manifest> = Vec::new();
@@ -264,12 +243,7 @@ pub fn lint_workspace_with_cache(
         }
     }
 
-    let cached = cache_path.map(cache::load).unwrap_or_default();
-    let mut stats = CacheStats::default();
     let mut facts: Vec<FileFacts> = Vec::new();
-    // (path, mtime_ns, size) per linted file, for the refreshed cache.
-    let mut stat_keys: Vec<(String, u128, u64)> = Vec::new();
-
     for manifest in &manifests {
         if manifest.name.is_empty() {
             continue;
@@ -283,59 +257,24 @@ pub fn lint_workspace_with_cache(
             let mut files = Vec::new();
             collect_rs_files(&crate_dir.join(sub), &mut files);
             for path in files {
-                let Ok(meta) = fs::metadata(&path) else {
+                let Ok(src) = fs::read_to_string(&path) else {
                     continue;
                 };
-                let mtime_ns = meta
-                    .modified()
-                    .ok()
-                    .and_then(|t| t.duration_since(UNIX_EPOCH).ok())
-                    .map(|d| d.as_nanos())
-                    .unwrap_or(0);
-                let size = meta.len();
                 let rel = path
                     .strip_prefix(root)
                     .unwrap_or(&path)
                     .display()
                     .to_string();
-
-                let hit = cached.get(&rel).filter(|c| {
-                    c.mtime_ns == mtime_ns
-                        && c.size == size
-                        && c.facts.crate_name == manifest.name
-                        && c.facts.role == *role
-                });
-                let file_facts = match hit {
-                    Some(c) => {
-                        stats.reused += 1;
-                        c.facts.clone()
-                    }
-                    None => {
-                        let Ok(src) = fs::read_to_string(&path) else {
-                            continue;
-                        };
-                        stats.parsed += 1;
-                        build_file_facts(&rules, &manifest.name, &rel, *role, &src)
-                    }
-                };
-                stat_keys.push((rel, mtime_ns, size));
-                facts.push(file_facts);
+                facts.push(build_file_facts(&rules, &manifest.name, &rel, *role, &src));
             }
         }
     }
-
-    let (report, facts) = assemble(root.display().to_string(), facts, &manifests, &rules);
-
-    if let Some(path) = cache_path {
-        let entries: Vec<(String, u128, u64, &FileFacts)> = stat_keys
-            .iter()
-            .zip(facts.iter())
-            .map(|((p, m, s), f)| (p.clone(), *m, *s, f))
-            .collect();
-        cache::store(path, &entries);
-    }
-
-    Ok((report, stats))
+    Ok(assemble(
+        root.display().to_string(),
+        facts,
+        &manifests,
+        &rules,
+    ))
 }
 
 /// Render the human-readable report.

@@ -31,8 +31,8 @@
 //! The analysis is flow-sensitive (a rebind clears taint), scope-aware
 //! (bindings die with their block; shadowing is honored), and
 //! deliberately intraprocedural — cross-fn flows are the call-graph
-//! rules' job, and keeping this pass local keeps it fast enough to run
-//! per-file under the incremental cache.
+//! rules' job, and keeping this pass local keeps the file phase one
+//! walk per file.
 
 use crate::diag::{Finding, Severity};
 use crate::source::{matching_brace, matching_paren, FnBody, SourceFile};

@@ -24,11 +24,9 @@
 //! | `layering`             | crate dependencies point strictly down the stack     |
 //!
 //! Rules run in three phases: per-file (token walk over one parsed
-//! source), per-project (over cached [`callgraph::FnSummary`] facts and
-//! the cross-file call graph), and per-workspace (manifests). The file
-//! phase is incremental: facts persist in `target/css-lint-cache.json`
-//! keyed by (path, mtime, size) and a fingerprint of the rule set, so a
-//! warm run re-parses only files that changed.
+//! source), per-project (over [`callgraph::FnSummary`] facts and
+//! the cross-file call graph), and per-workspace (manifests). Every run
+//! parses every file (a quarter of a second on this workspace).
 //!
 //! No external dependencies: a hand-rolled token scanner (comment-,
 //! string- and raw-string-aware) plus a minimal Cargo manifest reader
@@ -41,7 +39,6 @@
 //! line or public-item count only rises with a recorded reason.
 
 pub mod baseline;
-pub mod cache;
 pub mod callgraph;
 pub mod diag;
 pub mod engine;
@@ -50,16 +47,11 @@ pub mod json;
 pub mod locks;
 pub mod manifest;
 pub mod rules;
-pub mod sarif;
 pub mod scanner;
 pub mod source;
 pub mod waiver;
 
 pub use diag::{Finding, Severity};
-pub use engine::{
-    lint_file_source, lint_workspace, lint_workspace_with_cache, render_text, CacheStats, Report,
-    Timing,
-};
+pub use engine::{lint_file_source, lint_workspace, render_text, Report, Timing};
 pub use json::render_json;
-pub use sarif::render_sarif;
 pub use source::FileRole;

@@ -1,15 +1,9 @@
 //! The `css-lint` binary.
 //!
 //! ```text
-//! css-lint [--root PATH] [--format text|json|sarif] [--list-rules]
-//!          [--baseline PATH] [--write-baseline PATH] [--no-cache]
+//! css-lint [--root PATH] [--format text|json] [--list-rules]
+//!          [--baseline PATH] [--write-baseline PATH]
 //! ```
-//!
-//! By default the run is incremental: per-file facts are cached in
-//! `<root>/target/css-lint-cache.json` keyed by (path, mtime, size) and
-//! a fingerprint of the rule set, so warm runs re-parse only changed
-//! files. `--no-cache` forces a cold run (and leaves any cache file
-//! untouched).
 //!
 //! `--baseline PATH` enforces the waiver-budget and size ratchets: the
 //! run fails (exit 1) if any current waiver is not covered by the
@@ -29,20 +23,17 @@ use std::time::Instant;
 
 use css_lint::manifest::find_workspace_root;
 use css_lint::rules::all_rules;
-use css_lint::{
-    baseline, lint_workspace_with_cache, render_json, render_sarif, render_text, Timing,
-};
+use css_lint::{baseline, lint_workspace, render_json, render_text, Timing};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Format {
     Text,
     Json,
-    Sarif,
 }
 
 fn usage() -> &'static str {
-    "usage: css-lint [--root PATH] [--format text|json|sarif] [--list-rules]\n\
-     \x20               [--baseline PATH] [--write-baseline PATH] [--no-cache]\n"
+    "usage: css-lint [--root PATH] [--format text|json] [--list-rules]\n\
+     \x20               [--baseline PATH] [--write-baseline PATH]\n"
 }
 
 fn main() -> ExitCode {
@@ -51,42 +42,29 @@ fn main() -> ExitCode {
     let mut list_rules = false;
     let mut baseline_path: Option<PathBuf> = None;
     let mut write_baseline: Option<PathBuf> = None;
-    let mut use_cache = true;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--root" => match args.next() {
-                Some(p) => root = Some(PathBuf::from(p)),
-                None => {
-                    eprint!("--root needs a path\n{}", usage());
+            "--root" | "--baseline" | "--write-baseline" => {
+                let Some(path) = args.next().map(PathBuf::from) else {
+                    eprint!("{arg} needs a path\n{}", usage());
                     return ExitCode::from(2);
+                };
+                match arg.as_str() {
+                    "--root" => root = Some(path),
+                    "--baseline" => baseline_path = Some(path),
+                    _ => write_baseline = Some(path),
                 }
-            },
+            }
             "--format" => match args.next().as_deref() {
                 Some("json") => format = Format::Json,
                 Some("text") => format = Format::Text,
-                Some("sarif") => format = Format::Sarif,
                 _ => {
-                    eprint!("--format must be `text`, `json`, or `sarif`\n{}", usage());
+                    eprint!("--format must be `text` or `json`\n{}", usage());
                     return ExitCode::from(2);
                 }
             },
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => {
-                    eprint!("--baseline needs a path\n{}", usage());
-                    return ExitCode::from(2);
-                }
-            },
-            "--write-baseline" => match args.next() {
-                Some(p) => write_baseline = Some(PathBuf::from(p)),
-                None => {
-                    eprint!("--write-baseline needs a path\n{}", usage());
-                    return ExitCode::from(2);
-                }
-            },
-            "--no-cache" => use_cache = false,
             "--list-rules" => list_rules = true,
             "-h" | "--help" => {
                 print!("{}", usage());
@@ -131,9 +109,8 @@ fn main() -> ExitCode {
         }
     };
 
-    let cache_path = use_cache.then(|| root.join("target").join("css-lint-cache.json"));
     let started = Instant::now();
-    let (mut report, stats) = match lint_workspace_with_cache(&root, cache_path.as_deref()) {
+    let mut report = match lint_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!(
@@ -145,8 +122,8 @@ fn main() -> ExitCode {
     };
     report.timing = Some(Timing {
         wall_ms: started.elapsed().as_millis() as u64,
-        files_reused: stats.reused,
-        files_parsed: stats.parsed,
+        files_reused: 0,
+        files_parsed: report.files_scanned,
     });
 
     if let Some(path) = write_baseline {
@@ -182,7 +159,6 @@ fn main() -> ExitCode {
 
     match format {
         Format::Json => print!("{}", render_json(&report)),
-        Format::Sarif => print!("{}", render_sarif(&report)),
         Format::Text => print!("{}", render_text(&report)),
     }
     if baseline_failed {

@@ -21,7 +21,7 @@ pub trait Rule {
     fn check_file(&self, _file: &SourceFile, _out: &mut Vec<Finding>) {}
     /// Check the summarized project (call-graph scope; no-op for file
     /// rules). Runs over [`FnSummary`](crate::callgraph::FnSummary)
-    /// facts, so it reruns cheaply from the incremental cache.
+    /// facts, not over source.
     fn check_project(&self, _project: &Project, _out: &mut Vec<Finding>) {}
     /// Check the workspace dependency graph (no-op for file rules).
     fn check_workspace(&self, _manifests: &[Manifest], _out: &mut Vec<Finding>) {}

@@ -4,7 +4,7 @@
 //! `LINT_REPORT.json` — and then re-parse the document with the crate's
 //! own JSON value parser as a well-formedness check.
 
-use css_lint::cache::parse_json;
+use css_lint::json::parse_json;
 use css_lint::{render_json, Finding, Report, Severity, Timing};
 
 fn sample_report() -> Report {
@@ -113,10 +113,10 @@ fn timing_is_absent_by_default_and_rendered_when_set() {
     assert!(!render_json(&report).contains("\"timing\""));
     report.timing = Some(Timing {
         wall_ms: 123,
-        files_reused: 40,
-        files_parsed: 2,
+        files_reused: 0,
+        files_parsed: 42,
     });
     let json = render_json(&report);
-    assert!(json.contains("\"timing\":{\"wall_ms\":123,\"files_reused\":40,\"files_parsed\":2}"));
+    assert!(json.contains("\"timing\":{\"wall_ms\":123,\"files_reused\":0,\"files_parsed\":42}"));
     assert!(parse_json(&json).is_some());
 }

@@ -56,18 +56,14 @@ impl<B: LogBackend> KvStore<B> {
     /// Returns the store plus the number of torn-tail bytes dropped
     /// during recovery (0 on a clean open).
     pub fn open(backend: B) -> CssResult<(Self, u64)> {
-        let (log, outcome) = RecordLog::recover(backend)?;
         let mut index = HashMap::new();
         let mut dead = 0usize;
-        for ptr in &outcome.records {
-            let payload = log.read(*ptr)?;
-            let (op, key, _) = decode(&payload)?;
+        let (log, truncated) = RecordLog::recover(backend, |ptr, payload| {
+            let (op, key, _) = decode(payload)?;
             match op {
                 OP_PUT => {
-                    if index
-                        .insert(key.to_vec(), Slot::of(*ptr, payload.len()))
-                        .is_some()
-                    {
+                    let slot = Slot::of(ptr, payload.len());
+                    if index.insert(key.to_vec(), slot).is_some() {
                         dead += 1;
                     }
                 }
@@ -81,7 +77,8 @@ impl<B: LogBackend> KvStore<B> {
                     return Err(CssError::Storage(format!("unknown kv opcode {other}")));
                 }
             }
-        }
+            Ok(())
+        })?;
         let live = index.len();
         Ok((
             KvStore {
@@ -91,7 +88,7 @@ impl<B: LogBackend> KvStore<B> {
                 live_records: live,
                 records: Vec::new(),
             },
-            outcome.truncated_bytes,
+            truncated,
         ))
     }
 
@@ -313,8 +310,11 @@ mod tests {
             }
         };
         expect(&kv);
-        // The lengths are rebuilt by replay and carried by compaction.
+        // The lengths are rebuilt by replay — one pass over the log, not
+        // a read or two per record — and carried by compaction.
+        let before = reads();
         let replayed = open(kv.log.into_backend().into_inner());
+        assert_eq!(reads() - before, 1);
         expect(&replayed);
         expect(
             &replayed

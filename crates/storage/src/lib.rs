@@ -26,7 +26,7 @@ pub mod log;
 pub use backend::{FileBackend, LogBackend, MemBackend};
 pub use instrument::InstrumentedBackend;
 pub use kv::KvStore;
-pub use log::{split_records, RecordLog, RecordPtr, ScanOutcome};
+pub use log::{split_records, RecordLog, RecordPtr};
 
 /// Little-endian `u32` from a 4-byte slice; `None` when the slice has
 /// the wrong length. Frame decoding uses this so malformed lengths

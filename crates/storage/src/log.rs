@@ -16,15 +16,6 @@ const HEADER_LEN: usize = 9;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RecordPtr(pub u64);
 
-/// Result of a recovery scan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScanOutcome {
-    /// Pointers to every intact record, in append order.
-    pub records: Vec<RecordPtr>,
-    /// Bytes of torn tail dropped (crash artifact), if any.
-    pub truncated_bytes: u64,
-}
-
 /// An append-only log of checksummed records over a [`LogBackend`].
 pub struct RecordLog<B: LogBackend> {
     backend: B,
@@ -35,7 +26,7 @@ pub struct RecordLog<B: LogBackend> {
 }
 
 impl<B: LogBackend> RecordLog<B> {
-    /// Wrap a backend **without** scanning it. Use [`RecordLog::recover`]
+    /// Wrap a backend **without** reading it. Use [`RecordLog::recover`]
     /// for logs that may contain existing data.
     pub fn new(backend: B) -> Self {
         RecordLog {
@@ -44,37 +35,33 @@ impl<B: LogBackend> RecordLog<B> {
         }
     }
 
-    /// Open a log over a backend, validating existing content.
+    /// Open a log over a backend in one sequential pass: every intact
+    /// record is checked (magic, length, checksum) and handed to
+    /// `visit` with its pointer, in append order, so the caller
+    /// rebuilds what it keeps in memory from the bytes the pass has
+    /// just read. Returns the log and the bytes of torn tail dropped.
     ///
     /// A torn final record (e.g. after a crash mid-append) is truncated
     /// away; corruption *before* the tail is an error because silently
-    /// dropping acknowledged records would violate durability.
-    pub fn recover(mut backend: B) -> CssResult<(Self, ScanOutcome)> {
-        let mut records = Vec::new();
+    /// dropping acknowledged records would violate durability. An error
+    /// from `visit` stops the pass and is the pass's error.
+    pub fn recover(
+        mut backend: B,
+        visit: impl FnMut(RecordPtr, &[u8]) -> CssResult<()>,
+    ) -> CssResult<(Self, u64)> {
         let total = backend.len();
-        let intact = walk(&backend, |ptr, _| {
-            records.push(ptr);
-            Ok(())
-        })?;
+        let intact = walk(&backend, visit)?;
         if intact < total {
             backend.truncate(intact)?;
         }
-        Ok((
-            RecordLog::new(backend),
-            ScanOutcome {
-                records,
-                truncated_bytes: total - intact,
-            },
-        ))
+        Ok((RecordLog::new(backend), total - intact))
     }
 
     /// Visit every record from the first, in append order, with its
     /// pointer and its payload: one sequential pass that reads the
     /// backend in large pieces and checks every frame (magic, length,
     /// checksum) before handing its payload over — for a caller that
-    /// wants the whole log (the audit chain's replay and verification),
-    /// where [`RecordLog::read`] per record would be two backend reads
-    /// each. A log that does not end on a whole record is an error
+    /// wants the whole of a live log (the audit chain's verification). A log that does not end on a whole record is an error
     /// here: [`RecordLog::recover`] is what forgives a torn tail.
     pub fn scan(&self, visit: impl FnMut(RecordPtr, &[u8]) -> CssResult<()>) -> CssResult<()> {
         let intact = walk(&self.backend, visit)?;
@@ -121,26 +108,6 @@ impl<B: LogBackend> RecordLog<B> {
             ptr.0 += base;
         }
         Ok(ptrs)
-    }
-
-    /// Read the record at `ptr`, verifying its checksum: one backend
-    /// read for the header, to learn the length, then
-    /// [`RecordLog::read_sized`], which checks the whole frame.
-    pub fn read(&self, ptr: RecordPtr) -> CssResult<Vec<u8>> {
-        let invalid = || CssError::Storage(format!("invalid record pointer {ptr:?}"));
-        let header = self
-            .backend
-            .read_at(ptr.0, HEADER_LEN)
-            .map_err(|_| invalid())?;
-        // Not a record start: say so before reading a length's worth.
-        if header.first() != Some(&MAGIC) {
-            return Err(invalid());
-        }
-        let len = header
-            .get(1..5)
-            .and_then(crate::le_u32)
-            .ok_or_else(invalid)?;
-        self.read_sized(ptr, len as usize)
     }
 
     /// Read the record at `ptr` whose payload the caller knows to be
@@ -280,15 +247,31 @@ mod tests {
     use super::*;
     use crate::backend::{LogBackend, MemBackend};
 
+    /// Recover `backend`, returning the log, the pointers the pass
+    /// visited and the torn bytes it dropped — having checked that each
+    /// visited payload is what a read of its pointer returns.
+    fn recover<B: LogBackend>(backend: B) -> CssResult<(RecordLog<B>, Vec<RecordPtr>, u64)> {
+        let mut visited = Vec::new();
+        let (log, truncated) = RecordLog::recover(backend, |ptr, payload| {
+            visited.push((ptr, payload.to_vec()));
+            Ok(())
+        })?;
+        for (ptr, payload) in &visited {
+            assert_eq!(&log.read_sized(*ptr, payload.len())?, payload);
+        }
+        let ptrs = visited.into_iter().map(|(ptr, _)| ptr).collect();
+        Ok((log, ptrs, truncated))
+    }
+
     #[test]
     fn append_read_roundtrip() {
         let mut log = RecordLog::new(MemBackend::new());
         let a = log.append(b"first").unwrap();
         let b = log.append(b"second record").unwrap();
         let c = log.append(b"").unwrap();
-        assert_eq!(log.read(a).unwrap(), b"first");
-        assert_eq!(log.read(b).unwrap(), b"second record");
-        assert_eq!(log.read(c).unwrap(), b"");
+        assert_eq!(log.read_sized(a, 5).unwrap(), b"first");
+        assert_eq!(log.read_sized(b, 13).unwrap(), b"second record");
+        assert_eq!(log.read_sized(c, 0).unwrap(), b"");
     }
 
     #[test]
@@ -298,10 +281,10 @@ mod tests {
             log.append(format!("rec-{i}").as_bytes()).unwrap();
         }
         let backend = log.into_backend();
-        let (log, outcome) = RecordLog::recover(backend).unwrap();
-        assert_eq!(outcome.records.len(), 20);
-        assert_eq!(outcome.truncated_bytes, 0);
-        assert_eq!(log.read(outcome.records[7]).unwrap(), b"rec-7");
+        let (log, records, truncated) = recover(backend).unwrap();
+        assert_eq!(records.len(), 20);
+        assert_eq!(truncated, 0);
+        assert_eq!(log.read_sized(records[7], 5).unwrap(), b"rec-7");
     }
 
     #[test]
@@ -313,14 +296,14 @@ mod tests {
         // Chop 5 bytes off the final record to simulate a crash.
         let new_len = backend.len() - 5;
         backend.truncate(new_len).unwrap();
-        let (log, outcome) = RecordLog::recover(backend).unwrap();
-        assert_eq!(outcome.records.len(), 1);
-        assert!(outcome.truncated_bytes > 0);
-        assert_eq!(log.read(outcome.records[0]).unwrap(), b"complete");
+        let (log, records, truncated) = recover(backend).unwrap();
+        assert_eq!(records.len(), 1);
+        assert!(truncated > 0);
+        assert_eq!(log.read_sized(records[0], 8).unwrap(), b"complete");
         // Log is usable after truncation.
         let mut log = log;
         let p = log.append(b"after recovery").unwrap();
-        assert_eq!(log.read(p).unwrap(), b"after recovery");
+        assert_eq!(log.read_sized(p, 14).unwrap(), b"after recovery");
     }
 
     #[test]
@@ -329,9 +312,9 @@ mod tests {
         log.append(b"ok").unwrap();
         let mut backend = log.into_backend();
         backend.append(&[MAGIC, 9, 0]).unwrap(); // partial header
-        let (_, outcome) = RecordLog::recover(backend).unwrap();
-        assert_eq!(outcome.records.len(), 1);
-        assert_eq!(outcome.truncated_bytes, 3);
+        let (_, records, truncated) = recover(backend).unwrap();
+        assert_eq!(records.len(), 1);
+        assert_eq!(truncated, 3);
     }
 
     #[test]
@@ -346,22 +329,14 @@ mod tests {
         raw[(first.0 as usize) + HEADER_LEN] ^= 0xFF;
         let mut corrupted = MemBackend::new();
         corrupted.append(&raw).unwrap();
-        assert!(RecordLog::recover(corrupted).is_err());
+        assert!(recover(corrupted).is_err());
     }
 
     #[test]
     fn bad_magic_is_an_error() {
         let mut backend = MemBackend::new();
         backend.append(&[0x00; 32]).unwrap();
-        assert!(RecordLog::recover(backend).is_err());
-    }
-
-    #[test]
-    fn read_with_bogus_pointer_fails() {
-        let mut log = RecordLog::new(MemBackend::new());
-        log.append(b"data").unwrap();
-        assert!(log.read(RecordPtr(3)).is_err());
-        assert!(log.read(RecordPtr(1_000)).is_err());
+        assert!(recover(backend).is_err());
     }
 
     #[test]
@@ -379,11 +354,13 @@ mod tests {
                 Err(CssError::Storage(_))
             ));
         }
-        // A pointer that is not a record start.
-        assert!(matches!(
-            log.read_sized(RecordPtr(a.0 + 1), 5),
-            Err(CssError::Storage(_))
-        ));
+        // A pointer that is not a record start, or lies past the end.
+        for bogus in [a.0 + 1, 1_000] {
+            assert!(matches!(
+                log.read_sized(RecordPtr(bogus), 5),
+                Err(CssError::Storage(_))
+            ));
+        }
         // A flipped payload byte under a right pointer and length.
         let mut bytes = log.into_backend().read_at(0, 9 + 5 + 9 + 7).unwrap();
         bytes[9] ^= 0x01;
@@ -409,10 +386,10 @@ mod tests {
         let seq_bytes = sequential.byte_len();
         assert_eq!(batched.byte_len(), seq_bytes);
         for (ptr, payload) in batch_ptrs.iter().zip(&payloads) {
-            assert_eq!(&batched.read(*ptr).unwrap(), payload);
+            assert_eq!(&batched.read_sized(*ptr, payload.len()).unwrap(), payload);
         }
-        let (_, outcome) = RecordLog::recover(batched.into_backend()).unwrap();
-        assert_eq!(outcome.records, seq_ptrs);
+        let (_, records, _) = recover(batched.into_backend()).unwrap();
+        assert_eq!(records, seq_ptrs);
     }
 
     #[test]
@@ -432,12 +409,12 @@ mod tests {
         let before = log.byte_len();
         ptrs.push(log.append(b"after").unwrap());
         assert_eq!(log.byte_len() - before, (HEADER_LEN + 5) as u64);
-        let (log, outcome) = RecordLog::recover(log.into_backend()).unwrap();
-        assert_eq!(outcome.records, ptrs);
-        assert_eq!(outcome.truncated_bytes, 0);
+        let (log, records, truncated) = recover(log.into_backend()).unwrap();
+        assert_eq!(records, ptrs);
+        assert_eq!(truncated, 0);
         let expected: [&[u8]; 6] = [&long, b"s", b"b1", b"", b"b-three", b"after"];
         for (ptr, payload) in ptrs.iter().zip(expected) {
-            assert_eq!(log.read(*ptr).unwrap(), payload);
+            assert_eq!(log.read_sized(*ptr, payload.len()).unwrap(), payload);
         }
     }
 
@@ -473,12 +450,9 @@ mod tests {
         // A handful of window reads, not one or two per record.
         assert!(reads() < 12, "{} reads for {seen} records", reads());
         // Recovery walks the same way to the same pointers.
-        let (log, outcome) = RecordLog::recover(log.into_backend()).unwrap();
-        assert_eq!(outcome.truncated_bytes, 0);
-        assert!(outcome
-            .records
-            .iter()
-            .eq(written.iter().map(|(ptr, _)| ptr)));
+        let (log, records, truncated) = recover(log.into_backend()).unwrap();
+        assert_eq!(truncated, 0);
+        assert!(records.iter().eq(written.iter().map(|(ptr, _)| ptr)));
         // The visitor's error stops the pass and is the pass's error.
         let mut visited = 0;
         let stopped = log.scan(|_, _| {
@@ -545,17 +519,17 @@ mod tests {
         // Crash mid-batch: tear into the last record of the batch.
         let new_len = backend.len() - 3;
         backend.truncate(new_len).unwrap();
-        let (log, outcome) = RecordLog::recover(backend).unwrap();
-        assert_eq!(outcome.records.len(), 3); // before, batch-a, batch-b
-        assert!(outcome.truncated_bytes > 0);
-        assert_eq!(log.read(outcome.records[2]).unwrap(), b"batch-b");
+        let (log, records, truncated) = recover(backend).unwrap();
+        assert_eq!(records.len(), 3); // before, batch-a, batch-b
+        assert!(truncated > 0);
+        assert_eq!(log.read_sized(records[2], 7).unwrap(), b"batch-b");
     }
 
     #[test]
     fn empty_log_recovers_clean() {
-        let (log, outcome) = RecordLog::recover(MemBackend::new()).unwrap();
-        assert!(outcome.records.is_empty());
-        assert_eq!(outcome.truncated_bytes, 0);
+        let (log, records, truncated) = recover(MemBackend::new()).unwrap();
+        assert!(records.is_empty());
+        assert_eq!(truncated, 0);
         assert_eq!(log.byte_len(), 0);
     }
 }

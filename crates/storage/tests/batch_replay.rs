@@ -41,12 +41,16 @@ proptest! {
         seq_backend.truncate(seq_backend.len() - tear).unwrap();
         batch_backend.truncate(batch_backend.len() - tear).unwrap();
 
-        let (seq_log, seq_outcome) = RecordLog::recover(seq_backend).unwrap();
-        let (batch_log, batch_outcome) = RecordLog::recover(batch_backend).unwrap();
-        prop_assert_eq!(&seq_outcome, &batch_outcome);
-        for ptr in &seq_outcome.records {
-            prop_assert_eq!(seq_log.read(*ptr).unwrap(), batch_log.read(*ptr).unwrap());
-        }
+        let recover = |backend| {
+            let mut visited = Vec::new();
+            let (_, truncated) = RecordLog::recover(backend, |ptr, payload: &[u8]| {
+                visited.push((ptr, payload.to_vec()));
+                Ok(())
+            })
+            .unwrap();
+            (visited, truncated)
+        };
+        prop_assert_eq!(recover(seq_backend), recover(batch_backend));
     }
 
     #[test]

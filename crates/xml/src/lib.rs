@@ -12,9 +12,11 @@
 //! - a writer with correct escaping ([`writer`]),
 //! - the matching source interface types decode themselves from
 //!   ([`reader`]): tokens pulled off the text in place, or replayed
-//!   from a tree — and [`parse`], those tokens folded into a tree,
-//! - a schema language playing the role of XSD ([`schema`]): typed
-//!   fields, required/optional occurrence, enumerations.
+//!   from a tree — and [`parse`], those tokens folded into a tree.
+//!
+//! What an event class allows (typed fields, required / optional,
+//! enumerations — the paper's XSD) is `css_event::EventSchema`: one
+//! validator, the one every publish runs.
 //!
 //! The subset deliberately excludes DTDs, namespace resolution,
 //! processing instructions and entities beyond the five predefined ones —
@@ -24,13 +26,11 @@ pub mod doc;
 pub mod escape;
 pub mod parser;
 pub mod reader;
-pub mod schema;
 pub mod sink;
 pub mod writer;
 
 pub use doc::{Element, Node};
 pub use parser::{parse, ParseError};
 pub use reader::{Attributes, Reader, Token, TreeSource, XmlSource};
-pub use schema::{ElementDecl, Occurs, Schema, SchemaError, ValueType};
 pub use sink::{StreamSink, TreeSink, XmlSink};
 pub use writer::{to_document_string, to_string, to_string_pretty};

@@ -6,33 +6,13 @@
 # finding or any waiver not covered by the committed lint-baseline.json
 # budget — the same gate crates/lint/tests/self_check.rs enforces.
 #
-# Environment:
-#   LINT_FORMAT=json|sarif   output format (default json). sarif writes
-#                            LINT_REPORT.sarif instead.
-#   LINT_NO_CACHE=1          force a cold run (skip target/css-lint-cache.json)
-#
 # Usage: scripts/lint.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-format="${LINT_FORMAT:-json}"
-case "$format" in
-    json)  out=LINT_REPORT.json ;;
-    sarif) out=LINT_REPORT.sarif ;;
-    *) echo "lint.sh: LINT_FORMAT must be json or sarif, got \`$format\`" >&2; exit 2 ;;
-esac
-
-args=(--format "$format" --baseline lint-baseline.json)
-if [[ "${LINT_NO_CACHE:-0}" == "1" ]]; then
-    args+=(--no-cache)
-fi
-
-if cargo run -q -p css-lint -- "${args[@]}" > "$out"; then
-    if [[ "$format" == "json" ]]; then
-        echo "css-lint: clean ($(grep -o '"files_scanned":[0-9]*' "$out" | cut -d: -f2) files, report in $out)"
-    else
-        echo "css-lint: clean (report in $out)"
-    fi
+out=LINT_REPORT.json
+if cargo run -q -p css-lint -- --format json --baseline lint-baseline.json > "$out"; then
+    echo "css-lint: clean ($(grep -o '"files_scanned":[0-9]*' "$out" | cut -d: -f2) files, report in $out)"
 else
     status=$?
     echo "css-lint: FAILED (exit $status); findings:" >&2

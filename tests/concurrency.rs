@@ -1,10 +1,10 @@
 //! Concurrency tests: the platform under multi-threaded producers and
-//! consumers, and the bus under push-style dispatchers.
+//! consumers, and the bus under threaded poll / ack workers.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use css::bus::{spawn_dispatcher, Bus, SubscriptionConfig};
+use css::bus::{Bus, SubscriptionConfig};
 use css::prelude::*;
 
 fn build_platform() -> (Arc<CssPlatform>, ActorId, ActorId, SimClock) {
@@ -110,35 +110,50 @@ fn concurrent_producers_and_detail_requests() {
 fn dispatcher_fleet_processes_fanout() {
     let broker: Bus<u64> = Bus::in_memory();
     broker.create_topic("events");
-    let total = Arc::new(AtomicUsize::new(0));
-    let mut dispatchers = Vec::new();
-    for _ in 0..3 {
-        let sub = broker
-            .subscribe("events", SubscriptionConfig::default())
-            .unwrap();
-        let counter = total.clone();
-        dispatchers.push(spawn_dispatcher(sub, move |_| {
-            counter.fetch_add(1, Ordering::SeqCst);
-            Ok(())
-        }));
-    }
-    let mut publishers = Vec::new();
-    for t in 0..4u64 {
-        let broker = broker.clone();
-        publishers.push(std::thread::spawn(move || {
-            for i in 0..100 {
-                broker.publish("events", t * 100 + i, None).unwrap();
-            }
-        }));
-    }
-    for p in publishers {
-        p.join().unwrap();
-    }
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while total.load(Ordering::SeqCst) < 1_200 && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    let processed: u64 = dispatchers.into_iter().map(|d| d.stop()).sum();
+    let total = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let processed: u64 = std::thread::scope(|scope| {
+        // One worker thread per private subscription: poll, count, ack.
+        let dispatchers: Vec<_> = (0..3)
+            .map(|_| {
+                let sub = broker
+                    .subscribe("events", SubscriptionConfig::default())
+                    .unwrap();
+                let (total, stop) = (&total, &stop);
+                scope.spawn(move || {
+                    let mut acked = 0u64;
+                    while !stop.load(Ordering::SeqCst) {
+                        let wait = std::time::Duration::from_millis(20);
+                        if let Some(d) = sub.poll_for(wait).unwrap() {
+                            total.fetch_add(1, Ordering::SeqCst);
+                            sub.ack(d.delivery_id).unwrap();
+                            acked += 1;
+                        }
+                    }
+                    acked
+                })
+            })
+            .collect();
+        let publishers: Vec<_> = (0..4u64)
+            .map(|t| {
+                let broker = broker.clone();
+                scope.spawn(move || {
+                    for i in 0..100 {
+                        broker.publish("events", t * 100 + i, None).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for p in publishers {
+            p.join().unwrap();
+        }
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while total.load(Ordering::SeqCst) < 1_200 && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        stop.store(true, Ordering::SeqCst);
+        dispatchers.into_iter().map(|d| d.join().unwrap()).sum()
+    });
     assert_eq!(processed, 1_200); // 400 events × 3 subscriptions
     assert_eq!(broker.stats().fanned_out, 1_200);
 }

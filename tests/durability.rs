@@ -193,7 +193,7 @@ fn record_log_scan_is_all_or_tail() {
     tampered_bytes[pos] ^= 0xFF;
     let mut tampered = MemBackend::new();
     tampered.append(&tampered_bytes).unwrap();
-    assert!(RecordLog::recover(tampered).is_err());
+    assert!(RecordLog::recover(tampered, |_, _| Ok(())).is_err());
 }
 
 #[test]
@@ -700,17 +700,17 @@ fn fixture_records_decode_alike_from_stream_and_tree() {
             let path = copy.join(name);
             std::fs::copy(fixture.join(name), &path).unwrap();
             if name.starts_with("audit") {
-                let (log, outcome) = RecordLog::recover(FileBackend::open(&path).unwrap()).unwrap();
-                for ptr in outcome.records {
-                    let payload = log.read(ptr).unwrap();
-                    let text = std::str::from_utf8(&payload).unwrap();
+                RecordLog::recover(FileBackend::open(&path).unwrap(), |_, payload| {
+                    let text = std::str::from_utf8(payload).unwrap();
                     let streamed = AuditRecord::decode(&mut Reader::new(text)).unwrap();
                     assert_eq!(
                         streamed,
                         AuditRecord::from_xml(&parse(text).unwrap()).unwrap()
                     );
                     audit_records += 1;
-                }
+                    Ok(())
+                })
+                .unwrap();
             } else if name.starts_with("gateway-") {
                 let (store, _) = KvStore::open(FileBackend::open(&path).unwrap()).unwrap();
                 for key in store.keys() {
