@@ -24,6 +24,9 @@ const DEDUP_WINDOW: usize = 4096;
 /// Cap on the redelivery backoff exponent (base × 2^10 at most).
 const MAX_BACKOFF_EXP: u32 = 10;
 
+/// Where a redelivery backoff too long to add to an `Instant` lands.
+const CENTURY: Duration = Duration::from_secs(100 * 365 * 24 * 3600);
+
 /// Telemetry handles for the broker hot paths (recording is
 /// lock-free). Always present: without a registry they are detached
 /// cells nobody reads.
@@ -225,7 +228,7 @@ fn member_group<M>(
 /// The in-memory publish/subscribe broker over named topics.
 ///
 /// This is the default [`BusDriver`] and nothing else — the platform,
-/// tests and benches all talk to it through [`crate::Bus`], whose clones
+/// tests and probes all talk to it through [`crate::Bus`], whose clones
 /// share the one broker.
 ///
 /// The broker moves `M` and clones it once per delivery group and once
@@ -369,7 +372,9 @@ impl<M: Clone + Send + 'static> Broker<M> {
         t.inflight.inc();
         // Re-stamp: from here `since` means "delivered at".
         pending.since = now;
-        let expires = group.config.visibility_timeout.map(|d| now + d);
+        // A timeout too long to represent never runs out.
+        let timeout = group.config.visibility_timeout;
+        let expires = timeout.and_then(|d| now.checked_add(d));
         group.in_flight.insert(
             delivery_id,
             InFlight {
@@ -566,7 +571,8 @@ impl<M: Clone + Send + 'static> BusDriver<M> for Broker<M> {
 
     fn poll(&self, id: SubscriptionId, wait: Duration) -> CssResult<Option<Delivery<M>>> {
         let mut now = Instant::now();
-        let deadline = now + wait;
+        // A wait too long to represent has no deadline.
+        let deadline = now.checked_add(wait);
         let mut guard = self.state.lock();
         loop {
             let (shared, group) = member_group(&mut guard, id)?;
@@ -574,7 +580,7 @@ impl<M: Clone + Send + 'static> BusDriver<M> for Broker<M> {
             if let Some(delivery) = self.take_next(shared, group, id, now) {
                 return Ok(Some(delivery));
             }
-            if now >= deadline {
+            if deadline.is_some_and(|d| now >= d) {
                 return Ok(None);
             }
             // Whatever the group still holds lies ahead: park until a
@@ -582,9 +588,12 @@ impl<M: Clone + Send + 'static> BusDriver<M> for Broker<M> {
             // timeout to run out — whichever comes first.
             let backoffs = group.queue.iter().filter_map(|p| p.not_before);
             let expiries = group.in_flight.values().filter_map(|f| f.expires);
-            let target = backoffs.chain(expiries).fold(deadline, Instant::min);
+            let target = backoffs.chain(expiries).chain(deadline).min();
             guard.parked += 1;
-            self.arrivals.wait_until(&mut guard, target);
+            match target {
+                Some(at) => drop(self.arrivals.wait_until(&mut guard, at)),
+                None => self.arrivals.wait(&mut guard),
+            }
             guard.parked -= 1;
             now = Instant::now();
         }
@@ -738,7 +747,10 @@ fn backoff_until(config: &SubscriptionConfig, attempts: u32, now: Instant) -> Op
         return None;
     }
     let exp = attempts.saturating_sub(1).min(MAX_BACKOFF_EXP);
-    Some(now + config.redelivery_backoff.saturating_mul(1u32 << exp))
+    let backoff = config.redelivery_backoff.saturating_mul(1u32 << exp);
+    // `None` would mean "ready now": a backoff too long to represent
+    // holds the message back a century, which no poller outlives.
+    Some(now.checked_add(backoff).unwrap_or(now + CENTURY))
 }
 
 fn new_group<M>(
@@ -1585,12 +1597,22 @@ mod wake_tests {
         s: &SubscriberHandle<String>,
         parked: usize,
     ) -> std::thread::JoinHandle<(Option<Delivery<String>>, Duration)> {
+        park_for(broker, s, parked, PATIENCE)
+    }
+
+    fn park_for(
+        broker: &Arc<Broker<String>>,
+        s: &SubscriberHandle<String>,
+        parked: usize,
+        wait: Duration,
+    ) -> std::thread::JoinHandle<(Option<Delivery<String>>, Duration)> {
         let s = s.clone();
         let t = std::thread::spawn(move || {
             let started = Instant::now();
-            (s.poll_for(PATIENCE).unwrap(), started.elapsed())
+            (s.poll_for(wait).unwrap(), started.elapsed())
         });
-        while broker.state.lock().parked < parked {
+        // A poll that panicked never parks: `woken` reports it.
+        while broker.state.lock().parked < parked && !t.is_finished() {
             std::thread::yield_now();
         }
         t
@@ -1622,6 +1644,35 @@ mod wake_tests {
         let d = s.poll_for(PATIENCE).unwrap().unwrap();
         assert_eq!(d.message, "m");
         assert!(started.elapsed() < PATIENCE / 2);
+    }
+
+    /// `now + Duration::MAX` is no `Instant`: the wait, the visibility
+    /// timeout and the backoff each have to survive it.
+    #[test]
+    fn a_wait_too_long_to_represent_returns_what_is_queued() {
+        let (_, bus) = setup();
+        let cfg = SubscriptionConfig {
+            visibility_timeout: Some(Duration::MAX),
+            redelivery_backoff: Duration::MAX,
+            ..Default::default()
+        };
+        let s = bus.subscribe("t", cfg).unwrap();
+        bus.publish("t", "m".into(), None).unwrap();
+        let d = s.poll_for(Duration::MAX).unwrap().unwrap();
+        assert_eq!(d.message, "m");
+        // Nacked under a backoff that long it stays queued, not ready.
+        s.nack(d.delivery_id).unwrap();
+        assert!(s.poll().unwrap().is_none());
+        assert_eq!(s.backlog().unwrap(), 1);
+    }
+
+    #[test]
+    fn a_poller_parked_without_a_deadline_wakes_on_a_publish() {
+        let (broker, bus) = setup();
+        let s = bus.subscribe("t", SubscriptionConfig::default()).unwrap();
+        let t = park_for(&broker, &s, 1, Duration::MAX);
+        bus.publish("t", "m".into(), None).unwrap();
+        assert_eq!(woken(t).message, "m");
     }
 
     #[test]

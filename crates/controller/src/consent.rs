@@ -107,11 +107,6 @@ impl ConsentRegistry {
             Some(d) => d.decision == ConsentDecision::OptIn,
         }
     }
-
-    /// Number of persons with at least one directive.
-    pub fn persons_with_directives(&self) -> usize {
-        self.directives.len()
-    }
 }
 
 #[cfg(test)]

@@ -924,14 +924,6 @@ impl<B: LogBackend> DataController<B> {
     pub fn bus_dead_letters(&self) -> Vec<css_bus::DeadLetter<Arc<NotificationMessage>>> {
         self.bus.dead_letters()
     }
-
-    /// Move expired in-flight deliveries back onto their queues (or to
-    /// the dead-letter queue once attempts are exhausted); returns how
-    /// many were moved. Polling consumers sweep lazily; an idle
-    /// deployment can call this from its ops loop.
-    pub fn bus_sweep(&self) -> usize {
-        self.bus.sweep()
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The sharded events-index plane.
 //!
 //! One [`EventsIndex`] behind one lock serializes the whole data plane;
-//! BENCH_e15 measured flat-to-negative scaling from 1 to 8 threads
+//! EXPERIMENTS.md E15 measured flat-to-negative scaling from 1 to 8 threads
 //! because of exactly that. [`IndexShards`] hash-partitions the index
 //! by **citizen** into N independent shards, each behind its own
 //! mutex, one per backend the plane is opened on ([`css_types::shard_of`]

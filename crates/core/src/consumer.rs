@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use css_bus::SubscriberHandle;
 use css_event::{NotificationMessage, PrivacyAwareEvent};
-use css_trace::{TraceContext, TraceId};
+use css_trace::TraceId;
 use css_types::{ActorId, CssResult, EventTypeId, GlobalEventId, PersonId, Purpose, Timestamp};
 
 use crate::pending::AccessRequestStatus;
@@ -195,17 +195,6 @@ impl<P: BackendProvider> ConsumerHandle<P> {
         self.controller.inquire_by_person(self.actor, person, None)
     }
 
-    /// [`ConsumerHandle::inquire_by_person`], continuing the caller's
-    /// trace instead of minting a fresh `inquiry` root span.
-    pub fn inquire_by_person_traced(
-        &self,
-        person: PersonId,
-        parent: Option<&TraceContext>,
-    ) -> CssResult<Vec<NotificationMessage>> {
-        self.controller
-            .inquire_by_person(self.actor, person, parent)
-    }
-
     /// Query the events index for notifications of one class.
     pub fn inquire_by_type(&self, event_type: &EventTypeId) -> CssResult<Vec<NotificationMessage>> {
         self.controller.inquire_by_type(self.actor, event_type)
@@ -244,19 +233,6 @@ impl<P: BackendProvider> ConsumerHandle<P> {
     ) -> CssResult<PrivacyAwareEvent> {
         self.controller
             .request_details(self.actor, event_type, event_id, purpose, None)
-    }
-
-    /// [`ConsumerHandle::request_details_by_id`], continuing the
-    /// caller's trace instead of minting a fresh `detail_request` root.
-    pub fn request_details_traced(
-        &self,
-        event_type: EventTypeId,
-        event_id: GlobalEventId,
-        purpose: Purpose,
-        parent: Option<&TraceContext>,
-    ) -> CssResult<PrivacyAwareEvent> {
-        self.controller
-            .request_details(self.actor, event_type, event_id, purpose, parent)
     }
 
     /// File an access request for a class this consumer has no policy

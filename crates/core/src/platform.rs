@@ -495,14 +495,6 @@ impl CssPlatform<DirProvider> {
 }
 
 impl<P: BackendProvider> CssPlatform<P> {
-    /// Assemble a platform over a backend provider.
-    pub fn with_provider(provider: P, clock: Arc<dyn Clock>) -> CssResult<Self> {
-        CssPlatformBuilder::new()
-            .provider(provider)
-            .clock(clock)
-            .build()
-    }
-
     /// The platform clock.
     pub fn clock(&self) -> Arc<dyn Clock> {
         self.clock.clone()

@@ -43,11 +43,6 @@ impl Decimal {
         }
         self
     }
-
-    /// Approximate floating-point value (for metrics only).
-    pub fn to_f64(self) -> f64 {
-        self.mantissa as f64 / 10f64.powi(self.scale as i32)
-    }
 }
 
 impl PartialOrd for Decimal {

@@ -284,11 +284,6 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
     pub fn stored_count(&self) -> usize {
         self.store.len()
     }
-
-    /// Bytes occupied by the detail store's log.
-    pub fn store_bytes(&self) -> u64 {
-        self.store.log_bytes()
-    }
 }
 
 #[cfg(test)]

@@ -71,11 +71,6 @@ impl<B: LogBackend> DetailStore<B> {
     pub fn is_empty(&self) -> bool {
         self.store.is_empty()
     }
-
-    /// Bytes occupied on the backing log.
-    pub fn log_bytes(&self) -> u64 {
-        self.store.log_bytes()
-    }
 }
 
 fn key(id: SourceEventId) -> Vec<u8> {

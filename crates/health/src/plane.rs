@@ -22,7 +22,7 @@
 //! 7. **capture** — one bundle per edge, SLO and health first, the
 //!    anomaly edge last with its history window embedded.
 //!
-//! The sampler thread, a test and a bench all call the same `tick`;
+//! The sampler thread and a test call the same `tick`;
 //! `POST /debug/capture`, the sampler and an in-process caller all
 //! reach the same [`OpsPlane::capture`].
 

@@ -56,7 +56,7 @@ impl Sampler {
         }
     }
 
-    /// Samples taken so far (for overhead accounting and tests).
+    /// Samples taken so far.
     pub fn ticks(&self) -> u64 {
         self.shared.ticks.load(Ordering::Relaxed)
     }

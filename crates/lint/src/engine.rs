@@ -42,7 +42,7 @@ pub struct Timing {
 
 /// Production code a crate carries: lines holding a production token
 /// and `pub fn | struct | trait | enum | type` items (`#[cfg(test)]`
-/// regions, tests, benches and examples excluded).
+/// regions, tests and examples excluded).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrateSize {
     pub crate_name: String,
@@ -97,7 +97,6 @@ impl Report {
 const SOURCE_DIRS: &[(&str, FileRole)] = &[
     ("src", FileRole::Production),
     ("tests", FileRole::Test),
-    ("benches", FileRole::Test),
     ("examples", FileRole::Test),
 ];
 

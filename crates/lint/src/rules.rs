@@ -819,13 +819,12 @@ const LAYERS: &[(&str, u8)] = &[
     ("css-core", 5),
     ("css-sim", 6),
     ("css-lint", 6),
-    ("css-bench", 7),
     ("css", 7),
 ];
 
 /// Offline stand-ins for external crates: allowed everywhere, must
 /// themselves depend on nothing.
-const COMPAT_SHIMS: &[&str] = &["rand", "proptest", "criterion", "parking_lot"];
+const COMPAT_SHIMS: &[&str] = &["rand", "proptest", "parking_lot"];
 
 fn layer_of(name: &str) -> Option<u8> {
     LAYERS

@@ -11,7 +11,7 @@ use crate::waiver::{parse_waivers, Waiver};
 pub enum FileRole {
     /// Under `src/` — production code (minus `#[cfg(test)]` regions).
     Production,
-    /// Under `tests/`, `benches/` or `examples/` — exempt from the
+    /// Under `tests/` or `examples/` — exempt from the
     /// non-test rules.
     Test,
 }

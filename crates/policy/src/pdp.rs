@@ -79,11 +79,6 @@ impl PolicyDecisionPoint {
         self.auth_cache.clear();
     }
 
-    /// The current cache generation (bumped on every mutation).
-    pub fn cache_generation(&self) -> u64 {
-        self.generation.current()
-    }
-
     /// Hit/miss totals across both decision caches.
     pub fn cache_stats(&self) -> CacheStats {
         let e = self.eval_cache.stats();

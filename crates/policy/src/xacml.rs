@@ -11,8 +11,8 @@
 //! block enumerating the accessible fields. The paper's architecture is
 //! explicitly *notation-independent* ("the way we interact with the data
 //! producer and data consumer is independent from the underlying
-//! notation"), which experiment E5 quantifies by benchmarking native
-//! evaluation against a full XACML round-trip.
+//! notation"): policies are compiled once at definition time, so the
+//! mapping never runs on the request path (EXPERIMENTS.md E5).
 
 use css_types::{ActorId, CssError, CssResult, PolicyId, Purpose, Timestamp};
 use css_xml::Element;

@@ -4,7 +4,7 @@
 //! point-to-point document exchange where "data owners ... do not have
 //! any fine-grained control on the data they exchange" and "either they
 //! make the data inaccessible ... or they release more data than
-//! required". These analytic models let the benches compare three
+//! required". These analytic models let the tests compare three
 //! architectures on identical workload parameters:
 //!
 //! - **point-to-point**: every producer-consumer pair needs its own

@@ -240,19 +240,10 @@ impl Scenario {
     /// Build the scenario: organizations, contracts, gateways, event
     /// classes, the policy matrix, and the citizen population.
     pub fn build(config: ScenarioConfig) -> CssResult<Scenario> {
-        Self::build_sharded(config, None)
-    }
-
-    /// [`Scenario::build`] with an explicit controller shard count
-    /// (`None` = the platform default) — the knob the shard-scaling
-    /// experiments sweep.
-    pub fn build_sharded(config: ScenarioConfig, shards: Option<usize>) -> CssResult<Scenario> {
         let clock = SimClock::starting_at(Timestamp(1_262_304_000_000)); // 2010-01-01
-        let mut builder = CssPlatform::builder().clock(Arc::new(clock.clone()));
-        if let Some(n) = shards {
-            builder = builder.shards(n);
-        }
-        let mut platform = builder.build()?;
+        let mut platform = CssPlatform::builder()
+            .clock(Arc::new(clock.clone()))
+            .build()?;
 
         let hospital = platform.register_organization("Ospedale S. Chiara")?;
         let laboratory = platform.register_unit(hospital, "Laboratory")?;

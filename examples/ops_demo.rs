@@ -4,8 +4,9 @@
 //!
 //! Boots an in-memory platform with `ops_server` on an ephemeral port,
 //! keeps publishing blood-test events, and prints the endpoints to
-//! curl. The process exits on its own after `CSS_OPS_DEMO_SECS`
-//! (default 600) so a scripted smoke run cannot leak a server.
+//! curl. `CSS_OPS_ADDR` picks the listen address; the process exits on
+//! its own after `CSS_OPS_DEMO_SECS` (default 600) so a forgotten demo
+//! cannot leak a server.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -18,27 +19,12 @@ fn main() -> CssResult<()> {
     monitor.lock().register(ProcessDefinition::elderly_care());
 
     let addr = std::env::var("CSS_OPS_ADDR").unwrap_or_else(|_| "127.0.0.1:0".into());
-    let mut builder = CssPlatformBuilder::new()
+    let mut platform = CssPlatformBuilder::new()
         .tracing(1024)
         .ops_server(addr)
         .ops_sample_interval(Duration::from_millis(250))
-        .ops_monitor(monitor.clone());
-    // CSS_OPS_INCIDENT_DIR redirects incident bundles (the obs.sh smoke
-    // captures one and greps it for identifier leaks); unset, they land
-    // under target/incidents/.
-    if let Ok(dir) = std::env::var("CSS_OPS_INCIDENT_DIR") {
-        builder = builder.incident_dir(dir);
-    }
-    // CSS_OPS_SHARDS pins the data-plane shard count (the obs.sh smoke
-    // sweeps this and checks the per-shard /metrics series); unset, the
-    // platform sizes it from the core count.
-    if let Some(shards) = std::env::var("CSS_OPS_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        builder = builder.shards(shards);
-    }
-    let mut platform = builder.build()?;
+        .ops_monitor(monitor.clone())
+        .build()?;
     println!("data plane shards: {}", platform.shard_count());
 
     let hospital = platform.register_organization("Hospital S. Maria")?;

@@ -353,6 +353,23 @@ fn two_minute_degradation_is_queryable_and_captured() {
     assert!(range.contains(r#""p99_ns":"#), "{range}");
 }
 
+/// The history keeps up with the live sampler: every tick appends.
+#[test]
+fn every_sampler_tick_appends_to_the_history() {
+    let (platform, addr, _dir, clock) = chronicle_platform("appends");
+    // `step` fails on a stalled sampler and returns two ticks on: at
+    // least two have run when `ticks` is read, and tick number `ticks`
+    // has finished when the second `step` returns.
+    step(&platform, addr, &clock, HEALTHY_NS);
+    let ticks = json_u64(&get(addr, "/slo").1, "ticks");
+    step(&platform, addr, &clock, HEALTHY_NS);
+    let appends = platform.telemetry().counter("chronicle.appends");
+    assert!(
+        appends >= ticks,
+        "appends lag the sampler: {appends} < {ticks}"
+    );
+}
+
 /// `/query` and `/range` list the retained metrics on a bad request
 /// instead of guessing.
 #[test]

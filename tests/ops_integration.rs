@@ -207,9 +207,18 @@ fn json_u64(body: &str, key: &str) -> u64 {
 
 // ---- platform under test --------------------------------------------------
 
-/// Boot an ops-served platform and push one sensitive event through
-/// publish → deliver → detail request, so every subsystem has traffic.
+/// [`ops_platform_on`] the host's default shard count.
 fn ops_platform(fail: Arc<AtomicBool>) -> (CssPlatform<FaultableProvider>, SocketAddr) {
+    ops_platform_on(fail, css::core::default_shard_count())
+}
+
+/// Boot an ops-served platform on `shards` data-plane shards and push
+/// one sensitive event through publish → deliver → detail request, so
+/// every subsystem has traffic.
+fn ops_platform_on(
+    fail: Arc<AtomicBool>,
+    shards: usize,
+) -> (CssPlatform<FaultableProvider>, SocketAddr) {
     let monitor = Arc::new(parking_lot::Mutex::new(ProcessMonitor::new()));
     // Every ops plane writes a bundle on an edge (the forced p99
     // regression below is one): keep them out of `target/incidents`.
@@ -221,6 +230,7 @@ fn ops_platform(fail: Arc<AtomicBool>) -> (CssPlatform<FaultableProvider>, Socke
     ));
     let mut platform = CssPlatformBuilder::new()
         .provider(FaultableProvider { fail })
+        .shards(shards)
         .tracing(256)
         .ops_server("127.0.0.1:0")
         .ops_sample_interval(Duration::from_millis(10))
@@ -294,6 +304,51 @@ fn metrics_endpoint_serves_valid_prometheus_with_live_counters() {
         "{body}"
     );
     assert!(body.contains("css_platform_indexed_events 1"), "{body}");
+}
+
+/// The data plane exports one `shard.{i}.ops` counter per shard — and
+/// none for a shard it does not run — beside the imbalance gauge.
+#[test]
+fn metrics_carry_one_ops_series_per_shard_and_the_imbalance_gauge() {
+    for shards in [1, 4] {
+        let (_platform, addr) = ops_platform_on(Arc::new(AtomicBool::new(false)), shards);
+        let (_, body) = get(addr, "/metrics");
+        let exported = |series: &str| body.lines().any(|l| l.starts_with(series));
+        for i in 0..shards {
+            assert!(
+                exported(&format!("css_shard_{i}_ops_total ")),
+                "shard {i} of {shards}: {body}"
+            );
+        }
+        assert!(
+            !exported(&format!("css_shard_{shards}_ops")),
+            "a series for a shard beyond the {shards} running: {body}"
+        );
+        assert!(exported("css_shard_imbalance_pct "), "{body}");
+    }
+}
+
+/// Every JSON route serves a document that parses.
+#[test]
+fn json_endpoints_serve_well_formed_documents() {
+    let (_platform, addr) = ops_platform(Arc::new(AtomicBool::new(false)));
+    for path in [
+        "/health",
+        "/slo",
+        "/query?metric=stage.total&fn=p99",
+        "/range?metric=stage.total&res=raw",
+        "/traces",
+        "/monitor",
+        "/debug/exemplars",
+        "/debug/incidents",
+    ] {
+        let (code, body) = get(addr, path);
+        assert_eq!(code, 200, "{path}");
+        assert!(
+            css_lint::json::parse_json(&body).is_some(),
+            "{path} is not JSON: {body}"
+        );
+    }
 }
 
 #[test]

@@ -176,14 +176,15 @@ proptest! {
         }
     }
 
-    /// XACML serialization is lossless for arbitrary policies.
+    /// XACML serialization is lossless for arbitrary policies, up to
+    /// the 50 fields and 4 purposes of the Fig. 8 size sweep.
     #[test]
     fn xacml_roundtrip(
         id in 1u64..10_000,
         actor in 1u64..100,
         producer in 1u64..100,
         ty in "[a-z][a-z-]{2,12}",
-        fields in proptest::collection::btree_set("[A-Za-z]{1,10}", 0..8),
+        fields in proptest::collection::btree_set("[A-Za-z]{1,10}", 0..51),
         purposes in proptest::collection::btree_set(
             prop_oneof![
                 Just(Purpose::HealthcareTreatment),
@@ -196,7 +197,7 @@ proptest! {
                     })
                     .prop_map(Purpose::Custom),
             ],
-            1..4,
+            1..5,
         ),
         not_after in proptest::option::of(0u64..u64::MAX / 2),
         label in "[ -~]{0,20}",
