@@ -344,30 +344,30 @@ mod tests {
     /// A memory backend whose bytes the test still reaches while a
     /// log owns it — what an attacker with the disk has.
     #[derive(Clone, Default)]
-    struct SharedBackend(Arc<std::sync::Mutex<Vec<u8>>>);
+    struct SharedBackend(Arc<parking_lot::Mutex<Vec<u8>>>);
 
     impl LogBackend for SharedBackend {
         fn append(&mut self, data: &[u8]) -> CssResult<u64> {
-            let mut bytes = self.0.lock().unwrap();
+            let mut bytes = self.0.lock();
             let at = bytes.len() as u64;
             bytes.extend_from_slice(data);
             Ok(at)
         }
         fn read_at(&self, offset: u64, len: usize) -> CssResult<Vec<u8>> {
-            let bytes = self.0.lock().unwrap();
+            let bytes = self.0.lock();
             bytes
                 .get(offset as usize..offset as usize + len)
                 .map(<[u8]>::to_vec)
                 .ok_or_else(|| CssError::Storage("read past end".into()))
         }
         fn len(&self) -> u64 {
-            self.0.lock().unwrap().len() as u64
+            self.0.lock().len() as u64
         }
         fn sync(&mut self) -> CssResult<()> {
             Ok(())
         }
         fn truncate(&mut self, len: u64) -> CssResult<()> {
-            self.0.lock().unwrap().truncate(len as usize);
+            self.0.lock().truncate(len as usize);
             Ok(())
         }
     }
@@ -385,7 +385,7 @@ mod tests {
         let (_, frame) = log.held.links[2];
         let at = frame.0 as usize;
         let payload_len = {
-            let mut bytes = backend.0.lock().unwrap();
+            let mut bytes = backend.0.lock();
             bytes[at + 9 + 20] ^= 0x01;
             u32::from_le_bytes(bytes[at + 1..at + 5].try_into().unwrap()) as usize
         };
@@ -394,7 +394,7 @@ mod tests {
         // ... and once it is repaired, only the chain does: the digest
         // noted at append no longer derives from what is stored.
         {
-            let mut bytes = backend.0.lock().unwrap();
+            let mut bytes = backend.0.lock();
             let crc = css_storage::crc::crc32(&bytes[at + 9..at + 9 + payload_len]);
             bytes[at + 5..at + 9].copy_from_slice(&crc.to_le_bytes());
         }

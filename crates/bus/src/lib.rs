@@ -41,6 +41,11 @@
 //! `poll_for` / `ack` / `nack` on its own thread (E18,
 //! `tests/consumer_groups.rs`).
 
+// The no-panic floor of the request path (production code returns
+// `CssResult`), held by clippy under scripts/check.sh: DESIGN §9.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+
 pub mod broker;
 pub mod driver;
 pub mod recording;

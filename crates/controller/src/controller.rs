@@ -24,7 +24,7 @@ use css_policy::{DetailRequest, PolicyDecisionPoint, PrivacyPolicy};
 use css_registry::EventCatalog;
 use css_storage::LogBackend;
 use css_telemetry::{Counter, MetricsRegistry, StageTimer};
-use css_trace::{SpanAttr, SpanStatus, TraceContext, Tracer};
+use css_trace::{SpanAttr, SpanStatus, Tracer};
 use css_types::{
     Actor, ActorId, ActorRegistry, Clock, CssError, CssResult, DenyReason, EventTypeId,
     GlobalEventId, IdGenerator, PersonId, PersonIdentity, PolicyId, Purpose, SourceEventId,
@@ -530,15 +530,13 @@ impl<B: LogBackend> DataController<B> {
     /// dedup window and reported as [`CssError::AlreadyExists`] instead
     /// of notifying every consumer twice.
     ///
-    /// When `parent` is given the publish continues that trace;
-    /// otherwise a fresh `publish` root span is minted. The span covers
+    /// A fresh `publish` root span is minted. The span covers
     /// the consent gate through the audit group commit; `bus.route`,
     /// `bus.deliver` and `index.insert` become children, and the trace
     /// id is stamped into the Publish and Delivery audit records.
     ///
     /// Concurrency: publishes about different citizens touch disjoint
     /// index and audit shards, so they serialize only on the bus topic.
-    #[allow(clippy::too_many_arguments)]
     pub fn publish(
         &self,
         producer: ActorId,
@@ -547,7 +545,6 @@ impl<B: LogBackend> DataController<B> {
         event_type: EventTypeId,
         occurred_at: Timestamp,
         src_event_id: SourceEventId,
-        parent: Option<&TraceContext>,
     ) -> CssResult<PublishReceipt> {
         self.contracts.read().require_producer(producer)?;
         let owner = self.catalog.read().owner(&event_type)?;
@@ -558,10 +555,7 @@ impl<B: LogBackend> DataController<B> {
         }
         let now = self.now();
         let mut timer = StageTimer::start(&self.telemetry, "publish");
-        let mut span = match parent {
-            Some(ctx) => ctx.child("publish"),
-            None => self.tracer.root("publish", now),
-        };
+        let mut span = self.tracer.root("publish", now);
         span.attr(SpanAttr::actor(producer));
         span.attr(SpanAttr::event_type(&event_type));
         let trace_id = span.trace_id();
@@ -677,16 +671,14 @@ impl<B: LogBackend> DataController<B> {
     /// person. Only events of classes the consumer is authorized for are
     /// returned; each returned event is marked as notified to the
     /// consumer (inquiry and pub/sub are equivalent notification
-    /// channels, Section 4). Touches exactly one index shard. Continues
-    /// the caller's trace, or mints an `inquiry` root span when `parent`
-    /// is none.
+    /// channels, Section 4). Touches exactly one index shard. Mints an
+    /// `inquiry` root span.
     pub fn inquire_by_person(
         &self,
         consumer: ActorId,
         person: PersonId,
-        parent: Option<&TraceContext>,
     ) -> CssResult<Vec<NotificationMessage>> {
-        self.filter_inquiry(consumer, Candidates::OfPerson(person), parent)
+        self.filter_inquiry(consumer, Candidates::OfPerson(person))
     }
 
     /// Consumer queries the events index for notifications of one class.
@@ -697,7 +689,7 @@ impl<B: LogBackend> DataController<B> {
         event_type: &EventTypeId,
     ) -> CssResult<Vec<NotificationMessage>> {
         let ids = self.index.events_of_type(event_type);
-        self.filter_inquiry(consumer, Candidates::Listed(ids), None)
+        self.filter_inquiry(consumer, Candidates::Listed(ids))
     }
 
     /// Consumer queries the events index for notifications in a time
@@ -709,14 +701,13 @@ impl<B: LogBackend> DataController<B> {
         to: Timestamp,
     ) -> CssResult<Vec<NotificationMessage>> {
         let ids = self.index.events_between(from, to);
-        self.filter_inquiry(consumer, Candidates::Listed(ids), None)
+        self.filter_inquiry(consumer, Candidates::Listed(ids))
     }
 
     fn filter_inquiry(
         &self,
         consumer: ActorId,
         candidates: Candidates,
-        parent: Option<&TraceContext>,
     ) -> CssResult<Vec<NotificationMessage>> {
         let org = self
             .actors
@@ -725,10 +716,7 @@ impl<B: LogBackend> DataController<B> {
             .ok_or_else(|| CssError::NotFound(format!("actor {consumer} not registered")))?;
         self.contracts.read().require_consumer(org)?;
         let now = self.now();
-        let mut span = match parent {
-            Some(ctx) => ctx.child("inquiry"),
-            None => self.tracer.root("inquiry", now),
-        };
+        let mut span = self.tracer.root("inquiry", now);
         span.attr(SpanAttr::actor(consumer));
         // Resolve each candidate once inside its owner shard (entry
         // lookup, authorization, decrypt and notified-marking share a
@@ -773,9 +761,8 @@ impl<B: LogBackend> DataController<B> {
 
     // ---- detail requests ----------------------------------------------------
 
-    /// Consumer requests the details of an event (Algorithm 1),
-    /// continuing the caller's trace (or minting a `detail_request` root
-    /// span when `parent` is none). Every Algorithm 1 stage the PEP
+    /// Consumer requests the details of an event (Algorithm 1) under a
+    /// fresh `detail_request` root span. Every Algorithm 1 stage the PEP
     /// reaches becomes a child span, and the root span status mirrors
     /// the outcome: `Denied` for policy denials, `Error` for
     /// infrastructure faults.
@@ -785,7 +772,6 @@ impl<B: LogBackend> DataController<B> {
         event_type: EventTypeId,
         event_id: GlobalEventId,
         purpose: Purpose,
-        parent: Option<&TraceContext>,
     ) -> CssResult<css_event::PrivacyAwareEvent> {
         let org = self
             .actors
@@ -794,10 +780,7 @@ impl<B: LogBackend> DataController<B> {
             .ok_or_else(|| CssError::NotFound(format!("actor {consumer} not registered")))?;
         self.contracts.read().require_consumer(org)?;
         let now = self.now();
-        let mut span = match parent {
-            Some(ctx) => ctx.child("detail_request"),
-            None => self.tracer.root("detail_request", now),
-        };
+        let mut span = self.tracer.root("detail_request", now);
         span.attr(SpanAttr::actor(consumer));
         span.attr(SpanAttr::event(event_id));
         span.attr(SpanAttr::event_type(&event_type));

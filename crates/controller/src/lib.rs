@@ -20,6 +20,11 @@
 //! The [`controller::DataController`] ties these together; the
 //! individual responsibilities live in their own modules.
 
+// The no-panic floor of the request path (production code returns
+// `CssResult`), held by clippy under scripts/check.sh: DESIGN §9.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+
 pub mod consent;
 pub mod contract;
 pub mod controller;

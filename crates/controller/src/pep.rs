@@ -207,6 +207,7 @@ impl<'a, B: LogBackend> PolicyEnforcementPoint<'a, B> {
             Decision::Permit {
                 allowed_fields,
                 matched_policies,
+                ..
             } => {
                 span.finish();
                 // Step 4 — getResponse at the producer. Failures here

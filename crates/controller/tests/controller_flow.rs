@@ -130,7 +130,6 @@ fn publish_event_about(
             EventTypeId::v1("blood-test"),
             w.clock.now(),
             SourceEventId(src),
-            None,
         )
         .unwrap();
     receipt.global_id
@@ -180,7 +179,6 @@ fn full_two_phase_flow() {
             EventTypeId::v1("blood-test"),
             eid,
             Purpose::HealthcareTreatment,
-            None,
         )
         .unwrap();
     assert!(response.is_privacy_safe());
@@ -211,7 +209,6 @@ fn detail_request_denied_for_wrong_purpose() {
             EventTypeId::v1("blood-test"),
             eid,
             Purpose::StatisticalAnalysis,
-            None,
         )
         .unwrap_err();
     assert_eq!(err, CssError::AccessDenied(DenyReason::PurposeNotAllowed));
@@ -231,7 +228,6 @@ fn detail_request_denied_without_notification() {
             EventTypeId::v1("blood-test"),
             eid,
             Purpose::HealthcareTreatment,
-            None,
         )
         .unwrap_err();
     assert_eq!(err, CssError::AccessDenied(DenyReason::NotNotified));
@@ -245,7 +241,7 @@ fn index_inquiry_counts_as_notification() {
     // The doctor inquires the index instead of subscribing.
     let found = w
         .controller
-        .inquire_by_person(DOCTOR, PersonId(42), None)
+        .inquire_by_person(DOCTOR, PersonId(42))
         .unwrap();
     assert_eq!(found.len(), 1);
     assert_eq!(found[0].global_id, eid);
@@ -257,7 +253,6 @@ fn index_inquiry_counts_as_notification() {
             EventTypeId::v1("blood-test"),
             eid,
             Purpose::HealthcareTreatment,
-            None,
         )
         .unwrap();
     assert!(response.is_privacy_safe());
@@ -271,7 +266,7 @@ fn inquiry_filters_unauthorized_consumers() {
     // Welfare has a contract but no policy for blood tests.
     let found = w
         .controller
-        .inquire_by_person(WELFARE, PersonId(42), None)
+        .inquire_by_person(WELFARE, PersonId(42))
         .unwrap();
     assert!(found.is_empty());
 }
@@ -296,7 +291,6 @@ fn expired_policy_blocks_new_requests() {
             EventTypeId::v1("blood-test"),
             eid,
             Purpose::HealthcareTreatment,
-            None,
         )
         .is_ok());
     // After expiry: denied.
@@ -308,7 +302,6 @@ fn expired_policy_blocks_new_requests() {
             EventTypeId::v1("blood-test"),
             eid,
             Purpose::HealthcareTreatment,
-            None,
         )
         .unwrap_err();
     assert_eq!(err, CssError::AccessDenied(DenyReason::PolicyExpired));
@@ -333,7 +326,6 @@ fn revoked_policy_blocks_requests() {
             EventTypeId::v1("blood-test"),
             eid,
             Purpose::HealthcareTreatment,
-            None,
         )
         .unwrap_err();
     assert!(matches!(err, CssError::AccessDenied(_)));
@@ -366,7 +358,6 @@ fn opt_out_blocks_publication() {
             EventTypeId::v1("blood-test"),
             w.clock.now(),
             SourceEventId(1),
-            None,
         )
         .unwrap_err();
     assert!(matches!(err, CssError::ConsentWithheld(_)));
@@ -396,7 +387,6 @@ fn opt_out_after_publication_blocks_details() {
             EventTypeId::v1("blood-test"),
             eid,
             Purpose::HealthcareTreatment,
-            None,
         )
         .unwrap_err();
     assert_eq!(err, CssError::AccessDenied(DenyReason::ConsentWithheld));
@@ -435,7 +425,6 @@ fn laboratory_covered_by_hospital_grant() {
             EventTypeId::v1("blood-test"),
             eid,
             Purpose::SocialAssistance,
-            None,
         )
         .unwrap();
     assert_eq!(
@@ -524,14 +513,12 @@ fn audit_trail_is_complete_and_verifiable() {
         EventTypeId::v1("blood-test"),
         eid,
         Purpose::HealthcareTreatment,
-        None,
     );
     let _ = w.controller.request_details(
         DOCTOR,
         EventTypeId::v1("blood-test"),
         eid,
         Purpose::StatisticalAnalysis,
-        None,
     );
     w.controller.verify_audit().unwrap();
     // Who accessed Mario's data and why?
@@ -571,7 +558,6 @@ fn wrong_declared_type_rejected() {
             EventTypeId::v1("discharge"),
             eid,
             Purpose::HealthcareTreatment,
-            None,
         )
         .unwrap_err();
     assert!(matches!(err, CssError::Invalid(_)));
@@ -609,7 +595,6 @@ fn multiple_subscribers_fan_out() {
             EventTypeId::v1("blood-test"),
             receipt_id,
             Purpose::HealthcareTreatment,
-            None,
         )
         .unwrap();
     let welfare_resp = w
@@ -619,7 +604,6 @@ fn multiple_subscribers_fan_out() {
             EventTypeId::v1("blood-test"),
             receipt_id,
             Purpose::SocialAssistance,
-            None,
         )
         .unwrap();
     assert!(doc_resp.allowed_fields.contains("Result"));
@@ -674,7 +658,6 @@ fn publish_notifies_the_receivers_of_its_class_ascending_and_once() {
                 class.clone(),
                 w.clock.now(),
                 SourceEventId(src),
-                None,
             )
             .unwrap()
             .notified
@@ -836,9 +819,9 @@ fn detail_request_visits_the_index_once_whatever_the_outcome() {
     let mut owners = std::collections::BTreeSet::new();
     for (actor, ty, event, purpose, passed, error) in cases {
         let (ops, per_shard, per_stage) = observe(&w);
-        let outcome =
-            w.controller
-                .request_details(actor, EventTypeId::v1(ty), event, purpose, None);
+        let outcome = w
+            .controller
+            .request_details(actor, EventTypeId::v1(ty), event, purpose);
         let (ops_after, per_shard_after, per_stage_after) = observe(&w);
         assert_eq!(
             outcome.as_ref().map(|_| ()).map_err(ToString::to_string),

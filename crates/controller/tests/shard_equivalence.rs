@@ -131,7 +131,6 @@ fn step(w: &World, op: u8, x: u64, src: &mut u64, published: &mut Vec<GlobalEven
                 ty,
                 Timestamp(2_000_000 + *src),
                 SourceEventId(*src),
-                None,
             );
             if let Ok(receipt) = &r {
                 published.push(receipt.global_id);
@@ -139,10 +138,7 @@ fn step(w: &World, op: u8, x: u64, src: &mut u64, published: &mut Vec<GlobalEven
             format!("{r:?}")
         }
         // Inquire citizen `x` as the doctor.
-        2 => format!(
-            "{:?}",
-            w.controller.inquire_by_person(DOCTOR, PersonId(x), None)
-        ),
+        2 => format!("{:?}", w.controller.inquire_by_person(DOCTOR, PersonId(x))),
         // Request details of a published event; consumer by parity, so
         // the revoke toggle below flips these between allow and deny.
         3 => {
@@ -154,7 +150,7 @@ fn step(w: &World, op: u8, x: u64, src: &mut u64, published: &mut Vec<GlobalEven
             format!(
                 "{:?}",
                 w.controller
-                    .request_details(consumer, ty, id, Purpose::HealthcareTreatment, None)
+                    .request_details(consumer, ty, id, Purpose::HealthcareTreatment)
             )
         }
         // Toggle the doctor's policy: revoke on even, restore on odd.
@@ -203,7 +199,7 @@ proptest! {
         // inquiry is itself audited, so every world is asked once.)
         let inquire_all = |w: &World| -> Vec<String> {
             (1..=PERSONS)
-                .map(|p| format!("{:?}", w.controller.inquire_by_person(DOCTOR, PersonId(p), None)))
+                .map(|p| format!("{:?}", w.controller.inquire_by_person(DOCTOR, PersonId(p))))
                 .collect()
         };
         let inquiries = inquire_all(single);

@@ -192,7 +192,7 @@ impl<P: BackendProvider> ConsumerHandle<P> {
 
     /// Query the events index for notifications about one person.
     pub fn inquire_by_person(&self, person: PersonId) -> CssResult<Vec<NotificationMessage>> {
-        self.controller.inquire_by_person(self.actor, person, None)
+        self.controller.inquire_by_person(self.actor, person)
     }
 
     /// Query the events index for notifications of one class.
@@ -232,7 +232,7 @@ impl<P: BackendProvider> ConsumerHandle<P> {
         purpose: Purpose,
     ) -> CssResult<PrivacyAwareEvent> {
         self.controller
-            .request_details(self.actor, event_type, event_id, purpose, None)
+            .request_details(self.actor, event_type, event_id, purpose)
     }
 
     /// File an access request for a class this consumer has no policy

@@ -16,7 +16,7 @@
 //! it that way.
 
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex as StdMutex, PoisonError};
+use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
 use css_health::{Check, HealthStatus, OpsHandle, OpsPlane, OpsServer, Sampler, Slo};
@@ -25,6 +25,7 @@ use css_storage::LogBackend;
 use css_telemetry::{JsonBuf, MetricsRegistry};
 use css_trace::Tracer;
 use css_types::{Clock, CssResult, Timestamp};
+use parking_lot::Mutex;
 
 use crate::platform::{refresh_platform_gauges, SharedController, SharedPending};
 use crate::provider::BackendProvider;
@@ -78,7 +79,7 @@ pub(crate) struct OpsConfig {
     pub addr: String,
     pub interval: StdDuration,
     pub slos: Vec<Slo>,
-    pub monitor: Option<Arc<parking_lot::Mutex<ProcessMonitor>>>,
+    pub monitor: Option<Arc<Mutex<ProcessMonitor>>>,
     /// Incident bundle directory (default `target/incidents`).
     pub incident_dir: Option<PathBuf>,
     /// When the platform was built (uptime zero point).
@@ -110,11 +111,9 @@ fn storage_probe(backend: &mut impl LogBackend) -> HealthStatus {
 /// backlog, trace-ring drop rate, index-shard balance, flight-recorder
 /// drop rate. (The plane appends its own drift check.)
 fn default_checks<B: LogBackend + 'static>(probe_backend: B) -> Vec<Check> {
-    let probe = StdMutex::new(probe_backend);
+    let probe = Mutex::new(probe_backend);
     vec![
-        Check::new("storage", move |_| {
-            storage_probe(&mut *probe.lock().unwrap_or_else(PoisonError::into_inner))
-        }),
+        Check::new("storage", move |_| storage_probe(&mut *probe.lock())),
         Check::gauge_above(
             "bus-queue",
             "bus.queue_depth",

@@ -60,7 +60,6 @@ pub enum Role {
 ///
 /// let platform = CssPlatformBuilder::new()
 ///     .clock(Arc::new(SimClock::starting_at(Timestamp(0))))
-///     .enforce_identity(true)
 ///     .shards(4)
 ///     .build()
 ///     .unwrap();
@@ -69,11 +68,9 @@ pub enum Role {
 pub struct CssPlatformBuilder<P: BackendProvider = MemoryProvider> {
     provider: P,
     clock: Arc<dyn Clock>,
-    enforce_identity: bool,
     telemetry: MetricsRegistry,
     trace_capacity: Option<usize>,
     shards: Option<usize>,
-    pending_capacity: usize,
     ops_addr: Option<String>,
     ops_interval: std::time::Duration,
     ops_slos: Vec<css_health::Slo>,
@@ -95,11 +92,9 @@ impl CssPlatformBuilder<MemoryProvider> {
         CssPlatformBuilder {
             provider: MemoryProvider,
             clock: Arc::new(SystemClock),
-            enforce_identity: false,
             telemetry: MetricsRegistry::new(),
             trace_capacity: None,
             shards: None,
-            pending_capacity: DEFAULT_PENDING_CAPACITY,
             ops_addr: None,
             ops_interval: std::time::Duration::from_millis(250),
             ops_slos: Vec::new(),
@@ -133,11 +128,9 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
         CssPlatformBuilder {
             provider,
             clock: self.clock,
-            enforce_identity: self.enforce_identity,
             telemetry: self.telemetry,
             trace_capacity: self.trace_capacity,
             shards: self.shards,
-            pending_capacity: self.pending_capacity,
             ops_addr: self.ops_addr,
             ops_interval: self.ops_interval,
             ops_slos: self.ops_slos,
@@ -164,13 +157,6 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
         self
     }
 
-    /// Start with credential enforcement on: handles can then only be
-    /// obtained through the `*_with_credential` accessors.
-    pub fn enforce_identity(mut self, on: bool) -> Self {
-        self.enforce_identity = on;
-        self
-    }
-
     /// Record platform metrics into an externally owned registry (e.g.
     /// one shared with a benchmark harness) instead of a fresh one.
     pub fn telemetry(mut self, registry: MetricsRegistry) -> Self {
@@ -188,14 +174,6 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
     /// the build with [`CssError::Invalid`].
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = Some(n.max(1));
-        self
-    }
-
-    /// High-water mark for the pending access-request queue: filings
-    /// past this many undecided requests are rejected with
-    /// [`css_types::CssError::Backpressure`] (default 1024).
-    pub fn pending_capacity(mut self, n: usize) -> Self {
-        self.pending_capacity = n.max(1);
         self
     }
 
@@ -258,11 +236,9 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
         let CssPlatformBuilder {
             provider,
             clock,
-            enforce_identity,
             telemetry,
             trace_capacity,
             shards,
-            pending_capacity,
             ops_addr,
             ops_interval,
             ops_slos,
@@ -366,7 +342,7 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
             &telemetry,
         ))?;
         let controller = Arc::new(controller);
-        let mut queue = PendingQueue::new(pending_capacity);
+        let mut queue = PendingQueue::new(DEFAULT_PENDING_CAPACITY);
         queue.instrument(&telemetry);
         let pending: SharedPending = Arc::new(queue);
         let ops = match ops_addr {
@@ -397,7 +373,7 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
             src_gens: HashMap::new(),
             actor_gen: IdGenerator::default(),
             identity: IdentityManager::new(b"css-identity-master"),
-            identity_enforced: enforce_identity,
+            identity_enforced: false,
             registry: telemetry,
             tracer,
             provider,

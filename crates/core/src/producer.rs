@@ -80,7 +80,6 @@ impl<P: BackendProvider> ProducerHandle<P> {
             event_type,
             occurred_at,
             src_event_id,
-            None,
         )
     }
 

@@ -546,16 +546,16 @@ fn builder_configures_clock_identity_and_shared_telemetry() {
     let registry = MetricsRegistry::new();
     let mut platform = CssPlatformBuilder::new()
         .clock(Arc::new(clock.clone()))
-        .enforce_identity(true)
         .telemetry(registry.clone())
         .build()
         .unwrap();
+    platform.enable_identity_enforcement();
     assert_eq!(platform.clock().now(), Timestamp(9_000));
 
     let hospital = platform.register_organization("Hospital").unwrap();
     platform.join(hospital, Role::Producer).unwrap();
 
-    // Identity enforcement was on from the start: plain handles refuse.
+    // Identity enforcement is on before anyone joins: plain handles refuse.
     assert!(matches!(
         platform.producer(hospital),
         Err(CssError::CredentialRequired(_))

@@ -13,7 +13,9 @@ use css_xml::Reader;
 
 use crate::store::DetailStore;
 
-/// Cached telemetry handles for the gateway's Algorithm 2 path.
+/// Cached telemetry handles for the gateway's Algorithm 2 path. Always
+/// present: without a registry they are detached cells nobody reads.
+#[derive(Default)]
 struct GatewayInstruments {
     /// `gateway.persist` — schema validation + store append.
     persist_latency: Histogram,
@@ -81,7 +83,7 @@ pub struct LocalCooperationGateway<B: LogBackend> {
     /// The gateway itself keeps answering when this is `false`; the flag
     /// exists so simulations can show the contrast with direct queries.
     source_online: bool,
-    telemetry: Option<GatewayInstruments>,
+    telemetry: GatewayInstruments,
 }
 
 impl<B: LogBackend> LocalCooperationGateway<B> {
@@ -94,7 +96,7 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
             by_type_text: HashMap::new(),
             store: DetailStore::open(backend)?,
             source_online: true,
-            telemetry: None,
+            telemetry: GatewayInstruments::default(),
         })
     }
 
@@ -102,12 +104,7 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
     /// into `registry` under `gateway.*` names. Several gateways may
     /// share one registry; their metrics aggregate.
     pub fn instrument(&mut self, registry: &MetricsRegistry) {
-        self.telemetry = Some(GatewayInstruments::resolve(registry));
-    }
-
-    /// The producer this gateway serves.
-    pub fn producer(&self) -> ActorId {
-        self.producer
+        self.telemetry = GatewayInstruments::resolve(registry);
     }
 
     /// Register (or replace) a schema the producer declared.
@@ -158,11 +155,10 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
         schema.validate(&message.details)?;
         let started = Instant::now();
         let out = self.store.persist(schema, message);
-        if let Some(t) = &self.telemetry {
-            t.persist_latency.record_duration(started.elapsed());
-            if out.is_ok() {
-                t.persisted.inc();
-            }
+        let t = &self.telemetry;
+        t.persist_latency.record_duration(started.elapsed());
+        if out.is_ok() {
+            t.persisted.inc();
         }
         out
     }
@@ -222,12 +218,11 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
             "gateway postcondition: response must be privacy safe"
         );
         filter.finish();
-        if let Some(t) = &self.telemetry {
-            t.retrieve_latency
-                .record_duration(retrieved.duration_since(started));
-            t.filter_latency.record_duration(retrieved.elapsed());
-            t.responses.inc();
-        }
+        let t = &self.telemetry;
+        t.retrieve_latency
+            .record_duration(retrieved.duration_since(started));
+        t.filter_latency.record_duration(retrieved.elapsed());
+        t.responses.inc();
         Ok(filtered)
     }
 

@@ -14,6 +14,11 @@
 //! that data not accessible by a certain data consumer leaves the data
 //! producer".
 
+// The no-panic floor of the request path (production code returns
+// `CssResult`), held by clippy under scripts/check.sh: DESIGN §9.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+
 pub mod gateway;
 pub mod store;
 

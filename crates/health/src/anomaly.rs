@@ -15,7 +15,7 @@
 //! plane's tick uses it to freeze the blackbox ring with the relevant
 //! history window embedded in the bundle.
 
-use std::sync::{Mutex, PoisonError};
+use parking_lot::Mutex;
 
 /// EWMA smoothing factor in `(0, 1]`; higher adapts faster.
 const ALPHA: f64 = 0.3;
@@ -88,14 +88,10 @@ impl AnomalyDetector {
         &self.metric
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, DetectorState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Feed one per-tick value. Returns the verdict; `verdict.edge` is
     /// the trigger for an incident capture.
     pub(crate) fn observe(&self, value: f64) -> AnomalyVerdict {
-        let mut s = self.lock();
+        let mut s = self.state.lock();
         s.samples += 1;
         s.last_value = value;
         if s.samples == 1 {
@@ -134,7 +130,7 @@ impl AnomalyDetector {
 
     /// Current state, for the health check and ops JSON.
     pub(crate) fn status(&self) -> AnomalyStatus {
-        let s = self.lock();
+        let s = self.state.lock();
         AnomalyStatus {
             metric: self.metric.clone(),
             anomalous: s.anomalous,

@@ -12,10 +12,10 @@
 //! resolution instead of only over the lifetime cumulative.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Mutex, PoisonError};
 
 use css_telemetry::{Counter, Gauge, MetricsRegistry, TelemetrySnapshot};
 use css_types::Timestamp;
+use parking_lot::Mutex;
 
 use crate::delta::{merge_buckets, HistogramDelta, SnapshotDelta};
 
@@ -295,10 +295,6 @@ impl Chronicle {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, StoreState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Append one sampler tick: every counter and gauge becomes a raw
     /// point holding its sampled value; every histogram becomes a raw
     /// point holding the tick's *delta* (zero-delta histogram ticks
@@ -314,7 +310,7 @@ impl Chronicle {
         at: Timestamp,
     ) {
         let at_ms = at.0;
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         if state.last_at_ms.is_some_and(|last| at_ms < last) {
             for (name, d) in &delta.histograms {
                 state.refused.entry(name.clone()).or_default().merge(d);
@@ -359,7 +355,8 @@ impl Chronicle {
 
     /// Every retained metric with its kind, in name order.
     pub(crate) fn series_names(&self) -> Vec<(String, MetricKind)> {
-        self.lock()
+        self.state
+            .lock()
             .series
             .iter()
             .map(|(name, s)| (name.clone(), s.kind))
@@ -368,12 +365,12 @@ impl Chronicle {
 
     /// The metric's kind, if retained.
     pub(crate) fn kind(&self, metric: &str) -> Option<MetricKind> {
-        self.lock().series.get(metric).map(|s| s.kind)
+        self.state.lock().series.get(metric).map(|s| s.kind)
     }
 
     /// The newest raw point of a metric.
     pub(crate) fn latest(&self, metric: &str) -> Option<Aggregate> {
-        self.lock().series.get(metric)?.raw.back().cloned()
+        self.state.lock().series.get(metric)?.raw.back().cloned()
     }
 
     /// The slots of `metric` at `res` overlapping `[from_ms, to_ms]`,
@@ -385,7 +382,7 @@ impl Chronicle {
         from_ms: u64,
         to_ms: u64,
     ) -> Vec<Aggregate> {
-        let state = self.lock();
+        let state = self.state.lock();
         let Some(series) = state.series.get(metric) else {
             return Vec::new();
         };
@@ -401,7 +398,7 @@ impl Chronicle {
     /// covers `from_ms`: raw when the raw ring reaches back that far,
     /// else minute, else hour.
     pub(crate) fn auto_resolution(&self, metric: &str, from_ms: u64) -> Resolution {
-        let state = self.lock();
+        let state = self.state.lock();
         let Some(series) = state.series.get(metric) else {
             return Resolution::Raw;
         };

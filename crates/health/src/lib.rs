@@ -5,8 +5,8 @@
 //! encrypted index, policy enforcement, and the gateways are actually
 //! healthy — and, when something regressed, *why*. This crate turns
 //! the in-process telemetry (`css-telemetry`) and traces (`css-trace`)
-//! into an externally observable surface, with zero dependencies
-//! beyond the standard library. It is one object, [`OpsPlane`], with
+//! into an externally observable surface, on std and the lock shim
+//! alone. It is one object, [`OpsPlane`], with
 //! one [`tick`](OpsPlane::tick): take a snapshot, subtract the previous
 //! one **once**, and hand that one delta to everything that remembers:
 //!

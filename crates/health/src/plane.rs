@@ -27,11 +27,12 @@
 //! reach the same [`OpsPlane::capture`].
 
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 use css_telemetry::{MetricsRegistry, TelemetrySnapshot};
 use css_trace::Tracer;
 use css_types::Clock;
+use parking_lot::Mutex;
 
 use crate::anomaly::{AnomalyDetector, AnomalyStatus};
 use crate::checks::{self, Check};
@@ -50,10 +51,6 @@ const ANOMALY_METRIC: &str = "stage.total";
 /// How much raw history an anomaly-triggered bundle embeds (5 min).
 const ANOMALY_HISTORY_WINDOW_MS: u64 = 300_000;
 
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// The live ops plane of one platform: SLO windows, metrics history,
 /// anomaly detector, flight recorder and health checks behind one
 /// [`tick`](OpsPlane::tick). `&self` everywhere — share it behind an
@@ -69,9 +66,10 @@ pub struct OpsPlane {
     clock: Arc<dyn Clock>,
     pub(crate) tracer: Tracer,
     checks: Vec<Check>,
-    /// The one retained previous snapshot. The guard is held for the
-    /// whole tick, so the sampler thread and a direct caller never
-    /// interleave; no reader takes it.
+    /// The one retained previous snapshot. The guard is held while a
+    /// tick observes, so the sampler thread and a direct caller never
+    /// interleave; no reader takes it, and it is released before a
+    /// bundle is written.
     prev: Mutex<Option<TelemetrySnapshot>>,
     slo: Mutex<SloEngine>,
     pub(crate) history: Chronicle,
@@ -138,14 +136,20 @@ impl OpsPlane {
     /// history and the recorder see every instrument's lifetime total
     /// as that tick's increase.
     pub fn tick(&self) {
-        let mut prev = lock(&self.prev);
+        let triggers = self.observe(&mut self.prev.lock());
+        for trigger in triggers {
+            self.capture(trigger);
+        }
+    }
+
+    fn observe(&self, prev: &mut Option<TelemetrySnapshot>) -> Vec<Trigger> {
         let snapshot = (self.source)();
         let now = self.clock.now();
         let at_ms = now.0;
         let empty = TelemetrySnapshot::default();
         let delta = SnapshotDelta::between(prev.as_ref().unwrap_or(&empty), &snapshot);
         let table = {
-            let mut slo = lock(&self.slo);
+            let mut slo = self.slo.lock();
             slo.tick(prev.is_some().then_some(&delta), now);
             slo.table()
         };
@@ -173,9 +177,7 @@ impl OpsPlane {
                 .observe(at_ms, &snapshot, &delta, &self.tracer, &table, &report);
         triggers.extend(anomaly);
         *prev = Some(snapshot);
-        for trigger in triggers {
-            self.capture(trigger);
-        }
+        triggers
     }
 
     /// Freeze the recorder's ring into an incident bundle, now: what an
@@ -199,7 +201,7 @@ impl OpsPlane {
 
     /// The current SLO table (same data as `GET /slo`).
     pub fn slo_table(&self) -> Vec<SloStatus> {
-        lock(&self.slo).table()
+        self.slo.lock().table()
     }
 
     /// Recently captured incident bundles, oldest first (same data as
@@ -241,7 +243,7 @@ impl OpsPlane {
 
     /// The `/slo` document.
     pub(crate) fn slo_json(&self) -> String {
-        lock(&self.slo).to_json()
+        self.slo.lock().to_json()
     }
 
     /// The `/monitor` document.

@@ -2,10 +2,10 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::PathBuf;
-use std::sync::{Mutex, PoisonError};
 
 use css_telemetry::{Counter, Gauge, MetricsRegistry, TelemetrySnapshot};
 use css_trace::{Span, Tracer};
+use parking_lot::Mutex;
 
 use crate::bundle;
 use crate::delta::SnapshotDelta;
@@ -136,10 +136,6 @@ impl FlightRecorder {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, RecorderState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     fn push(&self, state: &mut RecorderState, frame: Frame) {
         if state.ring.len() >= self.capacity {
             state.ring.pop_front();
@@ -164,7 +160,7 @@ impl FlightRecorder {
         table: &[SloStatus],
         report: &HealthReport,
     ) -> Vec<Trigger> {
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         self.observe_telemetry(&mut state, snapshot, delta, at_ms);
         self.observe_spans(&mut state, tracer, at_ms);
         let mut triggers = self.observe_slos(&mut state, table, at_ms);
@@ -317,13 +313,13 @@ impl FlightRecorder {
         history: Option<&str>,
     ) -> CaptureOutcome {
         let (seq, frames) = {
-            let mut state = self.lock();
+            let mut state = self.state.lock();
             state.seq += 1;
             (state.seq, state.ring.iter().cloned().collect::<Vec<_>>())
         };
         let json = bundle::bundle_json(seq, at_ms, &trigger, &frames, snapshot, spans, history);
         let path = self.write_bundle(seq, at_ms, &json);
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         let evicted = if state.incidents.len() >= INCIDENTS_RETAINED {
             state.incidents.pop_front()
         } else {
@@ -359,12 +355,12 @@ impl FlightRecorder {
     /// The `/debug/incidents` document: recently captured bundles,
     /// oldest first.
     pub(crate) fn incidents_json(&self) -> String {
-        bundle::incidents_json(self.lock().incidents.iter())
+        bundle::incidents_json(self.state.lock().incidents.iter())
     }
 
     /// Recent incident references (oldest first).
     pub(crate) fn incidents(&self) -> Vec<IncidentRef> {
-        self.lock().incidents.iter().cloned().collect()
+        self.state.lock().incidents.iter().cloned().collect()
     }
 }
 
@@ -386,11 +382,11 @@ mod tests {
 
     impl FlightRecorder {
         fn occupancy(&self) -> usize {
-            self.lock().ring.len()
+            self.state.lock().ring.len()
         }
 
         fn slos(&self, table: &[SloStatus], at_ms: u64) -> Vec<Trigger> {
-            self.observe_slos(&mut self.lock(), table, at_ms)
+            self.observe_slos(&mut self.state.lock(), table, at_ms)
         }
 
         fn health(&self, status: HealthStatus, at_ms: u64) -> Vec<Trigger> {
@@ -398,7 +394,7 @@ mod tests {
                 component: "storage".to_string(),
                 status,
             }];
-            self.observe_health(&mut self.lock(), &HealthReport { components }, at_ms)
+            self.observe_health(&mut self.state.lock(), &HealthReport { components }, at_ms)
         }
 
         fn manual(&self, snapshot: &TelemetrySnapshot, at_ms: u64) -> CaptureOutcome {
@@ -489,11 +485,11 @@ mod tests {
         work.counter("controller.published").add(10);
         let first = work.snapshot();
         let delta = SnapshotDelta::between(&TelemetrySnapshot::default(), &first);
-        rec.observe_telemetry(&mut rec.lock(), &first, &delta, 1);
+        rec.observe_telemetry(&mut rec.state.lock(), &first, &delta, 1);
         work.counter("controller.published").add(5);
         let second = work.snapshot();
         let delta = SnapshotDelta::between(&first, &second);
-        rec.observe_telemetry(&mut rec.lock(), &second, &delta, 2);
+        rec.observe_telemetry(&mut rec.state.lock(), &second, &delta, 2);
         let out = rec.manual(&second, 3);
         // First frame sees the full total, second only the increase.
         assert!(
@@ -519,11 +515,11 @@ mod tests {
         let fast = tracer.root("fast_request", Timestamp(1));
         fast.finish();
         slow.context().child("pep.pdp_evaluate").finish();
-        rec.observe_spans(&mut rec.lock(), &tracer, 10);
+        rec.observe_spans(&mut rec.state.lock(), &tracer, 10);
         assert_eq!(rec.occupancy(), 1, "only the fast root has finished");
         slow.finish();
-        rec.observe_spans(&mut rec.lock(), &tracer, 20);
-        rec.observe_spans(&mut rec.lock(), &tracer, 30);
+        rec.observe_spans(&mut rec.state.lock(), &tracer, 20);
+        rec.observe_spans(&mut rec.state.lock(), &tracer, 30);
         let json = rec.manual(&registry.snapshot(), 40).json;
         assert_eq!(json.matches(r#""type":"span_root""#).count(), 2, "{json}");
         assert!(json.contains(r#""name":"slow_request""#), "{json}");
@@ -537,12 +533,12 @@ mod tests {
         for _ in 0..40 {
             tracer.root("request", Timestamp(1)).finish();
         }
-        rec.observe_spans(&mut rec.lock(), &tracer, 1);
+        rec.observe_spans(&mut rec.state.lock(), &tracer, 1);
         assert_eq!(rec.occupancy(), 8, "the retained window, all roots");
         for _ in 0..3 {
             tracer.root("request", Timestamp(2)).finish();
         }
-        rec.observe_spans(&mut rec.lock(), &tracer, 2);
+        rec.observe_spans(&mut rec.state.lock(), &tracer, 2);
         assert_eq!(rec.occupancy(), 11, "three finished since");
     }
 

@@ -1,9 +1,11 @@
 //! The background sampler: one thread that ticks the plane.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+use parking_lot::{Condvar, Mutex};
 
 use crate::plane::OpsPlane;
 
@@ -37,14 +39,23 @@ impl Sampler {
             .spawn(move || loop {
                 plane.tick();
                 thread_shared.ticks.fetch_add(1, Ordering::Relaxed);
-                let stop = thread_shared
-                    .stop
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                let (stop, _) = thread_shared
-                    .wake
-                    .wait_timeout(stop, interval)
-                    .unwrap_or_else(PoisonError::into_inner);
+                // An interval too long to represent has no deadline.
+                let deadline = Instant::now().checked_add(interval);
+                let mut stop = thread_shared.stop.lock();
+                // A wake-up that neither set `stop` nor reached the
+                // deadline is spurious: the tick waits out its interval.
+                while !*stop {
+                    let timed_out = match deadline {
+                        Some(at) => thread_shared.wake.wait_until(&mut stop, at).timed_out(),
+                        None => {
+                            thread_shared.wake.wait(&mut stop);
+                            false
+                        }
+                    };
+                    if timed_out {
+                        break;
+                    }
+                }
                 if *stop {
                     return;
                 }
@@ -64,11 +75,7 @@ impl Sampler {
 
 impl Drop for Sampler {
     fn drop(&mut self) {
-        *self
-            .shared
-            .stop
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = true;
+        *self.shared.stop.lock() = true;
         self.shared.wake.notify_all();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
@@ -107,5 +114,31 @@ mod tests {
         // still alive, the plane would have a second owner.
         drop(sampler);
         assert_eq!(Arc::strong_count(&rig.plane), 1);
+    }
+
+    /// A wake-up that did not set `stop` is not a tick: the interval
+    /// is a floor. (Waiting with one `wait_timeout` ticked at once.)
+    #[test]
+    fn a_wake_up_without_stop_does_not_tick_early() {
+        let rig = rig("sampler-wake");
+        let sampler = Sampler::spawn(rig.plane.clone(), Duration::from_secs(3_600));
+        let started = Instant::now();
+        while sampler.ticks() == 0 {
+            assert!(
+                started.elapsed() < Duration::from_secs(5),
+                "sampler stalled"
+            );
+            std::thread::yield_now();
+        }
+        // Taking `stop` orders each notify after the thread's own
+        // acquisition, so the notifies land on a parked thread, not
+        // before it waits.
+        let notified = Instant::now();
+        while notified.elapsed() < Duration::from_millis(50) {
+            drop(sampler.shared.stop.lock());
+            sampler.shared.wake.notify_all();
+            std::thread::yield_now();
+        }
+        assert_eq!(sampler.ticks(), 1, "ticked an hour early");
     }
 }

@@ -1,5 +1,5 @@
-//! The ops exposition server: a zero-dependency HTTP/1.0 endpoint on
-//! `std::net::TcpListener`.
+//! The ops exposition server: an HTTP/1.0 endpoint on
+//! `std::net::TcpListener`, std and the lock shim alone.
 //!
 //! Deliberately minimal: one accept thread feeding a small fixed pool
 //! of handler threads over a bounded channel, a bounded request read
@@ -20,11 +20,12 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use css_trace::render_chrome_trace;
+use parking_lot::Mutex;
 
 use crate::bundle::exemplars_json;
 use crate::plane::OpsPlane;
@@ -149,10 +150,7 @@ fn accept_loop(listener: &TcpListener, tx: &SyncSender<TcpStream>, stop: &Atomic
 
 fn worker_loop(rx: &Arc<Mutex<Receiver<TcpStream>>>, plane: &OpsPlane) {
     loop {
-        let stream = {
-            let rx = rx.lock().unwrap_or_else(PoisonError::into_inner);
-            rx.recv()
-        };
+        let stream = rx.lock().recv();
         match stream {
             Ok(stream) => handle_connection(stream, plane),
             Err(_) => return, // channel closed: shutting down

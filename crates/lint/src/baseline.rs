@@ -20,8 +20,9 @@
 use std::fs;
 use std::path::Path;
 
+use css_telemetry::JsonBuf;
+
 use crate::engine::Report;
-use crate::json::escape;
 use crate::json::{parse_json, Json};
 
 /// One allowed waiver: the rule and the file it is waived in.
@@ -146,15 +147,22 @@ pub fn check(report: &Report, baseline: &Baseline) -> Vec<String> {
 /// its reason, and one that shrank loses it. With no previous baseline
 /// there is nothing to rise from and no reason is asked for.
 pub fn render(report: &Report, previous: Option<&Baseline>) -> String {
+    // One compact object per line, so a review diff shows one crate.
+    fn row(fill: impl FnOnce(&mut JsonBuf)) -> String {
+        let mut j = JsonBuf::new();
+        j.begin_object();
+        fill(&mut j);
+        j.end_object();
+        format!("    {}", j.finish())
+    }
     let mut entries: Vec<String> = report
         .waived
         .iter()
         .map(|f| {
-            format!(
-                "    {{\"rule\":\"{}\",\"file\":\"{}\"}}",
-                escape(f.rule),
-                escape(&f.file)
-            )
+            row(|j| {
+                j.key("rule").string(f.rule);
+                j.key("file").string(&f.file);
+            })
         })
         .collect();
     entries.sort();
@@ -174,15 +182,14 @@ pub fn render(report: &Report, previous: Option<&Baseline>) -> String {
                 }
                 Some(Some(_)) => None,
             };
-            format!(
-                "    {{\"crate\":\"{}\",\"prod_lines\":{},\"pub_items\":{}{}}}",
-                escape(&s.crate_name),
-                s.prod_lines,
-                s.pub_items,
-                reason
-                    .map(|r| format!(",\"reason\":\"{}\"", escape(&r)))
-                    .unwrap_or_default()
-            )
+            row(|j| {
+                j.key("crate").string(&s.crate_name);
+                j.key("prod_lines").u64(s.prod_lines as u64);
+                j.key("pub_items").u64(s.pub_items as u64);
+                if let Some(reason) = &reason {
+                    j.key("reason").string(reason);
+                }
+            })
         })
         .collect();
     format!(
@@ -262,10 +269,10 @@ mod tests {
     #[test]
     fn subset_passes_and_new_waiver_fails() {
         let baseline = waivers(vec![
-            entry("no-panic-hot-path", "a.rs"),
+            entry("dom-free-read-path", "a.rs"),
             entry("layering", "b.rs"),
         ]);
-        let ok = report_with(vec![waived("no-panic-hot-path", "a.rs")]);
+        let ok = report_with(vec![waived("dom-free-read-path", "a.rs")]);
         assert!(check(&ok, &baseline).is_empty());
         let bad = report_with(vec![waived("identity-taint", "c.rs")]);
         let violations = check(&bad, &baseline);
@@ -275,10 +282,10 @@ mod tests {
 
     #[test]
     fn multiset_semantics_need_one_entry_per_waiver() {
-        let baseline = waivers(vec![entry("no-panic-hot-path", "a.rs")]);
+        let baseline = waivers(vec![entry("dom-free-read-path", "a.rs")]);
         let two = report_with(vec![
-            waived("no-panic-hot-path", "a.rs"),
-            waived("no-panic-hot-path", "a.rs"),
+            waived("dom-free-read-path", "a.rs"),
+            waived("dom-free-read-path", "a.rs"),
         ]);
         assert_eq!(check(&two, &baseline).len(), 1);
     }
@@ -286,12 +293,14 @@ mod tests {
     #[test]
     fn render_round_trips_through_load() {
         let report = report_with(vec![
-            waived("no-panic-hot-path", "a.rs"),
+            waived("dom-free-read-path", "a.rs"),
             waived("audit-before-release", "b.rs"),
         ]);
         let loaded = reparse(&render(&report, None));
         assert_eq!(loaded.waivers.len(), 2);
-        assert!(loaded.waivers.contains(&entry("no-panic-hot-path", "a.rs")));
+        assert!(loaded
+            .waivers
+            .contains(&entry("dom-free-read-path", "a.rs")));
         assert!(check(&report, &loaded).is_empty());
     }
 

@@ -29,7 +29,7 @@ impl fmt::Display for Severity {
 /// One rule violation at one source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id, e.g. `permit-provenance`.
+    /// Rule id, e.g. `identity-taint`.
     pub rule: &'static str,
     pub severity: Severity,
     /// Workspace crate the finding is in (empty for workspace-level
@@ -71,16 +71,16 @@ mod tests {
     #[test]
     fn display_includes_rule_location_and_waiver() {
         let mut finding = Finding {
-            rule: "no-panic-hot-path",
+            rule: "dom-free-read-path",
             severity: Severity::Error,
             crate_name: "css-bus".into(),
             file: "crates/bus/src/broker.rs".into(),
             line: 42,
-            message: "`.unwrap()` in non-test code".into(),
+            message: "`css_xml::parse` in production code".into(),
             waive_reason: None,
         };
         let text = finding.to_string();
-        assert!(text.starts_with("error: [no-panic-hot-path]"));
+        assert!(text.starts_with("error: [dom-free-read-path]"));
         assert!(text.contains("broker.rs:42"));
         finding.waive_reason = Some("checked above".into());
         assert!(finding.to_string().contains("waived: checked above"));

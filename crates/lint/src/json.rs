@@ -1,8 +1,9 @@
-//! Hand-rolled JSON: rendering for `--format json` (schema version 2)
-//! and the minimal value parser the baseline ratchet and the schema
-//! tests read it back with. The crate is zero-dependency; the parser
-//! takes exactly the JSON this crate writes: objects, arrays, strings
-//! with the escapes [`escape`] emits, integers, booleans and null.
+//! JSON: `--format json` (schema version 2), written with the
+//! workspace's one JSON writer ([`css_telemetry::JsonBuf`]), and the
+//! minimal value parser the baseline ratchet and the schema tests read
+//! it back with. The parser takes exactly the JSON this workspace
+//! writes: objects, arrays, strings with the escapes `JsonBuf` emits,
+//! integers, booleans and null.
 //!
 //! Shape:
 //! ```json
@@ -23,79 +24,64 @@
 //! byte-identical). `files_reused` is part of the v2 shape and always 0:
 //! every run parses every file.
 
+use css_telemetry::JsonBuf;
+
 use crate::diag::Finding;
 use crate::engine::Report;
 use crate::rules::all_rules;
 
-/// Escape a string for a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+fn findings_json(j: &mut JsonBuf, key: &str, findings: &[Finding]) {
+    j.key(key).begin_array();
+    for f in findings {
+        j.begin_object();
+        j.key("rule").string(f.rule);
+        j.key("severity").string(f.severity.as_str());
+        j.key("crate").string(&f.crate_name);
+        j.key("file").string(&f.file);
+        j.key("line").u64(u64::from(f.line));
+        j.key("message").string(&f.message);
+        if let Some(reason) = &f.waive_reason {
+            j.key("reason").string(reason);
         }
+        j.end_object();
     }
-    out
-}
-
-fn finding_json(f: &Finding) -> String {
-    let mut s = format!(
-        "{{\"rule\":\"{}\",\"severity\":\"{}\",\"crate\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\"",
-        escape(f.rule),
-        f.severity.as_str(),
-        escape(&f.crate_name),
-        escape(&f.file),
-        f.line,
-        escape(&f.message),
-    );
-    if let Some(reason) = &f.waive_reason {
-        s.push_str(&format!(",\"reason\":\"{}\"", escape(reason)));
-    }
-    s.push('}');
-    s
+    j.end_array();
 }
 
 /// Render the full report as JSON.
 pub fn render_json(report: &Report) -> String {
-    let rules: Vec<String> = all_rules()
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"id\":\"{}\",\"severity\":\"{}\",\"description\":\"{}\"}}",
-                escape(r.id()),
-                r.severity().as_str(),
-                escape(r.description())
-            )
-        })
-        .collect();
-    let findings: Vec<String> = report.findings.iter().map(finding_json).collect();
-    let waived: Vec<String> = report.waived.iter().map(finding_json).collect();
-    let timing = match &report.timing {
-        Some(t) => format!(
-            ",\"timing\":{{\"wall_ms\":{},\"files_reused\":{},\"files_parsed\":{}}}",
-            t.wall_ms, t.files_reused, t.files_parsed
-        ),
-        None => String::new(),
-    };
-    format!(
-        "{{\"version\":2,\"root\":\"{}\",\"rules\":[{}],\"findings\":[{}],\"waived\":[{}],\
-         \"summary\":{{\"errors\":{},\"warnings\":{},\"waived\":{},\"files_scanned\":{}}}{}}}\n",
-        escape(&report.root),
-        rules.join(","),
-        findings.join(","),
-        waived.join(","),
-        report.errors(),
-        report.warnings(),
-        report.waived.len(),
-        report.files_scanned,
-        timing,
-    )
+    let mut j = JsonBuf::new();
+    j.begin_object();
+    j.key("version").u64(2);
+    j.key("root").string(&report.root);
+    j.key("rules").begin_array();
+    for r in all_rules() {
+        j.begin_object();
+        j.key("id").string(r.id());
+        j.key("severity").string(r.severity().as_str());
+        j.key("description").string(r.description());
+        j.end_object();
+    }
+    j.end_array();
+    findings_json(&mut j, "findings", &report.findings);
+    findings_json(&mut j, "waived", &report.waived);
+    j.key("summary").begin_object();
+    j.key("errors").u64(report.errors() as u64);
+    j.key("warnings").u64(report.warnings() as u64);
+    j.key("waived").u64(report.waived.len() as u64);
+    j.key("files_scanned").u64(report.files_scanned as u64);
+    j.end_object();
+    if let Some(t) = &report.timing {
+        j.key("timing").begin_object();
+        j.key("wall_ms").u64(t.wall_ms);
+        j.key("files_reused").u64(t.files_reused as u64);
+        j.key("files_parsed").u64(t.files_parsed as u64);
+        j.end_object();
+    }
+    j.end_object();
+    let mut out = j.finish();
+    out.push('\n');
+    out
 }
 
 /// A parsed JSON value. Numbers keep their raw text so 64-bit counts
@@ -264,12 +250,6 @@ impl Cursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escapes_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn json_round_trips_values() {

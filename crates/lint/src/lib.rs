@@ -6,20 +6,24 @@
 //! messages stay behind the producer's gateway until an authorized
 //! request arrives, release decisions are deny-by-default (Definitions
 //! 3–4), and every release is traceable for the Privacy Requirements
-//! Analysis. This crate turns those review-time conventions into named,
-//! gating rules over the whole workspace:
+//! Analysis. Every such invariant has exactly one enforcer, the
+//! strongest that can express it. Three are held by the toolchain:
+//! `Decision::Permit` is `#[non_exhaustive]` (rustc refuses a permit
+//! built outside css-policy), `SpanAttr`'s fields and value type are
+//! private (rustc refuses a free-form span attribute outside
+//! css-trace), and the request-path crates deny clippy's
+//! `unwrap_used` / `expect_used` / `panic` / `unreachable` outside
+//! tests. What needs a dataflow, a call graph or the manifest graph is
+//! held here, as named, gating rules over the whole workspace:
 //!
 //! | rule                   | invariant                                            |
 //! |------------------------|------------------------------------------------------|
 //! | `detail-confinement`   | detail-payload types unnameable in controller/bus/registry |
-//! | `permit-provenance`    | `Decision::Permit` constructed only inside css-policy |
 //! | `audit-before-release` | releases append an audit record, directly or via a same-crate callee |
 //! | `identity-taint`       | identity-derived values never flow into bus/health/telemetry sinks |
-//! | `no-panic-hot-path`    | no unwrap/expect/panic in the enforcement path       |
 //! | `lock-across-io`       | no lock guard held across unrelated storage writes   |
 //! | `shard-lock-order`     | shard locks nest only in ascending index order       |
 //! | `unchecked-backpressure` | pending-queue filings handle `CssError::Backpressure` |
-//! | `trace-hygiene`        | span attributes only via the closed `SpanAttr` constructors |
 //! | `dom-free-read-path`   | at-rest records decoded from `Reader` tokens, never via `css_xml::parse` |
 //! | `layering`             | crate dependencies point strictly down the stack     |
 //!
@@ -28,7 +32,8 @@
 //! the cross-file call graph), and per-workspace (manifests). Every run
 //! parses every file (a quarter of a second on this workspace).
 //!
-//! No external dependencies: a hand-rolled token scanner (comment-,
+//! One dependency, css-telemetry's `JsonBuf` (the workspace's JSON
+//! writer); the rest is a hand-rolled token scanner (comment-,
 //! string- and raw-string-aware) plus a minimal Cargo manifest reader
 //! and JSON value parser. Findings can be suppressed inline with
 //! `// css-lint: allow(<rule>): <reason>` — the reason is mandatory and

@@ -31,14 +31,11 @@ pub trait Rule {
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(DetailConfinement),
-        Box::new(PermitProvenance),
         Box::new(AuditBeforeRelease),
         Box::new(IdentityTaint),
-        Box::new(NoPanicHotPath),
         Box::new(LockAcrossIo),
         Box::new(ShardLockOrder),
         Box::new(UncheckedBackpressure),
-        Box::new(TraceHygiene),
         Box::new(DomFreeReadPath),
         Box::new(Layering),
     ]
@@ -118,93 +115,7 @@ impl Rule for DetailConfinement {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 2: permit-provenance
-// ---------------------------------------------------------------------------
-
-/// Definitions 3–4 make release decisions deny-by-default: a permit
-/// exists only if an installed policy produced it. Constructing
-/// `Decision::Permit { .. }` anywhere but `css-policy` would mint
-/// permits without policy provenance, so elsewhere the variant may only
-/// be pattern-matched.
-pub struct PermitProvenance;
-
-impl Rule for PermitProvenance {
-    fn id(&self) -> &'static str {
-        "permit-provenance"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn description(&self) -> &'static str {
-        "`Decision::Permit { .. }` may be constructed only inside css-policy"
-    }
-    fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {
-        if file.crate_name == "css-policy" {
-            return;
-        }
-        let toks = &file.tokens;
-        for i in 0..toks.len() {
-            if !file.is_prod(i) {
-                continue;
-            }
-            let is_path = toks[i].is_ident("Decision")
-                && file.puncts(i + 1, "::")
-                && toks.get(i + 3).is_some_and(|t| t.is_ident("Permit"));
-            if !is_path {
-                continue;
-            }
-            let Some(open) = toks.get(i + 4).filter(|t| t.is_punct('{')).map(|_| i + 4) else {
-                continue; // bare path (e.g. a `use` import): not a struct expr
-            };
-            let close = matching_brace(toks, open);
-            if is_permit_pattern(file, open, close) {
-                continue;
-            }
-            out.push(finding(
-                self.id(),
-                self.severity(),
-                file,
-                i,
-                format!(
-                    "`Decision::Permit {{ .. }}` constructed outside css-policy (in `{}`): \
-                     permits must originate from the PDP so deny-by-default \
-                     (Defs. 3-4) cannot be bypassed",
-                    file.crate_name
-                ),
-            ));
-        }
-    }
-}
-
-/// Classify `Decision::Permit { <open>..<close> }` as a pattern (match
-/// arm, `if let`/`let else` binding, or `..` rest pattern) rather than a
-/// struct expression.
-fn is_permit_pattern(file: &SourceFile, _open: usize, close: usize) -> bool {
-    let toks = &file.tokens;
-    // A `..` rest pattern directly before the closing brace. A struct
-    // *expression* can also contain `..base` (functional update), but
-    // there the `..` is followed by the base expression, not `}`.
-    if close >= 2 && file.puncts(close - 2, "..") {
-        return true;
-    }
-    // `=>`: a match arm. `=` (not `==`): an `if let` / `let` binding.
-    if file.puncts(close + 1, "=>") {
-        return true;
-    }
-    if toks.get(close + 1).is_some_and(|t| t.is_punct('='))
-        && !toks.get(close + 2).is_some_and(|t| t.is_punct('='))
-    {
-        return true;
-    }
-    // A match guard: `Decision::Permit { x } if cond =>`.
-    if toks.get(close + 1).is_some_and(|t| t.is_ident("if")) {
-        return true;
-    }
-    false
-}
-
-// ---------------------------------------------------------------------------
-// Rule 3: audit-before-release
+// Rule 2: audit-before-release
 // ---------------------------------------------------------------------------
 
 /// The Privacy Requirements Analysis requires every release to be
@@ -267,7 +178,7 @@ impl Rule for AuditBeforeRelease {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 4: identity-taint
+// Rule 3: identity-taint
 // ---------------------------------------------------------------------------
 
 /// Detail confinement bans the *types*; this bans the *values*: an
@@ -296,92 +207,7 @@ impl Rule for IdentityTaint {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 5: no-panic-hot-path
-// ---------------------------------------------------------------------------
-
-/// A panic in the enforcement or storage path takes down the platform
-/// mid-request; at millions of users that is an availability incident.
-/// Non-test code in the hot crates must use `CssResult` error paths.
-pub struct NoPanicHotPath;
-
-/// Crates forming the request hot path.
-const HOT_CRATES: &[&str] = &[
-    "css-policy",
-    "css-controller",
-    "css-storage",
-    "css-bus",
-    "css-gateway",
-];
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
-impl Rule for NoPanicHotPath {
-    fn id(&self) -> &'static str {
-        "no-panic-hot-path"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn description(&self) -> &'static str {
-        "no unwrap()/expect()/panic! in policy/controller/storage/bus/gateway non-test code"
-    }
-    fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {
-        if !HOT_CRATES.contains(&file.crate_name.as_str()) {
-            return;
-        }
-        let toks = &file.tokens;
-        for i in 0..toks.len() {
-            if !file.is_prod(i) {
-                continue;
-            }
-            // `.unwrap()` — exactly, so `unwrap_or(..)` stays allowed.
-            if toks[i].is_punct('.')
-                && toks.get(i + 1).is_some_and(|t| t.is_ident("unwrap"))
-                && file.puncts(i + 2, "()")
-            {
-                out.push(finding(
-                    self.id(),
-                    self.severity(),
-                    file,
-                    i + 1,
-                    "`.unwrap()` in hot-path non-test code: return a `CssResult` error instead"
-                        .into(),
-                ));
-            }
-            // `.expect(` — method-call form only.
-            if toks[i].is_punct('.')
-                && toks.get(i + 1).is_some_and(|t| t.is_ident("expect"))
-                && toks.get(i + 2).is_some_and(|t| t.is_punct('('))
-            {
-                out.push(finding(
-                    self.id(),
-                    self.severity(),
-                    file,
-                    i + 1,
-                    "`.expect(..)` in hot-path non-test code: return a `CssResult` error instead"
-                        .into(),
-                ));
-            }
-            // panic-family macros: `panic!`, `unreachable!`, ...
-            if toks.get(i + 1).is_some_and(|t| t.is_punct('!'))
-                && PANIC_MACROS.iter().any(|m| toks[i].is_ident(m))
-            {
-                out.push(finding(
-                    self.id(),
-                    self.severity(),
-                    file,
-                    i,
-                    format!(
-                        "`{}!` in hot-path non-test code: restructure to make the state unrepresentable or return an error",
-                        toks[i].text
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 6: lock-across-io
+// Rule 4: lock-across-io
 // ---------------------------------------------------------------------------
 
 /// Holding a `parking_lot` guard across a storage-backend write stalls
@@ -555,7 +381,7 @@ fn chain_root(file: &SourceFile, dot: usize) -> Option<String> {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 7: shard-lock-order
+// Rule 5: shard-lock-order
 // ---------------------------------------------------------------------------
 
 /// The sharded data plane (PR 7) is deadlock-free because every
@@ -582,7 +408,7 @@ impl Rule for ShardLockOrder {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 8: unchecked-backpressure
+// Rule 6: unchecked-backpressure
 // ---------------------------------------------------------------------------
 
 /// The pending-access queue is bounded (PR 7): `PendingQueue::file` and
@@ -642,88 +468,7 @@ impl Rule for UncheckedBackpressure {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 9: trace-hygiene
-// ---------------------------------------------------------------------------
-
-/// Spans travel to exporters and dashboards, so their attributes must
-/// stay privacy-safe by construction: outside `css-trace` itself, span
-/// attributes may only be minted through the closed `SpanAttr`
-/// constructor set (opaque ids, enum codes, flags — never free-form
-/// strings that could smuggle a name, fiscal code, or decrypted field
-/// into a trace), and the raw `AttrValue` payload type must not be
-/// named at all.
-pub struct TraceHygiene;
-
-/// The closed constructor set of `SpanAttr`.
-const SPAN_ATTR_CONSTRUCTORS: &[&str] = &[
-    "event",
-    "event_type",
-    "actor",
-    "purpose",
-    "decision",
-    "stage",
-    "cache_hit",
-];
-
-impl Rule for TraceHygiene {
-    fn id(&self) -> &'static str {
-        "trace-hygiene"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn description(&self) -> &'static str {
-        "span attributes only via the closed `SpanAttr` constructors; `AttrValue` stays inside css-trace"
-    }
-    fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {
-        if file.crate_name == "css-trace" {
-            return;
-        }
-        let toks = &file.tokens;
-        for (i, tok) in toks.iter().enumerate() {
-            if !file.is_prod(i) {
-                continue;
-            }
-            if tok.is_ident("AttrValue") {
-                out.push(finding(
-                    self.id(),
-                    self.severity(),
-                    file,
-                    i,
-                    format!(
-                        "raw span payload type `AttrValue` named in `{}`: span \
-                         attributes must go through the closed `SpanAttr` \
-                         constructors so identifying values stay \
-                         unrepresentable in traces",
-                        file.crate_name
-                    ),
-                ));
-                continue;
-            }
-            if tok.is_ident("SpanAttr") && file.puncts(i + 1, "::") {
-                if let Some(name) = file.ident(i + 3) {
-                    if !SPAN_ATTR_CONSTRUCTORS.contains(&name) {
-                        out.push(finding(
-                            self.id(),
-                            self.severity(),
-                            file,
-                            i,
-                            format!(
-                                "`SpanAttr::{name}` is outside the closed constructor \
-                                 set ({}): traces may carry only opaque ids, enum \
-                                 codes and flags",
-                                SPAN_ATTR_CONSTRUCTORS.join(", ")
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 10: dom-free-read-path
+// Rule 7: dom-free-read-path
 // ---------------------------------------------------------------------------
 
 /// The at-rest logs are decoded from the token stream
@@ -790,7 +535,7 @@ impl Rule for DomFreeReadPath {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 11: layering
+// Rule 8: layering
 // ---------------------------------------------------------------------------
 
 /// The crate DAG is the privacy architecture: types at the bottom,

@@ -110,15 +110,16 @@ mod tests {
 
     #[test]
     fn parses_well_formed_waiver() {
-        let (ws, bad) =
-            waivers_of("// css-lint: allow(no-panic-hot-path): length checked above\nx.unwrap();");
+        let (ws, bad) = waivers_of(
+            "// css-lint: allow(dom-free-read-path): length checked above\ncss_xml::parse(x);",
+        );
         assert!(bad.is_empty());
         assert_eq!(ws.len(), 1);
-        assert_eq!(ws[0].rule, "no-panic-hot-path");
+        assert_eq!(ws[0].rule, "dom-free-read-path");
         assert_eq!(ws[0].reason, "length checked above");
-        assert!(ws[0].covers("no-panic-hot-path", 2));
-        assert!(ws[0].covers("no-panic-hot-path", 1));
-        assert!(!ws[0].covers("no-panic-hot-path", 3));
+        assert!(ws[0].covers("dom-free-read-path", 2));
+        assert!(ws[0].covers("dom-free-read-path", 1));
+        assert!(!ws[0].covers("dom-free-read-path", 3));
         assert!(!ws[0].covers("layering", 2));
     }
 
@@ -148,7 +149,7 @@ mod tests {
     #[test]
     fn waiver_moves_reason_into_finding() {
         let finding = Finding {
-            rule: "no-panic-hot-path",
+            rule: "dom-free-read-path",
             severity: Severity::Error,
             crate_name: "c".into(),
             file: "f.rs".into(),
@@ -156,7 +157,8 @@ mod tests {
             message: "m".into(),
             waive_reason: None,
         };
-        let (ws, _) = waivers_of("// css-lint: allow(no-panic-hot-path): fine here\nx.unwrap();");
+        let (ws, _) =
+            waivers_of("// css-lint: allow(dom-free-read-path): fine here\ncss_xml::parse(x);");
         let out = apply_waivers(vec![finding], &ws);
         assert_eq!(out[0].waive_reason.as_deref(), Some("fine here"));
     }

@@ -11,7 +11,7 @@ fn sample_report() -> Report {
     Report {
         root: "/tmp/ws".into(),
         findings: vec![Finding {
-            rule: "no-panic-hot-path",
+            rule: "dom-free-read-path",
             severity: Severity::Error,
             crate_name: "css-storage".into(),
             file: "crates/storage/src/kv.rs".into(),
@@ -47,18 +47,15 @@ fn json_has_versioned_envelope_and_summary() {
 }
 
 #[test]
-fn json_lists_all_eleven_rules_with_severities() {
+fn json_lists_all_eight_rules_with_severities() {
     let json = render_json(&Report::default());
     for rule in [
         "detail-confinement",
-        "permit-provenance",
         "audit-before-release",
         "identity-taint",
-        "no-panic-hot-path",
         "lock-across-io",
         "shard-lock-order",
         "unchecked-backpressure",
-        "trace-hygiene",
         "dom-free-read-path",
         "layering",
     ] {
@@ -67,6 +64,7 @@ fn json_lists_all_eleven_rules_with_severities() {
             "missing {rule}"
         );
     }
+    assert_eq!(json.matches("\"id\":").count(), 8);
     assert!(json.contains("\"id\":\"lock-across-io\",\"severity\":\"warn\""));
     assert!(json.contains("\"id\":\"unchecked-backpressure\",\"severity\":\"warn\""));
     assert!(json.contains("\"id\":\"identity-taint\",\"severity\":\"error\""));
@@ -119,4 +117,73 @@ fn timing_is_absent_by_default_and_rendered_when_set() {
     let json = render_json(&report);
     assert!(json.contains("\"timing\":{\"wall_ms\":123,\"files_reused\":0,\"files_parsed\":42}"));
     assert!(parse_json(&json).is_some());
+}
+
+/// The eight rule entries as the `escape` + `format!` writer this crate
+/// had before `JsonBuf` rendered them (PR 22's binary, run on this
+/// report; its three retired rules' entries taken out).
+const RULES_BY_THE_OLD_WRITER: [&str; 8] = [
+    r#"{"id":"detail-confinement","severity":"error","description":"detail-payload types must not appear in controller/bus/registry/health non-test code"}"#,
+    r#"{"id":"audit-before-release","severity":"error","description":"functions releasing notification identities (decrypt, the one-visit detail lookup, a subject's profile) or gateway details must append an audit record (directly or via a same-crate callee)"}"#,
+    r#"{"id":"identity-taint","severity":"error","description":"identity-derived values (fields, decrypted notifications, the one-visit detail lookup) must not reach span attrs, metric names, bus publishes, or ops responses"}"#,
+    r#"{"id":"lock-across-io","severity":"warn","description":"a held lock guard should not span a storage write on an unrelated path"}"#,
+    r#"{"id":"shard-lock-order","severity":"error","description":"a held shard guard must not acquire another shard's lock except in ascending index order"}"#,
+    r#"{"id":"unchecked-backpressure","severity":"warn","description":"pending-queue filings must handle or propagate `CssError::Backpressure`"}"#,
+    r#"{"id":"dom-free-read-path","severity":"error","description":"gateway/audit/controller/storage production code decodes stored records from `css_xml::Reader` tokens, never via `css_xml::parse`"}"#,
+    r#"{"id":"layering","severity":"error","description":"crate dependencies must point strictly down the layer stack; compat shims depend on nothing"}"#,
+];
+
+/// `JsonBuf` writes what the `format!` writer wrote, byte for byte:
+/// every escape class (quote, backslash, `\n` `\r` `\t`, a `\u00XX`
+/// control, non-ASCII passed through), a waived finding with a reason,
+/// the timing object — and, for an empty report, empty arrays.
+#[test]
+fn json_is_byte_identical_to_the_format_writer() {
+    let rules = RULES_BY_THE_OLD_WRITER.join(",");
+    let report = Report {
+        root: "/tmp/w \"s\"\\x".into(),
+        findings: vec![Finding {
+            rule: "dom-free-read-path",
+            severity: Severity::Error,
+            crate_name: "css-storage".into(),
+            file: "crates/storage/src/kv.rs".into(),
+            line: 42,
+            message: "tab\there, \"quotes\", back\\slash,\nnewline, \r return, \u{1} control, caf\u{e9} \u{2192}"
+                .into(),
+            waive_reason: None,
+        }],
+        waived: vec![Finding {
+            rule: "audit-before-release",
+            severity: Severity::Warn,
+            crate_name: "css-gateway".into(),
+            file: "crates/gateway/src/gateway.rs".into(),
+            line: 0,
+            message: "release without audit".into(),
+            waive_reason: Some("demo \"path\"\nonly".into()),
+        }],
+        files_scanned: 2,
+        sizes: Vec::new(),
+        timing: Some(Timing {
+            wall_ms: 123,
+            files_reused: 0,
+            files_parsed: 42,
+        }),
+    };
+    let expected = [
+        r#"{"version":2,"root":"/tmp/w \"s\"\\x","rules":["#,
+        &rules,
+        r#"],"findings":[{"rule":"dom-free-read-path","severity":"error","crate":"css-storage","file":"crates/storage/src/kv.rs","line":42,"message":"tab\there, \"quotes\", back\\slash,\nnewline, \r return, \u0001 control, café →"}],"waived":[{"rule":"audit-before-release","severity":"warn","crate":"css-gateway","file":"crates/gateway/src/gateway.rs","line":0,"message":"release without audit","reason":"demo \"path\"\nonly"}],"summary":{"errors":1,"warnings":0,"waived":1,"files_scanned":2},"timing":{"wall_ms":123,"files_reused":0,"files_parsed":42}}"#,
+        "\n",
+    ]
+    .concat();
+    assert_eq!(render_json(&report), expected);
+
+    let expected_empty = [
+        r#"{"version":2,"root":"","rules":["#,
+        &rules,
+        r#"],"findings":[],"waived":[],"summary":{"errors":0,"warnings":0,"waived":0,"files_scanned":0}}"#,
+        "\n",
+    ]
+    .concat();
+    assert_eq!(render_json(&Report::default()), expected_empty);
 }

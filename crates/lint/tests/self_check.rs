@@ -5,6 +5,7 @@
 
 use std::path::Path;
 
+use css_lint::rules::all_rules;
 use css_lint::{lint_workspace, render_text};
 
 #[test]
@@ -33,4 +34,26 @@ fn live_workspace_has_no_lint_errors() {
             "waived finding without reason: {f:?}"
         );
     }
+}
+
+/// The rules css-lint holds — the ones that need a dataflow, a call
+/// graph or the manifest graph. An invariant rustc or clippy can
+/// express is held there instead (DESIGN §9 says which, and by what
+/// proof), so a rule joining or leaving this list is a decision.
+#[test]
+fn the_eight_rules_by_name() {
+    let ids: Vec<_> = all_rules().iter().map(|r| r.id()).collect();
+    assert_eq!(
+        ids,
+        [
+            "detail-confinement",
+            "audit-before-release",
+            "identity-taint",
+            "lock-across-io",
+            "shard-lock-order",
+            "unchecked-backpressure",
+            "dom-free-read-path",
+            "layering",
+        ]
+    );
 }

@@ -22,6 +22,11 @@
 //! "certificated repository of the privacy policies" held by the data
 //! controller.
 
+// The no-panic floor of the request path (production code returns
+// `CssResult`), held by clippy under scripts/check.sh: DESIGN §9.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+
 pub mod cache;
 pub mod decision;
 pub mod matching;

@@ -610,13 +610,14 @@ mod cache_tests {
 
     #[test]
     fn generation_bump_is_visible_to_concurrent_readers() {
+        use parking_lot::RwLock;
         use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::{Arc, RwLock};
+        use std::sync::Arc;
 
         // Readers evaluate through a shared lock while the writer
         // revokes; after the revocation no reader may observe a permit.
         let pdp = Arc::new(RwLock::new(PolicyDecisionPoint::new()));
-        pdp.write().unwrap().install(policy(1));
+        pdp.write().install(policy(1));
         let actors = Arc::new(registry());
         let revoked = Arc::new(AtomicBool::new(false));
 
@@ -628,10 +629,7 @@ mod cache_tests {
                 std::thread::spawn(move || {
                     for _ in 0..2000 {
                         let seen_revoked = revoked.load(Ordering::SeqCst);
-                        let d = pdp
-                            .read()
-                            .unwrap()
-                            .evaluate(&request(), &actors, Timestamp(0));
+                        let d = pdp.read().evaluate(&request(), &actors, Timestamp(0));
                         // If the revocation happened-before this read,
                         // a cached permit would be a correctness bug.
                         if seen_revoked {
@@ -643,7 +641,7 @@ mod cache_tests {
             .collect();
 
         std::thread::sleep(std::time::Duration::from_millis(2));
-        pdp.write().unwrap().revoke(PolicyId(1));
+        pdp.write().revoke(PolicyId(1));
         revoked.store(true, Ordering::SeqCst);
 
         for r in readers {
@@ -651,7 +649,6 @@ mod cache_tests {
         }
         assert!(!pdp
             .read()
-            .unwrap()
             .evaluate(&request(), &actors, Timestamp(0))
             .is_permit());
     }

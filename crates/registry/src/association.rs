@@ -3,18 +3,18 @@
 /// A directed, typed link between two registry objects, e.g.
 /// `event:blood-test@v2 --supersedes--> event:blood-test@v1`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Association {
+pub(crate) struct Association {
     /// Source object id.
-    pub source: String,
+    pub(crate) source: String,
     /// Target object id.
-    pub target: String,
+    pub(crate) target: String,
     /// Association type (e.g. `"supersedes"`, `"produced-by"`).
-    pub assoc_type: String,
+    pub(crate) assoc_type: String,
 }
 
 impl Association {
     /// Construct an association.
-    pub fn new(
+    pub(crate) fn new(
         source: impl Into<String>,
         target: impl Into<String>,
         assoc_type: impl Into<String>,

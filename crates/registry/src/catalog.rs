@@ -28,8 +28,8 @@ use crate::registry::Registry;
 pub struct EventCatalog {
     registry: Registry,
     /// The schema each registry object was built from. An object's
-    /// content never changes once submitted (`registry()` hands out
-    /// `&Registry` only), so the two cannot drift apart.
+    /// content never changes once submitted (the registry is private
+    /// to the catalog), so the two cannot drift apart.
     schemas: HashMap<EventTypeId, EventSchema>,
 }
 
@@ -144,11 +144,6 @@ impl EventCatalog {
             .collect()
     }
 
-    /// Direct access to the underlying registry (inquiries, audits).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
     /// Number of declared classes.
     pub fn len(&self) -> usize {
         self.registry.len()
@@ -233,13 +228,15 @@ mod tests {
         cat.declare(&blood_test(2), None).unwrap();
         let old_id = "urn:css:event:blood-test@v1";
         assert_eq!(
-            cat.registry().get(old_id).unwrap().status,
+            cat.registry.get(old_id).unwrap().status,
             ObjectStatus::Deprecated
         );
         let links: Vec<_> = cat
-            .registry()
-            .associations_to(old_id)
-            .map(|a| a.assoc_type.clone())
+            .registry
+            .associations
+            .iter()
+            .filter(|a| a.target == old_id)
+            .map(|a| a.assoc_type.as_str())
             .collect();
         assert_eq!(links, vec!["supersedes"]);
         // Both versions remain fetchable.
@@ -250,7 +247,7 @@ mod tests {
     /// What the catalog answered when it parsed the registry object's
     /// content on every call.
     fn from_registry_content(cat: &EventCatalog, ty: &EventTypeId) -> EventSchema {
-        let object = cat.registry().get(&EventCatalog::object_id(ty)).unwrap();
+        let object = cat.registry.get(&EventCatalog::object_id(ty)).unwrap();
         let doc = css_xml::parse(object.content.as_deref().unwrap()).unwrap();
         EventSchema::from_xml(&doc).unwrap()
     }

@@ -9,17 +9,17 @@ use std::collections::BTreeSet;
 /// A named taxonomy. Nodes are identified by `/`-separated paths from
 /// the scheme root, e.g. `"health/laboratory"`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClassificationScheme {
+pub(crate) struct ClassificationScheme {
     /// Scheme identifier (e.g. `"care-domain"`).
-    pub id: String,
+    pub(crate) id: String,
     /// Human-readable name.
-    pub name: String,
+    pub(crate) name: String,
     nodes: BTreeSet<String>,
 }
 
 impl ClassificationScheme {
     /// An empty scheme.
-    pub fn new(id: impl Into<String>, name: impl Into<String>) -> Self {
+    pub(crate) fn new(id: impl Into<String>, name: impl Into<String>) -> Self {
         ClassificationScheme {
             id: id.into(),
             name: name.into(),
@@ -29,7 +29,7 @@ impl ClassificationScheme {
 
     /// Add a node path. Intermediate nodes are created implicitly, so
     /// adding `"health/laboratory"` also creates `"health"`.
-    pub fn add_node(&mut self, path: &str) {
+    pub(crate) fn add_node(&mut self, path: &str) {
         let mut prefix = String::new();
         for seg in path.split('/').filter(|s| !s.is_empty()) {
             if !prefix.is_empty() {
@@ -41,43 +41,22 @@ impl ClassificationScheme {
     }
 
     /// Builder form of [`add_node`](Self::add_node).
-    pub fn with_node(mut self, path: &str) -> Self {
+    pub(crate) fn with_node(mut self, path: &str) -> Self {
         self.add_node(path);
         self
     }
 
     /// Whether the exact node exists.
-    pub fn has_node(&self, path: &str) -> bool {
+    pub(crate) fn has_node(&self, path: &str) -> bool {
         self.nodes.contains(path)
     }
 
     /// Whether `node` equals `ancestor` or sits below it.
-    pub fn is_under(node: &str, ancestor: &str) -> bool {
+    pub(crate) fn is_under(node: &str, ancestor: &str) -> bool {
         node == ancestor
             || node
                 .strip_prefix(ancestor)
                 .is_some_and(|rest| rest.starts_with('/'))
-    }
-
-    /// All node paths, sorted.
-    pub fn nodes(&self) -> impl Iterator<Item = &str> {
-        self.nodes.iter().map(String::as_str)
-    }
-
-    /// Direct children of a node (or of the root for `""`).
-    pub fn children(&self, path: &str) -> Vec<&str> {
-        self.nodes
-            .iter()
-            .filter(|n| {
-                let rel = if path.is_empty() {
-                    Some(n.as_str())
-                } else {
-                    n.strip_prefix(path).and_then(|r| r.strip_prefix('/'))
-                };
-                rel.is_some_and(|r| !r.is_empty() && !r.contains('/'))
-            })
-            .map(String::as_str)
-            .collect()
     }
 }
 
@@ -113,17 +92,6 @@ mod tests {
             "health",
             "health/laboratory"
         ));
-    }
-
-    #[test]
-    fn children_listing() {
-        let s = scheme();
-        assert_eq!(s.children(""), vec!["health", "social"]);
-        assert_eq!(
-            s.children("health"),
-            vec!["health/laboratory", "health/radiology"]
-        );
-        assert!(s.children("health/laboratory").is_empty());
     }
 
     #[test]

@@ -3,12 +3,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use css_types::{CssError, CssResult};
-use css_xml::Element;
-
 /// Lifecycle status of a registry object (ebXML registry semantics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ObjectStatus {
+pub(crate) enum ObjectStatus {
     /// Submitted but not yet approved for general use.
     #[default]
     Submitted,
@@ -32,26 +29,24 @@ impl fmt::Display for ObjectStatus {
 /// A registry object: identified metadata with named slots and an
 /// optional repository content blob (e.g. an event schema document).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegistryObject {
+pub(crate) struct RegistryObject {
     /// Registry-unique identifier.
-    pub id: String,
+    pub(crate) id: String,
     /// Object type discriminator (e.g. `"EventSchema"`).
-    pub object_type: String,
+    pub(crate) object_type: String,
     /// Human-readable name.
-    pub name: String,
-    /// Free-form description.
-    pub description: String,
+    pub(crate) name: String,
     /// Extensible metadata slots.
-    pub slots: BTreeMap<String, String>,
+    pub(crate) slots: BTreeMap<String, String>,
     /// Lifecycle status.
-    pub status: ObjectStatus,
+    pub(crate) status: ObjectStatus,
     /// Repository item content (XML text), if any.
-    pub content: Option<String>,
+    pub(crate) content: Option<String>,
 }
 
 impl RegistryObject {
     /// A new submitted object with no slots or content.
-    pub fn new(
+    pub(crate) fn new(
         id: impl Into<String>,
         object_type: impl Into<String>,
         name: impl Into<String>,
@@ -60,7 +55,6 @@ impl RegistryObject {
             id: id.into(),
             object_type: object_type.into(),
             name: name.into(),
-            description: String::new(),
             slots: BTreeMap::new(),
             status: ObjectStatus::Submitted,
             content: None,
@@ -68,98 +62,26 @@ impl RegistryObject {
     }
 
     /// Builder: set a slot.
-    pub fn slot(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
+    pub(crate) fn slot(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
         self.slots.insert(key.into(), value.into());
         self
     }
 
-    /// Builder: set the description.
-    pub fn describe(mut self, text: impl Into<String>) -> Self {
-        self.description = text.into();
-        self
-    }
-
     /// Builder: attach repository content.
-    pub fn with_content(mut self, content: impl Into<String>) -> Self {
+    pub(crate) fn with_content(mut self, content: impl Into<String>) -> Self {
         self.content = Some(content.into());
         self
     }
 
     /// Builder: set the status.
-    pub fn with_status(mut self, status: ObjectStatus) -> Self {
+    pub(crate) fn with_status(mut self, status: ObjectStatus) -> Self {
         self.status = status;
         self
     }
 
     /// Value of a slot.
-    pub fn get_slot(&self, key: &str) -> Option<&str> {
+    pub(crate) fn get_slot(&self, key: &str) -> Option<&str> {
         self.slots.get(key).map(String::as_str)
-    }
-
-    /// Serialize to the ebXML-flavoured interchange form (the shape a
-    /// `getRegistryObject` response carries).
-    pub fn to_xml(&self) -> Element {
-        let mut e = Element::new("RegistryObject")
-            .attr("id", self.id.clone())
-            .attr("objectType", self.object_type.clone())
-            .attr("status", self.status.to_string())
-            .child(Element::leaf("Name", self.name.clone()));
-        if !self.description.is_empty() {
-            e = e.child(Element::leaf("Description", self.description.clone()));
-        }
-        for (k, v) in &self.slots {
-            e = e.child(
-                Element::new("Slot")
-                    .attr("name", k.clone())
-                    .child(Element::leaf("Value", v.clone())),
-            );
-        }
-        if let Some(content) = &self.content {
-            // Repository content travels as CDATA-safe text.
-            e = e.child(Element::leaf("RepositoryItem", content.clone()));
-        }
-        e
-    }
-
-    /// Parse from the interchange form.
-    pub fn from_xml(e: &Element) -> CssResult<Self> {
-        let bad = |msg: String| CssError::Serialization(format!("RegistryObject: {msg}"));
-        if e.name != "RegistryObject" {
-            return Err(bad(format!("wrong root <{}>", e.name)));
-        }
-        let status = match e.attribute("status") {
-            Some("submitted") | None => ObjectStatus::Submitted,
-            Some("approved") => ObjectStatus::Approved,
-            Some("deprecated") => ObjectStatus::Deprecated,
-            Some(other) => return Err(bad(format!("unknown status {other:?}"))),
-        };
-        let mut slots = BTreeMap::new();
-        for slot in e.find_all("Slot") {
-            let name = slot
-                .attribute("name")
-                .ok_or_else(|| bad("Slot without name".into()))?;
-            let value = slot
-                .child_text("Value")
-                .ok_or_else(|| bad(format!("Slot {name:?} without Value")))?;
-            slots.insert(name.to_string(), value);
-        }
-        Ok(RegistryObject {
-            id: e
-                .attribute("id")
-                .ok_or_else(|| bad("missing id".into()))?
-                .to_string(),
-            object_type: e
-                .attribute("objectType")
-                .ok_or_else(|| bad("missing objectType".into()))?
-                .to_string(),
-            name: e
-                .child_text("Name")
-                .ok_or_else(|| bad("missing <Name>".into()))?,
-            description: e.child_text("Description").unwrap_or_default(),
-            slots,
-            status,
-            content: e.child_text("RepositoryItem"),
-        })
     }
 }
 
@@ -172,47 +94,12 @@ mod tests {
         let o = RegistryObject::new("urn:css:event:blood-test", "EventSchema", "Blood Test")
             .slot("producer", "act-00000001")
             .slot("version", "1")
-            .describe("laboratory blood test")
             .with_content("<EventSchema/>")
             .with_status(ObjectStatus::Approved);
         assert_eq!(o.get_slot("version"), Some("1"));
         assert_eq!(o.get_slot("missing"), None);
         assert_eq!(o.status, ObjectStatus::Approved);
         assert_eq!(o.content.as_deref(), Some("<EventSchema/>"));
-    }
-
-    #[test]
-    fn xml_roundtrip() {
-        let o = RegistryObject::new("urn:css:event:blood-test@v1", "EventSchema", "Blood Test")
-            .slot("producer", "act-00000001")
-            .slot("version", "1")
-            .describe("laboratory blood test")
-            .with_content("<EventSchema id=\"x\"/>")
-            .with_status(ObjectStatus::Deprecated);
-        let text = css_xml::to_string_pretty(&o.to_xml());
-        let back = RegistryObject::from_xml(&css_xml::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, o);
-    }
-
-    #[test]
-    fn xml_roundtrip_minimal() {
-        let o = RegistryObject::new("id", "Type", "Name");
-        assert_eq!(RegistryObject::from_xml(&o.to_xml()).unwrap(), o);
-    }
-
-    #[test]
-    fn from_xml_rejects_malformed() {
-        assert!(RegistryObject::from_xml(&Element::new("Wrong")).is_err());
-        let no_name = Element::new("RegistryObject")
-            .attr("id", "x")
-            .attr("objectType", "T");
-        assert!(RegistryObject::from_xml(&no_name).is_err());
-        let bad_status = Element::new("RegistryObject")
-            .attr("id", "x")
-            .attr("objectType", "T")
-            .attr("status", "vaporized")
-            .child(Element::leaf("Name", "n"));
-        assert!(RegistryObject::from_xml(&bad_status).is_err());
     }
 
     #[test]

@@ -1,26 +1,18 @@
 //! The filter query language (the ebXML "filter query" subset).
 
-use crate::object::{ObjectStatus, RegistryObject};
+use crate::object::RegistryObject;
 
 /// A composable predicate over registry objects.
 ///
-/// Classification predicates are evaluated by the [`crate::Registry`],
+/// Classification predicates are evaluated by the registry,
 /// which holds the object→node mapping; the other predicates are pure
 /// functions of the object.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Filter {
-    /// Matches everything.
-    All,
+pub(crate) enum Filter {
     /// Object type equals the given string.
     ByType(String),
-    /// Case-insensitive substring match on the name.
-    NameLike(String),
     /// Slot `key` exists and equals `value`.
     SlotEq(String, String),
-    /// Slot `key` exists (any value).
-    HasSlot(String),
-    /// Lifecycle status equals.
-    ByStatus(ObjectStatus),
     /// Object is classified under the given scheme node (or below it).
     ClassifiedUnder {
         /// Classification scheme id.
@@ -30,47 +22,26 @@ pub enum Filter {
     },
     /// Both sub-filters match.
     And(Box<Filter>, Box<Filter>),
-    /// Either sub-filter matches.
-    Or(Box<Filter>, Box<Filter>),
-    /// The sub-filter does not match.
-    Not(Box<Filter>),
 }
 
 impl Filter {
     /// `self AND other`.
-    pub fn and(self, other: Filter) -> Filter {
+    pub(crate) fn and(self, other: Filter) -> Filter {
         Filter::And(Box::new(self), Box::new(other))
-    }
-
-    /// `self OR other`.
-    pub fn or(self, other: Filter) -> Filter {
-        Filter::Or(Box::new(self), Box::new(other))
-    }
-
-    /// `NOT self`.
-    #[allow(clippy::should_implement_trait)]
-    pub fn not(self) -> Filter {
-        Filter::Not(Box::new(self))
     }
 
     /// Evaluate the object-local part of the filter.
     /// `classified` answers the `ClassifiedUnder` predicate.
-    pub fn matches(
+    pub(crate) fn matches(
         &self,
         object: &RegistryObject,
         classified: &dyn Fn(&str, &str, &str) -> bool,
     ) -> bool {
         match self {
-            Filter::All => true,
             Filter::ByType(t) => &object.object_type == t,
-            Filter::NameLike(pat) => object.name.to_lowercase().contains(&pat.to_lowercase()),
             Filter::SlotEq(k, v) => object.get_slot(k) == Some(v.as_str()),
-            Filter::HasSlot(k) => object.get_slot(k).is_some(),
-            Filter::ByStatus(s) => object.status == *s,
             Filter::ClassifiedUnder { scheme, node } => classified(&object.id, scheme, node),
             Filter::And(a, b) => a.matches(object, classified) && b.matches(object, classified),
-            Filter::Or(a, b) => a.matches(object, classified) || b.matches(object, classified),
-            Filter::Not(f) => !f.matches(object, classified),
         }
     }
 }
@@ -80,9 +51,7 @@ mod tests {
     use super::*;
 
     fn obj() -> RegistryObject {
-        RegistryObject::new("id-1", "EventSchema", "Blood Test")
-            .slot("producer", "act-00000001")
-            .with_status(ObjectStatus::Approved)
+        RegistryObject::new("id-1", "EventSchema", "Blood Test").slot("producer", "act-00000001")
     }
 
     fn no_class(_: &str, _: &str, _: &str) -> bool {
@@ -92,25 +61,22 @@ mod tests {
     #[test]
     fn leaf_predicates() {
         let o = obj();
-        assert!(Filter::All.matches(&o, &no_class));
         assert!(Filter::ByType("EventSchema".into()).matches(&o, &no_class));
         assert!(!Filter::ByType("Other".into()).matches(&o, &no_class));
-        assert!(Filter::NameLike("blood".into()).matches(&o, &no_class));
-        assert!(!Filter::NameLike("urine".into()).matches(&o, &no_class));
         assert!(Filter::SlotEq("producer".into(), "act-00000001".into()).matches(&o, &no_class));
-        assert!(Filter::HasSlot("producer".into()).matches(&o, &no_class));
-        assert!(!Filter::HasSlot("version".into()).matches(&o, &no_class));
-        assert!(Filter::ByStatus(ObjectStatus::Approved).matches(&o, &no_class));
+        assert!(!Filter::SlotEq("producer".into(), "act-00000002".into()).matches(&o, &no_class));
+        assert!(!Filter::SlotEq("version".into(), "1".into()).matches(&o, &no_class));
     }
 
     #[test]
-    fn boolean_composition() {
+    fn conjunction() {
         let o = obj();
-        let f = Filter::ByType("EventSchema".into())
-            .and(Filter::NameLike("blood".into()))
-            .or(Filter::ByType("Nope".into()));
-        assert!(f.matches(&o, &no_class));
-        assert!(!f.clone().not().matches(&o, &no_class));
+        let producer = Filter::SlotEq("producer".into(), "act-00000001".into());
+        let both = Filter::ByType("EventSchema".into()).and(producer.clone());
+        assert!(both.matches(&o, &no_class));
+        assert!(!Filter::ByType("Nope".into())
+            .and(producer)
+            .matches(&o, &no_class));
     }
 
     #[test]

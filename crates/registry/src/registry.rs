@@ -12,24 +12,24 @@ use crate::query::Filter;
 
 /// In-memory ebXML-style registry.
 #[derive(Debug, Default)]
-pub struct Registry {
+pub(crate) struct Registry {
     objects: HashMap<String, RegistryObject>,
     schemes: HashMap<String, ClassificationScheme>,
     /// object id → set of (scheme id, node path)
     classifications: HashMap<String, BTreeSet<(String, String)>>,
-    associations: Vec<Association>,
+    pub(crate) associations: Vec<Association>,
 }
 
 impl Registry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     // ---- objects ---------------------------------------------------
 
     /// Submit a new object. Fails on duplicate id.
-    pub fn submit(&mut self, object: RegistryObject) -> CssResult<()> {
+    pub(crate) fn submit(&mut self, object: RegistryObject) -> CssResult<()> {
         if self.objects.contains_key(&object.id) {
             return Err(CssError::AlreadyExists(format!(
                 "registry object {} already submitted",
@@ -40,25 +40,13 @@ impl Registry {
         Ok(())
     }
 
-    /// Replace an existing object (same id).
-    pub fn update(&mut self, object: RegistryObject) -> CssResult<()> {
-        if !self.objects.contains_key(&object.id) {
-            return Err(CssError::NotFound(format!(
-                "registry object {} not found",
-                object.id
-            )));
-        }
-        self.objects.insert(object.id.clone(), object);
-        Ok(())
-    }
-
     /// Fetch an object by id.
-    pub fn get(&self, id: &str) -> Option<&RegistryObject> {
+    pub(crate) fn get(&self, id: &str) -> Option<&RegistryObject> {
         self.objects.get(id)
     }
 
     /// Change the lifecycle status of an object.
-    pub fn set_status(&mut self, id: &str, status: ObjectStatus) -> CssResult<()> {
+    pub(crate) fn set_status(&mut self, id: &str, status: ObjectStatus) -> CssResult<()> {
         match self.objects.get_mut(id) {
             Some(o) => {
                 o.status = status;
@@ -70,42 +58,30 @@ impl Registry {
         }
     }
 
-    /// Remove an object and its classifications/associations.
-    pub fn remove(&mut self, id: &str) -> CssResult<RegistryObject> {
-        let obj = self
-            .objects
-            .remove(id)
-            .ok_or_else(|| CssError::NotFound(format!("registry object {id} not found")))?;
-        self.classifications.remove(id);
-        self.associations
-            .retain(|a| a.source != id && a.target != id);
-        Ok(obj)
-    }
-
     /// Number of stored objects.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.objects.len()
     }
 
     /// Whether the registry holds no objects.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.objects.is_empty()
     }
 
     // ---- classification ---------------------------------------------
 
     /// Install (or replace) a classification scheme.
-    pub fn install_scheme(&mut self, scheme: ClassificationScheme) {
+    pub(crate) fn install_scheme(&mut self, scheme: ClassificationScheme) {
         self.schemes.insert(scheme.id.clone(), scheme);
     }
 
-    /// Look up a scheme.
-    pub fn scheme(&self, id: &str) -> Option<&ClassificationScheme> {
-        self.schemes.get(id)
-    }
-
     /// Classify an object under a scheme node. Both must exist.
-    pub fn classify(&mut self, object_id: &str, scheme_id: &str, node: &str) -> CssResult<()> {
+    pub(crate) fn classify(
+        &mut self,
+        object_id: &str,
+        scheme_id: &str,
+        node: &str,
+    ) -> CssResult<()> {
         if !self.objects.contains_key(object_id) {
             return Err(CssError::NotFound(format!(
                 "registry object {object_id} not found"
@@ -128,7 +104,7 @@ impl Registry {
     }
 
     /// Whether `object_id` is classified at or below `node` in `scheme`.
-    pub fn is_classified_under(&self, object_id: &str, scheme_id: &str, node: &str) -> bool {
+    pub(crate) fn is_classified_under(&self, object_id: &str, scheme_id: &str, node: &str) -> bool {
         self.classifications
             .get(object_id)
             .map(|set| {
@@ -141,7 +117,7 @@ impl Registry {
     // ---- associations ------------------------------------------------
 
     /// Associate two existing objects.
-    pub fn associate(&mut self, assoc: Association) -> CssResult<()> {
+    pub(crate) fn associate(&mut self, assoc: Association) -> CssResult<()> {
         for id in [&assoc.source, &assoc.target] {
             if !self.objects.contains_key(id) {
                 return Err(CssError::NotFound(format!(
@@ -153,20 +129,10 @@ impl Registry {
         Ok(())
     }
 
-    /// Associations whose source is `id`.
-    pub fn associations_from<'a>(&'a self, id: &'a str) -> impl Iterator<Item = &'a Association> {
-        self.associations.iter().filter(move |a| a.source == id)
-    }
-
-    /// Associations whose target is `id`.
-    pub fn associations_to<'a>(&'a self, id: &'a str) -> impl Iterator<Item = &'a Association> {
-        self.associations.iter().filter(move |a| a.target == id)
-    }
-
     // ---- queries -----------------------------------------------------
 
     /// All objects matching a filter, sorted by id for determinism.
-    pub fn query(&self, filter: &Filter) -> Vec<&RegistryObject> {
+    pub(crate) fn query(&self, filter: &Filter) -> Vec<&RegistryObject> {
         let classified =
             |id: &str, scheme: &str, node: &str| self.is_classified_under(id, scheme, node);
         let mut out: Vec<&RegistryObject> = self
@@ -229,17 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn update_requires_existence() {
-        let mut reg = setup();
-        assert!(reg
-            .update(RegistryObject::new("nope", "EventSchema", "X"))
-            .is_err());
-        let renamed = RegistryObject::new("evt:blood-test@v1", "EventSchema", "Blood Test v2");
-        reg.update(renamed).unwrap();
-        assert_eq!(reg.get("evt:blood-test@v1").unwrap().name, "Blood Test v2");
-    }
-
-    #[test]
     fn classification_queries() {
         let reg = setup();
         let health = reg.query(&Filter::ClassifiedUnder {
@@ -248,17 +203,6 @@ mod tests {
         });
         assert_eq!(health.len(), 1);
         assert_eq!(health[0].id, "evt:blood-test@v1");
-        let all_classified = reg.query(
-            &Filter::ClassifiedUnder {
-                scheme: "care-domain".into(),
-                node: "health".into(),
-            }
-            .or(Filter::ClassifiedUnder {
-                scheme: "care-domain".into(),
-                node: "social".into(),
-            }),
-        );
-        assert_eq!(all_classified.len(), 2);
     }
 
     #[test]
@@ -272,17 +216,19 @@ mod tests {
     }
 
     #[test]
-    fn slot_and_name_queries() {
+    fn slot_and_type_queries() {
         let reg = setup();
         let by_producer = reg.query(&Filter::SlotEq("producer".into(), "act-00000002".into()));
         assert_eq!(by_producer.len(), 1);
-        let by_name = reg.query(&Filter::NameLike("care".into()));
-        assert_eq!(by_name.len(), 1);
-        assert_eq!(reg.query(&Filter::All).len(), 2);
+        assert_eq!(by_producer[0].id, "evt:home-care@v1");
+        // Sorted by id, whatever the map's order.
+        let all = reg.query(&Filter::ByType("EventSchema".into()));
+        assert_eq!(all.len(), 2);
+        assert_eq!(all[0].id, "evt:blood-test@v1");
     }
 
     #[test]
-    fn associations_lifecycle() {
+    fn associate_needs_both_endpoints() {
         let mut reg = setup();
         reg.associate(Association::new(
             "evt:home-care@v1",
@@ -290,22 +236,13 @@ mod tests {
             "relates-to",
         ))
         .unwrap();
-        assert_eq!(reg.associations_from("evt:home-care@v1").count(), 1);
-        assert_eq!(reg.associations_to("evt:blood-test@v1").count(), 1);
         assert!(reg
             .associate(Association::new("missing", "evt:blood-test@v1", "x"))
             .is_err());
-        // Removing an endpoint removes the association.
-        reg.remove("evt:blood-test@v1").unwrap();
-        assert_eq!(reg.associations_from("evt:home-care@v1").count(), 0);
-    }
-
-    #[test]
-    fn remove_cleans_classifications() {
-        let mut reg = setup();
-        reg.remove("evt:blood-test@v1").unwrap();
-        assert!(!reg.is_classified_under("evt:blood-test@v1", "care-domain", "health"));
-        assert!(reg.remove("evt:blood-test@v1").is_err());
+        assert!(reg
+            .associate(Association::new("evt:blood-test@v1", "missing", "x"))
+            .is_err());
+        assert_eq!(reg.associations.len(), 1);
     }
 
     #[test]
@@ -313,8 +250,9 @@ mod tests {
         let mut reg = setup();
         reg.set_status("evt:blood-test@v1", ObjectStatus::Approved)
             .unwrap();
-        let approved = reg.query(&Filter::ByStatus(ObjectStatus::Approved));
-        assert_eq!(approved.len(), 1);
+        let status = |id| reg.get(id).unwrap().status;
+        assert_eq!(status("evt:blood-test@v1"), ObjectStatus::Approved);
+        assert_eq!(status("evt:home-care@v1"), ObjectStatus::Submitted);
         assert!(reg.set_status("missing", ObjectStatus::Approved).is_err());
     }
 }

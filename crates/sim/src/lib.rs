@@ -19,18 +19,13 @@
 //!   process the paper's monitoring targets;
 //! - [`baseline`]: the two comparators used by experiments E1 and E8 —
 //!   **point-to-point document exchange** (the pre-CSS world of Fig. 1)
-//!   and **full-push pub/sub** (no two-phase privacy layer);
-//! - [`workers`]: competing-consumer worker fleets — one organization's
-//!   N workers splitting a notification stream through the bus's
-//!   delivery groups, with transient failures handed to peers
-//!   (experiment E18).
+//!   and **full-push pub/sub** (no two-phase privacy layer).
 
 pub mod baseline;
 pub mod generator;
 pub mod metrics;
 pub mod pathway;
 pub mod scenario;
-pub mod workers;
 
 pub use baseline::{
     full_push_exposure, over_constrained_exposure, point_to_point_exposure, two_phase_exposure,
@@ -39,4 +34,3 @@ pub use generator::{run_workload, synth_details, WorkloadConfig, WorkloadReport}
 pub use metrics::ExposureReport;
 pub use pathway::{run_pathway, PathwayReport};
 pub use scenario::{Orgs, Scenario, ScenarioConfig};
-pub use workers::{run_worker_fleet, WorkerFleetConfig, WorkerFleetReport};

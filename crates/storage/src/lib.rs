@@ -17,6 +17,11 @@
 //! This is the persistence layer under the gateway's detail store, the
 //! policy repository, and the audit log.
 
+// The no-panic floor of the request path (production code returns
+// `CssResult`), held by clippy under scripts/check.sh: DESIGN §9.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+
 pub mod backend;
 pub mod crc;
 pub mod instrument;

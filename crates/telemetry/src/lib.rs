@@ -1,4 +1,4 @@
-//! Zero-dependency telemetry for the CSS platform.
+//! Telemetry for the CSS platform, on std and the lock shim.
 //!
 //! Hot paths — broker publish/deliver, Algorithm 1 stages in the
 //! policy enforcement point, gateway persistence, storage appends —

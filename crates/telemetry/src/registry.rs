@@ -3,7 +3,9 @@
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::Arc;
+
+use parking_lot::RwLock;
 
 /// A shared, named collection of instruments.
 ///
@@ -13,12 +15,18 @@ use std::sync::{Arc, PoisonError, RwLock};
 /// handles once (get-or-create) and then record lock-free. A lookup
 /// that finds its name takes the read side and allocates nothing; only
 /// the first use of a name takes the write side and copies the name.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct MetricsRegistry {
     inner: Arc<Inner>,
 }
 
-#[derive(Debug, Default)]
+impl fmt::Debug for MetricsRegistry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.snapshot().fmt(f)
+    }
+}
+
+#[derive(Default)]
 struct Inner {
     counters: RwLock<BTreeMap<String, Counter>>,
     gauges: RwLock<BTreeMap<String, Gauge>>,
@@ -27,20 +35,15 @@ struct Inner {
 
 /// The handle registered under `name`, created on first use.
 ///
-/// The name-map locks recover from poisoning
-/// (`PoisonError::into_inner`): the maps hold only name → handle
-/// entries, and an insert that panicked mid-way leaves the map
-/// valid — so observability keeps working even after a panic
-/// elsewhere took a registry lock down with it.
+/// The name-map locks do not poison (the lock shim recovers them): the
+/// maps hold only name → handle entries, and an insert that panicked
+/// mid-way leaves the map valid — so observability keeps working even
+/// after a panic elsewhere took a registry lock down with it.
 fn get_or_create<T: Clone + Default>(map: &RwLock<BTreeMap<String, T>>, name: &str) -> T {
-    if let Some(handle) = map.read().unwrap_or_else(PoisonError::into_inner).get(name) {
+    if let Some(handle) = map.read().get(name) {
         return handle.clone();
     }
-    map.write()
-        .unwrap_or_else(PoisonError::into_inner)
-        .entry(name.to_string())
-        .or_default()
-        .clone()
+    map.write().entry(name.to_string()).or_default().clone()
 }
 
 impl MetricsRegistry {
@@ -70,7 +73,6 @@ impl MetricsRegistry {
             .inner
             .counters
             .read()
-            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(name, c)| (name.clone(), c.get()))
             .collect();
@@ -78,7 +80,6 @@ impl MetricsRegistry {
             .inner
             .gauges
             .read()
-            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(name, g)| (name.clone(), g.get()))
             .collect();
@@ -86,7 +87,6 @@ impl MetricsRegistry {
             .inner
             .histograms
             .read()
-            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(name, h)| (name.clone(), h.snapshot()))
             .collect();
@@ -273,14 +273,13 @@ mod tests {
         // held (a handle resolution is in flight when the panic hits).
         let clone = reg.clone();
         std::thread::spawn(move || {
-            let _counters = clone.inner.counters.write().unwrap();
-            let _gauges = clone.inner.gauges.write().unwrap();
-            let _histograms = clone.inner.histograms.write().unwrap();
+            let _counters = clone.inner.counters.write();
+            let _gauges = clone.inner.gauges.write();
+            let _histograms = clone.inner.histograms.write();
             panic!("poison the telemetry locks");
         })
         .join()
         .unwrap_err();
-        assert!(reg.inner.counters.read().is_err(), "lock must be poisoned");
 
         // Every operation still works.
         reg.counter("before.poison").inc();

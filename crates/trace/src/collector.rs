@@ -1,9 +1,9 @@
 //! Bounded drop-oldest span storage.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use css_telemetry::{Counter, MetricsRegistry};
+use parking_lot::Mutex;
 
 use crate::span::Span;
 
@@ -80,10 +80,7 @@ impl SpanCollector {
     pub fn record(&self, span: Span) {
         let claim = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(claim as usize) % self.slots.len()];
-        let mut cell = match slot.span.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut cell = slot.span.lock();
         if cell.replace(span).is_some() {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             if let Some(c) = &self.dropped_metric {
@@ -123,10 +120,7 @@ impl SpanCollector {
             if slot.seq.load(Ordering::Acquire) != claim + 1 {
                 continue;
             }
-            let cell = match slot.span.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let cell = slot.span.lock();
             // Re-check under the lock: a writer may have re-claimed the
             // slot between the seq check and the lock.
             if slot.seq.load(Ordering::Acquire) == claim + 1 {

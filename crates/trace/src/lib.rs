@@ -12,7 +12,8 @@
 //! (event id, event type, actor id, purpose code, decision, stage,
 //! cache hit). There is no constructor taking a free-form string, so
 //! decrypted identities or detail-payload fields are unrepresentable
-//! in a trace. The `trace-hygiene` css-lint rule keeps it that way.
+//! in a trace. rustc keeps it that way: `SpanAttr`'s fields and its
+//! value type are private (its `compile_fail` examples prove it).
 //!
 //! Identifiers are deterministic: a [`TraceId`] is seeded from the
 //! caller-supplied clock plus a process-local counter — no ambient

@@ -31,9 +31,9 @@ impl SpanStatus {
 }
 
 /// The value side of an attribute. Private on purpose: no code outside
-/// this crate can name it, so no constructor taking arbitrary data can
-/// be added without editing this file (which the `trace-hygiene` lint
-/// rule watches).
+/// this crate can name it (see the second example on [`SpanAttr`]), so
+/// no constructor taking arbitrary data can be added without editing
+/// this file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum AttrValue {
     /// A numeric platform identifier (actor, event).
@@ -52,7 +52,28 @@ enum AttrValue {
 /// every constructor takes a non-identifying platform type (ids, type
 /// codes, purposes, booleans, `&'static str` stage names), never a
 /// free-form runtime string. Decrypted person identities and detail
-/// payload fields are therefore unrepresentable in a trace.
+/// payload fields are therefore unrepresentable in a trace. The
+/// compiler holds both halves: the fields are private, so a struct
+/// literal outside this crate is refused,
+///
+/// ```compile_fail,E0451
+/// let smuggled = css_trace::SpanAttr { key: "fiscal_code", value: panic!() };
+/// ```
+///
+/// and so is the value type, so there is nothing to write one with:
+///
+/// ```compile_fail,E0603
+/// use css_trace::span::AttrValue;
+/// ```
+///
+/// (Stable rustdoc does not check the codes in the fences; that the
+/// first example fails on the literal and not on a name is pinned by
+/// the one that must compile.)
+///
+/// ```
+/// let attr = css_trace::SpanAttr::stage("pdp_evaluate");
+/// assert_eq!((attr.key(), attr.render_value().as_str()), ("stage", "pdp_evaluate"));
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanAttr {
     key: &'static str,

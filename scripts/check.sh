@@ -38,6 +38,9 @@ unsafe_allowlist() {
 
 step "cargo fmt --check" cargo fmt --all --check
 step "unsafe: only at the two allowlisted sites" unsafe_allowlist
+# clippy is where the no-panic floor of the request path lives: css-policy,
+# css-controller, css-storage, css-bus and css-gateway deny unwrap_used,
+# expect_used, panic and unreachable outside tests at their crate roots.
 step "cargo clippy (deny warnings)" cargo clippy --workspace --all-targets -- -D warnings
 step "css-lint: privacy-invariant pass (waiver budget + size ratchet vs lint-baseline.json)" scripts/lint.sh
 step "tier-1: release build" cargo build --release
