@@ -1,6 +1,6 @@
 //! The in-memory [`BusDriver`]: topics, delivery groups, queues, the
-//! acknowledgement protocol, publish dedup, visibility timeouts,
-//! bounded redelivery with backoff, and replay from a retained log.
+//! acknowledgement protocol, publish dedup, visibility timeouts and
+//! bounded redelivery.
 
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
@@ -20,12 +20,6 @@ use crate::subscription::{unknown_sub, DeadLetter, Delivery};
 
 /// Publish dedup keys remembered per topic before the oldest is forgotten.
 const DEDUP_WINDOW: usize = 4096;
-
-/// Cap on the redelivery backoff exponent (base × 2^10 at most).
-const MAX_BACKOFF_EXP: u32 = 10;
-
-/// Where a redelivery backoff too long to add to an `Instant` lands.
-const CENTURY: Duration = Duration::from_secs(100 * 365 * 24 * 3600);
 
 /// Telemetry handles for the broker hot paths (recording is
 /// lock-free). Always present: without a registry they are detached
@@ -68,34 +62,17 @@ impl BusInstruments {
     }
 }
 
-/// What to do when a group's queue is full at publish time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OverflowPolicy {
-    /// Fail the publish with a bus error (back-pressure to producers).
-    Reject,
-    /// Drop the oldest queued message to make room (monitoring-grade
-    /// delivery: newest data wins).
-    DropOldest,
-}
-
 /// Per-group configuration, fixed by the first member to attach.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SubscriptionConfig {
-    /// Maximum queued (undelivered) messages.
+    /// Maximum queued (undelivered) messages; a publish that finds a
+    /// group's queue this full is rejected for every group.
     pub capacity: usize,
     /// Delivery attempts before a message is dead-lettered.
     pub max_attempts: u32,
-    /// Overflow behaviour.
-    pub overflow: OverflowPolicy,
     /// How long a delivery may stay unacknowledged before it returns to
     /// the queue for another member. `None` = held until ack/nack.
     pub visibility_timeout: Option<Duration>,
-    /// Base delay before a nacked message becomes deliverable again,
-    /// doubling per failed attempt (capped). Zero = immediate.
-    pub redelivery_backoff: Duration,
-    /// Messages retained per group for [`SubscriberHandle::replay_from`].
-    /// Zero disables replay.
-    pub retain: usize,
 }
 
 impl Default for SubscriptionConfig {
@@ -103,10 +80,7 @@ impl Default for SubscriptionConfig {
         SubscriptionConfig {
             capacity: 1024,
             max_attempts: 3,
-            overflow: OverflowPolicy::Reject,
             visibility_timeout: None,
-            redelivery_backoff: Duration::ZERO,
-            retain: 0,
         }
     }
 }
@@ -118,12 +92,9 @@ struct Pending<M> {
     /// When queued this timestamps the enqueue; once in flight it is
     /// re-stamped at delivery, so ack latency measures from delivery.
     since: Instant,
-    /// Group-local offset assigned at first enqueue; stable across
-    /// redeliveries and replay.
+    /// Group-local offset assigned at enqueue; stable across
+    /// redeliveries.
     offset: u64,
-    /// Earliest instant the message may be delivered (redelivery
-    /// backoff). `None` = deliverable now.
-    not_before: Option<Instant>,
     /// The trace of the publish that enqueued this message, if traced.
     trace: Option<TraceId>,
     /// Routing context kept so redelivery hops can open `bus.redeliver`
@@ -143,13 +114,6 @@ struct InFlight<M> {
     expires: Option<Instant>,
 }
 
-/// A message kept for replay after retirement.
-struct Retained<M> {
-    offset: u64,
-    message: M,
-    trace: Option<TraceId>,
-}
-
 type GroupId = u64;
 
 /// One delivery group: a queue plus the members competing over it.
@@ -161,8 +125,6 @@ struct GroupState<M> {
     members: Vec<SubscriptionId>,
     queue: VecDeque<Pending<M>>,
     in_flight: HashMap<u64, InFlight<M>>,
-    /// Retained log for replay (bounded by `config.retain`).
-    log: VecDeque<Retained<M>>,
     next_offset: u64,
     stats: SubscriptionStats,
 }
@@ -234,8 +196,8 @@ fn member_group<M>(
 /// The broker moves `M` and clones it once per delivery group and once
 /// per delivery; it never looks inside. A caller whose message is
 /// large instantiates it over a pointer (`Broker<Arc<T>>`), and every
-/// queue entry, in-flight entry, retained or dead-lettered message and
-/// every [`Delivery`] is then that one allocation.
+/// queue entry, in-flight entry, dead-lettered message and every
+/// [`Delivery`] is then that one allocation.
 pub struct Broker<M: Clone + Send + 'static> {
     state: Mutex<State<M>>,
     arrivals: Condvar,
@@ -281,25 +243,17 @@ impl<M: Clone + Send + 'static> Broker<M> {
     }
 
     /// Requeue or dead-letter every expired in-flight delivery of one
-    /// group. Returns how many moved.
-    fn sweep_group(
-        &self,
-        shared: &mut Shared<M>,
-        group: &mut GroupState<M>,
-        now: Instant,
-    ) -> usize {
+    /// group.
+    fn sweep_group(&self, shared: &mut Shared<M>, group: &mut GroupState<M>, now: Instant) {
         // Only a visibility timeout gives a delivery an expiry.
         if group.config.visibility_timeout.is_none() {
-            return 0;
+            return;
         }
-        let expired = take_in_flight(group, |f| f.expires.is_some_and(|e| e <= now));
-        let moved = expired.len();
-        for f in expired {
+        for f in take_in_flight(group, |f| f.expires.is_some_and(|e| e <= now)) {
             group.stats.timed_out += 1;
             self.telemetry.inflight.dec();
-            self.retire_or_requeue(shared, group, f.holder, f.pending, None);
+            self.retire_or_requeue(shared, group, f.holder, f.pending);
         }
-        moved
     }
 
     /// A message leaving in-flight without an ack: back to the head of
@@ -311,7 +265,6 @@ impl<M: Clone + Send + 'static> Broker<M> {
         group: &mut GroupState<M>,
         holder: SubscriptionId,
         mut pending: Pending<M>,
-        not_before: Option<Instant>,
     ) {
         if pending.attempts >= group.config.max_attempts {
             group.stats.dead_lettered += 1;
@@ -325,14 +278,12 @@ impl<M: Clone + Send + 'static> Broker<M> {
             });
         } else {
             pending.deliver_span = redeliver_span(&pending);
-            pending.not_before = not_before;
             group.queue.push_front(pending);
             self.telemetry.queue_depth.inc();
         }
     }
 
-    /// Hand member `id` the first queued message that is past its
-    /// backoff, moving it in flight.
+    /// Hand member `id` the head of the queue, moving it in flight.
     fn take_next(
         &self,
         shared: &mut Shared<M>,
@@ -340,13 +291,7 @@ impl<M: Clone + Send + 'static> Broker<M> {
         id: SubscriptionId,
         now: Instant,
     ) -> Option<Delivery<M>> {
-        // Later entries may be ready while a freshly-nacked head still
-        // backs off.
-        let ready = group
-            .queue
-            .iter()
-            .position(|p| p.not_before.is_none_or(|t| t <= now))?;
-        let mut pending = group.queue.remove(ready)?;
+        let mut pending = group.queue.pop_front()?;
         pending.attempts += 1;
         let delivery_id = shared.next_delivery;
         shared.next_delivery += 1;
@@ -449,7 +394,6 @@ impl<M: Clone + Send + 'static> BusDriver<M> for Broker<M> {
             // Return the leaver's in-flight deliveries to the peers.
             for mut f in take_in_flight(group, |f| f.holder == id) {
                 f.pending.deliver_span = redeliver_span(&f.pending);
-                f.pending.not_before = None;
                 group.queue.push_front(f.pending);
                 t.inflight.dec();
                 t.queue_depth.inc();
@@ -486,14 +430,14 @@ impl<M: Clone + Send + 'static> BusDriver<M> for Broker<M> {
                 return Ok(PublishOutcome::DuplicateDropped);
             }
         }
-        // Pre-flight: with Reject overflow, check all queues first.
-        // (The topic list and the slab are kept in sync; a group that
-        // is in one and not the other is skipped, here and below.)
+        // Pre-flight: one full queue rejects the publish for every
+        // group, so check them all before any enqueue. (The topic list
+        // and the slab are kept in sync; a group that is in one and not
+        // the other is skipped, here and below.)
         let groups = &mut st.groups;
         let overflowing = topic_state.groups.iter().find_map(|&gid| {
             let g = groups.get(gid as usize)?.as_deref()?;
-            (g.config.overflow == OverflowPolicy::Reject && g.queue.len() >= g.config.capacity)
-                .then_some((gid, g.config.capacity))
+            (g.queue.len() >= g.config.capacity).then_some((gid, g.config.capacity))
         });
         if let Some((gid, capacity)) = overflowing {
             st.shared.stats.rejected += 1;
@@ -517,35 +461,17 @@ impl<M: Clone + Send + 'static> BusDriver<M> for Broker<M> {
         let route_ctx = route.context();
         let keep_ctx = route_ctx.trace_id().is_some();
         let mut fanout = 0usize;
-        let mut dropped = 0i64;
         for &gid in &topic_state.groups {
             let Some(g) = group_mut(groups, gid) else {
                 continue;
             };
-            if g.queue.len() >= g.config.capacity {
-                // Only reachable under DropOldest.
-                g.queue.pop_front();
-                g.stats.dropped += 1;
-                dropped += 1;
-            }
             let offset = g.next_offset;
             g.next_offset += 1;
-            if g.config.retain > 0 {
-                g.log.push_back(Retained {
-                    offset,
-                    message: message.clone(),
-                    trace: route_ctx.trace_id(),
-                });
-                while g.log.len() > g.config.retain {
-                    g.log.pop_front();
-                }
-            }
             g.queue.push_back(Pending {
                 message: message.clone(),
                 attempts: 0,
                 since: started,
                 offset,
-                not_before: None,
                 trace: route_ctx.trace_id(),
                 ctx: keep_ctx.then(|| route_ctx.clone()),
                 deliver_span: keep_ctx.then(|| route_ctx.child("bus.deliver")),
@@ -561,7 +487,7 @@ impl<M: Clone + Send + 'static> BusDriver<M> for Broker<M> {
         let t = &self.telemetry;
         t.published.inc();
         t.fanned_out.add(fanout as u64);
-        t.queue_depth.add(fanout as i64 - dropped);
+        t.queue_depth.add(fanout as i64);
         t.publish_latency.record_duration(started.elapsed());
         if parked {
             self.arrivals.notify_all();
@@ -583,12 +509,11 @@ impl<M: Clone + Send + 'static> BusDriver<M> for Broker<M> {
             if deadline.is_some_and(|d| now >= d) {
                 return Ok(None);
             }
-            // Whatever the group still holds lies ahead: park until a
-            // wake-up, the deadline, or the first backoff or visibility
-            // timeout to run out — whichever comes first.
-            let backoffs = group.queue.iter().filter_map(|p| p.not_before);
+            // The queue is empty: park until a wake-up, the deadline, or
+            // the first visibility timeout to run out — whichever comes
+            // first.
             let expiries = group.in_flight.values().filter_map(|f| f.expires);
-            let target = backoffs.chain(expiries).chain(deadline).min();
+            let target = expiries.chain(deadline).min();
             guard.parked += 1;
             match target {
                 Some(at) => drop(self.arrivals.wait_until(&mut guard, at)),
@@ -611,61 +536,14 @@ impl<M: Clone + Send + 'static> BusDriver<M> for Broker<M> {
     }
 
     fn nack(&self, id: SubscriptionId, delivery_id: u64) -> CssResult<()> {
-        let now = Instant::now();
         let mut st = self.state.lock();
         let (shared, group) = member_group(&mut st, id)?;
         let f = take_held(group, id, delivery_id)?;
         self.telemetry.inflight.dec();
-        let not_before = backoff_until(&group.config, f.pending.attempts, now);
-        self.retire_or_requeue(shared, group, id, f.pending, not_before);
+        self.retire_or_requeue(shared, group, id, f.pending);
         drop(st);
         self.arrivals.notify_all();
         Ok(())
-    }
-
-    fn replay_from(&self, id: SubscriptionId, offset: u64) -> CssResult<usize> {
-        let now = Instant::now();
-        let mut st = self.state.lock();
-        let (_, group) = member_group(&mut st, id)?;
-        if group.config.retain == 0 {
-            return Err(CssError::Bus(
-                "replay requires a subscription with retain > 0".into(),
-            ));
-        }
-        let mut replayed = 0usize;
-        for r in group.log.iter().filter(|r| r.offset >= offset) {
-            group.queue.push_back(Pending {
-                message: r.message.clone(),
-                attempts: 0,
-                since: now,
-                offset: r.offset,
-                not_before: None,
-                trace: r.trace,
-                ctx: None,
-                deliver_span: None,
-            });
-            replayed += 1;
-        }
-        group.stats.replayed += replayed as u64;
-        self.telemetry.queue_depth.add(replayed as i64);
-        drop(st);
-        self.arrivals.notify_all();
-        Ok(replayed)
-    }
-
-    fn sweep(&self) -> usize {
-        let now = Instant::now();
-        let mut guard = self.state.lock();
-        let st = &mut *guard;
-        let mut moved = 0usize;
-        for group in st.groups.iter_mut().flatten() {
-            moved += self.sweep_group(&mut st.shared, group, now);
-        }
-        drop(guard);
-        if moved > 0 {
-            self.arrivals.notify_all();
-        }
-        moved
     }
 
     fn snapshot(&self, member: Option<SubscriptionId>) -> BusSnapshot<M> {
@@ -741,18 +619,6 @@ fn redeliver_span<M>(pending: &Pending<M>) -> Option<SpanGuard> {
     pending.ctx.as_ref().map(|c| c.child("bus.redeliver"))
 }
 
-/// Exponential redelivery backoff: base × 2^(attempts-1), capped.
-fn backoff_until(config: &SubscriptionConfig, attempts: u32, now: Instant) -> Option<Instant> {
-    if config.redelivery_backoff.is_zero() {
-        return None;
-    }
-    let exp = attempts.saturating_sub(1).min(MAX_BACKOFF_EXP);
-    let backoff = config.redelivery_backoff.saturating_mul(1u32 << exp);
-    // `None` would mean "ready now": a backoff too long to represent
-    // holds the message back a century, which no poller outlives.
-    Some(now.checked_add(backoff).unwrap_or(now + CENTURY))
-}
-
 fn new_group<M>(
     st: &mut State<M>,
     topic: &str,
@@ -767,7 +633,6 @@ fn new_group<M>(
         members: Vec::new(),
         queue: VecDeque::new(),
         in_flight: HashMap::new(),
-        log: VecDeque::new(),
         next_offset: 0,
         stats: SubscriptionStats::default(),
     })));
@@ -907,22 +772,6 @@ mod tests {
         assert!(b.publish("blood-test", "m2".into(), None).is_err());
         assert_eq!(roomy.backlog().unwrap(), 1);
         assert_eq!(full.backlog().unwrap(), 1);
-    }
-
-    #[test]
-    fn drop_oldest_overflow_keeps_newest() {
-        let b = broker();
-        let cfg = SubscriptionConfig {
-            capacity: 2,
-            overflow: OverflowPolicy::DropOldest,
-            ..Default::default()
-        };
-        let s = b.subscribe("blood-test", cfg).unwrap();
-        for i in 0..4 {
-            b.publish("blood-test", format!("m{i}"), None).unwrap();
-        }
-        assert_eq!(s.drain().unwrap(), vec!["m2", "m3"]);
-        assert_eq!(s.stats().unwrap().dropped, 2);
     }
 
     #[test]
@@ -1232,8 +1081,9 @@ mod tests {
         };
         let (_a, c) = holder_of_six(&b, cfg);
         std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(b.sweep(), 6);
+        // The peer's first poll sweeps all six back before it takes one.
         assert_eq!(c.drain().unwrap(), ["m0", "m1", "m2", "m3", "m4", "m5"]);
+        assert_eq!(c.stats().unwrap().timed_out, 6);
     }
 
     #[test]
@@ -1347,7 +1197,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Visibility timeout and backoff
+    // Visibility timeout
     // ------------------------------------------------------------------
 
     #[test]
@@ -1384,123 +1234,16 @@ mod tests {
         b.publish("blood-test", "slow".into(), None).unwrap();
         let _d = s.poll().unwrap().unwrap();
         std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(b.sweep(), 1);
+        // The poll that sweeps it finds the one attempt spent.
+        assert!(s.poll().unwrap().is_none());
         let dlq = b.dead_letters();
         assert_eq!(dlq.len(), 1);
         assert_eq!(dlq[0].message, "slow");
     }
-
-    #[test]
-    fn nack_backoff_delays_redelivery() {
-        let b = broker();
-        let cfg = SubscriptionConfig {
-            redelivery_backoff: Duration::from_millis(40),
-            ..Default::default()
-        };
-        let s = b.subscribe("blood-test", cfg).unwrap();
-        b.publish("blood-test", "m".into(), None).unwrap();
-        let d = s.poll().unwrap().unwrap();
-        s.nack(d.delivery_id).unwrap();
-        // Immediately after the nack the message is still backing off.
-        assert!(s.poll().unwrap().is_none());
-        // A waiting poll wakes itself when the backoff expires.
-        let d2 = s.poll_for(Duration::from_secs(5)).unwrap().unwrap();
-        assert_eq!(d2.attempt, 2);
-        s.ack(d2.delivery_id).unwrap();
-    }
-
-    #[test]
-    fn backoff_head_does_not_block_ready_messages() {
-        let b = broker();
-        let cfg = SubscriptionConfig {
-            redelivery_backoff: Duration::from_secs(60),
-            ..Default::default()
-        };
-        let s = b.subscribe("blood-test", cfg).unwrap();
-        b.publish("blood-test", "poison".into(), None).unwrap();
-        b.publish("blood-test", "fine".into(), None).unwrap();
-        let d = s.poll().unwrap().unwrap();
-        assert_eq!(d.message, "poison");
-        s.nack(d.delivery_id).unwrap();
-        // "poison" backs off at the front, but "fine" is deliverable.
-        let d2 = s.poll().unwrap().unwrap();
-        assert_eq!(d2.message, "fine");
-        s.ack(d2.delivery_id).unwrap();
-    }
-
-    #[test]
-    fn backoff_grows_exponentially() {
-        let cfg = SubscriptionConfig {
-            redelivery_backoff: Duration::from_millis(10),
-            ..Default::default()
-        };
-        let now = Instant::now();
-        let b1 = backoff_until(&cfg, 1, now).unwrap();
-        let b3 = backoff_until(&cfg, 3, now).unwrap();
-        assert_eq!(b1 - now, Duration::from_millis(10));
-        assert_eq!(b3 - now, Duration::from_millis(40));
-        // Capped exponent.
-        let b99 = backoff_until(&cfg, 99, now).unwrap();
-        assert_eq!(
-            b99 - now,
-            Duration::from_millis(10) * (1 << MAX_BACKOFF_EXP)
-        );
-        assert!(backoff_until(&SubscriptionConfig::default(), 5, now).is_none());
-    }
-
-    // ------------------------------------------------------------------
-    // Replay
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn replay_requires_retention() {
-        let b = broker();
-        let s = b
-            .subscribe("blood-test", SubscriptionConfig::default())
-            .unwrap();
-        assert!(s.replay_from(0).is_err());
-    }
-
-    #[test]
-    fn replay_from_offset_re_enqueues_suffix() {
-        let b = broker();
-        let cfg = SubscriptionConfig {
-            retain: 16,
-            ..Default::default()
-        };
-        let s = b.subscribe("blood-test", cfg).unwrap();
-        for i in 0..4 {
-            b.publish("blood-test", format!("m{i}"), None).unwrap();
-        }
-        let first = s.drain().unwrap();
-        assert_eq!(first, vec!["m0", "m1", "m2", "m3"]);
-        let n = s.replay_from(2).unwrap();
-        assert_eq!(n, 2);
-        let replayed = s.drain().unwrap();
-        assert_eq!(replayed, vec!["m2", "m3"]);
-        assert_eq!(s.stats().unwrap().replayed, 2);
-    }
-
-    #[test]
-    fn replay_log_is_bounded() {
-        let b = broker();
-        let cfg = SubscriptionConfig {
-            retain: 2,
-            ..Default::default()
-        };
-        let s = b.subscribe("blood-test", cfg).unwrap();
-        for i in 0..5 {
-            b.publish("blood-test", format!("m{i}"), None).unwrap();
-        }
-        s.drain().unwrap();
-        // Only the newest 2 are retained.
-        assert_eq!(s.replay_from(0).unwrap(), 2);
-        assert_eq!(s.drain().unwrap(), vec!["m3", "m4"]);
-    }
 }
 
 /// With `M = Arc<_>` a publish is one allocation however many groups,
-/// deliveries, retained entries and dead letters point at it.
+/// deliveries and dead letters point at it.
 #[cfg(test)]
 mod sharing_tests {
     use super::*;
@@ -1516,13 +1259,12 @@ mod sharing_tests {
     #[test]
     fn every_holder_of_a_publish_points_at_the_one_message() {
         let b = bus();
-        let retaining = SubscriptionConfig {
-            retain: 4,
+        let two_tries = SubscriptionConfig {
             max_attempts: 2,
             ..Default::default()
         };
         let solo = b.subscribe("t", SubscriptionConfig::default()).unwrap();
-        let worker = b.subscribe_group("t", "workers", retaining).unwrap();
+        let worker = b.subscribe_group("t", "workers", two_tries).unwrap();
         let message = Arc::new(String::from("who / what / when / where"));
         assert_eq!(b.publish("t", Arc::clone(&message), None).unwrap(), 2);
 
@@ -1537,16 +1279,11 @@ mod sharing_tests {
         let again = worker.poll().unwrap().unwrap();
         assert_eq!(again.attempt, 2);
         assert!(Arc::ptr_eq(&again.message, &message));
-        // ... the dead letter it becomes once attempts run out ...
+        // ... and the dead letter it becomes once attempts run out.
         worker.nack(again.delivery_id).unwrap();
         let dlq = b.dead_letters();
         assert_eq!(dlq.len(), 1);
         assert!(Arc::ptr_eq(&dlq[0].message, &message));
-        // ... and the retained copy a replay re-enqueues.
-        assert_eq!(worker.replay_from(0).unwrap(), 1);
-        let replayed = worker.poll().unwrap().unwrap();
-        assert!(Arc::ptr_eq(&replayed.message, &message));
-        worker.ack(replayed.delivery_id).unwrap();
     }
 
     #[test]
@@ -1565,7 +1302,7 @@ mod sharing_tests {
             let d = s.poll().unwrap().unwrap();
             s.ack(d.delivery_id).unwrap();
         }
-        // No retention, no dead letter, every delivery dropped: nothing
+        // No dead letter, every delivery dropped: nothing
         // in the broker (its dedup window included) holds the message.
         assert!(weak.upgrade().is_none());
     }
@@ -1646,24 +1383,22 @@ mod wake_tests {
         assert!(started.elapsed() < PATIENCE / 2);
     }
 
-    /// `now + Duration::MAX` is no `Instant`: the wait, the visibility
-    /// timeout and the backoff each have to survive it.
+    /// `now + Duration::MAX` is no `Instant`: the wait and the
+    /// visibility timeout each have to survive it.
     #[test]
     fn a_wait_too_long_to_represent_returns_what_is_queued() {
         let (_, bus) = setup();
         let cfg = SubscriptionConfig {
             visibility_timeout: Some(Duration::MAX),
-            redelivery_backoff: Duration::MAX,
             ..Default::default()
         };
         let s = bus.subscribe("t", cfg).unwrap();
         bus.publish("t", "m".into(), None).unwrap();
         let d = s.poll_for(Duration::MAX).unwrap().unwrap();
         assert_eq!(d.message, "m");
-        // Nacked under a backoff that long it stays queued, not ready.
-        s.nack(d.delivery_id).unwrap();
+        // A timeout that long never runs out: the delivery stays held.
         assert!(s.poll().unwrap().is_none());
-        assert_eq!(s.backlog().unwrap(), 1);
+        assert_eq!(s.in_flight().unwrap(), 1);
     }
 
     #[test]
@@ -1691,10 +1426,9 @@ mod wake_tests {
     }
 
     #[test]
-    fn nack_detach_and_replay_still_wake_a_parked_peer() {
+    fn nack_and_detach_still_wake_a_parked_peer() {
         let (broker, bus) = setup();
         let cfg = SubscriptionConfig {
-            retain: 4,
             max_attempts: 5,
             ..Default::default()
         };
@@ -1708,22 +1442,15 @@ mod wake_tests {
         holder.nack(held.delivery_id).unwrap();
         let d = woken(t);
         assert_eq!((d.message.as_str(), d.attempt), ("job", 2));
-        peer.ack(d.delivery_id).unwrap();
-
-        // replay_from: retained messages re-enter the queue.
-        let t = park(&broker, &peer, 1);
-        assert_eq!(holder.replay_from(0).unwrap(), 1);
-        let d = woken(t);
-        assert_eq!((d.message.as_str(), d.attempt), ("job", 1));
         peer.nack(d.delivery_id).unwrap();
 
         // detach: what the leaver held goes back to its peers.
         let held = holder.poll().unwrap().unwrap();
-        assert_eq!(held.attempt, 2);
+        assert_eq!(held.attempt, 3);
         let t = park(&broker, &peer, 1);
         holder.unsubscribe().unwrap();
         let d = woken(t);
-        assert_eq!((d.message.as_str(), d.attempt), ("job", 3));
+        assert_eq!((d.message.as_str(), d.attempt), ("job", 4));
     }
 }
 

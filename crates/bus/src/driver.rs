@@ -3,7 +3,7 @@
 //! The platform's delivery substrate is defined as a trait so the
 //! in-memory broker, a recording wrapper, or (later) a networked
 //! multi-site driver can slot in behind the same surface. A transport
-//! implements ten verbs and nothing else:
+//! implements eight verbs and nothing else:
 //!
 //! | verb | what it does |
 //! |---|---|
@@ -12,8 +12,6 @@
 //! | `publish_opts` | route one message to every group of a topic |
 //! | `poll(id, wait)` | take the next delivery, waiting up to `wait` |
 //! | `ack` / `nack` | retire a delivery / send it round again |
-//! | `replay_from` | re-enqueue the retained suffix of a group's log |
-//! | `sweep` | requeue every expired in-flight delivery |
 //! | `snapshot` | everything introspection reads, at one instant |
 //!
 //! Everything else callers see — [`Bus::stats`], a handle's `backlog`,
@@ -102,7 +100,7 @@ impl PublishOutcome {
     }
 }
 
-/// The broker contract every delivery substrate implements: ten verbs.
+/// The broker contract every delivery substrate implements: eight verbs.
 ///
 /// Object-safe and generic over the payload `M`: implementors move
 /// opaque values around and can never inspect or name event types. All
@@ -119,17 +117,17 @@ impl PublishOutcome {
 ///
 /// ```text
 ///   queued --poll--> in-flight --ack-----------------> done
-///     ^                  |
-///     |                  +--nack (attempts left)-----> queued (after backoff)
-///     |                  +--visibility timeout-------> queued
-///     |                  +--member detach------------> queued
-///     |                  +--nack/timeout, no attempts
-///     |                         left ----------------> dead-letter queue
-///     +--replay_from (retained log) — fresh attempt counter
+///                        |
+///                        +--nack (attempts left)-----> queued (at the head)
+///                        +--visibility timeout-------> queued (at the head)
+///                        +--member detach------------> queued (at the head)
+///                        +--nack/timeout, no attempts
+///                               left ----------------> dead-letter queue
 /// ```
 ///
-/// Deliveries that return to the queue together (a detach, one sweep)
-/// keep their publish order: the oldest is at the head.
+/// Deliveries that return to the queue together (a detach, the
+/// timeouts one poll finds expired) keep their publish order: the
+/// oldest is at the head.
 pub trait BusDriver<M: Clone + Send + 'static>: Send + Sync {
     /// Declare a topic. Idempotent.
     fn create_topic(&self, name: &str);
@@ -152,10 +150,9 @@ pub trait BusDriver<M: Clone + Send + 'static>: Send + Sync {
 
     /// Publish a message to every delivery group of `topic`.
     ///
-    /// With [`crate::OverflowPolicy::Reject`], a single full group
-    /// queue fails the whole publish *before* any enqueue
-    /// (all-or-nothing back-pressure); a rejected publish does not
-    /// consume its dedup key.
+    /// A single full group queue fails the whole publish *before* any
+    /// enqueue (all-or-nothing back-pressure); a rejected publish does
+    /// not consume its dedup key.
     fn publish_opts(
         &self,
         topic: &str,
@@ -164,29 +161,19 @@ pub trait BusDriver<M: Clone + Send + 'static>: Send + Sync {
     ) -> CssResult<PublishOutcome>;
 
     /// Take the next available message for this member, waiting up to
-    /// `wait` for one to arrive or become redeliverable (backoff
-    /// expiry, visibility timeout); [`Duration::ZERO`] never blocks.
-    /// Also sweeps the group's visibility timeouts.
+    /// `wait` for one to arrive or a visibility timeout to return one;
+    /// [`Duration::ZERO`] never blocks. Each call first requeues (or
+    /// dead-letters) the group's deliveries whose visibility timeout
+    /// has expired — the only sweep there is.
     fn poll(&self, id: SubscriptionId, wait: Duration) -> CssResult<Option<Delivery<M>>>;
 
     /// Acknowledge a delivery held by this member, retiring it.
     fn ack(&self, id: SubscriptionId, delivery_id: u64) -> CssResult<()>;
 
-    /// Negatively acknowledge a delivery held by this member: requeue
-    /// for another attempt (after the group's redelivery backoff), or
-    /// dead-letter once attempts are exhausted.
+    /// Negatively acknowledge a delivery held by this member: back to
+    /// the head of the queue for another attempt, or dead-letter once
+    /// attempts are exhausted.
     fn nack(&self, id: SubscriptionId, delivery_id: u64) -> CssResult<()>;
-
-    /// Re-enqueue retained messages with offset ≥ `offset` for the
-    /// member's group, oldest first, with fresh attempt counters.
-    /// Returns how many were replayed. Errors unless the group was
-    /// configured with `retain > 0`.
-    fn replay_from(&self, id: SubscriptionId, offset: u64) -> CssResult<usize>;
-
-    /// Requeue (or dead-letter) every delivery whose visibility timeout
-    /// has expired, across all groups. Returns how many moved. Polling
-    /// sweeps lazily; this forces a pass for tests and ops tooling.
-    fn sweep(&self) -> usize;
 
     /// Everything introspection reads, taken at one instant: broker
     /// counters, topics with their member counts, the dead-letter
@@ -308,11 +295,6 @@ impl<M: Clone + Send + 'static> Bus<M> {
             ..PublishOptions::new()
         };
         self.publish_opts(topic, message, opts).map(|o| o.routed())
-    }
-
-    /// Force a visibility-timeout sweep across all groups.
-    pub fn sweep(&self) -> usize {
-        self.driver.sweep()
     }
 
     /// Counters, topics and dead letters at one instant.

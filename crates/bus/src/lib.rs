@@ -8,10 +8,10 @@
 //! contract:
 //!
 //! - the [`BusDriver`] trait — the broker contract (sync, std-only,
-//!   payload-blind), ten verbs: `create_topic`, `attach`, `detach`,
-//!   `publish_opts`, `poll(id, wait)`, `ack`, `nack`, `replay_from`,
-//!   `sweep`, and `snapshot` (the one read-only call: counters, topics,
-//!   dead letters, a member's group). The in-memory [`Broker`], the
+//!   payload-blind), eight verbs: `create_topic`, `attach`, `detach`,
+//!   `publish_opts`, `poll(id, wait)`, `ack`, `nack`, and `snapshot`
+//!   (the one read-only call: counters, topics, dead letters, a
+//!   member's group). The in-memory [`Broker`], the
 //!   [`RecordingDriver`] wrapper, or a future networked multi-site
 //!   driver implement those and nothing more; the platform holds a
 //!   [`Bus`] facade over `Arc<dyn BusDriver>`, and every other name
@@ -22,14 +22,15 @@
 //!   per subscriber gives classic fan-out, while N members of a named
 //!   group *compete* — each message is delivered to exactly one member,
 //!   load-balanced by pull,
-//! - **bounded redelivery**: a nack (with exponential backoff), an
-//!   expired visibility timeout, or a member detach puts the message
-//!   back on the queue for another attempt, up to `max_attempts`, then
-//!   the **dead-letter queue** — with the original publish trace
-//!   preserved,
-//! - publish **dedup keys** (a bounded per-topic idempotency window),
-//!   **bounded queues** per group with a configurable overflow policy,
-//!   and **replay from offset** over a retained log,
+//! - **bounded redelivery**: a nack, an expired visibility timeout, or
+//!   a member detach puts the message back at the head of the queue for
+//!   another attempt, up to `max_attempts`, then the **dead-letter
+//!   queue** — with the original publish trace preserved,
+//! - publish **dedup keys** (a bounded per-topic idempotency window)
+//!   and **bounded queues** per group: a publish that finds one full is
+//!   rejected for every group (all-or-nothing back-pressure),
+//! - three per-group options ([`SubscriptionConfig`]): `capacity`,
+//!   `max_attempts`, `visibility_timeout`,
 //! - per-group and broker-wide **statistics** used by experiments
 //!   E1/E2/E18.
 //!
@@ -52,7 +53,7 @@ pub mod recording;
 pub mod stats;
 pub mod subscription;
 
-pub use broker::{Broker, OverflowPolicy, SubscriptionConfig};
+pub use broker::{Broker, SubscriptionConfig};
 pub use driver::{Bus, BusDriver, BusSnapshot, GroupSnapshot, PublishOptions, PublishOutcome};
 pub use recording::{BusOp, RecordingDriver};
 pub use stats::{BrokerStats, SubscriptionStats};

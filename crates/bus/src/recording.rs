@@ -45,14 +45,6 @@ pub enum BusOp {
     Ack(SubscriptionId, u64),
     /// A delivery was negatively acknowledged.
     Nack(SubscriptionId, u64),
-    /// A replay re-enqueued `replayed` retained messages.
-    Replay {
-        subscription: SubscriptionId,
-        from: u64,
-        replayed: usize,
-    },
-    /// A sweep moved this many expired deliveries.
-    Sweep(usize),
 }
 
 /// A [`BusDriver`] that forwards to an inner driver and journals every
@@ -149,22 +141,6 @@ impl<M: Clone + Send + 'static> BusDriver<M> for RecordingDriver<M> {
         self.inner.nack(id, delivery_id)?;
         self.record(BusOp::Nack(id, delivery_id));
         Ok(())
-    }
-
-    fn replay_from(&self, id: SubscriptionId, offset: u64) -> CssResult<usize> {
-        let replayed = self.inner.replay_from(id, offset)?;
-        self.record(BusOp::Replay {
-            subscription: id,
-            from: offset,
-            replayed,
-        });
-        Ok(replayed)
-    }
-
-    fn sweep(&self) -> usize {
-        let moved = self.inner.sweep();
-        self.record(BusOp::Sweep(moved));
-        moved
     }
 
     fn snapshot(&self, member: Option<SubscriptionId>) -> BusSnapshot<M> {

@@ -13,13 +13,9 @@ pub struct SubscriptionStats {
     pub redelivered: u64,
     /// Messages moved to the dead-letter queue.
     pub dead_lettered: u64,
-    /// Messages dropped by the overflow policy.
-    pub dropped: u64,
     /// In-flight deliveries returned to the queue by a visibility
     /// timeout.
     pub timed_out: u64,
-    /// Messages re-enqueued from the retained log by `replay_from`.
-    pub replayed: u64,
 }
 
 /// Broker-wide counters.
@@ -27,8 +23,7 @@ pub struct SubscriptionStats {
 pub struct BrokerStats {
     /// Publish calls accepted.
     pub published: u64,
-    /// Publish calls rejected (no such topic, or overflow with
-    /// [`crate::OverflowPolicy::Reject`]).
+    /// Publish calls rejected (no such topic, or a full group queue).
     pub rejected: u64,
     /// Publishes dropped because their dedup key was already seen.
     pub dedup_dropped: u64,
@@ -43,10 +38,7 @@ mod tests {
     #[test]
     fn defaults_are_zero() {
         let s = SubscriptionStats::default();
-        assert_eq!(
-            s.enqueued + s.delivered + s.acked + s.timed_out + s.replayed,
-            0
-        );
+        assert_eq!(s.enqueued + s.delivered + s.acked + s.timed_out, 0);
         let b = BrokerStats::default();
         assert_eq!(b.published + b.rejected + b.fanned_out + b.dedup_dropped, 0);
     }

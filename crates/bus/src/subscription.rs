@@ -22,8 +22,8 @@ pub struct Delivery<M> {
     pub delivery_id: u64,
     /// 1-based delivery attempt for this message.
     pub attempt: u32,
-    /// Group-local offset assigned at enqueue; stable across
-    /// redeliveries, usable with [`SubscriberHandle::replay_from`].
+    /// Publish order within the group: assigned at enqueue, stable
+    /// across redeliveries.
     pub offset: u64,
     /// The causal trace of the publish that enqueued this message, if
     /// it was traced — lets the consumer continue the publisher's tree.
@@ -93,7 +93,7 @@ impl<M: Clone + Send + 'static> SubscriberHandle<M> {
     }
 
     /// Take the next message, waiting up to `wait` for one to arrive
-    /// (or become redeliverable).
+    /// (or a visibility timeout to return one).
     pub fn poll_for(&self, wait: Duration) -> CssResult<Option<Delivery<M>>> {
         self.driver.poll(self.id, wait)
     }
@@ -104,9 +104,8 @@ impl<M: Clone + Send + 'static> SubscriberHandle<M> {
     }
 
     /// Negatively acknowledge a delivery. The message returns to the
-    /// queue for redelivery (to any group member, after the configured
-    /// backoff), or moves to the dead-letter queue once its attempts
-    /// are exhausted.
+    /// head of the queue for redelivery (to any group member), or moves
+    /// to the dead-letter queue once its attempts are exhausted.
     pub fn nack(&self, delivery_id: u64) -> CssResult<()> {
         self.driver.nack(self.id, delivery_id)
     }
@@ -133,12 +132,6 @@ impl<M: Clone + Send + 'static> SubscriberHandle<M> {
     /// Statistics for this subscription's delivery group.
     pub fn stats(&self) -> CssResult<SubscriptionStats> {
         self.group().map(|g| g.stats)
-    }
-
-    /// Re-enqueue retained messages with offset ≥ `offset`, oldest
-    /// first. Requires the group to be configured with `retain > 0`.
-    pub fn replay_from(&self, offset: u64) -> CssResult<usize> {
-        self.driver.replay_from(self.id, offset)
     }
 
     /// Remove this member. Its in-flight deliveries requeue for the

@@ -1,7 +1,7 @@
 //! Integration tests of the pluggable-broker surface: competing
-//! consumers, dead-lettering with trace continuity, publish dedup, and
-//! replay equivalence — exercised through the public `Bus` facade the
-//! platform itself uses, plus a toy driver compiled against the trait.
+//! consumers, dead-lettering with trace continuity and publish dedup —
+//! exercised through the public `Bus` facade the platform itself uses,
+//! plus a toy driver compiled against the trait.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -163,38 +163,9 @@ fn dedup_key_drops_duplicates_across_drivers() {
     }
 }
 
-// ---- replay ---------------------------------------------------------------
+// ---- partition ------------------------------------------------------------
 
 proptest! {
-    /// Replaying from offset `k` re-delivers exactly the retained
-    /// suffix, in the original order — equivalent to having subscribed
-    /// late and read from `k`.
-    #[test]
-    fn replay_from_offset_equals_suffix(
-        messages in proptest::collection::vec(any::<u16>(), 1..60),
-        from_fraction in 0u8..=100,
-    ) {
-        let broker: Bus<u16> = Bus::in_memory();
-        broker.create_topic("t");
-        let sub = broker.subscribe("t", SubscriptionConfig {
-            capacity: 1 << 10,
-            retain: 1 << 10,
-            ..Default::default()
-        }).unwrap();
-        for m in &messages {
-            broker.publish("t", *m, None).unwrap();
-        }
-        let live = sub.drain().unwrap();
-        prop_assert_eq!(&live, &messages);
-
-        let from = (messages.len() * from_fraction as usize / 100) as u64;
-        let replayed = sub.replay_from(from).unwrap();
-        let expected: Vec<u16> = messages.iter().skip(from as usize).copied().collect();
-        prop_assert_eq!(replayed, expected.len());
-        prop_assert_eq!(sub.drain().unwrap(), expected);
-        prop_assert_eq!(sub.stats().unwrap().replayed, expected.len() as u64);
-    }
-
     /// Group delivery is a partition: with random worker/message counts,
     /// every message lands with exactly one member.
     #[test]

@@ -49,8 +49,6 @@ enum Candidates {
 pub struct ControllerConfig {
     /// Master key for sealing identifying data in the events index.
     pub master_key: Vec<u8>,
-    /// Default subscription configuration used for consumer queues.
-    pub subscription: SubscriptionConfig,
     /// Clock used for policy evaluation, notifications and audit.
     pub clock: Arc<dyn Clock>,
     /// Registry the controller and its bus record metrics into. Share
@@ -74,7 +72,6 @@ impl ControllerConfig {
     pub fn with_clock(clock: Arc<dyn Clock>) -> Self {
         ControllerConfig {
             master_key: b"css-demo-master-key".to_vec(),
-            subscription: SubscriptionConfig::default(),
             clock,
             telemetry: MetricsRegistry::new(),
             tracer: Tracer::disabled(),
@@ -171,9 +168,9 @@ pub struct DataController<B: LogBackend> {
     actors: RwLock<ActorRegistry>,
     contracts: RwLock<ContractRegistry>,
     catalog: RwLock<EventCatalog>,
-    /// Payload-blind and handed a pointer: every queue entry, delivery,
-    /// retained and dead-lettered message of one publish is the one
-    /// notification that publish built.
+    /// Payload-blind and handed a pointer: every queue entry, delivery
+    /// and dead-lettered message of one publish is the one notification
+    /// that publish built.
     bus: Bus<Arc<NotificationMessage>>,
     index: IndexShards<B>,
     pdp: RwLock<PolicyDecisionPoint>,
@@ -184,7 +181,6 @@ pub struct DataController<B: LogBackend> {
     /// declare / subscribe / unsubscribe.
     routes: RwLock<HashMap<EventTypeId, ClassRoute>>,
     clock: Arc<dyn Clock>,
-    subscription_config: SubscriptionConfig,
     telemetry: MetricsRegistry,
     counters: RequestCounters,
     tracer: Tracer,
@@ -236,7 +232,6 @@ impl<B: LogBackend> DataController<B> {
             gateways: RwLock::new(HashMap::new()),
             routes: RwLock::new(HashMap::new()),
             clock: config.clock,
-            subscription_config: config.subscription,
             counters: RequestCounters::resolve(&config.telemetry),
             telemetry: config.telemetry,
             tracer: config.tracer,
@@ -492,20 +487,25 @@ impl<B: LogBackend> DataController<B> {
         let route = routes
             .get_mut(event_type)
             .ok_or_else(|| CssError::NotFound(format!("event class {event_type} not declared")))?;
+        let config = SubscriptionConfig::default();
         let handle = match group {
-            Some(g) => self
-                .bus
-                .subscribe_group(&route.topic, g, self.subscription_config)?,
-            None => self.bus.subscribe(&route.topic, self.subscription_config)?,
+            Some(g) => self.bus.subscribe_group(&route.topic, g, config)?,
+            None => self.bus.subscribe(&route.topic, config)?,
         };
         let at = route
             .receivers
             .partition_point(|(_, actor)| *actor <= consumer);
         route.receivers.insert(at, (handle.id(), consumer));
         drop(routes);
-        self.audit.append(
-            AuditRecord::new(now, consumer, AuditAction::Subscribe).event_type(event_type.clone()),
-        )?;
+        let record =
+            AuditRecord::new(now, consumer, AuditAction::Subscribe).event_type(event_type.clone());
+        if let Err(unlogged) = self.audit.append(record) {
+            // A dropped handle stays attached (subscriptions are
+            // durable): left in place, its queue fills with nobody to
+            // drain it and then rejects every publish of the class.
+            let _ = self.unsubscribe(handle);
+            return Err(unlogged);
+        }
         Ok(handle)
     }
 
@@ -595,7 +595,7 @@ impl<B: LogBackend> DataController<B> {
         });
         let event_type = &notification.event_type;
         let person = notification.person.id;
-        // Route first (all-or-nothing on overflow), then index. The
+        // Route first (all-or-nothing on a full queue), then index. The
         // dedup key makes producer retries idempotent at the bus.
         let ctx = span.context();
         let dedup_key = format!("{producer}:{src_event_id}");

@@ -152,17 +152,6 @@ impl<B: LogBackend> IndexShards<B> {
             .ok_or_else(|| CssError::NotFound(format!("event {id} not in index")))
     }
 
-    /// Record that `consumer` has been notified of event `id`.
-    pub fn mark_notified(&self, id: GlobalEventId, consumer: ActorId) -> CssResult<()> {
-        for i in 0..self.shards.len() {
-            let mut shard = self.shard(i);
-            if shard.entry(id).is_some() {
-                return shard.mark_notified(id, consumer);
-            }
-        }
-        Err(CssError::NotFound(format!("event {id} not in index")))
-    }
-
     /// Every notification about one person, identities opened — exactly
     /// one shard is touched, once. Only the controller itself may do
     /// this, for the data subject.
@@ -494,7 +483,8 @@ mod tests {
                 two.insert(&notif(id, id, "x"), SourceEventId(id), HashSet::new())
                     .unwrap();
             }
-            two.mark_notified(GlobalEventId(3), ActorId(9)).unwrap();
+            two.filter_authorized(&[GlobalEventId(3)], ActorId(9), |_| true)
+                .unwrap();
             two.sync().unwrap();
         }
         let four = IndexShards::open(b"master", (0..4).map(file).collect()).unwrap();

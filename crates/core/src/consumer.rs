@@ -27,7 +27,8 @@ pub struct Delivered {
     /// 1-based delivery attempt (greater than one after a nack,
     /// visibility timeout, or worker detach redelivered the message).
     pub attempt: u32,
-    /// Group-local offset, usable with [`Subscription::replay_from`].
+    /// Publish order within the delivery group (stable across
+    /// redeliveries).
     pub offset: u64,
 }
 
@@ -91,9 +92,9 @@ impl Subscription {
         self.inner.ack(delivery_id)
     }
 
-    /// Negatively acknowledge a delivery: it returns to the group's
-    /// queue (after the configured backoff) for another worker, or
-    /// dead-letters once attempts are exhausted.
+    /// Negatively acknowledge a delivery: it returns to the head of the
+    /// group's queue for another worker, or dead-letters once attempts
+    /// are exhausted.
     pub fn nack(&self, delivery_id: u64) -> CssResult<()> {
         self.inner.nack(delivery_id)
     }
@@ -111,12 +112,6 @@ impl Subscription {
     /// Deliveries currently awaiting ack/nack.
     pub fn in_flight(&self) -> CssResult<usize> {
         self.inner.in_flight()
-    }
-
-    /// Re-enqueue retained notifications with offset ≥ `offset` (the
-    /// subscription must be configured with retention).
-    pub fn replay_from(&self, offset: u64) -> CssResult<usize> {
-        self.inner.replay_from(offset)
     }
 }
 

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use css_core::prelude::*;
 use css_core::{AccessRequestStatus, CssPlatform, MemoryProvider};
-use css_types::Clock;
+use css_types::{Clock, SourceEventId};
 
 struct World {
     platform: CssPlatform<MemoryProvider>,
@@ -59,6 +59,23 @@ fn setup() -> World {
         doctor,
         welfare,
     }
+}
+
+/// The doctor may see `PatientId` of blood tests for treatment.
+fn grant_doctor(w: &World) {
+    w.platform
+        .producer(w.hospital)
+        .unwrap()
+        .policy_wizard(&EventTypeId::v1("blood-test"))
+        .unwrap()
+        .select_fields(["PatientId"])
+        .unwrap()
+        .grant_to([w.doctor])
+        .unwrap()
+        .for_purposes([Purpose::HealthcareTreatment])
+        .labeled("doctor-bt", "")
+        .save()
+        .unwrap();
 }
 
 #[test]
@@ -638,18 +655,8 @@ fn telemetry_gauges_report_platform_state() {
 #[test]
 fn grouped_subscription_splits_the_stream() {
     let w = setup();
+    grant_doctor(&w);
     let producer = w.platform.producer(w.hospital).unwrap();
-    producer
-        .policy_wizard(&EventTypeId::v1("blood-test"))
-        .unwrap()
-        .select_fields(["PatientId"])
-        .unwrap()
-        .grant_to([w.doctor])
-        .unwrap()
-        .for_purposes([Purpose::HealthcareTreatment])
-        .labeled("doctor-bt", "")
-        .save()
-        .unwrap();
 
     let consumer = w.platform.consumer(w.doctor).unwrap();
     let solo = consumer.subscribe(&EventTypeId::v1("blood-test")).unwrap();
@@ -691,18 +698,8 @@ fn grouped_subscription_splits_the_stream() {
 #[test]
 fn grouped_subscription_redelivers_nacked_work_to_a_peer() {
     let w = setup();
+    grant_doctor(&w);
     let producer = w.platform.producer(w.hospital).unwrap();
-    producer
-        .policy_wizard(&EventTypeId::v1("blood-test"))
-        .unwrap()
-        .select_fields(["PatientId"])
-        .unwrap()
-        .grant_to([w.doctor])
-        .unwrap()
-        .for_purposes([Purpose::HealthcareTreatment])
-        .labeled("doctor-bt", "")
-        .save()
-        .unwrap();
 
     let consumer = w.platform.consumer(w.doctor).unwrap();
     let worker_a = consumer
@@ -727,6 +724,78 @@ fn grouped_subscription_redelivers_nacked_work_to_a_peer() {
     assert_eq!(second.message.person.id, PersonId(42));
     worker_b.ack(second.delivery_id).unwrap();
     assert_eq!(worker_a.in_flight().unwrap(), 0);
+}
+
+/// The queue bound users meet: a subscription holds 1 024 undelivered
+/// notifications; the publish that finds it full fails whole — nothing
+/// indexed, nothing audited, its idempotency key not spent.
+#[test]
+fn a_full_subscription_rejects_the_publish_whole() {
+    let w = setup();
+    grant_doctor(&w);
+    let producer = w.platform.producer(w.hospital).unwrap();
+    let consumer = w.platform.consumer(w.doctor).unwrap();
+    let sub = consumer.subscribe(&EventTypeId::v1("blood-test")).unwrap();
+    for _ in 0..1024 {
+        producer
+            .publish(mario(), "bt", details(), w.clock.now())
+            .unwrap();
+    }
+    let controller = w.platform.controller();
+    let (indexed, audited) = (controller.index_len(), controller.audit_len());
+    let rejected = producer.publish(mario(), "bt", details(), w.clock.now());
+    assert!(matches!(rejected, Err(CssError::Bus(_))), "{rejected:?}");
+    assert_eq!(controller.index_len(), indexed);
+    assert_eq!(controller.audit_len(), audited);
+    assert_eq!(sub.backlog().unwrap(), 1024);
+
+    // Drained, the source event the bus turned away (the handle's
+    // 1 025th) publishes: the rejection did not record it as seen.
+    assert_eq!(sub.drain().unwrap().len(), 1024);
+    let receipt = controller
+        .publish(
+            w.hospital,
+            mario(),
+            "bt".into(),
+            EventTypeId::v1("blood-test"),
+            w.clock.now(),
+            SourceEventId(1025),
+        )
+        .unwrap();
+    assert_eq!(receipt.notified, vec![w.doctor]);
+    assert_eq!(sub.backlog().unwrap(), 1);
+}
+
+/// The attempt budget users meet: the third nack dead-letters the
+/// notification instead of queueing it a fourth time.
+#[test]
+fn three_nacks_dead_letter_the_notification() {
+    let w = setup();
+    grant_doctor(&w);
+    let consumer = w.platform.consumer(w.doctor).unwrap();
+    let worker = consumer
+        .subscribe_grouped(&EventTypeId::v1("blood-test"), "triage")
+        .unwrap();
+    let receipt = w
+        .platform
+        .producer(w.hospital)
+        .unwrap()
+        .publish(mario(), "bt", details(), w.clock.now())
+        .unwrap();
+    for attempt in 1..=3 {
+        let d = worker.next_unacked().unwrap().expect("delivered");
+        assert_eq!(d.attempt, attempt);
+        worker.nack(d.delivery_id).unwrap();
+    }
+    assert!(worker.next_unacked().unwrap().is_none());
+    assert_eq!(worker.backlog().unwrap(), 0);
+    assert_eq!(worker.in_flight().unwrap(), 0);
+
+    let dead = w.platform.controller().bus_dead_letters();
+    assert_eq!(dead.len(), 1);
+    assert_eq!(dead[0].attempts, 3);
+    assert_eq!(dead[0].group, Some(format!("{}:triage", w.doctor)));
+    assert_eq!(dead[0].message.global_id, receipt.global_id);
 }
 
 /// The whole platform runs unchanged over a swapped-in bus driver, and

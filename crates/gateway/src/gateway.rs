@@ -68,8 +68,8 @@ fn typed(
 ///
 /// Holds the producer's declared schemas, persists every detail message
 /// at notification time, and answers the data controller's
-/// `getResponse(src_eID, F)` calls with field-filtered details —
-/// independently of whether the source system behind it is reachable.
+/// `getResponse(src_eID, F)` calls with field-filtered details from
+/// its own store, so the source system behind it is never asked.
 pub struct LocalCooperationGateway<B: LogBackend> {
     producer: ActorId,
     /// The declared schemas; the two maps below index them.
@@ -79,10 +79,6 @@ pub struct LocalCooperationGateway<B: LogBackend> {
     /// their schema.
     by_type_text: HashMap<String, usize>,
     store: DetailStore<B>,
-    /// Whether the legacy source system behind the gateway is reachable.
-    /// The gateway itself keeps answering when this is `false`; the flag
-    /// exists so simulations can show the contrast with direct queries.
-    source_online: bool,
     telemetry: GatewayInstruments,
 }
 
@@ -95,7 +91,6 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
             by_id: HashMap::new(),
             by_type_text: HashMap::new(),
             store: DetailStore::open(backend)?,
-            source_online: true,
             telemetry: GatewayInstruments::default(),
         })
     }
@@ -226,33 +221,6 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
         Ok(filtered)
     }
 
-    /// Simulate the legacy source system going offline. Gateway answers
-    /// are unaffected.
-    pub fn set_source_online(&mut self, online: bool) {
-        self.source_online = online;
-    }
-
-    /// A *direct* query to the legacy source system, bypassing the
-    /// gateway store — fails when the source is offline. Exists to
-    /// demonstrate (tests, experiment E12) why the gateway's local
-    /// persistence is necessary.
-    pub fn query_source_directly(&self, src_event_id: SourceEventId) -> CssResult<EventDetails> {
-        if !self.source_online {
-            return Err(CssError::Storage("source system unreachable".into()));
-        }
-        // When online, the source holds the same data the gateway does.
-        // css-lint: allow(audit-before-release): E12 demo of the legacy source path; real releases audit at the PEP
-        self.get_response(src_event_id, &self.all_fields_of(src_event_id)?, None)
-    }
-
-    fn all_fields_of(&self, src_event_id: SourceEventId) -> CssResult<BTreeSet<String>> {
-        let stored = self.store.stored(src_event_id)?;
-        let (_, ty_text) = typed(&stored)?
-            .ok_or_else(|| CssError::NotFound(format!("no details for {src_event_id}")))?;
-        let schema = &self.schema_named(&ty_text)?.schema;
-        Ok(schema.field_names().map(str::to_string).collect())
-    }
-
     /// The registered schema a stored type text names. Stored documents
     /// spell the type canonically, so the text is the key; one that
     /// misses is parsed, to say — as ever — whether it is no type at
@@ -376,23 +344,6 @@ mod tests {
             gw.persist(&message(1)),
             Err(CssError::NotFound(_))
         ));
-    }
-
-    #[test]
-    fn gateway_answers_while_source_offline() {
-        let mut gw = gateway();
-        gw.persist(&message(1)).unwrap();
-        gw.set_source_online(false);
-        // Direct source query fails...
-        assert!(gw.query_source_directly(SourceEventId(1)).is_err());
-        // ...but the gateway still serves the details.
-        let resp = gw
-            .get_response(SourceEventId(1), &allowed(&["PatientId", "Result"]), None)
-            .unwrap();
-        assert_eq!(
-            resp.get("Result").unwrap(),
-            &FieldValue::Text("negative".into())
-        );
     }
 
     #[test]
@@ -546,15 +497,6 @@ mod tests {
             matches!(ask(5), Err(CssError::Serialization(m)) if m.contains("stored type malformed"))
         );
         assert!(matches!(ask(6), Err(CssError::NotFound(m)) if m.contains("no details")));
-        // The E12 path starts from the same read and fails the same way.
-        assert!(matches!(
-            gw.query_source_directly(SourceEventId(1)),
-            Err(CssError::NotFound(_))
-        ));
-        assert!(matches!(
-            gw.query_source_directly(SourceEventId(2)),
-            Err(CssError::Serialization(_))
-        ));
         let _ = std::fs::remove_file(&path);
     }
 

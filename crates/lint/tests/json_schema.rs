@@ -1,7 +1,7 @@
 //! Structural checks on the `--format json` output (schema version 2).
 //! These assert on the exact serialized shape — which is itself the
 //! compatibility contract for downstream consumers of
-//! `LINT_REPORT.json` — and then re-parse the document with the crate's
+//! `target/LINT_REPORT.json` — and then re-parse the document with the crate's
 //! own JSON value parser as a well-formedness check.
 
 use css_lint::json::parse_json;

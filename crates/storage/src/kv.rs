@@ -41,10 +41,6 @@ impl Slot {
 pub struct KvStore<B: LogBackend> {
     log: RecordLog<B>,
     index: HashMap<Vec<u8>, Slot>,
-    /// Records (live + dead) appended since the store was opened or
-    /// compacted; drives the compaction heuristic.
-    dead_records: usize,
-    live_records: usize,
     /// The records of the mutation in progress, encoded back to back;
     /// kept between mutations, cleared before each.
     records: Vec<u8>,
@@ -57,21 +53,14 @@ impl<B: LogBackend> KvStore<B> {
     /// during recovery (0 on a clean open).
     pub fn open(backend: B) -> CssResult<(Self, u64)> {
         let mut index = HashMap::new();
-        let mut dead = 0usize;
         let (log, truncated) = RecordLog::recover(backend, |ptr, payload| {
             let (op, key, _) = decode(payload)?;
             match op {
                 OP_PUT => {
-                    let slot = Slot::of(ptr, payload.len());
-                    if index.insert(key.to_vec(), slot).is_some() {
-                        dead += 1;
-                    }
+                    index.insert(key.to_vec(), Slot::of(ptr, payload.len()));
                 }
                 OP_DELETE => {
-                    if index.remove(key).is_some() {
-                        dead += 1;
-                    }
-                    dead += 1; // the delete record itself is dead weight
+                    index.remove(key);
                 }
                 other => {
                     return Err(CssError::Storage(format!("unknown kv opcode {other}")));
@@ -79,13 +68,10 @@ impl<B: LogBackend> KvStore<B> {
             }
             Ok(())
         })?;
-        let live = index.len();
         Ok((
             KvStore {
                 log,
                 index,
-                dead_records: dead,
-                live_records: live,
                 records: Vec::new(),
             },
             truncated,
@@ -97,17 +83,9 @@ impl<B: LogBackend> KvStore<B> {
         self.records.clear();
         encode_into(&mut self.records, OP_PUT, key, value);
         let ptr = self.log.append(&self.records)?;
-        self.link(key, Slot::of(ptr, self.records.len()));
+        self.index
+            .insert(key.to_vec(), Slot::of(ptr, self.records.len()));
         Ok(())
-    }
-
-    /// Point `key` at its latest record.
-    fn link(&mut self, key: &[u8], slot: Slot) {
-        if self.index.insert(key.to_vec(), slot).is_some() {
-            self.dead_records += 1;
-        } else {
-            self.live_records += 1;
-        }
     }
 
     /// Insert or replace several values as one group commit.
@@ -131,7 +109,7 @@ impl<B: LogBackend> KvStore<B> {
             .append_batch(&split_records(&self.records, &ends))?;
         let mut start = 0;
         for (((key, _), ptr), end) in pairs.iter().zip(ptrs).zip(ends) {
-            self.link(key, Slot::of(ptr, end - start));
+            self.index.insert(key.to_vec(), Slot::of(ptr, end - start));
             start = end;
         }
         Ok(())
@@ -166,8 +144,6 @@ impl<B: LogBackend> KvStore<B> {
         encode_into(&mut self.records, OP_DELETE, key, b"");
         self.log.append(&self.records)?;
         self.index.remove(key);
-        self.live_records -= 1;
-        self.dead_records += 2;
         Ok(true)
     }
 
@@ -194,37 +170,6 @@ impl<B: LogBackend> KvStore<B> {
     /// Bytes currently occupied by the log (live + garbage).
     pub fn log_bytes(&self) -> u64 {
         self.log.byte_len()
-    }
-
-    /// Fraction of records that are dead weight (0.0 when fully compact).
-    pub fn garbage_ratio(&self) -> f64 {
-        let total = self.live_records + self.dead_records;
-        if total == 0 {
-            0.0
-        } else {
-            self.dead_records as f64 / total as f64
-        }
-    }
-
-    /// Rewrite only live entries into a fresh backend, returning the
-    /// compacted store. The old backend is discarded.
-    pub fn compact_into(self, backend: B) -> CssResult<Self> {
-        let mut fresh = RecordLog::new(backend);
-        let mut new_index = HashMap::with_capacity(self.index.len());
-        for (key, slot) in &self.index {
-            let payload = self.log.read_sized(slot.ptr, slot.payload_len as usize)?;
-            let new_ptr = fresh.append(&payload)?;
-            new_index.insert(key.clone(), Slot::of(new_ptr, payload.len()));
-        }
-        fresh.sync()?;
-        let live = new_index.len();
-        Ok(KvStore {
-            log: fresh,
-            index: new_index,
-            dead_records: 0,
-            live_records: live,
-            records: self.records,
-        })
     }
 }
 
@@ -311,19 +256,11 @@ mod tests {
         };
         expect(&kv);
         // The lengths are rebuilt by replay — one pass over the log, not
-        // a read or two per record — and carried by compaction.
+        // a read or two per record.
         let before = reads();
         let replayed = open(kv.log.into_backend().into_inner());
         assert_eq!(reads() - before, 1);
         expect(&replayed);
-        expect(
-            &replayed
-                .compact_into(crate::InstrumentedBackend::new(
-                    MemBackend::new(),
-                    &registry,
-                ))
-                .unwrap(),
-        );
     }
 
     #[test]
@@ -399,25 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn compaction_preserves_live_data_and_shrinks_log() {
-        let mut kv = mem();
-        for i in 0..100u32 {
-            kv.put(b"hot", format!("version-{i}").as_bytes()).unwrap();
-        }
-        kv.put(b"cold", b"stable").unwrap();
-        kv.put(b"gone", b"bye").unwrap();
-        kv.delete(b"gone").unwrap();
-        let before = kv.log_bytes();
-        assert!(kv.garbage_ratio() > 0.9);
-        let kv = kv.compact_into(MemBackend::new()).unwrap();
-        assert!(kv.log_bytes() < before / 10);
-        assert_eq!(kv.garbage_ratio(), 0.0);
-        assert_eq!(kv.get(b"hot").unwrap().unwrap(), b"version-99");
-        assert_eq!(kv.get(b"cold").unwrap().unwrap(), b"stable");
-        assert_eq!(kv.get(b"gone").unwrap(), None);
-    }
-
-    #[test]
     fn put_batch_matches_sequential_puts() {
         let mut seq = mem();
         seq.put(b"a", b"1").unwrap();
@@ -431,7 +349,6 @@ mod tests {
         assert_eq!(batched.get(b"a").unwrap().unwrap(), b"3");
         assert_eq!(batched.get(b"b").unwrap().unwrap(), b"2");
         assert_eq!(batched.len(), 2);
-        assert_eq!(batched.garbage_ratio(), seq.garbage_ratio());
         // Replay sees the same live set.
         let (reopened, torn) = KvStore::open(batched.log.into_backend()).unwrap();
         assert_eq!(torn, 0);

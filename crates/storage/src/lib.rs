@@ -11,8 +11,10 @@
 //!   tail (partial final record after a crash) and surface genuine
 //!   corruption as errors.
 //! - [`KvStore`]: a keyed store layered on the log — puts and deletes
-//!   are appended, an in-memory index maps keys to log offsets, recovery
-//!   replays the log, and compaction rewrites only live entries.
+//!   are appended, an in-memory index maps keys to log offsets, and
+//!   recovery replays the log. There is no compaction: its users write
+//!   a key once (details) or a handful of times (a policy and its
+//!   revocation).
 //!
 //! This is the persistence layer under the gateway's detail store, the
 //! policy repository, and the audit log.

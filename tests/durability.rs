@@ -131,52 +131,6 @@ fn audit_tampering_detected_on_reload() {
 }
 
 #[test]
-fn gateway_serves_details_with_source_offline() {
-    use css::gateway::LocalCooperationGateway;
-    let mut gw = LocalCooperationGateway::open(ActorId(1), MemBackend::new()).unwrap();
-    let schema = EventSchema::new(EventTypeId::v1("x"), "X", ActorId(1))
-        .field(FieldDef::required("A", FieldKind::Text));
-    gw.register_schema(schema).unwrap();
-    gw.persist(&DetailMessage {
-        src_event_id: css::types::SourceEventId(1),
-        producer: ActorId(1),
-        details: EventDetails::new(EventTypeId::v1("x")).with("A", FieldValue::Text("kept".into())),
-    })
-    .unwrap();
-    gw.set_source_online(false);
-    let allowed: std::collections::BTreeSet<String> = ["A".to_string()].into_iter().collect();
-    let details = gw
-        .get_response(css::types::SourceEventId(1), &allowed, None)
-        .unwrap();
-    assert_eq!(details.get("A").unwrap(), &FieldValue::Text("kept".into()));
-}
-
-#[test]
-fn kv_compaction_after_heavy_churn_preserves_state() {
-    let (mut kv, _) = KvStore::open(MemBackend::new()).unwrap();
-    for round in 0..20u32 {
-        for key in 0..50u32 {
-            kv.put(
-                format!("person-{key}").as_bytes(),
-                format!("state-{round}-{key}").as_bytes(),
-            )
-            .unwrap();
-        }
-    }
-    for key in (0..50u32).step_by(2) {
-        kv.delete(format!("person-{key}").as_bytes()).unwrap();
-    }
-    let expected_live = 25;
-    assert_eq!(kv.len(), expected_live);
-    let before = kv.log_bytes();
-    let kv = kv.compact_into(MemBackend::new()).unwrap();
-    assert_eq!(kv.len(), expected_live);
-    assert!(kv.log_bytes() < before / 5);
-    assert_eq!(kv.get(b"person-1").unwrap().unwrap(), b"state-19-1");
-    assert_eq!(kv.get(b"person-2").unwrap(), None);
-}
-
-#[test]
 fn record_log_scan_is_all_or_tail() {
     // Corruption strictly before the tail must fail loudly, never be
     // silently skipped.

@@ -207,6 +207,48 @@ fn json_u64(body: &str, key: &str) -> u64 {
 
 // ---- platform under test --------------------------------------------------
 
+/// A hospital producing blood tests and a doctor granted both fields
+/// of them for treatment.
+fn onboard(platform: &mut CssPlatform<FaultableProvider>) -> (ActorId, ActorId, EventTypeId) {
+    let hospital = platform.register_organization("Hospital").unwrap();
+    let doctor = platform.register_organization("Doctor").unwrap();
+    platform.join(hospital, Role::Producer).unwrap();
+    platform.join(doctor, Role::Consumer).unwrap();
+
+    let ty = EventTypeId::v1("blood-test");
+    let schema = EventSchema::new(ty.clone(), "Blood Test", hospital)
+        .field(FieldDef::required("PatientId", FieldKind::Integer))
+        .field(FieldDef::required("Result", FieldKind::Text).sensitive());
+    let producer = platform.producer(hospital).unwrap();
+    producer.declare(&schema, None).unwrap();
+    producer
+        .policy_wizard(&ty)
+        .unwrap()
+        .select_fields(["PatientId", "Result"])
+        .unwrap()
+        .grant_to([doctor])
+        .unwrap()
+        .for_purposes([Purpose::HealthcareTreatment])
+        .labeled("doctor-bt", "")
+        .save()
+        .unwrap();
+    (hospital, doctor, ty)
+}
+
+/// One blood test about Maria, carrying both secrets.
+fn sensitive_event(ty: &EventTypeId) -> (PersonIdentity, EventDetails) {
+    let details = EventDetails::new(ty.clone())
+        .with("PatientId", FieldValue::Integer(7))
+        .with("Result", FieldValue::Text(SECRET_RESULT.into()));
+    let person = PersonIdentity {
+        id: PersonId(7),
+        fiscal_code: SECRET_FISCAL.into(),
+        name: "Maria".into(),
+        surname: "Rossi".into(),
+    };
+    (person, details)
+}
+
 /// [`ops_platform_on`] the host's default shard count.
 fn ops_platform(fail: Arc<AtomicBool>) -> (CssPlatform<FaultableProvider>, SocketAddr) {
     ops_platform_on(fail, css::core::default_shard_count())
@@ -244,41 +286,11 @@ fn ops_platform_on(
         .build()
         .expect("boot platform");
     let addr = platform.ops().expect("ops enabled").local_addr();
-
-    let hospital = platform.register_organization("Hospital").unwrap();
-    let doctor = platform.register_organization("Doctor").unwrap();
-    platform.join(hospital, Role::Producer).unwrap();
-    platform.join(doctor, Role::Consumer).unwrap();
-
-    let ty = EventTypeId::v1("blood-test");
-    let schema = EventSchema::new(ty.clone(), "Blood Test", hospital)
-        .field(FieldDef::required("PatientId", FieldKind::Integer))
-        .field(FieldDef::required("Result", FieldKind::Text).sensitive());
+    let (hospital, doctor, ty) = onboard(&mut platform);
     let producer = platform.producer(hospital).unwrap();
-    producer.declare(&schema, None).unwrap();
-    producer
-        .policy_wizard(&ty)
-        .unwrap()
-        .select_fields(["PatientId", "Result"])
-        .unwrap()
-        .grant_to([doctor])
-        .unwrap()
-        .for_purposes([Purpose::HealthcareTreatment])
-        .labeled("doctor-bt", "")
-        .save()
-        .unwrap();
-
     let consumer = platform.consumer(doctor).unwrap();
     let sub = consumer.subscribe(&ty).unwrap();
-    let details = EventDetails::new(ty.clone())
-        .with("PatientId", FieldValue::Integer(7))
-        .with("Result", FieldValue::Text(SECRET_RESULT.into()));
-    let person = PersonIdentity {
-        id: PersonId(7),
-        fiscal_code: SECRET_FISCAL.into(),
-        name: "Maria".into(),
-        surname: "Rossi".into(),
-    };
+    let (person, details) = sensitive_event(&ty);
     producer
         .publish(person, "bt", details, platform.clock().now())
         .unwrap();
@@ -503,4 +515,37 @@ fn ops_plane_shuts_down_with_the_platform() {
         TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err(),
         "ops server still accepting after platform drop"
     );
+}
+
+/// A subscribe that cannot write its audit record fails — and must not
+/// leave the receiver it attached behind: nobody holds its handle, so
+/// its queue would fill and every later publish of the class be
+/// rejected.
+#[test]
+fn a_subscribe_that_fails_to_audit_leaves_no_receiver_behind() {
+    let fail = Arc::new(AtomicBool::new(false));
+    let mut platform = CssPlatformBuilder::new()
+        .provider(FaultableProvider { fail: fail.clone() })
+        .build()
+        .expect("boot platform");
+    let (hospital, doctor, ty) = onboard(&mut platform);
+    let producer = platform.producer(hospital).unwrap();
+    let consumer = platform.consumer(doctor).unwrap();
+
+    fail.store(true, Ordering::SeqCst);
+    let subscribed = consumer.subscribe(&ty).map(|_| ());
+    assert!(
+        matches!(subscribed, Err(CssError::Storage(_))),
+        "{subscribed:?}"
+    );
+    fail.store(false, Ordering::SeqCst);
+
+    // More publishes than a forgotten queue (1 024 slots) could take.
+    for n in 0..1_100 {
+        let (person, details) = sensitive_event(&ty);
+        let receipt = producer
+            .publish(person, "bt", details, platform.clock().now())
+            .unwrap_or_else(|e| panic!("publish {n}: {e}"));
+        assert!(receipt.notified.is_empty(), "publish {n}: {receipt:?}");
+    }
 }

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use css::bus::{Bus, OverflowPolicy, SubscriptionConfig};
+use css::bus::{Bus, SubscriptionConfig};
 use css::controller::{ConsentDecision, ConsentRegistry, ConsentScope};
 use css::monitor::{ProcessDefinition, ProcessMonitor, Step};
 use css::storage::{KvStore, MemBackend};
@@ -24,30 +24,6 @@ proptest! {
             broker.publish("t", *m, None).unwrap();
         }
         prop_assert_eq!(sub.drain().unwrap(), messages);
-    }
-
-    /// DropOldest keeps exactly the newest `capacity` messages.
-    #[test]
-    fn drop_oldest_keeps_suffix(
-        messages in proptest::collection::vec(any::<u16>(), 1..80),
-        capacity in 1usize..20,
-    ) {
-        let broker: Bus<u16> = Bus::in_memory();
-        broker.create_topic("t");
-        let sub = broker.subscribe("t", SubscriptionConfig {
-            capacity,
-            overflow: OverflowPolicy::DropOldest,
-            ..Default::default()
-        }).unwrap();
-        for m in &messages {
-            broker.publish("t", *m, None).unwrap();
-        }
-        let expected: Vec<u16> = messages
-            .iter()
-            .skip(messages.len().saturating_sub(capacity))
-            .copied()
-            .collect();
-        prop_assert_eq!(sub.drain().unwrap(), expected);
     }
 
     /// Publish/deliver/ack accounting always balances.
