@@ -907,7 +907,7 @@ mod tests {
         let s = b
             .subscribe("blood-test", SubscriptionConfig::default())
             .unwrap();
-        let tracer = Tracer::new(64);
+        let tracer = Tracer::new(64, &MetricsRegistry::new());
         let root = tracer.root("publish", Timestamp(7));
         let ctx = root.context();
         b.publish_opts("blood-test", "m".into(), PublishOptions::new().traced(&ctx))

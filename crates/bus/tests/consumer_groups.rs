@@ -107,7 +107,7 @@ fn poison_message_dead_letters_with_original_trace() {
     let a = broker.subscribe_group("t", "workers", cfg).unwrap();
     let b = broker.subscribe_group("t", "workers", cfg).unwrap();
 
-    let tracer = Tracer::new(64);
+    let tracer = Tracer::new(64, &css_telemetry::MetricsRegistry::new());
     let root = tracer.root("publish", Timestamp(1));
     let ctx = root.context();
     broker

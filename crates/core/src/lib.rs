@@ -62,9 +62,7 @@ pub use platform::{default_shard_count, CssPlatform, CssPlatformBuilder, Role};
 pub use producer::ProducerHandle;
 pub use provider::{BackendProvider, DirProvider, MemoryProvider};
 
-pub use css_health::{
-    AnomalyStatus, CaptureOutcome, IncidentRef, OpsHandle, OpsPlane, Resolution, Trigger,
-};
+pub use css_health::OpsHandle;
 
 /// Commonly used items across the whole platform.
 pub mod prelude {

@@ -33,8 +33,7 @@ use crate::provider::BackendProvider;
 // ---- default thresholds ---------------------------------------------------
 //
 // Chosen for the paper's regional-deployment scale (tens of
-// organizations, thousands of events/day); add objectives with
-// `.ops_slo()` on the builder.
+// organizations, thousands of events/day).
 
 /// Bus backlog that merits operator attention.
 const BUS_QUEUE_DEPTH_DEGRADED: i64 = 10_000;
@@ -78,7 +77,6 @@ const DEFAULT_INCIDENT_DIR: &str = "target/incidents";
 pub(crate) struct OpsConfig {
     pub addr: String,
     pub interval: StdDuration,
-    pub slos: Vec<Slo>,
     pub monitor: Option<Arc<Mutex<ProcessMonitor>>>,
     /// Incident bundle directory (default `target/incidents`).
     pub incident_dir: Option<PathBuf>,
@@ -208,8 +206,6 @@ pub(crate) fn start_ops<P: BackendProvider>(
     controller: &SharedController<P>,
     pending: &SharedPending,
 ) -> CssResult<(OpsHandle, Sampler)> {
-    let mut slos = default_slos();
-    slos.extend(config.slos);
     // The snapshot source: refresh the platform.* gauges (the same
     // path `CssPlatform::telemetry` takes), then snapshot — so the
     // tick, `/metrics` and the health checks see identical, current
@@ -228,7 +224,7 @@ pub(crate) fn start_ops<P: BackendProvider>(
         tracer.clone(),
         registry,
         default_checks(provider.backend("health-probe")?),
-        slos,
+        default_slos(),
         config
             .incident_dir
             .unwrap_or_else(|| PathBuf::from(DEFAULT_INCIDENT_DIR)),

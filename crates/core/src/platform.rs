@@ -68,12 +68,10 @@ pub enum Role {
 pub struct CssPlatformBuilder<P: BackendProvider = MemoryProvider> {
     provider: P,
     clock: Arc<dyn Clock>,
-    telemetry: MetricsRegistry,
     trace_capacity: Option<usize>,
     shards: Option<usize>,
     ops_addr: Option<String>,
     ops_interval: std::time::Duration,
-    ops_slos: Vec<css_health::Slo>,
     ops_monitor: Option<Arc<Mutex<css_monitor::ProcessMonitor>>>,
     bus_driver: Option<Arc<dyn BusDriver<Arc<NotificationMessage>>>>,
     incident_dir: Option<std::path::PathBuf>,
@@ -87,17 +85,15 @@ impl Default for CssPlatformBuilder<MemoryProvider> {
 
 impl CssPlatformBuilder<MemoryProvider> {
     /// A builder with the quickstart defaults: in-memory backends, the
-    /// system clock, no identity enforcement, a fresh metrics registry.
+    /// system clock, no tracing, no ops plane.
     pub fn new() -> Self {
         CssPlatformBuilder {
             provider: MemoryProvider,
             clock: Arc::new(SystemClock),
-            telemetry: MetricsRegistry::new(),
             trace_capacity: None,
             shards: None,
             ops_addr: None,
             ops_interval: std::time::Duration::from_millis(250),
-            ops_slos: Vec::new(),
             ops_monitor: None,
             bus_driver: None,
             incident_dir: None,
@@ -128,12 +124,10 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
         CssPlatformBuilder {
             provider,
             clock: self.clock,
-            telemetry: self.telemetry,
             trace_capacity: self.trace_capacity,
             shards: self.shards,
             ops_addr: self.ops_addr,
             ops_interval: self.ops_interval,
-            ops_slos: self.ops_slos,
             ops_monitor: self.ops_monitor,
             bus_driver: self.bus_driver,
             incident_dir: self.incident_dir,
@@ -154,13 +148,6 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
     /// Use an explicit (usually simulated) clock.
     pub fn clock(mut self, clock: Arc<dyn Clock>) -> Self {
         self.clock = clock;
-        self
-    }
-
-    /// Record platform metrics into an externally owned registry (e.g.
-    /// one shared with a benchmark harness) instead of a fresh one.
-    pub fn telemetry(mut self, registry: MetricsRegistry) -> Self {
-        self.telemetry = registry;
         self
     }
 
@@ -211,13 +198,6 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
         self
     }
 
-    /// Register an additional SLO alongside the defaults
-    /// (`detail_request_p99`, `publish_errors`).
-    pub fn ops_slo(mut self, slo: css_health::Slo) -> Self {
-        self.ops_slos.push(slo);
-        self
-    }
-
     /// Serve a Process Reference Monitor's KPIs on `GET /monitor`.
     pub fn ops_monitor(mut self, monitor: Arc<Mutex<css_monitor::ProcessMonitor>>) -> Self {
         self.ops_monitor = Some(monitor);
@@ -236,16 +216,15 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
         let CssPlatformBuilder {
             provider,
             clock,
-            telemetry,
             trace_capacity,
             shards,
             ops_addr,
             ops_interval,
-            ops_slos,
             ops_monitor,
             bus_driver,
             incident_dir,
         } = self;
+        let telemetry = MetricsRegistry::new();
         // Builder time is the platform's birth: `css_uptime_seconds`
         // counts from here, and the build-info metric is pinned once.
         let boot = clock.now();
@@ -253,7 +232,7 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
             .gauge(&format!("build_info.{}", env!("CARGO_PKG_VERSION")))
             .set(1);
         let tracer = match trace_capacity {
-            Some(capacity) => Tracer::with_metrics(capacity, &telemetry),
+            Some(capacity) => Tracer::new(capacity, &telemetry),
             None => Tracer::disabled(),
         };
         // Shard 0 keeps the legacy backend names so existing single-shard
@@ -351,7 +330,6 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
                 OpsConfig {
                     addr,
                     interval: ops_interval,
-                    slos: ops_slos,
                     monitor: ops_monitor,
                     incident_dir,
                     boot,
@@ -745,15 +723,16 @@ impl<P: BackendProvider> CssPlatform<P> {
     }
 
     /// The live metrics registry behind [`CssPlatform::telemetry`] —
-    /// for wiring into benchmark harnesses or exporters.
+    /// share it with a benchmark harness or an exporter; every platform
+    /// records into its own.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.registry
     }
 
     /// The platform tracer. Disabled (every span a no-op) unless the
     /// builder enabled [`CssPlatformBuilder::tracing`]; when enabled,
-    /// [`css_trace::Tracer::finished_spans`] drains the ring for the
-    /// text-tree and Chrome `trace_event` exporters.
+    /// [`css_trace::Tracer::finished_spans`] copies out the ring that
+    /// `GET /traces` renders as Chrome `trace_event` JSON.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
@@ -761,10 +740,7 @@ impl<P: BackendProvider> CssPlatform<P> {
     /// The running ops plane, when the builder enabled
     /// [`CssPlatformBuilder::ops_server`]: its
     /// [`local_addr`](css_health::OpsHandle::local_addr) is where the
-    /// routes are served, and it dereferences to the
-    /// [`css_health::OpsPlane`] behind them — SLO table, incident
-    /// captures (the in-process `POST /debug/capture`), history queries,
-    /// anomaly status.
+    /// routes are served — the one way to read the plane.
     pub fn ops(&self) -> Option<&css_health::OpsHandle> {
         self.ops.as_ref().map(|(handle, _sampler)| handle)
     }

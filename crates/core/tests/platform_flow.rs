@@ -560,12 +560,12 @@ fn schema_evolution_to_v2_keeps_both_versions_usable() {
 #[test]
 fn builder_configures_clock_identity_and_shared_telemetry() {
     let clock = SimClock::starting_at(Timestamp(9_000));
-    let registry = MetricsRegistry::new();
     let mut platform = CssPlatformBuilder::new()
         .clock(Arc::new(clock.clone()))
-        .telemetry(registry.clone())
         .build()
         .unwrap();
+    // A harness shares the platform's own registry.
+    let registry = platform.metrics().clone();
     platform.enable_identity_enforcement();
     assert_eq!(platform.clock().now(), Timestamp(9_000));
 
@@ -580,8 +580,8 @@ fn builder_configures_clock_identity_and_shared_telemetry() {
     let cred = platform.issue_credential(hospital).unwrap();
     assert!(platform.producer_with_credential(&cred).is_ok());
 
-    // The externally owned registry is the one the platform records
-    // into (joining as producer instruments a gateway backend).
+    // The shared registry is the one the platform records into
+    // (joining as producer instruments a gateway backend).
     assert!(registry
         .snapshot()
         .histograms

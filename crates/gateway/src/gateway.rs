@@ -398,7 +398,7 @@ mod tests {
 
         let mut gw = gateway();
         gw.persist(&message(1)).unwrap();
-        let tracer = Tracer::new(64);
+        let tracer = Tracer::new(64, &MetricsRegistry::new());
         let root = tracer.root("detail_request", Timestamp(5));
         let ctx = root.context();
         gw.get_response(SourceEventId(1), &allowed(&["PatientId"]), Some(&ctx))
@@ -419,7 +419,7 @@ mod tests {
         use css_types::Timestamp;
 
         let gw = gateway();
-        let tracer = Tracer::new(64);
+        let tracer = Tracer::new(64, &MetricsRegistry::new());
         let root = tracer.root("detail_request", Timestamp(5));
         let ctx = root.context();
         assert!(gw

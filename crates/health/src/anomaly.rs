@@ -37,9 +37,10 @@ pub(crate) struct AnomalyVerdict {
     pub expected: f64,
 }
 
-/// Point-in-time detector state for the health check and ops JSON.
+/// Point-in-time detector state for the health check and the bundle's
+/// history section.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AnomalyStatus {
+pub(crate) struct AnomalyStatus {
     /// The watched metric.
     pub metric: String,
     /// Whether the series is currently drifting.
@@ -48,8 +49,6 @@ pub struct AnomalyStatus {
     pub value: f64,
     /// Learned baseline at the last observation.
     pub expected: f64,
-    /// Ticks observed so far.
-    pub samples: u64,
     /// Rising edges seen so far.
     pub edges: u64,
 }
@@ -136,9 +135,16 @@ impl AnomalyDetector {
             anomalous: s.anomalous,
             value: s.last_value,
             expected: s.ewma,
-            samples: s.samples,
             edges: s.edges,
         }
+    }
+}
+
+#[cfg(test)]
+impl AnomalyDetector {
+    /// Ticks observed so far.
+    pub(crate) fn samples(&self) -> u64 {
+        self.state.lock().samples
     }
 }
 

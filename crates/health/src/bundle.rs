@@ -12,13 +12,12 @@ use std::collections::BTreeMap;
 use css_telemetry::{JsonBuf, TelemetrySnapshot};
 use css_trace::Span;
 
-use crate::frame::Frame;
 use crate::recorder::{IncidentRef, Trigger};
 
 /// Exemplar-linked span trees included per bundle.
 const TRACES_PER_BUNDLE: usize = 8;
 
-fn hex_trace_id(id: u64) -> String {
+pub(crate) fn hex_trace_id(id: u64) -> String {
     format!("{id:016x}")
 }
 
@@ -65,15 +64,15 @@ pub(crate) fn incidents_json<'a>(incidents: impl Iterator<Item = &'a IncidentRef
     j.finish()
 }
 
-/// Serialize one frozen incident. `history` is an optional
-/// pre-serialized chronicle window (itself aggregate-only) embedded
-/// verbatim as the bundle's `history` section.
+/// Serialize one frozen incident. `frames` are the ring's frames, each
+/// already a JSON object, and `history` is an optional pre-serialized
+/// chronicle window (itself aggregate-only): both are embedded verbatim.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn bundle_json(
     seq: u64,
     at_ms: u64,
     trigger: &Trigger,
-    frames: &[Frame],
+    frames: &[String],
     snapshot: &TelemetrySnapshot,
     spans: &[Span],
     history: Option<&str>,
@@ -117,7 +116,7 @@ pub(crate) fn bundle_json(
 
     j.key("frames").begin_array();
     for frame in frames {
-        write_frame(&mut j, frame);
+        j.raw(frame);
     }
     j.end_array();
 
@@ -147,59 +146,6 @@ pub(crate) fn bundle_json(
 
     j.end_object();
     j.finish()
-}
-
-fn write_frame(j: &mut JsonBuf, frame: &Frame) {
-    j.begin_object();
-    j.key("type").string(frame.kind());
-    j.key("at_ms").u64(frame.at_ms());
-    match frame {
-        Frame::Telemetry(f) => {
-            j.key("counter_deltas").begin_array();
-            for (name, delta) in &f.counter_deltas {
-                j.begin_array().string(name).u64(*delta).end_array();
-            }
-            j.end_array();
-            j.key("histograms").begin_array();
-            for h in &f.histograms {
-                j.begin_object();
-                j.key("name").string(&h.name);
-                j.key("count").u64(h.count);
-                j.key("p50_ns").u64(h.p50_ns);
-                j.key("p99_ns").u64(h.p99_ns);
-                j.key("max_ns").u64(h.max_ns);
-                j.end_object();
-            }
-            j.end_array();
-        }
-        Frame::Slo { samples, .. } => {
-            j.key("samples").begin_array();
-            for s in samples {
-                j.begin_object();
-                j.key("name").string(&s.name);
-                j.key("fast_burn").f64(s.fast_burn);
-                j.key("slow_burn").f64(s.slow_burn);
-                j.key("severity").string(s.alert.code());
-                j.end_object();
-            }
-            j.end_array();
-        }
-        Frame::Health { from, to, .. } => {
-            j.key("component").string(&to.component);
-            j.key("from").string(from);
-            j.key("to").string(to.status.code());
-            if let Some(reason) = to.status.reason() {
-                j.key("reason").string(reason);
-            }
-        }
-        Frame::SpanRoot(f) => {
-            j.key("trace_id").string(&hex_trace_id(f.trace_id));
-            j.key("name").string(&f.name);
-            j.key("duration_ns").u64(f.duration_ns);
-            j.key("status").string(f.status);
-        }
-    }
-    j.end_object();
 }
 
 /// The span trees the bundle's exemplars point at: for each distinct
@@ -284,7 +230,7 @@ mod tests {
     #[test]
     fn bundle_includes_exemplar_span_tree() {
         let registry = MetricsRegistry::new();
-        let tracer = css_trace::Tracer::new(64);
+        let tracer = css_trace::Tracer::new(64, &registry);
         let trace_id = {
             let root = tracer.root("detail_request", css_types::Timestamp(1));
             let _child = root.context().child("pdp_evaluate");

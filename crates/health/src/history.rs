@@ -5,8 +5,9 @@
 //! points fold into **1-minute** aggregates as they arrive, and minute
 //! aggregates fold into **1-hour** aggregates — three bounded rings per
 //! metric (ring-of-rings), each dropping its oldest slot when full, so
-//! the store's footprint is a fixed function of [`Retention`] no matter
-//! how long the platform runs. Histogram points carry their merged
+//! the store's footprint is a fixed function of `RAW_SLOTS`,
+//! `MINUTE_SLOTS` and `HOUR_SLOTS` no matter how long the platform
+//! runs. Histogram points carry their merged
 //! log₂ delta buckets through every tier, which is what makes
 //! `quantile_over_time` answerable at raw, minute, *and* hour
 //! resolution instead of only over the lifetime cumulative.
@@ -24,33 +25,18 @@ const MINUTE_MS: u64 = 60_000;
 /// Width of an hour slot.
 const HOUR_MS: u64 = 3_600_000;
 
-/// Slots retained per tier, per metric. The store never allocates past
-/// this: each tier is a drop-oldest ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Retention {
-    /// Raw sampler ticks kept (one slot per tick).
-    pub raw: usize,
-    /// One-minute aggregate slots kept.
-    pub minutes: usize,
-    /// One-hour aggregate slots kept.
-    pub hours: usize,
-}
-
-impl Default for Retention {
-    /// 960 raw ticks (4 minutes at the 250 ms production cadence),
-    /// 180 minute slots (3 hours), 48 hour slots (2 days).
-    fn default() -> Self {
-        Retention {
-            raw: 960,
-            minutes: 180,
-            hours: 48,
-        }
-    }
-}
+/// Raw sampler ticks kept per metric: 4 minutes at the 250 ms
+/// production cadence. Each tier is a drop-oldest ring; the store never
+/// allocates past it.
+const RAW_SLOTS: usize = 960;
+/// One-minute aggregate slots kept per metric (3 hours).
+const MINUTE_SLOTS: usize = 180;
+/// One-hour aggregate slots kept per metric (2 days).
+const HOUR_SLOTS: usize = 48;
 
 /// Which ring a query reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Resolution {
+pub(crate) enum Resolution {
     /// One slot per sampler tick.
     Raw,
     /// One slot per minute of platform-clock time.
@@ -224,10 +210,10 @@ impl Series {
     }
 
     /// Append one raw point and fold it down the tiers.
-    fn push(&mut self, point: Aggregate, retention: &Retention) {
-        fold_into_slot(&mut self.minutes, &point, MINUTE_MS, retention.minutes);
-        fold_into_slot(&mut self.hours, &point, HOUR_MS, retention.hours);
-        if self.raw.len() >= retention.raw {
+    fn push(&mut self, point: Aggregate) {
+        fold_into_slot(&mut self.minutes, &point, MINUTE_MS, MINUTE_SLOTS);
+        fold_into_slot(&mut self.hours, &point, HOUR_MS, HOUR_SLOTS);
+        if self.raw.len() >= RAW_SLOTS {
             self.raw.pop_front();
         }
         self.raw.push_back(point);
@@ -268,7 +254,6 @@ struct StoreState {
 /// The embedded metrics-history store. `&self` everywhere: the
 /// plane's tick writes, the ops query endpoints read.
 pub(crate) struct Chronicle {
-    retention: Retention,
     state: Mutex<StoreState>,
     appends: Counter,
     appends_skipped: Counter,
@@ -276,18 +261,11 @@ pub(crate) struct Chronicle {
 }
 
 impl Chronicle {
-    /// A store with the given retention, reporting itself through
-    /// `registry` (`chronicle.appends`, `chronicle.appends_skipped`,
+    /// An empty store, reporting itself through `registry`
+    /// (`chronicle.appends`, `chronicle.appends_skipped`,
     /// `chronicle.points`).
-    pub(crate) fn new(retention: Retention, registry: &MetricsRegistry) -> Chronicle {
+    pub(crate) fn new(registry: &MetricsRegistry) -> Chronicle {
         Chronicle {
-            // Every tier needs at least two slots for a delta/rate to
-            // exist.
-            retention: Retention {
-                raw: retention.raw.max(2),
-                minutes: retention.minutes.max(2),
-                hours: retention.hours.max(2),
-            },
             state: Mutex::default(),
             appends: registry.counter("chronicle.appends"),
             appends_skipped: registry.counter("chronicle.appends_skipped"),
@@ -303,12 +281,15 @@ impl Chronicle {
     /// platform clock must never corrupt the rings
     /// (`chronicle.appends_skipped` counts the refusals) — and its
     /// histogram observations ride into the next accepted point.
+    /// Returns the per-tick p99 of the point this call created for
+    /// histogram `watched`, if it created one.
     pub(crate) fn append(
         &self,
         snapshot: &TelemetrySnapshot,
         delta: &SnapshotDelta,
         at: Timestamp,
-    ) {
+        watched: &str,
+    ) -> Option<f64> {
         let at_ms = at.0;
         let mut state = self.state.lock();
         if state.last_at_ms.is_some_and(|last| at_ms < last) {
@@ -317,7 +298,7 @@ impl Chronicle {
             }
             drop(state);
             self.appends_skipped.inc();
-            return;
+            return None;
         }
         state.last_at_ms = Some(at_ms);
         for (name, value) in &snapshot.counters {
@@ -325,15 +306,16 @@ impl Chronicle {
                 .series
                 .entry(name.clone())
                 .or_insert_with(|| Series::new(MetricKind::Counter));
-            series.push(Aggregate::point(at_ms, *value as f64), &self.retention);
+            series.push(Aggregate::point(at_ms, *value as f64));
         }
         for (name, value) in &snapshot.gauges {
             let series = state
                 .series
                 .entry(name.clone())
                 .or_insert_with(|| Series::new(MetricKind::Gauge));
-            series.push(Aggregate::point(at_ms, *value as f64), &self.retention);
+            series.push(Aggregate::point(at_ms, *value as f64));
         }
+        let mut fresh_watched = None;
         for name in snapshot.histograms.keys() {
             let mut fresh = state.refused.remove(name).unwrap_or_default();
             if let Some(d) = delta.histograms.get(name) {
@@ -344,13 +326,17 @@ impl Chronicle {
                 .entry(name.clone())
                 .or_insert_with(|| Series::new(MetricKind::Histogram));
             if let Some(point) = histogram_point(fresh, at_ms) {
-                series.push(point, &self.retention);
+                if name == watched {
+                    fresh_watched = Some(point.last);
+                }
+                series.push(point);
             }
         }
         let total: usize = state.series.values().map(Series::len).sum();
         drop(state);
         self.points.set(total as i64);
         self.appends.inc();
+        fresh_watched
     }
 
     /// Every retained metric with its kind, in name order.
@@ -366,11 +352,6 @@ impl Chronicle {
     /// The metric's kind, if retained.
     pub(crate) fn kind(&self, metric: &str) -> Option<MetricKind> {
         self.state.lock().series.get(metric).map(|s| s.kind)
-    }
-
-    /// The newest raw point of a metric.
-    pub(crate) fn latest(&self, metric: &str) -> Option<Aggregate> {
-        self.state.lock().series.get(metric)?.raw.back().cloned()
     }
 
     /// The slots of `metric` at `res` overlapping `[from_ms, to_ms]`,
@@ -528,10 +509,10 @@ mod tests {
         }
     }
 
-    fn store(retention: Retention) -> (Fed, MetricsRegistry) {
+    fn store() -> (Fed, MetricsRegistry) {
         let registry = MetricsRegistry::new();
         let fed = Fed {
-            chronicle: Chronicle::new(retention, &registry),
+            chronicle: Chronicle::new(&registry),
             prev: Default::default(),
         };
         (fed, registry)
@@ -540,20 +521,20 @@ mod tests {
     fn tick(fed: &Fed, work: &MetricsRegistry, at_ms: u64) {
         let cur = work.snapshot();
         let delta = SnapshotDelta::between(&fed.prev.borrow(), &cur);
-        fed.append(&cur, &delta, Timestamp(at_ms));
+        fed.append(&cur, &delta, Timestamp(at_ms), "stage.total");
         fed.prev.replace(cur);
     }
 
     #[test]
     fn counters_retain_cumulative_points_and_rates() {
-        let (chronicle, _) = store(Retention::default());
+        let (chronicle, _) = store();
         let work = MetricsRegistry::new();
         for i in 1..=10u64 {
             work.counter("bus.published").add(5);
             tick(&chronicle, &work, i * 1_000);
         }
-        let latest = chronicle.latest("bus.published").expect("retained");
-        assert_eq!(latest.last, 50.0);
+        let window = chronicle.window("bus.published", Resolution::Raw, 0, u64::MAX);
+        assert_eq!(window.last().expect("retained").last, 50.0);
         assert_eq!(chronicle.kind("bus.published"), Some(MetricKind::Counter));
         // 45 events over 9 covered seconds (first point at 5).
         let rate = chronicle
@@ -568,26 +549,23 @@ mod tests {
 
     #[test]
     fn raw_ring_is_bounded_and_drops_oldest() {
-        let (chronicle, registry) = store(Retention {
-            raw: 4,
-            minutes: 2,
-            hours: 2,
-        });
+        let (chronicle, registry) = store();
         let work = MetricsRegistry::new();
-        for i in 1..=10u64 {
+        let ticks = RAW_SLOTS as u64 + 6;
+        for i in 1..=ticks {
             work.gauge("bus.queue_depth").set(i as i64);
             tick(&chronicle, &work, i * 1_000);
         }
         let window = chronicle.window("bus.queue_depth", Resolution::Raw, 0, u64::MAX);
-        assert_eq!(window.len(), 4);
+        assert_eq!(window.len(), RAW_SLOTS);
         assert_eq!(window[0].last, 7.0, "oldest retained is tick 7");
-        assert_eq!(window[3].last, 10.0);
+        assert_eq!(window[RAW_SLOTS - 1].last, ticks as f64);
         assert!(registry.snapshot().gauges["chronicle.points"] > 0);
     }
 
     #[test]
     fn histogram_points_are_per_tick_deltas_with_buckets() {
-        let (chronicle, _) = store(Retention::default());
+        let (chronicle, _) = store();
         let work = MetricsRegistry::new();
         work.histogram("stage.total").record(1_000);
         work.histogram("stage.total").record(1_000);
@@ -614,7 +592,7 @@ mod tests {
 
     #[test]
     fn minute_and_hour_tiers_downsample_with_merged_buckets() {
-        let (chronicle, _) = store(Retention::default());
+        let (chronicle, _) = store();
         let work = MetricsRegistry::new();
         // Two minutes of ticks, 10 s apart: fast first minute, slow second.
         for i in 0..12u64 {
@@ -639,7 +617,7 @@ mod tests {
 
     #[test]
     fn non_monotonic_appends_are_skipped_not_corrupting() {
-        let (chronicle, registry) = store(Retention::default());
+        let (chronicle, registry) = store();
         let work = MetricsRegistry::new();
         work.counter("bus.published").add(1);
         work.histogram("lat").record(1_000);
@@ -672,7 +650,7 @@ mod tests {
 
     #[test]
     fn zero_width_window_rate_is_none() {
-        let (chronicle, _) = store(Retention::default());
+        let (chronicle, _) = store();
         let work = MetricsRegistry::new();
         work.counter("bus.published").add(3);
         tick(&chronicle, &work, 1_000);
@@ -691,7 +669,7 @@ mod tests {
 
     #[test]
     fn histogram_reset_restarts_the_baseline() {
-        let (chronicle, _) = store(Retention::default());
+        let (chronicle, _) = store();
         let work = MetricsRegistry::new();
         work.histogram("lat").record(1_000);
         work.histogram("lat").record(1_000);
@@ -708,18 +686,20 @@ mod tests {
 
     #[test]
     fn auto_resolution_falls_back_as_raw_ages_out() {
-        let (chronicle, _) = store(Retention {
-            raw: 3,
-            minutes: 600,
-            hours: 48,
-        });
+        let (chronicle, _) = store();
         let work = MetricsRegistry::new();
-        for i in 0..20u64 {
+        // One tick a second: the raw ring reaches back RAW_SLOTS
+        // seconds, the minute ring past the first tick.
+        let ticks = RAW_SLOTS as u64 + 10;
+        for i in 0..ticks {
             work.gauge("g").set(i as i64);
-            tick(&chronicle, &work, i * 60_000);
+            tick(&chronicle, &work, i * 1_000);
         }
-        // Raw holds only the last 3 ticks; earlier times need minutes.
-        assert_eq!(chronicle.auto_resolution("g", 19 * 60_000), Resolution::Raw);
+        // Raw holds only the newest ticks; earlier times need minutes.
+        assert_eq!(
+            chronicle.auto_resolution("g", (ticks - 1) * 1_000),
+            Resolution::Raw
+        );
         assert_eq!(chronicle.auto_resolution("g", 0), Resolution::Minute);
     }
 }

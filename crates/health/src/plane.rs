@@ -11,8 +11,9 @@
 //!    delta, evaluate the alert table;
 //! 4. **history** — append the snapshot's levels and the delta's
 //!    histogram observations to the ring of rings, then show the
-//!    watched metric's fresh point (if this tick produced one) to the
-//!    anomaly detector;
+//!    watched metric's fresh point to the anomaly detector — only when
+//!    this tick's append created one, so an idle tick on a stalled
+//!    clock is not judged;
 //! 5. **checks** — run every health check against the snapshot (the
 //!    plane's own `chronicle-anomaly` check reads the detector state
 //!    step 4 just wrote);
@@ -22,9 +23,9 @@
 //! 7. **capture** — one bundle per edge, SLO and health first, the
 //!    anomaly edge last with its history window embedded.
 //!
-//! The sampler thread and a test call the same `tick`;
-//! `POST /debug/capture`, the sampler and an in-process caller all
-//! reach the same [`OpsPlane::capture`].
+//! The sampler thread and a test call the same `tick`; an edge in the
+//! tick and `POST /debug/capture` reach the same `capture`. Everything
+//! else the plane holds is read through the server's routes.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -34,13 +35,13 @@ use css_trace::Tracer;
 use css_types::Clock;
 use parking_lot::Mutex;
 
-use crate::anomaly::{AnomalyDetector, AnomalyStatus};
+use crate::anomaly::AnomalyDetector;
 use crate::checks::{self, Check};
 use crate::delta::SnapshotDelta;
-use crate::history::{Chronicle, Resolution, Retention};
+use crate::history::Chronicle;
 use crate::query::history_json;
-use crate::recorder::{CaptureOutcome, FlightRecorder, IncidentRef, Trigger};
-use crate::slo::{Slo, SloEngine, SloStatus};
+use crate::recorder::{FlightRecorder, Trigger};
+use crate::slo::{Slo, SloEngine};
 use crate::status::{HealthReport, HealthStatus};
 
 /// Observation frames the flight-recorder ring keeps — at the 250 ms
@@ -118,7 +119,7 @@ impl OpsPlane {
             checks,
             prev: Mutex::new(None),
             slo: Mutex::new(SloEngine::new(slos)),
-            history: Chronicle::new(Retention::default(), registry),
+            history: Chronicle::new(registry),
             detector,
             recorder: FlightRecorder::new(RING_FRAMES, incident_dir, registry),
         }
@@ -154,23 +155,20 @@ impl OpsPlane {
             slo.table()
         };
         // History before the recorder, so this tick's point is
-        // queryable by the detector and embedded in any capture below.
-        self.history.append(&snapshot, &delta, now);
-        let mut anomaly = None;
-        if let Some(point) = self.history.latest(self.detector.metric()) {
-            // Judge only ticks that recorded fresh observations — an
-            // idle platform is not a latency recovery.
-            if point.to_ms == at_ms {
-                let v = self.detector.observe(point.last);
-                if v.edge {
-                    anomaly = Some(Trigger::Anomaly {
-                        metric: self.detector.metric().to_string(),
-                        value: v.value,
-                        expected: v.expected,
-                    });
-                }
-            }
-        }
+        // embedded in any capture below. Only a point this append
+        // created is judged — an idle platform is not a latency
+        // recovery, however often a stalled clock repeats its instant.
+        let fresh = self
+            .history
+            .append(&snapshot, &delta, now, self.detector.metric());
+        let anomaly = fresh
+            .map(|p99| self.detector.observe(p99))
+            .filter(|v| v.edge)
+            .map(|v| Trigger::Anomaly {
+                metric: self.detector.metric().to_string(),
+                value: v.value,
+                expected: v.expected,
+            });
         let report = checks::report(&self.checks, &snapshot);
         let mut triggers =
             self.recorder
@@ -180,11 +178,11 @@ impl OpsPlane {
         triggers
     }
 
-    /// Freeze the recorder's ring into an incident bundle, now: what an
-    /// edge in [`tick`](Self::tick), `POST /debug/capture` and an
-    /// in-process caller all reach. An anomaly trigger embeds the last
-    /// five minutes of the watched metric, read from the history.
-    pub fn capture(&self, trigger: Trigger) -> CaptureOutcome {
+    /// Freeze the recorder's ring into an incident bundle, now, and
+    /// return it: what an edge in [`tick`](Self::tick) and
+    /// `POST /debug/capture` both reach. An anomaly trigger embeds the
+    /// last five minutes of the watched metric, read from the history.
+    pub(crate) fn capture(&self, trigger: Trigger) -> String {
         let at_ms = self.clock.now().0;
         let history = matches!(trigger, Trigger::Anomaly { .. }).then(|| {
             let from_ms = at_ms.saturating_sub(ANOMALY_HISTORY_WINDOW_MS);
@@ -197,38 +195,6 @@ impl OpsPlane {
             at_ms,
             history.as_deref(),
         )
-    }
-
-    /// The current SLO table (same data as `GET /slo`).
-    pub fn slo_table(&self) -> Vec<SloStatus> {
-        self.slo.lock().table()
-    }
-
-    /// Recently captured incident bundles, oldest first (same data as
-    /// `GET /debug/incidents`).
-    pub fn incidents(&self) -> Vec<IncidentRef> {
-        self.recorder.incidents()
-    }
-
-    /// The anomaly detector's current state.
-    pub fn anomaly_status(&self) -> AnomalyStatus {
-        self.detector.status()
-    }
-
-    /// `quantile_over_time` over the metrics history: the q-quantile of
-    /// every observation of histogram `metric` in `[from_ms, to_ms]` at
-    /// resolution `res` (what `GET /query?fn=quantile_over_time`
-    /// evaluates). `None` for scalar metrics or empty windows.
-    pub fn quantile_over_time(
-        &self,
-        metric: &str,
-        q: f64,
-        res: Resolution,
-        from_ms: u64,
-        to_ms: u64,
-    ) -> Option<u64> {
-        self.history
-            .quantile_over_time(metric, q, res, from_ms, to_ms)
     }
 
     /// A fresh snapshot from the injected source.
@@ -255,7 +221,8 @@ impl OpsPlane {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::slo::AlertLevel;
+    use crate::history::Resolution;
+    use crate::slo::{AlertLevel, SloStatus};
     use css_types::{Duration, SimClock, Timestamp};
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -291,7 +258,7 @@ pub(crate) mod tests {
         let plane = OpsPlane::new(
             move || source.snapshot(),
             Arc::new(clock.clone()),
-            Tracer::with_metrics(64, &registry),
+            Tracer::new(64, &registry),
             &registry,
             vec![Check::new("storage", move |_| {
                 if down.load(Ordering::SeqCst) {
@@ -317,6 +284,13 @@ pub(crate) mod tests {
         }
     }
 
+    impl OpsPlane {
+        /// The evaluated SLO table (what `/slo` renders).
+        fn slos(&self) -> Vec<SloStatus> {
+            self.slo.lock().table()
+        }
+    }
+
     impl Rig {
         /// Five simulated seconds, a burst of requests, one tick.
         pub fn step(&self, latency_ns: u64) {
@@ -328,7 +302,12 @@ pub(crate) mod tests {
         }
 
         fn kinds(&self) -> Vec<&'static str> {
-            self.plane.incidents().iter().map(|i| i.kind).collect()
+            self.plane
+                .recorder
+                .incidents()
+                .iter()
+                .map(|i| i.kind)
+                .collect()
         }
 
         fn anomaly_check(&self) -> HealthStatus {
@@ -346,14 +325,14 @@ pub(crate) mod tests {
         for _ in 0..10 {
             rig.step(HEALTHY_NS); // past the detector's 8-tick warm-up
         }
-        assert_eq!(rig.plane.slo_table()[0].alert, AlertLevel::Ok);
+        assert_eq!(rig.plane.slos()[0].alert, AlertLevel::Ok);
         assert_eq!(rig.anomaly_check(), HealthStatus::Healthy);
         assert!(rig.kinds().is_empty(), "no spurious incident");
 
         // The regression: Critical and Degraded on the very next tick.
         rig.step(SLOW_NS);
-        assert_eq!(rig.plane.slo_table()[0].alert, AlertLevel::Critical);
-        assert!(rig.plane.anomaly_status().anomalous);
+        assert_eq!(rig.plane.slos()[0].alert, AlertLevel::Critical);
+        assert!(rig.plane.detector.status().anomalous);
         match rig.anomaly_check() {
             HealthStatus::Degraded { reason } => {
                 assert!(reason.contains("stage.total drifting"), "{reason}")
@@ -371,7 +350,8 @@ pub(crate) mod tests {
         // The anomaly bundle embeds its history window; the SLO one
         // has none.
         let bundle = |i: usize| {
-            let path = rig.plane.incidents()[i].path.clone().expect("written");
+            let path = rig.plane.recorder.incidents()[i].path.clone();
+            let path = path.expect("written");
             std::fs::read_to_string(path).expect("bundle on disk")
         };
         assert!(!bundle(0).contains(r#""history""#));
@@ -393,7 +373,7 @@ pub(crate) mod tests {
             rig.step(HEALTHY_NS);
         }
         assert_eq!(rig.anomaly_check(), HealthStatus::Healthy);
-        assert_ne!(rig.plane.slo_table()[0].alert, AlertLevel::Critical);
+        assert_ne!(rig.plane.slos()[0].alert, AlertLevel::Critical);
         rig.step(SLOW_NS);
         assert_eq!(
             rig.kinds(),
@@ -431,9 +411,8 @@ pub(crate) mod tests {
         let reason = "operator request".to_string();
         let manual = rig.plane.capture(Trigger::Manual { reason });
         let types: Vec<&str> = manual
-            .json
             .match_indices(r#"{"type":""#)
-            .map(|(at, m)| &manual.json[at + m.len()..])
+            .map(|(at, m)| &manual[at + m.len()..])
             .map(|rest| &rest[..rest.find('"').unwrap()])
             .collect();
         assert_eq!(
@@ -450,9 +429,10 @@ pub(crate) mod tests {
         // The edge's bundle and the manual one went through one path:
         // both are listed, both are on disk as returned.
         assert_eq!(rig.kinds(), ["unhealthy", "manual"]);
-        let on_disk = std::fs::read_to_string(manual.path.expect("written")).unwrap();
-        assert_eq!(on_disk, manual.json);
-        assert!(manual.json.contains(r#""reason":"operator request""#));
+        let path = rig.plane.recorder.incidents()[1].path.clone();
+        let on_disk = std::fs::read_to_string(path.expect("written")).unwrap();
+        assert_eq!(on_disk, manual);
+        assert!(manual.contains(r#""reason":"operator request""#));
     }
 
     /// A plane with one latency SLO and no checks of its own, on
@@ -503,7 +483,7 @@ pub(crate) mod tests {
         step(30);
         assert_eq!(registry.snapshot().counter("chronicle.appends_skipped"), 1);
         // The SLO windows took all three ticks…
-        let slo = &plane.slo_table()[0];
+        let slo = &plane.slos()[0];
         assert_eq!((slo.samples, slo.window_total), (3, 60));
         // …and the history lost nothing: the refused tick's 20
         // observations ride into the next accepted point.
@@ -532,7 +512,26 @@ pub(crate) mod tests {
         let json = plane.slo_json();
         assert!(!json.contains("null"), "{json}");
         assert!(json.contains("\"last_sample_at_ms\":9000"), "{json}");
-        assert_eq!(plane.slo_table()[0].alert, AlertLevel::Critical);
+        assert_eq!(plane.slos()[0].alert, AlertLevel::Critical);
+    }
+
+    /// Idle ticks at the instant of a fresh point are not judged: the
+    /// detector sees each history point once, however often a stalled
+    /// clock (a `SimClock`, a sampler faster than the clock's
+    /// resolution) repeats its instant.
+    #[test]
+    fn idle_ticks_on_a_stalled_clock_do_not_rejudge_the_last_point() {
+        let clock = SimClock::starting_at(Timestamp(60_000));
+        let (plane, registry) = bare(Arc::new(clock));
+        plane.tick(); // baseline
+        for _ in 0..100 {
+            registry.histogram("stage.total").record(HEALTHY_NS);
+        }
+        plane.tick();
+        for _ in 0..9 {
+            plane.tick();
+        }
+        assert_eq!(plane.detector.samples(), 1);
     }
 
     #[test]
@@ -598,7 +597,7 @@ pub(crate) mod tests {
         }
         plane.tick();
         // SLO windows and history agree: 50, then 20 — not 50 then 0.
-        assert_eq!(plane.slo_table()[0].window_total, 70);
+        assert_eq!(plane.slos()[0].window_total, 70);
         let counts: Vec<u64> = plane
             .history
             .window("stage.total", Resolution::Raw, 0, u64::MAX)

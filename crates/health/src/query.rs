@@ -198,6 +198,22 @@ fn write_aggregate(j: &mut JsonBuf, a: &Aggregate, kind: MetricKind) {
     j.end_object();
 }
 
+/// One metric's retained slots over the target window, oldest first:
+/// the whole `GET /range` document, and the series an incident bundle's
+/// history embeds.
+fn write_series(j: &mut JsonBuf, chronicle: &Chronicle, t: &Target) {
+    j.begin_object();
+    j.key("metric").string(&t.metric);
+    j.key("kind").string(t.kind.label());
+    j.key("resolution").string(t.res.label());
+    j.key("points").begin_array();
+    for slot in chronicle.window(&t.metric, t.res, t.from_ms, t.to_ms) {
+        write_aggregate(j, &slot, t.kind);
+    }
+    j.end_array();
+    j.end_object();
+}
+
 /// `GET /range`: the retained slots of one metric over `[from, to]` at
 /// `res` (default: the finest resolution that still covers `from`),
 /// oldest first, each with count/sum/min/max/last and — for histograms
@@ -207,18 +223,8 @@ pub(crate) fn range_json(chronicle: &Chronicle, query: &str) -> String {
         Ok(t) => t,
         Err(e) => return error_json(&e, chronicle),
     };
-    let slots = chronicle.window(&t.metric, t.res, t.from_ms, t.to_ms);
     let mut j = JsonBuf::new();
-    j.begin_object();
-    j.key("metric").string(&t.metric);
-    j.key("kind").string(t.kind.label());
-    j.key("resolution").string(t.res.label());
-    j.key("points").begin_array();
-    for slot in &slots {
-        write_aggregate(&mut j, slot, t.kind);
-    }
-    j.end_array();
-    j.end_object();
+    write_series(&mut j, chronicle, &t);
     j.finish()
 }
 
@@ -245,16 +251,14 @@ pub(crate) fn history_json(
     j.end_object();
     j.key("series").begin_array();
     if let Some(kind) = chronicle.kind(&s.metric) {
-        j.begin_object();
-        j.key("metric").string(&s.metric);
-        j.key("kind").string(kind.label());
-        j.key("resolution").string(Resolution::Raw.label());
-        j.key("points").begin_array();
-        for slot in chronicle.window(&s.metric, Resolution::Raw, from_ms, to_ms) {
-            write_aggregate(&mut j, &slot, kind);
-        }
-        j.end_array();
-        j.end_object();
+        let t = Target {
+            metric: s.metric,
+            kind,
+            res: Resolution::Raw,
+            from_ms,
+            to_ms,
+        };
+        write_series(&mut j, chronicle, &t);
     }
     j.end_array().end_object();
     j.finish()
@@ -264,13 +268,12 @@ pub(crate) fn history_json(
 mod tests {
     use super::*;
     use crate::delta::SnapshotDelta;
-    use crate::history::Retention;
     use css_telemetry::{MetricsRegistry, TelemetrySnapshot};
     use css_types::Timestamp;
 
     fn seeded() -> Chronicle {
         let registry = MetricsRegistry::new();
-        let chronicle = Chronicle::new(Retention::default(), &registry);
+        let chronicle = Chronicle::new(&registry);
         let work = MetricsRegistry::new();
         let mut prev = TelemetrySnapshot::default();
         for i in 1..=10u64 {
@@ -280,7 +283,7 @@ mod tests {
             work.histogram("stage.total").record(ns);
             let cur = work.snapshot();
             let delta = SnapshotDelta::between(&prev, &cur);
-            chronicle.append(&cur, &delta, Timestamp(i * 1_000));
+            chronicle.append(&cur, &delta, Timestamp(i * 1_000), "stage.total");
             prev = cur;
         }
         chronicle

@@ -3,13 +3,12 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::PathBuf;
 
-use css_telemetry::{Counter, Gauge, MetricsRegistry, TelemetrySnapshot};
+use css_telemetry::{Counter, Gauge, JsonBuf, MetricsRegistry, TelemetrySnapshot};
 use css_trace::{Span, Tracer};
 use parking_lot::Mutex;
 
-use crate::bundle;
+use crate::bundle::{self, hex_trace_id};
 use crate::delta::SnapshotDelta;
-use crate::frame::{Frame, HistogramStat, SpanRootFrame, TelemetryFrame};
 use crate::slo::{AlertLevel, SloStatus};
 use crate::status::{HealthReport, HealthStatus};
 
@@ -24,7 +23,7 @@ const INCIDENTS_RETAINED: usize = 32;
 /// produces one bundle, not twenty; it can fire again only after the
 /// state recovers.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Trigger {
+pub(crate) enum Trigger {
     /// An SLO's alert level reached Critical.
     SloCritical { slo: String, fast_burn: f64 },
     /// A health check transitioned to Unhealthy.
@@ -36,13 +35,13 @@ pub enum Trigger {
         value: f64,
         expected: f64,
     },
-    /// An operator or test asked for a capture explicitly.
+    /// An operator asked for a capture (`POST /debug/capture`).
     Manual { reason: String },
 }
 
 impl Trigger {
     /// Stable discriminator used in bundle JSON and incident lists.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Trigger::SloCritical { .. } => "slo_critical",
             Trigger::Unhealthy { .. } => "unhealthy",
@@ -53,7 +52,7 @@ impl Trigger {
 
     /// One-line human summary (also privacy-safe: SLO names, component
     /// names, and check reasons are aggregates by construction).
-    pub fn detail(&self) -> String {
+    pub(crate) fn detail(&self) -> String {
         match self {
             Trigger::SloCritical { slo, fast_burn } => {
                 format!("slo {slo} critical (fast burn {fast_burn:.1})")
@@ -71,7 +70,7 @@ impl Trigger {
 
 /// A retained pointer to a written incident bundle.
 #[derive(Debug, Clone)]
-pub struct IncidentRef {
+pub(crate) struct IncidentRef {
     pub seq: u64,
     pub at_ms: u64,
     pub kind: &'static str,
@@ -81,18 +80,11 @@ pub struct IncidentRef {
     pub bytes: usize,
 }
 
-/// The result of freezing the ring.
-pub struct CaptureOutcome {
-    pub seq: u64,
-    /// The full bundle document (what `POST /debug/capture` returns).
-    pub json: String,
-    /// Where it was written, unless the filesystem refused.
-    pub path: Option<PathBuf>,
-}
-
 #[derive(Default)]
 struct RecorderState {
-    ring: VecDeque<Frame>,
+    /// Observation frames, each rendered to its bundle JSON object once,
+    /// when observed.
+    ring: VecDeque<String>,
     /// SLOs currently at Critical (trigger edge detection).
     critical: BTreeSet<String>,
     /// Last seen status code per health component (transition
@@ -136,12 +128,26 @@ impl FlightRecorder {
         }
     }
 
-    fn push(&self, state: &mut RecorderState, frame: Frame) {
+    /// Render one frame — `{"type":..,"at_ms":..,` then what `body`
+    /// writes — and push it, dropping the oldest when the ring is full.
+    fn push(
+        &self,
+        state: &mut RecorderState,
+        kind: &str,
+        at_ms: u64,
+        body: impl FnOnce(&mut JsonBuf),
+    ) {
+        let mut j = JsonBuf::new();
+        j.begin_object();
+        j.key("type").string(kind);
+        j.key("at_ms").u64(at_ms);
+        body(&mut j);
+        j.end_object();
         if state.ring.len() >= self.capacity {
             state.ring.pop_front();
             self.frames_dropped.inc();
         }
-        state.ring.push_back(frame);
+        state.ring.push_back(j.finish());
         self.frames_recorded.inc();
         self.occupancy.set(state.ring.len() as i64);
     }
@@ -168,7 +174,8 @@ impl FlightRecorder {
         triggers
     }
 
-    /// The telemetry frame: the tick's counter increases plus
+    /// The telemetry frame: the tick's counter increases (zero deltas
+    /// are omitted, so an idle platform records tiny frames) plus
     /// per-histogram cumulative summaries.
     fn observe_telemetry(
         &self,
@@ -177,25 +184,24 @@ impl FlightRecorder {
         delta: &SnapshotDelta,
         at_ms: u64,
     ) {
-        let histograms = snapshot
-            .histograms
-            .iter()
-            .map(|(name, h)| HistogramStat {
-                name: name.clone(),
-                count: h.count,
-                p50_ns: h.p50_ns,
-                p99_ns: h.p99_ns,
-                max_ns: h.max_ns,
-            })
-            .collect();
-        self.push(
-            state,
-            Frame::Telemetry(TelemetryFrame {
-                at_ms,
-                counter_deltas: delta.counters.clone(),
-                histograms,
-            }),
-        );
+        self.push(state, "telemetry", at_ms, |j| {
+            j.key("counter_deltas").begin_array();
+            for (name, delta) in &delta.counters {
+                j.begin_array().string(name).u64(*delta).end_array();
+            }
+            j.end_array();
+            j.key("histograms").begin_array();
+            for (name, h) in &snapshot.histograms {
+                j.begin_object();
+                j.key("name").string(name);
+                j.key("count").u64(h.count);
+                j.key("p50_ns").u64(h.p50_ns);
+                j.key("p99_ns").u64(h.p99_ns);
+                j.key("max_ns").u64(h.max_ns);
+                j.end_object();
+            }
+            j.end_array();
+        });
     }
 
     /// The SLO burn-rate frame, and a trigger for every SLO that
@@ -217,13 +223,18 @@ impl FlightRecorder {
                 });
             }
         }
-        self.push(
-            state,
-            Frame::Slo {
-                at_ms,
-                samples: table.to_vec(),
-            },
-        );
+        self.push(state, "slo", at_ms, |j| {
+            j.key("samples").begin_array();
+            for s in table {
+                j.begin_object();
+                j.key("name").string(&s.name);
+                j.key("fast_burn").f64(s.fast_burn);
+                j.key("slow_burn").f64(s.slow_burn);
+                j.key("severity").string(s.alert.code());
+                j.end_object();
+            }
+            j.end_array();
+        });
         triggers
     }
 
@@ -245,14 +256,14 @@ impl FlightRecorder {
             if from == c.status.code() {
                 continue;
             }
-            self.push(
-                state,
-                Frame::Health {
-                    at_ms,
-                    from,
-                    to: c.clone(),
-                },
-            );
+            self.push(state, "health", at_ms, |j| {
+                j.key("component").string(&c.component);
+                j.key("from").string(from);
+                j.key("to").string(c.status.code());
+                if let Some(reason) = c.status.reason() {
+                    j.key("reason").string(reason);
+                }
+            });
             if let HealthStatus::Unhealthy { reason } = &c.status {
                 triggers.push(Trigger::Unhealthy {
                     component: c.component.clone(),
@@ -283,16 +294,12 @@ impl FlightRecorder {
             .collect();
         let skip = new_roots.len().saturating_sub(ROOTS_PER_TICK);
         for span in new_roots.into_iter().skip(skip) {
-            self.push(
-                state,
-                Frame::SpanRoot(SpanRootFrame {
-                    at_ms,
-                    trace_id: span.trace.0,
-                    name: span.name.to_string(),
-                    duration_ns: span.duration_ns(),
-                    status: span.status.code(),
-                }),
-            );
+            self.push(state, "span_root", at_ms, |j| {
+                j.key("trace_id").string(&hex_trace_id(span.trace.0));
+                j.key("name").string(span.name);
+                j.key("duration_ns").u64(span.duration_ns());
+                j.key("status").string(span.status.code());
+            });
         }
     }
 
@@ -301,9 +308,8 @@ impl FlightRecorder {
     /// at, `stage.*`/`shard.*` percentiles and — when the caller read
     /// one from the history store — the metrics-history window as the
     /// bundle's `history` section; write it under the incident
-    /// directory; remember it for `/debug/incidents`. Never panics: a
-    /// filesystem failure yields `path: None` with the JSON still
-    /// returned.
+    /// directory; remember it for `/debug/incidents`; return it. Never
+    /// panics: a filesystem failure lists the bundle without a path.
     pub(crate) fn capture(
         &self,
         trigger: Trigger,
@@ -311,7 +317,7 @@ impl FlightRecorder {
         spans: &[Span],
         at_ms: u64,
         history: Option<&str>,
-    ) -> CaptureOutcome {
+    ) -> String {
         let (seq, frames) = {
             let mut state = self.state.lock();
             state.seq += 1;
@@ -330,7 +336,7 @@ impl FlightRecorder {
             at_ms,
             kind: trigger.kind(),
             detail: trigger.detail(),
-            path: path.clone(),
+            path,
             bytes: json.len(),
         });
         drop(state);
@@ -340,7 +346,7 @@ impl FlightRecorder {
         if let Some(old) = evicted.and_then(|incident| incident.path) {
             let _ = std::fs::remove_file(old);
         }
-        CaptureOutcome { seq, json, path }
+        json
     }
 
     fn write_bundle(&self, seq: u64, at_ms: u64, json: &str) -> Option<PathBuf> {
@@ -356,11 +362,6 @@ impl FlightRecorder {
     /// oldest first.
     pub(crate) fn incidents_json(&self) -> String {
         bundle::incidents_json(self.state.lock().incidents.iter())
-    }
-
-    /// Recent incident references (oldest first).
-    pub(crate) fn incidents(&self) -> Vec<IncidentRef> {
-        self.state.lock().incidents.iter().cloned().collect()
     }
 }
 
@@ -397,9 +398,14 @@ mod tests {
             self.observe_health(&mut self.state.lock(), &HealthReport { components }, at_ms)
         }
 
-        fn manual(&self, snapshot: &TelemetrySnapshot, at_ms: u64) -> CaptureOutcome {
+        fn manual(&self, snapshot: &TelemetrySnapshot, at_ms: u64) -> String {
             let reason = "operator test".to_string();
             self.capture(Trigger::Manual { reason }, snapshot, &[], at_ms, None)
+        }
+
+        /// Recent incident references, oldest first.
+        pub(crate) fn incidents(&self) -> Vec<IncidentRef> {
+            self.state.lock().incidents.iter().cloned().collect()
         }
     }
 
@@ -433,9 +439,9 @@ mod tests {
         assert_eq!(snap.counters["blackbox.frames_dropped"], 2);
         assert_eq!(snap.gauges["blackbox.ring_occupancy"], 3);
         // The survivors are the newest frames.
-        let out = rec.manual(&snap, 99);
-        assert!(out.json.contains(r#""at_ms":4"#), "{}", out.json);
-        assert!(!out.json.contains(r#""at_ms":0"#), "{}", out.json);
+        let json = rec.manual(&snap, 99);
+        assert!(json.contains(r#""at_ms":4"#), "{json}");
+        assert!(!json.contains(r#""at_ms":0"#), "{json}");
     }
 
     #[test]
@@ -490,18 +496,10 @@ mod tests {
         let second = work.snapshot();
         let delta = SnapshotDelta::between(&first, &second);
         rec.observe_telemetry(&mut rec.state.lock(), &second, &delta, 2);
-        let out = rec.manual(&second, 3);
+        let json = rec.manual(&second, 3);
         // First frame sees the full total, second only the increase.
-        assert!(
-            out.json.contains(r#"["controller.published",10]"#),
-            "{}",
-            out.json
-        );
-        assert!(
-            out.json.contains(r#"["controller.published",5]"#),
-            "{}",
-            out.json
-        );
+        assert!(json.contains(r#"["controller.published",10]"#), "{json}");
+        assert!(json.contains(r#"["controller.published",5]"#), "{json}");
     }
 
     /// The interleaving that lost the slow request when "new" was read
@@ -510,7 +508,7 @@ mod tests {
     fn a_slow_root_overtaken_by_a_fast_one_is_still_recorded() {
         let registry = MetricsRegistry::new();
         let rec = recorder(16, &registry);
-        let tracer = Tracer::new(64);
+        let tracer = Tracer::new(64, &MetricsRegistry::new());
         let slow = tracer.root("slow_request", Timestamp(1));
         let fast = tracer.root("fast_request", Timestamp(1));
         fast.finish();
@@ -520,7 +518,7 @@ mod tests {
         slow.finish();
         rec.observe_spans(&mut rec.state.lock(), &tracer, 20);
         rec.observe_spans(&mut rec.state.lock(), &tracer, 30);
-        let json = rec.manual(&registry.snapshot(), 40).json;
+        let json = rec.manual(&registry.snapshot(), 40);
         assert_eq!(json.matches(r#""type":"span_root""#).count(), 2, "{json}");
         assert!(json.contains(r#""name":"slow_request""#), "{json}");
     }
@@ -529,7 +527,7 @@ mod tests {
     fn a_busy_tick_keeps_the_newest_roots_and_a_lapped_ring_does_not_panic() {
         let registry = MetricsRegistry::new();
         let rec = recorder(64, &registry);
-        let tracer = Tracer::new(8);
+        let tracer = Tracer::new(8, &MetricsRegistry::new());
         for _ in 0..40 {
             tracer.root("request", Timestamp(1)).finish();
         }
@@ -578,12 +576,12 @@ mod tests {
         let dir = temp_dir("capture");
         let rec = FlightRecorder::new(8, &dir, &registry);
         rec.slos(&[slo("lat", AlertLevel::Ok)], 1);
-        let out = rec.manual(&registry.snapshot(), 2);
-        let path = out.path.expect("bundle written");
+        let json = rec.manual(&registry.snapshot(), 2);
+        let path = rec.incidents()[0].path.clone().expect("bundle written");
         let on_disk = std::fs::read_to_string(&path).expect("readable");
-        assert_eq!(on_disk, out.json);
-        assert!(out.json.starts_with(r#"{"schema":"css-blackbox/1""#));
-        assert!(out.json.contains(r#""kind":"manual""#));
+        assert_eq!(on_disk, json);
+        assert!(json.starts_with(r#"{"schema":"css-blackbox/1""#));
+        assert!(json.contains(r#""kind":"manual""#));
         let list = rec.incidents_json();
         assert!(list.contains(r#""seq":1"#), "{list}");
         assert!(list.contains("operator test"), "{list}");

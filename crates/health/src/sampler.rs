@@ -1,6 +1,5 @@
 //! The background sampler: one thread that ticks the plane.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -12,7 +11,6 @@ use crate::plane::OpsPlane;
 struct SamplerShared {
     stop: Mutex<bool>,
     wake: Condvar,
-    ticks: AtomicU64,
 }
 
 /// A background thread that calls [`OpsPlane::tick`] every `interval`.
@@ -31,14 +29,12 @@ impl Sampler {
         let shared = Arc::new(SamplerShared {
             stop: Mutex::new(false),
             wake: Condvar::new(),
-            ticks: AtomicU64::new(0),
         });
         let thread_shared = shared.clone();
         let thread = std::thread::Builder::new()
             .name("css-ops-sampler".into())
             .spawn(move || loop {
                 plane.tick();
-                thread_shared.ticks.fetch_add(1, Ordering::Relaxed);
                 // An interval too long to represent has no deadline.
                 let deadline = Instant::now().checked_add(interval);
                 let mut stop = thread_shared.stop.lock();
@@ -66,11 +62,6 @@ impl Sampler {
             thread: Some(thread),
         }
     }
-
-    /// Samples taken so far.
-    pub fn ticks(&self) -> u64 {
-        self.shared.ticks.load(Ordering::Relaxed)
-    }
 }
 
 impl Drop for Sampler {
@@ -86,7 +77,28 @@ impl Drop for Sampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plane::tests::rig;
+    use crate::plane::tests::{rig, Rig};
+
+    /// Ticks the plane has taken, read off its `/slo` document.
+    fn ticks(rig: &Rig) -> u64 {
+        let json = rig.plane.slo_json();
+        let rest = &json[r#"{"ticks":"#.len()..];
+        rest[..rest.find(',').expect("ticks field")]
+            .parse()
+            .expect("numeric ticks")
+    }
+
+    /// Wait for the tick every spawn starts with.
+    fn first_tick(rig: &Rig) {
+        let started = Instant::now();
+        while ticks(rig) == 0 {
+            assert!(
+                started.elapsed() < Duration::from_secs(5),
+                "sampler stalled"
+            );
+            std::thread::yield_now();
+        }
+    }
 
     /// The thread's whole contract: it ticks the plane, on the plane's
     /// clock, and drop stops and joins it. What a tick *does* is tested
@@ -98,11 +110,7 @@ mod tests {
         // can happen, so the wait below is on a started thread, not on
         // a timer.
         let sampler = Sampler::spawn(rig.plane.clone(), Duration::from_secs(3_600));
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while sampler.ticks() == 0 {
-            assert!(std::time::Instant::now() < deadline, "sampler stalled");
-            std::thread::yield_now();
-        }
+        first_tick(&rig);
         assert!(
             rig.plane
                 .slo_json()
@@ -122,14 +130,7 @@ mod tests {
     fn a_wake_up_without_stop_does_not_tick_early() {
         let rig = rig("sampler-wake");
         let sampler = Sampler::spawn(rig.plane.clone(), Duration::from_secs(3_600));
-        let started = Instant::now();
-        while sampler.ticks() == 0 {
-            assert!(
-                started.elapsed() < Duration::from_secs(5),
-                "sampler stalled"
-            );
-            std::thread::yield_now();
-        }
+        first_tick(&rig);
         // Taking `stop` orders each notify after the thread's own
         // acquisition, so the notifies land on a parked thread, not
         // before it waits.
@@ -139,6 +140,6 @@ mod tests {
             sampler.shared.wake.notify_all();
             std::thread::yield_now();
         }
-        assert_eq!(sampler.ticks(), 1, "ticked an hour early");
+        assert_eq!(ticks(&rig), 1, "ticked an hour early");
     }
 }

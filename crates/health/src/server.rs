@@ -3,7 +3,8 @@
 //!
 //! Deliberately minimal: one accept thread feeding a small fixed pool
 //! of handler threads over a bounded channel, a bounded request read
-//! (8 KiB, 2 s timeout), `Connection: close` on every response. The
+//! (8 KiB, one 2 s deadline from accept for the whole request head),
+//! `Connection: close` on every response. The
 //! server holds no platform locks while reading from the network — it
 //! only asks the [`OpsPlane`] after a request has fully parsed, so a
 //! slow or malicious scraper cannot stall the platform.
@@ -22,7 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use css_trace::render_chrome_trace;
 use parking_lot::Mutex;
@@ -39,8 +40,13 @@ const POOL_SIZE: usize = 2;
 const QUEUE_DEPTH: usize = 16;
 /// Largest request head we will buffer.
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
-/// Per-connection read deadline.
-const READ_TIMEOUT: Duration = Duration::from_secs(2);
+/// How long a connection has, from accept, to deliver its request
+/// head: one deadline, not one per `read`, so a client trickling a byte
+/// at a time cannot hold a worker past it.
+const HEAD_DEADLINE: Duration = Duration::from_secs(2);
+/// The shortest socket wait once the deadline is spent: enough to take
+/// bytes already received, never enough to wait for more.
+const LAST_READ: Duration = Duration::from_millis(1);
 
 /// The exposition server. [`OpsServer::bind`] starts it and returns the
 /// [`OpsHandle`] that owns its threads.
@@ -54,7 +60,7 @@ impl OpsServer {
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
 
-        let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(QUEUE_DEPTH);
+        let (tx, rx) = std::sync::mpsc::sync_channel::<(TcpStream, Instant)>(QUEUE_DEPTH);
         let rx = Arc::new(Mutex::new(rx));
         let workers = (0..POOL_SIZE)
             .map(|i| {
@@ -74,7 +80,6 @@ impl OpsServer {
             .expect("spawn ops acceptor");
 
         Ok(OpsHandle {
-            plane,
             local_addr,
             stop,
             accept: Some(accept),
@@ -85,11 +90,9 @@ impl OpsServer {
 
 /// Owns the server threads; dropping it shuts the server down
 /// gracefully (stops accepting, drains the pool, joins every thread).
-/// Dereferences to the [`OpsPlane`] it serves, so the handle is the
-/// one in-process accessor: the bound address here, the SLO table,
-/// captures, incidents, history queries and anomaly status there.
+/// Its one accessor is the bound address: the plane is read through
+/// the routes served there.
 pub struct OpsHandle {
-    plane: Arc<OpsPlane>,
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
@@ -101,13 +104,6 @@ impl OpsHandle {
     /// port landed.
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
-    }
-}
-
-impl std::ops::Deref for OpsHandle {
-    type Target = OpsPlane;
-    fn deref(&self) -> &OpsPlane {
-        &self.plane
     }
 }
 
@@ -127,7 +123,7 @@ impl Drop for OpsHandle {
     }
 }
 
-fn accept_loop(listener: &TcpListener, tx: &SyncSender<TcpStream>, stop: &AtomicBool) {
+fn accept_loop(listener: &TcpListener, tx: &SyncSender<(TcpStream, Instant)>, stop: &AtomicBool) {
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -137,7 +133,7 @@ fn accept_loop(listener: &TcpListener, tx: &SyncSender<TcpStream>, stop: &Atomic
                 // If the queue is full the connection is dropped — the
                 // scraper retries on its next interval; the platform
                 // never queues unboundedly for an observer.
-                let _ = tx.try_send(stream);
+                let _ = tx.try_send((stream, Instant::now() + HEAD_DEADLINE));
             }
             Err(_) => {
                 if stop.load(Ordering::SeqCst) {
@@ -148,19 +144,18 @@ fn accept_loop(listener: &TcpListener, tx: &SyncSender<TcpStream>, stop: &Atomic
     }
 }
 
-fn worker_loop(rx: &Arc<Mutex<Receiver<TcpStream>>>, plane: &OpsPlane) {
+fn worker_loop(rx: &Arc<Mutex<Receiver<(TcpStream, Instant)>>>, plane: &OpsPlane) {
     loop {
-        let stream = rx.lock().recv();
-        match stream {
-            Ok(stream) => handle_connection(stream, plane),
+        let next = rx.lock().recv();
+        match next {
+            Ok((stream, deadline)) => handle_connection(stream, deadline, plane),
             Err(_) => return, // channel closed: shutting down
         }
     }
 }
 
-fn handle_connection(mut stream: TcpStream, plane: &OpsPlane) {
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let request = match read_request_head(&mut stream) {
+fn handle_connection(mut stream: TcpStream, deadline: Instant, plane: &OpsPlane) {
+    let request = match read_request_head(&mut stream, deadline) {
         Some(head) => head,
         None => {
             respond(&mut stream, 400, "text/plain", "bad request");
@@ -181,7 +176,7 @@ fn handle_connection(mut stream: TcpStream, plane: &OpsPlane) {
     if path == "/debug/capture" {
         if method == "POST" {
             let reason = "POST /debug/capture".to_string();
-            let bundle = plane.capture(Trigger::Manual { reason }).json;
+            let bundle = plane.capture(Trigger::Manual { reason });
             respond(&mut stream, 200, "application/json", &bundle);
         } else {
             respond(
@@ -235,8 +230,9 @@ fn handle_connection(mut stream: TcpStream, plane: &OpsPlane) {
 }
 
 /// Read until the end of the request head (`\r\n\r\n`), within the
-/// size bound and read timeout. Returns the first request line.
-fn read_request_head(stream: &mut TcpStream) -> Option<String> {
+/// size bound and by `deadline`: each read waits only for what is left
+/// of it. Returns the first request line.
+fn read_request_head(stream: &mut TcpStream, deadline: Instant) -> Option<String> {
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     loop {
@@ -246,6 +242,8 @@ fn read_request_head(stream: &mut TcpStream) -> Option<String> {
         if buf.len() >= MAX_REQUEST_BYTES {
             return None;
         }
+        let left = deadline.saturating_duration_since(Instant::now());
+        stream.set_read_timeout(Some(left.max(LAST_READ))).ok()?;
         match stream.read(&mut chunk) {
             Ok(0) => break, // peer closed after (or mid-) request
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
@@ -382,12 +380,12 @@ mod tests {
         assert_eq!(code, 200, "{body}");
         assert!(body.contains(r#""kind":"manual""#), "{body}");
         assert!(body.contains(r#""reason":"POST /debug/capture""#), "{body}");
-        assert_eq!(rig.plane.incidents().len(), 1);
+        assert_eq!(rig.plane.recorder.incidents().len(), 1);
 
         // Capture mutates: a GET must not trigger it.
         let (code, _) = get(addr, "/debug/capture");
         assert_eq!(code, 405);
-        assert_eq!(rig.plane.incidents().len(), 1);
+        assert_eq!(rig.plane.recorder.incidents().len(), 1);
 
         let (code, body) = get(addr, "/debug/incidents");
         assert_eq!(code, 200);
@@ -441,6 +439,38 @@ mod tests {
             Ok(_) => assert!(response.starts_with("HTTP/1.0 400"), "{response}"),
             Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
         }
+    }
+
+    /// Two clients trickling a request head a byte at a time hold both
+    /// workers only until their head deadline: a `/health` probe queued
+    /// behind them is answered well inside a load balancer's patience.
+    #[test]
+    fn trickling_clients_cannot_starve_health() {
+        let (_rig, handle) = serve("trickle");
+        let addr = handle.local_addr();
+        let tricklers: Vec<_> = (0..POOL_SIZE)
+            .map(|_| {
+                std::thread::spawn(move || {
+                    let mut stream = TcpStream::connect(addr).expect("connect");
+                    let started = Instant::now();
+                    while started.elapsed() < Duration::from_secs(8) {
+                        // Once the server gives up, writes fail: ignored.
+                        let _ = stream.write_all(b"G");
+                        std::thread::sleep(Duration::from_millis(500));
+                    }
+                })
+            })
+            .collect();
+        // Both workers are now reading a trickle.
+        std::thread::sleep(Duration::from_millis(200));
+        let asked = Instant::now();
+        let (code, _) = get(addr, "/health");
+        let waited = asked.elapsed();
+        for t in tricklers {
+            t.join().expect("trickler");
+        }
+        assert_eq!(code, 200);
+        assert!(waited < Duration::from_secs(4), "/health waited {waited:?}");
     }
 
     #[test]

@@ -29,15 +29,15 @@ use css_types::Timestamp;
 use crate::delta::SnapshotDelta;
 
 /// Samples in the fast (paging) window.
-pub const FAST_WINDOW: usize = 5;
+const FAST_WINDOW: usize = 5;
 /// Samples in the slow (ticketing) window; also the retained history.
-pub const SLOW_WINDOW: usize = 60;
+const SLOW_WINDOW: usize = 60;
 /// Fast-window burn rate at or above which an alert is `Critical`.
-pub const CRITICAL_BURN: f64 = 10.0;
+const CRITICAL_BURN: f64 = 10.0;
 
 /// What a [`Slo`] measures.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SloObjective {
+enum SloObjective {
     /// No more than `allowed` of observations in `histogram` may exceed
     /// `threshold_ns` (e.g. p99 < 200µs ⇔ allowed = 1%).
     LatencyP99 {
@@ -80,11 +80,11 @@ impl SloObjective {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Slo {
     /// Report name, e.g. `detail_request_p99`.
-    pub name: String,
+    name: String,
     /// What is measured.
-    pub objective: SloObjective,
+    objective: SloObjective,
     /// Allowed bad fraction — the error budget per unit of traffic.
-    pub allowed: f64,
+    allowed: f64,
 }
 
 impl Slo {
@@ -125,7 +125,7 @@ impl Slo {
 
 /// Alert level derived from the two burn-rate windows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum AlertLevel {
+pub(crate) enum AlertLevel {
     /// Burn below 1 on both windows: the budget outlives the period.
     Ok,
     /// Burn at or above 1 on either window: budget spending too fast.
@@ -136,7 +136,7 @@ pub enum AlertLevel {
 
 impl AlertLevel {
     /// Wire code: `ok` / `warning` / `critical`.
-    pub fn code(self) -> &'static str {
+    pub(crate) fn code(self) -> &'static str {
         match self {
             AlertLevel::Ok => "ok",
             AlertLevel::Warning => "warning",
@@ -147,7 +147,7 @@ impl AlertLevel {
 
 /// One SLO's evaluated state.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SloStatus {
+pub(crate) struct SloStatus {
     /// The SLO's name.
     pub name: String,
     /// Human description of the objective.

@@ -51,7 +51,7 @@ impl HealthStatus {
     }
 
     /// Wire code: `healthy` / `degraded` / `unhealthy`.
-    pub fn code(&self) -> &'static str {
+    pub(crate) fn code(&self) -> &'static str {
         match self {
             HealthStatus::Healthy => "healthy",
             HealthStatus::Degraded { .. } => "degraded",
@@ -60,7 +60,7 @@ impl HealthStatus {
     }
 
     /// The carried reason, if any.
-    pub fn reason(&self) -> Option<&str> {
+    pub(crate) fn reason(&self) -> Option<&str> {
         match self {
             HealthStatus::Healthy => None,
             HealthStatus::Degraded { reason } | HealthStatus::Unhealthy { reason } => Some(reason),
@@ -79,7 +79,7 @@ impl fmt::Display for HealthStatus {
 
 /// One named component's probe result.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ComponentHealth {
+pub(crate) struct ComponentHealth {
     /// Component name (`storage`, `bus`, `policy`, `gateway`, `trace`).
     pub component: String,
     /// The probe's verdict.
@@ -88,7 +88,7 @@ pub struct ComponentHealth {
 
 /// Every component's status at one instant, plus the rollup.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct HealthReport {
+pub(crate) struct HealthReport {
     /// Per-component results, in registration order.
     pub components: Vec<ComponentHealth>,
 }
@@ -96,7 +96,7 @@ pub struct HealthReport {
 impl HealthReport {
     /// The worst status across all components (`Healthy` when empty:
     /// an ops plane with no probes has nothing to report against).
-    pub fn rollup(&self) -> HealthStatus {
+    pub(crate) fn rollup(&self) -> HealthStatus {
         self.components
             .iter()
             .max_by_key(|c| c.status.rank())
@@ -106,12 +106,12 @@ impl HealthReport {
 
     /// Whether the platform should answer 200 on `/health`: anything
     /// short of `Unhealthy` still serves.
-    pub fn is_serving(&self) -> bool {
+    pub(crate) fn is_serving(&self) -> bool {
         !matches!(self.rollup(), HealthStatus::Unhealthy { .. })
     }
 
     /// The JSON document served on `GET /health`.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut j = JsonBuf::new();
         j.begin_object();
         j.key("status").string(self.rollup().code());

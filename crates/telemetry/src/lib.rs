@@ -19,8 +19,8 @@
 //! per-stage histograms with one clock read per boundary.
 //!
 //! [`MetricsRegistry::snapshot`] renders everything into a plain-data
-//! [`TelemetrySnapshot`]; [`TelemetrySnapshot::to_text`] gives a
-//! stable line-oriented exposition format for logs and debugging.
+//! [`TelemetrySnapshot`]. Its one text exposition is the Prometheus
+//! body `css-health` renders for `GET /metrics`.
 
 mod json;
 mod metrics;

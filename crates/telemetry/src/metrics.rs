@@ -295,23 +295,6 @@ pub struct HistogramSnapshot {
     pub exemplars: Vec<Exemplar>,
 }
 
-impl HistogramSnapshot {
-    /// Arithmetic mean in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> u64 {
-        self.sum_ns.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// The exemplar of the bucket the p99 estimate falls in (the
-    /// slowest-bucket exemplar at or above `p99_ns`), if any bucket up
-    /// there retained one — the trace to pull when the p99 regresses.
-    pub fn p99_exemplar(&self) -> Option<&Exemplar> {
-        self.exemplars
-            .iter()
-            .rev()
-            .find(|e| e.bucket_ns >= self.p99_ns)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,7 +337,6 @@ mod tests {
     fn empty_histogram_snapshot_is_zero() {
         let snap = Histogram::new().snapshot();
         assert_eq!(snap, HistogramSnapshot::default());
-        assert_eq!(snap.mean_ns(), 0);
     }
 
     #[test]
@@ -376,7 +358,7 @@ mod tests {
         assert!(snap.p99_ns >= 1_000_000, "p99={}", snap.p99_ns);
         assert!(snap.p99_ns < (1 << 21), "p99={}", snap.p99_ns);
         assert!(snap.p50_ns <= snap.p90_ns && snap.p90_ns <= snap.p99_ns);
-        assert_eq!(snap.mean_ns(), (90 * 1_000 + 10 * 1_000_000) / 100);
+        assert_eq!(snap.sum_ns, 90 * 1_000 + 10 * 1_000_000);
     }
 
     #[test]
@@ -468,26 +450,6 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.exemplars.len(), 1);
         assert_eq!(snap.exemplars[0].trace_id, 0xAAAA);
-    }
-
-    #[test]
-    fn p99_exemplar_picks_the_slow_bucket() {
-        let h = Histogram::new();
-        for _ in 0..90 {
-            h.record_with_exemplar(1_000, 0xFAFA, 1);
-        }
-        for _ in 0..10 {
-            h.record_with_exemplar(1_000_000, 0x5105, 2);
-        }
-        let snap = h.snapshot();
-        let ex = snap.p99_exemplar().expect("slow bucket has an exemplar");
-        assert_eq!(ex.trace_id, 0x5105, "p99 exemplar joins the slow trace");
-        let fast_only = {
-            let h = Histogram::new();
-            h.record_with_exemplar(1_000, 0xFAFA, 1);
-            h.snapshot()
-        };
-        assert_eq!(fast_only.p99_exemplar().unwrap().trace_id, 0xFAFA);
     }
 
     #[test]

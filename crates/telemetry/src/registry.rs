@@ -124,62 +124,6 @@ impl TelemetrySnapshot {
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.get(name)
     }
-
-    /// Line-oriented text exposition:
-    ///
-    /// ```text
-    /// counter bus.published 42
-    /// gauge bus.queue_depth 3
-    /// histogram stage.consent count=42 mean_ns=810 p50_ns=1023 p90_ns=2047 p99_ns=4095 max_ns=3891 buckets=le1023:30,le2047:8,le4095:4
-    /// ```
-    ///
-    /// One instrument per line, keys in stable order (the maps are
-    /// `BTreeMap`s, so two snapshots of the same state render
-    /// byte-identically) — greppable and diffable, which is the point.
-    /// Each occupied log₂ bucket prints as `le{bound}:{count}`; the
-    /// overflow bucket (bound `u64::MAX`) prints as `leinf`.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for (name, value) in &self.counters {
-            out.push_str(&format!("counter {name} {value}\n"));
-        }
-        for (name, value) in &self.gauges {
-            out.push_str(&format!("gauge {name} {value}\n"));
-        }
-        for (name, h) in &self.histograms {
-            out.push_str(&format!(
-                "histogram {name} count={} mean_ns={} p50_ns={} p90_ns={} p99_ns={} max_ns={}",
-                h.count,
-                h.mean_ns(),
-                h.p50_ns,
-                h.p90_ns,
-                h.p99_ns,
-                h.max_ns,
-            ));
-            if !h.buckets.is_empty() {
-                let rendered: Vec<String> = h
-                    .buckets
-                    .iter()
-                    .map(|(bound, n)| {
-                        if *bound == u64::MAX {
-                            format!("leinf:{n}")
-                        } else {
-                            format!("le{bound}:{n}")
-                        }
-                    })
-                    .collect();
-                out.push_str(&format!(" buckets={}", rendered.join(",")));
-            }
-            out.push('\n');
-        }
-        out
-    }
-}
-
-impl fmt::Display for TelemetrySnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_text())
-    }
 }
 
 #[cfg(test)]
@@ -225,42 +169,6 @@ mod tests {
         assert!(snap.histogram("missing").is_none());
     }
 
-    #[test]
-    fn text_exposition_is_stable_and_complete() {
-        let reg = MetricsRegistry::new();
-        reg.counter("z.last").inc();
-        reg.counter("a.first").inc();
-        reg.gauge("depth").set(4);
-        reg.histogram("lat").record(10);
-        let text = reg.snapshot().to_text();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], "counter a.first 1");
-        assert_eq!(lines[1], "counter z.last 1");
-        assert_eq!(lines[2], "gauge depth 4");
-        assert!(lines[3].starts_with("histogram lat count=1 "));
-        assert_eq!(reg.snapshot().to_string(), text);
-    }
-
-    #[test]
-    fn text_exposition_golden() {
-        let reg = MetricsRegistry::new();
-        reg.counter("bus.published").add(42);
-        reg.gauge("bus.queue_depth").set(3);
-        let h = reg.histogram("stage.consent");
-        h.record(500); // bucket le511
-        h.record(500);
-        h.record(900); // bucket le1023
-        assert_eq!(
-            reg.snapshot().to_text(),
-            "counter bus.published 42\n\
-             gauge bus.queue_depth 3\n\
-             histogram stage.consent count=3 mean_ns=633 p50_ns=511 p90_ns=900 \
-             p99_ns=900 max_ns=900 buckets=le511:2,le1023:1\n"
-        );
-        // Deterministic: the same state renders byte-identically.
-        assert_eq!(reg.snapshot().to_text(), reg.snapshot().to_text());
-    }
-
     /// A panic while holding a registry lock must not take the ops
     /// plane down with it: the maps stay valid (get-or-create inserts
     /// are atomic from the map's perspective), so the registry recovers
@@ -291,13 +199,5 @@ mod tests {
         assert_eq!(snap.counter("after.poison"), 2);
         assert_eq!(snap.gauge("depth"), 3);
         assert_eq!(snap.histogram("lat").unwrap().count, 1);
-    }
-
-    #[test]
-    fn text_exposition_renders_overflow_bucket_as_inf() {
-        let reg = MetricsRegistry::new();
-        reg.histogram("lat").record(u64::MAX);
-        let text = reg.snapshot().to_text();
-        assert!(text.contains("buckets=leinf:1"), "{text}");
     }
 }

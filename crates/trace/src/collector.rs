@@ -26,37 +26,21 @@ struct Slot {
 ///
 /// When the buffer is full the **oldest** span is overwritten
 /// (drop-oldest): recent causality is worth more than ancient history,
-/// the same call the broker makes for monitoring-grade queues. Drops
-/// are counted and, when the collector is built over a
-/// [`MetricsRegistry`], exported as `trace.spans_dropped` next to
-/// `trace.spans_recorded`.
-pub struct SpanCollector {
+/// the same call the broker makes for monitoring-grade queues. Every
+/// span counts into `trace.spans_recorded`, every overwrite into
+/// `trace.spans_dropped`, of the registry the collector is built over.
+pub(crate) struct SpanCollector {
     slots: Box<[Slot]>,
     head: AtomicU64,
-    dropped: AtomicU64,
-    recorded_metric: Option<Counter>,
-    dropped_metric: Option<Counter>,
+    recorded: Counter,
+    dropped: Counter,
 }
 
 impl SpanCollector {
-    /// A collector holding at most `capacity` spans (min 1).
-    pub fn new(capacity: usize) -> Self {
-        Self::build(capacity, None, None)
-    }
-
-    /// A collector that also exports `trace.spans_recorded` and
-    /// `trace.spans_dropped` counters into `registry`.
-    pub fn with_metrics(capacity: usize, registry: &MetricsRegistry) -> Self {
-        Self::build(
-            capacity,
-            Some(registry.counter("trace.spans_recorded")),
-            Some(registry.counter("trace.spans_dropped")),
-        )
-    }
-
-    fn build(capacity: usize, recorded: Option<Counter>, dropped: Option<Counter>) -> Self {
-        let capacity = capacity.max(1);
-        let slots = (0..capacity)
+    /// A collector holding at most `capacity` spans (min 1), counting
+    /// into `registry`.
+    pub(crate) fn new(capacity: usize, registry: &MetricsRegistry) -> Self {
+        let slots = (0..capacity.max(1))
             .map(|_| Slot {
                 seq: AtomicU64::new(0),
                 span: Mutex::new(None),
@@ -65,43 +49,32 @@ impl SpanCollector {
         SpanCollector {
             slots,
             head: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            recorded_metric: recorded,
-            dropped_metric: dropped,
+            recorded: registry.counter("trace.spans_recorded"),
+            dropped: registry.counter("trace.spans_dropped"),
         }
     }
 
-    /// Maximum number of retained spans.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Store one finished span, overwriting the oldest when full.
-    pub fn record(&self, span: Span) {
+    pub(crate) fn record(&self, span: Span) {
         let claim = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(claim as usize) % self.slots.len()];
         let mut cell = slot.span.lock();
         if cell.replace(span).is_some() {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            if let Some(c) = &self.dropped_metric {
-                c.inc();
-            }
+            self.dropped.inc();
         }
         slot.seq.store(claim + 1, Ordering::Release);
         drop(cell);
-        if let Some(c) = &self.recorded_metric {
-            c.inc();
-        }
+        self.recorded.inc();
     }
 
     /// Spans recorded over the collector's lifetime (including dropped).
-    pub fn recorded(&self) -> u64 {
+    pub(crate) fn recorded(&self) -> u64 {
         self.head.load(Ordering::Relaxed)
     }
 
     /// Spans overwritten before anyone read them.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+    pub(crate) fn dropped(&self) -> u64 {
+        self.dropped.get()
     }
 
     /// Copy out the retained spans, oldest first.
@@ -110,7 +83,7 @@ impl SpanCollector {
     /// sequence check skips any slot that no longer holds the claim the
     /// snapshot expects, so the result is always a consistent suffix of
     /// the record stream.
-    pub fn snapshot(&self) -> Vec<Span> {
+    pub(crate) fn snapshot(&self) -> Vec<Span> {
         let head = self.head.load(Ordering::Acquire);
         let capacity = self.slots.len() as u64;
         let start = head.saturating_sub(capacity);
@@ -139,6 +112,10 @@ mod tests {
     use crate::id::{SpanId, TraceId};
     use crate::span::SpanStatus;
 
+    fn collector(capacity: usize) -> SpanCollector {
+        SpanCollector::new(capacity, &MetricsRegistry::new())
+    }
+
     fn span(n: u64, name: &'static str) -> Span {
         Span {
             trace: TraceId(1),
@@ -154,7 +131,7 @@ mod tests {
 
     #[test]
     fn records_in_order_below_capacity() {
-        let c = SpanCollector::new(8);
+        let c = collector(8);
         for i in 0..5 {
             c.record(span(i, "s"));
         }
@@ -170,7 +147,7 @@ mod tests {
 
     #[test]
     fn overflow_drops_oldest_not_newest() {
-        let c = SpanCollector::new(4);
+        let c = collector(4);
         for i in 0..6 {
             c.record(span(i, "s"));
         }
@@ -187,16 +164,18 @@ mod tests {
 
     #[test]
     fn zero_capacity_clamps_to_one() {
-        let c = SpanCollector::new(0);
-        c.record(span(1, "only"));
-        assert_eq!(c.capacity(), 1);
-        assert_eq!(c.snapshot().len(), 1);
+        let c = collector(0);
+        c.record(span(1, "first"));
+        c.record(span(2, "only"));
+        let kept = c.snapshot();
+        assert_eq!(kept.len(), 1);
+        assert_eq!(kept[0].name, "only");
     }
 
     #[test]
     fn metrics_exported_through_registry() {
         let registry = MetricsRegistry::new();
-        let c = SpanCollector::with_metrics(2, &registry);
+        let c = SpanCollector::new(2, &registry);
         for i in 0..5 {
             c.record(span(i, "s"));
         }
@@ -222,7 +201,7 @@ mod tests {
             s.start_ns == s.id.value() * 2 && s.end_ns == s.start_ns + 1
         }
 
-        let c = std::sync::Arc::new(SpanCollector::new(CAPACITY));
+        let c = std::sync::Arc::new(collector(CAPACITY));
         let stop = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
 
         let reader = {
@@ -289,7 +268,7 @@ mod tests {
 
     #[test]
     fn concurrent_recording_loses_nothing_below_capacity() {
-        let c = std::sync::Arc::new(SpanCollector::new(4096));
+        let c = std::sync::Arc::new(collector(4096));
         let mut handles = Vec::new();
         for t in 0..4 {
             let c = c.clone();

@@ -1,92 +1,13 @@
-//! Span exporters: a human-readable text tree and Chrome `trace_event`
-//! JSON loadable in `about:tracing` or [Perfetto](https://ui.perfetto.dev).
+//! The span exporter: Chrome `trace_event` JSON loadable in
+//! `about:tracing` or [Perfetto](https://ui.perfetto.dev) — the body of
+//! the ops plane's `GET /traces`.
 
 use std::collections::BTreeMap;
 
 use css_telemetry::JsonBuf;
 
-use crate::id::{SpanId, TraceId};
+use crate::id::TraceId;
 use crate::span::Span;
-
-/// Render spans as an indented tree, one trace after another.
-///
-/// Traces appear in first-span order; within a trace, siblings sort by
-/// start time. Each line shows name, duration, status, and attributes:
-///
-/// ```text
-/// trace 0000002a00000001
-///   publish 41.2us ok [event=1]
-///     bus.route 8.1us ok
-///       bus.deliver 3.0us ok
-/// ```
-pub fn render_text_tree(spans: &[Span]) -> String {
-    let mut out = String::new();
-    for (trace, members) in group_by_trace(spans) {
-        out.push_str(&format!("trace {trace}\n"));
-        let mut children: BTreeMap<Option<SpanId>, Vec<&Span>> = BTreeMap::new();
-        for span in &members {
-            children.entry(span.parent).or_default().push(span);
-        }
-        for list in children.values_mut() {
-            list.sort_by_key(|s| (s.start_ns, s.id));
-        }
-        // Roots: spans with no parent, or whose parent is not in the
-        // buffer (evicted by the ring) — render those at top level too
-        // so a lapped buffer still produces a complete listing.
-        let present: std::collections::BTreeSet<SpanId> = members.iter().map(|s| s.id).collect();
-        let mut roots: Vec<&Span> = members
-            .iter()
-            .filter(|s| s.parent.is_none_or(|p| !present.contains(&p)))
-            .copied()
-            .collect();
-        roots.sort_by_key(|s| (s.start_ns, s.id));
-        for root in roots {
-            render_subtree(root, &children, 1, &mut out);
-        }
-    }
-    out
-}
-
-fn render_subtree(
-    span: &Span,
-    children: &BTreeMap<Option<SpanId>, Vec<&Span>>,
-    depth: usize,
-    out: &mut String,
-) {
-    out.push_str(&"  ".repeat(depth));
-    out.push_str(&format!(
-        "{} {} {}",
-        span.name,
-        format_duration(span.duration_ns()),
-        span.status.code()
-    ));
-    if !span.attrs.is_empty() {
-        let rendered: Vec<String> = span.attrs.iter().map(|a| a.to_string()).collect();
-        out.push_str(&format!(" [{}]", rendered.join(" ")));
-    }
-    out.push('\n');
-    if let Some(kids) = children.get(&Some(span.id)) {
-        for kid in kids {
-            render_subtree(kid, children, depth + 1, out);
-        }
-    }
-}
-
-fn format_duration(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!(
-            "{}.{:03}s",
-            ns / 1_000_000_000,
-            (ns % 1_000_000_000) / 1_000_000
-        )
-    } else if ns >= 1_000_000 {
-        format!("{}.{:03}ms", ns / 1_000_000, (ns % 1_000_000) / 1_000)
-    } else if ns >= 1_000 {
-        format!("{}.{:03}us", ns / 1_000, ns % 1_000)
-    } else {
-        format!("{ns}ns")
-    }
-}
 
 /// Render spans as Chrome `trace_event` JSON (duration `B`/`E` pairs).
 ///
@@ -159,27 +80,10 @@ pub fn render_chrome_trace(spans: &[Span]) -> String {
     j.finish()
 }
 
-fn group_by_trace(spans: &[Span]) -> Vec<(TraceId, Vec<&Span>)> {
-    let mut order: Vec<TraceId> = Vec::new();
-    let mut groups: BTreeMap<TraceId, Vec<&Span>> = BTreeMap::new();
-    for span in spans {
-        if !groups.contains_key(&span.trace) {
-            order.push(span.trace);
-        }
-        groups.entry(span.trace).or_default().push(span);
-    }
-    order
-        .into_iter()
-        .map(|t| {
-            let members = groups.remove(&t).unwrap_or_default();
-            (t, members)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::id::SpanId;
     use crate::span::{SpanAttr, SpanStatus};
     use css_types::GlobalEventId;
 
@@ -201,42 +105,6 @@ mod tests {
             status: SpanStatus::Ok,
             attrs: Vec::new(),
         }
-    }
-
-    #[test]
-    fn text_tree_nests_and_orders_children() {
-        let spans = vec![
-            span(1, 1, None, "publish", 0, 100_000),
-            span(1, 3, Some(1), "index.insert", 60_000, 70_000),
-            span(1, 2, Some(1), "bus.route", 10_000, 50_000),
-        ];
-        let text = render_text_tree(&spans);
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], "trace 0000000000000001");
-        assert!(lines[1].starts_with("  publish "));
-        assert!(lines[2].starts_with("    bus.route "), "{text}");
-        assert!(lines[3].starts_with("    index.insert "), "{text}");
-    }
-
-    #[test]
-    fn text_tree_shows_attrs_and_status() {
-        let mut s = span(1, 1, None, "pep.pdp_evaluate", 0, 2_500);
-        s.status = SpanStatus::Denied;
-        s.attrs.push(SpanAttr::event(GlobalEventId(9)));
-        s.attrs.push(SpanAttr::decision(false));
-        let text = render_text_tree(&[s]);
-        assert!(
-            text.contains("pep.pdp_evaluate 2.500us denied [event=9 decision=deny]"),
-            "{text}"
-        );
-    }
-
-    #[test]
-    fn text_tree_keeps_orphans_visible() {
-        // Parent evicted from the ring: the child must still render.
-        let spans = vec![span(1, 5, Some(4), "bus.deliver", 10, 20)];
-        let text = render_text_tree(&spans);
-        assert!(text.contains("bus.deliver"), "{text}");
     }
 
     #[test]

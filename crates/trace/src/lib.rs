@@ -20,11 +20,11 @@
 //! `Date::now`-style entropy, so simulated clocks yield reproducible
 //! ids in tests.
 //!
-//! Finished spans land in a bounded ring-buffer [`SpanCollector`]
-//! (drop-oldest; the drop counter is exported through the shared
-//! `MetricsRegistry`) and can be rendered as a text tree
-//! ([`render_text_tree`]) or as Chrome `trace_event` JSON
-//! ([`render_chrome_trace`]) for `about:tracing` / Perfetto.
+//! Finished spans land in a bounded drop-oldest ring whose
+//! `trace.spans_recorded` / `trace.spans_dropped` counters live in the
+//! registry [`Tracer::new`] is given, and export as Chrome
+//! `trace_event` JSON ([`render_chrome_trace`]) for `about:tracing` /
+//! Perfetto — the ops plane's `GET /traces` body.
 
 mod collector;
 mod export;
@@ -32,8 +32,7 @@ mod id;
 mod span;
 mod tracer;
 
-pub use collector::SpanCollector;
-pub use export::{render_chrome_trace, render_text_tree};
+pub use export::render_chrome_trace;
 pub use id::{SpanId, TraceId};
 pub use span::{Span, SpanAttr, SpanStatus};
 pub use tracer::{SpanGuard, TraceContext, Tracer};

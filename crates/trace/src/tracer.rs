@@ -39,24 +39,13 @@ impl Tracer {
         Tracer { inner: None }
     }
 
-    /// An enabled tracer retaining at most `capacity` finished spans.
-    pub fn new(capacity: usize) -> Tracer {
+    /// An enabled tracer retaining at most `capacity` finished spans and
+    /// counting them into `registry` (`trace.spans_recorded`,
+    /// `trace.spans_dropped`).
+    pub fn new(capacity: usize, registry: &MetricsRegistry) -> Tracer {
         Tracer {
             inner: Some(Arc::new(TracerInner {
-                collector: SpanCollector::new(capacity),
-                origin: Instant::now(),
-                trace_seq: AtomicU64::new(1),
-                span_seq: AtomicU64::new(1),
-            })),
-        }
-    }
-
-    /// An enabled tracer that also exports `trace.spans_recorded` /
-    /// `trace.spans_dropped` counters through `registry`.
-    pub fn with_metrics(capacity: usize, registry: &MetricsRegistry) -> Tracer {
-        Tracer {
-            inner: Some(Arc::new(TracerInner {
-                collector: SpanCollector::with_metrics(capacity, registry),
+                collector: SpanCollector::new(capacity, registry),
                 origin: Instant::now(),
                 trace_seq: AtomicU64::new(1),
                 span_seq: AtomicU64::new(1),
@@ -241,7 +230,7 @@ pub struct TraceContext {
 
 impl TraceContext {
     /// A context that produces only no-op children.
-    pub fn disabled() -> TraceContext {
+    fn disabled() -> TraceContext {
         TraceContext {
             tracer: Tracer::disabled(),
             trace: TraceId(0),
@@ -294,7 +283,7 @@ mod tests {
 
     #[test]
     fn root_and_child_share_a_trace() {
-        let tracer = Tracer::new(64);
+        let tracer = Tracer::new(64, &MetricsRegistry::new());
         let root = tracer.root("publish", Timestamp(42));
         let trace = root.trace_id().unwrap();
         let ctx = root.context();
@@ -318,7 +307,7 @@ mod tests {
 
     #[test]
     fn trace_id_is_seeded_from_the_clock() {
-        let tracer = Tracer::new(16);
+        let tracer = Tracer::new(16, &MetricsRegistry::new());
         let a = tracer.root("a", Timestamp(7_000));
         let id = a.trace_id().unwrap();
         assert_eq!(id.value() >> 32, 7_000);
@@ -329,7 +318,7 @@ mod tests {
 
     #[test]
     fn drop_records_the_span_like_finish_would() {
-        let tracer = Tracer::new(16);
+        let tracer = Tracer::new(16, &MetricsRegistry::new());
         {
             let mut span = tracer.root("detail_request", Timestamp::EPOCH);
             span.set_status(SpanStatus::Denied);
@@ -346,7 +335,7 @@ mod tests {
         assert!(none.trace_id().is_none());
         none.finish();
 
-        let tracer = Tracer::new(16);
+        let tracer = Tracer::new(16, &MetricsRegistry::new());
         let root = tracer.root("r", Timestamp::EPOCH);
         let ctx = root.context();
         let some = TraceContext::child_opt(Some(&ctx), "x");
@@ -358,7 +347,7 @@ mod tests {
 
     #[test]
     fn attrs_and_status_land_on_the_recorded_span() {
-        let tracer = Tracer::new(16);
+        let tracer = Tracer::new(16, &MetricsRegistry::new());
         let mut span = tracer.root("pep.pdp_evaluate", Timestamp::EPOCH);
         span.attr(SpanAttr::cache_hit(true));
         span.attr(SpanAttr::decision(false));

@@ -92,6 +92,9 @@ fn main() -> CssResult<()> {
     assert!(telemetry.counter("controller.published") >= 1);
     assert!(telemetry.counter("bus.published") >= 1);
     assert!(telemetry.histogram("stage.pdp_evaluate").is_some());
-    println!("\ntelemetry snapshot:\n{telemetry}");
+    println!(
+        "\ntelemetry (the GET /metrics body):\n{}",
+        css::health::render_prometheus(&telemetry)
+    );
     Ok(())
 }

@@ -50,7 +50,15 @@ step "tier-1: tests (whole workspace; one red test hides no suite after it)" \
 # The macrobench is a package of its own that `cargo build` at the root
 # never compiles, and it calls the product crates directly: build its
 # tests and run every workload once so an API break shows here.
+# Resolving the package prunes its committed Cargo.lock, which only a
+# benchmark PR refreshes: its bytes are saved first and put back on
+# exit, whatever the steps did, so a gate run leaves the tree as it
+# found it.
 macrobench=crates/bench/examples/macrobench
+saved_lock=target/macrobench/Cargo.lock.saved
+mkdir -p target/macrobench
+cp "$macrobench/Cargo.lock" "$saved_lock"
+trap 'cp "$saved_lock" "$macrobench/Cargo.lock"' EXIT
 step "macrobench: package tests" \
   env CARGO_TARGET_DIR=target/macrobench/build \
   cargo test -q --release --offline --manifest-path "$macrobench/Cargo.toml"

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use css::audit::{AuditAction, AuditQuery};
-use css::core::{BackendProvider, CssPlatform, CssPlatformBuilder, Trigger};
+use css::core::{BackendProvider, CssPlatform, CssPlatformBuilder};
 use css::prelude::*;
 use css::storage::{LogBackend, MemBackend};
 use css::trace::TraceId;
@@ -359,27 +359,24 @@ fn debug_endpoints_serve_exemplars_incidents_and_manual_capture() {
     assert!(body.contains(r#""component":"blackbox""#), "{body}");
 }
 
+/// The bundle `POST /debug/capture` returns is the file
+/// `/debug/incidents` names for it, byte for byte.
 #[test]
 fn capture_incident_api_writes_the_bundle_it_returns() {
-    let (platform, _addr, _dir, _doctor, _n) =
+    let (_platform, addr, _dir, _doctor, _n) =
         blackbox_platform("api", Arc::new(AtomicBool::new(false)));
-    let reason = "operator request".to_string();
-    let outcome = platform
-        .ops()
-        .expect("ops enabled")
-        .capture(Trigger::Manual { reason });
+    let (code, bundle) = http(addr, "POST", "/debug/capture");
+    assert_eq!(code, 200, "{bundle}");
+    assert!(bundle.contains(r#""kind":"manual""#), "{bundle}");
     assert!(
-        outcome.json.contains(r#""kind":"manual""#),
-        "{}",
-        outcome.json
+        bundle.contains(r#""reason":"POST /debug/capture""#),
+        "{bundle}"
     );
-    assert!(
-        outcome.json.contains(r#""reason":"operator request""#),
-        "{}",
-        outcome.json
-    );
-    let path = outcome.path.as_ref().expect("bundle written to disk");
+    let (_, listed) = get(addr, "/debug/incidents");
+    let entry = &listed[listed.find(r#""kind":"manual""#).expect("capture listed")..];
+    let path_at = entry.find(r#""path":""#).expect("bundle written to disk") + r#""path":""#.len();
+    let path = &entry[path_at..path_at + entry[path_at..].find('"').expect("path ends")];
     let on_disk = std::fs::read_to_string(path).expect("read bundle file");
-    assert_eq!(on_disk, outcome.json, "disk bundle differs from returned");
-    assert_no_leak("in-process capture bundle", &outcome.json);
+    assert_eq!(on_disk, bundle, "disk bundle differs from returned");
+    assert_no_leak("POST /debug/capture bundle", &bundle);
 }

@@ -330,18 +330,16 @@ fn two_minute_degradation_is_queryable_and_captured() {
         "history carries the raw window: {bundle}"
     );
 
-    // The platform-side accessor agrees with the HTTP view.
-    let ops = platform.ops().expect("ops enabled");
+    // The function the `p99` shorthand stands for agrees.
+    let (_, quantile) = get(
+        addr,
+        &format!(
+            "/query?metric=stage.total&fn=quantile_over_time&q=0.99&res=minute&from={degraded_from}&to={degraded_to}"
+        ),
+    );
     assert!(
-        ops.quantile_over_time(
-            "stage.total",
-            0.99,
-            css::core::Resolution::Minute,
-            degraded_from,
-            degraded_to,
-        )
-        .expect("degraded window retained")
-            >= DEGRADED_NS
+        query_value(&quantile) >= DEGRADED_NS as f64,
+        "degraded window not retained: {quantile}"
     );
 
     // Aggregates only, end to end.

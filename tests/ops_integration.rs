@@ -13,7 +13,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use css::core::{BackendProvider, CssPlatform, CssPlatformBuilder};
-use css::health::Slo;
 use css::monitor::ProcessMonitor;
 use css::prelude::*;
 use css::storage::{LogBackend, MemBackend};
@@ -276,11 +275,6 @@ fn ops_platform_on(
         .tracing(256)
         .ops_server("127.0.0.1:0")
         .ops_sample_interval(Duration::from_millis(10))
-        .ops_slo(Slo::latency_p99(
-            "ops_test_latency",
-            "test.latency",
-            200_000,
-        ))
         .ops_monitor(monitor)
         .incident_dir(incident_dir)
         .build()
@@ -414,19 +408,25 @@ fn slo_alert(body: &str, name: &str) -> String {
 fn slo_goes_critical_within_two_sampler_ticks_of_a_p99_regression() {
     let (platform, addr) = ops_platform(Arc::new(AtomicBool::new(false)));
 
-    // Give the sampler a tick of healthy baseline first.
-    std::thread::sleep(Duration::from_millis(30));
-    let (code, body) = get(addr, "/slo");
-    assert_eq!(code, 200);
-    assert!(body.contains(r#""name":"detail_request_p99""#), "{body}");
-    assert_eq!(slo_alert(&body, "ops_test_latency"), "ok", "{body}");
+    // A healthy baseline first: the fixture's one detail request may
+    // itself have been slow, so wait for the fast window to drain it.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (code, body) = get(addr, "/slo");
+        assert_eq!(code, 200);
+        if slo_alert(&body, "detail_request_p99") != "critical" {
+            break;
+        }
+        assert!(Instant::now() < deadline, "SLO never left critical: {body}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
 
-    // Force the regression: a burst of observations far past the
-    // 200 µs objective on the SLO's histogram.
+    // Force the regression: a burst of detail-request latencies far
+    // past the default 200 µs objective.
     for _ in 0..200 {
         platform
             .metrics()
-            .histogram("test.latency")
+            .histogram("stage.total")
             .record(5_000_000);
     }
     let ticks_at_regression = json_u64(&get(addr, "/slo").1, "ticks");
@@ -434,7 +434,7 @@ fn slo_goes_critical_within_two_sampler_ticks_of_a_p99_regression() {
     let deadline = Instant::now() + Duration::from_secs(10);
     let ticks_at_critical = loop {
         let (_, body) = get(addr, "/slo");
-        if slo_alert(&body, "ops_test_latency") == "critical" {
+        if slo_alert(&body, "detail_request_p99") == "critical" {
             break json_u64(&body, "ticks");
         }
         assert!(Instant::now() < deadline, "SLO never went critical: {body}");
@@ -468,7 +468,7 @@ fn traces_and_monitor_endpoints_serve_aggregates() {
 /// manual capture freezes a bundle without any further builder option.
 #[test]
 fn ops_server_alone_serves_history_and_capture() {
-    let (platform, addr) = ops_platform(Arc::new(AtomicBool::new(false)));
+    let (_platform, addr) = ops_platform(Arc::new(AtomicBool::new(false)));
     let (code, body) = get(addr, "/query?metric=no.such.metric");
     assert_eq!(code, 200, "{body}");
     assert!(body.contains(r#""error":"unknown metric"#), "{body}");
@@ -484,9 +484,13 @@ fn ops_server_alone_serves_history_and_capture() {
         response.contains(r#""schema":"css-blackbox/1""#),
         "{response}"
     );
-    let ops = platform.ops().expect("ops enabled");
-    assert_eq!(ops.incidents().len(), 1);
-    assert!(!ops.anomaly_status().anomalous);
+    let (_, incidents) = get(addr, "/debug/incidents");
+    assert_eq!(incidents.matches(r#""seq":"#).count(), 1, "{incidents}");
+    let (_, health) = get(addr, "/health");
+    assert!(
+        health.contains(r#"{"component":"chronicle-anomaly","status":"healthy"}"#),
+        "{health}"
+    );
 }
 
 /// The trust argument of the ops plane: every endpoint serves

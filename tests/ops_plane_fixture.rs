@@ -59,7 +59,7 @@ impl World {
             lag_ms: Arc::new(AtomicU64::new(0)),
             // A 16-span ring: the script laps it, so old exemplars lose
             // their span trees and the trace drop-rate check trips.
-            tracer: Tracer::with_metrics(16, &main),
+            tracer: Tracer::new(16, &main),
             main,
             restarted: MetricsRegistry::new(),
             deliver_reset: Arc::new(AtomicBool::new(false)),

@@ -155,12 +155,12 @@ fn telemetry_matches_audit_after_end_to_end_flow() {
     );
     assert_eq!(telemetry.gauge("platform.indexed_events") as u64, PUBLISHES);
 
-    // The text exposition renders every metric family.
-    let text = telemetry.to_text();
+    // The Prometheus exposition renders every metric family.
+    let text = css::health::render_prometheus(&telemetry);
     for needle in [
-        "counter controller.published",
-        "gauge platform.audit_records",
-        "histogram stage.pdp_evaluate",
+        "css_controller_published_total",
+        "css_platform_audit_records",
+        "css_stage_pdp_evaluate_ns_bucket",
     ] {
         assert!(text.contains(needle), "exposition missing {needle}");
     }
