@@ -1,9 +1,14 @@
 //! One shard of the tamper-evident audit log.
 //!
-//! A record's bytes are held once, on its `css-storage` record log;
-//! in memory the shard keeps the decoded record, the digest of its
-//! chain link ([`css_crypto::chain_step`], the step of
-//! [`css_crypto::HashChain`]) and where its frame lies.
+//! A record's bytes are held once, on its `css-storage` record log, in
+//! the binary form ([`css_xml::BinarySink`]; a log written before that
+//! holds XML payloads, and reads them alike — [`css_xml::Stored`]
+//! dispatches on each payload's first byte). In memory the shard keeps,
+//! per record, only the digest of its chain link
+//! ([`css_crypto::chain_step`], the step of [`css_crypto::HashChain`]),
+//! where its frame lies and how long its payload is — plus the
+//! per-person posting list. A query reads the records it answers from
+//! storage and decodes them.
 //!
 //! What open checks, in the one pass recovery makes over the log: every
 //! frame's CRC, that every payload decodes, and that sequence numbers
@@ -22,10 +27,10 @@ use std::sync::Arc;
 use css_crypto::{chain_step, ChainVerifyError, HashChain};
 use css_storage::{split_records, LogBackend, RecordLog, RecordPtr};
 use css_types::{CssError, CssResult, PersonId};
-use css_xml::{Reader, StreamSink};
+use css_xml::{BinarySink, Stored};
 
 use crate::query::AuditQuery;
-use crate::record::AuditRecord;
+use crate::record::{AuditRecord, NAMES};
 
 /// Append-only, hash-chained, persisted log holding one shard of an
 /// [`crate::AuditShards`] plane.
@@ -39,41 +44,61 @@ pub(crate) struct ShardLog<B: LogBackend> {
     held: Held,
     storage: RecordLog<B>,
     sequencer: Arc<AtomicU64>,
-    /// The text of the append in progress, kept between appends.
-    text: String,
+    /// The payloads of the append in progress, kept between appends.
+    payloads: Vec<u8>,
+}
+
+/// One record as the shard holds it in memory: the digest of its chain
+/// link, and the frame on storage the digest was derived from — where
+/// it lies and how long its payload is, which is what one sized read of
+/// it needs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Link {
+    digest: [u8; 32],
+    ptr: RecordPtr,
+    len: u32,
 }
 
 /// What the shard holds in memory about the records on its storage.
 ///
 /// `by_person` is the posting list of the citizen's view ("who touched
-/// my data"): for each data subject, the positions in `records` of the
+/// my data"): for each data subject, the positions in `links` of the
 /// records about them, ascending. It is derived state — rebuilt by
 /// replay at open, never persisted — and is written only by
-/// [`Held::push`], the one place a record enters `records`.
+/// [`Held::push`], the one place a record enters `links`.
 struct Held {
-    /// Per record, in log order: the digest of its chain link and the
-    /// frame on storage the digest was derived from.
-    links: Vec<([u8; 32], RecordPtr)>,
+    /// Per record, in log order.
+    links: Vec<Link>,
     /// The last link's digest; of the empty chain before the first.
     head: [u8; 32],
-    records: Vec<AuditRecord>,
     by_person: HashMap<PersonId, Vec<u32>>,
+    /// The seq of the last record.
+    last_seq: Option<u64>,
 }
 
 impl Held {
     /// Take a record whose `payload` lies at `ptr` on storage (already,
-    /// or as of this call): chain link, record vector, posting list.
-    /// Append, group commit and replay all end here.
-    fn push(&mut self, record: AuditRecord, payload: &[u8], ptr: RecordPtr) {
+    /// or as of this call): chain link, posting list. Append, group
+    /// commit and replay all end here.
+    fn push(&mut self, record: &AuditRecord, payload: &[u8], ptr: RecordPtr) {
         self.head = chain_step(&self.head, self.links.len() as u64, payload);
-        self.links.push((self.head, ptr));
+        let position = u32::try_from(self.links.len())
+            .expect("one in-memory audit shard holds fewer than 2^32 records");
         if let Some(person) = record.person {
-            let position = u32::try_from(self.records.len())
-                .expect("one in-memory audit shard holds fewer than 2^32 records");
             self.by_person.entry(person).or_default().push(position);
         }
-        self.records.push(record);
+        self.links.push(Link {
+            digest: self.head,
+            ptr,
+            len: u32::try_from(payload.len()).expect("a record frame holds under 4 GiB"),
+        });
+        self.last_seq = Some(record.seq);
     }
+}
+
+/// Decode one stored payload, in whichever form it was written.
+fn decode(payload: &[u8]) -> CssResult<AuditRecord> {
+    AuditRecord::decode(&mut Stored::open(payload, NAMES)?)
 }
 
 impl<B: LogBackend> ShardLog<B> {
@@ -89,42 +114,39 @@ impl<B: LogBackend> ShardLog<B> {
         let mut held = Held {
             links: Vec::new(),
             head: HashChain::new().head(),
-            records: Vec::new(),
             by_person: HashMap::new(),
+            last_seq: None,
         };
         let (storage, _) = RecordLog::recover(backend, |ptr, payload| {
-            let text = std::str::from_utf8(payload)
-                .map_err(|e| CssError::Serialization(format!("audit record not UTF-8: {e}")))?;
-            let record = AuditRecord::decode(&mut Reader::new(text))?;
-            if let Some(prev) = held.records.last() {
-                if record.seq <= prev.seq {
+            let record = decode(payload)?;
+            if let Some(prev) = held.last_seq {
+                if record.seq <= prev {
                     return Err(CssError::Storage(format!(
-                        "audit shard sequence not increasing: {} after {}",
-                        record.seq, prev.seq
+                        "audit shard sequence not increasing: {} after {prev}",
+                        record.seq
                     )));
                 }
             }
             sequencer.fetch_max(record.seq + 1, Ordering::AcqRel);
-            held.push(record, payload, ptr);
+            held.push(&record, payload, ptr);
             Ok(())
         })?;
         Ok(ShardLog {
             held,
             storage,
             sequencer,
-            text: String::new(),
+            payloads: Vec::new(),
         })
     }
 
     /// Append a record, assigning its sequence number. Returns the seq.
     pub(crate) fn append(&mut self, mut record: AuditRecord) -> CssResult<u64> {
         record.seq = self.sequencer.fetch_add(1, Ordering::AcqRel);
-        self.text.clear();
-        record.encode(&mut StreamSink::new(&mut self.text));
-        let ptr = self.storage.append(self.text.as_bytes())?;
-        let seq = record.seq;
-        self.held.push(record, self.text.as_bytes(), ptr);
-        Ok(seq)
+        self.payloads.clear();
+        record.encode(&mut BinarySink::new(&mut self.payloads, NAMES));
+        let ptr = self.storage.append(&self.payloads)?;
+        self.held.push(&record, &self.payloads, ptr);
+        Ok(record.seq)
     }
 
     /// Append several records as one group commit, assigning their
@@ -145,18 +167,18 @@ impl<B: LogBackend> ShardLog<B> {
         if records.is_empty() {
             return Ok(first_seq);
         }
-        // Every record streams into one buffer; a payload is the slice
-        // between two record ends.
-        self.text.clear();
+        // Every record is encoded into one buffer; a payload is the
+        // slice between two record ends.
+        self.payloads.clear();
         let mut ends = Vec::with_capacity(records.len());
         for (i, record) in records.iter_mut().enumerate() {
             record.seq = first_seq + i as u64;
-            record.encode(&mut StreamSink::new(&mut self.text));
-            ends.push(self.text.len());
+            record.encode(&mut BinarySink::new(&mut self.payloads, NAMES));
+            ends.push(self.payloads.len());
         }
-        let payloads = split_records(self.text.as_bytes(), &ends);
+        let payloads = split_records(&self.payloads, &ends);
         let ptrs = self.storage.append_batch(&payloads)?;
-        for ((record, payload), ptr) in records.into_iter().zip(payloads).zip(ptrs) {
+        for ((record, payload), ptr) in records.iter().zip(payloads).zip(ptrs) {
             self.held.push(record, payload, ptr);
         }
         Ok(first_seq)
@@ -185,11 +207,16 @@ impl<B: LogBackend> ShardLog<B> {
         let mut prev = HashChain::new().head();
         let mut checked = 0;
         self.storage.scan(|ptr, payload| {
-            let link = chain_step(&prev, checked as u64, payload);
-            if self.held.links.get(checked) != Some(&(link, ptr)) {
+            let digest = chain_step(&prev, checked as u64, payload);
+            let link = Link {
+                digest,
+                ptr,
+                len: payload.len() as u32,
+            };
+            if self.held.links.get(checked) != Some(&link) {
                 return Err(broken(checked));
             }
-            prev = link;
+            prev = digest;
             checked += 1;
             Ok(())
         })?;
@@ -201,27 +228,36 @@ impl<B: LogBackend> ShardLog<B> {
 
     /// Number of records.
     pub(crate) fn len(&self) -> usize {
-        self.held.records.len()
+        self.held.links.len()
     }
 
-    /// Run an inquiry over the shard, in log order. A query naming a
-    /// data subject walks that person's posting list — O(records about
-    /// them) — and applies the remaining dimensions; any other query
-    /// scans the shard.
-    pub(crate) fn query(&self, q: &AuditQuery) -> Vec<&AuditRecord> {
-        let records = &self.held.records;
+    /// Run an inquiry over the shard, in log order, reading every
+    /// record it answers from storage. A query naming a data subject
+    /// walks that person's posting list — one read and one decode per
+    /// record about them — and applies the remaining dimensions; any
+    /// other query is a decoding scan of the whole shard.
+    pub(crate) fn query(&self, q: &AuditQuery) -> CssResult<Vec<AuditRecord>> {
+        let mut out = Vec::new();
+        let mut take = |record: AuditRecord| {
+            if q.matches(&record) {
+                out.push(record);
+            }
+        };
         match q.subject() {
-            Some(person) => self
-                .held
-                .by_person
-                .get(&person)
-                .into_iter()
-                .flatten()
-                .map(|&position| &records[position as usize])
-                .filter(|r| q.matches(r))
-                .collect(),
-            None => records.iter().filter(|r| q.matches(r)).collect(),
+            Some(person) => {
+                for &position in self.held.by_person.get(&person).into_iter().flatten() {
+                    let link = &self.held.links[position as usize];
+                    take(decode(
+                        &self.storage.read_sized(link.ptr, link.len as usize)?,
+                    )?);
+                }
+            }
+            None => self.storage.scan(|_, payload| {
+                take(decode(payload)?);
+                Ok(())
+            })?,
         }
+        Ok(out)
     }
 }
 
@@ -230,7 +266,7 @@ mod tests {
     use super::*;
     use crate::record::AuditAction;
     use css_storage::{FileBackend, MemBackend};
-    use css_types::{ActorId, GlobalEventId, Timestamp};
+    use css_types::{ActorId, GlobalEventId, PersonId, Timestamp};
 
     fn rec(i: u64) -> AuditRecord {
         AuditRecord::new(Timestamp(i * 10), ActorId(i % 3 + 1), AuditAction::Publish)
@@ -246,7 +282,7 @@ mod tests {
         let mut log = open(MemBackend::new()).unwrap();
         assert_eq!(log.append(rec(0)).unwrap(), 0);
         assert_eq!(log.append(rec(1)).unwrap(), 1);
-        assert_eq!(log.held.records[1].seq, 1);
+        assert_eq!(log.query(&AuditQuery::new()).unwrap()[1].seq, 1);
         log.verify().unwrap();
     }
 
@@ -278,7 +314,7 @@ mod tests {
         let reopened = open(batched.storage.into_backend()).unwrap();
         assert_eq!(reopened.len(), 6);
         assert_eq!(reopened.head(), sequential.head());
-        assert_eq!(reopened.held.records[4].seq, 4);
+        assert_eq!(reopened.query(&AuditQuery::new()).unwrap()[4].seq, 4);
     }
 
     #[test]
@@ -327,15 +363,11 @@ mod tests {
             }
             log.sync().unwrap();
         }
-        // Tamper: change an actor id inside the file, keeping the CRC
-        // valid is impossible, so recovery or parse will fail; flip a
-        // payload byte that is part of the XML text.
+        // Tamper: flip a payload byte of the first record (a frame is
+        // magic, len (4), crc (4), payload). Its CRC no longer holds,
+        // and it is not the last record, so it is no torn tail.
         let mut bytes = std::fs::read(&path).unwrap();
-        let pos = bytes
-            .windows(4)
-            .position(|w| w == b"seq=")
-            .expect("record text present");
-        bytes[pos + 5] ^= 0x01;
+        bytes[9 + 3] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         assert!(open(FileBackend::open(&path).unwrap()).is_err());
         let _ = std::fs::remove_file(&path);
@@ -382,11 +414,10 @@ mod tests {
         let head = log.head();
         // Rewrite one byte of record 2's payload in place, under the
         // running process. Frame: magic, len (4), crc (4), payload.
-        let (_, frame) = log.held.links[2];
-        let at = frame.0 as usize;
+        let at = log.held.links[2].ptr.0 as usize;
         let payload_len = {
             let mut bytes = backend.0.lock();
-            bytes[at + 9 + 20] ^= 0x01;
+            bytes[at + 9 + 3] ^= 0x01;
             u32::from_le_bytes(bytes[at + 1..at + 5].try_into().unwrap()) as usize
         };
         // The frame checksum notices that much ...
@@ -435,7 +466,83 @@ mod tests {
             log.append(rec(i)).unwrap();
         }
         let q = AuditQuery::new().actor(ActorId(1));
-        assert_eq!(log.query(&q).len(), 3);
-        assert_eq!(log.query(&AuditQuery::new()).len(), 9);
+        assert_eq!(log.query(&q).unwrap().len(), 3);
+        assert_eq!(log.query(&AuditQuery::new()).unwrap().len(), 9);
+    }
+
+    /// What a query answers is read off storage: a person's records one
+    /// sized read apiece, anything else one scan; and it is what was
+    /// appended.
+    #[test]
+    fn queries_read_the_records_they_answer_from_storage() {
+        let registry = css_telemetry::MetricsRegistry::new();
+        let mut log = open(css_storage::InstrumentedBackend::new(
+            MemBackend::new(),
+            &registry,
+        ))
+        .unwrap();
+        let mut appended = Vec::new();
+        for i in 0..12 {
+            let mut record = rec(i).person(PersonId(i % 3));
+            record.seq = log.append(record.clone()).unwrap();
+            appended.push(record);
+        }
+        let reads = || registry.snapshot().histogram("storage.read").unwrap().count;
+        let before = reads();
+        let about_one = log.query(&AuditQuery::new().person(PersonId(1))).unwrap();
+        assert_eq!(reads() - before, 4);
+        let expected: Vec<_> = appended
+            .iter()
+            .filter(|r| r.person == Some(PersonId(1)))
+            .cloned()
+            .collect();
+        assert_eq!(about_one, expected);
+        let before = reads();
+        assert_eq!(log.query(&AuditQuery::new()).unwrap(), appended);
+        assert_eq!(reads() - before, 1);
+    }
+
+    /// A shard written before the binary form holds XML payloads: it
+    /// opens, chains, verifies, takes binary appends and answers
+    /// queries over both, before and after another reopen.
+    #[test]
+    fn a_log_of_xml_payloads_opens_appends_and_reads_alike() {
+        let backend = SharedBackend::default();
+        let mut legacy = RecordLog::new(backend.clone());
+        let mut chain = HashChain::new();
+        let mut appended = Vec::new();
+        for i in 0..3 {
+            let mut record = rec(i).with_detail("a \"quoted\" <detail> & more");
+            record.seq = i;
+            let mut text = String::new();
+            record.encode(&mut css_xml::StreamSink::new(&mut text));
+            legacy.append(text.as_bytes()).unwrap();
+            chain.append(text.into_bytes());
+            appended.push(record);
+        }
+        let mut log = open(backend.clone()).unwrap();
+        assert_eq!(log.head(), chain.head());
+        log.verify().unwrap();
+        for i in 3..6 {
+            let mut record = rec(i);
+            record.seq = log.append(record.clone()).unwrap();
+            appended.push(record);
+        }
+        assert_eq!(log.query(&AuditQuery::new()).unwrap(), appended);
+        let head = log.head();
+        drop(log);
+        let reopened = open(backend.clone()).unwrap();
+        assert_eq!(reopened.head(), head);
+        reopened.verify().unwrap();
+        assert_eq!(reopened.query(&AuditQuery::new()).unwrap(), appended);
+        // The first three payloads are text, the last three binary.
+        let bytes = backend.0.lock().clone();
+        let firsts: Vec<u8> = reopened
+            .held
+            .links
+            .iter()
+            .map(|link| bytes[link.ptr.0 as usize + 9])
+            .collect();
+        assert_eq!(firsts, [b'<', b'<', b'<', 1, 1, 1]);
     }
 }

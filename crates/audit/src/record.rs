@@ -5,7 +5,7 @@ use css_types::{
     ActorId, CssError, CssResult, EventTypeId, GlobalEventId, PersonId, Purpose, RequestId,
     Timestamp,
 };
-use css_xml::{Element, TreeSink, TreeSource, XmlSink, XmlSource};
+use css_xml::{Element, Names, TreeSink, TreeSource, XmlSink, XmlSource};
 
 /// The kind of action an audit record describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -32,34 +32,38 @@ pub enum AuditAction {
 }
 
 impl AuditAction {
+    /// Every action, in declaration order: the order of
+    /// [`AuditAction::CODES`].
+    const ALL: [AuditAction; 9] = [
+        AuditAction::Publish,
+        AuditAction::Subscribe,
+        AuditAction::Delivery,
+        AuditAction::IndexInquiry,
+        AuditAction::DetailRequest,
+        AuditAction::ConsentChange,
+        AuditAction::PolicyChange,
+        AuditAction::ContractSigned,
+        AuditAction::SubjectAccess,
+    ];
+
+    /// The stable serialization code of each action, in declaration
+    /// order. The binary form stores the position, so the list only
+    /// ever grows at the end.
+    const CODES: [&'static str; 9] = [
+        "publish",
+        "subscribe",
+        "delivery",
+        "index-inquiry",
+        "detail-request",
+        "consent-change",
+        "policy-change",
+        "contract-signed",
+        "subject-access",
+    ];
+
     /// Stable code used in serialization.
     pub fn code(self) -> &'static str {
-        match self {
-            AuditAction::Publish => "publish",
-            AuditAction::Subscribe => "subscribe",
-            AuditAction::Delivery => "delivery",
-            AuditAction::IndexInquiry => "index-inquiry",
-            AuditAction::DetailRequest => "detail-request",
-            AuditAction::ConsentChange => "consent-change",
-            AuditAction::PolicyChange => "policy-change",
-            AuditAction::ContractSigned => "contract-signed",
-            AuditAction::SubjectAccess => "subject-access",
-        }
-    }
-
-    fn from_code(s: &str) -> Option<Self> {
-        Some(match s {
-            "publish" => AuditAction::Publish,
-            "subscribe" => AuditAction::Subscribe,
-            "delivery" => AuditAction::Delivery,
-            "index-inquiry" => AuditAction::IndexInquiry,
-            "detail-request" => AuditAction::DetailRequest,
-            "consent-change" => AuditAction::ConsentChange,
-            "policy-change" => AuditAction::PolicyChange,
-            "contract-signed" => AuditAction::ContractSigned,
-            "subject-access" => AuditAction::SubjectAccess,
-            _ => return None,
-        })
+        Self::CODES[self as usize]
     }
 }
 
@@ -180,37 +184,38 @@ impl AuditRecord {
         self
     }
 
-    /// Write the XML persistence form into `sink` — the one encoder:
-    /// the log streams it to the bytes it frames, [`AuditRecord::to_xml`]
-    /// builds the tree from it.
+    /// Write the persistence form into `sink` — the one encoder: the
+    /// log writes it in the binary form
+    /// ([`css_xml::BinarySink`]), [`AuditRecord::to_xml`] builds the
+    /// tree of the XML form from it.
     pub fn encode(&self, sink: &mut impl XmlSink) {
         sink.open("AuditRecord");
-        sink.attr("seq", self.seq);
-        sink.attr("at", self.at.as_millis());
-        sink.attr("actor", self.actor);
-        sink.attr("action", self.action.code());
+        sink.attr_int("seq", self.seq);
+        sink.attr_int("at", self.at.as_millis());
+        sink.attr_int("actor", self.actor);
+        sink.attr_keyword("action", &AuditAction::CODES, self.action as usize);
         if let Some(id) = self.event {
-            sink.attr("event", id);
+            sink.attr_int("event", id);
         }
         if let Some(ty) = &self.event_type {
             sink.attr("eventType", ty);
         }
         if let Some(p) = self.person {
-            sink.attr("person", p);
+            sink.attr_int("person", p);
         }
         if let Some(p) = &self.purpose {
             sink.attr("purpose", p.code());
         }
         if let Some(r) = self.request {
-            sink.attr("request", r);
+            sink.attr_int("request", r);
         }
         if let Some(t) = self.trace {
-            sink.attr("trace", t);
+            sink.attr_int("trace", t);
         }
         match &self.outcome {
-            AuditOutcome::Permitted => sink.attr("outcome", "permitted"),
+            AuditOutcome::Permitted => sink.attr_keyword("outcome", &OUTCOMES, 0),
             AuditOutcome::Denied(reason) => {
-                sink.attr("outcome", "denied");
+                sink.attr_keyword("outcome", &OUTCOMES, 1);
                 sink.attr("reason", reason);
             }
         }
@@ -232,7 +237,8 @@ impl AuditRecord {
     }
 
     /// The one decoder: read the record off `src`, to the end of the
-    /// document. Log replay feeds it the stored text.
+    /// document. Log replay and audit queries feed it the stored
+    /// payload, text or binary ([`css_xml::Stored`]).
     pub fn decode<'a>(src: &mut impl XmlSource<'a>) -> CssResult<Self> {
         let bad = |msg: String| CssError::Serialization(format!("AuditRecord: {msg}"));
         let root = src.root()?;
@@ -264,46 +270,56 @@ impl AuditRecord {
             token = src.next()?;
         }
         src.finish()?;
-        let opt = |attr: &str| attrs.get(attr);
-        let req = |attr: &str| opt(attr).ok_or_else(|| bad(format!("missing {attr}")));
-        let seq: u64 = req("seq")?
-            .parse()
+        let missing = |attr: &str| bad(format!("missing {attr}"));
+        let seq: u64 = attrs
+            .int("seq")
+            .ok_or_else(|| missing("seq"))?
             .map_err(|x| bad(format!("bad seq: {x}")))?;
         let at = Timestamp(
-            req("at")?
-                .parse()
+            attrs
+                .int("at")
+                .ok_or_else(|| missing("at"))?
                 .map_err(|x| bad(format!("bad at: {x}")))?,
         );
-        let actor: ActorId = req("actor")?
-            .parse()
+        let actor: ActorId = attrs
+            .int("actor")
+            .ok_or_else(|| missing("actor"))?
             .map_err(|x| bad(format!("bad actor: {x}")))?;
-        let action = AuditAction::from_code(req("action")?)
-            .ok_or_else(|| bad(format!("unknown action {:?}", opt("action"))))?;
-        let event = opt("event")
-            .map(|s| s.parse::<GlobalEventId>())
+        let action = attrs
+            .keyword("action", &AuditAction::CODES)
+            .ok_or_else(|| missing("action"))?
+            .map(|at| AuditAction::ALL[at])
+            .ok_or_else(|| bad(format!("unknown action {:?}", attrs.get("action"))))?;
+        let event = attrs
+            .int::<GlobalEventId>("event")
             .transpose()
             .map_err(|x| bad(format!("bad event: {x}")))?;
-        let event_type = opt("eventType")
-            .map(|s| s.parse::<EventTypeId>())
+        let event_type = attrs
+            .get("eventType")
+            .map(EventTypeId::from_canonical)
             .transpose()
             .map_err(|x| bad(format!("bad eventType: {x}")))?;
-        let person = opt("person")
-            .map(|s| s.parse::<PersonId>())
+        let person = attrs
+            .int::<PersonId>("person")
             .transpose()
             .map_err(|x| bad(format!("bad person: {x}")))?;
-        let purpose = opt("purpose").map(Purpose::from_code);
-        let request = opt("request")
-            .map(|s| s.parse::<RequestId>())
+        let purpose = attrs.get("purpose").map(Purpose::from_code);
+        let request = attrs
+            .int::<RequestId>("request")
             .transpose()
             .map_err(|x| bad(format!("bad request: {x}")))?;
-        let trace = opt("trace")
-            .map(|s| s.parse::<TraceId>())
+        let trace = attrs
+            .int::<TraceId>("trace")
             .transpose()
             .map_err(|x| bad(format!("bad trace: {x}")))?;
-        let outcome = match req("outcome")? {
-            "permitted" => AuditOutcome::Permitted,
-            "denied" => AuditOutcome::Denied(opt("reason").unwrap_or("").to_string()),
-            other => return Err(bad(format!("unknown outcome {other:?}"))),
+        let outcome = match attrs.keyword("outcome", &OUTCOMES) {
+            None => return Err(missing("outcome")),
+            Some(Some(0)) => AuditOutcome::Permitted,
+            Some(Some(_)) => AuditOutcome::Denied(attrs.get("reason").unwrap_or("").to_string()),
+            Some(None) => {
+                let other = attrs.get("outcome").unwrap_or_default();
+                return Err(bad(format!("unknown outcome {other:?}")));
+            }
         };
         Ok(AuditRecord {
             seq,
@@ -321,6 +337,29 @@ impl AuditRecord {
         })
     }
 }
+
+/// The codes of [`AuditOutcome`]'s two variants, in declaration order.
+const OUTCOMES: [&str; 2] = ["permitted", "denied"];
+
+/// Every element and attribute name of the persistence form, in
+/// binary code order: the dictionary of the audit log's binary
+/// payloads. It only ever grows at the end.
+pub(crate) const NAMES: Names = Names::new(&[
+    "AuditRecord",
+    "seq",
+    "at",
+    "actor",
+    "action",
+    "event",
+    "eventType",
+    "person",
+    "purpose",
+    "request",
+    "trace",
+    "outcome",
+    "reason",
+    "Detail",
+]);
 
 #[cfg(test)]
 mod tests {
@@ -368,20 +407,11 @@ mod tests {
 
     #[test]
     fn action_codes_roundtrip() {
-        for a in [
-            AuditAction::Publish,
-            AuditAction::Subscribe,
-            AuditAction::Delivery,
-            AuditAction::IndexInquiry,
-            AuditAction::DetailRequest,
-            AuditAction::ConsentChange,
-            AuditAction::PolicyChange,
-            AuditAction::ContractSigned,
-            AuditAction::SubjectAccess,
-        ] {
-            assert_eq!(AuditAction::from_code(a.code()), Some(a));
+        for (at, action) in AuditAction::ALL.into_iter().enumerate() {
+            assert_eq!(action as usize, at);
+            let code = AuditAction::CODES.iter().position(|c| *c == action.code());
+            assert_eq!(code, Some(at), "{action:?}");
         }
-        assert_eq!(AuditAction::from_code("espionage"), None);
     }
 
     #[test]
@@ -440,6 +470,67 @@ mod tests {
         }
     }
 
+    fn binary(r: &AuditRecord) -> Vec<u8> {
+        let mut out = Vec::new();
+        r.encode(&mut css_xml::BinarySink::new(&mut out, NAMES));
+        out
+    }
+
+    /// What the log reads back from a stored payload, in either form.
+    fn stored(payload: &[u8]) -> CssResult<AuditRecord> {
+        AuditRecord::decode(&mut css_xml::Stored::open(payload, NAMES)?)
+    }
+
+    /// The binary form of one record, byte for byte: what an audit
+    /// shard stores for it.
+    #[test]
+    fn binary_form_matches_pinned_bytes() {
+        let mut r = AuditRecord::new(Timestamp(300), ActorId(4), AuditAction::Delivery)
+            .event(GlobalEventId(9))
+            .event_type(EventTypeId::v1("visit"))
+            .person(PersonId(2))
+            .trace(Some(TraceId(1)))
+            .denied("no");
+        r.seq = 17;
+        assert_eq!(
+            binary(&r),
+            [
+                0x01, 0x20, // format byte, <AuditRecord
+                0x61, 17, 0x62, 0xac, 0x02, 0x63, 4, 0x64, 2, // seq, at, actor, action
+                0x65, 9, 0x46, 8, b'v', b'i', b's', b'i', b't', b'@', b'v',
+                b'1', // event, type
+                0x67, 2, 0x6a, 1, // person, trace
+                0x6b, 1, 0x4c, 2, b'n', b'o', // outcome, reason
+                0x00, // />
+            ]
+        );
+        assert_eq!(stored(&binary(&r)).unwrap(), r);
+    }
+
+    /// Cut short anywhere, or with any one byte flipped, a stored
+    /// binary record reads as an error or as another record — never as
+    /// itself, and never as a panic.
+    #[test]
+    fn damaged_binary_records_never_read_as_themselves() {
+        let mut denied = full_record().denied("gateway failure");
+        denied.seq = 1 << 40;
+        for record in [full_record(), denied] {
+            let payload = binary(&record);
+            for cut in 0..payload.len() {
+                assert!(stored(&payload[..cut]).is_err(), "cut at {cut}");
+            }
+            for at in 0..payload.len() {
+                for mask in 1..=255u8 {
+                    let mut flipped = payload.clone();
+                    flipped[at] ^= mask;
+                    if let Ok(read) = stored(&flipped) {
+                        assert_ne!(read, record, "byte {at} ^ {mask:#04x}");
+                    }
+                }
+            }
+        }
+    }
+
     proptest::proptest! {
         #[test]
         fn streamed_equals_tree_for_any_record(
@@ -462,6 +553,11 @@ mod tests {
                 r = r.denied(reason);
             }
             proptest::prop_assert_eq!(streamed(&r), css_xml::to_string(&r.to_xml()));
+            // The binary form reads back as the XML form does.
+            proptest::prop_assert_eq!(
+                stored(&binary(&r)).unwrap(),
+                stored(streamed(&r).as_bytes()).unwrap()
+            );
         }
     }
 }

@@ -90,27 +90,30 @@ impl<B: LogBackend> AuditShards<B> {
     /// Run an inquiry across every shard, merged into global seq order.
     ///
     /// A query naming a data subject costs O(records about them): each
-    /// shard answers from that person's posting list (every shard is
-    /// asked, since a plane reopened at another shard count keeps old
-    /// records where they were written). Any other query scans. Either
-    /// way a shard's records are read under its mutex.
-    pub fn query(&self, q: &AuditQuery) -> Vec<AuditRecord> {
+    /// shard answers from that person's posting list, one storage read
+    /// per record (every shard is asked, since a plane reopened at
+    /// another shard count keeps old records where they were written).
+    /// Any other query is a decoding scan of every shard. Either way a
+    /// shard's records are read under its mutex, and an acknowledged
+    /// record that no longer reads back — an I/O error, a frame that
+    /// fails its checksum or its decoder — fails the inquiry.
+    pub fn query(&self, q: &AuditQuery) -> CssResult<Vec<AuditRecord>> {
         let mut out: Vec<AuditRecord> = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock();
-            out.extend(shard.query(q).into_iter().cloned());
+            out.extend(shard.query(q)?);
         }
         out.sort_by_key(|r| r.seq);
-        out
+        Ok(out)
     }
 
     /// Aggregate report over the records matching `q`, all shards.
-    pub fn report(&self, q: &AuditQuery) -> AuditReport {
-        AuditReport::from_records(self.query(q).iter())
+    pub fn report(&self, q: &AuditQuery) -> CssResult<AuditReport> {
+        Ok(AuditReport::from_records(self.query(q)?.iter()))
     }
 
     /// Every record, merged into global seq order.
-    pub fn records(&self) -> Vec<AuditRecord> {
+    pub fn records(&self) -> CssResult<Vec<AuditRecord>> {
         self.query(&AuditQuery::new())
     }
 
@@ -198,7 +201,7 @@ mod tests {
         let busy = shards.shard_lens().iter().filter(|&&n| n > 0).count();
         assert!(busy >= 2, "expected spread, got {:?}", shards.shard_lens());
         // Merged view is densely seq-ordered.
-        let merged = shards.records();
+        let merged = shards.records().unwrap();
         let seqs: Vec<u64> = merged.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, (0..32).collect::<Vec<_>>());
         shards.verify().unwrap();
@@ -212,7 +215,9 @@ mod tests {
             .append_batch((0..5).map(|i| rec(i, 7)).collect())
             .unwrap();
         assert_eq!(first, 1);
-        let batch = shards.query(&AuditQuery::new().person(PersonId(7)));
+        let batch = shards
+            .query(&AuditQuery::new().person(PersonId(7)))
+            .unwrap();
         assert_eq!(batch.len(), 5);
         let seqs: Vec<u64> = batch.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![1, 2, 3, 4, 5]);
@@ -227,7 +232,12 @@ mod tests {
             let seq = shards.append(rec(i, i)).unwrap();
             let mut expected = rec(i, i);
             expected.seq = seq;
-            chain.append(css_xml::to_string(&expected.to_xml()).into_bytes());
+            let mut payload = Vec::new();
+            expected.encode(&mut css_xml::BinarySink::new(
+                &mut payload,
+                crate::record::NAMES,
+            ));
+            chain.append(payload);
             assert_eq!(shards.head(), chain.head());
         }
     }
@@ -261,8 +271,8 @@ mod tests {
         for i in 0..9 {
             shards.append(rec(i, i)).unwrap();
         }
-        let hits = shards.query(&AuditQuery::new().actor(ActorId(1)));
+        let hits = shards.query(&AuditQuery::new().actor(ActorId(1))).unwrap();
         assert_eq!(hits.len(), 3);
-        assert_eq!(shards.report(&AuditQuery::new()).total, 9);
+        assert_eq!(shards.report(&AuditQuery::new()).unwrap().total, 9);
     }
 }

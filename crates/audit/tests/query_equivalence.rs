@@ -132,12 +132,12 @@ fn apply(plane: &AuditShards<SharedLog>, steps: &[Step]) {
 
 /// Every query answers as the scan does; returns the answers.
 fn check(plane: &AuditShards<SharedLog>, queries: &[AuditQuery]) -> Vec<Vec<AuditRecord>> {
-    let all = plane.records();
+    let all = plane.records().unwrap();
     queries
         .iter()
         .map(|q| {
             let scanned: Vec<AuditRecord> = all.iter().filter(|r| q.matches(r)).cloned().collect();
-            let answered = plane.query(q);
+            let answered = plane.query(q).unwrap();
             assert_eq!(answered, scanned, "{q:?}");
             answered
         })

@@ -38,7 +38,7 @@ fn plane_reopens_with_len_head_order_and_next_seq() {
                 .collect::<Vec<_>>();
             assert_eq!(plane.append_batch(batch).unwrap(), 30);
             plane.sync().unwrap();
-            (plane.head(), plane.records(), plane.shard_lens())
+            (plane.head(), plane.records().unwrap(), plane.shard_lens())
         };
         assert_eq!(lens.len(), n);
         let reopened = AuditShards::open(backends()).unwrap();
@@ -46,9 +46,9 @@ fn plane_reopens_with_len_head_order_and_next_seq() {
         assert_eq!(reopened.shard_lens(), lens, "{n} shards");
         assert_eq!(reopened.head(), head, "{n} shards");
         reopened.verify().unwrap();
-        let seqs: Vec<u64> = reopened.records().iter().map(|r| r.seq).collect();
+        let seqs: Vec<u64> = reopened.records().unwrap().iter().map(|r| r.seq).collect();
         assert_eq!(seqs, (0..40).collect::<Vec<_>>(), "{n} shards");
-        assert_eq!(reopened.records(), merged, "{n} shards");
+        assert_eq!(reopened.records().unwrap(), merged, "{n} shards");
         assert_eq!(reopened.append(rec(40)).unwrap(), 40, "{n} shards");
         let _ = std::fs::remove_dir_all(&dir);
     }

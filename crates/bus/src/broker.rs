@@ -387,8 +387,13 @@ impl<M: Clone + Send + 'static> BusDriver<M> for Broker<M> {
             if let Some(topic) = st.topics.get_mut(&group.topic) {
                 topic.groups.retain(|g| *g != gid);
             }
+            // A closed group gave its name up already, perhaps to a
+            // fresh group that is still live.
             if let Some(name) = group.name {
-                st.named.remove(&(group.topic, name));
+                let key = (group.topic, name);
+                if st.named.get(&key) == Some(&gid) {
+                    st.named.remove(&key);
+                }
             }
         } else {
             // Return the leaver's in-flight deliveries to the peers.
@@ -402,6 +407,34 @@ impl<M: Clone + Send + 'static> BusDriver<M> for Broker<M> {
         drop(st);
         // Wake any member parked in `poll` so it re-checks state.
         self.arrivals.notify_all();
+        Ok(())
+    }
+
+    fn close(&self, id: SubscriptionId) -> CssResult<()> {
+        let mut st = self.state.lock();
+        let State {
+            topics,
+            groups,
+            named,
+            members,
+            ..
+        } = &mut *st;
+        let Some(&gid) = members.get(&id) else {
+            // A detached member already receives nothing.
+            return Ok(());
+        };
+        let group = group_mut(groups, gid).ok_or_else(|| unknown_sub(id))?;
+        if let Some(topic) = topics.get_mut(&group.topic) {
+            topic.groups.retain(|g| *g != gid);
+        }
+        // The name goes with the routing: a later join of the same
+        // name starts a fresh group that publishes reach.
+        if let Some(name) = &group.name {
+            let key = (group.topic.clone(), name.clone());
+            if named.get(&key) == Some(&gid) {
+                named.remove(&key);
+            }
+        }
         Ok(())
     }
 
@@ -1046,6 +1079,44 @@ mod tests {
         assert_eq!(dc.message, "job");
         assert_eq!(dc.attempt, 2);
         c.ack(dc.delivery_id).unwrap();
+    }
+
+    #[test]
+    fn a_closed_group_keeps_what_it_holds_and_receives_nothing_more() {
+        let b = broker();
+        let closed = b
+            .subscribe("blood-test", SubscriptionConfig::default())
+            .unwrap();
+        let open = b
+            .subscribe("blood-test", SubscriptionConfig::default())
+            .unwrap();
+        b.publish("blood-test", "before".into(), None).unwrap();
+        b.close(closed.id()).unwrap();
+        b.close(closed.id()).unwrap();
+        assert_eq!(b.subscriber_count("blood-test"), 1);
+        assert_eq!(b.publish("blood-test", "after".into(), None).unwrap(), 1);
+        assert_eq!(closed.drain().unwrap(), ["before"]);
+        assert_eq!(open.drain().unwrap(), ["before", "after"]);
+        let id = closed.id();
+        closed.unsubscribe().unwrap();
+        b.close(id).unwrap();
+    }
+
+    #[test]
+    fn a_closed_named_group_gives_its_name_to_the_next_join() {
+        let b = broker();
+        let cfg = SubscriptionConfig::default();
+        let old = b.subscribe_group("blood-test", "workers", cfg).unwrap();
+        b.close(old.id()).unwrap();
+        let new = b.subscribe_group("blood-test", "workers", cfg).unwrap();
+        assert_eq!(b.publish("blood-test", "m".into(), None).unwrap(), 1);
+        assert_eq!(new.drain().unwrap(), ["m"]);
+        assert!(old.drain().unwrap().is_empty());
+        // The closed group's last member leaving keeps the live name.
+        old.unsubscribe().unwrap();
+        let peer = b.subscribe_group("blood-test", "workers", cfg).unwrap();
+        assert_eq!(b.publish("blood-test", "n".into(), None).unwrap(), 1);
+        assert_eq!(peer.backlog().unwrap(), 1);
     }
 
     /// Six publishes to a two-member group; `a` takes them all unacked.

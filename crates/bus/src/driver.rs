@@ -3,12 +3,13 @@
 //! The platform's delivery substrate is defined as a trait so the
 //! in-memory broker, a recording wrapper, or (later) a networked
 //! multi-site driver can slot in behind the same surface. A transport
-//! implements eight verbs and nothing else:
+//! implements nine verbs and nothing else:
 //!
 //! | verb | what it does |
 //! |---|---|
 //! | `create_topic` | declare a topic (idempotent) |
 //! | `attach` / `detach` | join / leave a delivery group |
+//! | `close` | route no later publish to a member's group |
 //! | `publish_opts` | route one message to every group of a topic |
 //! | `poll(id, wait)` | take the next delivery, waiting up to `wait` |
 //! | `ack` / `nack` | retire a delivery / send it round again |
@@ -100,7 +101,7 @@ impl PublishOutcome {
     }
 }
 
-/// The broker contract every delivery substrate implements: eight verbs.
+/// The broker contract every delivery substrate implements: nine verbs.
 ///
 /// Object-safe and generic over the payload `M`: implementors move
 /// opaque values around and can never inspect or name event types. All
@@ -147,6 +148,16 @@ pub trait BusDriver<M: Clone + Send + 'static>: Send + Sync {
     /// queue for the remaining group members; when the last member
     /// leaves, the group and its queue are discarded.
     fn detach(&self, id: SubscriptionId) -> CssResult<()>;
+
+    /// Route no later publish to this subscription's delivery group.
+    /// What the group already holds stays with it: its members still
+    /// poll, ack and nack it, and [`BusDriver::detach`] still removes
+    /// them. A named group gives its name up: the next member to join
+    /// that name starts a fresh group. Idempotent, and a detached
+    /// subscription is already closed. (How a subscription whose
+    /// authorisation ended stops receiving without losing what was
+    /// published to it while it held one.)
+    fn close(&self, id: SubscriptionId) -> CssResult<()>;
 
     /// Publish a message to every delivery group of `topic`.
     ///
@@ -275,6 +286,12 @@ impl<M: Clone + Send + 'static> Bus<M> {
     ) -> CssResult<SubscriberHandle<M>> {
         let id = self.driver.attach(topic, Some(group), config)?;
         Ok(SubscriberHandle::new(Arc::clone(&self.driver), id))
+    }
+
+    /// Route no later publish to the subscription's delivery group; see
+    /// [`BusDriver::close`].
+    pub fn close(&self, id: SubscriptionId) -> CssResult<()> {
+        self.driver.close(id)
     }
 
     /// Publish with full options (dedup key, trace).

@@ -8,8 +8,9 @@
 //! contract:
 //!
 //! - the [`BusDriver`] trait — the broker contract (sync, std-only,
-//!   payload-blind), eight verbs: `create_topic`, `attach`, `detach`,
-//!   `publish_opts`, `poll(id, wait)`, `ack`, `nack`, and `snapshot`
+//!   payload-blind), nine verbs: `create_topic`, `attach`, `detach`,
+//!   `close`, `publish_opts`, `poll(id, wait)`, `ack`, `nack`, and
+//!   `snapshot`
 //!   (the one read-only call: counters, topics, dead letters, a
 //!   member's group). The in-memory [`Broker`], the
 //!   [`RecordingDriver`] wrapper, or a future networked multi-site

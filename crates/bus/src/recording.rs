@@ -34,6 +34,8 @@ pub enum BusOp {
     },
     /// A subscription detached.
     Detach(SubscriptionId),
+    /// A subscription's delivery group was closed to later publishes.
+    Close(SubscriptionId),
     /// A publish was routed (`deduped` = dropped as a duplicate).
     Publish { topic: String, deduped: bool },
     /// A poll returned a message (or not).
@@ -105,6 +107,12 @@ impl<M: Clone + Send + 'static> BusDriver<M> for RecordingDriver<M> {
     fn detach(&self, id: SubscriptionId) -> CssResult<()> {
         self.inner.detach(id)?;
         self.record(BusOp::Detach(id));
+        Ok(())
+    }
+
+    fn close(&self, id: SubscriptionId) -> CssResult<()> {
+        self.inner.close(id)?;
+        self.record(BusOp::Close(id));
         Ok(())
     }
 

@@ -20,6 +20,7 @@ use parking_lot::{RwLock, RwLockReadGuard};
 use css_audit::{AuditAction, AuditQuery, AuditRecord, AuditReport, AuditShards};
 use css_bus::{Bus, BusDriver, PublishOptions, SubscriberHandle, SubscriptionConfig};
 use css_event::{EventSchema, NotificationMessage};
+use css_policy::cache::StabilityInterval;
 use css_policy::{DetailRequest, PolicyDecisionPoint, PrivacyPolicy};
 use css_registry::EventCatalog;
 use css_storage::LogBackend;
@@ -148,6 +149,23 @@ struct ClassRoute {
     /// them already in the order the receipt and the Delivery records
     /// want.
     receivers: Vec<(SubscriptionId, ActorId)>,
+    /// The PDP generation and the class's stability interval under
+    /// which every receiver was last found authorised: a cached
+    /// decision, not a second policy store. `None` until the first
+    /// publish, and after every subscribe.
+    authorised: Option<(u64, StabilityInterval)>,
+    /// Receivers detached whose detachment is not on the audit log
+    /// yet; empty whenever the route is stamped.
+    unaudited: Vec<(SubscriptionId, ActorId)>,
+}
+
+impl ClassRoute {
+    /// Whether every receiver's authorisation still stands at `now`
+    /// under PDP `generation`.
+    fn is_authorised(&self, generation: u64, now: Timestamp) -> bool {
+        self.authorised
+            .is_some_and(|(at, stable)| at == generation && stable.contains(now))
+    }
 }
 
 /// Outcome of a successful publish.
@@ -323,6 +341,8 @@ impl<B: LogBackend> DataController<B> {
             .or_insert_with(|| ClassRoute {
                 topic,
                 receivers: Vec::new(),
+                authorised: None,
+                unaudited: Vec::new(),
             });
         Ok(())
     }
@@ -496,6 +516,9 @@ impl<B: LogBackend> DataController<B> {
             .receivers
             .partition_point(|(_, actor)| *actor <= consumer);
         route.receivers.insert(at, (handle.id(), consumer));
+        // Authorised above, under a generation and at an instant the
+        // route's stamp may not cover: the next publish checks again.
+        route.authorised = None;
         drop(routes);
         let record =
             AuditRecord::new(now, consumer, AuditAction::Subscribe).event_type(event_type.clone());
@@ -599,7 +622,7 @@ impl<B: LogBackend> DataController<B> {
         // dedup key makes producer retries idempotent at the bus.
         let ctx = span.context();
         let dedup_key = format!("{producer}:{src_event_id}");
-        let routes = self.routes.read();
+        let routes = self.authorised_routes(event_type, now)?;
         let route = routes
             .get(event_type)
             .ok_or_else(|| CssError::NotFound(format!("event class {event_type} not declared")))?;
@@ -663,6 +686,101 @@ impl<B: LogBackend> DataController<B> {
             global_id,
             notified: receivers,
         })
+    }
+
+    /// The routing table, read-locked, with the route of `event_type`
+    /// authorised at `now`: revocation reaches the routing table.
+    ///
+    /// In the steady state this compares two values. When a policy
+    /// changed since the route's receivers were last authorised, or a
+    /// validity boundary of the class has passed, the receivers are
+    /// re-authorised once, under the write lock; the ones no longer
+    /// authorised are detached — their bus group closed to this and
+    /// every later publish, what it already holds still theirs to
+    /// poll — and each detachment is audited. A re-grant needs a new
+    /// subscribe.
+    fn authorised_routes(
+        &self,
+        event_type: &EventTypeId,
+        now: Timestamp,
+    ) -> CssResult<RwLockReadGuard<'_, HashMap<EventTypeId, ClassRoute>>> {
+        loop {
+            let routes = self.routes.read();
+            let generation = self.pdp.read().generation();
+            if routes
+                .get(event_type)
+                .is_none_or(|route| route.is_authorised(generation, now))
+            {
+                return Ok(routes);
+            }
+            drop(routes);
+            self.reauthorise(event_type, now)?;
+        }
+    }
+
+    /// Re-authorise the receivers of `event_type`'s route at `now`,
+    /// detach the unauthorised ones, audit every detachment not yet on
+    /// the log and stamp the route. A no-op when another publish did it
+    /// first.
+    ///
+    /// The audit write runs outside the `routes` lock. Until it
+    /// succeeds its detachments sit in the route's `unaudited` list and
+    /// the route stays unstamped, so a failed write is retried by the
+    /// next publish of the class.
+    fn reauthorise(&self, event_type: &EventTypeId, now: Timestamp) -> CssResult<()> {
+        let (stamp, unaudited) = {
+            let mut routes = self.routes.write();
+            let Some(route) = routes.get_mut(event_type) else {
+                return Ok(());
+            };
+            let pdp = self.pdp.read();
+            let generation = pdp.generation();
+            if route.is_authorised(generation, now) {
+                return Ok(());
+            }
+            let actors = self.actors.read();
+            let detached: Vec<(SubscriptionId, ActorId)> = route
+                .receivers
+                .iter()
+                .filter(|(_, consumer)| !pdp.is_authorized(*consumer, event_type, &actors, now))
+                .copied()
+                .collect();
+            // Closed before the route forgets them: a failure leaves
+            // them listed, to be closed again by the next publish.
+            for (subscription, _) in &detached {
+                self.bus.close(*subscription)?;
+            }
+            route
+                .receivers
+                .retain(|receiver| !detached.contains(receiver));
+            route.unaudited.extend(detached);
+            let stamp = (generation, pdp.stability(event_type, now));
+            if route.unaudited.is_empty() {
+                route.authorised = Some(stamp);
+                return Ok(());
+            }
+            (stamp, std::mem::take(&mut route.unaudited))
+        };
+        let records = unaudited.iter().map(|(subscription, consumer)| {
+            AuditRecord::new(now, *consumer, AuditAction::Subscribe)
+                .event_type(event_type.clone())
+                .denied(DenyReason::NoMatchingPolicy.to_string())
+                .with_detail(format!("detached {subscription}"))
+        });
+        if let Err(unlogged) = self.audit.append_batch(records.collect()) {
+            if let Some(route) = self.routes.write().get_mut(event_type) {
+                route.unaudited.extend(unaudited);
+                route.authorised = None;
+            }
+            return Err(unlogged);
+        }
+        if let Some(route) = self.routes.write().get_mut(event_type) {
+            // Another publish's write may have failed meanwhile.
+            if route.unaudited.is_empty() {
+                route.authorised = Some(stamp);
+            }
+        }
+        Ok(())
     }
 
     // ---- index inquiry ----------------------------------------------------
@@ -835,7 +953,7 @@ impl<B: LogBackend> DataController<B> {
     /// A data subject asks who touched their data: the audit records
     /// carrying their person dimension. The lookup itself is audited.
     pub fn subject_audit_trail(&self, person: PersonId) -> CssResult<Vec<AuditRecord>> {
-        let trail = self.audit.query(&AuditQuery::new().person(person));
+        let trail = self.audit.query(&AuditQuery::new().person(person))?;
         self.audit.append(
             AuditRecord::new(self.now(), ActorId(0), AuditAction::SubjectAccess)
                 .person(person)
@@ -865,12 +983,12 @@ impl<B: LogBackend> DataController<B> {
     // ---- audit ----------------------------------------------------------
 
     /// Run an audit inquiry (merged across shards, global seq order).
-    pub fn audit_query(&self, q: &AuditQuery) -> Vec<AuditRecord> {
+    pub fn audit_query(&self, q: &AuditQuery) -> CssResult<Vec<AuditRecord>> {
         self.audit.query(q)
     }
 
     /// Aggregate audit report.
-    pub fn audit_report(&self, q: &AuditQuery) -> AuditReport {
+    pub fn audit_report(&self, q: &AuditQuery) -> CssResult<AuditReport> {
         self.audit.report(q)
     }
 

@@ -16,20 +16,24 @@
 //!   the notification is the prerequisite for a detail request.
 //!
 //! The index is **persisted** ([`EventsIndex::open`]): inserts and
-//! notified-markers are appended to a `css-storage` record log (sealed
-//! identity persisted as hex, never plaintext) and replayed on restart,
-//! so a controller restart loses no notifications.
+//! notified-markers are appended to a `css-storage` record log, in the
+//! binary form ([`css_xml::BinarySink`]; the sealed identity as its
+//! ciphertext bytes, never plaintext), and replayed on restart, so a
+//! controller restart loses no notifications. A log written before the
+//! binary form holds XML payloads (the sealed identity in hex) and
+//! replays alike: [`css_xml::Stored`] dispatches on each payload's
+//! first byte.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use css_crypto::{Hex, HmacKey, SealedBox};
+use css_crypto::{HmacKey, SealedBox};
 use css_event::NotificationMessage;
 use css_storage::{split_records, LogBackend, MemBackend, RecordLog};
 use css_types::{
     ActorId, CssError, CssResult, EventTypeId, GlobalEventId, PersonId, PersonIdentity,
     SourceEventId, Timestamp,
 };
-use css_xml::{Reader, StreamSink, Token, XmlSink, XmlSource};
+use css_xml::{BinarySink, Names, Stored, Token, XmlSink, XmlSource};
 
 /// One stored notification, with identifying data encrypted at rest.
 #[derive(Debug, Clone)]
@@ -57,23 +61,23 @@ pub struct IndexEntry {
 
 impl IndexEntry {
     /// Write the persisted form into `sink` — the one encoder. The
-    /// sealed identity and the tag go out as hex digits, never as a
-    /// `String` of their own.
+    /// sealed identity and the tag go out as bytes (hex digits in the
+    /// XML form), never as a `String` of their own.
     pub(crate) fn encode(&self, sink: &mut impl XmlSink) {
         sink.open("IndexEntry");
-        sink.attr("eventId", self.global_id);
+        sink.attr_int("eventId", self.global_id);
         sink.attr("type", &self.event_type);
-        sink.attr("sealed", Hex(&self.sealed_identity));
-        sink.attr("tag", Hex(&self.person_tag));
-        sink.attr("occurredAt", self.occurred_at.as_millis());
-        sink.attr("producer", self.producer);
-        sink.attr("srcEventId", self.src_event_id);
+        sink.attr_bytes("sealed", &self.sealed_identity);
+        sink.attr_bytes("tag", &self.person_tag);
+        sink.attr_int("occurredAt", self.occurred_at.as_millis());
+        sink.attr_int("producer", self.producer);
+        sink.attr_int("srcEventId", self.src_event_id);
         sink.leaf("What", &self.description);
         let mut notified: Vec<ActorId> = self.notified.iter().copied().collect();
         notified.sort();
         for actor in notified {
             sink.open("Notified");
-            sink.attr("actor", actor);
+            sink.attr_int("actor", actor);
             sink.close();
         }
         sink.close();
@@ -112,12 +116,10 @@ impl IndexEntry {
                     src.skip_rest(rest)?;
                     notified.push(
                         marker
-                            .get("actor")
+                            .int::<ActorId>("actor")
                             .ok_or_else(|| bad("Notified without actor".into()))
                             .and_then(|actor| {
-                                actor
-                                    .parse::<ActorId>()
-                                    .map_err(|err| bad(format!("bad notified actor: {err}")))
+                                actor.map_err(|err| bad(format!("bad notified actor: {err}")))
                             }),
                     );
                 }
@@ -128,39 +130,47 @@ impl IndexEntry {
             token = src.next()?;
         }
         src.finish()?;
-        let req = |attr: &str| {
-            attrs
-                .get(attr)
-                .ok_or_else(|| bad(format!("missing {attr}")))
-        };
-        let sealed_identity =
-            css_crypto::from_hex(req("sealed")?).ok_or_else(|| bad("bad sealed hex".into()))?;
-        let tag_bytes =
-            css_crypto::from_hex(req("tag")?).ok_or_else(|| bad("bad tag hex".into()))?;
+        let missing = |attr: &str| bad(format!("missing {attr}"));
+        let sealed_identity = attrs
+            .bytes("sealed")
+            .ok_or_else(|| missing("sealed"))?
+            .ok_or_else(|| bad("bad sealed hex".into()))?
+            .into_owned();
+        let tag_bytes = attrs
+            .bytes("tag")
+            .ok_or_else(|| missing("tag"))?
+            .ok_or_else(|| bad("bad tag hex".into()))?;
         let person_tag: [u8; 32] = tag_bytes
+            .as_ref()
             .try_into()
             .map_err(|_| bad("tag must be 32 bytes".into()))?;
         let notified = notified.into_iter().collect::<CssResult<_>>()?;
+        let global_id = attrs
+            .int("eventId")
+            .ok_or_else(|| missing("eventId"))?
+            .map_err(|err| bad(format!("bad eventId: {err}")))?;
+        let event_type =
+            EventTypeId::from_canonical(attrs.get("type").ok_or_else(|| missing("type"))?)
+                .map_err(|err| bad(format!("bad type: {err}")))?;
         Ok(IndexEntry {
-            global_id: req("eventId")?
-                .parse()
-                .map_err(|err| bad(format!("bad eventId: {err}")))?,
-            event_type: req("type")?
-                .parse()
-                .map_err(|err| bad(format!("bad type: {err}")))?,
+            global_id,
+            event_type,
             sealed_identity,
             person_tag,
             description: description.unwrap_or_default(),
             occurred_at: Timestamp(
-                req("occurredAt")?
-                    .parse()
+                attrs
+                    .int("occurredAt")
+                    .ok_or_else(|| missing("occurredAt"))?
                     .map_err(|err| bad(format!("bad occurredAt: {err}")))?,
             ),
-            producer: req("producer")?
-                .parse()
+            producer: attrs
+                .int("producer")
+                .ok_or_else(|| missing("producer"))?
                 .map_err(|err| bad(format!("bad producer: {err}")))?,
-            src_event_id: req("srcEventId")?
-                .parse()
+            src_event_id: attrs
+                .int("srcEventId")
+                .ok_or_else(|| missing("srcEventId"))?
                 .map_err(|err| bad(format!("bad srcEventId: {err}")))?,
             notified,
         })
@@ -174,8 +184,26 @@ enum IndexRecord {
     Notified(GlobalEventId, ActorId),
 }
 
+/// Every element and attribute name of the index log's records, in
+/// binary code order: the dictionary of its binary payloads. It only
+/// ever grows at the end.
+const NAMES: Names = Names::new(&[
+    "IndexEntry",
+    "eventId",
+    "type",
+    "sealed",
+    "tag",
+    "occurredAt",
+    "producer",
+    "srcEventId",
+    "What",
+    "Notified",
+    "actor",
+]);
+
 impl IndexRecord {
-    /// The one decoder of the index log: replay feeds it the stored text.
+    /// The one decoder of the index log: replay feeds it the stored
+    /// payload, text or binary.
     fn decode<'a>(src: &mut impl XmlSource<'a>) -> CssResult<Self> {
         match src.root()? {
             "IndexEntry" => IndexEntry::decode(src).map(IndexRecord::Entry),
@@ -185,14 +213,12 @@ impl IndexRecord {
                 src.skip_rest(rest)?;
                 src.finish()?;
                 let event: GlobalEventId = attrs
-                    .get("eventId")
+                    .int("eventId")
                     .ok_or_else(|| bad("missing eventId"))?
-                    .parse()
                     .map_err(|e| bad(&format!("bad eventId: {e}")))?;
                 let actor: ActorId = attrs
-                    .get("actor")
+                    .int("actor")
                     .ok_or_else(|| bad("missing actor"))?
-                    .parse()
                     .map_err(|e| bad(&format!("bad actor: {e}")))?;
                 Ok(IndexRecord::Notified(event, actor))
             }
@@ -201,14 +227,19 @@ impl IndexRecord {
             ))),
         }
     }
+
+    /// Decode one stored payload, in whichever form it was written.
+    fn read(payload: &[u8]) -> CssResult<Self> {
+        Self::decode(&mut Stored::open(payload, NAMES)?)
+    }
 }
 
 /// Write the standalone record that adds `actor` to the notified set
 /// of an already persisted entry.
 fn encode_notified_marker(event: GlobalEventId, actor: ActorId, sink: &mut impl XmlSink) {
     sink.open("Notified");
-    sink.attr("eventId", event);
-    sink.attr("actor", actor);
+    sink.attr_int("eventId", event);
+    sink.attr_int("actor", actor);
     sink.close();
 }
 
@@ -268,8 +299,8 @@ pub struct EventsIndex<B: LogBackend = MemBackend> {
     /// Largest indexed event id (assembly resumes numbering from here).
     max_id: Option<GlobalEventId>,
     storage: RecordLog<B>,
-    /// The record being written, kept between writes.
-    text: String,
+    /// The records being written, kept between writes.
+    payloads: Vec<u8>,
 }
 
 /// The keyed-lookup-tag key derivation shared by every shard of an
@@ -309,9 +340,7 @@ impl<B: LogBackend> EventsIndex<B> {
         let mut markers: Vec<(GlobalEventId, ActorId)> = Vec::new();
         for backend in backends {
             let (storage, _) = RecordLog::recover(backend, |_, payload| {
-                let text = std::str::from_utf8(payload)
-                    .map_err(|e| CssError::Serialization(format!("index record not UTF-8: {e}")))?;
-                match IndexRecord::decode(&mut Reader::new(text))? {
+                match IndexRecord::read(payload)? {
                     IndexRecord::Entry(entry) => entries.push(entry),
                     IndexRecord::Notified(event, actor) => markers.push((event, actor)),
                 }
@@ -326,7 +355,7 @@ impl<B: LogBackend> EventsIndex<B> {
                 by_time: BTreeMap::new(),
                 max_id: None,
                 storage,
-                text: String::new(),
+                payloads: Vec::new(),
             });
         }
         for entry in entries {
@@ -407,9 +436,9 @@ impl<B: LogBackend> EventsIndex<B> {
             src_event_id,
             notified,
         };
-        self.text.clear();
-        entry.encode(&mut StreamSink::new(&mut self.text));
-        self.storage.append(self.text.as_bytes())?;
+        self.payloads.clear();
+        entry.encode(&mut BinarySink::new(&mut self.payloads, NAMES));
+        self.storage.append(&self.payloads)?;
         self.link_entry(entry);
         Ok(())
     }
@@ -430,15 +459,22 @@ impl<B: LogBackend> EventsIndex<B> {
         self.entries.get(&id)
     }
 
-    /// Record that `consumer` has been notified of event `id`.
+    /// Record that `consumer` has been notified of event `id`: the
+    /// marker is persisted first, so a failed write leaves the consumer
+    /// not notified.
     pub fn mark_notified(&mut self, id: GlobalEventId, consumer: ActorId) -> CssResult<()> {
         let Some(entry) = self.entries.get_mut(&id) else {
             return Err(CssError::NotFound(format!("event {id} not in index")));
         };
-        if entry.notified.insert(consumer) {
-            self.text.clear();
-            encode_notified_marker(id, consumer, &mut StreamSink::new(&mut self.text));
-            self.storage.append(self.text.as_bytes())?;
+        if !entry.notified.contains(&consumer) {
+            self.payloads.clear();
+            encode_notified_marker(
+                id,
+                consumer,
+                &mut BinarySink::new(&mut self.payloads, NAMES),
+            );
+            self.storage.append(&self.payloads)?;
+            entry.notified.insert(consumer);
         }
         Ok(())
     }
@@ -546,7 +582,8 @@ impl<B: LogBackend> EventsIndex<B> {
     /// `consumer`: one entry lookup covers the authorization check
     /// (`authorize` is asked per event class), the identity decryption
     /// and the notified-marking, instead of three separate map probes.
-    /// Newly-set notified markers are persisted as one batch append.
+    /// Newly-set notified markers are persisted as one batch append —
+    /// before any of them is set: an inquiry that fails set none.
     pub fn filter_authorized(
         &mut self,
         candidates: &[GlobalEventId],
@@ -554,25 +591,36 @@ impl<B: LogBackend> EventsIndex<B> {
         mut authorize: impl FnMut(&EventTypeId) -> bool,
     ) -> CssResult<Vec<NotificationMessage>> {
         let mut out = Vec::new();
-        // Markers stream into one buffer; each is the slice between
-        // two ends.
-        let mut markers = String::new();
+        // Markers are encoded into one buffer; each is the slice
+        // between two ends.
+        self.payloads.clear();
         let mut marker_ends: Vec<usize> = Vec::new();
+        let mut newly_notified: Vec<GlobalEventId> = Vec::new();
         for &id in candidates {
-            let Some(entry) = self.entries.get_mut(&id) else {
+            let Some(entry) = self.entries.get(&id) else {
                 continue;
             };
             if !authorize(&entry.event_type) {
                 continue;
             }
             out.push(notification_of(&self.sealer, entry)?);
-            if entry.notified.insert(consumer) {
-                encode_notified_marker(id, consumer, &mut StreamSink::new(&mut markers));
-                marker_ends.push(markers.len());
+            if !entry.notified.contains(&consumer) {
+                encode_notified_marker(
+                    id,
+                    consumer,
+                    &mut BinarySink::new(&mut self.payloads, NAMES),
+                );
+                marker_ends.push(self.payloads.len());
+                newly_notified.push(id);
             }
         }
         self.storage
-            .append_batch(&split_records(markers.as_bytes(), &marker_ends))?;
+            .append_batch(&split_records(&self.payloads, &marker_ends))?;
+        for id in newly_notified {
+            if let Some(entry) = self.entries.get_mut(&id) {
+                entry.notified.insert(consumer);
+            }
+        }
         Ok(out)
     }
 
@@ -595,6 +643,7 @@ impl<B: LogBackend> EventsIndex<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use css_xml::{Reader, StreamSink};
 
     fn notif(id: u64, person: u64, ty: &str) -> NotificationMessage {
         NotificationMessage {
@@ -929,22 +978,6 @@ mod tests {
     /// same value off the stored text as off the tree parsed from it.
     #[test]
     fn fixture_records_decode_alike_from_stream_and_tree() {
-        fn describe(record: IndexRecord) -> String {
-            match record {
-                IndexRecord::Entry(e) => {
-                    let mut notified: Vec<ActorId> = e.notified.iter().copied().collect();
-                    notified.sort();
-                    format!(
-                        "{:?}",
-                        IndexEntry {
-                            notified: HashSet::new(),
-                            ..e
-                        }
-                    ) + &format!("{notified:?}")
-                }
-                IndexRecord::Notified(event, actor) => format!("{event} {actor}"),
-            }
-        }
         let fixtures =
             std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures");
         let (mut entries, mut markers) = (0, 0);
@@ -1029,6 +1062,101 @@ mod tests {
         }
     }
 
+    fn binary(encode: impl FnOnce(&mut BinarySink<'_>)) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode(&mut BinarySink::new(&mut out, NAMES));
+        out
+    }
+
+    /// A record as a comparable value: the notified set in order.
+    fn describe(record: IndexRecord) -> String {
+        match record {
+            IndexRecord::Entry(e) => {
+                let mut notified: Vec<ActorId> = e.notified.iter().copied().collect();
+                notified.sort();
+                format!(
+                    "{:?}",
+                    IndexEntry {
+                        notified: HashSet::new(),
+                        ..e
+                    }
+                ) + &format!("{notified:?}")
+            }
+            IndexRecord::Notified(event, actor) => format!("{event} {actor}"),
+        }
+    }
+
+    /// Cut short anywhere, or with any one byte flipped, a stored
+    /// binary entry or marker reads as an error or as another record —
+    /// never as itself, and never as a panic.
+    #[test]
+    fn damaged_binary_records_never_read_as_themselves() {
+        let entry = binary(|s| entry_with("check-up", &[4, 30]).encode(s));
+        let marker = binary(|s| encode_notified_marker(GlobalEventId(77), ActorId(300), s));
+        for payload in [entry, marker] {
+            let original = describe(IndexRecord::read(&payload).unwrap());
+            for cut in 0..payload.len() {
+                assert!(IndexRecord::read(&payload[..cut]).is_err(), "cut at {cut}");
+            }
+            for at in 0..payload.len() {
+                for mask in 1..=255u8 {
+                    let mut flipped = payload.clone();
+                    flipped[at] ^= mask;
+                    if let Ok(read) = IndexRecord::read(&flipped) {
+                        assert_ne!(describe(read), original, "byte {at} ^ {mask:#04x}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A backend whose appends fail while the flag is up.
+    #[derive(Default)]
+    struct Failing {
+        inner: MemBackend,
+        fail: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl LogBackend for Failing {
+        fn append(&mut self, data: &[u8]) -> CssResult<u64> {
+            if self.fail.load(std::sync::atomic::Ordering::SeqCst) {
+                return Err(CssError::Storage("injected".into()));
+            }
+            self.inner.append(data)
+        }
+        fn read_at(&self, offset: u64, len: usize) -> CssResult<Vec<u8>> {
+            self.inner.read_at(offset, len)
+        }
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+        fn sync(&mut self) -> CssResult<()> {
+            Ok(())
+        }
+        fn truncate(&mut self, len: u64) -> CssResult<()> {
+            self.inner.truncate(len)
+        }
+    }
+
+    #[test]
+    fn a_marker_that_fails_to_persist_marks_nobody() {
+        let backend = Failing::default();
+        let fail = backend.fail.clone();
+        let mut idx = EventsIndex::open(b"k", backend).unwrap();
+        idx.insert(&notif(1, 7, "x"), SourceEventId(1), HashSet::new())
+            .unwrap();
+        fail.store(true, std::sync::atomic::Ordering::SeqCst);
+        assert!(idx.mark_notified(GlobalEventId(1), ActorId(5)).is_err());
+        assert!(idx
+            .filter_authorized(&[GlobalEventId(1)], ActorId(6), |_| true)
+            .is_err());
+        assert!(!idx.was_notified(GlobalEventId(1), ActorId(5)));
+        assert!(!idx.was_notified(GlobalEventId(1), ActorId(6)));
+        fail.store(false, std::sync::atomic::Ordering::SeqCst);
+        idx.mark_notified(GlobalEventId(1), ActorId(5)).unwrap();
+        assert!(idx.was_notified(GlobalEventId(1), ActorId(5)));
+    }
+
     proptest::proptest! {
         #[test]
         fn streamed_equals_tree_for_any_entry(
@@ -1047,8 +1175,21 @@ mod tests {
             let text = streamed(|s| entry.encode(s));
             proptest::prop_assert_eq!(&text, &tree(|s| entry.encode(s)));
             let back = IndexEntry::from_xml(&css_xml::parse(&text).unwrap()).unwrap();
-            proptest::prop_assert_eq!(back.sealed_identity, entry.sealed_identity);
-            proptest::prop_assert_eq!(back.notified, entry.notified);
+            proptest::prop_assert_eq!(&back.sealed_identity, &entry.sealed_identity);
+            proptest::prop_assert_eq!(&back.notified, &entry.notified);
+            // The binary form reads back as the XML form does, for the
+            // entry and for a marker.
+            proptest::prop_assert_eq!(
+                describe(IndexRecord::read(&binary(|s| entry.encode(s))).unwrap()),
+                describe(IndexRecord::read(text.as_bytes()).unwrap())
+            );
+            let (event, actor) = (GlobalEventId(id), ActorId(src));
+            let marker = binary(|s| encode_notified_marker(event, actor, s));
+            let marker_text = streamed(|s| encode_notified_marker(event, actor, s));
+            proptest::prop_assert_eq!(
+                describe(IndexRecord::read(&marker).unwrap()),
+                describe(IndexRecord::read(marker_text.as_bytes()).unwrap())
+            );
         }
     }
 }

@@ -144,11 +144,14 @@ fn subscription_denied_without_policy() {
         .unwrap_err();
     assert_eq!(err, CssError::AccessDenied(DenyReason::NoMatchingPolicy));
     // The denial is audited.
-    let denied = w.controller.audit_query(
-        &AuditQuery::new()
-            .action(AuditAction::Subscribe)
-            .denied_only(),
-    );
+    let denied = w
+        .controller
+        .audit_query(
+            &AuditQuery::new()
+                .action(AuditAction::Subscribe)
+                .denied_only(),
+        )
+        .unwrap();
     assert_eq!(denied.len(), 1);
 }
 
@@ -524,9 +527,10 @@ fn audit_trail_is_complete_and_verifiable() {
     // Who accessed Mario's data and why?
     let about_mario = w
         .controller
-        .audit_query(&AuditQuery::new().person(PersonId(42)));
+        .audit_query(&AuditQuery::new().person(PersonId(42)))
+        .unwrap();
     assert!(about_mario.len() >= 3); // publish, delivery, detail requests
-    let report = w.controller.audit_report(&AuditQuery::new());
+    let report = w.controller.audit_report(&AuditQuery::new()).unwrap();
     assert_eq!(report.action_count(AuditAction::Publish), 1);
     assert_eq!(report.action_count(AuditAction::DetailRequest), 2);
     assert_eq!(report.denied, 1);
@@ -674,6 +678,7 @@ fn publish_notifies_the_receivers_of_its_class_ascending_and_once() {
     assert_eq!(
         w.controller
             .audit_query(&AuditQuery::new().action(AuditAction::Delivery))
+            .unwrap()
             .len(),
         6
     );
@@ -866,6 +871,7 @@ fn detail_request_visits_the_index_once_whatever_the_outcome() {
     let denied: Vec<String> = w
         .controller
         .audit_query(&AuditQuery::new().action(AuditAction::DetailRequest))
+        .unwrap()
         .iter()
         .take(4)
         .map(|r| css_xml::to_string(&r.to_xml()))

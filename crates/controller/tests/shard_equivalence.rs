@@ -203,14 +203,14 @@ proptest! {
                 .collect()
         };
         let inquiries = inquire_all(single);
-        let audit = single.controller.audit_query(&AuditQuery::new());
+        let audit = single.controller.audit_query(&AuditQuery::new()).unwrap();
         prop_assert!(single.controller.verify_audit().is_ok());
         for other in sharded {
             prop_assert_eq!(&inquiries, &inquire_all(other));
 
             // The audit streams match record for record (global seq
             // order), and the sharded chains verify.
-            let audit_b = other.controller.audit_query(&AuditQuery::new());
+            let audit_b = other.controller.audit_query(&AuditQuery::new()).unwrap();
             prop_assert_eq!(format!("{audit:?}"), format!("{audit_b:?}"));
             prop_assert!(other.controller.verify_audit().is_ok());
             prop_assert_eq!(single.controller.index_len(), other.controller.index_len());

@@ -677,12 +677,12 @@ impl<P: BackendProvider> CssPlatform<P> {
     }
 
     /// Run an audit inquiry.
-    pub fn audit_query(&self, q: &AuditQuery) -> Vec<AuditRecord> {
+    pub fn audit_query(&self, q: &AuditQuery) -> CssResult<Vec<AuditRecord>> {
         self.controller.audit_query(q)
     }
 
     /// Aggregate audit report.
-    pub fn audit_report(&self, q: &AuditQuery) -> AuditReport {
+    pub fn audit_report(&self, q: &AuditQuery) -> CssResult<AuditReport> {
         self.controller.audit_report(q)
     }
 

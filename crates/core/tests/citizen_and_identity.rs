@@ -120,7 +120,8 @@ fn citizen_audit_trail_lists_consumers_and_purposes() {
     // The subject-access lookups themselves are audited.
     let subject_views = w
         .platform
-        .audit_query(&css_audit::AuditQuery::new().action(AuditAction::SubjectAccess));
+        .audit_query(&css_audit::AuditQuery::new().action(AuditAction::SubjectAccess))
+        .unwrap();
     assert!(!subject_views.is_empty());
 }
 

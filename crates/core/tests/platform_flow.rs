@@ -386,7 +386,10 @@ fn audit_accessible_through_platform() {
         .publish(mario(), "blood test", details(), w.clock.now())
         .unwrap();
     w.platform.verify_audit().unwrap();
-    let report = w.platform.audit_report(&css_audit::AuditQuery::new());
+    let report = w
+        .platform
+        .audit_report(&css_audit::AuditQuery::new())
+        .unwrap();
     assert!(report.total >= 3); // contracts, policy change, publish
 }
 
@@ -427,7 +430,13 @@ fn on_disk_platform_restarts_with_policies() {
     let stored = repo.lock().load(policy_id).unwrap().unwrap();
     assert_eq!(stored.label, "durable");
     platform.verify_audit().unwrap();
-    assert!(platform.audit_report(&css_audit::AuditQuery::new()).total >= 3);
+    assert!(
+        platform
+            .audit_report(&css_audit::AuditQuery::new())
+            .unwrap()
+            .total
+            >= 3
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

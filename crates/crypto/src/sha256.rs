@@ -259,43 +259,6 @@ pub fn to_hex(digest: &[u8]) -> String {
     s
 }
 
-/// Bytes that display as the lowercase hex [`to_hex`] renders, for
-/// writing into a formatter or an XML sink without the `String`.
-#[derive(Debug, Clone, Copy)]
-pub struct Hex<'a>(pub &'a [u8]);
-
-impl std::fmt::Display for Hex<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // 32 bytes a step: one `write_str` per 64 digits, not per digit.
-        let mut digits = [0u8; 64];
-        for chunk in self.0.chunks(32) {
-            for (pair, b) in digits.chunks_exact_mut(2).zip(chunk) {
-                pair[0] = NIBBLES[usize::from(b >> 4)];
-                pair[1] = NIBBLES[usize::from(b & 0x0f)];
-            }
-            let text =
-                std::str::from_utf8(&digits[..chunk.len() * 2]).expect("hex digits are ASCII");
-            f.write_str(text)?;
-        }
-        Ok(())
-    }
-}
-
-/// Inverse of [`to_hex`]. Rejects odd lengths and non-hex characters.
-pub fn from_hex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    let mut out = Vec::with_capacity(s.len() / 2);
-    let bytes = s.as_bytes();
-    for pair in bytes.chunks_exact(2) {
-        let hi = (pair[0] as char).to_digit(16)?;
-        let lo = (pair[1] as char).to_digit(16)?;
-        out.push((hi * 16 + lo) as u8);
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,34 +508,12 @@ mod hex_tests {
     use super::*;
 
     #[test]
-    fn hex_roundtrip() {
-        let data = vec![0x00, 0x7f, 0xff, 0x10, 0xab];
-        assert_eq!(from_hex(&to_hex(&data)).unwrap(), data);
-        assert_eq!(from_hex("").unwrap(), Vec::<u8>::new());
-    }
-
-    #[test]
-    fn hex_roundtrips_every_byte_value() {
+    fn hex_renders_every_byte_value() {
         let all: Vec<u8> = (0..=255).collect();
         let hex = to_hex(&all);
         assert_eq!(hex.len(), 512);
         assert!(hex.starts_with("000102") && hex.ends_with("fdfeff"));
         assert!(hex.bytes().all(|c| matches!(c, b'0'..=b'9' | b'a'..=b'f')));
-        assert_eq!(from_hex(&hex).unwrap(), all);
-    }
-
-    #[test]
-    fn hex_display_matches_to_hex_at_every_chunk_boundary() {
-        let all: Vec<u8> = (0..=255).collect();
-        for len in [0, 1, 31, 32, 33, 64, 110, 256] {
-            assert_eq!(Hex(&all[..len]).to_string(), to_hex(&all[..len]));
-        }
-    }
-
-    #[test]
-    fn hex_rejects_garbage() {
-        assert!(from_hex("abc").is_none()); // odd length
-        assert!(from_hex("zz").is_none());
-        assert!(from_hex("0g").is_none());
+        assert_eq!(to_hex(&[]), "");
     }
 }

@@ -26,7 +26,9 @@
 //! Sinks: `SpanAttr::<ctor>(..)` arguments (traces), `.counter(` /
 //! `.gauge(` / `.histogram(` metric names (telemetry), `.publish(` /
 //! `.publish_opts(` / `.dedup_key(` (broker plane), `respond(..)` (the
-//! ops HTTP server).
+//! ops HTTP server), `.attr_bytes(` (the raw bytes an at-rest record
+//! stores, in the binary form as they are: a ciphertext or a keyed tag,
+//! never identity plaintext).
 //!
 //! The analysis is flow-sensitive (a rebind clears taint), scope-aware
 //! (bindings die with their block; shadowing is honored), and
@@ -70,6 +72,7 @@ const SINK_METHODS: &[(&str, &str)] = &[
     ("publish_opts", "bus publish"),
     ("dedup_key", "publish dedup key"),
     ("capture", "incident bundle capture"),
+    ("attr_bytes", "at-rest record bytes"),
 ];
 /// Pattern-binding keywords that are not binding names themselves.
 const PATTERN_KEYWORDS: &[&str] = &["mut", "ref", "box"];

@@ -472,7 +472,8 @@ impl Rule for UncheckedBackpressure {
 // ---------------------------------------------------------------------------
 
 /// The at-rest logs are decoded from the token stream
-/// (`css_xml::Reader`), one decoder per stored type: nothing on the
+/// (`css_xml::Stored`, over the text or the binary form of a payload),
+/// one decoder per stored type: nothing on the
 /// request or replay path builds an `Element` tree it would only walk
 /// once and drop — and nothing outside the allowed field set is
 /// materialised on the way out of the gateway. `css_xml::parse` stays

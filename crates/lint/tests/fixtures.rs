@@ -397,6 +397,27 @@ fn identity_taint_treats_the_kept_key_mac_as_a_sanitizer() {
 }
 
 #[test]
+fn identity_taint_covers_the_bytes_of_an_at_rest_record() {
+    let clean = fire(
+        "css-controller",
+        "identity_taint/at_rest_clean.rs",
+        "identity-taint",
+    );
+    assert!(clean.is_empty(), "sealed bytes flagged: {clean:#?}");
+
+    let hits = fire(
+        "css-controller",
+        "identity_taint/at_rest_fire.rs",
+        "identity-taint",
+    );
+    assert_eq!(hits.len(), 1, "{hits:#?}");
+    assert!(
+        hits[0].message.contains("at-rest record bytes"),
+        "names the at-rest sink: {hits:#?}"
+    );
+}
+
+#[test]
 fn identity_taint_waiver_moves_finding_to_waived() {
     let src = fixture("identity_taint/waived.rs");
     let all = lint_file_source(

@@ -79,6 +79,21 @@ impl PolicyDecisionPoint {
         self.auth_cache.clear();
     }
 
+    /// The version of the policy set every decision is computed under:
+    /// it changes on every install, removal, revocation and
+    /// [`PolicyDecisionPoint::invalidate_cache`].
+    pub fn generation(&self) -> u64 {
+        self.generation.current()
+    }
+
+    /// The instants around `now` in which no policy over `event_type`
+    /// enters or leaves its validity window: while the generation
+    /// holds, every authorisation for the class decided at `now` holds
+    /// throughout them.
+    pub fn stability(&self, event_type: &EventTypeId, now: Timestamp) -> StabilityInterval {
+        StabilityInterval::around(now, self.policies_for(event_type))
+    }
+
     /// Hit/miss totals across both decision caches.
     pub fn cache_stats(&self) -> CacheStats {
         let e = self.eval_cache.stats();

@@ -116,7 +116,7 @@ impl<B: LogBackend> RecordLog<B> {
     /// checksum are all checked from it. A pointer or length that does
     /// not match what is stored is a `Storage` error, never a short or
     /// foreign payload.
-    pub(crate) fn read_sized(&self, ptr: RecordPtr, payload_len: usize) -> CssResult<Vec<u8>> {
+    pub fn read_sized(&self, ptr: RecordPtr, payload_len: usize) -> CssResult<Vec<u8>> {
         let invalid = || CssError::Storage(format!("invalid record pointer {ptr:?}"));
         let mut frame = self
             .backend

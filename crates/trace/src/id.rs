@@ -40,6 +40,18 @@ impl fmt::Display for TraceId {
     }
 }
 
+impl From<u64> for TraceId {
+    fn from(value: u64) -> Self {
+        TraceId(value)
+    }
+}
+
+impl From<TraceId> for u64 {
+    fn from(id: TraceId) -> u64 {
+        id.0
+    }
+}
+
 impl FromStr for TraceId {
     type Err = std::num::ParseIntError;
 

@@ -61,6 +61,12 @@ macro_rules! numeric_id {
             }
         }
 
+        impl From<$name> for u64 {
+            fn from(id: $name) -> u64 {
+                id.0
+            }
+        }
+
         impl FromStr for $name {
             type Err = IdParseError;
 
@@ -167,6 +173,18 @@ impl EventTypeId {
         self.version
     }
 
+    /// The id whose text form is exactly `text`: [`FromStr`] without
+    /// the normalisation — for text the platform stored, which it wrote
+    /// in this form, so that a damaged copy does not read as the id it
+    /// was.
+    pub fn from_canonical(text: &str) -> Result<Self, IdParseError> {
+        let id: EventTypeId = text.parse()?;
+        if id.to_string() != text {
+            return Err(IdParseError::NotCanonical(text.to_string()));
+        }
+        Ok(id)
+    }
+
     /// Next version of the same code.
     pub fn next_version(&self) -> Self {
         EventTypeId {
@@ -215,6 +233,8 @@ pub enum IdParseError {
     },
     /// The numeric part failed to parse.
     BadNumber(ParseIntError),
+    /// The text names an id, but is not the form the id is written in.
+    NotCanonical(String),
 }
 
 impl fmt::Display for IdParseError {
@@ -227,6 +247,7 @@ impl fmt::Display for IdParseError {
                 )
             }
             IdParseError::BadNumber(e) => write!(f, "invalid numeric id component: {e}"),
+            IdParseError::NotCanonical(input) => write!(f, "{input:?} is not in canonical form"),
         }
     }
 }
@@ -336,6 +357,27 @@ mod tests {
     fn event_type_id_parse_rejects_missing_version() {
         assert!("blood-test".parse::<EventTypeId>().is_err());
         assert!("@v1".parse::<EventTypeId>().is_err());
+    }
+
+    #[test]
+    fn only_the_written_form_parses_canonically() {
+        let id = EventTypeId::new("autonomy-assessment", 3);
+        assert_eq!(
+            EventTypeId::from_canonical("autonomy-assessment@v3"),
+            Ok(id)
+        );
+        for other in [
+            "Autonomy-assessment@v3",
+            "autonomy assessment@v3",
+            "autonomy-assessment@v03",
+        ] {
+            assert!(other.parse::<EventTypeId>().is_ok(), "{other}");
+            assert_eq!(
+                EventTypeId::from_canonical(other),
+                Err(IdParseError::NotCanonical(other.into()))
+            );
+        }
+        assert!(EventTypeId::from_canonical("@v1").is_err());
     }
 
     #[test]

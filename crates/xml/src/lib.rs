@@ -12,7 +12,10 @@
 //! - a writer with correct escaping ([`writer`]),
 //! - the matching source interface types decode themselves from
 //!   ([`reader`]): tokens pulled off the text in place, or replayed
-//!   from a tree — and [`parse`], those tokens folded into a tree.
+//!   from a tree — and [`parse`], those tokens folded into a tree,
+//! - the binary form of the same documents ([`binary`]), which the
+//!   at-rest logs write, and [`Stored`], the source that reads a stored
+//!   payload in whichever form its first byte names.
 //!
 //! What an event class allows (typed fields, required / optional,
 //! enumerations — the paper's XSD) is `css_event::EventSchema`: one
@@ -22,15 +25,19 @@
 //! processing instructions and entities beyond the five predefined ones —
 //! none of which the platform's message formats use.
 
+pub mod binary;
 pub mod doc;
 pub mod escape;
 pub mod parser;
 pub mod reader;
 pub mod sink;
+mod value;
 pub mod writer;
 
+pub use binary::{BinarySink, Names, Stored, BINARY_V1};
 pub use doc::{Element, Node};
 pub use parser::{parse, ParseError};
 pub use reader::{Attributes, Reader, Token, TreeSource, XmlSource};
 pub use sink::{StreamSink, TreeSink, XmlSink};
+pub use value::Value;
 pub use writer::{to_document_string, to_string, to_string_pretty};

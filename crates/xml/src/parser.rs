@@ -13,6 +13,7 @@ use css_types::CssError;
 use crate::doc::Element;
 use crate::reader::{Reader, Token, XmlSource};
 use crate::sink::{TreeSink, XmlSink};
+use crate::value::Value;
 
 /// Error produced when parsing malformed XML.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,7 +52,9 @@ pub fn parse(input: &str) -> Result<Element, ParseError> {
     loop {
         match reader.next()? {
             Token::Open(name) => tree.open(name),
-            Token::Attr(key, value) => tree.attr(key, value),
+            Token::Attr(key, Value::Text(text)) => tree.attr(key, text),
+            // The text form reads every value as text.
+            Token::Attr(key, _) => return Err(reader.err(format!("typed value for {key:?}"))),
             Token::Text(text) => tree.text(text),
             Token::Close => tree.close(),
             Token::Eof => return Ok(tree.into_root()),

@@ -25,6 +25,7 @@ use std::borrow::Cow;
 use crate::doc::{Element, Node};
 use crate::escape::unescape;
 use crate::parser::ParseError;
+use crate::value::{from_hex, Value};
 
 /// One step of a document, as a decoder sees it. Names and values
 /// borrow from the input; a value is owned only where an entity had to
@@ -35,7 +36,7 @@ pub enum Token<'a> {
     Open(&'a str),
     /// An attribute of the current element. All of them come before its
     /// first text or child, as in the serialized form.
-    Attr(&'a str, Cow<'a, str>),
+    Attr(&'a str, Value<'a>),
     /// A run of the current element's character data, unescaped. Runs
     /// of nothing but whitespace between markup are not reported; a
     /// CDATA section always is, verbatim.
@@ -163,7 +164,7 @@ pub trait XmlSource<'a> {
 /// the tree.
 pub struct Attributes<'a, const N: usize> {
     names: [&'static str; N],
-    values: [Option<Cow<'a, str>>; N],
+    values: [Option<Value<'a>>; N],
 }
 
 impl<'a, const N: usize> Attributes<'a, N> {
@@ -171,16 +172,59 @@ impl<'a, const N: usize> Attributes<'a, N> {
         self.names.iter().position(|n| *n == name)
     }
 
-    /// Value of an attribute, if the element had it.
-    pub fn get(&self, name: &str) -> Option<&str> {
-        self.values[self.slot(name)?].as_deref()
+    /// The value of an attribute, if the element had it. A value of
+    /// another kind than a getter asks for counts as absent.
+    fn value(&self, name: &str) -> Option<&Value<'a>> {
+        self.values[self.slot(name)?].as_ref()
     }
 
-    /// Move the value of an attribute out: borrowed from the input
+    /// Text of an attribute, if the element had it.
+    pub fn get(&self, name: &str) -> Option<&str> {
+        match self.value(name)? {
+            Value::Text(text) => Some(text),
+            _ => None,
+        }
+    }
+
+    /// Move the text of an attribute out: borrowed from the input
     /// unless an entity had to be expanded in it.
     pub fn take(&mut self, name: &str) -> Option<Cow<'a, str>> {
         let slot = self.slot(name)?;
-        self.values[slot].take()
+        match self.values[slot].take()? {
+            Value::Text(text) => Some(text),
+            _ => None,
+        }
+    }
+
+    /// A number [`crate::XmlSink::attr_int`] wrote: parsed from its
+    /// text form, or taken as stored.
+    pub fn int<T: std::str::FromStr + From<u64>>(&self, name: &str) -> Option<Result<T, T::Err>> {
+        match self.value(name)? {
+            Value::Text(text) => Some(text.parse()),
+            Value::Int(n) => Some(Ok(T::from(*n))),
+            Value::Bytes(_) => None,
+        }
+    }
+
+    /// Bytes [`crate::XmlSink::attr_bytes`] wrote: decoded from their
+    /// hex text (`Some(None)` when that is not hex), or borrowed as
+    /// stored.
+    pub fn bytes(&self, name: &str) -> Option<Option<Cow<'a, [u8]>>> {
+        match self.value(name)? {
+            Value::Text(text) => Some(from_hex(text).map(Cow::Owned)),
+            Value::Bytes(bytes) => Some(Some(Cow::Borrowed(*bytes))),
+            Value::Int(_) => None,
+        }
+    }
+
+    /// Which of `keywords` [`crate::XmlSink::attr_keyword`] wrote:
+    /// `Some(None)` when the value is none of them.
+    pub fn keyword(&self, name: &str, keywords: &[&str]) -> Option<Option<usize>> {
+        match self.value(name)? {
+            Value::Text(text) => Some(keywords.iter().position(|k| *k == text)),
+            Value::Int(n) => Some(usize::try_from(*n).ok().filter(|&i| i < keywords.len())),
+            Value::Bytes(_) => None,
+        }
     }
 }
 
@@ -228,7 +272,7 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn err(&self, message: impl Into<String>) -> ParseError {
+    pub(crate) fn err(&self, message: impl Into<String>) -> ParseError {
         ParseError {
             offset: self.pos,
             message: message.into(),
@@ -405,7 +449,7 @@ impl<'a> Reader<'a> {
                     return Err(self.err(format!("duplicate attribute {key:?}")));
                 }
                 self.seen.push(key);
-                Ok(Some(Token::Attr(key, value)))
+                Ok(Some(Token::Attr(key, Value::Text(value))))
             }
             None => Err(self.err("unterminated start tag")),
         }
@@ -529,7 +573,7 @@ impl<'a> XmlSource<'a> for TreeSource<'a> {
             });
         };
         if let Some((key, value)) = current.attributes.next() {
-            return Ok(Token::Attr(key, Cow::Borrowed(value)));
+            return Ok(Token::Attr(key, Value::from(value.as_str())));
         }
         Ok(match current.children.next() {
             Some(Node::Text(text)) => Token::Text(Cow::Borrowed(text)),
@@ -588,7 +632,7 @@ mod tests {
         let owned: Vec<bool> = tokens(Reader::new(SAMPLE))
             .into_iter()
             .filter_map(|t| match t {
-                Token::Attr(_, v) | Token::Text(v) => Some(matches!(v, Cow::Owned(_))),
+                Token::Attr(_, Value::Text(v)) | Token::Text(v) => Some(matches!(v, Cow::Owned(_))),
                 _ => None,
             })
             .collect();

@@ -12,12 +12,15 @@
 //!
 //! [`crate::to_string`] is a tree walk into a [`StreamSink`], so both
 //! routes produce the same bytes and tag syntax and escaping are
-//! written down once, here and in [`crate::escape`].
+//! written down once, here and in [`crate::escape`]. The at-rest logs
+//! write a third destination, [`crate::BinarySink`]: the same calls,
+//! stored compactly.
 
 use std::fmt::{self, Write};
 
 use crate::doc::{Element, Node};
 use crate::escape::escape_tail;
+use crate::value::Hex;
 
 /// Receiver of one document's open / attribute / text / close events.
 ///
@@ -44,6 +47,26 @@ pub trait XmlSink {
         self.open(name);
         self.text(text);
         self.close();
+    }
+
+    /// A number-valued attribute — a sequence number, a timestamp, an
+    /// id. The text form is `value`'s `Display` (an id's prefixed
+    /// form); the binary form stores the number.
+    fn attr_int<T: Copy + Into<u64> + fmt::Display>(&mut self, key: &str, value: T) {
+        self.attr(key, value);
+    }
+
+    /// A bytes-valued attribute — a ciphertext, a keyed tag. The text
+    /// form is lowercase hex; the binary form stores the bytes.
+    fn attr_bytes(&mut self, key: &str, value: &[u8]) {
+        self.attr(key, Hex(value));
+    }
+
+    /// An attribute holding one of a fixed list of keywords, the one at
+    /// `index`. The text form is the keyword; the binary form stores
+    /// the index.
+    fn attr_keyword(&mut self, key: &str, keywords: &[&str], index: usize) {
+        self.attr(key, keywords[index]);
     }
 }
 

@@ -81,7 +81,7 @@ fn main() -> CssResult<()> {
 
     // 8. Everything is on the tamper-evident audit log.
     platform.verify_audit()?;
-    let report = platform.audit_report(&css::audit::AuditQuery::new());
+    let report = platform.audit_report(&css::audit::AuditQuery::new())?;
     println!(
         "audit: {} records, {} denied, head intact",
         report.total, report.denied

@@ -73,7 +73,7 @@ fn main() -> CssResult<()> {
         &AuditQuery::new()
             .person(person)
             .action(AuditAction::DetailRequest),
-    );
+    )?;
     println!("\ndetail requests about person {person}:");
     for record in trail.iter().take(10) {
         println!(
@@ -88,7 +88,7 @@ fn main() -> CssResult<()> {
     // Denial statistics for the privacy guarantor.
     let denials = scenario
         .platform
-        .audit_report(&AuditQuery::new().denied_only());
+        .audit_report(&AuditQuery::new().denied_only())?;
     println!("\ndenials by reason:");
     for (reason, count) in &denials.deny_reasons {
         println!("  {reason:30} {count}");
@@ -97,7 +97,7 @@ fn main() -> CssResult<()> {
     scenario.platform.verify_audit()?;
     println!(
         "\naudit hash chain verified over {} records",
-        scenario.platform.audit_report(&AuditQuery::new()).total
+        scenario.platform.audit_report(&AuditQuery::new())?.total
     );
     Ok(())
 }

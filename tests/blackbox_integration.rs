@@ -314,7 +314,7 @@ fn p99_regression_writes_a_joinable_incident_bundle() {
     );
 
     // …and to the audit log, closing the metrics → trace → audit join.
-    let records = platform.audit_query(&AuditQuery::new().trace(id));
+    let records = platform.audit_query(&AuditQuery::new().trace(id)).unwrap();
     assert!(!records.is_empty(), "trace {hex} not in audit log");
     assert!(
         records

@@ -98,7 +98,9 @@ fn concurrent_producers_and_detail_requests() {
     assert_eq!(permits.load(Ordering::SeqCst), 200);
     platform.verify_audit().unwrap();
     // Audit saw every publish and every detail request.
-    let report = platform.audit_report(&css::audit::AuditQuery::new());
+    let report = platform
+        .audit_report(&css::audit::AuditQuery::new())
+        .unwrap();
     assert_eq!(report.action_count(css::audit::AuditAction::Publish), 200);
     assert_eq!(
         report.action_count(css::audit::AuditAction::DetailRequest),

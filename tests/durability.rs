@@ -113,16 +113,14 @@ fn audit_tampering_detected_on_reload() {
         platform.join(org, Role::Consumer).unwrap();
         platform.join(org2, Role::Consumer).unwrap();
     }
-    // Flip one byte inside the FIRST audit record's payload. (A flipped
-    // final record is indistinguishable from a torn tail and is dropped
-    // by design; anything earlier must fail loudly.)
+    // Flip one byte inside the FIRST audit record's payload: the first
+    // frame of shard 0 starts the file, its payload 9 bytes in (magic,
+    // length, CRC). (A flipped final record is indistinguishable from a
+    // torn tail and is dropped by design; anything earlier must fail
+    // loudly.)
     let audit_path = dir.join("audit.log");
     let mut bytes = std::fs::read(&audit_path).unwrap();
-    let pos = bytes
-        .windows(6)
-        .position(|w| w == b"actor=")
-        .expect("record text present");
-    bytes[pos + 7] ^= 0x01;
+    bytes[9 + 2] ^= 0x01;
     std::fs::write(&audit_path, &bytes).unwrap();
     // Reload must fail: either the CRC catches it or the hash chain does.
     let result = CssPlatform::on_disk(&dir, Arc::new(clock));
@@ -472,8 +470,8 @@ fn drive_fixed_sequence(
         .unwrap();
     assert!(second.notified.is_empty());
     tick();
-    // Social services lose their policy and their subscription: the
-    // next visit fans out to two.
+    // Social services lose their only policy, and with it their
+    // subscription: the next visit fans out to two.
     producer.revoke_policy(revocable[0]).unwrap();
     let mut subscriptions = subscriptions.into_iter();
     let (clinic_sub, doctor_sub, social_sub) = (
@@ -491,6 +489,7 @@ fn drive_fixed_sequence(
             clock.now(),
         )
         .unwrap();
+    assert_eq!(third.notified, [clinic, doctor]);
     tick();
     let doctor_handle = platform.consumer(doctor).unwrap();
     // The doctor never subscribed to lab results: the inquiry returns
@@ -552,72 +551,199 @@ fn at_rest_files(dir: &std::path::Path) -> std::collections::BTreeMap<String, Ve
         .collect()
 }
 
+/// Records of the sequence in the fixtures written before the binary
+/// form (`at-rest-1`, `at-rest-2`), and their chain heads at 1 and 2
+/// shards.
 const FIXTURE_AUDIT_LEN: usize = 29;
 const FIXTURE_HEAD_1: &str = "e6eea79715dcaffa72ef1d660b2fa60d8abeab9d066182692a51a44e6474cbab";
 const FIXTURE_HEAD_2: &str = "fdc560314b8eb3c98b4d8ec5ea6628e2cafb10f1567a698b531eea79e891aa72";
 
-/// "Same bytes" held still: `tests/fixtures/at-rest-{1,2}` are the
-/// directories [`drive_fixed_sequence`] wrote at commit 2347129 (the
-/// last one whose write paths built `Element` trees and whose CRC went
-/// a byte a step), at 1 and 2 shards. Today's code must read them to
-/// the same state, and must write the same bytes for the same sequence.
+/// The same for `at-rest-3`, the binary form, written since revocation
+/// reaches the routing table.
+const BINARY_AUDIT_LEN: usize = 29;
+const BINARY_HEAD_1: &str = "8a0d9cc59f3900a7d7ad682fa5d463e5a5c88c7a91c2bd831ca7ab4bae109b8d";
+const BINARY_HEAD_2: &str = "dc20d11d4d1ba7bb7a88960164e823a024b4a90e29bc42260491bb74c3d545c9";
+
+/// The directory of a committed fixture.
+fn fixture(name: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
+}
+
+/// A temporary copy of a committed fixture, to open (which may append or
+/// truncate) without touching it.
+fn fixture_copy(name: &str) -> std::path::PathBuf {
+    let copy = temp_dir(&format!("fixture-copy-{}", name.replace('/', "-")));
+    for entry in std::fs::read_dir(fixture(name)).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
+    }
+    copy
+}
+
+/// Open a deployment directory at whatever shard count it records.
+fn reopen(dir: &std::path::Path) -> CssPlatform<css::core::DirProvider> {
+    CssPlatform::builder()
+        .provider(css::core::DirProvider::new(dir).unwrap())
+        .clock(Arc::new(SimClock::starting_at(Timestamp(1))))
+        .build()
+        .unwrap()
+}
+
+/// "Same bytes" held still, for every at-rest fixture.
+///
+/// - `tests/fixtures/at-rest-{1,2}` are the directories
+///   [`drive_fixed_sequence`] wrote at commit 2347129 (the last one
+///   whose write paths built `Element` trees and whose CRC went a byte a
+///   step), at 1 and 2 shards: XML payloads. Today's code must read
+///   them to the same state, and writes the same gateway and policy
+///   bytes for the sequence.
+/// - `tests/fixtures/at-rest-3/shards-{1,2}` are what it writes now:
+///   binary audit and index payloads. Today's code must read them to
+///   the same state and write every byte of them again.
+///
+/// `cargo test --test durability -- --ignored --nocapture
+/// write_the_at_rest_fixture` writes both into `target/` after a
+/// deliberate format change.
 #[test]
 fn at_rest_bytes_match_the_committed_fixture() {
-    for (shards, audit_len, head) in [
-        (1, FIXTURE_AUDIT_LEN, FIXTURE_HEAD_1),
-        (2, FIXTURE_AUDIT_LEN, FIXTURE_HEAD_2),
+    for (shards, legacy, legacy_head, current, head) in [
+        (
+            1,
+            "at-rest-1",
+            FIXTURE_HEAD_1,
+            "at-rest-3/shards-1",
+            BINARY_HEAD_1,
+        ),
+        (
+            2,
+            "at-rest-2",
+            FIXTURE_HEAD_2,
+            "at-rest-3/shards-2",
+            BINARY_HEAD_2,
+        ),
     ] {
-        let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join(format!("tests/fixtures/at-rest-{shards}"));
-        let expected = at_rest_files(&fixture);
-        assert!(expected.len() >= 4, "fixture incomplete: {expected:?}");
-
-        // Reading: a copy of the fixture reopens to the recorded state.
-        let copy = temp_dir(&format!("fixture-copy-{shards}"));
-        for entry in std::fs::read_dir(&fixture).unwrap() {
-            let entry = entry.unwrap();
-            std::fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
-        }
-        let reopened = CssPlatform::builder()
-            .provider(css::core::DirProvider::new(&copy).unwrap())
-            .clock(Arc::new(SimClock::starting_at(Timestamp(1))))
-            .build()
-            .unwrap();
-        assert_eq!(reopened.shard_count(), shards);
-        assert_eq!(reopened.controller().audit_len(), audit_len);
-        assert_eq!(reopened.controller().index_len(), 3);
-        assert_eq!(
-            css::crypto::to_hex(&reopened.controller().audit_head()),
-            head
-        );
-        reopened.verify_audit().unwrap();
-        drop(reopened);
-
-        // Writing: the same sequence on a fresh directory.
         let fresh = temp_dir(&format!("fixture-fresh-{shards}"));
         let written = drive_fixed_sequence(&fresh, shards);
-        assert_eq!(written.controller().audit_len(), audit_len);
+        assert_eq!(written.controller().audit_len(), BINARY_AUDIT_LEN);
         assert_eq!(
             css::crypto::to_hex(&written.controller().audit_head()),
             head
         );
         drop(written);
         let actual = at_rest_files(&fresh);
-        assert_eq!(
-            actual.keys().collect::<Vec<_>>(),
-            expected.keys().collect::<Vec<_>>()
-        );
-        for (name, bytes) in &expected {
-            assert!(
-                actual[name] == *bytes,
-                "{name} differs from the fixture at {shards} shard(s):\n{}\nvs\n{}",
-                String::from_utf8_lossy(&actual[name]),
-                String::from_utf8_lossy(bytes)
+
+        for (name, audit_len, head, every_byte) in [
+            (legacy, FIXTURE_AUDIT_LEN, legacy_head, false),
+            (current, BINARY_AUDIT_LEN, head, true),
+        ] {
+            let expected = at_rest_files(&fixture(name));
+            assert!(expected.len() >= 4, "{name} incomplete: {expected:?}");
+
+            // Reading: a copy of the fixture reopens to the recorded state.
+            let copy = fixture_copy(name);
+            let reopened = reopen(&copy);
+            assert_eq!(reopened.shard_count(), shards, "{name}");
+            assert_eq!(reopened.controller().audit_len(), audit_len, "{name}");
+            assert_eq!(reopened.controller().index_len(), 3, "{name}");
+            assert_eq!(
+                css::crypto::to_hex(&reopened.controller().audit_head()),
+                head,
+                "{name}"
             );
+            reopened.verify_audit().unwrap();
+            drop(reopened);
+            let _ = std::fs::remove_dir_all(&copy);
+
+            // Writing: the same sequence writes the same bytes — all of
+            // them, or what stayed XML.
+            assert_eq!(
+                actual.keys().collect::<Vec<_>>(),
+                expected.keys().collect::<Vec<_>>(),
+                "{name}"
+            );
+            for (file, bytes) in &expected {
+                if !every_byte
+                    && ["audit", "events-index"]
+                        .iter()
+                        .any(|p| file.starts_with(p))
+                {
+                    continue;
+                }
+                assert!(
+                    actual[file] == *bytes,
+                    "{file} differs from {name}:\n{}\nvs\n{}",
+                    String::from_utf8_lossy(&actual[file]),
+                    String::from_utf8_lossy(bytes)
+                );
+            }
         }
-        let _ = std::fs::remove_dir_all(&copy);
         let _ = std::fs::remove_dir_all(&fresh);
     }
+}
+
+/// A directory written before the binary form keeps working as is:
+/// reopened, appended to in the binary form and reopened again, every
+/// shard's chain runs on from the XML records through the binary ones,
+/// and nothing is lost.
+#[test]
+fn a_legacy_directory_takes_binary_appends_with_a_continuous_chain() {
+    for name in ["at-rest-1", "at-rest-2"] {
+        let copy = fixture_copy(name);
+        let mut platform = reopen(&copy);
+        let org = platform.register_organization("Newcomer").unwrap();
+        platform.join(org, Role::Consumer).unwrap();
+        assert!(!platform
+            .citizen(PersonId(1))
+            .who_accessed_my_data()
+            .unwrap()
+            .is_empty());
+        let (len, head) = (
+            platform.controller().audit_len(),
+            platform.controller().audit_head(),
+        );
+        assert_eq!(len, FIXTURE_AUDIT_LEN + 2, "{name}");
+        platform.verify_audit().unwrap();
+        drop(platform);
+
+        let reopened = reopen(&copy);
+        assert_eq!(reopened.controller().audit_len(), len, "{name}");
+        assert_eq!(reopened.controller().audit_head(), head, "{name}");
+        reopened.verify_audit().unwrap();
+        assert_eq!(reopened.controller().index_len(), 3, "{name}");
+        let _ = std::fs::remove_dir_all(&copy);
+    }
+}
+
+/// Not a check: writes [`drive_fixed_sequence`] at 1 and 2 shards into
+/// `target/at-rest-fixture/shards-{1,2}`, keeping only the files a
+/// fixture holds, and prints where. After a deliberate format change,
+/// copy them over `tests/fixtures/at-rest-3/` and update the pinned
+/// lengths and heads above.
+#[test]
+#[ignore = "writes the at-rest fixture; run by hand after a format change"]
+fn write_the_at_rest_fixture() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("target/at-rest-fixture");
+    for shards in [1, 2] {
+        let dir = root.join(format!("shards-{shards}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let written = drive_fixed_sequence(&dir, shards);
+        println!(
+            "{shards} shard(s): {} records, head {}",
+            written.controller().audit_len(),
+            css::crypto::to_hex(&written.controller().audit_head())
+        );
+        drop(written);
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if std::fs::metadata(&path).unwrap().len() == 0 {
+                std::fs::remove_file(path).unwrap();
+            }
+        }
+    }
+    println!("written to {}", root.display());
 }
 
 /// "Same structs" held still: every audit record and every detail

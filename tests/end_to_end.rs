@@ -34,7 +34,7 @@ fn region_wide_workload_respects_privacy_invariants() {
     assert!(report.sensitive_released_bytes < report.released_bytes);
     scenario.platform.verify_audit().unwrap();
     // The audit knows exactly as many detail requests as we made.
-    let audit = scenario.platform.audit_report(&AuditQuery::new());
+    let audit = scenario.platform.audit_report(&AuditQuery::new()).unwrap();
     assert_eq!(
         audit.action_count(AuditAction::DetailRequest),
         report.detail_permits + report.detail_denies
@@ -154,17 +154,21 @@ fn audit_answers_the_guarantors_questions() {
 
     // Q1: who accessed person X's data, for which purposes?
     let person = scenario.persons[0].id;
-    let accesses = platform.audit_query(
-        &AuditQuery::new()
-            .person(person)
-            .action(AuditAction::DetailRequest),
-    );
+    let accesses = platform
+        .audit_query(
+            &AuditQuery::new()
+                .person(person)
+                .action(AuditAction::DetailRequest),
+        )
+        .unwrap();
     for a in &accesses {
         assert!(a.purpose.is_some(), "every detail request states a purpose");
     }
 
     // Q2: what is the platform-wide denial profile?
-    let report = platform.audit_report(&AuditQuery::new().denied_only());
+    let report = platform
+        .audit_report(&AuditQuery::new().denied_only())
+        .unwrap();
     assert!(report.deny_reasons.contains_key("purpose not allowed"));
 
     // Q3: is the log intact?

@@ -12,6 +12,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use css::audit::{AuditAction, AuditQuery};
 use css::core::{BackendProvider, CssPlatform, CssPlatformBuilder};
 use css::monitor::ProcessMonitor;
 use css::prelude::*;
@@ -26,15 +27,17 @@ const SECRET_FISCAL: &str = "FCSECRET0000007";
 // ---- fault-injectable storage --------------------------------------------
 
 /// An in-memory backend whose I/O fails while the shared flag is up —
-/// the "disk died" lever for the `/health` 503 test.
+/// the "disk died" lever for the `/health` 503 test — unless it is
+/// outside the provider's fault scope.
 struct FaultableBackend {
     inner: MemBackend,
     fail: Arc<AtomicBool>,
+    in_scope: bool,
 }
 
 impl FaultableBackend {
     fn check(&self) -> css::types::CssResult<()> {
-        if self.fail.load(Ordering::SeqCst) {
+        if self.in_scope && self.fail.load(Ordering::SeqCst) {
             Err(CssError::Storage("injected fault: disk offline".into()))
         } else {
             Ok(())
@@ -67,14 +70,25 @@ impl LogBackend for FaultableBackend {
 #[derive(Clone)]
 struct FaultableProvider {
     fail: Arc<AtomicBool>,
+    /// The flag fails the backends whose name starts with this; `""`
+    /// is every backend.
+    scope: &'static str,
+}
+
+impl FaultableProvider {
+    /// The flag fails every backend.
+    fn everywhere(fail: Arc<AtomicBool>) -> Self {
+        FaultableProvider { fail, scope: "" }
+    }
 }
 
 impl BackendProvider for FaultableProvider {
     type Backend = FaultableBackend;
-    fn backend(&self, _name: &str) -> css::types::CssResult<FaultableBackend> {
+    fn backend(&self, name: &str) -> css::types::CssResult<FaultableBackend> {
         Ok(FaultableBackend {
             inner: MemBackend::new(),
             fail: self.fail.clone(),
+            in_scope: name.starts_with(self.scope),
         })
     }
 }
@@ -270,7 +284,7 @@ fn ops_platform_on(
         BOOTS.fetch_add(1, Ordering::SeqCst)
     ));
     let mut platform = CssPlatformBuilder::new()
-        .provider(FaultableProvider { fail })
+        .provider(FaultableProvider::everywhere(fail))
         .shards(shards)
         .tracing(256)
         .ops_server("127.0.0.1:0")
@@ -529,7 +543,7 @@ fn ops_plane_shuts_down_with_the_platform() {
 fn a_subscribe_that_fails_to_audit_leaves_no_receiver_behind() {
     let fail = Arc::new(AtomicBool::new(false));
     let mut platform = CssPlatformBuilder::new()
-        .provider(FaultableProvider { fail: fail.clone() })
+        .provider(FaultableProvider::everywhere(fail.clone()))
         .build()
         .expect("boot platform");
     let (hospital, doctor, ty) = onboard(&mut platform);
@@ -552,4 +566,95 @@ fn a_subscribe_that_fails_to_audit_leaves_no_receiver_behind() {
             .unwrap_or_else(|e| panic!("publish {n}: {e}"));
         assert!(receipt.notified.is_empty(), "publish {n}: {receipt:?}");
     }
+}
+
+/// An inquiry whose notified-marker cannot be written fails — and must
+/// not leave the consumer marked notified in memory: Algorithm 1's
+/// notified check would then pass for a notification the consumer
+/// never received, and that a restart would not remember.
+#[test]
+fn an_inquiry_that_fails_to_persist_its_marker_notifies_nobody() {
+    let fail = Arc::new(AtomicBool::new(false));
+    let mut platform = CssPlatformBuilder::new()
+        .provider(FaultableProvider::everywhere(fail.clone()))
+        .build()
+        .expect("boot platform");
+    let (hospital, doctor, ty) = onboard(&mut platform);
+    let (person, details) = sensitive_event(&ty);
+    let receipt = platform
+        .producer(hospital)
+        .unwrap()
+        .publish(person, "bt", details, platform.clock().now())
+        .unwrap();
+    // Authorised for the class, never subscribed: not notified.
+    assert!(receipt.notified.is_empty());
+    let consumer = platform.consumer(doctor).unwrap();
+
+    fail.store(true, Ordering::SeqCst);
+    let inquired = consumer
+        .inquire_by_person(PersonId(7))
+        .map(|found| found.len());
+    assert!(
+        matches!(inquired, Err(CssError::Storage(_))),
+        "{inquired:?}"
+    );
+    fail.store(false, Ordering::SeqCst);
+
+    let requested = consumer
+        .request_details_by_id(ty, receipt.global_id, Purpose::HealthcareTreatment)
+        .map(|_| ());
+    assert_eq!(
+        requested,
+        Err(CssError::AccessDenied(DenyReason::NotNotified))
+    );
+}
+
+/// A revocation whose detachment cannot be audited fails the publish
+/// that finds it — and is not forgotten: the next publish detaches the
+/// consumer again and this time writes the record.
+#[test]
+fn a_detachment_that_fails_to_audit_is_retried_by_the_next_publish() {
+    let fail = Arc::new(AtomicBool::new(false));
+    let mut platform = CssPlatformBuilder::new()
+        .provider(FaultableProvider {
+            fail: fail.clone(),
+            scope: "audit",
+        })
+        .build()
+        .expect("boot platform");
+    let (hospital, doctor, ty) = onboard(&mut platform);
+    let producer = platform.producer(hospital).unwrap();
+    let subscription = platform.consumer(doctor).unwrap().subscribe(&ty).unwrap();
+    let granted = platform.policy_repository().lock().load_all().unwrap();
+    producer.revoke_policy(granted[0].id).unwrap();
+    let detachments = |platform: &CssPlatform<FaultableProvider>| {
+        let q = AuditQuery::new()
+            .action(AuditAction::Subscribe)
+            .actor(doctor)
+            .denied_only();
+        platform.audit_query(&q).unwrap().len()
+    };
+
+    fail.store(true, Ordering::SeqCst);
+    let (person, details) = sensitive_event(&ty);
+    let published = producer
+        .publish(person, "bt", details, platform.clock().now())
+        .map(|r| r.notified);
+    assert!(
+        matches!(published, Err(CssError::Storage(_))),
+        "{published:?}"
+    );
+    fail.store(false, Ordering::SeqCst);
+    assert_eq!(detachments(&platform), 0);
+
+    let (person, details) = sensitive_event(&ty);
+    let receipt = producer
+        .publish(person, "bt", details, platform.clock().now())
+        .unwrap();
+    assert!(receipt.notified.is_empty(), "{receipt:?}");
+    assert_eq!(detachments(&platform), 1);
+    let delivered = AuditQuery::new().action(AuditAction::Delivery);
+    assert!(platform.audit_query(&delivered).unwrap().is_empty());
+    assert!(subscription.drain().unwrap().is_empty());
+    platform.verify_audit().unwrap();
 }

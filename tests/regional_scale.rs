@@ -27,7 +27,7 @@ fn run(persons: usize, events: usize) {
         "every event has >=1 subscriber"
     );
     // Accounting closes: audit knows every publish, delivery and request.
-    let audit = scenario.platform.audit_report(&AuditQuery::new());
+    let audit = scenario.platform.audit_report(&AuditQuery::new()).unwrap();
     assert_eq!(audit.action_count(css::audit::AuditAction::Publish), events);
     assert_eq!(
         audit.action_count(css::audit::AuditAction::Delivery),

@@ -76,7 +76,9 @@ fn telemetry_matches_audit_after_end_to_end_flow() {
     let telemetry = platform.telemetry();
 
     // Publish pipeline vs audit Publish records.
-    let published = platform.audit_query(&AuditQuery::new().action(AuditAction::Publish));
+    let published = platform
+        .audit_query(&AuditQuery::new().action(AuditAction::Publish))
+        .unwrap();
     assert_eq!(published.len() as u64, PUBLISHES);
     assert_eq!(telemetry.counter("controller.published"), PUBLISHES);
     for stage in ["consent_gate", "route", "index", "audit", "total"] {
@@ -87,7 +89,9 @@ fn telemetry_matches_audit_after_end_to_end_flow() {
     }
 
     // Detail requests vs audit DetailRequest records, permit/deny split.
-    let detail = platform.audit_query(&AuditQuery::new().action(AuditAction::DetailRequest));
+    let detail = platform
+        .audit_query(&AuditQuery::new().action(AuditAction::DetailRequest))
+        .unwrap();
     assert_eq!(detail.len() as u64, PERMITS + DENIES);
     let audited_permits = detail.iter().filter(|r| r.outcome.is_permitted()).count() as u64;
     assert_eq!(audited_permits, PERMITS);
@@ -148,7 +152,7 @@ fn telemetry_matches_audit_after_end_to_end_flow() {
     // the audit log itself.
     assert!(telemetry.counter("storage.appended_bytes") > 0);
     assert!(telemetry.histogram("storage.append").unwrap().count > 0);
-    let all = platform.audit_query(&AuditQuery::new());
+    let all = platform.audit_query(&AuditQuery::new()).unwrap();
     assert_eq!(
         telemetry.gauge("platform.audit_records") as usize,
         all.len()

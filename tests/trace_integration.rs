@@ -154,22 +154,32 @@ fn one_flow_yields_three_causal_trees_and_stamped_audit_records() {
     }
 
     // ---- audit records carry the trace ids of their operations.
-    let published = platform.audit_query(&AuditQuery::new().action(AuditAction::Publish));
+    let published = platform
+        .audit_query(&AuditQuery::new().action(AuditAction::Publish))
+        .unwrap();
     assert_eq!(published.len(), 1);
     assert_eq!(published[0].trace, Some(publish.trace));
-    let delivered = platform.audit_query(&AuditQuery::new().action(AuditAction::Delivery));
+    let delivered = platform
+        .audit_query(&AuditQuery::new().action(AuditAction::Delivery))
+        .unwrap();
     assert_eq!(delivered.len(), 1);
     assert_eq!(delivered[0].trace, Some(publish.trace));
-    let inquiries = platform.audit_query(&AuditQuery::new().action(AuditAction::IndexInquiry));
+    let inquiries = platform
+        .audit_query(&AuditQuery::new().action(AuditAction::IndexInquiry))
+        .unwrap();
     assert_eq!(inquiries.len(), 1);
     assert_eq!(inquiries[0].trace, Some(inquiry.trace));
-    let detail_recs = platform.audit_query(&AuditQuery::new().action(AuditAction::DetailRequest));
+    let detail_recs = platform
+        .audit_query(&AuditQuery::new().action(AuditAction::DetailRequest))
+        .unwrap();
     assert_eq!(detail_recs.len(), 1);
     assert_eq!(detail_recs[0].trace, Some(detail.trace));
 
     // The trace dimension is queryable: joining by the publish trace id
     // returns exactly the records of that causal tree.
-    let joined = platform.audit_query(&AuditQuery::new().trace(publish.trace));
+    let joined = platform
+        .audit_query(&AuditQuery::new().trace(publish.trace))
+        .unwrap();
     assert_eq!(joined.len(), 2, "Publish + Delivery: {joined:#?}");
 
     // The trace id is seeded from the platform clock (7_000 ms).
@@ -294,7 +304,7 @@ fn untraced_platform_records_nothing_and_omits_trace_dimensions() {
     );
     assert!(!platform.tracer().is_enabled());
     assert!(platform.tracer().finished_spans().is_empty());
-    for record in platform.audit_query(&AuditQuery::new()) {
+    for record in platform.audit_query(&AuditQuery::new()).unwrap() {
         assert_eq!(record.trace, None, "no trace dimension when disabled");
     }
     // Round-trip sanity for the id type used in the audit dimension.
