@@ -837,12 +837,12 @@ impl<B: LogBackend> DataController<B> {
         let mut span = self.tracer.root("inquiry", now);
         span.attr(SpanAttr::actor(consumer));
         // Resolve each candidate once inside its owner shard (entry
-        // lookup, authorization, decrypt and notified-marking share a
-        // single entry resolution; markers are persisted as one batch
-        // per shard). The pdp/actors read guards span the scatter, but
-        // shard locks nest strictly inside them, one at a time.
+        // lookup, authorization and identity opening share a single
+        // entry resolution). The pdp/actors read guards span the
+        // scatter, but shard locks nest strictly inside them, one at a
+        // time.
         let filter_span = span.context().child("index.filter");
-        let mut out = {
+        let (mut out, markers) = {
             let pdp = self.pdp.read();
             let actors = self.actors.read();
             // With both guards held and `now` fixed, the answer for an
@@ -867,11 +867,15 @@ impl<B: LogBackend> DataController<B> {
             }
         };
         filter_span.finish();
+        // Audit before notify: no marker takes effect unless the
+        // inquiry's record is written. A marker write that fails after
+        // it leaves the record standing as an audited attempt.
         self.audit.append(
             AuditRecord::new(now, consumer, AuditAction::IndexInquiry)
                 .trace(span.trace_id())
                 .with_detail(format!("{} events returned", out.len())),
         )?;
+        self.index.mark_notified(markers)?;
         span.finish();
         out.sort_by_key(|n| n.global_id);
         Ok(out)

@@ -23,8 +23,14 @@
 //! binary form holds XML payloads (the sealed identity in hex) and
 //! replays alike: [`css_xml::Stored`] dispatches on each payload's
 //! first byte.
+//!
+//! A read that builds notifications opens each distinct sealed identity
+//! once, and leaves entries whose identities opened equal sharing one
+//! ciphertext in memory, so a citizen's later reads open it once; the
+//! log keeps each entry's own.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 use css_crypto::{HmacKey, SealedBox};
 use css_event::NotificationMessage;
@@ -42,8 +48,11 @@ pub struct IndexEntry {
     pub global_id: GlobalEventId,
     /// Class of the event.
     pub event_type: EventTypeId,
-    /// Sealed [`PersonIdentity`] bytes.
-    pub sealed_identity: Vec<u8>,
+    /// Sealed [`PersonIdentity`] bytes: the ciphertext this entry was
+    /// written with, or — once a read has opened it beside another
+    /// entry's ciphertext of the same identity — that other ciphertext,
+    /// shared. What is persisted is always the entry's own.
+    pub sealed_identity: Arc<[u8]>,
     /// Keyed lookup tag for the person (HMAC over the person id).
     pub person_tag: [u8; 32],
     /// Event description (the *what*).
@@ -131,11 +140,13 @@ impl IndexEntry {
         }
         src.finish()?;
         let missing = |attr: &str| bad(format!("missing {attr}"));
-        let sealed_identity = attrs
-            .bytes("sealed")
-            .ok_or_else(|| missing("sealed"))?
-            .ok_or_else(|| bad("bad sealed hex".into()))?
-            .into_owned();
+        let sealed_identity = Arc::from(
+            attrs
+                .bytes("sealed")
+                .ok_or_else(|| missing("sealed"))?
+                .ok_or_else(|| bad("bad sealed hex".into()))?
+                .as_ref(),
+        );
         let tag_bytes = attrs
             .bytes("tag")
             .ok_or_else(|| missing("tag"))?
@@ -243,25 +254,119 @@ fn encode_notified_marker(event: GlobalEventId, actor: ActorId, sink: &mut impl 
     sink.close();
 }
 
-/// Open the identity sealed into `entry`.
-fn open_identity(sealer: &SealedBox, entry: &IndexEntry) -> CssResult<PersonIdentity> {
-    let bytes = sealer
-        .open(&entry.sealed_identity)
-        .map_err(|e| CssError::Crypto(e.to_string()))?;
-    PersonIdentity::from_bytes(&bytes)
+/// Open a sealed identity to its plaintext bytes.
+fn open_plaintext(sealer: &SealedBox, sealed: &[u8]) -> CssResult<Vec<u8>> {
+    sealer
+        .open(sealed)
+        .map_err(|e| CssError::Crypto(e.to_string()))
+}
+
+/// The identity an opened plaintext encodes.
+fn identity_of(plaintext: &[u8]) -> CssResult<PersonIdentity> {
+    PersonIdentity::from_bytes(plaintext)
         .ok_or_else(|| CssError::Crypto("sealed identity malformed".into()))
 }
 
-/// The full notification `entry` stands for, its identity opened.
-fn notification_of(sealer: &SealedBox, entry: &IndexEntry) -> CssResult<NotificationMessage> {
-    Ok(NotificationMessage {
+/// Open a sealed identity.
+fn open_identity(sealer: &SealedBox, sealed: &[u8]) -> CssResult<PersonIdentity> {
+    identity_of(&open_plaintext(sealer, sealed)?)
+}
+
+/// The full notification `entry` stands for, about `person`.
+fn notification_of(entry: &IndexEntry, person: PersonIdentity) -> NotificationMessage {
+    NotificationMessage {
         global_id: entry.global_id,
         event_type: entry.event_type.clone(),
-        person: open_identity(sealer, entry)?,
+        person,
         description: entry.description.clone(),
         occurred_at: entry.occurred_at,
         producer: entry.producer,
-    })
+    }
+}
+
+/// The memo of one read call: it opens each distinct sealed identity at
+/// most once and hands out clones of what it opened. An entry whose
+/// ciphertext opens to a plaintext the call already opened is
+/// re-pointed to the first ciphertext that opened to it, so a citizen's
+/// entries come to share one `Arc` and every later call opens it once.
+/// [`PersonIdentity::to_bytes`] is injective, so equal plaintexts are
+/// identities equal in id, fiscal code, name and surname: a citizen
+/// whose identity changed between publishes keeps one ciphertext per
+/// variant. A ciphertext that fails its MAC fails the call before
+/// anything is folded into it.
+struct OpenOnce<'k> {
+    sealer: &'k SealedBox,
+    /// Every ciphertext opened, by address, with its slot. The memo
+    /// holds a clone of each `Arc` it keys, so no keyed address is
+    /// freed, and reused, while it lives.
+    by_address: HashMap<*const u8, (Arc<[u8]>, usize)>,
+    /// The slot of every distinct plaintext opened.
+    by_plaintext: HashMap<Vec<u8>, usize>,
+    /// Per slot: the first ciphertext that opened to it, and the identity.
+    opened: Vec<(Arc<[u8]>, PersonIdentity)>,
+}
+
+impl<'k> OpenOnce<'k> {
+    fn new(sealer: &'k SealedBox) -> Self {
+        OpenOnce {
+            sealer,
+            by_address: HashMap::new(),
+            by_plaintext: HashMap::new(),
+            opened: Vec::new(),
+        }
+    }
+
+    /// The identity sealed in `sealed`, which is left pointing at the
+    /// call's first ciphertext of that identity.
+    fn open(&mut self, sealed: &mut Arc<[u8]>) -> CssResult<PersonIdentity> {
+        let address = Arc::as_ptr(sealed).cast::<u8>();
+        let slot = match self.by_address.get(&address) {
+            Some(&(_, slot)) => slot,
+            None => {
+                let plaintext = open_plaintext(self.sealer, sealed)?;
+                let slot = match self.by_plaintext.get(&plaintext) {
+                    Some(&slot) => slot,
+                    None => {
+                        let slot = self.opened.len();
+                        self.opened.push((sealed.clone(), identity_of(&plaintext)?));
+                        self.by_plaintext.insert(plaintext, slot);
+                        slot
+                    }
+                };
+                self.by_address.insert(address, (sealed.clone(), slot));
+                slot
+            }
+        };
+        let (first, identity) = &self.opened[slot];
+        if !Arc::ptr_eq(sealed, first) {
+            *sealed = first.clone();
+        }
+        Ok(identity.clone())
+    }
+}
+
+/// The notifications of the entries among `ids` that `keep` accepts, in
+/// `ids` order (ids not in `entries` are skipped). Every read that
+/// builds notifications from several entries comes through here, and
+/// through one [`OpenOnce`] per call.
+fn notifications_among(
+    sealer: &SealedBox,
+    entries: &mut HashMap<GlobalEventId, IndexEntry>,
+    ids: &[GlobalEventId],
+    mut keep: impl FnMut(&IndexEntry) -> bool,
+) -> CssResult<Vec<NotificationMessage>> {
+    let mut memo = OpenOnce::new(sealer);
+    let mut out = Vec::new();
+    for id in ids {
+        let Some(entry) = entries.get_mut(id) else {
+            continue;
+        };
+        if keep(entry) {
+            let person = memo.open(&mut entry.sealed_identity)?;
+            out.push(notification_of(entry, person));
+        }
+    }
+    Ok(out)
 }
 
 /// What the index holds about a detail request, in the order
@@ -422,9 +527,10 @@ impl<B: LogBackend> EventsIndex<B> {
                 "event {id} already indexed"
             )));
         }
-        let sealed_identity = self
-            .sealer
-            .seal(id.value(), &notification.person.to_bytes());
+        let sealed_identity = Arc::from(
+            self.sealer
+                .seal(id.value(), &notification.person.to_bytes()),
+        );
         let entry = IndexEntry {
             global_id: id,
             event_type: notification.event_type.clone(),
@@ -459,22 +565,37 @@ impl<B: LogBackend> EventsIndex<B> {
         self.entries.get(&id)
     }
 
-    /// Record that `consumer` has been notified of event `id`: the
-    /// marker is persisted first, so a failed write leaves the consumer
-    /// not notified.
-    pub fn mark_notified(&mut self, id: GlobalEventId, consumer: ActorId) -> CssResult<()> {
-        let Some(entry) = self.entries.get_mut(&id) else {
-            return Err(CssError::NotFound(format!("event {id} not in index")));
-        };
-        if !entry.notified.contains(&consumer) {
-            self.payloads.clear();
-            encode_notified_marker(
-                id,
-                consumer,
-                &mut BinarySink::new(&mut self.payloads, NAMES),
-            );
-            self.storage.append(&self.payloads)?;
-            entry.notified.insert(consumer);
+    /// Record that `consumer` has been notified of every event in
+    /// `ids`: the markers it lacks are persisted as one batch append
+    /// before any of them is set, so a failed write leaves the consumer
+    /// notified of none of them. An id not in the index fails the call
+    /// before anything is written.
+    pub fn mark_notified(&mut self, ids: &[GlobalEventId], consumer: ActorId) -> CssResult<()> {
+        // Markers are encoded into one buffer; each is the slice
+        // between two ends.
+        self.payloads.clear();
+        let mut marker_ends: Vec<usize> = Vec::new();
+        let mut newly_notified: Vec<GlobalEventId> = Vec::new();
+        for &id in ids {
+            let Some(entry) = self.entries.get(&id) else {
+                return Err(CssError::NotFound(format!("event {id} not in index")));
+            };
+            if !entry.notified.contains(&consumer) {
+                encode_notified_marker(
+                    id,
+                    consumer,
+                    &mut BinarySink::new(&mut self.payloads, NAMES),
+                );
+                marker_ends.push(self.payloads.len());
+                newly_notified.push(id);
+            }
+        }
+        self.storage
+            .append_batch(&split_records(&self.payloads, &marker_ends))?;
+        for id in newly_notified {
+            if let Some(entry) = self.entries.get_mut(&id) {
+                entry.notified.insert(consumer);
+            }
         }
         Ok(())
     }
@@ -511,7 +632,8 @@ impl<B: LogBackend> EventsIndex<B> {
             DetailResolution::Resolved {
                 producer: entry.producer,
                 src_event_id: entry.src_event_id,
-                subject: open_identity(&self.sealer, entry).map(|person| person.id),
+                subject: open_identity(&self.sealer, &entry.sealed_identity)
+                    .map(|person| person.id),
             }
         })
     }
@@ -523,7 +645,10 @@ impl<B: LogBackend> EventsIndex<B> {
             .entries
             .get(&id)
             .ok_or_else(|| CssError::NotFound(format!("event {id} not in index")))?;
-        notification_of(&self.sealer, entry)
+        Ok(notification_of(
+            entry,
+            open_identity(&self.sealer, &entry.sealed_identity)?,
+        ))
     }
 
     /// Event ids about one person (via the keyed tag; no decryption).
@@ -539,17 +664,17 @@ impl<B: LogBackend> EventsIndex<B> {
             .unwrap_or_default()
     }
 
-    /// Every notification filed under a person tag, identities opened.
+    /// Every notification filed under a person tag, each distinct
+    /// identity opened once.
     pub(crate) fn notifications_tagged(
-        &self,
+        &mut self,
         person_tag: &[u8; 32],
     ) -> CssResult<Vec<NotificationMessage>> {
-        let ids = self.by_person_tag.get(person_tag);
-        ids.into_iter()
-            .flatten()
-            .filter_map(|id| self.entries.get(id))
-            .map(|entry| notification_of(&self.sealer, entry))
-            .collect()
+        let ids = self
+            .by_person_tag
+            .get(person_tag)
+            .map_or(&[][..], Vec::as_slice);
+        notifications_among(&self.sealer, &mut self.entries, ids, |_| true)
     }
 
     /// Event ids of one class.
@@ -580,48 +705,28 @@ impl<B: LogBackend> EventsIndex<B> {
 
     /// Resolve each candidate event once for an inquiry on behalf of
     /// `consumer`: one entry lookup covers the authorization check
-    /// (`authorize` is asked per event class), the identity decryption
-    /// and the notified-marking, instead of three separate map probes.
-    /// Newly-set notified markers are persisted as one batch append —
-    /// before any of them is set: an inquiry that fails set none.
+    /// (`authorize` is asked per event class) and the identity opening
+    /// (each distinct identity opened once). Returns the notifications
+    /// and the ids among them `consumer` is not yet marked notified of;
+    /// nothing is marked here — the caller audits the inquiry, then
+    /// hands those ids to [`EventsIndex::mark_notified`].
     pub fn filter_authorized(
         &mut self,
         candidates: &[GlobalEventId],
         consumer: ActorId,
         mut authorize: impl FnMut(&EventTypeId) -> bool,
-    ) -> CssResult<Vec<NotificationMessage>> {
-        let mut out = Vec::new();
-        // Markers are encoded into one buffer; each is the slice
-        // between two ends.
-        self.payloads.clear();
-        let mut marker_ends: Vec<usize> = Vec::new();
-        let mut newly_notified: Vec<GlobalEventId> = Vec::new();
-        for &id in candidates {
-            let Some(entry) = self.entries.get(&id) else {
-                continue;
-            };
+    ) -> CssResult<(Vec<NotificationMessage>, Vec<GlobalEventId>)> {
+        let mut unmarked = Vec::new();
+        let out = notifications_among(&self.sealer, &mut self.entries, candidates, |entry| {
             if !authorize(&entry.event_type) {
-                continue;
+                return false;
             }
-            out.push(notification_of(&self.sealer, entry)?);
             if !entry.notified.contains(&consumer) {
-                encode_notified_marker(
-                    id,
-                    consumer,
-                    &mut BinarySink::new(&mut self.payloads, NAMES),
-                );
-                marker_ends.push(self.payloads.len());
-                newly_notified.push(id);
+                unmarked.push(entry.global_id);
             }
-        }
-        self.storage
-            .append_batch(&split_records(&self.payloads, &marker_ends))?;
-        for id in newly_notified {
-            if let Some(entry) = self.entries.get_mut(&id) {
-                entry.notified.insert(consumer);
-            }
-        }
-        Ok(out)
+            true
+        })?;
+        Ok((out, unmarked))
     }
 
     /// Flush persisted records to stable storage.
@@ -804,16 +909,26 @@ mod tests {
             GlobalEventId(404),
         ];
         let open = EventTypeId::v1("open");
-        let out = idx
+        let bytes = idx.storage.byte_len();
+        let (out, unmarked) = idx
             .filter_authorized(&candidates, ActorId(5), |ty| *ty == open)
             .unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].person.fiscal_code, "FC1");
+        assert_eq!(unmarked, vec![GlobalEventId(1), GlobalEventId(3)]);
+        // The filter itself marks nothing and writes nothing.
+        assert!(!idx.was_notified(GlobalEventId(1), ActorId(5)));
+        assert_eq!(idx.storage.byte_len(), bytes);
+        idx.mark_notified(&unmarked, ActorId(5)).unwrap();
         assert!(idx.was_notified(GlobalEventId(1), ActorId(5)));
         assert!(!idx.was_notified(GlobalEventId(2), ActorId(5)));
-        // Re-running adds no new markers (and so no new bytes).
+        // Re-running owes no new markers (and so writes no new bytes).
         let bytes = idx.storage.byte_len();
-        idx.filter_authorized(&candidates, ActorId(5), |ty| *ty == open)
+        let (_, unmarked) = idx
+            .filter_authorized(&candidates, ActorId(5), |ty| *ty == open)
+            .unwrap();
+        assert!(unmarked.is_empty());
+        idx.mark_notified(&[GlobalEventId(1), GlobalEventId(3)], ActorId(5))
             .unwrap();
         assert_eq!(idx.storage.byte_len(), bytes);
     }
@@ -827,9 +942,13 @@ mod tests {
             .unwrap();
         assert!(idx.was_notified(GlobalEventId(1), ActorId(5)));
         assert!(!idx.was_notified(GlobalEventId(1), ActorId(6)));
-        idx.mark_notified(GlobalEventId(1), ActorId(6)).unwrap();
+        idx.mark_notified(&[GlobalEventId(1)], ActorId(6)).unwrap();
         assert!(idx.was_notified(GlobalEventId(1), ActorId(6)));
-        assert!(idx.mark_notified(GlobalEventId(404), ActorId(6)).is_err());
+        // An unknown id fails the batch before any of it is marked.
+        assert!(idx
+            .mark_notified(&[GlobalEventId(1), GlobalEventId(404)], ActorId(7))
+            .is_err());
+        assert!(!idx.was_notified(GlobalEventId(1), ActorId(7)));
     }
 
     #[test]
@@ -863,7 +982,7 @@ mod tests {
                 HashSet::new(),
             )
             .unwrap();
-            idx.mark_notified(GlobalEventId(2), ActorId(6)).unwrap();
+            idx.mark_notified(&[GlobalEventId(2)], ActorId(6)).unwrap();
             idx.sync().unwrap();
         }
         let idx =
@@ -908,9 +1027,9 @@ mod tests {
         let mut idx = EventsIndex::open(b"k", MemBackend::new()).unwrap();
         idx.insert(&notif(1, 7, "x"), SourceEventId(1), HashSet::new())
             .unwrap();
-        idx.mark_notified(GlobalEventId(1), ActorId(5)).unwrap();
+        idx.mark_notified(&[GlobalEventId(1)], ActorId(5)).unwrap();
         let bytes_after_first = idx.storage.byte_len();
-        idx.mark_notified(GlobalEventId(1), ActorId(5)).unwrap();
+        idx.mark_notified(&[GlobalEventId(1)], ActorId(5)).unwrap();
         assert_eq!(idx.storage.byte_len(), bytes_after_first);
     }
 
@@ -1146,15 +1265,87 @@ mod tests {
         idx.insert(&notif(1, 7, "x"), SourceEventId(1), HashSet::new())
             .unwrap();
         fail.store(true, std::sync::atomic::Ordering::SeqCst);
-        assert!(idx.mark_notified(GlobalEventId(1), ActorId(5)).is_err());
-        assert!(idx
+        assert!(idx.mark_notified(&[GlobalEventId(1)], ActorId(5)).is_err());
+        let (_, unmarked) = idx
             .filter_authorized(&[GlobalEventId(1)], ActorId(6), |_| true)
-            .is_err());
+            .unwrap();
+        assert!(idx.mark_notified(&unmarked, ActorId(6)).is_err());
         assert!(!idx.was_notified(GlobalEventId(1), ActorId(5)));
         assert!(!idx.was_notified(GlobalEventId(1), ActorId(6)));
         fail.store(false, std::sync::atomic::Ordering::SeqCst);
-        idx.mark_notified(GlobalEventId(1), ActorId(5)).unwrap();
+        idx.mark_notified(&[GlobalEventId(1)], ActorId(5)).unwrap();
         assert!(idx.was_notified(GlobalEventId(1), ActorId(5)));
+    }
+
+    /// `count` events about citizen 7, one identity, ids from 1.
+    fn one_citizen(count: u64) -> (EventsIndex<MemBackend>, Vec<GlobalEventId>) {
+        let mut idx = index();
+        let ids: Vec<GlobalEventId> = (1..=count).map(GlobalEventId).collect();
+        for id in &ids {
+            idx.insert(
+                &notif(id.value(), 7, "x"),
+                SourceEventId(id.value()),
+                HashSet::new(),
+            )
+            .unwrap();
+        }
+        (idx, ids)
+    }
+
+    fn sealed(idx: &EventsIndex<MemBackend>, ids: &[GlobalEventId]) -> Vec<Arc<[u8]>> {
+        ids.iter()
+            .map(|id| idx.entry(*id).unwrap().sealed_identity.clone())
+            .collect()
+    }
+
+    fn all_distinct(sealed: &[Arc<[u8]>]) -> bool {
+        sealed
+            .iter()
+            .enumerate()
+            .all(|(i, a)| sealed[i + 1..].iter().all(|b| !Arc::ptr_eq(a, b)))
+    }
+
+    #[test]
+    fn an_inquiry_folds_a_citizens_entries_into_one_ciphertext() {
+        let (mut idx, ids) = one_citizen(40);
+        // Written one ciphertext per event.
+        assert!(all_distinct(&sealed(&idx, &ids)));
+        let bytes = idx.storage.byte_len();
+        let (out, _) = idx.filter_authorized(&ids, ActorId(5), |_| true).unwrap();
+        let person = notif(1, 7, "x").person;
+        assert_eq!(out.len(), 40);
+        assert!(out.iter().all(|n| n.person == person));
+        let folded = sealed(&idx, &ids);
+        assert!(folded.iter().all(|s| Arc::ptr_eq(s, &folded[0])));
+        // Folding is in memory only: nothing was written.
+        assert_eq!(idx.storage.byte_len(), bytes);
+        // A later read opens the one shared ciphertext and folds no further.
+        let (again, _) = idx.filter_authorized(&ids, ActorId(6), |_| true).unwrap();
+        assert!(again.iter().all(|n| n.person == person));
+        assert!(sealed(&idx, &ids)
+            .iter()
+            .all(|s| Arc::ptr_eq(s, &folded[0])));
+    }
+
+    #[test]
+    fn a_ciphertext_that_fails_its_mac_fails_the_read_and_takes_no_fold() {
+        let (mut idx, ids) = one_citizen(3);
+        let tampered = idx.entries.get_mut(&ids[2]).unwrap();
+        let mut bytes = tampered.sealed_identity.to_vec();
+        bytes[0] ^= 1;
+        tampered.sealed_identity = bytes.into();
+        assert!(idx.filter_authorized(&ids, ActorId(5), |_| true).is_err());
+        let after = sealed(&idx, &ids);
+        assert!(!Arc::ptr_eq(&after[2], &after[0]));
+        assert!(!Arc::ptr_eq(&after[2], &after[1]));
+
+        // Under a wrong key nothing opens, and nothing is folded.
+        let (mut idx, ids) = one_citizen(3);
+        idx.sealer = SealedBox::new(b"wrong key");
+        let tag = idx.tag(PersonId(7));
+        assert!(idx.filter_authorized(&ids, ActorId(5), |_| true).is_err());
+        assert!(idx.notifications_tagged(&tag).is_err());
+        assert!(all_distinct(&sealed(&idx, &ids)));
     }
 
     proptest::proptest! {
@@ -1167,7 +1358,7 @@ mod tests {
         ) {
             let entry = IndexEntry {
                 global_id: GlobalEventId(id),
-                sealed_identity: sealed,
+                sealed_identity: sealed.into(),
                 occurred_at: Timestamp(at),
                 src_event_id: SourceEventId(src),
                 ..entry_with(&description, &notified)

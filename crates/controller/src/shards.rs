@@ -43,6 +43,32 @@ fn tag_key_bits(tag: &[u8; 32]) -> u64 {
     ])
 }
 
+/// The notified-markers an inquiry has yet to write: per owner shard,
+/// the events it returned that its consumer is not yet marked notified
+/// of. The filter that found them writes nothing;
+/// [`IndexShards::mark_notified`] writes them once the inquiry is
+/// audited.
+#[must_use = "an inquiry's markers are written by IndexShards::mark_notified"]
+pub struct PendingMarkers {
+    consumer: ActorId,
+    by_shard: Vec<(usize, Vec<GlobalEventId>)>,
+}
+
+impl PendingMarkers {
+    fn new(consumer: ActorId) -> Self {
+        PendingMarkers {
+            consumer,
+            by_shard: Vec::new(),
+        }
+    }
+
+    fn add(&mut self, shard: usize, ids: Vec<GlobalEventId>) {
+        if !ids.is_empty() {
+            self.by_shard.push((shard, ids));
+        }
+    }
+}
+
 /// N per-citizen partitions of the events index, each behind its own
 /// lock. All methods are `&self`: threads working different citizens
 /// proceed in parallel, and a cross-shard inquiry holds one shard lock
@@ -152,13 +178,13 @@ impl<B: LogBackend> IndexShards<B> {
             .ok_or_else(|| CssError::NotFound(format!("event {id} not in index")))
     }
 
-    /// Every notification about one person, identities opened — exactly
-    /// one shard is touched, once. Only the controller itself may do
-    /// this, for the data subject.
+    /// Every notification about one person, each distinct identity
+    /// opened once — exactly one shard is touched, once. Only the
+    /// controller itself may do this, for the data subject.
     pub fn notifications_of_person(&self, person: PersonId) -> CssResult<Vec<NotificationMessage>> {
         let tag = self.person_tag(person);
-        self.shard(self.shard_of_tag(&tag))
-            .notifications_tagged(&tag)
+        let mut shard = self.shard(self.shard_of_tag(&tag));
+        shard.notifications_tagged(&tag)
     }
 
     /// Event ids of one class: scatter-gather over every shard, merged
@@ -186,21 +212,25 @@ impl<B: LogBackend> IndexShards<B> {
 
     /// Resolve inquiry candidates with per-shard authorized filtering:
     /// each shard resolves the candidates it owns in one probe apiece
-    /// (authorize + decrypt + notified-marking, markers batched per
-    /// shard), non-owned ids fall through, and the union is disjoint
-    /// because every event has exactly one owner shard.
+    /// (authorize + open), non-owned ids fall through, and the union is
+    /// disjoint because every event has exactly one owner shard. The
+    /// markers the inquiry owes come back unwritten.
     pub fn filter_authorized(
         &self,
         candidates: &[GlobalEventId],
         consumer: ActorId,
         mut authorize: impl FnMut(&EventTypeId) -> bool,
-    ) -> CssResult<Vec<NotificationMessage>> {
+    ) -> CssResult<(Vec<NotificationMessage>, PendingMarkers)> {
         let mut out = Vec::new();
+        let mut markers = PendingMarkers::new(consumer);
         for i in 0..self.shards.len() {
-            let mut shard = self.shard(i);
-            out.extend(shard.filter_authorized(candidates, consumer, &mut authorize)?);
+            let (found, unmarked) =
+                self.shard(i)
+                    .filter_authorized(candidates, consumer, &mut authorize)?;
+            out.extend(found);
+            markers.add(i, unmarked);
         }
-        Ok(out)
+        Ok((out, markers))
     }
 
     /// [`IndexShards::filter_authorized`] over one person's events: the
@@ -211,11 +241,25 @@ impl<B: LogBackend> IndexShards<B> {
         person: PersonId,
         consumer: ActorId,
         authorize: impl FnMut(&EventTypeId) -> bool,
-    ) -> CssResult<Vec<NotificationMessage>> {
+    ) -> CssResult<(Vec<NotificationMessage>, PendingMarkers)> {
         let tag = self.person_tag(person);
-        let mut shard = self.shard(self.shard_of_tag(&tag));
+        let owner = self.shard_of_tag(&tag);
+        let mut shard = self.shard(owner);
         let candidates = shard.events_tagged(&tag);
-        shard.filter_authorized(&candidates, consumer, authorize)
+        let (out, unmarked) = shard.filter_authorized(&candidates, consumer, authorize)?;
+        let mut markers = PendingMarkers::new(consumer);
+        markers.add(owner, unmarked);
+        Ok((out, markers))
+    }
+
+    /// Write an inquiry's pending markers: one batch per owner shard,
+    /// persisted before any of its markers is set
+    /// ([`EventsIndex::mark_notified`]).
+    pub fn mark_notified(&self, markers: PendingMarkers) -> CssResult<()> {
+        for (i, ids) in markers.by_shard {
+            self.shard(i).mark_notified(&ids, markers.consumer)?;
+        }
+        Ok(())
     }
 
     /// Largest indexed event id across shards (assembly resumes global
@@ -257,6 +301,9 @@ impl<B: LogBackend> IndexShards<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+    use std::sync::Arc;
+
     use css_types::PersonIdentity;
 
     fn notif(id: u64, person: u64, ty: &str) -> NotificationMessage {
@@ -457,13 +504,153 @@ mod tests {
         }
         let candidates: Vec<GlobalEventId> = (1..=10).map(GlobalEventId).collect();
         let open = EventTypeId::v1("open");
-        let mut out = eight
+        let (out, markers) = eight
             .filter_authorized(&candidates, ActorId(5), |ty| *ty == open)
             .unwrap();
-        out.sort_by_key(|n| n.global_id);
         assert_eq!(out.len(), 7);
+        // Nobody is marked until the markers are written.
+        assert!(!was_notified(&eight, 1, "open", ActorId(5)));
+        let owed: usize = markers.by_shard.iter().map(|(_, ids)| ids.len()).sum();
+        assert_eq!(owed, 7);
+        eight.mark_notified(markers).unwrap();
         assert!(was_notified(&eight, 1, "open", ActorId(5)));
         assert!(!was_notified(&eight, 3, "secret", ActorId(5)));
+    }
+
+    /// The ciphertext event `id`'s entry holds in memory.
+    fn sealed_of<B: LogBackend>(plane: &IndexShards<B>, id: GlobalEventId) -> Arc<[u8]> {
+        (0..plane.shard_count())
+            .find_map(|i| plane.shard(i).entry(id).map(|e| e.sealed_identity.clone()))
+            .unwrap()
+    }
+
+    #[test]
+    fn a_profile_view_folds_a_citizens_entries_into_one_ciphertext() {
+        for plane in [plane(1), plane(8)] {
+            for id in 1..=40u64 {
+                plane
+                    .insert(&notif(id, 7, "x"), SourceEventId(id), HashSet::new())
+                    .unwrap();
+            }
+            plane
+                .insert(&notif(41, 8, "x"), SourceEventId(41), HashSet::new())
+                .unwrap();
+            let profile = plane.notifications_of_person(PersonId(7)).unwrap();
+            assert_eq!(profile.len(), 40);
+            assert!(profile.iter().all(|n| n.person == notif(1, 7, "x").person));
+            let first = sealed_of(&plane, GlobalEventId(1));
+            for id in 2..=40u64 {
+                assert!(Arc::ptr_eq(&sealed_of(&plane, GlobalEventId(id)), &first));
+            }
+            plane.notifications_of_person(PersonId(8)).unwrap();
+            assert!(!Arc::ptr_eq(&sealed_of(&plane, GlobalEventId(41)), &first));
+        }
+    }
+
+    #[test]
+    fn a_by_type_inquiry_over_two_thousand_citizens_returns_each_events_own_identity() {
+        let eight = plane(8);
+        let citizens = 2_000u64;
+        for id in 1..=2 * citizens {
+            eight
+                .insert(
+                    &notif(id, id % citizens, "x"),
+                    SourceEventId(id),
+                    HashSet::new(),
+                )
+                .unwrap();
+        }
+        let ids = eight.events_of_type(&EventTypeId::v1("x"));
+        assert_eq!(ids.len() as u64, 2 * citizens);
+        // Twice: the second call reads the entries the first folded.
+        for consumer in [ActorId(5), ActorId(6)] {
+            let (out, markers) = eight.filter_authorized(&ids, consumer, |_| true).unwrap();
+            assert_eq!(out.len(), ids.len());
+            for n in &out {
+                let id = n.global_id.value();
+                assert_eq!(n.person, notif(id, id % citizens, "x").person);
+            }
+            eight.mark_notified(markers).unwrap();
+        }
+        // Each citizen's two entries share one ciphertext; no two
+        // citizens do.
+        let mut owners: HashMap<*const u8, u64> = HashMap::new();
+        for id in 1..=2 * citizens {
+            let sealed = sealed_of(&eight, GlobalEventId(id));
+            let owner = *owners
+                .entry(Arc::as_ptr(&sealed).cast::<u8>())
+                .or_insert(id % citizens);
+            assert_eq!(owner, id % citizens, "event {id}");
+        }
+        assert_eq!(owners.len() as u64, citizens);
+    }
+
+    /// Identity variant `variant` of citizen `person`: each differs
+    /// from the first in one field.
+    fn variant(person: u64, variant: usize) -> PersonIdentity {
+        let mut identity = notif(0, person, "x").person;
+        match variant {
+            0 => {}
+            1 => identity.surname = "Bianchi".into(),
+            _ => identity.fiscal_code.push('X'),
+        }
+        identity
+    }
+
+    proptest::proptest! {
+        /// Publishes for a few citizens, each cycling through 1–3
+        /// identity variants, interleaved with inquiries, profile views
+        /// and by-time inquiries: every read returns the identity
+        /// published with each event, and no ciphertext is ever shared
+        /// by two different identities.
+        #[test]
+        fn folding_never_mixes_identity_variants(
+            shards in proptest::prop_oneof![proptest::strategy::Just(1usize), proptest::strategy::Just(8usize)],
+            variants in 1usize..=3,
+            ops in proptest::collection::vec((0u8..5, 1u64..=3, 0u64..40), 1..60),
+        ) {
+            let plane = plane(shards);
+            let mut published: HashMap<GlobalEventId, PersonIdentity> = HashMap::new();
+            let mut publishes = [0usize; 4];
+            let consumer = ActorId(5);
+            for (kind, person, at) in ops {
+                let returned = match kind {
+                    0 | 1 => {
+                        let id = GlobalEventId(published.len() as u64 + 1);
+                        let mut n = notif(id.value(), person, "x");
+                        n.person = variant(person, publishes[person as usize] % variants);
+                        n.occurred_at = Timestamp(at * 100);
+                        publishes[person as usize] += 1;
+                        plane.insert(&n, SourceEventId(id.value()), HashSet::new()).unwrap();
+                        published.insert(id, n.person);
+                        continue;
+                    }
+                    2 => {
+                        let (out, markers) = plane
+                            .filter_authorized_of_person(PersonId(person), consumer, |_| true)
+                            .unwrap();
+                        plane.mark_notified(markers).unwrap();
+                        out
+                    }
+                    3 => plane.notifications_of_person(PersonId(person)).unwrap(),
+                    _ => {
+                        let ids = plane.events_between(Timestamp(at * 50), Timestamp(at * 100));
+                        let (out, markers) = plane.filter_authorized(&ids, consumer, |_| true).unwrap();
+                        plane.mark_notified(markers).unwrap();
+                        out
+                    }
+                };
+                for n in returned {
+                    proptest::prop_assert_eq!(&n.person, &published[&n.global_id]);
+                }
+                let mut shared: HashMap<*const u8, &PersonIdentity> = HashMap::new();
+                for (id, identity) in &published {
+                    let sealed = sealed_of(&plane, *id);
+                    let first = *shared.entry(Arc::as_ptr(&sealed).cast::<u8>()).or_insert(identity);
+                    proptest::prop_assert_eq!(first, identity);
+                }
+            }
+        }
     }
 
     #[test]
@@ -483,8 +670,10 @@ mod tests {
                 two.insert(&notif(id, id, "x"), SourceEventId(id), HashSet::new())
                     .unwrap();
             }
-            two.filter_authorized(&[GlobalEventId(3)], ActorId(9), |_| true)
+            let (_, markers) = two
+                .filter_authorized(&[GlobalEventId(3)], ActorId(9), |_| true)
                 .unwrap();
+            two.mark_notified(markers).unwrap();
             two.sync().unwrap();
         }
         let four = IndexShards::open(b"master", (0..4).map(file).collect()).unwrap();

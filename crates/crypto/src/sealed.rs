@@ -82,7 +82,8 @@ impl SealedBox {
         let cipher = ChaCha20::new(&self.enc_key, &nonce);
         let mut out = Vec::with_capacity(plaintext.len() + Self::OVERHEAD);
         out.extend_from_slice(&nonce);
-        out.extend_from_slice(&cipher.process(plaintext, 0));
+        out.extend_from_slice(plaintext);
+        cipher.apply_keystream(&mut out[NONCE_LEN..], 0);
         let mac = self.mac_key.mac(&out);
         out.extend_from_slice(&mac);
         out

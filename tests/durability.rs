@@ -572,9 +572,15 @@ fn fixture(name: &str) -> std::path::PathBuf {
 }
 
 /// A temporary copy of a committed fixture, to open (which may append or
-/// truncate) without touching it.
+/// truncate) without touching it. Each call gets its own directory:
+/// tests running in parallel copy the same fixture.
 fn fixture_copy(name: &str) -> std::path::PathBuf {
-    let copy = temp_dir(&format!("fixture-copy-{}", name.replace('/', "-")));
+    static COPIES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let copy = temp_dir(&format!(
+        "fixture-copy-{}-{}",
+        name.replace('/', "-"),
+        COPIES.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ));
     for entry in std::fs::read_dir(fixture(name)).unwrap() {
         let entry = entry.unwrap();
         std::fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();

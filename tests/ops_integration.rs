@@ -422,9 +422,16 @@ fn slo_alert(body: &str, name: &str) -> String {
 fn slo_goes_critical_within_two_sampler_ticks_of_a_p99_regression() {
     let (platform, addr) = ops_platform(Arc::new(AtomicBool::new(false)));
 
+    // The sampler's first tick only takes the baseline snapshot: a
+    // burst recorded before it would never show as a delta.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while json_u64(&get(addr, "/slo").1, "ticks") < 2 {
+        assert!(Instant::now() < deadline, "sampler stalled");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
     // A healthy baseline first: the fixture's one detail request may
     // itself have been slow, so wait for the fast window to drain it.
-    let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let (code, body) = get(addr, "/slo");
         assert_eq!(code, 200);
@@ -571,12 +578,17 @@ fn a_subscribe_that_fails_to_audit_leaves_no_receiver_behind() {
 /// An inquiry whose notified-marker cannot be written fails — and must
 /// not leave the consumer marked notified in memory: Algorithm 1's
 /// notified check would then pass for a notification the consumer
-/// never received, and that a restart would not remember.
+/// never received, and that a restart would not remember. Only the
+/// index fails, so the inquiry's audit record is written first and
+/// stands as an audited attempt.
 #[test]
 fn an_inquiry_that_fails_to_persist_its_marker_notifies_nobody() {
     let fail = Arc::new(AtomicBool::new(false));
     let mut platform = CssPlatformBuilder::new()
-        .provider(FaultableProvider::everywhere(fail.clone()))
+        .provider(FaultableProvider {
+            fail: fail.clone(),
+            scope: "events-index",
+        })
         .build()
         .expect("boot platform");
     let (hospital, doctor, ty) = onboard(&mut platform);
@@ -587,6 +599,53 @@ fn an_inquiry_that_fails_to_persist_its_marker_notifies_nobody() {
         .publish(person, "bt", details, platform.clock().now())
         .unwrap();
     // Authorised for the class, never subscribed: not notified.
+    assert!(receipt.notified.is_empty());
+    let consumer = platform.consumer(doctor).unwrap();
+
+    fail.store(true, Ordering::SeqCst);
+    let inquired = consumer
+        .inquire_by_person(PersonId(7))
+        .map(|found| found.len());
+    assert!(
+        matches!(inquired, Err(CssError::Storage(_))),
+        "{inquired:?}"
+    );
+    fail.store(false, Ordering::SeqCst);
+    let inquiries = AuditQuery::new()
+        .action(AuditAction::IndexInquiry)
+        .actor(doctor);
+    assert_eq!(platform.audit_query(&inquiries).unwrap().len(), 1);
+
+    let requested = consumer
+        .request_details_by_id(ty, receipt.global_id, Purpose::HealthcareTreatment)
+        .map(|_| ());
+    assert_eq!(
+        requested,
+        Err(CssError::AccessDenied(DenyReason::NotNotified))
+    );
+}
+
+/// An inquiry whose audit record cannot be written fails — and must not
+/// leave the consumer marked notified either: with the index intact and
+/// only the audit log down, an unaudited inquiry would otherwise open
+/// the detail request for a notification the consumer never received.
+#[test]
+fn an_inquiry_that_cannot_be_audited_notifies_nobody() {
+    let fail = Arc::new(AtomicBool::new(false));
+    let mut platform = CssPlatformBuilder::new()
+        .provider(FaultableProvider {
+            fail: fail.clone(),
+            scope: "audit",
+        })
+        .build()
+        .expect("boot platform");
+    let (hospital, doctor, ty) = onboard(&mut platform);
+    let (person, details) = sensitive_event(&ty);
+    let receipt = platform
+        .producer(hospital)
+        .unwrap()
+        .publish(person, "bt", details, platform.clock().now())
+        .unwrap();
     assert!(receipt.notified.is_empty());
     let consumer = platform.consumer(doctor).unwrap();
 
