@@ -7,7 +7,7 @@ use std::fmt;
 use css_types::{CssError, CssResult, EventTypeId};
 use css_xml::{Element, Token, TreeSink, TreeSource, XmlSink, XmlSource};
 
-use crate::field::FieldValue;
+use crate::field::{FieldDef, FieldValue};
 use crate::schema::{EventSchema, InstanceNames};
 
 /// The start tag of an instance element, read before the schema that
@@ -31,6 +31,29 @@ impl<'a> InstanceTag<'a> {
             src_event_id: attrs.take("srcEventId"),
             content,
         })
+    }
+}
+
+/// The declaration of the field a stored message names `name`.
+pub(crate) fn declared<'s>(schema: &'s EventSchema, name: &str) -> CssResult<&'s FieldDef> {
+    schema
+        .field_def(name)
+        .ok_or_else(|| CssError::Serialization(format!("undeclared field <{name}>")))
+}
+
+/// Whether the type text a stored message names is the schema's own.
+pub(crate) fn check_type(
+    schema: &EventSchema,
+    names: &InstanceNames,
+    stored: &str,
+) -> CssResult<()> {
+    if stored == names.type_text {
+        Ok(())
+    } else {
+        Err(CssError::Serialization(format!(
+            "details type {stored:?} does not match schema {}",
+            schema.id
+        )))
     }
 }
 
@@ -189,29 +212,38 @@ impl EventDetails {
         let declared_type = tag
             .ty
             .ok_or_else(|| CssError::Serialization("details missing type attribute".into()))?;
-        if declared_type != names.type_text {
-            return Err(CssError::Serialization(format!(
-                "details type {declared_type:?} does not match schema {}",
-                schema.id
-            )));
-        }
+        check_type(schema, names, &declared_type)?;
         let mut out = EventDetails::new(schema.id.clone());
         let mut token = tag.content;
         while let Some(field) = src.child(token)? {
-            let def = schema
-                .field_def(field)
-                .ok_or_else(|| CssError::Serialization(format!("undeclared field <{field}>")))?;
+            let def = declared(schema, field)?;
             let text = src.text_content()?;
-            let value = if keep(&def.name) {
-                def.kind.parse_value(&text)
-            } else {
-                def.kind.check_value(&text).map(|()| FieldValue::Empty)
-            };
-            out.fields
-                .insert(def.name.clone(), value.map_err(CssError::Serialization)?);
+            out.hold(def, &text, keep(&def.name))?;
             token = src.next()?;
         }
         Ok(out)
+    }
+
+    /// Take one stored field into the instance being decoded, typed as
+    /// `def` declares it — both forms of a stored message decode their
+    /// fields through this. When `keep` is false the value is checked
+    /// against its kind like any other but held as
+    /// [`FieldValue::Empty`]: it is never built. A field stored twice is
+    /// an error, never a silent choice between the two values.
+    pub(crate) fn hold(&mut self, def: &FieldDef, text: &str, keep: bool) -> CssResult<()> {
+        let value = if keep {
+            def.kind.parse_value(text)
+        } else {
+            def.kind.check_value(text).map(|()| FieldValue::Empty)
+        };
+        let value = value.map_err(CssError::Serialization)?;
+        if self.fields.insert(def.name.clone(), value).is_some() {
+            return Err(CssError::Serialization(format!(
+                "repeated field <{}>",
+                def.name
+            )));
+        }
+        Ok(())
     }
 
     /// Parse an instance from XML, typing fields via the schema: the

@@ -16,9 +16,15 @@
 //! validates instances. [`EventDetails::blank_outside`] implements the
 //! paper's obligation semantics — "fields that are not authorized are
 //! left empty" — which the gateway applies *in* the decode of a stored
-//! message ([`DetailDecoder::finish`]: a field outside the allowed set
+//! message ([`StoredDetail::finish`]: a field outside the allowed set
 //! is type-checked and never built), and
 //! [`EventDetails::is_privacy_safe`] is Definition 4.
+//!
+//! A gateway stores each detail message in a compact record form
+//! ([`DetailMessage::encode_record`]) and reads what it stored, in that
+//! form or in the XML form it wrote before, through [`StoredDetail`].
+//! The XML form ([`DetailMessage::to_xml`]) is what travels and what
+//! the paper shows.
 
 pub mod details;
 pub mod field;
@@ -28,6 +34,8 @@ pub mod schema;
 
 pub use details::EventDetails;
 pub use field::{Decimal, FieldDef, FieldKind, FieldValue};
-pub use message::{DetailDecoder, DetailMessage, PrivacyAwareEvent};
+pub use message::{
+    DetailDecoder, DetailMessage, PrivacyAwareEvent, StoredDetail, DETAIL_RECORD_V1,
+};
 pub use notification::NotificationMessage;
 pub use schema::{EventSchema, InstanceNames};

@@ -4,9 +4,12 @@ use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 use css_types::{ActorId, CssError, CssResult, GlobalEventId, SourceEventId};
-use css_xml::{Element, Token, TreeSink, TreeSource, XmlSink, XmlSource};
+use css_xml::{
+    put_text, put_varint, read_slice, read_varint, Element, Reader, Token, TreeSink, TreeSource,
+    XmlSink, XmlSource,
+};
 
-use crate::details::{EventDetails, InstanceTag};
+use crate::details::{check_type, declared, EventDetails, InstanceTag};
 use crate::schema::{EventSchema, InstanceNames};
 
 /// The sensitive half of an event. It is persisted by the producer's
@@ -23,8 +26,8 @@ pub struct DetailMessage {
 
 impl DetailMessage {
     /// Write the XML form into `sink`, using the schema's element
-    /// naming — the one encoder: the gateway streams it to the bytes
-    /// it stores, [`DetailMessage::to_xml`] builds the tree from it.
+    /// naming — the XML form's one encoder: [`DetailMessage::to_xml`]
+    /// builds the tree from it.
     pub fn encode(&self, schema: &EventSchema, sink: &mut impl XmlSink) {
         sink.open("DetailMessage");
         sink.attr("producer", self.producer);
@@ -41,10 +44,33 @@ impl DetailMessage {
     pub fn from_xml(schema: &EventSchema, e: &Element) -> CssResult<Self> {
         DetailDecoder::open(TreeSource::new(e))?.finish(schema, &schema.instance_names(), |_| true)
     }
+
+    /// Write the record form — what a gateway stores — onto the end of
+    /// `out`, naming the schema by `names.type_text` (`names` being the
+    /// schema's [`EventSchema::instance_names`]). [`StoredDetail`] has
+    /// the layout; the fields go in schema declaration order, each
+    /// value in the text it renders, as the XML form writes them.
+    pub fn encode_record(&self, schema: &EventSchema, names: &InstanceNames, out: &mut Vec<u8>) {
+        out.push(DETAIL_RECORD_V1);
+        put_varint(out, self.producer.value());
+        put_varint(out, self.src_event_id.value());
+        put_text(out, &names.type_text);
+        let present = || {
+            schema
+                .fields
+                .iter()
+                .filter_map(|def| Some((&def.name, self.details.get(&def.name)?)))
+        };
+        put_varint(out, present().count() as u64);
+        for (name, value) in present() {
+            put_text(out, name);
+            put_text(out, value);
+        }
+    }
 }
 
-/// The one decoder of a [`DetailMessage`], stopped after its header
-/// step: the root's start tag and that of its first child element are
+/// The decoder of a [`DetailMessage`]'s XML form, stopped after its
+/// header step: the root's start tag and that of its first child element are
 /// read — as far as a stored document can be read before the schema
 /// that types its fields is known. [`DetailDecoder::stored_type`] names
 /// that schema; [`DetailDecoder::finish`] reads the rest with it.
@@ -135,6 +161,146 @@ impl<'a, S: XmlSource<'a>> DetailDecoder<'a, S> {
         Ok(DetailMessage {
             src_event_id,
             producer,
+            details,
+        })
+    }
+}
+
+/// The first byte of a detail message in the record form. XML allows
+/// the character nowhere in a document, so no text document starts with
+/// it; `0x01` and `0x02` are `css_xml`'s binary layouts.
+pub const DETAIL_RECORD_V1: u8 = 0x03;
+
+/// A stored detail message, read as far as the type text that names the
+/// schema its fields are typed with: the one entry point to the bytes a
+/// gateway stored. The first byte picks the decoder — the record form
+/// for [`DETAIL_RECORD_V1`], and for any other byte the XML form as it
+/// was always read (UTF-8 check, then [`DetailDecoder`]), which is how
+/// every message stored before the record form reads.
+///
+/// The record form, all lengths and numbers shortest-form LEB128
+/// varints:
+///
+/// | part | bytes |
+/// |---|---|
+/// | format | `0x03` |
+/// | producer | varint |
+/// | `srcEventId` | varint |
+/// | type text | length, UTF-8 |
+/// | field count | varint |
+/// | each field | length, UTF-8 name; length, UTF-8 value |
+///
+/// Fields are keyed by name, never by position: a schema registered
+/// again may declare other fields, and a position would then name
+/// another field. A value is the text its [`FieldValue`] renders, typed
+/// on the way in by the same [`FieldKind`] methods as the XML form's,
+/// and untrimmed: the XML form trims a text value's outer whitespace,
+/// the record keeps it.
+///
+/// [`FieldValue`]: crate::FieldValue
+/// [`FieldKind`]: crate::FieldKind
+pub struct StoredDetail<'a>(Form<'a>);
+
+enum Form<'a> {
+    Record(Record<'a>),
+    Text(DetailDecoder<'a, Reader<'a>>),
+}
+
+impl<'a> StoredDetail<'a> {
+    /// The header step of whichever form `stored` is in.
+    pub fn open(stored: &'a [u8]) -> CssResult<Self> {
+        if stored.first() == Some(&DETAIL_RECORD_V1) {
+            return Record::open(stored).map(|record| StoredDetail(Form::Record(record)));
+        }
+        let text = std::str::from_utf8(stored)
+            .map_err(|e| CssError::Serialization(format!("detail message not UTF-8: {e}")))?;
+        DetailDecoder::open(Reader::new(text)).map(|decoder| StoredDetail(Form::Text(decoder)))
+    }
+
+    /// The stored type text; `None` for an XML message with no typed
+    /// element (see [`DetailDecoder::stored_type`]).
+    pub fn stored_type(&self) -> Option<Cow<'a, str>> {
+        match &self.0 {
+            Form::Record(record) => Some(Cow::Borrowed(record.ty)),
+            Form::Text(decoder) => decoder.stored_type(),
+        }
+    }
+
+    /// Read the rest, to the last byte, typing the fields via `schema`
+    /// and holding the values of those `keep` accepts — see
+    /// [`DetailDecoder::finish`], whose contract both forms keep.
+    pub fn finish(
+        self,
+        schema: &EventSchema,
+        names: &InstanceNames,
+        keep: impl Fn(&str) -> bool,
+    ) -> CssResult<DetailMessage> {
+        match self.0 {
+            Form::Record(record) => record.finish(schema, names, keep),
+            Form::Text(decoder) => decoder.finish(schema, names, keep),
+        }
+    }
+}
+
+/// A record-form message read up to and including its type text.
+struct Record<'a> {
+    input: &'a [u8],
+    /// Where the field count starts.
+    pos: usize,
+    producer: ActorId,
+    src_event_id: SourceEventId,
+    ty: &'a str,
+}
+
+fn damaged(e: css_xml::ParseError) -> CssError {
+    CssError::Serialization(format!("DetailRecord: {} at byte {}", e.message, e.offset))
+}
+
+/// The length-prefixed UTF-8 text at `input[*pos..]`.
+fn record_text<'a>(input: &'a [u8], pos: &mut usize) -> CssResult<&'a str> {
+    let at = *pos;
+    std::str::from_utf8(read_slice(input, pos).map_err(damaged)?)
+        .map_err(|_| CssError::Serialization(format!("DetailRecord: text not UTF-8 at byte {at}")))
+}
+
+impl<'a> Record<'a> {
+    fn open(input: &'a [u8]) -> CssResult<Self> {
+        let mut pos = 1;
+        let producer = ActorId(read_varint(input, &mut pos).map_err(damaged)?);
+        let src_event_id = SourceEventId(read_varint(input, &mut pos).map_err(damaged)?);
+        let ty = record_text(input, &mut pos)?;
+        Ok(Record {
+            input,
+            pos,
+            producer,
+            src_event_id,
+            ty,
+        })
+    }
+
+    fn finish(
+        self,
+        schema: &EventSchema,
+        names: &InstanceNames,
+        keep: impl Fn(&str) -> bool,
+    ) -> CssResult<DetailMessage> {
+        check_type(schema, names, self.ty)?;
+        let (input, mut pos) = (self.input, self.pos);
+        let fields = read_varint(input, &mut pos).map_err(damaged)?;
+        let mut details = EventDetails::new(schema.id.clone());
+        for _ in 0..fields {
+            let def = declared(schema, record_text(input, &mut pos)?)?;
+            let value = record_text(input, &mut pos)?;
+            details.hold(def, value, keep(&def.name))?;
+        }
+        if pos != input.len() {
+            return Err(CssError::Serialization(format!(
+                "DetailRecord: content after the last field at byte {pos}"
+            )));
+        }
+        Ok(DetailMessage {
+            src_event_id: self.src_event_id,
+            producer: self.producer,
             details,
         })
     }
@@ -420,13 +586,17 @@ mod tests {
             format!(
                 "<DetailMessage producer='act-00000003'><Other type='home-care-service-event@v1'><Deep/>t</Other>{instance}<After/></DetailMessage>"
             ),
-            // The later of a repeated field wins; text is trimmed,
-            // concatenated around comments and children, CDATA verbatim.
+            // Text is trimmed, concatenated around comments and
+            // children, CDATA verbatim.
             canonical.replace(
                 "<PatientId>42</PatientId>",
-                "<PatientId>7</PatientId><PatientId a='1'> <!-- c -->4<i>9</i><![CDATA[2]]>\n</PatientId>",
+                "<PatientId a='1'> <!-- c -->4<i>9</i><![CDATA[2]]>\n</PatientId>",
             ),
             // Errors, in the order they were always reported.
+            canonical.replace(
+                "<PatientId>42</PatientId>",
+                "<PatientId>7</PatientId><PatientId>42</PatientId>",
+            ),
             canonical.replace("DetailMessage", "Envelope"),
             canonical.replace(" producer=\"act-00000003\"", ""),
             canonical.replace("act-00000003", "actor 3"),
@@ -452,7 +622,7 @@ mod tests {
                 _ => panic!("{text}: {streamed:?} vs {from_tree:?}"),
             }
         }
-        assert_eq!(failures, 11);
+        assert_eq!(failures, 12);
         assert_eq!(
             decode_text(&s, &documents[3], |_| true)
                 .unwrap()
@@ -460,6 +630,250 @@ mod tests {
                 .get("PatientId"),
             Some(&FieldValue::Integer(42))
         );
+    }
+
+    #[test]
+    fn a_field_named_twice_fails_the_decode() {
+        let s = schema();
+        let canonical = streamed(&message(), &s);
+        let twice = canonical.replace(
+            "<PatientId>42</PatientId>",
+            "<PatientId>1</PatientId><PatientId>2</PatientId>",
+        );
+        // Kept or turned down, a repeat is an error, never the later value.
+        for keep in [true, false] {
+            let err = decode_text(&s, &twice, |_| keep).unwrap_err();
+            assert!(
+                matches!(&err, CssError::Serialization(m) if m.contains("repeated field <PatientId>")),
+                "{err}"
+            );
+        }
+        let mut stored = record(&message(), &s);
+        let at = count_at(&stored);
+        stored[at] += 1;
+        stored.extend_from_slice(b"\x09PatientId\x012");
+        let err = decode_record(&s, &stored, |_| true).unwrap_err();
+        assert!(
+            matches!(&err, CssError::Serialization(m) if m.contains("repeated field <PatientId>"))
+        );
+    }
+
+    // ---- the record form ----
+
+    fn record(m: &DetailMessage, s: &EventSchema) -> Vec<u8> {
+        let mut out = Vec::new();
+        m.encode_record(s, &s.instance_names(), &mut out);
+        out
+    }
+
+    /// Decode stored bytes as the gateway does: header step, then the rest.
+    fn decode_record(
+        s: &EventSchema,
+        stored: &[u8],
+        keep: impl Fn(&str) -> bool,
+    ) -> CssResult<DetailMessage> {
+        StoredDetail::open(stored)?.finish(s, &s.instance_names(), keep)
+    }
+
+    /// Where the field count of a record with one-byte ids starts.
+    fn count_at(record: &[u8]) -> usize {
+        3 + 1 + usize::from(record[3])
+    }
+
+    #[test]
+    fn record_layout_is_the_documented_one() {
+        let s = schema();
+        let m = DetailMessage {
+            src_event_id: SourceEventId(300),
+            producer: ActorId(3),
+            details: EventDetails::new(EventTypeId::v1("home-care-service-event"))
+                .with("CareNotes", FieldValue::Empty)
+                .with("PatientId", FieldValue::Integer(-7)),
+        };
+        let mut expected = vec![DETAIL_RECORD_V1, 3, 0xac, 0x02, 26];
+        expected.extend_from_slice(b"home-care-service-event@v1");
+        // Two fields, in declaration order; the blank one has no value.
+        expected.extend_from_slice(b"\x02\x09PatientId\x02-7\x09CareNotes\x00");
+        assert_eq!(record(&m, &s), expected);
+        assert_eq!(decode_record(&s, &expected, |_| true).unwrap(), m);
+    }
+
+    #[test]
+    fn the_format_byte_starts_no_text_document() {
+        // Not `<`, XML whitespace or a byte-order mark's first byte: a
+        // document can start with none but these. Not css_xml's binary
+        // layouts either (0x01, and 0x02 kept for the next one).
+        assert!(!b"< \t\r\n\xef\x01\x02".contains(&DETAIL_RECORD_V1));
+        assert_eq!(css_xml::BINARY_V1, 0x01);
+        assert!(css_xml::parse("\u{3}<DetailMessage/>").is_err());
+        // Every other first byte is read as text, as before.
+        for text in [&b"\xff\xfe"[..], b"\x01<DetailMessage/>", b""] {
+            let err = StoredDetail::open(text).map(|_| ()).unwrap_err();
+            assert!(matches!(err, CssError::Serialization(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn the_record_form_keeps_outer_whitespace_the_xml_form_trims() {
+        let s = schema();
+        let mut m = message();
+        m.details
+            .set("Service", FieldValue::Text("  meal delivery \n".into()));
+        assert_eq!(decode_record(&s, &record(&m, &s), |_| true).unwrap(), m);
+        let from_xml = decode_text(&s, &streamed(&m, &s), |_| true).unwrap();
+        assert_eq!(
+            from_xml.details.get("Service"),
+            Some(&FieldValue::Text("meal delivery".into()))
+        );
+    }
+
+    #[test]
+    fn a_record_keys_its_fields_by_name() {
+        let s = schema();
+        let stored = record(&message(), &s);
+        // The same schema with its fields in another order reads the
+        // same record to the same message.
+        let mut reordered = s.clone();
+        reordered.fields.reverse();
+        assert_eq!(
+            decode_record(&reordered, &stored, |_| true).unwrap(),
+            message()
+        );
+        // A schema without one of the stored fields refuses the record:
+        // a position would have read another field's value under its name.
+        let mut narrower = s.clone();
+        narrower.fields.retain(|def| def.name != "PatientId");
+        let err = decode_record(&narrower, &stored, |_| true).unwrap_err();
+        assert!(
+            matches!(&err, CssError::Serialization(m) if m.contains("undeclared field <PatientId>"))
+        );
+        // A stored type other than the schema's is refused as in XML.
+        let other = EventSchema::new(EventTypeId::v1("other"), "Other", ActorId(3));
+        let err = decode_record(&other, &stored, |_| true).unwrap_err();
+        assert!(matches!(&err, CssError::Serialization(m) if m.contains("does not match schema")));
+    }
+
+    #[test]
+    fn a_damaged_record_is_an_error() {
+        let s = schema();
+        let whole = record(&message(), &s);
+        let serialization = |stored: &[u8], what: &str| {
+            let err = decode_record(&s, stored, |_| true).unwrap_err();
+            assert!(
+                matches!(&err, CssError::Serialization(m) if m.contains(what)),
+                "{what}: {err}"
+            );
+        };
+        // Cut anywhere after the format byte: never a partial message.
+        for cut in 1..whole.len() {
+            serialization(&whole[..cut], "DetailRecord");
+        }
+        // A length that runs past the end.
+        let mut long = whole.clone();
+        let last_value = whole.len() - "patient is diabetic".len() - 1;
+        long[last_value] += 1;
+        serialization(&long, "length runs past the payload");
+        // Overlong varints, and one that is not in its shortest form.
+        for (producer, what) in [
+            (&[0xff; 10][..], "varint overflows 64 bits"),
+            (
+                &[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x81],
+                "varint longer than 10 bytes",
+            ),
+            (&[0x83, 0x00], "varint not in shortest form"),
+        ] {
+            let mut bad = vec![DETAIL_RECORD_V1];
+            bad.extend_from_slice(producer);
+            bad.extend_from_slice(&whole[2..]);
+            serialization(&bad, what);
+        }
+        // Invalid UTF-8 in a name, and in a value.
+        for at in [count_at(&whole) + 2, whole.len() - 1] {
+            let mut bad = whole.clone();
+            bad[at] = 0xff;
+            serialization(&bad, "not UTF-8");
+        }
+        // Bytes after the last field.
+        let mut trailing = whole.clone();
+        trailing.push(0);
+        serialization(&trailing, "content after the last field");
+    }
+
+    fn every_kind_schema() -> EventSchema {
+        EventSchema::new(EventTypeId::v1("every-kind"), "Every kind", ActorId(8))
+            .field(FieldDef::required("Id", FieldKind::Integer))
+            .field(FieldDef::optional("Note", FieldKind::Text).sensitive())
+            .field(FieldDef::optional("Level", FieldKind::Decimal))
+            .field(FieldDef::optional("Flag", FieldKind::Boolean))
+            .field(FieldDef::optional("At", FieldKind::DateTime))
+            .field(FieldDef::optional(
+                "Outcome",
+                FieldKind::Code(vec!["negative".into(), "positive".into()]),
+            ))
+    }
+
+    proptest::proptest! {
+        /// Every schema-valid message: the record form reads back
+        /// exactly; filtering in its decode is filtering after it; and
+        /// the XML form reads back the same message wherever no text
+        /// value has outer whitespace (which XML trims).
+        #[test]
+        fn the_record_form_round_trips_every_kind(
+            (src, producer, id) in (
+                proptest::prelude::any::<u64>(),
+                proptest::prelude::any::<u64>(),
+                proptest::prelude::any::<i64>(),
+            ),
+            note in proptest::option::of(proptest::option::of("[ -~\u{e0}-\u{ff}]{1,30}")),
+            level in proptest::option::of(proptest::option::of((proptest::prelude::any::<i64>(), 0u8..=18))),
+            flag in proptest::option::of(proptest::option::of(proptest::prelude::any::<bool>())),
+            at in proptest::option::of(proptest::option::of(0u64..=253_402_300_799_999)),
+            outcome in proptest::option::of(proptest::option::of(proptest::prelude::any::<bool>())),
+            allowed_mask in 0u8..64,
+        ) {
+            let s = every_kind_schema();
+            let mut details = EventDetails::new(s.id.clone())
+                .with("Id", FieldValue::Integer(id));
+            let mut set = |name: &str, value: Option<Option<FieldValue>>| {
+                if let Some(value) = value {
+                    details.set(name, value.unwrap_or(FieldValue::Empty));
+                }
+            };
+            set("Note", note.map(|n| n.map(FieldValue::Text)));
+            set("Level", level.map(|l| l.map(|(m, scale)| FieldValue::Decimal(crate::field::Decimal::new(m, scale)))));
+            set("Flag", flag.map(|f| f.map(FieldValue::Boolean)));
+            set("At", at.map(|t| t.map(|ms| FieldValue::DateTime(css_types::Timestamp(ms)))));
+            set("Outcome", outcome.map(|o| o.map(|p| FieldValue::Code(if p { "positive" } else { "negative" }.into()))));
+            // A decimal whose text the parser does not take is not
+            // schema-valid: no gateway stores it.
+            if s.validate(&details).is_err() {
+                return;
+            }
+            let m = DetailMessage {
+                src_event_id: SourceEventId(src),
+                producer: ActorId(producer),
+                details,
+            };
+            let stored = record(&m, &s);
+            proptest::prop_assert_eq!(&decode_record(&s, &stored, |_| true).unwrap(), &m);
+            let allowed: BTreeSet<String> = s
+                .field_names()
+                .enumerate()
+                .filter(|(i, _)| allowed_mask & (1 << i) != 0)
+                .map(|(_, name)| name.to_string())
+                .collect();
+            proptest::prop_assert_eq!(
+                decode_record(&s, &stored, |f| allowed.contains(f)).unwrap().details,
+                m.details.filtered_to(&allowed)
+            );
+            let trimmed = m.details.iter().all(|(_, v)| match v {
+                FieldValue::Text(t) => t.trim() == t,
+                _ => true,
+            });
+            if trimmed {
+                proptest::prop_assert_eq!(&decode_text(&s, &streamed(&m, &s), |_| true).unwrap(), &m);
+            }
+        }
     }
 
     fn streamed(m: &DetailMessage, s: &EventSchema) -> String {

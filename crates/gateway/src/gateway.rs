@@ -4,12 +4,11 @@ use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
 
-use css_event::{DetailDecoder, DetailMessage, EventDetails, EventSchema, InstanceNames};
+use css_event::{DetailMessage, EventDetails, EventSchema, InstanceNames, StoredDetail};
 use css_storage::LogBackend;
 use css_telemetry::{Counter, Histogram, MetricsRegistry};
 use css_trace::{SpanStatus, TraceContext};
 use css_types::{ActorId, CssError, CssResult, EventTypeId, SourceEventId};
-use css_xml::Reader;
 
 use crate::store::DetailStore;
 
@@ -48,20 +47,30 @@ struct Registered {
     names: InstanceNames,
 }
 
-/// Header step of a stored document's decoder, over the bytes where
-/// they lie: UTF-8 check, then the tokens up to the stored type. The
-/// decoder and that type text; `None` when there is no document, or
+/// Header step of a stored message's decoder, over the bytes where
+/// they lie, in whichever form they are: up to the stored type. The
+/// decoder and that type text; `None` when there is no message, or
 /// none with a typed element in it.
-fn typed(
-    stored: &Option<Vec<u8>>,
-) -> CssResult<Option<(DetailDecoder<'_, Reader<'_>>, Cow<'_, str>)>> {
+fn typed(stored: &Option<Vec<u8>>) -> CssResult<Option<(StoredDetail<'_>, Cow<'_, str>)>> {
     let Some(bytes) = stored else {
         return Ok(None);
     };
-    let text = std::str::from_utf8(bytes)
-        .map_err(|e| CssError::Serialization(format!("detail message not UTF-8: {e}")))?;
-    let decoder = DetailDecoder::open(Reader::new(text))?;
+    let decoder = StoredDetail::open(bytes)?;
     Ok(decoder.stored_type().map(|ty| (decoder, ty)))
+}
+
+/// The details of a message read from where `requested` is stored,
+/// if the message is that event's. Checked after the decode, so a
+/// record bad in another way reports that.
+fn filed_under(requested: SourceEventId, message: DetailMessage) -> CssResult<EventDetails> {
+    if message.src_event_id == requested {
+        Ok(message.details)
+    } else {
+        Err(CssError::Serialization(format!(
+            "the record stored for {requested} is the details of {}",
+            message.src_event_id
+        )))
+    }
 }
 
 /// The producer-side gateway.
@@ -137,19 +146,21 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
                 message.producer, self.producer
             )));
         }
-        let schema = self
+        let registered = self
             .by_id
             .get(&message.details.event_type)
-            .map(|&slot| &self.schemas[slot].schema)
+            .map(|&slot| &self.schemas[slot])
             .ok_or_else(|| {
                 CssError::NotFound(format!(
                     "no schema registered for {}",
                     message.details.event_type
                 ))
             })?;
-        schema.validate(&message.details)?;
+        registered.schema.validate(&message.details)?;
         let started = Instant::now();
-        let out = self.store.persist(schema, message);
+        let out = self
+            .store
+            .persist(&registered.schema, &registered.names, message);
         let t = &self.telemetry;
         t.persist_latency.record_duration(started.elapsed());
         if out.is_ok() {
@@ -167,11 +178,13 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
     /// The returned details are guaranteed privacy-safe for `F`
     /// (Definition 4); this postcondition is asserted.
     ///
-    /// Step 2 happens *in* the parse of step 1's record: one streaming
-    /// decode builds the values of the fields in `F` and nothing else —
-    /// a field outside `F` is checked against its declared kind and
-    /// left blank, never held — and reads the document to its end
-    /// before anything is returned.
+    /// Step 2 happens *in* the parse of step 1's record, in either
+    /// stored form: one decode builds the values of the fields in `F`
+    /// and nothing else (a field outside `F` is checked against its
+    /// declared kind and left blank, never held) and reads the record
+    /// to its end before anything is returned. A record that names
+    /// another event than the one asked for (misfiled by a bad restore,
+    /// or planted) fails the call.
     ///
     /// When `ctx` is given the call continues the caller's trace with
     /// one child span per stage: `gateway.retrieve` (the one read of
@@ -198,8 +211,8 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
                 allowed.contains(field)
             })
         });
-        let filtered = match decoded {
-            Ok(message) => message.details,
+        let filtered = match decoded.and_then(|message| filed_under(src_event_id, message)) {
+            Ok(details) => details,
             Err(e) => {
                 parse.set_status(SpanStatus::Error);
                 return Err(e);
@@ -503,15 +516,21 @@ mod tests {
     /// A gateway (blood-test schema registered) over a store holding
     /// `documents` verbatim, whatever they are.
     fn gateway_over(name: &str, documents: &[&str]) -> LocalCooperationGateway<FileBackend> {
+        let bytes: Vec<&[u8]> = documents.iter().map(|d| d.as_bytes()).collect();
+        gateway_over_bytes(name, &bytes)
+    }
+
+    /// The same over stored bytes, `detail:1` first.
+    fn gateway_over_bytes(name: &str, stored: &[&[u8]]) -> LocalCooperationGateway<FileBackend> {
         let dir = std::env::temp_dir().join(format!("css-gw-{name}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("gw.log");
         let _ = std::fs::remove_file(&path);
         let (mut planted, _) =
             css_storage::KvStore::open(FileBackend::open(&path).unwrap()).unwrap();
-        for (i, document) in documents.iter().enumerate() {
+        for (i, bytes) in stored.iter().enumerate() {
             let key = format!("detail:{}", i + 1);
-            planted.put(key.as_bytes(), document.as_bytes()).unwrap();
+            planted.put(key.as_bytes(), bytes).unwrap();
         }
         planted.sync().unwrap();
         drop(planted);
@@ -520,6 +539,14 @@ mod tests {
         gw.register_schema(schema()).unwrap();
         let _ = std::fs::remove_file(&path);
         gw
+    }
+
+    /// The record form of `m`, as the gateway stores it.
+    fn record(m: &DetailMessage) -> Vec<u8> {
+        let s = schema();
+        let mut out = Vec::new();
+        m.encode_record(&s, &s.instance_names(), &mut out);
+        out
     }
 
     fn stored_document(fields: &str) -> String {
@@ -644,5 +671,72 @@ mod tests {
             &FieldValue::Text("geriatrics".into())
         );
         assert_eq!(resp.get("PatientId").unwrap(), &FieldValue::Empty);
+    }
+
+    #[test]
+    fn a_record_filed_under_another_event_is_not_released() {
+        // Both forms of event 1's details, also stored under key 2.
+        let xml = stored_document("<PatientId>42</PatientId><Result>negative</Result>");
+        let binary = record(&message(1));
+        let gw = gateway_over_bytes(
+            "misfiled",
+            &[xml.as_bytes(), xml.as_bytes(), &binary, &binary],
+        );
+        let ask = |src| gw.get_response(SourceEventId(src), &allowed(&["PatientId"]), None);
+        assert!(ask(1).is_ok());
+        for src in [2, 3, 4] {
+            assert!(
+                matches!(ask(src), Err(CssError::Serialization(m)) if m.contains("is the details of src-00000001")),
+                "key {src}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_field_named_twice_is_not_released() {
+        let gw = gateway_over(
+            "twice",
+            &[&stored_document(
+                "<PatientId>1</PatientId><PatientId>2</PatientId><Result>negative</Result>",
+            )],
+        );
+        assert!(matches!(
+            gw.get_response(SourceEventId(1), &allowed(&["PatientId"]), None),
+            Err(CssError::Serialization(m)) if m.contains("repeated field <PatientId>")
+        ));
+    }
+
+    proptest::proptest! {
+        /// Whatever a stored record has become — cut short anywhere,
+        /// one byte flipped anywhere, its CRC repaired — a request
+        /// errs or returns privacy-safe details, never panics, and
+        /// never returns a value it may not see.
+        #[test]
+        fn a_damaged_record_never_releases_a_disallowed_value(
+            cut in 0usize..200,
+            at in 0usize..200,
+            flip in 1u8..=255,
+        ) {
+            const MARKER: &str = "MARKER-7f3a";
+            let marked = |src| {
+                let mut m = message(src);
+                m.details.set("Result", FieldValue::Text(MARKER.into()));
+                m.details.set("Notes", FieldValue::Text(format!("{MARKER} {MARKER}")));
+                record(&m)
+            };
+            let whole = marked(1);
+            let cut = &whole[..cut % whole.len()];
+            let mut flipped = marked(2);
+            let at = at % flipped.len();
+            flipped[at] ^= flip;
+            let gw = gateway_over_bytes("damaged", &[cut, &flipped]);
+            let only = allowed(&["PatientId"]);
+            for src in [1, 2] {
+                if let Ok(details) = gw.get_response(SourceEventId(src), &only, None) {
+                    proptest::prop_assert!(details.is_privacy_safe(&only));
+                    proptest::prop_assert!(!format!("{details:?}").contains("MARKER"));
+                }
+            }
+        }
     }
 }

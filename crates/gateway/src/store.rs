@@ -1,16 +1,17 @@
 //! Durable storage of detail messages at the producer.
 
-use css_event::{DetailMessage, EventSchema};
+use css_event::{DetailMessage, EventSchema, InstanceNames};
 use css_storage::{KvStore, LogBackend};
 use css_types::{CssError, CssResult, SourceEventId};
-use css_xml::StreamSink;
 
-/// Keyed, durable store of detail messages (XML at rest), indexed by
-/// source event id.
+/// Keyed, durable store of detail messages, indexed by source event
+/// id. Each message is stored in the record form
+/// ([`DetailMessage::encode_record`]); messages stored before that form
+/// stay XML and read as they always did.
 pub struct DetailStore<B: LogBackend> {
     store: KvStore<B>,
-    /// The document being persisted, kept between persists.
-    xml: String,
+    /// The record being persisted, kept between persists.
+    record: Vec<u8>,
 }
 
 impl<B: LogBackend> DetailStore<B> {
@@ -19,13 +20,19 @@ impl<B: LogBackend> DetailStore<B> {
         let (store, _torn) = KvStore::open(backend)?;
         Ok(DetailStore {
             store,
-            xml: String::new(),
+            record: Vec::new(),
         })
     }
 
-    /// Persist a detail message. Fails on duplicate source event ids —
-    /// details are immutable once notified.
-    pub fn persist(&mut self, schema: &EventSchema, message: &DetailMessage) -> CssResult<()> {
+    /// Persist a detail message of `schema`, whose
+    /// [`EventSchema::instance_names`] are `names`. Fails on duplicate
+    /// source event ids — details are immutable once notified.
+    pub fn persist(
+        &mut self,
+        schema: &EventSchema,
+        names: &InstanceNames,
+        message: &DetailMessage,
+    ) -> CssResult<()> {
         let k = key(message.src_event_id);
         if self.store.contains(&k) {
             return Err(CssError::AlreadyExists(format!(
@@ -33,15 +40,15 @@ impl<B: LogBackend> DetailStore<B> {
                 message.src_event_id
             )));
         }
-        self.xml.clear();
-        message.encode(schema, &mut StreamSink::new(&mut self.xml));
-        self.store.put(&k, self.xml.as_bytes())?;
+        self.record.clear();
+        message.encode_record(schema, names, &mut self.record);
+        self.store.put(&k, &self.record)?;
         self.store.sync()
     }
 
-    /// The stored document for an id, as the bytes [`DetailStore::persist`]
-    /// wrote: one record read (CRC-checked). The gateway decodes them
-    /// where they lie.
+    /// The stored message for an id, as the bytes [`DetailStore::persist`]
+    /// (or a build before the record form) wrote: one record read
+    /// (CRC-checked). The gateway decodes them where they lie.
     pub(crate) fn stored(&self, id: SourceEventId) -> CssResult<Option<Vec<u8>>> {
         self.store.get(&key(id))
     }
@@ -103,26 +110,42 @@ mod tests {
     /// What the store holds for `id`, decoded the way the gateway does.
     fn load<B: LogBackend>(store: &DetailStore<B>, id: u64) -> Option<DetailMessage> {
         let bytes = store.stored(SourceEventId(id)).unwrap()?;
-        let text = std::str::from_utf8(&bytes).unwrap();
-        let decoder = css_event::DetailDecoder::open(css_xml::Reader::new(text)).unwrap();
         let s = schema();
-        Some(decoder.finish(&s, &s.instance_names(), |_| true).unwrap())
+        let stored = css_event::StoredDetail::open(&bytes).unwrap();
+        Some(stored.finish(&s, &s.instance_names(), |_| true).unwrap())
+    }
+
+    fn persist<B: LogBackend>(store: &mut DetailStore<B>, id: u64) -> CssResult<()> {
+        let s = schema();
+        store.persist(&s, &s.instance_names(), &message(id))
     }
 
     #[test]
     fn persist_load_roundtrip() {
         let mut store = DetailStore::open(MemBackend::new()).unwrap();
-        store.persist(&schema(), &message(1)).unwrap();
+        persist(&mut store, 1).unwrap();
         assert_eq!(load(&store, 1), Some(message(1)));
         assert_eq!(load(&store, 2), None);
     }
 
     #[test]
+    fn the_store_writes_the_record_form() {
+        let mut store = DetailStore::open(MemBackend::new()).unwrap();
+        persist(&mut store, 1).unwrap();
+        let stored = store.stored(SourceEventId(1)).unwrap().unwrap();
+        let s = schema();
+        let mut expected = Vec::new();
+        message(1).encode_record(&s, &s.instance_names(), &mut expected);
+        assert_eq!(stored, expected);
+        assert_eq!(stored[0], css_event::DETAIL_RECORD_V1);
+    }
+
+    #[test]
     fn duplicate_persist_rejected() {
         let mut store = DetailStore::open(MemBackend::new()).unwrap();
-        store.persist(&schema(), &message(1)).unwrap();
+        persist(&mut store, 1).unwrap();
         assert!(matches!(
-            store.persist(&schema(), &message(1)),
+            persist(&mut store, 1),
             Err(CssError::AlreadyExists(_))
         ));
     }
@@ -136,7 +159,7 @@ mod tests {
         {
             let mut store = DetailStore::open(FileBackend::open(&path).unwrap()).unwrap();
             for i in 0..20 {
-                store.persist(&schema(), &message(i)).unwrap();
+                persist(&mut store, i).unwrap();
             }
         }
         let store = DetailStore::open(FileBackend::open(&path).unwrap()).unwrap();

@@ -24,7 +24,7 @@
 //! | `lock-across-io`       | no lock guard held across unrelated storage writes   |
 //! | `shard-lock-order`     | shard locks nest only in ascending index order       |
 //! | `unchecked-backpressure` | pending-queue filings handle `CssError::Backpressure` |
-//! | `dom-free-read-path`   | at-rest records decoded from `Reader` tokens, never via `css_xml::parse` |
+//! | `dom-free-read-path`   | at-rest records decoded from tokens or the gateway's record decoder, never via `css_xml::parse` |
 //! | `layering`             | crate dependencies point strictly down the stack     |
 //!
 //! Rules run in three phases: per-file (token walk over one parsed

@@ -471,9 +471,11 @@ impl Rule for UncheckedBackpressure {
 // Rule 7: dom-free-read-path
 // ---------------------------------------------------------------------------
 
-/// The at-rest logs are decoded from the token stream
+/// The audit log and the events index are decoded from the token stream
 /// (`css_xml::Stored`, over the text or the binary form of a payload),
-/// one decoder per stored type: nothing on the
+/// one decoder per stored type; the gateway's detail records are
+/// decoded directly (`css_event::StoredDetail`, which hands the XML
+/// documents stored before them to the token decoder): nothing on the
 /// request or replay path builds an `Element` tree it would only walk
 /// once and drop — and nothing outside the allowed field set is
 /// materialised on the way out of the gateway. `css_xml::parse` stays
@@ -493,7 +495,7 @@ impl Rule for DomFreeReadPath {
         Severity::Error
     }
     fn description(&self) -> &'static str {
-        "gateway/audit/controller/storage production code decodes stored records from `css_xml::Reader` tokens, never via `css_xml::parse`"
+        "gateway/audit/controller/storage production code decodes stored records from tokens (`css_xml::Stored`) or, for the gateway's detail records, directly (`css_event::StoredDetail`), never via `css_xml::parse`"
     }
     fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {
         if !DOM_FREE_CRATES.contains(&file.crate_name.as_str()) {

@@ -129,7 +129,7 @@ const RULES_BY_THE_OLD_WRITER: [&str; 8] = [
     r#"{"id":"lock-across-io","severity":"warn","description":"a held lock guard should not span a storage write on an unrelated path"}"#,
     r#"{"id":"shard-lock-order","severity":"error","description":"a held shard guard must not acquire another shard's lock except in ascending index order"}"#,
     r#"{"id":"unchecked-backpressure","severity":"warn","description":"pending-queue filings must handle or propagate `CssError::Backpressure`"}"#,
-    r#"{"id":"dom-free-read-path","severity":"error","description":"gateway/audit/controller/storage production code decodes stored records from `css_xml::Reader` tokens, never via `css_xml::parse`"}"#,
+    r#"{"id":"dom-free-read-path","severity":"error","description":"gateway/audit/controller/storage production code decodes stored records from tokens (`css_xml::Stored`) or, for the gateway's detail records, directly (`css_event::StoredDetail`), never via `css_xml::parse`"}"#,
     r#"{"id":"layering","severity":"error","description":"crate dependencies must point strictly down the layer stack; compat shims depend on nothing"}"#,
 ];
 

@@ -25,6 +25,11 @@
 //! Lengths and numbers are LEB128 varints in their shortest form. Every
 //! value is written as the sink is handed it: text is not escaped, and
 //! decodes to exactly what the text form decodes to.
+//!
+//! Format bytes are one namespace across the stored forms: `0x01` is
+//! this layout, `0x02` is kept for its successor, and `0x03` is the
+//! gateway's detail record (`css_event::StoredDetail`), which has no
+//! tokens and shares only the varint and length-prefix primitives.
 
 use std::borrow::Cow;
 use std::fmt::{self, Write};
@@ -93,9 +98,82 @@ fn varint(mut n: u64) -> ([u8; 10], usize) {
     (bytes, len + 1)
 }
 
-fn put_varint(out: &mut Vec<u8>, n: u64) {
+/// Append `n` as a shortest-form LEB128 varint. This and the three
+/// functions below are the primitives of every binary at-rest layout:
+/// this module's token form, and the record form of a gateway's detail
+/// messages (`css_event::StoredDetail`).
+pub fn put_varint(out: &mut Vec<u8>, n: u64) {
     let (bytes, len) = varint(n);
     out.extend_from_slice(&bytes[..len]);
+}
+
+/// Append `value`'s `Display` form, its length first. The length is
+/// written as one byte and widened in place in the rare case it needs
+/// more, so nothing is formatted twice or into a second buffer.
+pub fn put_text(out: &mut Vec<u8>, value: impl fmt::Display) {
+    let at = out.len();
+    out.push(0);
+    write!(Appender(out), "{value}").expect("writing to a Vec cannot fail");
+    let len = out.len() - at - 1;
+    let (prefix, width) = varint(len as u64);
+    if width == 1 {
+        out[at] = prefix[0];
+    } else {
+        out.splice(at..=at, prefix[..width].iter().copied());
+    }
+}
+
+fn truncated(at: usize) -> ParseError {
+    ParseError {
+        offset: at,
+        message: "truncated binary payload".into(),
+    }
+}
+
+/// The shortest-form LEB128 varint at `input[*pos..]`; `pos` moves past
+/// it. An overlong form, one that overflows 64 bits and one cut short
+/// are errors.
+pub fn read_varint(input: &[u8], pos: &mut usize) -> Result<u64, ParseError> {
+    let at = *pos;
+    let err = |message: &str| ParseError {
+        offset: at,
+        message: message.into(),
+    };
+    let mut n = 0u64;
+    for shift in (0..64).step_by(7) {
+        let byte = *input.get(*pos).ok_or_else(|| truncated(*pos))?;
+        *pos += 1;
+        let bits = u64::from(byte & 0x7f);
+        if shift == 63 && bits > 1 {
+            return Err(err("varint overflows 64 bits"));
+        }
+        n |= bits << shift;
+        if byte & 0x80 == 0 {
+            if byte == 0 && shift > 0 {
+                return Err(err("varint not in shortest form"));
+            }
+            return Ok(n);
+        }
+    }
+    Err(err("varint longer than 10 bytes"))
+}
+
+/// The length-prefixed bytes at `input[*pos..]`, borrowed; `pos` moves
+/// past them. A length that runs past the end of `input` is an error.
+pub fn read_slice<'a>(input: &'a [u8], pos: &mut usize) -> Result<&'a [u8], ParseError> {
+    let at = *pos;
+    let len = read_varint(input, pos)?;
+    let end = usize::try_from(len)
+        .ok()
+        .and_then(|len| pos.checked_add(len))
+        .filter(|&end| end <= input.len())
+        .ok_or_else(|| ParseError {
+            offset: at,
+            message: "length runs past the payload".into(),
+        })?;
+    let bytes = &input[*pos..end];
+    *pos = end;
+    Ok(bytes)
 }
 
 /// `fmt::Write` onto the end of a byte vector.
@@ -130,21 +208,6 @@ impl<'a> BinarySink<'a> {
     fn tag(&mut self, kind: u8, name: &str) {
         self.out.push(kind | self.names.code(name));
     }
-
-    /// `value`'s `Display` form, length first. The length is written
-    /// as one byte and widened in place in the rare case it needs more.
-    fn text_value(&mut self, value: impl fmt::Display) {
-        let at = self.out.len();
-        self.out.push(0);
-        write!(Appender(self.out), "{value}").expect("writing to a Vec cannot fail");
-        let len = self.out.len() - at - 1;
-        let (prefix, width) = varint(len as u64);
-        if width == 1 {
-            self.out[at] = prefix[0];
-        } else {
-            self.out.splice(at..=at, prefix[..width].iter().copied());
-        }
-    }
 }
 
 impl XmlSink for BinarySink<'_> {
@@ -158,12 +221,12 @@ impl XmlSink for BinarySink<'_> {
 
     fn attr(&mut self, key: &str, value: impl fmt::Display) {
         self.tag(ATTR_TEXT, key);
-        self.text_value(value);
+        put_text(self.out, value);
     }
 
     fn text(&mut self, text: impl fmt::Display) {
         self.out.push(TEXT);
-        self.text_value(text);
+        put_text(self.out, text);
     }
 
     fn close(&mut self) {
@@ -231,42 +294,17 @@ impl<'a> BinarySource<'a> {
         let byte = *self
             .input
             .get(self.pos)
-            .ok_or_else(|| self.err(self.pos, "truncated binary payload"))?;
+            .ok_or_else(|| truncated(self.pos))?;
         self.pos += 1;
         Ok(byte)
     }
 
     fn varint(&mut self) -> Result<u64, ParseError> {
-        let at = self.pos;
-        let mut n = 0u64;
-        for shift in (0..64).step_by(7) {
-            let byte = self.byte()?;
-            let bits = u64::from(byte & 0x7f);
-            if shift == 63 && bits > 1 {
-                return Err(self.err(at, "varint overflows 64 bits"));
-            }
-            n |= bits << shift;
-            if byte & 0x80 == 0 {
-                if byte == 0 && shift > 0 {
-                    return Err(self.err(at, "varint not in shortest form"));
-                }
-                return Ok(n);
-            }
-        }
-        Err(self.err(at, "varint longer than 10 bytes"))
+        read_varint(self.input, &mut self.pos)
     }
 
     fn slice(&mut self) -> Result<&'a [u8], ParseError> {
-        let at = self.pos;
-        let len = self.varint()?;
-        let end = usize::try_from(len)
-            .ok()
-            .and_then(|len| self.pos.checked_add(len))
-            .filter(|&end| end <= self.input.len())
-            .ok_or_else(|| self.err(at, "length runs past the payload"))?;
-        let bytes = &self.input[self.pos..end];
-        self.pos = end;
-        Ok(bytes)
+        read_slice(self.input, &mut self.pos)
     }
 
     fn text(&mut self) -> Result<Cow<'a, str>, ParseError> {

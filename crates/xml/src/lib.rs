@@ -15,7 +15,10 @@
 //!   from a tree — and [`parse`], those tokens folded into a tree,
 //! - the binary form of the same documents ([`binary`]), which the
 //!   at-rest logs write, and [`Stored`], the source that reads a stored
-//!   payload in whichever form its first byte names.
+//!   payload in whichever form its first byte names; its varint and
+//!   length-prefix primitives ([`put_varint`], [`put_text`],
+//!   [`read_varint`], [`read_slice`]) also write and read the gateway's
+//!   detail records.
 //!
 //! What an event class allows (typed fields, required / optional,
 //! enumerations — the paper's XSD) is `css_event::EventSchema`: one
@@ -34,7 +37,9 @@ pub mod sink;
 mod value;
 pub mod writer;
 
-pub use binary::{BinarySink, Names, Stored, BINARY_V1};
+pub use binary::{
+    put_text, put_varint, read_slice, read_varint, BinarySink, Names, Stored, BINARY_V1,
+};
 pub use doc::{Element, Node};
 pub use parser::{parse, ParseError};
 pub use reader::{Attributes, Reader, Token, TreeSource, XmlSource};

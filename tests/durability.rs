@@ -346,6 +346,42 @@ fn shard_count_follows_the_data() {
     }
 }
 
+/// The two classes the fixed sequence declares; the hospital is actor 1.
+fn visit_schema() -> EventSchema {
+    EventSchema::new(EventTypeId::v1("visit"), "Visit", ActorId(1))
+        .field(FieldDef::required("PatientId", FieldKind::Integer))
+        .field(FieldDef::optional("Notes", FieldKind::Text).sensitive())
+        .field(FieldDef::optional("Score", FieldKind::Decimal))
+        .field(FieldDef::optional("SeenAt", FieldKind::DateTime))
+}
+
+fn lab_schema() -> EventSchema {
+    EventSchema::new(EventTypeId::v1("lab-result"), "Lab result", ActorId(1))
+        .field(FieldDef::required("PatientId", FieldKind::Integer))
+        .field(FieldDef::optional("Positive", FieldKind::Boolean).sensitive())
+}
+
+/// What the operators of the fixed sequence set up, on the first run
+/// and again after every restart (same order, same ids): the hospital,
+/// the clinic, the family doctor, social services and the statistics
+/// office, joined, and the hospital's two classes declared.
+fn set_up_the_sequences_actors(platform: &mut CssPlatform<css::core::DirProvider>) -> [ActorId; 5] {
+    let hospital = platform.register_organization("Hospital").unwrap();
+    assert_eq!(hospital, ActorId(1), "the schemas name the hospital");
+    let clinic = platform.register_organization("Clinic").unwrap();
+    let doctor = platform.register_organization("Family doctor").unwrap();
+    let social = platform.register_organization("Social services").unwrap();
+    let stats = platform.register_organization("Statistics office").unwrap();
+    platform.join(hospital, Role::Producer).unwrap();
+    for consumer in [clinic, doctor, social, stats] {
+        platform.join(consumer, Role::Consumer).unwrap();
+    }
+    let producer = platform.producer(hospital).unwrap();
+    producer.declare(&visit_schema(), Some("health")).unwrap();
+    producer.declare(&lab_schema(), None).unwrap();
+    [hospital, clinic, doctor, social, stats]
+}
+
 /// One fixed operation sequence over a disk-backed platform on a
 /// simulated clock: every kind of record the three at-rest logs hold —
 /// publishes with fan-out 0, 1 and 3, an inquiry that sets a new
@@ -365,36 +401,9 @@ fn drive_fixed_sequence(
         .shards(shards)
         .build()
         .unwrap();
-    let hospital = platform.register_organization("Hospital").unwrap();
-    let clinic = platform.register_organization("Clinic").unwrap();
-    let doctor = platform.register_organization("Family doctor").unwrap();
-    let social = platform.register_organization("Social services").unwrap();
-    let stats = platform.register_organization("Statistics office").unwrap();
-    platform.join(hospital, Role::Producer).unwrap();
-    for consumer in [clinic, doctor, social, stats] {
-        platform.join(consumer, Role::Consumer).unwrap();
-    }
-    let visit = EventTypeId::v1("visit");
-    let lab = EventTypeId::v1("lab-result");
+    let [hospital, clinic, doctor, social, stats] = set_up_the_sequences_actors(&mut platform);
+    let (visit, lab) = (visit_schema().id, lab_schema().id);
     let producer = platform.producer(hospital).unwrap();
-    producer
-        .declare(
-            &EventSchema::new(visit.clone(), "Visit", hospital)
-                .field(FieldDef::required("PatientId", FieldKind::Integer))
-                .field(FieldDef::optional("Notes", FieldKind::Text).sensitive())
-                .field(FieldDef::optional("Score", FieldKind::Decimal))
-                .field(FieldDef::optional("SeenAt", FieldKind::DateTime)),
-            Some("health"),
-        )
-        .unwrap();
-    producer
-        .declare(
-            &EventSchema::new(lab.clone(), "Lab result", hospital)
-                .field(FieldDef::required("PatientId", FieldKind::Integer))
-                .field(FieldDef::optional("Positive", FieldKind::Boolean).sensitive()),
-            None,
-        )
-        .unwrap();
     tick();
     producer
         .policy_wizard(&visit)
@@ -558,11 +567,47 @@ const FIXTURE_AUDIT_LEN: usize = 29;
 const FIXTURE_HEAD_1: &str = "e6eea79715dcaffa72ef1d660b2fa60d8abeab9d066182692a51a44e6474cbab";
 const FIXTURE_HEAD_2: &str = "fdc560314b8eb3c98b4d8ec5ea6628e2cafb10f1567a698b531eea79e891aa72";
 
-/// The same for `at-rest-3`, the binary form, written since revocation
-/// reaches the routing table.
+/// The same for the binary audit and index form, written since
+/// revocation reaches the routing table: `at-rest-3` and `at-rest-4`,
+/// whose audit, index and policy files are alike (they differ in the
+/// gateway's).
 const BINARY_AUDIT_LEN: usize = 29;
 const BINARY_HEAD_1: &str = "8a0d9cc59f3900a7d7ad682fa5d463e5a5c88c7a91c2bd831ca7ab4bae109b8d";
 const BINARY_HEAD_2: &str = "dc20d11d4d1ba7bb7a88960164e823a024b4a90e29bc42260491bb74c3d545c9";
+
+/// The committed fixtures of the sequence at `shards` shards, oldest
+/// first: each fixture's name, audit length and head, and the prefixes
+/// of the files written differently since (their bytes are not
+/// compared; everything else is, byte for byte).
+fn fixtures_at(shards: usize) -> [(String, usize, &'static str, &'static [&'static str]); 3] {
+    let (xml_head, head) = match shards {
+        1 => (FIXTURE_HEAD_1, BINARY_HEAD_1),
+        _ => (FIXTURE_HEAD_2, BINARY_HEAD_2),
+    };
+    [
+        // XML throughout.
+        (
+            format!("at-rest-{shards}"),
+            FIXTURE_AUDIT_LEN,
+            xml_head,
+            &["audit", "events-index", "gateway-"],
+        ),
+        // Binary audit and index, XML gateway.
+        (
+            format!("at-rest-3/shards-{shards}"),
+            BINARY_AUDIT_LEN,
+            head,
+            &["gateway-"],
+        ),
+        // Binary audit and index, gateway records: what is written now.
+        (
+            format!("at-rest-4/shards-{shards}"),
+            BINARY_AUDIT_LEN,
+            head,
+            &[],
+        ),
+    ]
+}
 
 /// The directory of a committed fixture.
 fn fixture(name: &str) -> std::path::PathBuf {
@@ -603,52 +648,40 @@ fn reopen(dir: &std::path::Path) -> CssPlatform<css::core::DirProvider> {
 ///   [`drive_fixed_sequence`] wrote at commit 2347129 (the last one
 ///   whose write paths built `Element` trees and whose CRC went a byte a
 ///   step), at 1 and 2 shards: XML payloads. Today's code must read
-///   them to the same state, and writes the same gateway and policy
-///   bytes for the sequence.
-/// - `tests/fixtures/at-rest-3/shards-{1,2}` are what it writes now:
-///   binary audit and index payloads. Today's code must read them to
-///   the same state and write every byte of them again.
+///   them to the same state, and writes the same policy bytes for the
+///   sequence.
+/// - `tests/fixtures/at-rest-3/shards-{1,2}` were written with binary
+///   audit and index payloads and XML gateway documents. Today's code
+///   must read them to the same state and write every byte of them again
+///   but the gateway's.
+/// - `tests/fixtures/at-rest-4/shards-{1,2}` are what it writes now:
+///   the gateway stores records too. Today's code must read them to the
+///   same state and write every byte of them again.
 ///
 /// `cargo test --test durability -- --ignored --nocapture
-/// write_the_at_rest_fixture` writes both into `target/` after a
-/// deliberate format change.
+/// write_the_at_rest_fixture` writes the current form into `target/`
+/// after a deliberate format change.
 #[test]
 fn at_rest_bytes_match_the_committed_fixture() {
-    for (shards, legacy, legacy_head, current, head) in [
-        (
-            1,
-            "at-rest-1",
-            FIXTURE_HEAD_1,
-            "at-rest-3/shards-1",
-            BINARY_HEAD_1,
-        ),
-        (
-            2,
-            "at-rest-2",
-            FIXTURE_HEAD_2,
-            "at-rest-3/shards-2",
-            BINARY_HEAD_2,
-        ),
-    ] {
+    for shards in [1, 2] {
+        let fixtures = fixtures_at(shards);
+        let (_, current_len, current_head, _) = &fixtures[2];
         let fresh = temp_dir(&format!("fixture-fresh-{shards}"));
         let written = drive_fixed_sequence(&fresh, shards);
-        assert_eq!(written.controller().audit_len(), BINARY_AUDIT_LEN);
+        assert_eq!(written.controller().audit_len(), *current_len);
         assert_eq!(
             css::crypto::to_hex(&written.controller().audit_head()),
-            head
+            *current_head
         );
         drop(written);
         let actual = at_rest_files(&fresh);
 
-        for (name, audit_len, head, every_byte) in [
-            (legacy, FIXTURE_AUDIT_LEN, legacy_head, false),
-            (current, BINARY_AUDIT_LEN, head, true),
-        ] {
-            let expected = at_rest_files(&fixture(name));
+        for (name, audit_len, head, rewritten) in fixtures {
+            let expected = at_rest_files(&fixture(&name));
             assert!(expected.len() >= 4, "{name} incomplete: {expected:?}");
 
             // Reading: a copy of the fixture reopens to the recorded state.
-            let copy = fixture_copy(name);
+            let copy = fixture_copy(&name);
             let reopened = reopen(&copy);
             assert_eq!(reopened.shard_count(), shards, "{name}");
             assert_eq!(reopened.controller().audit_len(), audit_len, "{name}");
@@ -663,18 +696,14 @@ fn at_rest_bytes_match_the_committed_fixture() {
             let _ = std::fs::remove_dir_all(&copy);
 
             // Writing: the same sequence writes the same bytes — all of
-            // them, or what stayed XML.
+            // them, or what was not rewritten since.
             assert_eq!(
                 actual.keys().collect::<Vec<_>>(),
                 expected.keys().collect::<Vec<_>>(),
                 "{name}"
             );
             for (file, bytes) in &expected {
-                if !every_byte
-                    && ["audit", "events-index"]
-                        .iter()
-                        .any(|p| file.starts_with(p))
-                {
+                if rewritten.iter().any(|p| file.starts_with(p)) {
                     continue;
                 }
                 assert!(
@@ -722,11 +751,144 @@ fn a_legacy_directory_takes_binary_appends_with_a_continuous_chain() {
     }
 }
 
+/// A copy of a committed fixture reopened by its operators: the
+/// sequence's actors set up again and the policies reloaded. The
+/// platform and the family doctor.
+fn reopen_as_operators(dir: &std::path::Path) -> (CssPlatform<css::core::DirProvider>, ActorId) {
+    let mut platform = reopen(dir);
+    let [_, _, doctor, _, _] = set_up_the_sequences_actors(&mut platform);
+    platform.reload_policies().unwrap();
+    (platform, doctor)
+}
+
+/// What the family doctor is released, for treatment, of every event
+/// about the sequence's first citizen, oldest first.
+fn released_to_the_doctor(
+    platform: &CssPlatform<css::core::DirProvider>,
+    doctor: ActorId,
+) -> Vec<EventDetails> {
+    let doctor = platform.consumer(doctor).unwrap();
+    let mut found = doctor.inquire_by_person(PersonId(1)).unwrap();
+    found.sort_by_key(|n| n.global_id);
+    found
+        .iter()
+        .map(|n| {
+            doctor
+                .request_details(n, Purpose::HealthcareTreatment)
+                .unwrap()
+                .details
+        })
+        .collect()
+}
+
+/// What the sequence's permitted detail requests release: the doctor
+/// may see a visit's patient, score and time, and all of a lab result.
+fn released_by_the_sequence() -> Vec<EventDetails> {
+    vec![
+        EventDetails::new(visit_schema().id)
+            .with("PatientId", FieldValue::Integer(1))
+            .with("Notes", FieldValue::Empty)
+            .with("Score", FieldValue::Decimal("13.5".parse().unwrap()))
+            .with("SeenAt", FieldValue::DateTime(Timestamp(1_700_000_000_411))),
+        EventDetails::new(lab_schema().id)
+            .with("PatientId", FieldValue::Integer(1))
+            .with("Positive", FieldValue::Empty),
+    ]
+}
+
+/// Every fixture, reopened, answers the doctor's detail requests with
+/// the fields it released when it was written — the gateway's XML
+/// documents (`at-rest-1/2/3`) and its records (`at-rest-4`) alike.
+#[test]
+fn every_fixture_releases_what_it_released_before() {
+    for shards in [1, 2] {
+        for (name, ..) in fixtures_at(shards) {
+            let copy = fixture_copy(&name);
+            let (platform, doctor) = reopen_as_operators(&copy);
+            assert_eq!(
+                released_to_the_doctor(&platform, doctor),
+                released_by_the_sequence(),
+                "{name}"
+            );
+            drop(platform);
+            let _ = std::fs::remove_dir_all(&copy);
+        }
+    }
+}
+
+/// A directory whose gateway stored XML documents takes new details in
+/// the record form, and answers from both kinds of record, before a
+/// restart and after it.
+#[test]
+fn a_legacy_gateway_takes_record_appends_and_answers_from_both() {
+    for shards in [1, 2] {
+        for (name, ..) in &fixtures_at(shards)[..2] {
+            let copy = fixture_copy(name);
+            let (platform, doctor) = reopen_as_operators(&copy);
+            let ada = PersonIdentity {
+                id: PersonId(1),
+                fiscal_code: "FC000001".into(),
+                name: "Ada".into(),
+                surname: "O'Brien & <Sons>".into(),
+            };
+            let later = EventDetails::new(visit_schema().id)
+                .with("PatientId", FieldValue::Integer(1))
+                .with("Notes", FieldValue::Text("  after the upgrade ".into()))
+                .with("Score", FieldValue::Decimal("2.5".parse().unwrap()));
+            platform
+                .producer(ActorId(1))
+                .unwrap()
+                .publish(ada, "later visit", later, Timestamp(1_800_000_000_000))
+                .unwrap();
+            let mut expected = released_by_the_sequence();
+            expected.push(
+                EventDetails::new(visit_schema().id)
+                    .with("PatientId", FieldValue::Integer(1))
+                    .with("Notes", FieldValue::Empty)
+                    .with("Score", FieldValue::Decimal("2.5".parse().unwrap())),
+            );
+            assert_eq!(
+                released_to_the_doctor(&platform, doctor),
+                expected,
+                "{name}"
+            );
+            drop(platform);
+
+            // The gateway's log holds the documents it was written with
+            // and, after them, one record.
+            let (gateway, _) =
+                KvStore::open(FileBackend::open(copy.join("gateway-act-00000001.log")).unwrap())
+                    .unwrap();
+            let mut first_bytes: Vec<u8> = gateway
+                .keys()
+                .map(|key| gateway.get(key).unwrap().unwrap()[0])
+                .collect();
+            first_bytes.sort_unstable();
+            assert_eq!(
+                first_bytes,
+                [css::event::DETAIL_RECORD_V1, b'<', b'<', b'<', b'<'],
+                "{name}"
+            );
+            drop(gateway);
+
+            let (platform, doctor) = reopen_as_operators(&copy);
+            assert_eq!(
+                released_to_the_doctor(&platform, doctor),
+                expected,
+                "{name}"
+            );
+            drop(platform);
+            let _ = std::fs::remove_dir_all(&copy);
+        }
+    }
+}
+
 /// Not a check: writes [`drive_fixed_sequence`] at 1 and 2 shards into
 /// `target/at-rest-fixture/shards-{1,2}`, keeping only the files a
 /// fixture holds, and prints where. After a deliberate format change,
-/// copy them over `tests/fixtures/at-rest-3/` and update the pinned
-/// lengths and heads above.
+/// copy them over `tests/fixtures/at-rest-4/` (keeping the fixture
+/// before as a legacy one) and update the pinned lengths and heads
+/// above.
 #[test]
 #[ignore = "writes the at-rest fixture; run by hand after a format change"]
 fn write_the_at_rest_fixture() {
