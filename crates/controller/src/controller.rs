@@ -363,7 +363,9 @@ impl<B: LogBackend> DataController<B> {
     /// Producer installs a privacy policy for one of its event classes.
     ///
     /// Validates ownership (only the declaring producer may protect its
-    /// classes) and that `F` only names declared fields.
+    /// classes) and that `F` only names declared fields, and refuses an
+    /// id already installed — revoked or not, whoever owns it — with
+    /// `AlreadyExists`, writing no audit record.
     pub fn define_policy(&self, policy: PrivacyPolicy) -> CssResult<()> {
         self.contracts.read().require_producer(policy.producer)?;
         {
@@ -393,7 +395,16 @@ impl<B: LogBackend> DataController<B> {
         let record = AuditRecord::new(self.now(), policy.producer, AuditAction::PolicyChange)
             .event_type(policy.event_type.clone())
             .with_detail(format!("defined {}", policy.id));
-        self.pdp.write().install(policy);
+        {
+            let mut pdp = self.pdp.write();
+            if pdp.get(policy.id).is_some() {
+                return Err(CssError::AlreadyExists(format!(
+                    "policy {} already defined",
+                    policy.id
+                )));
+            }
+            pdp.install(policy);
+        }
         self.audit.append(record)?;
         Ok(())
     }
@@ -403,7 +414,8 @@ impl<B: LogBackend> DataController<B> {
     /// Skips the ownership/field validation of
     /// [`DataController::define_policy`] (the repository content was
     /// validated when first defined) and writes no audit record (the
-    /// original definition is already on the log).
+    /// original definition is already on the log). A policy installed
+    /// under the same id is replaced.
     pub fn restore_policy(&self, policy: PrivacyPolicy) {
         // Keep the id generator ahead of restored ids.
         self.policy_gen.advance_past(policy.id.value());
@@ -415,8 +427,8 @@ impl<B: LogBackend> DataController<B> {
         let owned = self
             .pdp
             .read()
-            .iter()
-            .any(|p| p.id == id && p.producer == producer);
+            .get(id)
+            .is_some_and(|p| p.producer == producer);
         if !owned {
             return Err(CssError::NotFound(format!(
                 "policy {id} not found for producer {producer}"

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use css_core::prelude::*;
 use css_core::{AccessRequestStatus, CssPlatform, MemoryProvider};
-use css_types::{Clock, SourceEventId};
+use css_types::{Clock, PolicyId, SourceEventId};
 
 struct World {
     platform: CssPlatform<MemoryProvider>,
@@ -62,7 +62,7 @@ fn setup() -> World {
 }
 
 /// The doctor may see `PatientId` of blood tests for treatment.
-fn grant_doctor(w: &World) {
+fn grant_doctor(w: &World) -> PolicyId {
     w.platform
         .producer(w.hospital)
         .unwrap()
@@ -75,7 +75,7 @@ fn grant_doctor(w: &World) {
         .for_purposes([Purpose::HealthcareTreatment])
         .labeled("doctor-bt", "")
         .save()
-        .unwrap();
+        .unwrap()[0]
 }
 
 #[test]
@@ -340,6 +340,96 @@ fn revoke_policy_via_handle() {
     // Revocation persisted to the repository too.
     let repo = w.platform.policy_repository();
     assert!(repo.lock().load(ids[0]).unwrap().unwrap().revoked);
+}
+
+/// A define that reuses an installed policy's id is refused, unaudited:
+/// another producer cannot replace the hospital's grant with its own.
+#[test]
+fn a_define_reusing_another_producers_policy_id_is_refused() {
+    let mut w = setup();
+    let granted = grant_doctor(&w);
+    let clinic = w.platform.register_organization("Clinic").unwrap();
+    w.platform.join(clinic, Role::Producer).unwrap();
+    let urine = EventTypeId::v1("urine-test");
+    let schema = EventSchema::new(urine.clone(), "Urine Test", clinic)
+        .field(FieldDef::required("PatientId", FieldKind::Integer));
+    w.platform
+        .producer(clinic)
+        .unwrap()
+        .declare(&schema, None)
+        .unwrap();
+    let controller = w.platform.controller();
+    let audited = controller.audit_len();
+    let reused = PrivacyPolicy::new(
+        granted,
+        clinic,
+        w.welfare,
+        urine,
+        [Purpose::Administration],
+        ["PatientId".to_string()],
+    );
+    let refused = controller.define_policy(reused);
+    assert!(
+        matches!(refused, Err(CssError::AlreadyExists(_))),
+        "{refused:?}"
+    );
+    assert_eq!(controller.audit_len(), audited);
+
+    // The hospital's grant stands: its consumer subscribes and reads.
+    let consumer = w.platform.consumer(w.doctor).unwrap();
+    let sub = consumer.subscribe(&EventTypeId::v1("blood-test")).unwrap();
+    w.platform
+        .producer(w.hospital)
+        .unwrap()
+        .publish(mario(), "bt", details(), w.clock.now())
+        .unwrap();
+    let n = sub.next().unwrap().unwrap().message;
+    let response = consumer
+        .request_details(&n, Purpose::HealthcareTreatment)
+        .unwrap();
+    assert_eq!(
+        response.details.get("PatientId").unwrap(),
+        &FieldValue::Integer(42)
+    );
+}
+
+/// A define that reuses a revoked policy's id does not bring it back:
+/// the decision point keeps agreeing with the repository.
+#[test]
+fn a_define_reusing_a_revoked_policy_id_leaves_it_revoked() {
+    let w = setup();
+    let revoked = grant_doctor(&w);
+    w.platform
+        .producer(w.hospital)
+        .unwrap()
+        .revoke_policy(revoked)
+        .unwrap();
+    let controller = w.platform.controller();
+    let audited = controller.audit_len();
+    let blood = EventTypeId::v1("blood-test");
+    let reused = PrivacyPolicy::new(
+        revoked,
+        w.hospital,
+        w.doctor,
+        blood.clone(),
+        [Purpose::HealthcareTreatment],
+        ["PatientId".to_string()],
+    );
+    let refused = controller.define_policy(reused);
+    assert!(
+        matches!(refused, Err(CssError::AlreadyExists(_))),
+        "{refused:?}"
+    );
+    assert_eq!(controller.audit_len(), audited);
+    assert!(!controller.is_authorized_consumer(w.doctor, &blood));
+    assert!(w
+        .platform
+        .consumer(w.doctor)
+        .unwrap()
+        .subscribe(&blood)
+        .is_err());
+    let repo = w.platform.policy_repository();
+    assert!(repo.lock().load(revoked).unwrap().unwrap().revoked);
 }
 
 #[test]

@@ -3,7 +3,8 @@
 //! Algorithm-1 traffic is heavily repetitive: the same consumer asks
 //! for the same event class with the same purpose thousands of times
 //! (one request per notification received). Matching, however, walks
-//! every candidate policy and the actor hierarchy on every request.
+//! the requester's lineage and the policies granted along it on every
+//! request.
 //! This cache memoizes the evaluation result per
 //! `(actor, event type, purpose)` key so the steady state is one hash
 //! lookup.

@@ -11,8 +11,16 @@
 //! fields, so the combined obligation is their union. This is XACML's
 //! permit-overrides combining algorithm restricted to the paper's
 //! read-only rules.
+//!
+//! Each class keeps its policies in one flat list, in install order,
+//! and an index from granted actor to the positions of that actor's
+//! unrevoked policies. A request is matched against the policies
+//! granted to a link of the requester's lineage only: every other
+//! policy of the class — granted elsewhere, or revoked — fails
+//! Definition 3 on the actor or as revoked, which is the default
+//! `NoMatchingPolicy` deny, so skipping it changes no decision.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 use css_types::{ActorId, ActorRegistry, DenyReason, EventTypeId, PolicyId, Purpose, Timestamp};
@@ -41,14 +49,37 @@ impl Probe<AuthKey> for (ActorId, &EventTypeId) {
     }
 }
 
+/// One event class's policies.
+#[derive(Default)]
+struct ClassPolicies {
+    /// Every policy of the class, in install order; a revoked one stays
+    /// in place, flagged.
+    policies: Vec<PrivacyPolicy>,
+    /// Granted actor → the positions in `policies` of that actor's
+    /// unrevoked policies, ascending.
+    granted: HashMap<ActorId, Vec<usize>>,
+}
+
+impl ClassPolicies {
+    /// Rebuild `granted` from `policies`.
+    fn reindex(&mut self) {
+        self.granted.clear();
+        for (pos, policy) in self.policies.iter().enumerate() {
+            if !policy.revoked {
+                self.granted.entry(policy.actor).or_default().push(pos);
+            }
+        }
+    }
+}
+
 /// In-memory decision point over an indexed policy set, with a
 /// generation-stamped decision cache over the evaluation paths.
 #[derive(Default)]
 pub struct PolicyDecisionPoint {
-    by_type: HashMap<EventTypeId, Vec<PrivacyPolicy>>,
-    /// `id → event type` so removal and revocation resolve their bucket
-    /// in O(1) instead of scanning every bucket.
-    by_id: HashMap<PolicyId, EventTypeId>,
+    by_type: HashMap<EventTypeId, ClassPolicies>,
+    /// `id → (event type, position in its class's list)`, so a by-id
+    /// lookup, removal or revocation finds its policy without a scan.
+    by_id: HashMap<PolicyId, (EventTypeId, usize)>,
     /// Bumped on every policy mutation; stale cache entries miss.
     generation: Generation,
     eval_cache: DecisionCache<EvalKey, Decision>,
@@ -107,28 +138,38 @@ impl PolicyDecisionPoint {
     /// Load a policy. Replaces any existing policy with the same id.
     pub fn install(&mut self, policy: PrivacyPolicy) {
         self.remove(policy.id);
-        self.by_id.insert(policy.id, policy.event_type.clone());
-        self.by_type
-            .entry(policy.event_type.clone())
-            .or_default()
-            .push(policy);
+        let class = self.by_type.entry(policy.event_type.clone()).or_default();
+        let pos = class.policies.len();
+        if !policy.revoked {
+            class.granted.entry(policy.actor).or_default().push(pos);
+        }
+        self.by_id
+            .insert(policy.id, (policy.event_type.clone(), pos));
+        class.policies.push(policy);
         self.invalidate_cache();
     }
 
     /// Remove a policy by id. Returns whether it was present.
     pub fn remove(&mut self, id: PolicyId) -> bool {
-        let Some(event_type) = self.by_id.remove(&id) else {
+        let Some((event_type, pos)) = self.by_id.remove(&id) else {
             return false;
         };
-        // by_id and by_type are maintained in lockstep; if the bucket or
+        // by_id and by_type are maintained in lockstep; if the class or
         // its entry is somehow already gone, the policy is removed either
         // way — degrade gracefully rather than panic mid-request.
-        if let Some(bucket) = self.by_type.get_mut(&event_type) {
-            if let Some(pos) = bucket.iter().position(|p| p.id == id) {
-                bucket.remove(pos);
+        if let Some(class) = self.by_type.get_mut(&event_type) {
+            if pos < class.policies.len() {
+                class.policies.remove(pos);
+                // Every later policy moved up one place.
+                for (moved, policy) in class.policies.iter().enumerate().skip(pos) {
+                    if let Some(entry) = self.by_id.get_mut(&policy.id) {
+                        entry.1 = moved;
+                    }
+                }
+                class.reindex();
             }
-            // Drop emptied buckets so churn doesn't grow the map forever.
-            if bucket.is_empty() {
+            // Drop emptied classes so churn doesn't grow the map forever.
+            if class.policies.is_empty() {
                 self.by_type.remove(&event_type);
             }
         }
@@ -136,21 +177,33 @@ impl PolicyDecisionPoint {
         true
     }
 
-    /// Mark a policy revoked (kept for audit, never matches again).
+    /// Mark a policy revoked (kept for audit, never matches again). It
+    /// leaves its actor's index, a scan of that actor's positions only.
     pub fn revoke(&mut self, id: PolicyId) -> bool {
-        let Some(event_type) = self.by_id.get(&id) else {
+        let Some((event_type, pos)) = self.by_id.get(&id) else {
             return false;
         };
-        let revoked = self
-            .by_type
-            .get_mut(event_type)
-            .and_then(|bucket| bucket.iter_mut().find(|p| p.id == id))
-            .map(|p| p.revoke())
-            .is_some();
-        if revoked {
-            self.invalidate_cache();
+        let Some(class) = self.by_type.get_mut(event_type) else {
+            return false;
+        };
+        let Some(policy) = class.policies.get_mut(*pos) else {
+            return false;
+        };
+        policy.revoke();
+        if let Some(positions) = class.granted.get_mut(&policy.actor) {
+            positions.retain(|p| p != pos);
+            if positions.is_empty() {
+                class.granted.remove(&policy.actor);
+            }
         }
-        revoked
+        self.invalidate_cache();
+        true
+    }
+
+    /// The installed policy with this id (revoked or not).
+    pub fn get(&self, id: PolicyId) -> Option<&PrivacyPolicy> {
+        let (event_type, pos) = self.by_id.get(&id)?;
+        self.by_type.get(event_type)?.policies.get(*pos)
     }
 
     /// Number of installed policies (including revoked ones).
@@ -163,17 +216,38 @@ impl PolicyDecisionPoint {
         self.by_id.is_empty()
     }
 
-    /// All policies for an event type.
+    /// All policies for an event type, in install order.
     pub fn policies_for(&self, event_type: &EventTypeId) -> &[PrivacyPolicy] {
         self.by_type
             .get(event_type)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+            .map_or(&[], |class| class.policies.as_slice())
     }
 
     /// Iterate over every installed policy.
     pub fn iter(&self) -> impl Iterator<Item = &PrivacyPolicy> {
-        self.by_type.values().flatten()
+        self.by_type.values().flat_map(|class| &class.policies)
+    }
+
+    /// The unrevoked policies over `event_type` granted to `actor` or to
+    /// an ancestor of it — the only ones Definition 3 can match for a
+    /// request by `actor`. Nearest link first, each link's policies in
+    /// install order.
+    fn on_lineage<'a>(
+        &'a self,
+        event_type: &EventTypeId,
+        actor: ActorId,
+        actors: &'a ActorRegistry,
+    ) -> impl Iterator<Item = &'a PrivacyPolicy> + 'a {
+        self.by_type
+            .get(event_type)
+            .into_iter()
+            .flat_map(move |class| {
+                actors
+                    .lineage(actor)
+                    .filter_map(|link| class.granted.get(&link))
+                    .flatten()
+                    .filter_map(|&pos| class.policies.get(pos))
+            })
     }
 
     /// Evaluate a request (Algorithm 1, steps 2–3), consulting the
@@ -204,7 +278,11 @@ impl PolicyDecisionPoint {
             return (decision, true);
         }
         let decision = self.evaluate_uncached(request, actors, now);
-        let stable = StabilityInterval::around(now, self.policies_for(&request.event_type));
+        // Only the policies the decision was computed from can flip it.
+        let stable = StabilityInterval::around(
+            now,
+            self.on_lineage(&request.event_type, request.actor, actors),
+        );
         let key = (
             request.actor,
             request.event_type.clone(),
@@ -232,13 +310,10 @@ impl PolicyDecisionPoint {
         {
             return authorized;
         }
-        let candidates = self.policies_for(event_type);
-        let authorized = candidates.iter().any(|p| {
-            !p.revoked
-                && p.validity.contains(now)
-                && actors.is_same_or_descendant(consumer, p.actor)
-        });
-        let stable = StabilityInterval::around(now, candidates);
+        let authorized = self
+            .on_lineage(event_type, consumer, actors)
+            .any(|p| p.validity.contains(now));
+        let stable = StabilityInterval::around(now, self.on_lineage(event_type, consumer, actors));
         self.auth_cache.put(
             (consumer, event_type.clone()),
             generation,
@@ -249,22 +324,22 @@ impl PolicyDecisionPoint {
     }
 
     /// Evaluate a request without touching the cache (the raw
-    /// Algorithm-1 matching walk; benchmark baseline).
+    /// Algorithm-1 matching walk over the requester's lineage;
+    /// benchmark baseline).
     pub fn evaluate_uncached(
         &self,
         request: &DetailRequest,
         actors: &ActorRegistry,
         now: Timestamp,
     ) -> Decision {
-        let candidates = self.policies_for(&request.event_type);
-        let mut allowed = std::collections::BTreeSet::new();
+        let mut allowed = BTreeSet::new();
         let mut matched = Vec::new();
         // Track the "closest" failure for a precise deny reason:
         // later outcomes in this ordering indicate the request got
         // further through the checks.
         let mut best_failure = DenyReason::NoMatchingPolicy;
         let mut best_rank = 0u8;
-        for policy in candidates {
+        for policy in self.on_lineage(&request.event_type, request.actor, actors) {
             let (rank, reason) = match matches(policy, request, actors, now) {
                 MatchOutcome::Match => {
                     allowed.extend(policy.fields.iter().cloned());
@@ -286,6 +361,9 @@ impl PolicyDecisionPoint {
         if matched.is_empty() {
             Decision::Deny(best_failure)
         } else {
+            // The permit's audit detail lists its policies in install
+            // order, whatever link of the lineage each was found at.
+            matched.sort_unstable_by_key(|id| self.by_id.get(id).map(|&(_, pos)| pos));
             Decision::Permit {
                 allowed_fields: allowed,
                 matched_policies: matched,

@@ -158,13 +158,14 @@ impl ActorRegistry {
 
     /// The chain of ancestors of `id`, nearest first, not including `id`.
     pub fn ancestors(&self, id: ActorId) -> Vec<ActorId> {
-        let mut out = Vec::new();
-        let mut cur = self.actors.get(&id).and_then(|a| a.parent);
-        while let Some(p) = cur {
-            out.push(p);
-            cur = self.actors.get(&p).and_then(|a| a.parent);
-        }
-        out
+        self.lineage(id).skip(1).collect()
+    }
+
+    /// `id` itself, then its ancestors nearest first: every actor whose
+    /// grant covers `id`. Walks the parent links without collecting
+    /// them; an unknown `id` is its own whole lineage.
+    pub fn lineage(&self, id: ActorId) -> impl Iterator<Item = ActorId> + '_ {
+        std::iter::successors(Some(id), |cur| self.actors.get(cur).and_then(|a| a.parent))
     }
 
     /// The top-level organization enclosing `id` (or `id` itself if it is
@@ -186,10 +187,7 @@ impl ActorRegistry {
     /// A policy written for `Hospital S. Maria` therefore also covers
     /// requests issued by its `Laboratory`.
     pub fn is_same_or_descendant(&self, candidate: ActorId, granted: ActorId) -> bool {
-        if candidate == granted {
-            return true;
-        }
-        self.ancestors(candidate).contains(&granted)
+        self.lineage(candidate).any(|link| link == granted)
     }
 }
 
@@ -235,6 +233,31 @@ mod tests {
             .unwrap();
         assert_eq!(reg.ancestors(role), vec![unit, org]);
         assert_eq!(reg.organization_of(role), Some(org));
+    }
+
+    #[test]
+    fn hierarchy_test_walks_the_lineage_and_never_upward() {
+        let mut reg = ActorRegistry::new();
+        let (org, unit, role, other) = (ActorId(1), ActorId(2), ActorId(3), ActorId(4));
+        reg.register(Actor::organization(org, "Org")).unwrap();
+        reg.register(Actor::unit(unit, "Unit", org)).unwrap();
+        reg.register(Actor::role(role, "Nurse", unit)).unwrap();
+        reg.register(Actor::organization(other, "Other")).unwrap();
+        assert_eq!(reg.lineage(role).collect::<Vec<_>>(), vec![role, unit, org]);
+        for granted in [role, unit, org] {
+            assert!(reg.is_same_or_descendant(role, granted));
+        }
+        // A grant never flows upward, nor across to another organization.
+        assert!(!reg.is_same_or_descendant(unit, role));
+        assert!(!reg.is_same_or_descendant(org, role));
+        assert!(!reg.is_same_or_descendant(org, unit));
+        assert!(!reg.is_same_or_descendant(role, other));
+        // An unknown actor is covered by a grant to itself, and only by it.
+        let ghost = ActorId(99);
+        assert_eq!(reg.lineage(ghost).collect::<Vec<_>>(), vec![ghost]);
+        assert!(reg.is_same_or_descendant(ghost, ghost));
+        assert!(!reg.is_same_or_descendant(ghost, org));
+        assert!(!reg.is_same_or_descendant(org, ghost));
     }
 
     #[test]

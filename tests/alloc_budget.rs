@@ -249,6 +249,108 @@ fn detail_requests_permitted_and_denied() {
     assert_within("denied detail request", denied, DETAIL_DENY);
 }
 
+/// Heap blocks of a detail request denied on its purpose to a role in
+/// an organisation → unit → role hierarchy, asked right after an
+/// unrelated policy install has emptied the decision cache, with
+/// `foreign` of the class's policies granted to other roles. Both
+/// settings register the same actors and define the same number of
+/// policies; only the class of the `128 - foreign` fillers differs.
+fn cold_denied_request_by_a_role(foreign: usize) -> u64 {
+    let mut w = world();
+    let org = w
+        .platform
+        .register_organization("Care Cooperative")
+        .unwrap();
+    w.platform.join(org, Role::Consumer).unwrap();
+    let ward = w.platform.register_unit(org, "Ward").unwrap();
+    let nurse = w.platform.register_role(ward, "Nurse").unwrap();
+    let others: Vec<ActorId> = (0..128)
+        .map(|i| {
+            w.platform
+                .register_role(ward, &format!("Role {i}"))
+                .unwrap()
+        })
+        .collect();
+    let producer = w.platform.producer(w.hospital).unwrap();
+    let filler = EventTypeId::v1("urine-test");
+    let schema = EventSchema::new(filler.clone(), "Urine Test", w.hospital)
+        .field(FieldDef::required("PatientId", FieldKind::Integer));
+    producer.declare(&schema, None).unwrap();
+    let grant = |ty: &EventTypeId, to: &[ActorId]| {
+        if to.is_empty() {
+            return;
+        }
+        producer
+            .policy_wizard(ty)
+            .unwrap()
+            .select_fields(["PatientId"])
+            .unwrap()
+            .grant_to(to.iter().copied())
+            .unwrap()
+            .for_purposes([Purpose::HealthcareTreatment])
+            .labeled("grant", "")
+            .save()
+            .unwrap();
+    };
+    // The nurse is covered through its organisation, two links up.
+    grant(&w.ty, &[org]);
+    grant(&w.ty, &others[..foreign]);
+    grant(&filler, &others[foreign..]);
+
+    let sub = w
+        .platform
+        .consumer(nurse)
+        .unwrap()
+        .subscribe(&w.ty)
+        .unwrap();
+    producer
+        .publish(
+            person(1),
+            "blood test done",
+            details(&w.ty, 1),
+            w.clock.now(),
+        )
+        .unwrap();
+    let notification = sub.next().unwrap().expect("routed to the nurse").message;
+    let nurse = w.platform.consumer(nurse).unwrap();
+    let controller = w.platform.controller();
+    allocations_per_op(
+        |_| {
+            let unrelated = PrivacyPolicy::new(
+                controller.next_policy_id(),
+                w.hospital,
+                org,
+                filler.clone(),
+                [Purpose::Administration],
+                ["PatientId".to_string()],
+            );
+            controller.define_policy(unrelated).unwrap();
+        },
+        |()| {
+            let refused = nurse.request_details(&notification, Purpose::StatisticalAnalysis);
+            assert!(matches!(
+                refused,
+                Err(CssError::AccessDenied(DenyReason::PurposeNotAllowed))
+            ));
+        },
+    )
+}
+
+#[test]
+fn cold_denied_request_ignores_grants_to_other_roles() {
+    let few = cold_denied_request_by_a_role(8);
+    let many = cold_denied_request_by_a_role(128);
+    assert_eq!(
+        few, many,
+        "a cold decision allocates per policy granted outside the requester's lineage"
+    );
+    assert_within(
+        "cold denied detail request by a role, 128 foreign grants",
+        many,
+        DETAIL_DENY_COLD,
+    );
+}
+
 #[test]
 fn inquiry_over_ten_events() {
     let w = world();
@@ -273,8 +375,12 @@ fn inquiry_over_ten_events() {
 // identities are clones) plus ten per cent. Publish + deliver and the
 // permitted request are what the gateway's record form measured
 // (28.24 and 30.05: no element name or type text built per persist, no
-// tokenizer state per read) plus ten per cent.
+// tokenizer state per read) plus ten per cent. The cold denial is what
+// matching along the requester's lineage measured (13.01 with 8 foreign
+// grants and with 128; the whole-class walk it replaced measured 25.01
+// and 145.01, one ancestor list per policy) plus ten per cent.
 const PUBLISH_DELIVER: u64 = 3106;
 const DETAIL_PERMIT: u64 = 3305;
 const DETAIL_DENY: u64 = 1210;
 const INQUIRY_TEN: u64 = 7041;
+const DETAIL_DENY_COLD: u64 = 1431;
