@@ -6,6 +6,17 @@
 //! deadline waits — implemented over `std::sync`. Semantics match
 //! parking_lot for the supported surface: `lock()` never returns a
 //! poison error (a poisoned std lock is recovered via `into_inner`).
+//!
+//! **Lock discipline.** Every lock has a class and a rank: `new` builds a
+//! *leaf* (nothing may be acquired while it is held), `ranked` a lock
+//! that may nest. In debug builds each thread keeps the stack of locks it
+//! holds, and three things panic, naming both sites: acquiring a lock
+//! whose rank is not above every held one; acquiring a lock the thread
+//! already holds, for read or for write; and a storage write
+//! ([`assert_write_guarded`]) while a lock that does not guard the
+//! written value is held. Release builds compile all of it out: ranks
+//! and held entries are empty types there, and the checks empty
+//! functions.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -15,18 +26,27 @@ use std::time::Instant;
 /// A mutual exclusion primitive (non-poisoning, like `parking_lot`).
 #[derive(Default)]
 pub struct Mutex<T: ?Sized> {
+    rank: order::Rank,
     inner: sync::Mutex<T>,
 }
 
 /// RAII guard for [`Mutex`].
 pub struct MutexGuard<'a, T: ?Sized> {
     inner: sync::MutexGuard<'a, T>,
+    held: order::Held,
 }
 
 impl<T> Mutex<T> {
-    /// Create a new mutex.
+    /// Create a new mutex: a leaf, under which nothing may be acquired.
     pub const fn new(value: T) -> Self {
+        Self::ranked("leaf", order::LEAF, value)
+    }
+
+    /// Create a mutex of lock class `class` that may be held while locks
+    /// of a higher `rank` are acquired.
+    pub const fn ranked(class: &'static str, rank: u32, value: T) -> Self {
         Mutex {
+            rank: order::Rank::new(class, rank),
             inner: sync::Mutex::new(value),
         }
     }
@@ -41,21 +61,27 @@ impl<T> Mutex<T> {
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking until available. Never poisons.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
+            held: self.rank.acquire(self),
             inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
         }
     }
 
-    /// Try to acquire the lock without blocking.
+    /// Try to acquire the lock without blocking. A failed attempt holds
+    /// nothing; a successful one cannot deadlock, so it is not ranked.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: g }),
-            Err(sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                inner: p.into_inner(),
-            }),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
+        let inner = match self.inner.try_lock() {
+            Ok(g) => g,
+            Err(sync::TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(sync::TryLockError::WouldBlock) => return None,
+        };
+        Some(MutexGuard {
+            inner,
+            held: self.rank.hold(self),
+        })
     }
 
     /// Mutable access without locking (requires exclusive borrow).
@@ -151,7 +177,9 @@ impl Condvar {
     }
 }
 
-/// Run `f` on the guard inside `slot`, temporarily moving it out.
+/// Run `f` on the guard inside `slot`, temporarily moving it out. The
+/// thread does not hold the lock while `f` waits, so the guard leaves
+/// the held stack for the wait and returns to its place after it.
 ///
 /// `std::sync::Condvar` consumes and returns the guard; parking_lot's
 /// API takes `&mut`. Bridging needs a take-and-put-back, which is done
@@ -184,34 +212,48 @@ fn replace_guard<'a, T: ?Sized>(
     }
     let bomb = Bomb;
     // Move the guard out, run the wait, and move the result back in.
-    unsafe {
+    // SAFETY: the guard read out of `slot.inner` is written back before
+    // anything can reach the slot again: `f` returns the guard or, if it
+    // panics, the Bomb aborts before any drop sees the moved-out slot.
+    order::released_while(&slot.held, || unsafe {
         let g = std::ptr::read(&slot.inner);
         let g = f(g);
         std::ptr::write(&mut slot.inner, g);
-    }
+    });
     std::mem::forget(bomb);
 }
 
 /// A reader-writer lock (non-poisoning subset).
 #[derive(Default)]
 pub struct RwLock<T: ?Sized> {
+    rank: order::Rank,
     inner: sync::RwLock<T>,
 }
 
 /// Shared-read guard for [`RwLock`].
 pub struct RwLockReadGuard<'a, T: ?Sized> {
     inner: sync::RwLockReadGuard<'a, T>,
+    _held: order::Held,
 }
 
 /// Exclusive-write guard for [`RwLock`].
 pub struct RwLockWriteGuard<'a, T: ?Sized> {
     inner: sync::RwLockWriteGuard<'a, T>,
+    _held: order::Held,
 }
 
 impl<T> RwLock<T> {
-    /// Create a new reader-writer lock.
+    /// Create a new reader-writer lock: a leaf, under which nothing may
+    /// be acquired.
     pub const fn new(value: T) -> Self {
+        Self::ranked("leaf", order::LEAF, value)
+    }
+
+    /// Create a reader-writer lock of lock class `class` that may be held
+    /// while locks of a higher `rank` are acquired.
+    pub const fn ranked(class: &'static str, rank: u32, value: T) -> Self {
         RwLock {
+            rank: order::Rank::new(class, rank),
             inner: sync::RwLock::new(value),
         }
     }
@@ -219,15 +261,19 @@ impl<T> RwLock<T> {
 
 impl<T: ?Sized> RwLock<T> {
     /// Acquire a shared read lock.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
         RwLockReadGuard {
+            _held: self.rank.acquire(self),
             inner: self.inner.read().unwrap_or_else(PoisonError::into_inner),
         }
     }
 
     /// Acquire an exclusive write lock.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         RwLockWriteGuard {
+            _held: self.rank.acquire(self),
             inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
         }
     }
@@ -250,6 +296,166 @@ impl<'a, T: ?Sized> Deref for RwLockWriteGuard<'a, T> {
 impl<'a, T: ?Sized> DerefMut for RwLockWriteGuard<'a, T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.inner
+    }
+}
+
+/// Check a storage write of `log` against the locks this thread holds:
+/// it may hold none, or only locks whose value holds `log` (the write
+/// goes through their guard). Anything else panics, naming the write's
+/// site and the held lock's. Compiled out of release builds.
+#[cfg_attr(debug_assertions, track_caller)]
+#[inline(always)]
+pub fn assert_write_guarded<T: ?Sized>(log: &T) {
+    order::write(log);
+}
+
+/// The held-lock stack of debug builds (see the crate docs). In release
+/// builds its types are empty and its functions do nothing.
+mod order {
+    /// The rank of a leaf: above every other, and not below itself.
+    pub(crate) const LEAF: u32 = u32::MAX;
+
+    #[cfg(debug_assertions)]
+    pub(crate) use checked::{released_while, write, Held, Rank};
+    #[cfg(not(debug_assertions))]
+    pub(crate) use unchecked::{released_while, write, Held, Rank};
+
+    #[cfg(not(debug_assertions))]
+    mod unchecked {
+        #[derive(Default)]
+        pub(crate) struct Rank;
+        pub(crate) type Held = ();
+
+        impl Rank {
+            pub(crate) const fn new(_: &'static str, _: u32) -> Rank {
+                Rank
+            }
+            pub(crate) fn acquire<L: ?Sized>(&self, _: &L) {}
+            pub(crate) fn hold<L: ?Sized>(&self, _: &L) {}
+        }
+
+        pub(crate) fn released_while<R>(_: &Held, wait: impl FnOnce() -> R) -> R {
+            wait()
+        }
+
+        pub(crate) fn write<T: ?Sized>(_: &T) {}
+    }
+
+    #[cfg(debug_assertions)]
+    mod checked {
+        use std::cell::RefCell;
+        use std::fmt;
+        use std::ops::Range;
+        use std::panic::Location;
+
+        /// A lock's class (named in panics) and its place in the order.
+        #[derive(Clone, Copy)]
+        pub(crate) struct Rank(&'static str, u32);
+
+        /// A guard's place on the stack: dropping it lets the lock go.
+        pub(crate) struct Held(usize);
+
+        /// One held lock: the bytes of the lock (its value among them),
+        /// its rank, and where it was taken.
+        struct Entry {
+            bytes: Range<usize>,
+            rank: Rank,
+            site: &'static Location<'static>,
+        }
+
+        thread_local! {
+            static HELD: RefCell<Vec<Entry>> = const { RefCell::new(Vec::new()) };
+        }
+
+        fn at<T: ?Sized>(value: &T) -> usize {
+            value as *const T as *const () as usize
+        }
+
+        impl Default for Rank {
+            fn default() -> Self {
+                Rank("leaf", super::LEAF)
+            }
+        }
+
+        impl fmt::Display for Rank {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                write!(f, "`{}` (rank {})", self.0, self.1)
+            }
+        }
+
+        impl Rank {
+            pub(crate) const fn new(class: &'static str, rank: u32) -> Rank {
+                Rank(class, rank)
+            }
+
+            /// Check an acquisition of `lock` against every held lock,
+            /// then hold it.
+            #[track_caller]
+            pub(crate) fn acquire<L: ?Sized>(&self, lock: &L) -> Held {
+                let site = Location::caller();
+                HELD.with_borrow(|held| {
+                    if let Some(h) = held.iter().find(|h| h.rank.1 >= self.1) {
+                        let again = if h.bytes.start == at(lock) { " again" } else { "" };
+                        panic!(
+                            "lock order: {self} taken{again} at {site} while {} is held, taken at {}",
+                            h.rank, h.site
+                        );
+                    }
+                });
+                self.hold(lock)
+            }
+
+            /// Hold `lock` unchecked: a `try_lock` that succeeded.
+            #[track_caller]
+            pub(crate) fn hold<L: ?Sized>(&self, lock: &L) -> Held {
+                let bytes = at(lock)..at(lock) + std::mem::size_of_val(lock);
+                let (rank, site) = (*self, Location::caller());
+                HELD.with_borrow_mut(|held| held.push(Entry { bytes, rank, site }));
+                Held(at(lock))
+            }
+        }
+
+        /// Take the held lock at `lock` off this thread's stack.
+        fn take(lock: usize) -> Option<(usize, Entry)> {
+            HELD.try_with(|held| {
+                let mut held = held.borrow_mut();
+                let i = held.iter().rposition(|h| h.bytes.start == lock)?;
+                Some((i, held.remove(i)))
+            })
+            .ok()
+            .flatten()
+        }
+
+        impl Drop for Held {
+            fn drop(&mut self) {
+                take(self.0);
+            }
+        }
+
+        /// Run a condvar `wait` with `held` off the stack — a waiter
+        /// does not hold its lock — and put it back at its place after.
+        pub(crate) fn released_while<R>(held: &Held, wait: impl FnOnce() -> R) -> R {
+            let taken = take(held.0);
+            let out = wait();
+            if let Some((i, entry)) = taken {
+                HELD.with_borrow_mut(|held| held.insert(i.min(held.len()), entry));
+            }
+            out
+        }
+
+        #[track_caller]
+        pub(crate) fn write<T: ?Sized>(log: &T) {
+            let (log, site) = (at(log), Location::caller());
+            HELD.with_borrow(|held| {
+                if let Some(h) = held.iter().find(|h| !h.bytes.contains(&log)) {
+                    panic!(
+                        "storage write at {site} while {} is held, taken at {}: \
+                         that lock does not guard the log written",
+                        h.rank, h.site
+                    );
+                }
+            });
+        }
     }
 }
 
@@ -304,5 +510,18 @@ mod tests {
         assert_eq!(*l.read(), 5);
         *l.write() = 7;
         assert_eq!(*l.read(), 7);
+    }
+
+    /// Release builds carry no rank and no key: a lock is its std lock.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn release_locks_are_the_std_locks() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Mutex<u64>>(), size_of::<sync::Mutex<u64>>());
+        assert_eq!(size_of::<RwLock<u64>>(), size_of::<sync::RwLock<u64>>());
+        assert_eq!(
+            size_of::<MutexGuard<'_, u64>>(),
+            size_of::<sync::MutexGuard<'_, u64>>()
+        );
     }
 }

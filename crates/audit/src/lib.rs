@@ -11,13 +11,15 @@
 //!   event, about which person, for which purpose, with which outcome.
 //! - [`AuditShards`]: the append-only, hash-chained
 //!   ([`css_crypto::HashChain`]) log, partitioned into one persisted
-//!   shard per backend it is opened on; tampering with any past record
-//!   is detectable from the chain head.
+//!   shard per backend it is opened on, and anchored across restarts by
+//!   a log of acknowledged marks; tampering with any past record is
+//!   detectable from the chain head, and at open.
 //! - [`AuditQuery`]: the inquiry interface ("who accessed the data of
 //!   person X, and why?").
 //! - [`report`]: aggregate summaries (accesses per purpose, denial
 //!   rates) of the kind the governing body needs.
 
+mod anchor;
 mod log;
 pub mod query;
 pub mod record;

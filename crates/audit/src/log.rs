@@ -11,14 +11,13 @@
 //! storage and decodes them.
 //!
 //! What open checks, in the one pass recovery makes over the log: every
-//! frame's CRC, that every payload decodes, and that sequence numbers
-//! increase. It *derives*
-//! the chain from the bytes it finds, so the head it arrives at
-//! vouches for nothing by itself — compare it with a head noted before
-//! the restart (an anchor the log carries across restarts is ROADMAP
-//! item 1). What [`ShardLog::verify`] checks: that the bytes on the
-//! backend **now** still chain to the digests noted when each record
-//! was taken in.
+//! frame's CRC, that every payload decodes, that sequence numbers
+//! increase, and — given the shard's mark from the plane's anchor
+//! ([`crate::anchor`]) — that every record up to the mark is whole and
+//! chains to the mark's head: that pass is the verification. Only bytes
+//! beyond the mark are a torn tail. What [`ShardLog::verify`] checks:
+//! that the bytes on the backend **now** still chain to the digests
+//! noted when each record was taken in.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,6 +28,7 @@ use css_storage::{split_records, LogBackend, RecordLog, RecordPtr};
 use css_types::{CssError, CssResult, PersonId};
 use css_xml::{BinarySink, Stored};
 
+use crate::anchor::Mark;
 use crate::query::AuditQuery;
 use crate::record::{AuditRecord, NAMES};
 
@@ -109,15 +109,21 @@ impl<B: LogBackend> ShardLog<B> {
     /// the highest recovered seq so restarts never reuse a number.
     ///
     /// Fails if any persisted record is corrupt (frame CRC), malformed
-    /// or out of sequence.
-    pub(crate) fn open(backend: B, sequencer: Arc<AtomicU64>) -> CssResult<Self> {
+    /// or out of sequence, or if the log does not hold `mark`'s records
+    /// whole, chaining to its head.
+    pub(crate) fn open(
+        backend: B,
+        sequencer: Arc<AtomicU64>,
+        mark: Option<Mark>,
+    ) -> CssResult<Self> {
         let mut held = Held {
             links: Vec::new(),
             head: HashChain::new().head(),
             by_person: HashMap::new(),
             last_seq: None,
         };
-        let (storage, _) = RecordLog::recover(backend, |ptr, payload| {
+        let anchored = mark.map_or(0, |mark| mark.count);
+        let (storage, _) = RecordLog::recover_anchored(backend, anchored, |ptr, payload| {
             let record = decode(payload)?;
             if let Some(prev) = held.last_seq {
                 if record.seq <= prev {
@@ -131,6 +137,17 @@ impl<B: LogBackend> ShardLog<B> {
             held.push(&record, payload, ptr);
             Ok(())
         })?;
+        if let Some(mark) = mark {
+            let at_mark = match mark.count.checked_sub(1) {
+                Some(last) => held.links[last as usize].digest,
+                None => HashChain::new().head(),
+            };
+            if at_mark != mark.head {
+                return Err(CssError::Crypto(
+                    ChainVerifyError::HashMismatch { seq: mark.count }.to_string(),
+                ));
+            }
+        }
         Ok(ShardLog {
             held,
             storage,
@@ -192,6 +209,14 @@ impl<B: LogBackend> ShardLog<B> {
     /// The chain head covering the whole shard log.
     pub(crate) fn head(&self) -> [u8; 32] {
         self.held.head
+    }
+
+    /// The shard's mark as it stands: its record count and head.
+    pub(crate) fn mark(&self) -> Mark {
+        Mark {
+            count: self.held.links.len() as u64,
+            head: self.held.head,
+        }
     }
 
     /// Re-derive every chain link from the bytes on storage, in one
@@ -274,7 +299,7 @@ mod tests {
     }
 
     fn open<B: LogBackend>(backend: B) -> CssResult<ShardLog<B>> {
-        ShardLog::open(backend, Arc::new(AtomicU64::new(0)))
+        ShardLog::open(backend, Arc::new(AtomicU64::new(0)), None)
     }
 
     #[test]
@@ -438,25 +463,48 @@ mod tests {
     }
 
     #[test]
-    fn open_reads_the_log_once_and_verify_once_more() {
+    fn open_reads_the_log_once_and_that_read_is_the_verification() {
         let mut log = open(MemBackend::new()).unwrap();
         log.append(rec(0)).unwrap();
         log.append_batch((1..40).map(rec)).unwrap();
-        let head = log.head();
-        let backend = log.storage.into_backend();
-        let stored = backend.len();
+        let mark = log.mark();
+        let stored = log.storage.byte_len();
+        let bytes = log
+            .storage
+            .into_backend()
+            .read_at(0, stored as usize)
+            .unwrap();
         let registry = css_telemetry::MetricsRegistry::new();
         let read = || registry.snapshot().counter("storage.read_bytes");
-        // Recovery (every frame's CRC, the torn tail) and replay are
-        // one sequential pass: each record is decoded and chained from
-        // the bytes the pass has just checked, and nothing after that
-        // re-reads or re-hashes them.
-        let reopened = open(css_storage::InstrumentedBackend::new(backend, &registry)).unwrap();
+        let reopen = |mark| {
+            let mut backend = MemBackend::new();
+            backend.append(&bytes).unwrap();
+            let backend = css_storage::InstrumentedBackend::new(backend, &registry);
+            ShardLog::open(backend, Arc::new(AtomicU64::new(0)), Some(mark))
+        };
+        // Recovery (every frame's CRC, the torn tail), replay and the
+        // check against the mark are one sequential pass: each record is
+        // decoded and chained from the bytes the pass has just checked,
+        // and nothing after that re-reads or re-hashes them.
+        let reopened = reopen(mark).unwrap();
         assert_eq!(read(), stored);
-        assert_eq!(reopened.head(), head);
-        // Verification is the pass that reads the stored bytes again.
-        reopened.verify().unwrap();
-        assert_eq!(read(), 2 * stored);
+        assert_eq!(reopened.mark(), mark);
+        // A mark the stored bytes do not chain to fails that same pass,
+        // and so does one beyond them.
+        let elsewhere = Mark {
+            head: [0x5A; 32],
+            ..mark
+        };
+        assert!(matches!(reopen(elsewhere), Err(CssError::Crypto(_))));
+        let ahead = Mark {
+            count: mark.count + 1,
+            ..mark
+        };
+        assert!(matches!(reopen(ahead), Err(CssError::Storage(_))));
+        assert_eq!(read(), 3 * stored);
+        // Verifying a live log is the one pass that reads them again.
+        reopen(mark).unwrap().verify().unwrap();
+        assert_eq!(read(), 5 * stored);
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! order of the log is preserved (merge-sort by seq), each shard's
 //! stream is strictly increasing, and the tamper-evident hash chain
 //! still covers every shard — the combined head binds all shard heads.
+//! A persisted plane carries an anchor (`audit-anchor.log`): after each
+//! commit the shard's mark is appended to it, outside the shard's lock.
 
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -20,8 +22,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use css_storage::LogBackend;
-use css_types::{CssError, CssResult};
+use css_types::{lock_order, CssError, CssResult};
 
+use crate::anchor::{Anchor, Mark};
 use crate::log::ShardLog;
 use crate::query::AuditQuery;
 use crate::record::AuditRecord;
@@ -31,28 +34,64 @@ use crate::report::AuditReport;
 pub struct AuditShards<B: LogBackend> {
     shards: Vec<Mutex<ShardLog<B>>>,
     sequencer: Arc<AtomicU64>,
+    /// The plane's anchor, when it has one: a leaf lock, taken with no
+    /// shard held.
+    anchor: Option<Mutex<Anchor<B>>>,
 }
 
 impl<B: LogBackend> AuditShards<B> {
+    /// Open a plane without an anchor (see
+    /// [`AuditShards::open_anchored`]): its chain is derived from what
+    /// its backends hold, not checked against anything.
+    pub fn open(backends: Vec<B>) -> CssResult<Self> {
+        Self::open_anchored(backends, None)
+    }
+
     /// Open the plane, one shard per backend: the shard count **is**
     /// `backends.len()` (a one-element vector is the unsharded log, a
     /// [`css_storage::MemBackend`] an in-memory one). Replays each
-    /// shard — frame checksums, the record decoder, increasing seq;
-    /// the chain is derived from what is found, not checked against
-    /// anything — and advances the shared sequencer past the highest
-    /// recovered seq.
-    pub fn open(backends: Vec<B>) -> CssResult<Self> {
+    /// shard — frame checksums, the record decoder, increasing seq —
+    /// and advances the shared sequencer past the highest recovered
+    /// seq. With an `anchor`, each shard must hold its mark's records
+    /// whole, chaining to the mark's head; a shard holding records its
+    /// mark does not cover yet (a directory written before the anchor,
+    /// or a commit whose mark a crash cut off) is marked now.
+    pub fn open_anchored(backends: Vec<B>, anchor: Option<B>) -> CssResult<Self> {
         if backends.is_empty() {
             return Err(CssError::Invalid(
                 "audit shards need at least one backend".into(),
             ));
         }
+        let (mut anchor, marks) = match anchor {
+            Some(backend) => {
+                let (anchor, marks) = Anchor::open(backend)?;
+                (Some(anchor), marks)
+            }
+            None => (None, Default::default()),
+        };
+        if let Some(beyond) = marks.keys().find(|&&shard| shard >= backends.len()) {
+            return Err(CssError::Invalid(format!(
+                "the audit anchor marks shard {beyond}, but {} shards were opened",
+                backends.len()
+            )));
+        }
         let sequencer = Arc::new(AtomicU64::new(0));
         let mut shards = Vec::with_capacity(backends.len());
-        for backend in backends {
-            shards.push(Mutex::new(ShardLog::open(backend, sequencer.clone())?));
+        for (i, backend) in backends.into_iter().enumerate() {
+            let mark = marks.get(&i).copied();
+            let shard = ShardLog::open(backend, sequencer.clone(), mark)?;
+            if let Some(anchor) = &mut anchor {
+                if shard.mark().count > mark.map_or(0, |m| m.count) {
+                    anchor.append(i, shard.mark())?;
+                }
+            }
+            shards.push(Mutex::ranked("audit shard", lock_order::AUDIT_SHARD, shard));
         }
-        Ok(AuditShards { shards, sequencer })
+        Ok(AuditShards {
+            shards,
+            sequencer,
+            anchor: anchor.map(Mutex::new),
+        })
     }
 
     /// How many shards the plane runs.
@@ -72,8 +111,23 @@ impl<B: LogBackend> AuditShards<B> {
 
     /// Append one record to its shard. Returns the global seq.
     pub fn append(&self, record: AuditRecord) -> CssResult<u64> {
-        let mut shard = self.shards[self.shard_of(&record)].lock();
-        shard.append(record)
+        let i = self.shard_of(&record);
+        let (seq, mark) = {
+            let mut shard = self.shards[i].lock();
+            (shard.append(record)?, shard.mark())
+        };
+        self.anchor(i, mark)?;
+        Ok(seq)
+    }
+
+    /// Append shard `i`'s mark to the anchor, if the plane has one. The
+    /// mark was taken under the shard's lock after its write returned;
+    /// it is written after that lock is released.
+    fn anchor(&self, i: usize, mark: Mark) -> CssResult<()> {
+        match &self.anchor {
+            Some(anchor) => anchor.lock().append(i, mark),
+            None => Ok(()),
+        }
     }
 
     /// Append a batch as one group commit on the first record's shard
@@ -83,8 +137,13 @@ impl<B: LogBackend> AuditShards<B> {
         let Some(first) = records.first() else {
             return Ok(self.sequencer.load(std::sync::atomic::Ordering::Acquire));
         };
-        let mut shard = self.shards[self.shard_of(first)].lock();
-        shard.append_batch(records)
+        let i = self.shard_of(first);
+        let (seq, mark) = {
+            let mut shard = self.shards[i].lock();
+            (shard.append_batch(records)?, shard.mark())
+        };
+        self.anchor(i, mark)?;
+        Ok(seq)
     }
 
     /// Run an inquiry across every shard, merged into global seq order.
@@ -159,13 +218,17 @@ impl<B: LogBackend> AuditShards<B> {
         self.shards.iter().map(|s| s.lock().len()).collect()
     }
 
-    /// Flush every shard's persisted records to stable storage.
+    /// Flush every shard's persisted records, then the anchor's marks,
+    /// to stable storage.
     pub fn sync(&self) -> CssResult<()> {
         for shard in &self.shards {
             let mut shard = shard.lock();
             shard.sync()?;
         }
-        Ok(())
+        match &self.anchor {
+            Some(anchor) => anchor.lock().sync(),
+            None => Ok(()),
+        }
     }
 }
 

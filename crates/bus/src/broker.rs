@@ -12,7 +12,7 @@ use parking_lot::{Condvar, Mutex};
 
 use css_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use css_trace::{SpanGuard, SpanStatus, TraceContext, TraceId};
-use css_types::{CssError, CssResult, SubscriptionId};
+use css_types::{lock_order, CssError, CssResult, SubscriptionId};
 
 use crate::driver::{BusDriver, BusSnapshot, GroupSnapshot, PublishOptions, PublishOutcome};
 use crate::stats::{BrokerStats, SubscriptionStats};
@@ -224,19 +224,23 @@ impl<M: Clone + Send + 'static> Broker<M> {
 
     fn build(telemetry: BusInstruments) -> Self {
         Broker {
-            state: Mutex::new(State {
-                topics: HashMap::new(),
-                groups: vec![None],
-                named: HashMap::new(),
-                members: HashMap::new(),
-                shared: Shared {
-                    dlq: Vec::new(),
-                    stats: BrokerStats::default(),
-                    next_delivery: 1,
+            state: Mutex::ranked(
+                "bus state",
+                lock_order::BUS,
+                State {
+                    topics: HashMap::new(),
+                    groups: vec![None],
+                    named: HashMap::new(),
+                    members: HashMap::new(),
+                    shared: Shared {
+                        dlq: Vec::new(),
+                        stats: BrokerStats::default(),
+                        next_delivery: 1,
+                    },
+                    next_sub: 1,
+                    parked: 0,
                 },
-                next_sub: 1,
-                parked: 0,
-            }),
+            ),
             arrivals: Condvar::new(),
             telemetry,
         }

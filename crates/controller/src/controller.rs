@@ -7,10 +7,11 @@
 //! atomic. Callers share one controller with a plain `Arc` — no outer
 //! mutex — and operations on different citizens proceed in parallel.
 //!
-//! Lock ordering (to stay deadlock-free): registry read guards (`pdp`
-//! before `actors` when both are held) are taken before any index
-//! shard lock; audit shard locks are taken last, with no other guard
-//! held. Cross-shard operations hold one shard lock at a time.
+//! Lock ordering (to stay deadlock-free) is the rank table of
+//! [`css_types::lock_order`]: `routes` → `pdp` → `actors` → an index
+//! shard, the bus state last; audit shard locks are taken with no other
+//! guard held, and cross-shard operations hold one shard lock at a time.
+//! Debug builds check every acquisition against it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -27,7 +28,7 @@ use css_storage::LogBackend;
 use css_telemetry::{Counter, MetricsRegistry, StageTimer};
 use css_trace::{SpanAttr, SpanStatus, Tracer};
 use css_types::{
-    Actor, ActorId, ActorRegistry, Clock, CssError, CssResult, DenyReason, EventTypeId,
+    lock_order, Actor, ActorId, ActorRegistry, Clock, CssError, CssResult, DenyReason, EventTypeId,
     GlobalEventId, IdGenerator, PersonId, PersonIdentity, PolicyId, Purpose, SourceEventId,
     SubscriptionId, Timestamp,
 };
@@ -211,6 +212,10 @@ impl<B: LogBackend> DataController<B> {
     /// Open a controller with one audit backend and one index backend
     /// **per shard**: the shard count of the data plane (events index +
     /// audit) **is** the length of the two vectors, which must be equal.
+    /// `audit_anchor` is the backend of the audit plane's anchor
+    /// ([`AuditShards::open_anchored`]) where the backends outlive the
+    /// process; a plane in memory has none, since no later open could
+    /// read it back.
     /// One backend each is the unsharded layout; `MemBackend`s give an
     /// in-memory controller; a multicore deployment wants one shard per
     /// expected concurrent writer, e.g. `min(8, cores)`. Both planes
@@ -221,6 +226,7 @@ impl<B: LogBackend> DataController<B> {
         config: ControllerConfig,
         audit_backends: Vec<B>,
         index_backends: Vec<B>,
+        audit_anchor: Option<B>,
     ) -> CssResult<Self> {
         if audit_backends.len() != index_backends.len() {
             return Err(CssError::Invalid(format!(
@@ -230,25 +236,25 @@ impl<B: LogBackend> DataController<B> {
             )));
         }
         let mut index = IndexShards::open(&config.master_key, index_backends)?;
-        let audit = AuditShards::open(audit_backends)?;
+        let audit = AuditShards::open_anchored(audit_backends, audit_anchor)?;
         index.instrument(&config.telemetry);
         // Continue minting global ids after the highest recovered one so
         // restarts never reuse an eID (nonce safety for the sealer).
         let next_eid = index.max_event_id().map(|m| m.value() + 1).unwrap_or(1);
         Ok(DataController {
-            actors: RwLock::new(ActorRegistry::new()),
+            actors: RwLock::ranked("actors", lock_order::ACTORS, ActorRegistry::new()),
             contracts: RwLock::new(ContractRegistry::new()),
-            catalog: RwLock::new(EventCatalog::new()),
+            catalog: RwLock::ranked("catalog", lock_order::CATALOG, EventCatalog::new()),
             bus: match config.bus_driver {
                 Some(driver) => Bus::from_driver(driver),
                 None => Bus::in_memory_with_telemetry(&config.telemetry),
             },
             index,
-            pdp: RwLock::new(PolicyDecisionPoint::new()),
-            consent: RwLock::new(ConsentRegistry::new()),
+            pdp: RwLock::ranked("pdp", lock_order::PDP, PolicyDecisionPoint::new()),
+            consent: RwLock::ranked("consent", lock_order::CONSENT, ConsentRegistry::new()),
             audit,
-            gateways: RwLock::new(HashMap::new()),
-            routes: RwLock::new(HashMap::new()),
+            gateways: RwLock::ranked("gateways", lock_order::GATEWAYS, HashMap::new()),
+            routes: RwLock::ranked("routes", lock_order::ROUTES, HashMap::new()),
             clock: config.clock,
             counters: RequestCounters::resolve(&config.telemetry),
             telemetry: config.telemetry,

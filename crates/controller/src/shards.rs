@@ -30,8 +30,8 @@ use css_event::NotificationMessage;
 use css_storage::{LogBackend, MemBackend};
 use css_telemetry::{Counter, Histogram, MetricsRegistry};
 use css_types::{
-    shard_of, ActorId, CssError, CssResult, EventTypeId, GlobalEventId, PersonId, SourceEventId,
-    Timestamp,
+    lock_order, shard_of, ActorId, CssError, CssResult, EventTypeId, GlobalEventId, PersonId,
+    SourceEventId, Timestamp,
 };
 
 use crate::index::{derive_tag_key, DetailResolution, EventsIndex};
@@ -99,7 +99,10 @@ impl<B: LogBackend> IndexShards<B> {
         let shards =
             EventsIndex::open_all(master_key, backends, |tag| shard_of(tag_key_bits(tag), n))?;
         Ok(IndexShards {
-            shards: shards.into_iter().map(Mutex::new).collect(),
+            shards: shards
+                .into_iter()
+                .map(|shard| Mutex::ranked("index shard", lock_order::INDEX_SHARD, shard))
+                .collect(),
             tag_key: derive_tag_key(master_key),
             ops: (0..n).map(|_| Counter::new()).collect(),
             ops_total: Counter::new(),
@@ -124,6 +127,7 @@ impl<B: LogBackend> IndexShards<B> {
     }
 
     /// Acquire shard `i`, recording the wait and the op.
+    #[cfg_attr(debug_assertions, track_caller)]
     fn shard(&self, i: usize) -> MutexGuard<'_, EventsIndex<B>> {
         let start = Instant::now();
         let guard = self.shards[i].lock();

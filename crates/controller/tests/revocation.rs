@@ -38,6 +38,7 @@ fn world(shards: usize) -> World {
         ControllerConfig::with_clock(Arc::new(clock.clone())),
         backends(),
         backends(),
+        None,
     )
     .unwrap();
     for (id, name) in [

@@ -74,7 +74,7 @@ fn world(shards: usize) -> World {
     let clock = SimClock::starting_at(Timestamp(1_000_000));
     let config = ControllerConfig::with_clock(Arc::new(clock));
     let backends = || (0..shards).map(|_| MemBackend::new()).collect();
-    let controller = DataController::open(config, backends(), backends()).unwrap();
+    let controller = DataController::open(config, backends(), backends(), None).unwrap();
     controller
         .register_actor(Actor::organization(HOSPITAL, "Hospital"))
         .unwrap();

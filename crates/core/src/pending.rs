@@ -64,7 +64,7 @@ impl PendingQueue {
     /// decision (clamped to at least 1).
     pub fn new(capacity: usize) -> Self {
         PendingQueue {
-            requests: Mutex::new(Vec::new()),
+            requests: Mutex::ranked("pending queue", css_types::lock_order::PENDING, Vec::new()),
             capacity: capacity.max(1),
             depth: Gauge::new(),
         }

@@ -18,7 +18,8 @@ use css_storage::{InstrumentedBackend, LogBackend, RecordLog};
 use css_telemetry::{MetricsRegistry, TelemetrySnapshot};
 use css_trace::Tracer;
 use css_types::{
-    Actor, ActorId, Clock, CssError, CssResult, IdGenerator, PersonId, SystemClock, Timestamp,
+    lock_order, Actor, ActorId, Clock, CssError, CssResult, IdGenerator, PersonId, SystemClock,
+    Timestamp,
 };
 
 use crate::citizen::CitizenHandle;
@@ -112,10 +113,9 @@ pub fn default_shard_count() -> usize {
     cores.clamp(1, 8)
 }
 
-/// How many shards in a row must hold nothing before a deployment
-/// without a shard record counts as ended: the widest default plane
-/// written before the record existed.
-const UNRECORDED_GAP: usize = 8;
+/// The widest plane a directory may have been written with before it
+/// recorded its shard count: the widest default.
+const WIDEST_UNRECORDED: usize = 8;
 
 impl<P: BackendProvider> CssPlatformBuilder<P> {
     /// Use a different storage backend provider (changes the platform's
@@ -250,10 +250,14 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
         };
         // The shard count of an existing deployment is a property of
         // its data, recorded beside it: opening fewer shards than were
-        // written would skip the rest and still verify. Data older than
-        // the record is counted instead. Routing by hash leaves holes in
-        // a lightly filled plane, so the count ends only after
-        // `UNRECORDED_GAP` shards in a row hold nothing.
+        // written would skip the rest. Data without the record is
+        // refused, not guessed at. Only storage that outlives the process
+        // is anchored: no later open could read the anchor back otherwise.
+        let anchor = if provider.reopens() {
+            Some(provider.backend("audit-anchor")?)
+        } else {
+            None
+        };
         let mut recorded = None;
         let (mut shard_record, _) =
             RecordLog::recover(provider.backend("shards")?, |_, payload| {
@@ -269,15 +273,22 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
         let written = match recorded {
             Some(written) => written,
             None => {
-                let mut written = 0;
-                while opened.len() < written + UNRECORDED_GAP {
-                    let shard = open_shard(opened.len())?;
-                    if shard.iter().any(|b| !b.is_empty()) {
-                        written = opened.len() + 1;
-                    }
-                    opened.push(shard);
+                // Routing by hash leaves holes in a lightly filled plane:
+                // the directory is fresh only if no shard it may have been
+                // written with holds data.
+                while opened.len() < WIDEST_UNRECORDED {
+                    opened.push(open_shard(opened.len())?);
                 }
-                written
+                let fresh = opened.iter().flatten().all(|b| b.is_empty())
+                    && anchor.as_ref().is_none_or(|a| a.is_empty());
+                if !fresh {
+                    return Err(CssError::Storage(
+                        "the directory holds data but no shard record (`shards.log`): \
+                         the shard count it was written with is unknown"
+                            .into(),
+                    ));
+                }
+                0
             }
         };
         let shards = match shards {
@@ -315,7 +326,12 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
         if let Some(driver) = bus_driver {
             config = config.with_bus_driver(driver);
         }
-        let controller = DataController::open(config, audit_backends, index_backends)?;
+        let controller = DataController::open(
+            config,
+            audit_backends,
+            index_backends,
+            anchor.map(|anchor| InstrumentedBackend::new(anchor, &telemetry)),
+        )?;
         let policy_repo = PolicyRepository::open(InstrumentedBackend::new(
             provider.backend("policies")?,
             &telemetry,
@@ -527,7 +543,8 @@ impl<P: BackendProvider> CssPlatform<P> {
         );
         let mut gw = LocalCooperationGateway::open(actor, backend)?;
         gw.instrument(&self.registry);
-        let gateway: SharedGateway<PlatformBackend<P>> = Arc::new(Mutex::new(gw));
+        let gateway: SharedGateway<PlatformBackend<P>> =
+            Arc::new(Mutex::ranked("gateway", lock_order::GATEWAY, gw));
         // Resume source-id generation past any records recovered
         // from a previous session, so restarts never collide.
         let next_src = gateway

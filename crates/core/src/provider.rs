@@ -19,6 +19,14 @@ pub trait BackendProvider {
     /// Create (or reopen) the backend for the named component, e.g.
     /// `"audit"`, `"gateway-act-00000001"`, `"policies"`.
     fn backend(&self, name: &str) -> CssResult<Self::Backend>;
+
+    /// Whether a later [`backend`](Self::backend) call with the same name
+    /// hands back what was written through this one — whether the data
+    /// outlives the process. The audit plane keeps an anchor only where
+    /// it does: nothing could ever read it back otherwise.
+    fn reopens(&self) -> bool {
+        true
+    }
 }
 
 /// Volatile in-memory backends (fresh every call).
@@ -30,6 +38,10 @@ impl BackendProvider for MemoryProvider {
 
     fn backend(&self, _name: &str) -> CssResult<MemBackend> {
         Ok(MemBackend::new())
+    }
+
+    fn reopens(&self) -> bool {
+        false
     }
 }
 

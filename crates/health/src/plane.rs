@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use css_telemetry::{MetricsRegistry, TelemetrySnapshot};
 use css_trace::Tracer;
-use css_types::Clock;
+use css_types::{lock_order, Clock};
 use parking_lot::Mutex;
 
 use crate::anomaly::AnomalyDetector;
@@ -117,7 +117,7 @@ impl OpsPlane {
             clock,
             tracer,
             checks,
-            prev: Mutex::new(None),
+            prev: Mutex::ranked("ops sample", lock_order::OPS_SAMPLE, None),
             slo: Mutex::new(SloEngine::new(slos)),
             history: Chronicle::new(registry),
             detector,

@@ -121,7 +121,11 @@ impl FlightRecorder {
         FlightRecorder {
             capacity: capacity.max(1),
             incident_dir: incident_dir.into(),
-            state: Mutex::default(),
+            state: Mutex::ranked(
+                "ops recorder",
+                css_types::lock_order::OPS_RECORDER,
+                RecorderState::default(),
+            ),
             frames_recorded: registry.counter("blackbox.frames_recorded"),
             frames_dropped: registry.counter("blackbox.frames_dropped"),
             occupancy: registry.gauge("blackbox.ring_occupancy"),

@@ -13,16 +13,16 @@
 //! private (rustc refuses a free-form span attribute outside
 //! css-trace), and the request-path crates deny clippy's
 //! `unwrap_used` / `expect_used` / `panic` / `unreachable` outside
-//! tests. What needs a dataflow, a call graph or the manifest graph is
-//! held here, as named, gating rules over the whole workspace:
+//! tests. Lock order and storage writes under a lock are held by the lock
+//! shim itself (`compat/parking_lot`), which sees every acquisition in
+//! debug builds. What needs a dataflow, a call graph or the manifest
+//! graph is held here, as named, gating rules over the whole workspace:
 //!
 //! | rule                   | invariant                                            |
 //! |------------------------|------------------------------------------------------|
 //! | `detail-confinement`   | detail-payload types unnameable in controller/bus/registry |
 //! | `audit-before-release` | releases append an audit record, directly or via a same-crate callee |
 //! | `identity-taint`       | identity-derived values never flow into bus/health/telemetry sinks |
-//! | `lock-across-io`       | no lock guard held across unrelated storage writes   |
-//! | `shard-lock-order`     | shard locks nest only in ascending index order       |
 //! | `unchecked-backpressure` | pending-queue filings handle `CssError::Backpressure` |
 //! | `dom-free-read-path`   | at-rest records decoded from tokens or the gateway's record decoder, never via `css_xml::parse` |
 //! | `layering`             | crate dependencies point strictly down the stack     |
@@ -49,7 +49,6 @@ pub mod diag;
 pub mod engine;
 pub mod flow;
 pub mod json;
-pub mod locks;
 pub mod manifest;
 pub mod rules;
 pub mod scanner;

@@ -7,9 +7,9 @@
 
 use crate::callgraph::{Project, FILING_CALLS, RELEASE_CALLS};
 use crate::diag::{Finding, Severity};
+use crate::flow;
 use crate::manifest::Manifest;
-use crate::source::{matching_brace, FnBody, SourceFile};
-use crate::{flow, locks};
+use crate::source::{matching_brace, SourceFile};
 
 /// A named invariant check.
 pub trait Rule {
@@ -33,8 +33,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(DetailConfinement),
         Box::new(AuditBeforeRelease),
         Box::new(IdentityTaint),
-        Box::new(LockAcrossIo),
-        Box::new(ShardLockOrder),
         Box::new(UncheckedBackpressure),
         Box::new(DomFreeReadPath),
         Box::new(Layering),
@@ -207,208 +205,7 @@ impl Rule for IdentityTaint {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 4: lock-across-io
-// ---------------------------------------------------------------------------
-
-/// Holding a `parking_lot` guard across a storage-backend write stalls
-/// every thread contending that lock for the duration of the disk
-/// round-trip. Writes to the guarded resource itself are the point of
-/// the lock and stay allowed; flagged is a guard on X held while
-/// writing through some *other* path Y.
-pub struct LockAcrossIo;
-
-const GUARD_CALLS: &[&str] = &["lock", "read", "write"];
-const IO_CALLS: &[&str] = &[
-    "append",
-    "append_batch",
-    "persist",
-    "put",
-    "put_batch",
-    "save",
-    "save_all",
-    "sync",
-    "flush",
-    "write_all",
-];
-
-impl Rule for LockAcrossIo {
-    fn id(&self) -> &'static str {
-        "lock-across-io"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warn
-    }
-    fn description(&self) -> &'static str {
-        "a held lock guard should not span a storage write on an unrelated path"
-    }
-    fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {
-        for body in &file.fns {
-            if !file.is_prod(body.open) {
-                continue;
-            }
-            check_lock_across_io(self, file, body, out);
-        }
-    }
-}
-
-struct ActiveGuard {
-    name: String,
-    depth: usize,
-    line: u32,
-}
-
-fn check_lock_across_io(
-    rule: &LockAcrossIo,
-    file: &SourceFile,
-    body: &FnBody,
-    out: &mut Vec<Finding>,
-) {
-    let toks = &file.tokens;
-    let mut guards: Vec<ActiveGuard> = Vec::new();
-    let mut depth = 0usize;
-    let mut i = body.open;
-    while i <= body.close {
-        let t = &toks[i];
-        if t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct('}') {
-            depth = depth.saturating_sub(1);
-            guards.retain(|g| g.depth <= depth);
-        } else if t.is_ident("let") {
-            // `let [mut] NAME = ... .lock();` — a guard iff the statement
-            // *ends* with a guard-taking call (a temporary like
-            // `repo.lock().load_all()?` is dropped at the `;`).
-            let mut n = i + 1;
-            if toks.get(n).is_some_and(|t| t.is_ident("mut")) {
-                n += 1;
-            }
-            if let Some(name) = file.ident(n) {
-                // Find the end of the statement at paren depth 0.
-                let mut paren = 0isize;
-                let mut j = n + 1;
-                while j <= body.close {
-                    let tj = &toks[j];
-                    if tj.is_punct('(') {
-                        paren += 1;
-                    } else if tj.is_punct(')') {
-                        paren -= 1;
-                    } else if tj.is_punct(';') && paren <= 0 {
-                        break;
-                    } else if tj.is_punct('{') && paren == 0 {
-                        // A block expression initializer; too clever to
-                        // track — skip this statement.
-                        j = matching_brace(toks, j);
-                    }
-                    j += 1;
-                }
-                // Statement tail: `.` GUARD `(` `)` `;`
-                if j >= 4
-                    && toks.get(j).is_some_and(|t| t.is_punct(';'))
-                    && file.puncts(j - 2, "()")
-                    && toks
-                        .get(j - 3)
-                        .is_some_and(|t| GUARD_CALLS.iter().any(|g| t.is_ident(g)))
-                    && toks.get(j - 4).is_some_and(|t| t.is_punct('.'))
-                {
-                    guards.push(ActiveGuard {
-                        name: name.to_string(),
-                        depth,
-                        line: t.line,
-                    });
-                }
-                i = j;
-                continue;
-            }
-        } else if t.is_ident("drop") && toks.get(i + 1).is_some_and(|t| t.is_punct('(')) {
-            if let Some(name) = file.ident(i + 2) {
-                if toks.get(i + 3).is_some_and(|t| t.is_punct(')')) {
-                    guards.retain(|g| g.name != name);
-                }
-            }
-        } else if !guards.is_empty()
-            && t.is_punct('.')
-            && toks
-                .get(i + 1)
-                .is_some_and(|t| IO_CALLS.iter().any(|c| t.is_ident(c)))
-            && toks.get(i + 2).is_some_and(|t| t.is_punct('('))
-            && file.is_prod(i)
-        {
-            // Receiver chain root: walk back over `ident . ident ...`.
-            let root = chain_root(file, i);
-            let through_guard = root
-                .as_deref()
-                .is_some_and(|r| guards.iter().any(|g| g.name == r));
-            if !through_guard {
-                let guard = &guards[guards.len() - 1];
-                out.push(finding(
-                    rule.id(),
-                    rule.severity(),
-                    file,
-                    i + 1,
-                    format!(
-                        "storage write `.{}(..)` while lock guard `{}` (taken line {}) is held: \
-                         move the write out of the critical section or write through the guard",
-                        file.ident(i + 1).unwrap_or("?"),
-                        guard.name,
-                        guard.line
-                    ),
-                ));
-            }
-        }
-        i += 1;
-    }
-}
-
-/// The root identifier of a method-call chain ending at the `.` token
-/// `dot` (e.g. `self.audit.append(` → `self`; `markers.flush(` →
-/// `markers`). `None` when the chain starts with a call or index result.
-fn chain_root(file: &SourceFile, dot: usize) -> Option<String> {
-    let toks = &file.tokens;
-    let mut i = dot;
-    loop {
-        // Expect ident before the dot.
-        let prev = i.checked_sub(1)?;
-        let name = file.ident(prev)?;
-        if prev == 0 {
-            return Some(name.to_string());
-        }
-        if toks[prev - 1].is_punct('.') {
-            i = prev - 1;
-            continue;
-        }
-        return Some(name.to_string());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 5: shard-lock-order
-// ---------------------------------------------------------------------------
-
-/// The sharded data plane (PR 7) is deadlock-free because every
-/// cross-shard path acquires one guard at a time or walks indices in
-/// ascending order. This rule pins that argument mechanically; the
-/// acquisition tracker lives in [`crate::locks`].
-pub struct ShardLockOrder;
-
-impl Rule for ShardLockOrder {
-    fn id(&self) -> &'static str {
-        "shard-lock-order"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn description(&self) -> &'static str {
-        "a held shard guard must not acquire another shard's lock except in ascending index order"
-    }
-    fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {
-        for body in &file.fns {
-            locks::check_fn(file, body, self.id(), out);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 6: unchecked-backpressure
+// Rule 4: unchecked-backpressure
 // ---------------------------------------------------------------------------
 
 /// The pending-access queue is bounded (PR 7): `PendingQueue::file` and
@@ -468,7 +265,7 @@ impl Rule for UncheckedBackpressure {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 7: dom-free-read-path
+// Rule 5: dom-free-read-path
 // ---------------------------------------------------------------------------
 
 /// The audit log and the events index are decoded from the token stream
@@ -538,7 +335,7 @@ impl Rule for DomFreeReadPath {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 8: layering
+// Rule 6: layering
 // ---------------------------------------------------------------------------
 
 /// The crate DAG is the privacy architecture: types at the bottom,

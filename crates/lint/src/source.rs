@@ -114,11 +114,6 @@ pub fn matching_paren(tokens: &[Token], open: usize) -> usize {
     matching_delim(tokens, open, '(', ')')
 }
 
-/// Find the token index of the `]` matching the `[` at `open`.
-pub fn matching_bracket(tokens: &[Token], open: usize) -> usize {
-    matching_delim(tokens, open, '[', ']')
-}
-
 fn matching_delim(tokens: &[Token], open: usize, oc: char, cc: char) -> usize {
     let mut depth = 0usize;
     for (i, t) in tokens.iter().enumerate().skip(open) {

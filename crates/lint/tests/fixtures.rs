@@ -216,30 +216,11 @@ fn test_role_files_are_exempt_from_file_rules() {
         ("css-bus", "detail_confinement/fire.rs"),
         ("css-controller", "audit_release/fire.rs"),
         ("css-storage", "dom_free/fire.rs"),
-        ("css-storage", "lock_across_io/fire.rs"),
     ] {
         let src = fixture(name);
         let hits = lint_file_source(krate, name, FileRole::Test, &src);
         assert!(hits.is_empty(), "{name} fired with Test role: {hits:#?}");
     }
-}
-
-#[test]
-fn lock_across_io_fires_and_clean_passes() {
-    let hits = fire("css-storage", "lock_across_io/fire.rs", "lock-across-io");
-    assert_eq!(hits.len(), 2, "global + per-shard guard: {hits:#?}");
-    assert_eq!(hits[0].severity, Severity::Warn);
-    assert!(
-        hits[0].message.contains("index"),
-        "names the guard: {hits:#?}"
-    );
-    assert!(
-        hits[1].message.contains("`shard`"),
-        "names the per-shard guard: {hits:#?}"
-    );
-
-    let clean = fire("css-storage", "lock_across_io/clean.rs", "lock-across-io");
-    assert!(clean.is_empty(), "allowed shapes flagged: {clean:#?}");
 }
 
 #[test]
@@ -440,50 +421,6 @@ fn identity_taint_waiver_moves_finding_to_waived() {
 }
 
 #[test]
-fn shard_lock_order_fires_and_clean_passes() {
-    let hits = fire(
-        "css-controller",
-        "shard_lock_order/fire.rs",
-        "shard-lock-order",
-    );
-    assert_eq!(hits.len(), 2, "descending + same-index: {hits:#?}");
-    assert!(hits.iter().all(|f| f.severity == Severity::Error));
-    assert!(
-        hits[0].message.contains("descending") || hits[0].message.contains("order"),
-        "{hits:#?}"
-    );
-
-    let clean = fire(
-        "css-controller",
-        "shard_lock_order/clean.rs",
-        "shard-lock-order",
-    );
-    assert!(clean.is_empty(), "allowed shapes flagged: {clean:#?}");
-}
-
-#[test]
-fn shard_lock_order_waiver_moves_finding_to_waived() {
-    let src = fixture("shard_lock_order/waived.rs");
-    let all = lint_file_source(
-        "css-controller",
-        "shard_lock_order/waived.rs",
-        FileRole::Production,
-        &src,
-    );
-    let (waived, active): (Vec<_>, Vec<_>) = all.into_iter().partition(|f| f.is_waived());
-    assert!(
-        active.iter().all(|f| f.rule != "shard-lock-order"),
-        "{active:#?}"
-    );
-    assert_eq!(waived.len(), 1, "{waived:#?}");
-    assert!(waived[0]
-        .waive_reason
-        .as_deref()
-        .unwrap_or("")
-        .contains("quiesce"));
-}
-
-#[test]
 fn unchecked_backpressure_fires_and_clean_passes() {
     let hits = fire("css-core", "backpressure/fire.rs", "unchecked-backpressure");
     assert_eq!(hits.len(), 2, "swallowed + unhandled-caller: {hits:#?}");
@@ -541,7 +478,6 @@ fn audit_before_release_is_call_graph_transitive() {
 fn new_rule_fire_fixtures_are_exempt_in_test_role() {
     for (krate, name) in [
         ("css-controller", "identity_taint/fire.rs"),
-        ("css-controller", "shard_lock_order/fire.rs"),
         ("css-core", "backpressure/fire.rs"),
         ("css-controller", "audit_release/transitive.rs"),
     ] {

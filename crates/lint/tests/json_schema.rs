@@ -47,14 +47,12 @@ fn json_has_versioned_envelope_and_summary() {
 }
 
 #[test]
-fn json_lists_all_eight_rules_with_severities() {
+fn json_lists_all_six_rules_with_severities() {
     let json = render_json(&Report::default());
     for rule in [
         "detail-confinement",
         "audit-before-release",
         "identity-taint",
-        "lock-across-io",
-        "shard-lock-order",
         "unchecked-backpressure",
         "dom-free-read-path",
         "layering",
@@ -64,11 +62,9 @@ fn json_lists_all_eight_rules_with_severities() {
             "missing {rule}"
         );
     }
-    assert_eq!(json.matches("\"id\":").count(), 8);
-    assert!(json.contains("\"id\":\"lock-across-io\",\"severity\":\"warn\""));
+    assert_eq!(json.matches("\"id\":").count(), 6);
     assert!(json.contains("\"id\":\"unchecked-backpressure\",\"severity\":\"warn\""));
     assert!(json.contains("\"id\":\"identity-taint\",\"severity\":\"error\""));
-    assert!(json.contains("\"id\":\"shard-lock-order\",\"severity\":\"error\""));
     assert!(json.contains("\"id\":\"layering\",\"severity\":\"error\""));
 }
 
@@ -119,15 +115,13 @@ fn timing_is_absent_by_default_and_rendered_when_set() {
     assert!(parse_json(&json).is_some());
 }
 
-/// The eight rule entries as the `escape` + `format!` writer this crate
+/// The six rule entries as the `escape` + `format!` writer this crate
 /// had before `JsonBuf` rendered them (PR 22's binary, run on this
-/// report; its three retired rules' entries taken out).
-const RULES_BY_THE_OLD_WRITER: [&str; 8] = [
+/// report; its five retired rules' entries taken out).
+const RULES_BY_THE_OLD_WRITER: [&str; 6] = [
     r#"{"id":"detail-confinement","severity":"error","description":"detail-payload types must not appear in controller/bus/registry/health non-test code"}"#,
     r#"{"id":"audit-before-release","severity":"error","description":"functions releasing notification identities (decrypt, the one-visit detail lookup, a subject's profile) or gateway details must append an audit record (directly or via a same-crate callee)"}"#,
     r#"{"id":"identity-taint","severity":"error","description":"identity-derived values (fields, decrypted notifications, the one-visit detail lookup) must not reach span attrs, metric names, bus publishes, or ops responses"}"#,
-    r#"{"id":"lock-across-io","severity":"warn","description":"a held lock guard should not span a storage write on an unrelated path"}"#,
-    r#"{"id":"shard-lock-order","severity":"error","description":"a held shard guard must not acquire another shard's lock except in ascending index order"}"#,
     r#"{"id":"unchecked-backpressure","severity":"warn","description":"pending-queue filings must handle or propagate `CssError::Backpressure`"}"#,
     r#"{"id":"dom-free-read-path","severity":"error","description":"gateway/audit/controller/storage production code decodes stored records from tokens (`css_xml::Stored`) or, for the gateway's detail records, directly (`css_event::StoredDetail`), never via `css_xml::parse`"}"#,
     r#"{"id":"layering","severity":"error","description":"crate dependencies must point strictly down the layer stack; compat shims depend on nothing"}"#,

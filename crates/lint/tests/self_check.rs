@@ -41,7 +41,7 @@ fn live_workspace_has_no_lint_errors() {
 /// express is held there instead (DESIGN §9 says which, and by what
 /// proof), so a rule joining or leaving this list is a decision.
 #[test]
-fn the_eight_rules_by_name() {
+fn the_six_rules_by_name() {
     let ids: Vec<_> = all_rules().iter().map(|r| r.id()).collect();
     assert_eq!(
         ids,
@@ -49,8 +49,6 @@ fn the_eight_rules_by_name() {
             "detail-confinement",
             "audit-before-release",
             "identity-taint",
-            "lock-across-io",
-            "shard-lock-order",
             "unchecked-backpressure",
             "dom-free-read-path",
             "layering",

@@ -709,7 +709,11 @@ mod cache_tests {
 
         // Readers evaluate through a shared lock while the writer
         // revokes; after the revocation no reader may observe a permit.
-        let pdp = Arc::new(RwLock::new(PolicyDecisionPoint::new()));
+        let pdp = Arc::new(RwLock::ranked(
+            "pdp",
+            css_types::lock_order::PDP,
+            PolicyDecisionPoint::new(),
+        ));
         pdp.write().install(policy(1));
         let actors = Arc::new(registry());
         let revoked = Arc::new(AtomicBool::new(false));

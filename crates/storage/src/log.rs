@@ -46,12 +46,34 @@ impl<B: LogBackend> RecordLog<B> {
     /// dropping acknowledged records would violate durability. An error
     /// from `visit` stops the pass and is the pass's error.
     pub fn recover(
-        mut backend: B,
+        backend: B,
         visit: impl FnMut(RecordPtr, &[u8]) -> CssResult<()>,
     ) -> CssResult<(Self, u64)> {
+        Self::recover_anchored(backend, 0, visit)
+    }
+
+    /// [`RecordLog::recover`] over a log whose first `anchored` records
+    /// were acknowledged: each of them must be whole, so only bytes
+    /// beyond them count as a torn tail. A log holding fewer whole
+    /// records is an error, and nothing is truncated.
+    pub fn recover_anchored(
+        mut backend: B,
+        anchored: u64,
+        mut visit: impl FnMut(RecordPtr, &[u8]) -> CssResult<()>,
+    ) -> CssResult<(Self, u64)> {
         let total = backend.len();
-        let intact = walk(&backend, visit)?;
+        let mut whole = 0;
+        let intact = walk(&backend, |ptr, payload| {
+            whole += 1;
+            visit(ptr, payload)
+        })?;
+        if whole < anchored {
+            return Err(CssError::Storage(format!(
+                "{whole} whole records where {anchored} were acknowledged (offset {intact})"
+            )));
+        }
         if intact < total {
+            parking_lot::assert_write_guarded(&backend);
             backend.truncate(intact)?;
         }
         Ok((RecordLog::new(backend), total - intact))
@@ -74,7 +96,9 @@ impl<B: LogBackend> RecordLog<B> {
     }
 
     /// Append a record, returning its pointer.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn append(&mut self, payload: &[u8]) -> CssResult<RecordPtr> {
+        parking_lot::assert_write_guarded(self);
         self.frames.clear();
         frame_into(&mut self.frames, payload);
         let offset = self.backend.append(&self.frames)?;
@@ -91,7 +115,9 @@ impl<B: LogBackend> RecordLog<B> {
     /// [`RecordLog::append`] calls, so recovery replays a batched log
     /// exactly like a per-record one; a crash mid-batch leaves a torn
     /// tail that truncates back to the last complete record.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn append_batch(&mut self, payloads: &[&[u8]]) -> CssResult<Vec<RecordPtr>> {
+        parking_lot::assert_write_guarded(self);
         if payloads.is_empty() {
             return Ok(Vec::new());
         }
@@ -138,7 +164,9 @@ impl<B: LogBackend> RecordLog<B> {
     }
 
     /// Flush to stable storage.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn sync(&mut self) -> CssResult<()> {
+        parking_lot::assert_write_guarded(self);
         self.backend.sync()
     }
 
@@ -523,6 +551,79 @@ mod tests {
         assert_eq!(records.len(), 3); // before, batch-a, batch-b
         assert!(truncated > 0);
         assert_eq!(log.read_sized(records[2], 7).unwrap(), b"batch-b");
+    }
+
+    /// Debug builds check every write against the locks the thread
+    /// holds: through the guard of the value holding the log it passes,
+    /// under any other guard it panics.
+    #[cfg(debug_assertions)]
+    mod write_discipline {
+        use super::*;
+        use parking_lot::Mutex;
+
+        fn shard(class: &'static str, rank: u32) -> Mutex<RecordLog<MemBackend>> {
+            Mutex::ranked(class, rank, RecordLog::new(MemBackend::new()))
+        }
+
+        #[test]
+        fn a_write_through_the_guard_passes() {
+            let audit = shard("audit shard", 70);
+            let mut log = audit.lock();
+            log.append(b"one").unwrap();
+            log.append_batch(&[b"two", b"three"]).unwrap();
+            log.sync().unwrap();
+            drop(log);
+            // And with nothing held at all.
+            let mut free = RecordLog::new(MemBackend::new());
+            free.append(b"free").unwrap();
+        }
+
+        #[test]
+        #[should_panic(expected = "is held, taken at")]
+        fn a_write_under_a_foreign_guard_panics() {
+            let registry = Mutex::new(0u64);
+            let mut log = RecordLog::new(MemBackend::new());
+            let _held = registry.lock();
+            log.append(b"under another lock").unwrap();
+        }
+
+        #[test]
+        #[should_panic(expected = "`index shard` (rank 50) is held")]
+        fn a_write_under_a_guard_of_another_shard_plane_panics() {
+            let index = shard("index shard", 50);
+            let audit = shard("audit shard", 70);
+            let _index = index.lock();
+            audit.lock().append(b"audit under an index shard").unwrap();
+        }
+    }
+
+    #[test]
+    fn anchored_records_are_no_torn_tail() {
+        let mut log = RecordLog::new(MemBackend::new());
+        log.append_batch(&[b"one", b"two", b"three"]).unwrap();
+        let bytes = log.into_backend().read_at(0, 3 * HEADER_LEN + 11).unwrap();
+        let backend = |bytes: &[u8]| {
+            let mut backend = MemBackend::new();
+            backend.append(bytes).unwrap();
+            backend
+        };
+        let recovered = |bytes: &[u8], anchored| {
+            RecordLog::recover_anchored(backend(bytes), anchored, |_, _| Ok(()))
+                .map(|(log, torn)| (log.byte_len(), torn))
+        };
+        // The last record's checksum fails: forgiven beyond the anchor ...
+        let mut flipped = bytes.clone();
+        *flipped.last_mut().unwrap() ^= 0x01;
+        assert_eq!(
+            recovered(&flipped, 2).unwrap(),
+            (2 * HEADER_LEN as u64 + 6, 14)
+        );
+        // ... refused within it, cut short or cut off alike, and the
+        // bytes are left as they were.
+        assert!(recovered(&flipped, 3).is_err());
+        assert!(recovered(&bytes[..bytes.len() - 2], 3).is_err());
+        assert!(recovered(&bytes[..2 * HEADER_LEN + 6], 3).is_err());
+        assert_eq!(recovered(&bytes, 3).unwrap(), (bytes.len() as u64, 0));
     }
 
     #[test]

@@ -16,6 +16,7 @@
 pub mod actor;
 pub mod error;
 pub mod id;
+pub mod lock_order;
 pub mod person;
 pub mod purpose;
 pub mod time;

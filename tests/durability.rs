@@ -102,30 +102,126 @@ fn platform_survives_full_restart_cycle() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The shard counts every audit-plane durability case runs at, whatever
+/// the host's core count.
+const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
+
+/// A deployment directory of `shards` audit shards whose every record
+/// was acknowledged: twelve joined organisations, one record each. Its
+/// non-empty audit shard files, and the audit head it closed with.
+fn acknowledged_audit(tag: &str, shards: usize) -> (std::path::PathBuf, Vec<String>, [u8; 32]) {
+    let dir = temp_dir(&format!("{tag}-{shards}"));
+    let platform = joined_platform(&dir, Some(shards), 12).unwrap();
+    let head = platform.controller().audit_head();
+    drop(platform);
+    let files = (0..shards)
+        .map(|i| match i {
+            0 => "audit.log".to_string(),
+            i => format!("audit-{i}.log"),
+        })
+        .filter(|name| std::fs::metadata(dir.join(name)).unwrap().len() > 0)
+        .collect();
+    (dir, files, head)
+}
+
+/// Where each frame of a record log starts (magic, length, CRC, payload).
+fn frame_starts(bytes: &[u8]) -> Vec<usize> {
+    let mut starts = Vec::new();
+    let mut at = 0;
+    while at < bytes.len() {
+        starts.push(at);
+        at += 9 + u32::from_le_bytes(bytes[at + 1..at + 5].try_into().unwrap()) as usize;
+    }
+    starts
+}
+
+/// A flipped byte in any acknowledged record — the first of a shard
+/// file, or its last, which is where a torn write would end — fails the
+/// reopen, at every shard count.
 #[test]
 fn audit_tampering_detected_on_reload() {
-    let dir = temp_dir("audit");
-    let clock = SimClock::starting_at(Timestamp(1_000));
-    {
-        let mut platform = CssPlatform::on_disk(&dir, Arc::new(clock.clone())).unwrap();
-        let org = platform.register_organization("Org").unwrap();
-        let org2 = platform.register_organization("Org2").unwrap();
-        platform.join(org, Role::Consumer).unwrap();
-        platform.join(org2, Role::Consumer).unwrap();
+    for shards in SHARD_COUNTS {
+        let (dir, files, _) = acknowledged_audit("audit", shards);
+        assert!(!files.is_empty());
+        for file in &files {
+            let path = dir.join(file);
+            let bytes = std::fs::read(&path).unwrap();
+            for at in [9 + 2, bytes.len() - 1] {
+                let mut tampered = bytes.clone();
+                tampered[at] ^= 0x01;
+                std::fs::write(&path, &tampered).unwrap();
+                let result = joined_platform(&dir, None, 0);
+                assert!(
+                    result.is_err(),
+                    "{shards} shards: tampered {file} at {at} must not load"
+                );
+                std::fs::write(&path, &bytes).unwrap();
+            }
+        }
+        let reopened = joined_platform(&dir, None, 0).unwrap();
+        assert_eq!(reopened.controller().audit_len(), 12);
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    // Flip one byte inside the FIRST audit record's payload: the first
-    // frame of shard 0 starts the file, its payload 9 bytes in (magic,
-    // length, CRC). (A flipped final record is indistinguishable from a
-    // torn tail and is dropped by design; anything earlier must fail
-    // loudly.)
-    let audit_path = dir.join("audit.log");
-    let mut bytes = std::fs::read(&audit_path).unwrap();
-    bytes[9 + 2] ^= 0x01;
-    std::fs::write(&audit_path, &bytes).unwrap();
-    // Reload must fail: either the CRC catches it or the hash chain does.
-    let result = CssPlatform::on_disk(&dir, Arc::new(clock));
-    assert!(result.is_err(), "tampered audit log must not load");
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An acknowledged record cut off the end of a shard file is a lost
+/// record, not a torn tail: the reopen fails.
+#[test]
+fn an_acknowledged_record_cut_off_fails_the_reopen() {
+    for shards in SHARD_COUNTS {
+        let (dir, files, _) = acknowledged_audit("cut-off", shards);
+        let path = dir.join(&files[files.len() - 1]);
+        let bytes = std::fs::read(&path).unwrap();
+        let last = *frame_starts(&bytes).last().unwrap();
+        std::fs::write(&path, &bytes[..last]).unwrap();
+        assert!(
+            joined_platform(&dir, None, 0).is_err(),
+            "{shards} shards: a lost record must not load"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// An append beyond the last mark, cut mid-frame by a crash, is a torn
+/// tail: the reopen truncates it and keeps every acknowledged record.
+#[test]
+fn a_torn_append_beyond_the_mark_is_truncated() {
+    for shards in SHARD_COUNTS {
+        let (dir, files, head) = acknowledged_audit("torn-append", shards);
+        let path = dir.join(&files[0]);
+        let bytes = std::fs::read(&path).unwrap();
+        let first = frame_starts(&bytes).get(1).copied().unwrap_or(bytes.len());
+        let mut torn = bytes.clone();
+        torn.extend_from_slice(&bytes[..first / 2]);
+        std::fs::write(&path, &torn).unwrap();
+        let reopened = joined_platform(&dir, None, 0).unwrap();
+        assert_eq!(reopened.controller().audit_len(), 12, "{shards} shards");
+        assert_eq!(reopened.controller().audit_head(), head, "{shards} shards");
+        reopened.verify_audit().unwrap();
+        drop(reopened);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "{shards} shards");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A torn final anchor record reopens: the mark before it is behind the
+/// data, and the data beyond it is whole.
+#[test]
+fn a_torn_final_anchor_record_reopens() {
+    for shards in SHARD_COUNTS {
+        let (dir, _, head) = acknowledged_audit("torn-anchor", shards);
+        let path = dir.join("audit-anchor.log");
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
+        let reopened = joined_platform(&dir, None, 0).unwrap();
+        assert_eq!(reopened.controller().audit_len(), 12, "{shards} shards");
+        assert_eq!(reopened.controller().audit_head(), head, "{shards} shards");
+        reopened.verify_audit().unwrap();
+        drop(reopened);
+        // The reopen marked that shard again, with the mark it lost.
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "{shards} shards");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
@@ -264,75 +360,63 @@ fn joined_platform(
 /// The shard count of an existing deployment is a property of its data:
 /// asking for fewer shards than were written fails the build instead of
 /// loading a quarter of the audit log and verifying it; not asking
-/// adopts the written count whatever the host's core count; growing
-/// keeps every record. Holds with the count recorded (`shards.log`) and
-/// for data older than the record (the log removed).
+/// adopts the written count (`shards.log`) whatever the host's core
+/// count; growing keeps every record; and data without the record is
+/// refused, naming it.
 #[test]
 fn shard_count_follows_the_data() {
-    for recorded in [true, false] {
-        let dir = temp_dir(if recorded { "shards" } else { "shards-legacy" });
-        let forget_record = || {
-            if !recorded {
-                std::fs::remove_file(dir.join("shards.log")).unwrap();
-            }
-        };
-        let written = joined_platform(&dir, Some(4), 16).unwrap();
-        assert_eq!(written.controller().audit_len(), 16);
-        let head = written.controller().audit_head();
-        drop(written);
-        forget_record();
+    let dir = temp_dir("shards");
+    let written = joined_platform(&dir, Some(4), 16).unwrap();
+    assert_eq!(written.controller().audit_len(), 16);
+    let head = written.controller().audit_head();
+    drop(written);
 
-        // 4 → 1: refused, naming both numbers.
-        match joined_platform(&dir, Some(1), 0).map(|_| ()) {
-            Err(CssError::Invalid(msg)) => {
-                assert!(msg.contains('1') && msg.contains('4'), "{msg}")
-            }
-            other => panic!("4 → 1 must be refused, got {other:?}"),
+    // 4 → 1: refused, naming both numbers.
+    match joined_platform(&dir, Some(1), 0).map(|_| ()) {
+        Err(CssError::Invalid(msg)) => {
+            assert!(msg.contains('1') && msg.contains('4'), "{msg}")
         }
-        forget_record();
-
-        // 4 → default: the written count is adopted.
-        let adopted = joined_platform(&dir, None, 0).unwrap();
-        assert_eq!(adopted.shard_count(), 4);
-        assert_eq!(adopted.controller().audit_len(), 16);
-        assert_eq!(adopted.controller().audit_head(), head);
-        adopted.verify_audit().unwrap();
-        drop(adopted);
-        forget_record();
-
-        // 4 → 6: growing serves every record through the wider plane.
-        let grown = joined_platform(&dir, Some(6), 0).unwrap();
-        assert_eq!(grown.shard_count(), 6);
-        assert_eq!(grown.controller().audit_len(), 16);
-        grown.verify_audit().unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
+        other => panic!("4 → 1 must be refused, got {other:?}"),
     }
 
-    // Data older than the record, lightly filled: routing by hash leaves
-    // empty shards between full ones, and counting must not stop at them.
-    for orgs in [1, 3, 6] {
-        let dir = temp_dir(&format!("shards-sparse-{orgs}"));
-        let written = joined_platform(&dir, Some(8), orgs).unwrap();
-        let lens = written.controller().audit_shard_lens();
-        let top = lens.iter().rposition(|&len| len > 0).unwrap() + 1;
-        assert!(
-            lens[..top].contains(&0),
-            "no hole below the top shard: {lens:?}"
-        );
-        drop(written);
-        std::fs::remove_file(dir.join("shards.log")).unwrap();
-        match joined_platform(&dir, Some(1), 0) {
-            Err(CssError::Invalid(msg)) => assert!(msg.contains(&top.to_string()), "{msg}"),
-            Ok(all) if top == 1 => assert_eq!(all.controller().audit_len(), orgs),
-            other => panic!("8 → 1 must be refused, got {:?}", other.map(|_| ())),
-        }
-        std::fs::remove_file(dir.join("shards.log")).unwrap();
-        let adopted = joined_platform(&dir, None, 0).unwrap();
-        assert_eq!(adopted.shard_count(), top);
-        assert_eq!(adopted.controller().audit_len(), orgs);
-        adopted.verify_audit().unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
+    // 4 → default: the written count is adopted.
+    let adopted = joined_platform(&dir, None, 0).unwrap();
+    assert_eq!(adopted.shard_count(), 4);
+    assert_eq!(adopted.controller().audit_len(), 16);
+    assert_eq!(adopted.controller().audit_head(), head);
+    adopted.verify_audit().unwrap();
+    drop(adopted);
+
+    // 4 → 6: growing serves every record through the wider plane.
+    let grown = joined_platform(&dir, Some(6), 0).unwrap();
+    assert_eq!(grown.shard_count(), 6);
+    assert_eq!(grown.controller().audit_len(), 16);
+    grown.verify_audit().unwrap();
+    drop(grown);
+
+    // Without the record the count is unknown: refused, not guessed.
+    std::fs::remove_file(dir.join("shards.log")).unwrap();
+    match joined_platform(&dir, None, 0).map(|_| ()) {
+        Err(CssError::Storage(msg)) => assert!(msg.contains("shards.log"), "{msg}"),
+        other => panic!("data without a shard record must be refused, got {other:?}"),
     }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A directory written before the anchor and the record, lightly
+    // filled: routing by hash leaves shard 0 empty below full shards, and
+    // the data there is refused too, not taken for a fresh directory.
+    let dir = temp_dir("shards-sparse");
+    let written = joined_platform(&dir, Some(8), 1).unwrap();
+    assert_eq!(written.controller().audit_shard_lens()[0], 0);
+    drop(written);
+    for record in ["shards.log", "audit-anchor.log"] {
+        std::fs::remove_file(dir.join(record)).unwrap();
+    }
+    match joined_platform(&dir, None, 0).map(|_| ()) {
+        Err(CssError::Storage(msg)) => assert!(msg.contains("shards.log"), "{msg}"),
+        other => panic!("sparse data without a shard record must be refused, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 
     // n → default adopts n on any host (2 is this container's core
     // count, 5 is not).
@@ -568,7 +652,7 @@ const FIXTURE_HEAD_1: &str = "e6eea79715dcaffa72ef1d660b2fa60d8abeab9d066182692a
 const FIXTURE_HEAD_2: &str = "fdc560314b8eb3c98b4d8ec5ea6628e2cafb10f1567a698b531eea79e891aa72";
 
 /// The same for the binary audit and index form, written since
-/// revocation reaches the routing table: `at-rest-3` and `at-rest-4`,
+/// revocation reaches the routing table: `at-rest-3`, `at-rest-4` and `at-rest-5`,
 /// whose audit, index and policy files are alike (they differ in the
 /// gateway's).
 const BINARY_AUDIT_LEN: usize = 29;
@@ -577,9 +661,9 @@ const BINARY_HEAD_2: &str = "dc20d11d4d1ba7bb7a88960164e823a024b4a90e29bc4226049
 
 /// The committed fixtures of the sequence at `shards` shards, oldest
 /// first: each fixture's name, audit length and head, and the prefixes
-/// of the files written differently since (their bytes are not
-/// compared; everything else is, byte for byte).
-fn fixtures_at(shards: usize) -> [(String, usize, &'static str, &'static [&'static str]); 3] {
+/// of the files written differently — or first — since (their bytes are
+/// not compared; everything else is, byte for byte).
+fn fixtures_at(shards: usize) -> [(String, usize, &'static str, &'static [&'static str]); 4] {
     let (xml_head, head) = match shards {
         1 => (FIXTURE_HEAD_1, BINARY_HEAD_1),
         _ => (FIXTURE_HEAD_2, BINARY_HEAD_2),
@@ -597,11 +681,18 @@ fn fixtures_at(shards: usize) -> [(String, usize, &'static str, &'static [&'stat
             format!("at-rest-3/shards-{shards}"),
             BINARY_AUDIT_LEN,
             head,
-            &["gateway-"],
+            &["gateway-", "audit-anchor"],
         ),
-        // Binary audit and index, gateway records: what is written now.
+        // Binary audit and index, gateway records.
         (
             format!("at-rest-4/shards-{shards}"),
+            BINARY_AUDIT_LEN,
+            head,
+            &["audit-anchor"],
+        ),
+        // The same, anchored: what is written now.
+        (
+            format!("at-rest-5/shards-{shards}"),
             BINARY_AUDIT_LEN,
             head,
             &[],
@@ -654,9 +745,15 @@ fn reopen(dir: &std::path::Path) -> CssPlatform<css::core::DirProvider> {
 ///   audit and index payloads and XML gateway documents. Today's code
 ///   must read them to the same state and write every byte of them again
 ///   but the gateway's.
-/// - `tests/fixtures/at-rest-4/shards-{1,2}` are what it writes now:
-///   the gateway stores records too. Today's code must read them to the
-///   same state and write every byte of them again.
+/// - `tests/fixtures/at-rest-4/shards-{1,2}` were written with gateway
+///   records too, and no audit anchor. Today's code must read them to
+///   the same state and write every byte of them again.
+/// - `tests/fixtures/at-rest-5/shards-{1,2}` are what it writes now: the
+///   same, and the audit anchor beside them. Today's code must read them
+///   to the same state and write every byte of them again.
+///
+/// A fixture without an anchor is anchored at its first open, in the
+/// copy the test opens.
 ///
 /// `cargo test --test durability -- --ignored --nocapture
 /// write_the_at_rest_fixture` writes the current form into `target/`
@@ -665,7 +762,7 @@ fn reopen(dir: &std::path::Path) -> CssPlatform<css::core::DirProvider> {
 fn at_rest_bytes_match_the_committed_fixture() {
     for shards in [1, 2] {
         let fixtures = fixtures_at(shards);
-        let (_, current_len, current_head, _) = &fixtures[2];
+        let (_, current_len, current_head, _) = &fixtures[3];
         let fresh = temp_dir(&format!("fixture-fresh-{shards}"));
         let written = drive_fixed_sequence(&fresh, shards);
         assert_eq!(written.controller().audit_len(), *current_len);
@@ -697,11 +794,14 @@ fn at_rest_bytes_match_the_committed_fixture() {
 
             // Writing: the same sequence writes the same bytes — all of
             // them, or what was not rewritten since.
-            assert_eq!(
-                actual.keys().collect::<Vec<_>>(),
-                expected.keys().collect::<Vec<_>>(),
-                "{name}"
-            );
+            let compared = |files: &std::collections::BTreeMap<String, Vec<u8>>| {
+                files
+                    .keys()
+                    .filter(|file| !rewritten.iter().any(|p| file.starts_with(p)))
+                    .cloned()
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(compared(&actual), compared(&expected), "{name}");
             for (file, bytes) in &expected {
                 if rewritten.iter().any(|p| file.starts_with(p)) {
                     continue;
@@ -886,7 +986,7 @@ fn a_legacy_gateway_takes_record_appends_and_answers_from_both() {
 /// Not a check: writes [`drive_fixed_sequence`] at 1 and 2 shards into
 /// `target/at-rest-fixture/shards-{1,2}`, keeping only the files a
 /// fixture holds, and prints where. After a deliberate format change,
-/// copy them over `tests/fixtures/at-rest-4/` (keeping the fixture
+/// add them as the next `tests/fixtures/at-rest-N/` (keeping the fixture
 /// before as a legacy one) and update the pinned lengths and heads
 /// above.
 #[test]
