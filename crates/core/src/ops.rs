@@ -4,25 +4,23 @@
 //!
 //! The plane itself — the tick, the stores, the server — is
 //! `css-health`'s; this module keeps what is the platform's to decide:
-//! thresholds, the default checks and SLOs, the storage probe, the
-//! `/monitor` body and the snapshot source.
+//! thresholds, the default checks and SLOs, the storage probe and the
+//! snapshot source.
 //!
 //! Everything served is an aggregate — counters, gauges, histogram
-//! buckets, span timings, KPI totals. What is handed to
-//! [`css_health::OpsPlane`] is built exclusively from the platform's
-//! telemetry registry and the privacy-safe read models (trace spans,
-//! process KPIs); event payloads and decrypted identifiers are not
-//! reachable from here, and `css-lint`'s detail-confinement rule keeps
-//! it that way.
+//! buckets, span timings. What is handed to [`css_health::OpsPlane`]
+//! is built exclusively from the platform's telemetry registry and its
+//! trace spans; event payloads, decrypted identifiers and citizens'
+//! care processes are not reachable from here, and `css-lint`'s
+//! detail-confinement rule keeps it that way.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
 use css_health::{Check, HealthStatus, OpsHandle, OpsPlane, OpsServer, Sampler, Slo};
-use css_monitor::{Kpis, ProcessMonitor};
 use css_storage::LogBackend;
-use css_telemetry::{JsonBuf, MetricsRegistry};
+use css_telemetry::MetricsRegistry;
 use css_trace::Tracer;
 use css_types::{Clock, CssResult, Timestamp};
 use parking_lot::Mutex;
@@ -77,7 +75,6 @@ const DEFAULT_INCIDENT_DIR: &str = "target/incidents";
 pub(crate) struct OpsConfig {
     pub addr: String,
     pub interval: StdDuration,
-    pub monitor: Option<Arc<Mutex<ProcessMonitor>>>,
     /// Incident bundle directory (default `target/incidents`).
     pub incident_dir: Option<PathBuf>,
     /// When the platform was built (uptime zero point).
@@ -175,24 +172,6 @@ fn default_slos() -> Vec<Slo> {
     ]
 }
 
-/// `GET /monitor` body: the PRM's aggregate KPIs.
-fn kpis_json(kpis: &Kpis) -> String {
-    let mut j = JsonBuf::new();
-    j.begin_object();
-    j.key("total").u64(kpis.total as u64);
-    j.key("running").u64(kpis.running as u64);
-    j.key("completed").u64(kpis.completed as u64);
-    j.key("deadline_violations")
-        .u64(kpis.deadline_violations as u64);
-    j.key("regressions").u64(kpis.regressions as u64);
-    j.key("mean_completion_ms")
-        .u64(kpis.mean_completion.as_millis());
-    j.key("unmatched_events").u64(kpis.unmatched_events);
-    j.key("completion_rate").f64(kpis.completion_rate());
-    j.end_object();
-    j.finish()
-}
-
 /// Assemble and start the ops plane: hand `css-health` the platform's
 /// checks, SLOs and snapshot source, bind the server, spawn the
 /// sampler. Dropping the pair (with the platform) stops the sampler and
@@ -218,7 +197,7 @@ pub(crate) fn start_ops<P: BackendProvider>(
             registry.snapshot()
         }
     };
-    let mut plane = OpsPlane::new(
+    let plane = Arc::new(OpsPlane::new(
         source,
         clock.clone(),
         tracer.clone(),
@@ -228,11 +207,7 @@ pub(crate) fn start_ops<P: BackendProvider>(
         config
             .incident_dir
             .unwrap_or_else(|| PathBuf::from(DEFAULT_INCIDENT_DIR)),
-    );
-    if let Some(monitor) = config.monitor {
-        plane = plane.with_monitor(move || kpis_json(&monitor.lock().kpis()));
-    }
-    let plane = Arc::new(plane);
+    ));
     let handle = OpsServer::bind(config.addr.as_str(), plane.clone())?;
     Ok((handle, Sampler::spawn(plane, config.interval)))
 }
@@ -249,22 +224,5 @@ mod tests {
             assert_eq!(storage_probe(&mut backend), HealthStatus::Healthy);
         }
         assert!(backend.is_empty(), "probe must truncate its marker away");
-    }
-
-    #[test]
-    fn kpis_json_is_well_formed() {
-        let kpis = Kpis {
-            total: 4,
-            running: 1,
-            completed: 2,
-            deadline_violations: 1,
-            regressions: 0,
-            mean_completion: css_types::Duration::millis(2_000),
-            unmatched_events: 7,
-        };
-        let json = kpis_json(&kpis);
-        assert!(json.contains("\"total\":4"), "{json}");
-        assert!(json.contains("\"mean_completion_ms\":2000"), "{json}");
-        assert!(json.contains("\"completion_rate\":0.6667"), "{json}");
     }
 }

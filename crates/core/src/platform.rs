@@ -73,7 +73,6 @@ pub struct CssPlatformBuilder<P: BackendProvider = MemoryProvider> {
     shards: Option<usize>,
     ops_addr: Option<String>,
     ops_interval: std::time::Duration,
-    ops_monitor: Option<Arc<Mutex<css_monitor::ProcessMonitor>>>,
     bus_driver: Option<Arc<dyn BusDriver<Arc<NotificationMessage>>>>,
     incident_dir: Option<std::path::PathBuf>,
 }
@@ -95,7 +94,6 @@ impl CssPlatformBuilder<MemoryProvider> {
             shards: None,
             ops_addr: None,
             ops_interval: std::time::Duration::from_millis(250),
-            ops_monitor: None,
             bus_driver: None,
             incident_dir: None,
         }
@@ -128,7 +126,6 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
             shards: self.shards,
             ops_addr: self.ops_addr,
             ops_interval: self.ops_interval,
-            ops_monitor: self.ops_monitor,
             bus_driver: self.bus_driver,
             incident_dir: self.incident_dir,
         }
@@ -182,7 +179,7 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
     /// [`incident_dir`](CssPlatformBuilder::incident_dir) when an SLO
     /// reaches Critical, a check goes Unhealthy, the drift check flips,
     /// or an operator asks. Routes: `GET /metrics`, `/health`, `/slo`,
-    /// `/query`, `/range`, `/traces`, `/monitor`, `/debug/incidents`,
+    /// `/query`, `/range`, `/traces`, `/debug/incidents`,
     /// `/debug/exemplars` and `POST /debug/capture`. Use
     /// `"127.0.0.1:0"` for an ephemeral port and read it back from
     /// [`CssPlatform::ops`]. Off by default; the server and the sampler
@@ -195,12 +192,6 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
     /// How often the ops sampler ticks the plane (default 250 ms).
     pub fn ops_sample_interval(mut self, interval: std::time::Duration) -> Self {
         self.ops_interval = interval;
-        self
-    }
-
-    /// Serve a Process Reference Monitor's KPIs on `GET /monitor`.
-    pub fn ops_monitor(mut self, monitor: Arc<Mutex<css_monitor::ProcessMonitor>>) -> Self {
-        self.ops_monitor = Some(monitor);
         self
     }
 
@@ -220,7 +211,6 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
             shards,
             ops_addr,
             ops_interval,
-            ops_monitor,
             bus_driver,
             incident_dir,
         } = self;
@@ -346,7 +336,6 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
                 OpsConfig {
                     addr,
                     interval: ops_interval,
-                    monitor: ops_monitor,
                     incident_dir,
                     boot,
                 },

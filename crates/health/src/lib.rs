@@ -40,7 +40,7 @@
 //!    `GET /debug/incidents` and returned by the POST.
 //! 5. **Exposition** ([`OpsServer`], [`OpsHandle`], [`Sampler`]): a
 //!    hand-rolled HTTP/1.0 listener on `std::net::TcpListener` serving
-//!    the ten routes, and the one background thread that ticks. The
+//!    the nine routes, and the one background thread that ticks. The
 //!    routes are the only way to read the plane.
 
 //! ## Redaction argument

@@ -58,12 +58,11 @@ const ANOMALY_HISTORY_WINDOW_MS: u64 = 300_000;
 /// `Arc` between the [`Sampler`](crate::Sampler) thread (writer) and
 /// the [`OpsServer`](crate::OpsServer) workers (readers).
 ///
-/// Two things are injected because their owners sit above or beside
-/// this crate: the snapshot source (the platform refreshes its derived
-/// gauges before every snapshot) and the `/monitor` body.
+/// One thing is injected because its owner sits above this crate: the
+/// snapshot source (the platform refreshes its derived gauges before
+/// every snapshot).
 pub struct OpsPlane {
     source: Box<dyn Fn() -> TelemetrySnapshot + Send + Sync>,
-    monitor: Box<dyn Fn() -> String + Send + Sync>,
     clock: Arc<dyn Clock>,
     pub(crate) tracer: Tracer,
     checks: Vec<Check>,
@@ -113,7 +112,6 @@ impl OpsPlane {
         }));
         OpsPlane {
             source: Box::new(source),
-            monitor: Box::new(|| "{}".to_string()),
             clock,
             tracer,
             checks,
@@ -123,13 +121,6 @@ impl OpsPlane {
             detector,
             recorder: FlightRecorder::new(RING_FRAMES, incident_dir, registry),
         }
-    }
-
-    /// Serve `f`'s output (PRM KPI JSON) on `GET /monitor`; an empty
-    /// object until injected.
-    pub fn with_monitor(mut self, f: impl Fn() -> String + Send + Sync + 'static) -> Self {
-        self.monitor = Box::new(f);
-        self
     }
 
     /// One sample: the module docs list the steps. The first tick has
@@ -211,11 +202,6 @@ impl OpsPlane {
     pub(crate) fn slo_json(&self) -> String {
         self.slo.lock().to_json()
     }
-
-    /// The `/monitor` document.
-    pub(crate) fn monitor_json(&self) -> String {
-        (self.monitor)()
-    }
 }
 
 #[cfg(test)]
@@ -273,8 +259,7 @@ pub(crate) mod tests {
                 200_000,
             )],
             dir.clone(),
-        )
-        .with_monitor(|| r#"{"total":7}"#.to_string());
+        );
         Rig {
             plane: Arc::new(plane),
             registry,

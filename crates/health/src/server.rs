@@ -10,7 +10,7 @@
 //! slow or malicious scraper cannot stall the platform.
 //!
 //! Everything served is an *aggregate* (counters, gauges, histogram
-//! buckets, span timings, KPI totals). Payload bytes, decrypted
+//! buckets, span timings). Payload bytes, decrypted
 //! identifiers, and policy inputs never reach this module: the plane
 //! is built from [`css_telemetry::TelemetrySnapshot`]s and the other
 //! privacy-safe read models, none of which can name a detail payload
@@ -215,7 +215,6 @@ fn handle_connection(mut stream: TcpStream, deadline: Instant, plane: &OpsPlane)
             &mut stream,
             render_chrome_trace(&plane.tracer.finished_spans()),
         ),
-        "/monitor" => json(&mut stream, plane.monitor_json()),
         "/debug/incidents" => json(&mut stream, plane.recorder.incidents_json()),
         "/debug/exemplars" => json(&mut stream, exemplars_json(&plane.snapshot())),
         "/query" => json(&mut stream, query_json(&plane.history, raw_query)),
@@ -224,7 +223,7 @@ fn handle_connection(mut stream: TcpStream, deadline: Instant, plane: &OpsPlane)
             &mut stream,
             404,
             "application/json",
-            r#"{"error":"not found","endpoints":["/metrics","/health","/slo","/query","/range","/traces","/monitor","/debug/incidents","/debug/exemplars","/debug/capture"]}"#,
+            r#"{"error":"not found","endpoints":["/metrics","/health","/slo","/query","/range","/traces","/debug/incidents","/debug/exemplars","/debug/capture"]}"#,
         ),
     }
 }
@@ -337,10 +336,6 @@ mod tests {
             body.contains(r#"{"name":"publish","cat":"css","ph":"B""#),
             "{body}"
         );
-
-        let (code, body) = get(addr, "/monitor");
-        assert_eq!(code, 200);
-        assert_eq!(body, r#"{"total":7}"#);
 
         let (code, body) = get(addr, "/nope");
         assert_eq!(code, 404);

@@ -8,22 +8,15 @@
 //! its own after `CSS_OPS_DEMO_SECS` (default 600) so a forgotten demo
 //! cannot leak a server.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use css::monitor::{ProcessDefinition, ProcessMonitor};
 use css::prelude::*;
 
 fn main() -> CssResult<()> {
-    let monitor = Arc::new(parking_lot::Mutex::new(ProcessMonitor::new()));
-    monitor.lock().register(ProcessDefinition::elderly_care());
-
     let addr = std::env::var("CSS_OPS_ADDR").unwrap_or_else(|_| "127.0.0.1:0".into());
     let mut platform = CssPlatformBuilder::new()
         .tracing(1024)
         .ops_server(addr)
-        .ops_sample_interval(Duration::from_millis(250))
-        .ops_monitor(monitor.clone())
         .build()?;
     println!("data plane shards: {}", platform.shard_count());
 
@@ -62,7 +55,6 @@ fn main() -> CssResult<()> {
         ops.local_addr()
     );
     println!("  curl http://{}/traces", ops.local_addr());
-    println!("  curl http://{}/monitor", ops.local_addr());
     println!("  curl http://{}/debug/exemplars", ops.local_addr());
     println!("  curl http://{}/debug/incidents", ops.local_addr());
     println!("  curl -X POST http://{}/debug/capture", ops.local_addr());

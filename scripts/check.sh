@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo-wide quality gate, eight steps: formatting, unsafe allowlist,
-# clippy, css-lint, release build, tests, then the macrobench package
+# Repo-wide quality gate, nine steps: formatting, unsafe allowlist,
+# clippy, css-lint, release build, tests (and the css package's again
+# on one CPU), then the macrobench package
 # (its tests and a smoke run). Those are the two gates — the tests
 # carry every correctness claim, the macrobench is the one timing
 # instrument — so no other bench harness, timing ratchet or shell smoke
@@ -46,6 +47,9 @@ step "css-lint: privacy-invariant pass (waiver budget + size ratchet vs lint-bas
 step "tier-1: release build" cargo build --release
 step "tier-1: tests (whole workspace; one red test hides no suite after it)" \
   cargo test -q --workspace --no-fail-fast
+# Pinned to one CPU, `default_shard_count()` is 1 whatever the host, so
+# every test that takes the default runs on the one-shard plane too.
+step "tier-1: the css package on one CPU" taskset -c 0 cargo test -q -p css
 
 # The macrobench is a package of its own that `cargo build` at the root
 # never compiles, and it calls the product crates directly: build its

@@ -12,7 +12,7 @@
 //! over that commit's parts wired in its `ops.rs` order
 //! (`SloEngine::tick` → `Chronicle::append` → detector →
 //! `observe_telemetry / spans / slos / health` → captures). They pin
-//! the ten routes' bodies, the bundle schema and the per-tick frame
+//! the nine routes' bodies, the bundle schema and the per-tick frame
 //! order across the merge. After a *deliberate* change to a body, copy
 //! the directory the failure message names over the fixture.
 
@@ -192,7 +192,6 @@ fn scrape(addr: SocketAddr, dir: &Path) -> String {
         "/range?metric=bus.deliver&res=raw",
         "/range?metric=bus.queue_depth&res=minute",
         "/range?metric=chronicle.appends_skipped&res=raw&from=90000&to=115000",
-        "/monitor",
         "/debug/incidents",
         "/debug/exemplars",
         "/debug/capture",
@@ -353,8 +352,7 @@ fn the_scripted_sequence_serves_the_pinned_bodies() {
         checks(&world),
         slos(),
         dir.clone(),
-    )
-    .with_monitor(|| r#"{"total":7}"#.to_string());
+    );
     let plane = Arc::new(plane);
     let handle = OpsServer::bind("127.0.0.1:0", plane.clone()).expect("bind ephemeral");
     let produced = drive(&world, &|| plane.tick(), handle.local_addr(), &dir);
