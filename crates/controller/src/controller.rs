@@ -25,7 +25,7 @@ use css_policy::cache::StabilityInterval;
 use css_policy::{DetailRequest, PolicyDecisionPoint, PrivacyPolicy};
 use css_registry::EventCatalog;
 use css_storage::LogBackend;
-use css_telemetry::{Counter, MetricsRegistry, StageTimer};
+use css_telemetry::{Counter, MetricsRegistry, StageTable};
 use css_trace::{SpanAttr, SpanStatus, Tracer};
 use css_types::{
     lock_order, Actor, ActorId, ActorRegistry, Clock, CssError, CssResult, DenyReason, EventTypeId,
@@ -104,9 +104,9 @@ impl ControllerConfig {
     }
 }
 
-/// Counters of the request paths, resolved once at
+/// Counters and stage tables of the request paths, resolved once at
 /// [`DataController::open`] like the bus's and the index plane's
-/// instruments: a request increments them without consulting the
+/// instruments: a request records into them without consulting the
 /// registry.
 pub(crate) struct RequestCounters {
     /// `controller.published` — publishes routed, indexed and audited.
@@ -125,6 +125,10 @@ pub(crate) struct RequestCounters {
     pub(crate) pdp_cache_hit: Counter,
     /// `pdp.cache_miss` — decisions that evaluated the policy set.
     pub(crate) pdp_cache_miss: Counter,
+    /// `publish.*` — the publish pipeline's stages.
+    publish_stages: StageTable,
+    /// `stage.*` — Algorithm 1's stages.
+    pub(crate) detail_stages: StageTable,
 }
 
 impl RequestCounters {
@@ -138,6 +142,8 @@ impl RequestCounters {
             detail_permits: registry.counter("controller.detail_permits"),
             pdp_cache_hit: registry.counter("pdp.cache_hit"),
             pdp_cache_miss: registry.counter("pdp.cache_miss"),
+            publish_stages: StageTable::new(registry, "publish"),
+            detail_stages: StageTable::new(registry, "stage"),
         }
     }
 }
@@ -595,10 +601,10 @@ impl<B: LogBackend> DataController<B> {
             )));
         }
         let now = self.now();
-        let mut timer = StageTimer::start(&self.telemetry, "publish");
+        let mut timer = self.counters.publish_stages.start();
         let mut span = self.tracer.root("publish", now);
-        span.attr(SpanAttr::actor(producer));
-        span.attr(SpanAttr::event_type(&event_type));
+        span.attr(|| SpanAttr::actor(producer));
+        span.attr(|| SpanAttr::event_type(&event_type));
         let trace_id = span.trace_id();
         if let Some(t) = trace_id {
             // Exemplar: link this pass's publish.* buckets to its trace.
@@ -623,7 +629,7 @@ impl<B: LogBackend> DataController<B> {
         }
         timer.stage("consent_gate");
         let global_id: GlobalEventId = self.eid_gen.next_id();
-        span.attr(SpanAttr::event(global_id));
+        span.attr(|| SpanAttr::event(global_id));
         // Built by move and held once: the bus, every delivery and the
         // index insert below read this one allocation.
         let notification = Arc::new(NotificationMessage {
@@ -853,7 +859,7 @@ impl<B: LogBackend> DataController<B> {
         self.contracts.read().require_consumer(org)?;
         let now = self.now();
         let mut span = self.tracer.root("inquiry", now);
-        span.attr(SpanAttr::actor(consumer));
+        span.attr(|| SpanAttr::actor(consumer));
         // Resolve each candidate once inside its owner shard (entry
         // lookup, authorization and identity opening share a single
         // entry resolution). The pdp/actors read guards span the
@@ -921,10 +927,10 @@ impl<B: LogBackend> DataController<B> {
         self.contracts.read().require_consumer(org)?;
         let now = self.now();
         let mut span = self.tracer.root("detail_request", now);
-        span.attr(SpanAttr::actor(consumer));
-        span.attr(SpanAttr::event(event_id));
-        span.attr(SpanAttr::event_type(&event_type));
-        span.attr(SpanAttr::purpose(&purpose));
+        span.attr(|| SpanAttr::actor(consumer));
+        span.attr(|| SpanAttr::event(event_id));
+        span.attr(|| SpanAttr::event_type(&event_type));
+        span.attr(|| SpanAttr::purpose(&purpose));
         let request = DetailRequest::new(
             self.request_gen.next_id(),
             consumer,
@@ -939,7 +945,6 @@ impl<B: LogBackend> DataController<B> {
             consent: &self.consent,
             audit: &self.audit,
             gateways: &self.gateways,
-            telemetry: &self.telemetry,
             counters: &self.counters,
             trace: span.context(),
             now,

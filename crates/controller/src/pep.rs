@@ -30,9 +30,8 @@ use parking_lot::RwLock;
 
 use css_audit::{AuditAction, AuditRecord, AuditShards};
 use css_event::PrivacyAwareEvent;
-use css_policy::{Decision, DetailRequest, PolicyDecisionPoint};
+use css_policy::{DetailRequest, PolicyDecisionPoint};
 use css_storage::LogBackend;
-use css_telemetry::{MetricsRegistry, StageTimer};
 use css_trace::{SpanAttr, SpanStatus, TraceContext};
 use css_types::{ActorId, ActorRegistry, CssError, CssResult, DenyReason, Timestamp};
 
@@ -56,9 +55,8 @@ pub struct PolicyEnforcementPoint<'a, B: LogBackend> {
     pub audit: &'a AuditShards<B>,
     /// Producer gateways, keyed by producer organization.
     pub gateways: &'a RwLock<HashMap<ActorId, Arc<dyn GatewayClient>>>,
-    /// Per-stage latency histograms (`stage.*`).
-    pub telemetry: &'a MetricsRegistry,
-    /// Request and decision-cache counters, resolved by the controller.
+    /// Request and decision-cache counters and the per-stage latency
+    /// histograms (`stage.*`), resolved by the controller.
     pub(crate) counters: &'a RequestCounters,
     /// Causal trace of the enclosing detail request; each Algorithm 1
     /// stage becomes a child span, and the trace id is stamped into the
@@ -79,7 +77,7 @@ impl<'a, B: LogBackend> PolicyEnforcementPoint<'a, B> {
     pub fn get_event_details(&self, request: &DetailRequest) -> CssResult<PrivacyAwareEvent> {
         self.counters.detail_requests.inc();
         let denies = &self.counters.detail_denies;
-        let mut timer = StageTimer::start(self.telemetry, "stage");
+        let mut timer = self.counters.detail_stages.start();
         let trace_id = self.trace.trace_id();
         if let Some(t) = trace_id {
             // Exemplar: whichever bucket this pass lands in keeps the
@@ -175,96 +173,80 @@ impl<'a, B: LogBackend> PolicyEnforcementPoint<'a, B> {
 
         // Steps 2–3 — PDP: find and evaluate the matching policy. The
         // PDP answers repeat (actor, type, purpose) requests from its
-        // segmented decision cache; hits and misses are counted
-        // separately so the cache-hit rate is visible in a telemetry
-        // snapshot.
+        // segmented decision cache, with the permit its miss built
+        // (fields, policies and audit text derived once); hits and
+        // misses are counted separately so the cache-hit rate is
+        // visible in a telemetry snapshot.
         let mut span = self.trace.child("pep.pdp_evaluate");
-        let (decision, cache_hit) = {
+        let (verdict, cache_hit) = {
             let pdp = self.pdp.read();
             let actors = self.actors.read();
-            pdp.evaluate_traced(request, &actors, self.now)
+            pdp.decide(request, &actors, self.now)
         };
         timer.stage("pdp_evaluate");
-        span.attr(SpanAttr::cache_hit(cache_hit));
-        span.attr(SpanAttr::decision(matches!(
-            decision,
-            Decision::Permit { .. }
-        )));
+        span.attr(|| SpanAttr::cache_hit(cache_hit));
+        span.attr(|| SpanAttr::decision(verdict.is_ok()));
         if cache_hit {
             self.counters.pdp_cache_hit.inc();
         } else {
             self.counters.pdp_cache_miss.inc();
         }
-        match decision {
-            Decision::Deny(reason) => {
+        let permit = match verdict {
+            Ok(permit) => permit,
+            Err(reason) => {
                 span.set_status(SpanStatus::Denied);
                 drop(span);
                 denies.inc();
                 self.audit
                     .append(audit_base().person(subject).denied(reason.to_string()))?;
-                Err(CssError::AccessDenied(reason))
+                return Err(CssError::AccessDenied(reason));
             }
-            Decision::Permit {
-                allowed_fields,
-                matched_policies,
-                ..
-            } => {
-                span.finish();
-                // Step 4 — getResponse at the producer. Failures here
-                // are infrastructure faults, not policy denials, but
-                // they are audited all the same. The gateway continues
-                // the trace with its own Algorithm 2 stage spans. The
-                // handle is cloned out of the registry so no lock is
-                // held across the call.
-                let gateway = self.gateways.read().get(&producer).cloned();
-                let gateway = match gateway {
-                    Some(g) => g,
-                    None => {
-                        denies.inc();
-                        self.audit.append(
-                            audit_base()
-                                .person(subject)
-                                .denied("producer gateway not registered"),
-                        )?;
-                        return Err(CssError::NotFound(format!(
-                            "no gateway registered for producer {producer}"
-                        )));
-                    }
-                };
-                let details =
-                    match gateway.get_response(src_event_id, &allowed_fields, Some(&self.trace)) {
-                        Ok(d) => d,
-                        Err(e) => {
-                            timer.stage("gateway_retrieve");
-                            denies.inc();
-                            self.audit.append(
-                                audit_base()
-                                    .person(subject)
-                                    .denied(format!("gateway failure: {e}")),
-                            )?;
-                            return Err(e);
-                        }
-                    };
-                timer.stage("gateway_retrieve");
-                let span = self.trace.child("pep.obligation_filter");
-                let response =
-                    PrivacyAwareEvent::release(request.event_id, producer, details, allowed_fields);
-                timer.stage("obligation_filter");
-                span.finish();
-                let matched = matched_policies
-                    .iter()
-                    .map(|p| p.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",");
+        };
+        span.finish();
+
+        // Step 4 — getResponse at the producer. Failures here are
+        // infrastructure faults, not policy denials, but they are
+        // audited all the same. The gateway continues the trace with
+        // its own Algorithm 2 stage spans. The handle is cloned out of
+        // the registry so no lock is held across the call.
+        let Some(gateway) = self.gateways.read().get(&producer).cloned() else {
+            denies.inc();
+            self.audit.append(
+                audit_base()
+                    .person(subject)
+                    .denied("producer gateway not registered"),
+            )?;
+            return Err(CssError::NotFound(format!(
+                "no gateway registered for producer {producer}"
+            )));
+        };
+        let allowed = permit.allowed_fields();
+        let details = gateway.get_response(src_event_id, allowed, Some(&self.trace));
+        timer.stage("gateway_retrieve");
+        let details = match details {
+            Ok(d) => d,
+            Err(e) => {
+                denies.inc();
                 self.audit.append(
                     audit_base()
                         .person(subject)
-                        .with_detail(format!("matched: {matched}")),
+                        .denied(format!("gateway failure: {e}")),
                 )?;
-                timer.finish();
-                self.counters.detail_permits.inc();
-                Ok(response)
+                return Err(e);
             }
-        }
+        };
+        let span = self.trace.child("pep.obligation_filter");
+        let response =
+            PrivacyAwareEvent::release(request.event_id, producer, details, Arc::clone(allowed));
+        timer.stage("obligation_filter");
+        span.finish();
+        self.audit.append(
+            audit_base()
+                .person(subject)
+                .with_detail(permit.audit_detail()),
+        )?;
+        timer.finish();
+        self.counters.detail_permits.inc();
+        Ok(response)
     }
 }

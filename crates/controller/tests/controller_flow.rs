@@ -16,7 +16,7 @@ use css_types::{
     Actor, ActorId, Clock, CssError, DenyReason, EventTypeId, PersonId, PersonIdentity, Purpose,
     SimClock, SourceEventId, Timestamp,
 };
-use parking_lot::Mutex;
+use parking_lot::RwLock;
 
 const HOSPITAL: ActorId = ActorId(1);
 const LABORATORY: ActorId = ActorId(2);
@@ -74,7 +74,7 @@ fn setup_on(shards: usize) -> World {
 
     let mut gw = LocalCooperationGateway::open(HOSPITAL, MemBackend::new()).unwrap();
     gw.register_schema(blood_test_schema()).unwrap();
-    let gateway: SharedGateway<MemBackend> = Arc::new(Mutex::new(gw));
+    let gateway: SharedGateway<MemBackend> = Arc::new(RwLock::new(gw));
     c.register_gateway(HOSPITAL, Box::new(gateway.clone()));
 
     c.declare_event_class(&blood_test_schema(), Some("health/laboratory"))
@@ -114,7 +114,7 @@ fn publish_event_about(
         .with("Result", FieldValue::Text("negative".into()))
         .with("HivResult", FieldValue::Text("negative".into()));
     w.gateway
-        .lock()
+        .write()
         .persist(&DetailMessage {
             src_event_id: SourceEventId(src),
             producer: HOSPITAL,
@@ -345,7 +345,7 @@ fn opt_out_blocks_publication() {
         .with("PatientId", FieldValue::Integer(42))
         .with("Result", FieldValue::Text("negative".into()));
     w.gateway
-        .lock()
+        .write()
         .persist(&DetailMessage {
             src_event_id: SourceEventId(1),
             producer: HOSPITAL,

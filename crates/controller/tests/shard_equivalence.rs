@@ -25,7 +25,7 @@ use css_types::{
     Actor, ActorId, EventTypeId, GlobalEventId, PersonId, PersonIdentity, PolicyId, Purpose,
     SimClock, SourceEventId, Timestamp,
 };
-use parking_lot::Mutex;
+use parking_lot::RwLock;
 use proptest::prelude::*;
 
 const HOSPITAL: ActorId = ActorId(1);
@@ -95,7 +95,7 @@ fn world(shards: usize) -> World {
         .unwrap();
     let mut gw = LocalCooperationGateway::open(HOSPITAL, MemBackend::new()).unwrap();
     gw.register_schema(schema()).unwrap();
-    let gateway: SharedGateway<MemBackend> = Arc::new(Mutex::new(gw));
+    let gateway: SharedGateway<MemBackend> = Arc::new(RwLock::new(gw));
     controller.register_gateway(HOSPITAL, Box::new(gateway.clone()));
     controller
         .declare_event_class(&schema(), Some("health/laboratory"))
@@ -117,7 +117,7 @@ fn step(w: &World, op: u8, x: u64, src: &mut u64, published: &mut Vec<GlobalEven
         0 | 1 => {
             *src += 1;
             w.gateway
-                .lock()
+                .write()
                 .persist(&DetailMessage {
                     src_event_id: SourceEventId(*src),
                     producer: HOSPITAL,

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use css_audit::{AuditQuery, AuditRecord, AuditReport};
 use css_bus::BusDriver;
@@ -533,11 +533,11 @@ impl<P: BackendProvider> CssPlatform<P> {
         let mut gw = LocalCooperationGateway::open(actor, backend)?;
         gw.instrument(&self.registry);
         let gateway: SharedGateway<PlatformBackend<P>> =
-            Arc::new(Mutex::ranked("gateway", lock_order::GATEWAY, gw));
+            Arc::new(RwLock::ranked("gateway", lock_order::GATEWAY, gw));
         // Resume source-id generation past any records recovered
         // from a previous session, so restarts never collide.
         let next_src = gateway
-            .lock()
+            .read()
             .max_src_id()
             .map(|s| s.value() + 1)
             .unwrap_or(1);

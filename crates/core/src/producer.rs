@@ -52,7 +52,7 @@ impl<P: BackendProvider> ProducerHandle<P> {
     /// Declare a class of event details in the catalog (and register the
     /// schema at the local gateway).
     pub fn declare(&self, schema: &EventSchema, domain: Option<&str>) -> CssResult<()> {
-        self.gateway.lock().register_schema(schema.clone())?;
+        self.gateway.write().register_schema(schema.clone())?;
         self.controller.declare_event_class(schema, domain)
     }
 
@@ -68,7 +68,7 @@ impl<P: BackendProvider> ProducerHandle<P> {
     ) -> CssResult<PublishReceipt> {
         let src_event_id: SourceEventId = self.src_gen.next_id();
         let event_type = details.event_type.clone();
-        self.gateway.lock().persist(&DetailMessage {
+        self.gateway.write().persist(&DetailMessage {
             src_event_id,
             producer: self.actor,
             details,
@@ -150,6 +150,6 @@ impl<P: BackendProvider> ProducerHandle<P> {
 
     /// Number of detail messages persisted at this producer's gateway.
     pub fn gateway_stored_count(&self) -> usize {
-        self.gateway.lock().stored_count()
+        self.gateway.read().stored_count()
     }
 }

@@ -32,7 +32,7 @@ pub mod message;
 pub mod notification;
 pub mod schema;
 
-pub use details::EventDetails;
+pub use details::{EventDetails, FieldMask};
 pub use field::{Decimal, FieldDef, FieldKind, FieldValue};
 pub use message::{
     DetailDecoder, DetailMessage, PrivacyAwareEvent, StoredDetail, DETAIL_RECORD_V1,

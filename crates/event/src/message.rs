@@ -2,6 +2,7 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use css_types::{ActorId, CssError, CssResult, GlobalEventId, SourceEventId};
 use css_xml::{
@@ -9,7 +10,7 @@ use css_xml::{
     XmlSink, XmlSource,
 };
 
-use crate::details::{check_type, declared, EventDetails, InstanceTag};
+use crate::details::{check_type, declared, EventDetails, FieldMask, InstanceTag};
 use crate::schema::{EventSchema, InstanceNames};
 
 /// The sensitive half of an event. It is persisted by the producer's
@@ -42,7 +43,8 @@ impl DetailMessage {
 
     /// Parse from the XML form: the decoder fed from the tree.
     pub fn from_xml(schema: &EventSchema, e: &Element) -> CssResult<Self> {
-        DetailDecoder::open(TreeSource::new(e))?.finish(schema, &schema.instance_names(), |_| true)
+        let every = schema.fields.iter().map(|_| true).collect();
+        DetailDecoder::open(TreeSource::new(e))?.finish(schema, &schema.instance_names(), &every)
     }
 
     /// Write the record form — what a gateway stores — onto the end of
@@ -55,14 +57,8 @@ impl DetailMessage {
         put_varint(out, self.producer.value());
         put_varint(out, self.src_event_id.value());
         put_text(out, &names.type_text);
-        let present = || {
-            schema
-                .fields
-                .iter()
-                .filter_map(|def| Some((&def.name, self.details.get(&def.name)?)))
-        };
-        put_varint(out, present().count() as u64);
-        for (name, value) in present() {
+        put_varint(out, self.details.in_order_of(schema).count() as u64);
+        for (name, value) in self.details.in_order_of(schema) {
             put_text(out, name);
             put_text(out, value);
         }
@@ -118,13 +114,14 @@ impl<'a, S: XmlSource<'a>> DetailDecoder<'a, S> {
     /// Read the rest of the document — to its end, so nothing comes
     /// out of one that is malformed anywhere — typing the fields via
     /// `schema` (`names` being its [`EventSchema::instance_names`]) and
-    /// holding the values of those `keep` accepts (see
-    /// [`EventDetails::decode`]: the others are checked, and blank).
+    /// holding the values of the slots in `keep` (a mask over the
+    /// schema's slots): the others are checked against their kind, and
+    /// blank.
     pub fn finish(
         self,
         schema: &EventSchema,
         names: &InstanceNames,
-        keep: impl Fn(&str) -> bool,
+        keep: &FieldMask,
     ) -> CssResult<DetailMessage> {
         let bad = |msg: String| CssError::Serialization(format!("DetailMessage: {msg}"));
         if self.root != "DetailMessage" {
@@ -227,13 +224,13 @@ impl<'a> StoredDetail<'a> {
     }
 
     /// Read the rest, to the last byte, typing the fields via `schema`
-    /// and holding the values of those `keep` accepts — see
+    /// and holding the values of the slots in `keep` — see
     /// [`DetailDecoder::finish`], whose contract both forms keep.
     pub fn finish(
         self,
         schema: &EventSchema,
         names: &InstanceNames,
-        keep: impl Fn(&str) -> bool,
+        keep: &FieldMask,
     ) -> CssResult<DetailMessage> {
         match self.0 {
             Form::Record(record) => record.finish(schema, names, keep),
@@ -282,16 +279,16 @@ impl<'a> Record<'a> {
         self,
         schema: &EventSchema,
         names: &InstanceNames,
-        keep: impl Fn(&str) -> bool,
+        keep: &FieldMask,
     ) -> CssResult<DetailMessage> {
         check_type(schema, names, self.ty)?;
         let (input, mut pos) = (self.input, self.pos);
         let fields = read_varint(input, &mut pos).map_err(damaged)?;
-        let mut details = EventDetails::new(schema.id.clone());
+        let mut details = EventDetails::slots_of(schema.id.clone(), names);
         for _ in 0..fields {
-            let def = declared(schema, record_text(input, &mut pos)?)?;
+            let slot = declared(schema, record_text(input, &mut pos)?)?;
             let value = record_text(input, &mut pos)?;
-            details.hold(def, value, keep(&def.name))?;
+            details.hold(schema, slot, value, keep)?;
         }
         if pos != input.len() {
             return Err(CssError::Serialization(format!(
@@ -315,15 +312,17 @@ pub struct PrivacyAwareEvent {
     pub global_id: GlobalEventId,
     /// Producer that released the data.
     pub producer: ActorId,
-    /// Fields the matching policy allowed (the `F` of Definition 2).
-    pub allowed_fields: BTreeSet<String>,
+    /// Fields the matching policy allowed (the `F` of Definition 2),
+    /// shared with the permit that allowed them.
+    pub allowed_fields: Arc<BTreeSet<String>>,
     /// The filtered payload. Invariant: `details.is_privacy_safe(&allowed_fields)`.
     pub details: EventDetails,
 }
 
 impl PrivacyAwareEvent {
     /// Construct a response, blanking in `details` whatever is outside
-    /// `allowed`.
+    /// `allowed`: the set becomes one mask over the details' slots,
+    /// and the blanking and its check are mask operations.
     ///
     /// This is the only constructor, so the privacy-safety invariant
     /// holds for every value of this type.
@@ -331,14 +330,16 @@ impl PrivacyAwareEvent {
         global_id: GlobalEventId,
         producer: ActorId,
         mut details: EventDetails,
-        allowed: BTreeSet<String>,
+        allowed: impl Into<Arc<BTreeSet<String>>>,
     ) -> Self {
-        details.blank_outside(&allowed);
-        debug_assert!(details.is_privacy_safe(&allowed));
+        let allowed_fields = allowed.into();
+        let mask = details.mask(&allowed_fields);
+        details.blank_outside(&mask);
+        debug_assert!(details.exposes_only(&mask));
         PrivacyAwareEvent {
             global_id,
             producer,
-            allowed_fields: allowed,
+            allowed_fields,
             details,
         }
     }
@@ -351,7 +352,7 @@ impl PrivacyAwareEvent {
     /// Serialize using the schema's element naming.
     pub fn to_xml(&self, schema: &EventSchema) -> Element {
         let mut allowed = Element::new("AllowedFields");
-        for f in &self.allowed_fields {
+        for f in self.allowed_fields.iter() {
             allowed = allowed.child(Element::leaf("Field", f.clone()));
         }
         Element::new("PrivacyAwareEvent")
@@ -393,7 +394,7 @@ impl PrivacyAwareEvent {
         Ok(PrivacyAwareEvent {
             global_id,
             producer,
-            allowed_fields,
+            allowed_fields: Arc::new(allowed_fields),
             details,
         })
     }
@@ -514,13 +515,22 @@ mod tests {
         }
     }
 
+    /// The slots of `s` whose field `keep` accepts.
+    fn kept(s: &EventSchema, keep: impl Fn(&str) -> bool) -> FieldMask {
+        s.field_names().map(keep).collect()
+    }
+
     /// Decode `text` as the gateway does: header step, then the rest.
     fn decode_text(
         s: &EventSchema,
         text: &str,
         keep: impl Fn(&str) -> bool,
     ) -> CssResult<DetailMessage> {
-        DetailDecoder::open(css_xml::Reader::new(text))?.finish(s, &s.instance_names(), keep)
+        DetailDecoder::open(css_xml::Reader::new(text))?.finish(
+            s,
+            &s.instance_names(),
+            &kept(s, keep),
+        )
     }
 
     #[test]
@@ -533,7 +543,9 @@ mod tests {
             Some("home-care-service-event@v1")
         );
         assert_eq!(
-            decoder.finish(&s, &s.instance_names(), |_| true).unwrap(),
+            decoder
+                .finish(&s, &s.instance_names(), &kept(&s, |_| true))
+                .unwrap(),
             message()
         );
         for untyped in ["<DetailMessage/>", "<DetailMessage><X/></DetailMessage>"] {
@@ -545,7 +557,9 @@ mod tests {
         let cut = &text[..text.find("<Service>").unwrap()];
         let decoder = DetailDecoder::open(css_xml::Reader::new(cut)).unwrap();
         assert!(decoder.stored_type().is_some());
-        assert!(decoder.finish(&s, &s.instance_names(), |_| true).is_err());
+        assert!(decoder
+            .finish(&s, &s.instance_names(), &kept(&s, |_| true))
+            .is_err());
     }
 
     #[test]
@@ -672,7 +686,7 @@ mod tests {
         stored: &[u8],
         keep: impl Fn(&str) -> bool,
     ) -> CssResult<DetailMessage> {
-        StoredDetail::open(stored)?.finish(s, &s.instance_names(), keep)
+        StoredDetail::open(stored)?.finish(s, &s.instance_names(), &kept(s, keep))
     }
 
     /// Where the field count of a record with one-byte ids starts.

@@ -6,6 +6,8 @@
 //! details; it validates instances and converts to the `css-xml` schema
 //! form for interchange.
 
+use std::sync::Arc;
+
 use css_types::{ActorId, CssError, CssResult, EventTypeId};
 use css_xml::Element;
 
@@ -26,15 +28,19 @@ pub struct EventSchema {
     pub fields: Vec<FieldDef>,
 }
 
-/// The two strings the XML form of an instance takes from its schema's
-/// id. Both are built from the id on every call that wants them;
-/// whoever decodes often (the gateway) derives them once per schema.
+/// The names an instance takes from its schema: the two strings of its
+/// XML form and the slot of each field. All are built on every call
+/// that wants them; whoever decodes often (the gateway) derives them
+/// once per schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstanceNames {
     /// [`EventSchema::root_element`].
     pub root: String,
     /// The id's canonical text — the value of the `type` attribute.
     pub type_text: String,
+    /// The field names in declaration order: the slots of every
+    /// instance decoded with these names, which all share this list.
+    pub fields: Arc<Vec<String>>,
 }
 
 impl EventSchema {
@@ -99,11 +105,13 @@ impl EventSchema {
             .collect()
     }
 
-    /// Root element name and type text of this schema's instances.
+    /// Root element name, type text and field slots of this schema's
+    /// instances.
     pub fn instance_names(&self) -> InstanceNames {
         InstanceNames {
             root: self.root_element(),
             type_text: self.id.to_string(),
+            fields: Arc::new(self.field_names().map(str::to_string).collect()),
         }
     }
 
@@ -117,16 +125,19 @@ impl EventSchema {
                 details.event_type, self.id
             )));
         }
-        for name in details.field_names() {
-            if self.field_def(name).is_none() {
+        // Fewer declared fields present than fields present: one is not
+        // declared. Both walks are linear in the fields.
+        if details.values_of(self.field_names()).flatten().count() < details.len() {
+            let mut names = details.field_names();
+            if let Some(name) = names.find(|name| self.field_def(name).is_none()) {
                 return Err(CssError::Invalid(format!(
                     "undeclared field {name:?} in event of type {}",
                     self.id
                 )));
             }
         }
-        for def in &self.fields {
-            let value = details.get(&def.name);
+        let values = details.values_of(self.field_names());
+        for (def, value) in self.fields.iter().zip(values) {
             match value {
                 None => {
                     if def.required {

@@ -4,7 +4,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
 
-use css_event::{DetailMessage, EventDetails, EventSchema, InstanceNames, StoredDetail};
+use css_event::{DetailMessage, EventDetails, EventSchema, FieldMask, InstanceNames, StoredDetail};
 use css_storage::LogBackend;
 use css_telemetry::{Counter, Histogram, MetricsRegistry};
 use css_trace::{SpanStatus, TraceContext};
@@ -40,8 +40,8 @@ impl GatewayInstruments {
     }
 }
 
-/// A declared schema and the strings every decode of one of its
-/// instances compares against, derived once at registration.
+/// A declared schema and the names every decode of one of its
+/// instances compares against or shares, derived once at registration.
 struct Registered {
     schema: EventSchema,
     names: InstanceNames,
@@ -186,11 +186,15 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
     /// another event than the one asked for (misfiled by a bad restore,
     /// or planted) fails the call.
     ///
+    /// `F` is looked up once: it becomes one mask over the schema's
+    /// slots, and the decode and the postcondition read the mask.
+    ///
     /// When `ctx` is given the call continues the caller's trace with
     /// one child span per stage: `gateway.retrieve` (the one read of
     /// the stored record, up to the stored type it names),
-    /// `gateway.parse` (schema resolution + the filtered decode of
-    /// that same record), `gateway.filter` (the privacy postcondition).
+    /// `gateway.parse` (schema resolution, the mask + the filtered
+    /// decode of that same record), `gateway.filter` (the privacy
+    /// postcondition).
     pub fn get_response(
         &self,
         src_event_id: SourceEventId,
@@ -207,12 +211,12 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
         retrieve.finish();
         let mut parse = TraceContext::child_opt(ctx, "gateway.parse");
         let decoded = self.schema_named(&ty_text).and_then(|registered| {
-            decoder.finish(&registered.schema, &registered.names, |field| {
-                allowed.contains(field)
-            })
+            let mask = FieldMask::of(&registered.names.fields, allowed);
+            let message = decoder.finish(&registered.schema, &registered.names, &mask)?;
+            Ok((filed_under(src_event_id, message)?, mask))
         });
-        let filtered = match decoded.and_then(|message| filed_under(src_event_id, message)) {
-            Ok(details) => details,
+        let (filtered, mask) = match decoded {
+            Ok(decoded) => decoded,
             Err(e) => {
                 parse.set_status(SpanStatus::Error);
                 return Err(e);
@@ -222,7 +226,7 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
         let retrieved = Instant::now();
         let filter = TraceContext::child_opt(ctx, "gateway.filter");
         assert!(
-            filtered.is_privacy_safe(allowed),
+            filtered.exposes_only(&mask),
             "gateway postcondition: response must be privacy safe"
         );
         filter.finish();

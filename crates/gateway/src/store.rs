@@ -112,7 +112,8 @@ mod tests {
         let bytes = store.stored(SourceEventId(id)).unwrap()?;
         let s = schema();
         let stored = css_event::StoredDetail::open(&bytes).unwrap();
-        Some(stored.finish(&s, &s.instance_names(), |_| true).unwrap())
+        let every = s.field_names().map(|_| true).collect();
+        Some(stored.finish(&s, &s.instance_names(), &every).unwrap())
     }
 
     fn persist<B: LogBackend>(store: &mut DetailStore<B>, id: u64) -> CssResult<()> {

@@ -167,7 +167,7 @@ type Segment<K, V> = Mutex<HashMap<u64, Entry<K, V>, BuildHasherDefault<Prehashe
 /// A keyed memo of decisions, validated against a [`Generation`] and a
 /// per-entry [`StabilityInterval`].
 ///
-/// Internally the map is split into [`CACHE_SEGMENTS`] segments, each
+/// Internally the map is split into `CACHE_SEGMENTS` (8) segments, each
 /// behind its own mutex — the sharded controller data plane hits the
 /// cache from many threads at once, and a single map mutex would
 /// re-serialize what the shards just parallelized. All segments share

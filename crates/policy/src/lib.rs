@@ -37,7 +37,7 @@ pub mod request;
 pub mod xacml;
 
 pub use cache::CacheStats;
-pub use decision::Decision;
+pub use decision::{Decision, Permit, Verdict};
 pub use matching::{matches, MatchOutcome};
 pub use model::{PrivacyPolicy, ValidityWindow};
 pub use pdp::PolicyDecisionPoint;

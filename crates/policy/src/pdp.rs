@@ -22,11 +22,12 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 use css_types::{ActorId, ActorRegistry, DenyReason, EventTypeId, PolicyId, Purpose, Timestamp};
 
 use crate::cache::{CacheStats, DecisionCache, Generation, Probe, StabilityInterval};
-use crate::decision::Decision;
+use crate::decision::{Decision, Permit, Verdict};
 use crate::matching::{matches, MatchOutcome};
 use crate::model::PrivacyPolicy;
 use crate::request::DetailRequest;
@@ -82,7 +83,7 @@ pub struct PolicyDecisionPoint {
     by_id: HashMap<PolicyId, (EventTypeId, usize)>,
     /// Bumped on every policy mutation; stale cache entries miss.
     generation: Generation,
-    eval_cache: DecisionCache<EvalKey, Decision>,
+    eval_cache: DecisionCache<EvalKey, Verdict>,
     auth_cache: DecisionCache<AuthKey, bool>,
 }
 
@@ -261,23 +262,24 @@ impl PolicyDecisionPoint {
         actors: &ActorRegistry,
         now: Timestamp,
     ) -> Decision {
-        self.evaluate_traced(request, actors, now).0
+        Decision::from(&self.decide(request, actors, now).0)
     }
 
-    /// Like [`PolicyDecisionPoint::evaluate`], also reporting whether
-    /// the decision was answered from the cache (for telemetry).
-    pub fn evaluate_traced(
+    /// Like [`PolicyDecisionPoint::evaluate`], on the shared verdict — a
+    /// cache hit reads the one permit the miss built — and reporting
+    /// whether the cache answered (for telemetry).
+    pub fn decide(
         &self,
         request: &DetailRequest,
         actors: &ActorRegistry,
         now: Timestamp,
-    ) -> (Decision, bool) {
+    ) -> (Verdict, bool) {
         let generation = self.generation.current();
         let probe = (request.actor, &request.event_type, &request.purpose);
-        if let Some(decision) = self.eval_cache.get(&probe, generation, now) {
-            return (decision, true);
+        if let Some(verdict) = self.eval_cache.get(&probe, generation, now) {
+            return (verdict, true);
         }
-        let decision = self.evaluate_uncached(request, actors, now);
+        let verdict = self.decide_uncached(request, actors, now);
         // Only the policies the decision was computed from can flip it.
         let stable = StabilityInterval::around(
             now,
@@ -289,8 +291,8 @@ impl PolicyDecisionPoint {
             request.purpose.clone(),
         );
         self.eval_cache
-            .put(key, generation, stable, decision.clone());
-        (decision, false)
+            .put(key, generation, stable, verdict.clone());
+        (verdict, false)
     }
 
     /// Whether `consumer` (or an ancestor organization) holds any live,
@@ -332,6 +334,17 @@ impl PolicyDecisionPoint {
         actors: &ActorRegistry,
         now: Timestamp,
     ) -> Decision {
+        Decision::from(&self.decide_uncached(request, actors, now))
+    }
+
+    /// The matching walk behind both evaluations: a permit is built
+    /// here, once per computed decision.
+    fn decide_uncached(
+        &self,
+        request: &DetailRequest,
+        actors: &ActorRegistry,
+        now: Timestamp,
+    ) -> Verdict {
         let mut allowed = BTreeSet::new();
         let mut matched = Vec::new();
         // Track the "closest" failure for a precise deny reason:
@@ -359,15 +372,12 @@ impl PolicyDecisionPoint {
             }
         }
         if matched.is_empty() {
-            Decision::Deny(best_failure)
+            Err(best_failure)
         } else {
             // The permit's audit detail lists its policies in install
             // order, whatever link of the lineage each was found at.
             matched.sort_unstable_by_key(|id| self.by_id.get(id).map(|&(_, pos)| pos));
-            Decision::Permit {
-                allowed_fields: allowed,
-                matched_policies: matched,
-            }
+            Ok(Arc::new(Permit::new(allowed, matched)))
         }
     }
 }
@@ -473,12 +483,12 @@ mod tests {
         ));
         // Request from the Laboratory: both the hospital-level and the
         // lab-level grant apply.
-        let d = pdp.evaluate(
+        let (d, _) = pdp.decide(
             &request(ActorId(2), "blood-test", Purpose::HealthcareTreatment),
             &registry(),
             Timestamp(0),
         );
-        let fields = d.allowed_fields().unwrap();
+        let fields = d.unwrap().allowed_fields().clone();
         assert!(fields.contains("a") && fields.contains("b"));
     }
 
@@ -557,12 +567,12 @@ mod tests {
             &["b"],
         ));
         assert_eq!(pdp.len(), 1);
-        let d = pdp.evaluate(
+        let (d, _) = pdp.decide(
             &request(ActorId(1), "blood-test", Purpose::HealthcareTreatment),
             &registry(),
             Timestamp(0),
         );
-        let fields = d.allowed_fields().unwrap();
+        let fields = d.unwrap().allowed_fields().clone();
         assert!(fields.contains("b") && !fields.contains("a"));
     }
 
@@ -639,11 +649,12 @@ mod cache_tests {
         let mut pdp = PolicyDecisionPoint::new();
         pdp.install(policy(1));
         let actors = registry();
-        let (d1, hit1) = pdp.evaluate_traced(&request(), &actors, Timestamp(5));
-        let (d2, hit2) = pdp.evaluate_traced(&request(), &actors, Timestamp(6));
+        let (d1, hit1) = pdp.decide(&request(), &actors, Timestamp(5));
+        let (d2, hit2) = pdp.decide(&request(), &actors, Timestamp(6));
         assert!(!hit1, "first evaluation computes");
         assert!(hit2, "second evaluation is served from cache");
-        assert_eq!(d1, d2);
+        // The hit hands out the permit the miss built, not a copy.
+        assert!(Arc::ptr_eq(&d1.unwrap(), &d2.unwrap()));
         let stats = pdp.cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
     }
@@ -659,9 +670,9 @@ mod cache_tests {
         assert!(pdp.revoke(PolicyId(1)));
         // No propagation window: the generation bump invalidates the
         // cached permit immediately.
-        let (d, hit) = pdp.evaluate_traced(&request(), &actors, Timestamp(0));
+        let (d, hit) = pdp.decide(&request(), &actors, Timestamp(0));
         assert!(!hit);
-        assert_eq!(d, Decision::Deny(DenyReason::NoMatchingPolicy));
+        assert_eq!(d, Err(DenyReason::NoMatchingPolicy));
     }
 
     #[test]
@@ -680,12 +691,12 @@ mod cache_tests {
         let actors = registry();
         assert!(pdp.evaluate(&request(), &actors, Timestamp(50)).is_permit());
         // Inside the stability interval: cached permit still valid.
-        let (d, hit) = pdp.evaluate_traced(&request(), &actors, Timestamp(100));
-        assert!(hit && d.is_permit());
+        let (d, hit) = pdp.decide(&request(), &actors, Timestamp(100));
+        assert!(hit && d.is_ok());
         // Past the boundary: the cached entry must NOT answer.
-        let (d, hit) = pdp.evaluate_traced(&request(), &actors, Timestamp(101));
+        let (d, hit) = pdp.decide(&request(), &actors, Timestamp(101));
         assert!(!hit);
-        assert_eq!(d, Decision::Deny(DenyReason::PolicyExpired));
+        assert_eq!(d, Err(DenyReason::PolicyExpired));
     }
 
     #[test]

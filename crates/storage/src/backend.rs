@@ -5,17 +5,20 @@
 //! benchmarks that don't care about durability use [`MemBackend`].
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 
 use css_types::{CssError, CssResult};
 
-/// An append-only byte log with positional reads.
-pub trait LogBackend: Send {
+/// An append-only byte log with positional reads. `Sync` because a
+/// store's readers share it: positional reads take `&self`.
+pub trait LogBackend: Send + Sync {
     /// Append bytes, returning the offset they were written at.
     fn append(&mut self, data: &[u8]) -> CssResult<u64>;
 
-    /// Read exactly `len` bytes starting at `offset`.
+    /// Read exactly `len` bytes starting at `offset`. Readers of one
+    /// store call this concurrently, so it must be safe to: no call may
+    /// move state another call reads (a shared file offset, say).
     fn read_at(&self, offset: u64, len: usize) -> CssResult<Vec<u8>>;
 
     /// Total bytes in the log.
@@ -85,7 +88,9 @@ impl LogBackend for MemBackend {
 }
 
 /// File-backed backend. Appends go through a single owned handle;
-/// reads reopen at the requested offset via a cloned handle.
+/// reads are positional reads on it (`pread`, so a unix), which leave
+/// the handle's offset alone: concurrent readers never move each
+/// other's.
 #[derive(Debug)]
 pub struct FileBackend {
     file: File,
@@ -121,10 +126,8 @@ impl LogBackend for FileBackend {
                 self.len
             )));
         }
-        let mut handle = self.file.try_clone()?;
-        handle.seek(SeekFrom::Start(offset))?;
         let mut buf = vec![0u8; len];
-        handle.read_exact(&mut buf)?;
+        std::os::unix::fs::FileExt::read_exact_at(&self.file, &mut buf, offset)?;
         Ok(buf)
     }
 
@@ -183,6 +186,33 @@ mod tests {
         let path = dir.join("contract.log");
         let _ = std::fs::remove_file(&path);
         exercise(FileBackend::open(&path).unwrap());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn file_backend_reads_concurrently() {
+        let dir = std::env::temp_dir().join(format!("css-storage-test3-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("concurrent.log");
+        let _ = std::fs::remove_file(&path);
+        let mut b = FileBackend::open(&path).unwrap();
+        for i in 0..64u8 {
+            b.append(&[i; 16]).unwrap();
+        }
+        // Each thread reads every record from its own starting point;
+        // a read that another moved the offset under returns the wrong
+        // record's bytes.
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let b = &b;
+                s.spawn(move || {
+                    for round in 0..200u64 {
+                        let i = (t * 16 + round) % 64;
+                        assert_eq!(b.read_at(i * 16, 16).unwrap(), [i as u8; 16]);
+                    }
+                });
+            }
+        });
         let _ = std::fs::remove_file(&path);
     }
 

@@ -16,7 +16,8 @@
 //! is taken at get-or-create time, never on the record path. Handles
 //! are meant to be resolved once and cached by the instrumented
 //! component. [`StageTimer`] breaks a multi-stage pipeline into
-//! per-stage histograms with one clock read per boundary.
+//! per-stage histograms with one clock read per boundary; a
+//! [`StageTable`] holds a pipeline's stage handles for it.
 //!
 //! [`MetricsRegistry::snapshot`] renders everything into a plain-data
 //! [`TelemetrySnapshot`]. Its one text exposition is the Prometheus
@@ -30,4 +31,4 @@ mod timer;
 pub use json::JsonBuf;
 pub use metrics::{Counter, Exemplar, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{MetricsRegistry, TelemetrySnapshot};
-pub use timer::StageTimer;
+pub use timer::{StageTable, StageTimer};

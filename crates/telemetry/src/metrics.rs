@@ -184,12 +184,6 @@ impl Histogram {
         self.inner.ex_at_ms[idx].store(at_ms, Ordering::Relaxed);
     }
 
-    /// Record a [`Duration`] with an exemplar; see
-    /// [`record_with_exemplar`](Histogram::record_with_exemplar).
-    pub fn record_duration_with_exemplar(&self, d: Duration, trace_id: u64, at_ms: u64) {
-        self.record_with_exemplar(d.as_nanos().min(u64::MAX as u128) as u64, trace_id, at_ms);
-    }
-
     /// Observations recorded so far.
     pub fn count(&self) -> u64 {
         self.inner.count.load(Ordering::Relaxed)

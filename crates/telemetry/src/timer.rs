@@ -1,7 +1,8 @@
 //! Multi-stage pipeline timing.
 
 use crate::{Histogram, MetricsRegistry};
-use std::time::Instant;
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 /// Splits one pass through a pipeline into per-stage histograms.
 ///
@@ -12,6 +13,10 @@ use std::time::Instant;
 /// the stages it reached, and on `Drop` the remainder lands in
 /// `"{prefix}.partial"` plus the whole pass in `"{prefix}.total"` — so
 /// denied requests are never invisible in the latency record.
+///
+/// A timer [`started`](StageTimer::start) on a registry looks each
+/// histogram up by name at its boundary; one started on a
+/// [`StageTable`] records into the handles the table holds.
 ///
 /// ```
 /// use css_telemetry::{MetricsRegistry, StageTimer};
@@ -30,16 +35,24 @@ use std::time::Instant;
 /// ```
 #[derive(Debug)]
 pub struct StageTimer<'a> {
-    registry: &'a MetricsRegistry,
-    /// `"{prefix}."` followed by the stage being looked up: written
-    /// once at `start`, truncated back and re-filled per boundary, so a
-    /// pass formats no name and allocates once.
-    name: String,
-    prefix_len: usize,
+    stages: Stages<'a>,
     started: Instant,
     last: Instant,
     finished: bool,
-    exemplar: Option<(u64, u64)>,
+    /// `(trace_id, at_ms)`; a zero trace id records no exemplar.
+    exemplar: (u64, u64),
+}
+
+/// Where a timer's histograms come from.
+#[derive(Debug)]
+enum Stages<'a> {
+    /// Looked up by name: the name is `"{prefix}."` (its length the
+    /// `usize`) followed by the stage being looked up, written once at
+    /// `start`, truncated back and re-filled per boundary, so a pass
+    /// formats no name and allocates once.
+    Named(&'a MetricsRegistry, String, usize),
+    /// Held by a table.
+    Table(&'a StageTable),
 }
 
 /// Capacity reserved past the prefix so the usual stage names
@@ -47,55 +60,119 @@ pub struct StageTimer<'a> {
 /// buffer; a longer name still works, it just reallocates.
 const STAGE_NAME_ROOM: usize = 24;
 
+/// The stage histograms of one pipeline, `"{prefix}.{stage}"`, held.
+/// A table starts empty and fills as it is used: the first record of a
+/// stage formats its name, takes its handle from the registry and keeps
+/// both in the next free slot; every later record finds it there. So a
+/// pass through a warm table takes no registry lock and allocates
+/// nothing, the stages a pipeline has are named only where it times
+/// them, and a stage no pass reached is not registered.
+///
+/// ```
+/// use css_telemetry::{MetricsRegistry, StageTable};
+///
+/// let registry = MetricsRegistry::new();
+/// let table = StageTable::new(&registry, "stage");
+/// let mut timer = table.start();
+/// timer.stage("pip_resolve");
+/// drop(timer);
+///
+/// let snap = registry.snapshot();
+/// assert_eq!(snap.histogram("stage.partial").unwrap().count, 1);
+/// assert!(snap.histogram("stage.pdp_evaluate").is_none());
+/// ```
+#[derive(Debug)]
+pub struct StageTable {
+    registry: MetricsRegistry,
+    prefix: String,
+    /// Each stage recorded so far with its histogram, in first-record
+    /// order; `partial` and `total` take a slot like any other stage.
+    /// Sixteen: the detail pipeline's six stages with `partial` and
+    /// `total` fill half. Past that, a stage records nothing.
+    slots: [OnceLock<(String, Histogram)>; 16],
+}
+
+impl StageTable {
+    /// An empty table of the stages under `prefix` in `registry`.
+    pub fn new(registry: &MetricsRegistry, prefix: &str) -> Self {
+        StageTable {
+            registry: registry.clone(),
+            prefix: prefix.to_string(),
+            slots: [const { OnceLock::new() }; 16],
+        }
+    }
+
+    /// Start timing a pass; the first `stage` call measures from here.
+    pub fn start(&self) -> StageTimer<'_> {
+        StageTimer::over(Stages::Table(self))
+    }
+
+    /// The slot of `stage`: the first filled with it, or else the first
+    /// free one, filled with it here. Slots fill in order and each
+    /// once, so no stage takes two.
+    fn histogram(&self, stage: &str) -> Option<&Histogram> {
+        self.slots.iter().find_map(|slot| {
+            let (name, histogram) = slot.get_or_init(|| {
+                let histogram = self.registry.histogram(&format!("{}.{stage}", self.prefix));
+                (stage.to_string(), histogram)
+            });
+            (name == stage).then_some(histogram)
+        })
+    }
+}
+
 impl<'a> StageTimer<'a> {
     /// Start timing; the first `stage` call measures from here.
     pub fn start(registry: &'a MetricsRegistry, prefix: &str) -> Self {
         let mut name = String::with_capacity(prefix.len() + 1 + STAGE_NAME_ROOM);
         name.push_str(prefix);
         name.push('.');
+        StageTimer::over(Stages::Named(registry, name, prefix.len() + 1))
+    }
+
+    fn over(stages: Stages<'a>) -> Self {
         let now = Instant::now();
         StageTimer {
-            registry,
-            prefix_len: name.len(),
-            name,
+            stages,
             started: now,
             last: now,
             finished: false,
-            exemplar: None,
+            exemplar: (0, 0),
         }
     }
 
     /// Attach an exemplar `(trace_id, at_ms)` to this pass: every
     /// stage/total/partial record from here on carries it, so the
     /// bucket an outlier lands in retains a link back to the span tree
-    /// that produced it. A zero trace id is ignored (0 marks "no
+    /// that produced it. A zero trace id attaches none (0 marks "no
     /// exemplar" in the histogram slots).
     pub fn exemplar(&mut self, trace_id: u64, at_ms: u64) {
-        if trace_id != 0 {
-            self.exemplar = Some((trace_id, at_ms));
-        }
+        self.exemplar = (trace_id, at_ms);
     }
 
-    /// The histogram `"{prefix}.{stage}"`.
-    fn histogram(&mut self, stage: &str) -> Histogram {
-        self.name.truncate(self.prefix_len);
-        self.name.push_str(stage);
-        self.registry.histogram(&self.name)
+    /// Record `elapsed` into `"{prefix}.{stage}"`.
+    fn record(&mut self, stage: &str, elapsed: Duration) {
+        let named;
+        let histogram = match &mut self.stages {
+            Stages::Named(registry, name, prefix_len) => {
+                name.truncate(*prefix_len);
+                name.push_str(stage);
+                named = registry.histogram(name);
+                Some(&named)
+            }
+            Stages::Table(table) => table.histogram(stage),
+        };
+        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        if let Some(histogram) = histogram {
+            histogram.record_with_exemplar(ns, self.exemplar.0, self.exemplar.1);
+        }
     }
 
     /// Close the current stage: record the time since the previous
     /// boundary into `"{prefix}.{stage}"` and start the next stage.
     pub fn stage(&mut self, stage: &str) {
         let now = Instant::now();
-        let histogram = self.histogram(stage);
-        match self.exemplar {
-            Some((trace_id, at_ms)) => histogram.record_duration_with_exemplar(
-                now.duration_since(self.last),
-                trace_id,
-                at_ms,
-            ),
-            None => histogram.record_duration(now.duration_since(self.last)),
-        }
+        self.record(stage, now.duration_since(self.last));
         self.last = now;
     }
 
@@ -105,40 +182,16 @@ impl<'a> StageTimer<'a> {
     /// and still contributes to `"{prefix}.total"`.
     pub fn finish(mut self) {
         self.finished = true;
-        let histogram = self.histogram("total");
-        match self.exemplar {
-            Some((trace_id, at_ms)) => {
-                histogram.record_duration_with_exemplar(self.started.elapsed(), trace_id, at_ms)
-            }
-            None => histogram.record_duration(self.started.elapsed()),
-        }
+        self.record("total", self.started.elapsed());
     }
 }
 
 impl Drop for StageTimer<'_> {
     fn drop(&mut self) {
-        if self.finished {
-            return;
-        }
-        let now = Instant::now();
-        let (partial, total) = (self.histogram("partial"), self.histogram("total"));
-        match self.exemplar {
-            Some((trace_id, at_ms)) => {
-                partial.record_duration_with_exemplar(
-                    now.duration_since(self.last),
-                    trace_id,
-                    at_ms,
-                );
-                total.record_duration_with_exemplar(
-                    now.duration_since(self.started),
-                    trace_id,
-                    at_ms,
-                );
-            }
-            None => {
-                partial.record_duration(now.duration_since(self.last));
-                total.record_duration(now.duration_since(self.started));
-            }
+        if !self.finished {
+            let now = Instant::now();
+            self.record("partial", now.duration_since(self.last));
+            self.record("total", now.duration_since(self.started));
         }
     }
 }
@@ -236,6 +289,78 @@ mod tests {
         timer.finish();
         let snap = registry.snapshot();
         assert!(snap.histogram("p.total").unwrap().exemplars.is_empty());
+    }
+
+    #[test]
+    fn a_table_records_what_a_named_timer_records() {
+        let (named, tabled) = (MetricsRegistry::new(), MetricsRegistry::new());
+        let table = StageTable::new(&tabled, "p");
+        for registry in [&named, &tabled] {
+            let start = || {
+                if std::ptr::eq(registry, &tabled) {
+                    table.start()
+                } else {
+                    StageTimer::start(registry, "p")
+                }
+            };
+            let mut timer = start();
+            timer.exemplar(7, 1);
+            timer.stage("first");
+            timer.stage("second");
+            timer.finish();
+            start().stage("first");
+        }
+        let (named, tabled) = (named.snapshot(), tabled.snapshot());
+        // The same names, none for a stage never reached, the same
+        // counts and exemplars.
+        let names = |s: &crate::TelemetrySnapshot| s.histograms.keys().cloned().collect::<Vec<_>>();
+        assert_eq!(
+            names(&tabled),
+            ["p.first", "p.partial", "p.second", "p.total"]
+        );
+        assert_eq!(names(&named), names(&tabled));
+        for (name, h) in &tabled.histograms {
+            let n = &named.histograms[name];
+            assert_eq!(
+                (h.count, h.exemplars.len()),
+                (n.count, n.exemplars.len()),
+                "{name}"
+            );
+        }
+        assert_eq!(tabled.histograms["p.first"].count, 2);
+    }
+
+    #[test]
+    fn threads_sharing_a_table_hold_each_stage_once() {
+        let registry = MetricsRegistry::new();
+        let table = StageTable::new(&registry, "p");
+        let stages = ["a", "b", "c", "d", "e", "f"];
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let table = &table;
+                scope.spawn(move || {
+                    for pass in 0..50 {
+                        let mut timer = table.start();
+                        for k in 0..6 {
+                            timer.stage(stages[(t + k + pass) % 6]);
+                        }
+                        timer.finish();
+                    }
+                });
+            }
+        });
+        let mut held: Vec<&str> = table
+            .slots
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(|(n, _)| n.as_str())
+            .collect();
+        held.sort_unstable();
+        assert_eq!(held, ["a", "b", "c", "d", "e", "f", "total"]);
+        let snap = registry.snapshot();
+        for stage in stages {
+            assert_eq!(snap.histogram(&format!("p.{stage}")).unwrap().count, 200);
+        }
     }
 
     #[test]

@@ -157,10 +157,11 @@ impl SpanGuard {
         }
     }
 
-    /// Attach a privacy-safe attribute. No-op on a disabled guard.
-    pub fn attr(&mut self, attr: SpanAttr) {
+    /// Attach the privacy-safe attribute `attr` builds. A disabled
+    /// guard never calls it: with tracing off no attribute is built.
+    pub fn attr(&mut self, attr: impl FnOnce() -> SpanAttr) {
         if self.tracer.is_enabled() {
-            self.attrs.push(attr);
+            self.attrs.push(attr());
         }
     }
 
@@ -271,7 +272,7 @@ mod tests {
         let tracer = Tracer::disabled();
         let mut root = tracer.root("publish", Timestamp::EPOCH);
         assert!(root.trace_id().is_none());
-        root.attr(SpanAttr::decision(true));
+        root.attr(|| SpanAttr::decision(true));
         let ctx = root.context();
         assert!(ctx.trace_id().is_none());
         let child = ctx.child("bus.route");
@@ -346,11 +347,28 @@ mod tests {
     }
 
     #[test]
+    fn a_disabled_span_builds_no_attribute() {
+        let built = std::cell::Cell::new(0);
+        let attr = || {
+            built.set(built.get() + 1);
+            SpanAttr::stage("pdp_evaluate")
+        };
+        let mut root = Tracer::disabled().root("r", Timestamp::EPOCH);
+        root.attr(attr);
+        root.context().child("c").attr(attr);
+        assert_eq!(built.get(), 0);
+        Tracer::new(4, &MetricsRegistry::new())
+            .root("r", Timestamp::EPOCH)
+            .attr(attr);
+        assert_eq!(built.get(), 1);
+    }
+
+    #[test]
     fn attrs_and_status_land_on_the_recorded_span() {
         let tracer = Tracer::new(16, &MetricsRegistry::new());
         let mut span = tracer.root("pep.pdp_evaluate", Timestamp::EPOCH);
-        span.attr(SpanAttr::cache_hit(true));
-        span.attr(SpanAttr::decision(false));
+        span.attr(|| SpanAttr::cache_hit(true));
+        span.attr(|| SpanAttr::decision(false));
         span.set_status(SpanStatus::Denied);
         span.finish();
         let spans = tracer.finished_spans();

@@ -3,7 +3,7 @@
 //! The at-rest logs write each record through the encoder that writes
 //! its XML form ([`XmlSink`]), into a [`BinarySink`], and read it back
 //! with the decoder that reads its XML form ([`XmlSource`]), off a
-//! [`BinarySource`]. The binary form keeps the document's open /
+//! `BinarySource` (which [`Stored::open`] hands out). The binary form keeps the document's open /
 //! attribute / text / close events and drops what text spends on them:
 //! names become one-byte codes, numbers varints, bytes stay bytes.
 //!

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Repo-wide quality gate, nine steps: formatting, unsafe allowlist,
-# clippy, css-lint, release build, tests (and the css package's again
-# on one CPU), then the macrobench package
+# Repo-wide quality gate, ten steps: formatting, unsafe allowlist,
+# clippy, warning-free rustdoc, css-lint, release build, tests (and the
+# css package's again on one CPU), then the macrobench package
 # (its tests and a smoke run). Those are the two gates — the tests
 # carry every correctness claim, the macrobench is the one timing
 # instrument — so no other bench harness, timing ratchet or shell smoke
@@ -43,6 +43,9 @@ step "unsafe: only at the two allowlisted sites" unsafe_allowlist
 # css-controller, css-storage, css-bus and css-gateway deny unwrap_used,
 # expect_used, panic and unreachable outside tests at their crate roots.
 step "cargo clippy (deny warnings)" cargo clippy --workspace --all-targets -- -D warnings
+# Every intra-doc link resolves and none points at a private item.
+step "rustdoc (deny warnings)" \
+  env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 step "css-lint: privacy-invariant pass (waiver budget + size ratchet vs lint-baseline.json)" scripts/lint.sh
 step "tier-1: release build" cargo build --release
 step "tier-1: tests (whole workspace; one red test hides no suite after it)" \

@@ -249,6 +249,77 @@ fn detail_requests_permitted_and_denied() {
     assert_within("denied detail request", denied, DETAIL_DENY);
 }
 
+/// Heap blocks of a permitted detail request for an event of a class of
+/// `fields` text fields, every one filled at publish, under a policy
+/// releasing the first two.
+fn permit_of_a_class_of(fields: usize) -> u64 {
+    let clock = SimClock::starting_at(Timestamp(1_000));
+    let mut platform = CssPlatform::in_memory_with_clock(Arc::new(clock.clone()));
+    let hospital = platform.register_organization("Hospital").unwrap();
+    let doctor = platform.register_organization("Doctor").unwrap();
+    platform.join(hospital, Role::Producer).unwrap();
+    platform.join(doctor, Role::Consumer).unwrap();
+    let ty = EventTypeId::v1("care-record");
+    let names: Vec<String> = (0..fields).map(|i| format!("Field{i}")).collect();
+    let schema = names.iter().fold(
+        EventSchema::new(ty.clone(), "Care Record", hospital),
+        |schema, name| schema.field(FieldDef::required(name, FieldKind::Text)),
+    );
+    let producer = platform.producer(hospital).unwrap();
+    producer.declare(&schema, None).unwrap();
+    producer
+        .policy_wizard(&ty)
+        .unwrap()
+        .select_fields(["Field0", "Field1"])
+        .unwrap()
+        .grant_to([doctor])
+        .unwrap()
+        .for_purposes([Purpose::HealthcareTreatment])
+        .labeled("care", "")
+        .save()
+        .unwrap();
+    let consumer = platform.consumer(doctor).unwrap();
+    let sub = consumer.subscribe(&ty).unwrap();
+    let events: Vec<Delivered> = (1..=16)
+        .map(|patient| {
+            let details = names.iter().fold(EventDetails::new(ty.clone()), |d, name| {
+                d.with(
+                    name,
+                    FieldValue::Text(format!("{name} of patient {patient}")),
+                )
+            });
+            producer
+                .publish(person(patient), "care recorded", details, clock.now())
+                .unwrap();
+            sub.next().unwrap().expect("routed to the doctor")
+        })
+        .collect();
+    allocations_per_op(
+        |i| &events[i as usize % events.len()].message,
+        |n| {
+            let response = consumer
+                .request_details(n, Purpose::HealthcareTreatment)
+                .unwrap();
+            assert_eq!(response.details.non_empty_fields().count(), 2);
+        },
+    )
+}
+
+#[test]
+fn permitted_detail_allocations_do_not_grow_with_unreleased_fields() {
+    let four = permit_of_a_class_of(4);
+    let twelve = permit_of_a_class_of(12);
+    assert_eq!(
+        four, twelve,
+        "a permit allocates per field it does not release"
+    );
+    assert_within(
+        "permitted detail request, 12 fields, 2 released",
+        twelve,
+        DETAIL_PERMIT,
+    );
+}
+
 /// Heap blocks of a detail request denied on its purpose to a role in
 /// an organisation → unit → role hierarchy, asked right after an
 /// unrelated policy install has emptied the decision cache, with
@@ -368,19 +439,17 @@ fn inquiry_over_ten_events() {
 }
 
 // Budgets, in hundredths of an allocation per operation: what the
-// binary at-rest form measured (32.24, 32.05, 11.00, 67.01) plus ten
-// per cent. Its parent measured 37.25, 33.05, 12.01 and 68.01. The
-// inquiry's is what opening each distinct identity once measured
-// (64.01: the ten events share one ciphertext, opened once, and nine
-// identities are clones) plus ten per cent. Publish + deliver and the
-// permitted request are what the gateway's record form measured
-// (28.24 and 30.05: no element name or type text built per persist, no
-// tokenizer state per read) plus ten per cent. The cold denial is what
-// matching along the requester's lineage measured (13.01 with 8 foreign
-// grants and with 128; the whole-class walk it replaced measured 25.01
-// and 145.01, one ancestor list per policy) plus ten per cent.
-const PUBLISH_DELIVER: u64 = 3106;
-const DETAIL_PERMIT: u64 = 3305;
-const DETAIL_DENY: u64 = 1210;
+// binary at-rest form measured for the inquiry (64.01: the ten events
+// share one ciphertext, opened once, and nine identities are clones)
+// plus ten per cent. The rest are what resolving once on the request
+// path measured — the decision cache shares one permit, a decoded
+// detail holds its values in the schema's slots, the stage tables hold
+// their handles and a disabled span builds no attribute — plus ten per
+// cent: publish + deliver 25.24 (was 28.24), the permitted request
+// 12.05 (was 30.05), the denied one 7.00 (was 11.00) and the cold
+// denial 9.01 with 8 foreign grants and with 128 (was 13.01).
+const PUBLISH_DELIVER: u64 = 2776;
+const DETAIL_PERMIT: u64 = 1325;
+const DETAIL_DENY: u64 = 770;
 const INQUIRY_TEN: u64 = 7041;
-const DETAIL_DENY_COLD: u64 = 1431;
+const DETAIL_DENY_COLD: u64 = 991;

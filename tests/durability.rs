@@ -1022,7 +1022,7 @@ fn write_the_at_rest_fixture() {
 #[test]
 fn fixture_records_decode_alike_from_stream_and_tree() {
     use css::audit::AuditRecord;
-    use css::event::{DetailDecoder, DetailMessage};
+    use css::event::{DetailDecoder, DetailMessage, FieldMask};
     use css::storage::RecordLog;
     use css::xml::{parse, Reader};
 
@@ -1069,10 +1069,11 @@ fn fixture_records_decode_alike_from_stream_and_tree() {
                     let schema = schemas.iter().find(|s| s.id.to_string() == ty).unwrap();
                     let names = schema.instance_names();
                     let from_tree = DetailMessage::from_xml(schema, &parse(text).unwrap()).unwrap();
-                    assert_eq!(open().finish(schema, &names, |_| true).unwrap(), from_tree);
+                    let every = schema.field_names().map(|_| true).collect();
+                    assert_eq!(open().finish(schema, &names, &every).unwrap(), from_tree);
                     // Filtered in the decode or after it: the same details.
                     let filtered = open()
-                        .finish(schema, &names, |f| only_patient.contains(f))
+                        .finish(schema, &names, &FieldMask::of(&names.fields, &only_patient))
                         .unwrap();
                     assert_eq!(
                         filtered.details,

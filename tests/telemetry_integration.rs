@@ -168,4 +168,130 @@ fn telemetry_matches_audit_after_end_to_end_flow() {
     ] {
         assert!(text.contains(needle), "exposition missing {needle}");
     }
+
+    // The stage handles are held, not looked up: that registers no
+    // histogram a pass did not record into, and loses none.
+    let names = |prefix: &str| -> Vec<&str> {
+        telemetry
+            .histograms
+            .keys()
+            .filter(|name| name.starts_with(prefix))
+            .map(String::as_str)
+            .collect()
+    };
+    assert_eq!(
+        names("publish."),
+        [
+            "publish.audit",
+            "publish.consent_gate",
+            "publish.index",
+            "publish.route",
+            "publish.total"
+        ]
+    );
+    assert_eq!(
+        names("stage."),
+        [
+            "stage.consent_check",
+            "stage.gateway_retrieve",
+            "stage.notified_check",
+            "stage.obligation_filter",
+            "stage.partial",
+            "stage.pdp_evaluate",
+            "stage.pip_resolve",
+            "stage.total"
+        ]
+    );
+
+    // Each early exit records the stages it reached, one
+    // `stage.partial` and one `stage.total`.
+    let clinic = platform.register_organization("Clinic").unwrap();
+    platform.join(clinic, Role::Consumer).unwrap();
+    let stages = || -> Vec<(String, u64)> {
+        let telemetry = platform.telemetry();
+        let stage = telemetry.histograms.iter();
+        stage
+            .filter(|(name, _)| name.starts_with("stage."))
+            .map(|(name, h)| (name["stage.".len()..].to_string(), h.count))
+            .collect()
+    };
+    let reached = |deny: &dyn Fn() -> CssError| -> (CssError, Vec<String>) {
+        let before = stages();
+        let err = deny();
+        let after = stages();
+        assert_eq!(after.len(), before.len(), "no stage registered anew");
+        let grew = before
+            .iter()
+            .zip(&after)
+            .filter_map(|((name, was), (_, is))| {
+                assert!(is - was <= 1, "{name}: {was} -> {is}");
+                (is > was).then(|| name.clone())
+            });
+        (err, grew.collect())
+    };
+    let (err, grew) = reached(&|| {
+        consumer
+            .request_details_by_id(
+                ty.clone(),
+                GlobalEventId(9_999),
+                Purpose::HealthcareTreatment,
+            )
+            .unwrap_err()
+    });
+    assert!(matches!(err, CssError::NotFound(_)), "{err}");
+    assert_eq!(grew, ["partial", "pip_resolve", "total"]);
+    let (err, grew) = reached(&|| {
+        let clinic = platform.consumer(clinic).unwrap();
+        clinic
+            .request_details(&notifications[0], Purpose::HealthcareTreatment)
+            .unwrap_err()
+    });
+    assert!(matches!(
+        err,
+        CssError::AccessDenied(DenyReason::NotNotified)
+    ));
+    assert_eq!(grew, ["notified_check", "partial", "pip_resolve", "total"]);
+    platform
+        .citizen(PersonId(0))
+        .opt_out(ConsentScope::All)
+        .unwrap();
+    let (err, grew) = reached(&|| {
+        consumer
+            .request_details(&notifications[0], Purpose::HealthcareTreatment)
+            .unwrap_err()
+    });
+    assert!(matches!(
+        err,
+        CssError::AccessDenied(DenyReason::ConsentWithheld)
+    ));
+    assert_eq!(
+        grew,
+        [
+            "consent_check",
+            "notified_check",
+            "partial",
+            "pip_resolve",
+            "total"
+        ]
+    );
+    let (err, grew) = reached(&|| {
+        consumer
+            .request_details(&notifications[1], Purpose::StatisticalAnalysis)
+            .unwrap_err()
+    });
+    assert!(matches!(
+        err,
+        CssError::AccessDenied(DenyReason::PurposeNotAllowed)
+    ));
+    assert_eq!(
+        grew,
+        [
+            "consent_check",
+            "notified_check",
+            "partial",
+            "pdp_evaluate",
+            "pip_resolve",
+            "total"
+        ]
+    );
 }
