@@ -1,4 +1,4 @@
-//! The in-memory [`BusDriver`]: topics, delivery groups, queues, the
+//! The in-memory broker: topics, delivery groups, queues, the
 //! acknowledgement protocol, publish dedup, visibility timeouts and
 //! bounded redelivery.
 
@@ -14,7 +14,7 @@ use css_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use css_trace::{SpanGuard, SpanStatus, TraceContext, TraceId};
 use css_types::{lock_order, CssError, CssResult, SubscriptionId};
 
-use crate::driver::{BusDriver, BusSnapshot, GroupSnapshot, PublishOptions, PublishOutcome};
+use crate::driver::{BusSnapshot, GroupSnapshot, PublishOptions, PublishOutcome};
 use crate::stats::{BrokerStats, SubscriptionStats};
 use crate::subscription::{unknown_sub, DeadLetter, Delivery};
 
@@ -159,7 +159,7 @@ struct State<M> {
     members: HashMap<SubscriptionId, GroupId>,
     shared: Shared<M>,
     next_sub: u64,
-    /// Callers parked in a waiting [`BusDriver::poll`]. Incremented
+    /// Callers parked in a waiting [`Broker::poll`]. Incremented
     /// under the state lock before the wait releases it and read under
     /// the same lock by whoever enqueues: a publish that finds it zero
     /// skips the wake-up, and none can be lost — a poller either is
@@ -189,36 +189,33 @@ fn member_group<M>(
 
 /// The in-memory publish/subscribe broker over named topics.
 ///
-/// This is the default [`BusDriver`] and nothing else — the platform,
-/// tests and probes all talk to it through [`crate::Bus`], whose clones
-/// share the one broker.
+/// The one broker there is: the platform, tests and probes all talk to
+/// it through [`crate::Bus`], whose clones share it.
 ///
 /// The broker moves `M` and clones it once per delivery group and once
-/// per delivery; it never looks inside. A caller whose message is
-/// large instantiates it over a pointer (`Broker<Arc<T>>`), and every
-/// queue entry, in-flight entry, dead-lettered message and every
-/// [`Delivery`] is then that one allocation.
-pub struct Broker<M: Clone + Send + 'static> {
+/// per delivery; it never looks inside. It is payload-blind because it
+/// is generic over `M` and css-bus may not depend on css-event (the
+/// layering rule), so no code here can name `DetailMessage` or any
+/// other event type; css-lint's `detail-confinement` rule backs that up
+/// over this crate. A caller whose message is large instantiates it
+/// over a pointer (`Broker<Arc<T>>`), and every queue entry, in-flight
+/// entry, dead-lettered message and every [`Delivery`] is then that one
+/// allocation.
+pub(crate) struct Broker<M: Clone + Send + 'static> {
     state: Mutex<State<M>>,
     arrivals: Condvar,
     telemetry: BusInstruments,
 }
 
-impl<M: Clone + Send + 'static> Default for Broker<M> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<M: Clone + Send + 'static> Broker<M> {
     /// A broker with no topics, recording into instruments of its own.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::build(BusInstruments::default())
     }
 
     /// A broker recording latency histograms, throughput counters and
     /// depth gauges into `registry` under `bus.*` names.
-    pub fn with_telemetry(registry: &MetricsRegistry) -> Self {
+    pub(crate) fn with_telemetry(registry: &MetricsRegistry) -> Self {
         Self::build(BusInstruments::resolve(registry))
     }
 
@@ -334,15 +331,18 @@ impl<M: Clone + Send + 'static> Broker<M> {
         );
         Some(delivery)
     }
-}
 
-impl<M: Clone + Send + 'static> BusDriver<M> for Broker<M> {
-    fn create_topic(&self, name: &str) {
+    /// Declare a topic. Idempotent.
+    pub(crate) fn create_topic(&self, name: &str) {
         let mut st = self.state.lock();
         st.topics.entry(name.to_string()).or_default();
     }
 
-    fn attach(
+    /// Attach a subscription to `topic`, joining the named delivery
+    /// `group` (or a private group when `None`). The first member's
+    /// `config` fixes the group's queueing behaviour; later members
+    /// share it.
+    pub(crate) fn attach(
         &self,
         topic: &str,
         group: Option<&str>,
@@ -375,7 +375,10 @@ impl<M: Clone + Send + 'static> BusDriver<M> for Broker<M> {
         Ok(id)
     }
 
-    fn detach(&self, id: SubscriptionId) -> CssResult<()> {
+    /// Remove a subscription. Its in-flight deliveries return to the
+    /// queue for the remaining group members; when the last member
+    /// leaves, the group and its queue are discarded.
+    pub(crate) fn detach(&self, id: SubscriptionId) -> CssResult<()> {
         let mut st = self.state.lock();
         let gid = st.members.remove(&id).ok_or_else(|| unknown_sub(id))?;
         let group = group_mut(&mut st.groups, gid).ok_or_else(|| unknown_sub(id))?;
@@ -414,7 +417,9 @@ impl<M: Clone + Send + 'static> BusDriver<M> for Broker<M> {
         Ok(())
     }
 
-    fn close(&self, id: SubscriptionId) -> CssResult<()> {
+    /// Route no later publish to this subscription's delivery group
+    /// ([`crate::Bus::close`]).
+    pub(crate) fn close(&self, id: SubscriptionId) -> CssResult<()> {
         let mut st = self.state.lock();
         let State {
             topics,
@@ -442,7 +447,9 @@ impl<M: Clone + Send + 'static> BusDriver<M> for Broker<M> {
         Ok(())
     }
 
-    fn publish_opts(
+    /// Publish a message to every delivery group of `topic`
+    /// ([`crate::Bus::publish_opts`]).
+    pub(crate) fn publish_opts(
         &self,
         topic: &str,
         message: M,
@@ -532,7 +539,16 @@ impl<M: Clone + Send + 'static> BusDriver<M> for Broker<M> {
         Ok(PublishOutcome::Routed(fanout))
     }
 
-    fn poll(&self, id: SubscriptionId, wait: Duration) -> CssResult<Option<Delivery<M>>> {
+    /// Take the next available message for this member, waiting up to
+    /// `wait` for one to arrive or a visibility timeout to return one;
+    /// [`Duration::ZERO`] never blocks. Each call first requeues (or
+    /// dead-letters) the group's deliveries whose visibility timeout
+    /// has expired — the only sweep there is.
+    pub(crate) fn poll(
+        &self,
+        id: SubscriptionId,
+        wait: Duration,
+    ) -> CssResult<Option<Delivery<M>>> {
         let mut now = Instant::now();
         // A wait too long to represent has no deadline.
         let deadline = now.checked_add(wait);
@@ -561,7 +577,8 @@ impl<M: Clone + Send + 'static> BusDriver<M> for Broker<M> {
         }
     }
 
-    fn ack(&self, id: SubscriptionId, delivery_id: u64) -> CssResult<()> {
+    /// Acknowledge a delivery held by this member, retiring it.
+    pub(crate) fn ack(&self, id: SubscriptionId, delivery_id: u64) -> CssResult<()> {
         let mut st = self.state.lock();
         let (_, group) = member_group(&mut st, id)?;
         let f = take_held(group, id, delivery_id)?;
@@ -572,7 +589,10 @@ impl<M: Clone + Send + 'static> BusDriver<M> for Broker<M> {
         Ok(())
     }
 
-    fn nack(&self, id: SubscriptionId, delivery_id: u64) -> CssResult<()> {
+    /// Negatively acknowledge a delivery held by this member: back to
+    /// the head of the queue for another attempt, or dead-letter once
+    /// attempts are exhausted.
+    pub(crate) fn nack(&self, id: SubscriptionId, delivery_id: u64) -> CssResult<()> {
         let mut st = self.state.lock();
         let (shared, group) = member_group(&mut st, id)?;
         let f = take_held(group, id, delivery_id)?;
@@ -583,7 +603,11 @@ impl<M: Clone + Send + 'static> BusDriver<M> for Broker<M> {
         Ok(())
     }
 
-    fn snapshot(&self, member: Option<SubscriptionId>) -> BusSnapshot<M> {
+    /// What introspection reads, taken at one instant: broker counters,
+    /// topics with their member counts, and — when `member` is a live
+    /// subscription — its delivery group's depth and counters. The
+    /// dead-letter queue is not copied here: [`Broker::dead_letters`].
+    pub(crate) fn snapshot(&self, member: Option<SubscriptionId>) -> BusSnapshot {
         let st = self.state.lock();
         let live = |gid: &GroupId| st.groups.get(*gid as usize)?.as_deref();
         let mut topics: Vec<(String, usize)> = st
@@ -599,13 +623,18 @@ impl<M: Clone + Send + 'static> BusDriver<M> for Broker<M> {
         BusSnapshot {
             stats: st.shared.stats,
             topics,
-            dead_letters: st.shared.dlq.clone(),
             group: group.map(|g| GroupSnapshot {
                 queued: g.queue.len(),
                 in_flight: g.in_flight.len(),
                 stats: g.stats,
             }),
         }
+    }
+
+    /// A copy of the dead-letter queue, in the order messages were
+    /// given up on.
+    pub(crate) fn dead_letters(&self) -> Vec<DeadLetter<M>> {
+        self.state.lock().shared.dlq.clone()
     }
 }
 
@@ -1395,8 +1424,8 @@ mod wake_tests {
     const PATIENCE: Duration = Duration::from_secs(20);
 
     fn setup() -> (Arc<Broker<String>>, Bus<String>) {
-        let broker = Arc::new(Broker::new());
-        let bus = Bus::from_driver(broker.clone());
+        let bus = Bus::in_memory();
+        let broker = Arc::clone(&bus.broker);
         bus.create_topic("t");
         (broker, bus)
     }

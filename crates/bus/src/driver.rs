@@ -1,9 +1,7 @@
-//! The pluggable broker contract: [`BusDriver`] and the [`Bus`] facade.
+//! The [`Bus`] facade over the one broker, and what a publish passes
+//! and gets back.
 //!
-//! The platform's delivery substrate is defined as a trait so the
-//! in-memory broker, a recording wrapper, or (later) a networked
-//! multi-site driver can slot in behind the same surface. A transport
-//! implements nine verbs and nothing else:
+//! The broker ([`crate::broker`]) does its work in nine methods:
 //!
 //! | verb | what it does |
 //! |---|---|
@@ -13,21 +11,13 @@
 //! | `publish_opts` | route one message to every group of a topic |
 //! | `poll(id, wait)` | take the next delivery, waiting up to `wait` |
 //! | `ack` / `nack` | retire a delivery / send it round again |
-//! | `snapshot` | everything introspection reads, at one instant |
+//! | `snapshot` | the counters introspection reads, at one instant |
 //!
 //! Everything else callers see — [`Bus::stats`], a handle's `backlog`,
 //! the controller's `bus_dead_letters` — is a one-line read of the
-//! snapshot, written once here and not once per driver. Two rules shape
-//! the contract:
-//!
-//! - **sync / std-only**: every method is a plain blocking call, so a
-//!   driver can be backed by a mutex, a socket, or a file without
-//!   dragging an async runtime into the platform;
-//! - **payload-blind**: the trait is generic over the message type `M`
-//!   and a driver can only clone and move payloads — it has no way to
-//!   name `DetailMessage` or any other concrete event type, so detail
-//!   confinement holds by construction (enforced by css-lint's
-//!   `detail-confinement` rule over this crate).
+//! snapshot, or of the dead-letter queue, written once here. Every
+//! method is a plain blocking call: no async runtime enters the
+//! platform.
 //!
 //! Delivery follows the competing-consumer model: a subscription
 //! attaches to a *delivery group* (solo by default, shared when a group
@@ -37,14 +27,13 @@
 //! budget is spent and it dead-letters.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use css_trace::TraceContext;
 use css_types::{CssResult, SubscriptionId};
 
 use crate::broker::{Broker, SubscriptionConfig};
 use crate::stats::{BrokerStats, SubscriptionStats};
-use crate::subscription::{DeadLetter, Delivery, SubscriberHandle};
+use crate::subscription::{DeadLetter, SubscriberHandle};
 
 /// Per-publish options: an idempotency key and an optional trace.
 ///
@@ -101,114 +90,20 @@ impl PublishOutcome {
     }
 }
 
-/// The broker contract every delivery substrate implements: nine verbs.
-///
-/// Object-safe and generic over the payload `M`: implementors move
-/// opaque values around and can never inspect or name event types. All
-/// methods are synchronous; the only one that may block is
-/// [`BusDriver::poll`] with a non-zero `wait`.
-///
-/// Subscriptions attach to **delivery groups**. `attach(topic, None,
-/// ..)` creates a private group (classic fan-out: every such
-/// subscription sees every message); `attach(topic, Some("workers"),
-/// ..)` joins the named group on that topic, whose members *compete*:
-/// each message goes to exactly one member, load-balanced by pull.
-///
-/// Delivery state machine, per message and group:
-///
-/// ```text
-///   queued --poll--> in-flight --ack-----------------> done
-///                        |
-///                        +--nack (attempts left)-----> queued (at the head)
-///                        +--visibility timeout-------> queued (at the head)
-///                        +--member detach------------> queued (at the head)
-///                        +--nack/timeout, no attempts
-///                               left ----------------> dead-letter queue
-/// ```
-///
-/// Deliveries that return to the queue together (a detach, the
-/// timeouts one poll finds expired) keep their publish order: the
-/// oldest is at the head.
-pub trait BusDriver<M: Clone + Send + 'static>: Send + Sync {
-    /// Declare a topic. Idempotent.
-    fn create_topic(&self, name: &str);
-
-    /// Attach a subscription to `topic`, joining the named delivery
-    /// `group` (or a private group when `None`). The first member's
-    /// `config` fixes the group's queueing behaviour; later members
-    /// share it.
-    fn attach(
-        &self,
-        topic: &str,
-        group: Option<&str>,
-        config: SubscriptionConfig,
-    ) -> CssResult<SubscriptionId>;
-
-    /// Remove a subscription. Its in-flight deliveries return to the
-    /// queue for the remaining group members; when the last member
-    /// leaves, the group and its queue are discarded.
-    fn detach(&self, id: SubscriptionId) -> CssResult<()>;
-
-    /// Route no later publish to this subscription's delivery group.
-    /// What the group already holds stays with it: its members still
-    /// poll, ack and nack it, and [`BusDriver::detach`] still removes
-    /// them. A named group gives its name up: the next member to join
-    /// that name starts a fresh group. Idempotent, and a detached
-    /// subscription is already closed. (How a subscription whose
-    /// authorisation ended stops receiving without losing what was
-    /// published to it while it held one.)
-    fn close(&self, id: SubscriptionId) -> CssResult<()>;
-
-    /// Publish a message to every delivery group of `topic`.
-    ///
-    /// A single full group queue fails the whole publish *before* any
-    /// enqueue (all-or-nothing back-pressure); a rejected publish does
-    /// not consume its dedup key.
-    fn publish_opts(
-        &self,
-        topic: &str,
-        message: M,
-        opts: PublishOptions<'_>,
-    ) -> CssResult<PublishOutcome>;
-
-    /// Take the next available message for this member, waiting up to
-    /// `wait` for one to arrive or a visibility timeout to return one;
-    /// [`Duration::ZERO`] never blocks. Each call first requeues (or
-    /// dead-letters) the group's deliveries whose visibility timeout
-    /// has expired — the only sweep there is.
-    fn poll(&self, id: SubscriptionId, wait: Duration) -> CssResult<Option<Delivery<M>>>;
-
-    /// Acknowledge a delivery held by this member, retiring it.
-    fn ack(&self, id: SubscriptionId, delivery_id: u64) -> CssResult<()>;
-
-    /// Negatively acknowledge a delivery held by this member: back to
-    /// the head of the queue for another attempt, or dead-letter once
-    /// attempts are exhausted.
-    fn nack(&self, id: SubscriptionId, delivery_id: u64) -> CssResult<()>;
-
-    /// Everything introspection reads, taken at one instant: broker
-    /// counters, topics with their member counts, the dead-letter
-    /// queue, and — when `member` is a live subscription — its
-    /// delivery group's depth and counters.
-    fn snapshot(&self, member: Option<SubscriptionId>) -> BusSnapshot<M>;
-}
-
-/// What [`BusDriver::snapshot`] returns.
+/// The broker's counters and topics at one instant ([`Bus::snapshot`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BusSnapshot<M> {
+pub struct BusSnapshot {
     /// Broker-wide counters.
     pub stats: BrokerStats,
     /// Declared topics, sorted, each with its active member
     /// subscriptions across all of its groups.
     pub topics: Vec<(String, usize)>,
-    /// The dead-letter queue, in the order messages were given up on.
-    pub dead_letters: Vec<DeadLetter<M>>,
     /// The asked-for member's delivery group; `None` when no member
     /// was named or the subscription is gone.
     pub group: Option<GroupSnapshot>,
 }
 
-impl<M> BusSnapshot<M> {
+impl BusSnapshot {
     /// Active member subscriptions of `topic`; `None` if undeclared.
     pub fn members_of(&self, topic: &str) -> Option<usize> {
         let found = self.topics.iter().find(|(name, _)| name == topic);
@@ -227,44 +122,64 @@ pub struct GroupSnapshot {
     pub stats: SubscriptionStats,
 }
 
-/// Handle to a broker behind some [`BusDriver`].
+/// Handle to the platform's broker.
 ///
-/// This is what the platform wires through: cheap to clone, driver
-/// chosen at construction ([`Bus::in_memory`] by default, anything else
-/// via [`Bus::from_driver`]). It adds the ergonomic layer the trait
-/// deliberately lacks: typed [`SubscriberHandle`]s, convenience publish
-/// methods and one-line reads of [`BusDriver::snapshot`].
+/// This is what the platform wires through: cheap to clone, every clone
+/// sharing the one in-memory broker. It hands out typed
+/// [`SubscriberHandle`]s, convenience publish methods and one-line
+/// reads of the broker's snapshot.
+///
+/// Subscriptions attach to **delivery groups**. [`Bus::subscribe`]
+/// creates a private group (classic fan-out: every such subscription
+/// sees every message); [`Bus::subscribe_group`] joins the named group
+/// on that topic, whose members *compete*: each message goes to exactly
+/// one member, load-balanced by pull.
+///
+/// Delivery state machine, per message and group:
+///
+/// ```text
+///   queued --poll--> in-flight --ack-----------------> done
+///                        |
+///                        +--nack (attempts left)-----> queued (at the head)
+///                        +--visibility timeout-------> queued (at the head)
+///                        +--member detach------------> queued (at the head)
+///                        +--nack/timeout, no attempts
+///                               left ----------------> dead-letter queue
+/// ```
+///
+/// Deliveries that return to the queue together (a detach, the
+/// timeouts one poll finds expired) keep their publish order: the
+/// oldest is at the head.
 pub struct Bus<M: Clone + Send + 'static> {
-    driver: Arc<dyn BusDriver<M>>,
+    pub(crate) broker: Arc<Broker<M>>,
 }
 
 impl<M: Clone + Send + 'static> Clone for Bus<M> {
     fn clone(&self) -> Self {
         Bus {
-            driver: Arc::clone(&self.driver),
+            broker: Arc::clone(&self.broker),
         }
     }
 }
 
 impl<M: Clone + Send + 'static> Bus<M> {
-    /// A bus over the built-in in-memory driver ([`Broker`]).
+    /// A bus over a broker recording into instruments of its own.
     pub fn in_memory() -> Self {
-        Self::from_driver(Arc::new(Broker::new()))
+        Bus {
+            broker: Arc::new(Broker::new()),
+        }
     }
 
-    /// An in-memory bus recording `bus.*` telemetry into `registry`.
+    /// A bus recording `bus.*` telemetry into `registry`.
     pub fn in_memory_with_telemetry(registry: &css_telemetry::MetricsRegistry) -> Self {
-        Self::from_driver(Arc::new(Broker::with_telemetry(registry)))
-    }
-
-    /// A bus over a caller-supplied driver.
-    pub fn from_driver(driver: Arc<dyn BusDriver<M>>) -> Self {
-        Bus { driver }
+        Bus {
+            broker: Arc::new(Broker::with_telemetry(registry)),
+        }
     }
 
     /// Declare a topic. Idempotent.
     pub fn create_topic(&self, name: &str) {
-        self.driver.create_topic(name);
+        self.broker.create_topic(name);
     }
 
     /// Subscribe to a topic in a private delivery group (fan-out).
@@ -273,8 +188,8 @@ impl<M: Clone + Send + 'static> Bus<M> {
         topic: &str,
         config: SubscriptionConfig,
     ) -> CssResult<SubscriberHandle<M>> {
-        let id = self.driver.attach(topic, None, config)?;
-        Ok(SubscriberHandle::new(Arc::clone(&self.driver), id))
+        let id = self.broker.attach(topic, None, config)?;
+        Ok(SubscriberHandle::new(Arc::clone(&self.broker), id))
     }
 
     /// Join the named competing-consumer group on `topic`.
@@ -284,24 +199,35 @@ impl<M: Clone + Send + 'static> Bus<M> {
         group: &str,
         config: SubscriptionConfig,
     ) -> CssResult<SubscriberHandle<M>> {
-        let id = self.driver.attach(topic, Some(group), config)?;
-        Ok(SubscriberHandle::new(Arc::clone(&self.driver), id))
+        let id = self.broker.attach(topic, Some(group), config)?;
+        Ok(SubscriberHandle::new(Arc::clone(&self.broker), id))
     }
 
-    /// Route no later publish to the subscription's delivery group; see
-    /// [`BusDriver::close`].
+    /// Route no later publish to this subscription's delivery group.
+    /// What the group already holds stays with it: its members still
+    /// poll, ack and nack it, and [`SubscriberHandle::unsubscribe`]
+    /// still removes them. A named group gives its name up: the next
+    /// member to join that name starts a fresh group. Idempotent, and a
+    /// detached subscription is already closed. (How a subscription
+    /// whose authorisation ended stops receiving without losing what
+    /// was published to it while it held one.)
     pub fn close(&self, id: SubscriptionId) -> CssResult<()> {
-        self.driver.close(id)
+        self.broker.close(id)
     }
 
-    /// Publish with full options (dedup key, trace).
+    /// Publish a message to every delivery group of `topic`, with full
+    /// options (dedup key, trace).
+    ///
+    /// A single full group queue fails the whole publish *before* any
+    /// enqueue (all-or-nothing back-pressure); a rejected publish does
+    /// not consume its dedup key.
     pub fn publish_opts(
         &self,
         topic: &str,
         message: M,
         opts: PublishOptions<'_>,
     ) -> CssResult<PublishOutcome> {
-        self.driver.publish_opts(topic, message, opts)
+        self.broker.publish_opts(topic, message, opts)
     }
 
     /// Publish a message, returning the number of delivery groups it
@@ -314,9 +240,9 @@ impl<M: Clone + Send + 'static> Bus<M> {
         self.publish_opts(topic, message, opts).map(|o| o.routed())
     }
 
-    /// Counters, topics and dead letters at one instant.
-    pub fn snapshot(&self) -> BusSnapshot<M> {
-        self.driver.snapshot(None)
+    /// Counters and topics at one instant.
+    pub fn snapshot(&self) -> BusSnapshot {
+        self.broker.snapshot(None)
     }
 
     /// Broker-wide statistics.
@@ -324,9 +250,10 @@ impl<M: Clone + Send + 'static> Bus<M> {
         self.snapshot().stats
     }
 
-    /// Snapshot of the dead-letter queue.
+    /// A copy of the dead-letter queue, in the order messages were
+    /// given up on.
     pub fn dead_letters(&self) -> Vec<DeadLetter<M>> {
-        self.snapshot().dead_letters
+        self.broker.dead_letters()
     }
 
     /// Active member subscriptions across all groups of a topic.

@@ -4,20 +4,15 @@
 //! current prototype we customized the open source ESB ServiceMix") with
 //! a publish/subscribe model so "many entities can subscribe to the same
 //! type of event" (Section 3). This crate reproduces the integration
-//! semantics that matter to the platform, behind a pluggable driver
-//! contract:
+//! semantics that matter to the platform, in one in-memory broker
+//! behind the [`Bus`] facade:
 //!
-//! - the [`BusDriver`] trait — the broker contract (sync, std-only,
-//!   payload-blind), nine verbs: `create_topic`, `attach`, `detach`,
+//! - nine verbs on the broker: `create_topic`, `attach`, `detach`,
 //!   `close`, `publish_opts`, `poll(id, wait)`, `ack`, `nack`, and
-//!   `snapshot`
-//!   (the one read-only call: counters, topics, dead letters, a
-//!   member's group). The in-memory [`Broker`], the
-//!   [`RecordingDriver`] wrapper, or a future networked multi-site
-//!   driver implement those and nothing more; the platform holds a
-//!   [`Bus`] facade over `Arc<dyn BusDriver>`, and every other name
+//!   `snapshot` (counters, topics, a member's group); every other name
 //!   callers use ([`Bus::stats`], [`SubscriberHandle::backlog`], ..)
-//!   is a one-line read of the snapshot,
+//!   is a one-line read of the snapshot, and [`Bus::dead_letters`]
+//!   alone copies the dead-letter queue,
 //! - named **topics** (one per class of events),
 //! - **delivery groups** with explicit acknowledgement: a private group
 //!   per subscriber gives classic fan-out, while N members of a named
@@ -50,12 +45,10 @@
 
 pub mod broker;
 pub mod driver;
-pub mod recording;
 pub mod stats;
 pub mod subscription;
 
-pub use broker::{Broker, SubscriptionConfig};
-pub use driver::{Bus, BusDriver, BusSnapshot, GroupSnapshot, PublishOptions, PublishOutcome};
-pub use recording::{BusOp, RecordingDriver};
+pub use broker::SubscriptionConfig;
+pub use driver::{Bus, BusSnapshot, GroupSnapshot, PublishOptions, PublishOutcome};
 pub use stats::{BrokerStats, SubscriptionStats};
 pub use subscription::{DeadLetter, Delivery, SubscriberHandle};

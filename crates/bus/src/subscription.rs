@@ -6,7 +6,8 @@ use std::time::Duration;
 use css_trace::TraceId;
 use css_types::{CssError, CssResult, SubscriptionId};
 
-use crate::driver::{BusDriver, GroupSnapshot};
+use crate::broker::Broker;
+use crate::driver::GroupSnapshot;
 use crate::stats::SubscriptionStats;
 
 /// The error every operation on a detached subscription returns.
@@ -50,14 +51,13 @@ pub struct DeadLetter<M> {
     pub message: M,
 }
 
-/// Consumer-side handle to one group-member subscription, valid against
-/// any [`BusDriver`].
+/// Consumer-side handle to one group-member subscription.
 ///
 /// Dropping the handle does **not** unsubscribe — subscriptions are
 /// durable, mirroring how a consumer's queue on the ESB outlives any one
 /// connection. Call [`SubscriberHandle::unsubscribe`] to remove it.
 pub struct SubscriberHandle<M: Clone + Send + 'static> {
-    driver: Arc<dyn BusDriver<M>>,
+    broker: Arc<Broker<M>>,
     id: SubscriptionId,
 }
 
@@ -70,16 +70,16 @@ impl<M: Clone + Send + 'static> std::fmt::Debug for SubscriberHandle<M> {
 impl<M: Clone + Send + 'static> Clone for SubscriberHandle<M> {
     fn clone(&self) -> Self {
         SubscriberHandle {
-            driver: Arc::clone(&self.driver),
+            broker: Arc::clone(&self.broker),
             id: self.id,
         }
     }
 }
 
 impl<M: Clone + Send + 'static> SubscriberHandle<M> {
-    /// A handle binding subscription `id` to `driver`.
-    pub fn new(driver: Arc<dyn BusDriver<M>>, id: SubscriptionId) -> Self {
-        SubscriberHandle { driver, id }
+    /// A handle binding subscription `id` to `broker`.
+    pub(crate) fn new(broker: Arc<Broker<M>>, id: SubscriptionId) -> Self {
+        SubscriberHandle { broker, id }
     }
 
     /// The subscription's identifier.
@@ -95,26 +95,26 @@ impl<M: Clone + Send + 'static> SubscriberHandle<M> {
     /// Take the next message, waiting up to `wait` for one to arrive
     /// (or a visibility timeout to return one).
     pub fn poll_for(&self, wait: Duration) -> CssResult<Option<Delivery<M>>> {
-        self.driver.poll(self.id, wait)
+        self.broker.poll(self.id, wait)
     }
 
     /// Acknowledge a delivery, removing the message for good.
     pub fn ack(&self, delivery_id: u64) -> CssResult<()> {
-        self.driver.ack(self.id, delivery_id)
+        self.broker.ack(self.id, delivery_id)
     }
 
     /// Negatively acknowledge a delivery. The message returns to the
     /// head of the queue for redelivery (to any group member), or moves
     /// to the dead-letter queue once its attempts are exhausted.
     pub fn nack(&self, delivery_id: u64) -> CssResult<()> {
-        self.driver.nack(self.id, delivery_id)
+        self.broker.nack(self.id, delivery_id)
     }
 
     /// This subscription's delivery group at one instant: queued and
     /// in-flight counts and the group's counters. Errors once the
     /// subscription is gone.
     pub fn group(&self) -> CssResult<GroupSnapshot> {
-        let group = self.driver.snapshot(Some(self.id)).group;
+        let group = self.broker.snapshot(Some(self.id)).group;
         group.ok_or_else(|| unknown_sub(self.id))
     }
 
@@ -138,7 +138,7 @@ impl<M: Clone + Send + 'static> SubscriberHandle<M> {
     /// remaining group members; the last member leaving discards the
     /// group's queue.
     pub fn unsubscribe(self) -> CssResult<()> {
-        self.driver.detach(self.id)
+        self.broker.detach(self.id)
     }
 
     /// Drain every queued message, acking each — convenience for tests

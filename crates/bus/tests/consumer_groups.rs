@@ -1,16 +1,14 @@
-//! Integration tests of the pluggable-broker surface: competing
-//! consumers, dead-lettering with trace continuity and publish dedup —
-//! exercised through the public `Bus` facade the platform itself uses,
-//! plus a toy driver compiled against the trait.
+//! Integration tests of the broker surface: competing consumers,
+//! dead-lettering with trace continuity and publish dedup — exercised
+//! through the public `Bus` facade the platform itself uses.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
 
-use css_bus::{Broker, Bus, BusDriver, PublishOptions, RecordingDriver, SubscriptionConfig};
+use css_bus::{Bus, PublishOptions, SubscriptionConfig};
 use css_trace::Tracer;
 use css_types::Timestamp;
 
@@ -139,28 +137,22 @@ fn poison_message_dead_letters_with_original_trace() {
 
 // ---- dedup ----------------------------------------------------------------
 
-/// The same dedup key delivers once, whichever driver carries it.
+/// The same dedup key delivers once.
 #[test]
-fn dedup_key_drops_duplicates_across_drivers() {
-    let drivers: Vec<Arc<dyn BusDriver<u32>>> = vec![
-        Arc::new(Broker::new()),
-        Arc::new(RecordingDriver::in_memory()),
-    ];
-    for driver in drivers {
-        let bus = Bus::from_driver(driver);
-        bus.create_topic("t");
-        let sub = bus.subscribe("t", SubscriptionConfig::default()).unwrap();
-        let first = bus
-            .publish_opts("t", 1, PublishOptions::new().dedup_key("retry-1"))
-            .unwrap();
-        let second = bus
-            .publish_opts("t", 1, PublishOptions::new().dedup_key("retry-1"))
-            .unwrap();
-        assert!(!first.is_duplicate());
-        assert!(second.is_duplicate());
-        assert_eq!(sub.drain().unwrap(), vec![1]);
-        assert_eq!(bus.stats().dedup_dropped, 1);
-    }
+fn dedup_key_delivers_once() {
+    let bus: Bus<u32> = Bus::in_memory();
+    bus.create_topic("t");
+    let sub = bus.subscribe("t", SubscriptionConfig::default()).unwrap();
+    let first = bus
+        .publish_opts("t", 1, PublishOptions::new().dedup_key("retry-1"))
+        .unwrap();
+    let second = bus
+        .publish_opts("t", 1, PublishOptions::new().dedup_key("retry-1"))
+        .unwrap();
+    assert!(!first.is_duplicate());
+    assert!(second.is_duplicate());
+    assert_eq!(sub.drain().unwrap(), vec![1]);
+    assert_eq!(bus.stats().dedup_dropped, 1);
 }
 
 // ---- partition ------------------------------------------------------------

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use parking_lot::{RwLock, RwLockReadGuard};
 
 use css_audit::{AuditAction, AuditQuery, AuditRecord, AuditReport, AuditShards};
-use css_bus::{Bus, BusDriver, PublishOptions, SubscriberHandle, SubscriptionConfig};
+use css_bus::{Bus, PublishOptions, SubscriberHandle, SubscriptionConfig};
 use css_event::{EventSchema, NotificationMessage};
 use css_policy::cache::StabilityInterval;
 use css_policy::{DetailRequest, PolicyDecisionPoint, PrivacyPolicy};
@@ -60,13 +60,6 @@ pub struct ControllerConfig {
     /// deliver, inquiry, detail request → PEP stages). Disabled by
     /// default, making every span a no-op.
     pub tracer: Tracer,
-    /// Bus driver the controller routes notifications through. `None`
-    /// (the default) builds a private in-memory broker instrumented
-    /// against `telemetry`; supply a driver to swap the transport (e.g.
-    /// a [`css_bus::RecordingDriver`] in tests, a networked broker in a
-    /// multi-site deployment). The bus carries a pointer to the one
-    /// notification a publish builds.
-    pub bus_driver: Option<Arc<dyn BusDriver<Arc<NotificationMessage>>>>,
 }
 
 impl ControllerConfig {
@@ -77,7 +70,6 @@ impl ControllerConfig {
             clock,
             telemetry: MetricsRegistry::new(),
             tracer: Tracer::disabled(),
-            bus_driver: None,
         }
     }
 
@@ -92,14 +84,6 @@ impl ControllerConfig {
     /// land in a shared collector.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
-        self
-    }
-
-    /// Route notifications through the given driver instead of a
-    /// private in-memory broker. The driver is payload-blind; detail
-    /// confinement holds regardless of the transport chosen here.
-    pub fn with_bus_driver(mut self, driver: Arc<dyn BusDriver<Arc<NotificationMessage>>>) -> Self {
-        self.bus_driver = Some(driver);
         self
     }
 }
@@ -251,10 +235,7 @@ impl<B: LogBackend> DataController<B> {
             actors: RwLock::ranked("actors", lock_order::ACTORS, ActorRegistry::new()),
             contracts: RwLock::new(ContractRegistry::new()),
             catalog: RwLock::ranked("catalog", lock_order::CATALOG, EventCatalog::new()),
-            bus: match config.bus_driver {
-                Some(driver) => Bus::from_driver(driver),
-                None => Bus::in_memory_with_telemetry(&config.telemetry),
-            },
+            bus: Bus::in_memory_with_telemetry(&config.telemetry),
             index,
             pdp: RwLock::ranked("pdp", lock_order::PDP, PolicyDecisionPoint::new()),
             consent: RwLock::ranked("consent", lock_order::CONSENT, ConsentRegistry::new()),

@@ -6,12 +6,10 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use css_audit::{AuditQuery, AuditRecord, AuditReport};
-use css_bus::BusDriver;
 use css_controller::{
     ConsentDecision, ConsentScope, ControllerConfig, Credential, DataController, IdentityManager,
     ParticipantRole, SharedGateway,
 };
-use css_event::NotificationMessage;
 use css_gateway::LocalCooperationGateway;
 use css_policy::PolicyRepository;
 use css_storage::{InstrumentedBackend, LogBackend, RecordLog};
@@ -73,7 +71,6 @@ pub struct CssPlatformBuilder<P: BackendProvider = MemoryProvider> {
     shards: Option<usize>,
     ops_addr: Option<String>,
     ops_interval: std::time::Duration,
-    bus_driver: Option<Arc<dyn BusDriver<Arc<NotificationMessage>>>>,
     incident_dir: Option<std::path::PathBuf>,
 }
 
@@ -94,7 +91,6 @@ impl CssPlatformBuilder<MemoryProvider> {
             shards: None,
             ops_addr: None,
             ops_interval: std::time::Duration::from_millis(250),
-            bus_driver: None,
             incident_dir: None,
         }
     }
@@ -126,20 +122,8 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
             shards: self.shards,
             ops_addr: self.ops_addr,
             ops_interval: self.ops_interval,
-            bus_driver: self.bus_driver,
             incident_dir: self.incident_dir,
         }
-    }
-
-    /// Route notifications through an explicit [`BusDriver`] instead of
-    /// the controller's private in-memory broker — e.g. a
-    /// [`css_bus::RecordingDriver`] for integration forensics, or a
-    /// networked broker in a multi-site deployment. The driver is
-    /// payload-blind: it moves opaque notification values and can never
-    /// see event details.
-    pub fn bus_driver(mut self, driver: Arc<dyn BusDriver<Arc<NotificationMessage>>>) -> Self {
-        self.bus_driver = Some(driver);
-        self
     }
 
     /// Use an explicit (usually simulated) clock.
@@ -211,7 +195,6 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
             shards,
             ops_addr,
             ops_interval,
-            bus_driver,
             incident_dir,
         } = self;
         let telemetry = MetricsRegistry::new();
@@ -310,12 +293,9 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
                 )
             })
             .unzip();
-        let mut config = ControllerConfig::with_clock(clock.clone())
+        let config = ControllerConfig::with_clock(clock.clone())
             .with_telemetry(telemetry.clone())
             .with_tracer(tracer.clone());
-        if let Some(driver) = bus_driver {
-            config = config.with_bus_driver(driver);
-        }
         let controller = DataController::open(
             config,
             audit_backends,

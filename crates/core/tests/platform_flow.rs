@@ -897,25 +897,22 @@ fn three_nacks_dead_letter_the_notification() {
     assert_eq!(dead[0].message.global_id, receipt.global_id);
 }
 
-/// The whole platform runs unchanged over a swapped-in bus driver, and
-/// the driver — payload-blind by construction — journals only shape,
-/// never person data.
+/// A declare refused for its care domain keeps nothing: a retry with a
+/// valid domain declares the class, and it can be subscribed to and
+/// published on.
 #[test]
-fn platform_runs_on_a_recording_bus_driver() {
-    let driver = Arc::new(css_bus::RecordingDriver::<Arc<NotificationMessage>>::in_memory());
+fn a_declare_refused_for_its_domain_can_be_retried() {
     let clock = SimClock::starting_at(Timestamp(1_000));
-    let mut platform = CssPlatformBuilder::new()
-        .clock(Arc::new(clock.clone()))
-        .bus_driver(driver.clone())
-        .build()
-        .unwrap();
+    let mut platform = CssPlatform::in_memory_with_clock(Arc::new(clock.clone()));
     let hospital = platform.register_organization("Hospital").unwrap();
     let doctor = platform.register_organization("Doctor").unwrap();
     platform.join(hospital, Role::Producer).unwrap();
     platform.join(doctor, Role::Consumer).unwrap();
     let producer = platform.producer(hospital).unwrap();
+    let refused = producer.declare(&blood_test(hospital), Some("health/surgery"));
+    assert!(matches!(refused, Err(CssError::NotFound(_))));
     producer
-        .declare(&blood_test(hospital), Some("health"))
+        .declare(&blood_test(hospital), Some("health/laboratory"))
         .unwrap();
     producer
         .policy_wizard(&EventTypeId::v1("blood-test"))
@@ -933,20 +930,10 @@ fn platform_runs_on_a_recording_bus_driver() {
     producer
         .publish(mario(), "bt", details(), clock.now())
         .unwrap();
-    let delivered = sub.next().unwrap().expect("routed through the driver");
+    let delivered = sub.next().unwrap().expect("routed to the subscriber");
     assert_eq!(delivered.message.person.id, PersonId(42));
-
-    // The journal saw the whole lifecycle...
-    let journal = driver.journal();
-    assert!(journal
-        .iter()
-        .any(|op| matches!(op, css_bus::BusOp::Publish { deduped: false, .. })));
-    assert!(journal
-        .iter()
-        .any(|op| matches!(op, css_bus::BusOp::Ack(_, _))));
-    // ...but never the identifying payload (detail confinement: the
-    // driver moves opaque values it cannot inspect).
-    let rendered = format!("{journal:?}");
-    assert!(!rendered.contains("RSSMRA45C12L378Y"));
-    assert!(!rendered.contains("Mario"));
+    assert_eq!(
+        consumer.browse_by_domain("health"),
+        vec![EventTypeId::v1("blood-test")]
+    );
 }

@@ -277,7 +277,7 @@ impl Rule for UncheckedBackpressure {
 /// once and drop — and nothing outside the allowed field set is
 /// materialised on the way out of the gateway. `css_xml::parse` stays
 /// for the paper-facing documents read at open (`css-policy`'s XACML
-/// repository, `css-registry`); in the crates below it may appear in
+/// repository); in the crates below it may appear in
 /// tests only, so the carve-out cannot grow back unnoticed.
 pub struct DomFreeReadPath;
 

@@ -1,26 +1,16 @@
-//! An ebXML-flavoured registry for the CSS platform.
+//! The event catalog of the CSS platform.
 //!
 //! The paper adopts "a central registry with searching and data
 //! management functionalities over meta data that links and describes
 //! the data generated by producers", implemented "according to the ebXML
-//! standard" (Sections 3–4). This crate reproduces the registry
-//! information-model subset the platform uses:
-//!
-//! - registry objects with typed slots and lifecycle status,
-//! - classification schemes (taxonomy trees) and classifications,
-//! - associations between objects,
-//! - a composable filter query (the ebXML "filter query"),
-//! - the [`EventCatalog`] built on top: the registry of classes of
-//!   event details producers declare, with their schemas as content.
-//!
-//! The catalog is the crate's whole surface: the registry model under
-//! it is private, and holds only what the catalog calls.
+//! standard" (Sections 3–4). What the platform reads of it is the
+//! [`EventCatalog`]: the classes of event details producers declare,
+//! each with its schema, classified by care domain, listed by producer
+//! or by domain, versions kept side by side. The rest of the ebXML
+//! information model (slots, associations, lifecycle status, XML
+//! repository content) is not reproduced: nothing in the platform
+//! reads it.
 
-mod association;
 mod catalog;
-mod classification;
-mod object;
-mod query;
-mod registry;
 
 pub use catalog::{EventCatalog, CARE_DOMAIN_SCHEME};

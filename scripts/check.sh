@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Repo-wide quality gate, ten steps: formatting, unsafe allowlist,
+# Repo-wide quality gate, eleven steps: formatting, unsafe allowlist,
 # clippy, warning-free rustdoc, css-lint, release build, tests (and the
-# css package's again on one CPU), then the macrobench package
+# css package's again on one CPU), the runnable examples, then the
+# macrobench package
 # (its tests and a smoke run). Those are the two gates — the tests
 # carry every correctness claim, the macrobench is the one timing
 # instrument — so no other bench harness, timing ratchet or shell smoke
@@ -53,6 +54,24 @@ step "tier-1: tests (whole workspace; one red test hides no suite after it)" \
 # Pinned to one CPU, `default_shard_count()` is 1 whatever the host, so
 # every test that takes the default runs on the one-shard plane too.
 step "tier-1: the css package on one CPU" taskset -c 0 cargo test -q -p css
+
+# `cargo test` compiles the README's runnable examples but never runs
+# them: each must exit 0. `ops_demo` serves its plane until a deadline
+# and is left out.
+run_examples() {
+  local example name status=0
+  for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    [ "$name" = ops_demo ] && continue
+    echo "-- example $name"
+    if ! cargo run -q --offline --example "$name" >/dev/null; then
+      echo "example $name failed" >&2
+      status=1
+    fi
+  done
+  return $status
+}
+step "examples: every runnable example but ops_demo exits 0" run_examples
 
 # The macrobench is a package of its own that `cargo build` at the root
 # never compiles, and it calls the product crates directly: build its

@@ -438,6 +438,37 @@ fn inquiry_over_ten_events() {
     assert_within("inquiry returning 10 events", measured, INQUIRY_TEN);
 }
 
+/// Heap blocks a subscriber's `backlog` and the bus's `stats` each ask
+/// for per call, on a bus holding `dead` dead letters.
+fn counter_reads_beside_dead_letters(dead: u64) -> (u64, u64) {
+    use css::bus::{Bus, SubscriptionConfig};
+    let bus: Bus<Arc<String>> = Bus::in_memory();
+    bus.create_topic("t");
+    let one_try = SubscriptionConfig {
+        max_attempts: 1,
+        ..SubscriptionConfig::default()
+    };
+    let sub = bus.subscribe("t", one_try).unwrap();
+    for i in 0..dead {
+        bus.publish("t", Arc::new(i.to_string()), None).unwrap();
+        let d = sub.poll().unwrap().unwrap();
+        sub.nack(d.delivery_id).unwrap();
+    }
+    assert_eq!(bus.dead_letters().len() as u64, dead);
+    let backlog = allocations_per_op(|_| (), |()| assert_eq!(sub.backlog().unwrap(), 0));
+    let stats = allocations_per_op(|_| (), |()| assert_eq!(bus.stats().published, dead));
+    (backlog, stats)
+}
+
+#[test]
+fn counter_reads_copy_no_dead_letter() {
+    assert_eq!(
+        counter_reads_beside_dead_letters(0),
+        counter_reads_beside_dead_letters(100),
+        "a counter read allocates per dead letter"
+    );
+}
+
 // Budgets, in hundredths of an allocation per operation: what the
 // binary at-rest form measured for the inquiry (64.01: the ten events
 // share one ciphertext, opened once, and nine identities are clones)
