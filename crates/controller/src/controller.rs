@@ -646,19 +646,17 @@ impl<B: LogBackend> DataController<B> {
             )));
         }
         timer.stage("route");
-        // Ascending (the class list is kept so), for the receipt and
-        // for the Delivery records: the bytes of the audit log must not
-        // depend on a hash seed. A consumer holding several
+        // Ascending (the class list is kept so), for the receipt, for
+        // the index entry, which keeps them as its sorted `Notified`,
+        // and for the Delivery records: the bytes of the audit log must
+        // not depend on a hash seed. A consumer holding several
         // subscriptions to the class is one receiver.
         let mut receivers: Vec<ActorId> = route.receivers.iter().map(|(_, actor)| *actor).collect();
         drop(routes);
         receivers.dedup();
         let index_span = ctx.child("index.insert");
-        self.index.insert(
-            &notification,
-            src_event_id,
-            receivers.iter().copied().collect(),
-        )?;
+        self.index
+            .insert_notified(&notification, src_event_id, receivers.clone().into())?;
         index_span.finish();
         timer.stage("index");
         // One group commit for the Publish record and the per-consumer

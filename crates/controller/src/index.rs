@@ -8,12 +8,17 @@
 //!
 //! Each entry keeps:
 //! - the person's identifying tuple **sealed** with the controller key,
-//! - a keyed **lookup tag** (HMAC of the person id) so per-person
-//!   inquiries don't require decrypting the whole index,
 //! - the `eID → (producer, src_eID)` mapping the PIP resolves in
 //!   Algorithm 1 step 1,
-//! - the set of consumer organizations that were notified — possessing
-//!   the notification is the prerequisite for a detail request.
+//! - the consumer organizations that were notified — possessing the
+//!   notification is the prerequisite for a detail request.
+//!
+//! Entries are held **by citizen**: one bucket per keyed lookup tag
+//! (HMAC of the person id), holding that citizen's entries in the order
+//! they were indexed, so a per-person inquiry walks one run of entries
+//! and decrypts nothing it does not return. The tag is held once, as
+//! the bucket's key; a by-id locator finds an event's entry for detail
+//! requests, markers and inquiries over id lists.
 //!
 //! The index is **persisted** ([`EventsIndex::open`]): inserts and
 //! notified-markers are appended to a `css-storage` record log, in the
@@ -30,6 +35,7 @@
 //! log keeps each entry's own.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use css_crypto::{HmacKey, SealedBox};
@@ -41,7 +47,49 @@ use css_types::{
 };
 use css_xml::{BinarySink, Names, Stored, Token, XmlSink, XmlSource};
 
+/// The consumers notified of an event: ascending, each once, searched
+/// by binary search. A fan-out is a handful of consumers, so this is
+/// the set's whole cost: one vector.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Notified(Vec<ActorId>);
+
+impl Notified {
+    /// Whether `actor` was notified.
+    pub fn contains(&self, actor: &ActorId) -> bool {
+        self.0.binary_search(actor).is_ok()
+    }
+
+    /// Add `actor`, unless it is there already.
+    pub fn insert(&mut self, actor: ActorId) {
+        if let Err(at) = self.0.binary_search(&actor) {
+            self.0.insert(at, actor);
+        }
+    }
+
+    /// The notified consumers, ascending.
+    pub fn as_slice(&self) -> &[ActorId] {
+        &self.0
+    }
+}
+
+impl From<Vec<ActorId>> for Notified {
+    /// Sorted and deduplicated in place: a list already ascending (a
+    /// publish's receivers) costs one pass.
+    fn from(mut actors: Vec<ActorId>) -> Self {
+        actors.sort_unstable();
+        actors.dedup();
+        Notified(actors)
+    }
+}
+
+impl FromIterator<ActorId> for Notified {
+    fn from_iter<I: IntoIterator<Item = ActorId>>(actors: I) -> Self {
+        Vec::from_iter(actors).into()
+    }
+}
+
 /// One stored notification, with identifying data encrypted at rest.
+/// The person tag it is filed under is its bucket's key, not a field.
 #[derive(Debug, Clone)]
 pub struct IndexEntry {
     /// Global event id.
@@ -53,8 +101,6 @@ pub struct IndexEntry {
     /// entry's ciphertext of the same identity — that other ciphertext,
     /// shared. What is persisted is always the entry's own.
     pub sealed_identity: Arc<[u8]>,
-    /// Keyed lookup tag for the person (HMAC over the person id).
-    pub person_tag: [u8; 32],
     /// Event description (the *what*).
     pub description: String,
     /// When the event occurred.
@@ -65,26 +111,25 @@ pub struct IndexEntry {
     pub src_event_id: SourceEventId,
     /// Consumer organizations that received (or were authorized to see)
     /// the notification.
-    pub notified: HashSet<ActorId>,
+    pub notified: Notified,
 }
 
 impl IndexEntry {
-    /// Write the persisted form into `sink` — the one encoder. The
-    /// sealed identity and the tag go out as bytes (hex digits in the
-    /// XML form), never as a `String` of their own.
-    pub(crate) fn encode(&self, sink: &mut impl XmlSink) {
+    /// Write the persisted form, filed under `person_tag`, into `sink`
+    /// — the one encoder. The sealed identity and the tag go out as
+    /// bytes (hex digits in the XML form), never as a `String` of their
+    /// own.
+    pub(crate) fn encode(&self, person_tag: &[u8; 32], sink: &mut impl XmlSink) {
         sink.open("IndexEntry");
         sink.attr_int("eventId", self.global_id);
         sink.attr("type", &self.event_type);
         sink.attr_bytes("sealed", &self.sealed_identity);
-        sink.attr_bytes("tag", &self.person_tag);
+        sink.attr_bytes("tag", person_tag);
         sink.attr_int("occurredAt", self.occurred_at.as_millis());
         sink.attr_int("producer", self.producer);
         sink.attr_int("srcEventId", self.src_event_id);
         sink.leaf("What", &self.description);
-        let mut notified: Vec<ActorId> = self.notified.iter().copied().collect();
-        notified.sort();
-        for actor in notified {
+        for &actor in self.notified.as_slice() {
             sink.open("Notified");
             sink.attr_int("actor", actor);
             sink.close();
@@ -94,15 +139,15 @@ impl IndexEntry {
 
     /// The tree-fed form of [`IndexRecord::decode`], for an entry.
     #[cfg(test)]
-    pub(crate) fn from_xml(e: &css_xml::Element) -> CssResult<Self> {
+    pub(crate) fn from_xml(e: &css_xml::Element) -> CssResult<([u8; 32], Self)> {
         let mut src = css_xml::TreeSource::new(e);
         src.root()?;
         Self::decode(&mut src)
     }
 
     /// Read the entry whose root element `src` has just opened, to the
-    /// end of the document.
-    fn decode<'a>(src: &mut impl XmlSource<'a>) -> CssResult<Self> {
+    /// end of the document, with the tag it is filed under.
+    fn decode<'a>(src: &mut impl XmlSource<'a>) -> CssResult<([u8; 32], Self)> {
         let bad = |msg: String| CssError::Serialization(format!("IndexEntry: {msg}"));
         let (attrs, mut token) = src.attributes([
             "eventId",
@@ -155,7 +200,7 @@ impl IndexEntry {
             .as_ref()
             .try_into()
             .map_err(|_| bad("tag must be 32 bytes".into()))?;
-        let notified = notified.into_iter().collect::<CssResult<_>>()?;
+        let notified = notified.into_iter().collect::<CssResult<Notified>>()?;
         let global_id = attrs
             .int("eventId")
             .ok_or_else(|| missing("eventId"))?
@@ -163,11 +208,10 @@ impl IndexEntry {
         let event_type =
             EventTypeId::from_canonical(attrs.get("type").ok_or_else(|| missing("type"))?)
                 .map_err(|err| bad(format!("bad type: {err}")))?;
-        Ok(IndexEntry {
+        let entry = IndexEntry {
             global_id,
             event_type,
             sealed_identity,
-            person_tag,
             description: description.unwrap_or_default(),
             occurred_at: Timestamp(
                 attrs
@@ -184,14 +228,16 @@ impl IndexEntry {
                 .ok_or_else(|| missing("srcEventId"))?
                 .map_err(|err| bad(format!("bad srcEventId: {err}")))?,
             notified,
-        })
+        };
+        Ok((person_tag, entry))
     }
 }
 
-/// One record of the index log: an entry, or the marker that adds a
-/// consumer to the notified set of an entry persisted earlier.
+/// One record of the index log: an entry with the tag it is filed
+/// under, or the marker that adds a consumer to the notified set of an
+/// entry persisted earlier.
 enum IndexRecord {
-    Entry(IndexEntry),
+    Entry([u8; 32], IndexEntry),
     Notified(GlobalEventId, ActorId),
 }
 
@@ -217,7 +263,9 @@ impl IndexRecord {
     /// payload, text or binary.
     fn decode<'a>(src: &mut impl XmlSource<'a>) -> CssResult<Self> {
         match src.root()? {
-            "IndexEntry" => IndexEntry::decode(src).map(IndexRecord::Entry),
+            "IndexEntry" => {
+                IndexEntry::decode(src).map(|(tag, entry)| IndexRecord::Entry(tag, entry))
+            }
             "Notified" => {
                 let bad = |msg: &str| CssError::Serialization(format!("Notified marker: {msg}"));
                 let (attrs, rest) = src.attributes(["eventId", "actor"])?;
@@ -304,6 +352,10 @@ struct OpenOnce<'k> {
     by_plaintext: HashMap<Vec<u8>, usize>,
     /// Per slot: the first ciphertext that opened to it, and the identity.
     opened: Vec<(Arc<[u8]>, PersonIdentity)>,
+    /// The slot the previous call answered. A citizen's folded entries
+    /// share its first ciphertext, so a walk of their bucket finds it
+    /// here by pointer, before any hashing.
+    last: Option<usize>,
 }
 
 impl<'k> OpenOnce<'k> {
@@ -313,15 +365,19 @@ impl<'k> OpenOnce<'k> {
             by_address: HashMap::new(),
             by_plaintext: HashMap::new(),
             opened: Vec::new(),
+            last: None,
         }
     }
 
     /// The identity sealed in `sealed`, which is left pointing at the
     /// call's first ciphertext of that identity.
     fn open(&mut self, sealed: &mut Arc<[u8]>) -> CssResult<PersonIdentity> {
+        let last = self
+            .last
+            .filter(|&slot| Arc::ptr_eq(sealed, &self.opened[slot].0));
         let address = Arc::as_ptr(sealed).cast::<u8>();
-        let slot = match self.by_address.get(&address) {
-            Some(&(_, slot)) => slot,
+        let slot = match last.or_else(|| self.by_address.get(&address).map(|&(_, slot)| slot)) {
+            Some(slot) => slot,
             None => {
                 let plaintext = open_plaintext(self.sealer, sealed)?;
                 let slot = match self.by_plaintext.get(&plaintext) {
@@ -337,36 +393,13 @@ impl<'k> OpenOnce<'k> {
                 slot
             }
         };
+        self.last = Some(slot);
         let (first, identity) = &self.opened[slot];
         if !Arc::ptr_eq(sealed, first) {
             *sealed = first.clone();
         }
         Ok(identity.clone())
     }
-}
-
-/// The notifications of the entries among `ids` that `keep` accepts, in
-/// `ids` order (ids not in `entries` are skipped). Every read that
-/// builds notifications from several entries comes through here, and
-/// through one [`OpenOnce`] per call.
-fn notifications_among(
-    sealer: &SealedBox,
-    entries: &mut HashMap<GlobalEventId, IndexEntry>,
-    ids: &[GlobalEventId],
-    mut keep: impl FnMut(&IndexEntry) -> bool,
-) -> CssResult<Vec<NotificationMessage>> {
-    let mut memo = OpenOnce::new(sealer);
-    let mut out = Vec::new();
-    for id in ids {
-        let Some(entry) = entries.get_mut(id) else {
-            continue;
-        };
-        if keep(entry) {
-            let person = memo.open(&mut entry.sealed_identity)?;
-            out.push(notification_of(entry, person));
-        }
-    }
-    Ok(out)
 }
 
 /// What the index holds about a detail request, in the order
@@ -391,12 +424,53 @@ pub enum DetailResolution {
     },
 }
 
+/// The entries a read walks: the bucket of one person tag, in place,
+/// or the entries of listed ids, through the locator (ids not indexed
+/// here are skipped).
+pub(crate) enum Walk<'a> {
+    Tagged(&'a [u8; 32]),
+    Listed(&'a [GlobalEventId]),
+}
+
+/// The hasher of the locator and the bucket map. Their keys — event ids
+/// and HMAC person tags — are minted by the controller, not chosen by a
+/// caller, so there is no flooding for SipHash to resist: one multiply
+/// per word spreads them.
+#[derive(Default)]
+struct MintedHasher(u64);
+
+impl Hasher for MintedHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for word in bytes.chunks(8) {
+            let mut padded = [0u8; 8];
+            padded[..word.len()].copy_from_slice(word);
+            self.write_u64(u64::from_le_bytes(padded));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+type Minted = BuildHasherDefault<MintedHasher>;
+
 /// The controller's index of all notifications, persisted on its backend.
 pub struct EventsIndex<B: LogBackend = MemBackend> {
     sealer: SealedBox,
     tag_key: HmacKey,
-    entries: HashMap<GlobalEventId, IndexEntry>,
-    by_person_tag: HashMap<[u8; 32], Vec<GlobalEventId>>,
+    /// Per citizen, the entries filed under their tag, in the order
+    /// they were linked. Entries are never removed, so a position is
+    /// stable.
+    buckets: Vec<Vec<IndexEntry>>,
+    /// The bucket of each person tag: the one place a tag is held.
+    bucket_of: HashMap<[u8; 32], u32, Minted>,
+    /// Where each event's entry lives: its bucket and its position there.
+    locator: HashMap<GlobalEventId, (u32, u32), Minted>,
     by_type: HashMap<EventTypeId, Vec<GlobalEventId>>,
     /// Secondary time index: `events_between` becomes a range scan
     /// instead of a full-index sweep.
@@ -434,19 +508,21 @@ impl<B: LogBackend> EventsIndex<B> {
     /// right partition. Every record is decoded in the one pass
     /// recovery makes over its log; entries are linked once every shard
     /// exists, then notified-markers, so markers resolve regardless of
-    /// which backend they were read off.
+    /// which backend they were read off. A second entry for an event
+    /// already replayed, on any backend, fails the open: an event is
+    /// indexed once.
     pub(crate) fn open_all(
         master_key: &[u8],
         backends: Vec<B>,
         owner: impl Fn(&[u8; 32]) -> usize,
     ) -> CssResult<Vec<Self>> {
         let mut shards = Vec::with_capacity(backends.len());
-        let mut entries: Vec<IndexEntry> = Vec::new();
+        let mut entries: Vec<([u8; 32], IndexEntry)> = Vec::new();
         let mut markers: Vec<(GlobalEventId, ActorId)> = Vec::new();
         for backend in backends {
             let (storage, _) = RecordLog::recover(backend, |_, payload| {
                 match IndexRecord::read(payload)? {
-                    IndexRecord::Entry(entry) => entries.push(entry),
+                    IndexRecord::Entry(tag, entry) => entries.push((tag, entry)),
                     IndexRecord::Notified(event, actor) => markers.push((event, actor)),
                 }
                 Ok(())
@@ -454,8 +530,9 @@ impl<B: LogBackend> EventsIndex<B> {
             shards.push(EventsIndex {
                 sealer: SealedBox::new(master_key),
                 tag_key: derive_tag_key(master_key),
-                entries: HashMap::new(),
-                by_person_tag: HashMap::new(),
+                buckets: Vec::new(),
+                bucket_of: HashMap::default(),
+                locator: HashMap::default(),
                 by_type: HashMap::new(),
                 by_time: BTreeMap::new(),
                 max_id: None,
@@ -463,26 +540,25 @@ impl<B: LogBackend> EventsIndex<B> {
                 payloads: Vec::new(),
             });
         }
-        for entry in entries {
-            shards[owner(&entry.person_tag)].link_entry(entry);
+        for (tag, entry) in entries {
+            let id = entry.global_id;
+            if shards.iter().any(|shard| shard.locator.contains_key(&id)) {
+                return Err(CssError::Storage(format!(
+                    "index log holds event {id} twice"
+                )));
+            }
+            shards[owner(&tag)].link_entry(tag, entry);
         }
         // Markers for unknown events are silently skipped.
         for (event, actor) in markers {
-            for shard in &mut shards {
-                if let Some(entry) = shard.entries.get_mut(&event) {
-                    entry.notified.insert(actor);
-                    break;
-                }
+            if let Some(entry) = shards.iter_mut().find_map(|shard| shard.locate_mut(event)) {
+                entry.notified.insert(actor);
             }
         }
         Ok(shards)
     }
 
-    fn link_entry(&mut self, entry: IndexEntry) {
-        self.by_person_tag
-            .entry(entry.person_tag)
-            .or_default()
-            .push(entry.global_id);
+    fn link_entry(&mut self, person_tag: [u8; 32], entry: IndexEntry) {
         self.by_type
             .entry(entry.event_type.clone())
             .or_default()
@@ -494,14 +570,34 @@ impl<B: LogBackend> EventsIndex<B> {
         if self.max_id.is_none_or(|m| entry.global_id > m) {
             self.max_id = Some(entry.global_id);
         }
-        self.entries.insert(entry.global_id, entry);
+        let fresh = self.buckets.len() as u32;
+        let bucket = *self.bucket_of.entry(person_tag).or_insert(fresh);
+        if bucket == fresh {
+            self.buckets.push(Vec::new());
+        }
+        let entries = &mut self.buckets[bucket as usize];
+        self.locator
+            .insert(entry.global_id, (bucket, entries.len() as u32));
+        entries.push(entry);
+    }
+
+    /// The entry of event `id`, through the locator.
+    fn locate(&self, id: GlobalEventId) -> Option<&IndexEntry> {
+        let &(bucket, at) = self.locator.get(&id)?;
+        self.buckets.get(bucket as usize)?.get(at as usize)
+    }
+
+    fn locate_mut(&mut self, id: GlobalEventId) -> Option<&mut IndexEntry> {
+        let &(bucket, at) = self.locator.get(&id)?;
+        self.buckets.get_mut(bucket as usize)?.get_mut(at as usize)
     }
 
     fn tag(&self, person: PersonId) -> [u8; 32] {
         self.tag_key.mac(&person.value().to_le_bytes())
     }
 
-    /// Store a notification, sealing the identifying fields.
+    /// Store a notification, sealing the identifying fields. The
+    /// notified set is converted once, to the entry's sorted list.
     pub fn insert(
         &mut self,
         notification: &NotificationMessage,
@@ -509,6 +605,7 @@ impl<B: LogBackend> EventsIndex<B> {
         notified: HashSet<ActorId>,
     ) -> CssResult<()> {
         let person_tag = self.tag(notification.person.id);
+        let notified = notified.into_iter().collect();
         self.insert_tagged(person_tag, notification, src_event_id, notified)
     }
 
@@ -519,10 +616,10 @@ impl<B: LogBackend> EventsIndex<B> {
         person_tag: [u8; 32],
         notification: &NotificationMessage,
         src_event_id: SourceEventId,
-        notified: HashSet<ActorId>,
+        notified: Notified,
     ) -> CssResult<()> {
         let id = notification.global_id;
-        if self.entries.contains_key(&id) {
+        if self.locator.contains_key(&id) {
             return Err(CssError::AlreadyExists(format!(
                 "event {id} already indexed"
             )));
@@ -535,7 +632,6 @@ impl<B: LogBackend> EventsIndex<B> {
             global_id: id,
             event_type: notification.event_type.clone(),
             sealed_identity,
-            person_tag,
             description: notification.description.clone(),
             occurred_at: notification.occurred_at,
             producer: notification.producer,
@@ -543,9 +639,9 @@ impl<B: LogBackend> EventsIndex<B> {
             notified,
         };
         self.payloads.clear();
-        entry.encode(&mut BinarySink::new(&mut self.payloads, NAMES));
+        entry.encode(&person_tag, &mut BinarySink::new(&mut self.payloads, NAMES));
         self.storage.append(&self.payloads)?;
-        self.link_entry(entry);
+        self.link_entry(person_tag, entry);
         Ok(())
     }
 
@@ -554,15 +650,14 @@ impl<B: LogBackend> EventsIndex<B> {
         &self,
         id: GlobalEventId,
     ) -> CssResult<(ActorId, SourceEventId, EventTypeId)> {
-        self.entries
-            .get(&id)
+        self.locate(id)
             .map(|e| (e.producer, e.src_event_id, e.event_type.clone()))
             .ok_or_else(|| CssError::NotFound(format!("event {id} not in index")))
     }
 
     /// Raw entry access (controller-internal).
     pub fn entry(&self, id: GlobalEventId) -> Option<&IndexEntry> {
-        self.entries.get(&id)
+        self.locate(id)
     }
 
     /// Record that `consumer` has been notified of every event in
@@ -577,7 +672,7 @@ impl<B: LogBackend> EventsIndex<B> {
         let mut marker_ends: Vec<usize> = Vec::new();
         let mut newly_notified: Vec<GlobalEventId> = Vec::new();
         for &id in ids {
-            let Some(entry) = self.entries.get(&id) else {
+            let Some(entry) = self.locate(id) else {
                 return Err(CssError::NotFound(format!("event {id} not in index")));
             };
             if !entry.notified.contains(&consumer) {
@@ -593,7 +688,7 @@ impl<B: LogBackend> EventsIndex<B> {
         self.storage
             .append_batch(&split_records(&self.payloads, &marker_ends))?;
         for id in newly_notified {
-            if let Some(entry) = self.entries.get_mut(&id) {
+            if let Some(entry) = self.locate_mut(id) {
                 entry.notified.insert(consumer);
             }
         }
@@ -602,8 +697,7 @@ impl<B: LogBackend> EventsIndex<B> {
 
     /// Whether `consumer` was notified of event `id`.
     pub fn was_notified(&self, id: GlobalEventId, consumer: ActorId) -> bool {
-        self.entries
-            .get(&id)
+        self.locate(id)
             .is_some_and(|e| e.notified.contains(&consumer))
     }
 
@@ -620,7 +714,7 @@ impl<B: LogBackend> EventsIndex<B> {
         consumer: ActorId,
         ancestors: &[ActorId],
     ) -> Option<DetailResolution> {
-        let entry = self.entries.get(&id)?;
+        let entry = self.locate(id)?;
         Some(if entry.event_type != *declared {
             DetailResolution::TypeMismatch(entry.event_type.clone())
         } else if !std::iter::once(&consumer)
@@ -642,8 +736,7 @@ impl<B: LogBackend> EventsIndex<B> {
     /// controller itself may do this, on behalf of authorized consumers.
     pub fn decrypt_notification(&self, id: GlobalEventId) -> CssResult<NotificationMessage> {
         let entry = self
-            .entries
-            .get(&id)
+            .locate(id)
             .ok_or_else(|| CssError::NotFound(format!("event {id} not in index")))?;
         Ok(notification_of(
             entry,
@@ -653,28 +746,50 @@ impl<B: LogBackend> EventsIndex<B> {
 
     /// Event ids about one person (via the keyed tag; no decryption).
     pub fn events_of_person(&self, person: PersonId) -> Vec<GlobalEventId> {
-        self.events_tagged(&self.tag(person))
+        let bucket = self.bucket_of.get(&self.tag(person));
+        let entries = bucket.and_then(|&bucket| self.buckets.get(bucket as usize));
+        entries.into_iter().flatten().map(|e| e.global_id).collect()
     }
 
-    /// Event ids filed under a person tag the caller already derived.
-    pub(crate) fn events_tagged(&self, person_tag: &[u8; 32]) -> Vec<GlobalEventId> {
-        self.by_person_tag
-            .get(person_tag)
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    /// Every notification filed under a person tag, each distinct
-    /// identity opened once.
-    pub(crate) fn notifications_tagged(
+    /// The notifications of the entries `walk` reaches that `keep`
+    /// accepts, in walk order, each distinct identity opened once.
+    /// Every read that builds notifications from several entries comes
+    /// through here, and through one [`OpenOnce`] per call.
+    pub(crate) fn notifications(
         &mut self,
-        person_tag: &[u8; 32],
+        walk: Walk<'_>,
+        mut keep: impl FnMut(&IndexEntry) -> bool,
     ) -> CssResult<Vec<NotificationMessage>> {
-        let ids = self
-            .by_person_tag
-            .get(person_tag)
-            .map_or(&[][..], Vec::as_slice);
-        notifications_among(&self.sealer, &mut self.entries, ids, |_| true)
+        let mut memo = OpenOnce::new(&self.sealer);
+        let mut out = Vec::new();
+        let mut visit = |entry: &mut IndexEntry| -> CssResult<()> {
+            if keep(entry) {
+                let person = memo.open(&mut entry.sealed_identity)?;
+                out.push(notification_of(entry, person));
+            }
+            Ok(())
+        };
+        match walk {
+            Walk::Tagged(tag) => {
+                if let Some(&bucket) = self.bucket_of.get(tag) {
+                    for entry in self.buckets.get_mut(bucket as usize).into_iter().flatten() {
+                        visit(entry)?;
+                    }
+                }
+            }
+            Walk::Listed(ids) => {
+                for id in ids {
+                    let Some(&(bucket, at)) = self.locator.get(id) else {
+                        continue;
+                    };
+                    let entries = self.buckets.get_mut(bucket as usize);
+                    if let Some(entry) = entries.and_then(|e| e.get_mut(at as usize)) {
+                        visit(entry)?;
+                    }
+                }
+            }
+        }
+        Ok(out)
     }
 
     /// Event ids of one class.
@@ -714,10 +829,21 @@ impl<B: LogBackend> EventsIndex<B> {
         &mut self,
         candidates: &[GlobalEventId],
         consumer: ActorId,
+        authorize: impl FnMut(&EventTypeId) -> bool,
+    ) -> CssResult<(Vec<NotificationMessage>, Vec<GlobalEventId>)> {
+        self.filter(Walk::Listed(candidates), consumer, authorize)
+    }
+
+    /// [`EventsIndex::filter_authorized`] over the entries `walk`
+    /// reaches.
+    pub(crate) fn filter(
+        &mut self,
+        walk: Walk<'_>,
+        consumer: ActorId,
         mut authorize: impl FnMut(&EventTypeId) -> bool,
     ) -> CssResult<(Vec<NotificationMessage>, Vec<GlobalEventId>)> {
         let mut unmarked = Vec::new();
-        let out = notifications_among(&self.sealer, &mut self.entries, candidates, |entry| {
+        let out = self.notifications(walk, |entry| {
             if !authorize(&entry.event_type) {
                 return false;
             }
@@ -736,12 +862,12 @@ impl<B: LogBackend> EventsIndex<B> {
 
     /// Number of indexed events.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.locator.len()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.locator.is_empty()
     }
 }
 
@@ -1022,6 +1148,46 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A log holding one event's entry twice does not open: the error
+    /// names the event, wherever each copy is read off and routed. A
+    /// replayed marker stays idempotent.
+    #[test]
+    fn a_replayed_duplicate_entry_fails_the_open() {
+        let key = b"controller master key";
+        let mut idx = index();
+        idx.insert(&notif(1, 7, "x"), SourceEventId(1), HashSet::new())
+            .unwrap();
+        let entry_len = idx.storage.byte_len() as usize;
+        idx.mark_notified(&[GlobalEventId(1)], ActorId(5)).unwrap();
+        let log = idx.storage.into_backend();
+        let bytes = log.read_at(0, log.len() as usize).unwrap();
+        let backend = |parts: &[&[u8]]| {
+            let mut backend = MemBackend::new();
+            for part in parts {
+                backend.append(part).unwrap();
+            }
+            backend
+        };
+        let names_the_event = |opened: CssResult<()>| match opened {
+            Err(CssError::Storage(m)) => m.contains("evt-00000001"),
+            _ => false,
+        };
+        let twice = EventsIndex::open(key, backend(&[&bytes, &bytes]));
+        assert!(names_the_event(twice.map(|_| ())));
+        let routed = std::cell::Cell::new(0);
+        let across =
+            EventsIndex::open_all(key, vec![backend(&[&bytes]), backend(&[&bytes])], |_| {
+                routed.set(routed.get() + 1);
+                routed.get() - 1
+            });
+        assert!(names_the_event(across.map(|_| ())));
+        let marker = &bytes[entry_len..];
+        let idx = EventsIndex::open(key, backend(&[&bytes, marker, marker])).unwrap();
+        assert_eq!(idx.len(), 1);
+        assert_eq!(idx.events_of_person(PersonId(7)), vec![GlobalEventId(1)]);
+        assert!(idx.was_notified(GlobalEventId(1), ActorId(5)));
+    }
+
     #[test]
     fn duplicate_mark_notified_writes_once() {
         let mut idx = EventsIndex::open(b"k", MemBackend::new()).unwrap();
@@ -1043,18 +1209,22 @@ mod tests {
         css_xml::to_string(&css_xml::TreeSink::build(encode))
     }
 
-    fn entry_with(description: &str, notified: &[u64]) -> IndexEntry {
+    /// The person tag the pinned entries are filed under.
+    fn pinned_tag() -> [u8; 32] {
         let mut person_tag = [0u8; 32];
         for (i, b) in person_tag.iter_mut().enumerate() {
             *b = (i as u8).wrapping_mul(73) ^ 0xA5;
         }
+        person_tag
+    }
+
+    fn entry_with(description: &str, notified: &[u64]) -> IndexEntry {
         IndexEntry {
             global_id: GlobalEventId(1),
             event_type: EventTypeId::v1("lab-result"),
             sealed_identity: (0u8..110)
                 .map(|i| i.wrapping_mul(37).wrapping_add(11))
                 .collect(),
-            person_tag,
             description: description.into(),
             occurred_at: Timestamp(1_700_000_000_000),
             producer: ActorId(1),
@@ -1079,8 +1249,8 @@ mod tests {
             format!("<IndexEntry eventId=\"evt-123456789012\" type=\"lab-result@v1\" {SEALED_AND_TAG} occurredAt=\"1700000000000\" producer=\"act-00000001\" srcEventId=\"src-00000091\"><What>check-up &amp; &lt;follow-up&gt; \"soon\"</What><Notified actor=\"act-00000004\"/><Notified actor=\"act-00000030\"/><Notified actor=\"act-00000200\"/></IndexEntry>"),
         ];
         for (entry, bytes) in [bare, fanned].iter().zip(pinned) {
-            assert_eq!(streamed(|s| entry.encode(s)), bytes);
-            assert_eq!(tree(|s| entry.encode(s)), bytes);
+            assert_eq!(streamed(|s| entry.encode(&pinned_tag(), s)), bytes);
+            assert_eq!(tree(|s| entry.encode(&pinned_tag(), s)), bytes);
         }
         let marker = "<Notified eventId=\"evt-00000077\" actor=\"act-00000005\"/>";
         assert_eq!(
@@ -1114,7 +1284,7 @@ mod tests {
                 let text = std::str::from_utf8(payload).unwrap();
                 let streamed = IndexRecord::decode(&mut Reader::new(text)).unwrap();
                 match &streamed {
-                    IndexRecord::Entry(_) => entries += 1,
+                    IndexRecord::Entry(..) => entries += 1,
                     IndexRecord::Notified(..) => markers += 1,
                 }
                 let tree = css_xml::parse(text).unwrap();
@@ -1138,7 +1308,7 @@ mod tests {
                 .unwrap_err()
                 .to_string()
         };
-        let entry = streamed(|s| entry_with("x", &[4]).encode(s));
+        let entry = streamed(|s| entry_with("x", &[4]).encode(&pinned_tag(), s));
         for (text, message) in [
             ("<Other/>".to_string(), "unknown index record <Other>"),
             (
@@ -1187,20 +1357,10 @@ mod tests {
         out
     }
 
-    /// A record as a comparable value: the notified set in order.
+    /// A record as a comparable value.
     fn describe(record: IndexRecord) -> String {
         match record {
-            IndexRecord::Entry(e) => {
-                let mut notified: Vec<ActorId> = e.notified.iter().copied().collect();
-                notified.sort();
-                format!(
-                    "{:?}",
-                    IndexEntry {
-                        notified: HashSet::new(),
-                        ..e
-                    }
-                ) + &format!("{notified:?}")
-            }
+            IndexRecord::Entry(tag, e) => format!("{tag:?} {e:?}"),
             IndexRecord::Notified(event, actor) => format!("{event} {actor}"),
         }
     }
@@ -1210,7 +1370,7 @@ mod tests {
     /// never as itself, and never as a panic.
     #[test]
     fn damaged_binary_records_never_read_as_themselves() {
-        let entry = binary(|s| entry_with("check-up", &[4, 30]).encode(s));
+        let entry = binary(|s| entry_with("check-up", &[4, 30]).encode(&pinned_tag(), s));
         let marker = binary(|s| encode_notified_marker(GlobalEventId(77), ActorId(300), s));
         for payload in [entry, marker] {
             let original = describe(IndexRecord::read(&payload).unwrap());
@@ -1330,7 +1490,7 @@ mod tests {
     #[test]
     fn a_ciphertext_that_fails_its_mac_fails_the_read_and_takes_no_fold() {
         let (mut idx, ids) = one_citizen(3);
-        let tampered = idx.entries.get_mut(&ids[2]).unwrap();
+        let tampered = idx.locate_mut(ids[2]).unwrap();
         let mut bytes = tampered.sealed_identity.to_vec();
         bytes[0] ^= 1;
         tampered.sealed_identity = bytes.into();
@@ -1344,7 +1504,7 @@ mod tests {
         idx.sealer = SealedBox::new(b"wrong key");
         let tag = idx.tag(PersonId(7));
         assert!(idx.filter_authorized(&ids, ActorId(5), |_| true).is_err());
-        assert!(idx.notifications_tagged(&tag).is_err());
+        assert!(idx.notifications(Walk::Tagged(&tag), |_| true).is_err());
         assert!(all_distinct(&sealed(&idx, &ids)));
     }
 
@@ -1363,15 +1523,16 @@ mod tests {
                 src_event_id: SourceEventId(src),
                 ..entry_with(&description, &notified)
             };
-            let text = streamed(|s| entry.encode(s));
-            proptest::prop_assert_eq!(&text, &tree(|s| entry.encode(s)));
-            let back = IndexEntry::from_xml(&css_xml::parse(&text).unwrap()).unwrap();
+            let text = streamed(|s| entry.encode(&pinned_tag(), s));
+            proptest::prop_assert_eq!(&text, &tree(|s| entry.encode(&pinned_tag(), s)));
+            let (tag, back) = IndexEntry::from_xml(&css_xml::parse(&text).unwrap()).unwrap();
+            proptest::prop_assert_eq!(tag, pinned_tag());
             proptest::prop_assert_eq!(&back.sealed_identity, &entry.sealed_identity);
             proptest::prop_assert_eq!(&back.notified, &entry.notified);
             // The binary form reads back as the XML form does, for the
             // entry and for a marker.
             proptest::prop_assert_eq!(
-                describe(IndexRecord::read(&binary(|s| entry.encode(s))).unwrap()),
+                describe(IndexRecord::read(&binary(|s| entry.encode(&pinned_tag(), s))).unwrap()),
                 describe(IndexRecord::read(text.as_bytes()).unwrap())
             );
             let (event, actor) = (GlobalEventId(id), ActorId(src));

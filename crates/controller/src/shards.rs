@@ -34,7 +34,7 @@ use css_types::{
     SourceEventId, Timestamp,
 };
 
-use crate::index::{derive_tag_key, DetailResolution, EventsIndex};
+use crate::index::{derive_tag_key, DetailResolution, EventsIndex, Notified, Walk};
 
 /// The routing key a person tag reduces to.
 fn tag_key_bits(tag: &[u8; 32]) -> u64 {
@@ -147,12 +147,24 @@ impl<B: LogBackend> IndexShards<B> {
     }
 
     /// Store a notification on its owner shard; the tag that picks the
-    /// shard is the tag the entry is filed under.
+    /// shard is the tag the entry is filed under. The notified set is
+    /// converted once, to the entry's sorted list.
     pub fn insert(
         &self,
         notification: &NotificationMessage,
         src_event_id: SourceEventId,
         notified: HashSet<ActorId>,
+    ) -> CssResult<()> {
+        self.insert_notified(notification, src_event_id, notified.into_iter().collect())
+    }
+
+    /// [`IndexShards::insert`] with the notified consumers already in
+    /// the entry's form: a publish hands over its receivers as they are.
+    pub(crate) fn insert_notified(
+        &self,
+        notification: &NotificationMessage,
+        src_event_id: SourceEventId,
+        notified: Notified,
     ) -> CssResult<()> {
         let tag = self.person_tag(notification.person.id);
         let mut shard = self.shard(self.shard_of_tag(&tag));
@@ -188,7 +200,7 @@ impl<B: LogBackend> IndexShards<B> {
     pub fn notifications_of_person(&self, person: PersonId) -> CssResult<Vec<NotificationMessage>> {
         let tag = self.person_tag(person);
         let mut shard = self.shard(self.shard_of_tag(&tag));
-        shard.notifications_tagged(&tag)
+        shard.notifications(Walk::Tagged(&tag), |_| true)
     }
 
     /// Event ids of one class: scatter-gather over every shard, merged
@@ -238,8 +250,8 @@ impl<B: LogBackend> IndexShards<B> {
     }
 
     /// [`IndexShards::filter_authorized`] over one person's events: the
-    /// tag is derived once and the owner shard is visited once, looking
-    /// the candidates up and resolving them under the same lock.
+    /// tag is derived once and the owner shard is visited once, walking
+    /// the citizen's entries in place under its lock.
     pub fn filter_authorized_of_person(
         &self,
         person: PersonId,
@@ -248,9 +260,9 @@ impl<B: LogBackend> IndexShards<B> {
     ) -> CssResult<(Vec<NotificationMessage>, PendingMarkers)> {
         let tag = self.person_tag(person);
         let owner = self.shard_of_tag(&tag);
-        let mut shard = self.shard(owner);
-        let candidates = shard.events_tagged(&tag);
-        let (out, unmarked) = shard.filter_authorized(&candidates, consumer, authorize)?;
+        let (out, unmarked) = self
+            .shard(owner)
+            .filter(Walk::Tagged(&tag), consumer, authorize)?;
         let mut markers = PendingMarkers::new(consumer);
         markers.add(owner, unmarked);
         Ok((out, markers))
