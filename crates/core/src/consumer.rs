@@ -234,6 +234,40 @@ impl<P: BackendProvider> ConsumerHandle<P> {
     /// for; the producer sees it in its pending queue. Rejected with
     /// [`css_types::CssError::Backpressure`] when the queue of
     /// undecided requests is at its high-water mark.
+    ///
+    /// That refusal cannot be dropped silently: the result is a
+    /// `#[must_use]` `Result`, so a filing called as a bare statement
+    /// does not compile under `unused_must_use`, whatever the `Ok`
+    /// type becomes:
+    ///
+    /// ```compile_fail
+    /// use css_core::prelude::*;
+    /// use css_core::BackendProvider;
+    ///
+    /// #[deny(unused_must_use)]
+    /// fn ask<P: BackendProvider>(consumer: &ConsumerHandle<P>) {
+    ///     // error: unused `Result` that must be used
+    ///     consumer.request_access(EventTypeId::v1("x-ray"), Vec::new(), "", Timestamp(0));
+    /// }
+    /// ```
+    ///
+    /// Its twin, which must compile, handles the queue-full arm (stable
+    /// rustdoc does not check why the fence above fails; this one pins
+    /// the names it uses):
+    ///
+    /// ```
+    /// use css_core::prelude::*;
+    /// use css_core::BackendProvider;
+    ///
+    /// #[deny(unused_must_use)]
+    /// fn ask<P: BackendProvider>(consumer: &ConsumerHandle<P>) -> CssResult<Option<u64>> {
+    ///     match consumer.request_access(EventTypeId::v1("x-ray"), Vec::new(), "", Timestamp(0)) {
+    ///         Ok(id) => Ok(Some(id)),
+    ///         Err(CssError::Backpressure(_)) => Ok(None), // full: file again later
+    ///         Err(other) => Err(other),
+    ///     }
+    /// }
+    /// ```
     pub fn request_access(
         &self,
         event_type: EventTypeId,

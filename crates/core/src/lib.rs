@@ -45,6 +45,13 @@
 //!     .save().unwrap();
 //! ```
 
+// A queue-full signal is never dropped: a filing's `Result` is neither
+// bound to `_` nor turned into a discarded `Option` (a bare statement
+// is rustc's `unused_must_use`). Held by clippy under scripts/check.sh:
+// DESIGN §9.
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+#![cfg_attr(not(test), deny(clippy::unused_result_ok))]
+
 pub mod citizen;
 pub mod consumer;
 pub mod elicitation;
@@ -57,7 +64,7 @@ pub mod provider;
 pub use citizen::CitizenHandle;
 pub use consumer::{ConsumerHandle, Delivered, Subscription};
 pub use elicitation::{PolicyWizard, WizardError};
-pub use pending::{AccessRequest, AccessRequestStatus, PendingQueue, DEFAULT_PENDING_CAPACITY};
+pub use pending::{AccessRequest, AccessRequestStatus, DEFAULT_PENDING_CAPACITY};
 pub use platform::{default_shard_count, CssPlatform, CssPlatformBuilder, Role};
 pub use producer::ProducerHandle;
 pub use provider::{BackendProvider, DirProvider, MemoryProvider};

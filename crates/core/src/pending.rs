@@ -5,7 +5,10 @@
 //! request and it is guided by the Privacy Requirements Elicitation Tool
 //! to define a privacy policy." (Section 5)
 //!
-//! [`PendingQueue`] is the platform-wide queue of those requests. It is
+//! `PendingQueue` is the platform-wide queue of those requests, private
+//! to this crate: a consumer files through
+//! [`ConsumerHandle::request_access`](crate::ConsumerHandle::request_access),
+//! whose `Result` its caller must use. The queue is
 //! **bounded**: once the number of requests still awaiting a producer
 //! decision reaches the configured high-water mark, new filings are
 //! rejected with [`CssError::Backpressure`] instead of growing the
@@ -53,7 +56,7 @@ pub struct AccessRequest {
 pub const DEFAULT_PENDING_CAPACITY: usize = 1_024;
 
 /// The bounded platform-wide queue of access requests.
-pub struct PendingQueue {
+pub(crate) struct PendingQueue {
     requests: Mutex<Vec<AccessRequest>>,
     capacity: usize,
     depth: Gauge,
@@ -73,11 +76,6 @@ impl PendingQueue {
     /// Export the backlog as the registry's `core.pending_depth` gauge.
     pub fn instrument(&mut self, registry: &MetricsRegistry) {
         self.depth = registry.gauge("core.pending_depth");
-    }
-
-    /// The configured high-water mark.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// File a new request. Returns its queue-unique id, or

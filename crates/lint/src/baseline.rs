@@ -294,7 +294,7 @@ mod tests {
     fn render_round_trips_through_load() {
         let report = report_with(vec![
             waived("dom-free-read-path", "a.rs"),
-            waived("audit-before-release", "b.rs"),
+            waived("identity-taint", "b.rs"),
         ]);
         let loaded = reparse(&render(&report, None));
         assert_eq!(loaded.waivers.len(), 2);

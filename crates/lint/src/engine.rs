@@ -1,24 +1,17 @@
 //! Workspace loading and rule execution.
 //!
-//! The engine runs in three phases:
+//! The engine runs in two phases:
 //!
 //! 1. **File phase** — each source file is parsed once and distilled
-//!    into [`FileFacts`]: file-scoped rule findings (waivers not yet
-//!    applied), the file's waivers, and per-fn summaries.
-//! 2. **Project phase** — the facts are assembled into a
-//!    [`Project`] (cross-file call graph) and every rule's
-//!    `check_project` runs over the summaries.
-//! 3. **Workspace phase** — manifest-level rules (`check_workspace`).
-//!
-//! Waivers are applied at assembly time so they cover project-scoped
-//! findings (e.g. a waived `audit-before-release`) exactly like
-//! file-scoped ones.
+//!    into its facts: its findings, with the file's own waivers
+//!    applied, and its production size.
+//! 2. **Workspace phase** — manifest-level rules (`check_workspace`),
+//!    whose findings land in manifests, where no waiver is written.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::callgraph::{extract_fn_summaries, FileFacts, Project};
 use crate::diag::{Finding, Severity};
 use crate::manifest::{expand_members, read_manifest, Manifest};
 use crate::rules::{all_rules, Rule};
@@ -93,6 +86,16 @@ impl Report {
     }
 }
 
+/// Everything the engine keeps per file: its findings (waived ones
+/// carrying their reason) and its production size.
+struct FileFacts {
+    crate_name: String,
+    findings: Vec<Finding>,
+    /// Production lines and public items ([`SourceFile::prod_size`]).
+    prod_lines: usize,
+    pub_items: usize,
+}
+
 /// Source subdirectories of a crate and the role their files get.
 const SOURCE_DIRS: &[(&str, FileRole)] = &[
     ("src", FileRole::Production),
@@ -133,21 +136,17 @@ fn build_file_facts(
             f.crate_name = crate_name.to_string();
         }
     }
-    let fns = extract_fn_summaries(&file);
     let (prod_lines, pub_items) = file.prod_size();
     FileFacts {
         crate_name: crate_name.to_string(),
-        path: rel_path.to_string(),
-        findings,
-        waivers: file.waivers,
-        fns,
+        findings: apply_waivers(findings, &file.waivers),
         prod_lines,
         pub_items,
     }
 }
 
-/// Phases 2–3: build the project, run project + workspace rules, apply
-/// each file's waivers to every finding that lands in it.
+/// Phase 2: run the workspace rules and sort every finding into active
+/// or waived.
 fn assemble(
     root: String,
     facts: Vec<FileFacts>,
@@ -155,26 +154,16 @@ fn assemble(
     rules: &[Box<dyn Rule>],
 ) -> Report {
     let files_scanned = facts.len();
-    let project = Project::new(facts);
-
     let mut all: Vec<Finding> = Vec::new();
-    for file in &project.files {
+    for file in &facts {
         all.extend(file.findings.iter().cloned());
-    }
-    for rule in rules {
-        rule.check_project(&project, &mut all);
     }
     for rule in rules {
         rule.check_workspace(manifests, &mut all);
     }
 
-    let mut by_file: HashMap<&str, &FileFacts> = HashMap::new();
-    for file in &project.files {
-        by_file.insert(file.path.as_str(), file);
-    }
-
     let mut sizes: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
-    for file in &project.files {
+    for file in &facts {
         let size = sizes.entry(file.crate_name.as_str()).or_default();
         size.0 += file.prod_lines;
         size.1 += file.pub_items;
@@ -192,26 +181,14 @@ fn assemble(
             .collect(),
         ..Report::default()
     };
-    for finding in all {
-        let resolved = match by_file.get(finding.file.as_str()) {
-            Some(file) if !file.waivers.is_empty() => {
-                apply_waivers(vec![finding], &file.waivers).remove(0)
-            }
-            _ => finding,
-        };
-        if resolved.is_waived() {
-            report.waived.push(resolved);
-        } else {
-            report.findings.push(resolved);
-        }
-    }
+    (report.waived, report.findings) = all.into_iter().partition(Finding::is_waived);
     report
 }
 
-/// Run one file through every file-scoped *and* project-scoped rule
-/// (over a single-file project), honoring waivers. This is the
-/// fixture-testing entry point: returned findings include waived ones
-/// (with `waive_reason` set) so fixtures can assert all three states.
+/// Run one file through every file-scoped rule, honoring waivers. This
+/// is the fixture-testing entry point: returned findings include waived
+/// ones (with `waive_reason` set) so fixtures can assert all three
+/// states.
 pub fn lint_file_source(
     crate_name: &str,
     rel_path: &str,

@@ -13,24 +13,28 @@
 //! private (rustc refuses a free-form span attribute outside
 //! css-trace), and the request-path crates deny clippy's
 //! `unwrap_used` / `expect_used` / `panic` / `unreachable` outside
-//! tests. Lock order and storage writes under a lock are held by the lock
-//! shim itself (`compat/parking_lot`), which sees every acquisition in
-//! debug builds. What needs a dataflow, a call graph or the manifest
-//! graph is held here, as named, gating rules over the whole workspace:
+//! tests. A queue-full signal cannot be dropped: the pending queue is
+//! crate-private to css-core, its one public filing path returns a
+//! `#[must_use]` `Result`, and css-core denies clippy's
+//! `let_underscore_must_use` / `unused_result_ok`. Lock order and
+//! storage writes under a lock are held by the lock shim itself
+//! (`compat/parking_lot`), which sees every acquisition in debug
+//! builds. That every release is audited is held by behaviour:
+//! `crates/controller/tests/release_audit.rs` fails the audit writes and
+//! checks that each release path then hands out nothing. What needs a
+//! token walk, a dataflow or the manifest graph is held here, as named,
+//! gating rules over the whole workspace:
 //!
 //! | rule                   | invariant                                            |
 //! |------------------------|------------------------------------------------------|
 //! | `detail-confinement`   | detail-payload types unnameable in controller/bus/registry |
-//! | `audit-before-release` | releases append an audit record, directly or via a same-crate callee |
 //! | `identity-taint`       | identity-derived values never flow into bus/health/telemetry sinks |
-//! | `unchecked-backpressure` | pending-queue filings handle `CssError::Backpressure` |
 //! | `dom-free-read-path`   | at-rest records decoded from tokens or the gateway's record decoder, never via `css_xml::parse` |
 //! | `layering`             | crate dependencies point strictly down the stack     |
 //!
-//! Rules run in three phases: per-file (token walk over one parsed
-//! source), per-project (over [`callgraph::FnSummary`] facts and
-//! the cross-file call graph), and per-workspace (manifests). Every run
-//! parses every file (a quarter of a second on this workspace).
+//! Rules run in two phases: per-file (token walk over one parsed
+//! source) and per-workspace (manifests). Every run parses every file
+//! (a quarter of a second on this workspace).
 //!
 //! One dependency, css-telemetry's `JsonBuf` (the workspace's JSON
 //! writer); the rest is a hand-rolled token scanner (comment-,
@@ -44,7 +48,6 @@
 //! line or public-item count only rises with a recorded reason.
 
 pub mod baseline;
-pub mod callgraph;
 pub mod diag;
 pub mod engine;
 pub mod flow;

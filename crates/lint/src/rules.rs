@@ -5,7 +5,6 @@
 //! manifests of the whole workspace. See `DESIGN.md` §9 for the mapping
 //! from each rule to the paper mechanism it encodes.
 
-use crate::callgraph::{Project, FILING_CALLS, RELEASE_CALLS};
 use crate::diag::{Finding, Severity};
 use crate::flow;
 use crate::manifest::Manifest;
@@ -17,12 +16,8 @@ pub trait Rule {
     fn severity(&self) -> Severity;
     /// One-line description for `--list-rules` and the JSON report.
     fn description(&self) -> &'static str;
-    /// Check one source file (no-op for project/workspace rules).
+    /// Check one source file (no-op for workspace rules).
     fn check_file(&self, _file: &SourceFile, _out: &mut Vec<Finding>) {}
-    /// Check the summarized project (call-graph scope; no-op for file
-    /// rules). Runs over [`FnSummary`](crate::callgraph::FnSummary)
-    /// facts, not over source.
-    fn check_project(&self, _project: &Project, _out: &mut Vec<Finding>) {}
     /// Check the workspace dependency graph (no-op for file rules).
     fn check_workspace(&self, _manifests: &[Manifest], _out: &mut Vec<Finding>) {}
 }
@@ -31,9 +26,7 @@ pub trait Rule {
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(DetailConfinement),
-        Box::new(AuditBeforeRelease),
         Box::new(IdentityTaint),
-        Box::new(UncheckedBackpressure),
         Box::new(DomFreeReadPath),
         Box::new(Layering),
     ]
@@ -113,70 +106,7 @@ impl Rule for DetailConfinement {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 2: audit-before-release
-// ---------------------------------------------------------------------------
-
-/// The Privacy Requirements Analysis requires every release to be
-/// traceable: any function that rebuilds an identity-bearing
-/// notification or pulls filtered details from a gateway must also
-/// append an audit record — in its own body or (v2, call-graph
-/// transitive) in a same-crate helper it calls, so refactoring the
-/// append into `log_release()` cannot silently lose the obligation.
-pub struct AuditBeforeRelease;
-
-/// Crates where releases happen and the audit obligation applies.
-const RELEASE_CRATES: &[&str] = &["css-controller", "css-gateway"];
-
-impl Rule for AuditBeforeRelease {
-    fn id(&self) -> &'static str {
-        "audit-before-release"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn description(&self) -> &'static str {
-        "functions releasing notification identities (decrypt, the one-visit detail lookup, a subject's profile) or gateway details must append an audit record (directly or via a same-crate callee)"
-    }
-    fn check_project(&self, project: &Project, out: &mut Vec<Finding>) {
-        for (fi, file) in project.files.iter().enumerate() {
-            if !RELEASE_CRATES.contains(&file.crate_name.as_str()) {
-                continue;
-            }
-            for (gi, f) in file.fns.iter().enumerate() {
-                // A forwarding impl or the defining method itself (e.g.
-                // a `get_response` trait impl delegating inward) is the
-                // narrow interface, not a release site.
-                if !f.is_prod
-                    || RELEASE_CALLS.contains(&f.name.as_str())
-                    || f.release_calls.is_empty()
-                {
-                    continue;
-                }
-                if project.appends_audit_transitively((fi, gi)) {
-                    continue;
-                }
-                let site = &f.release_calls[0];
-                out.push(Finding {
-                    rule: self.id(),
-                    severity: self.severity(),
-                    crate_name: file.crate_name.clone(),
-                    file: file.path.clone(),
-                    line: site.line,
-                    message: format!(
-                        "fn `{}` calls `.{}(..)` but neither it nor any same-crate \
-                         callee appends an audit record: every release must be \
-                         traceable (PRA)",
-                        f.name, site.callee
-                    ),
-                    waive_reason: None,
-                });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 3: identity-taint
+// Rule 2: identity-taint
 // ---------------------------------------------------------------------------
 
 /// Detail confinement bans the *types*; this bans the *values*: an
@@ -205,67 +135,7 @@ impl Rule for IdentityTaint {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 4: unchecked-backpressure
-// ---------------------------------------------------------------------------
-
-/// The pending-access queue is bounded (PR 7): `PendingQueue::file` and
-/// its `request_access` forwarders return `CssError::Backpressure` at
-/// the high-water mark. A production caller that neither matches that
-/// variant nor propagates to a caller that does silently drops the
-/// queue-full signal — the backlog becomes invisible exactly when it
-/// matters. Boundary APIs (the filing call propagated outward, with no
-/// production caller yet) are exempt: their obligation transfers to
-/// whoever calls them.
-pub struct UncheckedBackpressure;
-
-impl Rule for UncheckedBackpressure {
-    fn id(&self) -> &'static str {
-        "unchecked-backpressure"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warn
-    }
-    fn description(&self) -> &'static str {
-        "pending-queue filings must handle or propagate `CssError::Backpressure`"
-    }
-    fn check_project(&self, project: &Project, out: &mut Vec<Finding>) {
-        for file in &project.files {
-            for f in &file.fns {
-                if !f.is_prod
-                    || FILING_CALLS.contains(&f.name.as_str())
-                    || f.filing_calls.is_empty()
-                    || f.mentions_backpressure
-                    || project.any_transitive_caller(&f.name, |c| c.mentions_backpressure)
-                {
-                    continue;
-                }
-                for site in &f.filing_calls {
-                    if site.propagated && !project.has_prod_caller(&f.name) {
-                        continue; // boundary API: the obligation transfers
-                    }
-                    out.push(Finding {
-                        rule: self.id(),
-                        severity: self.severity(),
-                        crate_name: file.crate_name.clone(),
-                        file: file.path.clone(),
-                        line: site.line,
-                        message: format!(
-                            "fn `{}` files into the bounded pending queue via `.{}(..)` \
-                             but neither it nor any production caller matches \
-                             `CssError::Backpressure`: handle queue-full or propagate \
-                             it to a caller that does",
-                            f.name, site.callee
-                        ),
-                        waive_reason: None,
-                    });
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 5: dom-free-read-path
+// Rule 3: dom-free-read-path
 // ---------------------------------------------------------------------------
 
 /// The audit log and the events index are decoded from the token stream
@@ -335,7 +205,7 @@ impl Rule for DomFreeReadPath {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 6: layering
+// Rule 4: layering
 // ---------------------------------------------------------------------------
 
 /// The crate DAG is the privacy architecture: types at the bottom,

@@ -126,51 +126,6 @@ fn detail_confinement_ignores_unconfined_crates() {
 }
 
 #[test]
-fn audit_before_release_fires_and_clean_passes() {
-    let hits = fire(
-        "css-controller",
-        "audit_release/fire.rs",
-        "audit-before-release",
-    );
-    assert_eq!(hits.len(), 1, "{hits:#?}");
-    assert!(hits[0].message.contains("deliver"));
-
-    let clean = fire(
-        "css-controller",
-        "audit_release/clean.rs",
-        "audit-before-release",
-    );
-    assert!(
-        clean.is_empty(),
-        "audited/forwarding fns flagged: {clean:#?}"
-    );
-}
-
-/// The PEP's one index visit and a subject's profile unseal identities
-/// inside the controller: release points beside `decrypt_notification`.
-#[test]
-fn audit_before_release_covers_the_one_visit_lookups() {
-    let hits = fire(
-        "css-controller",
-        "audit_release/one_visit_fire.rs",
-        "audit-before-release",
-    );
-    assert_eq!(hits.len(), 2, "{hits:#?}");
-    assert!(hits[0].message.contains("resolve_detail_request"));
-    assert!(hits[1].message.contains("notifications_of_person"));
-
-    let clean = fire(
-        "css-controller",
-        "audit_release/one_visit_clean.rs",
-        "audit-before-release",
-    );
-    assert!(
-        clean.is_empty(),
-        "audited/forwarding fns flagged: {clean:#?}"
-    );
-}
-
-#[test]
 fn dom_free_read_path_fires_and_clean_passes() {
     for krate in ["css-audit", "css-gateway", "css-controller", "css-storage"] {
         let hits = fire(krate, "dom_free/fire.rs", "dom-free-read-path");
@@ -214,7 +169,6 @@ fn test_role_files_are_exempt_from_file_rules() {
     // must produce nothing — this is what keeps the self-check clean.
     for (krate, name) in [
         ("css-bus", "detail_confinement/fire.rs"),
-        ("css-controller", "audit_release/fire.rs"),
         ("css-storage", "dom_free/fire.rs"),
     ] {
         let src = fixture(name);
@@ -421,65 +375,13 @@ fn identity_taint_waiver_moves_finding_to_waived() {
 }
 
 #[test]
-fn unchecked_backpressure_fires_and_clean_passes() {
-    let hits = fire("css-core", "backpressure/fire.rs", "unchecked-backpressure");
-    assert_eq!(hits.len(), 2, "swallowed + unhandled-caller: {hits:#?}");
-    assert!(hits.iter().all(|f| f.severity == Severity::Warn));
-    assert!(hits.iter().all(|f| f.message.contains("Backpressure")));
-
-    let clean = fire(
-        "css-core",
-        "backpressure/clean.rs",
-        "unchecked-backpressure",
-    );
-    assert!(
-        clean.is_empty(),
-        "handled/boundary filings flagged: {clean:#?}"
-    );
-}
-
-#[test]
-fn unchecked_backpressure_waiver_moves_finding_to_waived() {
-    let src = fixture("backpressure/waived.rs");
-    let all = lint_file_source(
-        "css-core",
-        "backpressure/waived.rs",
-        FileRole::Production,
-        &src,
-    );
-    let (waived, active): (Vec<_>, Vec<_>) = all.into_iter().partition(|f| f.is_waived());
-    assert!(
-        active.iter().all(|f| f.rule != "unchecked-backpressure"),
-        "{active:#?}"
-    );
-    assert_eq!(waived.len(), 1, "{waived:#?}");
-    assert!(waived[0]
-        .waive_reason
-        .as_deref()
-        .unwrap_or("")
-        .contains("telemetry"));
-}
-
-#[test]
-fn audit_before_release_is_call_graph_transitive() {
-    let hits = fire(
-        "css-controller",
-        "audit_release/transitive.rs",
-        "audit-before-release",
-    );
-    assert_eq!(hits.len(), 1, "only the unaudited chain fires: {hits:#?}");
-    assert!(
-        hits[0].message.contains("hand_off"),
-        "fires on the unaudited fn, not the audited one: {hits:#?}"
-    );
-}
-
-#[test]
 fn new_rule_fire_fixtures_are_exempt_in_test_role() {
     for (krate, name) in [
         ("css-controller", "identity_taint/fire.rs"),
-        ("css-core", "backpressure/fire.rs"),
-        ("css-controller", "audit_release/transitive.rs"),
+        ("css-controller", "identity_taint/one_visit_fire.rs"),
+        ("css-core", "identity_taint/capture_fire.rs"),
+        ("css-controller", "identity_taint/mac_fire.rs"),
+        ("css-controller", "identity_taint/at_rest_fire.rs"),
     ] {
         let src = fixture(name);
         let hits = lint_file_source(krate, name, FileRole::Test, &src);

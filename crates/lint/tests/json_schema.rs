@@ -20,7 +20,7 @@ fn sample_report() -> Report {
             waive_reason: None,
         }],
         waived: vec![Finding {
-            rule: "audit-before-release",
+            rule: "identity-taint",
             severity: Severity::Error,
             crate_name: "css-gateway".into(),
             file: "crates/gateway/src/gateway.rs".into(),
@@ -51,9 +51,7 @@ fn json_lists_all_six_rules_with_severities() {
     let json = render_json(&Report::default());
     for rule in [
         "detail-confinement",
-        "audit-before-release",
         "identity-taint",
-        "unchecked-backpressure",
         "dom-free-read-path",
         "layering",
     ] {
@@ -62,8 +60,8 @@ fn json_lists_all_six_rules_with_severities() {
             "missing {rule}"
         );
     }
-    assert_eq!(json.matches("\"id\":").count(), 6);
-    assert!(json.contains("\"id\":\"unchecked-backpressure\",\"severity\":\"warn\""));
+    assert_eq!(json.matches("\"id\":").count(), 4);
+    assert!(json.contains("\"id\":\"detail-confinement\",\"severity\":\"error\""));
     assert!(json.contains("\"id\":\"identity-taint\",\"severity\":\"error\""));
     assert!(json.contains("\"id\":\"layering\",\"severity\":\"error\""));
 }
@@ -115,14 +113,12 @@ fn timing_is_absent_by_default_and_rendered_when_set() {
     assert!(parse_json(&json).is_some());
 }
 
-/// The six rule entries as the `escape` + `format!` writer this crate
+/// The four rule entries as the `escape` + `format!` writer this crate
 /// had before `JsonBuf` rendered them (PR 22's binary, run on this
-/// report; its five retired rules' entries taken out).
-const RULES_BY_THE_OLD_WRITER: [&str; 6] = [
+/// report; its seven retired rules' entries taken out).
+const RULES_BY_THE_OLD_WRITER: [&str; 4] = [
     r#"{"id":"detail-confinement","severity":"error","description":"detail-payload types must not appear in controller/bus/registry/health non-test code"}"#,
-    r#"{"id":"audit-before-release","severity":"error","description":"functions releasing notification identities (decrypt, the one-visit detail lookup, a subject's profile) or gateway details must append an audit record (directly or via a same-crate callee)"}"#,
     r#"{"id":"identity-taint","severity":"error","description":"identity-derived values (fields, decrypted notifications, the one-visit detail lookup) must not reach span attrs, metric names, bus publishes, or ops responses"}"#,
-    r#"{"id":"unchecked-backpressure","severity":"warn","description":"pending-queue filings must handle or propagate `CssError::Backpressure`"}"#,
     r#"{"id":"dom-free-read-path","severity":"error","description":"gateway/audit/controller/storage production code decodes stored records from tokens (`css_xml::Stored`) or, for the gateway's detail records, directly (`css_event::StoredDetail`), never via `css_xml::parse`"}"#,
     r#"{"id":"layering","severity":"error","description":"crate dependencies must point strictly down the layer stack; compat shims depend on nothing"}"#,
 ];
@@ -147,7 +143,7 @@ fn json_is_byte_identical_to_the_format_writer() {
             waive_reason: None,
         }],
         waived: vec![Finding {
-            rule: "audit-before-release",
+            rule: "identity-taint",
             severity: Severity::Warn,
             crate_name: "css-gateway".into(),
             file: "crates/gateway/src/gateway.rs".into(),
@@ -166,7 +162,7 @@ fn json_is_byte_identical_to_the_format_writer() {
     let expected = [
         r#"{"version":2,"root":"/tmp/w \"s\"\\x","rules":["#,
         &rules,
-        r#"],"findings":[{"rule":"dom-free-read-path","severity":"error","crate":"css-storage","file":"crates/storage/src/kv.rs","line":42,"message":"tab\there, \"quotes\", back\\slash,\nnewline, \r return, \u0001 control, café →"}],"waived":[{"rule":"audit-before-release","severity":"warn","crate":"css-gateway","file":"crates/gateway/src/gateway.rs","line":0,"message":"release without audit","reason":"demo \"path\"\nonly"}],"summary":{"errors":1,"warnings":0,"waived":1,"files_scanned":2},"timing":{"wall_ms":123,"files_reused":0,"files_parsed":42}}"#,
+        r#"],"findings":[{"rule":"dom-free-read-path","severity":"error","crate":"css-storage","file":"crates/storage/src/kv.rs","line":42,"message":"tab\there, \"quotes\", back\\slash,\nnewline, \r return, \u0001 control, café →"}],"waived":[{"rule":"identity-taint","severity":"warn","crate":"css-gateway","file":"crates/gateway/src/gateway.rs","line":0,"message":"release without audit","reason":"demo \"path\"\nonly"}],"summary":{"errors":1,"warnings":0,"waived":1,"files_scanned":2},"timing":{"wall_ms":123,"files_reused":0,"files_parsed":42}}"#,
         "\n",
     ]
     .concat();

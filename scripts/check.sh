@@ -43,6 +43,9 @@ step "unsafe: only at the two allowlisted sites" unsafe_allowlist
 # clippy is where the no-panic floor of the request path lives: css-policy,
 # css-controller, css-storage, css-bus and css-gateway deny unwrap_used,
 # expect_used, panic and unreachable outside tests at their crate roots.
+# It also holds css-core's discard floor: a filing's Result is neither
+# bound to `_` nor dropped through `.ok()` (let_underscore_must_use,
+# unused_result_ok), and a bare one is rustc's unused_must_use.
 step "cargo clippy (deny warnings)" cargo clippy --workspace --all-targets -- -D warnings
 # Every intra-doc link resolves and none points at a private item.
 step "rustdoc (deny warnings)" \
