@@ -5,6 +5,27 @@
 //! boundary is a trait so the controller never holds producer data
 //! structures directly — only the narrow `getResponse` interface of
 //! Algorithm 2 crosses it.
+//!
+//! The gateway's store of unfiltered details is private to
+//! css-gateway, so this crate, like every other, cannot name it. There
+//! is no re-export (expected error E0432, unresolved import):
+//!
+//! ```compile_fail,E0432
+//! use css_gateway::DetailStore;
+//! ```
+//!
+//! and the module is private (expected error E0603):
+//!
+//! ```compile_fail,E0603
+//! use css_gateway::store::DetailStore;
+//! ```
+//!
+//! Stable rustdoc does not check the codes in the fences above; this
+//! twin, which must compile, pins the crate path they use:
+//!
+//! ```
+//! use css_gateway::LocalCooperationGateway;
+//! ```
 
 use std::collections::BTreeSet;
 use std::sync::Arc;

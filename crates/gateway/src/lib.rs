@@ -20,7 +20,8 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod gateway;
-pub mod store;
+// Private: the store holds unfiltered details, so no other crate can
+// name it (`css_controller::gateway_client`'s doctest, DESIGN §9).
+mod store;
 
 pub use gateway::LocalCooperationGateway;
-pub use store::DetailStore;

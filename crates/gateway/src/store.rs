@@ -73,11 +73,6 @@ impl<B: LogBackend> DetailStore<B> {
     pub fn len(&self) -> usize {
         self.store.len()
     }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
-    }
 }
 
 fn key(id: SourceEventId) -> Vec<u8> {

@@ -1,21 +1,14 @@
-//! Waiver-budget and size ratchets against a committed baseline.
+//! The size ratchet against a committed baseline.
 //!
-//! `lint-baseline.json` records the waivers the workspace is allowed to
-//! carry, as (rule, file) pairs. A lint run checked against the
-//! baseline fails when the current waiver multiset is not a subset of
-//! the baseline's — i.e. any *new* waiver (or a second waiver of the
-//! same rule in the same file) must be paid for by deliberately
-//! regenerating the baseline in the same change, which makes waiver
-//! growth visible in review instead of accreting silently. Removing
-//! waivers never fails: the ratchet only turns one way.
-//!
-//! The same file records each crate's production size
+//! `lint-baseline.json` records each crate's production size
 //! ([`crate::engine::CrateSize`]): a run fails when a crate holds more
-//! production lines or public items than its entry. Regenerating the
-//! baseline over a smaller one writes the larger count with an empty
-//! `"reason"` beside it, and an empty reason fails the check — so a
-//! count only rises together with a sentence, visible in review, that
-//! says why. Shrinking never fails and drops the reason.
+//! production lines or public items than its entry, when a crate has no
+//! entry, or when an entry names a crate the workspace no longer has
+//! (its ceiling would otherwise pass to a later crate of that name).
+//! Regenerating the baseline over a smaller one writes the larger count
+//! with an empty `"reason"` beside it, and an empty reason fails the
+//! check — so a count only rises together with a sentence, visible in
+//! review, that says why. Shrinking never fails and drops the reason.
 
 use std::fs;
 use std::path::Path;
@@ -24,13 +17,6 @@ use css_telemetry::JsonBuf;
 
 use crate::engine::Report;
 use crate::json::{parse_json, Json};
-
-/// One allowed waiver: the rule and the file it is waived in.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BaselineEntry {
-    pub rule: String,
-    pub file: String,
-}
 
 /// One crate's size ceiling, with the reason its last rise recorded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,9 +30,6 @@ pub struct SizeEntry {
 /// The parsed baseline file.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Baseline {
-    pub waivers: Vec<BaselineEntry>,
-    /// Empty for a baseline written before the size ratchet existed
-    /// (sizes are then not enforced).
     pub sizes: Vec<SizeEntry>,
 }
 
@@ -56,27 +39,12 @@ pub fn load(path: &Path) -> Result<Baseline, String> {
         .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?;
     let doc =
         parse_json(&src).ok_or_else(|| format!("baseline {} is not valid JSON", path.display()))?;
-    let waivers = doc
-        .get("waivers")
+    let sizes = doc
+        .get("sizes")
         .and_then(Json::as_arr)
-        .ok_or_else(|| format!("baseline {} has no \"waivers\" array", path.display()))?;
+        .ok_or_else(|| format!("baseline {} has no \"sizes\" array", path.display()))?;
     let mut out = Baseline::default();
-    for w in waivers {
-        let (Some(rule), Some(file)) = (
-            w.get("rule").and_then(Json::as_str),
-            w.get("file").and_then(Json::as_str),
-        ) else {
-            return Err(format!(
-                "baseline {} entry missing rule/file",
-                path.display()
-            ));
-        };
-        out.waivers.push(BaselineEntry {
-            rule: rule.to_string(),
-            file: file.to_string(),
-        });
-    }
-    for s in doc.get("sizes").and_then(Json::as_arr).unwrap_or_default() {
+    for s in sizes {
         let (Some(name), Some(lines), Some(items)) = (
             s.get("crate").and_then(Json::as_str),
             s.get("prod_lines").and_then(Json::as_u64),
@@ -98,29 +66,11 @@ pub fn load(path: &Path) -> Result<Baseline, String> {
 }
 
 /// Check the report against the baseline. Returns the list of
-/// violations (empty = pass): a waiver present in the report but not
-/// covered by a remaining baseline entry (multiset semantics — two
-/// waivers of one rule in one file need two entries), a crate larger
-/// than its size entry (or without one), or a size entry whose rise
-/// still lacks its reason.
+/// violations (empty = pass): a crate larger than its size entry (or
+/// without one), a size entry whose rise still lacks its reason, or an
+/// entry for a crate the report does not have.
 pub fn check(report: &Report, baseline: &Baseline) -> Vec<String> {
-    let mut budget: Vec<BaselineEntry> = baseline.waivers.clone();
     let mut violations = Vec::new();
-    for f in &report.waived {
-        let entry = BaselineEntry {
-            rule: f.rule.to_string(),
-            file: f.file.clone(),
-        };
-        match budget.iter().position(|b| *b == entry) {
-            Some(i) => {
-                budget.swap_remove(i);
-            }
-            None => violations.push(format!(
-                "new waiver not in baseline: {} in {} (line {})",
-                f.rule, f.file, f.line
-            )),
-        }
-    }
     for size in &report.sizes {
         let name = &size.crate_name;
         match baseline.sizes.iter().find(|e| e.crate_name == *name) {
@@ -137,35 +87,25 @@ pub fn check(report: &Report, baseline: &Baseline) -> Vec<String> {
             Some(_) => {}
         }
     }
+    for e in &baseline.sizes {
+        if !report.sizes.iter().any(|s| s.crate_name == e.crate_name) {
+            violations.push(format!(
+                "the baseline has a size entry for crate {}, which the workspace does not have: \
+                 regenerate the baseline",
+                e.crate_name
+            ));
+        }
+    }
     violations
 }
 
-/// Render the current report's waivers and sizes as a baseline
-/// document, for deliberate regeneration (`css-lint --write-baseline`).
-/// Against the `previous` baseline, a crate whose count rose (or that
-/// is new) gets an empty `"reason"` to fill in, an unchanged one keeps
-/// its reason, and one that shrank loses it. With no previous baseline
-/// there is nothing to rise from and no reason is asked for.
+/// Render the current report's sizes as a baseline document, for
+/// deliberate regeneration (`css-lint --write-baseline`). Against the
+/// `previous` baseline, a crate whose count rose (or that is new) gets
+/// an empty `"reason"` to fill in, an unchanged one keeps its reason,
+/// and one that shrank loses it. With no previous baseline there is
+/// nothing to rise from and no reason is asked for.
 pub fn render(report: &Report, previous: Option<&Baseline>) -> String {
-    // One compact object per line, so a review diff shows one crate.
-    fn row(fill: impl FnOnce(&mut JsonBuf)) -> String {
-        let mut j = JsonBuf::new();
-        j.begin_object();
-        fill(&mut j);
-        j.end_object();
-        format!("    {}", j.finish())
-    }
-    let mut entries: Vec<String> = report
-        .waived
-        .iter()
-        .map(|f| {
-            row(|j| {
-                j.key("rule").string(f.rule);
-                j.key("file").string(&f.file);
-            })
-        })
-        .collect();
-    entries.sort();
     let sizes: Vec<String> = report
         .sizes
         .iter()
@@ -182,19 +122,21 @@ pub fn render(report: &Report, previous: Option<&Baseline>) -> String {
                 }
                 Some(Some(_)) => None,
             };
-            row(|j| {
-                j.key("crate").string(&s.crate_name);
-                j.key("prod_lines").u64(s.prod_lines as u64);
-                j.key("pub_items").u64(s.pub_items as u64);
-                if let Some(reason) = &reason {
-                    j.key("reason").string(reason);
-                }
-            })
+            // One compact object per line, so a review diff shows one crate.
+            let mut j = JsonBuf::new();
+            j.begin_object();
+            j.key("crate").string(&s.crate_name);
+            j.key("prod_lines").u64(s.prod_lines as u64);
+            j.key("pub_items").u64(s.pub_items as u64);
+            if let Some(reason) = &reason {
+                j.key("reason").string(reason);
+            }
+            j.end_object();
+            format!("    {}", j.finish())
         })
         .collect();
     format!(
-        "{{\n  \"version\": 1,\n  \"waivers\": [\n{}\n  ],\n  \"sizes\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n"),
+        "{{\n  \"version\": 2,\n  \"sizes\": [\n{}\n  ]\n}}\n",
         sizes.join(",\n")
     )
 }
@@ -202,41 +144,7 @@ pub fn render(report: &Report, previous: Option<&Baseline>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diag::{Finding, Severity};
     use crate::engine::CrateSize;
-
-    fn waived(rule: &'static str, file: &str) -> Finding {
-        Finding {
-            rule,
-            severity: Severity::Error,
-            crate_name: "c".into(),
-            file: file.into(),
-            line: 1,
-            message: "m".into(),
-            waive_reason: Some("r".into()),
-        }
-    }
-
-    fn report_with(waivers: Vec<Finding>) -> Report {
-        Report {
-            waived: waivers,
-            ..Report::default()
-        }
-    }
-
-    fn entry(rule: &str, file: &str) -> BaselineEntry {
-        BaselineEntry {
-            rule: rule.into(),
-            file: file.into(),
-        }
-    }
-
-    fn waivers(entries: Vec<BaselineEntry>) -> Baseline {
-        Baseline {
-            waivers: entries,
-            sizes: Vec::new(),
-        }
-    }
 
     fn sized(sizes: &[(&str, usize, usize)]) -> Report {
         Report {
@@ -267,41 +175,32 @@ mod tests {
     }
 
     #[test]
-    fn subset_passes_and_new_waiver_fails() {
-        let baseline = waivers(vec![
-            entry("dom-free-read-path", "a.rs"),
-            entry("layering", "b.rs"),
-        ]);
-        let ok = report_with(vec![waived("dom-free-read-path", "a.rs")]);
-        assert!(check(&ok, &baseline).is_empty());
-        let bad = report_with(vec![waived("identity-taint", "c.rs")]);
-        let violations = check(&bad, &baseline);
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("identity-taint"));
-    }
-
-    #[test]
-    fn multiset_semantics_need_one_entry_per_waiver() {
-        let baseline = waivers(vec![entry("dom-free-read-path", "a.rs")]);
-        let two = report_with(vec![
-            waived("dom-free-read-path", "a.rs"),
-            waived("dom-free-read-path", "a.rs"),
-        ]);
-        assert_eq!(check(&two, &baseline).len(), 1);
-    }
-
-    #[test]
     fn render_round_trips_through_load() {
-        let report = report_with(vec![
-            waived("dom-free-read-path", "a.rs"),
-            waived("identity-taint", "b.rs"),
-        ]);
-        let loaded = reparse(&render(&report, None));
-        assert_eq!(loaded.waivers.len(), 2);
-        assert!(loaded
-            .waivers
-            .contains(&entry("dom-free-read-path", "a.rs")));
-        assert!(check(&report, &loaded).is_empty());
+        let before = reparse(&render(&sized(&[("a", 100, 10), ("b", 50, 5)]), None));
+        let grown = sized(&[("a", 120, 10), ("b", 50, 5)]);
+        let doc = render(&grown, Some(&before))
+            .replace("\"reason\":\"\"", "\"reason\":\"a \\\"quoted\\\" rise\"");
+        let loaded = reparse(&doc);
+        assert_eq!(
+            loaded.sizes,
+            [
+                SizeEntry {
+                    crate_name: "a".into(),
+                    prod_lines: 120,
+                    pub_items: 10,
+                    reason: Some("a \"quoted\" rise".into()),
+                },
+                SizeEntry {
+                    crate_name: "b".into(),
+                    prod_lines: 50,
+                    pub_items: 5,
+                    reason: None,
+                },
+            ]
+        );
+        assert!(check(&grown, &loaded).is_empty());
+        // Written over itself, the document is the same bytes.
+        assert_eq!(render(&grown, Some(&loaded)), doc);
     }
 
     #[test]
@@ -320,7 +219,19 @@ mod tests {
         let new_crate = sized(&[("a", 100, 10), ("b", 50, 5), ("c", 1, 0)]);
         assert_eq!(check(&new_crate, &baseline).len(), 1);
         // A baseline without sizes fails until it is regenerated.
-        assert_eq!(check(&new_crate, &waivers(Vec::new())).len(), 3);
+        assert_eq!(check(&new_crate, &Baseline::default()).len(), 3);
+    }
+
+    #[test]
+    fn a_row_for_a_crate_that_is_gone_is_a_violation() {
+        let baseline = reparse(&render(&sized(&[("a", 100, 10), ("b", 50, 5)]), None));
+        let violations = check(&sized(&[("a", 100, 10)]), &baseline);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("crate b"), "{violations:?}");
+        // Regenerating drops the row, and the check passes again.
+        let regenerated = reparse(&render(&sized(&[("a", 100, 10)]), Some(&baseline)));
+        assert_eq!(regenerated.sizes.len(), 1);
+        assert!(check(&sized(&[("a", 100, 10)]), &regenerated).is_empty());
     }
 
     #[test]

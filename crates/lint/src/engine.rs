@@ -3,35 +3,19 @@
 //! The engine runs in two phases:
 //!
 //! 1. **File phase** — each source file is parsed once and distilled
-//!    into its facts: its findings, with the file's own waivers
-//!    applied, and its production size.
-//! 2. **Workspace phase** — manifest-level rules (`check_workspace`),
-//!    whose findings land in manifests, where no waiver is written.
+//!    into its facts: its findings and its production size.
+//! 2. **Workspace phase** — manifest-level rules (`check_workspace`).
+//!
+//! Every finding is reported; nothing in a source file suppresses one.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::diag::{Finding, Severity};
+use crate::diag::Finding;
 use crate::manifest::{expand_members, read_manifest, Manifest};
 use crate::rules::{all_rules, Rule};
 use crate::source::{FileRole, SourceFile};
-use crate::waiver::apply_waivers;
-
-/// Wall-clock statistics for one lint run, in the shape report schema
-/// v2 fixed. Populated by the CLI, never by the engine, so that two
-/// engine runs over identical sources produce byte-identical reports
-/// regardless of timing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Timing {
-    /// End-to-end wall time of the run, in milliseconds.
-    pub wall_ms: u64,
-    /// Always 0 — every run parses every file; the field is part of
-    /// the v2 report shape.
-    pub files_reused: usize,
-    /// Files that were read and parsed from disk.
-    pub files_parsed: usize,
-}
 
 /// Production code a crate carries: lines holding a production token
 /// and `pub fn | struct | trait | enum | type` items (`#[cfg(test)]`
@@ -43,37 +27,21 @@ pub struct CrateSize {
     pub pub_items: usize,
 }
 
-/// The lint result for a whole workspace (or a single file).
+/// The lint result for a whole workspace.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Workspace root the lint ran against.
-    pub root: String,
-    /// Active findings (not waived), reporting order.
+    /// Every finding, reporting order.
     pub findings: Vec<Finding>,
-    /// Findings suppressed by an inline waiver, with the reason.
-    pub waived: Vec<Finding>,
     pub files_scanned: usize,
     /// Production size per crate, by crate name — what the baseline's
     /// size ratchet compares.
     pub sizes: Vec<CrateSize>,
-    /// Run statistics; `None` for engine-produced reports (the CLI
-    /// fills it in, and renderers omit it when absent).
-    pub timing: Option<Timing>,
 }
 
 impl Report {
+    /// Every finding is an error.
     pub fn errors(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Error)
-            .count()
-    }
-
-    pub fn warnings(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Warn)
-            .count()
+        self.findings.len()
     }
 
     /// Exit status the CLI should use.
@@ -86,8 +54,8 @@ impl Report {
     }
 }
 
-/// Everything the engine keeps per file: its findings (waived ones
-/// carrying their reason) and its production size.
+/// Everything the engine keeps per file: its findings and its
+/// production size.
 struct FileFacts {
     crate_name: String,
     findings: Vec<Finding>,
@@ -127,80 +95,56 @@ fn build_file_facts(
     src: &str,
 ) -> FileFacts {
     let file = SourceFile::parse(crate_name, rel_path, role, src);
-    let mut findings = file.load_findings.clone();
+    let mut findings = Vec::new();
     for rule in rules {
         rule.check_file(&file, &mut findings);
-    }
-    for f in &mut findings {
-        if f.crate_name.is_empty() {
-            f.crate_name = crate_name.to_string();
-        }
     }
     let (prod_lines, pub_items) = file.prod_size();
     FileFacts {
         crate_name: crate_name.to_string(),
-        findings: apply_waivers(findings, &file.waivers),
+        findings,
         prod_lines,
         pub_items,
     }
 }
 
-/// Phase 2: run the workspace rules and sort every finding into active
-/// or waived.
-fn assemble(
-    root: String,
-    facts: Vec<FileFacts>,
-    manifests: &[Manifest],
-    rules: &[Box<dyn Rule>],
-) -> Report {
+/// Phase 2: run the workspace rules and sum each crate's size.
+fn assemble(facts: Vec<FileFacts>, manifests: &[Manifest], rules: &[Box<dyn Rule>]) -> Report {
     let files_scanned = facts.len();
-    let mut all: Vec<Finding> = Vec::new();
-    for file in &facts {
-        all.extend(file.findings.iter().cloned());
-    }
-    for rule in rules {
-        rule.check_workspace(manifests, &mut all);
-    }
-
-    let mut sizes: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
-    for file in &facts {
-        let size = sizes.entry(file.crate_name.as_str()).or_default();
+    let mut findings: Vec<Finding> = Vec::new();
+    let mut sizes: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+    for file in facts {
+        findings.extend(file.findings);
+        let size = sizes.entry(file.crate_name).or_default();
         size.0 += file.prod_lines;
         size.1 += file.pub_items;
     }
-    let mut report = Report {
-        root,
+    for rule in rules {
+        rule.check_workspace(manifests, &mut findings);
+    }
+    Report {
+        findings,
         files_scanned,
         sizes: sizes
             .into_iter()
-            .map(|(name, (prod_lines, pub_items))| CrateSize {
-                crate_name: name.to_string(),
+            .map(|(crate_name, (prod_lines, pub_items))| CrateSize {
+                crate_name,
                 prod_lines,
                 pub_items,
             })
             .collect(),
-        ..Report::default()
-    };
-    (report.waived, report.findings) = all.into_iter().partition(Finding::is_waived);
-    report
+    }
 }
 
-/// Run one file through every file-scoped rule, honoring waivers. This
-/// is the fixture-testing entry point: returned findings include waived
-/// ones (with `waive_reason` set) so fixtures can assert all three
-/// states.
+/// Run one file through every file-scoped rule: the fixture-testing
+/// entry point.
 pub fn lint_file_source(
     crate_name: &str,
     rel_path: &str,
     role: FileRole,
     src: &str,
 ) -> Vec<Finding> {
-    let rules = all_rules();
-    let facts = build_file_facts(&rules, crate_name, rel_path, role, src);
-    let report = assemble(String::new(), vec![facts], &[], &rules);
-    let mut out = report.findings;
-    out.extend(report.waived);
-    out
+    build_file_facts(&all_rules(), crate_name, rel_path, role, src).findings
 }
 
 /// Lint the workspace rooted at `root`: every member crate's sources
@@ -245,12 +189,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
             }
         }
     }
-    Ok(assemble(
-        root.display().to_string(),
-        facts,
-        &manifests,
-        &rules,
-    ))
+    Ok(assemble(facts, &manifests, &rules))
 }
 
 /// Render the human-readable report.
@@ -261,17 +200,9 @@ pub fn render_text(report: &Report) -> String {
         out.push('\n');
     }
     out.push_str(&format!(
-        "css-lint: {} file(s) scanned, {} error(s), {} warning(s), {} waived\n",
+        "css-lint: {} file(s) scanned, {} error(s)\n",
         report.files_scanned,
-        report.errors(),
-        report.warnings(),
-        report.waived.len()
+        report.errors()
     ));
-    if let Some(t) = &report.timing {
-        out.push_str(&format!(
-            "css-lint: {} ms wall, {} file(s) from cache, {} parsed\n",
-            t.wall_ms, t.files_reused, t.files_parsed
-        ));
-    }
     out
 }

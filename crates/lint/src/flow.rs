@@ -35,7 +35,7 @@
 //! deliberately intraprocedural: keeping this pass local keeps the file
 //! phase one walk per file.
 
-use crate::diag::{Finding, Severity};
+use crate::diag::Finding;
 use crate::source::{matching_brace, matching_paren, FnBody, SourceFile};
 
 /// Field reads that are identifying wherever they appear.
@@ -164,7 +164,6 @@ pub fn check_fn(file: &SourceFile, body: &FnBody, rule_id: &'static str, out: &m
                 if let Some(origin) = expr_taint(file, args_open + 1, close - 1, &env) {
                     out.push(Finding {
                         rule: rule_id,
-                        severity: Severity::Error,
                         crate_name: file.crate_name.clone(),
                         file: file.path.clone(),
                         line: t.line,
@@ -174,7 +173,6 @@ pub fn check_fn(file: &SourceFile, body: &FnBody, rule_id: &'static str, out: &m
                              the types; identity-taint bans the values)",
                             body.name, origin, sink_desc
                         ),
-                        waive_reason: None,
                     });
                 }
             }

@@ -1,88 +1,8 @@
-//! JSON: `--format json` (schema version 2), written with the
-//! workspace's one JSON writer ([`css_telemetry::JsonBuf`]), and the
-//! minimal value parser the baseline ratchet and the schema tests read
-//! it back with. The parser takes exactly the JSON this workspace
-//! writes: objects, arrays, strings with the escapes `JsonBuf` emits,
-//! integers, booleans and null.
-//!
-//! Shape:
-//! ```json
-//! {
-//!   "version": 2,
-//!   "root": "...",
-//!   "rules": [{"id": "...", "severity": "...", "description": "..."}],
-//!   "findings": [{"rule","severity","crate","file","line","message"}],
-//!   "waived":   [... same fields plus "reason"],
-//!   "summary": {"errors","warnings","waived","files_scanned"},
-//!   "timing": {"wall_ms","files_reused","files_parsed"}   // CLI runs only
-//! }
-//! ```
-//!
-//! v2 adds the three project-phase rules to `rules`, and the optional
-//! `timing` object — present only when the CLI measured a run (engine-
-//! produced reports omit it, so two runs over one tree are
-//! byte-identical). `files_reused` is part of the v2 shape and always 0:
-//! every run parses every file.
-
-use css_telemetry::JsonBuf;
-
-use crate::diag::Finding;
-use crate::engine::Report;
-use crate::rules::all_rules;
-
-fn findings_json(j: &mut JsonBuf, key: &str, findings: &[Finding]) {
-    j.key(key).begin_array();
-    for f in findings {
-        j.begin_object();
-        j.key("rule").string(f.rule);
-        j.key("severity").string(f.severity.as_str());
-        j.key("crate").string(&f.crate_name);
-        j.key("file").string(&f.file);
-        j.key("line").u64(u64::from(f.line));
-        j.key("message").string(&f.message);
-        if let Some(reason) = &f.waive_reason {
-            j.key("reason").string(reason);
-        }
-        j.end_object();
-    }
-    j.end_array();
-}
-
-/// Render the full report as JSON.
-pub fn render_json(report: &Report) -> String {
-    let mut j = JsonBuf::new();
-    j.begin_object();
-    j.key("version").u64(2);
-    j.key("root").string(&report.root);
-    j.key("rules").begin_array();
-    for r in all_rules() {
-        j.begin_object();
-        j.key("id").string(r.id());
-        j.key("severity").string(r.severity().as_str());
-        j.key("description").string(r.description());
-        j.end_object();
-    }
-    j.end_array();
-    findings_json(&mut j, "findings", &report.findings);
-    findings_json(&mut j, "waived", &report.waived);
-    j.key("summary").begin_object();
-    j.key("errors").u64(report.errors() as u64);
-    j.key("warnings").u64(report.warnings() as u64);
-    j.key("waived").u64(report.waived.len() as u64);
-    j.key("files_scanned").u64(report.files_scanned as u64);
-    j.end_object();
-    if let Some(t) = &report.timing {
-        j.key("timing").begin_object();
-        j.key("wall_ms").u64(t.wall_ms);
-        j.key("files_reused").u64(t.files_reused as u64);
-        j.key("files_parsed").u64(t.files_parsed as u64);
-        j.end_object();
-    }
-    j.end_object();
-    let mut out = j.finish();
-    out.push('\n');
-    out
-}
+//! The minimal JSON value parser the baseline ratchet reads
+//! `lint-baseline.json` with (the ops-plane tests read every JSON body
+//! with it too). It takes exactly the JSON this workspace writes with
+//! [`css_telemetry::JsonBuf`]: objects, arrays, strings with the
+//! escapes `JsonBuf` emits, integers, booleans and null.
 
 /// A parsed JSON value. Numbers keep their raw text so 64-bit counts
 /// round-trip exactly (no f64 detour).

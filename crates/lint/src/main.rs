@@ -1,45 +1,35 @@
 //! The `css-lint` binary.
 //!
 //! ```text
-//! css-lint [--root PATH] [--format text|json] [--list-rules]
-//!          [--baseline PATH] [--write-baseline PATH]
+//! css-lint [--root PATH] [--baseline PATH] [--write-baseline PATH]
 //! ```
 //!
-//! `--baseline PATH` enforces the waiver-budget and size ratchets: the
-//! run fails (exit 1) if any current waiver is not covered by the
-//! committed baseline, or a crate holds more production lines or public
-//! items than the baseline records. `--write-baseline PATH` regenerates
-//! the baseline from the current waivers and sizes instead of checking;
-//! a size that rose past the file being replaced is written with an
-//! empty `"reason"` that must be filled in before the check passes.
+//! Prints one `error: [rule] file:line: message` line per finding and a
+//! summary. `--baseline PATH` enforces the size ratchet: the run fails
+//! (exit 1) if a crate holds more production lines or public items than
+//! the committed baseline records, or the baseline and the workspace
+//! disagree on which crates exist. `--write-baseline PATH` regenerates
+//! the baseline from the current sizes instead of checking; a size that
+//! rose past the file being replaced is written with an empty
+//! `"reason"` that must be filled in before the check passes. A file
+//! there that cannot be read or parsed is an error (exit 2, nothing
+//! written): only a missing file means "no previous baseline".
 //!
-//! Exit codes: 0 — no error-severity findings and the baseline holds;
-//! 1 — at least one error finding or a baseline violation; 2 — usage or
-//! I/O failure.
+//! Exit codes: 0 — no findings and the baseline holds; 1 — at least one
+//! finding or a baseline violation; 2 — usage or I/O failure.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
 use css_lint::manifest::find_workspace_root;
-use css_lint::rules::all_rules;
-use css_lint::{baseline, lint_workspace, render_json, render_text, Timing};
-
-#[derive(Clone, Copy, PartialEq)]
-enum Format {
-    Text,
-    Json,
-}
+use css_lint::{baseline, lint_workspace, render_text};
 
 fn usage() -> &'static str {
-    "usage: css-lint [--root PATH] [--format text|json] [--list-rules]\n\
-     \x20               [--baseline PATH] [--write-baseline PATH]\n"
+    "usage: css-lint [--root PATH] [--baseline PATH] [--write-baseline PATH]\n"
 }
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut format = Format::Text;
-    let mut list_rules = false;
     let mut baseline_path: Option<PathBuf> = None;
     let mut write_baseline: Option<PathBuf> = None;
 
@@ -57,15 +47,6 @@ fn main() -> ExitCode {
                     _ => write_baseline = Some(path),
                 }
             }
-            "--format" => match args.next().as_deref() {
-                Some("json") => format = Format::Json,
-                Some("text") => format = Format::Text,
-                _ => {
-                    eprint!("--format must be `text` or `json`\n{}", usage());
-                    return ExitCode::from(2);
-                }
-            },
-            "--list-rules" => list_rules = true,
             "-h" | "--help" => {
                 print!("{}", usage());
                 return ExitCode::SUCCESS;
@@ -75,18 +56,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-    }
-
-    if list_rules {
-        for rule in all_rules() {
-            println!(
-                "{:<24} {:<5} {}",
-                rule.id(),
-                rule.severity(),
-                rule.description()
-            );
-        }
-        return ExitCode::SUCCESS;
     }
 
     let root = match root {
@@ -109,8 +78,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let started = Instant::now();
-    let mut report = match lint_workspace(&root) {
+    let report = match lint_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!(
@@ -120,22 +88,23 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    report.timing = Some(Timing {
-        wall_ms: started.elapsed().as_millis() as u64,
-        files_reused: 0,
-        files_parsed: report.files_scanned,
-    });
 
     if let Some(path) = write_baseline {
         // Sizes that rose since the file being replaced need a reason.
-        let previous = baseline::load(&path).ok();
+        let previous = match baseline::load(&path) {
+            Ok(b) => Some(b),
+            Err(_) if matches!(path.try_exists(), Ok(false)) => None,
+            Err(e) => {
+                eprintln!("css-lint: {e}; nothing written");
+                return ExitCode::from(2);
+            }
+        };
         if let Err(e) = std::fs::write(&path, baseline::render(&report, previous.as_ref())) {
             eprintln!("css-lint: cannot write baseline {}: {e}", path.display());
             return ExitCode::from(2);
         }
         eprintln!(
-            "css-lint: wrote {} waiver(s) and {} crate size(s) to {}",
-            report.waived.len(),
+            "css-lint: wrote {} crate size(s) to {}",
             report.sizes.len(),
             path.display()
         );
@@ -157,10 +126,7 @@ fn main() -> ExitCode {
         }
     }
 
-    match format {
-        Format::Json => print!("{}", render_json(&report)),
-        Format::Text => print!("{}", render_text(&report)),
-    }
+    print!("{}", render_text(&report));
     if baseline_failed {
         return ExitCode::from(1);
     }

@@ -1,11 +1,12 @@
 //! The paper-derived invariant rules.
 //!
-//! Each rule is a named check with a fixed severity. File-scoped rules
-//! see one [`SourceFile`] at a time; the layering rule sees the parsed
-//! manifests of the whole workspace. See `DESIGN.md` §9 for the mapping
-//! from each rule to the paper mechanism it encodes.
+//! Each rule is a named check; every finding it reports is an error.
+//! File-scoped rules see one [`SourceFile`] at a time; the layering
+//! rule sees the parsed manifests of the whole workspace. See
+//! `DESIGN.md` §9 for the mapping from each rule to the paper mechanism
+//! it encodes.
 
-use crate::diag::{Finding, Severity};
+use crate::diag::Finding;
 use crate::flow;
 use crate::manifest::Manifest;
 use crate::source::{matching_brace, SourceFile};
@@ -13,9 +14,6 @@ use crate::source::{matching_brace, SourceFile};
 /// A named invariant check.
 pub trait Rule {
     fn id(&self) -> &'static str;
-    fn severity(&self) -> Severity;
-    /// One-line description for `--list-rules` and the JSON report.
-    fn description(&self) -> &'static str;
     /// Check one source file (no-op for workspace rules).
     fn check_file(&self, _file: &SourceFile, _out: &mut Vec<Finding>) {}
     /// Check the workspace dependency graph (no-op for file rules).
@@ -32,21 +30,13 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
     ]
 }
 
-fn finding(
-    rule: &'static str,
-    severity: Severity,
-    file: &SourceFile,
-    tok: usize,
-    message: String,
-) -> Finding {
+fn finding(rule: &'static str, file: &SourceFile, tok: usize, message: String) -> Finding {
     Finding {
         rule,
-        severity,
         crate_name: file.crate_name.clone(),
         file: file.path.clone(),
         line: file.tokens.get(tok).map(|t| t.line).unwrap_or(0),
         message,
-        waive_reason: None,
     }
 }
 
@@ -61,8 +51,10 @@ fn finding(
 /// (health), whose endpoints expose state to external scrapers.
 pub struct DetailConfinement;
 
-/// Types that hold unfiltered detail payloads at rest.
-const CONFINED_TYPES: &[&str] = &["DetailMessage", "DetailStore"];
+/// Types that hold unfiltered detail payloads. The gateway's store is
+/// not listed: it is private to css-gateway, so rustc refuses it in
+/// every other crate (`css_controller::gateway_client`'s doctest).
+const CONFINED_TYPES: &[&str] = &["DetailMessage"];
 /// Crates that must never name them outside tests. The ops plane
 /// (`css-health`) is confined too: an exposition endpoint, an incident
 /// bundle or a history ring that could name a detail payload could
@@ -72,12 +64,6 @@ const CONFINED_CRATES: &[&str] = &["css-controller", "css-bus", "css-registry", 
 impl Rule for DetailConfinement {
     fn id(&self) -> &'static str {
         "detail-confinement"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn description(&self) -> &'static str {
-        "detail-payload types must not appear in controller/bus/registry/health non-test code"
     }
     fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {
         if !CONFINED_CRATES.contains(&file.crate_name.as_str()) {
@@ -90,7 +76,6 @@ impl Rule for DetailConfinement {
             if CONFINED_TYPES.iter().any(|t| tok.is_ident(t)) {
                 out.push(finding(
                     self.id(),
-                    self.severity(),
                     file,
                     i,
                     format!(
@@ -120,12 +105,6 @@ pub struct IdentityTaint;
 impl Rule for IdentityTaint {
     fn id(&self) -> &'static str {
         "identity-taint"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn description(&self) -> &'static str {
-        "identity-derived values (fields, decrypted notifications, the one-visit detail lookup) must not reach span attrs, metric names, bus publishes, or ops responses"
     }
     fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {
         for body in &file.fns {
@@ -158,12 +137,6 @@ impl Rule for DomFreeReadPath {
     fn id(&self) -> &'static str {
         "dom-free-read-path"
     }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn description(&self) -> &'static str {
-        "gateway/audit/controller/storage production code decodes stored records from tokens (`css_xml::Stored`) or, for the gateway's detail records, directly (`css_event::StoredDetail`), never via `css_xml::parse`"
-    }
     fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {
         if !DOM_FREE_CRATES.contains(&file.crate_name.as_str()) {
             return;
@@ -188,7 +161,6 @@ impl Rule for DomFreeReadPath {
                 if tok.is_ident("parse") {
                     out.push(finding(
                         self.id(),
-                        self.severity(),
                         file,
                         k,
                         format!(
@@ -253,22 +225,14 @@ impl Rule for Layering {
     fn id(&self) -> &'static str {
         "layering"
     }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn description(&self) -> &'static str {
-        "crate dependencies must point strictly down the layer stack; compat shims depend on nothing"
-    }
     fn check_workspace(&self, manifests: &[Manifest], out: &mut Vec<Finding>) {
         let mut report = |m: &Manifest, message: String| {
             out.push(Finding {
                 rule: self.id(),
-                severity: self.severity(),
                 crate_name: m.name.clone(),
                 file: format!("{}/Cargo.toml", m.dir),
                 line: 0,
                 message,
-                waive_reason: None,
             });
         };
         let member_names: Vec<&str> = manifests.iter().map(|m| m.name.as_str()).collect();

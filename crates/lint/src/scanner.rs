@@ -5,8 +5,7 @@
 //! line comments, nested block comments, string literals, raw strings,
 //! byte strings and char literals must never surface as a token —
 //! otherwise a forbidden name quoted in a doc comment would trip a rule.
-//! Line comments are kept separately because inline waivers
-//! (`// css-lint: allow(<rule>): <reason>`) live in them.
+//! Comments are dropped: no comment changes what a rule sees.
 
 /// What kind of lexeme a [`Token`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,26 +39,10 @@ impl Token {
     }
 }
 
-/// A `//` comment with its source line (1-based). Block comments are
-/// discarded — waivers must be line comments, adjacent to the code they
-/// waive.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LineComment {
-    pub text: String,
-    pub line: u32,
-}
-
-/// The scan result: significant tokens plus the line comments.
-#[derive(Debug, Default)]
-pub struct Scan {
-    pub tokens: Vec<Token>,
-    pub comments: Vec<LineComment>,
-}
-
-/// Tokenize `src`, skipping comment and literal interiors.
-pub fn scan(src: &str) -> Scan {
+/// Tokenize `src`, skipping comments and literal interiors.
+pub fn scan(src: &str) -> Vec<Token> {
     let bytes = src.as_bytes();
-    let mut out = Scan::default();
+    let mut tokens = Vec::new();
     let mut i = 0usize;
     let mut line: u32 = 1;
 
@@ -87,14 +70,9 @@ pub fn scan(src: &str) -> Scan {
 
         // Line comment (also catches doc comments `///` and `//!`).
         if c == '/' && bytes.get(i + 1) == Some(&b'/') {
-            let start = i;
             while i < bytes.len() && bytes[i] != b'\n' {
                 i += 1;
             }
-            out.comments.push(LineComment {
-                text: src[start..i].to_string(),
-                line,
-            });
             continue; // the newline itself is consumed next iteration
         }
 
@@ -167,7 +145,7 @@ pub fn scan(src: &str) -> Scan {
                     {
                         j += 1;
                     }
-                    out.tokens.push(Token {
+                    tokens.push(Token {
                         kind: TokenKind::Ident,
                         text: src[id_start..j].to_string(),
                         line,
@@ -181,7 +159,7 @@ pub fn scan(src: &str) -> Scan {
                 // the prefix; the `"` branch handles the body.
                 continue;
             }
-            out.tokens.push(Token {
+            tokens.push(Token {
                 kind: TokenKind::Ident,
                 text: word.to_string(),
                 line,
@@ -207,7 +185,7 @@ pub fn scan(src: &str) -> Scan {
                     break;
                 }
             }
-            out.tokens.push(Token {
+            tokens.push(Token {
                 kind: TokenKind::Number,
                 text: src[start..i].to_string(),
                 line,
@@ -261,7 +239,7 @@ pub fn scan(src: &str) -> Scan {
 
         // Everything else: one punctuation character.
         let ch_len = c.len_utf8();
-        out.tokens.push(Token {
+        tokens.push(Token {
             kind: TokenKind::Punct,
             text: src[i..i + ch_len].to_string(),
             line,
@@ -269,7 +247,7 @@ pub fn scan(src: &str) -> Scan {
         advance!(ch_len);
     }
 
-    out
+    tokens
 }
 
 #[cfg(test)]
@@ -278,7 +256,6 @@ mod tests {
 
     fn idents(src: &str) -> Vec<String> {
         scan(src)
-            .tokens
             .into_iter()
             .filter(|t| t.kind == TokenKind::Ident)
             .map(|t| t.text)
@@ -290,14 +267,6 @@ mod tests {
         let src = "let a = 1; // DetailMessage here\n/* DetailMessage /* nested */ too */ let b;";
         let ids = idents(src);
         assert_eq!(ids, vec!["let", "a", "let", "b"]);
-    }
-
-    #[test]
-    fn keeps_line_comments_for_waivers() {
-        let s = scan("x(); // css-lint: allow(r): why\ny();");
-        assert_eq!(s.comments.len(), 1);
-        assert_eq!(s.comments[0].line, 1);
-        assert!(s.comments[0].text.contains("css-lint"));
     }
 
     #[test]
@@ -332,14 +301,14 @@ mod tests {
     #[test]
     fn tracks_line_numbers() {
         let s = scan("a\nb\n\nc");
-        let lines: Vec<u32> = s.tokens.iter().map(|t| t.line).collect();
+        let lines: Vec<u32> = s.iter().map(|t| t.line).collect();
         assert_eq!(lines, vec![1, 2, 4]);
     }
 
     #[test]
     fn composite_punct_appears_as_consecutive_tokens() {
         let s = scan("A::B { .. } =>");
-        let texts: Vec<&str> = s.tokens.iter().map(|t| t.text.as_str()).collect();
+        let texts: Vec<&str> = s.iter().map(|t| t.text.as_str()).collect();
         assert_eq!(
             texts,
             vec!["A", ":", ":", "B", "{", ".", ".", "}", "=", ">"]
@@ -349,7 +318,7 @@ mod tests {
     #[test]
     fn numbers_do_not_eat_ranges() {
         let s = scan("for i in 1..5 {}");
-        let texts: Vec<&str> = s.tokens.iter().map(|t| t.text.as_str()).collect();
+        let texts: Vec<&str> = s.iter().map(|t| t.text.as_str()).collect();
         assert_eq!(texts, vec!["for", "i", "in", "1", ".", ".", "5", "{", "}"]);
     }
 }

@@ -1,10 +1,7 @@
 //! A scanned source file plus the structural facts rules need:
-//! which tokens are test-only, where function bodies are, and the
-//! file's waivers.
+//! which tokens are test-only and where function bodies are.
 
-use crate::diag::Finding;
 use crate::scanner::{scan, Token, TokenKind};
-use crate::waiver::{parse_waivers, Waiver};
 
 /// Why a file is (or is not) production code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,17 +32,12 @@ pub struct SourceFile {
     pub tokens: Vec<Token>,
     /// `test_mask[i]` — token `i` is inside a `#[cfg(test)]` item.
     pub test_mask: Vec<bool>,
-    pub waivers: Vec<Waiver>,
-    /// Findings produced while loading (malformed waivers).
-    pub load_findings: Vec<Finding>,
     pub fns: Vec<FnBody>,
 }
 
 impl SourceFile {
     pub fn parse(crate_name: &str, path: &str, role: FileRole, src: &str) -> SourceFile {
-        let scanned = scan(src);
-        let (waivers, load_findings) = parse_waivers(&scanned.comments, path);
-        let tokens = scanned.tokens;
+        let tokens = scan(src);
         let test_mask = compute_test_mask(&tokens);
         let fns = find_fn_bodies(&tokens);
         SourceFile {
@@ -54,8 +46,6 @@ impl SourceFile {
             role,
             tokens,
             test_mask,
-            waivers,
-            load_findings,
             fns,
         }
     }

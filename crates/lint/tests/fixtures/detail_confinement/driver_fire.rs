@@ -1,16 +1,16 @@
-//! FIXTURE (linted as crate `css-bus`, role Production): a `BusDriver`
-//! implementation that names the confined detail payload — the exact
-//! temptation the payload-blind trait design exists to forbid. A
-//! driver instantiated over `DetailMessage` could inspect, copy or
-//! journal unfiltered person data on every hop. Must fire
-//! `detail-confinement` twice (impl header + constructor body).
+//! FIXTURE (linted as crate `css-bus`, role Production): a bus
+//! instantiated over the confined detail payload — the temptation the
+//! payload-blind `Bus<M>` exists to forbid. A `Bus<DetailMessage>`
+//! would queue, redeliver and dead-letter unfiltered person data on
+//! every hop. Must fire `detail-confinement` twice (the field's type
+//! argument + the publishing signature).
 
-pub struct LeakyDriver {
-    queue: Vec<DetailMessage>,
+pub struct DetailFeed {
+    bus: Bus<DetailMessage>,
 }
 
-impl BusDriver<DetailMessage> for LeakyDriver {
-    fn publish_opts(&mut self, topic: &str) -> usize {
-        self.queue.len() + topic.len()
+impl DetailFeed {
+    pub fn forward(&self, topic: &str, msg: DetailMessage) -> CssResult<usize> {
+        self.bus.publish(topic, msg, None)
     }
 }

@@ -1,6 +1,6 @@
 //! FIXTURE (linted as crate `css-bus`, role Production): names a
 //! confined detail-payload type in a middle-layer crate. Must fire
-//! `detail-confinement` twice (signature + body).
+//! `detail-confinement` once (the signature; rustc holds `DetailStore`).
 
 pub fn forward(msg: DetailMessage) {
     let store = DetailStore::default();

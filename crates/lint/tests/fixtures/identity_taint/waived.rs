@@ -1,6 +1,6 @@
-//! FIXTURE (linted as crate `css-controller`, role Production): a
-//! deliberate identity flow into a span attribute, waived inline. The
-//! finding must land in `waived`, not `findings`.
+//! FIXTURE (linted as crate `css-controller`, role Production): an
+//! identity flow into a span attribute under an `allow` comment, which
+//! suppresses nothing: must fire once.
 
 impl Monitor {
     pub fn forensic_span(&self, p: &PersonIdentity, span: &mut Span) {

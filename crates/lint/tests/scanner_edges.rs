@@ -8,7 +8,6 @@ use css_lint::{lint_file_source, FileRole};
 
 fn idents(src: &str) -> Vec<String> {
     scan(src)
-        .tokens
         .into_iter()
         .filter(|t| t.kind == TokenKind::Ident)
         .map(|t| t.text)
@@ -35,12 +34,8 @@ fn comment_openers_inside_strings_do_not_start_comments() {
 #[test]
 fn line_numbers_survive_multiline_raw_strings() {
     let src = "fn f() {\n    let x = r#\"line\nline\nline\"#;\n    g()\n}";
-    let scan = scan(src);
-    let g = scan
-        .tokens
-        .iter()
-        .find(|t| t.is_ident("g"))
-        .expect("g token");
+    let tokens = scan(src);
+    let g = tokens.iter().find(|t| t.is_ident("g")).expect("g token");
     assert_eq!(g.line, 5, "line count must include raw-string newlines");
 }
 

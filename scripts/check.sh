@@ -50,7 +50,7 @@ step "cargo clippy (deny warnings)" cargo clippy --workspace --all-targets -- -D
 # Every intra-doc link resolves and none points at a private item.
 step "rustdoc (deny warnings)" \
   env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
-step "css-lint: privacy-invariant pass (waiver budget + size ratchet vs lint-baseline.json)" scripts/lint.sh
+step "css-lint: privacy-invariant pass (four rules, no waivers; size ratchet vs lint-baseline.json)" scripts/lint.sh
 step "tier-1: release build" cargo build --release
 step "tier-1: tests (whole workspace; one red test hides no suite after it)" \
   cargo test -q --workspace --no-fail-fast
