@@ -9,20 +9,21 @@
 //!
 //! Lock ordering (to stay deadlock-free) is the rank table of
 //! [`css_types::lock_order`]: `routes` → `pdp` → `actors` → an index
-//! shard, the bus state last; audit shard locks are taken with no other
-//! guard held, and cross-shard operations hold one shard lock at a time.
+//! shard, the bus state last; a define or revoke takes the policy store
+//! before the `pdp`; audit shard locks are taken with no other guard
+//! held, and cross-shard operations hold one shard lock at a time.
 //! Debug builds check every acquisition against it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::{RwLock, RwLockReadGuard};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 
 use css_audit::{AuditAction, AuditQuery, AuditRecord, AuditReport, AuditShards};
 use css_bus::{Bus, PublishOptions, SubscriberHandle, SubscriptionConfig};
 use css_event::{EventSchema, NotificationMessage};
 use css_policy::cache::StabilityInterval;
-use css_policy::{DetailRequest, PolicyDecisionPoint, PrivacyPolicy};
+use css_policy::{DetailRequest, PolicyDecisionPoint, PolicyRepository, PrivacyPolicy};
 use css_registry::EventCatalog;
 use css_storage::LogBackend;
 use css_telemetry::{Counter, MetricsRegistry, StageTable};
@@ -182,6 +183,10 @@ pub struct DataController<B: LogBackend> {
     /// that publish built.
     bus: Bus<Arc<NotificationMessage>>,
     index: IndexShards<B>,
+    /// The certified repository of the privacy policies (Section 5): a
+    /// define or revoke is written here before the PDP applies it, and
+    /// open replays it into the PDP.
+    policies: Mutex<PolicyRepository<B>>,
     pdp: RwLock<PolicyDecisionPoint>,
     consent: RwLock<ConsentRegistry>,
     audit: AuditShards<B>,
@@ -199,9 +204,10 @@ pub struct DataController<B: LogBackend> {
 }
 
 impl<B: LogBackend> DataController<B> {
-    /// Open a controller with one audit backend and one index backend
-    /// **per shard**: the shard count of the data plane (events index +
-    /// audit) **is** the length of the two vectors, which must be equal.
+    /// Open a controller over its policy store and with one audit
+    /// backend and one index backend **per shard**: the shard count of
+    /// the data plane (events index + audit) **is** the length of the two
+    /// vectors, which must be equal.
     /// `audit_anchor` is the backend of the audit plane's anchor
     /// ([`AuditShards::open_anchored`]) where the backends outlive the
     /// process; a plane in memory has none, since no later open could
@@ -211,9 +217,13 @@ impl<B: LogBackend> DataController<B> {
     /// expected concurrent writer, e.g. `min(8, cores)`. Both planes
     /// replay what their backends hold, and index replay re-routes
     /// every persisted entry to its current owner shard, so reopening
-    /// with more shards loses nothing.
+    /// with more shards loses nothing. Every stored policy, revoked ones
+    /// included, is installed in the PDP unchecked (actors and schemas
+    /// are registered after open), and policy ids resume past the
+    /// highest stored one.
     pub fn open(
         config: ControllerConfig,
+        policies: B,
         audit_backends: Vec<B>,
         index_backends: Vec<B>,
         audit_anchor: Option<B>,
@@ -231,13 +241,20 @@ impl<B: LogBackend> DataController<B> {
         // Continue minting global ids after the highest recovered one so
         // restarts never reuse an eID (nonce safety for the sealer).
         let next_eid = index.max_event_id().map(|m| m.value() + 1).unwrap_or(1);
+        let policies = PolicyRepository::open(policies)?;
+        let (mut pdp, policy_gen) = (PolicyDecisionPoint::new(), IdGenerator::default());
+        for policy in policies.load_all()? {
+            policy_gen.advance_past(policy.id.value());
+            pdp.install(policy);
+        }
         Ok(DataController {
             actors: RwLock::ranked("actors", lock_order::ACTORS, ActorRegistry::new()),
             contracts: RwLock::new(ContractRegistry::new()),
             catalog: RwLock::ranked("catalog", lock_order::CATALOG, EventCatalog::new()),
             bus: Bus::in_memory_with_telemetry(&config.telemetry),
             index,
-            pdp: RwLock::ranked("pdp", lock_order::PDP, PolicyDecisionPoint::new()),
+            policies: Mutex::ranked("policy store", lock_order::POLICY_STORE, policies),
+            pdp: RwLock::ranked("pdp", lock_order::PDP, pdp),
             consent: RwLock::ranked("consent", lock_order::CONSENT, ConsentRegistry::new()),
             audit,
             gateways: RwLock::ranked("gateways", lock_order::GATEWAYS, HashMap::new()),
@@ -247,7 +264,7 @@ impl<B: LogBackend> DataController<B> {
             telemetry: config.telemetry,
             tracer: config.tracer,
             eid_gen: IdGenerator::starting_at(next_eid),
-            policy_gen: IdGenerator::default(),
+            policy_gen,
             request_gen: IdGenerator::default(),
         })
     }
@@ -358,7 +375,9 @@ impl<B: LogBackend> DataController<B> {
     /// Validates ownership (only the declaring producer may protect its
     /// classes) and that `F` only names declared fields, and refuses an
     /// id already installed — revoked or not, whoever owns it — with
-    /// `AlreadyExists`, writing no audit record.
+    /// `AlreadyExists`, writing no audit record. The policy is stored
+    /// before it is installed: a define whose store write fails installs
+    /// and audits nothing. Ids minted after it are past its id.
     pub fn define_policy(&self, policy: PrivacyPolicy) -> CssResult<()> {
         self.contracts.read().require_producer(policy.producer)?;
         {
@@ -389,52 +408,49 @@ impl<B: LogBackend> DataController<B> {
             .event_type(policy.event_type.clone())
             .with_detail(format!("defined {}", policy.id));
         {
-            let mut pdp = self.pdp.write();
-            if pdp.get(policy.id).is_some() {
+            // The store's guard orders defines and revokes; the PDP's is
+            // taken only to look and to apply, never across the write.
+            let mut store = self.policies.lock();
+            let taken = self.pdp.read().get(policy.id).is_some();
+            if taken {
                 return Err(CssError::AlreadyExists(format!(
                     "policy {} already defined",
                     policy.id
                 )));
             }
-            pdp.install(policy);
+            store.save(&policy)?;
+            self.policy_gen.advance_past(policy.id.value());
+            self.pdp.write().install(policy);
         }
         self.audit.append(record)?;
         Ok(())
     }
 
-    /// Restore a policy from the certified repository after a restart.
-    ///
-    /// Skips the ownership/field validation of
-    /// [`DataController::define_policy`] (the repository content was
-    /// validated when first defined) and writes no audit record (the
-    /// original definition is already on the log). A policy installed
-    /// under the same id is replaced.
-    pub fn restore_policy(&self, policy: PrivacyPolicy) {
-        // Keep the id generator ahead of restored ids.
-        self.policy_gen.advance_past(policy.id.value());
-        self.pdp.write().install(policy);
-    }
-
-    /// Producer revokes one of its policies.
+    /// Producer revokes one of its policies. The PDP's copy, marked
+    /// revoked, is stored before the PDP revokes it: a revoke whose
+    /// store write fails changes and audits nothing.
     pub fn revoke_policy(&self, producer: ActorId, id: PolicyId) -> CssResult<()> {
-        let owned = self
-            .pdp
-            .read()
-            .get(id)
-            .is_some_and(|p| p.producer == producer);
-        if !owned {
-            return Err(CssError::NotFound(format!(
-                "policy {id} not found for producer {producer}"
-            )));
+        {
+            let mut store = self.policies.lock();
+            let mut revoked = match self.pdp.read().get(id) {
+                Some(policy) if policy.producer == producer => policy.clone(),
+                _ => {
+                    return Err(CssError::NotFound(format!(
+                        "policy {id} not found for producer {producer}"
+                    )))
+                }
+            };
+            revoked.revoke();
+            store.save(&revoked)?;
+            self.pdp.write().revoke(id);
         }
-        self.pdp.write().revoke(id);
         let record = AuditRecord::new(self.now(), producer, AuditAction::PolicyChange)
             .with_detail(format!("revoked {id}"));
         self.audit.append(record)?;
         Ok(())
     }
 
-    /// Number of installed policies.
+    /// Number of installed policies, revoked ones included.
     pub fn policy_count(&self) -> usize {
         self.pdp.read().len()
     }

@@ -2,7 +2,7 @@
 //! observationally equivalent to a single-shard one.
 //!
 //! The property drives the *same* random interleaving of publishes,
-//! person inquiries, detail requests, and policy revocations/restores
+//! person inquiries, detail requests, and policy revocations/re-grants
 //! against 1-, 2- and 8-shard controllers — each opened through the one
 //! constructor, so the counts do not depend on host cores — and asserts
 //! that every
@@ -13,6 +13,7 @@
 //! full audit record stream (global sequencer order), and chain
 //! verification.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use css_audit::AuditQuery;
@@ -54,9 +55,9 @@ fn person(id: u64) -> PersonIdentity {
     }
 }
 
-fn policy(id: u64, consumer: ActorId) -> PrivacyPolicy {
+fn policy(id: PolicyId, consumer: ActorId) -> PrivacyPolicy {
     PrivacyPolicy::new(
-        PolicyId(id),
+        id,
         HOSPITAL,
         consumer,
         EventTypeId::v1("blood-test"),
@@ -68,13 +69,16 @@ fn policy(id: u64, consumer: ActorId) -> PrivacyPolicy {
 struct World {
     controller: DataController<MemBackend>,
     gateway: SharedGateway<MemBackend>,
+    /// The doctor's latest grant: the one the toggle revokes.
+    doctor_grant: Cell<PolicyId>,
 }
 
 fn world(shards: usize) -> World {
     let clock = SimClock::starting_at(Timestamp(1_000_000));
     let config = ControllerConfig::with_clock(Arc::new(clock));
     let backends = || (0..shards).map(|_| MemBackend::new()).collect();
-    let controller = DataController::open(config, backends(), backends(), None).unwrap();
+    let controller =
+        DataController::open(config, MemBackend::new(), backends(), backends(), None).unwrap();
     controller
         .register_actor(Actor::organization(HOSPITAL, "Hospital"))
         .unwrap();
@@ -100,11 +104,16 @@ fn world(shards: usize) -> World {
     controller
         .declare_event_class(&schema(), Some("health/laboratory"))
         .unwrap();
-    controller.define_policy(policy(1, DOCTOR)).unwrap();
-    controller.define_policy(policy(2, WELFARE)).unwrap();
+    controller
+        .define_policy(policy(PolicyId(1), DOCTOR))
+        .unwrap();
+    controller
+        .define_policy(policy(PolicyId(2), WELFARE))
+        .unwrap();
     World {
         controller,
         gateway,
+        doctor_grant: Cell::new(PolicyId(1)),
     }
 }
 
@@ -153,13 +162,18 @@ fn step(w: &World, op: u8, x: u64, src: &mut u64, published: &mut Vec<GlobalEven
                     .request_details(consumer, ty, id, Purpose::HealthcareTreatment)
             )
         }
-        // Toggle the doctor's policy: revoke on even, restore on odd.
+        // Toggle the doctor's access: revoke its latest grant on even,
+        // grant it again under a fresh id on odd.
         _ => {
             if x.is_multiple_of(2) {
-                format!("{:?}", w.controller.revoke_policy(HOSPITAL, PolicyId(1)))
+                format!(
+                    "{:?}",
+                    w.controller.revoke_policy(HOSPITAL, w.doctor_grant.get())
+                )
             } else {
-                w.controller.restore_policy(policy(1, DOCTOR));
-                "restored".into()
+                let id = w.controller.next_policy_id();
+                w.doctor_grant.set(id);
+                format!("{:?}", w.controller.define_policy(policy(id, DOCTOR)))
             }
         }
     }
@@ -183,7 +197,7 @@ proptest! {
         for (op, raw) in ops {
             let x = raw % PERSONS + 1;
             // `raw` (not `x`) picks detail-request targets and the
-            // revoke/restore direction so they cover the full range.
+            // revoke/re-grant direction so they cover the full range.
             let arg = if op >= 3 { raw } else { x };
             let seen: Vec<String> = worlds
                 .iter()

@@ -11,8 +11,8 @@
 //! [`PolicyWizard`] is that flow as a validated builder: every step
 //! rejects invalid input with a domain error ([`WizardError`]) naming
 //! exactly what the UI would highlight, and [`PolicyWizard::save`]
-//! produces one [`css_policy::PrivacyPolicy`] per selected consumer,
-//! installs them at the controller, and persists their XACML form.
+//! produces one [`css_policy::PrivacyPolicy`] per selected consumer and
+//! defines each at the controller, which persists its XACML form.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -21,7 +21,7 @@ use css_event::EventSchema;
 use css_policy::{PrivacyPolicy, ValidityWindow};
 use css_types::{ActorId, CssError, CssResult, PolicyId, Purpose, Timestamp};
 
-use crate::platform::{SharedController, SharedRepo};
+use crate::platform::SharedController;
 use crate::provider::BackendProvider;
 
 /// A validation failure at a wizard step.
@@ -71,7 +71,6 @@ impl From<WizardError> for CssError {
 /// "set up a new rule for `<event>`" entry point (Fig. 6).
 pub struct PolicyWizard<P: BackendProvider> {
     controller: SharedController<P>,
-    repo: SharedRepo<P>,
     producer: ActorId,
     schema: EventSchema,
     fields: BTreeSet<String>,
@@ -85,13 +84,11 @@ pub struct PolicyWizard<P: BackendProvider> {
 impl<P: BackendProvider> PolicyWizard<P> {
     pub(crate) fn new(
         controller: SharedController<P>,
-        repo: SharedRepo<P>,
         producer: ActorId,
         schema: EventSchema,
     ) -> Self {
         PolicyWizard {
             controller,
-            repo,
             producer,
             schema,
             fields: BTreeSet::new(),
@@ -173,8 +170,8 @@ impl<P: BackendProvider> PolicyWizard<P> {
         self
     }
 
-    /// Final step: validate, generate one policy per consumer, install
-    /// them at the controller and persist their XACML form.
+    /// Final step: validate, generate one policy per consumer and define
+    /// each at the controller, which persists it before installing it.
     pub fn save(self) -> CssResult<Vec<PolicyId>> {
         if self.consumers.is_empty() {
             return Err(WizardError::NoConsumers.into());
@@ -191,7 +188,6 @@ impl<P: BackendProvider> PolicyWizard<P> {
             }
         }
         let mut ids = Vec::with_capacity(self.consumers.len());
-        let mut saved = Vec::with_capacity(self.consumers.len());
         for consumer in &self.consumers {
             let policy = PrivacyPolicy::new(
                 self.controller.next_policy_id(),
@@ -204,13 +200,8 @@ impl<P: BackendProvider> PolicyWizard<P> {
             .valid(self.validity)
             .labeled(self.label.clone(), self.description.clone());
             ids.push(policy.id);
-            self.controller.define_policy(policy.clone())?;
-            saved.push(policy);
+            self.controller.define_policy(policy)?;
         }
-        // One group commit for the whole consumer fan-out: a single
-        // storage write + sync instead of one per policy.
-        let mut repo = self.repo.lock();
-        repo.save_all(&saved)?;
         Ok(ids)
     }
 }

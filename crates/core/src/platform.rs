@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use css_audit::{AuditQuery, AuditRecord, AuditReport};
 use css_controller::{
@@ -11,7 +11,6 @@ use css_controller::{
     ParticipantRole, SharedGateway,
 };
 use css_gateway::LocalCooperationGateway;
-use css_policy::PolicyRepository;
 use css_storage::{InstrumentedBackend, LogBackend, RecordLog};
 use css_telemetry::{MetricsRegistry, TelemetrySnapshot};
 use css_trace::Tracer;
@@ -31,7 +30,6 @@ use crate::provider::{BackendProvider, DirProvider, MemoryProvider};
 /// backend wrapped with `storage.*` latency/byte telemetry.
 pub(crate) type PlatformBackend<P> = InstrumentedBackend<<P as BackendProvider>::Backend>;
 pub(crate) type SharedController<P> = Arc<DataController<PlatformBackend<P>>>;
-pub(crate) type SharedRepo<P> = Arc<Mutex<PolicyRepository<PlatformBackend<P>>>>;
 pub(crate) type SharedPending = Arc<PendingQueue>;
 
 /// The capacity in which an organization joins the platform
@@ -298,14 +296,11 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
             .with_tracer(tracer.clone());
         let controller = DataController::open(
             config,
+            InstrumentedBackend::new(provider.backend("policies")?, &telemetry),
             audit_backends,
             index_backends,
             anchor.map(|anchor| InstrumentedBackend::new(anchor, &telemetry)),
         )?;
-        let policy_repo = PolicyRepository::open(InstrumentedBackend::new(
-            provider.backend("policies")?,
-            &telemetry,
-        ))?;
         let controller = Arc::new(controller);
         let mut queue = PendingQueue::new(DEFAULT_PENDING_CAPACITY);
         queue.instrument(&telemetry);
@@ -330,7 +325,6 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
         Ok(CssPlatform {
             controller,
             gateways: HashMap::new(),
-            policy_repo: Arc::new(Mutex::new(policy_repo)),
             pending,
             roles: HashMap::new(),
             src_gens: HashMap::new(),
@@ -347,12 +341,11 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
     }
 }
 
-/// The assembled CSS platform: data controller + producer gateways +
-/// policy repository + pending-request queue.
+/// The assembled CSS platform: data controller (which owns the policy
+/// repository) + producer gateways + pending-request queue.
 pub struct CssPlatform<P: BackendProvider = MemoryProvider> {
     controller: SharedController<P>,
     gateways: HashMap<ActorId, SharedGateway<PlatformBackend<P>>>,
-    policy_repo: SharedRepo<P>,
     pending: SharedPending,
     roles: HashMap<ActorId, (bool, bool)>, // (produces, consumes)
     src_gens: HashMap<ActorId, Arc<IdGenerator>>,
@@ -529,17 +522,12 @@ impl<P: BackendProvider> CssPlatform<P> {
         Ok(())
     }
 
-    /// Reload every policy from the certified repository into the
-    /// decision point — the restart path: operators re-register actors
-    /// and re-declare schemas (code-driven), then call this to restore
-    /// enforcement state. Returns the number of policies restored.
+    /// The number of policies the decision point holds, revoked ones
+    /// included. It restores nothing: the controller restores every
+    /// stored policy when the platform opens, so after a restart
+    /// operators only re-register actors and re-declare schemas.
     pub fn reload_policies(&self) -> CssResult<usize> {
-        let policies = self.policy_repo.lock().load_all()?;
-        let n = policies.len();
-        for policy in policies {
-            self.controller.restore_policy(policy);
-        }
-        Ok(n)
+        Ok(self.controller.policy_count())
     }
 
     // ---- identity management (Section 5 future work) -------------------
@@ -607,7 +595,6 @@ impl<P: BackendProvider> CssPlatform<P> {
             .clone();
         Ok(ProducerHandle::new(
             self.controller.clone(),
-            self.policy_repo.clone(),
             self.pending.clone(),
             gateway,
             src_gen,
@@ -682,11 +669,6 @@ impl<P: BackendProvider> CssPlatform<P> {
     /// clones of this `Arc` can drive it from many threads at once.
     pub fn controller(&self) -> SharedController<P> {
         self.controller.clone()
-    }
-
-    /// The persisted XACML policy repository.
-    pub fn policy_repository(&self) -> SharedRepo<P> {
-        self.policy_repo.clone()
     }
 
     // ---- telemetry ---------------------------------------------------------

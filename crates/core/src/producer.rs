@@ -11,14 +11,13 @@ use css_types::{
 
 use crate::elicitation::PolicyWizard;
 use crate::pending::{AccessRequest, AccessRequestStatus};
-use crate::platform::{PlatformBackend, SharedController, SharedPending, SharedRepo};
+use crate::platform::{PlatformBackend, SharedController, SharedPending};
 use crate::provider::BackendProvider;
 
 /// What a data source system programs against: declare classes, publish
 /// events (details stay local, notifications go out), author policies.
 pub struct ProducerHandle<P: BackendProvider> {
     controller: SharedController<P>,
-    policy_repo: SharedRepo<P>,
     pending: SharedPending,
     gateway: SharedGateway<PlatformBackend<P>>,
     src_gen: Arc<IdGenerator>,
@@ -28,7 +27,6 @@ pub struct ProducerHandle<P: BackendProvider> {
 impl<P: BackendProvider> ProducerHandle<P> {
     pub(crate) fn new(
         controller: SharedController<P>,
-        policy_repo: SharedRepo<P>,
         pending: SharedPending,
         gateway: SharedGateway<PlatformBackend<P>>,
         src_gen: Arc<IdGenerator>,
@@ -36,7 +34,6 @@ impl<P: BackendProvider> ProducerHandle<P> {
     ) -> Self {
         ProducerHandle {
             controller,
-            policy_repo,
             pending,
             gateway,
             src_gen,
@@ -94,7 +91,6 @@ impl<P: BackendProvider> ProducerHandle<P> {
         }
         Ok(PolicyWizard::new(
             self.controller.clone(),
-            self.policy_repo.clone(),
             self.actor,
             schema,
         ))
@@ -102,9 +98,7 @@ impl<P: BackendProvider> ProducerHandle<P> {
 
     /// Revoke one of this producer's policies.
     pub fn revoke_policy(&self, id: PolicyId) -> CssResult<()> {
-        self.controller.revoke_policy(self.actor, id)?;
-        self.policy_repo.lock().revoke(id)?;
-        Ok(())
+        self.controller.revoke_policy(self.actor, id)
     }
 
     /// Pending access requests targeting this producer's event classes.

@@ -18,9 +18,11 @@
 //!   — [`pdp::PolicyDecisionPoint`].
 //!
 //! Policies serialize to the XACML subset of Fig. 8 ([`xacml`]) and are
-//! persisted by the [`repository::PolicyRepository`], which is the
-//! "certificated repository of the privacy policies" held by the data
-//! controller.
+//! persisted by the [`repository::PolicyRepository`], the "certificated
+//! repository of the privacy policies": the data controller owns the one
+//! repository, writes each define and revoke to it before the
+//! [`pdp::PolicyDecisionPoint`] applies it, and restores every policy
+//! from it at open.
 
 // The no-panic floor of the request path (production code returns
 // `CssResult`), held by clippy under scripts/check.sh: DESIGN §9.

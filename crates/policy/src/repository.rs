@@ -3,7 +3,10 @@
 //! The data controller "acts as guarantor and as certificated repository
 //! of the privacy policies" (Section 5). Policies are persisted in their
 //! XACML form through the `css-storage` keyed store, so the repository
-//! survives restarts and can be audited byte-for-byte.
+//! survives restarts and can be audited byte-for-byte. The controller
+//! owns the one repository: it saves each define and each revoke (the
+//! policy marked revoked, kept for audit) before applying it, and loads
+//! them all at open.
 
 use css_storage::{KvStore, LogBackend};
 use css_types::{CssError, CssResult, PolicyId};
@@ -31,75 +34,20 @@ impl<B: LogBackend> PolicyRepository<B> {
         self.store.sync()
     }
 
-    /// Persist a set of policies as one group commit: every record is
-    /// written in a single backend append and synced once, instead of
-    /// one write + fsync per policy. Bulk loads (elicitation-tool
-    /// imports, consumer fan-outs) use this path.
-    pub fn save_all(&mut self, policies: &[PrivacyPolicy]) -> CssResult<()> {
-        if policies.is_empty() {
-            return Ok(());
-        }
-        let keys: Vec<Vec<u8>> = policies.iter().map(|p| key(p.id)).collect();
-        let docs: Vec<Vec<u8>> = policies
-            .iter()
-            .map(|p| css_xml::to_string(&to_xacml(p)).into_bytes())
-            .collect();
-        let pairs: Vec<(&[u8], &[u8])> = keys
-            .iter()
-            .zip(&docs)
-            .map(|(k, v)| (k.as_slice(), v.as_slice()))
-            .collect();
-        self.store.put_batch(&pairs)?;
-        self.store.sync()
-    }
-
     /// Load a policy by id.
     pub fn load(&self, id: PolicyId) -> CssResult<Option<PrivacyPolicy>> {
-        match self.store.get(&key(id))? {
-            None => Ok(None),
-            Some(bytes) => {
-                let text = String::from_utf8(bytes)
-                    .map_err(|e| CssError::Serialization(format!("policy not UTF-8: {e}")))?;
-                let doc =
-                    css_xml::parse(&text).map_err(|e| CssError::Serialization(e.to_string()))?;
-                Ok(Some(from_xacml(&doc)?))
-            }
-        }
+        self.store.get(&key(id))?.map(decode).transpose()
     }
 
-    /// Remove a policy outright. Prefer [`PolicyRepository::revoke`],
-    /// which preserves the record for auditing.
-    pub fn delete(&mut self, id: PolicyId) -> CssResult<bool> {
-        let was = self.store.delete(&key(id))?;
-        self.store.sync()?;
-        Ok(was)
-    }
-
-    /// Mark a stored policy revoked.
-    pub fn revoke(&mut self, id: PolicyId) -> CssResult<bool> {
-        match self.load(id)? {
-            None => Ok(false),
-            Some(mut policy) => {
-                policy.revoke();
-                self.save(&policy)?;
-                Ok(true)
-            }
-        }
-    }
-
-    /// Load every stored policy.
+    /// Load every stored policy, ascending by id.
     pub fn load_all(&self) -> CssResult<Vec<PrivacyPolicy>> {
-        let ids: Vec<Vec<u8>> = self.store.keys().map(<[u8]>::to_vec).collect();
-        let mut out = Vec::with_capacity(ids.len());
-        for k in ids {
+        let mut out = Vec::with_capacity(self.store.len());
+        for k in self.store.keys() {
             let bytes = self
                 .store
-                .get(&k)?
+                .get(k)?
                 .ok_or_else(|| CssError::Storage("key vanished during scan".into()))?;
-            let text = String::from_utf8(bytes)
-                .map_err(|e| CssError::Serialization(format!("policy not UTF-8: {e}")))?;
-            let doc = css_xml::parse(&text).map_err(|e| CssError::Serialization(e.to_string()))?;
-            out.push(from_xacml(&doc)?);
+            out.push(decode(bytes)?);
         }
         out.sort_by_key(|p| p.id);
         Ok(out)
@@ -118,6 +66,14 @@ impl<B: LogBackend> PolicyRepository<B> {
 
 fn key(id: PolicyId) -> Vec<u8> {
     format!("policy:{}", id.value()).into_bytes()
+}
+
+/// A policy from its stored XACML document.
+fn decode(bytes: Vec<u8>) -> CssResult<PrivacyPolicy> {
+    let text = String::from_utf8(bytes)
+        .map_err(|e| CssError::Serialization(format!("policy not UTF-8: {e}")))?;
+    let doc = css_xml::parse(&text).map_err(|e| CssError::Serialization(e.to_string()))?;
+    from_xacml(&doc)
 }
 
 #[cfg(test)]
@@ -158,15 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn revoke_persists() {
-        let mut repo = PolicyRepository::open(MemBackend::new()).unwrap();
-        repo.save(&policy(1)).unwrap();
-        assert!(repo.revoke(PolicyId(1)).unwrap());
-        assert!(repo.load(PolicyId(1)).unwrap().unwrap().revoked);
-        assert!(!repo.revoke(PolicyId(99)).unwrap());
-    }
-
-    #[test]
     fn load_all_sorted() {
         let mut repo = PolicyRepository::open(MemBackend::new()).unwrap();
         for id in [3, 1, 2] {
@@ -175,29 +122,6 @@ mod tests {
         let all = repo.load_all().unwrap();
         let ids: Vec<u64> = all.iter().map(|p| p.id.value()).collect();
         assert_eq!(ids, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn save_all_matches_sequential_saves() {
-        let mut sequential = PolicyRepository::open(MemBackend::new()).unwrap();
-        for id in 1..=4 {
-            sequential.save(&policy(id)).unwrap();
-        }
-        let mut batched = PolicyRepository::open(MemBackend::new()).unwrap();
-        let all: Vec<PrivacyPolicy> = (1..=4).map(policy).collect();
-        batched.save_all(&all).unwrap();
-        assert_eq!(batched.len(), 4);
-        assert_eq!(batched.load_all().unwrap(), sequential.load_all().unwrap());
-        batched.save_all(&[]).unwrap();
-        assert_eq!(batched.len(), 4);
-    }
-
-    #[test]
-    fn delete_removes() {
-        let mut repo = PolicyRepository::open(MemBackend::new()).unwrap();
-        repo.save(&policy(1)).unwrap();
-        assert!(repo.delete(PolicyId(1)).unwrap());
-        assert!(repo.is_empty());
     }
 
     #[test]
@@ -211,7 +135,9 @@ mod tests {
                 PolicyRepository::open(css_storage::FileBackend::open(&path).unwrap()).unwrap();
             repo.save(&policy(1)).unwrap();
             repo.save(&policy(2)).unwrap();
-            repo.revoke(PolicyId(2)).unwrap();
+            let mut revoked = policy(2);
+            revoked.revoke();
+            repo.save(&revoked).unwrap();
         }
         let repo = PolicyRepository::open(css_storage::FileBackend::open(&path).unwrap()).unwrap();
         assert_eq!(repo.len(), 2);

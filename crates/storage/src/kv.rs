@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use crate::backend::LogBackend;
-use crate::log::{split_records, RecordLog, RecordPtr};
+use crate::log::{RecordLog, RecordPtr};
 
 use css_types::{CssError, CssResult};
 
@@ -85,33 +85,6 @@ impl<B: LogBackend> KvStore<B> {
         let ptr = self.log.append(&self.records)?;
         self.index
             .insert(key.to_vec(), Slot::of(ptr, self.records.len()));
-        Ok(())
-    }
-
-    /// Insert or replace several values as one group commit.
-    ///
-    /// All records are framed into a single backend write (see
-    /// [`RecordLog::append_batch`]); callers that need durability sync
-    /// once at the batch boundary instead of once per key. Later pairs
-    /// win when the batch repeats a key, matching sequential `put`s.
-    pub fn put_batch(&mut self, pairs: &[(&[u8], &[u8])]) -> CssResult<()> {
-        if pairs.is_empty() {
-            return Ok(());
-        }
-        self.records.clear();
-        let mut ends = Vec::with_capacity(pairs.len());
-        for (key, value) in pairs {
-            encode_into(&mut self.records, OP_PUT, key, value);
-            ends.push(self.records.len());
-        }
-        let ptrs = self
-            .log
-            .append_batch(&split_records(&self.records, &ends))?;
-        let mut start = 0;
-        for (((key, _), ptr), end) in pairs.iter().zip(ptrs).zip(ends) {
-            self.index.insert(key.to_vec(), Slot::of(ptr, end - start));
-            start = end;
-        }
         Ok(())
     }
 
@@ -240,14 +213,12 @@ mod tests {
         };
         let mut kv = open(MemBackend::new());
         kv.put(b"put", b"one").unwrap();
-        kv.put_batch(&[(b"batch-a", b"two"), (b"batch-b", b"")])
-            .unwrap();
+        kv.put(b"empty", b"").unwrap();
         kv.put(b"put", b"one, replaced by a longer value").unwrap();
         let expect = |kv: &KvStore<_>| {
             for (key, value) in [
                 (&b"put"[..], &b"one, replaced by a longer value"[..]),
-                (b"batch-a", b"two"),
-                (b"batch-b", b""),
+                (b"empty", b""),
             ] {
                 let before = reads();
                 assert_eq!(kv.get(key).unwrap().unwrap(), value);
@@ -275,11 +246,8 @@ mod tests {
         kv.put(b"k", b"v").unwrap();
         assert_eq!(kv.log_bytes() - before, record(b"k", b"v"));
         let before = kv.log_bytes();
-        kv.put_batch(&[(b"a", b"1"), (b"bb", b"")]).unwrap();
-        assert_eq!(
-            kv.log_bytes() - before,
-            record(b"a", b"1") + record(b"bb", b"")
-        );
+        kv.put(b"bb", b"").unwrap();
+        assert_eq!(kv.log_bytes() - before, record(b"bb", b""));
         let before = kv.log_bytes();
         assert!(kv.delete(b"k").unwrap());
         assert_eq!(kv.log_bytes() - before, record(b"k", b""));
@@ -288,7 +256,6 @@ mod tests {
         for (key, value) in [
             (&b"long"[..], Some(&long[..])),
             (b"k", None),
-            (b"a", Some(b"1")),
             (b"bb", Some(b"")),
         ] {
             assert_eq!(replayed.get(key).unwrap().as_deref(), value);
@@ -333,27 +300,6 @@ mod tests {
         assert!(torn > 0);
         assert_eq!(kv.get(b"safe").unwrap().unwrap(), b"value");
         assert_eq!(kv.get(b"torn").unwrap(), None);
-    }
-
-    #[test]
-    fn put_batch_matches_sequential_puts() {
-        let mut seq = mem();
-        seq.put(b"a", b"1").unwrap();
-        seq.put(b"b", b"2").unwrap();
-        seq.put(b"a", b"3").unwrap();
-        let mut batched = mem();
-        batched
-            .put_batch(&[(b"a", b"1"), (b"b", b"2"), (b"a", b"3")])
-            .unwrap();
-        assert_eq!(batched.log_bytes(), seq.log_bytes());
-        assert_eq!(batched.get(b"a").unwrap().unwrap(), b"3");
-        assert_eq!(batched.get(b"b").unwrap().unwrap(), b"2");
-        assert_eq!(batched.len(), 2);
-        // Replay sees the same live set.
-        let (reopened, torn) = KvStore::open(batched.log.into_backend()).unwrap();
-        assert_eq!(torn, 0);
-        assert_eq!(reopened.get(b"a").unwrap().unwrap(), b"3");
-        assert_eq!(reopened.len(), 2);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! calls, so recovery replays both the same way — including after a
 //! crash that tears the final batch.
 
-use css_storage::{KvStore, LogBackend, MemBackend, RecordLog};
+use css_storage::{LogBackend, MemBackend, RecordLog};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -53,24 +53,4 @@ proptest! {
         prop_assert_eq!(recover(seq_backend), recover(batch_backend));
     }
 
-    #[test]
-    fn batched_kv_replays_like_sequential(
-        entries in vec((vec(any::<u8>(), 0..8usize), vec(any::<u8>(), 0..16usize)), 1..16usize),
-    ) {
-        let mut sequential = KvStore::open(MemBackend::new()).unwrap().0;
-        for (k, v) in &entries {
-            sequential.put(k, v).unwrap();
-        }
-        let mut batched = KvStore::open(MemBackend::new()).unwrap().0;
-        let pairs: Vec<(&[u8], &[u8])> = entries
-            .iter()
-            .map(|(k, v)| (k.as_slice(), v.as_slice()))
-            .collect();
-        batched.put_batch(&pairs).unwrap();
-        prop_assert_eq!(sequential.len(), batched.len());
-        prop_assert_eq!(sequential.log_bytes(), batched.log_bytes());
-        for (k, _) in &entries {
-            prop_assert_eq!(sequential.get(k).unwrap(), batched.get(k).unwrap());
-        }
-    }
 }

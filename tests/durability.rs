@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use css::policy::PolicyRepository;
 use css::prelude::*;
 use css::storage::{FileBackend, KvStore, LogBackend, MemBackend};
 
@@ -88,9 +89,7 @@ fn platform_survives_full_restart_cycle() {
     {
         let platform = CssPlatform::on_disk(&dir, Arc::new(clock.clone())).unwrap();
         platform.verify_audit().unwrap();
-        let policies = platform.policy_repository().lock().load_all().unwrap();
-        assert_eq!(policies.len(), 1);
-        assert_eq!(policies[0].label, "p");
+        assert_eq!(platform.controller().policy_count(), 1);
         // The gateway log from session 1 is still on disk and non-empty.
         let gateway_log = std::fs::read_dir(&dir)
             .unwrap()
@@ -99,7 +98,16 @@ fn platform_survives_full_restart_cycle() {
         let entry = gateway_log.expect("gateway log persisted");
         assert!(entry.metadata().unwrap().len() > 0);
     }
+    let policies = stored_policies(&dir);
+    assert_eq!(policies.len(), 1);
+    assert_eq!(policies[0].label, "p");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every policy a closed deployment directory stores, ascending by id.
+fn stored_policies(dir: &std::path::Path) -> Vec<PrivacyPolicy> {
+    let backend = FileBackend::open(dir.join("policies.log")).unwrap();
+    PolicyRepository::open(backend).unwrap().load_all().unwrap()
 }
 
 /// The shard counts every audit-plane durability case runs at, whatever
@@ -333,6 +341,104 @@ fn full_restart_preserves_events_policies_and_details() {
         assert_eq!(consumer.inquire_by_person(anna.id).unwrap().len(), 2);
         platform.verify_audit().unwrap();
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The hospital's wizard grant of visits to `consumer`, for treatment:
+/// the id it minted.
+fn grant_visits(
+    platform: &CssPlatform<css::core::DirProvider>,
+    hospital: ActorId,
+    consumer: ActorId,
+    label: &str,
+) -> css::types::PolicyId {
+    platform
+        .producer(hospital)
+        .unwrap()
+        .policy_wizard(&visit_schema().id)
+        .unwrap()
+        .select_fields(["PatientId"])
+        .unwrap()
+        .grant_to([consumer])
+        .unwrap()
+        .for_purposes([Purpose::HealthcareTreatment])
+        .labeled(label, "")
+        .save()
+        .unwrap()[0]
+}
+
+/// A revoke made at the controller is stored: after a reopen the
+/// doctor's grant is still revoked, on disk and in the decision point.
+#[test]
+fn a_revoke_through_the_controller_stays_revoked_after_a_reopen() {
+    let dir = temp_dir("controller-revoke");
+    let visit = visit_schema().id;
+    {
+        let mut platform = reopen(&dir);
+        let [hospital, _, doctor, _, _] = set_up_the_sequences_actors(&mut platform);
+        let granted = grant_visits(&platform, hospital, doctor, "revocable");
+        let controller = platform.controller();
+        controller.revoke_policy(hospital, granted).unwrap();
+        assert!(!controller.is_authorized_consumer(doctor, &visit));
+    }
+    let (platform, doctor) = reopen_as_operators(&dir);
+    assert!(!platform.controller().is_authorized_consumer(doctor, &visit));
+    drop(platform);
+    let stored = stored_policies(&dir);
+    assert_eq!(stored.len(), 1);
+    assert!(stored[0].revoked);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A define made at the controller is stored: after a reopen it is in
+/// force.
+#[test]
+fn a_define_through_the_controller_is_in_force_after_a_reopen() {
+    let dir = temp_dir("controller-define");
+    let visit = visit_schema().id;
+    {
+        let mut platform = reopen(&dir);
+        let [hospital, _, doctor, _, _] = set_up_the_sequences_actors(&mut platform);
+        let controller = platform.controller();
+        let policy = PrivacyPolicy::new(
+            controller.next_policy_id(),
+            hospital,
+            doctor,
+            visit.clone(),
+            [Purpose::HealthcareTreatment],
+            ["PatientId".to_string()],
+        );
+        controller.define_policy(policy).unwrap();
+    }
+    let (platform, doctor) = reopen_as_operators(&dir);
+    assert!(platform.controller().is_authorized_consumer(doctor, &visit));
+    drop(platform);
+    assert_eq!(stored_policies(&dir).len(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A reopened platform that never reloads its policies mints the next
+/// policy id past every stored one, so its first grant is stored beside
+/// the earlier grant instead of over it.
+#[test]
+fn a_reopened_platform_mints_policy_ids_past_the_stored_ones() {
+    let dir = temp_dir("policy-ids");
+    let first = {
+        let mut platform = reopen(&dir);
+        let [hospital, _, doctor, _, _] = set_up_the_sequences_actors(&mut platform);
+        grant_visits(&platform, hospital, doctor, "first")
+    };
+    let before = stored_policies(&dir);
+    let second = {
+        let mut platform = reopen(&dir);
+        let [hospital, clinic, _, _, _] = set_up_the_sequences_actors(&mut platform);
+        grant_visits(&platform, hospital, clinic, "second")
+    };
+    assert!(second.value() > first.value(), "{second:?} after {first:?}");
+    let after = stored_policies(&dir);
+    assert_eq!(after.len(), 2);
+    assert_eq!(after[0], before[0]);
+    assert_eq!(after[1].label, "second");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

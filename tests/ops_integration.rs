@@ -16,7 +16,7 @@ use css::audit::{AuditAction, AuditQuery};
 use css::core::{BackendProvider, CssPlatform, CssPlatformBuilder};
 use css::prelude::*;
 use css::storage::{LogBackend, MemBackend};
-use css::types::CssError;
+use css::types::{CssError, PolicyId};
 
 /// A payload value that must never appear on any ops endpoint.
 const SECRET_RESULT: &str = "SECRET-RESULT-positive-hiv";
@@ -220,8 +220,10 @@ fn json_u64(body: &str, key: &str) -> u64 {
 // ---- platform under test --------------------------------------------------
 
 /// A hospital producing blood tests and a doctor granted both fields
-/// of them for treatment.
-fn onboard(platform: &mut CssPlatform<FaultableProvider>) -> (ActorId, ActorId, EventTypeId) {
+/// of them for treatment, with the id of that grant.
+fn onboard(
+    platform: &mut CssPlatform<FaultableProvider>,
+) -> (ActorId, ActorId, EventTypeId, PolicyId) {
     let hospital = platform.register_organization("Hospital").unwrap();
     let doctor = platform.register_organization("Doctor").unwrap();
     platform.join(hospital, Role::Producer).unwrap();
@@ -233,7 +235,7 @@ fn onboard(platform: &mut CssPlatform<FaultableProvider>) -> (ActorId, ActorId, 
         .field(FieldDef::required("Result", FieldKind::Text).sensitive());
     let producer = platform.producer(hospital).unwrap();
     producer.declare(&schema, None).unwrap();
-    producer
+    let granted = producer
         .policy_wizard(&ty)
         .unwrap()
         .select_fields(["PatientId", "Result"])
@@ -244,7 +246,7 @@ fn onboard(platform: &mut CssPlatform<FaultableProvider>) -> (ActorId, ActorId, 
         .labeled("doctor-bt", "")
         .save()
         .unwrap();
-    (hospital, doctor, ty)
+    (hospital, doctor, ty, granted[0])
 }
 
 /// One blood test about Maria, carrying both secrets.
@@ -295,7 +297,7 @@ fn ops_platform_on(
         .build()
         .expect("boot platform");
     let addr = platform.ops().expect("ops enabled").local_addr();
-    let (hospital, doctor, ty) = onboard(&mut platform);
+    let (hospital, doctor, ty, _) = onboard(&mut platform);
     let producer = platform.producer(hospital).unwrap();
     let consumer = platform.consumer(doctor).unwrap();
     let sub = consumer.subscribe(&ty).unwrap();
@@ -565,7 +567,7 @@ fn a_subscribe_that_fails_to_audit_leaves_no_receiver_behind() {
         .provider(FaultableProvider::everywhere(fail.clone()))
         .build()
         .expect("boot platform");
-    let (hospital, doctor, ty) = onboard(&mut platform);
+    let (hospital, doctor, ty, _) = onboard(&mut platform);
     let producer = platform.producer(hospital).unwrap();
     let consumer = platform.consumer(doctor).unwrap();
 
@@ -603,7 +605,7 @@ fn an_inquiry_that_fails_to_persist_its_marker_notifies_nobody() {
         })
         .build()
         .expect("boot platform");
-    let (hospital, doctor, ty) = onboard(&mut platform);
+    let (hospital, doctor, ty, _) = onboard(&mut platform);
     let (person, details) = sensitive_event(&ty);
     let receipt = platform
         .producer(hospital)
@@ -651,7 +653,7 @@ fn an_inquiry_that_cannot_be_audited_notifies_nobody() {
         })
         .build()
         .expect("boot platform");
-    let (hospital, doctor, ty) = onboard(&mut platform);
+    let (hospital, doctor, ty, _) = onboard(&mut platform);
     let (person, details) = sensitive_event(&ty);
     let receipt = platform
         .producer(hospital)
@@ -693,11 +695,10 @@ fn a_detachment_that_fails_to_audit_is_retried_by_the_next_publish() {
         })
         .build()
         .expect("boot platform");
-    let (hospital, doctor, ty) = onboard(&mut platform);
+    let (hospital, doctor, ty, granted) = onboard(&mut platform);
     let producer = platform.producer(hospital).unwrap();
     let subscription = platform.consumer(doctor).unwrap().subscribe(&ty).unwrap();
-    let granted = platform.policy_repository().lock().load_all().unwrap();
-    producer.revoke_policy(granted[0].id).unwrap();
+    producer.revoke_policy(granted).unwrap();
     let detachments = |platform: &CssPlatform<FaultableProvider>| {
         let q = AuditQuery::new()
             .action(AuditAction::Subscribe)
