@@ -9,6 +9,12 @@
 //! the injected storage error, change no authorisation and append no
 //! `PolicyChange` record. Once it recovers, one retry of each applies
 //! the change and appends exactly one record.
+//!
+//! The audit record comes last, so a change whose audit write fails is
+//! stored and in force, unaudited. The second test pins that as it is
+//! today: a define cannot be retried into an audited one, because the
+//! retry is refused as a duplicate (ROADMAP item 18); a revoke's retry
+//! stores the revoked copy again and appends its record.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -63,17 +69,18 @@ fn blood_test() -> EventTypeId {
     EventTypeId::v1("blood-test")
 }
 
-/// A controller whose policy store fails while the returned flag is up;
-/// its audit and index backends never fail. The hospital has declared
-/// blood tests; the doctor is registered and holds no grant.
-fn world(shards: usize) -> (DataController<Probe>, Arc<AtomicBool>) {
-    let (store_fails, never) = (Arc::default(), Arc::default());
-    let probes = || (0..shards).map(|_| Probe::new(&never)).collect();
+/// A controller whose policy store fails while the first returned flag
+/// is up and whose audit shards fail while the second is; its index
+/// backends never fail. The hospital has declared blood tests; the
+/// doctor is registered and holds no grant.
+fn world(shards: usize) -> (DataController<Probe>, Arc<AtomicBool>, Arc<AtomicBool>) {
+    let (store_fails, audit_fails, never) = (Arc::default(), Arc::default(), Arc::default());
+    let probes = |fail| (0..shards).map(|_| Probe::new(fail)).collect();
     let c = DataController::open(
         ControllerConfig::with_clock(Arc::new(SimClock::starting_at(Timestamp(1_000_000)))),
         Probe::new(&store_fails),
-        probes(),
-        probes(),
+        probes(&audit_fails),
+        probes(&never),
         None,
     )
     .unwrap();
@@ -87,7 +94,7 @@ fn world(shards: usize) -> (DataController<Probe>, Arc<AtomicBool>) {
     let schema = EventSchema::new(blood_test(), "Blood Test", HOSPITAL)
         .field(FieldDef::required("PatientId", FieldKind::Integer));
     c.declare_event_class(&schema, None).unwrap();
-    (c, store_fails)
+    (c, store_fails, audit_fails)
 }
 
 fn policy_changes(c: &DataController<Probe>) -> usize {
@@ -100,18 +107,23 @@ fn is_injected<T: std::fmt::Debug>(result: CssResult<T>) -> bool {
     matches!(result, Err(CssError::Storage(ref m)) if m == "injected")
 }
 
+/// The doctor's grant of blood tests, under the next policy id.
+fn grant(c: &DataController<Probe>) -> PrivacyPolicy {
+    PrivacyPolicy::new(
+        c.next_policy_id(),
+        HOSPITAL,
+        DOCTOR,
+        blood_test(),
+        [Purpose::HealthcareTreatment],
+        ["PatientId".to_string()],
+    )
+}
+
 #[test]
 fn a_policy_change_whose_store_write_fails_changes_and_audits_nothing() {
     for shards in [1, 2, 8] {
-        let (c, store_fails) = world(shards);
-        let grant = PrivacyPolicy::new(
-            c.next_policy_id(),
-            HOSPITAL,
-            DOCTOR,
-            blood_test(),
-            [Purpose::HealthcareTreatment],
-            ["PatientId".to_string()],
-        );
+        let (c, store_fails, _) = world(shards);
+        let grant = grant(&c);
         let authorised = || c.is_authorized_consumer(DOCTOR, &blood_test());
 
         store_fails.store(true, Ordering::SeqCst);
@@ -134,5 +146,34 @@ fn a_policy_change_whose_store_write_fails_changes_and_audits_nothing() {
         c.revoke_policy(HOSPITAL, grant.id).unwrap();
         assert!(!authorised(), "{shards}");
         assert_eq!(policy_changes(&c), 2, "{shards}");
+    }
+}
+
+#[test]
+fn a_policy_change_whose_audit_write_fails_is_in_force_unaudited() {
+    for shards in [1, 2, 8] {
+        let (c, _, audit_fails) = world(shards);
+        let grant = grant(&c);
+        let authorised = || c.is_authorized_consumer(DOCTOR, &blood_test());
+
+        audit_fails.store(true, Ordering::SeqCst);
+        assert!(is_injected(c.define_policy(grant.clone())), "{shards}");
+        audit_fails.store(false, Ordering::SeqCst);
+        assert!(authorised(), "{shards}");
+        assert_eq!(policy_changes(&c), 0, "{shards}");
+        let retried = c.define_policy(grant.clone());
+        assert!(
+            matches!(retried, Err(CssError::AlreadyExists(_))),
+            "{shards}: {retried:?}"
+        );
+        assert_eq!(policy_changes(&c), 0, "{shards}");
+
+        audit_fails.store(true, Ordering::SeqCst);
+        assert!(is_injected(c.revoke_policy(HOSPITAL, grant.id)), "{shards}");
+        audit_fails.store(false, Ordering::SeqCst);
+        assert!(!authorised(), "{shards}");
+        assert_eq!(policy_changes(&c), 0, "{shards}");
+        c.revoke_policy(HOSPITAL, grant.id).unwrap();
+        assert_eq!(policy_changes(&c), 1, "{shards}");
     }
 }

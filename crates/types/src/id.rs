@@ -282,10 +282,12 @@ impl IdGenerator {
     }
 
     /// Ensure all future values are strictly greater than `value`
-    /// (restart support: resume past recovered identifiers).
+    /// (restart support: resume past recovered identifiers). Nothing is
+    /// greater than `u64::MAX`: past it the generator stops at it.
     pub fn advance_past(&self, value: u64) {
+        let past = value.saturating_add(1);
         self.next
-            .fetch_max(value + 1, std::sync::atomic::Ordering::Relaxed);
+            .fetch_max(past, std::sync::atomic::Ordering::Relaxed);
     }
 }
 
@@ -393,6 +395,15 @@ mod tests {
         let a: GlobalEventId = g.next_id();
         let b: GlobalEventId = g.next_id();
         assert!(b.value() > a.value());
+    }
+
+    #[test]
+    fn advancing_past_the_largest_value_stops_at_it() {
+        let g = IdGenerator::default();
+        g.advance_past(41);
+        assert_eq!(g.next_value(), 42);
+        g.advance_past(u64::MAX);
+        assert_eq!(g.next_value(), u64::MAX);
     }
 
     #[test]

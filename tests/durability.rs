@@ -442,6 +442,102 @@ fn a_reopened_platform_mints_policy_ids_past_the_stored_ones() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A define refused for reusing a stored policy's id leaves the stored
+/// record alone. The hospital's revoked grant stays revoked, and its live
+/// grant keeps its producer, on disk and in the decision point after a
+/// reopen.
+#[test]
+fn a_refused_define_leaves_the_stored_record_alone() {
+    let dir = temp_dir("refused-define");
+    let visit = visit_schema().id;
+    let (revoked, live) = {
+        let mut platform = reopen(&dir);
+        let [hospital, clinic, doctor, _, _] = set_up_the_sequences_actors(&mut platform);
+        let revoked = grant_visits(&platform, hospital, doctor, "revoked");
+        platform
+            .producer(hospital)
+            .unwrap()
+            .revoke_policy(revoked)
+            .unwrap();
+        let live = grant_visits(&platform, hospital, clinic, "live");
+        let lab = platform.register_organization("Lab").unwrap();
+        platform.join(lab, Role::Producer).unwrap();
+        let urine = EventSchema::new(EventTypeId::v1("urine-test"), "Urine test", lab)
+            .field(FieldDef::required("PatientId", FieldKind::Integer));
+        platform
+            .producer(lab)
+            .unwrap()
+            .declare(&urine, None)
+            .unwrap();
+        let controller = platform.controller();
+        let audited = controller.audit_len();
+        for (id, producer, class) in [(revoked, hospital, &visit), (live, lab, &urine.id)] {
+            let reused = PrivacyPolicy::new(
+                id,
+                producer,
+                doctor,
+                class.clone(),
+                [Purpose::HealthcareTreatment],
+                ["PatientId".to_string()],
+            );
+            let refused = controller.define_policy(reused);
+            assert!(
+                matches!(refused, Err(CssError::AlreadyExists(_))),
+                "{refused:?}"
+            );
+        }
+        assert_eq!(controller.audit_len(), audited);
+        (revoked, live)
+    };
+    let stored = stored_policies(&dir);
+    assert_eq!(stored.len(), 2);
+    assert_eq!(
+        (stored[0].id, stored[0].label.as_str(), stored[0].revoked),
+        (revoked, "revoked", true)
+    );
+    assert_eq!(
+        (
+            stored[1].id,
+            stored[1].producer,
+            stored[1].event_type.clone()
+        ),
+        (live, ActorId(1), visit.clone())
+    );
+    assert!(!stored[1].revoked);
+    let (platform, doctor) = reopen_as_operators(&dir);
+    assert!(!platform.controller().is_authorized_consumer(doctor, &visit));
+    drop(platform);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A define may name the largest policy id. It is stored, and the
+/// directory reopens holding it: ids resume at the largest value instead
+/// of overflowing past it.
+#[test]
+fn a_policy_with_the_largest_id_is_stored_and_reopens() {
+    let dir = temp_dir("largest-policy-id");
+    let visit = visit_schema().id;
+    {
+        let mut platform = reopen(&dir);
+        let [hospital, _, doctor, _, _] = set_up_the_sequences_actors(&mut platform);
+        let policy = PrivacyPolicy::new(
+            css::types::PolicyId(u64::MAX),
+            hospital,
+            doctor,
+            visit.clone(),
+            [Purpose::HealthcareTreatment],
+            ["PatientId".to_string()],
+        );
+        platform.controller().define_policy(policy).unwrap();
+    }
+    let (platform, doctor) = reopen_as_operators(&dir);
+    assert_eq!(platform.controller().policy_count(), 1);
+    assert!(platform.controller().is_authorized_consumer(doctor, &visit));
+    drop(platform);
+    assert_eq!(stored_policies(&dir)[0].id.value(), u64::MAX);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A disk-backed platform with `orgs` joined organisations — one audit
 /// record each, spread over the shards by actor id.
 fn joined_platform(
