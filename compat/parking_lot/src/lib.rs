@@ -14,7 +14,9 @@
 //! whose rank is not above every held one; acquiring a lock the thread
 //! already holds, for read or for write; and a storage write
 //! ([`assert_write_guarded`]) while a lock that does not guard the
-//! written value is held. Release builds compile all of it out: ranks
+//! written value is held — unless that lock is a *journal* lock
+//! ([`Mutex::journal`]), whose purpose is to order the writes made under
+//! it. Release builds compile all of it out: ranks
 //! and held entries are empty types there, and the checks empty
 //! functions.
 
@@ -46,7 +48,17 @@ impl<T> Mutex<T> {
     /// of a higher `rank` are acquired.
     pub const fn ranked(class: &'static str, rank: u32, value: T) -> Self {
         Mutex {
-            rank: order::Rank::new(class, rank),
+            rank: order::Rank::new(class, rank, false),
+            inner: sync::Mutex::new(value),
+        }
+    }
+
+    /// Create a ranked mutex that orders a journal: a thread holding it
+    /// may write storage its value does not hold, so the writes made
+    /// under it land in the order it was taken. Every other check holds.
+    pub const fn journal(class: &'static str, rank: u32, value: T) -> Self {
+        Mutex {
+            rank: order::Rank::new(class, rank, true),
             inner: sync::Mutex::new(value),
         }
     }
@@ -253,7 +265,7 @@ impl<T> RwLock<T> {
     /// while locks of a higher `rank` are acquired.
     pub const fn ranked(class: &'static str, rank: u32, value: T) -> Self {
         RwLock {
-            rank: order::Rank::new(class, rank),
+            rank: order::Rank::new(class, rank, false),
             inner: sync::RwLock::new(value),
         }
     }
@@ -301,7 +313,7 @@ impl<'a, T: ?Sized> DerefMut for RwLockWriteGuard<'a, T> {
 
 /// Check a storage write of `log` against the locks this thread holds:
 /// it may hold none, or only locks whose value holds `log` (the write
-/// goes through their guard). Anything else panics, naming the write's
+/// goes through their guard) and journal locks ([`Mutex::journal`]). Anything else panics, naming the write's
 /// site and the held lock's. Compiled out of release builds.
 #[cfg_attr(debug_assertions, track_caller)]
 #[inline(always)]
@@ -327,7 +339,7 @@ mod order {
         pub(crate) type Held = ();
 
         impl Rank {
-            pub(crate) const fn new(_: &'static str, _: u32) -> Rank {
+            pub(crate) const fn new(_: &'static str, _: u32, _: bool) -> Rank {
                 Rank
             }
             pub(crate) fn acquire<L: ?Sized>(&self, _: &L) {}
@@ -348,9 +360,10 @@ mod order {
         use std::ops::Range;
         use std::panic::Location;
 
-        /// A lock's class (named in panics) and its place in the order.
+        /// A lock's class (named in panics), its place in the order and
+        /// whether it is a journal lock (held across any storage write).
         #[derive(Clone, Copy)]
-        pub(crate) struct Rank(&'static str, u32);
+        pub(crate) struct Rank(&'static str, u32, bool);
 
         /// A guard's place on the stack: dropping it lets the lock go.
         pub(crate) struct Held(usize);
@@ -373,7 +386,7 @@ mod order {
 
         impl Default for Rank {
             fn default() -> Self {
-                Rank("leaf", super::LEAF)
+                Rank("leaf", super::LEAF, false)
             }
         }
 
@@ -384,8 +397,8 @@ mod order {
         }
 
         impl Rank {
-            pub(crate) const fn new(class: &'static str, rank: u32) -> Rank {
-                Rank(class, rank)
+            pub(crate) const fn new(class: &'static str, rank: u32, journal: bool) -> Rank {
+                Rank(class, rank, journal)
             }
 
             /// Check an acquisition of `lock` against every held lock,
@@ -447,7 +460,7 @@ mod order {
         pub(crate) fn write<T: ?Sized>(log: &T) {
             let (log, site) = (at(log), Location::caller());
             HELD.with_borrow(|held| {
-                if let Some(h) = held.iter().find(|h| !h.bytes.contains(&log)) {
+                if let Some(h) = held.iter().find(|h| !h.rank.2 && !h.bytes.contains(&log)) {
                     panic!(
                         "storage write at {site} while {} is held, taken at {}: \
                          that lock does not guard the log written",

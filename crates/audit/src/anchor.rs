@@ -70,11 +70,6 @@ impl<B: LogBackend> Anchor<B> {
         self.log.append(&self.record)?;
         Ok(())
     }
-
-    /// Flush the marks to stable storage.
-    pub(crate) fn sync(&mut self) -> CssResult<()> {
-        self.log.sync()
-    }
 }
 
 fn decode(payload: &[u8]) -> CssResult<(usize, Mark)> {

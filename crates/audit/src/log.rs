@@ -108,6 +108,9 @@ impl<B: LogBackend> ShardLog<B> {
     /// (gappy) sequence a shard produces and advances `sequencer` past
     /// the highest recovered seq so restarts never reuse a number.
     ///
+    /// Every control record ([`crate::AuditAction::is_control`]) the
+    /// pass decodes is pushed onto `journal`, in log order.
+    ///
     /// Fails if any persisted record is corrupt (frame CRC), malformed
     /// or out of sequence, or if the log does not hold `mark`'s records
     /// whole, chaining to its head.
@@ -115,6 +118,7 @@ impl<B: LogBackend> ShardLog<B> {
         backend: B,
         sequencer: Arc<AtomicU64>,
         mark: Option<Mark>,
+        journal: &mut Vec<AuditRecord>,
     ) -> CssResult<Self> {
         let mut held = Held {
             links: Vec::new(),
@@ -135,6 +139,9 @@ impl<B: LogBackend> ShardLog<B> {
             }
             sequencer.fetch_max(record.seq + 1, Ordering::AcqRel);
             held.push(&record, payload, ptr);
+            if record.action.is_control() {
+                journal.push(record);
+            }
             Ok(())
         })?;
         if let Some(mark) = mark {
@@ -299,7 +306,7 @@ mod tests {
     }
 
     fn open<B: LogBackend>(backend: B) -> CssResult<ShardLog<B>> {
-        ShardLog::open(backend, Arc::new(AtomicU64::new(0)), None)
+        ShardLog::open(backend, Arc::new(AtomicU64::new(0)), None, &mut Vec::new())
     }
 
     #[test]
@@ -480,7 +487,12 @@ mod tests {
             let mut backend = MemBackend::new();
             backend.append(&bytes).unwrap();
             let backend = css_storage::InstrumentedBackend::new(backend, &registry);
-            ShardLog::open(backend, Arc::new(AtomicU64::new(0)), Some(mark))
+            ShardLog::open(
+                backend,
+                Arc::new(AtomicU64::new(0)),
+                Some(mark),
+                &mut Vec::new(),
+            )
         };
         // Recovery (every frame's CRC, the torn tail), replay and the
         // check against the mark are one sequential pass: each record is

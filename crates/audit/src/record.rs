@@ -65,6 +65,13 @@ impl AuditAction {
     pub fn code(self) -> &'static str {
         Self::CODES[self as usize]
     }
+
+    /// Whether the action is a control change: a policy or consent
+    /// change, whose record carries the change itself. These records
+    /// are the control journal the controller folds at open.
+    pub fn is_control(self) -> bool {
+        matches!(self, AuditAction::PolicyChange | AuditAction::ConsentChange)
+    }
 }
 
 /// How the action ended.

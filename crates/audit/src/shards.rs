@@ -24,7 +24,7 @@ use parking_lot::Mutex;
 use css_storage::LogBackend;
 use css_types::{lock_order, CssError, CssResult};
 
-use crate::anchor::{Anchor, Mark};
+use crate::anchor::Anchor;
 use crate::log::ShardLog;
 use crate::query::AuditQuery;
 use crate::record::AuditRecord;
@@ -44,7 +44,7 @@ impl<B: LogBackend> AuditShards<B> {
     /// [`AuditShards::open_anchored`]): its chain is derived from what
     /// its backends hold, not checked against anything.
     pub fn open(backends: Vec<B>) -> CssResult<Self> {
-        Self::open_anchored(backends, None)
+        Ok(Self::open_anchored(backends, None)?.0)
     }
 
     /// Open the plane, one shard per backend: the shard count **is**
@@ -56,7 +56,14 @@ impl<B: LogBackend> AuditShards<B> {
     /// whole, chaining to the mark's head; a shard holding records its
     /// mark does not cover yet (a directory written before the anchor,
     /// or a commit whose mark a crash cut off) is marked now.
-    pub fn open_anchored(backends: Vec<B>, anchor: Option<B>) -> CssResult<Self> {
+    ///
+    /// Returns the plane and its control journal: every control record
+    /// ([`crate::AuditAction::is_control`]) in global seq order, taken
+    /// from the same one pass over each shard.
+    pub fn open_anchored(
+        backends: Vec<B>,
+        anchor: Option<B>,
+    ) -> CssResult<(Self, Vec<AuditRecord>)> {
         if backends.is_empty() {
             return Err(CssError::Invalid(
                 "audit shards need at least one backend".into(),
@@ -77,9 +84,10 @@ impl<B: LogBackend> AuditShards<B> {
         }
         let sequencer = Arc::new(AtomicU64::new(0));
         let mut shards = Vec::with_capacity(backends.len());
+        let mut journal = Vec::new();
         for (i, backend) in backends.into_iter().enumerate() {
             let mark = marks.get(&i).copied();
-            let shard = ShardLog::open(backend, sequencer.clone(), mark)?;
+            let shard = ShardLog::open(backend, sequencer.clone(), mark, &mut journal)?;
             if let Some(anchor) = &mut anchor {
                 if shard.mark().count > mark.map_or(0, |m| m.count) {
                     anchor.append(i, shard.mark())?;
@@ -87,11 +95,16 @@ impl<B: LogBackend> AuditShards<B> {
             }
             shards.push(Mutex::ranked("audit shard", lock_order::AUDIT_SHARD, shard));
         }
-        Ok(AuditShards {
-            shards,
-            sequencer,
-            anchor: anchor.map(Mutex::new),
-        })
+        journal.sort_by_key(|r| r.seq);
+        let anchor = anchor.map(Mutex::new);
+        Ok((
+            AuditShards {
+                shards,
+                sequencer,
+                anchor,
+            },
+            journal,
+        ))
     }
 
     /// How many shards the plane runs.
@@ -111,23 +124,22 @@ impl<B: LogBackend> AuditShards<B> {
 
     /// Append one record to its shard. Returns the global seq.
     pub fn append(&self, record: AuditRecord) -> CssResult<u64> {
-        let i = self.shard_of(&record);
-        let (seq, mark) = {
-            let mut shard = self.shards[i].lock();
-            (shard.append(record)?, shard.mark())
-        };
-        self.anchor(i, mark)?;
-        Ok(seq)
+        self.write(self.shard_of(&record), |shard| shard.append(record))
     }
 
-    /// Append shard `i`'s mark to the anchor, if the plane has one. The
-    /// mark was taken under the shard's lock after its write returned;
-    /// it is written after that lock is released.
-    fn anchor(&self, i: usize, mark: Mark) -> CssResult<()> {
-        match &self.anchor {
-            Some(anchor) => anchor.lock().append(i, mark),
-            None => Ok(()),
-        }
+    /// Append one record and sync its shard before returning: the
+    /// commit of a control change, which applies only once its record
+    /// is on stable storage. Returns the global seq.
+    ///
+    /// A sync that fails leaves the record on its shard unacknowledged,
+    /// as a crash between the sync and the reply would: the change is
+    /// not applied now, and is at the next open if the record survived.
+    pub fn commit(&self, record: AuditRecord) -> CssResult<u64> {
+        self.write(self.shard_of(&record), |shard| {
+            let seq = shard.append(record)?;
+            shard.sync()?;
+            Ok(seq)
+        })
     }
 
     /// Append a batch as one group commit on the first record's shard
@@ -137,12 +149,25 @@ impl<B: LogBackend> AuditShards<B> {
         let Some(first) = records.first() else {
             return Ok(self.sequencer.load(std::sync::atomic::Ordering::Acquire));
         };
-        let i = self.shard_of(first);
+        self.write(self.shard_of(first), |shard| shard.append_batch(records))
+    }
+
+    /// Run `write` on shard `i` under its lock, then append the shard's
+    /// mark to the anchor, if the plane has one: the mark is taken under
+    /// the shard's lock once the write has returned, and written after
+    /// that lock is released.
+    fn write(
+        &self,
+        i: usize,
+        write: impl FnOnce(&mut ShardLog<B>) -> CssResult<u64>,
+    ) -> CssResult<u64> {
         let (seq, mark) = {
             let mut shard = self.shards[i].lock();
-            (shard.append_batch(records)?, shard.mark())
+            (write(&mut shard)?, shard.mark())
         };
-        self.anchor(i, mark)?;
+        if let Some(anchor) = &self.anchor {
+            anchor.lock().append(i, mark)?;
+        }
         Ok(seq)
     }
 
@@ -216,19 +241,6 @@ impl<B: LogBackend> AuditShards<B> {
     /// Records per shard — the balance picture an operator watches.
     pub fn shard_lens(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.lock().len()).collect()
-    }
-
-    /// Flush every shard's persisted records, then the anchor's marks,
-    /// to stable storage.
-    pub fn sync(&self) -> CssResult<()> {
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            shard.sync()?;
-        }
-        match &self.anchor {
-            Some(anchor) => anchor.lock().sync(),
-            None => Ok(()),
-        }
     }
 }
 

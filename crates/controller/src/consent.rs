@@ -25,21 +25,26 @@ pub enum ConsentScope {
 }
 
 impl ConsentScope {
-    fn specificity(&self) -> u8 {
+    /// The producer and the event class the scope names, each if any:
+    /// the scope as a consent change's audit record carries it.
+    pub(crate) fn parts(&self) -> (Option<ActorId>, Option<&EventTypeId>) {
         match self {
-            ConsentScope::All => 0,
-            ConsentScope::Producer(_) | ConsentScope::EventType(_) => 1,
-            ConsentScope::ProducerEventType(..) => 2,
+            ConsentScope::All => (None, None),
+            ConsentScope::Producer(p) => (Some(*p), None),
+            ConsentScope::EventType(t) => (None, Some(t)),
+            ConsentScope::ProducerEventType(p, t) => (Some(*p), Some(t)),
         }
     }
 
+    /// How many of the two the scope names: the more, the more specific.
+    fn specificity(&self) -> u8 {
+        let (producer, class) = self.parts();
+        u8::from(producer.is_some()) + u8::from(class.is_some())
+    }
+
     fn applies(&self, producer: ActorId, event_type: &EventTypeId) -> bool {
-        match self {
-            ConsentScope::All => true,
-            ConsentScope::Producer(p) => *p == producer,
-            ConsentScope::EventType(t) => t == event_type,
-            ConsentScope::ProducerEventType(p, t) => *p == producer && t == event_type,
-        }
+        let (named, class) = self.parts();
+        named.is_none_or(|p| p == producer) && class.is_none_or(|t| t == event_type)
     }
 }
 

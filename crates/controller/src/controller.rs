@@ -9,10 +9,11 @@
 //!
 //! Lock ordering (to stay deadlock-free) is the rank table of
 //! [`css_types::lock_order`]: `routes` → `pdp` → `actors` → an index
-//! shard, the bus state last; a define or revoke takes the policy store
-//! before the `pdp`; audit shard locks are taken with no other guard
-//! held, and cross-shard operations hold one shard lock at a time.
-//! Debug builds check every acquisition against it.
+//! shard, the bus state last; a policy or consent change takes the
+//! control journal's lock first and commits its audit record under it;
+//! every other audit shard lock is taken with no other guard held, and
+//! cross-shard operations hold one shard lock at a time. Debug builds
+//! check every acquisition against it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,7 +24,7 @@ use css_audit::{AuditAction, AuditQuery, AuditRecord, AuditReport, AuditShards};
 use css_bus::{Bus, PublishOptions, SubscriberHandle, SubscriptionConfig};
 use css_event::{EventSchema, NotificationMessage};
 use css_policy::cache::StabilityInterval;
-use css_policy::{DetailRequest, PolicyDecisionPoint, PolicyRepository, PrivacyPolicy};
+use css_policy::{xacml::to_xacml, DetailRequest, PolicyDecisionPoint, PrivacyPolicy};
 use css_registry::EventCatalog;
 use css_storage::LogBackend;
 use css_telemetry::{Counter, MetricsRegistry, StageTable};
@@ -37,6 +38,7 @@ use css_types::{
 use crate::consent::{ConsentDecision, ConsentRegistry, ConsentScope};
 use crate::contract::{ContractRegistry, ParticipantContract, ParticipantRole};
 use crate::gateway_client::GatewayClient;
+use crate::journal;
 use crate::pep::PolicyEnforcementPoint;
 use crate::shards::IndexShards;
 
@@ -183,10 +185,10 @@ pub struct DataController<B: LogBackend> {
     /// that publish built.
     bus: Bus<Arc<NotificationMessage>>,
     index: IndexShards<B>,
-    /// The certified repository of the privacy policies (Section 5): a
-    /// define or revoke is written here before the PDP applies it, and
-    /// open replays it into the PDP.
-    policies: Mutex<PolicyRepository<B>>,
+    /// Orders the control changes (see [`crate::journal`]): a policy
+    /// define or revoke or a consent change commits its audit record and
+    /// applies under it, so journal order is apply order.
+    control: Mutex<()>,
     pdp: RwLock<PolicyDecisionPoint>,
     consent: RwLock<ConsentRegistry>,
     audit: AuditShards<B>,
@@ -204,10 +206,9 @@ pub struct DataController<B: LogBackend> {
 }
 
 impl<B: LogBackend> DataController<B> {
-    /// Open a controller over its policy store and with one audit
-    /// backend and one index backend **per shard**: the shard count of
-    /// the data plane (events index + audit) **is** the length of the two
-    /// vectors, which must be equal.
+    /// Open a controller with one audit backend and one index backend
+    /// **per shard**: the shard count of the data plane (events index +
+    /// audit) **is** the length of the two vectors, which must be equal.
     /// `audit_anchor` is the backend of the audit plane's anchor
     /// ([`AuditShards::open_anchored`]) where the backends outlive the
     /// process; a plane in memory has none, since no later open could
@@ -217,13 +218,18 @@ impl<B: LogBackend> DataController<B> {
     /// expected concurrent writer, e.g. `min(8, cores)`. Both planes
     /// replay what their backends hold, and index replay re-routes
     /// every persisted entry to its current owner shard, so reopening
-    /// with more shards loses nothing. Every stored policy, revoked ones
-    /// included, is installed in the PDP unchecked (actors and schemas
-    /// are registered after open), and policy ids resume past the
-    /// highest stored one.
+    /// with more shards loses nothing. The audit plane's control journal
+    /// (its policy and consent changes, in seq order) is folded into the
+    /// PDP and the consent registry: every journaled policy, revoked ones
+    /// included, is installed unchecked (actors and schemas are
+    /// registered after open), every journaled consent directive is in
+    /// force, and policy ids resume past the highest journaled one.
+    /// `legacy_policies` opens the `policies.log` of a directory written
+    /// before the journal carried its policies; it is called only if the
+    /// journal names a policy stored there.
     pub fn open(
         config: ControllerConfig,
-        policies: B,
+        legacy_policies: impl FnMut() -> CssResult<B>,
         audit_backends: Vec<B>,
         index_backends: Vec<B>,
         audit_anchor: Option<B>,
@@ -236,26 +242,21 @@ impl<B: LogBackend> DataController<B> {
             )));
         }
         let mut index = IndexShards::open(&config.master_key, index_backends)?;
-        let audit = AuditShards::open_anchored(audit_backends, audit_anchor)?;
+        let (audit, journal) = AuditShards::open_anchored(audit_backends, audit_anchor)?;
         index.instrument(&config.telemetry);
         // Continue minting global ids after the highest recovered one so
         // restarts never reuse an eID (nonce safety for the sealer).
         let next_eid = index.max_event_id().map(|m| m.value() + 1).unwrap_or(1);
-        let policies = PolicyRepository::open(policies)?;
-        let (mut pdp, policy_gen) = (PolicyDecisionPoint::new(), IdGenerator::default());
-        for policy in policies.load_all()? {
-            policy_gen.advance_past(policy.id.value());
-            pdp.install(policy);
-        }
+        let (pdp, consent, policy_gen) = journal::fold(journal, legacy_policies)?;
         Ok(DataController {
             actors: RwLock::ranked("actors", lock_order::ACTORS, ActorRegistry::new()),
             contracts: RwLock::new(ContractRegistry::new()),
             catalog: RwLock::ranked("catalog", lock_order::CATALOG, EventCatalog::new()),
             bus: Bus::in_memory_with_telemetry(&config.telemetry),
             index,
-            policies: Mutex::ranked("policy store", lock_order::POLICY_STORE, policies),
+            control: Mutex::journal("control", lock_order::CONTROL, ()),
             pdp: RwLock::ranked("pdp", lock_order::PDP, pdp),
-            consent: RwLock::ranked("consent", lock_order::CONSENT, ConsentRegistry::new()),
+            consent: RwLock::ranked("consent", lock_order::CONSENT, consent),
             audit,
             gateways: RwLock::ranked("gateways", lock_order::GATEWAYS, HashMap::new()),
             routes: RwLock::ranked("routes", lock_order::ROUTES, HashMap::new()),
@@ -317,19 +318,21 @@ impl<B: LogBackend> DataController<B> {
         self.actors.read()
     }
 
-    /// Sign a participation contract for a (top-level) actor.
+    /// Sign a participation contract for a (top-level) actor. The
+    /// signature is audited before it is in force: a contract whose
+    /// record cannot be written is not signed.
     pub fn sign_contract(&self, actor: ActorId, role: ParticipantRole) -> CssResult<()> {
         if self.actors.read().get(actor).is_none() {
             return Err(CssError::NotFound(format!("actor {actor} not registered")));
         }
         let now = self.now();
+        self.audit
+            .append(AuditRecord::new(now, actor, AuditAction::ContractSigned))?;
         self.contracts.write().sign(ParticipantContract {
             actor,
             role,
             signed_at: now,
         });
-        self.audit
-            .append(AuditRecord::new(now, actor, AuditAction::ContractSigned))?;
         Ok(())
     }
 
@@ -375,9 +378,10 @@ impl<B: LogBackend> DataController<B> {
     /// Validates ownership (only the declaring producer may protect its
     /// classes) and that `F` only names declared fields, and refuses an
     /// id already installed — revoked or not, whoever owns it — with
-    /// `AlreadyExists`, writing no audit record. The policy is stored
-    /// before it is installed: a define whose store write fails installs
-    /// and audits nothing. Ids minted after it are past its id.
+    /// `AlreadyExists`, writing no audit record. The define's audit
+    /// record, which carries the policy, is committed before the policy
+    /// is installed: a define whose commit fails installs nothing. Ids
+    /// minted after it are past its id.
     pub fn define_policy(&self, policy: PrivacyPolicy) -> CssResult<()> {
         self.contracts.read().require_producer(policy.producer)?;
         {
@@ -406,47 +410,38 @@ impl<B: LogBackend> DataController<B> {
         }
         let record = AuditRecord::new(self.now(), policy.producer, AuditAction::PolicyChange)
             .event_type(policy.event_type.clone())
-            .with_detail(format!("defined {}", policy.id));
-        {
-            // The store's guard orders defines and revokes; the PDP's is
-            // taken only to look and to apply, never across the write.
-            let mut store = self.policies.lock();
-            let taken = self.pdp.read().get(policy.id).is_some();
-            if taken {
-                return Err(CssError::AlreadyExists(format!(
-                    "policy {} already defined",
-                    policy.id
-                )));
-            }
-            store.save(&policy)?;
-            self.policy_gen.advance_past(policy.id.value());
-            self.pdp.write().install(policy);
+            .with_detail(css_xml::to_string(&to_xacml(&policy)));
+        // The journal's guard orders defines, revokes and consent
+        // changes; the PDP's is taken only to look and to apply, never
+        // across the commit.
+        let _control = self.control.lock();
+        if self.pdp.read().get(policy.id).is_some() {
+            return Err(CssError::AlreadyExists(format!(
+                "policy {} already defined",
+                policy.id
+            )));
         }
-        self.audit.append(record)?;
+        self.audit.commit(record)?;
+        self.policy_gen.advance_past(policy.id.value());
+        self.pdp.write().install(policy);
         Ok(())
     }
 
-    /// Producer revokes one of its policies. The PDP's copy, marked
-    /// revoked, is stored before the PDP revokes it: a revoke whose
-    /// store write fails changes and audits nothing.
+    /// Producer revokes one of its policies. The revoke's audit record
+    /// is committed before the PDP revokes it: a revoke whose commit
+    /// fails changes nothing.
     pub fn revoke_policy(&self, producer: ActorId, id: PolicyId) -> CssResult<()> {
-        {
-            let mut store = self.policies.lock();
-            let mut revoked = match self.pdp.read().get(id) {
-                Some(policy) if policy.producer == producer => policy.clone(),
-                _ => {
-                    return Err(CssError::NotFound(format!(
-                        "policy {id} not found for producer {producer}"
-                    )))
-                }
-            };
-            revoked.revoke();
-            store.save(&revoked)?;
-            self.pdp.write().revoke(id);
+        let _control = self.control.lock();
+        let owned = self.pdp.read().get(id).map(|policy| policy.producer);
+        if owned != Some(producer) {
+            return Err(CssError::NotFound(format!(
+                "policy {id} not found for producer {producer}"
+            )));
         }
         let record = AuditRecord::new(self.now(), producer, AuditAction::PolicyChange)
             .with_detail(format!("revoked {id}"));
-        self.audit.append(record)?;
+        self.audit.commit(record)?;
+        self.pdp.write().revoke(id);
         Ok(())
     }
 
@@ -986,7 +981,10 @@ impl<B: LogBackend> DataController<B> {
 
     // ---- consent ----------------------------------------------------------
 
-    /// Record a consent directive from a data subject.
+    /// Record a consent directive from a data subject. Its audit
+    /// record, which carries the directive, is committed before the
+    /// directive is in force: a change whose commit fails changes
+    /// nothing, and a committed one is in force after a restart.
     pub fn record_consent(
         &self,
         person: PersonId,
@@ -994,11 +992,10 @@ impl<B: LogBackend> DataController<B> {
         decision: ConsentDecision,
     ) -> CssResult<()> {
         let now = self.now();
+        let record = journal::consent(now, person, &scope, decision);
+        let _control = self.control.lock();
+        self.audit.commit(record)?;
         self.consent.write().record(person, scope, decision, now);
-        // Consent changes are logged against the platform itself; the
-        // subject is tracked in the person dimension.
-        self.audit
-            .append(AuditRecord::new(now, ActorId(0), AuditAction::ConsentChange).person(person))?;
         Ok(())
     }
 

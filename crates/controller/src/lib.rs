@@ -31,6 +31,7 @@ pub mod controller;
 pub mod gateway_client;
 pub mod identity;
 pub mod index;
+mod journal;
 pub mod pep;
 pub mod shards;
 

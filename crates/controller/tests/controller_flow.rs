@@ -54,7 +54,14 @@ fn setup_on(shards: usize) -> World {
     let clock = SimClock::starting_at(Timestamp(1_000_000));
     let config = ControllerConfig::with_clock(Arc::new(clock.clone()));
     let backends = || (0..shards).map(|_| MemBackend::new()).collect();
-    let c = DataController::open(config, MemBackend::new(), backends(), backends(), None).unwrap();
+    let c = DataController::open(
+        config,
+        || Ok(MemBackend::new()),
+        backends(),
+        backends(),
+        None,
+    )
+    .unwrap();
 
     c.register_actor(Actor::organization(HOSPITAL, "Hospital S. Maria"))
         .unwrap();

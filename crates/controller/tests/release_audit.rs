@@ -167,10 +167,12 @@ fn world(shards: usize) -> World {
     let clock = SimClock::starting_at(Timestamp(1_000_000));
     let c = DataController::open(
         ControllerConfig::with_clock(Arc::new(clock.clone())),
-        Probe {
-            inner: MemBackend::new(),
-            fail: Arc::default(),
-            appends: Arc::default(),
+        || {
+            Ok(Probe {
+                inner: MemBackend::new(),
+                fail: Arc::default(),
+                appends: Arc::default(),
+            })
         },
         probes(&audit_fails, &audit_appends),
         probes(&index_fails, &index_appends),

@@ -36,7 +36,7 @@ fn world(shards: usize) -> World {
     let backends = || (0..shards).map(|_| MemBackend::new()).collect();
     let controller = DataController::open(
         ControllerConfig::with_clock(Arc::new(clock.clone())),
-        MemBackend::new(),
+        || Ok(MemBackend::new()),
         backends(),
         backends(),
         None,

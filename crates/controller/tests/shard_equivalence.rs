@@ -77,8 +77,14 @@ fn world(shards: usize) -> World {
     let clock = SimClock::starting_at(Timestamp(1_000_000));
     let config = ControllerConfig::with_clock(Arc::new(clock));
     let backends = || (0..shards).map(|_| MemBackend::new()).collect();
-    let controller =
-        DataController::open(config, MemBackend::new(), backends(), backends(), None).unwrap();
+    let controller = DataController::open(
+        config,
+        || Ok(MemBackend::new()),
+        backends(),
+        backends(),
+        None,
+    )
+    .unwrap();
     controller
         .register_actor(Actor::organization(HOSPITAL, "Hospital"))
         .unwrap();

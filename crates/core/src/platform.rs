@@ -282,24 +282,20 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
             opened.push(open_shard(opened.len())?);
         }
         opened.truncate(shards);
+        let instrumented = |backend| InstrumentedBackend::new(backend, &telemetry);
         let (audit_backends, index_backends) = opened
             .into_iter()
-            .map(|[audit, index]| {
-                (
-                    InstrumentedBackend::new(audit, &telemetry),
-                    InstrumentedBackend::new(index, &telemetry),
-                )
-            })
+            .map(|[audit, index]| (instrumented(audit), instrumented(index)))
             .unzip();
         let config = ControllerConfig::with_clock(clock.clone())
             .with_telemetry(telemetry.clone())
             .with_tracer(tracer.clone());
         let controller = DataController::open(
             config,
-            InstrumentedBackend::new(provider.backend("policies")?, &telemetry),
+            || provider.backend("policies").map(instrumented),
             audit_backends,
             index_backends,
-            anchor.map(|anchor| InstrumentedBackend::new(anchor, &telemetry)),
+            anchor.map(instrumented),
         )?;
         let controller = Arc::new(controller);
         let mut queue = PendingQueue::new(DEFAULT_PENDING_CAPACITY);
@@ -523,9 +519,10 @@ impl<P: BackendProvider> CssPlatform<P> {
     }
 
     /// The number of policies the decision point holds, revoked ones
-    /// included. It restores nothing: the controller restores every
-    /// stored policy when the platform opens, so after a restart
-    /// operators only re-register actors and re-declare schemas.
+    /// included. It restores nothing: the controller folds every
+    /// journaled policy and consent change when the platform opens, so
+    /// after a restart operators only re-register actors and re-declare
+    /// schemas.
     pub fn reload_policies(&self) -> CssResult<usize> {
         Ok(self.controller.policy_count())
     }

@@ -1,7 +1,7 @@
 //! Storage backend provisioning for platform components.
 //!
-//! Every durable component (audit log, each gateway's detail store, the
-//! policy repository) needs its own backend. A [`BackendProvider`]
+//! Every durable component (each audit and events-index shard, the
+//! audit anchor, each gateway's detail store) needs its own backend. A [`BackendProvider`]
 //! hands them out by name: [`MemoryProvider`] for tests and benchmarks,
 //! [`DirProvider`] for real on-disk deployments (one log file per
 //! component under a directory).
@@ -17,7 +17,7 @@ pub trait BackendProvider {
     type Backend: LogBackend + 'static;
 
     /// Create (or reopen) the backend for the named component, e.g.
-    /// `"audit"`, `"gateway-act-00000001"`, `"policies"`.
+    /// `"audit"`, `"events-index-1"`, `"gateway-act-00000001"`.
     fn backend(&self, name: &str) -> CssResult<Self::Backend>;
 
     /// Whether a later [`backend`](Self::backend) call with the same name

@@ -5,8 +5,6 @@ use std::sync::Arc;
 
 use css_core::prelude::*;
 use css_core::{AccessRequestStatus, CssPlatform, MemoryProvider};
-use css_policy::PolicyRepository;
-use css_storage::FileBackend;
 use css_types::{Clock, PolicyId, SourceEventId};
 
 struct World {
@@ -503,17 +501,20 @@ fn on_disk_platform_restarts_with_policies() {
             .unwrap();
         platform.verify_audit().unwrap();
     }
-    // The policy is persisted in XACML form...
-    let path = dir.join("policies.log");
-    let repo = PolicyRepository::open(FileBackend::open(&path).unwrap()).unwrap();
-    let stored = repo.load(policy_id).unwrap().unwrap();
-    assert_eq!(stored.label, "durable");
-    assert!(stored.fields.contains("PatientId"));
-    drop(repo);
-    // ...and a fresh platform over the same directory holds it at open,
-    // beside a verifiable audit log.
+    // A fresh platform over the same directory holds the policy at
+    // open, beside a verifiable audit log...
     let platform = CssPlatform::on_disk(&dir, Arc::new(clock)).unwrap();
     assert_eq!(platform.controller().policy_count(), 1);
+    // ...whose define record carries it in XACML form.
+    let defines = platform
+        .controller()
+        .audit_query(&css_audit::AuditQuery::new().action(css_audit::AuditAction::PolicyChange))
+        .unwrap();
+    assert_eq!(defines.len(), 1);
+    let stored = css_policy::xacml::from_xacml_text(&defines[0].detail).unwrap();
+    assert_eq!(stored.id, policy_id);
+    assert_eq!(stored.label, "durable");
+    assert!(stored.fields.contains("PatientId"));
     platform.verify_audit().unwrap();
     assert!(
         platform

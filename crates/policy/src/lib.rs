@@ -17,12 +17,12 @@
 //!   privacy policy an Event Details cannot be accessed by any subject"
 //!   — [`pdp::PolicyDecisionPoint`].
 //!
-//! Policies serialize to the XACML subset of Fig. 8 ([`xacml`]) and are
-//! persisted by the [`repository::PolicyRepository`], the "certificated
-//! repository of the privacy policies": the data controller owns the one
-//! repository, writes each define and revoke to it before the
-//! [`pdp::PolicyDecisionPoint`] applies it, and restores every policy
-//! from it at open.
+//! Policies serialize to the XACML subset of Fig. 8 ([`xacml`]). The
+//! data controller is the "certificated repository of the privacy
+//! policies": each define is an audit record carrying the policy's XACML
+//! (a revoke, its id), committed before the
+//! [`pdp::PolicyDecisionPoint`] applies it and folded back into the PDP
+//! at open, so the tamper-evident audit chain is the one store.
 
 // The no-panic floor of the request path (production code returns
 // `CssResult`), held by clippy under scripts/check.sh: DESIGN §9.
@@ -34,7 +34,6 @@ pub mod decision;
 pub mod matching;
 pub mod model;
 pub mod pdp;
-pub mod repository;
 pub mod request;
 pub mod xacml;
 
@@ -43,5 +42,4 @@ pub use decision::{Decision, Permit, Verdict};
 pub use matching::{matches, MatchOutcome};
 pub use model::{PrivacyPolicy, ValidityWindow};
 pub use pdp::PolicyDecisionPoint;
-pub use repository::PolicyRepository;
 pub use request::DetailRequest;

@@ -205,6 +205,13 @@ pub fn from_xacml(e: &Element) -> CssResult<PrivacyPolicy> {
     Ok(policy)
 }
 
+/// Parse a policy from the text of its XACML document, as a
+/// `PolicyChange` audit record carries it.
+pub fn from_xacml_text(text: &str) -> CssResult<PrivacyPolicy> {
+    let doc = css_xml::parse(text).map_err(|e| CssError::Serialization(e.to_string()))?;
+    from_xacml(&doc)
+}
+
 /// Map a detail request to an XACML `Request` context (Fig. 5: "the
 /// request for details of the data consumer is mapped to an XACML
 /// request by the policy enforcer").
@@ -298,6 +305,9 @@ mod tests {
         let text = css_xml::to_string_pretty(&doc);
         let back = from_xacml(&css_xml::parse(&text).unwrap()).unwrap();
         assert_eq!(back, p);
+        // As a define's audit record carries it.
+        assert_eq!(from_xacml_text(&css_xml::to_string(&doc)).unwrap(), p);
+        assert!(from_xacml_text(&text[..text.len() / 2]).is_err());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! A keyed store over the record log.
 //!
-//! Every mutation is appended to the log (`put` / `delete` records); an
-//! in-memory index maps live keys to the log offset of their latest
-//! value. Opening a store replays the log to rebuild the index, which
-//! is the crash-recovery story: anything appended (and synced) before a
-//! crash is recovered, a torn final append is dropped.
+//! Every put is appended to the log as one record; an in-memory index
+//! maps each key to the log offset of its latest value. Opening a store
+//! replays the log to rebuild the index, which is the crash-recovery
+//! story: anything appended (and synced) before a crash is recovered, a
+//! torn final append is dropped.
 
 use std::collections::HashMap;
 
@@ -14,40 +14,23 @@ use crate::log::{RecordLog, RecordPtr};
 use css_types::{CssError, CssResult};
 
 const OP_PUT: u8 = 1;
-const OP_DELETE: u8 = 2;
-
-/// Where a live key's latest record sits and how long its payload
-/// is: with the length known, a `get` is one backend read (header and
-/// payload together) instead of a header read that learns it first.
-#[derive(Clone, Copy)]
-struct Slot {
-    ptr: RecordPtr,
-    payload_len: u32,
-}
-
-impl Slot {
-    /// The slot of a `payload_len`-byte record stored at `ptr`. Record
-    /// lengths are `u32` on disk, so the cast keeps what the frame
-    /// header holds.
-    fn of(ptr: RecordPtr, payload_len: usize) -> Self {
-        Slot {
-            ptr,
-            payload_len: payload_len as u32,
-        }
-    }
-}
 
 /// Keyed store with log-structured persistence.
 pub struct KvStore<B: LogBackend> {
     log: RecordLog<B>,
-    index: HashMap<Vec<u8>, Slot>,
+    /// Each key's latest record: where it sits and how long its payload
+    /// is. With the length known, a `get` is one backend read (header
+    /// and payload together) instead of a header read that learns it
+    /// first.
+    index: HashMap<Vec<u8>, (RecordPtr, usize)>,
     /// The records of the mutation in progress, encoded back to back;
     /// kept between mutations, cleared before each.
     records: Vec<u8>,
 }
 
 impl<B: LogBackend> KvStore<B> {
-    /// Open a store over a backend, replaying any existing log.
+    /// Open a store over a backend, replaying any existing log. A
+    /// record of any op but a put fails the open, naming the op.
     ///
     /// Returns the store plus the number of torn-tail bytes dropped
     /// during recovery (0 on a clean open).
@@ -55,17 +38,10 @@ impl<B: LogBackend> KvStore<B> {
         let mut index = HashMap::new();
         let (log, truncated) = RecordLog::recover(backend, |ptr, payload| {
             let (op, key, _) = decode(payload)?;
-            match op {
-                OP_PUT => {
-                    index.insert(key.to_vec(), Slot::of(ptr, payload.len()));
-                }
-                OP_DELETE => {
-                    index.remove(key);
-                }
-                other => {
-                    return Err(CssError::Storage(format!("unknown kv opcode {other}")));
-                }
+            if op != OP_PUT {
+                return Err(CssError::Storage(format!("unknown kv opcode {op}")));
             }
+            index.insert(key.to_vec(), (ptr, payload.len()));
             Ok(())
         })?;
         Ok((
@@ -83,8 +59,7 @@ impl<B: LogBackend> KvStore<B> {
         self.records.clear();
         encode_into(&mut self.records, OP_PUT, key, value);
         let ptr = self.log.append(&self.records)?;
-        self.index
-            .insert(key.to_vec(), Slot::of(ptr, self.records.len()));
+        self.index.insert(key.to_vec(), (ptr, self.records.len()));
         Ok(())
     }
 
@@ -93,8 +68,8 @@ impl<B: LogBackend> KvStore<B> {
     pub fn get(&self, key: &[u8]) -> CssResult<Option<Vec<u8>>> {
         match self.index.get(key) {
             None => Ok(None),
-            Some(slot) => {
-                let mut record = self.log.read_sized(slot.ptr, slot.payload_len as usize)?;
+            Some(&(ptr, payload_len)) => {
+                let mut record = self.log.read_sized(ptr, payload_len)?;
                 let (_, _, value) = decode(&record)?;
                 let value_start = record.len() - value.len();
                 record.drain(..value_start);
@@ -108,29 +83,17 @@ impl<B: LogBackend> KvStore<B> {
         self.index.contains_key(key)
     }
 
-    /// Remove a key. Returns whether it was present.
-    pub fn delete(&mut self, key: &[u8]) -> CssResult<bool> {
-        if !self.index.contains_key(key) {
-            return Ok(false);
-        }
-        self.records.clear();
-        encode_into(&mut self.records, OP_DELETE, key, b"");
-        self.log.append(&self.records)?;
-        self.index.remove(key);
-        Ok(true)
-    }
-
-    /// Number of live keys.
+    /// Number of keys.
     pub fn len(&self) -> usize {
         self.index.len()
     }
 
-    /// Whether the store has no live keys.
+    /// Whether the store has no keys.
     pub fn is_empty(&self) -> bool {
         self.index.is_empty()
     }
 
-    /// Iterate over live keys (unspecified order).
+    /// Iterate over the keys (unspecified order).
     pub fn keys(&self) -> impl Iterator<Item = &[u8]> {
         self.index.keys().map(Vec::as_slice)
     }
@@ -138,11 +101,6 @@ impl<B: LogBackend> KvStore<B> {
     /// Flush the log to stable storage.
     pub fn sync(&mut self) -> CssResult<()> {
         self.log.sync()
-    }
-
-    /// Bytes currently occupied by the log (live + garbage).
-    pub fn log_bytes(&self) -> u64 {
-        self.log.byte_len()
     }
 }
 
@@ -184,17 +142,23 @@ mod tests {
         KvStore::open(MemBackend::new()).unwrap().0
     }
 
+    /// Put and get; a delete record, which no build writes any more,
+    /// fails the open, naming its op.
     #[test]
     fn put_get_delete() {
         let mut kv = mem();
         kv.put(b"k1", b"v1").unwrap();
         kv.put(b"k2", b"v2").unwrap();
         assert_eq!(kv.get(b"k1").unwrap().unwrap(), b"v1");
+        assert_eq!(kv.get(b"k3").unwrap(), None);
         assert_eq!(kv.len(), 2);
-        assert!(kv.delete(b"k1").unwrap());
-        assert!(!kv.delete(b"k1").unwrap());
-        assert_eq!(kv.get(b"k1").unwrap(), None);
-        assert_eq!(kv.len(), 1);
+        let mut delete = Vec::new();
+        encode_into(&mut delete, 2, b"k1", b"");
+        kv.log.append(&delete).unwrap();
+        match KvStore::open(kv.log.into_backend()).map(|_| ()) {
+            Err(CssError::Storage(msg)) => assert_eq!(msg, "unknown kv opcode 2"),
+            other => panic!("a delete record opened: {other:?}"),
+        }
     }
 
     #[test]
@@ -242,20 +206,20 @@ mod tests {
         let record = |key: &[u8], value: &[u8]| (9 + 9 + key.len() + value.len()) as u64;
         let long = vec![7u8; 200];
         kv.put(b"long", &long).unwrap();
-        let before = kv.log_bytes();
+        let before = kv.log.byte_len();
         kv.put(b"k", b"v").unwrap();
-        assert_eq!(kv.log_bytes() - before, record(b"k", b"v"));
-        let before = kv.log_bytes();
+        assert_eq!(kv.log.byte_len() - before, record(b"k", b"v"));
+        let before = kv.log.byte_len();
         kv.put(b"bb", b"").unwrap();
-        assert_eq!(kv.log_bytes() - before, record(b"bb", b""));
-        let before = kv.log_bytes();
-        assert!(kv.delete(b"k").unwrap());
-        assert_eq!(kv.log_bytes() - before, record(b"k", b""));
+        assert_eq!(kv.log.byte_len() - before, record(b"bb", b""));
+        let before = kv.log.byte_len();
+        kv.put(b"k", b"").unwrap();
+        assert_eq!(kv.log.byte_len() - before, record(b"k", b""));
         let (replayed, torn) = KvStore::open(kv.log.into_backend()).unwrap();
         assert_eq!(torn, 0);
         for (key, value) in [
             (&b"long"[..], Some(&long[..])),
-            (b"k", None),
+            (b"k", Some(b"")),
             (b"bb", Some(b"")),
         ] {
             assert_eq!(replayed.get(key).unwrap().as_deref(), value);
@@ -277,15 +241,14 @@ mod tests {
         kv.put(b"a", b"1").unwrap();
         kv.put(b"b", b"2").unwrap();
         kv.put(b"a", b"3").unwrap();
-        kv.delete(b"b").unwrap();
         kv.put(b"c", b"4").unwrap();
         let backend = kv.log.into_backend();
         let (kv, torn) = KvStore::open(backend).unwrap();
         assert_eq!(torn, 0);
         assert_eq!(kv.get(b"a").unwrap().unwrap(), b"3");
-        assert_eq!(kv.get(b"b").unwrap(), None);
+        assert_eq!(kv.get(b"b").unwrap().unwrap(), b"2");
         assert_eq!(kv.get(b"c").unwrap().unwrap(), b"4");
-        assert_eq!(kv.len(), 2);
+        assert_eq!(kv.len(), 3);
     }
 
     #[test]
@@ -337,8 +300,9 @@ mod tests {
         let mut kv = mem();
         kv.put(b"a", b"1").unwrap();
         kv.put(b"b", b"2").unwrap();
-        kv.delete(b"a").unwrap();
-        let keys: Vec<&[u8]> = kv.keys().collect();
-        assert_eq!(keys, vec![b"b".as_slice()]);
+        kv.put(b"a", b"3").unwrap();
+        let mut keys: Vec<&[u8]> = kv.keys().collect();
+        keys.sort_unstable();
+        assert_eq!(keys, vec![b"a".as_slice(), b"b".as_slice()]);
     }
 }

@@ -10,14 +10,14 @@
 //!   pluggable backend (file or memory). Recovery scans tolerate a torn
 //!   tail (partial final record after a crash) and surface genuine
 //!   corruption as errors.
-//! - [`KvStore`]: a keyed store layered on the log — puts and deletes
-//!   are appended, an in-memory index maps keys to log offsets, and
-//!   recovery replays the log. There is no compaction: its users write
-//!   a key once (details) or a handful of times (a policy and its
-//!   revocation).
+//! - [`KvStore`]: a keyed store layered on the log — puts are appended,
+//!   an in-memory index maps keys to log offsets, and recovery replays
+//!   the log. There is no delete and no compaction: its one writer, the
+//!   gateway's detail store, writes each key once.
 //!
 //! This is the persistence layer under the gateway's detail store, the
-//! policy repository, and the audit log.
+//! events index and the audit log (whose control records are the
+//! platform's policy and consent journal).
 
 // The no-panic floor of the request path (production code returns
 // `CssResult`), held by clippy under scripts/check.sh: DESIGN §9.

@@ -578,6 +578,19 @@ mod tests {
             free.append(b"free").unwrap();
         }
 
+        /// A journal lock orders the writes made under it: held across a
+        /// write to a log it does not hold, with that log's own guard
+        /// taken inside it.
+        #[test]
+        fn a_write_under_a_journal_guard_passes() {
+            let control = Mutex::journal("control", 15, ());
+            let audit = shard("audit shard", 70);
+            let _control = control.lock();
+            let mut log = audit.lock();
+            log.append(b"journaled").unwrap();
+            log.sync().unwrap();
+        }
+
         #[test]
         #[should_panic(expected = "is held, taken at")]
         fn a_write_under_a_foreign_guard_panics() {

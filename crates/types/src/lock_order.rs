@@ -17,9 +17,10 @@ pub const PENDING: u32 = 5;
 /// The controller's routing table: a publish holds it across the bus
 /// publish, and a re-authorisation across the PDP and the registry.
 pub const ROUTES: u32 = 10;
-/// The controller's policy store: a define or revoke writes it, then
-/// applies the change to the PDP, while it holds the store.
-pub const POLICY_STORE: u32 = 15;
+/// The controller's control journal: a policy or consent change commits
+/// its audit record, then applies to the PDP or the consent registry,
+/// while it holds the journal.
+pub const CONTROL: u32 = 15;
 /// The policy decision point.
 pub const PDP: u32 = 20;
 /// The actor registry, read under the PDP's guard.

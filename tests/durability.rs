@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use css::policy::PolicyRepository;
+use css::audit::{AuditAction, AuditQuery};
 use css::prelude::*;
 use css::storage::{FileBackend, KvStore, LogBackend, MemBackend};
 
@@ -104,10 +104,29 @@ fn platform_survives_full_restart_cycle() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every policy a closed deployment directory stores, ascending by id.
+/// Every policy a closed deployment directory journals, ascending by
+/// id: its `PolicyChange` records, a define's XACML and a revoke's id,
+/// applied in seq order.
 fn stored_policies(dir: &std::path::Path) -> Vec<PrivacyPolicy> {
-    let backend = FileBackend::open(dir.join("policies.log")).unwrap();
-    PolicyRepository::open(backend).unwrap().load_all().unwrap()
+    let platform = reopen(dir);
+    let journal = platform
+        .controller()
+        .audit_query(&AuditQuery::new().action(AuditAction::PolicyChange))
+        .unwrap();
+    let mut policies = std::collections::BTreeMap::new();
+    for record in journal {
+        match record.detail.strip_prefix("revoked ") {
+            Some(id) => {
+                let id: css::types::PolicyId = id.parse().unwrap();
+                policies.get_mut(&id).map(PrivacyPolicy::revoke).unwrap();
+            }
+            None => {
+                let policy = css::policy::xacml::from_xacml_text(&record.detail).unwrap();
+                policies.insert(policy.id, policy);
+            }
+        }
+    }
+    policies.into_values().collect()
 }
 
 /// The shard counts every audit-plane durability case runs at, whatever
@@ -538,6 +557,129 @@ fn a_policy_with_the_largest_id_is_stored_and_reopens() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A citizen's opt-out is journaled: after a restart, with the actors
+/// and classes set up again but no consent re-recorded, a publish about
+/// that citizen is refused.
+#[test]
+fn an_opt_out_before_a_restart_refuses_a_publish_after_it() {
+    let dir = temp_dir("opt-out");
+    let visit = visit_schema().id;
+    {
+        let mut platform = reopen(&dir);
+        set_up_the_sequences_actors(&mut platform);
+        platform
+            .citizen(PersonId(2))
+            .opt_out(ConsentScope::EventType(visit.clone()))
+            .unwrap();
+    }
+    let mut platform = reopen(&dir);
+    let [hospital, ..] = set_up_the_sequences_actors(&mut platform);
+    let producer = platform.producer(hospital).unwrap();
+    let publish = |id: u64| {
+        let person = PersonIdentity {
+            id: PersonId(id),
+            fiscal_code: format!("FC{id:06}"),
+            name: "Bruno".into(),
+            surname: "B".into(),
+        };
+        let details = EventDetails::new(visit.clone()).with("PatientId", FieldValue::Integer(2));
+        producer.publish(person, "after the restart", details, Timestamp(2))
+    };
+    let refused = publish(2);
+    assert!(
+        matches!(refused, Err(CssError::ConsentWithheld(_))),
+        "{refused:?}"
+    );
+    publish(3).unwrap();
+    drop(platform);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Who may subscribe to which of the sequence's classes: a row per
+/// consumer (clinic, doctor, social services, statistics office), a
+/// column per class (visits, lab results).
+fn authorisations(platform: &CssPlatform<css::core::DirProvider>) -> Vec<[bool; 2]> {
+    let controller = platform.controller();
+    (2..=5)
+        .map(|consumer| {
+            [visit_schema().id, lab_schema().id]
+                .map(|class| controller.is_authorized_consumer(ActorId(consumer), &class))
+        })
+        .collect()
+}
+
+/// A reopened directory serves the policy and consent decisions it served
+/// before it closed, with no `reload_policies` call and nothing
+/// re-recorded, and mints policy ids past every journaled one.
+#[test]
+fn a_reopen_serves_the_same_decisions_without_a_reload() {
+    for shards in [1, 2] {
+        let dir = temp_dir(&format!("same-decisions-{shards}"));
+        let written = drive_fixed_sequence(&dir, shards);
+        let before = authorisations(&written);
+        assert_eq!(
+            before,
+            [[true, false], [true, true], [false, false], [false, false]]
+        );
+        drop(written);
+        let mut platform = reopen(&dir);
+        let [hospital, ..] = set_up_the_sequences_actors(&mut platform);
+        assert_eq!(authorisations(&platform), before, "{shards}");
+        assert!(platform.controller().next_policy_id().value() > 4);
+        // Person 2 opted out of visits in the sequence; person 1 did not.
+        let producer = platform.producer(hospital).unwrap();
+        let publish = |id: u64| {
+            let person = PersonIdentity {
+                id: PersonId(id),
+                fiscal_code: format!("FC{id:06}"),
+                name: "Ada".into(),
+                surname: "B".into(),
+            };
+            let details = EventDetails::new(visit_schema().id)
+                .with("PatientId", FieldValue::Integer(id as i64));
+            producer.publish(person, "after the reopen", details, Timestamp(2))
+        };
+        assert!(matches!(publish(2), Err(CssError::ConsentWithheld(_))));
+        publish(1).unwrap();
+        drop(platform);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// `policies.log` is not a store of a directory the journal wrote: a
+/// grant planted in it, framed and checksummed as the policy store wrote
+/// its records, authorises nothing after a reopen.
+#[test]
+fn a_grant_planted_in_the_policy_file_authorises_nothing() {
+    let dir = temp_dir("planted-grant");
+    let visit = visit_schema().id;
+    let doctor = {
+        let mut platform = reopen(&dir);
+        let [hospital, _, doctor, _, _] = set_up_the_sequences_actors(&mut platform);
+        grant_visits(&platform, hospital, ActorId(2), "journaled");
+        doctor
+    };
+    let planted = PrivacyPolicy::new(
+        css::types::PolicyId(7),
+        ActorId(1),
+        doctor,
+        visit.clone(),
+        [Purpose::HealthcareTreatment],
+        ["PatientId".to_string()],
+    );
+    let xacml = css::xml::to_string(&css::policy::xacml::to_xacml(&planted));
+    let (mut file, _) =
+        KvStore::open(FileBackend::open(dir.join("policies.log")).unwrap()).unwrap();
+    file.put(b"policy:7", xacml.as_bytes()).unwrap();
+    file.sync().unwrap();
+    drop(file);
+    let (platform, doctor) = reopen_as_operators(&dir);
+    assert!(!platform.controller().is_authorized_consumer(doctor, &visit));
+    assert_eq!(platform.controller().policy_count(), 1);
+    drop(platform);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A disk-backed platform with `orgs` joined organisations — one audit
 /// record each, spread over the shards by actor id.
 fn joined_platform(
@@ -861,14 +1003,21 @@ const BINARY_AUDIT_LEN: usize = 29;
 const BINARY_HEAD_1: &str = "8a0d9cc59f3900a7d7ad682fa5d463e5a5c88c7a91c2bd831ca7ab4bae109b8d";
 const BINARY_HEAD_2: &str = "dc20d11d4d1ba7bb7a88960164e823a024b4a90e29bc42260491bb74c3d545c9";
 
+/// The same for `at-rest-6`, whose policy and consent changes are
+/// journaled: a define's record carries the policy's XACML, a consent
+/// change's its directive, and there is no `policies.log`.
+const JOURNAL_AUDIT_LEN: usize = 29;
+const JOURNAL_HEAD_1: &str = "702afbc86a4ec763b6920130628e4c0098ab0ea8a8783441ba3fa1cecfa00be1";
+const JOURNAL_HEAD_2: &str = "ab11d2898e40b49d000bdc4c9d5a4d9264b6df50dadb3a0b66c9d6ce1094221f";
+
 /// The committed fixtures of the sequence at `shards` shards, oldest
 /// first: each fixture's name, audit length and head, and the prefixes
-/// of the files written differently — or first — since (their bytes are
-/// not compared; everything else is, byte for byte).
-fn fixtures_at(shards: usize) -> [(String, usize, &'static str, &'static [&'static str]); 4] {
-    let (xml_head, head) = match shards {
-        1 => (FIXTURE_HEAD_1, BINARY_HEAD_1),
-        _ => (FIXTURE_HEAD_2, BINARY_HEAD_2),
+/// of the files written differently — or first, or no more — since
+/// (their bytes are not compared; everything else is, byte for byte).
+fn fixtures_at(shards: usize) -> [(String, usize, &'static str, &'static [&'static str]); 5] {
+    let (xml_head, head, journal_head) = match shards {
+        1 => (FIXTURE_HEAD_1, BINARY_HEAD_1, JOURNAL_HEAD_1),
+        _ => (FIXTURE_HEAD_2, BINARY_HEAD_2, JOURNAL_HEAD_2),
     };
     [
         // XML throughout.
@@ -876,27 +1025,35 @@ fn fixtures_at(shards: usize) -> [(String, usize, &'static str, &'static [&'stat
             format!("at-rest-{shards}"),
             FIXTURE_AUDIT_LEN,
             xml_head,
-            &["audit", "events-index", "gateway-"],
+            &["audit", "events-index", "gateway-", "policies"],
         ),
         // Binary audit and index, XML gateway.
         (
             format!("at-rest-3/shards-{shards}"),
             BINARY_AUDIT_LEN,
             head,
-            &["gateway-", "audit-anchor"],
+            &["gateway-", "audit", "policies"],
         ),
         // Binary audit and index, gateway records.
         (
             format!("at-rest-4/shards-{shards}"),
             BINARY_AUDIT_LEN,
             head,
-            &["audit-anchor"],
+            &["audit", "policies"],
         ),
-        // The same, anchored: what is written now.
+        // The same, anchored, with policies in `policies.log`.
         (
             format!("at-rest-5/shards-{shards}"),
             BINARY_AUDIT_LEN,
             head,
+            &["audit", "policies"],
+        ),
+        // The same, with policy and consent changes journaled: what is
+        // written now.
+        (
+            format!("at-rest-6/shards-{shards}"),
+            JOURNAL_AUDIT_LEN,
+            journal_head,
             &[],
         ),
     ]
@@ -950,9 +1107,14 @@ fn reopen(dir: &std::path::Path) -> CssPlatform<css::core::DirProvider> {
 /// - `tests/fixtures/at-rest-4/shards-{1,2}` were written with gateway
 ///   records too, and no audit anchor. Today's code must read them to
 ///   the same state and write every byte of them again.
-/// - `tests/fixtures/at-rest-5/shards-{1,2}` are what it writes now: the
-///   same, and the audit anchor beside them. Today's code must read them
-///   to the same state and write every byte of them again.
+/// - `tests/fixtures/at-rest-5/shards-{1,2}` were written with the audit
+///   anchor beside them, and policies stored in `policies.log`. Today's
+///   code must read them to the same state and write every byte of them
+///   again but the audit log's, the anchor's and the policy file's.
+/// - `tests/fixtures/at-rest-6/shards-{1,2}` are what it writes now: the
+///   same, with each policy and consent change journaled on the audit
+///   log and no `policies.log`. Today's code must read them to the same
+///   state and write every byte of them again.
 ///
 /// A fixture without an anchor is anchored at its first open, in the
 /// copy the test opens.
@@ -964,7 +1126,7 @@ fn reopen(dir: &std::path::Path) -> CssPlatform<css::core::DirProvider> {
 fn at_rest_bytes_match_the_committed_fixture() {
     for shards in [1, 2] {
         let fixtures = fixtures_at(shards);
-        let (_, current_len, current_head, _) = &fixtures[3];
+        let (_, current_len, current_head, _) = &fixtures[4];
         let fresh = temp_dir(&format!("fixture-fresh-{shards}"));
         let written = drive_fixed_sequence(&fresh, shards);
         assert_eq!(written.controller().audit_len(), *current_len);
