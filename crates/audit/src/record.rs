@@ -69,7 +69,7 @@ impl AuditAction {
     /// Whether the action is a control change: a policy or consent
     /// change, whose record carries the change itself. These records
     /// are the control journal the controller folds at open.
-    pub fn is_control(self) -> bool {
+    pub(crate) fn is_control(self) -> bool {
         matches!(self, AuditAction::PolicyChange | AuditAction::ConsentChange)
     }
 }

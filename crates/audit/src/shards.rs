@@ -57,9 +57,9 @@ impl<B: LogBackend> AuditShards<B> {
     /// mark does not cover yet (a directory written before the anchor,
     /// or a commit whose mark a crash cut off) is marked now.
     ///
-    /// Returns the plane and its control journal: every control record
-    /// ([`crate::AuditAction::is_control`]) in global seq order, taken
-    /// from the same one pass over each shard.
+    /// Returns the plane and its control journal: every policy and
+    /// consent change record in global seq order, taken from the same
+    /// one pass over each shard.
     pub fn open_anchored(
         backends: Vec<B>,
         anchor: Option<B>,
