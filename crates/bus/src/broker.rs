@@ -1,6 +1,11 @@
 //! The in-memory broker: topics, delivery groups, queues, the
-//! acknowledgement protocol, publish dedup, visibility timeouts and
-//! bounded redelivery.
+//! acknowledgement protocol, publish dedup and bounded redelivery.
+//!
+//! [`Bus`] is the broker: one cloneable handle over the shared state,
+//! whose methods are the topic-side verbs (`create_topic`, `subscribe`,
+//! `subscribe_group`, `close`, `publish_opts`). A [`SubscriberHandle`]
+//! holds a `Bus` and its subscription id, and its methods are the
+//! member-side verbs (`poll_for`, `ack`, `nack`, `unsubscribe`, `group`).
 
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
@@ -14,12 +19,30 @@ use css_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use css_trace::{SpanGuard, SpanStatus, TraceContext, TraceId};
 use css_types::{lock_order, CssError, CssResult, SubscriptionId};
 
-use crate::driver::{BusSnapshot, GroupSnapshot, PublishOptions, PublishOutcome};
+use crate::driver::{GroupSnapshot, PublishOptions, PublishOutcome};
 use crate::stats::{BrokerStats, SubscriptionStats};
 use crate::subscription::{unknown_sub, DeadLetter, Delivery};
 
 /// Publish dedup keys remembered per topic before the oldest is forgotten.
 const DEDUP_WINDOW: usize = 4096;
+
+/// Messages one delivery group may hold queued (in-flight deliveries
+/// not counted). A publish that finds any group of its topic this full
+/// is rejected for every group.
+pub const QUEUE_CAPACITY: usize = 1024;
+
+/// Delivery attempts a message gets before a nack dead-letters it.
+pub const MAX_ATTEMPTS: u32 = 3;
+
+/// What [`Bus::subscribe`] and [`Bus::subscribe_group`] take: nothing.
+/// Every group queues up to [`QUEUE_CAPACITY`] messages and gives each
+/// [`MAX_ATTEMPTS`] deliveries, and a delivery is held until it is
+/// acked, nacked or its holder unsubscribes. The type has no field and
+/// is kept only because the frozen E23 macrobench
+/// (`crates/bench/examples/macrobench`) passes
+/// `SubscriptionConfig::default()`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SubscriptionConfig {}
 
 /// Telemetry handles for the broker hot paths (recording is
 /// lock-free). Always present: without a registry they are detached
@@ -62,29 +85,6 @@ impl BusInstruments {
     }
 }
 
-/// Per-group configuration, fixed by the first member to attach.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SubscriptionConfig {
-    /// Maximum queued (undelivered) messages; a publish that finds a
-    /// group's queue this full is rejected for every group.
-    pub capacity: usize,
-    /// Delivery attempts before a message is dead-lettered.
-    pub max_attempts: u32,
-    /// How long a delivery may stay unacknowledged before it returns to
-    /// the queue for another member. `None` = held until ack/nack.
-    pub visibility_timeout: Option<Duration>,
-}
-
-impl Default for SubscriptionConfig {
-    fn default() -> Self {
-        SubscriptionConfig {
-            capacity: 1024,
-            max_attempts: 3,
-            visibility_timeout: None,
-        }
-    }
-}
-
 /// A message waiting in a group queue.
 struct Pending<M> {
     message: M,
@@ -110,8 +110,6 @@ struct InFlight<M> {
     pending: Pending<M>,
     /// The member holding the delivery; only it may ack/nack.
     holder: SubscriptionId,
-    /// When the visibility timeout expires, if one is configured.
-    expires: Option<Instant>,
 }
 
 type GroupId = u64;
@@ -121,7 +119,6 @@ struct GroupState<M> {
     topic: String,
     /// Group name; `None` for a private (fan-out) group.
     name: Option<String>,
-    config: SubscriptionConfig,
     members: Vec<SubscriptionId>,
     queue: VecDeque<Pending<M>>,
     in_flight: HashMap<u64, InFlight<M>>,
@@ -141,7 +138,7 @@ struct TopicState {
 type Slot<M> = Option<Box<GroupState<M>>>;
 
 /// What every group's operations write besides the group itself.
-struct Shared<M> {
+struct Common<M> {
     dlq: Vec<DeadLetter<M>>,
     stats: BrokerStats,
     next_delivery: u64,
@@ -157,15 +154,22 @@ struct State<M> {
     named: HashMap<(String, String), GroupId>,
     /// Member subscription → its group.
     members: HashMap<SubscriptionId, GroupId>,
-    shared: Shared<M>,
+    common: Common<M>,
     next_sub: u64,
-    /// Callers parked in a waiting [`Broker::poll`]. Incremented
-    /// under the state lock before the wait releases it and read under
-    /// the same lock by whoever enqueues: a publish that finds it zero
-    /// skips the wake-up, and none can be lost — a poller either is
-    /// counted before the publisher reads, or takes the lock after the
-    /// enqueue and sees the message before it parks.
+    /// Callers parked in a waiting [`SubscriberHandle::poll_for`].
+    /// Incremented under the state lock before the wait releases it and
+    /// read under the same lock by whoever enqueues: a publish that
+    /// finds it zero skips the wake-up, and none can be lost — a poller
+    /// either is counted before the publisher reads, or takes the lock
+    /// after the enqueue and sees the message before it parks.
     parked: usize,
+}
+
+/// The state every clone of a [`Bus`] shares.
+struct Shared<M> {
+    state: Mutex<State<M>>,
+    arrivals: Condvar,
+    telemetry: BusInstruments,
 }
 
 /// The live group `gid`, borrowed where it lives.
@@ -178,177 +182,122 @@ fn group_mut<M>(groups: &mut [Slot<M>], gid: GroupId) -> Option<&mut GroupState<
 fn member_group<M>(
     st: &mut State<M>,
     id: SubscriptionId,
-) -> CssResult<(&mut Shared<M>, &mut GroupState<M>)> {
+) -> CssResult<(&mut Common<M>, &mut GroupState<M>)> {
     let group = st
         .members
         .get(&id)
         .and_then(|&gid| group_mut(&mut st.groups, gid))
         .ok_or_else(|| unknown_sub(id))?;
-    Ok((&mut st.shared, group))
+    Ok((&mut st.common, group))
 }
 
-/// The in-memory publish/subscribe broker over named topics.
+/// The platform's publish/subscribe broker over named topics: cheap to
+/// clone, every clone sharing the one in-memory state.
 ///
-/// The one broker there is: the platform, tests and probes all talk to
-/// it through [`crate::Bus`], whose clones share it.
+/// Subscriptions attach to **delivery groups**. [`Bus::subscribe`]
+/// creates a private group (classic fan-out: every such subscription
+/// sees every message); [`Bus::subscribe_group`] joins the named group
+/// on that topic, whose members *compete*: each message goes to exactly
+/// one member, load-balanced by pull.
 ///
-/// The broker moves `M` and clones it once per delivery group and once
-/// per delivery; it never looks inside. It is payload-blind because it
-/// is generic over `M` and css-bus may not depend on css-event (the
-/// layering rule), so no code here can name `DetailMessage` or any
-/// other event type; css-lint's `detail-confinement` rule backs that up
-/// over this crate. A caller whose message is large instantiates it
-/// over a pointer (`Broker<Arc<T>>`), and every queue entry, in-flight
-/// entry, dead-lettered message and every [`Delivery`] is then that one
+/// Delivery state machine, per message and group:
+///
+/// ```text
+///   queued --poll--> in-flight --ack-----------------> done
+///                        |
+///                        +--nack (attempts left)-----> queued (at the head)
+///                        +--member detach------------> queued (at the head)
+///                        +--nack, no attempts left---> dead-letter queue
+/// ```
+///
+/// Deliveries that return to the queue together (a detach) keep their
+/// publish order: the oldest is at the head.
+///
+/// The bus moves `M` and clones it once per delivery group and once per
+/// delivery; it never looks inside. It is payload-blind because it is
+/// generic over `M` and css-bus may not depend on css-event (the
+/// layering rule), so no code here can name `DetailMessage` or any other
+/// event type; css-lint's `detail-confinement` rule backs that up over
+/// this crate. A caller whose message is large instantiates it over a
+/// pointer (`Bus<Arc<T>>`), and every queue entry, in-flight entry,
+/// dead-lettered message and every [`Delivery`] is then that one
 /// allocation.
-pub(crate) struct Broker<M: Clone + Send + 'static> {
-    state: Mutex<State<M>>,
-    arrivals: Condvar,
-    telemetry: BusInstruments,
+pub struct Bus<M: Clone + Send + 'static> {
+    shared: Arc<Shared<M>>,
 }
 
-impl<M: Clone + Send + 'static> Broker<M> {
-    /// A broker with no topics, recording into instruments of its own.
-    pub(crate) fn new() -> Self {
+impl<M: Clone + Send + 'static> Clone for Bus<M> {
+    fn clone(&self) -> Self {
+        Bus {
+            shared: Arc::clone(&self.shared),
+        }
+    }
+}
+
+impl<M: Clone + Send + 'static> Bus<M> {
+    /// A bus with no topics, recording into instruments of its own.
+    pub fn in_memory() -> Self {
         Self::build(BusInstruments::default())
     }
 
-    /// A broker recording latency histograms, throughput counters and
+    /// A bus recording latency histograms, throughput counters and
     /// depth gauges into `registry` under `bus.*` names.
-    pub(crate) fn with_telemetry(registry: &MetricsRegistry) -> Self {
+    pub fn in_memory_with_telemetry(registry: &MetricsRegistry) -> Self {
         Self::build(BusInstruments::resolve(registry))
     }
 
     fn build(telemetry: BusInstruments) -> Self {
-        Broker {
-            state: Mutex::ranked(
-                "bus state",
-                lock_order::BUS,
-                State {
-                    topics: HashMap::new(),
-                    groups: vec![None],
-                    named: HashMap::new(),
-                    members: HashMap::new(),
-                    shared: Shared {
-                        dlq: Vec::new(),
-                        stats: BrokerStats::default(),
-                        next_delivery: 1,
-                    },
-                    next_sub: 1,
-                    parked: 0,
-                },
-            ),
-            arrivals: Condvar::new(),
-            telemetry,
-        }
-    }
-
-    /// Requeue or dead-letter every expired in-flight delivery of one
-    /// group.
-    fn sweep_group(&self, shared: &mut Shared<M>, group: &mut GroupState<M>, now: Instant) {
-        // Only a visibility timeout gives a delivery an expiry.
-        if group.config.visibility_timeout.is_none() {
-            return;
-        }
-        for f in take_in_flight(group, |f| f.expires.is_some_and(|e| e <= now)) {
-            group.stats.timed_out += 1;
-            self.telemetry.inflight.dec();
-            self.retire_or_requeue(shared, group, f.holder, f.pending);
-        }
-    }
-
-    /// A message leaving in-flight without an ack: back to the head of
-    /// the queue for another attempt, or to the dead-letter queue when
-    /// the attempt budget is spent.
-    fn retire_or_requeue(
-        &self,
-        shared: &mut Shared<M>,
-        group: &mut GroupState<M>,
-        holder: SubscriptionId,
-        mut pending: Pending<M>,
-    ) {
-        if pending.attempts >= group.config.max_attempts {
-            group.stats.dead_lettered += 1;
-            shared.dlq.push(DeadLetter {
-                subscription: holder,
-                topic: group.topic.clone(),
-                group: group.name.clone(),
-                attempts: pending.attempts,
-                trace: pending.trace,
-                message: pending.message,
-            });
-        } else {
-            pending.deliver_span = redeliver_span(&pending);
-            group.queue.push_front(pending);
-            self.telemetry.queue_depth.inc();
-        }
-    }
-
-    /// Hand member `id` the head of the queue, moving it in flight.
-    fn take_next(
-        &self,
-        shared: &mut Shared<M>,
-        group: &mut GroupState<M>,
-        id: SubscriptionId,
-        now: Instant,
-    ) -> Option<Delivery<M>> {
-        let mut pending = group.queue.pop_front()?;
-        pending.attempts += 1;
-        let delivery_id = shared.next_delivery;
-        shared.next_delivery += 1;
-        if let Some(span) = pending.deliver_span.take() {
-            span.finish();
-        }
-        let delivery = Delivery {
-            delivery_id,
-            attempt: pending.attempts,
-            offset: pending.offset,
-            trace: pending.trace,
-            message: pending.message.clone(),
-        };
-        if pending.attempts > 1 {
-            group.stats.redelivered += 1;
-            self.telemetry.redelivered.inc();
-        }
-        group.stats.delivered += 1;
-        let t = &self.telemetry;
-        t.deliver_latency
-            .record_duration(now.saturating_duration_since(pending.since));
-        t.queue_depth.dec();
-        t.inflight.inc();
-        // Re-stamp: from here `since` means "delivered at".
-        pending.since = now;
-        // A timeout too long to represent never runs out.
-        let timeout = group.config.visibility_timeout;
-        let expires = timeout.and_then(|d| now.checked_add(d));
-        group.in_flight.insert(
-            delivery_id,
-            InFlight {
-                pending,
-                holder: id,
-                expires,
+        let state = State {
+            topics: HashMap::new(),
+            groups: vec![None],
+            named: HashMap::new(),
+            members: HashMap::new(),
+            common: Common {
+                dlq: Vec::new(),
+                stats: BrokerStats::default(),
+                next_delivery: 1,
             },
-        );
-        Some(delivery)
+            next_sub: 1,
+            parked: 0,
+        };
+        Bus {
+            shared: Arc::new(Shared {
+                state: Mutex::ranked("bus state", lock_order::BUS, state),
+                arrivals: Condvar::new(),
+                telemetry,
+            }),
+        }
     }
 
     /// Declare a topic. Idempotent.
-    pub(crate) fn create_topic(&self, name: &str) {
-        let mut st = self.state.lock();
+    pub fn create_topic(&self, name: &str) {
+        let mut st = self.shared.state.lock();
         st.topics.entry(name.to_string()).or_default();
     }
 
-    /// Attach a subscription to `topic`, joining the named delivery
-    /// `group` (or a private group when `None`). The first member's
-    /// `config` fixes the group's queueing behaviour; later members
-    /// share it.
-    pub(crate) fn attach(
+    /// Subscribe to a topic in a private delivery group (fan-out).
+    pub fn subscribe(
         &self,
         topic: &str,
-        group: Option<&str>,
-        config: SubscriptionConfig,
-    ) -> CssResult<SubscriptionId> {
-        let mut st = self.state.lock();
+        _config: SubscriptionConfig,
+    ) -> CssResult<SubscriberHandle<M>> {
+        self.attach(topic, None)
+    }
+
+    /// Join the named competing-consumer group on `topic`.
+    pub fn subscribe_group(
+        &self,
+        topic: &str,
+        group: &str,
+        _config: SubscriptionConfig,
+    ) -> CssResult<SubscriberHandle<M>> {
+        self.attach(topic, Some(group))
+    }
+
+    /// Attach a subscription to `topic`, joining the named delivery
+    /// `group` (or a private group when `None`).
+    fn attach(&self, topic: &str, group: Option<&str>) -> CssResult<SubscriberHandle<M>> {
+        let mut st = self.shared.state.lock();
         if !st.topics.contains_key(topic) {
             return Err(CssError::Bus(format!("no such topic {topic:?}")));
         }
@@ -360,67 +309,34 @@ impl<M: Clone + Send + 'static> Broker<M> {
                 match st.named.get(&key) {
                     Some(gid) => *gid,
                     None => {
-                        let gid = new_group(&mut st, topic, Some(name.to_string()), config);
+                        let gid = new_group(&mut st, topic, Some(name.to_string()));
                         st.named.insert(key, gid);
                         gid
                     }
                 }
             }
-            None => new_group(&mut st, topic, None, config),
+            None => new_group(&mut st, topic, None),
         };
         if let Some(g) = group_mut(&mut st.groups, gid) {
             g.members.push(id);
         }
         st.members.insert(id, gid);
-        Ok(id)
+        Ok(SubscriberHandle {
+            bus: self.clone(),
+            id,
+        })
     }
 
-    /// Remove a subscription. Its in-flight deliveries return to the
-    /// queue for the remaining group members; when the last member
-    /// leaves, the group and its queue are discarded.
-    pub(crate) fn detach(&self, id: SubscriptionId) -> CssResult<()> {
-        let mut st = self.state.lock();
-        let gid = st.members.remove(&id).ok_or_else(|| unknown_sub(id))?;
-        let group = group_mut(&mut st.groups, gid).ok_or_else(|| unknown_sub(id))?;
-        group.members.retain(|m| *m != id);
-        let t = &self.telemetry;
-        if group.members.is_empty() {
-            // Last member out: drop the whole group.
-            let Some(group) = st.groups[gid as usize].take() else {
-                return Err(unknown_sub(id));
-            };
-            t.queue_depth.sub(group.queue.len() as i64);
-            t.inflight.sub(group.in_flight.len() as i64);
-            if let Some(topic) = st.topics.get_mut(&group.topic) {
-                topic.groups.retain(|g| *g != gid);
-            }
-            // A closed group gave its name up already, perhaps to a
-            // fresh group that is still live.
-            if let Some(name) = group.name {
-                let key = (group.topic, name);
-                if st.named.get(&key) == Some(&gid) {
-                    st.named.remove(&key);
-                }
-            }
-        } else {
-            // Return the leaver's in-flight deliveries to the peers.
-            for mut f in take_in_flight(group, |f| f.holder == id) {
-                f.pending.deliver_span = redeliver_span(&f.pending);
-                group.queue.push_front(f.pending);
-                t.inflight.dec();
-                t.queue_depth.inc();
-            }
-        }
-        drop(st);
-        // Wake any member parked in `poll` so it re-checks state.
-        self.arrivals.notify_all();
-        Ok(())
-    }
-
-    /// Route no later publish to this subscription's delivery group
-    /// ([`crate::Bus::close`]).
-    pub(crate) fn close(&self, id: SubscriptionId) -> CssResult<()> {
-        let mut st = self.state.lock();
+    /// Route no later publish to this subscription's delivery group.
+    /// What the group already holds stays with it: its members still
+    /// poll, ack and nack it, and [`SubscriberHandle::unsubscribe`]
+    /// still removes them. A named group gives its name up: the next
+    /// member to join that name starts a fresh group. Idempotent, and a
+    /// detached subscription is already closed. (How a subscription
+    /// whose authorisation ended stops receiving without losing what
+    /// was published to it while it held one.)
+    pub fn close(&self, id: SubscriptionId) -> CssResult<()> {
+        let mut st = self.shared.state.lock();
         let State {
             topics,
             groups,
@@ -447,9 +363,13 @@ impl<M: Clone + Send + 'static> Broker<M> {
         Ok(())
     }
 
-    /// Publish a message to every delivery group of `topic`
-    /// ([`crate::Bus::publish_opts`]).
-    pub(crate) fn publish_opts(
+    /// Publish a message to every delivery group of `topic`, with
+    /// options (dedup key, trace).
+    ///
+    /// A single full group queue fails the whole publish *before* any
+    /// enqueue (all-or-nothing back-pressure); a rejected publish does
+    /// not consume its dedup key.
+    pub fn publish_opts(
         &self,
         topic: &str,
         message: M,
@@ -457,20 +377,20 @@ impl<M: Clone + Send + 'static> Broker<M> {
     ) -> CssResult<PublishOutcome> {
         let started = Instant::now();
         let mut route = TraceContext::child_opt(opts.trace, "bus.route");
-        let mut guard = self.state.lock();
+        let mut guard = self.shared.state.lock();
         let st = &mut *guard;
         let Some(topic_state) = st.topics.get_mut(topic) else {
-            st.shared.stats.rejected += 1;
+            st.common.stats.rejected += 1;
             route.set_status(SpanStatus::Error);
             return Err(CssError::Bus(format!("no such topic {topic:?}")));
         };
         // Dedup first: a duplicate is dropped regardless of queue state.
         if let Some(key) = opts.dedup_key {
             if topic_state.dedup_recent.contains(key) {
-                st.shared.stats.dedup_dropped += 1;
+                st.common.stats.dedup_dropped += 1;
                 drop(guard);
                 route.finish();
-                self.telemetry.dedup_dropped.inc();
+                self.shared.telemetry.dedup_dropped.inc();
                 return Ok(PublishOutcome::DuplicateDropped);
             }
         }
@@ -479,17 +399,17 @@ impl<M: Clone + Send + 'static> Broker<M> {
         // and the slab are kept in sync; a group that is in one and not
         // the other is skipped, here and below.)
         let groups = &mut st.groups;
-        let overflowing = topic_state.groups.iter().find_map(|&gid| {
-            let g = groups.get(gid as usize)?.as_deref()?;
-            (g.queue.len() >= g.config.capacity).then_some((gid, g.config.capacity))
+        let overflowing = topic_state.groups.iter().find(|&&gid| {
+            let group = groups.get(gid as usize).and_then(|slot| slot.as_deref());
+            group.is_some_and(|g| g.queue.len() >= QUEUE_CAPACITY)
         });
-        if let Some((gid, capacity)) = overflowing {
-            st.shared.stats.rejected += 1;
+        if let Some(gid) = overflowing {
+            st.common.stats.rejected += 1;
             route.set_status(SpanStatus::Error);
             // The key was NOT recorded, so a retry after back-pressure
             // clears is not treated as a duplicate.
             return Err(CssError::Bus(format!(
-                "delivery group {gid} queue full ({capacity} messages)"
+                "delivery group {gid} queue full ({QUEUE_CAPACITY} messages)"
             )));
         }
         if let Some(key) = opts.dedup_key {
@@ -523,118 +443,275 @@ impl<M: Clone + Send + 'static> Broker<M> {
             g.stats.enqueued += 1;
             fanout += 1;
         }
-        st.shared.stats.published += 1;
-        st.shared.stats.fanned_out += fanout as u64;
+        st.common.stats.published += 1;
+        st.common.stats.fanned_out += fanout as u64;
         let parked = st.parked > 0;
         drop(guard);
         route.finish();
-        let t = &self.telemetry;
+        let t = &self.shared.telemetry;
         t.published.inc();
         t.fanned_out.add(fanout as u64);
         t.queue_depth.add(fanout as i64);
         t.publish_latency.record_duration(started.elapsed());
         if parked {
-            self.arrivals.notify_all();
+            self.shared.arrivals.notify_all();
         }
         Ok(PublishOutcome::Routed(fanout))
     }
 
-    /// Take the next available message for this member, waiting up to
-    /// `wait` for one to arrive or a visibility timeout to return one;
-    /// [`Duration::ZERO`] never blocks. Each call first requeues (or
-    /// dead-letters) the group's deliveries whose visibility timeout
-    /// has expired — the only sweep there is.
-    pub(crate) fn poll(
-        &self,
-        id: SubscriptionId,
-        wait: Duration,
-    ) -> CssResult<Option<Delivery<M>>> {
+    /// Broker-wide statistics.
+    pub fn stats(&self) -> BrokerStats {
+        self.shared.state.lock().common.stats
+    }
+
+    /// A copy of the dead-letter queue, in the order messages were
+    /// given up on.
+    pub fn dead_letters(&self) -> Vec<DeadLetter<M>> {
+        self.shared.state.lock().common.dlq.clone()
+    }
+}
+
+/// Consumer-side handle to one group-member subscription.
+///
+/// Dropping the handle does **not** unsubscribe — subscriptions are
+/// durable, mirroring how a consumer's queue on the ESB outlives any one
+/// connection. Call [`SubscriberHandle::unsubscribe`] to remove it.
+pub struct SubscriberHandle<M: Clone + Send + 'static> {
+    bus: Bus<M>,
+    id: SubscriptionId,
+}
+
+impl<M: Clone + Send + 'static> std::fmt::Debug for SubscriberHandle<M> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "SubscriberHandle({})", self.id)
+    }
+}
+
+impl<M: Clone + Send + 'static> Clone for SubscriberHandle<M> {
+    fn clone(&self) -> Self {
+        SubscriberHandle {
+            bus: self.bus.clone(),
+            id: self.id,
+        }
+    }
+}
+
+impl<M: Clone + Send + 'static> SubscriberHandle<M> {
+    /// The subscription's identifier.
+    pub fn id(&self) -> SubscriptionId {
+        self.id
+    }
+
+    /// Take the next message, if one is available. Non-blocking.
+    pub fn poll(&self) -> CssResult<Option<Delivery<M>>> {
+        self.poll_for(Duration::ZERO)
+    }
+
+    /// Take the next message, waiting up to `wait` for one to arrive;
+    /// [`Duration::ZERO`] never blocks, and a wait too long to
+    /// represent (`Duration::MAX`) has no deadline.
+    pub fn poll_for(&self, wait: Duration) -> CssResult<Option<Delivery<M>>> {
+        let shared = &*self.bus.shared;
         let mut now = Instant::now();
-        // A wait too long to represent has no deadline.
         let deadline = now.checked_add(wait);
-        let mut guard = self.state.lock();
+        let mut guard = shared.state.lock();
         loop {
-            let (shared, group) = member_group(&mut guard, id)?;
-            self.sweep_group(shared, group, now);
-            if let Some(delivery) = self.take_next(shared, group, id, now) {
+            let (common, group) = member_group(&mut guard, self.id)?;
+            if let Some(delivery) = take_next(&shared.telemetry, common, group, self.id, now) {
                 return Ok(Some(delivery));
             }
             if deadline.is_some_and(|d| now >= d) {
                 return Ok(None);
             }
-            // The queue is empty: park until a wake-up, the deadline, or
-            // the first visibility timeout to run out — whichever comes
-            // first.
-            let expiries = group.in_flight.values().filter_map(|f| f.expires);
-            let target = expiries.chain(deadline).min();
+            // The queue is empty: park until a wake-up or the deadline.
             guard.parked += 1;
-            match target {
-                Some(at) => drop(self.arrivals.wait_until(&mut guard, at)),
-                None => self.arrivals.wait(&mut guard),
+            match deadline {
+                Some(at) => drop(shared.arrivals.wait_until(&mut guard, at)),
+                None => shared.arrivals.wait(&mut guard),
             }
             guard.parked -= 1;
             now = Instant::now();
         }
     }
 
-    /// Acknowledge a delivery held by this member, retiring it.
-    pub(crate) fn ack(&self, id: SubscriptionId, delivery_id: u64) -> CssResult<()> {
-        let mut st = self.state.lock();
-        let (_, group) = member_group(&mut st, id)?;
-        let f = take_held(group, id, delivery_id)?;
+    /// Acknowledge a delivery, removing the message for good.
+    pub fn ack(&self, delivery_id: u64) -> CssResult<()> {
+        let mut st = self.bus.shared.state.lock();
+        let (_, group) = member_group(&mut st, self.id)?;
+        let f = take_held(group, self.id, delivery_id)?;
         group.stats.acked += 1;
-        let t = &self.telemetry;
+        let t = &self.bus.shared.telemetry;
         t.ack_latency.record_duration(f.pending.since.elapsed());
         t.inflight.dec();
         Ok(())
     }
 
-    /// Negatively acknowledge a delivery held by this member: back to
-    /// the head of the queue for another attempt, or dead-letter once
-    /// attempts are exhausted.
-    pub(crate) fn nack(&self, id: SubscriptionId, delivery_id: u64) -> CssResult<()> {
-        let mut st = self.state.lock();
-        let (shared, group) = member_group(&mut st, id)?;
-        let f = take_held(group, id, delivery_id)?;
-        self.telemetry.inflight.dec();
-        self.retire_or_requeue(shared, group, id, f.pending);
+    /// Negatively acknowledge a delivery. The message returns to the
+    /// head of the queue for redelivery (to any group member), or moves
+    /// to the dead-letter queue once its attempts are exhausted.
+    pub fn nack(&self, delivery_id: u64) -> CssResult<()> {
+        let shared = &*self.bus.shared;
+        let mut st = shared.state.lock();
+        let (common, group) = member_group(&mut st, self.id)?;
+        let f = take_held(group, self.id, delivery_id)?;
+        shared.telemetry.inflight.dec();
+        retire_or_requeue(&shared.telemetry, common, group, self.id, f.pending);
         drop(st);
-        self.arrivals.notify_all();
+        shared.arrivals.notify_all();
         Ok(())
     }
 
-    /// What introspection reads, taken at one instant: broker counters,
-    /// topics with their member counts, and — when `member` is a live
-    /// subscription — its delivery group's depth and counters. The
-    /// dead-letter queue is not copied here: [`Broker::dead_letters`].
-    pub(crate) fn snapshot(&self, member: Option<SubscriptionId>) -> BusSnapshot {
-        let st = self.state.lock();
-        let live = |gid: &GroupId| st.groups.get(*gid as usize)?.as_deref();
-        let mut topics: Vec<(String, usize)> = st
-            .topics
-            .iter()
-            .map(|(name, topic)| {
-                let groups = topic.groups.iter().filter_map(live);
-                (name.clone(), groups.map(|g| g.members.len()).sum())
-            })
-            .collect();
-        topics.sort();
-        let group = member.and_then(|id| st.members.get(&id)).and_then(live);
-        BusSnapshot {
-            stats: st.shared.stats,
-            topics,
-            group: group.map(|g| GroupSnapshot {
-                queued: g.queue.len(),
-                in_flight: g.in_flight.len(),
-                stats: g.stats,
-            }),
-        }
+    /// This subscription's delivery group at one instant: queued and
+    /// in-flight counts and the group's counters. Errors once the
+    /// subscription is gone.
+    pub fn group(&self) -> CssResult<GroupSnapshot> {
+        let mut st = self.bus.shared.state.lock();
+        let (_, g) = member_group(&mut st, self.id)?;
+        Ok(GroupSnapshot {
+            queued: g.queue.len(),
+            in_flight: g.in_flight.len(),
+            stats: g.stats,
+        })
     }
 
-    /// A copy of the dead-letter queue, in the order messages were
-    /// given up on.
-    pub(crate) fn dead_letters(&self) -> Vec<DeadLetter<M>> {
-        self.state.lock().shared.dlq.clone()
+    /// Messages currently queued for the group (not counting in-flight
+    /// deliveries).
+    pub fn backlog(&self) -> CssResult<usize> {
+        self.group().map(|g| g.queued)
+    }
+
+    /// Deliveries of the group currently awaiting ack/nack.
+    pub fn in_flight(&self) -> CssResult<usize> {
+        self.group().map(|g| g.in_flight)
+    }
+
+    /// Statistics for this subscription's delivery group.
+    pub fn stats(&self) -> CssResult<SubscriptionStats> {
+        self.group().map(|g| g.stats)
+    }
+
+    /// Remove this member. Its in-flight deliveries return to the head
+    /// of the queue, in publish order, for the remaining group members;
+    /// the last member leaving discards the group's queue.
+    pub fn unsubscribe(self) -> CssResult<()> {
+        let (shared, id) = (&*self.bus.shared, self.id);
+        let mut st = shared.state.lock();
+        let gid = st.members.remove(&id).ok_or_else(|| unknown_sub(id))?;
+        let group = group_mut(&mut st.groups, gid).ok_or_else(|| unknown_sub(id))?;
+        group.members.retain(|m| *m != id);
+        let t = &shared.telemetry;
+        if group.members.is_empty() {
+            // Last member out: drop the whole group.
+            let Some(group) = st.groups[gid as usize].take() else {
+                return Err(unknown_sub(id));
+            };
+            t.queue_depth.sub(group.queue.len() as i64);
+            t.inflight.sub(group.in_flight.len() as i64);
+            if let Some(topic) = st.topics.get_mut(&group.topic) {
+                topic.groups.retain(|g| *g != gid);
+            }
+            // A closed group gave its name up already, perhaps to a
+            // fresh group that is still live.
+            if let Some(name) = group.name {
+                let key = (group.topic, name);
+                if st.named.get(&key) == Some(&gid) {
+                    st.named.remove(&key);
+                }
+            }
+        } else {
+            // Return the leaver's in-flight deliveries to the peers.
+            for mut f in take_all_held(group, id) {
+                f.pending.deliver_span = redeliver_span(&f.pending);
+                group.queue.push_front(f.pending);
+                t.inflight.dec();
+                t.queue_depth.inc();
+            }
+        }
+        drop(st);
+        // Wake any member parked in `poll_for` so it re-checks state.
+        shared.arrivals.notify_all();
+        Ok(())
+    }
+
+    /// Drain every queued message, acking each — convenience for tests
+    /// and simulations that consume eagerly.
+    pub fn drain(&self) -> CssResult<Vec<M>> {
+        let mut out = Vec::new();
+        while let Some(d) = self.poll()? {
+            self.ack(d.delivery_id)?;
+            out.push(d.message);
+        }
+        Ok(out)
+    }
+}
+
+/// Hand member `id` the head of the queue, moving it in flight.
+fn take_next<M: Clone>(
+    t: &BusInstruments,
+    common: &mut Common<M>,
+    group: &mut GroupState<M>,
+    id: SubscriptionId,
+    now: Instant,
+) -> Option<Delivery<M>> {
+    let mut pending = group.queue.pop_front()?;
+    pending.attempts += 1;
+    let delivery_id = common.next_delivery;
+    common.next_delivery += 1;
+    if let Some(span) = pending.deliver_span.take() {
+        span.finish();
+    }
+    let delivery = Delivery {
+        delivery_id,
+        attempt: pending.attempts,
+        offset: pending.offset,
+        trace: pending.trace,
+        message: pending.message.clone(),
+    };
+    if pending.attempts > 1 {
+        group.stats.redelivered += 1;
+        t.redelivered.inc();
+    }
+    group.stats.delivered += 1;
+    t.deliver_latency
+        .record_duration(now.saturating_duration_since(pending.since));
+    t.queue_depth.dec();
+    t.inflight.inc();
+    // Re-stamp: from here `since` means "delivered at".
+    pending.since = now;
+    group.in_flight.insert(
+        delivery_id,
+        InFlight {
+            pending,
+            holder: id,
+        },
+    );
+    Some(delivery)
+}
+
+/// A message leaving in-flight by a nack: back to the head of the
+/// queue for another attempt, or to the dead-letter queue when the
+/// attempt budget is spent.
+fn retire_or_requeue<M>(
+    t: &BusInstruments,
+    common: &mut Common<M>,
+    group: &mut GroupState<M>,
+    holder: SubscriptionId,
+    mut pending: Pending<M>,
+) {
+    if pending.attempts >= MAX_ATTEMPTS {
+        group.stats.dead_lettered += 1;
+        common.dlq.push(DeadLetter {
+            subscription: holder,
+            topic: group.topic.clone(),
+            group: group.name.clone(),
+            attempts: pending.attempts,
+            trace: pending.trace,
+            message: pending.message,
+        });
+    } else {
+        pending.deliver_span = redeliver_span(&pending);
+        group.queue.push_front(pending);
+        t.queue_depth.inc();
     }
 }
 
@@ -657,18 +734,15 @@ fn take_held<M>(
     }
 }
 
-/// Every in-flight delivery of the group that `leaves`, taken out
-/// newest first (the map iterates in hash order): pushed onto the front
-/// of the queue one by one in that order, the oldest ends up at the
-/// head and the group's members see them in publish order.
-fn take_in_flight<M>(
-    group: &mut GroupState<M>,
-    leaves: impl Fn(&InFlight<M>) -> bool,
-) -> Vec<InFlight<M>> {
+/// Every in-flight delivery `holder` holds, taken out newest first (the
+/// map iterates in hash order): pushed onto the front of the queue one
+/// by one in that order, the oldest ends up at the head and the group's
+/// members see them in publish order.
+fn take_all_held<M>(group: &mut GroupState<M>, holder: SubscriptionId) -> Vec<InFlight<M>> {
     let mut leaving: Vec<(u64, u64)> = group
         .in_flight
         .iter()
-        .filter(|(_, f)| leaves(f))
+        .filter(|(_, f)| f.holder == holder)
         .map(|(delivery_id, f)| (f.pending.offset, *delivery_id))
         .collect();
     leaving.sort_unstable_by_key(|&at| Reverse(at));
@@ -685,17 +759,11 @@ fn redeliver_span<M>(pending: &Pending<M>) -> Option<SpanGuard> {
     pending.ctx.as_ref().map(|c| c.child("bus.redeliver"))
 }
 
-fn new_group<M>(
-    st: &mut State<M>,
-    topic: &str,
-    name: Option<String>,
-    config: SubscriptionConfig,
-) -> GroupId {
+fn new_group<M>(st: &mut State<M>, topic: &str, name: Option<String>) -> GroupId {
     let gid = st.groups.len() as GroupId;
     st.groups.push(Some(Box::new(GroupState {
         topic: topic.to_string(),
         name,
-        config,
         members: Vec::new(),
         queue: VecDeque::new(),
         in_flight: HashMap::new(),
@@ -708,11 +776,21 @@ fn new_group<M>(
     gid
 }
 
+/// Publish `message` with no options, returning the groups it was
+/// enqueued for: the tests' shorthand for `publish_opts`.
+#[cfg(test)]
+pub(crate) fn send<M: Clone + Send + 'static>(
+    bus: &Bus<M>,
+    topic: &str,
+    message: M,
+) -> CssResult<usize> {
+    let routed = bus.publish_opts(topic, message, PublishOptions::new());
+    routed.map(|o| o.routed())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::Bus;
-    use crate::subscription::SubscriberHandle;
 
     fn broker() -> Bus<String> {
         let b = Bus::in_memory();
@@ -723,7 +801,7 @@ mod tests {
     #[test]
     fn publish_without_topic_fails() {
         let b: Bus<String> = Bus::in_memory();
-        assert!(b.publish("nope", "m".into(), None).is_err());
+        assert!(send(&b, "nope", "m".into()).is_err());
         assert_eq!(b.stats().rejected, 1);
     }
 
@@ -742,7 +820,7 @@ mod tests {
         let s2 = b
             .subscribe("blood-test", SubscriptionConfig::default())
             .unwrap();
-        let n = b.publish("blood-test", "hello".into(), None).unwrap();
+        let n = send(&b, "blood-test", "hello".into()).unwrap();
         assert_eq!(n, 2);
         assert_eq!(s1.drain().unwrap(), vec!["hello"]);
         assert_eq!(s2.drain().unwrap(), vec!["hello"]);
@@ -752,7 +830,7 @@ mod tests {
     #[test]
     fn publish_with_no_subscribers_is_ok() {
         let b = broker();
-        assert_eq!(b.publish("blood-test", "m".into(), None).unwrap(), 0);
+        assert_eq!(send(&b, "blood-test", "m".into()).unwrap(), 0);
     }
 
     #[test]
@@ -762,7 +840,7 @@ mod tests {
             .subscribe("blood-test", SubscriptionConfig::default())
             .unwrap();
         for i in 0..5 {
-            b.publish("blood-test", format!("m{i}"), None).unwrap();
+            send(&b, "blood-test", format!("m{i}")).unwrap();
         }
         assert_eq!(s.drain().unwrap(), vec!["m0", "m1", "m2", "m3", "m4"]);
     }
@@ -773,7 +851,7 @@ mod tests {
         let s = b
             .subscribe("blood-test", SubscriptionConfig::default())
             .unwrap();
-        b.publish("blood-test", "m".into(), None).unwrap();
+        send(&b, "blood-test", "m".into()).unwrap();
         let d = s.poll().unwrap().unwrap();
         // Queue is drained but message not acked.
         assert!(s.poll().unwrap().is_none());
@@ -789,8 +867,8 @@ mod tests {
         let s = b
             .subscribe("blood-test", SubscriptionConfig::default())
             .unwrap();
-        b.publish("blood-test", "first".into(), None).unwrap();
-        b.publish("blood-test", "second".into(), None).unwrap();
+        send(&b, "blood-test", "first".into()).unwrap();
+        send(&b, "blood-test", "second".into()).unwrap();
         let d = s.poll().unwrap().unwrap();
         assert_eq!(d.message, "first");
         s.nack(d.delivery_id).unwrap();
@@ -803,13 +881,11 @@ mod tests {
     #[test]
     fn exhausted_attempts_dead_letter() {
         let b = broker();
-        let cfg = SubscriptionConfig {
-            max_attempts: 2,
-            ..Default::default()
-        };
-        let s = b.subscribe("blood-test", cfg).unwrap();
-        b.publish("blood-test", "poison".into(), None).unwrap();
-        for _ in 0..2 {
+        let s = b
+            .subscribe("blood-test", SubscriptionConfig::default())
+            .unwrap();
+        send(&b, "blood-test", "poison".into()).unwrap();
+        for _ in 0..MAX_ATTEMPTS {
             let d = s.poll().unwrap().unwrap();
             s.nack(d.delivery_id).unwrap();
         }
@@ -817,27 +893,26 @@ mod tests {
         let dlq = b.dead_letters();
         assert_eq!(dlq.len(), 1);
         assert_eq!(dlq[0].message, "poison");
-        assert_eq!(dlq[0].attempts, 2);
+        assert_eq!(dlq[0].attempts, MAX_ATTEMPTS);
         assert_eq!(s.stats().unwrap().dead_lettered, 1);
     }
 
     #[test]
     fn reject_overflow_fails_publish_atomically() {
         let b = broker();
-        let tiny = SubscriptionConfig {
-            capacity: 1,
-            ..Default::default()
-        };
-        let full = b.subscribe("blood-test", tiny).unwrap();
-        let roomy = b
-            .subscribe("blood-test", SubscriptionConfig::default())
-            .unwrap();
-        b.publish("blood-test", "m1".into(), None).unwrap();
+        let cfg = SubscriptionConfig::default();
+        let full = b.subscribe("blood-test", cfg).unwrap();
+        let roomy = b.subscribe("blood-test", cfg).unwrap();
+        for i in 0..QUEUE_CAPACITY {
+            send(&b, "blood-test", format!("m{i}")).unwrap();
+        }
+        roomy.drain().unwrap();
         // full's queue is at capacity → next publish must fail and NOT
         // enqueue for roomy either.
-        assert!(b.publish("blood-test", "m2".into(), None).is_err());
-        assert_eq!(roomy.backlog().unwrap(), 1);
-        assert_eq!(full.backlog().unwrap(), 1);
+        assert!(send(&b, "blood-test", "over".into()).is_err());
+        assert_eq!(roomy.backlog().unwrap(), 0);
+        assert_eq!(full.backlog().unwrap(), QUEUE_CAPACITY);
+        assert_eq!(b.stats().rejected, 1);
     }
 
     #[test]
@@ -846,10 +921,9 @@ mod tests {
         let s = b
             .subscribe("blood-test", SubscriptionConfig::default())
             .unwrap();
-        assert_eq!(b.subscriber_count("blood-test"), 1);
+        assert_eq!(send(&b, "blood-test", "m".into()).unwrap(), 1);
         s.unsubscribe().unwrap();
-        assert_eq!(b.subscriber_count("blood-test"), 0);
-        assert_eq!(b.publish("blood-test", "m".into(), None).unwrap(), 0);
+        assert_eq!(send(&b, "blood-test", "m".into()).unwrap(), 0);
     }
 
     #[test]
@@ -885,9 +959,7 @@ mod tests {
         let publisher = b.clone();
         let t = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
-            publisher
-                .publish("blood-test", "wake".into(), None)
-                .unwrap();
+            send(&publisher, "blood-test", "wake".into()).unwrap();
         });
         let d = s.poll_for(Duration::from_secs(5)).unwrap().unwrap();
         assert_eq!(d.message, "wake");
@@ -898,22 +970,15 @@ mod tests {
     fn concurrent_publishers_and_consumers() {
         let b = broker();
         let s = b
-            .subscribe(
-                "blood-test",
-                SubscriptionConfig {
-                    capacity: 100_000,
-                    ..Default::default()
-                },
-            )
+            .subscribe("blood-test", SubscriptionConfig::default())
             .unwrap();
+        // 1 000 publishes, under the group's queue capacity.
         let mut handles = Vec::new();
         for t in 0..4 {
             let publisher = b.clone();
             handles.push(std::thread::spawn(move || {
                 for i in 0..250 {
-                    publisher
-                        .publish("blood-test", format!("t{t}-m{i}"), None)
-                        .unwrap();
+                    send(&publisher, "blood-test", format!("t{t}-m{i}")).unwrap();
                 }
             }));
         }
@@ -934,7 +999,7 @@ mod tests {
         let s1 = b.subscribe("t", SubscriptionConfig::default()).unwrap();
         let s2 = b.subscribe("t", SubscriptionConfig::default()).unwrap();
         for i in 0..3 {
-            b.publish("t", format!("m{i}"), None).unwrap();
+            send(&b, "t", format!("m{i}")).unwrap();
         }
         assert_eq!(registry.snapshot().gauge("bus.queue_depth"), 6);
 
@@ -1000,7 +1065,7 @@ mod tests {
         let s = b
             .subscribe("blood-test", SubscriptionConfig::default())
             .unwrap();
-        b.publish("blood-test", "m".into(), None).unwrap();
+        send(&b, "blood-test", "m".into()).unwrap();
         let d = s.poll().unwrap().unwrap();
         assert_eq!(d.trace, None);
     }
@@ -1012,9 +1077,9 @@ mod tests {
         let s = b
             .subscribe("blood-test", SubscriptionConfig::default())
             .unwrap();
-        b.publish("blood-test", "still there".into(), None).unwrap();
+        // The re-declare kept the topic's one group.
+        assert_eq!(send(&b, "blood-test", "still there".into()).unwrap(), 1);
         assert_eq!(s.drain().unwrap().len(), 1);
-        assert_eq!(b.snapshot().topics, vec![("blood-test".to_string(), 1)]);
     }
 
     // ------------------------------------------------------------------
@@ -1030,10 +1095,9 @@ mod tests {
         let c = b
             .subscribe_group("blood-test", "workers", SubscriptionConfig::default())
             .unwrap();
-        assert_eq!(b.subscriber_count("blood-test"), 2);
         // One group → fan-out of 1 per publish.
-        assert_eq!(b.publish("blood-test", "m0".into(), None).unwrap(), 1);
-        assert_eq!(b.publish("blood-test", "m1".into(), None).unwrap(), 1);
+        assert_eq!(send(&b, "blood-test", "m0".into()).unwrap(), 1);
+        assert_eq!(send(&b, "blood-test", "m1".into()).unwrap(), 1);
         let da = a.poll().unwrap().unwrap();
         let dc = c.poll().unwrap().unwrap();
         assert_ne!(da.message, dc.message);
@@ -1054,7 +1118,7 @@ mod tests {
         let c = b
             .subscribe_group("other", "workers", SubscriptionConfig::default())
             .unwrap();
-        b.publish("blood-test", "m".into(), None).unwrap();
+        send(&b, "blood-test", "m".into()).unwrap();
         assert_eq!(a.backlog().unwrap(), 1);
         assert_eq!(c.backlog().unwrap(), 0);
     }
@@ -1068,7 +1132,7 @@ mod tests {
         let c = b
             .subscribe_group("blood-test", "workers", SubscriptionConfig::default())
             .unwrap();
-        b.publish("blood-test", "job".into(), None).unwrap();
+        send(&b, "blood-test", "job".into()).unwrap();
         let da = a.poll().unwrap().unwrap();
         assert_eq!(da.attempt, 1);
         a.nack(da.delivery_id).unwrap();
@@ -1087,7 +1151,7 @@ mod tests {
         let c = b
             .subscribe_group("blood-test", "workers", SubscriptionConfig::default())
             .unwrap();
-        b.publish("blood-test", "job".into(), None).unwrap();
+        send(&b, "blood-test", "job".into()).unwrap();
         let da = a.poll().unwrap().unwrap();
         assert!(c.ack(da.delivery_id).is_err());
         assert!(c.nack(da.delivery_id).is_err());
@@ -1103,7 +1167,7 @@ mod tests {
         let c = b
             .subscribe_group("blood-test", "workers", SubscriptionConfig::default())
             .unwrap();
-        b.publish("blood-test", "job".into(), None).unwrap();
+        send(&b, "blood-test", "job".into()).unwrap();
         let da = a.poll().unwrap().unwrap();
         assert_eq!(da.message, "job");
         a.unsubscribe().unwrap();
@@ -1123,11 +1187,10 @@ mod tests {
         let open = b
             .subscribe("blood-test", SubscriptionConfig::default())
             .unwrap();
-        b.publish("blood-test", "before".into(), None).unwrap();
+        send(&b, "blood-test", "before".into()).unwrap();
         b.close(closed.id()).unwrap();
         b.close(closed.id()).unwrap();
-        assert_eq!(b.subscriber_count("blood-test"), 1);
-        assert_eq!(b.publish("blood-test", "after".into(), None).unwrap(), 1);
+        assert_eq!(send(&b, "blood-test", "after".into()).unwrap(), 1);
         assert_eq!(closed.drain().unwrap(), ["before"]);
         assert_eq!(open.drain().unwrap(), ["before", "after"]);
         let id = closed.id();
@@ -1142,25 +1205,23 @@ mod tests {
         let old = b.subscribe_group("blood-test", "workers", cfg).unwrap();
         b.close(old.id()).unwrap();
         let new = b.subscribe_group("blood-test", "workers", cfg).unwrap();
-        assert_eq!(b.publish("blood-test", "m".into(), None).unwrap(), 1);
+        assert_eq!(send(&b, "blood-test", "m".into()).unwrap(), 1);
         assert_eq!(new.drain().unwrap(), ["m"]);
         assert!(old.drain().unwrap().is_empty());
         // The closed group's last member leaving keeps the live name.
         old.unsubscribe().unwrap();
         let peer = b.subscribe_group("blood-test", "workers", cfg).unwrap();
-        assert_eq!(b.publish("blood-test", "n".into(), None).unwrap(), 1);
+        assert_eq!(send(&b, "blood-test", "n".into()).unwrap(), 1);
         assert_eq!(peer.backlog().unwrap(), 1);
     }
 
     /// Six publishes to a two-member group; `a` takes them all unacked.
-    fn holder_of_six(
-        b: &Bus<String>,
-        cfg: SubscriptionConfig,
-    ) -> (SubscriberHandle<String>, SubscriberHandle<String>) {
+    fn holder_of_six(b: &Bus<String>) -> (SubscriberHandle<String>, SubscriberHandle<String>) {
+        let cfg = SubscriptionConfig::default();
         let a = b.subscribe_group("blood-test", "workers", cfg).unwrap();
         let c = b.subscribe_group("blood-test", "workers", cfg).unwrap();
         for i in 0..6 {
-            b.publish("blood-test", format!("m{i}"), None).unwrap();
+            send(b, "blood-test", format!("m{i}")).unwrap();
         }
         for offset in 0..6 {
             assert_eq!(a.poll().unwrap().unwrap().offset, offset);
@@ -1171,23 +1232,9 @@ mod tests {
     #[test]
     fn detach_requeues_in_publish_order() {
         let b = broker();
-        let (a, c) = holder_of_six(&b, SubscriptionConfig::default());
+        let (a, c) = holder_of_six(&b);
         a.unsubscribe().unwrap();
         assert_eq!(c.drain().unwrap(), ["m0", "m1", "m2", "m3", "m4", "m5"]);
-    }
-
-    #[test]
-    fn visibility_timeout_requeues_in_publish_order() {
-        let b = broker();
-        let cfg = SubscriptionConfig {
-            visibility_timeout: Some(Duration::from_millis(10)),
-            ..Default::default()
-        };
-        let (_a, c) = holder_of_six(&b, cfg);
-        std::thread::sleep(Duration::from_millis(20));
-        // The peer's first poll sweeps all six back before it takes one.
-        assert_eq!(c.drain().unwrap(), ["m0", "m1", "m2", "m3", "m4", "m5"]);
-        assert_eq!(c.stats().unwrap().timed_out, 6);
     }
 
     #[test]
@@ -1196,10 +1243,10 @@ mod tests {
         let a = b
             .subscribe_group("blood-test", "workers", SubscriptionConfig::default())
             .unwrap();
-        b.publish("blood-test", "m".into(), None).unwrap();
+        send(&b, "blood-test", "m".into()).unwrap();
         a.unsubscribe().unwrap();
         // The group is gone: the next publish routes to no queue.
-        assert_eq!(b.publish("blood-test", "n".into(), None).unwrap(), 0);
+        assert_eq!(send(&b, "blood-test", "n".into()).unwrap(), 0);
         // Re-joining the same name creates a fresh group (empty queue).
         let c = b
             .subscribe_group("blood-test", "workers", SubscriptionConfig::default())
@@ -1272,16 +1319,12 @@ mod tests {
     #[test]
     fn rejected_publish_does_not_consume_dedup_key() {
         let b = broker();
-        let _s = b
-            .subscribe(
-                "blood-test",
-                SubscriptionConfig {
-                    capacity: 1,
-                    ..Default::default()
-                },
-            )
+        let s = b
+            .subscribe("blood-test", SubscriptionConfig::default())
             .unwrap();
-        b.publish("blood-test", "fill".into(), None).unwrap();
+        for i in 0..QUEUE_CAPACITY {
+            send(&b, "blood-test", format!("fill{i}")).unwrap();
+        }
         let err = b.publish_opts(
             "blood-test",
             "m".into(),
@@ -1289,7 +1332,7 @@ mod tests {
         );
         assert!(err.is_err());
         // Retry after draining must not be treated as a duplicate.
-        _s.drain().unwrap();
+        s.drain().unwrap();
         let out = b
             .publish_opts(
                 "blood-test",
@@ -1299,51 +1342,6 @@ mod tests {
             .unwrap();
         assert!(!out.is_duplicate());
     }
-
-    // ------------------------------------------------------------------
-    // Visibility timeout
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn expired_visibility_timeout_requeues() {
-        let b = broker();
-        let cfg = SubscriptionConfig {
-            visibility_timeout: Some(Duration::from_millis(20)),
-            ..Default::default()
-        };
-        let s = b.subscribe("blood-test", cfg).unwrap();
-        b.publish("blood-test", "m".into(), None).unwrap();
-        let d = s.poll().unwrap().unwrap();
-        assert_eq!(d.attempt, 1);
-        std::thread::sleep(Duration::from_millis(30));
-        // The next poll sweeps the expired delivery back first.
-        let d2 = s.poll().unwrap().unwrap();
-        assert_eq!(d2.message, "m");
-        assert_eq!(d2.attempt, 2);
-        assert_eq!(s.stats().unwrap().timed_out, 1);
-        // The original delivery id is gone.
-        assert!(s.ack(d.delivery_id).is_err());
-        s.ack(d2.delivery_id).unwrap();
-    }
-
-    #[test]
-    fn visibility_timeout_exhaustion_dead_letters() {
-        let b = broker();
-        let cfg = SubscriptionConfig {
-            max_attempts: 1,
-            visibility_timeout: Some(Duration::from_millis(10)),
-            ..Default::default()
-        };
-        let s = b.subscribe("blood-test", cfg).unwrap();
-        b.publish("blood-test", "slow".into(), None).unwrap();
-        let _d = s.poll().unwrap().unwrap();
-        std::thread::sleep(Duration::from_millis(20));
-        // The poll that sweeps it finds the one attempt spent.
-        assert!(s.poll().unwrap().is_none());
-        let dlq = b.dead_letters();
-        assert_eq!(dlq.len(), 1);
-        assert_eq!(dlq[0].message, "slow");
-    }
 }
 
 /// With `M = Arc<_>` a publish is one allocation however many groups,
@@ -1351,7 +1349,6 @@ mod tests {
 #[cfg(test)]
 mod sharing_tests {
     use super::*;
-    use crate::driver::Bus;
     use std::sync::Weak;
 
     fn bus() -> Bus<Arc<String>> {
@@ -1363,28 +1360,24 @@ mod sharing_tests {
     #[test]
     fn every_holder_of_a_publish_points_at_the_one_message() {
         let b = bus();
-        let two_tries = SubscriptionConfig {
-            max_attempts: 2,
-            ..Default::default()
-        };
-        let solo = b.subscribe("t", SubscriptionConfig::default()).unwrap();
-        let worker = b.subscribe_group("t", "workers", two_tries).unwrap();
+        let cfg = SubscriptionConfig::default();
+        let solo = b.subscribe("t", cfg).unwrap();
+        let worker = b.subscribe_group("t", "workers", cfg).unwrap();
         let message = Arc::new(String::from("who / what / when / where"));
-        assert_eq!(b.publish("t", Arc::clone(&message), None).unwrap(), 2);
+        assert_eq!(send(&b, "t", Arc::clone(&message)).unwrap(), 2);
 
         // Each group's delivery is the published allocation.
         let d = solo.poll().unwrap().unwrap();
         assert!(Arc::ptr_eq(&d.message, &message));
         solo.ack(d.delivery_id).unwrap();
-        // So is the in-flight entry a nack puts back on the queue ...
-        let first = worker.poll().unwrap().unwrap();
-        assert!(Arc::ptr_eq(&first.message, &message));
-        worker.nack(first.delivery_id).unwrap();
-        let again = worker.poll().unwrap().unwrap();
-        assert_eq!(again.attempt, 2);
-        assert!(Arc::ptr_eq(&again.message, &message));
+        // So is each in-flight entry a nack puts back on the queue ...
+        for attempt in 1..=MAX_ATTEMPTS {
+            let d = worker.poll().unwrap().unwrap();
+            assert_eq!(d.attempt, attempt);
+            assert!(Arc::ptr_eq(&d.message, &message));
+            worker.nack(d.delivery_id).unwrap();
+        }
         // ... and the dead letter it becomes once attempts run out.
-        worker.nack(again.delivery_id).unwrap();
         let dlq = b.dead_letters();
         assert_eq!(dlq.len(), 1);
         assert!(Arc::ptr_eq(&dlq[0].message, &message));
@@ -1417,15 +1410,13 @@ mod sharing_tests {
 #[cfg(test)]
 mod wake_tests {
     use super::*;
-    use crate::driver::Bus;
-    use crate::subscription::SubscriberHandle;
 
     /// Long enough that a lost wake-up shows as a test that takes it.
     const PATIENCE: Duration = Duration::from_secs(20);
 
-    fn setup() -> (Arc<Broker<String>>, Bus<String>) {
+    fn setup() -> (Arc<Shared<String>>, Bus<String>) {
         let bus = Bus::in_memory();
-        let broker = Arc::clone(&bus.broker);
+        let broker = Arc::clone(&bus.shared);
         bus.create_topic("t");
         (broker, bus)
     }
@@ -1434,7 +1425,7 @@ mod wake_tests {
     /// broker counts it parked — from then on it is inside the wait
     /// (the count is raised under the state lock the wait releases).
     fn park(
-        broker: &Arc<Broker<String>>,
+        broker: &Arc<Shared<String>>,
         s: &SubscriberHandle<String>,
         parked: usize,
     ) -> std::thread::JoinHandle<(Option<Delivery<String>>, Duration)> {
@@ -1442,7 +1433,7 @@ mod wake_tests {
     }
 
     fn park_for(
-        broker: &Arc<Broker<String>>,
+        broker: &Arc<Shared<String>>,
         s: &SubscriberHandle<String>,
         parked: usize,
         wait: Duration,
@@ -1470,7 +1461,7 @@ mod wake_tests {
         let (broker, bus) = setup();
         let s = bus.subscribe("t", SubscriptionConfig::default()).unwrap();
         let t = park(&broker, &s, 1);
-        bus.publish("t", "m".into(), None).unwrap();
+        send(&bus, "t", "m".into()).unwrap();
         assert_eq!(woken(t).message, "m");
         assert_eq!(broker.state.lock().parked, 0);
     }
@@ -1480,29 +1471,22 @@ mod wake_tests {
         let (broker, bus) = setup();
         let s = bus.subscribe("t", SubscriptionConfig::default()).unwrap();
         assert_eq!(broker.state.lock().parked, 0);
-        bus.publish("t", "m".into(), None).unwrap();
+        send(&bus, "t", "m".into()).unwrap();
         let started = Instant::now();
         let d = s.poll_for(PATIENCE).unwrap().unwrap();
         assert_eq!(d.message, "m");
         assert!(started.elapsed() < PATIENCE / 2);
     }
 
-    /// `now + Duration::MAX` is no `Instant`: the wait and the
-    /// visibility timeout each have to survive it.
+    /// `now + Duration::MAX` is no `Instant`: the wait has to survive
+    /// it.
     #[test]
     fn a_wait_too_long_to_represent_returns_what_is_queued() {
         let (_, bus) = setup();
-        let cfg = SubscriptionConfig {
-            visibility_timeout: Some(Duration::MAX),
-            ..Default::default()
-        };
-        let s = bus.subscribe("t", cfg).unwrap();
-        bus.publish("t", "m".into(), None).unwrap();
+        let s = bus.subscribe("t", SubscriptionConfig::default()).unwrap();
+        send(&bus, "t", "m".into()).unwrap();
         let d = s.poll_for(Duration::MAX).unwrap().unwrap();
         assert_eq!(d.message, "m");
-        // A timeout that long never runs out: the delivery stays held.
-        assert!(s.poll().unwrap().is_none());
-        assert_eq!(s.in_flight().unwrap(), 1);
     }
 
     #[test]
@@ -1510,7 +1494,7 @@ mod wake_tests {
         let (broker, bus) = setup();
         let s = bus.subscribe("t", SubscriptionConfig::default()).unwrap();
         let t = park_for(&broker, &s, 1, Duration::MAX);
-        bus.publish("t", "m".into(), None).unwrap();
+        send(&bus, "t", "m".into()).unwrap();
         assert_eq!(woken(t).message, "m");
     }
 
@@ -1522,8 +1506,8 @@ mod wake_tests {
         let b = bus.subscribe_group("t", "workers", cfg).unwrap();
         let ta = park(&broker, &a, 1);
         let tb = park(&broker, &b, 2);
-        bus.publish("t", "m0".into(), None).unwrap();
-        bus.publish("t", "m1".into(), None).unwrap();
+        send(&bus, "t", "m0".into()).unwrap();
+        send(&bus, "t", "m1".into()).unwrap();
         let mut got = vec![woken(ta).message, woken(tb).message];
         got.sort();
         assert_eq!(got, ["m0", "m1"]);
@@ -1532,13 +1516,10 @@ mod wake_tests {
     #[test]
     fn nack_and_detach_still_wake_a_parked_peer() {
         let (broker, bus) = setup();
-        let cfg = SubscriptionConfig {
-            max_attempts: 5,
-            ..Default::default()
-        };
+        let cfg = SubscriptionConfig::default();
         let holder = bus.subscribe_group("t", "workers", cfg).unwrap();
         let peer = bus.subscribe_group("t", "workers", cfg).unwrap();
-        bus.publish("t", "job".into(), None).unwrap();
+        send(&bus, "t", "job".into()).unwrap();
 
         // nack: the delivery returns to the queue the peer waits on.
         let held = holder.poll().unwrap().unwrap();
@@ -1561,7 +1542,6 @@ mod wake_tests {
 #[cfg(test)]
 mod race_tests {
     use super::*;
-    use crate::driver::Bus;
 
     #[test]
     fn waiting_poll_errors_after_concurrent_unsubscribe() {
@@ -1585,7 +1565,7 @@ mod race_tests {
         b.create_topic("t");
         let s1 = b.subscribe("t", SubscriptionConfig::default()).unwrap();
         let s2 = b.subscribe("t", SubscriptionConfig::default()).unwrap();
-        b.publish("t", 1, None).unwrap();
+        send(&b, "t", 1).unwrap();
         let d1 = s1.poll().unwrap().unwrap();
         // s2 cannot ack or nack s1's delivery.
         assert!(s2.ack(d1.delivery_id).is_err());
@@ -1597,15 +1577,12 @@ mod race_tests {
     fn competing_pollers_never_share_a_delivery() {
         let b: Bus<u64> = Bus::in_memory();
         b.create_topic("t");
-        let cfg = SubscriptionConfig {
-            capacity: 10_000,
-            ..Default::default()
-        };
+        let cfg = SubscriptionConfig::default();
         let subs: Vec<_> = (0..4)
             .map(|_| b.subscribe_group("t", "workers", cfg).unwrap())
             .collect();
         for i in 0..1_000u64 {
-            b.publish("t", i, None).unwrap();
+            send(&b, "t", i).unwrap();
         }
         let mut threads = Vec::new();
         for s in subs {

@@ -1,39 +1,13 @@
-//! The [`Bus`] facade over the one broker, and what a publish passes
-//! and gets back.
-//!
-//! The broker ([`crate::broker`]) does its work in nine methods:
-//!
-//! | verb | what it does |
-//! |---|---|
-//! | `create_topic` | declare a topic (idempotent) |
-//! | `attach` / `detach` | join / leave a delivery group |
-//! | `close` | route no later publish to a member's group |
-//! | `publish_opts` | route one message to every group of a topic |
-//! | `poll(id, wait)` | take the next delivery, waiting up to `wait` |
-//! | `ack` / `nack` | retire a delivery / send it round again |
-//! | `snapshot` | the counters introspection reads, at one instant |
-//!
-//! Everything else callers see — [`Bus::stats`], a handle's `backlog`,
-//! the controller's `bus_dead_letters` — is a one-line read of the
-//! snapshot, or of the dead-letter queue, written once here. Every
-//! method is a plain blocking call: no async runtime enters the
+//! What a publish passes and gets back ([`PublishOptions`],
+//! [`PublishOutcome`]) and what a member reads of its delivery group
+//! ([`GroupSnapshot`]). The verbs themselves are [`crate::Bus`]'s and
+//! [`crate::SubscriberHandle`]'s own methods, over the one broker state;
+//! every method is a plain blocking call: no async runtime enters the
 //! platform.
-//!
-//! Delivery follows the competing-consumer model: a subscription
-//! attaches to a *delivery group* (solo by default, shared when a group
-//! name is given), each message is delivered to exactly one member of
-//! each group, and an unacknowledged delivery returns to the queue —
-//! via nack, visibility timeout, or member detach — until its attempt
-//! budget is spent and it dead-letters.
-
-use std::sync::Arc;
 
 use css_trace::TraceContext;
-use css_types::{CssResult, SubscriptionId};
 
-use crate::broker::{Broker, SubscriptionConfig};
-use crate::stats::{BrokerStats, SubscriptionStats};
-use crate::subscription::{DeadLetter, SubscriberHandle};
+use crate::stats::SubscriptionStats;
 
 /// Per-publish options: an idempotency key and an optional trace.
 ///
@@ -90,28 +64,8 @@ impl PublishOutcome {
     }
 }
 
-/// The broker's counters and topics at one instant ([`Bus::snapshot`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BusSnapshot {
-    /// Broker-wide counters.
-    pub stats: BrokerStats,
-    /// Declared topics, sorted, each with its active member
-    /// subscriptions across all of its groups.
-    pub topics: Vec<(String, usize)>,
-    /// The asked-for member's delivery group; `None` when no member
-    /// was named or the subscription is gone.
-    pub group: Option<GroupSnapshot>,
-}
-
-impl BusSnapshot {
-    /// Active member subscriptions of `topic`; `None` if undeclared.
-    pub fn members_of(&self, topic: &str) -> Option<usize> {
-        let found = self.topics.iter().find(|(name, _)| name == topic);
-        found.map(|(_, members)| *members)
-    }
-}
-
-/// One delivery group as a member sees it.
+/// One delivery group as a member sees it
+/// ([`crate::SubscriberHandle::group`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GroupSnapshot {
     /// Messages queued for the group (excluding in-flight).
@@ -122,149 +76,11 @@ pub struct GroupSnapshot {
     pub stats: SubscriptionStats,
 }
 
-/// Handle to the platform's broker.
-///
-/// This is what the platform wires through: cheap to clone, every clone
-/// sharing the one in-memory broker. It hands out typed
-/// [`SubscriberHandle`]s, convenience publish methods and one-line
-/// reads of the broker's snapshot.
-///
-/// Subscriptions attach to **delivery groups**. [`Bus::subscribe`]
-/// creates a private group (classic fan-out: every such subscription
-/// sees every message); [`Bus::subscribe_group`] joins the named group
-/// on that topic, whose members *compete*: each message goes to exactly
-/// one member, load-balanced by pull.
-///
-/// Delivery state machine, per message and group:
-///
-/// ```text
-///   queued --poll--> in-flight --ack-----------------> done
-///                        |
-///                        +--nack (attempts left)-----> queued (at the head)
-///                        +--visibility timeout-------> queued (at the head)
-///                        +--member detach------------> queued (at the head)
-///                        +--nack/timeout, no attempts
-///                               left ----------------> dead-letter queue
-/// ```
-///
-/// Deliveries that return to the queue together (a detach, the
-/// timeouts one poll finds expired) keep their publish order: the
-/// oldest is at the head.
-pub struct Bus<M: Clone + Send + 'static> {
-    pub(crate) broker: Arc<Broker<M>>,
-}
-
-impl<M: Clone + Send + 'static> Clone for Bus<M> {
-    fn clone(&self) -> Self {
-        Bus {
-            broker: Arc::clone(&self.broker),
-        }
-    }
-}
-
-impl<M: Clone + Send + 'static> Bus<M> {
-    /// A bus over a broker recording into instruments of its own.
-    pub fn in_memory() -> Self {
-        Bus {
-            broker: Arc::new(Broker::new()),
-        }
-    }
-
-    /// A bus recording `bus.*` telemetry into `registry`.
-    pub fn in_memory_with_telemetry(registry: &css_telemetry::MetricsRegistry) -> Self {
-        Bus {
-            broker: Arc::new(Broker::with_telemetry(registry)),
-        }
-    }
-
-    /// Declare a topic. Idempotent.
-    pub fn create_topic(&self, name: &str) {
-        self.broker.create_topic(name);
-    }
-
-    /// Subscribe to a topic in a private delivery group (fan-out).
-    pub fn subscribe(
-        &self,
-        topic: &str,
-        config: SubscriptionConfig,
-    ) -> CssResult<SubscriberHandle<M>> {
-        let id = self.broker.attach(topic, None, config)?;
-        Ok(SubscriberHandle::new(Arc::clone(&self.broker), id))
-    }
-
-    /// Join the named competing-consumer group on `topic`.
-    pub fn subscribe_group(
-        &self,
-        topic: &str,
-        group: &str,
-        config: SubscriptionConfig,
-    ) -> CssResult<SubscriberHandle<M>> {
-        let id = self.broker.attach(topic, Some(group), config)?;
-        Ok(SubscriberHandle::new(Arc::clone(&self.broker), id))
-    }
-
-    /// Route no later publish to this subscription's delivery group.
-    /// What the group already holds stays with it: its members still
-    /// poll, ack and nack it, and [`SubscriberHandle::unsubscribe`]
-    /// still removes them. A named group gives its name up: the next
-    /// member to join that name starts a fresh group. Idempotent, and a
-    /// detached subscription is already closed. (How a subscription
-    /// whose authorisation ended stops receiving without losing what
-    /// was published to it while it held one.)
-    pub fn close(&self, id: SubscriptionId) -> CssResult<()> {
-        self.broker.close(id)
-    }
-
-    /// Publish a message to every delivery group of `topic`, with full
-    /// options (dedup key, trace).
-    ///
-    /// A single full group queue fails the whole publish *before* any
-    /// enqueue (all-or-nothing back-pressure); a rejected publish does
-    /// not consume its dedup key.
-    pub fn publish_opts(
-        &self,
-        topic: &str,
-        message: M,
-        opts: PublishOptions<'_>,
-    ) -> CssResult<PublishOutcome> {
-        self.broker.publish_opts(topic, message, opts)
-    }
-
-    /// Publish a message, returning the number of delivery groups it
-    /// was enqueued for. Optionally continues `ctx`'s trace.
-    pub fn publish(&self, topic: &str, message: M, ctx: Option<&TraceContext>) -> CssResult<usize> {
-        let opts = PublishOptions {
-            trace: ctx,
-            ..PublishOptions::new()
-        };
-        self.publish_opts(topic, message, opts).map(|o| o.routed())
-    }
-
-    /// Counters and topics at one instant.
-    pub fn snapshot(&self) -> BusSnapshot {
-        self.broker.snapshot(None)
-    }
-
-    /// Broker-wide statistics.
-    pub fn stats(&self) -> BrokerStats {
-        self.snapshot().stats
-    }
-
-    /// A copy of the dead-letter queue, in the order messages were
-    /// given up on.
-    pub fn dead_letters(&self) -> Vec<DeadLetter<M>> {
-        self.broker.dead_letters()
-    }
-
-    /// Active member subscriptions across all groups of a topic.
-    pub fn subscriber_count(&self, topic: &str) -> usize {
-        self.snapshot().members_of(topic).unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::broker::send;
+    use crate::{Bus, SubscriptionConfig};
 
     #[test]
     fn publish_options_builder_composes() {
@@ -282,18 +98,17 @@ mod tests {
     }
 
     #[test]
-    fn bus_facade_routes_through_the_driver() {
+    fn a_bus_routes_a_publish_to_its_subscriber() {
         let bus: Bus<u32> = Bus::in_memory();
         bus.create_topic("t");
-        assert_eq!(bus.snapshot().members_of("t"), Some(0));
-        assert_eq!(bus.snapshot().members_of("u"), None);
+        assert_eq!(send(&bus, "t", 6).unwrap(), 0);
+        assert!(send(&bus, "u", 6).is_err());
         let sub = bus.subscribe("t", SubscriptionConfig::default()).unwrap();
-        assert_eq!(bus.publish("t", 7, None).unwrap(), 1);
-        assert_eq!(bus.subscriber_count("t"), 1);
+        assert_eq!(send(&bus, "t", 7).unwrap(), 1);
         let d = sub.poll().unwrap().unwrap();
         assert_eq!(d.message, 7);
         sub.ack(d.delivery_id).unwrap();
-        assert_eq!(bus.stats().published, 1);
+        assert_eq!(bus.stats().published, 2);
     }
 
     #[test]
@@ -307,8 +122,8 @@ mod tests {
             .subscribe_group("t", "workers", SubscriptionConfig::default())
             .unwrap();
         // One group → each message routed once, delivered to one member.
-        assert_eq!(bus.publish("t", 1, None).unwrap(), 1);
-        assert_eq!(bus.publish("t", 2, None).unwrap(), 1);
+        assert_eq!(send(&bus, "t", 1).unwrap(), 1);
+        assert_eq!(send(&bus, "t", 2).unwrap(), 1);
         let da = a.poll().unwrap().unwrap();
         let db = b.poll().unwrap().unwrap();
         assert_ne!(da.message, db.message);

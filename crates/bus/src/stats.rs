@@ -9,13 +9,10 @@ pub struct SubscriptionStats {
     pub delivered: u64,
     /// Messages acknowledged.
     pub acked: u64,
-    /// Redeliveries after a nack, visibility timeout, or member detach.
+    /// Redeliveries after a nack or member detach.
     pub redelivered: u64,
     /// Messages moved to the dead-letter queue.
     pub dead_lettered: u64,
-    /// In-flight deliveries returned to the queue by a visibility
-    /// timeout.
-    pub timed_out: u64,
 }
 
 /// Broker-wide counters.
@@ -38,7 +35,7 @@ mod tests {
     #[test]
     fn defaults_are_zero() {
         let s = SubscriptionStats::default();
-        assert_eq!(s.enqueued + s.delivered + s.acked + s.timed_out, 0);
+        assert_eq!(s.enqueued + s.delivered + s.acked + s.dead_lettered, 0);
         let b = BrokerStats::default();
         assert_eq!(b.published + b.rejected + b.fanned_out + b.dedup_dropped, 0);
     }

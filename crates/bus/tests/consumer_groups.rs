@@ -1,6 +1,6 @@
 //! Integration tests of the broker surface: competing consumers,
 //! dead-lettering with trace continuity and publish dedup — exercised
-//! through the public `Bus` facade the platform itself uses.
+//! through the public `Bus` the platform itself uses.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use css_bus::{Bus, PublishOptions, SubscriptionConfig};
+use css_bus::{Bus, PublishOptions, SubscriptionConfig, MAX_ATTEMPTS};
 use css_trace::Tracer;
 use css_types::Timestamp;
 
@@ -58,7 +58,7 @@ fn worker_pool_is_load_balanced_and_exactly_once() {
             })
             .collect();
         for i in 0..MESSAGES {
-            bus.publish("jobs", i, None).unwrap();
+            bus.publish_opts("jobs", i, PublishOptions::new()).unwrap();
         }
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while handled() < MESSAGES && std::time::Instant::now() < deadline {
@@ -92,16 +92,14 @@ fn worker_pool_is_load_balanced_and_exactly_once() {
 // ---- poison messages -------------------------------------------------------
 
 /// A message every member rejects dead-letters after exactly
-/// `max_attempts` tries, keeping the original publish trace and the
+/// `MAX_ATTEMPTS` (3) tries, keeping the original publish trace and the
 /// group name so the failure can be joined back to its causal record.
 #[test]
 fn poison_message_dead_letters_with_original_trace() {
     let broker: Bus<&'static str> = Bus::in_memory();
     broker.create_topic("t");
-    let cfg = SubscriptionConfig {
-        max_attempts: 3,
-        ..Default::default()
-    };
+    assert_eq!(MAX_ATTEMPTS, 3);
+    let cfg = SubscriptionConfig::default();
     let a = broker.subscribe_group("t", "workers", cfg).unwrap();
     let b = broker.subscribe_group("t", "workers", cfg).unwrap();
 
@@ -168,13 +166,10 @@ proptest! {
         let broker: Bus<u64> = Bus::in_memory();
         broker.create_topic("t");
         let subs: Vec<_> = (0..members)
-            .map(|_| broker.subscribe_group("t", "g", SubscriptionConfig {
-                capacity: 1 << 10,
-                ..Default::default()
-            }).unwrap())
+            .map(|_| broker.subscribe_group("t", "g", SubscriptionConfig::default()).unwrap())
             .collect();
         for i in 0..messages {
-            broker.publish("t", i, None).unwrap();
+            broker.publish_opts("t", i, PublishOptions::new()).unwrap();
         }
         let mut seen: HashMap<u64, usize> = HashMap::new();
         loop {

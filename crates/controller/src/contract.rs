@@ -29,6 +29,15 @@ impl ParticipantRole {
     pub fn can_consume(self) -> bool {
         matches!(self, ParticipantRole::Consumer | ParticipantRole::Both)
     }
+
+    /// The role allowing what either role allows.
+    fn widened(self, other: ParticipantRole) -> ParticipantRole {
+        if self == other {
+            self
+        } else {
+            ParticipantRole::Both
+        }
+    }
 }
 
 /// A signed contract between a participant and the data controller.
@@ -54,8 +63,12 @@ impl ContractRegistry {
         Self::default()
     }
 
-    /// Record a signed contract. Re-signing upgrades the role.
-    pub fn sign(&mut self, contract: ParticipantContract) {
+    /// Record a signed contract. Re-signing widens the role: a producer
+    /// that signs again as a consumer holds both.
+    pub fn sign(&mut self, mut contract: ParticipantContract) {
+        if let Some(held) = self.contracts.get(&contract.actor) {
+            contract.role = held.role.widened(contract.role);
+        }
         self.contracts.insert(contract.actor, contract);
     }
 
@@ -106,6 +119,17 @@ mod tests {
         assert!(ParticipantRole::Producer.can_produce());
         assert!(!ParticipantRole::Producer.can_consume());
         assert!(ParticipantRole::Both.can_produce() && ParticipantRole::Both.can_consume());
+        use ParticipantRole::{Both, Consumer, Producer};
+        for (held, signed, widened) in [
+            (Producer, Producer, Producer),
+            (Producer, Consumer, Both),
+            (Consumer, Producer, Both),
+            (Consumer, Consumer, Consumer),
+            (Both, Producer, Both),
+            (Consumer, Both, Both),
+        ] {
+            assert_eq!(held.widened(signed), widened, "{held:?} + {signed:?}");
+        }
     }
 
     #[test]

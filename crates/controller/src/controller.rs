@@ -320,7 +320,9 @@ impl<B: LogBackend> DataController<B> {
 
     /// Sign a participation contract for a (top-level) actor. The
     /// signature is audited before it is in force: a contract whose
-    /// record cannot be written is not signed.
+    /// record cannot be written is not signed. Signing again widens the
+    /// contract: a producer that signs as a consumer holds
+    /// [`ParticipantRole::Both`].
     pub fn sign_contract(&self, actor: ActorId, role: ParticipantRole) -> CssResult<()> {
         if self.actors.read().get(actor).is_none() {
             return Err(CssError::NotFound(format!("actor {actor} not registered")));
@@ -334,6 +336,11 @@ impl<B: LogBackend> DataController<B> {
             signed_at: now,
         });
         Ok(())
+    }
+
+    /// The contract `actor` signed, if any.
+    pub fn contract(&self, actor: ActorId) -> Option<ParticipantContract> {
+        self.contracts.read().get(actor).copied()
     }
 
     /// Connect a producer's gateway endpoint.

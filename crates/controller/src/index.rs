@@ -510,7 +510,8 @@ impl<B: LogBackend> EventsIndex<B> {
     /// exists, then notified-markers, so markers resolve regardless of
     /// which backend they were read off. A second entry for an event
     /// already replayed, on any backend, fails the open: an event is
-    /// indexed once.
+    /// indexed once. So does a marker for an event no shard holds, as
+    /// a live [`EventsIndex::mark_notified`] refuses to write one.
     pub(crate) fn open_all(
         master_key: &[u8],
         backends: Vec<B>,
@@ -549,11 +550,14 @@ impl<B: LogBackend> EventsIndex<B> {
             }
             shards[owner(&tag)].link_entry(tag, entry);
         }
-        // Markers for unknown events are silently skipped.
         for (event, actor) in markers {
-            if let Some(entry) = shards.iter_mut().find_map(|shard| shard.locate_mut(event)) {
-                entry.notified.insert(actor);
-            }
+            let entry = shards.iter_mut().find_map(|shard| shard.locate_mut(event));
+            let entry = entry.ok_or_else(|| {
+                CssError::Storage(format!(
+                    "index log marks event {event} notified, but holds no entry for it"
+                ))
+            })?;
+            entry.notified.insert(actor);
         }
         Ok(shards)
     }
@@ -1185,6 +1189,43 @@ mod tests {
         let idx = EventsIndex::open(key, backend(&[&bytes, marker, marker])).unwrap();
         assert_eq!(idx.len(), 1);
         assert_eq!(idx.events_of_person(PersonId(7)), vec![GlobalEventId(1)]);
+        assert!(idx.was_notified(GlobalEventId(1), ActorId(5)));
+    }
+
+    /// A notified-marker for an event no shard holds fails the open and
+    /// names the event: a valid-CRC marker frame spliced into a log
+    /// that never indexed its event.
+    #[test]
+    fn a_marker_for_an_event_in_no_shard_fails_the_open() {
+        let key = b"controller master key";
+        let log_of = |id: u64| {
+            let mut idx = index();
+            idx.insert(&notif(id, 7, "x"), SourceEventId(id), HashSet::new())
+                .unwrap();
+            let entry_len = idx.storage.byte_len() as usize;
+            idx.mark_notified(&[GlobalEventId(id)], ActorId(5)).unwrap();
+            let log = idx.storage.into_backend();
+            let bytes = log.read_at(0, log.len() as usize).unwrap();
+            (bytes[..entry_len].to_vec(), bytes[entry_len..].to_vec())
+        };
+        let (entry_1, marker_1) = log_of(1);
+        let (_, marker_2) = log_of(2);
+        let mut spliced = MemBackend::new();
+        for part in [&entry_1, &marker_1, &marker_2] {
+            spliced.append(part).unwrap();
+        }
+        match EventsIndex::open(key, spliced) {
+            Err(CssError::Storage(m)) => {
+                assert!(m.contains("evt-00000002") && m.contains("notified"), "{m}");
+            }
+            other => panic!("opened: {:?}", other.map(|idx| idx.len())),
+        }
+        // The same log without the stray marker opens.
+        let mut whole = MemBackend::new();
+        for part in [&entry_1, &marker_1] {
+            whole.append(part).unwrap();
+        }
+        let idx = EventsIndex::open(key, whole).unwrap();
         assert!(idx.was_notified(GlobalEventId(1), ActorId(5)));
     }
 

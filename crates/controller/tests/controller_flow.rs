@@ -509,6 +509,26 @@ fn contracts_gate_every_role() {
     ));
 }
 
+/// Signing again in another capacity widens the contract: a producer
+/// that signs as a consumer passes the producer and the consumer check.
+#[test]
+fn a_second_signature_widens_the_contract() {
+    let w = setup();
+    let c = &w.controller;
+    c.sign_contract(GOVERNANCE, ParticipantRole::Producer)
+        .unwrap();
+    c.sign_contract(GOVERNANCE, ParticipantRole::Consumer)
+        .unwrap();
+    // The producer check: governance declares a class of its own.
+    let schema = EventSchema::new(EventTypeId::v1("census"), "Census", GOVERNANCE);
+    c.declare_event_class(&schema, None).unwrap();
+    // The consumer check: governance inquires the index.
+    assert!(c
+        .inquire_by_person(GOVERNANCE, PersonId(42))
+        .unwrap()
+        .is_empty());
+}
+
 #[test]
 fn audit_trail_is_complete_and_verifiable() {
     let mut w = setup();

@@ -24,8 +24,8 @@ pub struct Delivered {
     /// hand it to `ProcessMonitor::feed_traced` to join monitoring KPIs
     /// back to span trees and audit records.
     pub trace: Option<TraceId>,
-    /// 1-based delivery attempt (greater than one after a nack,
-    /// visibility timeout, or worker detach redelivered the message).
+    /// 1-based delivery attempt (greater than one after a nack or a
+    /// worker detach redelivered the message).
     pub attempt: u32,
     /// Publish order within the delivery group (stable across
     /// redeliveries).

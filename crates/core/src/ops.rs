@@ -36,8 +36,8 @@ use crate::provider::BackendProvider;
 /// Bus backlog that merits operator attention.
 const BUS_QUEUE_DEPTH_DEGRADED: i64 = 10_000;
 /// Unacked in-flight deliveries past which consumers are stalling:
-/// messages are being handed out but neither acked nor nacked, so
-/// visibility timeouts (and redelivery churn) are imminent.
+/// messages are being handed out but neither acked nor nacked, and a
+/// held delivery waits until its holder acks, nacks or leaves.
 const BUS_INFLIGHT_DEGRADED: i64 = 1_000;
 /// Lifetime p99 delivery lag past which the bus is degraded.
 const BUS_DELIVER_P99_CEILING_NS: u64 = 5_000_000; // 5 ms

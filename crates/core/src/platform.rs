@@ -322,8 +322,6 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
             controller,
             gateways: HashMap::new(),
             pending,
-            roles: HashMap::new(),
-            src_gens: HashMap::new(),
             actor_gen: IdGenerator::default(),
             identity: IdentityManager::new(b"css-identity-master"),
             identity_enforced: false,
@@ -341,10 +339,10 @@ impl<P: BackendProvider> CssPlatformBuilder<P> {
 /// repository) + producer gateways + pending-request queue.
 pub struct CssPlatform<P: BackendProvider = MemoryProvider> {
     controller: SharedController<P>,
-    gateways: HashMap<ActorId, SharedGateway<PlatformBackend<P>>>,
+    /// Each joined producer's gateway and the generator of its source
+    /// event ids.
+    gateways: HashMap<ActorId, (SharedGateway<PlatformBackend<P>>, Arc<IdGenerator>)>,
     pending: SharedPending,
-    roles: HashMap<ActorId, (bool, bool)>, // (produces, consumes)
-    src_gens: HashMap<ActorId, Arc<IdGenerator>>,
     actor_gen: IdGenerator,
     identity: IdentityManager,
     identity_enforced: bool,
@@ -461,31 +459,18 @@ impl<P: BackendProvider> CssPlatform<P> {
 
     // ---- onboarding ------------------------------------------------------
 
-    fn sign(&mut self, actor: ActorId, produce: bool, consume: bool) -> CssResult<()> {
-        let entry = self.roles.entry(actor).or_insert((false, false));
-        entry.0 |= produce;
-        entry.1 |= consume;
-        let role = match *entry {
-            (true, true) => ParticipantRole::Both,
-            (true, false) => ParticipantRole::Producer,
-            (false, true) => ParticipantRole::Consumer,
-            (false, false) => unreachable!("at least one role requested"),
-        };
-        self.controller.sign_contract(actor, role)
-    }
-
     /// Sign a contract for an organization in the given capacity.
     /// Joining as [`Role::Producer`] (or [`Role::Both`]) also stands up
     /// the organization's Local Cooperation Gateway. Joining again in
     /// another capacity widens the contract.
     pub fn join(&mut self, actor: ActorId, role: Role) -> CssResult<()> {
-        let (produce, consume) = match role {
-            Role::Producer => (true, false),
-            Role::Consumer => (false, true),
-            Role::Both => (true, true),
+        let role = match role {
+            Role::Producer => ParticipantRole::Producer,
+            Role::Consumer => ParticipantRole::Consumer,
+            Role::Both => ParticipantRole::Both,
         };
-        self.sign(actor, produce, consume)?;
-        if produce {
+        self.controller.sign_contract(actor, role)?;
+        if role.can_produce() {
             self.ensure_gateway(actor)?;
         }
         Ok(())
@@ -512,9 +497,8 @@ impl<P: BackendProvider> CssPlatform<P> {
             .unwrap_or(1);
         self.controller
             .register_gateway(actor, Box::new(gateway.clone()));
-        self.gateways.insert(actor, gateway);
-        self.src_gens
-            .insert(actor, Arc::new(IdGenerator::starting_at(next_src)));
+        let src_gen = Arc::new(IdGenerator::starting_at(next_src));
+        self.gateways.insert(actor, (gateway, src_gen));
         Ok(())
     }
 
@@ -538,7 +522,7 @@ impl<P: BackendProvider> CssPlatform<P> {
 
     /// Issue (or rotate) the credential for a contracted actor.
     pub fn issue_credential(&mut self, actor: ActorId) -> CssResult<Credential> {
-        if !self.roles.contains_key(&actor) {
+        if self.controller.contract(actor).is_none() {
             return Err(CssError::NoContract(format!(
                 "{actor} has not joined the platform"
             )));
@@ -580,21 +564,15 @@ impl<P: BackendProvider> CssPlatform<P> {
     }
 
     fn producer_unchecked(&self, actor: ActorId) -> CssResult<ProducerHandle<P>> {
-        let gateway = self
+        let (gateway, src_gen) = self
             .gateways
             .get(&actor)
-            .ok_or_else(|| CssError::NoContract(format!("{actor} has not joined as producer")))?
-            .clone();
-        let src_gen = self
-            .src_gens
-            .get(&actor)
-            .expect("created with gateway")
-            .clone();
+            .ok_or_else(|| CssError::NoContract(format!("{actor} has not joined as producer")))?;
         Ok(ProducerHandle::new(
             self.controller.clone(),
             self.pending.clone(),
-            gateway,
-            src_gen,
+            gateway.clone(),
+            src_gen.clone(),
             actor,
         ))
     }
@@ -616,8 +594,8 @@ impl<P: BackendProvider> CssPlatform<P> {
             .actors()
             .organization_of(actor)
             .ok_or_else(|| CssError::NotFound(format!("actor {actor} not registered")))?;
-        match self.roles.get(&org) {
-            Some((_, true)) => Ok(ConsumerHandle::new(
+        match self.controller.contract(org) {
+            Some(contract) if contract.role.can_consume() => Ok(ConsumerHandle::new(
                 self.controller.clone(),
                 self.pending.clone(),
                 actor,

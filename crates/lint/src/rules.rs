@@ -200,7 +200,6 @@ const LAYERS: &[(&str, u8)] = &[
     ("css-registry", 3),
     ("css-audit", 3),
     ("css-gateway", 3),
-    ("css-monitor", 3),
     ("css-health", 3),
     ("css-controller", 4),
     ("css-core", 5),

@@ -177,7 +177,7 @@ fn layering_fires_on_upward_dep_and_clean_passes() {
     );
 }
 
-/// css-monitor sits on layer 3 beside css-health: a production dep on
+/// css-audit sits on layer 3 beside css-health: a production dep on
 /// a same-layer sibling must fire, while the lower-layer-only manifest
 /// (with the sibling as a dev-dependency) must pass.
 #[test]
@@ -192,7 +192,7 @@ fn layering_constrains_same_layer_siblings() {
         .collect();
     assert_eq!(hits.len(), 1, "{:#?}", report.findings);
     assert!(hits[0].message.contains("css-health"), "{hits:#?}");
-    assert!(hits[0].file.contains("monitor"), "{hits:#?}");
+    assert!(hits[0].file.contains("audit"), "{hits:#?}");
 
     let report = lint_workspace(&base.join("sibling_clean")).expect("lint sibling_clean");
     assert!(

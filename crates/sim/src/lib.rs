@@ -19,11 +19,19 @@
 //!   process the paper's monitoring targets;
 //! - [`baseline`]: the two comparators used by experiments E1 and E8 —
 //!   **point-to-point document exchange** (the pre-CSS world of Fig. 1)
-//!   and **full-push pub/sub** (no two-phase privacy layer).
+//!   and **full-push pub/sub** (no two-phase privacy layer);
+//! - [`monitor`]: care-process monitoring over the notification stream
+//!   (experiment E14) — process definitions, the monitor that tracks
+//!   one instance per (definition, person), and the KPIs it aggregates.
 
 pub mod baseline;
+// The monitor's parts, reached through `monitor`'s re-exports.
+mod definition;
 pub mod generator;
+mod instance;
+mod kpi;
 pub mod metrics;
+pub mod monitor;
 pub mod pathway;
 pub mod scenario;
 

@@ -1,5 +1,22 @@
-//! The monitor: feeds on notifications, advances instances, detects
-//! violations.
+//! Care-process monitoring over notification streams.
+//!
+//! The CSS project exists "to monitor, control and trace the clinical
+//! and assistive processes" that span multiple institutions (Section 1).
+//! This module is that monitoring layer. Its defining property — and
+//! the point the paper's privacy design makes possible — is that it
+//! operates **exclusively on notification messages**: the *who / what /
+//! when / where* summaries that carry no sensitive payload. A process
+//! monitor therefore needs no privacy policy grants beyond notification
+//! visibility.
+//!
+//! - [`ProcessDefinition`]: the expected step sequence of a care
+//!   pathway (event class per step, optional deadline from the previous
+//!   step, optional steps);
+//! - [`ProcessMonitor`]: consumes notifications, tracks one
+//!   [`ProcessInstance`] per (definition, person), advances steps,
+//!   flags deadline violations and unexpected regressions;
+//! - [`Kpis`]: the aggregate view the governing body wants — completion
+//!   rates, step latencies, violations by kind.
 
 use std::collections::HashMap;
 
@@ -7,9 +24,10 @@ use css_event::NotificationMessage;
 use css_trace::TraceId;
 use css_types::{PersonId, Timestamp};
 
-use crate::definition::ProcessDefinition;
-use crate::instance::{InstanceStatus, ProcessInstance, StepRecord, Violation};
-use crate::kpi::Kpis;
+pub use crate::definition::{ProcessDefinition, Step};
+use crate::instance::StepRecord;
+pub use crate::instance::{InstanceStatus, ProcessInstance, Violation};
+pub use crate::kpi::Kpis;
 
 /// Tracks process instances across the notification stream.
 ///

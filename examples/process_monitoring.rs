@@ -8,8 +8,8 @@
 //! sensitive payloads — which is exactly what the paper's two-phase
 //! design makes possible: process visibility without data disclosure.
 
-use css::monitor::{InstanceStatus, ProcessDefinition, ProcessMonitor};
 use css::prelude::*;
+use css::sim::monitor::{InstanceStatus, ProcessDefinition, ProcessMonitor};
 use css::sim::{run_pathway, Scenario, ScenarioConfig};
 
 fn main() -> CssResult<()> {

@@ -15,7 +15,6 @@ pub use css_crypto as crypto;
 pub use css_event as event;
 pub use css_gateway as gateway;
 pub use css_health as health;
-pub use css_monitor as monitor;
 pub use css_policy as policy;
 pub use css_registry as registry;
 pub use css_sim as sim;

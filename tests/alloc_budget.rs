@@ -467,18 +467,18 @@ fn inquiry_allocations_grow_only_by_what_it_returns() {
 /// Heap blocks a subscriber's `backlog` and the bus's `stats` each ask
 /// for per call, on a bus holding `dead` dead letters.
 fn counter_reads_beside_dead_letters(dead: u64) -> (u64, u64) {
-    use css::bus::{Bus, SubscriptionConfig};
+    use css::bus::{Bus, PublishOptions, SubscriptionConfig, MAX_ATTEMPTS};
     let bus: Bus<Arc<String>> = Bus::in_memory();
     bus.create_topic("t");
-    let one_try = SubscriptionConfig {
-        max_attempts: 1,
-        ..SubscriptionConfig::default()
-    };
-    let sub = bus.subscribe("t", one_try).unwrap();
+    let sub = bus.subscribe("t", SubscriptionConfig::default()).unwrap();
     for i in 0..dead {
-        bus.publish("t", Arc::new(i.to_string()), None).unwrap();
-        let d = sub.poll().unwrap().unwrap();
-        sub.nack(d.delivery_id).unwrap();
+        let message = Arc::new(i.to_string());
+        bus.publish_opts("t", message, PublishOptions::new())
+            .unwrap();
+        for _ in 0..MAX_ATTEMPTS {
+            let d = sub.poll().unwrap().unwrap();
+            sub.nack(d.delivery_id).unwrap();
+        }
     }
     assert_eq!(bus.dead_letters().len() as u64, dead);
     let backlog = allocations_per_op(|_| (), |()| assert_eq!(sub.backlog().unwrap(), 0));

@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use css::bus::{Bus, SubscriptionConfig};
+use css::bus::{Bus, PublishOptions, SubscriptionConfig};
 use css::prelude::*;
 
 fn build_platform() -> (Arc<CssPlatform>, ActorId, ActorId, SimClock) {
@@ -141,7 +141,10 @@ fn dispatcher_fleet_processes_fanout() {
                 let broker = broker.clone();
                 scope.spawn(move || {
                     for i in 0..100 {
-                        broker.publish("events", t * 100 + i, None).unwrap();
+                        let message = t * 100 + i;
+                        broker
+                            .publish_opts("events", message, PublishOptions::new())
+                            .unwrap();
                     }
                 })
             })

@@ -2,8 +2,8 @@
 //! works on notifications alone, and the monitor's view matches what the
 //! pathway generator actually produced.
 
-use css::monitor::{InstanceStatus, ProcessDefinition, ProcessMonitor, Step};
 use css::prelude::*;
+use css::sim::monitor::{InstanceStatus, ProcessDefinition, ProcessMonitor, Step};
 use css::sim::{run_pathway, Scenario, ScenarioConfig};
 
 #[test]

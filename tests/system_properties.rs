@@ -4,9 +4,9 @@
 
 use proptest::prelude::*;
 
-use css::bus::{Bus, SubscriptionConfig};
+use css::bus::{Bus, PublishOptions, SubscriptionConfig};
 use css::controller::{ConsentDecision, ConsentRegistry, ConsentScope};
-use css::monitor::{ProcessDefinition, ProcessMonitor, Step};
+use css::sim::monitor::{ProcessDefinition, ProcessMonitor, Step};
 use css::storage::{KvStore, MemBackend};
 use css::types::{ActorId, EventTypeId, PersonId, Timestamp};
 
@@ -16,12 +16,9 @@ proptest! {
     fn bus_preserves_publish_order(messages in proptest::collection::vec(any::<u32>(), 0..100)) {
         let broker: Bus<u32> = Bus::in_memory();
         broker.create_topic("t");
-        let sub = broker.subscribe("t", SubscriptionConfig {
-            capacity: 1 << 10,
-            ..Default::default()
-        }).unwrap();
+        let sub = broker.subscribe("t", SubscriptionConfig::default()).unwrap();
         for m in &messages {
-            broker.publish("t", *m, None).unwrap();
+            broker.publish_opts("t", *m, PublishOptions::new()).unwrap();
         }
         prop_assert_eq!(sub.drain().unwrap(), messages);
     }
@@ -35,13 +32,10 @@ proptest! {
         let broker: Bus<usize> = Bus::in_memory();
         broker.create_topic("t");
         let subs: Vec<_> = (0..subscribers)
-            .map(|_| broker.subscribe("t", SubscriptionConfig {
-                capacity: 1 << 12,
-                ..Default::default()
-            }).unwrap())
+            .map(|_| broker.subscribe("t", SubscriptionConfig::default()).unwrap())
             .collect();
         for i in 0..publishes {
-            broker.publish("t", i, None).unwrap();
+            broker.publish_opts("t", i, PublishOptions::new()).unwrap();
         }
         let mut acked = 0u64;
         for s in &subs {
@@ -141,7 +135,7 @@ proptest! {
             });
         }
         if let Some(inst) = monitor.instance("p", PersonId(1)) {
-            let completed = inst.status == css::monitor::InstanceStatus::Completed;
+            let completed = inst.status == css::sim::monitor::InstanceStatus::Completed;
             let has_all = (0..3).all(|s| inst.history.iter().any(|r| r.step == s));
             prop_assert!(!completed || has_all, "completed without all steps: {inst:?}");
         }
