@@ -8,8 +8,9 @@ use std::collections::HashMap;
 
 use css_types::{ActorId, CssError, CssResult, Timestamp};
 
-/// The role(s) a participant signed up for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The role(s) a participant signed up for: the capacity it joins the
+/// platform in (`css_core::Role` is this type).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParticipantRole {
     /// May declare event classes and publish events.
     Producer,
@@ -98,16 +99,6 @@ impl ContractRegistry {
             None => Err(CssError::NoContract(format!("{actor} has no contract"))),
         }
     }
-
-    /// Number of signed contracts.
-    pub fn len(&self) -> usize {
-        self.contracts.len()
-    }
-
-    /// Whether no contracts exist.
-    pub fn is_empty(&self) -> bool {
-        self.contracts.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -150,6 +141,6 @@ mod tests {
             signed_at: Timestamp(1),
         });
         assert!(reg.require_producer(ActorId(1)).is_ok());
-        assert_eq!(reg.len(), 1);
+        assert_eq!(reg.get(ActorId(1)).unwrap().role, ParticipantRole::Both);
     }
 }

@@ -39,7 +39,6 @@ use crate::consent::{ConsentDecision, ConsentRegistry, ConsentScope};
 use crate::contract::{ContractRegistry, ParticipantContract, ParticipantRole};
 use crate::gateway_client::GatewayClient;
 use crate::journal;
-use crate::pep::PolicyEnforcementPoint;
 use crate::shards::IndexShards;
 
 /// Which events an index inquiry considers.
@@ -177,28 +176,28 @@ pub struct PublishReceipt {
 /// memory and deployments on disk. All methods take `&self`; share a
 /// controller between threads with `Arc<DataController<_>>`.
 pub struct DataController<B: LogBackend> {
-    actors: RwLock<ActorRegistry>,
+    pub(crate) actors: RwLock<ActorRegistry>,
     contracts: RwLock<ContractRegistry>,
     catalog: RwLock<EventCatalog>,
     /// Payload-blind and handed a pointer: every queue entry, delivery
     /// and dead-lettered message of one publish is the one notification
     /// that publish built.
     bus: Bus<Arc<NotificationMessage>>,
-    index: IndexShards<B>,
+    pub(crate) index: IndexShards<B>,
     /// Orders the control changes (see [`crate::journal`]): a policy
     /// define or revoke or a consent change commits its audit record and
     /// applies under it, so journal order is apply order.
     control: Mutex<()>,
-    pdp: RwLock<PolicyDecisionPoint>,
-    consent: RwLock<ConsentRegistry>,
-    audit: AuditShards<B>,
-    gateways: RwLock<HashMap<ActorId, Arc<dyn GatewayClient>>>,
+    pub(crate) pdp: RwLock<PolicyDecisionPoint>,
+    pub(crate) consent: RwLock<ConsentRegistry>,
+    pub(crate) audit: AuditShards<B>,
+    pub(crate) gateways: RwLock<HashMap<ActorId, Arc<dyn GatewayClient>>>,
     /// What a publish needs to route a declared class, written at
     /// declare / subscribe / unsubscribe.
     routes: RwLock<HashMap<EventTypeId, ClassRoute>>,
     clock: Arc<dyn Clock>,
     telemetry: MetricsRegistry,
-    counters: RequestCounters,
+    pub(crate) counters: RequestCounters,
     tracer: Tracer,
     eid_gen: IdGenerator,
     policy_gen: IdGenerator,
@@ -571,10 +570,13 @@ impl<B: LogBackend> DataController<B> {
     /// persisted in the producer's gateway under `src_event_id`.
     ///
     /// `(producer, src_event_id)` doubles as the publish **idempotency
-    /// key**: re-publishing the same source event (a producer retry
-    /// after a timeout, a crash-recovery replay) is dropped by the bus's
-    /// dedup window and reported as [`CssError::AlreadyExists`] instead
-    /// of notifying every consumer twice.
+    /// key**: re-publishing the same source event while its key is in
+    /// the bus's dedup window — the last `DEDUP_WINDOW` (4 096) keys of
+    /// the topic, held in memory — is dropped and reported as
+    /// [`CssError::AlreadyExists`] instead of notifying every consumer
+    /// twice. That covers a producer retry after a timeout, not one
+    /// after a restart: the window starts empty at every open (ROADMAP
+    /// item 18).
     ///
     /// A fresh `publish` root span is minted. The span covers
     /// the consent gate through the audit group commit; `bus.route`,
@@ -935,18 +937,7 @@ impl<B: LogBackend> DataController<B> {
             event_id,
             purpose,
         );
-        let pep = PolicyEnforcementPoint {
-            index: &self.index,
-            pdp: &self.pdp,
-            actors: &self.actors,
-            consent: &self.consent,
-            audit: &self.audit,
-            gateways: &self.gateways,
-            counters: &self.counters,
-            trace: span.context(),
-            now,
-        };
-        let result = pep.get_event_details(&request);
+        let result = self.get_event_details(&request, span.context(), now);
         match &result {
             Ok(_) => {}
             Err(CssError::AccessDenied(_)) | Err(CssError::ConsentWithheld(_)) => {

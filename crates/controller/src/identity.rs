@@ -94,14 +94,6 @@ impl IdentityManager {
     pub fn revoke(&mut self, serial: u64) {
         self.revoked.insert(serial);
     }
-
-    /// Whether the actor currently holds a valid (non-revoked)
-    /// credential.
-    pub fn has_valid_credential(&self, actor: ActorId) -> bool {
-        self.current
-            .get(&actor)
-            .is_some_and(|s| !self.revoked.contains(s))
-    }
 }
 
 #[cfg(test)]
@@ -117,8 +109,6 @@ mod tests {
         let mut m = mgr();
         let cred = m.issue(ActorId(7));
         assert_eq!(m.validate(&cred).unwrap(), ActorId(7));
-        assert!(m.has_valid_credential(ActorId(7)));
-        assert!(!m.has_valid_credential(ActorId(8)));
     }
 
     #[test]
@@ -144,7 +134,6 @@ mod tests {
         let cred = m.issue(ActorId(7));
         m.revoke(cred.serial);
         assert!(m.validate(&cred).is_err());
-        assert!(!m.has_valid_credential(ActorId(7)));
     }
 
     #[test]

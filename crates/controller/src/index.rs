@@ -17,8 +17,9 @@
 //! (HMAC of the person id), holding that citizen's entries in the order
 //! they were indexed, so a per-person inquiry walks one run of entries
 //! and decrypts nothing it does not return. The tag is held once, as
-//! the bucket's key; a by-id locator finds an event's entry for detail
-//! requests, markers and inquiries over id lists.
+//! the bucket's key; the plane's owner table (`owners.rs`) says
+//! where an event's entry lives, for detail requests, markers and
+//! inquiries over id lists.
 //!
 //! The index is **persisted** ([`EventsIndex::open`]): inserts and
 //! notified-markers are appended to a `css-storage` record log, in the
@@ -45,7 +46,9 @@ use css_types::{
     ActorId, CssError, CssResult, EventTypeId, GlobalEventId, PersonId, PersonIdentity,
     SourceEventId, Timestamp,
 };
-use css_xml::{BinarySink, Names, Stored, Token, XmlSink, XmlSource};
+use css_xml::{Attributes, BinarySink, Names, Stored, Token, XmlSink, XmlSource};
+
+use crate::owners::{Claim, OwnerTable};
 
 /// The consumers notified of an event: ascending, each once, searched
 /// by binary search. A fan-out is a handful of consumers, so this is
@@ -201,10 +204,7 @@ impl IndexEntry {
             .try_into()
             .map_err(|_| bad("tag must be 32 bytes".into()))?;
         let notified = notified.into_iter().collect::<CssResult<Notified>>()?;
-        let global_id = attrs
-            .int("eventId")
-            .ok_or_else(|| missing("eventId"))?
-            .map_err(|err| bad(format!("bad eventId: {err}")))?;
+        let global_id = int_attr(&attrs, "eventId", bad)?;
         let event_type =
             EventTypeId::from_canonical(attrs.get("type").ok_or_else(|| missing("type"))?)
                 .map_err(|err| bad(format!("bad type: {err}")))?;
@@ -213,24 +213,30 @@ impl IndexEntry {
             event_type,
             sealed_identity,
             description: description.unwrap_or_default(),
-            occurred_at: Timestamp(
-                attrs
-                    .int("occurredAt")
-                    .ok_or_else(|| missing("occurredAt"))?
-                    .map_err(|err| bad(format!("bad occurredAt: {err}")))?,
-            ),
-            producer: attrs
-                .int("producer")
-                .ok_or_else(|| missing("producer"))?
-                .map_err(|err| bad(format!("bad producer: {err}")))?,
-            src_event_id: attrs
-                .int("srcEventId")
-                .ok_or_else(|| missing("srcEventId"))?
-                .map_err(|err| bad(format!("bad srcEventId: {err}")))?,
+            occurred_at: Timestamp(int_attr(&attrs, "occurredAt", bad)?),
+            producer: int_attr(&attrs, "producer", bad)?,
+            src_event_id: int_attr(&attrs, "srcEventId", bad)?,
             notified,
         };
         Ok((person_tag, entry))
     }
+}
+
+/// Integer attribute `name`, or the error `bad` makes of its absence or
+/// of its text.
+fn int_attr<T, const N: usize>(
+    attrs: &Attributes<'_, N>,
+    name: &str,
+    bad: impl Fn(String) -> CssError,
+) -> CssResult<T>
+where
+    T: std::str::FromStr + From<u64>,
+    T::Err: std::fmt::Display,
+{
+    let value = attrs
+        .int(name)
+        .ok_or_else(|| bad(format!("missing {name}")))?;
+    value.map_err(|err| bad(format!("bad {name}: {err}")))
 }
 
 /// One record of the index log: an entry with the tag it is filed
@@ -267,19 +273,15 @@ impl IndexRecord {
                 IndexEntry::decode(src).map(|(tag, entry)| IndexRecord::Entry(tag, entry))
             }
             "Notified" => {
-                let bad = |msg: &str| CssError::Serialization(format!("Notified marker: {msg}"));
+                let bad = |msg| CssError::Serialization(format!("Notified marker: {msg}"));
                 let (attrs, rest) = src.attributes(["eventId", "actor"])?;
                 src.skip_rest(rest)?;
                 src.finish()?;
-                let event: GlobalEventId = attrs
-                    .int("eventId")
-                    .ok_or_else(|| bad("missing eventId"))?
-                    .map_err(|e| bad(&format!("bad eventId: {e}")))?;
-                let actor: ActorId = attrs
-                    .int("actor")
-                    .ok_or_else(|| bad("missing actor"))?
-                    .map_err(|e| bad(&format!("bad actor: {e}")))?;
-                Ok(IndexRecord::Notified(event, actor))
+                let event = int_attr(&attrs, "eventId", bad)?;
+                Ok(IndexRecord::Notified(
+                    event,
+                    int_attr(&attrs, "actor", bad)?,
+                ))
             }
             other => Err(CssError::Serialization(format!(
                 "unknown index record <{other}>"
@@ -425,17 +427,16 @@ pub enum DetailResolution {
 }
 
 /// The entries a read walks: the bucket of one person tag, in place,
-/// or the entries of listed ids, through the locator (ids not indexed
-/// here are skipped).
+/// or the entries of listed ids, through the owner table (ids not
+/// indexed on this shard are skipped).
 pub(crate) enum Walk<'a> {
     Tagged(&'a [u8; 32]),
     Listed(&'a [GlobalEventId]),
 }
 
-/// The hasher of the locator and the bucket map. Their keys — event ids
-/// and HMAC person tags — are minted by the controller, not chosen by a
-/// caller, so there is no flooding for SipHash to resist: one multiply
-/// per word spreads them.
+/// The hasher of the bucket map. Its keys — HMAC person tags — are
+/// minted by the controller, not chosen by a caller, so there is no
+/// flooding for SipHash to resist: one multiply per word spreads them.
 #[derive(Default)]
 struct MintedHasher(u64);
 
@@ -448,12 +449,8 @@ impl Hasher for MintedHasher {
         for word in bytes.chunks(8) {
             let mut padded = [0u8; 8];
             padded[..word.len()].copy_from_slice(word);
-            self.write_u64(u64::from_le_bytes(padded));
+            self.0 = (self.0 ^ u64::from_le_bytes(padded)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0 ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 }
 
@@ -463,20 +460,20 @@ type Minted = BuildHasherDefault<MintedHasher>;
 pub struct EventsIndex<B: LogBackend = MemBackend> {
     sealer: SealedBox,
     tag_key: HmacKey,
+    /// This index's shard number in the owner table.
+    shard: usize,
+    /// Where every event of the plane lives, shared by its shards.
+    owners: Arc<OwnerTable>,
     /// Per citizen, the entries filed under their tag, in the order
     /// they were linked. Entries are never removed, so a position is
     /// stable.
     buckets: Vec<Vec<IndexEntry>>,
     /// The bucket of each person tag: the one place a tag is held.
     bucket_of: HashMap<[u8; 32], u32, Minted>,
-    /// Where each event's entry lives: its bucket and its position there.
-    locator: HashMap<GlobalEventId, (u32, u32), Minted>,
     by_type: HashMap<EventTypeId, Vec<GlobalEventId>>,
     /// Secondary time index: `events_between` becomes a range scan
     /// instead of a full-index sweep.
     by_time: BTreeMap<Timestamp, Vec<GlobalEventId>>,
-    /// Largest indexed event id (assembly resumes numbering from here).
-    max_id: Option<GlobalEventId>,
     storage: RecordLog<B>,
     /// The records being written, kept between writes.
     payloads: Vec<u8>,
@@ -497,30 +494,32 @@ impl<B: LogBackend> EventsIndex<B> {
     /// and replaying any persisted entries and notified-markers.
     pub fn open(master_key: &[u8], backend: B) -> CssResult<Self> {
         Self::open_all(master_key, vec![backend], |_| 0)?
+            .1
             .pop()
             .ok_or_else(|| CssError::Invalid("one backend must open one index".into()))
     }
 
-    /// Open one index per backend — the shards of a plane — replaying
-    /// every persisted entry into the index `owner` names for its person
-    /// tag, which may differ from the backend it was read off: a plane
-    /// that changed its shard count still recovers every event into the
-    /// right partition. Every record is decoded in the one pass
-    /// recovery makes over its log; entries are linked once every shard
-    /// exists, then notified-markers, so markers resolve regardless of
-    /// which backend they were read off. A second entry for an event
-    /// already replayed, on any backend, fails the open: an event is
-    /// indexed once. So does a marker for an event no shard holds, as
-    /// a live [`EventsIndex::mark_notified`] refuses to write one.
+    /// Open one index per backend — the shards of a plane, sharing one
+    /// owner table — replaying every persisted entry into the index
+    /// `owner` names for its person tag, which may differ from the
+    /// backend it was read off: a plane that changed its shard count
+    /// still recovers every event into the right partition. Every
+    /// record is decoded in the one pass recovery makes over its log;
+    /// entries are linked once every shard exists, through the claim a
+    /// live insert makes, so a second entry for an event, on any
+    /// backend, fails the open. Notified-markers follow, through the
+    /// owner table, so a marker for an event no shard holds fails it
+    /// too, as a live [`EventsIndex::mark_notified`] refuses to write one.
     pub(crate) fn open_all(
         master_key: &[u8],
         backends: Vec<B>,
         owner: impl Fn(&[u8; 32]) -> usize,
-    ) -> CssResult<Vec<Self>> {
+    ) -> CssResult<(Arc<OwnerTable>, Vec<Self>)> {
+        let owners = Arc::new(OwnerTable::default());
         let mut shards = Vec::with_capacity(backends.len());
         let mut entries: Vec<([u8; 32], IndexEntry)> = Vec::new();
         let mut markers: Vec<(GlobalEventId, ActorId)> = Vec::new();
-        for backend in backends {
+        for (shard, backend) in backends.into_iter().enumerate() {
             let (storage, _) = RecordLog::recover(backend, |_, payload| {
                 match IndexRecord::read(payload)? {
                     IndexRecord::Entry(tag, entry) => entries.push((tag, entry)),
@@ -531,27 +530,27 @@ impl<B: LogBackend> EventsIndex<B> {
             shards.push(EventsIndex {
                 sealer: SealedBox::new(master_key),
                 tag_key: derive_tag_key(master_key),
+                shard,
+                owners: Arc::clone(&owners),
                 buckets: Vec::new(),
                 bucket_of: HashMap::default(),
-                locator: HashMap::default(),
                 by_type: HashMap::new(),
                 by_time: BTreeMap::new(),
-                max_id: None,
                 storage,
                 payloads: Vec::new(),
             });
         }
         for (tag, entry) in entries {
             let id = entry.global_id;
-            if shards.iter().any(|shard| shard.locator.contains_key(&id)) {
-                return Err(CssError::Storage(format!(
-                    "index log holds event {id} twice"
-                )));
-            }
-            shards[owner(&tag)].link_entry(tag, entry);
+            let shard = &mut shards[owner(&tag)];
+            let twice = || CssError::Storage(format!("index log holds event {id} twice"));
+            let claim = shard.claim(&tag, id)?.ok_or_else(twice)?;
+            shard.link_entry(tag, entry);
+            owners.settle(claim, true);
         }
         for (event, actor) in markers {
-            let entry = shards.iter_mut().find_map(|shard| shard.locate_mut(event));
+            let owner = owners.get(event).map(|(shard, ..)| shard);
+            let entry = owner.and_then(|shard| shards.get_mut(shard)?.locate_mut(event));
             let entry = entry.ok_or_else(|| {
                 CssError::Storage(format!(
                     "index log marks event {event} notified, but holds no entry for it"
@@ -559,7 +558,17 @@ impl<B: LogBackend> EventsIndex<B> {
             })?;
             entry.notified.insert(actor);
         }
-        Ok(shards)
+        Ok((owners, shards))
+    }
+
+    /// Claim event `id`'s slot in the owner table for an entry filed
+    /// under `person_tag` here, at the place [`Self::link_entry`] will
+    /// link it: `None` if the id is indexed already, on any shard.
+    fn claim(&self, person_tag: &[u8; 32], id: GlobalEventId) -> CssResult<Option<Claim>> {
+        let bucket = self.bucket_of.get(person_tag);
+        let bucket = bucket.map_or(self.buckets.len(), |&bucket| bucket as usize);
+        let position = self.buckets.get(bucket).map_or(0, Vec::len);
+        self.owners.claim(id, (self.shard, bucket, position))
     }
 
     fn link_entry(&mut self, person_tag: [u8; 32], entry: IndexEntry) {
@@ -571,29 +580,30 @@ impl<B: LogBackend> EventsIndex<B> {
             .entry(entry.occurred_at)
             .or_default()
             .push(entry.global_id);
-        if self.max_id.is_none_or(|m| entry.global_id > m) {
-            self.max_id = Some(entry.global_id);
-        }
         let fresh = self.buckets.len() as u32;
         let bucket = *self.bucket_of.entry(person_tag).or_insert(fresh);
         if bucket == fresh {
             self.buckets.push(Vec::new());
         }
-        let entries = &mut self.buckets[bucket as usize];
-        self.locator
-            .insert(entry.global_id, (bucket, entries.len() as u32));
-        entries.push(entry);
+        self.buckets[bucket as usize].push(entry);
     }
 
-    /// The entry of event `id`, through the locator.
+    /// Where event `id`'s entry sits here: its bucket and position, if
+    /// the owner table places it on this shard.
+    fn place(&self, id: GlobalEventId) -> Option<(usize, usize)> {
+        let (shard, bucket, position) = self.owners.get(id)?;
+        (shard == self.shard).then_some((bucket, position))
+    }
+
+    /// The entry of event `id`, through the owner table.
     fn locate(&self, id: GlobalEventId) -> Option<&IndexEntry> {
-        let &(bucket, at) = self.locator.get(&id)?;
-        self.buckets.get(bucket as usize)?.get(at as usize)
+        let (bucket, at) = self.place(id)?;
+        self.buckets.get(bucket)?.get(at)
     }
 
     fn locate_mut(&mut self, id: GlobalEventId) -> Option<&mut IndexEntry> {
-        let &(bucket, at) = self.locator.get(&id)?;
-        self.buckets.get_mut(bucket as usize)?.get_mut(at as usize)
+        let (bucket, at) = self.place(id)?;
+        self.buckets.get_mut(bucket)?.get_mut(at)
     }
 
     fn tag(&self, person: PersonId) -> [u8; 32] {
@@ -623,11 +633,8 @@ impl<B: LogBackend> EventsIndex<B> {
         notified: Notified,
     ) -> CssResult<()> {
         let id = notification.global_id;
-        if self.locator.contains_key(&id) {
-            return Err(CssError::AlreadyExists(format!(
-                "event {id} already indexed"
-            )));
-        }
+        let indexed = || CssError::AlreadyExists(format!("event {id} already indexed"));
+        let claim = self.claim(&person_tag, id)?.ok_or_else(indexed)?;
         let sealed_identity = Arc::from(
             self.sealer
                 .seal(id.value(), &notification.person.to_bytes()),
@@ -644,9 +651,12 @@ impl<B: LogBackend> EventsIndex<B> {
         };
         self.payloads.clear();
         entry.encode(&person_tag, &mut BinarySink::new(&mut self.payloads, NAMES));
-        self.storage.append(&self.payloads)?;
-        self.link_entry(person_tag, entry);
-        Ok(())
+        let written = self.storage.append(&self.payloads).map(|_| ());
+        if written.is_ok() {
+            self.link_entry(person_tag, entry);
+        }
+        self.owners.settle(claim, written.is_ok());
+        written
     }
 
     /// The PIP mapping of Algorithm 1 step 1: `eID → (producer, src_eID)`.
@@ -659,8 +669,9 @@ impl<B: LogBackend> EventsIndex<B> {
             .ok_or_else(|| CssError::NotFound(format!("event {id} not in index")))
     }
 
-    /// Raw entry access (controller-internal).
-    pub fn entry(&self, id: GlobalEventId) -> Option<&IndexEntry> {
+    /// Raw entry access.
+    #[cfg(test)]
+    pub(crate) fn entry(&self, id: GlobalEventId) -> Option<&IndexEntry> {
         self.locate(id)
     }
 
@@ -782,12 +793,10 @@ impl<B: LogBackend> EventsIndex<B> {
                 }
             }
             Walk::Listed(ids) => {
-                for id in ids {
-                    let Some(&(bucket, at)) = self.locator.get(id) else {
-                        continue;
-                    };
-                    let entries = self.buckets.get_mut(bucket as usize);
-                    if let Some(entry) = entries.and_then(|e| e.get_mut(at as usize)) {
+                for &id in ids {
+                    let place = self.place(id);
+                    let entry = place.and_then(|(b, at)| self.buckets.get_mut(b)?.get_mut(at));
+                    if let Some(entry) = entry {
                         visit(entry)?;
                     }
                 }
@@ -814,12 +823,6 @@ impl<B: LogBackend> EventsIndex<B> {
             .collect();
         out.sort();
         out
-    }
-
-    /// Largest indexed event id, if any (O(1); assembly resumes global
-    /// numbering from here without walking the index).
-    pub fn max_event_id(&self) -> Option<GlobalEventId> {
-        self.max_id
     }
 
     /// Resolve each candidate event once for an inquiry on behalf of
@@ -859,19 +862,15 @@ impl<B: LogBackend> EventsIndex<B> {
         Ok((out, unmarked))
     }
 
-    /// Flush persisted records to stable storage.
-    pub fn sync(&mut self) -> CssResult<()> {
-        self.storage.sync()
-    }
-
-    /// Number of indexed events.
+    /// Number of events indexed here: every entry is listed under its
+    /// class once.
     pub fn len(&self) -> usize {
-        self.locator.len()
+        self.by_type.values().map(Vec::len).sum()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.locator.is_empty()
+        self.buckets.is_empty()
     }
 }
 
@@ -1018,7 +1017,7 @@ mod tests {
         }
         // Inverted range: empty, not a panic.
         assert!(idx.events_between(Timestamp(10), Timestamp(5)).is_empty());
-        assert_eq!(idx.max_event_id(), Some(GlobalEventId(12)));
+        assert_eq!(idx.owners.max_id(), Some(GlobalEventId(12)));
     }
 
     #[test]
@@ -1113,7 +1112,6 @@ mod tests {
             )
             .unwrap();
             idx.mark_notified(&[GlobalEventId(2)], ActorId(6)).unwrap();
-            idx.sync().unwrap();
         }
         let idx =
             EventsIndex::open(b"master", css_storage::FileBackend::open(&path).unwrap()).unwrap();
@@ -1141,7 +1139,6 @@ mod tests {
                     .unwrap();
             idx.insert(&notif(1, 7, "x"), SourceEventId(1), HashSet::new())
                 .unwrap();
-            idx.sync().unwrap();
         }
         let idx = EventsIndex::open(b"wrong-key", css_storage::FileBackend::open(&path).unwrap())
             .unwrap();

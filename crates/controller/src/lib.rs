@@ -32,7 +32,8 @@ pub mod gateway_client;
 pub mod identity;
 pub mod index;
 mod journal;
-pub mod pep;
+mod owners;
+mod pep;
 pub mod shards;
 
 pub use consent::{ConsentDecision, ConsentRegistry, ConsentScope};
@@ -41,5 +42,4 @@ pub use controller::{ControllerConfig, DataController, PublishReceipt};
 pub use gateway_client::{GatewayClient, SharedGateway};
 pub use identity::{Credential, IdentityManager};
 pub use index::{DetailResolution, EventsIndex, IndexEntry, Notified};
-pub use pep::PolicyEnforcementPoint;
 pub use shards::IndexShards;

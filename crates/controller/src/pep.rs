@@ -17,56 +17,25 @@
 //! details"), and the data subject must not have **opted out**.
 //! Every request — permitted or denied — is written to the audit log.
 //!
-//! The PEP borrows the controller's sharded planes and locked
-//! registries; it takes each registry read guard only for the stage
-//! that needs it (pdp before actors when both are held) and clones the
-//! gateway handle out of its registry before the network call, so no
-//! lock spans producer I/O.
+//! The PEP is a method of the controller, reading its sharded planes
+//! and locked registries per request; it takes each registry read
+//! guard only for the stage that needs it (pdp before actors when both
+//! are held) and clones the gateway handle out of its registry before
+//! the network call, so no lock spans producer I/O.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
-
-use css_audit::{AuditAction, AuditRecord, AuditShards};
+use css_audit::{AuditAction, AuditRecord};
 use css_event::PrivacyAwareEvent;
-use css_policy::{DetailRequest, PolicyDecisionPoint};
+use css_policy::DetailRequest;
 use css_storage::LogBackend;
 use css_trace::{SpanAttr, SpanStatus, TraceContext};
-use css_types::{ActorId, ActorRegistry, CssError, CssResult, DenyReason, Timestamp};
+use css_types::{CssError, CssResult, DenyReason, Timestamp};
 
-use crate::consent::ConsentRegistry;
-use crate::controller::RequestCounters;
-use crate::gateway_client::GatewayClient;
+use crate::controller::DataController;
 use crate::index::DetailResolution;
-use crate::shards::IndexShards;
 
-/// A per-request enforcement context borrowing the controller's parts.
-pub struct PolicyEnforcementPoint<'a, B: LogBackend> {
-    /// Sharded events index (PIP + notified-set).
-    pub index: &'a IndexShards<B>,
-    /// Policy decision point.
-    pub pdp: &'a RwLock<PolicyDecisionPoint>,
-    /// Organizational hierarchy.
-    pub actors: &'a RwLock<ActorRegistry>,
-    /// Data-subject consent.
-    pub consent: &'a RwLock<ConsentRegistry>,
-    /// Sharded audit plane (every request is recorded).
-    pub audit: &'a AuditShards<B>,
-    /// Producer gateways, keyed by producer organization.
-    pub gateways: &'a RwLock<HashMap<ActorId, Arc<dyn GatewayClient>>>,
-    /// Request and decision-cache counters and the per-stage latency
-    /// histograms (`stage.*`), resolved by the controller.
-    pub(crate) counters: &'a RequestCounters,
-    /// Causal trace of the enclosing detail request; each Algorithm 1
-    /// stage becomes a child span, and the trace id is stamped into the
-    /// audit record. Disabled context when tracing is off.
-    pub trace: TraceContext,
-    /// Evaluation instant.
-    pub now: Timestamp,
-}
-
-impl<'a, B: LogBackend> PolicyEnforcementPoint<'a, B> {
+impl<B: LogBackend> DataController<B> {
     /// Algorithm 1. Returns the privacy-aware event on permit.
     ///
     /// Each stage records its latency into a `stage.*` histogram; a
@@ -74,23 +43,33 @@ impl<'a, B: LogBackend> PolicyEnforcementPoint<'a, B> {
     /// (plus the `controller.detail_denies` counter and, via the
     /// timer's drop guard, `stage.partial` and `stage.total`), a
     /// permitted one records all six and `stage.total`.
-    pub fn get_event_details(&self, request: &DetailRequest) -> CssResult<PrivacyAwareEvent> {
+    pub(crate) fn get_event_details(
+        &self,
+        request: &DetailRequest,
+        trace: TraceContext,
+        now: Timestamp,
+    ) -> CssResult<PrivacyAwareEvent> {
         self.counters.detail_requests.inc();
-        let denies = &self.counters.detail_denies;
         let mut timer = self.counters.detail_stages.start();
-        let trace_id = self.trace.trace_id();
+        let trace_id = trace.trace_id();
         if let Some(t) = trace_id {
             // Exemplar: whichever bucket this pass lands in keeps the
             // trace id, so a p99 outlier joins back to its span tree.
-            timer.exemplar(t.value(), self.now.0);
+            timer.exemplar(t.value(), now.0);
         }
         let audit_base = || {
-            AuditRecord::new(self.now, request.actor, AuditAction::DetailRequest)
+            AuditRecord::new(now, request.actor, AuditAction::DetailRequest)
                 .event(request.event_id)
                 .event_type(request.event_type.clone())
                 .purpose(request.purpose.clone())
                 .request(request.request_id)
                 .trace(trace_id)
+        };
+        // A request that releases nothing: counted, audited, refused.
+        let refuse = |record: AuditRecord, err: CssError| -> CssResult<PrivacyAwareEvent> {
+            self.counters.detail_denies.inc();
+            self.audit.append(record)?;
+            Err(err)
         };
 
         // Step 1 — PIP: eID → (producer, src_eID, type). One visit to
@@ -99,7 +78,7 @@ impl<'a, B: LogBackend> PolicyEnforcementPoint<'a, B> {
         // audited at its own boundary below. The ancestor chain is
         // resolved first: the registry lock is not taken under a
         // shard's.
-        let mut span = self.trace.child("pep.pip_resolve");
+        let mut span = trace.child("pep.pip_resolve");
         let ancestors = self.actors.read().ancestors(request.actor);
         let resolution = match self.index.resolve_detail_request(
             request.event_id,
@@ -111,29 +90,26 @@ impl<'a, B: LogBackend> PolicyEnforcementPoint<'a, B> {
             Err(e) => {
                 timer.stage("pip_resolve");
                 span.set_status(SpanStatus::Error);
-                denies.inc();
-                self.audit
-                    .append(audit_base().denied("event not found in index"))?;
-                return Err(e);
+                return refuse(audit_base().denied("event not found in index"), e);
             }
         };
         if let DetailResolution::TypeMismatch(indexed_type) = &resolution {
             timer.stage("pip_resolve");
             span.set_status(SpanStatus::Denied);
-            denies.inc();
-            self.audit
-                .append(audit_base().denied("declared event type mismatch"))?;
-            return Err(CssError::Invalid(format!(
-                "request declares type {} but event {} is a {}",
-                request.event_type, request.event_id, indexed_type
-            )));
+            let (declared, id) = (&request.event_type, request.event_id);
+            let err =
+                format!("request declares type {declared} but event {id} is a {indexed_type}");
+            return refuse(
+                audit_base().denied("declared event type mismatch"),
+                CssError::Invalid(err),
+            );
         }
         timer.stage("pip_resolve");
         span.finish();
 
         // Precondition: the requester (or an enclosing organization)
         // received the notification.
-        let mut span = self.trace.child("pep.notified_check");
+        let mut span = trace.child("pep.notified_check");
         timer.stage("notified_check");
         let DetailResolution::Resolved {
             producer,
@@ -142,17 +118,18 @@ impl<'a, B: LogBackend> PolicyEnforcementPoint<'a, B> {
         } = resolution
         else {
             span.set_status(SpanStatus::Denied);
-            denies.inc();
-            self.audit
-                .append(audit_base().denied(DenyReason::NotNotified.to_string()))?;
-            return Err(CssError::AccessDenied(DenyReason::NotNotified));
+            let reason = DenyReason::NotNotified;
+            return refuse(
+                audit_base().denied(reason.to_string()),
+                CssError::AccessDenied(reason),
+            );
         };
         span.finish();
 
         // Precondition: data-subject consent (needs the person id, so
         // the controller unsealed the identity it sealed at publish
         // time — only once the checks above had passed).
-        let mut span = self.trace.child("pep.consent_check");
+        let mut span = trace.child("pep.consent_check");
         let subject = subject?;
         let consented = self
             .consent
@@ -161,13 +138,11 @@ impl<'a, B: LogBackend> PolicyEnforcementPoint<'a, B> {
         timer.stage("consent_check");
         if !consented {
             span.set_status(SpanStatus::Denied);
-            denies.inc();
-            self.audit.append(
-                audit_base()
-                    .person(subject)
-                    .denied(DenyReason::ConsentWithheld.to_string()),
-            )?;
-            return Err(CssError::AccessDenied(DenyReason::ConsentWithheld));
+            let (reason, record) = (DenyReason::ConsentWithheld, audit_base().person(subject));
+            return refuse(
+                record.denied(reason.to_string()),
+                CssError::AccessDenied(reason),
+            );
         }
         span.finish();
 
@@ -177,11 +152,11 @@ impl<'a, B: LogBackend> PolicyEnforcementPoint<'a, B> {
         // (fields, policies and audit text derived once); hits and
         // misses are counted separately so the cache-hit rate is
         // visible in a telemetry snapshot.
-        let mut span = self.trace.child("pep.pdp_evaluate");
+        let mut span = trace.child("pep.pdp_evaluate");
         let (verdict, cache_hit) = {
             let pdp = self.pdp.read();
             let actors = self.actors.read();
-            pdp.decide(request, &actors, self.now)
+            pdp.decide(request, &actors, now)
         };
         timer.stage("pdp_evaluate");
         span.attr(|| SpanAttr::cache_hit(cache_hit));
@@ -196,10 +171,8 @@ impl<'a, B: LogBackend> PolicyEnforcementPoint<'a, B> {
             Err(reason) => {
                 span.set_status(SpanStatus::Denied);
                 drop(span);
-                denies.inc();
-                self.audit
-                    .append(audit_base().person(subject).denied(reason.to_string()))?;
-                return Err(CssError::AccessDenied(reason));
+                let record = audit_base().person(subject).denied(reason.to_string());
+                return refuse(record, CssError::AccessDenied(reason));
             }
         };
         span.finish();
@@ -210,32 +183,23 @@ impl<'a, B: LogBackend> PolicyEnforcementPoint<'a, B> {
         // its own Algorithm 2 stage spans. The handle is cloned out of
         // the registry so no lock is held across the call.
         let Some(gateway) = self.gateways.read().get(&producer).cloned() else {
-            denies.inc();
-            self.audit.append(
-                audit_base()
-                    .person(subject)
-                    .denied("producer gateway not registered"),
-            )?;
-            return Err(CssError::NotFound(format!(
-                "no gateway registered for producer {producer}"
-            )));
+            let record = audit_base()
+                .person(subject)
+                .denied("producer gateway not registered");
+            let err = format!("no gateway registered for producer {producer}");
+            return refuse(record, CssError::NotFound(err));
         };
         let allowed = permit.allowed_fields();
-        let details = gateway.get_response(src_event_id, allowed, Some(&self.trace));
+        let details = gateway.get_response(src_event_id, allowed, Some(&trace));
         timer.stage("gateway_retrieve");
         let details = match details {
             Ok(d) => d,
             Err(e) => {
-                denies.inc();
-                self.audit.append(
-                    audit_base()
-                        .person(subject)
-                        .denied(format!("gateway failure: {e}")),
-                )?;
-                return Err(e);
+                let record = audit_base().person(subject);
+                return refuse(record.denied(format!("gateway failure: {e}")), e);
             }
         };
-        let span = self.trace.child("pep.obligation_filter");
+        let span = trace.child("pep.obligation_filter");
         let response =
             PrivacyAwareEvent::release(request.event_id, producer, details, Arc::clone(allowed));
         timer.stage("obligation_filter");

@@ -11,17 +11,20 @@
 //! the controller master key) — the same value the index already
 //! stores for per-person lookup — so the partition never sees a
 //! plaintext identity. Per-person operations touch exactly one shard;
-//! by-type and by-time inquiries scatter-gather across shards and
-//! merge, preserving the unsharded time-ordering and single-probe
-//! semantics; per-event operations (detail requests) probe shards for
-//! the owner, holding each lock only for a map lookup.
+//! by-type and by-time listings scatter-gather across shards and
+//! merge, preserving the unsharded time-ordering. Per-event operations
+//! ask the plane's one owner table where each event lives, without a
+//! lock: a detail request locks its owner shard and no other, and an
+//! inquiry over an id list locks only the shards that own a candidate.
+//! An id nobody indexed locks nothing.
 //!
 //! Replay on open is **re-routing**: entries are read off every
-//! shard's backend and adopted by their *current* owner shard, so a
-//! deployment that changes its shard count still recovers every event
-//! into the right partition.
+//! shard's backend and adopted by their *current* owner shard, filling
+//! the owner table as they go, so a deployment that changes its shard
+//! count still recovers every event into the right partition.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::{Mutex, MutexGuard};
@@ -35,12 +38,12 @@ use css_types::{
 };
 
 use crate::index::{derive_tag_key, DetailResolution, EventsIndex, Notified, Walk};
+use crate::owners::OwnerTable;
 
 /// The routing key a person tag reduces to.
 fn tag_key_bits(tag: &[u8; 32]) -> u64 {
-    u64::from_le_bytes([
-        tag[0], tag[1], tag[2], tag[3], tag[4], tag[5], tag[6], tag[7],
-    ])
+    let [a, b, c, d, e, f, g, h, ..] = *tag;
+    u64::from_le_bytes([a, b, c, d, e, f, g, h])
 }
 
 /// The notified-markers an inquiry has yet to write: per owner shard,
@@ -51,22 +54,8 @@ fn tag_key_bits(tag: &[u8; 32]) -> u64 {
 #[must_use = "an inquiry's markers are written by IndexShards::mark_notified"]
 pub struct PendingMarkers {
     consumer: ActorId,
+    /// Only shards that owe a marker are listed.
     by_shard: Vec<(usize, Vec<GlobalEventId>)>,
-}
-
-impl PendingMarkers {
-    fn new(consumer: ActorId) -> Self {
-        PendingMarkers {
-            consumer,
-            by_shard: Vec::new(),
-        }
-    }
-
-    fn add(&mut self, shard: usize, ids: Vec<GlobalEventId>) {
-        if !ids.is_empty() {
-            self.by_shard.push((shard, ids));
-        }
-    }
 }
 
 /// N per-citizen partitions of the events index, each behind its own
@@ -75,6 +64,8 @@ impl PendingMarkers {
 /// at a time.
 pub struct IndexShards<B: LogBackend = MemBackend> {
     shards: Vec<Mutex<EventsIndex<B>>>,
+    /// Where every event lives: read without a shard lock.
+    owners: Arc<OwnerTable>,
     tag_key: css_crypto::HmacKey,
     /// Per-shard operation counters (`shard.{i}.ops` once instrumented).
     ops: Vec<Counter>,
@@ -96,13 +87,14 @@ impl<B: LogBackend> IndexShards<B> {
                 "index plane needs at least one backend".into(),
             ));
         }
-        let shards =
+        let (owners, shards) =
             EventsIndex::open_all(master_key, backends, |tag| shard_of(tag_key_bits(tag), n))?;
         Ok(IndexShards {
             shards: shards
                 .into_iter()
                 .map(|shard| Mutex::ranked("index shard", lock_order::INDEX_SHARD, shard))
                 .collect(),
+            owners,
             tag_key: derive_tag_key(master_key),
             ops: (0..n).map(|_| Counter::new()).collect(),
             ops_total: Counter::new(),
@@ -148,7 +140,8 @@ impl<B: LogBackend> IndexShards<B> {
 
     /// Store a notification on its owner shard; the tag that picks the
     /// shard is the tag the entry is filed under. The notified set is
-    /// converted once, to the entry's sorted list.
+    /// converted once, to the entry's sorted list. An id already
+    /// indexed, on any shard, fails with [`CssError::AlreadyExists`].
     pub fn insert(
         &self,
         notification: &NotificationMessage,
@@ -172,9 +165,9 @@ impl<B: LogBackend> IndexShards<B> {
     }
 
     /// Everything Algorithm 1 asks the index about one request, in one
-    /// visit to the event's owner shard (shards are probed for it, each
-    /// probe one short map lookup; the owner answers the rest under
-    /// the same lock): see [`EventsIndex::resolve_detail_request`].
+    /// visit to the event's owner shard, the one lock taken (the owner
+    /// table names the shard): see
+    /// [`EventsIndex::resolve_detail_request`].
     ///
     /// `ancestors` — the organizations enclosing `consumer` — are the
     /// caller's to resolve *before* the call: the actor registry's lock
@@ -186,9 +179,10 @@ impl<B: LogBackend> IndexShards<B> {
         consumer: ActorId,
         ancestors: &[ActorId],
     ) -> CssResult<DetailResolution> {
-        (0..self.shards.len())
-            .find_map(|i| {
-                self.shard(i)
+        self.owners
+            .get(id)
+            .and_then(|(owner, ..)| {
+                self.shard(owner)
                     .resolve_detail_request(id, declared, consumer, ancestors)
             })
             .ok_or_else(|| CssError::NotFound(format!("event {id} not in index")))
@@ -203,50 +197,56 @@ impl<B: LogBackend> IndexShards<B> {
         shard.notifications(Walk::Tagged(&tag), |_| true)
     }
 
+    /// Every shard's answer to `ask`, merged into global id order.
+    fn gather(&self, ask: impl Fn(&EventsIndex<B>) -> Vec<GlobalEventId>) -> Vec<GlobalEventId> {
+        let mut out: Vec<_> = (0..self.shards.len())
+            .flat_map(|i| ask(&self.shard(i)))
+            .collect();
+        out.sort();
+        out
+    }
+
     /// Event ids of one class: scatter-gather over every shard, merged
     /// into global id order.
     pub fn events_of_type(&self, ty: &EventTypeId) -> Vec<GlobalEventId> {
-        let mut out = Vec::new();
-        for i in 0..self.shards.len() {
-            out.extend(self.shard(i).events_of_type(ty));
-        }
-        out.sort();
-        out
+        self.gather(|shard| shard.events_of_type(ty))
     }
 
     /// Event ids in a time range (inclusive), any class: scatter-gather
     /// over per-shard range scans, merged into the same order the
     /// unsharded index returns.
     pub fn events_between(&self, from: Timestamp, to: Timestamp) -> Vec<GlobalEventId> {
-        let mut out = Vec::new();
-        for i in 0..self.shards.len() {
-            out.extend(self.shard(i).events_between(from, to));
-        }
-        out.sort();
-        out
+        self.gather(|shard| shard.events_between(from, to))
     }
 
     /// Resolve inquiry candidates with per-shard authorized filtering:
-    /// each shard resolves the candidates it owns in one probe apiece
-    /// (authorize + open), non-owned ids fall through, and the union is
-    /// disjoint because every event has exactly one owner shard. The
-    /// markers the inquiry owes come back unwritten.
+    /// the candidates are split by owner shard before any lock is
+    /// taken (ids nobody indexed drop out), and each owner resolves
+    /// its own in one lookup apiece (authorize + open), in shard order.
+    /// The markers the inquiry owes come back unwritten.
     pub fn filter_authorized(
         &self,
         candidates: &[GlobalEventId],
         consumer: ActorId,
         mut authorize: impl FnMut(&EventTypeId) -> bool,
     ) -> CssResult<(Vec<NotificationMessage>, PendingMarkers)> {
-        let mut out = Vec::new();
-        let mut markers = PendingMarkers::new(consumer);
-        for i in 0..self.shards.len() {
+        let mut owned = vec![Vec::new(); self.shards.len()];
+        for &id in candidates {
+            if let Some((owner, ..)) = self.owners.get(id) {
+                owned[owner].push(id);
+            }
+        }
+        let (mut out, mut by_shard) = (Vec::new(), Vec::new());
+        for (i, ids) in owned.iter().enumerate().filter(|(_, ids)| !ids.is_empty()) {
             let (found, unmarked) =
                 self.shard(i)
-                    .filter_authorized(candidates, consumer, &mut authorize)?;
+                    .filter_authorized(ids, consumer, &mut authorize)?;
             out.extend(found);
-            markers.add(i, unmarked);
+            if !unmarked.is_empty() {
+                by_shard.push((i, unmarked));
+            }
         }
-        Ok((out, markers))
+        Ok((out, PendingMarkers { consumer, by_shard }))
     }
 
     /// [`IndexShards::filter_authorized`] over one person's events: the
@@ -263,9 +263,9 @@ impl<B: LogBackend> IndexShards<B> {
         let (out, unmarked) = self
             .shard(owner)
             .filter(Walk::Tagged(&tag), consumer, authorize)?;
-        let mut markers = PendingMarkers::new(consumer);
-        markers.add(owner, unmarked);
-        Ok((out, markers))
+        let by_shard = (!unmarked.is_empty()).then_some((owner, unmarked));
+        let by_shard = by_shard.into_iter().collect();
+        Ok((out, PendingMarkers { consumer, by_shard }))
     }
 
     /// Write an inquiry's pending markers: one batch per owner shard,
@@ -279,16 +279,14 @@ impl<B: LogBackend> IndexShards<B> {
     }
 
     /// Largest indexed event id across shards (assembly resumes global
-    /// numbering from here).
+    /// numbering from here), off the owner table: no shard is locked.
     pub fn max_event_id(&self) -> Option<GlobalEventId> {
-        (0..self.shards.len())
-            .filter_map(|i| self.shard(i).max_event_id())
-            .max()
+        self.owners.max_id()
     }
 
-    /// Total indexed events across shards.
+    /// Total indexed events across shards, off the owner table.
     pub fn len(&self) -> usize {
-        (0..self.shards.len()).map(|i| self.shard(i).len()).sum()
+        self.owners.len()
     }
 
     /// Whether no shard holds an event.
@@ -303,22 +301,12 @@ impl<B: LogBackend> IndexShards<B> {
             .map(|i| self.shard(i).len())
             .collect()
     }
-
-    /// Flush every shard's persisted records to stable storage.
-    pub fn sync(&self) -> CssResult<()> {
-        for i in 0..self.shards.len() {
-            let mut shard = self.shard(i);
-            shard.sync()?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashMap;
-    use std::sync::Arc;
 
     use css_types::PersonIdentity;
 
@@ -449,47 +437,95 @@ mod tests {
         }
     }
 
+    /// The lock ledger, read off `shard.ops` at 1, 2 and 8 shards: a
+    /// detail request takes its owner's lock and no other, whatever its
+    /// outcome; an id nobody indexed takes none; `len` and
+    /// `max_event_id` take none; an inquiry over an id list takes one
+    /// per distinct shard owning a candidate.
     #[test]
-    fn a_detail_request_walks_the_shards_once_up_to_the_owner() {
-        let registry = MetricsRegistry::new();
-        let mut eight = plane(8);
-        eight.instrument(&registry);
-        let notified: HashSet<ActorId> = [ActorId(5)].into();
-        for id in 1..=16u64 {
-            eight
-                .insert(&notif(id, id, "x"), SourceEventId(id), notified.clone())
-                .unwrap();
-        }
-        let ops = || registry.snapshot().counter("shard.ops");
-        let x = EventTypeId::v1("x");
-        let lens = eight.shard_lens();
-        let mut owners = HashSet::new();
-        for id in 1..=16u64 {
-            let owner = {
-                let tag = eight.person_tag(PersonId(id));
-                eight.shard_of_tag(&tag)
-            };
-            owners.insert(owner);
-            // Every outcome costs the same single walk: shards 0..=owner.
-            for (ty, actor) in [
-                (&x, ActorId(5)),
-                (&x, ActorId(6)),
-                (&EventTypeId::v1("y"), ActorId(5)),
-            ] {
-                let before = ops();
-                eight
-                    .resolve_detail_request(GlobalEventId(id), ty, actor, &[])
+    fn a_detail_request_locks_only_its_owner_shard() {
+        for n in [1, 2, 8] {
+            let registry = MetricsRegistry::new();
+            let mut plane = plane(n);
+            plane.instrument(&registry);
+            let notified: HashSet<ActorId> = [ActorId(5)].into();
+            for id in 1..=16u64 {
+                plane
+                    .insert(&notif(id, id, "x"), SourceEventId(id), notified.clone())
                     .unwrap();
-                assert_eq!(ops() - before, owner as u64 + 1, "event {id}");
             }
+            let ops = || registry.snapshot().counter("shard.ops");
+            let x = EventTypeId::v1("x");
+            for id in 1..=16u64 {
+                for (ty, actor) in [
+                    (&x, ActorId(5)),
+                    (&x, ActorId(6)),
+                    (&EventTypeId::v1("y"), ActorId(5)),
+                ] {
+                    let before = ops();
+                    plane
+                        .resolve_detail_request(GlobalEventId(id), ty, actor, &[])
+                        .unwrap();
+                    assert_eq!(ops() - before, 1, "event {id} at {n} shards");
+                }
+            }
+            let before = ops();
+            assert!(plane
+                .resolve_detail_request(GlobalEventId(404), &x, ActorId(5), &[])
+                .is_err());
+            assert_eq!(plane.len(), 16);
+            assert_eq!(plane.max_event_id(), Some(GlobalEventId(16)));
+            assert_eq!(ops() - before, 0, "{n} shards");
+            let candidates: Vec<GlobalEventId> = [3, 4, 9, 404].map(GlobalEventId).into();
+            let owners: HashSet<usize> = candidates
+                .iter()
+                .filter_map(|&id| plane.owners.get(id))
+                .map(|(owner, ..)| owner)
+                .collect();
+            let before = ops();
+            let (out, _) = plane
+                .filter_authorized(&candidates, ActorId(5), |_| true)
+                .unwrap();
+            assert_eq!(out.len(), 3);
+            assert_eq!(ops() - before, owners.len() as u64, "{n} shards");
         }
-        assert!(owners.len() > 1, "events spread over shards: {lens:?}");
-        // An event nobody indexed costs one probe of every shard.
-        let before = ops();
-        assert!(eight
-            .resolve_detail_request(GlobalEventId(404), &x, ActorId(5), &[])
-            .is_err());
-        assert_eq!(ops() - before, 8);
+    }
+
+    /// The live path refuses what open refuses: an id already indexed
+    /// under a citizen on another shard is `AlreadyExists`, nothing is
+    /// written for it, and the plane reopens with its entries intact.
+    #[test]
+    fn an_id_indexed_on_another_shard_is_refused_and_the_plane_reopens() {
+        for n in [2, 8] {
+            let dir = std::env::temp_dir().join(format!("css-dup-{}-{n}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let file = |i: usize| {
+                css_storage::FileBackend::open(dir.join(format!("shard-{i}.log"))).unwrap()
+            };
+            let plane = IndexShards::open(b"master", (0..n).map(file).collect()).unwrap();
+            for id in 1..=8u64 {
+                plane
+                    .insert(&notif(id, id, "x"), SourceEventId(id), HashSet::new())
+                    .unwrap();
+            }
+            let owner = |person: u64| plane.shard_of_tag(&plane.person_tag(PersonId(person)));
+            let other = (100..).find(|&p| owner(p) != owner(7)).unwrap();
+            let refused = plane.insert(&notif(7, other, "y"), SourceEventId(99), HashSet::new());
+            assert!(
+                matches!(refused, Err(CssError::AlreadyExists(_))),
+                "{n} shards"
+            );
+            assert_eq!(plane.len(), 8);
+            drop(plane);
+            let reopened = IndexShards::open(b"master", (0..n).map(file).collect()).unwrap();
+            assert_eq!(reopened.len(), 8);
+            assert!(events_of_person(&reopened, other).is_empty());
+            for id in 1..=8u64 {
+                assert_eq!(events_of_person(&reopened, id), vec![GlobalEventId(id)]);
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -535,9 +571,9 @@ mod tests {
 
     /// The ciphertext event `id`'s entry holds in memory.
     fn sealed_of<B: LogBackend>(plane: &IndexShards<B>, id: GlobalEventId) -> Arc<[u8]> {
-        (0..plane.shard_count())
-            .find_map(|i| plane.shard(i).entry(id).map(|e| e.sealed_identity.clone()))
-            .unwrap()
+        let (owner, ..) = plane.owners.get(id).unwrap();
+        let shard = plane.shard(owner);
+        shard.entry(id).unwrap().sealed_identity.clone()
     }
 
     #[test]
@@ -690,7 +726,6 @@ mod tests {
                 .filter_authorized(&[GlobalEventId(3)], ActorId(9), |_| true)
                 .unwrap();
             two.mark_notified(markers).unwrap();
-            two.sync().unwrap();
         }
         let four = IndexShards::open(b"master", (0..4).map(file).collect()).unwrap();
         assert_eq!(four.len(), 20);

@@ -864,23 +864,20 @@ fn detail_request_visits_the_index_once_whatever_the_outcome() {
             },
             "{ty} {event}"
         );
-        // Shards 0..=owner probed once each, none after it; an event
-        // nobody indexed costs one probe of every shard.
+        // The owner shard is visited once and no other; an event
+        // nobody indexed visits none.
         let visits: Vec<u64> = per_shard_after
             .iter()
             .zip(&per_shard)
             .map(|(after, before)| after - before)
             .collect();
-        let walked = visits.iter().take_while(|&&v| v == 1).count();
-        assert!(
-            walked >= 1 && visits[walked..].iter().all(|&v| v == 0),
-            "{visits:?}"
-        );
-        assert_eq!(ops_after - ops, walked as u64);
+        let visited: Vec<usize> = (0..SHARDS).filter(|&i| visits[i] > 0).collect();
+        assert_eq!(ops_after - ops, visited.len() as u64, "{visits:?}");
         if event == missing {
-            assert_eq!(walked, SHARDS);
+            assert!(visited.is_empty(), "{visits:?}");
         } else {
-            owners.insert(walked - 1);
+            assert_eq!((visited.len(), visits[visited[0]]), (1, 1), "{visits:?}");
+            owners.insert(visited[0]);
         }
         // The stages up to the deciding one record their boundary.
         let reached: Vec<u64> = per_stage_after

@@ -63,9 +63,12 @@ pub mod provider;
 
 pub use citizen::CitizenHandle;
 pub use consumer::{ConsumerHandle, Delivered, Subscription};
+/// The capacity in which an organization joins the platform
+/// ([`CssPlatform::join`]): the contract role the controller signs.
+pub use css_controller::ParticipantRole as Role;
 pub use elicitation::{PolicyWizard, WizardError};
 pub use pending::{AccessRequest, AccessRequestStatus, DEFAULT_PENDING_CAPACITY};
-pub use platform::{default_shard_count, CssPlatform, CssPlatformBuilder, Role};
+pub use platform::{default_shard_count, CssPlatform, CssPlatformBuilder};
 pub use producer::ProducerHandle;
 pub use provider::{BackendProvider, DirProvider, MemoryProvider};
 
@@ -77,7 +80,7 @@ pub mod prelude {
         CitizenHandle, ConsumerHandle, CssPlatform, CssPlatformBuilder, Delivered, PolicyWizard,
         ProducerHandle, Role, Subscription,
     };
-    pub use css_controller::{ConsentDecision, ConsentScope, Credential, ParticipantRole};
+    pub use css_controller::{ConsentDecision, ConsentScope, Credential};
     pub use css_event::{
         DetailMessage, EventDetails, EventSchema, FieldDef, FieldKind, FieldValue,
         NotificationMessage, PrivacyAwareEvent,

@@ -32,19 +32,6 @@ pub(crate) type PlatformBackend<P> = InstrumentedBackend<<P as BackendProvider>:
 pub(crate) type SharedController<P> = Arc<DataController<PlatformBackend<P>>>;
 pub(crate) type SharedPending = Arc<PendingQueue>;
 
-/// The capacity in which an organization joins the platform
-/// ([`CssPlatform::join`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Role {
-    /// Publishes events: signs a producer contract and stands up a
-    /// Local Cooperation Gateway.
-    Producer,
-    /// Subscribes to notifications and requests event details.
-    Consumer,
-    /// Both capacities at once.
-    Both,
-}
-
 /// Step-by-step assembly of a [`CssPlatform`].
 ///
 /// The presets ([`CssPlatform::in_memory`], [`CssPlatform::on_disk`])
@@ -460,15 +447,11 @@ impl<P: BackendProvider> CssPlatform<P> {
     // ---- onboarding ------------------------------------------------------
 
     /// Sign a contract for an organization in the given capacity.
-    /// Joining as [`Role::Producer`] (or [`Role::Both`]) also stands up
+    /// Joining as [`ParticipantRole::Producer`] (or
+    /// [`ParticipantRole::Both`]) also stands up
     /// the organization's Local Cooperation Gateway. Joining again in
     /// another capacity widens the contract.
-    pub fn join(&mut self, actor: ActorId, role: Role) -> CssResult<()> {
-        let role = match role {
-            Role::Producer => ParticipantRole::Producer,
-            Role::Consumer => ParticipantRole::Consumer,
-            Role::Both => ParticipantRole::Both,
-        };
+    pub fn join(&mut self, actor: ActorId, role: ParticipantRole) -> CssResult<()> {
         self.controller.sign_contract(actor, role)?;
         if role.can_produce() {
             self.ensure_gateway(actor)?;

@@ -8,8 +8,20 @@ use css::bus::{Bus, PublishOptions, SubscriptionConfig};
 use css::prelude::*;
 
 fn build_platform() -> (Arc<CssPlatform>, ActorId, ActorId, SimClock) {
+    build_platform_on(None)
+}
+
+/// The platform of these tests, at `shards` index and audit shards
+/// (`None`: the host's default).
+fn build_platform_on(shards: Option<usize>) -> (Arc<CssPlatform>, ActorId, ActorId, SimClock) {
     let clock = SimClock::starting_at(Timestamp(1_000));
-    let mut platform = CssPlatform::in_memory_with_clock(Arc::new(clock.clone()));
+    let builder = CssPlatform::builder().clock(Arc::new(clock.clone()));
+    let mut platform = match shards {
+        Some(n) => builder.shards(n),
+        None => builder,
+    }
+    .build()
+    .unwrap();
     let hospital = platform.register_organization("Hospital").unwrap();
     let doctor = platform.register_organization("Doctor").unwrap();
     platform.join(hospital, Role::Producer).unwrap();
@@ -106,6 +118,73 @@ fn concurrent_producers_and_detail_requests() {
         report.action_count(css::audit::AuditAction::DetailRequest),
         200
     );
+}
+
+/// At 8 shards, two publishers race two requesters: each requester
+/// asks for the details of events whose publish has returned, while
+/// the publishers keep indexing. Every request resolves — none reads
+/// `NotFound` — and the lock shim (debug builds) panics on no thread.
+#[test]
+fn detail_requests_racing_publishes_resolve_every_returned_event() {
+    let (platform, hospital, doctor, clock) = build_platform_on(Some(8));
+    let _sub = platform
+        .consumer(doctor)
+        .unwrap()
+        .subscribe(&EventTypeId::v1("obs"))
+        .unwrap();
+    let returned = std::sync::Mutex::new(std::collections::VecDeque::new());
+    let publishing = AtomicUsize::new(2);
+    let permits = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for t in 0..2u64 {
+            let (platform, clock, returned, publishing) =
+                (&platform, &clock, &returned, &publishing);
+            scope.spawn(move || {
+                let producer = platform.producer(hospital).unwrap();
+                for i in 0..150u64 {
+                    let patient = t * 1_000 + i;
+                    let receipt = producer
+                        .publish(
+                            person(patient),
+                            "obs",
+                            EventDetails::new(EventTypeId::v1("obs"))
+                                .with("PatientId", FieldValue::Integer(patient as i64)),
+                            clock.now(),
+                        )
+                        .unwrap();
+                    returned.lock().unwrap().push_back(receipt.global_id);
+                }
+                publishing.fetch_sub(1, Ordering::SeqCst);
+            });
+        }
+        for _ in 0..2 {
+            let (platform, returned, publishing, permits) =
+                (&platform, &returned, &publishing, &permits);
+            scope.spawn(move || {
+                let consumer = platform.consumer(doctor).unwrap();
+                loop {
+                    let done = publishing.load(Ordering::SeqCst) == 0;
+                    let Some(id) = returned.lock().unwrap().pop_front() else {
+                        if done {
+                            break;
+                        }
+                        std::thread::yield_now();
+                        continue;
+                    };
+                    consumer
+                        .request_details_by_id(
+                            EventTypeId::v1("obs"),
+                            id,
+                            Purpose::HealthcareTreatment,
+                        )
+                        .unwrap_or_else(|err| panic!("{id}: {err}"));
+                    permits.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+        }
+    });
+    assert_eq!(permits.load(Ordering::SeqCst), 300);
+    assert_eq!(platform.controller().index_shard_lens().len(), 8);
 }
 
 #[test]
