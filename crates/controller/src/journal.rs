@@ -26,9 +26,11 @@
 //! and only for those ids. A legacy `ConsentChange` carries no directive
 //! (consent was not durable then) and changes nothing.
 
+use std::collections::HashMap;
+
 use css_audit::{AuditAction, AuditRecord};
 use css_policy::{xacml::from_xacml_text, PolicyDecisionPoint};
-use css_storage::{KvStore, LogBackend};
+use css_storage::{decode_put, LogBackend, RecordLog};
 use css_types::{ActorId, CssError, CssResult, IdGenerator, PersonId, PolicyId, Timestamp};
 
 use crate::consent::{ConsentDecision, ConsentRegistry, ConsentScope};
@@ -73,7 +75,7 @@ pub(crate) fn fold<B: LogBackend>(
 ) -> CssResult<(PolicyDecisionPoint, ConsentRegistry, IdGenerator)> {
     let (mut pdp, mut consent) = (PolicyDecisionPoint::new(), ConsentRegistry::new());
     let policy_gen = IdGenerator::default();
-    let mut legacy: Option<KvStore<B>> = None;
+    let mut legacy: Option<HashMap<Vec<u8>, Vec<u8>>> = None;
     for record in journal {
         let bad =
             |what: String| CssError::Storage(format!("control record {}: {what}", record.seq));
@@ -87,13 +89,20 @@ pub(crate) fn fold<B: LogBackend>(
                     continue;
                 }
                 if legacy.is_none() {
-                    legacy = Some(KvStore::open(legacy_policies()?)?.0);
+                    // Its put records in one pass; a key's last is its value.
+                    let mut values = HashMap::new();
+                    RecordLog::recover(legacy_policies()?, |_, record| {
+                        let (key, value) = decode_put(record)?;
+                        values.insert(key.to_vec(), value.to_vec());
+                        Ok(())
+                    })?;
+                    legacy = Some(values);
                 }
                 let key = format!("policy:{}", id.value());
-                let stored = legacy.as_ref().map(|store| store.get(key.as_bytes()));
-                if let Some(bytes) = stored.transpose()?.flatten() {
+                let stored = legacy.as_ref().and_then(|store| store.get(key.as_bytes()));
+                if let Some(bytes) = stored {
                     pdp.install(from_xacml_text(
-                        std::str::from_utf8(&bytes).map_err(|e| bad(e.to_string()))?,
+                        std::str::from_utf8(bytes).map_err(|e| bad(e.to_string()))?,
                     )?);
                 }
             }

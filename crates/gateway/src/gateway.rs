@@ -5,7 +5,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
 
 use css_event::{DetailMessage, EventDetails, EventSchema, FieldMask, InstanceNames, StoredDetail};
-use css_storage::LogBackend;
+use css_storage::{decode_put, LogBackend};
 use css_telemetry::{Counter, Histogram, MetricsRegistry};
 use css_trace::{SpanStatus, TraceContext};
 use css_types::{ActorId, CssError, CssResult, EventTypeId, SourceEventId};
@@ -48,29 +48,40 @@ struct Registered {
 }
 
 /// Header step of a stored message's decoder, over the bytes where
-/// they lie, in whichever form they are: up to the stored type. The
-/// decoder and that type text; `None` when there is no message, or
-/// none with a typed element in it.
+/// they lie in the record read, in whichever form they are: up to the
+/// stored type. The decoder and that type text; `None` when there is
+/// no message, or none with a typed element in it.
 fn typed(stored: &Option<Vec<u8>>) -> CssResult<Option<(StoredDetail<'_>, Cow<'_, str>)>> {
-    let Some(bytes) = stored else {
+    let Some(record) = stored else {
         return Ok(None);
     };
-    let decoder = StoredDetail::open(bytes)?;
+    let (_, message) = decode_put(record)?;
+    let decoder = StoredDetail::open(message)?;
     Ok(decoder.stored_type().map(|ty| (decoder, ty)))
 }
 
-/// The details of a message read from where `requested` is stored,
-/// if the message is that event's. Checked after the decode, so a
-/// record bad in another way reports that.
-fn filed_under(requested: SourceEventId, message: DetailMessage) -> CssResult<EventDetails> {
-    if message.src_event_id == requested {
-        Ok(message.details)
-    } else {
-        Err(CssError::Serialization(format!(
+/// The details of a message read from where `producer`'s `requested`
+/// is stored, if the message is that event's, of that producer.
+/// Checked after the decode, so a record bad in another way reports
+/// that.
+fn filed_under(
+    producer: ActorId,
+    requested: SourceEventId,
+    message: DetailMessage,
+) -> CssResult<EventDetails> {
+    if message.src_event_id != requested {
+        return Err(CssError::Serialization(format!(
             "the record stored for {requested} is the details of {}",
             message.src_event_id
-        )))
+        )));
     }
+    if message.producer != producer {
+        return Err(CssError::Serialization(format!(
+            "the record stored for {requested} is {}'s, not this gateway's producer {producer}",
+            message.producer
+        )));
+    }
+    Ok(message.details)
 }
 
 /// The producer-side gateway.
@@ -183,8 +194,9 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
     /// and nothing else (a field outside `F` is checked against its
     /// declared kind and left blank, never held) and reads the record
     /// to its end before anything is returned. A record that names
-    /// another event than the one asked for (misfiled by a bad restore,
-    /// or planted) fails the call.
+    /// another event than the one asked for, or another producer than
+    /// this gateway's (misfiled by a bad restore, or planted), fails the
+    /// call.
     ///
     /// `F` is looked up once: it becomes one mask over the schema's
     /// slots, and the decode and the postcondition read the mask.
@@ -213,7 +225,7 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
         let decoded = self.schema_named(&ty_text).and_then(|registered| {
             let mask = FieldMask::of(&registered.names.fields, allowed);
             let message = decoder.finish(&registered.schema, &registered.names, &mask)?;
-            Ok((filed_under(src_event_id, message)?, mask))
+            Ok((filed_under(self.producer, src_event_id, message)?, mask))
         });
         let (filtered, mask) = match decoded {
             Ok(decoded) => decoded,
@@ -270,7 +282,7 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
 mod tests {
     use super::*;
     use css_event::{FieldDef, FieldKind, FieldValue};
-    use css_storage::{FileBackend, MemBackend};
+    use css_storage::{FileBackend, MemBackend, RecordLog};
 
     fn schema() -> EventSchema {
         EventSchema::new(EventTypeId::v1("blood-test"), "Blood Test", ActorId(1))
@@ -482,21 +494,20 @@ mod tests {
         let path = dir.join("gw.log");
         let _ = std::fs::remove_file(&path);
         {
-            let (mut planted, _) =
-                css_storage::KvStore::open(FileBackend::open(&path).unwrap()).unwrap();
+            let mut planted = RecordLog::new(FileBackend::open(&path).unwrap());
             let foreign = r#"<DetailMessage producer="actor-1"><X type="x-ray@v1" srcEventId="src-1"/></DetailMessage>"#;
-            planted.put(b"detail:1", foreign.as_bytes()).unwrap();
-            planted.put(b"detail:2", &[0xff, 0xfe, 0x00]).unwrap();
-            planted
-                .put(b"detail:3", b"<DetailMessage><unclosed>")
-                .unwrap();
-            planted.put(b"detail:4", b"<DetailMessage/>").unwrap();
-            planted
-                .put(
+            for (key, value) in [
+                (&b"detail:1"[..], foreign.as_bytes()),
+                (b"detail:2", &[0xff, 0xfe, 0x00]),
+                (b"detail:3", b"<DetailMessage><unclosed>"),
+                (b"detail:4", b"<DetailMessage/>"),
+                (
                     b"detail:5",
                     br#"<DetailMessage><X type="@@"/></DetailMessage>"#,
-                )
-                .unwrap();
+                ),
+            ] {
+                planted.append(&put(key, value)).unwrap();
+            }
             planted.sync().unwrap();
         }
         let mut gw =
@@ -530,11 +541,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("gw.log");
         let _ = std::fs::remove_file(&path);
-        let (mut planted, _) =
-            css_storage::KvStore::open(FileBackend::open(&path).unwrap()).unwrap();
+        let mut planted = RecordLog::new(FileBackend::open(&path).unwrap());
         for (i, bytes) in stored.iter().enumerate() {
             let key = format!("detail:{}", i + 1);
-            planted.put(key.as_bytes(), bytes).unwrap();
+            planted.append(&put(key.as_bytes(), bytes)).unwrap();
         }
         planted.sync().unwrap();
         drop(planted);
@@ -543,6 +553,14 @@ mod tests {
         gw.register_schema(schema()).unwrap();
         let _ = std::fs::remove_file(&path);
         gw
+    }
+
+    /// The put record of `value` under `key`, as the gateway's log
+    /// holds a message.
+    fn put(key: &[u8], value: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        css_storage::encode_put(&mut out, key, value);
+        out
     }
 
     /// The record form of `m`, as the gateway stores it.
@@ -708,6 +726,67 @@ mod tests {
             gw.get_response(SourceEventId(1), &allowed(&["PatientId"]), None),
             Err(CssError::Serialization(m)) if m.contains("repeated field <PatientId>")
         ));
+    }
+
+    #[test]
+    fn a_record_of_another_producer_is_not_released() {
+        // Event 1's details as producer 9 wrote them, in both forms,
+        // each under key 1 of producer 1's gateway.
+        let mut foreign = message(1);
+        foreign.producer = ActorId(9);
+        let xml = stored_document("<PatientId>42</PatientId><Result>negative</Result>")
+            .replace("act-00000001", "act-00000009");
+        for stored in [record(&foreign), xml.into_bytes()] {
+            let gw = gateway_over_bytes("foreign-producer", &[&stored]);
+            let asked = gw.get_response(SourceEventId(1), &allowed(&["PatientId"]), None);
+            assert!(
+                matches!(&asked, Err(CssError::Serialization(m)) if m.contains("act-00000009") && m.contains("act-00000001")),
+                "{asked:?}"
+            );
+        }
+    }
+
+    /// A log holding a record `persist` could not have written does not
+    /// open, and the error names it: a second record for one source
+    /// event, a key that names no event, a record of another op.
+    #[test]
+    fn a_record_persist_could_not_write_fails_the_open() {
+        let open = |records: &[Vec<u8>]| {
+            let mut log = RecordLog::new(MemBackend::new());
+            for r in records {
+                log.append(r).unwrap();
+            }
+            LocalCooperationGateway::open(ActorId(1), log.into_backend()).map(|_| ())
+        };
+        let seven = put(b"detail:7", &record(&message(7)));
+        let mut other = message(7);
+        other
+            .details
+            .set("Result", FieldValue::Text("positive".into()));
+        let mut delete = put(b"detail:8", b"");
+        delete[0] = 2;
+        for (records, names) in [
+            (
+                vec![seven.clone(), put(b"detail:7", &record(&other))],
+                "src-00000007",
+            ),
+            (vec![seven.clone(), seven.clone()], "src-00000007"),
+            (
+                vec![put(b"policy:1", b"<Policy/>"), seven.clone()],
+                "\"policy:1\"",
+            ),
+            (
+                vec![put(b"detail:07", &record(&message(7)))],
+                "\"detail:07\"",
+            ),
+            (vec![seven.clone(), delete], "op 2"),
+        ] {
+            match open(&records) {
+                Err(CssError::Storage(m)) => assert!(m.contains(names), "{m}"),
+                other => panic!("opened, or failed otherwise: {other:?}"),
+            }
+        }
+        assert!(open(&[seven]).is_ok());
     }
 
     proptest::proptest! {

@@ -7,13 +7,13 @@
 //! a small, crash-safe store:
 //!
 //! - [`RecordLog`]: an append-only log of checksummed records over a
-//!   pluggable backend (file or memory). Recovery scans tolerate a torn
-//!   tail (partial final record after a crash) and surface genuine
-//!   corruption as errors.
-//! - [`KvStore`]: a keyed store layered on the log — puts are appended,
-//!   an in-memory index maps keys to log offsets, and recovery replays
-//!   the log. There is no delete and no compaction: its one writer, the
-//!   gateway's detail store, writes each key once.
+//!   pluggable backend (file or memory), and the one store. Recovery
+//!   scans tolerate a torn tail (partial final record after a crash)
+//!   and surface genuine corruption as errors; each store rebuilds its
+//!   own index from the recovery pass.
+//! - [`encode_put`] / [`decode_put`]: the put record (a key and its
+//!   value), the form of the gateway's detail log and of a legacy
+//!   `policies.log`.
 //!
 //! This is the persistence layer under the gateway's detail store, the
 //! events index and the audit log (whose control records are the
@@ -27,13 +27,13 @@
 pub mod backend;
 pub mod crc;
 pub mod instrument;
-pub mod kv;
 pub mod log;
+mod put;
 
 pub use backend::{FileBackend, LogBackend, MemBackend};
 pub use instrument::InstrumentedBackend;
-pub use kv::KvStore;
 pub use log::{split_records, RecordLog, RecordPtr};
+pub use put::{decode_put, encode_put};
 
 /// Little-endian `u32` from a 4-byte slice; `None` when the slice has
 /// the wrong length. Frame decoding uses this so malformed lengths

@@ -124,6 +124,9 @@ fn concurrent_producers_and_detail_requests() {
 /// asks for the details of events whose publish has returned, while
 /// the publishers keep indexing. Every request resolves — none reads
 /// `NotFound` — and the lock shim (debug builds) panics on no thread.
+/// It covers only publishes that have returned: a request for an event
+/// delivered while its publish is still indexing can read `NotFound`
+/// (ROADMAP item 18).
 #[test]
 fn detail_requests_racing_publishes_resolve_every_returned_event() {
     let (platform, hospital, doctor, clock) = build_platform_on(Some(8));

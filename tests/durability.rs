@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use css::audit::{AuditAction, AuditQuery};
 use css::prelude::*;
-use css::storage::{FileBackend, KvStore, LogBackend, MemBackend};
+use css::storage::{decode_put, encode_put, FileBackend, LogBackend, MemBackend, RecordLog};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("css-durability-{tag}-{}", std::process::id()));
@@ -14,28 +14,59 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// The values of the put records a log holds, in log order.
+fn put_values(path: &std::path::Path) -> Vec<Vec<u8>> {
+    let mut values = Vec::new();
+    RecordLog::recover(FileBackend::open(path).unwrap(), |_, payload| {
+        values.push(decode_put(payload)?.1.to_vec());
+        Ok(())
+    })
+    .unwrap();
+    values
+}
+
+/// A gateway log cut mid-record by a crash reopens: the torn tail is
+/// dropped, at most the last message is lost, and the rest are served.
 #[test]
-fn kv_store_recovers_from_torn_write_mid_batch() {
-    let dir = temp_dir("kv");
-    let path = dir.join("kv.log");
+fn a_gateway_log_cut_mid_record_loses_at_most_its_last() {
+    use css::gateway::LocalCooperationGateway;
+    use css::types::SourceEventId;
+    let dir = temp_dir("gateway-torn");
+    let path = dir.join("gateway.log");
+    let schema = EventSchema::new(EventTypeId::v1("visit"), "Visit", ActorId(1))
+        .field(FieldDef::required("PatientId", FieldKind::Integer));
+    let open = || {
+        let mut gw =
+            LocalCooperationGateway::open(ActorId(1), FileBackend::open(&path).unwrap()).unwrap();
+        gw.register_schema(schema.clone()).unwrap();
+        gw
+    };
     {
-        let (mut kv, _) = KvStore::open(FileBackend::open(&path).unwrap()).unwrap();
-        for i in 0..100u32 {
-            kv.put(format!("k{i}").as_bytes(), format!("v{i}").as_bytes())
-                .unwrap();
+        let mut gw = open();
+        for i in 0..100u64 {
+            gw.persist(&css::event::DetailMessage {
+                src_event_id: SourceEventId(i),
+                producer: ActorId(1),
+                details: EventDetails::new(schema.id.clone())
+                    .with("PatientId", FieldValue::Integer(i as i64)),
+            })
+            .unwrap();
         }
-        kv.sync().unwrap();
     }
     // Simulate a crash mid-append: chop arbitrary tail bytes.
     let len = std::fs::metadata(&path).unwrap().len();
     let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
     f.set_len(len - 7).unwrap();
     drop(f);
-    let (kv, torn) = KvStore::open(FileBackend::open(&path).unwrap()).unwrap();
-    assert!(torn > 0);
+    let gw = open();
+    // The torn bytes are gone from the file.
+    assert!(std::fs::metadata(&path).unwrap().len() < len - 7);
     // At most the last record is lost.
-    assert!(kv.len() >= 99);
-    assert_eq!(kv.get(b"k42").unwrap().unwrap(), b"v42");
+    assert!(gw.stored_count() >= 99);
+    assert_eq!(gw.max_src_id(), Some(SourceEventId(98)));
+    let only: std::collections::BTreeSet<String> = ["PatientId".to_string()].into();
+    let served = gw.get_response(SourceEventId(42), &only, None).unwrap();
+    assert_eq!(served.get("PatientId"), Some(&FieldValue::Integer(42)));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -255,7 +286,6 @@ fn a_torn_final_anchor_record_reopens() {
 fn record_log_scan_is_all_or_tail() {
     // Corruption strictly before the tail must fail loudly, never be
     // silently skipped.
-    use css::storage::RecordLog;
     let mut log = RecordLog::new(MemBackend::new());
     log.append(b"first").unwrap();
     log.append(b"second").unwrap();
@@ -668,9 +698,10 @@ fn a_grant_planted_in_the_policy_file_authorises_nothing() {
         ["PatientId".to_string()],
     );
     let xacml = css::xml::to_string(&css::policy::xacml::to_xacml(&planted));
-    let (mut file, _) =
-        KvStore::open(FileBackend::open(dir.join("policies.log")).unwrap()).unwrap();
-    file.put(b"policy:7", xacml.as_bytes()).unwrap();
+    let mut file = RecordLog::new(FileBackend::open(dir.join("policies.log")).unwrap());
+    let mut record = Vec::new();
+    encode_put(&mut record, b"policy:7", xacml.as_bytes());
+    file.append(&record).unwrap();
     file.sync().unwrap();
     drop(file);
     let (platform, doctor) = reopen_as_operators(&dir);
@@ -1320,12 +1351,9 @@ fn a_legacy_gateway_takes_record_appends_and_answers_from_both() {
 
             // The gateway's log holds the documents it was written with
             // and, after them, one record.
-            let (gateway, _) =
-                KvStore::open(FileBackend::open(copy.join("gateway-act-00000001.log")).unwrap())
-                    .unwrap();
-            let mut first_bytes: Vec<u8> = gateway
-                .keys()
-                .map(|key| gateway.get(key).unwrap().unwrap()[0])
+            let mut first_bytes: Vec<u8> = put_values(&copy.join("gateway-act-00000001.log"))
+                .iter()
+                .map(|value| value[0])
                 .collect();
             first_bytes.sort_unstable();
             assert_eq!(
@@ -1333,7 +1361,6 @@ fn a_legacy_gateway_takes_record_appends_and_answers_from_both() {
                 [css::event::DETAIL_RECORD_V1, b'<', b'<', b'<', b'<'],
                 "{name}"
             );
-            drop(gateway);
 
             let (platform, doctor) = reopen_as_operators(&copy);
             assert_eq!(
@@ -1387,7 +1414,6 @@ fn write_the_at_rest_fixture() {
 fn fixture_records_decode_alike_from_stream_and_tree() {
     use css::audit::AuditRecord;
     use css::event::{DetailDecoder, DetailMessage, FieldMask};
-    use css::storage::RecordLog;
     use css::xml::{parse, Reader};
 
     let hospital = ActorId(1);
@@ -1424,9 +1450,7 @@ fn fixture_records_decode_alike_from_stream_and_tree() {
                 })
                 .unwrap();
             } else if name.starts_with("gateway-") {
-                let (store, _) = KvStore::open(FileBackend::open(&path).unwrap()).unwrap();
-                for key in store.keys() {
-                    let value = store.get(key).unwrap().unwrap();
+                for value in put_values(&path) {
                     let text = std::str::from_utf8(&value).unwrap();
                     let open = || DetailDecoder::open(Reader::new(text)).unwrap();
                     let ty = open().stored_type().unwrap();

@@ -1,14 +1,18 @@
 //! Property-based tests of subsystem invariants beyond the privacy core:
-//! bus delivery semantics, the consent lattice, storage round-trips, and
+//! bus delivery semantics, the consent lattice, the gateway's store, and
 //! monitor bookkeeping.
+
+use std::collections::hash_map::Entry;
 
 use proptest::prelude::*;
 
 use css::bus::{Bus, PublishOptions, SubscriptionConfig};
 use css::controller::{ConsentDecision, ConsentRegistry, ConsentScope};
+use css::event::{DetailMessage, EventDetails, EventSchema, FieldDef, FieldKind, FieldValue};
+use css::gateway::LocalCooperationGateway;
 use css::sim::monitor::{ProcessDefinition, ProcessMonitor, Step};
-use css::storage::{KvStore, MemBackend};
-use css::types::{ActorId, EventTypeId, PersonId, Timestamp};
+use css::storage::FileBackend;
+use css::types::{ActorId, CssError, EventTypeId, PersonId, SourceEventId, Timestamp};
 
 proptest! {
     /// FIFO per subscription: any publish sequence is drained in order.
@@ -77,32 +81,76 @@ proptest! {
         );
     }
 
-    /// KvStore equals a HashMap under any sequence of puts and gets.
+    /// A gateway's store equals a HashMap under any sequence of persists
+    /// and reads, a persist of a stored id refused and changing nothing,
+    /// before a reopen and after it: the open refuses what a persist
+    /// refuses.
     #[test]
-    fn kv_store_matches_model(
+    fn gateway_store_matches_model(
         ops in proptest::collection::vec(
-            (0u8..3, 0u8..8, any::<u16>()), 0..100),
+            (0u8..3, 0u64..8, any::<u16>()), 0..100),
+        reopen_at in 0usize..100,
     ) {
-        let (mut kv, _) = KvStore::open(MemBackend::new()).unwrap();
+        let path = std::env::temp_dir()
+            .join(format!("css-gateway-model-{}.log", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let schema = EventSchema::new(EventTypeId::v1("visit"), "Visit", ActorId(1))
+            .field(FieldDef::required("PatientId", FieldKind::Integer));
+        let open = || {
+            let mut gw = LocalCooperationGateway::open(ActorId(1), FileBackend::open(&path).unwrap())
+                .unwrap();
+            gw.register_schema(schema.clone()).unwrap();
+            gw
+        };
+        let only: std::collections::BTreeSet<String> = ["PatientId".to_string()].into();
+        let read = |gw: &LocalCooperationGateway<FileBackend>, id| {
+            match gw.get_response(SourceEventId(id), &only, None) {
+                Ok(details) => Some(details.get("PatientId").cloned()),
+                Err(CssError::NotFound(_)) => None,
+                Err(e) => panic!("read of {id}: {e}"),
+            }
+        };
+        let mut gw = open();
         let mut model = std::collections::HashMap::new();
-        for (op, key, value) in ops {
-            let k = vec![key];
+        for (i, (op, id, value)) in ops.into_iter().enumerate() {
+            if i == reopen_at {
+                drop(gw);
+                gw = open();
+            }
             match op {
                 0 | 1 => {
-                    kv.put(&k, &value.to_le_bytes()).unwrap();
-                    model.insert(k, value.to_le_bytes().to_vec());
+                    let persisted = gw.persist(&DetailMessage {
+                        src_event_id: SourceEventId(id),
+                        producer: ActorId(1),
+                        details: EventDetails::new(schema.id.clone())
+                            .with("PatientId", FieldValue::Integer(value.into())),
+                    });
+                    match model.entry(id) {
+                        Entry::Occupied(_) => prop_assert!(matches!(
+                            persisted,
+                            Err(CssError::AlreadyExists(_))
+                        )),
+                        Entry::Vacant(slot) => {
+                            prop_assert!(persisted.is_ok());
+                            slot.insert(value);
+                        }
+                    }
                 }
                 _ => {
-                    let stored = kv.get(&k).unwrap();
-                    prop_assert_eq!(stored.as_deref(), model.get(&k).map(Vec::as_slice));
+                    let expected = model.get(&id).map(|&v| Some(FieldValue::Integer(v.into())));
+                    prop_assert_eq!(read(&gw, id), expected);
                 }
             }
         }
-        prop_assert_eq!(kv.len(), model.len());
-        for (k, v) in &model {
-            let stored = kv.get(k).unwrap();
-            prop_assert_eq!(stored.as_deref(), Some(v.as_slice()));
+        drop(gw);
+        let reopened = open();
+        prop_assert_eq!(reopened.stored_count(), model.len());
+        prop_assert_eq!(reopened.max_src_id(), model.keys().max().copied().map(SourceEventId));
+        for id in 0..8 {
+            let expected = model.get(&id).map(|&v| Some(FieldValue::Integer(v.into())));
+            prop_assert_eq!(read(&reopened, id), expected);
         }
+        let _ = std::fs::remove_file(&path);
     }
 
     /// A monitor instance never reports Completed unless every required
