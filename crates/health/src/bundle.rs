@@ -65,8 +65,11 @@ pub(crate) fn incidents_json<'a>(incidents: impl Iterator<Item = &'a IncidentRef
 }
 
 /// Serialize one frozen incident. `frames` are the ring's frames, each
-/// already a JSON object, and `history` is an optional pre-serialized
-/// chronicle window (itself aggregate-only): both are embedded verbatim.
+/// already a JSON object; `history` and the percentile `table` are the
+/// chronicle's window around the capture, pre-serialized (aggregate-only,
+/// [`history_json`](crate::query::history_json) and
+/// [`percentiles_json`](crate::query::percentiles_json)). All three are
+/// embedded verbatim.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn bundle_json(
     seq: u64,
@@ -75,7 +78,8 @@ pub(crate) fn bundle_json(
     frames: &[String],
     snapshot: &TelemetrySnapshot,
     spans: &[Span],
-    history: Option<&str>,
+    history: &str,
+    table: &str,
 ) -> String {
     let mut j = JsonBuf::new();
     j.begin_object();
@@ -110,9 +114,7 @@ pub(crate) fn bundle_json(
     }
     j.end_object();
 
-    if let Some(history) = history {
-        j.key("history").raw(history);
-    }
+    j.key("history").raw(history);
 
     j.key("frames").begin_array();
     for frame in frames {
@@ -128,21 +130,7 @@ pub(crate) fn bundle_json(
     write_exemplar_traces(&mut j, snapshot, spans);
     j.end_array();
 
-    j.key("percentiles").begin_array();
-    for (name, h) in &snapshot.histograms {
-        if !(name.starts_with("stage.") || name.starts_with("shard.")) {
-            continue;
-        }
-        j.begin_object();
-        j.key("histogram").string(name);
-        j.key("count").u64(h.count);
-        j.key("p50_ns").u64(h.p50_ns);
-        j.key("p90_ns").u64(h.p90_ns);
-        j.key("p99_ns").u64(h.p99_ns);
-        j.key("max_ns").u64(h.max_ns);
-        j.end_object();
-    }
-    j.end_array();
+    j.key("percentiles").raw(table);
 
     j.end_object();
     j.finish()
@@ -214,6 +202,9 @@ fn write_exemplar_traces(j: &mut JsonBuf, snapshot: &TelemetrySnapshot, spans: &
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::SnapshotDelta;
+    use crate::history::Chronicle;
+    use crate::query::percentiles_json;
     use css_telemetry::MetricsRegistry;
 
     #[test]
@@ -240,6 +231,10 @@ mod tests {
             .histogram("stage.total")
             .record_with_exemplar(5_000_000, trace_id.value(), 1);
         let spans = tracer.finished_spans();
+        let snapshot = registry.snapshot();
+        let chronicle = Chronicle::new(&MetricsRegistry::new());
+        let delta = SnapshotDelta::between(&TelemetrySnapshot::default(), &snapshot);
+        chronicle.append(&snapshot, &delta, css_types::Timestamp(1), "stage.total");
         let json = bundle_json(
             1,
             2,
@@ -247,9 +242,10 @@ mod tests {
                 reason: "t".to_string(),
             },
             &[],
-            &registry.snapshot(),
+            &snapshot,
             &spans,
-            None,
+            r#"{"series":[]}"#,
+            &percentiles_json(&chronicle, 0, 2),
         );
         let hex = format!("{trace_id}");
         assert!(json.contains(&format!(r#""trace_id":"{hex}""#)), "{json}");
@@ -259,8 +255,6 @@ mod tests {
             json.contains(r#""percentiles":[{"histogram":"stage.total""#),
             "{json}"
         );
-        // No history passed: the section is absent entirely.
-        assert!(!json.contains(r#""history""#), "{json}");
     }
 
     #[test]
@@ -278,7 +272,8 @@ mod tests {
             &[],
             &registry.snapshot(),
             &[],
-            Some(history),
+            history,
+            "[]",
         );
         assert!(json.contains(r#""kind":"anomaly""#), "{json}");
         assert!(json.contains(r#""metric":"stage.total""#), "{json}");

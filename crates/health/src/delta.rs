@@ -3,9 +3,8 @@
 //! Every instrument in a [`TelemetrySnapshot`] is cumulative since the
 //! platform was built. The plane keeps the previous tick's snapshot,
 //! subtracts it from the current one **here, once**, and hands the
-//! result to the SLO windows, the history rings and the recorder's
-//! telemetry frame — so the three can never disagree about what a tick
-//! contained.
+//! result to the SLO windows and the history rings — so the two can
+//! never disagree about what a tick contained.
 
 use std::collections::BTreeMap;
 

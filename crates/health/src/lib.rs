@@ -27,17 +27,19 @@
 //!    backlog, the trace ring's drop rate, the drift detector — each
 //!    yielding `Healthy`/`Degraded{reason}`/`Unhealthy{reason}`, rolled
 //!    up into the `GET /health` document.
-//! 4. **Flight recorder**: a bounded drop-oldest ring of observation
-//!    frames — telemetry deltas, recent root spans, SLO burn samples,
-//!    health transitions — each rendered to JSON once, when observed.
+//! 4. **Flight recorder**: a bounded drop-oldest ring of what the
+//!    history cannot hold — recent root spans, SLO burn samples, health
+//!    transitions — each frame rendered to JSON once, when observed.
 //!    On the *edge* into a bad state (an SLO
 //!    reaches Critical, a check goes Unhealthy, the detector flags
 //!    drift) or on `POST /debug/capture`, the ring is frozen into an
-//!    **incident bundle** (schema `css-blackbox/1`): trigger, frame
-//!    history, histogram **exemplars** joining a p99 bucket to the
-//!    trace that landed in it, those traces' span trees, and
-//!    `stage.*`/`shard.*` percentiles — written to disk, listed on
-//!    `GET /debug/incidents` and returned by the POST.
+//!    **incident bundle** (schema `css-blackbox/1`): trigger, the
+//!    history's raw ticks of the request path's `stage.*`/`shard.*`
+//!    series that moved over the last five minutes, frame history, histogram
+//!    **exemplars** joining a p99 bucket to the trace that landed in
+//!    it, those traces' span trees, and the `stage.*`/`shard.*`
+//!    percentiles over the same five minutes — written to disk, listed
+//!    on `GET /debug/incidents` and returned by the POST.
 //! 5. **Exposition** ([`OpsServer`], [`OpsHandle`], [`Sampler`]): a
 //!    hand-rolled HTTP/1.0 listener on `std::net::TcpListener` serving
 //!    the nine routes, and the one background thread that ticks. The

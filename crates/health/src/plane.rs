@@ -17,11 +17,13 @@
 //! 5. **checks** — run every health check against the snapshot (the
 //!    plane's own `chronicle-anomaly` check reads the detector state
 //!    step 4 just wrote);
-//! 6. **recorder** — under one lock, frame the tick in bundle order:
-//!    telemetry → new root spans → SLO table → health transitions;
-//!    collect the edges (SLO entered Critical, check became Unhealthy);
+//! 6. **recorder** — under one lock, frame what the history cannot
+//!    hold, in bundle order: new root spans → SLO table → health
+//!    transitions; collect the edges (SLO entered Critical, check
+//!    became Unhealthy);
 //! 7. **capture** — one bundle per edge, SLO and health first, the
-//!    anomaly edge last with its history window embedded.
+//!    anomaly edge last; every bundle embeds the history's window
+//!    before the capture and its percentile table.
 //!
 //! The sampler thread and a test call the same `tick`; an edge in the
 //! tick and `POST /debug/capture` reach the same `capture`. Everything
@@ -39,18 +41,20 @@ use crate::anomaly::AnomalyDetector;
 use crate::checks::{self, Check};
 use crate::delta::SnapshotDelta;
 use crate::history::Chronicle;
-use crate::query::history_json;
+use crate::query::{history_json, percentiles_json};
 use crate::recorder::{FlightRecorder, Trigger};
 use crate::slo::{Slo, SloEngine};
 use crate::status::{HealthReport, HealthStatus};
 
-/// Observation frames the flight-recorder ring keeps — at the 250 ms
-/// production cadence roughly the last minute of ticks.
+/// Observation frames the flight-recorder ring keeps: one SLO sample
+/// per tick, plus each finished root span and health transition — at
+/// the 250 ms production cadence up to the last two minutes of ticks.
 const RING_FRAMES: usize = 512;
 /// The metric the anomaly detector watches (per-tick p99).
 const ANOMALY_METRIC: &str = "stage.total";
-/// How much raw history an anomaly-triggered bundle embeds (5 min).
-const ANOMALY_HISTORY_WINDOW_MS: u64 = 300_000;
+/// How much raw history every bundle embeds (5 min). The raw ring
+/// keeps 960 ticks, so at the 250 ms cadence a bundle gets all of it.
+const HISTORY_WINDOW_MS: u64 = 300_000;
 
 /// The live ops plane of one platform: SLO windows, metrics history,
 /// anomaly detector, flight recorder and health checks behind one
@@ -125,8 +129,8 @@ impl OpsPlane {
 
     /// One sample: the module docs list the steps. The first tick has
     /// nothing to subtract — it seeds the SLO baseline, while the
-    /// history and the recorder see every instrument's lifetime total
-    /// as that tick's increase.
+    /// history sees every instrument's lifetime total as that tick's
+    /// increase.
     pub fn tick(&self) {
         let triggers = self.observe(&mut self.prev.lock());
         for trigger in triggers {
@@ -137,7 +141,6 @@ impl OpsPlane {
     fn observe(&self, prev: &mut Option<TelemetrySnapshot>) -> Vec<Trigger> {
         let snapshot = (self.source)();
         let now = self.clock.now();
-        let at_ms = now.0;
         let empty = TelemetrySnapshot::default();
         let delta = SnapshotDelta::between(prev.as_ref().unwrap_or(&empty), &snapshot);
         let table = {
@@ -161,9 +164,7 @@ impl OpsPlane {
                 expected: v.expected,
             });
         let report = checks::report(&self.checks, &snapshot);
-        let mut triggers =
-            self.recorder
-                .observe(at_ms, &snapshot, &delta, &self.tracer, &table, &report);
+        let mut triggers = self.recorder.observe(now.0, &self.tracer, &table, &report);
         triggers.extend(anomaly);
         *prev = Some(snapshot);
         triggers
@@ -171,20 +172,19 @@ impl OpsPlane {
 
     /// Freeze the recorder's ring into an incident bundle, now, and
     /// return it: what an edge in [`tick`](Self::tick) and
-    /// `POST /debug/capture` both reach. An anomaly trigger embeds the
-    /// last five minutes of the watched metric, read from the history.
+    /// `POST /debug/capture` both reach. Whatever the trigger, the
+    /// bundle embeds the history's last five minutes and the
+    /// percentile table merged over them.
     pub(crate) fn capture(&self, trigger: Trigger) -> String {
         let at_ms = self.clock.now().0;
-        let history = matches!(trigger, Trigger::Anomaly { .. }).then(|| {
-            let from_ms = at_ms.saturating_sub(ANOMALY_HISTORY_WINDOW_MS);
-            history_json(&self.history, &self.detector, from_ms, at_ms)
-        });
+        let from_ms = at_ms.saturating_sub(HISTORY_WINDOW_MS);
         self.recorder.capture(
             trigger,
             &self.snapshot(),
             &self.tracer.finished_spans(),
             at_ms,
-            history.as_deref(),
+            &history_json(&self.history, &self.detector, from_ms, at_ms),
+            &percentiles_json(&self.history, from_ms, at_ms),
         )
     }
 
@@ -332,14 +332,13 @@ pub(crate) mod tests {
         }
         assert_eq!(rig.kinds(), ["slo_critical", "anomaly"]);
 
-        // The anomaly bundle embeds its history window; the SLO one
-        // has none.
+        // Both bundles embed the history window.
         let bundle = |i: usize| {
             let path = rig.plane.recorder.incidents()[i].path.clone();
             let path = path.expect("written");
             std::fs::read_to_string(path).expect("bundle on disk")
         };
-        assert!(!bundle(0).contains(r#""history""#));
+        assert!(bundle(0).contains(r#""history":{"from_ms":0,"#));
         let anomaly = bundle(1);
         assert!(anomaly.contains(r#""history":{"from_ms":0,"#), "{anomaly}");
         assert!(
@@ -400,17 +399,7 @@ pub(crate) mod tests {
             .map(|(at, m)| &manual[at + m.len()..])
             .map(|rest| &rest[..rest.find('"').unwrap()])
             .collect();
-        assert_eq!(
-            types,
-            [
-                "telemetry",
-                "slo",
-                "telemetry",
-                "span_root",
-                "slo",
-                "health"
-            ]
-        );
+        assert_eq!(types, ["slo", "span_root", "slo", "health"]);
         // The edge's bundle and the manual one went through one path:
         // both are listed, both are on disk as returned.
         assert_eq!(rig.kinds(), ["unhealthy", "manual"]);
@@ -418,6 +407,39 @@ pub(crate) mod tests {
         let on_disk = std::fs::read_to_string(path.expect("written")).unwrap();
         assert_eq!(on_disk, manual);
         assert!(manual.contains(r#""reason":"operator request""#));
+    }
+
+    /// Two slow ticks after 600 fast ones are 0.33 % of the run, too
+    /// few to move a lifetime p99; the bundle's points are per tick.
+    #[test]
+    fn a_short_slowdown_shows_in_a_manual_bundle() {
+        let rig = rig("short-slowdown");
+        let step = |latency_ns: u64| {
+            rig.clock.advance(Duration::millis(250));
+            for _ in 0..1_000 {
+                rig.registry.histogram("stage.total").record(latency_ns);
+            }
+            rig.plane.tick();
+        };
+        for _ in 0..600 {
+            step(HEALTHY_NS);
+        }
+        for _ in 0..2 {
+            step(SLOW_NS);
+        }
+        let reason = "operator request".to_string();
+        let bundle = rig.plane.capture(Trigger::Manual { reason });
+        let series =
+            r#""series":[{"metric":"stage.total","kind":"histogram","resolution":"raw","points":["#;
+        let at = bundle.find(series).expect("stage.total leads the history") + series.len();
+        let points = &bundle[at..at + bundle[at..].find(']').expect("points end")];
+        let p99s: Vec<&str> = points
+            .split(r#""p99_ns":"#)
+            .skip(1)
+            .map(|rest| &rest[..rest.find('}').expect("point end")])
+            .collect();
+        assert_eq!(p99s.len(), 602, "every tick is in the window");
+        assert_eq!(p99s[599..], ["131071", "8388607", "8388607"], "{bundle}");
     }
 
     /// A plane with one latency SLO and no checks of its own, on
@@ -542,7 +564,7 @@ pub(crate) mod tests {
         assert!(!json.contains("null"), "{json}");
         let snapshot = registry.snapshot();
         assert_eq!(snapshot.counter("chronicle.appends_skipped"), 4);
-        assert_eq!(snapshot.counter("blackbox.frames_recorded"), 10);
+        assert_eq!(snapshot.counter("blackbox.frames_recorded"), 5);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! Everything returned is an aggregate over retained telemetry — metric
 //! names, timestamps, counts, and nanosecond estimates; no identifier,
 //! payload field, or policy input ever enters the store, so none can
-//! leave it. The two documents back the ops server's `GET /query`
+//! leave it. The documents back the ops server's `GET /query`
 //! (function evaluation: `rate`, `delta`, `quantile_over_time`, instant
-//! and stepped) and `GET /range` (the retained slots themselves).
+//! and stepped) and `GET /range` (the retained slots themselves), and
+//! an incident bundle's `history` section and percentile table.
 
 use css_telemetry::JsonBuf;
 
@@ -228,9 +229,18 @@ pub(crate) fn range_json(chronicle: &Chronicle, query: &str) -> String {
     j.finish()
 }
 
-/// The history window an incident bundle embeds: the detector's view
-/// and the raw slots of the metric it watches over `[from, to]`.
-/// Compact by construction — bounded rings, aggregate-only.
+/// The request path's series an incident bundle reads: the `stage.*`
+/// stages and the `shard.*` data-plane shards.
+fn on_request_path(metric: &str) -> bool {
+    metric.starts_with("stage.") || metric.starts_with("shard.")
+}
+
+/// The `history` section every incident bundle embeds: the detector's
+/// state, then the raw slots over `[from, to]` of the watched metric
+/// first and, in name order, of every other request-path series that
+/// moved in the window — a histogram that observed something, a
+/// counter or gauge whose level changed. Compact by construction —
+/// bounded rings, aggregate-only.
 pub(crate) fn history_json(
     chronicle: &Chronicle,
     detector: &AnomalyDetector,
@@ -250,9 +260,22 @@ pub(crate) fn history_json(
     j.key("edges").u64(s.edges);
     j.end_object();
     j.key("series").begin_array();
-    if let Some(kind) = chronicle.kind(&s.metric) {
+    let watched = chronicle
+        .kind(&s.metric)
+        .map(|kind| (s.metric.clone(), kind));
+    let rest = chronicle
+        .series_names()
+        .into_iter()
+        .filter(|(metric, kind)| {
+            *metric != s.metric
+                && on_request_path(metric)
+                && chronicle
+                    .merged(metric, Resolution::Raw, from_ms, to_ms)
+                    .is_some_and(|a| *kind == MetricKind::Histogram || a.max > a.min)
+        });
+    for (metric, kind) in watched.into_iter().chain(rest) {
         let t = Target {
-            metric: s.metric,
+            metric,
             kind,
             res: Resolution::Raw,
             from_ms,
@@ -261,6 +284,34 @@ pub(crate) fn history_json(
         write_series(&mut j, chronicle, &t);
     }
     j.end_array().end_object();
+    j.finish()
+}
+
+/// The bundle's percentile table: each request-path histogram's raw
+/// slots over `[from, to]` merged into one distribution — its
+/// observations, p50/p90/p99 and, as `max_ns`, the highest occupied
+/// bucket bound (the quantiles' upper-bound convention). A histogram
+/// idle over the window has no row.
+pub(crate) fn percentiles_json(chronicle: &Chronicle, from_ms: u64, to_ms: u64) -> String {
+    let mut j = JsonBuf::new();
+    j.begin_array();
+    for (metric, kind) in chronicle.series_names() {
+        if kind != MetricKind::Histogram || !on_request_path(&metric) {
+            continue;
+        }
+        let Some(a) = chronicle.merged(&metric, Resolution::Raw, from_ms, to_ms) else {
+            continue;
+        };
+        j.begin_object();
+        j.key("histogram").string(&metric);
+        j.key("count").u64(a.count);
+        j.key("p50_ns").u64(a.quantile_ns(0.50).unwrap_or(0));
+        j.key("p90_ns").u64(a.quantile_ns(0.90).unwrap_or(0));
+        j.key("p99_ns").u64(a.quantile_ns(0.99).unwrap_or(0));
+        j.key("max_ns").u64(a.max as u64);
+        j.end_object();
+    }
+    j.end_array();
     j.finish()
 }
 
@@ -385,9 +436,15 @@ mod tests {
             json.contains(r#""series":[{"metric":"stage.total""#),
             "{json}"
         );
-        // A watched metric the store never saw leaves the series empty.
+        // A watched metric the store never saw has no series; the
+        // request path's series still follow, and nothing off it does.
         let detector = AnomalyDetector::new("absent.metric");
         let json = history_json(&c, &detector, 0, u64::MAX);
-        assert!(json.ends_with(r#""series":[]}"#), "{json}");
+        assert_eq!(json.matches(r#""metric":"absent.metric""#).count(), 1);
+        assert!(
+            json.contains(r#""series":[{"metric":"stage.total""#),
+            "{json}"
+        );
+        assert!(!json.contains(r#""metric":"bus."#), "{json}");
     }
 }

@@ -8,7 +8,6 @@ use css_trace::{Span, Tracer};
 use parking_lot::Mutex;
 
 use crate::bundle::{self, hex_trace_id};
-use crate::delta::SnapshotDelta;
 use crate::slo::{AlertLevel, SloStatus};
 use crate::status::{HealthReport, HealthStatus};
 
@@ -156,56 +155,23 @@ impl FlightRecorder {
         self.occupancy.set(state.ring.len() as i64);
     }
 
-    /// Record one tick, under one lock and in bundle order — the
-    /// telemetry frame, the root spans finished since the last tick,
-    /// the SLO table, then each health transition — and return a
-    /// trigger for every SLO that *entered* Critical and every
-    /// component that *became* Unhealthy at this tick.
+    /// Record one tick, under one lock and in bundle order — the root
+    /// spans finished since the last tick, the SLO table, then each
+    /// health transition — and return a trigger for every SLO that
+    /// *entered* Critical and every component that *became* Unhealthy
+    /// at this tick. The tick's telemetry is the chronicle's to keep.
     pub(crate) fn observe(
         &self,
         at_ms: u64,
-        snapshot: &TelemetrySnapshot,
-        delta: &SnapshotDelta,
         tracer: &Tracer,
         table: &[SloStatus],
         report: &HealthReport,
     ) -> Vec<Trigger> {
         let mut state = self.state.lock();
-        self.observe_telemetry(&mut state, snapshot, delta, at_ms);
         self.observe_spans(&mut state, tracer, at_ms);
         let mut triggers = self.observe_slos(&mut state, table, at_ms);
         triggers.extend(self.observe_health(&mut state, report, at_ms));
         triggers
-    }
-
-    /// The telemetry frame: the tick's counter increases (zero deltas
-    /// are omitted, so an idle platform records tiny frames) plus
-    /// per-histogram cumulative summaries.
-    fn observe_telemetry(
-        &self,
-        state: &mut RecorderState,
-        snapshot: &TelemetrySnapshot,
-        delta: &SnapshotDelta,
-        at_ms: u64,
-    ) {
-        self.push(state, "telemetry", at_ms, |j| {
-            j.key("counter_deltas").begin_array();
-            for (name, delta) in &delta.counters {
-                j.begin_array().string(name).u64(*delta).end_array();
-            }
-            j.end_array();
-            j.key("histograms").begin_array();
-            for (name, h) in &snapshot.histograms {
-                j.begin_object();
-                j.key("name").string(name);
-                j.key("count").u64(h.count);
-                j.key("p50_ns").u64(h.p50_ns);
-                j.key("p99_ns").u64(h.p99_ns);
-                j.key("max_ns").u64(h.max_ns);
-                j.end_object();
-            }
-            j.end_array();
-        });
     }
 
     /// The SLO burn-rate frame, and a trigger for every SLO that
@@ -308,26 +274,28 @@ impl FlightRecorder {
     }
 
     /// Freeze the ring into an incident bundle: serialize it with the
-    /// trigger, current exemplars, the span trees those exemplars point
-    /// at, `stage.*`/`shard.*` percentiles and — when the caller read
-    /// one from the history store — the metrics-history window as the
-    /// bundle's `history` section; write it under the incident
-    /// directory; remember it for `/debug/incidents`; return it. Never
-    /// panics: a filesystem failure lists the bundle without a path.
+    /// trigger, the chronicle's `history` window and percentile `table`
+    /// read by the caller, current exemplars and the span trees
+    /// those exemplars point at; write it under the incident directory;
+    /// remember it for `/debug/incidents`; return it. Never panics: a
+    /// filesystem failure lists the bundle without a path.
     pub(crate) fn capture(
         &self,
         trigger: Trigger,
         snapshot: &TelemetrySnapshot,
         spans: &[Span],
         at_ms: u64,
-        history: Option<&str>,
+        history: &str,
+        table: &str,
     ) -> String {
         let (seq, frames) = {
             let mut state = self.state.lock();
             state.seq += 1;
             (state.seq, state.ring.iter().cloned().collect::<Vec<_>>())
         };
-        let json = bundle::bundle_json(seq, at_ms, &trigger, &frames, snapshot, spans, history);
+        let json = bundle::bundle_json(
+            seq, at_ms, &trigger, &frames, snapshot, spans, history, table,
+        );
         let path = self.write_bundle(seq, at_ms, &json);
         let mut state = self.state.lock();
         let evicted = if state.incidents.len() >= INCIDENTS_RETAINED {
@@ -404,7 +372,8 @@ mod tests {
 
         fn manual(&self, snapshot: &TelemetrySnapshot, at_ms: u64) -> String {
             let reason = "operator test".to_string();
-            self.capture(Trigger::Manual { reason }, snapshot, &[], at_ms, None)
+            let trigger = Trigger::Manual { reason };
+            self.capture(trigger, snapshot, &[], at_ms, r#"{"series":[]}"#, "[]")
         }
 
         /// Recent incident references, oldest first.
@@ -488,22 +457,47 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_frames_carry_counter_deltas() {
+    fn a_quiet_tick_records_one_frame_the_slo_sample() {
         let registry = MetricsRegistry::new();
         let rec = recorder(16, &registry);
-        let work = MetricsRegistry::new();
-        work.counter("controller.published").add(10);
-        let first = work.snapshot();
-        let delta = SnapshotDelta::between(&TelemetrySnapshot::default(), &first);
-        rec.observe_telemetry(&mut rec.state.lock(), &first, &delta, 1);
-        work.counter("controller.published").add(5);
-        let second = work.snapshot();
-        let delta = SnapshotDelta::between(&first, &second);
-        rec.observe_telemetry(&mut rec.state.lock(), &second, &delta, 2);
-        let json = rec.manual(&second, 3);
-        // First frame sees the full total, second only the increase.
-        assert!(json.contains(r#"["controller.published",10]"#), "{json}");
-        assert!(json.contains(r#"["controller.published",5]"#), "{json}");
+        let tracer = Tracer::new(8, &MetricsRegistry::new());
+        let report = HealthReport {
+            components: Vec::new(),
+        };
+        let triggers = rec.observe(1, &tracer, &[slo("lat", AlertLevel::Ok)], &report);
+        assert!(triggers.is_empty());
+        assert_eq!(registry.snapshot().counter("blackbox.frames_recorded"), 1);
+        let json = rec.manual(&registry.snapshot(), 2);
+        assert!(
+            json.contains(r#""frames":[{"type":"slo","at_ms":1,"#),
+            "{json}"
+        );
+        assert_eq!(json.matches(r#"{"type":""#).count(), 1, "{json}");
+    }
+
+    /// The counter's increases reach a bundle through the chronicle's
+    /// raw points: its level at each tick.
+    #[test]
+    fn counter_increases_reach_a_manual_bundle_as_raw_points() {
+        use crate::plane::tests::rig;
+        use css_types::Duration;
+        let rig = rig("counter-points");
+        rig.registry.counter("shard.ops").add(10);
+        rig.plane.tick();
+        rig.clock.advance(Duration::millis(5_000));
+        rig.registry.counter("shard.ops").add(5);
+        rig.plane.tick();
+        let reason = "operator test".to_string();
+        let json = rig.plane.capture(Trigger::Manual { reason });
+        let series = r#"{"metric":"shard.ops","kind":"counter","resolution":"raw","points":["#;
+        let at = json.find(series).expect("the counter's series") + series.len();
+        let points = &json[at..at + json[at..].find(']').expect("points end")];
+        let levels: Vec<&str> = points
+            .split(r#""last":"#)
+            .skip(1)
+            .map(|rest| &rest[..rest.find('}').expect("point end")])
+            .collect();
+        assert_eq!(levels, ["10.0000", "15.0000"], "{json}");
     }
 
     /// The interleaving that lost the slow request when "new" was read

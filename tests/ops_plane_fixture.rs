@@ -7,14 +7,18 @@
 //! body it serves compared byte for byte with
 //! `tests/fixtures/ops-plane-1/`.
 //!
-//! The fixtures were written by the commit *before* `css-blackbox` and
-//! `css-chronicle` were folded into `css-health`: the same sequence
+//! The route bodies were written by the commit *before* `css-blackbox`
+//! and `css-chronicle` were folded into `css-health`: the same sequence
 //! over that commit's parts wired in its `ops.rs` order
-//! (`SloEngine::tick` → `Chronicle::append` → detector →
-//! `observe_telemetry / spans / slos / health` → captures). They pin
-//! the nine routes' bodies, the bundle schema and the per-tick frame
-//! order across the merge. After a *deliberate* change to a body, copy
-//! the directory the failure message names over the fixture.
+//! (`SloEngine::tick` → `Chronicle::append` → detector → recorder →
+//! captures). The six bundles were rewritten by the commit that made
+//! the chronicle the plane's one memory of ticks (the child of
+//! `1b6fd27`): its recorder frames spans, SLO samples and health
+//! transitions only, and every bundle embeds the chronicle's `history`
+//! window and a percentile table merged over it. They pin the nine
+//! routes' bodies, the bundle schema and the per-tick frame order.
+//! After a *deliberate* change to a body, copy the directory the
+//! failure message names over the fixture.
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
