@@ -25,8 +25,10 @@
 //!   back at the head of the queue for another attempt; the nack of its
 //!   [`MAX_ATTEMPTS`]th delivery moves it to the **dead-letter queue**,
 //!   with the original publish trace preserved,
-//! - publish **dedup keys** (a bounded per-topic idempotency window)
-//!   and **bounded queues** per group ([`QUEUE_CAPACITY`] messages): a
+//! - publish **dedup keys** (a bounded per-topic idempotency window,
+//!   forgotten at a restart; no platform path sets one: the events
+//!   index's claim of each source event is the controller's idempotence
+//!   check) and **bounded queues** per group ([`QUEUE_CAPACITY`] messages): a
 //!   publish that finds one full is rejected for every group
 //!   (all-or-nothing back-pressure),
 //! - per-group and broker-wide **statistics** used by experiments

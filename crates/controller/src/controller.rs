@@ -99,8 +99,6 @@ pub(crate) struct RequestCounters {
     published: Counter,
     /// `controller.publish_denied` — publishes the consent gate refused.
     publish_denied: Counter,
-    /// `controller.publish_deduped` — producer retries the bus dropped.
-    publish_deduped: Counter,
     /// `controller.detail_requests` — Algorithm 1 invocations.
     pub(crate) detail_requests: Counter,
     /// `controller.detail_denies` — requests that released nothing.
@@ -122,7 +120,6 @@ impl RequestCounters {
         RequestCounters {
             published: registry.counter("controller.published"),
             publish_denied: registry.counter("controller.publish_denied"),
-            publish_deduped: registry.counter("controller.publish_deduped"),
             detail_requests: registry.counter("controller.detail_requests"),
             detail_denies: registry.counter("controller.detail_denies"),
             detail_permits: registry.counter("controller.detail_permits"),
@@ -569,14 +566,18 @@ impl<B: LogBackend> DataController<B> {
     /// authorized subscriber. The detail message must already be
     /// persisted in the producer's gateway under `src_event_id`.
     ///
-    /// `(producer, src_event_id)` doubles as the publish **idempotency
-    /// key**: re-publishing the same source event while its key is in
-    /// the bus's dedup window — the last `DEDUP_WINDOW` (4 096) keys of
-    /// the topic, held in memory — is dropped and reported as
-    /// [`CssError::AlreadyExists`] instead of notifying every consumer
-    /// twice. That covers a producer retry after a timeout, not one
-    /// after a restart: the window starts empty at every open (ROADMAP
-    /// item 18).
+    /// A source event is published once. Before the consent gate, the
+    /// id and the route, the publish claims `(producer, src_event_id)`
+    /// in the index plane, which holds the id of every source event it
+    /// indexed and rebuilds that map from its log at open. A source
+    /// event indexed, or being published, already is refused with
+    /// [`CssError::AlreadyExists`] — after any number of other
+    /// publishes, and across a restart — and the refusal mints no id,
+    /// routes nothing and writes no index entry or audit record. A
+    /// publish refused before its entry is linked (consent withheld, an
+    /// undeclared class, a full queue, a failed index write) gives the
+    /// claim back, so its retry is admitted; a failed index write has
+    /// routed the notification already (ROADMAP item 18).
     ///
     /// A fresh `publish` root span is minted. The span covers
     /// the consent gate through the audit group commit; `bus.route`,
@@ -601,6 +602,7 @@ impl<B: LogBackend> DataController<B> {
                 "event class {event_type} belongs to {owner}, not to {producer}"
             )));
         }
+        let source = self.index.claim_source(producer, src_event_id)?;
         let now = self.now();
         let mut timer = self.counters.publish_stages.start();
         let mut span = self.tracer.root("publish", now);
@@ -643,28 +645,17 @@ impl<B: LogBackend> DataController<B> {
         });
         let event_type = &notification.event_type;
         let person = notification.person.id;
-        // Route first (all-or-nothing on a full queue), then index. The
-        // dedup key makes producer retries idempotent at the bus.
+        // Route first (all-or-nothing on a full queue), then index.
         let ctx = span.context();
-        let dedup_key = format!("{producer}:{src_event_id}");
         let routes = self.authorised_routes(event_type, now)?;
         let route = routes
             .get(event_type)
             .ok_or_else(|| CssError::NotFound(format!("event class {event_type} not declared")))?;
-        let outcome = self.bus.publish_opts(
+        self.bus.publish_opts(
             &route.topic,
             Arc::clone(&notification),
-            PublishOptions::new().dedup_key(&dedup_key).traced(&ctx),
+            PublishOptions::new().traced(&ctx),
         )?;
-        if outcome.is_duplicate() {
-            timer.stage("route");
-            span.set_status(SpanStatus::Error);
-            span.finish();
-            self.counters.publish_deduped.inc();
-            return Err(CssError::AlreadyExists(format!(
-                "source event {src_event_id} of {producer} was already published"
-            )));
-        }
         timer.stage("route");
         // Ascending (the class list is kept so), for the receipt, for
         // the index entry, which keeps them as its sorted `Notified`,
@@ -676,7 +667,7 @@ impl<B: LogBackend> DataController<B> {
         receivers.dedup();
         let index_span = ctx.child("index.insert");
         self.index
-            .insert_notified(&notification, src_event_id, receivers.clone().into())?;
+            .insert_notified(&notification, source, receivers.clone().into())?;
         index_span.finish();
         timer.stage("index");
         // One group commit for the Publish record and the per-consumer

@@ -48,7 +48,7 @@ use css_types::{
 };
 use css_xml::{Attributes, BinarySink, Names, Stored, Token, XmlSink, XmlSource};
 
-use crate::owners::{Claim, OwnerTable};
+use crate::owners::{Claim, OwnerTable, SourceClaim};
 
 /// The consumers notified of an event: ascending, each once, searched
 /// by binary search. A fan-out is a handful of consumers, so this is
@@ -505,11 +505,12 @@ impl<B: LogBackend> EventsIndex<B> {
     /// backend it was read off: a plane that changed its shard count
     /// still recovers every event into the right partition. Every
     /// record is decoded in the one pass recovery makes over its log;
-    /// entries are linked once every shard exists, through the claim a
-    /// live insert makes, so a second entry for an event, on any
-    /// backend, fails the open. Notified-markers follow, through the
-    /// owner table, so a marker for an event no shard holds fails it
-    /// too, as a live [`EventsIndex::mark_notified`] refuses to write one.
+    /// entries are linked once every shard exists, through the claims a
+    /// live insert makes, so a second entry for an event, or for a
+    /// source event, on any backend, fails the open. Notified-markers
+    /// follow, through the owner table, so a marker for an event no
+    /// shard holds fails it too, as a live [`EventsIndex::mark_notified`]
+    /// refuses to write one.
     pub(crate) fn open_all(
         master_key: &[u8],
         backends: Vec<B>,
@@ -545,6 +546,9 @@ impl<B: LogBackend> EventsIndex<B> {
             let shard = &mut shards[owner(&tag)];
             let twice = || CssError::Storage(format!("index log holds event {id} twice"));
             let claim = shard.claim(&tag, id)?.ok_or_else(twice)?;
+            let refused = |e| CssError::Storage(format!("index log holds event {id}: {e}"));
+            let source = owners.claim_source(entry.producer, entry.src_event_id);
+            source.map_err(refused)?.link(id);
             shard.link_entry(tag, entry);
             owners.settle(claim, true);
         }
@@ -611,25 +615,31 @@ impl<B: LogBackend> EventsIndex<B> {
     }
 
     /// Store a notification, sealing the identifying fields. The
-    /// notified set is converted once, to the entry's sorted list.
+    /// notified set is converted once, to the entry's sorted list. An
+    /// id, or a source event of the producer, already indexed fails
+    /// with [`CssError::AlreadyExists`].
     pub fn insert(
         &mut self,
         notification: &NotificationMessage,
         src_event_id: SourceEventId,
         notified: HashSet<ActorId>,
     ) -> CssResult<()> {
+        let owners = Arc::clone(&self.owners);
+        let source = owners.claim_source(notification.producer, src_event_id)?;
         let person_tag = self.tag(notification.person.id);
         let notified = notified.into_iter().collect();
-        self.insert_tagged(person_tag, notification, src_event_id, notified)
+        self.insert_tagged(person_tag, notification, source, notified)
     }
 
     /// [`EventsIndex::insert`] for a caller that already holds the
-    /// person's tag — the plane derives it to pick this shard.
+    /// person's tag — the plane derives it to pick this shard — and the
+    /// claim of the notification's source event, which is linked with
+    /// the entry or, if none is written, given back.
     pub(crate) fn insert_tagged(
         &mut self,
         person_tag: [u8; 32],
         notification: &NotificationMessage,
-        src_event_id: SourceEventId,
+        source: SourceClaim<'_>,
         notified: Notified,
     ) -> CssResult<()> {
         let id = notification.global_id;
@@ -646,7 +656,7 @@ impl<B: LogBackend> EventsIndex<B> {
             description: notification.description.clone(),
             occurred_at: notification.occurred_at,
             producer: notification.producer,
-            src_event_id,
+            src_event_id: source.src(),
             notified,
         };
         self.payloads.clear();
@@ -654,6 +664,7 @@ impl<B: LogBackend> EventsIndex<B> {
         let written = self.storage.append(&self.payloads).map(|_| ());
         if written.is_ok() {
             self.link_entry(person_tag, entry);
+            source.link(id);
         }
         self.owners.settle(claim, written.is_ok());
         written
@@ -1189,6 +1200,49 @@ mod tests {
         assert!(idx.was_notified(GlobalEventId(1), ActorId(5)));
     }
 
+    /// An entry planted with a valid CRC, carrying an indexed source
+    /// event under a fresh id, fails the open, naming the source event
+    /// and both ids, read off one backend or two.
+    #[test]
+    fn a_replayed_second_entry_for_a_source_event_fails_the_open() {
+        let key = b"controller master key";
+        let log_of = |id: u64| {
+            let mut idx = index();
+            idx.insert(&notif(id, 7, "x"), SourceEventId(91), HashSet::new())
+                .unwrap();
+            let log = idx.storage.into_backend();
+            log.read_at(0, log.len() as usize).unwrap()
+        };
+        let backend = |parts: &[&Vec<u8>]| {
+            let mut backend = MemBackend::new();
+            for part in parts {
+                backend.append(part).unwrap();
+            }
+            backend
+        };
+        let (indexed, planted) = (log_of(1), log_of(2));
+        let names_both = |opened: CssResult<()>| match opened {
+            Err(CssError::Storage(m)) => {
+                let named = [
+                    "src-00000091",
+                    "act-00000001",
+                    "evt-00000001",
+                    "evt-00000002",
+                ];
+                assert!(named.iter().all(|part| m.contains(part)), "{m}");
+            }
+            other => panic!("opened: {other:?}"),
+        };
+        names_both(EventsIndex::open(key, backend(&[&indexed, &planted])).map(|_| ()));
+        let across = vec![backend(&[&indexed]), backend(&[&planted])];
+        names_both(EventsIndex::open_all(key, across, |_| 0).map(|_| ()));
+        // Either entry alone opens, its source event claimed.
+        let mut idx = EventsIndex::open(key, backend(&[&planted])).unwrap();
+        let retried = idx.insert(&notif(3, 7, "x"), SourceEventId(91), HashSet::new());
+        assert!(matches!(retried, Err(CssError::AlreadyExists(m)) if m.contains("evt-00000002")));
+        assert_eq!(idx.len(), 1);
+    }
+
     /// A notified-marker for an event no shard holds fails the open and
     /// names the event: a valid-CRC marker frame spliced into a log
     /// that never indexed its event.
@@ -1473,6 +1527,24 @@ mod tests {
         fail.store(false, std::sync::atomic::Ordering::SeqCst);
         idx.mark_notified(&[GlobalEventId(1)], ActorId(5)).unwrap();
         assert!(idx.was_notified(GlobalEventId(1), ActorId(5)));
+    }
+
+    /// An entry that fails to persist gives its id and its source event
+    /// back: the retry is indexed.
+    #[test]
+    fn an_entry_that_fails_to_persist_claims_nothing() {
+        let backend = Failing::default();
+        let fail = backend.fail.clone();
+        let mut idx = EventsIndex::open(b"k", backend).unwrap();
+        fail.store(true, std::sync::atomic::Ordering::SeqCst);
+        let insert = |idx: &mut EventsIndex<Failing>| {
+            idx.insert(&notif(1, 7, "x"), SourceEventId(1), HashSet::new())
+        };
+        assert!(matches!(insert(&mut idx), Err(CssError::Storage(_))));
+        fail.store(false, std::sync::atomic::Ordering::SeqCst);
+        insert(&mut idx).unwrap();
+        assert_eq!(idx.len(), 1);
+        assert!(matches!(insert(&mut idx), Err(CssError::AlreadyExists(_))));
     }
 
     /// `count` events about citizen 7, one identity, ids from 1.

@@ -38,7 +38,7 @@ use css_types::{
 };
 
 use crate::index::{derive_tag_key, DetailResolution, EventsIndex, Notified, Walk};
-use crate::owners::OwnerTable;
+use crate::owners::{OwnerTable, SourceClaim};
 
 /// The routing key a person tag reduces to.
 fn tag_key_bits(tag: &[u8; 32]) -> u64 {
@@ -140,28 +140,44 @@ impl<B: LogBackend> IndexShards<B> {
 
     /// Store a notification on its owner shard; the tag that picks the
     /// shard is the tag the entry is filed under. The notified set is
-    /// converted once, to the entry's sorted list. An id already
-    /// indexed, on any shard, fails with [`CssError::AlreadyExists`].
+    /// converted once, to the entry's sorted list. An id, or a source
+    /// event of the producer, already indexed, on any shard, fails with
+    /// [`CssError::AlreadyExists`].
     pub fn insert(
         &self,
         notification: &NotificationMessage,
         src_event_id: SourceEventId,
         notified: HashSet<ActorId>,
     ) -> CssResult<()> {
-        self.insert_notified(notification, src_event_id, notified.into_iter().collect())
+        let source = self.claim_source(notification.producer, src_event_id)?;
+        self.insert_notified(notification, source, notified.into_iter().collect())
     }
 
-    /// [`IndexShards::insert`] with the notified consumers already in
-    /// the entry's form: a publish hands over its receivers as they are.
+    /// Claim source event `src` of `producer` for the entry a publish
+    /// is about to index: the plane's one idempotence check (the owner
+    /// table's, `owners.rs`). One indexed, or being published, already is
+    /// [`CssError::AlreadyExists`]; dropped before its entry is linked,
+    /// the claim is given back.
+    pub(crate) fn claim_source(
+        &self,
+        producer: ActorId,
+        src: SourceEventId,
+    ) -> CssResult<SourceClaim<'_>> {
+        self.owners.claim_source(producer, src)
+    }
+
+    /// [`IndexShards::insert`] with the source event claimed and the
+    /// notified consumers already in the entry's form: a publish hands
+    /// over its receivers as they are.
     pub(crate) fn insert_notified(
         &self,
         notification: &NotificationMessage,
-        src_event_id: SourceEventId,
+        source: SourceClaim<'_>,
         notified: Notified,
     ) -> CssResult<()> {
         let tag = self.person_tag(notification.person.id);
         let mut shard = self.shard(self.shard_of_tag(&tag));
-        shard.insert_tagged(tag, notification, src_event_id, notified)
+        shard.insert_tagged(tag, notification, source, notified)
     }
 
     /// Everything Algorithm 1 asks the index about one request, in one

@@ -56,6 +56,13 @@ impl<P: BackendProvider> ProducerHandle<P> {
     /// Publish an event: the full details are persisted at the local
     /// gateway (they never leave it unfiltered), then the notification is
     /// routed through the data controller.
+    ///
+    /// A publish the controller refuses — the citizen opted out, a
+    /// queue is full — keeps the detail at this producer's gateway: it
+    /// is the producer's own record, and no notification names it, so
+    /// no consumer can ask for it. Persisting first is what lets every
+    /// admitted, indexed event point at a detail the gateway holds; a
+    /// persist after admission could fail with the event indexed.
     pub fn publish(
         &self,
         person: PersonIdentity,

@@ -35,10 +35,10 @@
 //!    drift) or on `POST /debug/capture`, the ring is frozen into an
 //!    **incident bundle** (schema `css-blackbox/1`): trigger, the
 //!    history's raw ticks of the request path's `stage.*`/`shard.*`
-//!    series that moved over the last five minutes, frame history, histogram
+//!    series that moved over the last four minutes, frame history, histogram
 //!    **exemplars** joining a p99 bucket to the trace that landed in
 //!    it, those traces' span trees, and the `stage.*`/`shard.*`
-//!    percentiles over the same five minutes — written to disk, listed
+//!    percentiles over the same four minutes — written to disk, listed
 //!    on `GET /debug/incidents` and returned by the POST.
 //! 5. **Exposition** ([`OpsServer`], [`OpsHandle`], [`Sampler`]): a
 //!    hand-rolled HTTP/1.0 listener on `std::net::TcpListener` serving

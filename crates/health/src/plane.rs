@@ -52,9 +52,9 @@ use crate::status::{HealthReport, HealthStatus};
 const RING_FRAMES: usize = 512;
 /// The metric the anomaly detector watches (per-tick p99).
 const ANOMALY_METRIC: &str = "stage.total";
-/// How much raw history every bundle embeds (5 min). The raw ring
-/// keeps 960 ticks, so at the 250 ms cadence a bundle gets all of it.
-const HISTORY_WINDOW_MS: u64 = 300_000;
+/// How much raw history every bundle embeds: the raw ring's 960 ticks
+/// at the default 250 ms cadence (4 min), so a bundle gets all of it.
+const HISTORY_WINDOW_MS: u64 = 240_000;
 
 /// The live ops plane of one platform: SLO windows, metrics history,
 /// anomaly detector, flight recorder and health checks behind one
@@ -173,7 +173,7 @@ impl OpsPlane {
     /// Freeze the recorder's ring into an incident bundle, now, and
     /// return it: what an edge in [`tick`](Self::tick) and
     /// `POST /debug/capture` both reach. Whatever the trigger, the
-    /// bundle embeds the history's last five minutes and the
+    /// bundle embeds the history's last four minutes and the
     /// percentile table merged over them.
     pub(crate) fn capture(&self, trigger: Trigger) -> String {
         let at_ms = self.clock.now().0;

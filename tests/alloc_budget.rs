@@ -510,8 +510,12 @@ fn counter_reads_copy_no_dead_letter() {
 // The gateway's detail store, owning its log, keys its index by source
 // event id and writes and reads its key without a heap string: publish
 // + deliver 22.22 (was 24.22) and the permitted request 11.05 (was
-// 12.05; 12.10 with 12 fields, was 13.10).
-const PUBLISH_DELIVER: u64 = 2444;
+// 12.05; 12.10 with 12 fields, was 13.10). A publish claims its source
+// event in the index plane instead of handing the bus a
+// `"{producer}:{src}"` key: no `format!` string and no `Arc<str>`
+// copy of it in the bus's window, so publish + deliver is 18.21 (was
+// 22.22).
+const PUBLISH_DELIVER: u64 = 2003;
 const DETAIL_PERMIT: u64 = 1215;
 const DETAIL_DENY: u64 = 770;
 const INQUIRY_TEN: u64 = 6931;

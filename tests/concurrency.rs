@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use css::bus::{Bus, PublishOptions, SubscriptionConfig};
 use css::prelude::*;
+use css::types::SourceEventId;
 
 fn build_platform() -> (Arc<CssPlatform>, ActorId, ActorId, SimClock) {
     build_platform_on(None)
@@ -188,6 +189,50 @@ fn detail_requests_racing_publishes_resolve_every_returned_event() {
     });
     assert_eq!(permits.load(Ordering::SeqCst), 300);
     assert_eq!(platform.controller().index_shard_lens().len(), 8);
+}
+
+/// Two threads publish one source event at once, 200 times over, at 8
+/// shards: the index plane's claim admits one. Every round ends with
+/// one `Ok`, one `AlreadyExists`, one more index entry and one more
+/// audit record (the Publish: nobody subscribes), and the lock shim
+/// (debug builds) panics on no thread.
+#[test]
+fn two_publishes_of_one_source_event_race_and_one_is_indexed() {
+    let (platform, hospital, _, clock) = build_platform_on(Some(8));
+    let controller = platform.controller();
+    let start = std::sync::Barrier::new(2);
+    for src in 1..=200u64 {
+        let (indexed, audited) = (controller.index_len(), controller.audit_len());
+        let outcomes: Vec<_> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    let (controller, start, clock) = (&controller, &start, &clock);
+                    scope.spawn(move || {
+                        start.wait();
+                        controller
+                            .publish(
+                                hospital,
+                                person(src),
+                                "obs".into(),
+                                EventTypeId::v1("obs"),
+                                clock.now(),
+                                SourceEventId(src),
+                            )
+                            .map(|receipt| receipt.global_id)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let won = outcomes.iter().filter(|o| o.is_ok()).count();
+        let refused = outcomes
+            .iter()
+            .filter(|o| matches!(o, Err(CssError::AlreadyExists(_))))
+            .count();
+        assert_eq!((won, refused), (1, 1), "src {src}: {outcomes:?}");
+        assert_eq!(controller.index_len(), indexed + 1, "src {src}");
+        assert_eq!(controller.audit_len(), audited + 1, "src {src}");
+    }
 }
 
 #[test]
