@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use css_crypto::{chain_step, ChainVerifyError, HashChain};
-use css_storage::{split_records, LogBackend, RecordLog, RecordPtr};
+use css_storage::{LogBackend, RecordLog, RecordPtr};
 use css_types::{CssError, CssResult, PersonId};
 use css_xml::{BinarySink, Stored};
 
@@ -46,6 +46,10 @@ pub(crate) struct ShardLog<B: LogBackend> {
     sequencer: Arc<AtomicU64>,
     /// The payloads of the append in progress, kept between appends.
     payloads: Vec<u8>,
+    /// Where each record of a group commit stops in `payloads`, and
+    /// where its frame landed: kept between commits.
+    ends: Vec<usize>,
+    ptrs: Vec<RecordPtr>,
 }
 
 /// One record as the shard holds it in memory: the digest of its chain
@@ -160,6 +164,8 @@ impl<B: LogBackend> ShardLog<B> {
             storage,
             sequencer,
             payloads: Vec::new(),
+            ends: Vec::new(),
+            ptrs: Vec::new(),
         })
     }
 
@@ -194,16 +200,18 @@ impl<B: LogBackend> ShardLog<B> {
         // Every record is encoded into one buffer; a payload is the
         // slice between two record ends.
         self.payloads.clear();
-        let mut ends = Vec::with_capacity(records.len());
+        self.ends.clear();
         for (i, record) in records.iter_mut().enumerate() {
             record.seq = first_seq + i as u64;
             record.encode(&mut BinarySink::new(&mut self.payloads, NAMES));
-            ends.push(self.payloads.len());
+            self.ends.push(self.payloads.len());
         }
-        let payloads = split_records(&self.payloads, &ends);
-        let ptrs = self.storage.append_batch(&payloads)?;
-        for ((record, payload), ptr) in records.iter().zip(payloads).zip(ptrs) {
-            self.held.push(record, payload, ptr);
+        self.storage
+            .append_batch(&self.payloads, &self.ends, &mut self.ptrs)?;
+        let mut start = 0;
+        for ((record, &end), &ptr) in records.iter().zip(&self.ends).zip(&self.ptrs) {
+            self.held.push(record, &self.payloads[start..end], ptr);
+            start = end;
         }
         Ok(first_seq)
     }

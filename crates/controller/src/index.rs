@@ -35,13 +35,13 @@
 //! ciphertext in memory, so a citizen's later reads open it once; the
 //! log keeps each entry's own.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use css_crypto::{HmacKey, SealedBox};
 use css_event::NotificationMessage;
-use css_storage::{split_records, LogBackend, MemBackend, RecordLog};
+use css_storage::{LogBackend, MemBackend, RecordLog, RecordPtr};
 use css_types::{
     ActorId, CssError, CssResult, EventTypeId, GlobalEventId, PersonId, PersonIdentity,
     SourceEventId, Timestamp,
@@ -311,10 +311,20 @@ fn open_plaintext(sealer: &SealedBox, sealed: &[u8]) -> CssResult<Vec<u8>> {
         .map_err(|e| CssError::Crypto(e.to_string()))
 }
 
+/// The error of an opened plaintext that encodes no identity.
+fn malformed() -> CssError {
+    CssError::Crypto("sealed identity malformed".into())
+}
+
 /// The identity an opened plaintext encodes.
 fn identity_of(plaintext: &[u8]) -> CssResult<PersonIdentity> {
-    PersonIdentity::from_bytes(plaintext)
-        .ok_or_else(|| CssError::Crypto("sealed identity malformed".into()))
+    PersonIdentity::from_bytes(plaintext).ok_or_else(malformed)
+}
+
+/// The id of the person a sealed identity names: opened and checked as
+/// [`open_identity`] does, without building the identity's strings.
+fn open_subject(sealer: &SealedBox, sealed: &[u8]) -> CssResult<PersonId> {
+    PersonIdentity::id_from_bytes(&open_plaintext(sealer, sealed)?).ok_or_else(malformed)
 }
 
 /// Open a sealed identity.
@@ -471,12 +481,19 @@ pub struct EventsIndex<B: LogBackend = MemBackend> {
     /// The bucket of each person tag: the one place a tag is held.
     bucket_of: HashMap<[u8; 32], u32, Minted>,
     by_type: HashMap<EventTypeId, Vec<GlobalEventId>>,
-    /// Secondary time index: `events_between` becomes a range scan
-    /// instead of a full-index sweep.
-    by_time: BTreeMap<Timestamp, Vec<GlobalEventId>>,
+    /// Secondary time index, one key per entry: `events_between`
+    /// becomes a range scan instead of a full-index sweep.
+    by_time: BTreeSet<(Timestamp, GlobalEventId)>,
     storage: RecordLog<B>,
-    /// The records being written, kept between writes.
+    /// The records being written, kept between writes — and, before an
+    /// entry's record, the plaintext of the identity it seals.
     payloads: Vec<u8>,
+    /// The sealed identity of the entry being inserted.
+    sealed: Vec<u8>,
+    /// Where each marker of a batch stops in `payloads`, and where its
+    /// frame landed.
+    ends: Vec<usize>,
+    ptrs: Vec<RecordPtr>,
 }
 
 /// The keyed-lookup-tag key derivation shared by every shard of an
@@ -536,9 +553,12 @@ impl<B: LogBackend> EventsIndex<B> {
                 buckets: Vec::new(),
                 bucket_of: HashMap::default(),
                 by_type: HashMap::new(),
-                by_time: BTreeMap::new(),
+                by_time: BTreeSet::new(),
                 storage,
                 payloads: Vec::new(),
+                sealed: Vec::new(),
+                ends: Vec::new(),
+                ptrs: Vec::new(),
             });
         }
         for (tag, entry) in entries {
@@ -580,10 +600,7 @@ impl<B: LogBackend> EventsIndex<B> {
             .entry(entry.event_type.clone())
             .or_default()
             .push(entry.global_id);
-        self.by_time
-            .entry(entry.occurred_at)
-            .or_default()
-            .push(entry.global_id);
+        self.by_time.insert((entry.occurred_at, entry.global_id));
         let fresh = self.buckets.len() as u32;
         let bucket = *self.bucket_of.entry(person_tag).or_insert(fresh);
         if bucket == fresh {
@@ -645,10 +662,12 @@ impl<B: LogBackend> EventsIndex<B> {
         let id = notification.global_id;
         let indexed = || CssError::AlreadyExists(format!("event {id} already indexed"));
         let claim = self.claim(&person_tag, id)?.ok_or_else(indexed)?;
-        let sealed_identity = Arc::from(
-            self.sealer
-                .seal(id.value(), &notification.person.to_bytes()),
-        );
+        self.payloads.clear();
+        notification.person.write_bytes(&mut self.payloads);
+        self.sealed.clear();
+        self.sealer
+            .seal_into(id.value(), &self.payloads, &mut self.sealed);
+        let sealed_identity = Arc::from(self.sealed.as_slice());
         let entry = IndexEntry {
             global_id: id,
             event_type: notification.event_type.clone(),
@@ -695,8 +714,7 @@ impl<B: LogBackend> EventsIndex<B> {
         // Markers are encoded into one buffer; each is the slice
         // between two ends.
         self.payloads.clear();
-        let mut marker_ends: Vec<usize> = Vec::new();
-        let mut newly_notified: Vec<GlobalEventId> = Vec::new();
+        self.ends.clear();
         for &id in ids {
             let Some(entry) = self.locate(id) else {
                 return Err(CssError::NotFound(format!("event {id} not in index")));
@@ -707,13 +725,14 @@ impl<B: LogBackend> EventsIndex<B> {
                     consumer,
                     &mut BinarySink::new(&mut self.payloads, NAMES),
                 );
-                marker_ends.push(self.payloads.len());
-                newly_notified.push(id);
+                self.ends.push(self.payloads.len());
             }
         }
         self.storage
-            .append_batch(&split_records(&self.payloads, &marker_ends))?;
-        for id in newly_notified {
+            .append_batch(&self.payloads, &self.ends, &mut self.ptrs)?;
+        // Every id is located, so each is marked now: the ones that
+        // lacked `consumer` are the ones just written.
+        for &id in ids {
             if let Some(entry) = self.locate_mut(id) {
                 entry.notified.insert(consumer);
             }
@@ -752,8 +771,7 @@ impl<B: LogBackend> EventsIndex<B> {
             DetailResolution::Resolved {
                 producer: entry.producer,
                 src_event_id: entry.src_event_id,
-                subject: open_identity(&self.sealer, &entry.sealed_identity)
-                    .map(|person| person.id),
+                subject: open_subject(&self.sealer, &entry.sealed_identity),
             }
         })
     }
@@ -829,10 +847,10 @@ impl<B: LogBackend> EventsIndex<B> {
         }
         let mut out: Vec<GlobalEventId> = self
             .by_time
-            .range(from..=to)
-            .flat_map(|(_, ids)| ids.iter().copied())
+            .range((from, GlobalEventId(0))..=(to, GlobalEventId(u64::MAX)))
+            .map(|&(_, id)| id)
             .collect();
-        out.sort();
+        out.sort_unstable();
         out
     }
 
@@ -873,10 +891,10 @@ impl<B: LogBackend> EventsIndex<B> {
         Ok((out, unmarked))
     }
 
-    /// Number of events indexed here: every entry is listed under its
-    /// class once.
+    /// Number of events indexed here: every entry is one key of the
+    /// time index.
     pub fn len(&self) -> usize {
-        self.by_type.values().map(Vec::len).sum()
+        self.by_time.len()
     }
 
     /// Whether the index is empty.

@@ -20,9 +20,8 @@
 //! Publishing is the one release path not covered yet. The bus makes a
 //! publish's notification pollable before the publish's audit batch is
 //! committed, so a publish whose audit write fails has already been
-//! delivered (ROADMAP item 18). Committing first is a design decision,
-//! not a reorder: the bus spends the publish's dedup key, and a record
-//! written before it would log a duplicate publish as a release.
+//! delivered. Covering it waits on ROADMAP item 18's reorder: index
+//! and audit the publish, then route it.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;

@@ -78,15 +78,23 @@ impl SealedBox {
     /// The caller must never reuse a sequence number with the same key;
     /// the platform uses the global event id, which is unique.
     pub fn seal(&self, sequence: u64, plaintext: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(plaintext.len() + Self::OVERHEAD);
+        self.seal_into(sequence, plaintext, &mut out);
+        out
+    }
+
+    /// [`SealedBox::seal`], appending the sealed payload to `out` — the
+    /// one sealer, for a caller that keeps its buffer between seals.
+    pub fn seal_into(&self, sequence: u64, plaintext: &[u8], out: &mut Vec<u8>) {
         let nonce = Self::nonce_for(sequence);
         let cipher = ChaCha20::new(&self.enc_key, &nonce);
-        let mut out = Vec::with_capacity(plaintext.len() + Self::OVERHEAD);
+        let start = out.len();
+        out.reserve(plaintext.len() + Self::OVERHEAD);
         out.extend_from_slice(&nonce);
         out.extend_from_slice(plaintext);
-        cipher.apply_keystream(&mut out[NONCE_LEN..], 0);
-        let mac = self.mac_key.mac(&out);
+        cipher.apply_keystream(&mut out[start + NONCE_LEN..], 0);
+        let mac = self.mac_key.mac(&out[start..]);
         out.extend_from_slice(&mac);
-        out
     }
 
     /// Open a sealed payload, verifying its MAC.
@@ -218,6 +226,18 @@ mod tests {
             assert_eq!(crate::to_hex(&sealed), hex, "sequence {sequence}");
             assert_eq!(b.open(&sealed).unwrap(), plaintext, "sequence {sequence}");
         }
+    }
+
+    #[test]
+    fn seal_into_appends_what_seal_returns() {
+        let b = bx();
+        let mut out = b"kept".to_vec();
+        for (sequence, plaintext, _) in pinned() {
+            let start = out.len();
+            b.seal_into(sequence, &plaintext, &mut out);
+            assert_eq!(out[start..], b.seal(sequence, &plaintext));
+        }
+        assert_eq!(&out[..4], b"kept");
     }
 
     #[test]

@@ -32,7 +32,7 @@ mod put;
 
 pub use backend::{FileBackend, LogBackend, MemBackend};
 pub use instrument::InstrumentedBackend;
-pub use log::{split_records, RecordLog, RecordPtr};
+pub use log::{RecordLog, RecordPtr};
 pub use put::{decode_put, encode_put};
 
 /// Little-endian `u32` from a 4-byte slice; `None` when the slice has

@@ -111,29 +111,50 @@ impl<B: LogBackend> RecordLog<B> {
     /// `storage.append` count) is paid once per batch instead of once
     /// per record.
     ///
+    /// The records lie back to back in `buffer`: `ends[i]` is the
+    /// offset at which record `i` stops and record `i + 1` starts, and
+    /// ends that decrease or pass the buffer's end are an `Invalid`
+    /// error, nothing written. `ptrs` is cleared and, once the write
+    /// succeeds, holds each record's pointer, in order: a caller that
+    /// keeps it between batches allocates nothing here.
+    ///
     /// The on-disk format is byte-identical to the same sequence of
     /// [`RecordLog::append`] calls, so recovery replays a batched log
     /// exactly like a per-record one; a crash mid-batch leaves a torn
     /// tail that truncates back to the last complete record.
     #[cfg_attr(debug_assertions, track_caller)]
-    pub fn append_batch(&mut self, payloads: &[&[u8]]) -> CssResult<Vec<RecordPtr>> {
+    pub fn append_batch(
+        &mut self,
+        buffer: &[u8],
+        ends: &[usize],
+        ptrs: &mut Vec<RecordPtr>,
+    ) -> CssResult<()> {
         parking_lot::assert_write_guarded(self);
-        if payloads.is_empty() {
-            return Ok(Vec::new());
+        ptrs.clear();
+        if ends.is_empty() {
+            return Ok(());
         }
         self.frames.clear();
-        // Offsets within the batch first, moved to where the batch
-        // landed once the backend has said where that is.
-        let mut ptrs = Vec::with_capacity(payloads.len());
-        for payload in payloads {
-            ptrs.push(RecordPtr(self.frames.len() as u64));
+        let mut start = 0;
+        for &end in ends {
+            let payload = buffer.get(start..end).ok_or_else(|| {
+                CssError::Invalid(format!(
+                    "record end {end} after {start} in {} bytes",
+                    buffer.len()
+                ))
+            })?;
             frame_into(&mut self.frames, payload);
+            start = end;
         }
+        // Each frame is its header and its payload, so where record `i`
+        // landed follows from the batch's base and the ends before it.
         let base = self.backend.append(&self.frames)?;
-        for ptr in &mut ptrs {
-            ptr.0 += base;
+        let mut start = 0;
+        for (i, &end) in ends.iter().enumerate() {
+            ptrs.push(RecordPtr(base + (start + i * HEADER_LEN) as u64));
+            start = end;
         }
-        Ok(ptrs)
+        Ok(())
     }
 
     /// Read the record at `ptr` whose payload the caller knows to be
@@ -179,20 +200,6 @@ impl<B: LogBackend> RecordLog<B> {
     pub fn into_backend(self) -> B {
         self.backend
     }
-}
-
-/// The payloads of records written back to back into one buffer, as
-/// [`RecordLog::append_batch`] takes them: `ends[i]` is the offset at
-/// which record `i` stops (and record `i + 1` starts).
-pub fn split_records<'a>(buffer: &'a [u8], ends: &[usize]) -> Vec<&'a [u8]> {
-    let mut start = 0;
-    ends.iter()
-        .map(|&end| {
-            let payload = &buffer[start..end];
-            start = end;
-            payload
-        })
-        .collect()
 }
 
 /// How much of the backend a sequential pass reads at a time.
@@ -289,6 +296,22 @@ mod tests {
         }
         let ptrs = visited.into_iter().map(|(ptr, _)| ptr).collect();
         Ok((log, ptrs, truncated))
+    }
+
+    /// [`RecordLog::append_batch`] of `payloads`, laid back to back in
+    /// one buffer; their pointers.
+    fn batch<B: LogBackend>(log: &mut RecordLog<B>, payloads: &[&[u8]]) -> Vec<RecordPtr> {
+        let buffer = payloads.concat();
+        let ends: Vec<usize> = payloads
+            .iter()
+            .scan(0, |end, payload| {
+                *end += payload.len();
+                Some(*end)
+            })
+            .collect();
+        let mut ptrs = vec![RecordPtr(u64::MAX)];
+        log.append_batch(&buffer, &ends, &mut ptrs).unwrap();
+        ptrs
     }
 
     #[test]
@@ -408,7 +431,7 @@ mod tests {
             .map(|p| sequential.append(p).unwrap())
             .collect();
         let mut batched = RecordLog::new(MemBackend::new());
-        let batch_ptrs = batched.append_batch(&payloads).unwrap();
+        let batch_ptrs = batch(&mut batched, &payloads);
         assert_eq!(seq_ptrs, batch_ptrs);
         // Byte-identical logs → identical recovery.
         let seq_bytes = sequential.byte_len();
@@ -432,7 +455,7 @@ mod tests {
         ptrs.push(log.append(b"s").unwrap());
         assert_eq!(log.byte_len() - before, (HEADER_LEN + 1) as u64);
         let before = log.byte_len();
-        ptrs.extend(log.append_batch(&[b"b1", b"", b"b-three"]).unwrap());
+        ptrs.extend(batch(&mut log, &[b"b1", b"", b"b-three"]));
         assert_eq!(log.byte_len() - before, (3 * HEADER_LEN + 2 + 7) as u64);
         let before = log.byte_len();
         ptrs.push(log.append(b"after").unwrap());
@@ -524,25 +547,36 @@ mod tests {
     }
 
     #[test]
-    fn split_records_cuts_at_the_ends() {
-        let payloads = split_records(b"onethree-three", &[3, 3, 14]);
-        assert_eq!(payloads, vec![&b"one"[..], b"", b"three-three"]);
-        assert!(split_records(b"", &[]).is_empty());
+    fn empty_batch_is_a_noop() {
+        let mut log = RecordLog::new(MemBackend::new());
+        assert!(batch(&mut log, &[]).is_empty());
+        assert_eq!(log.byte_len(), 0);
     }
 
     #[test]
-    fn empty_batch_is_a_noop() {
+    fn batch_ends_out_of_order_or_past_the_buffer_write_nothing() {
         let mut log = RecordLog::new(MemBackend::new());
-        assert!(log.append_batch(&[]).unwrap().is_empty());
+        let mut ptrs = Vec::new();
+        for ends in [&[3, 2][..], &[3, 9]] {
+            let refused = log.append_batch(b"onetwo", ends, &mut ptrs);
+            assert!(matches!(refused, Err(CssError::Invalid(_))), "{ends:?}");
+            assert!(ptrs.is_empty());
+        }
         assert_eq!(log.byte_len(), 0);
+        log.append_batch(b"onetwo", &[3, 3, 6], &mut ptrs).unwrap();
+        let (log, records, _) = recover(log.into_backend()).unwrap();
+        assert_eq!(records, ptrs);
+        let expected: [&[u8]; 3] = [b"one", b"", b"two"];
+        for (ptr, payload) in ptrs.iter().zip(expected) {
+            assert_eq!(log.read_sized(*ptr, payload.len()).unwrap(), payload);
+        }
     }
 
     #[test]
     fn torn_batch_tail_recovers_complete_prefix() {
         let mut log = RecordLog::new(MemBackend::new());
         log.append(b"before").unwrap();
-        log.append_batch(&[b"batch-a", b"batch-b", b"batch-c"])
-            .unwrap();
+        batch(&mut log, &[b"batch-a", b"batch-b", b"batch-c"]);
         let mut backend = log.into_backend();
         // Crash mid-batch: tear into the last record of the batch.
         let new_len = backend.len() - 3;
@@ -570,7 +604,8 @@ mod tests {
             let audit = shard("audit shard", 70);
             let mut log = audit.lock();
             log.append(b"one").unwrap();
-            log.append_batch(&[b"two", b"three"]).unwrap();
+            log.append_batch(b"twothree", &[3, 8], &mut Vec::new())
+                .unwrap();
             log.sync().unwrap();
             drop(log);
             // And with nothing held at all.
@@ -613,7 +648,7 @@ mod tests {
     #[test]
     fn anchored_records_are_no_torn_tail() {
         let mut log = RecordLog::new(MemBackend::new());
-        log.append_batch(&[b"one", b"two", b"three"]).unwrap();
+        batch(&mut log, &[b"one", b"two", b"three"]);
         let bytes = log.into_backend().read_at(0, 3 * HEADER_LEN + 11).unwrap();
         let backend = |bytes: &[u8]| {
             let mut backend = MemBackend::new();

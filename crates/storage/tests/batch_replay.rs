@@ -30,8 +30,17 @@ proptest! {
         for r in &records[..cut] {
             batched.append(r).unwrap();
         }
-        let tail: Vec<&[u8]> = records[cut..].iter().map(Vec::as_slice).collect();
-        batched.append_batch(&tail).unwrap();
+        let tail = &records[cut..];
+        let ends: Vec<usize> = tail
+            .iter()
+            .scan(0, |end, r| {
+                *end += r.len();
+                Some(*end)
+            })
+            .collect();
+        let mut ptrs = Vec::new();
+        batched.append_batch(&tail.concat(), &ends, &mut ptrs).unwrap();
+        prop_assert_eq!(ptrs.len(), tail.len());
         prop_assert_eq!(sequential.byte_len(), batched.byte_len());
 
         // Crash: tear an arbitrary number of bytes off both logs.

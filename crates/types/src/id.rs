@@ -11,6 +11,7 @@
 use std::fmt;
 use std::num::ParseIntError;
 use std::str::FromStr;
+use std::sync::Arc;
 
 /// `n` in decimal, zero-padded to at least `min_width` digits: what
 /// `{:0min_width$}` writes, as one `write_str` of digits laid out on
@@ -134,10 +135,12 @@ numeric_id!(
 ///
 /// Event types are named, versioned artifacts declared by a producer
 /// (e.g. `blood-test` v1), so unlike the purely numeric ids they carry a
-/// human-readable code.
+/// human-readable code. The code is shared: a clone — one per audit
+/// record, index entry and notification naming the class — is a
+/// reference-count bump, not a copy.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventTypeId {
-    code: String,
+    code: Arc<str>,
     version: u32,
 }
 
@@ -148,13 +151,22 @@ impl EventTypeId {
     /// replaced with hyphens so `Blood Test` and `blood-test` compare
     /// equal.
     pub fn new(code: impl AsRef<str>, version: u32) -> Self {
-        let code = code
-            .as_ref()
-            .trim()
-            .to_lowercase()
-            .split_whitespace()
-            .collect::<Vec<_>>()
-            .join("-");
+        let code = code.as_ref();
+        // A code already in that form (every id the platform stored or
+        // wrote) is copied once, into the shared text.
+        let normal = code
+            .bytes()
+            .all(|b| b.is_ascii_graphic() && !b.is_ascii_uppercase());
+        let code = if normal {
+            code.into()
+        } else {
+            let lower = code.trim().to_lowercase();
+            lower
+                .split_whitespace()
+                .collect::<Vec<_>>()
+                .join("-")
+                .into()
+        };
         EventTypeId { code, version }
     }
 
@@ -350,6 +362,27 @@ mod tests {
     }
 
     #[test]
+    fn a_code_in_normal_form_is_kept_as_it_is() {
+        for code in [
+            "blood-test",
+            "a",
+            "",
+            "x_1.b",
+            "care\u{1}plan",
+            "ärzte bericht",
+            " Tab\tCode ",
+        ] {
+            let slow = code
+                .trim()
+                .to_lowercase()
+                .split_whitespace()
+                .collect::<Vec<_>>()
+                .join("-");
+            assert_eq!(EventTypeId::new(code, 1).code(), slow, "{code:?}");
+        }
+    }
+
+    #[test]
     fn event_type_id_parse_roundtrip() {
         let id = EventTypeId::new("autonomy-assessment", 3);
         assert_eq!(id.to_string().parse::<EventTypeId>().unwrap(), id);
@@ -380,6 +413,14 @@ mod tests {
             );
         }
         assert!(EventTypeId::from_canonical("@v1").is_err());
+    }
+
+    #[test]
+    fn a_clone_shares_the_code() {
+        let id = EventTypeId::v1("blood-test");
+        let copy = id.clone();
+        assert!(std::ptr::eq(id.code(), copy.code()));
+        assert!(std::ptr::eq(id.code(), id.next_version().code()));
     }
 
     #[test]

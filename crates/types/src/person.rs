@@ -33,31 +33,53 @@ impl PersonIdentity {
         let mut out = Vec::with_capacity(
             8 + 12 + self.fiscal_code.len() + self.name.len() + self.surname.len(),
         );
+        self.write_bytes(&mut out);
+        out
+    }
+
+    /// Append the [`to_bytes`](Self::to_bytes) form to `out` — the one
+    /// writer, for a caller that keeps its buffer between identities.
+    pub fn write_bytes(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.id.value().to_le_bytes());
         for s in [&self.fiscal_code, &self.name, &self.surname] {
             out.extend_from_slice(&(s.len() as u32).to_le_bytes());
             out.extend_from_slice(s.as_bytes());
         }
-        out
     }
 
     /// Inverse of [`to_bytes`](Self::to_bytes). Slices the input in
     /// place: the three strings are all it allocates.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
+        let (id, [fiscal_code, name, surname]) = Self::fields_of(bytes)?;
+        Some(PersonIdentity {
+            id,
+            fiscal_code: fiscal_code.to_owned(),
+            name: name.to_owned(),
+            surname: surname.to_owned(),
+        })
+    }
+
+    /// The id of the identity `bytes` encode: what
+    /// [`from_bytes`](Self::from_bytes) checks, without the strings —
+    /// it allocates nothing.
+    pub fn id_from_bytes(bytes: &[u8]) -> Option<PersonId> {
+        Self::fields_of(bytes).map(|(id, _)| id)
+    }
+
+    /// The one reader of the serialization: the id and the three
+    /// strings, in place. Every length prefix must fit, every string
+    /// be UTF-8 and nothing follow the last.
+    fn fields_of(bytes: &[u8]) -> Option<(PersonId, [&str; 3])> {
         let (id, mut rest) = bytes.split_first_chunk::<8>()?;
         let mut string = || {
             let (len, tail) = rest.split_first_chunk::<4>()?;
             let (raw, tail) = tail.split_at_checked(u32::from_le_bytes(*len) as usize)?;
             rest = tail;
-            std::str::from_utf8(raw).ok().map(str::to_owned)
+            std::str::from_utf8(raw).ok()
         };
-        let identity = PersonIdentity {
-            id: PersonId(u64::from_le_bytes(*id)),
-            fiscal_code: string()?,
-            name: string()?,
-            surname: string()?,
-        };
-        rest.is_empty().then_some(identity)
+        let fields = [string()?, string()?, string()?];
+        rest.is_empty()
+            .then_some((PersonId(u64::from_le_bytes(*id)), fields))
     }
 }
 
@@ -158,6 +180,43 @@ mod tests {
         let n = bytes.len();
         bytes[n - 1] = 0xFF;
         assert!(PersonIdentity::from_bytes(&bytes).is_none());
+    }
+
+    /// Every malformed input above, and the well-formed ones: the id
+    /// reader accepts exactly what the full decoder accepts.
+    #[test]
+    fn the_id_reader_agrees_with_the_decoder() {
+        let bytes = ident().to_bytes();
+        let empty = PersonIdentity {
+            id: PersonId(0),
+            fiscal_code: String::new(),
+            name: String::new(),
+            surname: String::new(),
+        };
+        let mut cases = vec![bytes.clone(), empty.to_bytes()];
+        cases.extend([0, 1, 7, 8, 11, bytes.len() - 1].map(|cut| bytes[..cut].to_vec()));
+        for at in [8, 8 + 4 + 16, 8 + 4 + 16 + 4 + 5] {
+            let rest = (bytes.len() - at - 4) as u32;
+            for len in [rest + 1, u32::MAX] {
+                let mut bad = bytes.clone();
+                bad[at..at + 4].copy_from_slice(&len.to_le_bytes());
+                cases.push(bad);
+            }
+        }
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        cases.push(trailing);
+        let mut non_utf8 = bytes.clone();
+        *non_utf8.last_mut().unwrap() = 0xFF;
+        cases.push(non_utf8);
+        for case in &cases {
+            assert_eq!(
+                PersonIdentity::id_from_bytes(case),
+                PersonIdentity::from_bytes(case).map(|p| p.id),
+                "{case:?}"
+            );
+        }
+        assert_eq!(PersonIdentity::id_from_bytes(&bytes), Some(PersonId(42)));
     }
 
     #[test]

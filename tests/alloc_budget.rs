@@ -316,7 +316,7 @@ fn permitted_detail_allocations_do_not_grow_with_unreleased_fields() {
     assert_within(
         "permitted detail request, 12 fields, 2 released",
         twelve,
-        DETAIL_PERMIT,
+        DETAIL_PERMIT_TWELVE_FIELDS,
     );
 }
 
@@ -464,6 +464,15 @@ fn inquiry_allocations_grow_only_by_what_it_returns() {
     );
 }
 
+/// An event class id is named by every audit record, index entry and
+/// notification of its class: a copy of one is a reference-count bump.
+#[test]
+fn event_type_clone_allocates_nothing() {
+    let ty = EventTypeId::v1("blood-test");
+    let measured = allocations_per_op(|_| (), |()| drop(std::hint::black_box(ty.clone())));
+    assert_eq!(measured, 0, "cloning an event class id allocates");
+}
+
 /// Heap blocks a subscriber's `backlog` and the bus's `stats` each ask
 /// for per call, on a bus holding `dead` dead letters.
 fn counter_reads_beside_dead_letters(dead: u64) -> (u64, u64) {
@@ -496,27 +505,20 @@ fn counter_reads_copy_no_dead_letter() {
 }
 
 // Budgets, in hundredths of an allocation per operation, each what was
-// measured plus ten per cent. The index held by citizen set two: the
-// inquiry 63.01 (was 64.01: the ten events share one ciphertext,
-// opened once, nine identities are clones, and the citizen's entries
-// are walked in place, no id list copied) and publish + deliver 24.24
-// (was 25.24: the entry keeps the publish's receivers as a sorted list,
-// no set). The rest are what resolving once on the request path
-// measured — the decision cache shares one permit, a decoded detail
-// holds its values in the schema's slots, the stage tables hold their
-// handles and a disabled span builds no attribute: the permitted
-// request 12.05 (was 30.05), the denied one 7.00 (was 11.00) and the
-// cold denial 9.01 with 8 foreign grants and with 128 (was 13.01).
-// The gateway's detail store, owning its log, keys its index by source
-// event id and writes and reads its key without a heap string: publish
-// + deliver 22.22 (was 24.22) and the permitted request 11.05 (was
-// 12.05; 12.10 with 12 fields, was 13.10). A publish claims its source
-// event in the index plane instead of handing the bus a
-// `"{producer}:{src}"` key: no `format!` string and no `Arc<str>`
-// copy of it in the bus's window, so publish + deliver is 18.21 (was
-// 22.22).
-const PUBLISH_DELIVER: u64 = 2003;
-const DETAIL_PERMIT: u64 = 1215;
-const DETAIL_DENY: u64 = 770;
-const INQUIRY_TEN: u64 = 6931;
-const DETAIL_DENY_COLD: u64 = 991;
+// measured plus ten per cent (EXPERIMENTS.md E23 keeps the history of
+// each). An event class id shares its code, so every audit record,
+// index entry, `by_type` key, detail request and notification naming
+// the class bumps a count instead of copying a string; the index
+// insert seals into buffers its shard keeps, the time index holds one
+// key per entry, the group commits keep their record ends and
+// pointers, and a detail request opens only its subject's id. Publish
+// + deliver 6.37 (was 18.21), the permitted request 5.05 (was 11.05)
+// and 6.10 with 12 fields (was 12.10), the denied one 2.00 (was
+// 7.00), the inquiry 52.01 (was 63.01) and the cold denial 3.00 with
+// 8 foreign grants and with 128 (was 9.00).
+const PUBLISH_DELIVER: u64 = 700;
+const DETAIL_PERMIT: u64 = 555;
+const DETAIL_PERMIT_TWELVE_FIELDS: u64 = 671;
+const DETAIL_DENY: u64 = 220;
+const INQUIRY_TEN: u64 = 5721;
+const DETAIL_DENY_COLD: u64 = 330;
