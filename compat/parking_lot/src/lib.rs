@@ -23,7 +23,7 @@
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::{self, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A mutual exclusion primitive (non-poisoning, like `parking_lot`).
 #[derive(Default)]
@@ -79,6 +79,25 @@ impl<T: ?Sized> Mutex<T> {
             held: self.rank.acquire(self),
             inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
         }
+    }
+
+    /// [`Mutex::lock`], calling `waited` with how long this thread
+    /// waited only when another held the lock: a free lock costs no
+    /// clock read. Ranked like `lock`.
+    #[cfg_attr(debug_assertions, track_caller)]
+    pub fn lock_or_wait(&self, waited: impl FnOnce(Duration)) -> MutexGuard<'_, T> {
+        let held = self.rank.acquire(self);
+        let inner = match self.inner.try_lock() {
+            Ok(inner) => inner,
+            Err(sync::TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(sync::TryLockError::WouldBlock) => {
+                let started = Instant::now();
+                let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+                waited(started.elapsed());
+                inner
+            }
+        };
+        MutexGuard { inner, held }
     }
 
     /// Try to acquire the lock without blocking. A failed attempt holds
@@ -484,6 +503,34 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert_eq!(m.into_inner(), 2);
+    }
+
+    /// The wait is reported only when another thread held the lock.
+    #[test]
+    fn only_a_contended_lock_reports_its_wait() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let m = Arc::new(Mutex::new(()));
+        drop(m.lock_or_wait(|_| panic!("a free lock reported a wait")));
+        // The other thread may reach the lock only after it is released
+        // (a preempted host): try again until it found the lock held.
+        let reported = Arc::new(AtomicBool::new(false));
+        for _ in 0..100 {
+            let held = m.lock();
+            let (m2, reported2) = (m.clone(), reported.clone());
+            let (ready, set) = std::sync::mpsc::channel();
+            let t = std::thread::spawn(move || {
+                ready.send(()).unwrap();
+                drop(m2.lock_or_wait(|_| reported2.store(true, Ordering::SeqCst)));
+            });
+            set.recv().unwrap();
+            std::thread::sleep(Duration::from_millis(5));
+            drop(held);
+            t.join().unwrap();
+            if reported.load(Ordering::SeqCst) {
+                return;
+            }
+        }
+        panic!("a contended lock never reported its wait");
     }
 
     #[test]

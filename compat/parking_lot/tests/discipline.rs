@@ -24,6 +24,14 @@ fn an_ascending_pair_of_same_rank_locks_panics_too() {
 }
 
 #[test]
+#[should_panic(expected = "lock order: `shard` (rank 50) taken at")]
+fn a_lock_that_reports_its_wait_is_ranked_like_lock() {
+    let shards = [Mutex::ranked("shard", 50, 0), Mutex::ranked("shard", 50, 1)];
+    let _low = shards[0].lock();
+    let _high = shards[1].lock_or_wait(|_| {});
+}
+
+#[test]
 #[should_panic(expected = "taken again at")]
 fn one_shard_taken_twice_panics_instead_of_deadlocking() {
     let shards = [Mutex::ranked("shard", 50, 0), Mutex::ranked("shard", 50, 1)];

@@ -555,7 +555,7 @@ mod tests {
             record.seq = log.append(record.clone()).unwrap();
             appended.push(record);
         }
-        let reads = || registry.snapshot().histogram("storage.read").unwrap().count;
+        let reads = || registry.snapshot().counter("storage.reads");
         let before = reads();
         let about_one = log.query(&AuditQuery::new().person(PersonId(1))).unwrap();
         assert_eq!(reads() - before, 4);

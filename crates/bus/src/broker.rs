@@ -5,7 +5,8 @@
 //! whose methods are the topic-side verbs (`create_topic`, `subscribe`,
 //! `subscribe_group`, `close`, `publish_opts`). A [`SubscriberHandle`]
 //! holds a `Bus` and its subscription id, and its methods are the
-//! member-side verbs (`poll_for`, `ack`, `nack`, `unsubscribe`, `group`).
+//! member-side verbs (`poll_for`, `take_for`, `ack`, `nack`,
+//! `unsubscribe`, `group`).
 
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
@@ -49,8 +50,6 @@ pub struct SubscriptionConfig {}
 /// cells nobody reads.
 #[derive(Default)]
 struct BusInstruments {
-    /// `bus.publish` — duration of each publish call.
-    publish_latency: Histogram,
     /// `bus.deliver` — enqueue-to-delivery latency per message.
     deliver_latency: Histogram,
     /// `bus.ack` — delivery-to-acknowledgement latency per message.
@@ -72,7 +71,6 @@ struct BusInstruments {
 impl BusInstruments {
     fn resolve(registry: &MetricsRegistry) -> Self {
         BusInstruments {
-            publish_latency: registry.histogram("bus.publish"),
             deliver_latency: registry.histogram("bus.deliver"),
             ack_latency: registry.histogram("bus.ack"),
             published: registry.counter("bus.published"),
@@ -203,6 +201,7 @@ fn member_group<M>(
 /// Delivery state machine, per message and group:
 ///
 /// ```text
+///   queued --take-------------------------------------> done
 ///   queued --poll--> in-flight --ack-----------------> done
 ///                        |
 ///                        +--nack (attempts left)-----> queued (at the head)
@@ -452,7 +451,6 @@ impl<M: Clone + Send + 'static> Bus<M> {
         t.published.inc();
         t.fanned_out.add(fanout as u64);
         t.queue_depth.add(fanout as i64);
-        t.publish_latency.record_duration(started.elapsed());
         if parked {
             self.shared.arrivals.notify_all();
         }
@@ -511,13 +509,35 @@ impl<M: Clone + Send + 'static> SubscriberHandle<M> {
     /// [`Duration::ZERO`] never blocks, and a wait too long to
     /// represent (`Duration::MAX`) has no deadline.
     pub fn poll_for(&self, wait: Duration) -> CssResult<Option<Delivery<M>>> {
+        self.next_for(wait, true)
+    }
+
+    /// Take the next message and acknowledge it in the same visit to
+    /// the broker: it leaves the group at once, never held in flight,
+    /// so there is nothing to [`ack`](SubscriberHandle::ack) or
+    /// [`nack`](SubscriberHandle::nack). Non-blocking.
+    pub fn take(&self) -> CssResult<Option<Delivery<M>>> {
+        self.take_for(Duration::ZERO)
+    }
+
+    /// [`SubscriberHandle::take`], waiting up to `wait` for a message
+    /// as [`SubscriberHandle::poll_for`] does.
+    pub fn take_for(&self, wait: Duration) -> CssResult<Option<Delivery<M>>> {
+        self.next_for(wait, false)
+    }
+
+    /// The head of the group's queue, held in flight by this member
+    /// when `hold`, else acknowledged on receipt, waiting up to `wait`
+    /// for one to arrive.
+    fn next_for(&self, wait: Duration, hold: bool) -> CssResult<Option<Delivery<M>>> {
         let shared = &*self.bus.shared;
         let mut now = Instant::now();
         let deadline = now.checked_add(wait);
+        let holder = hold.then_some(self.id);
         let mut guard = shared.state.lock();
         loop {
             let (common, group) = member_group(&mut guard, self.id)?;
-            if let Some(delivery) = take_next(&shared.telemetry, common, group, self.id, now) {
+            if let Some(delivery) = take_next(&shared.telemetry, common, group, holder, now) {
                 return Ok(Some(delivery));
             }
             if deadline.is_some_and(|d| now >= d) {
@@ -633,24 +653,24 @@ impl<M: Clone + Send + 'static> SubscriberHandle<M> {
         Ok(())
     }
 
-    /// Drain every queued message, acking each — convenience for tests
-    /// and simulations that consume eagerly.
+    /// Drain every queued message, acknowledging each as it is taken —
+    /// convenience for tests and simulations that consume eagerly.
     pub fn drain(&self) -> CssResult<Vec<M>> {
         let mut out = Vec::new();
-        while let Some(d) = self.poll()? {
-            self.ack(d.delivery_id)?;
+        while let Some(d) = self.take()? {
             out.push(d.message);
         }
         Ok(out)
     }
 }
 
-/// Hand member `id` the head of the queue, moving it in flight.
+/// Take the head of the queue: moved in flight for `holder` to ack or
+/// nack, or, with no holder, acknowledged on receipt.
 fn take_next<M: Clone>(
     t: &BusInstruments,
     common: &mut Common<M>,
     group: &mut GroupState<M>,
-    id: SubscriptionId,
+    holder: Option<SubscriptionId>,
     now: Instant,
 ) -> Option<Delivery<M>> {
     let mut pending = group.queue.pop_front()?;
@@ -660,13 +680,6 @@ fn take_next<M: Clone>(
     if let Some(span) = pending.deliver_span.take() {
         span.finish();
     }
-    let delivery = Delivery {
-        delivery_id,
-        attempt: pending.attempts,
-        offset: pending.offset,
-        trace: pending.trace,
-        message: pending.message.clone(),
-    };
     if pending.attempts > 1 {
         group.stats.redelivered += 1;
         t.redelivered.inc();
@@ -675,17 +688,32 @@ fn take_next<M: Clone>(
     t.deliver_latency
         .record_duration(now.saturating_duration_since(pending.since));
     t.queue_depth.dec();
-    t.inflight.inc();
-    // Re-stamp: from here `since` means "delivered at".
-    pending.since = now;
-    group.in_flight.insert(
+    let (attempt, offset, trace) = (pending.attempts, pending.offset, pending.trace);
+    let message = match holder {
+        Some(holder) => {
+            t.inflight.inc();
+            // Re-stamp: from here `since` means "delivered at".
+            pending.since = now;
+            let message = pending.message.clone();
+            group
+                .in_flight
+                .insert(delivery_id, InFlight { pending, holder });
+            message
+        }
+        None => {
+            // Acknowledged the instant it was delivered.
+            group.stats.acked += 1;
+            t.ack_latency.record(0);
+            pending.message
+        }
+    };
+    Some(Delivery {
         delivery_id,
-        InFlight {
-            pending,
-            holder: id,
-        },
-    );
-    Some(delivery)
+        attempt,
+        offset,
+        trace,
+        message,
+    })
 }
 
 /// A message leaving in-flight by a nack: back to the head of the
@@ -1012,7 +1040,6 @@ mod tests {
         assert_eq!(snap.counter("bus.fanned_out"), 6);
         assert_eq!(snap.gauge("bus.queue_depth"), 3);
         assert_eq!(snap.gauge("bus.inflight"), 0);
-        assert_eq!(snap.histogram("bus.publish").unwrap().count, 3);
         assert_eq!(snap.histogram("bus.deliver").unwrap().count, 3);
         assert_eq!(snap.histogram("bus.ack").unwrap().count, 3);
 
@@ -1027,6 +1054,77 @@ mod tests {
         assert_eq!(snap.gauge("bus.inflight"), 0);
         s2.unsubscribe().unwrap();
         assert_eq!(registry.snapshot().gauge("bus.queue_depth"), 0);
+    }
+
+    /// A take is a poll and an ack in one visit: delivered and acked
+    /// in the group's counters and histograms, never in flight.
+    #[test]
+    fn a_take_delivers_and_acknowledges_in_one_visit() {
+        let registry = MetricsRegistry::new();
+        let b: Bus<String> = Bus::in_memory_with_telemetry(&registry);
+        b.create_topic("t");
+        let s = b.subscribe("t", SubscriptionConfig::default()).unwrap();
+        for i in 0..3 {
+            send(&b, "t", format!("m{i}")).unwrap();
+        }
+        let first = s.take().unwrap().unwrap();
+        assert_eq!((first.attempt, first.offset, &*first.message), (1, 0, "m0"));
+        assert_eq!(s.in_flight().unwrap(), 0);
+        assert!(s.ack(first.delivery_id).is_err(), "nothing left to ack");
+        assert!(s.nack(first.delivery_id).is_err(), "nothing left to nack");
+        // Held and taken deliveries share one id sequence.
+        let held = s.poll().unwrap().unwrap();
+        assert_eq!(held.delivery_id, first.delivery_id + 1);
+        s.ack(held.delivery_id).unwrap();
+        assert_eq!(s.take().unwrap().unwrap().message, "m2");
+        assert!(s.take().unwrap().is_none());
+
+        let stats = s.stats().unwrap();
+        assert_eq!((stats.delivered, stats.acked, stats.redelivered), (3, 3, 0));
+        let snap = registry.snapshot();
+        assert_eq!(snap.histogram("bus.deliver").unwrap().count, 3);
+        assert_eq!(snap.histogram("bus.ack").unwrap().count, 3);
+        assert_eq!(snap.gauge("bus.queue_depth"), 0);
+        assert_eq!(snap.gauge("bus.inflight"), 0);
+    }
+
+    /// A nacked message taken again counts as redelivered, and a take
+    /// on a detached subscription fails like a poll.
+    #[test]
+    fn a_take_after_a_nack_is_a_redelivery() {
+        let b = broker();
+        let s = b
+            .subscribe("blood-test", SubscriptionConfig::default())
+            .unwrap();
+        send(&b, "blood-test", "m".to_string()).unwrap();
+        let d = s.poll().unwrap().unwrap();
+        s.nack(d.delivery_id).unwrap();
+        let again = s.take().unwrap().unwrap();
+        assert_eq!((again.attempt, &*again.message), (2, "m"));
+        assert_eq!(s.stats().unwrap().redelivered, 1);
+        let dead = s.clone();
+        s.unsubscribe().unwrap();
+        assert!(dead.take().is_err());
+    }
+
+    /// `take_for` parks as `poll_for` does, and a publish wakes it.
+    #[test]
+    fn a_parked_take_wakes_on_a_publish() {
+        let b = broker();
+        let s = b
+            .subscribe("blood-test", SubscriptionConfig::default())
+            .unwrap();
+        let taker = {
+            let s = s.clone();
+            std::thread::spawn(move || s.take_for(Duration::from_secs(30)).unwrap())
+        };
+        while b.shared.state.lock().parked == 0 && !taker.is_finished() {
+            std::thread::yield_now();
+        }
+        send(&b, "blood-test", "m".to_string()).unwrap();
+        let taken = taker.join().unwrap().expect("woken by the publish");
+        assert_eq!(taken.message, "m");
+        assert_eq!(s.in_flight().unwrap(), 0);
     }
 
     #[test]

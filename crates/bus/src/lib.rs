@@ -12,8 +12,10 @@
 //!   (`create_topic`), attaches members (`subscribe`,
 //!   `subscribe_group`), closes a member's group to later publishes
 //!   (`close`) and routes (`publish_opts`); a [`SubscriberHandle`]
-//!   takes (`poll`, `poll_for`), acknowledges (`ack`, `nack`), reads its
-//!   group (`group`, `backlog`, `in_flight`, `stats`) and leaves
+//!   takes and holds (`poll`, `poll_for`), acknowledges (`ack`,
+//!   `nack`), takes and acknowledges in one visit (`take`,
+//!   `take_for`), reads its group (`group`, `backlog`, `in_flight`,
+//!   `stats`) and leaves
 //!   (`unsubscribe`); [`Bus::stats`] reads the broker's counters and
 //!   [`Bus::dead_letters`] alone copies the dead-letter queue,
 //! - named **topics** (one per class of events),

@@ -25,7 +25,6 @@
 
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::{Mutex, MutexGuard};
 
@@ -71,7 +70,9 @@ pub struct IndexShards<B: LogBackend = MemBackend> {
     ops: Vec<Counter>,
     /// Aggregate operation counter (`shard.ops`).
     ops_total: Counter,
-    /// Time spent waiting to acquire a shard lock (`shard.lock_wait_ns`).
+    /// Time spent waiting for a shard lock another thread held
+    /// (`shard.lock_wait_ns`); an acquisition that finds it free
+    /// records nothing.
     lock_wait: Histogram,
 }
 
@@ -104,7 +105,7 @@ impl<B: LogBackend> IndexShards<B> {
 
     /// Register this plane's instruments: per-shard `shard.{i}.ops`
     /// counters, the aggregate `shard.ops`, and the `shard.lock_wait_ns`
-    /// acquisition-wait histogram.
+    /// histogram of contended acquisitions' waits.
     pub fn instrument(&mut self, registry: &MetricsRegistry) {
         self.ops = (0..self.shards.len())
             .map(|i| registry.counter(&format!("shard.{i}.ops")))
@@ -118,12 +119,11 @@ impl<B: LogBackend> IndexShards<B> {
         self.shards.len()
     }
 
-    /// Acquire shard `i`, recording the wait and the op.
+    /// Acquire shard `i`, recording the op, and the wait if it was
+    /// contended.
     #[cfg_attr(debug_assertions, track_caller)]
     fn shard(&self, i: usize) -> MutexGuard<'_, EventsIndex<B>> {
-        let start = Instant::now();
-        let guard = self.shards[i].lock();
-        self.lock_wait.record(start.elapsed().as_nanos() as u64);
+        let guard = self.shards[i].lock_or_wait(|wait| self.lock_wait.record_duration(wait));
         self.ops[i].inc();
         self.ops_total.inc();
         guard

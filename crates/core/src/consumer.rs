@@ -56,27 +56,16 @@ impl Subscription {
         &self.event_type
     }
 
-    /// Next notification, if one is queued (acknowledged on receipt).
+    /// Next notification, if one is queued (acknowledged on receipt:
+    /// taken and acknowledged in one visit to the broker).
     pub fn next(&self) -> CssResult<Option<Delivered>> {
-        match self.inner.poll()? {
-            None => Ok(None),
-            Some(delivery) => {
-                self.inner.ack(delivery.delivery_id)?;
-                Ok(Some(Delivered::from_bus(delivery)))
-            }
-        }
+        Ok(self.inner.take()?.map(Delivered::from_bus))
     }
 
     /// Next notification, waiting up to `timeout` for one to arrive
     /// (acknowledged on receipt). For threaded consumers.
     pub fn next_wait(&self, timeout: std::time::Duration) -> CssResult<Option<Delivered>> {
-        match self.inner.poll_for(timeout)? {
-            None => Ok(None),
-            Some(delivery) => {
-                self.inner.ack(delivery.delivery_id)?;
-                Ok(Some(Delivered::from_bus(delivery)))
-            }
-        }
+        Ok(self.inner.take_for(timeout)?.map(Delivered::from_bus))
     }
 
     /// Next delivery **without** acknowledging it. Pair with

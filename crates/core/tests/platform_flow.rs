@@ -679,8 +679,8 @@ fn builder_configures_clock_identity_and_shared_telemetry() {
     // (joining as producer instruments a gateway backend).
     assert!(registry
         .snapshot()
-        .histograms
-        .contains_key("storage.append"));
+        .counters
+        .contains_key("storage.appended_bytes"));
 }
 
 #[test]

@@ -14,14 +14,12 @@ use crate::store::DetailStore;
 
 /// Cached telemetry handles for the gateway's Algorithm 2 path. Always
 /// present: without a registry they are detached cells nobody reads.
+/// A response is counted, not timed: Algorithm 1's
+/// `stage.gateway_retrieve` times the call that asks for it.
 #[derive(Default)]
 struct GatewayInstruments {
     /// `gateway.persist` — schema validation + store append.
     persist_latency: Histogram,
-    /// `gateway.retrieve` — record load + the filtered decode of it.
-    retrieve_latency: Histogram,
-    /// `gateway.filter` — the privacy postcondition on what was decoded.
-    filter_latency: Histogram,
     /// `gateway.persisted` — detail messages stored.
     persisted: Counter,
     /// `gateway.responses` — successful `getResponse` answers.
@@ -32,8 +30,6 @@ impl GatewayInstruments {
     fn resolve(registry: &MetricsRegistry) -> Self {
         GatewayInstruments {
             persist_latency: registry.histogram("gateway.persist"),
-            retrieve_latency: registry.histogram("gateway.retrieve"),
-            filter_latency: registry.histogram("gateway.filter"),
             persisted: registry.counter("gateway.persisted"),
             responses: registry.counter("gateway.responses"),
         }
@@ -213,7 +209,6 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
         allowed: &BTreeSet<String>,
         ctx: Option<&TraceContext>,
     ) -> CssResult<EventDetails> {
-        let started = Instant::now();
         let mut retrieve = TraceContext::child_opt(ctx, "gateway.retrieve");
         let stored = self.store.stored(src_event_id)?;
         let Some((decoder, ty_text)) = typed(&stored)? else {
@@ -235,18 +230,13 @@ impl<B: LogBackend> LocalCooperationGateway<B> {
             }
         };
         parse.finish();
-        let retrieved = Instant::now();
         let filter = TraceContext::child_opt(ctx, "gateway.filter");
         assert!(
             filtered.exposes_only(&mask),
             "gateway postcondition: response must be privacy safe"
         );
         filter.finish();
-        let t = &self.telemetry;
-        t.retrieve_latency
-            .record_duration(retrieved.duration_since(started));
-        t.filter_latency.record_duration(retrieved.elapsed());
-        t.responses.inc();
+        self.telemetry.responses.inc();
         Ok(filtered)
     }
 
@@ -416,8 +406,6 @@ mod tests {
         assert_eq!(snap.counter("gateway.persisted"), 2);
         assert_eq!(snap.counter("gateway.responses"), 1);
         assert_eq!(snap.histogram("gateway.persist").unwrap().count, 2);
-        assert_eq!(snap.histogram("gateway.retrieve").unwrap().count, 1);
-        assert_eq!(snap.histogram("gateway.filter").unwrap().count, 1);
     }
 
     #[test]
@@ -471,8 +459,8 @@ mod tests {
         for src in 1..=3 {
             gw.persist(&message(src)).unwrap();
         }
-        // `storage.read` counts the backend's `read_at` calls.
-        let reads = || registry.snapshot().histogram("storage.read").unwrap().count;
+        // `storage.reads` counts the backend's `read_at` calls.
+        let reads = || registry.snapshot().counter("storage.reads");
         for src in 1..=3 {
             let before = reads();
             gw.get_response(SourceEventId(src), &allowed(&["PatientId"]), None)

@@ -289,12 +289,7 @@ mod tests {
     #[test]
     fn a_read_is_one_backend_read_and_a_reopen_one_pass() {
         let registry = css_telemetry::MetricsRegistry::new();
-        let reads = || {
-            registry
-                .snapshot()
-                .histogram("storage.read")
-                .map_or(0, |h| h.count)
-        };
+        let reads = || registry.snapshot().counter("storage.reads");
         let open = |backend| {
             DetailStore::open(css_storage::InstrumentedBackend::new(backend, &registry)).unwrap()
         };

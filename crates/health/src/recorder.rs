@@ -326,7 +326,11 @@ impl FlightRecorder {
         let path = self
             .incident_dir
             .join(format!("incident-{seq:04}-{at_ms}.json"));
-        std::fs::write(&path, json).ok()?;
+        // Written aside and renamed into place: whoever reads the
+        // directory finds a bundle whole or not at all.
+        let partial = path.with_extension("json.partial");
+        std::fs::write(&partial, json).ok()?;
+        std::fs::rename(&partial, &path).ok()?;
         Some(path)
     }
 

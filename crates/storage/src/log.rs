@@ -107,9 +107,8 @@ impl<B: LogBackend> RecordLog<B> {
 
     /// Append several records as one group commit: all frames are
     /// buffered and handed to the backend in a single write, so the
-    /// per-write overhead (and, for instrumented backends, the
-    /// `storage.append` count) is paid once per batch instead of once
-    /// per record.
+    /// per-write overhead is paid once per batch instead of once per
+    /// record.
     ///
     /// The records lie back to back in `buffer`: `ends[i]` is the
     /// offset at which record `i` stops and record `i + 1` starts, and
@@ -489,7 +488,7 @@ mod tests {
         }
         put(&mut log, vec![0x5A; WINDOW + 1_000]);
         put(&mut log, b"last".to_vec());
-        let reads = || registry.snapshot().histogram("storage.read").unwrap().count;
+        let reads = || registry.snapshot().counter("storage.reads");
         let mut seen = 0;
         log.scan(|ptr, payload| {
             assert_eq!((ptr, payload), (written[seen].0, &written[seen].1[..]));

@@ -13,23 +13,26 @@ use std::num::ParseIntError;
 use std::str::FromStr;
 use std::sync::Arc;
 
-/// `n` in decimal, zero-padded to at least `min_width` digits: what
-/// `{:0min_width$}` writes, as one `write_str` of digits laid out on
-/// the stack. Identifiers are formatted into every audit record, index
+/// `n` in decimal, zero-padded to at least `min_width` digits (what
+/// `{:0min_width$}` writes), laid out right to left in `buf` to end
+/// just before `end`. Where the digits start.
+pub(crate) fn put_zero_padded(buf: &mut [u8], end: usize, n: u64, min_width: usize) -> usize {
+    let mut first = end;
+    let mut rest = n;
+    while rest > 0 || end - first < min_width.max(1) {
+        first -= 1;
+        buf[first] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    first
+}
+
+/// `n` as [`put_zero_padded`] lays it out, in one `write_str` from the
+/// stack. Identifiers are formatted into every audit record, index
 /// entry and detail message the platform stores.
 fn write_zero_padded(f: &mut fmt::Formatter<'_>, n: u64, min_width: usize) -> fmt::Result {
-    let mut digits = [b'0'; 20];
-    let mut first = digits.len();
-    let mut rest = n;
-    loop {
-        first -= 1;
-        digits[first] = b'0' + (rest % 10) as u8;
-        rest /= 10;
-        if rest == 0 {
-            break;
-        }
-    }
-    let first = first.min(digits.len() - min_width);
+    let mut digits = [0; 20];
+    let first = put_zero_padded(&mut digits, 20, n, min_width);
     f.write_str(std::str::from_utf8(&digits[first..]).expect("decimal digits are ASCII"))
 }
 
@@ -189,12 +192,18 @@ impl EventTypeId {
     /// the normalisation — for text the platform stored, which it wrote
     /// in this form, so that a damaged copy does not read as the id it
     /// was.
+    ///
+    /// The form is checked on the text itself, so an id read back costs
+    /// one allocation, its shared code: the code is one normalisation
+    /// leaves as it is (no whitespace, no character lower case changes)
+    /// and the version has no sign and no leading zero.
     pub fn from_canonical(text: &str) -> Result<Self, IdParseError> {
-        let id: EventTypeId = text.parse()?;
-        if id.to_string() != text {
+        let (code, digits, version) = split_type_text(text)?;
+        let normal = |c: char| !c.is_whitespace() && c.to_lowercase().eq([c]);
+        if !code.chars().all(normal) || digits.starts_with(['0', '+']) && digits != "0" {
             return Err(IdParseError::NotCanonical(text.to_string()));
         }
-        Ok(id)
+        Ok(EventTypeId::new(code, version))
     }
 
     /// Next version of the same code.
@@ -218,19 +227,23 @@ impl FromStr for EventTypeId {
     type Err = IdParseError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (code, ver) = s.split_once("@v").ok_or_else(|| IdParseError::BadPrefix {
+        let (code, _, version) = split_type_text(s)?;
+        Ok(EventTypeId::new(code, version))
+    }
+}
+
+/// `<code>@v<version>` split at its first `@v`: the code, the version's
+/// text and its value.
+fn split_type_text(s: &str) -> Result<(&str, &str, u32), IdParseError> {
+    let (code, digits) = s
+        .split_once("@v")
+        .filter(|(code, _)| !code.is_empty())
+        .ok_or_else(|| IdParseError::BadPrefix {
             expected: "<code>@v<version>",
             input: s.to_string(),
         })?;
-        if code.is_empty() {
-            return Err(IdParseError::BadPrefix {
-                expected: "<code>@v<version>",
-                input: s.to_string(),
-            });
-        }
-        let version = ver.parse::<u32>().map_err(IdParseError::BadNumber)?;
-        Ok(EventTypeId::new(code, version))
-    }
+    let version = digits.parse::<u32>().map_err(IdParseError::BadNumber)?;
+    Ok((code, digits, version))
 }
 
 /// Error produced when parsing an identifier from its textual form.
@@ -405,6 +418,10 @@ mod tests {
             "Autonomy-assessment@v3",
             "autonomy assessment@v3",
             "autonomy-assessment@v03",
+            "x@v01",
+            "X@v1",
+            " x@v1",
+            "x@v+1",
         ] {
             assert!(other.parse::<EventTypeId>().is_ok(), "{other}");
             assert_eq!(
@@ -412,7 +429,36 @@ mod tests {
                 Err(IdParseError::NotCanonical(other.into()))
             );
         }
-        assert!(EventTypeId::from_canonical("@v1").is_err());
+        for malformed in ["@v1", "x@v1 ", "x@v", "x@1"] {
+            assert!(
+                EventTypeId::from_canonical(malformed).is_err(),
+                "{malformed}"
+            );
+        }
+        // A code outside ASCII that lower case leaves alone is canonical.
+        assert_eq!(
+            EventTypeId::from_canonical("visita-café@v0"),
+            Ok(EventTypeId::new("visita-café", 0))
+        );
+    }
+
+    proptest::proptest! {
+        /// The check on the text accepts what the parse-and-print
+        /// comparison it replaced accepted, with the same error.
+        #[test]
+        fn the_canonical_check_is_the_round_trip(text in proptest::Strategy::prop_map((
+            "[abAB @vV0\\-éİΣ]{0,5}",
+            "[0-9+ ]{0,4}",
+        ), |(code, version)| format!("{code}@v{version}"))) {
+            let round_trip = text.parse::<EventTypeId>().and_then(|id| {
+                if id.to_string() == text {
+                    Ok(id)
+                } else {
+                    Err(IdParseError::NotCanonical(text.clone()))
+                }
+            });
+            proptest::prop_assert_eq!(EventTypeId::from_canonical(&text), round_trip);
+        }
     }
 
     #[test]

@@ -11,6 +11,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::id::put_zero_padded;
+
 /// Milliseconds since the Unix epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(pub u64);
@@ -77,15 +79,31 @@ impl Timestamp {
 }
 
 impl fmt::Display for Timestamp {
+    /// A civil date-time assuming no leap seconds, good enough for logs
+    /// and XML payloads: `YYYY-MM-DDThh:mm:ss.mmmZ`, the year padded to
+    /// four digits and wider years in full. Laid out right to left on
+    /// the stack and written at once, since every stored `DateTime`
+    /// field is written through here.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Render as a civil date-time assuming no leap seconds; good
-        // enough for logs and XML payloads.
-        let total_secs = self.0 / 1000;
-        let millis = self.0 % 1000;
-        let (days, secs) = (total_secs / 86_400, total_secs % 86_400);
-        let (h, m, s) = (secs / 3600, (secs % 3600) / 60, secs % 60);
+        let (days, secs) = (self.0 / 86_400_000, self.0 / 1000 % 86_400);
         let (y, mo, d) = civil_from_days(days as i64);
-        write!(f, "{y:04}-{mo:02}-{d:02}T{h:02}:{m:02}:{s:02}.{millis:03}Z")
+        // The widest, at `u64::MAX`, is a nine-digit year and 20 more.
+        let mut text = [0; 32];
+        let mut at = text.len();
+        for (n, width, after) in [
+            (self.0 % 1000, 3, b'Z'),
+            (secs % 60, 2, b'.'),
+            (secs % 3600 / 60, 2, b':'),
+            (secs / 3600, 2, b':'),
+            (u64::from(d), 2, b'T'),
+            (u64::from(mo), 2, b'-'),
+            (y as u64, 4, b'-'),
+        ] {
+            at -= 1;
+            text[at] = after;
+            at = put_zero_padded(&mut text, at, n, width);
+        }
+        f.write_str(std::str::from_utf8(&text[at..]).expect("digits and separators are ASCII"))
     }
 }
 
@@ -181,6 +199,44 @@ mod tests {
     #[test]
     fn display_renders_epoch() {
         assert_eq!(Timestamp::EPOCH.to_string(), "1970-01-01T00:00:00.000Z");
+    }
+
+    /// The `write!` form the direct writer replaced: the reference the
+    /// stored bytes of every `DateTime` field are pinned to.
+    fn formatted(t: Timestamp) -> String {
+        let total_secs = t.0 / 1000;
+        let millis = t.0 % 1000;
+        let (days, secs) = (total_secs / 86_400, total_secs % 86_400);
+        let (h, m, s) = (secs / 3600, (secs % 3600) / 60, secs % 60);
+        let (y, mo, d) = civil_from_days(days as i64);
+        format!("{y:04}-{mo:02}-{d:02}T{h:02}:{m:02}:{s:02}.{millis:03}Z")
+    }
+
+    /// 10000-01-01T00:00:00.000Z, the first instant with a five-digit year.
+    const YEAR_10000: u64 = 253_402_300_800_000;
+
+    proptest::proptest! {
+        /// Byte for byte what `write!` wrote, over the whole range:
+        /// four-digit years, wider ones and the boundary between.
+        #[test]
+        fn display_writes_what_the_formatter_wrote(ms in proptest::prop_oneof![
+            0..YEAR_10000,
+            YEAR_10000 - 86_400_000..YEAR_10000 + 86_400_000,
+            proptest::prelude::any::<u64>(),
+        ]) {
+            proptest::prop_assert_eq!(Timestamp(ms).to_string(), formatted(Timestamp(ms)));
+        }
+    }
+
+    #[test]
+    fn display_at_the_ends_of_the_range() {
+        for ms in [0, 999, YEAR_10000 - 1, YEAR_10000, u64::MAX] {
+            assert_eq!(Timestamp(ms).to_string(), formatted(Timestamp(ms)), "{ms}");
+        }
+        assert_eq!(
+            Timestamp(YEAR_10000).to_string(),
+            "10000-01-01T00:00:00.000Z"
+        );
     }
 
     #[test]

@@ -473,6 +473,85 @@ fn event_type_clone_allocates_nothing() {
     assert_eq!(measured, 0, "cloning an event class id allocates");
 }
 
+/// A class id read back from storage (every decoded audit record and
+/// index entry naming one) is its shared code and nothing more.
+#[test]
+fn event_type_from_canonical_allocates_its_code_alone() {
+    let measured = allocations_per_op(
+        |_| (),
+        |()| {
+            drop(std::hint::black_box(
+                EventTypeId::from_canonical("blood-test@v1").unwrap(),
+            ))
+        },
+    );
+    assert_within("EventTypeId::from_canonical", measured, FROM_CANONICAL);
+}
+
+/// Histogram observations `op` adds to `registry` per call, over `OPS`
+/// calls after `OPS` warm-up calls. Exact: every call of one operation
+/// records the same observations.
+fn observations_per_op<I>(
+    registry: &css::telemetry::MetricsRegistry,
+    input: impl Fn(u64) -> I,
+    mut op: impl FnMut(I),
+) -> u64 {
+    let observed = || -> u64 {
+        registry
+            .snapshot()
+            .histograms
+            .values()
+            .map(|h| h.count)
+            .sum()
+    };
+    for i in 0..OPS {
+        op(input(i));
+    }
+    let before = observed();
+    for i in OPS..2 * OPS {
+        op(input(i));
+    }
+    let total = observed() - before;
+    assert_eq!(total % OPS, 0, "{total} observations over {OPS} calls");
+    total / OPS
+}
+
+/// Each timed stage records once: a layer that times itself inside a
+/// stage its caller already times adds observations here. One thread,
+/// so no shard lock is ever contended.
+#[test]
+fn histogram_observations_per_operation() {
+    let w = world();
+    let registry = w.platform.metrics();
+    let producer = w.platform.producer(w.hospital).unwrap();
+    let subs = subscriptions(&w);
+    let publish = observations_per_op(
+        registry,
+        |i| event(&w.ty, i % 16 + 1),
+        |event| drop(publish_and_deliver(&w, &producer, &subs, event)),
+    );
+    let events: Vec<Delivered> = (1..=16)
+        .map(|patient| publish_and_deliver(&w, &producer, &subs, event(&w.ty, patient)))
+        .collect();
+    let consumer = w.platform.consumer(*w.consumers.last().unwrap()).unwrap();
+    let notification = |i: u64| &events[i as usize % events.len()].message;
+    let permitted = observations_per_op(registry, notification, |n| {
+        consumer
+            .request_details(n, Purpose::HealthcareTreatment)
+            .unwrap();
+    });
+    let denied = observations_per_op(registry, notification, |n| {
+        let refused = consumer.request_details(n, Purpose::StatisticalAnalysis);
+        assert!(matches!(refused, Err(CssError::AccessDenied(_))));
+    });
+    eprintln!("alloc_budget: histogram observations: publish + deliver {publish}, permitted {permitted}, denied {denied}");
+    assert_eq!(
+        (publish, permitted, denied),
+        OBSERVATIONS,
+        "histogram observations per publish + deliver (fan-out 3), permitted and denied detail request"
+    );
+}
+
 /// Heap blocks a subscriber's `backlog` and the bus's `stats` each ask
 /// for per call, on a bus holding `dead` dead letters.
 fn counter_reads_beside_dead_letters(dead: u64) -> (u64, u64) {
@@ -522,3 +601,8 @@ const DETAIL_PERMIT_TWELVE_FIELDS: u64 = 671;
 const DETAIL_DENY: u64 = 220;
 const INQUIRY_TEN: u64 = 5721;
 const DETAIL_DENY_COLD: u64 = 330;
+const FROM_CANONICAL: u64 = 100;
+
+// Histogram observations per publish + deliver at fan-out 3, per
+// permitted and per denied detail request: exact counts, not budgets.
+const OBSERVATIONS: (u64, u64, u64) = (13, 7, 6);

@@ -235,7 +235,12 @@ fn p99_regression_writes_a_joinable_incident_bundle() {
     // One healthy baseline tick, then a few genuinely slow traced
     // requests: each stalls on storage reads, so its `stage.total`
     // exemplar lands in a slow bucket carrying its trace id.
-    std::thread::sleep(Duration::from_millis(30));
+    let booted = json_u64(&get(addr, "/slo").1, "ticks");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while json_u64(&get(addr, "/slo").1, "ticks") <= booted {
+        assert!(Instant::now() < deadline, "the sampler never ticked");
+        std::thread::sleep(Duration::from_millis(2));
+    }
     slow.store(true, Ordering::SeqCst);
     for _ in 0..3 {
         consumer

@@ -514,8 +514,16 @@ fn ops_server_alone_serves_history_and_capture() {
         response.contains(r#""schema":"css-blackbox/1""#),
         "{response}"
     );
+    // The capture is the one manual bundle. The plane's sampler judges
+    // the fixture's one detail request on the wall clock, and on a busy
+    // host it may write an `slo_critical` bundle beside it: that verdict
+    // is the host's speed, not what this test is about.
     let (_, incidents) = get(addr, "/debug/incidents");
-    assert_eq!(incidents.matches(r#""seq":"#).count(), 1, "{incidents}");
+    assert_eq!(
+        incidents.matches(r#""kind":"manual""#).count(),
+        1,
+        "{incidents}"
+    );
     let (_, health) = get(addr, "/health");
     assert!(
         health.contains(r#"{"component":"chronicle-anomaly","status":"healthy"}"#),

@@ -143,15 +143,10 @@ fn telemetry_matches_audit_after_end_to_end_flow() {
     // produced a filtered response.
     assert_eq!(telemetry.counter("gateway.persisted"), PUBLISHES);
     assert_eq!(telemetry.counter("gateway.responses"), PERMITS);
-    assert_eq!(
-        telemetry.histogram("gateway.filter").unwrap().count,
-        PERMITS
-    );
 
     // Storage backends saw traffic, and the state gauges agree with
     // the audit log itself.
     assert!(telemetry.counter("storage.appended_bytes") > 0);
-    assert!(telemetry.histogram("storage.append").unwrap().count > 0);
     let all = platform.audit_query(&AuditQuery::new()).unwrap();
     assert_eq!(
         telemetry.gauge("platform.audit_records") as usize,
