@@ -17,7 +17,12 @@
 //! (HMAC of the person id), holding that citizen's entries in the order
 //! they were indexed, so a per-person inquiry walks one run of entries
 //! and decrypts nothing it does not return. The tag is held once, as
-//! the bucket's key; the plane's owner table (`owners.rs`) says
+//! the bucket's key. A bucket also comes to hold its data subject's
+//! [`PersonId`] — never the sealed tuple — learned by the first detail
+//! request that reaches it and checked against the tag, so a detail
+//! request opens no ciphertext after that (see
+//! [`EventsIndex::resolve_detail_request`]); the id is held in memory
+//! only. The plane's owner table (`owners.rs`) says
 //! where an event's entry lives, for detail requests, markers and
 //! inquiries over id lists.
 //!
@@ -321,12 +326,6 @@ fn identity_of(plaintext: &[u8]) -> CssResult<PersonIdentity> {
     PersonIdentity::from_bytes(plaintext).ok_or_else(malformed)
 }
 
-/// The id of the person a sealed identity names: opened and checked as
-/// [`open_identity`] does, without building the identity's strings.
-fn open_subject(sealer: &SealedBox, sealed: &[u8]) -> CssResult<PersonId> {
-    PersonIdentity::id_from_bytes(&open_plaintext(sealer, sealed)?).ok_or_else(malformed)
-}
-
 /// Open a sealed identity.
 fn open_identity(sealer: &SealedBox, sealed: &[u8]) -> CssResult<PersonIdentity> {
     identity_of(&open_plaintext(sealer, sealed)?)
@@ -430,8 +429,9 @@ pub enum DetailResolution {
         producer: ActorId,
         /// The PIP mapping of Algorithm 1 step 1.
         src_event_id: SourceEventId,
-        /// The data subject, unsealed for the consent check (or why
-        /// the sealed identity would not open).
+        /// The data subject, for the consent check: its bucket's,
+        /// learned once from a sealed identity (or why that identity
+        /// would not open to the person the bucket is filed under).
         subject: CssResult<PersonId>,
     },
 }
@@ -478,6 +478,10 @@ pub struct EventsIndex<B: LogBackend = MemBackend> {
     /// they were linked. Entries are never removed, so a position is
     /// stable.
     buckets: Vec<Vec<IndexEntry>>,
+    /// Per bucket, its data subject once a detail request has learned
+    /// it (see [`EventsIndex::resolve_detail_request`]): held in memory
+    /// only, never persisted.
+    subjects: Vec<Option<PersonId>>,
     /// The bucket of each person tag: the one place a tag is held.
     bucket_of: HashMap<[u8; 32], u32, Minted>,
     by_type: HashMap<EventTypeId, Vec<GlobalEventId>>,
@@ -551,6 +555,7 @@ impl<B: LogBackend> EventsIndex<B> {
                 shard,
                 owners: Arc::clone(&owners),
                 buckets: Vec::new(),
+                subjects: Vec::new(),
                 bucket_of: HashMap::default(),
                 by_type: HashMap::new(),
                 by_time: BTreeSet::new(),
@@ -605,6 +610,7 @@ impl<B: LogBackend> EventsIndex<B> {
         let bucket = *self.bucket_of.entry(person_tag).or_insert(fresh);
         if bucket == fresh {
             self.buckets.push(Vec::new());
+            self.subjects.push(None);
         }
         self.buckets[bucket as usize].push(entry);
     }
@@ -750,16 +756,24 @@ impl<B: LogBackend> EventsIndex<B> {
     /// one look at the event's entry: the PIP mapping, whether the
     /// indexed class is the `declared` one, whether `consumer` or one
     /// of its enclosing organizations (`ancestors`) was notified, and —
-    /// only when both hold — the unsealed data subject. `None` when the
-    /// event is not in this index.
+    /// only when both hold — the data subject. `None` when the event is
+    /// not in this index.
+    ///
+    /// The subject is its bucket's, learned once: the first request
+    /// that reaches a bucket opens its entry's sealed identity and keeps
+    /// the person id only if that id's keyed tag is the bucket's; every
+    /// later request about the citizen opens nothing. An identity that
+    /// does not open, or names someone the bucket is not filed under,
+    /// fails the request naming the event, and nothing is kept.
     pub fn resolve_detail_request(
-        &self,
+        &mut self,
         id: GlobalEventId,
         declared: &EventTypeId,
         consumer: ActorId,
         ancestors: &[ActorId],
     ) -> Option<DetailResolution> {
-        let entry = self.locate(id)?;
+        let (bucket, at) = self.place(id)?;
+        let entry = self.buckets.get(bucket)?.get(at)?;
         Some(if entry.event_type != *declared {
             DetailResolution::TypeMismatch(entry.event_type.clone())
         } else if !std::iter::once(&consumer)
@@ -771,9 +785,24 @@ impl<B: LogBackend> EventsIndex<B> {
             DetailResolution::Resolved {
                 producer: entry.producer,
                 src_event_id: entry.src_event_id,
-                subject: open_subject(&self.sealer, &entry.sealed_identity),
+                subject: self.subjects[bucket].map_or_else(|| self.learn(bucket, at, id), Ok),
             }
         })
+    }
+
+    /// The person the sealed identity of event `id` (entry `at` of
+    /// `bucket`) names, kept as the bucket's subject if its keyed tag is
+    /// the bucket's.
+    fn learn(&mut self, bucket: usize, at: usize, id: GlobalEventId) -> CssResult<PersonId> {
+        let failed = |why: &dyn std::fmt::Display| CssError::Crypto(format!("event {id}: {why}"));
+        let opened = self.sealer.open(&self.buckets[bucket][at].sealed_identity);
+        let opened = opened.map_err(|e| failed(&e))?;
+        let person = PersonIdentity::id_from_bytes(&opened).ok_or_else(|| failed(&"malformed"))?;
+        if self.bucket_of.get(&self.tag(person)) != Some(&(bucket as u32)) {
+            return Err(failed(&"sealed identity is not the person its tag names"));
+        }
+        self.subjects[bucket] = Some(person);
+        Ok(person)
     }
 
     /// Rebuild the full notification (decrypting the identity). Only the

@@ -126,9 +126,10 @@ impl<B: LogBackend> DataController<B> {
         };
         span.finish();
 
-        // Precondition: data-subject consent (needs the person id, so
-        // the controller unsealed the identity it sealed at publish
-        // time — only once the checks above had passed).
+        // Precondition: data-subject consent (needs the person id,
+        // which the index hands out only once the checks above had
+        // passed: its bucket's, learned from the identity the
+        // controller sealed at publish time).
         let mut span = trace.child("pep.consent_check");
         let subject = subject?;
         let consented = self

@@ -10,13 +10,16 @@
 //! Routing uses the keyed person tag (HMAC over the person id under
 //! the controller master key) — the same value the index already
 //! stores for per-person lookup — so the partition never sees a
-//! plaintext identity. Per-person operations touch exactly one shard;
-//! by-type and by-time listings scatter-gather across shards and
-//! merge, preserving the unsharded time-ordering. Per-event operations
-//! ask the plane's one owner table where each event lives, without a
-//! lock: a detail request locks its owner shard and no other, and an
-//! inquiry over an id list locks only the shards that own a candidate.
-//! An id nobody indexed locks nothing.
+//! plaintext identity. (A shard's bucket does come to hold its data
+//! subject's `PersonId`, learned by the first detail request that
+//! reaches it and checked against the tag, so later requests open no
+//! ciphertext; routing never reads it.) Per-person operations touch
+//! exactly one shard; by-type and by-time listings scatter-gather
+//! across shards and merge, preserving the unsharded time-ordering.
+//! Per-event operations ask the plane's one owner table where each
+//! event lives, without a lock: a detail request locks its owner shard
+//! and no other, and an inquiry over an id list locks only the shards
+//! that own a candidate. An id nobody indexed locks nothing.
 //!
 //! Replay on open is **re-routing**: entries are read off every
 //! shard's backend and adopted by their *current* owner shard, filling
@@ -718,6 +721,163 @@ mod tests {
                     proptest::prop_assert_eq!(first, identity);
                 }
             }
+        }
+    }
+
+    /// `n` file backends in a fresh directory named after `name`, and
+    /// the directory.
+    fn files(name: &str, n: usize) -> (std::path::PathBuf, Vec<css_storage::FileBackend>) {
+        let dir = std::env::temp_dir().join(format!("css-{name}-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let backends = (0..n).map(|i| reopen(&dir, i)).collect();
+        (dir, backends)
+    }
+
+    fn reopen(dir: &std::path::Path, i: usize) -> css_storage::FileBackend {
+        css_storage::FileBackend::open(dir.join(format!("shard-{i}.log"))).unwrap()
+    }
+
+    /// The answer to a detail request for event `id` of class `x`, as
+    /// text, with the ciphertexts the request opened.
+    #[cfg(debug_assertions)]
+    fn detail<B: LogBackend>(plane: &IndexShards<B>, id: u64, actor: u64) -> (String, u64) {
+        let (_, opens) = css_crypto::sealed::ledger::counts();
+        let answer = plane.resolve_detail_request(
+            GlobalEventId(id),
+            &EventTypeId::v1("x"),
+            ActorId(actor),
+            &[],
+        );
+        let answer = format!("{:?}", answer.unwrap());
+        (answer, css_crypto::sealed::ledger::counts().1 - opens)
+    }
+
+    /// A bucket learns its data subject from the first detail request
+    /// that reaches it: after a reopen, the first request about each
+    /// citizen opens one ciphertext and every later one opens none,
+    /// with the answers the plane gave before the reopen. A request
+    /// that stops at the notified check opens nothing.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_bucket_learns_its_subject_once_and_requests_after_open_nothing() {
+        for n in [1, 2, 8] {
+            let (dir, backends) = files("learned", n);
+            let plane = IndexShards::open(b"master", backends).unwrap();
+            for id in 1..=16u64 {
+                let n = notif(id, id % 4, "x");
+                let notified = [ActorId(5)].into();
+                plane.insert(&n, SourceEventId(id), notified).unwrap();
+            }
+            let before: Vec<String> = (1..=16).map(|id| detail(&plane, id, 5).0).collect();
+            drop(plane);
+            let plane =
+                IndexShards::open(b"master", (0..n).map(|i| reopen(&dir, i)).collect()).unwrap();
+            for id in 1..=16u64 {
+                assert_eq!(detail(&plane, id, 9).1, 0, "not notified, {n} shards");
+                let (answer, opened) = detail(&plane, id, 5);
+                assert!(
+                    answer.contains(&format!("PersonId({})", id % 4)),
+                    "{answer}"
+                );
+                assert_eq!(answer, before[id as usize - 1], "event {id}, {n} shards");
+                let first_of_citizen = id <= 4;
+                assert_eq!(
+                    opened,
+                    u64::from(first_of_citizen),
+                    "event {id}, {n} shards"
+                );
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// Under a wrong key the plane still loads, and a detail request
+    /// fails with `Crypto` naming its event, every time: a subject
+    /// that did not open is not kept.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_detail_request_after_a_wrong_key_reopen_fails_and_learns_nothing() {
+        for n in [1, 2, 8] {
+            let (dir, backends) = files("wrong-key", n);
+            let plane = IndexShards::open(b"right-key", backends).unwrap();
+            plane
+                .insert(&notif(1, 7, "x"), SourceEventId(1), [ActorId(5)].into())
+                .unwrap();
+            drop(plane);
+            let files = (0..n).map(|i| reopen(&dir, i)).collect();
+            let plane = IndexShards::open(b"wrong-key", files).unwrap();
+            assert_eq!(plane.len(), 1);
+            for _ in 0..2 {
+                let (answer, opened) = detail(&plane, 1, 5);
+                assert!(
+                    answer.contains("Crypto") && answer.contains("evt-00000001"),
+                    "{answer}"
+                );
+                assert_eq!(opened, 1, "{n} shards");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// An entry re-framed with a valid CRC, filed under one citizen's
+    /// tag but sealing another's identity, fails the detail request
+    /// naming the event — it is not answered with the person it seals —
+    /// and teaches its bucket nothing.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn an_entry_sealing_someone_else_fails_the_detail_request() {
+        let (citizen, other) = (7, 8);
+        let (dir, backends) = files("planted", 1);
+        let plane = IndexShards::open(b"master", backends).unwrap();
+        let notified: HashSet<ActorId> = [ActorId(5)].into();
+        plane
+            .insert(&notif(1, citizen, "x"), SourceEventId(1), notified.clone())
+            .unwrap();
+        plane
+            .insert(&notif(2, other, "x"), SourceEventId(2), notified)
+            .unwrap();
+        let (tag, wrong) = (
+            plane.person_tag(PersonId(citizen)),
+            plane.person_tag(PersonId(other)),
+        );
+        drop(plane);
+        let mut payloads = Vec::new();
+        css_storage::RecordLog::recover(reopen(&dir, 0), |_, payload| {
+            payloads.push(payload.to_vec());
+            Ok(())
+        })
+        .unwrap();
+        let at = payloads[1].windows(32).position(|w| w == wrong).unwrap();
+        payloads[1][at..at + 32].copy_from_slice(&tag);
+        let _ = std::fs::remove_dir_all(&dir);
+        for n in [1, 2, 8] {
+            let (log, _) =
+                css_storage::RecordLog::recover(MemBackend::new(), |_, _| Ok(())).unwrap();
+            let mut log = log;
+            for payload in &payloads {
+                log.append(payload).unwrap();
+            }
+            let mut backends = vec![log.into_backend()];
+            backends.resize_with(n, MemBackend::new);
+            let plane = IndexShards::open(b"master", backends).unwrap();
+            // Routing goes by tag: both entries are the citizen's.
+            let filed = plane.notifications_of_person(PersonId(citizen)).unwrap();
+            assert_eq!(filed.len(), 2);
+            for _ in 0..2 {
+                let (answer, opened) = detail(&plane, 2, 5);
+                assert!(
+                    answer.contains("Crypto") && answer.contains("evt-00000002"),
+                    "{n} shards: {answer}"
+                );
+                assert_eq!(opened, 1, "{n} shards");
+            }
+            let (answer, opened) = detail(&plane, 1, 5);
+            assert!(
+                answer.contains(&format!("Ok(PersonId({citizen}))")),
+                "{answer}"
+            );
+            assert_eq!(opened, 1, "{n} shards");
         }
     }
 

@@ -70,8 +70,8 @@ impl Subscription {
 
     /// Next delivery **without** acknowledging it. Pair with
     /// [`Subscription::ack`] on success or [`Subscription::nack`] to
-    /// hand the notification to another worker of the group (bounded by
-    /// the subscription's `max_attempts`, then dead-lettered).
+    /// hand the notification to another worker of the group (at most
+    /// [`css_bus::MAX_ATTEMPTS`] deliveries, then dead-lettered).
     pub fn next_unacked(&self) -> CssResult<Option<css_bus::Delivery<Arc<NotificationMessage>>>> {
         self.inner.poll()
     }

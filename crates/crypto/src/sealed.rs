@@ -86,6 +86,8 @@ impl SealedBox {
     /// [`SealedBox::seal`], appending the sealed payload to `out` — the
     /// one sealer, for a caller that keeps its buffer between seals.
     pub fn seal_into(&self, sequence: u64, plaintext: &[u8], out: &mut Vec<u8>) {
+        #[cfg(debug_assertions)]
+        ledger::SEALS.set(ledger::SEALS.get() + 1);
         let nonce = Self::nonce_for(sequence);
         let cipher = ChaCha20::new(&self.enc_key, &nonce);
         let start = out.len();
@@ -99,6 +101,8 @@ impl SealedBox {
 
     /// Open a sealed payload, verifying its MAC.
     pub fn open(&self, sealed: &[u8]) -> Result<Vec<u8>, SealError> {
+        #[cfg(debug_assertions)]
+        ledger::OPENS.set(ledger::OPENS.get() + 1);
         if sealed.len() < Self::OVERHEAD {
             return Err(SealError::Truncated);
         }
@@ -119,6 +123,24 @@ impl SealedBox {
         nonce[..8].copy_from_slice(&sequence.to_le_bytes());
         nonce[8..].copy_from_slice(b"css!");
         nonce
+    }
+}
+
+/// Per-thread counts of ciphertexts sealed ([`SealedBox::seal_into`],
+/// which [`SealedBox::seal`] calls) and opened ([`SealedBox::open`],
+/// every call, whether or not it authenticates), so a test can pin how
+/// many an operation costs. Debug builds only, like the lock shim's
+/// held-lock stack: a release build counts nothing and has no ledger.
+#[cfg(debug_assertions)]
+pub mod ledger {
+    thread_local! {
+        pub(super) static SEALS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+        pub(super) static OPENS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Ciphertexts this thread has sealed, and opened or tried to.
+    pub fn counts() -> (u64, u64) {
+        (SEALS.get(), OPENS.get())
     }
 }
 
@@ -243,5 +265,17 @@ mod tests {
     #[test]
     fn debug_does_not_leak_keys() {
         assert_eq!(format!("{:?}", bx()), "SealedBox{..}");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn the_ledger_counts_every_seal_and_every_open_attempt() {
+        let b = bx();
+        let (seals, opens) = ledger::counts();
+        let sealed = b.seal(1, b"x");
+        b.seal_into(2, b"y", &mut Vec::new());
+        b.open(&sealed).unwrap();
+        assert!(b.open(&sealed[1..]).is_err());
+        assert_eq!(ledger::counts(), (seals + 2, opens + 2));
     }
 }

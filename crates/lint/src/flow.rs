@@ -14,7 +14,7 @@
 //! Sources: `.fiscal_code` field reads; `.name`/`.surname` reads whose
 //! receiver chain mentions a person/identity; returns of
 //! `.decrypt_notification(..)`, `.resolve_detail_request(..)` (the
-//! PEP's one index visit, which unseals the data subject),
+//! PEP's one index visit, which yields the data subject),
 //! `.notifications_of_person(..)`, `.unseal(..)` and
 //! `PersonIdentity::from_bytes(..)`.
 //!

@@ -51,8 +51,10 @@ enum Stages<'a> {
     /// `start`, truncated back and re-filled per boundary, so a pass
     /// formats no name and allocates once.
     Named(&'a MetricsRegistry, String, usize),
-    /// Held by a table.
-    Table(&'a StageTable),
+    /// Held by a table, with the slot to try first: the one after the
+    /// stage last recorded, since passes reach their stages in the
+    /// order they first filled the table.
+    Table(&'a StageTable, usize),
 }
 
 /// Capacity reserved past the prefix so the usual stage names
@@ -104,20 +106,27 @@ impl StageTable {
 
     /// Start timing a pass; the first `stage` call measures from here.
     pub fn start(&self) -> StageTimer<'_> {
-        StageTimer::over(Stages::Table(self))
+        StageTimer::over(Stages::Table(self, 0))
     }
 
-    /// The slot of `stage`: the first filled with it, or else the first
-    /// free one, filled with it here. Slots fill in order and each
-    /// once, so no stage takes two.
-    fn histogram(&self, stage: &str) -> Option<&Histogram> {
-        self.slots.iter().find_map(|slot| {
-            let (name, histogram) = slot.get_or_init(|| {
-                let histogram = self.registry.histogram(&format!("{}.{stage}", self.prefix));
-                (stage.to_string(), histogram)
-            });
-            (name == stage).then_some(histogram)
-        })
+    /// The histogram of `stage`'s slot: slot `next` if it is filled
+    /// with `stage`, else the first filled with it, or else the first
+    /// free one, filled with it here; `next` moves past it. Slots fill
+    /// in order and each once, so no stage takes two.
+    fn histogram(&self, stage: &str, next: &mut usize) -> Option<&Histogram> {
+        let hinted = self.slots.get(*next).and_then(OnceLock::get);
+        let hinted = hinted.and_then(|(name, h)| (name == stage).then_some((*next, h)));
+        let (at, histogram) = hinted.or_else(|| {
+            self.slots.iter().enumerate().find_map(|(at, slot)| {
+                let (name, histogram) = slot.get_or_init(|| {
+                    let histogram = self.registry.histogram(&format!("{}.{stage}", self.prefix));
+                    (stage.to_string(), histogram)
+                });
+                (name == stage).then_some((at, histogram))
+            })
+        })?;
+        *next = at + 1;
+        Some(histogram)
     }
 }
 
@@ -160,7 +169,7 @@ impl<'a> StageTimer<'a> {
                 named = registry.histogram(name);
                 Some(&named)
             }
-            Stages::Table(table) => table.histogram(stage),
+            Stages::Table(table, next) => table.histogram(stage, next),
         };
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         if let Some(histogram) = histogram {

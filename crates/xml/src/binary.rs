@@ -58,7 +58,7 @@ const CODE: u8 = 0x1f;
 pub struct Names(&'static [&'static str]);
 
 impl Names {
-    /// The dictionary `names`, which holds at most 32.
+    /// The dictionary `names`, which holds at most 32, each once.
     pub const fn new(names: &'static [&'static str]) -> Self {
         assert!(
             names.len() <= 32,
@@ -192,6 +192,9 @@ pub struct BinarySink<'a> {
     out: &'a mut Vec<u8>,
     names: Names,
     depth: usize,
+    /// The code after the last name written: where the next name's
+    /// search starts.
+    next: usize,
 }
 
 impl<'a> BinarySink<'a> {
@@ -202,11 +205,21 @@ impl<'a> BinarySink<'a> {
             out,
             names,
             depth: 0,
+            next: 0,
         }
     }
 
+    /// Write `name`'s tag, looking for its code from the one after the
+    /// last name written first: an encoder writes names in dictionary
+    /// order. A name listed once has one code wherever it is found, so
+    /// the bytes are [`Names::code`]'s (which debug builds check).
     fn tag(&mut self, kind: u8, name: &str) {
-        self.out.push(kind | self.names.code(name));
+        let ahead = self.names.0.get(self.next..).unwrap_or_default();
+        let code = ahead.iter().position(|n| *n == name);
+        let code = code.map_or_else(|| self.names.code(name), |at| (self.next + at) as u8);
+        debug_assert_eq!(code, self.names.code(name), "{name:?} listed twice");
+        self.next = usize::from(code) + 1;
+        self.out.push(kind | code);
     }
 }
 
@@ -548,6 +561,29 @@ mod tests {
     }
 
     proptest::proptest! {
+        /// The sink's forward search from the last name written finds
+        /// the code the full search finds, for names in dictionary
+        /// order, repeated or out of order: the bytes are the same.
+        #[test]
+        fn hinted_names_write_the_full_searchs_bytes(
+            picks in proptest::collection::vec(0usize..7, 0..40),
+        ) {
+            let mut hinted = Vec::new();
+            let mut sink = BinarySink::new(&mut hinted, NAMES);
+            sink.open("doc");
+            for (value, &pick) in picks.iter().enumerate() {
+                sink.attr_int(NAMES.0[pick], value as u64);
+            }
+            sink.close();
+            let mut searched = vec![BINARY_V1, OPEN | NAMES.code("doc")];
+            for (value, &pick) in picks.iter().enumerate() {
+                searched.push(ATTR_INT | NAMES.code(NAMES.0[pick]));
+                put_varint(&mut searched, value as u64);
+            }
+            searched.push(CLOSE);
+            proptest::prop_assert_eq!(hinted, searched);
+        }
+
         /// Whatever a stored payload has become — cut short anywhere,
         /// one byte flipped anywhere — reading it to the end returns an
         /// error or tokens, and never panics.

@@ -2,6 +2,7 @@
 # Alternating macrobench pairs: a named commit against the working tree.
 #
 #   scripts/pair.sh <rev> <workload> <pairs> [first-seed]
+#   scripts/pair.sh <rev> all <pairs> [first-seed]
 #
 # Builds the macrobench of <rev> from a clean export of that commit
 # (`git archive`: nothing is registered in .git, so an interrupted run
@@ -13,6 +14,8 @@
 # with S = first-seed (default 1), first-seed + 1, ...; the side that
 # runs first alternates from pair to pair, and run_seconds is
 # BENCHMARK.json's. Every run's output is kept under target/pair/runs/.
+# With `all` for <workload>, the same pairs run for every workload of
+# BENCHMARK.json, one workload after another, each with its own table.
 #
 # Prints, per end-to-end metric of BENCHMARK.json, each side's median
 # [q1, q3], the pairs the working tree won (ties count for neither)
@@ -22,16 +25,21 @@
 # metric's bound, "held" otherwise. Below the table: each side's raw
 # service p50 per operation and the reference kernel's median window,
 # as measured (the gated numbers are normalised by that kernel). Exits
-# non-zero if a run failed or reported a failed operation.
+# non-zero if a run failed or reported a failed operation, on any
+# workload.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 3 ] || [ $# -gt 4 ]; then
-    echo "usage: scripts/pair.sh <rev> <workload> <pairs> [first-seed]" >&2
+    echo "usage: scripts/pair.sh <rev> <workload|all> <pairs> [first-seed]" >&2
     exit 2
 fi
 rev=$(git rev-parse --short "$1^{commit}")
-workload=$2
+if [ "$2" = all ]; then
+    workloads=$(python3 -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+else
+    workloads=$2
+fi
 pairs=$3
 first=${4:-1}
 macrobench=crates/bench/examples/macrobench
@@ -72,18 +80,8 @@ run() { # <side> <seed>
         --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0) >"$out" 2>&1 ||
         echo "pair.sh: $1 seed $2 exited non-zero (see $out)" >&2
 }
-for ((i = 0; i < pairs; i++)); do
-    seed=$((first + i))
-    if ((i % 2 == 0)); then
-        run base "$seed"
-        run work "$seed"
-    else
-        run work "$seed"
-        run base "$seed"
-    fi
-done
-
-python3 - "$runs" "$workload" "$first" "$pairs" "$rev" <<'EOF'
+report() { # <workload>
+    python3 - "$runs" "$1" "$first" "$pairs" "$rev" <<'EOF'
 import json, re, statistics, sys
 
 runs, workload, first, pairs, rev = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4]), sys.argv[5]
@@ -158,3 +156,21 @@ if kb and kw:
     print(f"reference kernel median window (ns): base {statistics.median(kb):.0f}  work {statistics.median(kw):.0f}")
 sys.exit(1 if broken else 0)
 EOF
+}
+
+status=0
+for workload in $workloads; do
+    for ((i = 0; i < pairs; i++)); do
+        seed=$((first + i))
+        if ((i % 2 == 0)); then
+            run base "$seed"
+            run work "$seed"
+        else
+            run work "$seed"
+            run base "$seed"
+        fi
+    done
+    report "$workload" || status=1
+    echo
+done
+exit "$status"

@@ -552,6 +552,70 @@ fn histogram_observations_per_operation() {
     );
 }
 
+/// Ciphertexts `op` seals and opens on this thread per call, over
+/// `OPS` calls after `OPS` warm-up calls: `(seals, opens)`, in
+/// hundredths. The ledger exists in debug builds only.
+#[cfg(debug_assertions)]
+fn ciphertexts_per_op<I>(input: impl Fn(u64) -> I, mut op: impl FnMut(I)) -> (u64, u64) {
+    use css::crypto::sealed::ledger;
+    for i in 0..OPS {
+        op(input(i));
+    }
+    let (seals, opens) = ledger::counts();
+    for i in OPS..2 * OPS {
+        op(input(i));
+    }
+    let (sealed, opened) = ledger::counts();
+    ((sealed - seals) * 100 / OPS, (opened - opens) * 100 / OPS)
+}
+
+/// A publish seals its identity once and opens nothing; a detail
+/// request, permitted or denied, opens nothing once its citizen's
+/// subject is known; an inquiry opens each citizen's one shared
+/// ciphertext once.
+#[cfg(debug_assertions)]
+#[test]
+fn ciphertexts_per_operation() {
+    let w = world();
+    let producer = w.platform.producer(w.hospital).unwrap();
+    let subs = subscriptions(&w);
+    let publish = ciphertexts_per_op(
+        |i| event(&w.ty, i % 16 + 1),
+        |event| drop(publish_and_deliver(&w, &producer, &subs, event)),
+    );
+    let events: Vec<Delivered> = (1..=16)
+        .map(|patient| publish_and_deliver(&w, &producer, &subs, event(&w.ty, patient)))
+        .collect();
+    let consumer = w.platform.consumer(*w.consumers.last().unwrap()).unwrap();
+    let notification = |i: u64| &events[i as usize % events.len()].message;
+    let permitted = ciphertexts_per_op(notification, |n| {
+        consumer
+            .request_details(n, Purpose::HealthcareTreatment)
+            .unwrap();
+    });
+    let denied = ciphertexts_per_op(notification, |n| {
+        let refused = consumer.request_details(n, Purpose::StatisticalAnalysis);
+        assert!(matches!(refused, Err(CssError::AccessDenied(_))));
+    });
+    let w = world();
+    let producer = w.platform.producer(w.hospital).unwrap();
+    let subs = subscriptions(&w);
+    for _ in 0..10 {
+        publish_and_deliver(&w, &producer, &subs, event(&w.ty, 7));
+    }
+    let consumer = w.platform.consumer(w.consumers[0]).unwrap();
+    let inquiry = ciphertexts_per_op(
+        |_| PersonId(7),
+        |person| assert_eq!(consumer.inquire_by_person(person).unwrap().len(), 10),
+    );
+    let measured = [publish, permitted, denied, inquiry];
+    eprintln!("alloc_budget: ciphertexts (seals, opens) in hundredths: publish + deliver {publish:?}, permitted {permitted:?}, denied {denied:?}, inquiry of ten {inquiry:?}");
+    assert_eq!(
+        measured, CIPHERTEXTS,
+        "(seals, opens) per publish + deliver (fan-out 3), permitted and denied detail request, inquiry returning 10"
+    );
+}
+
 /// Heap blocks a subscriber's `backlog` and the bus's `stats` each ask
 /// for per call, on a bus holding `dead` dead letters.
 fn counter_reads_beside_dead_letters(dead: u64) -> (u64, u64) {
@@ -590,19 +654,27 @@ fn counter_reads_copy_no_dead_letter() {
 // the class bumps a count instead of copying a string; the index
 // insert seals into buffers its shard keeps, the time index holds one
 // key per entry, the group commits keep their record ends and
-// pointers, and a detail request opens only its subject's id. Publish
-// + deliver 6.37 (was 18.21), the permitted request 5.05 (was 11.05)
-// and 6.10 with 12 fields (was 12.10), the denied one 2.00 (was
-// 7.00), the inquiry 52.01 (was 63.01) and the cold denial 3.00 with
-// 8 foreign grants and with 128 (was 9.00).
+// pointers, and a detail request reads its citizen's subject off the
+// bucket, opening nothing. Publish + deliver 6.37 (was 18.21), the
+// permitted request 4.05 (was 5.05) and 5.10 with 12 fields (was
+// 6.10), the denied one 1.00 (was 2.00), the inquiry 52.01 (was
+// 63.01) and the cold denial 2.00 with 8 foreign grants and with 128
+// (was 3.00).
 const PUBLISH_DELIVER: u64 = 700;
-const DETAIL_PERMIT: u64 = 555;
-const DETAIL_PERMIT_TWELVE_FIELDS: u64 = 671;
-const DETAIL_DENY: u64 = 220;
+const DETAIL_PERMIT: u64 = 445;
+const DETAIL_PERMIT_TWELVE_FIELDS: u64 = 561;
+const DETAIL_DENY: u64 = 110;
 const INQUIRY_TEN: u64 = 5721;
-const DETAIL_DENY_COLD: u64 = 330;
+const DETAIL_DENY_COLD: u64 = 220;
 const FROM_CANONICAL: u64 = 100;
 
 // Histogram observations per publish + deliver at fan-out 3, per
 // permitted and per denied detail request: exact counts, not budgets.
 const OBSERVATIONS: (u64, u64, u64) = (13, 7, 6);
+
+// Ciphertexts (seals, opens) per publish + deliver at fan-out 3, per
+// permitted and per denied detail request and per inquiry returning
+// ten, in hundredths: exact counts, not budgets. A detail request
+// reads its citizen's subject off the bucket and opens nothing.
+#[cfg(debug_assertions)]
+const CIPHERTEXTS: [(u64, u64); 4] = [(100, 0), (0, 0), (0, 0), (0, 100)];
