@@ -131,7 +131,14 @@ impl<B: LogBackend> DataController<B> {
         // passed: its bucket's, learned from the identity the
         // controller sealed at publish time).
         let mut span = trace.child("pep.consent_check");
-        let subject = subject?;
+        let subject = match subject {
+            Ok(subject) => subject,
+            Err(e) => {
+                timer.stage("consent_check");
+                span.set_status(SpanStatus::Error);
+                return refuse(audit_base().denied("data subject unavailable"), e);
+            }
+        };
         let consented = self
             .consent
             .read()

@@ -15,7 +15,8 @@
 //!
 //! The paths are the three index inquiries, the subject's profile and
 //! audit-trail views, and the detail request (Algorithm 1) on its permit
-//! arm and on every deny arm it can reach.
+//! arm and on every deny arm it can reach — the arm whose data subject
+//! cannot be had through the world reopened under another master key.
 //!
 //! Publishing is the one release path not covered yet. The bus makes a
 //! publish's notification pollable before the publish's audit batch is
@@ -41,7 +42,7 @@ use css_types::{
     Actor, ActorId, Clock, CssError, CssResult, DenyReason, EventTypeId, GlobalEventId, PersonId,
     PersonIdentity, Purpose, SimClock, SourceEventId, Timestamp,
 };
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 const HOSPITAL: ActorId = ActorId(1);
 const CLINIC: ActorId = ActorId(2);
@@ -62,9 +63,11 @@ const MARIO: PersonId = PersonId(42);
 const LUIGI: PersonId = PersonId(43);
 
 /// A log backend whose appends fail while `fail` is up and are counted
-/// in `appends` when they succeed.
+/// in `appends` when they succeed. A clone shares the bytes, so a
+/// reopened controller reads what the first one wrote.
+#[derive(Clone)]
 struct Probe {
-    inner: MemBackend,
+    inner: Arc<Mutex<MemBackend>>,
     fail: Arc<AtomicBool>,
     appends: Arc<AtomicUsize>,
 }
@@ -75,19 +78,19 @@ impl LogBackend for Probe {
             return Err(CssError::Storage("injected".into()));
         }
         self.appends.fetch_add(1, Ordering::SeqCst);
-        self.inner.append(data)
+        self.inner.lock().append(data)
     }
     fn read_at(&self, offset: u64, len: usize) -> CssResult<Vec<u8>> {
-        self.inner.read_at(offset, len)
+        self.inner.lock().read_at(offset, len)
     }
     fn len(&self) -> u64 {
-        self.inner.len()
+        self.inner.lock().len()
     }
     fn sync(&mut self) -> CssResult<()> {
         Ok(())
     }
     fn truncate(&mut self, len: u64) -> CssResult<()> {
-        self.inner.truncate(len)
+        self.inner.lock().truncate(len)
     }
 }
 
@@ -95,6 +98,8 @@ impl LogBackend for Probe {
 /// arm is reached through.
 struct World {
     controller: DataController<Probe>,
+    /// The audit and index backends, to reopen the controller over.
+    backends: (Vec<Probe>, Vec<Probe>),
     /// Raised: every audit append fails.
     audit_fails: Arc<AtomicBool>,
     /// Successful appends over every index backend.
@@ -154,47 +159,24 @@ fn world(shards: usize) -> World {
     let audit_fails = Arc::new(AtomicBool::new(false));
     let index_fails = Arc::new(AtomicBool::new(false));
     let (audit_appends, index_appends) = (Arc::default(), Arc::new(AtomicUsize::new(0)));
-    let probes = |fail: &Arc<AtomicBool>, appends: &Arc<AtomicUsize>| {
+    let probes = |fail: &Arc<AtomicBool>, appends: &Arc<AtomicUsize>| -> Vec<Probe> {
         (0..shards)
             .map(|_| Probe {
-                inner: MemBackend::new(),
+                inner: Arc::default(),
                 fail: Arc::clone(fail),
                 appends: Arc::clone(appends),
             })
             .collect()
     };
-    let clock = SimClock::starting_at(Timestamp(1_000_000));
-    let c = DataController::open(
-        ControllerConfig::with_clock(Arc::new(clock.clone())),
-        || {
-            Ok(Probe {
-                inner: MemBackend::new(),
-                fail: Arc::default(),
-                appends: Arc::default(),
-            })
-        },
+    let backends = (
         probes(&audit_fails, &audit_appends),
         probes(&index_fails, &index_appends),
-        None,
-    )
-    .unwrap();
-
-    c.register_actor(Actor::organization(HOSPITAL, "Hospital"))
-        .unwrap();
-    c.register_actor(Actor::organization(CLINIC, "Clinic"))
-        .unwrap();
-    c.register_actor(Actor::organization(DOCTOR, "Doctor"))
-        .unwrap();
-    c.register_actor(Actor::organization(WELFARE, "Welfare"))
-        .unwrap();
-    for (actor, role) in [
-        (HOSPITAL, ParticipantRole::Producer),
-        (CLINIC, ParticipantRole::Producer),
-        (DOCTOR, ParticipantRole::Consumer),
-        (WELFARE, ParticipantRole::Consumer),
-    ] {
-        c.sign_contract(actor, role).unwrap();
-    }
+    );
+    let clock = SimClock::starting_at(Timestamp(1_000_000));
+    let c = open(
+        ControllerConfig::with_clock(Arc::new(clock.clone())),
+        &backends,
+    );
     let mut gateway = LocalCooperationGateway::open(HOSPITAL, MemBackend::new()).unwrap();
     gateway
         .register_schema(schema(blood_test(), HOSPITAL))
@@ -259,6 +241,7 @@ fn world(shards: usize) -> World {
     .unwrap();
     World {
         controller: c,
+        backends,
         audit_fails,
         index_appends,
         stored,
@@ -266,6 +249,46 @@ fn world(shards: usize) -> World {
         unstored,
         ungated,
         _subscriptions: subscriptions,
+    }
+}
+
+/// A controller over clones of `backends`, its actors registered and
+/// their contracts signed.
+fn open(
+    config: ControllerConfig,
+    (audit, index): &(Vec<Probe>, Vec<Probe>),
+) -> DataController<Probe> {
+    let legacy = || {
+        Ok(Probe {
+            inner: Arc::default(),
+            fail: Arc::default(),
+            appends: Arc::default(),
+        })
+    };
+    let c = DataController::open(config, legacy, audit.clone(), index.clone(), None).unwrap();
+    for (actor, name, role) in [
+        (HOSPITAL, "Hospital", ParticipantRole::Producer),
+        (CLINIC, "Clinic", ParticipantRole::Producer),
+        (DOCTOR, "Doctor", ParticipantRole::Consumer),
+        (WELFARE, "Welfare", ParticipantRole::Consumer),
+    ] {
+        c.register_actor(Actor::organization(actor, name)).unwrap();
+        c.sign_contract(actor, role).unwrap();
+    }
+    c
+}
+
+impl World {
+    /// The same world reopened under another master key: the index
+    /// still resolves every event and its notified consumers, but no
+    /// citizen's sealed identity opens.
+    fn rekeyed(mut self) -> World {
+        let config = ControllerConfig {
+            master_key: b"another-master-key".to_vec(),
+            ..ControllerConfig::with_clock(Arc::new(SimClock::starting_at(Timestamp(2_000_000))))
+        };
+        self.controller = open(config, &self.backends);
+        self
     }
 }
 
@@ -434,12 +457,24 @@ const CASES: &[Case] = &[
     },
 ];
 
+/// Reached only in a [`World::rekeyed`].
+const SUBJECT_UNAVAILABLE: Case = Case {
+    name: "request_details: data subject unavailable",
+    run: |w| detail(w, DOCTOR, blood_test(), w.stored, HEALTHCARE),
+    refusal: Some(|e| matches!(e, CssError::Crypto(_))),
+    record: |w| denied(DOCTOR, w.stored, "data subject unavailable"),
+    marks: false,
+};
+
 fn records(w: &World) -> Vec<AuditRecord> {
     w.controller.audit_query(&AuditQuery::new()).unwrap()
 }
 
 fn check(case: &Case, shards: usize) {
-    let w = world(shards);
+    check_in(world(shards), case, shards);
+}
+
+fn check_in(w: World, case: &Case, shards: usize) {
     let at = format!("{} at {shards} shard(s)", case.name);
 
     // Audit writes failing: nothing is handed out, nothing is marked.
@@ -497,5 +532,12 @@ fn every_release_is_audited_and_none_outlives_a_failed_audit_write() {
         for case in CASES {
             check(case, shards);
         }
+    }
+}
+
+#[test]
+fn a_request_whose_data_subject_cannot_be_had_is_audited() {
+    for shards in [1, 2, 8] {
+        check_in(world(shards).rekeyed(), &SUBJECT_UNAVAILABLE, shards);
     }
 }

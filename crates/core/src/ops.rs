@@ -39,17 +39,20 @@ const BUS_QUEUE_DEPTH_DEGRADED: i64 = 10_000;
 /// messages are being handed out but neither acked nor nacked, and a
 /// held delivery waits until its holder acks, nacks or leaves.
 const BUS_INFLIGHT_DEGRADED: i64 = 1_000;
-/// Lifetime p99 delivery lag past which the bus is degraded.
+/// p99 delivery lag over the ops plane's slow window (its last 60
+/// ticks) past which the bus is degraded.
 const BUS_DELIVER_P99_CEILING_NS: u64 = 5_000_000; // 5 ms
-/// PDP decision-cache hit-rate floor (after warmup).
+/// PDP decision-cache hit-rate floor over the slow window (after
+/// warmup).
 const PDP_HIT_RATE_FLOOR: f64 = 0.5;
-/// Lookups before the PDP cache check starts judging.
+/// Lookups in the slow window before the PDP cache check judges it.
 const PDP_MIN_LOOKUPS: u64 = 10_000;
 /// Pending detail requests that suggest producers are not keeping up.
 const GATEWAY_PENDING_DEGRADED: i64 = 1_000;
-/// Span drop rate past which the trace ring is undersized.
+/// Span drop rate over the slow window past which the trace ring is
+/// undersized.
 const TRACE_DROP_CEILING: f64 = 0.25;
-/// Spans before the trace drop-rate check starts judging.
+/// Spans in the slow window before the trace drop-rate check judges it.
 const TRACE_MIN_SPANS: u64 = 1_000;
 /// Percent by which the busiest index shard may exceed the mean shard
 /// load before the plane counts as degraded (200% = one shard carrying
@@ -64,9 +67,11 @@ const PUBLISH_ERROR_BUDGET: f64 = 0.001;
 
 /// Frame drop rate past which the flight-recorder ring is undersized
 /// for the incident window it is supposed to preserve (same convention
-/// as the trace ring: lifetime ratio, judged only after warmup).
+/// as the trace ring: the ratio over the slow window, judged only once
+/// the window holds enough frames).
 const BLACKBOX_DROP_CEILING: f64 = 0.25;
-/// Frames before the blackbox drop-rate check starts judging.
+/// Frames in the slow window before the blackbox drop-rate check
+/// judges it.
 const BLACKBOX_MIN_FRAMES: u64 = 1_000;
 /// Where incident bundles land unless `.incident_dir()` overrides it.
 const DEFAULT_INCIDENT_DIR: &str = "target/incidents";

@@ -202,7 +202,6 @@ fn write_exemplar_traces(j: &mut JsonBuf, snapshot: &TelemetrySnapshot, spans: &
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::SnapshotDelta;
     use crate::history::Chronicle;
     use crate::query::percentiles_json;
     use css_telemetry::MetricsRegistry;
@@ -233,8 +232,7 @@ mod tests {
         let spans = tracer.finished_spans();
         let snapshot = registry.snapshot();
         let chronicle = Chronicle::new(&MetricsRegistry::new());
-        let delta = SnapshotDelta::between(&TelemetrySnapshot::default(), &snapshot);
-        chronicle.append(&snapshot, &delta, css_types::Timestamp(1), "stage.total");
+        chronicle.append(&snapshot, css_types::Timestamp(1), "stage.total");
         let json = bundle_json(
             1,
             2,

@@ -11,14 +11,21 @@
 //! log₂ delta buckets through every tier, which is what makes
 //! `quantile_over_time` answerable at raw, minute, *and* hour
 //! resolution instead of only over the lifetime cumulative.
+//!
+//! The store is the plane's one memory of ticks. Every instrument in a
+//! [`TelemetrySnapshot`] is cumulative since the platform was built;
+//! [`Chronicle::append`] subtracts the histograms of the previous
+//! accepted tick **here, once**, and each raw point remembers the tick
+//! that appended it. The SLO table and the windowed health checks read
+//! the last *n* ticks back through [`Chronicle::recent`] and
+//! [`Chronicle::increase`], so no judgement keeps ticks of its own and
+//! none can disagree with the history about what a tick contained.
 
 use std::collections::{BTreeMap, VecDeque};
 
-use css_telemetry::{Counter, Gauge, MetricsRegistry, TelemetrySnapshot};
+use css_telemetry::{Counter, Gauge, HistogramSnapshot, MetricsRegistry, TelemetrySnapshot};
 use css_types::Timestamp;
 use parking_lot::Mutex;
-
-use crate::delta::{merge_buckets, HistogramDelta, SnapshotDelta};
 
 /// Width of a minute slot.
 const MINUTE_MS: u64 = 60_000;
@@ -98,6 +105,9 @@ impl MetricKind {
 /// quantiles stay answerable after downsampling.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Aggregate {
+    /// The plane's tick that appended the newest folded point (ticks
+    /// count from 0, refused ones included).
+    pub tick: u64,
     /// Slot start (tick time at raw resolution, aligned slot start at
     /// minute/hour resolution).
     pub from_ms: u64,
@@ -123,8 +133,9 @@ pub(crate) struct Aggregate {
 }
 
 impl Aggregate {
-    fn point(at_ms: u64, value: f64) -> Aggregate {
+    fn point(tick: u64, at_ms: u64, value: f64) -> Aggregate {
         Aggregate {
+            tick,
             from_ms: at_ms,
             to_ms: at_ms,
             count: 1,
@@ -138,6 +149,7 @@ impl Aggregate {
 
     /// Fold a newer slot into this one (chronological order assumed).
     fn fold(&mut self, other: &Aggregate) {
+        self.tick = other.tick;
         self.to_ms = self.to_ms.max(other.to_ms);
         self.count += other.count;
         self.sum += other.sum;
@@ -242,13 +254,30 @@ fn fold_into_slot(tier: &mut VecDeque<Aggregate>, point: &Aggregate, width_ms: u
 #[derive(Default)]
 struct StoreState {
     series: BTreeMap<String, Series>,
+    /// Ticks appended, refused ones included: the next tick's number.
+    ticks: u64,
     /// Newest append time, once there is one: appends must not run
     /// backwards.
     last_at_ms: Option<u64>,
-    /// Histogram observations of refused ticks, waiting for the next
-    /// accepted point: the plane's baseline moves on every tick, so
-    /// what a refused tick saw would otherwise belong to no point.
-    refused: BTreeMap<String, HistogramDelta>,
+    /// The histograms of the newest accepted tick, what the next one
+    /// subtracts. A refused tick leaves them, so its observations ride
+    /// into the next accepted point.
+    before: BTreeMap<String, HistogramSnapshot>,
+}
+
+impl StoreState {
+    /// The first tick inside a window of the last `n` ticks. The
+    /// baseline tick 0 holds every instrument's lifetime and is never
+    /// inside one.
+    fn window_start(&self, n: u64) -> u64 {
+        self.ticks.saturating_sub(n).max(1)
+    }
+
+    /// The raw points of `metric` the ticks from `from` on appended.
+    fn raw_since(&self, metric: &str, from: u64) -> Option<(&VecDeque<Aggregate>, usize)> {
+        let raw = &self.series.get(metric)?.raw;
+        Some((raw, raw.partition_point(|p| p.tick < from)))
+    }
 }
 
 /// The embedded metrics-history store. `&self` everywhere: the
@@ -275,27 +304,25 @@ impl Chronicle {
 
     /// Append one sampler tick: every counter and gauge becomes a raw
     /// point holding its sampled value; every histogram becomes a raw
-    /// point holding the tick's *delta* (zero-delta histogram ticks
-    /// append nothing). A tick stamped *earlier* than the newest
-    /// retained point is refused whole — a stalled or non-monotonic
-    /// platform clock must never corrupt the rings
-    /// (`chronicle.appends_skipped` counts the refusals) — and its
-    /// histogram observations ride into the next accepted point.
-    /// Returns the per-tick p99 of the point this call created for
-    /// histogram `watched`, if it created one.
+    /// point holding what arrived since the previous accepted tick
+    /// (zero-delta histogram ticks append nothing). A tick stamped
+    /// *earlier* than the newest retained point is refused whole — a
+    /// stalled or non-monotonic platform clock must never corrupt the
+    /// rings (`chronicle.appends_skipped` counts the refusals) — but
+    /// still counts as a tick, and its histogram observations ride into
+    /// the next accepted point. Returns the per-tick p99 of the point
+    /// this call created for histogram `watched`, if it created one.
     pub(crate) fn append(
         &self,
         snapshot: &TelemetrySnapshot,
-        delta: &SnapshotDelta,
         at: Timestamp,
         watched: &str,
     ) -> Option<f64> {
         let at_ms = at.0;
         let mut state = self.state.lock();
+        let tick = state.ticks;
+        state.ticks += 1;
         if state.last_at_ms.is_some_and(|last| at_ms < last) {
-            for (name, d) in &delta.histograms {
-                state.refused.entry(name.clone()).or_default().merge(d);
-            }
             drop(state);
             self.appends_skipped.inc();
             return None;
@@ -306,37 +333,70 @@ impl Chronicle {
                 .series
                 .entry(name.clone())
                 .or_insert_with(|| Series::new(MetricKind::Counter));
-            series.push(Aggregate::point(at_ms, *value as f64));
+            series.push(Aggregate::point(tick, at_ms, *value as f64));
         }
         for (name, value) in &snapshot.gauges {
             let series = state
                 .series
                 .entry(name.clone())
                 .or_insert_with(|| Series::new(MetricKind::Gauge));
-            series.push(Aggregate::point(at_ms, *value as f64));
+            series.push(Aggregate::point(tick, at_ms, *value as f64));
         }
         let mut fresh_watched = None;
-        for name in snapshot.histograms.keys() {
-            let mut fresh = state.refused.remove(name).unwrap_or_default();
-            if let Some(d) = delta.histograms.get(name) {
-                fresh.merge(d);
-            }
+        for (name, h) in &snapshot.histograms {
+            let point = histogram_point(state.before.get(name), h, tick, at_ms);
             let series = state
                 .series
                 .entry(name.clone())
                 .or_insert_with(|| Series::new(MetricKind::Histogram));
-            if let Some(point) = histogram_point(fresh, at_ms) {
+            if let Some(point) = point {
                 if name == watched {
                     fresh_watched = Some(point.last);
                 }
                 series.push(point);
             }
         }
+        state.before = snapshot.histograms.clone();
         let total: usize = state.series.values().map(Series::len).sum();
         drop(state);
         self.points.set(total as i64);
         self.appends.inc();
         fresh_watched
+    }
+
+    /// Ticks appended so far, refused ones included.
+    pub(crate) fn ticks(&self) -> u64 {
+        self.state.lock().ticks
+    }
+
+    /// The stamp of the newest accepted tick (0 before the first).
+    pub(crate) fn last_at_ms(&self) -> u64 {
+        self.state.lock().last_at_ms.unwrap_or(0)
+    }
+
+    /// The raw points of `metric` from the last `n` ticks, folded into
+    /// one (`None` when those ticks appended none): for a histogram,
+    /// every observation the window holds and their merged buckets.
+    pub(crate) fn recent(&self, metric: &str, n: u64) -> Option<Aggregate> {
+        let state = self.state.lock();
+        let (raw, at) = state.raw_since(metric, state.window_start(n))?;
+        fold_all(raw.range(at..).cloned())
+    }
+
+    /// How much counter `counter` rose over the last `n` ticks: from
+    /// its newest point before the window (0 for a counter born inside
+    /// it) to its newest point, one step at a time, a step down — a
+    /// restarted component — rising by nothing.
+    pub(crate) fn increase(&self, counter: &str, n: u64) -> u64 {
+        let state = self.state.lock();
+        let Some((raw, at)) = state.raw_since(counter, state.window_start(n)) else {
+            return 0;
+        };
+        let base = at.checked_sub(1).map_or(0.0, |i| raw[i].last);
+        let rise = raw.range(at..).fold((0.0, base), |(rise, was), p| {
+            (rise + (p.last - was).max(0.0), p.last)
+        });
+        rise.0 as u64
     }
 
     /// Every retained metric with its kind, in name order.
@@ -404,13 +464,7 @@ impl Chronicle {
         from_ms: u64,
         to_ms: u64,
     ) -> Option<Aggregate> {
-        let slots = self.window(metric, res, from_ms, to_ms);
-        let mut iter = slots.into_iter();
-        let mut merged = iter.next()?;
-        for slot in iter {
-            merged.fold(&slot);
-        }
-        Some(merged)
+        fold_all(self.window(metric, res, from_ms, to_ms))
     }
 
     /// `quantile_over_time`: the q-quantile of every histogram
@@ -467,20 +521,61 @@ impl Chronicle {
     }
 }
 
-/// The raw point for one histogram's tick delta. `None` when no new
-/// observation arrived.
-fn histogram_point(delta: HistogramDelta, at_ms: u64) -> Option<Aggregate> {
-    if delta.count == 0 {
+/// Slots folded into one, oldest first (`None` for no slot).
+fn fold_all(slots: impl IntoIterator<Item = Aggregate>) -> Option<Aggregate> {
+    let mut slots = slots.into_iter();
+    let mut merged = slots.next()?;
+    for slot in slots {
+        merged.fold(&slot);
+    }
+    Some(merged)
+}
+
+/// Merge two ascending bucket lists, summing counts per bound.
+fn merge_buckets(a: &[(u64, u64)], b: &[(u64, u64)]) -> Vec<(u64, u64)> {
+    let mut merged: BTreeMap<u64, u64> = a.iter().copied().collect();
+    for (bound, n) in b {
+        *merged.entry(*bound).or_default() += n;
+    }
+    merged.into_iter().collect()
+}
+
+/// The raw point for what histogram `h` holds beyond `before`, its
+/// state at the previous accepted tick: the grown buckets, count and
+/// sum. A histogram whose count went backwards — a restarted component
+/// — is a fresh baseline: everything it holds is new, never a negative
+/// delta. `None` when no new observation arrived.
+fn histogram_point(
+    before: Option<&HistogramSnapshot>,
+    h: &HistogramSnapshot,
+    tick: u64,
+    at_ms: u64,
+) -> Option<Aggregate> {
+    let before = before.filter(|b| h.count >= b.count);
+    let count = h.count - before.map_or(0, |b| b.count);
+    if count == 0 {
         return None;
     }
-    let buckets = delta.buckets;
+    let was = |bound: u64| {
+        let b = before.and_then(|b| b.buckets.iter().find(|(at, _)| *at == bound));
+        b.map_or(0, |(_, n)| *n)
+    };
+    let buckets: Vec<(u64, u64)> = h
+        .buckets
+        .iter()
+        .filter_map(|&(bound, n)| {
+            let grown = n.saturating_sub(was(bound));
+            (grown > 0).then_some((bound, grown))
+        })
+        .collect();
     let min = buckets.first().map(|(b, _)| *b as f64).unwrap_or(0.0);
     let max = buckets.last().map(|(b, _)| *b as f64).unwrap_or(0.0);
     let mut point = Aggregate {
+        tick,
         from_ms: at_ms,
         to_ms: at_ms,
-        count: delta.count,
-        sum: delta.sum_ns as f64,
+        count,
+        sum: h.sum_ns.saturating_sub(before.map_or(0, |b| b.sum_ns)) as f64,
         min,
         max,
         last: 0.0,
@@ -495,34 +590,106 @@ mod tests {
     use super::*;
     use css_telemetry::MetricsRegistry;
 
-    /// A store fed the way the plane feeds it: each tick's snapshot
-    /// with its delta against the previous one.
-    struct Fed {
-        chronicle: Chronicle,
-        prev: std::cell::RefCell<TelemetrySnapshot>,
-    }
-
-    impl std::ops::Deref for Fed {
-        type Target = Chronicle;
-        fn deref(&self) -> &Chronicle {
-            &self.chronicle
-        }
-    }
-
-    fn store() -> (Fed, MetricsRegistry) {
+    fn store() -> (Chronicle, MetricsRegistry) {
         let registry = MetricsRegistry::new();
-        let fed = Fed {
-            chronicle: Chronicle::new(&registry),
-            prev: Default::default(),
-        };
-        (fed, registry)
+        (Chronicle::new(&registry), registry)
     }
 
-    fn tick(fed: &Fed, work: &MetricsRegistry, at_ms: u64) {
-        let cur = work.snapshot();
-        let delta = SnapshotDelta::between(&fed.prev.borrow(), &cur);
-        fed.append(&cur, &delta, Timestamp(at_ms), "stage.total");
-        fed.prev.replace(cur);
+    fn tick(chronicle: &Chronicle, work: &MetricsRegistry, at_ms: u64) {
+        chronicle.append(&work.snapshot(), Timestamp(at_ms), "stage.total");
+    }
+
+    #[test]
+    fn first_tick_subtracts_an_empty_snapshot() {
+        let (chronicle, _) = store();
+        let work = MetricsRegistry::new();
+        work.counter("controller.published").add(10);
+        work.counter("controller.idle"); // registered, never moved
+        work.histogram("stage.total").record(1_000);
+        tick(&chronicle, &work, 1_000);
+        let point = |metric| chronicle.window(metric, Resolution::Raw, 0, u64::MAX)[0].clone();
+        assert_eq!(point("controller.published").last, 10.0);
+        assert_eq!(point("controller.idle").last, 0.0);
+        let h = point("stage.total");
+        assert_eq!((h.count, h.sum), (1, 1_000.0));
+        assert_eq!(h.buckets, vec![(1_023, 1)]);
+        // The baseline holds every instrument's lifetime: no window
+        // reads it.
+        assert_eq!(chronicle.recent("stage.total", 60), None);
+        assert_eq!(chronicle.increase("controller.published", 60), 0);
+    }
+
+    #[test]
+    fn only_grown_buckets_and_moved_counters_survive() {
+        let (chronicle, _) = store();
+        let work = MetricsRegistry::new();
+        work.counter("a").add(3);
+        work.counter("b").add(3);
+        work.histogram("lat").record(1_000);
+        work.histogram("quiet").record(1_000);
+        tick(&chronicle, &work, 1_000);
+        work.counter("b").add(2);
+        work.counter("c").add(1); // first appears mid-run
+        work.histogram("lat").record(5_000_000);
+        tick(&chronicle, &work, 2_000);
+        let rises: Vec<u64> = ["a", "b", "c"]
+            .iter()
+            .map(|c| chronicle.increase(c, 1))
+            .collect();
+        assert_eq!(rises, [0, 2, 1]);
+        let h = chronicle.recent("lat", 1).expect("lat moved");
+        assert_eq!((h.count, h.sum), (1, 5_000_000.0));
+        assert_eq!(h.buckets, vec![(8_388_607, 1)]);
+        assert_eq!(chronicle.recent("quiet", 1), None);
+    }
+
+    #[test]
+    fn a_histogram_that_went_backwards_is_a_fresh_baseline() {
+        let (chronicle, _) = store();
+        let work = MetricsRegistry::new();
+        work.counter("n").add(9);
+        for _ in 0..5 {
+            work.histogram("lat").record(1_000);
+        }
+        tick(&chronicle, &work, 1_000);
+        // A fresh registry with smaller cumulative values stands in
+        // for a restarted component.
+        let restarted = MetricsRegistry::new();
+        restarted.counter("n").add(2);
+        restarted.histogram("lat").record(1_000);
+        restarted.histogram("lat").record(1_000);
+        tick(&chronicle, &restarted, 2_000);
+        assert_eq!(
+            chronicle.increase("n", 1),
+            0,
+            "a counter never goes negative"
+        );
+        let h = chronicle.recent("lat", 1).expect("lat restarted");
+        assert_eq!((h.count, h.sum), (2, 2_000.0));
+        assert_eq!(h.buckets, vec![(1_023, 2)], "not 2 − 5 saturated to 0");
+    }
+
+    #[test]
+    fn merged_points_add_up() {
+        let slot = |count, sum, buckets| Aggregate {
+            count,
+            sum,
+            buckets,
+            ..Aggregate::point(0, 0, 0.0)
+        };
+        let mut a = slot(3, 30.0, vec![(7, 2), (1_023, 1)]);
+        a.fold(&slot(6, 60.0, vec![(7, 1), (63, 5)]));
+        assert_eq!((a.count, a.sum), (9, 90.0));
+        assert_eq!(a.buckets, vec![(7, 3), (63, 5), (1_023, 1)]);
+    }
+
+    #[test]
+    fn merge_buckets_sums_shared_bounds() {
+        assert_eq!(
+            merge_buckets(&[(7, 2), (1023, 1)], &[(7, 1), (63, 5)]),
+            vec![(7, 3), (63, 5), (1023, 1)]
+        );
+        assert_eq!(merge_buckets(&[], &[(1, 1)]), vec![(1, 1)]);
     }
 
     #[test]

@@ -7,26 +7,29 @@
 //! the in-process telemetry (`css-telemetry`) and traces (`css-trace`)
 //! into an externally observable surface, on std and the lock shim
 //! alone. It is one object, [`OpsPlane`], with
-//! one [`tick`](OpsPlane::tick): take a snapshot, subtract the previous
-//! one **once**, and hand that one delta to everything that remembers:
+//! one [`tick`](OpsPlane::tick): take a snapshot, append it to the
+//! metrics history — the plane's one memory of ticks, which subtracts
+//! the previous tick **once** — and judge what the history holds:
 //!
-//! 1. **SLO engine** ([`Slo`]): declarative objectives
-//!    (`detail_request p99 < 200µs`, `publish error ratio < 0.1%`)
-//!    evaluated over sliding windows of tick deltas as multi-window
-//!    error-budget **burn rates** (fast 5-sample / slow 60-sample) with
-//!    `ok`/`warning`/`critical` alerts, served on `GET /slo`.
-//! 2. **Metrics history**: an embedded time-series store — per metric
+//! 1. **Metrics history**: an embedded time-series store — per metric
 //!    a ring of rings (raw ticks → 1-minute → 1-hour slots, merged
 //!    log₂ delta buckets all the way down, so `quantile_over_time` is
 //!    honest at every resolution) behind `GET /query` and
 //!    `GET /range`, plus an EWMA+MAD drift detector whose baselines
 //!    freeze while anomalous.
+//! 2. **SLO table** ([`Slo`]): declarative objectives
+//!    (`detail_request p99 < 200µs`, `publish error ratio < 0.1%`)
+//!    evaluated over the history's last ticks as multi-window
+//!    error-budget **burn rates** (fast 5-tick / slow 60-tick) with
+//!    `ok`/`warning`/`critical` alerts, served on `GET /slo`.
 //! 3. **Component health** ([`Check`], [`HealthStatus`]): probes — a
 //!    storage write/read round-trip, bus queue-depth and delivery-lag
 //!    thresholds, the PDP cache hit-rate floor, the gateway's pending
 //!    backlog, the trace ring's drop rate, the drift detector — each
 //!    yielding `Healthy`/`Degraded{reason}`/`Unhealthy{reason}`, rolled
-//!    up into the `GET /health` document.
+//!    up into the `GET /health` document. Gauges and probes read the
+//!    fresh snapshot; latency and ratio checks judge the SLO table's
+//!    slow window, never the platform's lifetime.
 //! 4. **Flight recorder**: a bounded drop-oldest ring of what the
 //!    history cannot hold — recent root spans, SLO burn samples, health
 //!    transitions — each frame rendered to JSON once, when observed.
@@ -62,7 +65,6 @@
 mod anomaly;
 mod bundle;
 mod checks;
-mod delta;
 mod history;
 mod plane;
 mod prometheus;

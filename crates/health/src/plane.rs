@@ -5,23 +5,24 @@
 //!
 //! 1. **snapshot** — call the injected source (which refreshes the
 //!    platform's derived gauges first) and stamp the platform clock;
-//! 2. **delta** — subtract the retained previous snapshot, once
-//!    ([`SnapshotDelta::between`]); nothing below subtracts again;
-//! 3. **SLO windows** — push each objective's `(bad, total)` from the
-//!    delta, evaluate the alert table;
-//! 4. **history** — append the snapshot's levels and the delta's
-//!    histogram observations to the ring of rings, then show the
-//!    watched metric's fresh point to the anomaly detector — only when
-//!    this tick's append created one, so an idle tick on a stalled
-//!    clock is not judged;
-//! 5. **checks** — run every health check against the snapshot (the
-//!    plane's own `chronicle-anomaly` check reads the detector state
-//!    step 4 just wrote);
-//! 6. **recorder** — under one lock, frame what the history cannot
+//! 2. **history** — append the tick to the chronicle, the plane's one
+//!    memory of ticks: it subtracts the previous accepted tick's
+//!    histograms, once, keeps the levels and the new observations as
+//!    raw points numbered by tick, and counts a tick it refuses too.
+//!    Then show the watched metric's fresh point to the anomaly
+//!    detector — only when this tick's append created one, so an idle
+//!    tick on a stalled clock is not judged;
+//! 3. **SLO table** — evaluate each objective's burn over the last
+//!    ticks, read back from the chronicle;
+//! 4. **checks** — run every health check: gauges and probes against
+//!    the snapshot, latency and ratio checks over the chronicle's slow
+//!    window (the plane's own `chronicle-anomaly` check reads the
+//!    detector state step 2 just wrote);
+//! 5. **recorder** — under one lock, frame what the history cannot
 //!    hold, in bundle order: new root spans → SLO table → health
 //!    transitions; collect the edges (SLO entered Critical, check
 //!    became Unhealthy);
-//! 7. **capture** — one bundle per edge, SLO and health first, the
+//! 6. **capture** — one bundle per edge, SLO and health first, the
 //!    anomaly edge last; every bundle embeds the history's window
 //!    before the capture and its percentile table.
 //!
@@ -39,11 +40,10 @@ use parking_lot::Mutex;
 
 use crate::anomaly::AnomalyDetector;
 use crate::checks::{self, Check};
-use crate::delta::SnapshotDelta;
 use crate::history::Chronicle;
 use crate::query::{history_json, percentiles_json};
 use crate::recorder::{FlightRecorder, Trigger};
-use crate::slo::{Slo, SloEngine};
+use crate::slo::{self, Slo};
 use crate::status::{HealthReport, HealthStatus};
 
 /// Observation frames the flight-recorder ring keeps: one SLO sample
@@ -56,7 +56,7 @@ const ANOMALY_METRIC: &str = "stage.total";
 /// at the default 250 ms cadence (4 min), so a bundle gets all of it.
 const HISTORY_WINDOW_MS: u64 = 240_000;
 
-/// The live ops plane of one platform: SLO windows, metrics history,
+/// The live ops plane of one platform: metrics history, SLO table,
 /// anomaly detector, flight recorder and health checks behind one
 /// [`tick`](OpsPlane::tick). `&self` everywhere — share it behind an
 /// `Arc` between the [`Sampler`](crate::Sampler) thread (writer) and
@@ -70,12 +70,11 @@ pub struct OpsPlane {
     clock: Arc<dyn Clock>,
     pub(crate) tracer: Tracer,
     checks: Vec<Check>,
-    /// The one retained previous snapshot. The guard is held while a
-    /// tick observes, so the sampler thread and a direct caller never
-    /// interleave; no reader takes it, and it is released before a
-    /// bundle is written.
-    prev: Mutex<Option<TelemetrySnapshot>>,
-    slo: Mutex<SloEngine>,
+    slos: Vec<Slo>,
+    /// Held while a tick observes, so the sampler thread and a direct
+    /// caller never interleave; no reader takes it, and it is released
+    /// before a bundle is written.
+    ticking: Mutex<()>,
     pub(crate) history: Chronicle,
     detector: Arc<AnomalyDetector>,
     pub(crate) recorder: FlightRecorder,
@@ -119,42 +118,34 @@ impl OpsPlane {
             clock,
             tracer,
             checks,
-            prev: Mutex::ranked("ops sample", lock_order::OPS_SAMPLE, None),
-            slo: Mutex::new(SloEngine::new(slos)),
+            slos,
+            ticking: Mutex::ranked("ops sample", lock_order::OPS_SAMPLE, ()),
             history: Chronicle::new(registry),
             detector,
             recorder: FlightRecorder::new(RING_FRAMES, incident_dir, registry),
         }
     }
 
-    /// One sample: the module docs list the steps. The first tick has
-    /// nothing to subtract — it seeds the SLO baseline, while the
-    /// history sees every instrument's lifetime total as that tick's
-    /// increase.
+    /// One sample: the module docs list the steps. The first tick is
+    /// the baseline: the history sees every instrument's lifetime total
+    /// as that tick's increase, and no window ever reads it.
     pub fn tick(&self) {
-        let triggers = self.observe(&mut self.prev.lock());
+        let triggers = {
+            let _ticking = self.ticking.lock();
+            self.observe()
+        };
         for trigger in triggers {
             self.capture(trigger);
         }
     }
 
-    fn observe(&self, prev: &mut Option<TelemetrySnapshot>) -> Vec<Trigger> {
+    fn observe(&self) -> Vec<Trigger> {
         let snapshot = (self.source)();
         let now = self.clock.now();
-        let empty = TelemetrySnapshot::default();
-        let delta = SnapshotDelta::between(prev.as_ref().unwrap_or(&empty), &snapshot);
-        let table = {
-            let mut slo = self.slo.lock();
-            slo.tick(prev.is_some().then_some(&delta), now);
-            slo.table()
-        };
-        // History before the recorder, so this tick's point is
-        // embedded in any capture below. Only a point this append
-        // created is judged — an idle platform is not a latency
-        // recovery, however often a stalled clock repeats its instant.
-        let fresh = self
-            .history
-            .append(&snapshot, &delta, now, self.detector.metric());
+        // Only a point this append created is judged — an idle
+        // platform is not a latency recovery, however often a stalled
+        // clock repeats its instant.
+        let fresh = self.history.append(&snapshot, now, self.detector.metric());
         let anomaly = fresh
             .map(|p99| self.detector.observe(p99))
             .filter(|v| v.edge)
@@ -163,10 +154,10 @@ impl OpsPlane {
                 value: v.value,
                 expected: v.expected,
             });
-        let report = checks::report(&self.checks, &snapshot);
+        let table = slo::table(&self.slos, &self.history);
+        let report = checks::report(&self.checks, &snapshot, &self.history);
         let mut triggers = self.recorder.observe(now.0, &self.tracer, &table, &report);
         triggers.extend(anomaly);
-        *prev = Some(snapshot);
         triggers
     }
 
@@ -193,14 +184,15 @@ impl OpsPlane {
         (self.source)()
     }
 
-    /// Every check against a fresh snapshot (the `/health` document).
+    /// Every check against a fresh snapshot and the chronicle as the
+    /// last tick left it (the `/health` document).
     pub(crate) fn health(&self) -> HealthReport {
-        checks::report(&self.checks, &self.snapshot())
+        checks::report(&self.checks, &self.snapshot(), &self.history)
     }
 
     /// The `/slo` document.
     pub(crate) fn slo_json(&self) -> String {
-        self.slo.lock().to_json()
+        slo::to_json(&self.slos, &self.history)
     }
 }
 
@@ -272,7 +264,7 @@ pub(crate) mod tests {
     impl OpsPlane {
         /// The evaluated SLO table (what `/slo` renders).
         fn slos(&self) -> Vec<SloStatus> {
-            self.slo.lock().table()
+            slo::table(&self.slos, &self.history)
         }
     }
 
@@ -612,5 +604,184 @@ pub(crate) mod tests {
             .map(|a| a.count)
             .collect();
         assert_eq!(counts, [50, 20]);
+    }
+
+    /// Checks that judge the bus delivery lag (5 ms) and the trace drop
+    /// rate (5 %, from 1 000 spans), on a plane with no SLO.
+    fn judged(tag: &str) -> (OpsPlane, MetricsRegistry, SimClock) {
+        let registry = MetricsRegistry::new();
+        let clock = SimClock::starting_at(Timestamp(60_000));
+        let source = registry.clone();
+        let plane = OpsPlane::new(
+            move || source.snapshot(),
+            Arc::new(clock.clone()),
+            Tracer::disabled(),
+            &registry,
+            vec![
+                Check::p99_above("bus-delivery", "bus.deliver", 5_000_000),
+                Check::drop_rate_above(
+                    "trace",
+                    "trace.spans_dropped",
+                    "trace.spans_recorded",
+                    0.05,
+                    1_000,
+                ),
+            ],
+            Vec::new(),
+            std::env::temp_dir().join(format!("css-plane-{}-{tag}", std::process::id())),
+        );
+        (plane, registry, clock)
+    }
+
+    fn status_of(plane: &OpsPlane, component: &str) -> HealthStatus {
+        let report = plane.health();
+        let c = report.components.iter().find(|c| c.component == component);
+        c.expect("a configured check").status.clone()
+    }
+
+    /// A thousand ticks of `healthy` work, one tick of `burst`, then
+    /// `healthy` again: `component` turns Degraded on the burst's tick
+    /// and stays so exactly while the burst is inside the slow window.
+    /// Over the platform's lifetime the burst is under 1 % of the work,
+    /// too little to move a lifetime judgement.
+    fn a_burst_is_judged_while_it_is_in_the_window(
+        component: &str,
+        healthy: impl Fn(&MetricsRegistry),
+        burst: impl Fn(&MetricsRegistry),
+    ) {
+        let (plane, registry, clock) = judged(component);
+        let step = |work: &dyn Fn(&MetricsRegistry)| {
+            clock.advance(Duration::millis(250));
+            work(&registry);
+            plane.tick();
+        };
+        plane.tick(); // baseline
+        for _ in 0..1_000 {
+            step(&healthy);
+        }
+        assert_eq!(status_of(&plane, component), HealthStatus::Healthy);
+        step(&burst);
+        assert_eq!(status_of(&plane, component).code(), "degraded");
+        for _ in 1..crate::slo::SLOW_WINDOW {
+            step(&healthy);
+        }
+        assert_eq!(
+            status_of(&plane, component).code(),
+            "degraded",
+            "the burst's tick is still the window's oldest"
+        );
+        step(&healthy);
+        assert_eq!(status_of(&plane, component), HealthStatus::Healthy);
+    }
+
+    #[test]
+    fn a_slow_delivery_burst_after_a_healthy_run_degrades_bus_delivery() {
+        a_burst_is_judged_while_it_is_in_the_window(
+            "bus-delivery",
+            |r| (0..1_000).for_each(|_| r.histogram("bus.deliver").record(10_000)),
+            |r| (0..5_000).for_each(|_| r.histogram("bus.deliver").record(50_000_000)),
+        );
+    }
+
+    #[test]
+    fn a_span_drop_burst_after_a_healthy_run_degrades_the_trace_check() {
+        a_burst_is_judged_while_it_is_in_the_window(
+            "trace",
+            |r| r.counter("trace.spans_recorded").add(1_000),
+            |r| {
+                r.counter("trace.spans_recorded").add(5_000);
+                r.counter("trace.spans_dropped").add(5_000);
+            },
+        );
+    }
+
+    /// The SLO table, the checks and the history read one store: after
+    /// a script with a histogram reset and a refused tick, the latency
+    /// SLO counts what the raw tier holds over its window, and the
+    /// delivery check names the p99 `quantile_over_time` reads there.
+    #[test]
+    fn the_slo_table_the_checks_and_the_history_agree() {
+        let sim = SimClock::starting_at(Timestamp(60_000));
+        let lag_ms = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let (main, restarted) = (MetricsRegistry::new(), MetricsRegistry::new());
+        let swapped = Arc::new(AtomicBool::new(false));
+        let source = {
+            let (main, restarted, swapped) = (main.clone(), restarted.clone(), swapped.clone());
+            move || {
+                let mut snapshot = main.snapshot();
+                if swapped.load(Ordering::SeqCst) {
+                    snapshot.histograms = restarted.snapshot().histograms;
+                }
+                snapshot
+            }
+        };
+        struct Lagging(SimClock, Arc<std::sync::atomic::AtomicU64>);
+        impl Clock for Lagging {
+            fn now(&self) -> Timestamp {
+                Timestamp(self.0.now().0 - self.1.load(Ordering::SeqCst))
+            }
+        }
+        let plane = OpsPlane::new(
+            source,
+            Arc::new(Lagging(sim.clone(), lag_ms.clone())),
+            Tracer::disabled(),
+            &main,
+            vec![Check::p99_above("bus-delivery", "bus.deliver", 5_000_000)],
+            vec![Slo::latency_p99("lat", "stage.total", 200_000)],
+            std::env::temp_dir().join(format!("css-plane-{}-agree", std::process::id())),
+        );
+        let step = || {
+            sim.advance(Duration::millis(5_000));
+            let work = if swapped.load(Ordering::SeqCst) {
+                &restarted
+            } else {
+                &main
+            };
+            for i in 0..100 {
+                work.histogram("stage.total").record(HEALTHY_NS);
+                let deliver_ns = if i < 3 { 8_000_000 } else { 1_000 };
+                work.histogram("bus.deliver").record(deliver_ns);
+            }
+            plane.tick();
+        };
+        plane.tick(); // baseline, at 60 000
+        for _ in 0..4 {
+            step();
+        }
+        swapped.store(true, Ordering::SeqCst); // both histograms restart
+        step();
+        step();
+        lag_ms.store(9_000, Ordering::SeqCst); // refused
+        step();
+        lag_ms.store(0, Ordering::SeqCst);
+        step();
+        step();
+        assert_eq!(main.snapshot().counter("chronicle.appends_skipped"), 1);
+
+        // Nine ticks after the baseline, one refused, all in the slow
+        // window: eight raw points, the refused tick's 100 observations
+        // in the seventh.
+        let lat = &plane.slos()[0];
+        assert_eq!(lat.samples, 9);
+        let raw: Vec<u64> = plane
+            .history
+            .window("stage.total", Resolution::Raw, 60_001, u64::MAX)
+            .iter()
+            .map(|a| a.count)
+            .collect();
+        assert_eq!(raw, [100, 100, 100, 100, 100, 100, 200, 100]);
+        assert_eq!(lat.window_total, raw.iter().sum::<u64>());
+
+        let p99 = plane
+            .history
+            .quantile_over_time("bus.deliver", 0.99, Resolution::Raw, 60_001, u64::MAX)
+            .expect("deliveries in the window");
+        assert_eq!(p99, 8_388_607);
+        match status_of(&plane, "bus-delivery") {
+            HealthStatus::Degraded { reason } => {
+                assert!(reason.contains(&format!("p99 = {p99}ns")), "{reason}")
+            }
+            other => panic!("expected Degraded, got {other:?}"),
+        }
     }
 }

@@ -318,24 +318,19 @@ pub(crate) fn percentiles_json(chronicle: &Chronicle, from_ms: u64, to_ms: u64) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::SnapshotDelta;
-    use css_telemetry::{MetricsRegistry, TelemetrySnapshot};
+    use css_telemetry::MetricsRegistry;
     use css_types::Timestamp;
 
     fn seeded() -> Chronicle {
         let registry = MetricsRegistry::new();
         let chronicle = Chronicle::new(&registry);
         let work = MetricsRegistry::new();
-        let mut prev = TelemetrySnapshot::default();
         for i in 1..=10u64 {
             work.counter("bus.published").add(10);
             work.gauge("bus.queue_depth").set(i as i64);
             let ns = if i <= 8 { 1_000 } else { 4_000_000 };
             work.histogram("stage.total").record(ns);
-            let cur = work.snapshot();
-            let delta = SnapshotDelta::between(&prev, &cur);
-            chronicle.append(&cur, &delta, Timestamp(i * 1_000), "stage.total");
-            prev = cur;
+            chronicle.append(&work.snapshot(), Timestamp(i * 1_000), "stage.total");
         }
         chronicle
     }

@@ -545,6 +545,7 @@ mod tests {
     #[test]
     fn ring_overrun_degrades_the_drop_rate_check() {
         use crate::checks::{report, Check};
+        use crate::history::Chronicle;
         let registry = MetricsRegistry::new();
         let rec = recorder(4, &registry);
         let check = [Check::drop_rate_above(
@@ -554,18 +555,25 @@ mod tests {
             0.25,
             1_000,
         )];
-        // Under the minimum sample count the check withholds judgment.
+        let history = Chronicle::new(&MetricsRegistry::new());
+        let tick = |at| {
+            let snapshot = registry.snapshot();
+            history.append(&snapshot, css_types::Timestamp(at), "stage.total");
+            report(&check, &snapshot, &history).rollup()
+        };
+        tick(0); // the plane's baseline
+                 // Under the minimum sample count the check withholds judgment.
         for i in 0..100 {
             rec.slos(&[slo("lat", AlertLevel::Ok)], i);
         }
-        let status = report(&check, &registry.snapshot()).rollup();
+        let status = tick(1);
         assert_eq!(status, HealthStatus::Healthy);
         // Force a sustained overrun: far more frames than the ring
         // holds, so most recorded frames have been dropped.
         for i in 100..2_000 {
             rec.slos(&[slo("lat", AlertLevel::Ok)], i);
         }
-        let status = report(&check, &registry.snapshot()).rollup();
+        let status = tick(2);
         assert!(
             matches!(status, HealthStatus::Degraded { .. }),
             "overrun must degrade the ring: {status:?}"

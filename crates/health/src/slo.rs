@@ -1,40 +1,36 @@
 //! Declarative SLOs evaluated as multi-window error-budget burn rates.
 //!
-//! The engine consumes one [`SnapshotDelta`] per tick (the plane
-//! subtracts the previous snapshot once, for every consumer) and
-//! classifies the *new* observations in it as good or bad per
-//! objective:
+//! The table keeps no ticks of its own: each objective reads the last
+//! ticks the plane ran back from the chronicle's raw tier
+//! ([`Chronicle::recent`], [`Chronicle::increase`]) and classifies the
+//! observations in them as good or bad:
 //!
 //! - a **latency** objective (`detail_request p99 < 200µs`) counts an
 //!   observation bad when its log₂ bucket's upper bound exceeds the
 //!   threshold (the same upper-bound convention the histogram's own
 //!   quantiles use);
 //! - an **error-ratio** objective (`publish error ratio < 0.1%`) counts
-//!   the delta of an error counter against the delta of the attempt
+//!   the rise of an error counter against the rise of the attempt
 //!   counters.
 //!
-//! Each tick's `(bad, total)` pair enters a sliding window; the burn
-//! rate over a window is `observed bad fraction / allowed bad fraction`
-//! — burn 1.0 spends exactly the error budget, sustained; burn 10 spends
-//! it ten times too fast. Two windows are kept, SRE-style: **fast**
-//! (last 5 samples, catches a live regression within a tick or two) and
-//! **slow** (last 60 samples, catches slow leaks), mapped to
-//! [`AlertLevel`]s.
-
-use std::collections::VecDeque;
+//! The burn rate over a window is `observed bad fraction / allowed bad
+//! fraction` — burn 1.0 spends exactly the error budget, sustained;
+//! burn 10 spends it ten times too fast. Two windows are read,
+//! SRE-style: **fast** (last 5 ticks, catches a live regression within
+//! a tick or two) and **slow** (last 60 ticks, catches slow leaks; the
+//! health checks judge over it too), mapped to [`AlertLevel`]s.
 
 use css_telemetry::JsonBuf;
-use css_types::Timestamp;
 
-use crate::delta::SnapshotDelta;
+use crate::history::Chronicle;
 
-/// Samples in the fast (paging) window.
-const FAST_WINDOW: usize = 5;
-/// Samples in the slow (ticketing) window; also the retained history.
-const SLOW_WINDOW: usize = 60;
+/// Ticks in the fast (paging) window.
+const FAST_WINDOW: u64 = 5;
+/// Ticks in the slow (ticketing) window, and the window every windowed
+/// health check judges.
+pub(crate) const SLOW_WINDOW: u64 = 60;
 /// Fast-window burn rate at or above which an alert is `Critical`.
 const CRITICAL_BURN: f64 = 10.0;
-
 /// What a [`Slo`] measures.
 #[derive(Debug, Clone, PartialEq)]
 enum SloObjective {
@@ -152,192 +148,143 @@ pub(crate) struct SloStatus {
     pub name: String,
     /// Human description of the objective.
     pub objective: String,
-    /// Burn rate over the last [`FAST_WINDOW`] samples.
+    /// Burn rate over the last [`FAST_WINDOW`] ticks.
     pub fast_burn: f64,
-    /// Burn rate over the last [`SLOW_WINDOW`] samples.
+    /// Burn rate over the last [`SLOW_WINDOW`] ticks.
     pub slow_burn: f64,
     /// Derived alert level.
     pub alert: AlertLevel,
-    /// Samples currently in the window.
-    pub samples: usize,
-    /// Bad observations over the retained window.
+    /// Ticks in the slow window (the baseline tick never is).
+    pub samples: u64,
+    /// Bad observations over the slow window.
     pub window_bad: u64,
-    /// Total observations over the retained window.
+    /// Total observations over the slow window.
     pub window_total: u64,
 }
 
-/// Per-SLO sliding window of `(bad, total)` tick deltas.
-struct SloWindow {
-    slo: Slo,
-    ticks: VecDeque<(u64, u64)>,
-}
-
-impl SloWindow {
-    fn burn(&self, window: usize, allowed: f64) -> f64 {
-        let (mut bad, mut total) = (0u64, 0u64);
-        for (b, t) in self.ticks.iter().rev().take(window) {
-            bad += b;
-            total += t;
+impl Slo {
+    /// The `(bad, total)` of the observations the last `ticks` ticks
+    /// added, per the objective. A latency bucket counts as over when
+    /// its upper bound exceeds the threshold — the histogram's own
+    /// upper-bound quantile convention, so `p99 < t` and `burn(t) < 1`
+    /// agree.
+    fn bad_and_total(&self, history: &Chronicle, ticks: u64) -> (u64, u64) {
+        match &self.objective {
+            SloObjective::LatencyP99 {
+                histogram,
+                threshold_ns,
+            } => {
+                let Some(h) = history.recent(histogram, ticks) else {
+                    return (0, 0);
+                };
+                let over = h.buckets.iter().filter(|(bound, _)| bound > threshold_ns);
+                (
+                    over.map(|(_, n)| n).sum(),
+                    h.buckets.iter().map(|(_, n)| n).sum(),
+                )
+            }
+            SloObjective::ErrorRatio { errors, attempts } => {
+                let total: u64 = attempts.iter().map(|c| history.increase(c, ticks)).sum();
+                (history.increase(errors, ticks).min(total), total)
+            }
         }
+    }
+
+    /// Burn rate of a window's `(bad, total)`.
+    fn burn(&self, (bad, total): (u64, u64)) -> f64 {
         if total == 0 {
             return 0.0; // no traffic burns no budget
         }
-        (bad as f64 / total as f64) / allowed
+        (bad as f64 / total as f64) / self.allowed
     }
 }
 
-/// The burn-rate engine: feed it tick deltas, read the alert table.
-pub(crate) struct SloEngine {
-    windows: Vec<SloWindow>,
-    ticks: u64,
-    last_sample_at: Timestamp,
-}
-
-impl SloEngine {
-    /// An engine over `slos` (report order = the given order).
-    pub(crate) fn new(slos: Vec<Slo>) -> Self {
-        SloEngine {
-            windows: slos
-                .into_iter()
-                .map(|slo| SloWindow {
-                    slo,
-                    ticks: VecDeque::with_capacity(SLOW_WINDOW),
-                })
-                .collect(),
-            ticks: 0,
-            last_sample_at: Timestamp::default(),
-        }
-    }
-
-    /// Consume one tick taken at platform time `at`: push each SLO's
-    /// `(bad, total)` of the new observations into its window. The
-    /// first tick has no previous snapshot to subtract (`None`) and
-    /// only establishes the baseline.
-    pub(crate) fn tick(&mut self, delta: Option<&SnapshotDelta>, at: Timestamp) {
-        self.ticks += 1;
-        self.last_sample_at = at;
-        let Some(delta) = delta else { return };
-        for w in &mut self.windows {
-            if w.ticks.len() == SLOW_WINDOW {
-                w.ticks.pop_front();
-            }
-            w.ticks.push_back(bad_and_total(&w.slo.objective, delta));
-        }
-    }
-
-    /// The evaluated burn-rate table, in registration order.
-    pub(crate) fn table(&self) -> Vec<SloStatus> {
-        self.windows
-            .iter()
-            .map(|w| {
-                let fast = w.burn(FAST_WINDOW, w.slo.allowed);
-                let slow = w.burn(SLOW_WINDOW, w.slo.allowed);
-                let alert = if fast >= CRITICAL_BURN {
-                    AlertLevel::Critical
-                } else if fast >= 1.0 || slow >= 1.0 {
-                    AlertLevel::Warning
-                } else {
-                    AlertLevel::Ok
-                };
-                let (bad, total) = w
-                    .ticks
-                    .iter()
-                    .fold((0, 0), |(b, t), (db, dt)| (b + db, t + dt));
-                SloStatus {
-                    name: w.slo.name.clone(),
-                    objective: w.slo.objective.describe(w.slo.allowed),
-                    fast_burn: fast,
-                    slow_burn: slow,
-                    alert,
-                    samples: w.ticks.len(),
-                    window_bad: bad,
-                    window_total: total,
-                }
-            })
-            .collect()
-    }
-
-    /// The JSON document served on `GET /slo`.
-    pub(crate) fn to_json(&self) -> String {
-        let mut j = JsonBuf::new();
-        j.begin_object();
-        j.key("ticks").u64(self.ticks);
-        j.key("last_sample_at_ms")
-            .u64(self.last_sample_at.as_millis());
-        j.key("fast_window").u64(FAST_WINDOW as u64);
-        j.key("slow_window").u64(SLOW_WINDOW as u64);
-        j.key("slos").begin_array();
-        for s in self.table() {
-            j.begin_object();
-            j.key("name").string(&s.name);
-            j.key("objective").string(&s.objective);
-            j.key("fast_burn").f64(s.fast_burn);
-            j.key("slow_burn").f64(s.slow_burn);
-            j.key("alert").string(s.alert.code());
-            j.key("samples").u64(s.samples as u64);
-            j.key("window_bad").u64(s.window_bad);
-            j.key("window_total").u64(s.window_total);
-            j.end_object();
-        }
-        j.end_array();
-        j.end_object();
-        j.finish()
-    }
-}
-
-/// The `(bad, total)` of the observations one tick added, per the
-/// objective. A latency bucket counts as over when its upper bound
-/// exceeds the threshold — the histogram's own upper-bound quantile
-/// convention, so `p99 < t` and `burn(t) < 1` agree.
-fn bad_and_total(objective: &SloObjective, delta: &SnapshotDelta) -> (u64, u64) {
-    match objective {
-        SloObjective::LatencyP99 {
-            histogram,
-            threshold_ns,
-        } => {
-            let Some(h) = delta.histograms.get(histogram) else {
-                return (0, 0);
+/// The evaluated burn-rate table over what `history` holds, in the
+/// order `slos` were given.
+pub(crate) fn table(slos: &[Slo], history: &Chronicle) -> Vec<SloStatus> {
+    let samples = history.ticks().saturating_sub(1).min(SLOW_WINDOW);
+    slos.iter()
+        .map(|slo| {
+            let (bad, total) = slo.bad_and_total(history, SLOW_WINDOW);
+            let fast = slo.burn(slo.bad_and_total(history, FAST_WINDOW));
+            let slow = slo.burn((bad, total));
+            let alert = if fast >= CRITICAL_BURN {
+                AlertLevel::Critical
+            } else if fast >= 1.0 || slow >= 1.0 {
+                AlertLevel::Warning
+            } else {
+                AlertLevel::Ok
             };
-            let over = h.buckets.iter().filter(|(bound, _)| bound > threshold_ns);
-            (
-                over.map(|(_, n)| n).sum(),
-                h.buckets.iter().map(|(_, n)| n).sum(),
-            )
-        }
-        SloObjective::ErrorRatio { errors, attempts } => {
-            let total: u64 = attempts.iter().map(|c| delta.counter(c)).sum();
-            (delta.counter(errors).min(total), total)
-        }
+            SloStatus {
+                name: slo.name.clone(),
+                objective: slo.objective.describe(slo.allowed),
+                fast_burn: fast,
+                slow_burn: slow,
+                alert,
+                samples,
+                window_bad: bad,
+                window_total: total,
+            }
+        })
+        .collect()
+}
+
+/// The JSON document served on `GET /slo`.
+pub(crate) fn to_json(slos: &[Slo], history: &Chronicle) -> String {
+    let mut j = JsonBuf::new();
+    j.begin_object();
+    j.key("ticks").u64(history.ticks());
+    j.key("last_sample_at_ms").u64(history.last_at_ms());
+    j.key("fast_window").u64(FAST_WINDOW);
+    j.key("slow_window").u64(SLOW_WINDOW);
+    j.key("slos").begin_array();
+    for s in table(slos, history) {
+        j.begin_object();
+        j.key("name").string(&s.name);
+        j.key("objective").string(&s.objective);
+        j.key("fast_burn").f64(s.fast_burn);
+        j.key("slow_burn").f64(s.slow_burn);
+        j.key("alert").string(s.alert.code());
+        j.key("samples").u64(s.samples);
+        j.key("window_bad").u64(s.window_bad);
+        j.key("window_total").u64(s.window_total);
+        j.end_object();
     }
+    j.end_array();
+    j.end_object();
+    j.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use css_telemetry::{MetricsRegistry, TelemetrySnapshot};
+    use css_types::Timestamp;
 
-    /// An engine fed the way the plane feeds it: one delta per tick
-    /// against the previous snapshot, none on the first.
+    /// One objective over a chronicle fed the way the plane feeds it:
+    /// one append per tick, the first the baseline.
     struct Fed {
-        engine: SloEngine,
-        prev: Option<TelemetrySnapshot>,
+        slos: Vec<Slo>,
+        history: Chronicle,
     }
 
     impl Fed {
         fn tick(&mut self, cur: &TelemetrySnapshot, at: Timestamp) {
-            let delta = self.prev.as_ref().map(|p| SnapshotDelta::between(p, cur));
-            self.engine.tick(delta.as_ref(), at);
-            self.prev = Some(cur.clone());
+            self.history.append(cur, at, "stage.total");
         }
 
         fn table(&self) -> Vec<SloStatus> {
-            self.engine.table()
+            table(&self.slos, &self.history)
         }
     }
 
     fn engine_with(slo: Slo) -> (MetricsRegistry, Fed) {
-        let engine = SloEngine::new(vec![slo]);
-        (MetricsRegistry::new(), Fed { engine, prev: None })
+        let history = Chronicle::new(&MetricsRegistry::new());
+        let fed = Fed {
+            slos: vec![slo],
+            history,
+        };
+        (MetricsRegistry::new(), fed)
     }
 
     #[test]
@@ -428,7 +375,7 @@ mod tests {
         engine.tick(&reg.snapshot(), Timestamp(1));
         // FAST_WINDOW quiet-but-busy ticks push the incident out of the
         // fast window while it stays inside the slow one.
-        for tick in 0..FAST_WINDOW as u64 {
+        for tick in 0..FAST_WINDOW {
             for _ in 0..10_000 {
                 reg.histogram("stage.total").record(1_000);
             }
@@ -442,19 +389,20 @@ mod tests {
     #[test]
     fn window_is_bounded_at_slow_window() {
         let (reg, mut engine) = engine_with(Slo::latency_p99("lat", "stage.total", 200_000));
-        for i in 0..(SLOW_WINDOW as u64 + 20) {
+        for i in 0..(SLOW_WINDOW + 20) {
             reg.histogram("stage.total").record(1_000);
             engine.tick(&reg.snapshot(), Timestamp(i));
         }
         assert_eq!(engine.table()[0].samples, SLOW_WINDOW);
-        assert_eq!(engine.engine.ticks, SLOW_WINDOW as u64 + 20);
+        assert_eq!(engine.table()[0].window_total, SLOW_WINDOW);
+        assert_eq!(engine.history.ticks(), SLOW_WINDOW + 20);
     }
 
     #[test]
     fn json_renders_the_table() {
         let (reg, mut engine) = engine_with(Slo::latency_p99("lat", "stage.total", 200_000));
         engine.tick(&reg.snapshot(), Timestamp(42));
-        let json = engine.engine.to_json();
+        let json = to_json(&engine.slos, &engine.history);
         assert!(
             json.starts_with("{\"ticks\":1,\"last_sample_at_ms\":42,"),
             "{json}"

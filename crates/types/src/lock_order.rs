@@ -9,7 +9,7 @@
 
 /// The ops plane's sample in progress: a tick reads the whole platform
 /// (controller registries, both shard planes, the pending queue, the
-/// trace ring) while it holds its previous snapshot.
+/// trace ring) while it holds the plane's tick.
 pub const OPS_SAMPLE: u32 = 0;
 /// The pending access-request queue: a decision checks the request
 /// against the event catalog while it holds the queue.

@@ -464,6 +464,77 @@ fn inquiry_allocations_grow_only_by_what_it_returns() {
     );
 }
 
+/// A world holding ten events about citizen 7.
+fn ten_events_about_seven() -> World {
+    let w = world();
+    let producer = w.platform.producer(w.hospital).unwrap();
+    let subs = subscriptions(&w);
+    for _ in 0..10 {
+        publish_and_deliver(&w, &producer, &subs, event(&w.ty, 7));
+    }
+    w
+}
+
+#[test]
+fn citizen_profile_over_ten_events() {
+    let w = ten_events_about_seven();
+    let citizen = w.platform.citizen(PersonId(7));
+    let measured = allocations_per_op(
+        |_| (),
+        |()| assert_eq!(citizen.my_profile().unwrap().len(), 10),
+    );
+    assert_within("citizen profile of 10 events", measured, PROFILE_TEN);
+}
+
+/// Every view of a trail is audited on it, so each call asks for the
+/// trail of a citizen of its own, built outside the counted window: two
+/// events published to three consumers (a publish record and three
+/// notification records each), and one consumer asking twice for
+/// their details.
+#[test]
+fn citizen_audit_trail_over_ten_records() {
+    let w = world();
+    let producer = w.platform.producer(w.hospital).unwrap();
+    let subs = subscriptions(&w);
+    let consumer = w.platform.consumer(*w.consumers.last().unwrap()).unwrap();
+    let measured = allocations_per_op(
+        |i| {
+            for _ in 0..2 {
+                let event = event(&w.ty, 100 + i);
+                let delivered = publish_and_deliver(&w, &producer, &subs, event);
+                consumer
+                    .request_details(&delivered.message, Purpose::HealthcareTreatment)
+                    .unwrap();
+            }
+            w.platform.citizen(PersonId(100 + i))
+        },
+        |citizen| assert_eq!(citizen.who_accessed_my_data().unwrap().len(), 10),
+    );
+    assert_within(
+        "citizen audit trail of 10 records",
+        measured,
+        AUDIT_TRAIL_TEN,
+    );
+}
+
+#[test]
+fn inquiry_between_returning_ten() {
+    let w = ten_events_about_seven();
+    let consumer = w.platform.consumer(w.consumers[0]).unwrap();
+    let measured = allocations_per_op(
+        |_| (),
+        |()| {
+            let found = consumer.inquire_between(Timestamp(0), Timestamp(u64::MAX));
+            assert_eq!(found.unwrap().len(), 10);
+        },
+    );
+    assert_within(
+        "inquiry between returning 10",
+        measured,
+        INQUIRY_BETWEEN_TEN,
+    );
+}
+
 /// An event class id is named by every audit record, index entry and
 /// notification of its class: a copy of one is a reference-count bump.
 #[test]
@@ -659,7 +730,10 @@ fn counter_reads_copy_no_dead_letter() {
 // permitted request 4.05 (was 5.05) and 5.10 with 12 fields (was
 // 6.10), the denied one 1.00 (was 2.00), the inquiry 52.01 (was
 // 63.01) and the cold denial 2.00 with 8 foreign grants and with 128
-// (was 3.00).
+// (was 3.00). The three read paths a citizen or a consumer walks
+// besides the inquiry by person were first pinned as measured: the
+// profile of ten events 51.01, the audit trail of ten records 27.00,
+// the inquiry between two instants returning ten 61.01.
 const PUBLISH_DELIVER: u64 = 700;
 const DETAIL_PERMIT: u64 = 445;
 const DETAIL_PERMIT_TWELVE_FIELDS: u64 = 561;
@@ -667,6 +741,9 @@ const DETAIL_DENY: u64 = 110;
 const INQUIRY_TEN: u64 = 5721;
 const DETAIL_DENY_COLD: u64 = 220;
 const FROM_CANONICAL: u64 = 100;
+const PROFILE_TEN: u64 = 5611;
+const AUDIT_TRAIL_TEN: u64 = 2970;
+const INQUIRY_BETWEEN_TEN: u64 = 6711;
 
 // Histogram observations per publish + deliver at fan-out 3, per
 // permitted and per denied detail request: exact counts, not budgets.

@@ -15,7 +15,11 @@
 //! the chronicle the plane's one memory of ticks (the child of
 //! `1b6fd27`): its recorder frames spans, SLO samples and health
 //! transitions only, and every bundle embeds the chronicle's `history`
-//! window and a percentile table merged over it. They pin the nine
+//! window and a percentile table merged over it. The SLO burns, the
+//! delivery check's reason and its recovery tick were last rewritten
+//! when the SLO table and the latency and ratio checks began to read
+//! the chronicle's last ticks instead of a window of their own and the
+//! platform's lifetime. They pin the nine
 //! routes' bodies, the bundle schema and the per-tick frame order.
 //! After a *deliberate* change to a body, copy the directory the
 //! failure message names over the fixture.
@@ -240,8 +244,9 @@ fn drive(world: &World, tick: &dyn Fn(), addr: SocketAddr, dir: &Path) -> Vec<(S
         }
         world.traffic(HEALTHY_NS, 3);
     });
-    // The clock steps backwards once: the history refuses the tick,
-    // the SLO windows and the recorder take it.
+    // The clock steps backwards once: the history refuses the tick but
+    // counts it, its observations ride into the next point, and the
+    // recorder takes it.
     world.lag_ms.store(7_000, Ordering::SeqCst);
     step(&|| world.traffic(HEALTHY_NS, 3));
     world.lag_ms.store(0, Ordering::SeqCst);
