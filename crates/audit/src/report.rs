@@ -45,15 +45,6 @@ impl AuditReport {
         report
     }
 
-    /// Fraction of records that were denied (0.0 for an empty report).
-    pub fn denial_rate(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.denied as f64 / self.total as f64
-        }
-    }
-
     /// Count for one action.
     pub fn action_count(&self, action: AuditAction) -> usize {
         self.by_action.get(action.code()).copied().unwrap_or(0)
@@ -81,7 +72,6 @@ mod tests {
         let report = AuditReport::from_records(records.iter());
         assert_eq!(report.total, 4);
         assert_eq!(report.denied, 2);
-        assert_eq!(report.denial_rate(), 0.5);
         assert_eq!(report.action_count(AuditAction::DetailRequest), 3);
         assert_eq!(report.action_count(AuditAction::Publish), 1);
         assert_eq!(report.by_purpose["healthcare-treatment"], 2);
@@ -94,7 +84,6 @@ mod tests {
     fn empty_report() {
         let report = AuditReport::from_records(std::iter::empty());
         assert_eq!(report.total, 0);
-        assert_eq!(report.denial_rate(), 0.0);
         assert_eq!(report.action_count(AuditAction::Publish), 0);
     }
 }

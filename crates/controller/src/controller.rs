@@ -579,10 +579,12 @@ impl<B: LogBackend> DataController<B> {
     /// claim back, so its retry is admitted; a failed index write has
     /// routed the notification already (ROADMAP item 18).
     ///
-    /// A fresh `publish` root span is minted. The span covers
-    /// the consent gate through the audit group commit; `bus.route`,
-    /// `bus.deliver` and `index.insert` become children, and the trace
-    /// id is stamped into the Publish and Delivery audit records.
+    /// The publish is one timed pass under a fresh `publish` root span,
+    /// from the consent gate through the audit group commit: each stage
+    /// is a child span, `bus.route` (and its `bus.deliver`s) a child
+    /// too, and the trace id is stamped into the Publish and Delivery
+    /// audit records. A publish refused on consent closes its root
+    /// `Denied`, one that fails after the gate `Error`.
     ///
     /// Concurrency: publishes about different citizens touch disjoint
     /// index and audit shards, so they serialize only on the bus topic.
@@ -604,19 +606,15 @@ impl<B: LogBackend> DataController<B> {
         }
         let source = self.index.claim_source(producer, src_event_id)?;
         let now = self.now();
-        let mut timer = self.counters.publish_stages.start();
-        let mut span = self.tracer.root("publish", now);
-        span.attr(|| SpanAttr::actor(producer));
-        span.attr(|| SpanAttr::event_type(&event_type));
-        let trace_id = span.trace_id();
-        if let Some(t) = trace_id {
-            // Exemplar: link this pass's publish.* buckets to its trace.
-            timer.exemplar(t.value(), now.0);
-        }
+        let timer = self.counters.publish_stages.start();
+        let mut pass = self.tracer.pass(timer, "publish", now);
+        pass.attr(|| SpanAttr::actor(producer));
+        pass.attr(|| SpanAttr::event_type(&event_type));
+        let trace_id = pass.trace_id();
         // Consent gate at the source.
         if !self.consent.read().allows(person.id, producer, &event_type) {
-            timer.stage("consent_gate");
-            span.set_status(SpanStatus::Denied);
+            pass.stage("consent_gate");
+            pass.deny();
             self.counters.publish_denied.inc();
             self.audit.append(
                 AuditRecord::new(now, producer, AuditAction::Publish)
@@ -630,9 +628,9 @@ impl<B: LogBackend> DataController<B> {
                 person.id
             )));
         }
-        timer.stage("consent_gate");
+        pass.stage("consent_gate");
         let global_id: GlobalEventId = self.eid_gen.next_id();
-        span.attr(|| SpanAttr::event(global_id));
+        pass.attr(|| SpanAttr::event(global_id));
         // Built by move and held once: the bus, every delivery and the
         // index insert below read this one allocation.
         let notification = Arc::new(NotificationMessage {
@@ -646,7 +644,7 @@ impl<B: LogBackend> DataController<B> {
         let event_type = &notification.event_type;
         let person = notification.person.id;
         // Route first (all-or-nothing on a full queue), then index.
-        let ctx = span.context();
+        let ctx = pass.context();
         let routes = self.authorised_routes(event_type, now)?;
         let route = routes
             .get(event_type)
@@ -656,7 +654,7 @@ impl<B: LogBackend> DataController<B> {
             Arc::clone(&notification),
             PublishOptions::new().traced(&ctx),
         )?;
-        timer.stage("route");
+        pass.stage("route");
         // Ascending (the class list is kept so), for the receipt, for
         // the index entry, which keeps them as its sorted `Notified`,
         // and for the Delivery records: the bytes of the audit log must
@@ -665,11 +663,9 @@ impl<B: LogBackend> DataController<B> {
         let mut receivers: Vec<ActorId> = route.receivers.iter().map(|(_, actor)| *actor).collect();
         drop(routes);
         receivers.dedup();
-        let index_span = ctx.child("index.insert");
         self.index
             .insert_notified(&notification, source, receivers.clone().into())?;
-        index_span.finish();
-        timer.stage("index");
+        pass.stage("index");
         // One group commit for the Publish record and the per-consumer
         // Delivery fan-out: a single storage write instead of 1 + N.
         // Every record carries the same person, so the whole batch
@@ -692,9 +688,8 @@ impl<B: LogBackend> DataController<B> {
             );
         }
         self.audit.append_batch(records)?;
-        timer.stage("audit");
-        timer.finish();
-        span.finish();
+        pass.stage("audit");
+        pass.finish();
         self.counters.published.inc();
         Ok(PublishReceipt {
             global_id,
@@ -874,22 +869,22 @@ impl<B: LogBackend> DataController<B> {
             match candidates {
                 Candidates::OfPerson(person) => self
                     .index
-                    .filter_authorized_of_person(person, consumer, authorize)?,
-                Candidates::Listed(ids) => {
-                    self.index.filter_authorized(&ids, consumer, authorize)?
-                }
+                    .filter_authorized_of_person(person, consumer, authorize),
+                Candidates::Listed(ids) => self.index.filter_authorized(&ids, consumer, authorize),
             }
-        };
+        }
+        .inspect_err(|_| span.set_status(SpanStatus::Error))?;
         filter_span.finish();
         // Audit before notify: no marker takes effect unless the
         // inquiry's record is written. A marker write that fails after
         // it leaves the record standing as an audited attempt.
-        self.audit.append(
-            AuditRecord::new(now, consumer, AuditAction::IndexInquiry)
-                .trace(span.trace_id())
-                .with_detail(format!("{} events returned", out.len())),
-        )?;
-        self.index.mark_notified(markers)?;
+        let record = AuditRecord::new(now, consumer, AuditAction::IndexInquiry)
+            .trace(span.trace_id())
+            .with_detail(format!("{} events returned", out.len()));
+        self.audit
+            .append(record)
+            .and_then(|_| self.index.mark_notified(markers))
+            .inspect_err(|_| span.set_status(SpanStatus::Error))?;
         span.finish();
         out.sort_by_key(|n| n.global_id);
         Ok(out)
@@ -899,9 +894,9 @@ impl<B: LogBackend> DataController<B> {
 
     /// Consumer requests the details of an event (Algorithm 1) under a
     /// fresh `detail_request` root span. Every Algorithm 1 stage the PEP
-    /// reaches becomes a child span, and the root span status mirrors
-    /// the outcome: `Denied` for policy denials, `Error` for
-    /// infrastructure faults.
+    /// reaches becomes a child span, and the root closes `Ok` on a
+    /// release, `Denied` on a policy denial and `Error` on any other
+    /// refusal.
     pub fn request_details(
         &self,
         consumer: ActorId,
@@ -915,12 +910,6 @@ impl<B: LogBackend> DataController<B> {
             .organization_of(consumer)
             .ok_or_else(|| CssError::NotFound(format!("actor {consumer} not registered")))?;
         self.contracts.read().require_consumer(org)?;
-        let now = self.now();
-        let mut span = self.tracer.root("detail_request", now);
-        span.attr(|| SpanAttr::actor(consumer));
-        span.attr(|| SpanAttr::event(event_id));
-        span.attr(|| SpanAttr::event_type(&event_type));
-        span.attr(|| SpanAttr::purpose(&purpose));
         let request = DetailRequest::new(
             self.request_gen.next_id(),
             consumer,
@@ -928,16 +917,7 @@ impl<B: LogBackend> DataController<B> {
             event_id,
             purpose,
         );
-        let result = self.get_event_details(&request, span.context(), now);
-        match &result {
-            Ok(_) => {}
-            Err(CssError::AccessDenied(_)) | Err(CssError::ConsentWithheld(_)) => {
-                span.set_status(SpanStatus::Denied);
-            }
-            Err(_) => span.set_status(SpanStatus::Error),
-        }
-        span.finish();
-        result
+        self.get_event_details(&request, self.now())
     }
 
     // ---- subject access (citizen-facing, Section 7) -----------------------

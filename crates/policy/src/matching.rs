@@ -34,13 +34,6 @@ pub enum MatchOutcome {
     Revoked,
 }
 
-impl MatchOutcome {
-    /// Whether this outcome authorizes the request.
-    pub fn is_match(self) -> bool {
-        self == MatchOutcome::Match
-    }
-}
-
 /// Evaluate Definition 3 for one policy and one request at time `now`.
 ///
 /// Checks run from cheapest to most specific; the first failing
@@ -115,7 +108,7 @@ mod tests {
             &registry(),
             Timestamp(0),
         );
-        assert!(out.is_match());
+        assert_eq!(out, MatchOutcome::Match);
     }
 
     #[test]
@@ -126,7 +119,7 @@ mod tests {
             &registry(),
             Timestamp(0),
         );
-        assert!(out.is_match());
+        assert_eq!(out, MatchOutcome::Match);
     }
 
     #[test]
@@ -179,7 +172,10 @@ mod tests {
     fn expired_policy_fails() {
         let p = policy().valid(ValidityWindow::until(Timestamp(1_000)));
         let r = request(ActorId(1), "blood-test", Purpose::HealthcareTreatment);
-        assert!(matches(&p, &r, &registry(), Timestamp(1_000)).is_match());
+        assert_eq!(
+            matches(&p, &r, &registry(), Timestamp(1_000)),
+            MatchOutcome::Match
+        );
         assert_eq!(
             matches(&p, &r, &registry(), Timestamp(1_001)),
             MatchOutcome::OutsideValidity

@@ -24,36 +24,3 @@ pub struct ExposureReport {
     /// over-constraining failure mode: caregivers lacking data).
     pub unserved_needs: usize,
 }
-
-impl ExposureReport {
-    /// Merge another report into this one.
-    pub fn absorb(&mut self, other: &ExposureReport) {
-        self.channels += other.channels;
-        self.messages += other.messages;
-        self.total_bytes += other.total_bytes;
-        self.sensitive_bytes += other.sensitive_bytes;
-        self.unnecessary_disclosures += other.unnecessary_disclosures;
-        self.unserved_needs += other.unserved_needs;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn absorb_sums() {
-        let mut a = ExposureReport {
-            channels: 1,
-            messages: 2,
-            total_bytes: 3,
-            sensitive_bytes: 4,
-            unnecessary_disclosures: 5,
-            unserved_needs: 6,
-        };
-        a.absorb(&a.clone());
-        assert_eq!(a.messages, 4);
-        assert_eq!(a.unnecessary_disclosures, 10);
-        assert_eq!(a.unserved_needs, 12);
-    }
-}

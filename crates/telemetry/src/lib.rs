@@ -16,13 +16,16 @@
 //! is taken at get-or-create time, never on the record path. Handles
 //! are meant to be resolved once and cached by the instrumented
 //! component. [`StageTimer`] breaks a multi-stage pipeline into
-//! per-stage histograms with one clock read per boundary; a
-//! [`StageTable`] holds a pipeline's stage handles for it.
+//! per-stage histograms with one clock read per boundary, N + 1 for an
+//! N-stage pass; a [`StageTable`] holds a pipeline's stage handles for
+//! it. The timers and `css-trace`'s spans read the one monotonic
+//! [`clock`], which counts its reads per thread in debug builds.
 //!
 //! [`MetricsRegistry::snapshot`] renders everything into a plain-data
 //! [`TelemetrySnapshot`]. Its one text exposition is the Prometheus
 //! body `css-health` renders for `GET /metrics`.
 
+pub mod clock;
 mod json;
 mod metrics;
 mod registry;

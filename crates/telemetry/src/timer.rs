@@ -1,17 +1,20 @@
 //! Multi-stage pipeline timing.
 
-use crate::{Histogram, MetricsRegistry};
+use crate::{clock, Histogram, MetricsRegistry};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Splits one pass through a pipeline into per-stage histograms.
 ///
 /// Each [`stage`](StageTimer::stage) call records the time since the
-/// previous boundary into `"{prefix}.{stage}"` — one clock read per
-/// boundary, so an N-stage pipeline costs N+1 `Instant::now()` calls
-/// total. A pass that bails early (a deny, an error, a panic) records
-/// the stages it reached, and on `Drop` the remainder lands in
-/// `"{prefix}.partial"` plus the whole pass in `"{prefix}.total"` — so
+/// previous boundary into `"{prefix}.{stage}"` and [`finish`] records
+/// the whole pass, from the start to the last boundary, into
+/// `"{prefix}.total"` — one clock read at the start and one per
+/// boundary, so an N-stage pass costs N + 1 reads of
+/// [`clock::now`](crate::clock::now) and `finish` none. A pass that
+/// bails early (a deny, an error, a panic) records the stages it
+/// reached, and on `Drop` the remainder lands in `"{prefix}.partial"`
+/// as one more stage, plus the whole pass in `"{prefix}.total"` — so
 /// denied requests are never invisible in the latency record.
 ///
 /// A timer [`started`](StageTimer::start) on a registry looks each
@@ -26,13 +29,15 @@ use std::time::{Duration, Instant};
 /// // ... resolve the event source ...
 /// timer.stage("pip_resolve");
 /// // ... evaluate policy ...
-/// timer.stage("pdp_evaluate");
-/// timer.finish();
+/// let end = timer.stage("pdp_evaluate");
+/// assert_eq!(timer.finish(), end);
 ///
 /// let snap = registry.snapshot();
 /// assert_eq!(snap.histogram("stage.pip_resolve").unwrap().count, 1);
 /// assert_eq!(snap.histogram("stage.total").unwrap().count, 1);
 /// ```
+///
+/// [`finish`]: StageTimer::finish
 #[derive(Debug)]
 pub struct StageTimer<'a> {
     stages: Stages<'a>,
@@ -140,7 +145,7 @@ impl<'a> StageTimer<'a> {
     }
 
     fn over(stages: Stages<'a>) -> Self {
-        let now = Instant::now();
+        let now = clock::now();
         StageTimer {
             stages,
             started: now,
@@ -177,30 +182,42 @@ impl<'a> StageTimer<'a> {
         }
     }
 
-    /// Close the current stage: record the time since the previous
-    /// boundary into `"{prefix}.{stage}"` and start the next stage.
-    pub fn stage(&mut self, stage: &str) {
-        let now = Instant::now();
-        self.record(stage, now.duration_since(self.last));
-        self.last = now;
+    /// The reading of the last boundary: the start, until a stage is
+    /// closed.
+    pub fn last(&self) -> Instant {
+        self.last
     }
 
-    /// Record the whole pass into `"{prefix}.total"` and consume the
-    /// timer. A timer dropped without `finish` (early return, `?`,
-    /// panic unwind) records the open stage into `"{prefix}.partial"`
-    /// and still contributes to `"{prefix}.total"`.
-    pub fn finish(mut self) {
-        self.finished = true;
-        self.record("total", self.started.elapsed());
+    /// Close the current stage: record the time since the previous
+    /// boundary into `"{prefix}.{stage}"` and start the next stage.
+    /// Returns the one clock reading that closed it.
+    pub fn stage(&mut self, stage: &str) -> Instant {
+        let now = clock::now();
+        self.record(stage, now.duration_since(self.last));
+        self.last = now;
+        now
+    }
+
+    /// End the pass at its last boundary: record the whole pass into
+    /// `"{prefix}.total"` and return that boundary's reading, without
+    /// reading the clock. Recorded once; a later call returns the same
+    /// instant and records nothing. A timer dropped without `finish`
+    /// (early return, `?`, panic unwind) records the open stage into
+    /// `"{prefix}.partial"` and still contributes to `"{prefix}.total"`.
+    pub fn finish(&mut self) -> Instant {
+        if !self.finished {
+            self.finished = true;
+            self.record("total", self.last.duration_since(self.started));
+        }
+        self.last
     }
 }
 
 impl Drop for StageTimer<'_> {
     fn drop(&mut self) {
         if !self.finished {
-            let now = Instant::now();
-            self.record("partial", now.duration_since(self.last));
-            self.record("total", now.duration_since(self.started));
+            self.stage("partial");
+            self.finish();
         }
     }
 }
@@ -270,6 +287,38 @@ mod tests {
         let snap = registry.snapshot();
         assert!(snap.histogram("p.partial").is_none());
         assert_eq!(snap.histogram("p.total").unwrap().count, 1);
+    }
+
+    /// The start and each boundary read the clock once; `finish` ends
+    /// the total at the last boundary, so the stages sum to the total
+    /// exactly. A dropped pass's `partial` is one more boundary.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn an_n_stage_pass_reads_the_clock_n_plus_one_times_and_its_stages_sum_to_its_total() {
+        let registry = MetricsRegistry::new();
+        let before = clock::reads().unwrap();
+        let mut timer = StageTimer::start(&registry, "p");
+        for stage in ["a", "b", "c"] {
+            timer.stage(stage);
+        }
+        let end = timer.stage("d");
+        assert_eq!(timer.finish(), end);
+        assert_eq!(timer.finish(), end, "a second finish records nothing");
+        drop(timer);
+        assert_eq!(clock::reads(), Some(before + 5));
+        let mut dropped = StageTimer::start(&registry, "p");
+        dropped.stage("a");
+        drop(dropped);
+        assert_eq!(clock::reads(), Some(before + 8));
+
+        let snap = registry.snapshot();
+        let sum = |name: &str| snap.histogram(name).unwrap().sum_ns;
+        let stages: u64 = ["p.a", "p.b", "p.c", "p.d", "p.partial"]
+            .map(sum)
+            .iter()
+            .sum();
+        assert_eq!(stages, sum("p.total"));
+        assert_eq!(snap.histogram("p.total").unwrap().count, 2);
     }
 
     #[test]

@@ -1,37 +1,24 @@
 //! Bounded drop-oldest span storage.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
 
 use css_telemetry::{Counter, MetricsRegistry};
 use parking_lot::Mutex;
 
 use crate::span::Span;
 
-/// One ring slot. `seq` holds `claim + 1` of the span currently stored
-/// (0 = empty), so a snapshot can tell a slot from the current lap
-/// apart from a stale one.
-struct Slot {
-    seq: AtomicU64,
-    span: Mutex<Option<Span>>,
-}
-
-/// A bounded ring buffer of finished spans.
+/// A bounded ring of finished spans, behind one lock: a record pushes
+/// a span and a snapshot clones the ring, each under the lock once.
 ///
-/// Writers claim a slot with a single `fetch_add` on the head counter —
-/// the claim path is lock-free and never blocks on other writers. The
-/// claimed slot's payload swap goes through a per-slot mutex (spans own
-/// heap data, so they cannot be stored atomically); two writers only
-/// ever contend on the *same* slot when the buffer has lapped, which
-/// makes the lock effectively uncontended in practice.
-///
-/// When the buffer is full the **oldest** span is overwritten
-/// (drop-oldest): recent causality is worth more than ancient history,
-/// the same call the broker makes for monitoring-grade queues. Every
-/// span counts into `trace.spans_recorded`, every overwrite into
-/// `trace.spans_dropped`, of the registry the collector is built over.
+/// When the ring is full the **oldest** span is dropped (drop-oldest):
+/// recent causality is worth more than ancient history, the same call
+/// the broker makes for monitoring-grade queues. Every span counts into
+/// `trace.spans_recorded`, every drop into `trace.spans_dropped`, of
+/// the registry the collector is built over.
 pub(crate) struct SpanCollector {
-    slots: Box<[Slot]>,
-    head: AtomicU64,
+    /// The retained spans, oldest first.
+    ring: Mutex<VecDeque<Span>>,
+    capacity: usize,
     recorded: Counter,
     dropped: Counter,
 }
@@ -40,69 +27,39 @@ impl SpanCollector {
     /// A collector holding at most `capacity` spans (min 1), counting
     /// into `registry`.
     pub(crate) fn new(capacity: usize, registry: &MetricsRegistry) -> Self {
-        let slots = (0..capacity.max(1))
-            .map(|_| Slot {
-                seq: AtomicU64::new(0),
-                span: Mutex::new(None),
-            })
-            .collect();
+        let capacity = capacity.max(1);
         SpanCollector {
-            slots,
-            head: AtomicU64::new(0),
+            ring: Mutex::new(VecDeque::with_capacity(capacity)),
+            capacity,
             recorded: registry.counter("trace.spans_recorded"),
             dropped: registry.counter("trace.spans_dropped"),
         }
     }
 
-    /// Store one finished span, overwriting the oldest when full.
+    /// Store one finished span, dropping the oldest when full.
     pub(crate) fn record(&self, span: Span) {
-        let claim = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(claim as usize) % self.slots.len()];
-        let mut cell = slot.span.lock();
-        if cell.replace(span).is_some() {
+        let mut ring = self.ring.lock();
+        if ring.len() == self.capacity {
+            ring.pop_front();
             self.dropped.inc();
         }
-        slot.seq.store(claim + 1, Ordering::Release);
-        drop(cell);
+        ring.push_back(span);
         self.recorded.inc();
     }
 
     /// Spans recorded over the collector's lifetime (including dropped).
     pub(crate) fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
+        self.recorded.get()
     }
 
-    /// Spans overwritten before anyone read them.
+    /// Spans dropped before anyone read them.
     pub(crate) fn dropped(&self) -> u64 {
         self.dropped.get()
     }
 
     /// Copy out the retained spans, oldest first.
-    ///
-    /// Concurrent writers may lap a slot mid-snapshot; the per-slot
-    /// sequence check skips any slot that no longer holds the claim the
-    /// snapshot expects, so the result is always a consistent suffix of
-    /// the record stream.
     pub(crate) fn snapshot(&self) -> Vec<Span> {
-        let head = self.head.load(Ordering::Acquire);
-        let capacity = self.slots.len() as u64;
-        let start = head.saturating_sub(capacity);
-        let mut out = Vec::with_capacity((head - start) as usize);
-        for claim in start..head {
-            let slot = &self.slots[(claim as usize) % self.slots.len()];
-            if slot.seq.load(Ordering::Acquire) != claim + 1 {
-                continue;
-            }
-            let cell = slot.span.lock();
-            // Re-check under the lock: a writer may have re-claimed the
-            // slot between the seq check and the lock.
-            if slot.seq.load(Ordering::Acquire) == claim + 1 {
-                if let Some(span) = cell.as_ref() {
-                    out.push(span.clone());
-                }
-            }
-        }
-        out
+        self.ring.lock().iter().cloned().collect()
     }
 }
 
@@ -111,6 +68,7 @@ mod tests {
     use super::*;
     use crate::id::{SpanId, TraceId};
     use crate::span::SpanStatus;
+    use std::sync::atomic::Ordering;
 
     fn collector(capacity: usize) -> SpanCollector {
         SpanCollector::new(capacity, &MetricsRegistry::new())

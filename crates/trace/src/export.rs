@@ -185,7 +185,8 @@ mod tests {
         pdp.status = SpanStatus::Denied;
         pdp.attrs.push(SpanAttr::decision(false));
         pdp.attrs.push(SpanAttr::cache_hit(true));
-        pdp.attrs.push(SpanAttr::stage("tab\tbed\\"));
+        pdp.attrs
+            .push(SpanAttr::purpose(&Purpose::Custom("tab\tbed\\".into())));
         let other = span(0x2a00000002, 3, None, "publish\u{1}", 5_000, 5_000);
         assert_eq!(
             render_chrome_trace(&[pdp, root, other]),
@@ -198,7 +199,7 @@ mod tests {
                 r#""args":{"trace":"0000002a00000002","status":"ok"}},"#,
                 r#"{"name":"pep.pdp_evaluate","cat":"css","ph":"B","ts":10.000,"pid":1,"tid":1,"#,
                 r#""args":{"trace":"0000002a00000001","status":"denied","decision":"deny","cache_hit":"true","#,
-                r#""stage":"tab\tbed\\"}},"#,
+                r#""purpose":"tab\tbed\\"}},"#,
                 r#"{"name":"pep.pdp_evaluate","cat":"css","ph":"E","ts":905.678,"pid":1,"tid":1},"#,
                 r#"{"name":"detail \"request\"\n","cat":"css","ph":"E","ts":905.678,"pid":1,"tid":1}]}"#,
             )

@@ -14,7 +14,7 @@ use std::str::FromStr;
 ///
 /// The `Display` form is 16 lowercase hex digits (the audit XML and the
 /// Chrome export both use it); [`TraceId::from_str`] parses it back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TraceId(pub u64);
 
 impl TraceId {
@@ -61,7 +61,7 @@ impl FromStr for TraceId {
 }
 
 /// Identifier of one span within its collector, assigned sequentially.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanId(pub u64);
 
 impl SpanId {

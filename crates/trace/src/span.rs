@@ -40,7 +40,7 @@ enum AttrValue {
     Id(u64),
     /// A closed-vocabulary code (event type, purpose code, decision).
     Code(String),
-    /// A static stage/label known at compile time.
+    /// A static label known at compile time.
     Static(&'static str),
     /// A boolean flag.
     Flag(bool),
@@ -50,7 +50,7 @@ enum AttrValue {
 ///
 /// The only way to build one is the closed constructor set below —
 /// every constructor takes a non-identifying platform type (ids, type
-/// codes, purposes, booleans, `&'static str` stage names), never a
+/// codes, purposes, booleans), never a
 /// free-form runtime string. Decrypted person identities and detail
 /// payload fields are therefore unrepresentable in a trace. The
 /// compiler holds both halves: the fields are private, so a struct
@@ -71,8 +71,8 @@ enum AttrValue {
 /// the one that must compile.)
 ///
 /// ```
-/// let attr = css_trace::SpanAttr::stage("pdp_evaluate");
-/// assert_eq!((attr.key(), attr.render_value().as_str()), ("stage", "pdp_evaluate"));
+/// let attr = css_trace::SpanAttr::decision(true);
+/// assert_eq!((attr.key(), attr.render_value().as_str()), ("decision", "permit"));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanAttr {
@@ -121,14 +121,6 @@ impl SpanAttr {
         }
     }
 
-    /// An Algorithm-1/2 stage label (compile-time constant).
-    pub fn stage(name: &'static str) -> SpanAttr {
-        SpanAttr {
-            key: "stage",
-            value: AttrValue::Static(name),
-        }
-    }
-
     /// Whether the PDP answered from its decision cache.
     pub fn cache_hit(hit: bool) -> SpanAttr {
         SpanAttr {
@@ -173,7 +165,7 @@ pub struct Span {
     pub id: SpanId,
     /// The causal parent, `None` for a root span.
     pub parent: Option<SpanId>,
-    /// Static operation name (e.g. `"publish"`, `"pep.pdp_evaluate"`).
+    /// Static operation name (e.g. `"publish"`, `"pdp_evaluate"`).
     pub name: &'static str,
     /// Start offset from the tracer's origin, nanoseconds.
     pub start_ns: u64,
@@ -210,7 +202,6 @@ mod tests {
         );
         assert_eq!(SpanAttr::decision(true).to_string(), "decision=permit");
         assert_eq!(SpanAttr::decision(false).to_string(), "decision=deny");
-        assert_eq!(SpanAttr::stage("pip_resolve").key(), "stage");
         assert_eq!(SpanAttr::cache_hit(true).to_string(), "cache_hit=true");
     }
 

@@ -1,10 +1,11 @@
-//! The tracer, live span guards, and the propagated trace context.
+//! The tracer, live span guards, the propagated trace context, and
+//! the timed pass whose stages are spans.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use css_telemetry::MetricsRegistry;
+use css_telemetry::{clock, MetricsRegistry, StageTimer};
 use css_types::Timestamp;
 
 use crate::collector::SpanCollector;
@@ -46,7 +47,7 @@ impl Tracer {
         Tracer {
             inner: Some(Arc::new(TracerInner {
                 collector: SpanCollector::new(capacity, registry),
-                origin: Instant::now(),
+                origin: clock::now(),
                 trace_seq: AtomicU64::new(1),
                 span_seq: AtomicU64::new(1),
             })),
@@ -65,14 +66,7 @@ impl Tracer {
     /// reproducible ids. On a disabled tracer this returns a no-op
     /// guard whose `trace_id()` is `None`.
     pub fn root(&self, name: &'static str, now: Timestamp) -> SpanGuard {
-        match &self.inner {
-            None => SpanGuard::noop(),
-            Some(inner) => {
-                let counter = inner.trace_seq.fetch_add(1, Ordering::Relaxed);
-                let trace = TraceId::mint(now.as_millis(), counter);
-                SpanGuard::live(self.clone(), trace, None, name)
-            }
-        }
+        SpanGuard::live(self, self.next_trace(now), None, name, clock::now)
     }
 
     /// Copy out the finished spans, oldest first. Empty when disabled.
@@ -93,18 +87,26 @@ impl Tracer {
         self.inner.as_ref().map_or(0, |i| i.collector.dropped())
     }
 
-    fn now_ns(inner: &TracerInner) -> u64 {
-        inner.origin.elapsed().as_nanos() as u64
+    /// `at`'s offset from the tracer's origin, nanoseconds.
+    fn offset_ns(inner: &TracerInner, at: Instant) -> u64 {
+        at.duration_since(inner.origin).as_nanos() as u64
     }
 
-    fn next_span_id(inner: &TracerInner) -> SpanId {
-        SpanId(inner.span_seq.fetch_add(1, Ordering::Relaxed))
+    /// The id of the next trace started at `now`.
+    fn next_trace(&self, now: Timestamp) -> TraceId {
+        let seq = self
+            .inner
+            .as_ref()
+            .map_or(0, |inner| inner.trace_seq.fetch_add(1, Ordering::Relaxed));
+        TraceId::mint(now.as_millis(), seq)
     }
 }
 
 /// A live span. Records itself into the collector exactly once — on
 /// [`SpanGuard::finish`] or, failing that, on `Drop`, so early returns
 /// and panics between stages still leave a (partial) causal record.
+/// The default guard is a no-op one, as a disabled tracer hands out.
+#[derive(Default)]
 pub struct SpanGuard {
     tracer: Tracer,
     trace: TraceId,
@@ -114,46 +116,33 @@ pub struct SpanGuard {
     start_ns: u64,
     status: SpanStatus,
     attrs: Vec<SpanAttr>,
-    done: bool,
+    /// Live and not yet recorded.
+    open: bool,
 }
 
 impl SpanGuard {
-    fn noop() -> SpanGuard {
-        SpanGuard {
-            tracer: Tracer::disabled(),
-            trace: TraceId(0),
-            id: SpanId(0),
-            parent: None,
-            name: "",
-            start_ns: 0,
-            status: SpanStatus::Ok,
-            attrs: Vec::new(),
-            done: true,
-        }
-    }
-
+    /// A span of `tracer` starting at the instant `start` reads; a
+    /// no-op one, reading nothing, when the tracer is disabled.
     fn live(
-        tracer: Tracer,
+        tracer: &Tracer,
         trace: TraceId,
         parent: Option<SpanId>,
         name: &'static str,
+        start: impl FnOnce() -> Instant,
     ) -> SpanGuard {
-        let inner = tracer
-            .inner
-            .as_ref()
-            .expect("live span needs an enabled tracer");
-        let start_ns = Tracer::now_ns(inner);
-        let id = Tracer::next_span_id(inner);
+        let Some(inner) = &tracer.inner else {
+            return SpanGuard::default();
+        };
         SpanGuard {
             tracer: tracer.clone(),
             trace,
-            id,
+            id: SpanId(inner.span_seq.fetch_add(1, Ordering::Relaxed)),
             parent,
             name,
-            start_ns,
+            start_ns: Tracer::offset_ns(inner, start()),
             status: SpanStatus::Ok,
             attrs: Vec::new(),
-            done: false,
+            open: true,
         }
     }
 
@@ -177,36 +166,32 @@ impl SpanGuard {
 
     /// A propagatable context with this span as the parent.
     pub fn context(&self) -> TraceContext {
-        if self.tracer.is_enabled() {
-            TraceContext {
-                tracer: self.tracer.clone(),
-                trace: self.trace,
-                parent: Some(self.id),
-            }
-        } else {
-            TraceContext::disabled()
+        TraceContext {
+            tracer: self.tracer.clone(),
+            trace: self.trace,
+            parent: Some(self.id),
         }
     }
 
     /// End the span now and record it. Idempotent with `Drop`.
     pub fn finish(mut self) {
-        self.record();
+        self.close(clock::now);
     }
 
-    fn record(&mut self) {
-        if self.done {
+    /// Record the span, ending at the instant `end` reads; a span
+    /// already recorded, or a no-op one, reads nothing.
+    fn close(&mut self, end: impl FnOnce() -> Instant) {
+        if !std::mem::take(&mut self.open) {
             return;
         }
-        self.done = true;
         if let Some(inner) = self.tracer.inner.as_ref() {
-            let end_ns = Tracer::now_ns(inner);
             inner.collector.record(Span {
                 trace: self.trace,
                 id: self.id,
                 parent: self.parent,
                 name: self.name,
                 start_ns: self.start_ns,
-                end_ns,
+                end_ns: Tracer::offset_ns(inner, end()),
                 status: self.status,
                 attrs: std::mem::take(&mut self.attrs),
             });
@@ -216,7 +201,7 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        self.record();
+        self.close(clock::now);
     }
 }
 
@@ -230,36 +215,154 @@ pub struct TraceContext {
 }
 
 impl TraceContext {
-    /// A context that produces only no-op children.
-    fn disabled() -> TraceContext {
-        TraceContext {
-            tracer: Tracer::disabled(),
-            trace: TraceId(0),
-            parent: None,
-        }
-    }
-
     /// Start a child span of this context's parent.
     pub fn child(&self, name: &'static str) -> SpanGuard {
-        if self.tracer.is_enabled() {
-            SpanGuard::live(self.tracer.clone(), self.trace, self.parent, name)
-        } else {
-            SpanGuard::noop()
-        }
+        SpanGuard::live(&self.tracer, self.trace, self.parent, name, clock::now)
     }
 
     /// Start a child span of `ctx` when present, a no-op guard when not.
     /// The idiom for optionally-traced call sites.
     pub fn child_opt(ctx: Option<&TraceContext>, name: &'static str) -> SpanGuard {
-        match ctx {
-            Some(c) => c.child(name),
-            None => SpanGuard::noop(),
-        }
+        ctx.map_or_else(SpanGuard::default, |c| c.child(name))
     }
 
     /// The trace id carried by this context; `None` when disabled.
     pub fn trace_id(&self) -> Option<TraceId> {
         self.tracer.is_enabled().then_some(self.trace)
+    }
+}
+
+/// One pass through a staged operation (a publish, an Algorithm 1
+/// detail request), timed and, on an enabled tracer, traced by the same
+/// clock readings.
+///
+/// Each [`stage`](Pass::stage) boundary reads the clock once, through
+/// its [`StageTimer`], and that one reading closes the stage's
+/// histogram observation, its exemplar (the pass's trace id) and, when
+/// the pass is traced, a child span of the root named after the stage.
+/// The root starts at the timer's start and ends at its last boundary,
+/// so an N-stage pass reads the clock N + 1 times, traced or not, and
+/// its stage spans tile the root exactly. A pass dropped without
+/// [`finish`](Pass::finish) closes its open stage as `partial` and its
+/// root [`SpanStatus::Error`], unless it was [denied](Pass::deny).
+///
+/// ```
+/// use css_telemetry::{MetricsRegistry, StageTimer};
+/// use css_trace::{SpanStatus, Tracer};
+/// use css_types::Timestamp;
+///
+/// let registry = MetricsRegistry::new();
+/// let tracer = Tracer::new(16, &registry);
+/// let timer = StageTimer::start(&registry, "stage");
+/// let mut pass = tracer.pass(timer, "detail_request", Timestamp(7));
+/// pass.stage("pip_resolve");
+/// pass.deny();
+/// drop(pass);
+///
+/// let spans = tracer.finished_spans();
+/// let names: Vec<_> = spans.iter().map(|s| (s.name, s.status)).collect();
+/// assert_eq!(
+///     names,
+///     [
+///         ("pip_resolve", SpanStatus::Ok),
+///         ("partial", SpanStatus::Ok),
+///         ("detail_request", SpanStatus::Denied)
+///     ]
+/// );
+/// let total = registry.snapshot().histogram("stage.total").unwrap().sum_ns;
+/// assert_eq!(spans[2].duration_ns(), total);
+/// ```
+pub struct Pass<'a> {
+    timer: StageTimer<'a>,
+    /// A no-op guard when the tracer is disabled.
+    root: SpanGuard,
+}
+
+impl Tracer {
+    /// Start a pass named `name` over `timer`, just started: a trace
+    /// rooted at the timer's start (the trace id seeded from `now`, as
+    /// [`Tracer::root`] seeds it) whose id every histogram record of
+    /// the pass carries as its exemplar. On a disabled tracer the pass
+    /// only times.
+    pub fn pass<'a>(
+        &self,
+        mut timer: StageTimer<'a>,
+        name: &'static str,
+        now: Timestamp,
+    ) -> Pass<'a> {
+        let start = timer.last();
+        let root = SpanGuard::live(self, self.next_trace(now), None, name, || start);
+        if let Some(trace) = root.trace_id() {
+            timer.exemplar(trace.value(), now.as_millis());
+        }
+        Pass { timer, root }
+    }
+}
+
+impl Pass<'_> {
+    /// Close the current stage, named `name`.
+    pub fn stage(&mut self, name: &'static str) {
+        self.stage_with(name, || []);
+    }
+
+    /// Close the current stage, named `name`; when traced, its span
+    /// carries the attributes `attrs` builds (never called untraced).
+    pub fn stage_with<const N: usize>(
+        &mut self,
+        name: &'static str,
+        attrs: impl FnOnce() -> [SpanAttr; N],
+    ) {
+        let from = self.timer.last();
+        let to = self.timer.stage(name);
+        if self.root.open {
+            let root = &self.root;
+            let mut span = SpanGuard::live(&root.tracer, root.trace, Some(root.id), name, || from);
+            span.attrs = attrs().into();
+            span.close(|| to);
+        }
+    }
+
+    /// Attach an attribute to the root span.
+    pub fn attr(&mut self, attr: impl FnOnce() -> SpanAttr) {
+        self.root.attr(attr);
+    }
+
+    /// Mark the pass a denial: its root closes [`SpanStatus::Denied`].
+    pub fn deny(&mut self) {
+        self.root.set_status(SpanStatus::Denied);
+    }
+
+    /// The pass's trace id; `None` when untraced.
+    pub fn trace_id(&self) -> Option<TraceId> {
+        self.root.trace_id()
+    }
+
+    /// A context whose parent is the root, for the spans inside a
+    /// stage that are not stages of the pass (`bus.route`, the
+    /// gateway's).
+    pub fn context(&self) -> TraceContext {
+        self.root.context()
+    }
+
+    /// End the pass at its last boundary: `"{prefix}.total"` and the
+    /// root both close on that reading.
+    pub fn finish(mut self) {
+        let end = self.timer.finish();
+        self.root.close(|| end);
+    }
+}
+
+impl Drop for Pass<'_> {
+    fn drop(&mut self) {
+        // Untraced, the timer's own drop closes the pass.
+        if self.root.open {
+            if self.root.status != SpanStatus::Denied {
+                self.root.status = SpanStatus::Error;
+            }
+            self.stage("partial");
+            let end = self.timer.finish();
+            self.root.close(|| end);
+        }
     }
 }
 
@@ -351,7 +454,7 @@ mod tests {
         let built = std::cell::Cell::new(0);
         let attr = || {
             built.set(built.get() + 1);
-            SpanAttr::stage("pdp_evaluate")
+            SpanAttr::cache_hit(true)
         };
         let mut root = Tracer::disabled().root("r", Timestamp::EPOCH);
         root.attr(attr);
@@ -375,5 +478,68 @@ mod tests {
         assert_eq!(spans[0].attrs.len(), 2);
         assert_eq!(spans[0].attrs[1].to_string(), "decision=deny");
         assert_eq!(spans[0].status, SpanStatus::Denied);
+    }
+
+    /// Three stages and a finish on a `t.*` timer: the spans recorded and
+    /// the clock reads made.
+    fn three_stage_pass(tracer: &Tracer) -> (Vec<Span>, Option<u64>) {
+        let registry = MetricsRegistry::new();
+        let before = clock::reads();
+        let timer = StageTimer::start(&registry, "t");
+        let mut pass = tracer.pass(timer, "r", Timestamp(3));
+        pass.stage("a");
+        pass.stage_with("b", || [SpanAttr::cache_hit(true)]);
+        pass.stage("c");
+        pass.finish();
+        let reads = clock::reads()
+            .zip(before)
+            .map(|(after, before)| after - before);
+        (tracer.finished_spans(), reads)
+    }
+
+    #[test]
+    fn a_pass_reads_the_clock_once_per_boundary_traced_or_not() {
+        let (spans, untraced) = three_stage_pass(&Tracer::disabled());
+        assert!(spans.is_empty());
+        let (spans, traced) = three_stage_pass(&Tracer::new(16, &MetricsRegistry::new()));
+        if cfg!(debug_assertions) {
+            assert_eq!((untraced, traced), (Some(4), Some(4)));
+        }
+        let names: Vec<_> = spans.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["a", "b", "c", "r"]);
+        let root = &spans[3];
+        assert!(spans[..3].iter().all(|s| s.parent == Some(root.id)));
+        assert_eq!(spans[1].attrs, [SpanAttr::cache_hit(true)]);
+        assert_eq!(
+            (spans[0].start_ns, spans[2].end_ns),
+            (root.start_ns, root.end_ns)
+        );
+        assert_eq!(root.status, SpanStatus::Ok);
+    }
+
+    #[test]
+    fn a_pass_dropped_unfinished_closes_its_root_as_an_error() {
+        let tracer = Tracer::new(16, &MetricsRegistry::new());
+        let registry = MetricsRegistry::new();
+        let mut pass = tracer.pass(StageTimer::start(&registry, "t"), "r", Timestamp(3));
+        pass.stage("a");
+        drop(pass);
+        let spans = tracer.finished_spans();
+        let names: Vec<_> = spans.iter().map(|s| (s.name, s.status)).collect();
+        assert_eq!(
+            names,
+            [
+                ("a", SpanStatus::Ok),
+                ("partial", SpanStatus::Ok),
+                ("r", SpanStatus::Error)
+            ]
+        );
+        let snap = registry.snapshot();
+        assert_eq!(
+            snap.histogram("t.total").unwrap().sum_ns,
+            spans[2].duration_ns()
+        );
+        let exemplar = snap.histogram("t.total").unwrap().exemplars[0];
+        assert_eq!(exemplar.trace_id, spans[2].trace.value());
     }
 }

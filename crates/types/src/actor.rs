@@ -90,7 +90,6 @@ impl Actor {
 #[derive(Debug, Default, Clone)]
 pub struct ActorRegistry {
     actors: HashMap<ActorId, Actor>,
-    children: HashMap<ActorId, Vec<ActorId>>,
 }
 
 impl ActorRegistry {
@@ -120,7 +119,6 @@ impl ActorRegistry {
             if parent == actor.id {
                 return Err(CssError::Invalid("actor cannot be its own parent".into()));
             }
-            self.children.entry(parent).or_default().push(actor.id);
         }
         self.actors.insert(actor.id, actor);
         Ok(())
@@ -129,11 +127,6 @@ impl ActorRegistry {
     /// Look up an actor by id.
     pub fn get(&self, id: ActorId) -> Option<&Actor> {
         self.actors.get(&id)
-    }
-
-    /// Look up an actor by exact name.
-    pub fn find_by_name(&self, name: &str) -> Option<&Actor> {
-        self.actors.values().find(|a| a.name == name)
     }
 
     /// Number of registered actors.
@@ -149,11 +142,6 @@ impl ActorRegistry {
     /// Iterate over all registered actors (unspecified order).
     pub fn iter(&self) -> impl Iterator<Item = &Actor> {
         self.actors.values()
-    }
-
-    /// Direct children of an actor.
-    pub fn children_of(&self, id: ActorId) -> &[ActorId] {
-        self.children.get(&id).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// The chain of ancestors of `id`, nearest first, not including `id`.
@@ -292,14 +280,6 @@ mod tests {
             err,
             CssError::AlreadyExists(_) | CssError::Invalid(_)
         ));
-    }
-
-    #[test]
-    fn find_by_name_and_children() {
-        let (reg, hospital, lab, derma, _) = sample();
-        assert_eq!(reg.find_by_name("Laboratory").unwrap().id, lab);
-        let kids = reg.children_of(hospital);
-        assert!(kids.contains(&lab) && kids.contains(&derma));
     }
 
     #[test]

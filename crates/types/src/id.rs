@@ -205,14 +205,6 @@ impl EventTypeId {
         }
         Ok(EventTypeId::new(code, version))
     }
-
-    /// Next version of the same code.
-    pub fn next_version(&self) -> Self {
-        EventTypeId {
-            code: self.code.clone(),
-            version: self.version + 1,
-        }
-    }
 }
 
 impl fmt::Display for EventTypeId {
@@ -466,14 +458,6 @@ mod tests {
         let id = EventTypeId::v1("blood-test");
         let copy = id.clone();
         assert!(std::ptr::eq(id.code(), copy.code()));
-        assert!(std::ptr::eq(id.code(), id.next_version().code()));
-    }
-
-    #[test]
-    fn event_type_next_version() {
-        let id = EventTypeId::v1("discharge");
-        assert_eq!(id.next_version().version(), 2);
-        assert_eq!(id.next_version().code(), "discharge");
     }
 
     #[test]

@@ -105,8 +105,19 @@ struct World {
 }
 
 fn world() -> World {
+    world_traced(None)
+}
+
+/// The world of [`world`], with a tracer keeping `spans` finished spans
+/// when given one.
+fn world_traced(spans: Option<usize>) -> World {
     let clock = SimClock::starting_at(Timestamp(1_000));
-    let mut platform = CssPlatform::in_memory_with_clock(Arc::new(clock.clone()));
+    let builder = CssPlatform::builder().clock(Arc::new(clock.clone()));
+    let builder = match spans {
+        Some(capacity) => builder.tracing(capacity),
+        None => builder,
+    };
+    let mut platform = builder.build().unwrap();
     let hospital = platform.register_organization("Hospital").unwrap();
     platform.join(hospital, Role::Producer).unwrap();
     let ty = EventTypeId::v1("blood-test");
@@ -687,6 +698,66 @@ fn ciphertexts_per_operation() {
     );
 }
 
+/// Monotonic clock reads `op` makes on this thread per call, through
+/// the one clock the stage timers and the tracer share, over `OPS`
+/// calls after `OPS` warm-up calls. The count exists in debug builds
+/// only.
+#[cfg(debug_assertions)]
+fn clock_reads_per_op<I>(input: impl Fn(u64) -> I, mut op: impl FnMut(I)) -> u64 {
+    use css::telemetry::clock;
+    for i in 0..OPS {
+        op(input(i));
+    }
+    let before = clock::reads().unwrap();
+    for i in OPS..2 * OPS {
+        op(input(i));
+    }
+    let total = clock::reads().unwrap() - before;
+    assert_eq!(total % OPS, 0, "{total} clock reads over {OPS} calls");
+    total / OPS
+}
+
+/// An N-stage pass reads the clock N + 1 times, traced or not: its
+/// stage spans and its root are closed by the readings of its stage
+/// boundaries. What a traced operation reads beyond that is the spans
+/// that are not its stages: `bus.route`, a `bus.deliver` per consumer
+/// and the gateway's three Algorithm 2 spans, two reads each.
+#[cfg(debug_assertions)]
+#[test]
+fn clock_reads_per_operation() {
+    let measure = |spans: Option<usize>| -> (u64, u64, u64) {
+        let w = world_traced(spans);
+        let producer = w.platform.producer(w.hospital).unwrap();
+        let subs = subscriptions(&w);
+        let publish = clock_reads_per_op(
+            |i| event(&w.ty, i % 16 + 1),
+            |event| drop(publish_and_deliver(&w, &producer, &subs, event)),
+        );
+        let events: Vec<Delivered> = (1..=16)
+            .map(|patient| publish_and_deliver(&w, &producer, &subs, event(&w.ty, patient)))
+            .collect();
+        let consumer = w.platform.consumer(*w.consumers.last().unwrap()).unwrap();
+        let notification = |i: u64| &events[i as usize % events.len()].message;
+        let permitted = clock_reads_per_op(notification, |n| {
+            consumer
+                .request_details(n, Purpose::HealthcareTreatment)
+                .unwrap();
+        });
+        let denied = clock_reads_per_op(notification, |n| {
+            let refused = consumer.request_details(n, Purpose::StatisticalAnalysis);
+            assert!(matches!(refused, Err(CssError::AccessDenied(_))));
+        });
+        (publish, permitted, denied)
+    };
+    let (untraced, traced) = (measure(None), measure(Some(64)));
+    eprintln!("alloc_budget: clock reads: untraced {untraced:?}, traced {traced:?}");
+    assert_eq!(
+        [untraced, traced],
+        CLOCK_READS,
+        "clock reads per publish + deliver (fan-out 3), permitted and denied detail request, untraced then traced"
+    );
+}
+
 /// Heap blocks a subscriber's `backlog` and the bus's `stats` each ask
 /// for per call, on a bus holding `dead` dead letters.
 fn counter_reads_beside_dead_letters(dead: u64) -> (u64, u64) {
@@ -747,7 +818,8 @@ const INQUIRY_BETWEEN_TEN: u64 = 6711;
 
 // Histogram observations per publish + deliver at fan-out 3, per
 // permitted and per denied detail request: exact counts, not budgets.
-const OBSERVATIONS: (u64, u64, u64) = (13, 7, 6);
+// The permitted request's audit append is its seventh stage.
+const OBSERVATIONS: (u64, u64, u64) = (13, 8, 6);
 
 // Ciphertexts (seals, opens) per publish + deliver at fan-out 3, per
 // permitted and per denied detail request and per inquiry returning
@@ -755,3 +827,13 @@ const OBSERVATIONS: (u64, u64, u64) = (13, 7, 6);
 // reads its citizen's subject off the bucket and opens nothing.
 #[cfg(debug_assertions)]
 const CIPHERTEXTS: [(u64, u64); 4] = [(100, 0), (0, 0), (0, 0), (0, 100)];
+
+// Clock reads per publish + deliver at fan-out 3, per permitted and per
+// denied detail request, untraced then traced: exact counts, not
+// budgets. Untraced, each is its pass's N + 1 (4, 7 and 4 stages, the
+// denial's last one `partial`). Traced, a publish adds `bus.route` and
+// three `bus.deliver`s, a permitted request the gateway's three spans.
+// When a stage and its span each read the clock they were (6, 8, 6)
+// and (18, 26, 16).
+#[cfg(debug_assertions)]
+const CLOCK_READS: [(u64, u64, u64); 2] = [(5, 8, 6), (13, 14, 6)];

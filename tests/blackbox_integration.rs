@@ -306,7 +306,7 @@ fn p99_regression_writes_a_joinable_incident_bundle() {
         "exemplar trace {hex} missing from traces: {bundle}"
     );
     assert!(traces.contains(r#""name":"detail_request""#), "{bundle}");
-    assert!(traces.contains(r#""name":"pep.pdp_evaluate""#), "{bundle}");
+    assert!(traces.contains(r#""name":"pdp_evaluate""#), "{bundle}");
 
     // …and outside the bundle: to the live tracer ring…
     let id = TraceId(u64::from_str_radix(&hex, 16).expect("hex trace id"));

@@ -187,6 +187,7 @@ fn telemetry_matches_audit_after_end_to_end_flow() {
     assert_eq!(
         names("stage."),
         [
+            "stage.audit",
             "stage.consent_check",
             "stage.gateway_retrieve",
             "stage.notified_check",

@@ -6,8 +6,10 @@
 use std::sync::Arc;
 
 use css::audit::{AuditAction, AuditQuery};
+use css::controller::PublishReceipt;
+use css::core::MemoryProvider;
 use css::prelude::*;
-use css::trace::{render_chrome_trace, Span, SpanId, TraceId};
+use css::trace::{render_chrome_trace, Span, SpanId, SpanStatus, TraceId};
 
 fn person(i: u64) -> PersonIdentity {
     PersonIdentity {
@@ -18,9 +20,17 @@ fn person(i: u64) -> PersonIdentity {
     }
 }
 
-/// Build a traced platform, run the full flow once, and return
-/// (finished spans, audit records, notification count).
-fn traced_flow(capacity: usize) -> (css::core::CssPlatform, Vec<Span>) {
+/// A traced platform with a hospital publishing blood tests to a doctor
+/// granted every field for treatment.
+struct Traced {
+    platform: css::core::CssPlatform,
+    clock: SimClock,
+    producer: ProducerHandle<MemoryProvider>,
+    consumer: ConsumerHandle<MemoryProvider>,
+    ty: EventTypeId,
+}
+
+fn traced_world(capacity: usize) -> Traced {
     let clock = SimClock::starting_at(Timestamp(7_000));
     let mut platform = CssPlatform::builder()
         .clock(Arc::new(clock.clone()))
@@ -49,31 +59,48 @@ fn traced_flow(capacity: usize) -> (css::core::CssPlatform, Vec<Span>) {
         .labeled("doctor-bt", "")
         .save()
         .unwrap();
-
     let consumer = platform.consumer(doctor).unwrap();
-    let sub = consumer.subscribe(&ty).unwrap();
+    Traced {
+        platform,
+        clock,
+        producer,
+        consumer,
+        ty,
+    }
+}
 
-    let details = EventDetails::new(ty.clone())
-        .with("PatientId", FieldValue::Integer(7))
-        .with("Result", FieldValue::Text("negative".into()));
-    producer
-        .publish(person(1), "bt", details, clock.now())
-        .unwrap();
+impl Traced {
+    /// Publish a blood test about citizen 1.
+    fn publish(&self) -> CssResult<PublishReceipt> {
+        let details = EventDetails::new(self.ty.clone())
+            .with("PatientId", FieldValue::Integer(7))
+            .with("Result", FieldValue::Text("negative".into()));
+        self.producer
+            .publish(person(1), "bt", details, self.clock.now())
+    }
+}
+
+/// Build a traced platform, run the full flow once, and return
+/// (finished spans, audit records, notification count).
+fn traced_flow(capacity: usize) -> (css::core::CssPlatform, Vec<Span>) {
+    let w = traced_world(capacity);
+    let sub = w.consumer.subscribe(&w.ty).unwrap();
+    w.publish().unwrap();
 
     // The deliver span stays open until the subscriber polls.
     let delivered = sub.next().unwrap().expect("delivered");
     assert!(delivered.trace.is_some(), "delivery carries the trace id");
     let notification = delivered.message;
 
-    let inquired = consumer.inquire_by_person(PersonId(1)).unwrap();
+    let inquired = w.consumer.inquire_by_person(PersonId(1)).unwrap();
     assert_eq!(inquired.len(), 1);
 
-    consumer
+    w.consumer
         .request_details(&notification, Purpose::HealthcareTreatment)
         .unwrap();
 
-    let spans = platform.tracer().finished_spans();
-    (platform, spans)
+    let spans = w.platform.tracer().finished_spans();
+    (w.platform, spans)
 }
 
 fn by_name<'a>(spans: &'a [Span], name: &str) -> &'a Span {
@@ -91,12 +118,12 @@ fn children(spans: &[Span], parent: SpanId) -> Vec<&Span> {
 fn one_flow_yields_three_causal_trees_and_stamped_audit_records() {
     let (platform, spans) = traced_flow(256);
 
-    // ---- publish tree: publish → {bus.route → bus.deliver, index.insert}
+    // ---- publish tree: publish → {bus.route → bus.deliver, index}
     let publish = by_name(&spans, "publish");
     assert!(publish.parent.is_none(), "publish is a root");
     let route = by_name(&spans, "bus.route");
     let deliver = by_name(&spans, "bus.deliver");
-    let insert = by_name(&spans, "index.insert");
+    let insert = by_name(&spans, "index");
     assert_eq!(route.parent, Some(publish.id));
     assert_eq!(deliver.parent, Some(route.id));
     assert_eq!(insert.parent, Some(publish.id));
@@ -122,14 +149,14 @@ fn one_flow_yields_three_causal_trees_and_stamped_audit_records() {
     assert!(detail.parent.is_none());
     let stage_names: Vec<&str> = children(&spans, detail.id).iter().map(|s| s.name).collect();
     for stage in [
-        "pep.pip_resolve",
-        "pep.notified_check",
-        "pep.consent_check",
-        "pep.pdp_evaluate",
+        "pip_resolve",
+        "notified_check",
+        "consent_check",
+        "pdp_evaluate",
         "gateway.retrieve",
         "gateway.parse",
         "gateway.filter",
-        "pep.obligation_filter",
+        "obligation_filter",
     ] {
         assert!(
             stage_names.contains(&stage),
@@ -137,7 +164,7 @@ fn one_flow_yields_three_causal_trees_and_stamped_audit_records() {
         );
         assert_eq!(by_name(&spans, stage).trace, detail.trace);
     }
-    let pdp = by_name(&spans, "pep.pdp_evaluate");
+    let pdp = by_name(&spans, "pdp_evaluate");
     let attrs: Vec<String> = pdp.attrs.iter().map(|a| a.to_string()).collect();
     assert!(attrs.contains(&"cache_hit=false".to_string()), "{attrs:?}");
     assert!(attrs.contains(&"decision=permit".to_string()), "{attrs:?}");
@@ -247,7 +274,7 @@ fn chrome_export_is_valid_json_with_monotonic_ts_and_matched_pairs() {
 
 #[test]
 fn tiny_ring_drops_oldest_spans_but_keeps_the_newest() {
-    // Capacity 4 cannot hold the ~16 spans of a full flow: the ring
+    // Capacity 4 cannot hold the 20 spans of a full flow: the ring
     // must overwrite the oldest (the publish tree) and keep the tail
     // of the detail request, with the loss accounted for.
     let (platform, spans) = traced_flow(4);
@@ -310,4 +337,135 @@ fn untraced_platform_records_nothing_and_omits_trace_dimensions() {
     // Round-trip sanity for the id type used in the audit dimension.
     let id: TraceId = "00000000000003e9".parse().unwrap();
     assert_eq!(id.to_string(), "00000000000003e9");
+}
+
+/// Check the one pass rooted at the span named `root`: its stage spans
+/// (every child but the `bus.` and `gateway.` spans inside a stage) are
+/// `stages`, in order, and tile the root — each starts where the one
+/// before ended, their durations sum to the root's — and the root lasts
+/// exactly the pass's one `total` observation.
+fn assert_stages_tile(w: &Traced, root: &str, total: &str, stages: &[&str]) {
+    let spans = w.platform.tracer().finished_spans();
+    let root = by_name(&spans, root);
+    let staged: Vec<&Span> = children(&spans, root.id)
+        .into_iter()
+        .filter(|s| !s.name.starts_with("bus.") && !s.name.starts_with("gateway."))
+        .collect();
+    let names: Vec<&str> = staged.iter().map(|s| s.name).collect();
+    assert_eq!(names, stages, "stages of {}", root.name);
+    let mut at = root.start_ns;
+    for stage in &staged {
+        assert_eq!(
+            stage.start_ns, at,
+            "{} starts where its stage before ended",
+            stage.name
+        );
+        at = stage.end_ns;
+    }
+    assert_eq!(
+        at, root.end_ns,
+        "the last stage ends the {} root",
+        root.name
+    );
+    let summed: u64 = staged.iter().map(|s| s.duration_ns()).sum();
+    assert_eq!(summed, root.duration_ns(), "stages of {}", root.name);
+    let telemetry = w.platform.telemetry();
+    let total = telemetry.histogram(total).unwrap();
+    assert_eq!(total.count, 1, "{total:?}");
+    assert_eq!(
+        total.sum_ns,
+        root.duration_ns(),
+        "{} root against its total",
+        root.name
+    );
+}
+
+#[test]
+fn stage_spans_tile_their_root_and_the_root_is_the_total() {
+    // A publish: four stages.
+    let w = traced_world(256);
+    let sub = w.consumer.subscribe(&w.ty).unwrap();
+    w.publish().unwrap();
+    let notification = sub.next().unwrap().expect("delivered").message;
+    assert_stages_tile(
+        &w,
+        "publish",
+        "publish.total",
+        &["consent_gate", "route", "index", "audit"],
+    );
+
+    // A permitted detail request: Algorithm 1's six stages and the
+    // audit append.
+    w.consumer
+        .request_details(&notification, Purpose::HealthcareTreatment)
+        .unwrap();
+    assert_stages_tile(
+        &w,
+        "detail_request",
+        "stage.total",
+        &[
+            "pip_resolve",
+            "notified_check",
+            "consent_check",
+            "pdp_evaluate",
+            "gateway_retrieve",
+            "obligation_filter",
+            "audit",
+        ],
+    );
+    let spans = w.platform.tracer().finished_spans();
+    assert_eq!(by_name(&spans, "detail_request").status, SpanStatus::Ok);
+
+    // A denied one, on a registry of its own: the stages it reached,
+    // then the remainder (the refusal's audit append) as `partial`.
+    let w = traced_world(256);
+    let sub = w.consumer.subscribe(&w.ty).unwrap();
+    w.publish().unwrap();
+    let notification = sub.next().unwrap().expect("delivered").message;
+    let refused = w
+        .consumer
+        .request_details(&notification, Purpose::StatisticalAnalysis);
+    assert!(
+        matches!(refused, Err(CssError::AccessDenied(_))),
+        "{refused:?}"
+    );
+    assert_stages_tile(
+        &w,
+        "detail_request",
+        "stage.total",
+        &[
+            "pip_resolve",
+            "notified_check",
+            "consent_check",
+            "pdp_evaluate",
+            "partial",
+        ],
+    );
+    let spans = w.platform.tracer().finished_spans();
+    assert_eq!(by_name(&spans, "detail_request").status, SpanStatus::Denied);
+    let pdp = by_name(&spans, "pdp_evaluate");
+    let attrs: Vec<String> = pdp.attrs.iter().map(|a| a.to_string()).collect();
+    assert!(attrs.contains(&"decision=deny".to_string()), "{attrs:?}");
+}
+
+/// A publish that fails after its pass began closes its root `Error`:
+/// here the one subscription already holds 1 024 undelivered
+/// notifications, so the bus turns the publish away.
+#[test]
+fn a_failed_publish_closes_its_root_as_an_error() {
+    let w = traced_world(64);
+    let sub = w.consumer.subscribe(&w.ty).unwrap();
+    for _ in 0..1024 {
+        w.publish().unwrap();
+    }
+    let rejected = w.publish();
+    assert!(matches!(rejected, Err(CssError::Bus(_))), "{rejected:?}");
+    assert_eq!(sub.backlog().unwrap(), 1024);
+    let spans = w.platform.tracer().finished_spans();
+    let mut roots = spans.iter().rev().filter(|s| s.name == "publish");
+    let (failed, published) = (roots.next().unwrap(), roots.next().unwrap());
+    assert_eq!(failed.status, SpanStatus::Error, "{failed:?}");
+    assert_eq!(published.status, SpanStatus::Ok, "{published:?}");
+    let stages: Vec<&str> = children(&spans, failed.id).iter().map(|s| s.name).collect();
+    assert_eq!(stages, ["consent_gate", "bus.route", "partial"]);
 }
