@@ -248,11 +248,8 @@ impl AuditRecord {
     /// payload, text or binary ([`css_xml::Stored`]).
     pub fn decode<'a>(src: &mut impl XmlSource<'a>) -> CssResult<Self> {
         let bad = |msg: String| CssError::Serialization(format!("AuditRecord: {msg}"));
-        let root = src.root()?;
-        if root != "AuditRecord" {
-            return Err(bad(format!("wrong root <{root}>")));
-        }
-        let (attrs, mut token) = src.attributes([
+        src.root_named("AuditRecord", bad)?;
+        let (attrs, token) = src.attributes([
             "seq",
             "at",
             "actor",
@@ -267,15 +264,10 @@ impl AuditRecord {
             "reason",
         ])?;
         let mut detail = None;
-        while let Some(child) = src.child(token)? {
-            match child {
-                "Detail" if detail.is_none() => {
-                    detail = Some(src.text_content()?.into_owned());
-                }
-                _ => src.skip_element()?,
-            }
-            token = src.next()?;
-        }
+        src.children(["Detail"], token, |src, _, _| {
+            detail = Some(src.text_content()?.into_owned());
+            Ok(())
+        })?;
         src.finish()?;
         let missing = |attr: &str| bad(format!("missing {attr}"));
         let seq: u64 = attrs
@@ -424,14 +416,12 @@ mod tests {
     #[test]
     fn from_xml_rejects_malformed() {
         assert!(AuditRecord::from_xml(&Element::new("Wrong")).is_err());
-        let missing = Element::new("AuditRecord").attr("seq", "1");
+        let missing = css_xml::parse(r#"<AuditRecord seq="1"/>"#).unwrap();
         assert!(AuditRecord::from_xml(&missing).is_err());
-        let bad_action = Element::new("AuditRecord")
-            .attr("seq", "1")
-            .attr("at", "0")
-            .attr("actor", "act-00000001")
-            .attr("action", "espionage")
-            .attr("outcome", "permitted");
+        let bad_action = css_xml::parse(
+            r#"<AuditRecord seq="1" at="0" actor="act-00000001" action="espionage" outcome="permitted"/>"#,
+        )
+        .unwrap();
         assert!(AuditRecord::from_xml(&bad_action).is_err());
     }
 

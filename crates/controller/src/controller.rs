@@ -24,7 +24,7 @@ use css_audit::{AuditAction, AuditQuery, AuditRecord, AuditReport, AuditShards};
 use css_bus::{Bus, PublishOptions, SubscriberHandle, SubscriptionConfig};
 use css_event::{EventSchema, NotificationMessage};
 use css_policy::cache::StabilityInterval;
-use css_policy::{xacml::to_xacml, DetailRequest, PolicyDecisionPoint, PrivacyPolicy};
+use css_policy::{DetailRequest, PolicyDecisionPoint, PrivacyPolicy};
 use css_registry::EventCatalog;
 use css_storage::LogBackend;
 use css_telemetry::{Counter, MetricsRegistry, StageTable};
@@ -411,9 +411,11 @@ impl<B: LogBackend> DataController<B> {
                 policy.actor
             )));
         }
+        let mut xacml = String::new();
+        policy.encode(&mut css_xml::StreamSink::new(&mut xacml));
         let record = AuditRecord::new(self.now(), policy.producer, AuditAction::PolicyChange)
             .event_type(policy.event_type.clone())
-            .with_detail(css_xml::to_string(&to_xacml(&policy)));
+            .with_detail(xacml);
         // The journal's guard orders defines, revokes and consent
         // changes; the PDP's is taken only to look and to apply, never
         // across the commit.

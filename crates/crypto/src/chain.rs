@@ -135,7 +135,7 @@ impl HashChain {
 
     /// Verify an externally stored sequence of links (e.g. reloaded from
     /// disk).
-    pub fn verify_links(links: &[Link]) -> Result<(), ChainVerifyError> {
+    fn verify_links(links: &[Link]) -> Result<(), ChainVerifyError> {
         let mut prev = genesis();
         for (i, link) in links.iter().enumerate() {
             if link.seq != i as u64 {

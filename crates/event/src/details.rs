@@ -466,8 +466,10 @@ mod tests {
         let s = schema();
         let d = details();
         let xml = d.to_xml(&s, Some("src-00000007"));
-        assert_eq!(xml.attribute("srcEventId"), Some("src-00000007"));
         let text = css_xml::to_string(&xml);
+        assert!(
+            text.starts_with(r#"<AutonomyTest type="autonomy-test@v1" srcEventId="src-00000007">"#)
+        );
         let back = EventDetails::from_xml(&s, &css_xml::parse(&text).unwrap()).unwrap();
         assert_eq!(back, d);
     }
@@ -485,19 +487,17 @@ mod tests {
     #[test]
     fn from_xml_rejects_wrong_root_or_type() {
         let s = schema();
-        let other = Element::new("BloodTest").attr("type", "autonomy-test@v1");
+        let other = css_xml::parse(r#"<BloodTest type="autonomy-test@v1"/>"#).unwrap();
         assert!(EventDetails::from_xml(&s, &other).is_err());
-        let wrong_type = Element::new("AutonomyTest").attr("type", "blood-test@v1");
+        let wrong_type = css_xml::parse(r#"<AutonomyTest type="blood-test@v1"/>"#).unwrap();
         assert!(EventDetails::from_xml(&s, &wrong_type).is_err());
     }
 
     #[test]
     fn from_xml_rejects_undeclared_field() {
         let s = schema();
-        let doc = Element::new("AutonomyTest")
-            .attr("type", "autonomy-test@v1")
-            .child(Element::leaf("Hacked", "1"));
-        assert!(EventDetails::from_xml(&s, &doc).is_err());
+        let doc = r#"<AutonomyTest type="autonomy-test@v1"><Hacked>1</Hacked></AutonomyTest>"#;
+        assert!(EventDetails::from_xml(&s, &css_xml::parse(doc).unwrap()).is_err());
     }
 
     #[test]

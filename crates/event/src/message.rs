@@ -349,51 +349,63 @@ impl PrivacyAwareEvent {
         self.details.is_privacy_safe(&self.allowed_fields)
     }
 
-    /// Serialize using the schema's element naming.
-    pub fn to_xml(&self, schema: &EventSchema) -> Element {
-        let mut allowed = Element::new("AllowedFields");
-        for f in self.allowed_fields.iter() {
-            allowed = allowed.child(Element::leaf("Field", f.clone()));
+    /// Write the XML form into `sink`, using the schema's element
+    /// naming — the one encoder: [`PrivacyAwareEvent::to_xml`] builds
+    /// its tree.
+    pub fn encode(&self, schema: &EventSchema, sink: &mut impl XmlSink) {
+        sink.open("PrivacyAwareEvent");
+        sink.attr("eventId", self.global_id);
+        sink.attr("producer", self.producer);
+        sink.open("AllowedFields");
+        for field in self.allowed_fields.iter() {
+            sink.leaf("Field", field);
         }
-        Element::new("PrivacyAwareEvent")
-            .attr("eventId", self.global_id.to_string())
-            .attr("producer", self.producer.to_string())
-            .child(allowed)
-            .child(self.details.to_xml(schema, None))
+        sink.close();
+        self.details.encode(schema, None::<&str>, sink);
+        sink.close();
     }
 
-    /// Parse from the XML form, re-checking the privacy-safety invariant.
+    /// The XML form as a tree.
+    pub fn to_xml(&self, schema: &EventSchema) -> Element {
+        TreeSink::build(|tree| self.encode(schema, tree))
+    }
+
+    /// Parse from the XML form: the decoder fed from the tree.
     pub fn from_xml(schema: &EventSchema, e: &Element) -> CssResult<Self> {
+        Self::decode(schema, &mut TreeSource::new(e))
+    }
+
+    /// The one decoder: read the XML form off `src`, to the end of the
+    /// document, typing the fields via the schema and re-checking the
+    /// privacy-safety invariant. Children come in any order, unknown
+    /// ones are read past, and of a repeated one the first counts.
+    pub fn decode<'a>(schema: &EventSchema, src: &mut impl XmlSource<'a>) -> CssResult<Self> {
         let bad = |msg: String| CssError::Serialization(format!("PrivacyAwareEvent: {msg}"));
-        if e.name != "PrivacyAwareEvent" {
-            return Err(bad(format!("wrong root <{}>", e.name)));
-        }
-        let global_id: GlobalEventId = e
-            .attribute("eventId")
-            .ok_or_else(|| bad("missing eventId".into()))?
-            .parse()
-            .map_err(|err| bad(format!("bad eventId: {err}")))?;
-        let producer: ActorId = e
-            .attribute("producer")
-            .ok_or_else(|| bad("missing producer".into()))?
-            .parse()
-            .map_err(|err| bad(format!("bad producer: {err}")))?;
-        let allowed_fields: BTreeSet<String> = e
-            .find("AllowedFields")
-            .ok_or_else(|| bad("missing <AllowedFields>".into()))?
-            .find_all("Field")
-            .map(|f| f.text_content())
-            .collect();
-        let inner = e
-            .find(&schema.root_element())
-            .ok_or_else(|| bad(format!("missing <{}>", schema.root_element())))?;
-        let details = EventDetails::from_xml(schema, inner)?;
+        src.root_named("PrivacyAwareEvent", bad)?;
+        let (attrs, first) = src.attributes(["eventId", "producer"])?;
+        let names = schema.instance_names();
+        let every = schema.fields.iter().map(|_| true).collect();
+        let (mut allowed, mut details) = (None, None);
+        src.children(["AllowedFields", &names.root], first, |src, at, child| {
+            if at == 0 {
+                let first = src.next()?;
+                let fields = src.texts("Field", first)?.into_iter();
+                allowed = Some(fields.map(Cow::into_owned).collect::<BTreeSet<_>>());
+            } else {
+                let tag = InstanceTag::read(child, src)?;
+                details = Some(EventDetails::decode(schema, &names, tag, src, &every)?);
+            }
+            Ok(())
+        })?;
+        src.finish()?;
+        let allowed_fields = allowed.ok_or_else(|| bad("missing <AllowedFields>".into()))?;
+        let details = details.ok_or_else(|| bad(format!("missing <{}>", names.root)))?;
         if !details.is_privacy_safe(&allowed_fields) {
             return Err(bad("payload exposes fields outside the allowed set".into()));
         }
         Ok(PrivacyAwareEvent {
-            global_id,
-            producer,
+            global_id: attrs.required("eventId", bad)?,
+            producer: attrs.required("producer", bad)?,
             allowed_fields: Arc::new(allowed_fields),
             details,
         })
@@ -484,27 +496,63 @@ mod tests {
         let s = schema();
         // Hand-craft a response that leaks CareNotes while only allowing
         // PatientId — the parser must refuse it.
-        let forged = Element::new("PrivacyAwareEvent")
-            .attr("eventId", "evt-00000005")
-            .attr("producer", "act-00000003")
-            .child(Element::new("AllowedFields").child(Element::leaf("Field", "PatientId")))
-            .child(
-                Element::new("HomeCareServiceEvent")
-                    .attr("type", "home-care-service-event@v1")
-                    .child(Element::leaf("PatientId", "42"))
-                    .child(Element::leaf("CareNotes", "leaked!")),
-            );
-        let err = PrivacyAwareEvent::from_xml(&s, &forged).unwrap_err();
-        assert!(matches!(err, CssError::Serialization(_)));
+        let forged = "<PrivacyAwareEvent eventId=\"evt-00000005\" producer=\"act-00000003\">\
+            <AllowedFields><Field>PatientId</Field></AllowedFields>\
+            <HomeCareServiceEvent type=\"home-care-service-event@v1\">\
+            <PatientId>42</PatientId><CareNotes>leaked!</CareNotes>\
+            </HomeCareServiceEvent></PrivacyAwareEvent>";
+        for err in [
+            PrivacyAwareEvent::from_xml(&s, &css_xml::parse(forged).unwrap()).unwrap_err(),
+            PrivacyAwareEvent::decode(&s, &mut Reader::new(forged)).unwrap_err(),
+        ] {
+            assert!(matches!(err, CssError::Serialization(_)));
+        }
+    }
+
+    /// Every byte the encoder writes is the byte the tree builder
+    /// wrote, escaping included.
+    #[test]
+    fn privacy_aware_wire_form_is_pinned() {
+        let s = EventSchema::new(
+            EventTypeId::v1("home-care-service-event"),
+            "Home Care",
+            ActorId(3),
+        )
+        .field(FieldDef::required("PatientId", FieldKind::Integer))
+        .field(FieldDef::required(
+            "Service",
+            FieldKind::Code(vec!["meal".into(), "bath & <care>".into()]),
+        ))
+        .field(FieldDef::optional("CareNotes", FieldKind::Text).sensitive());
+        let details = EventDetails::new(EventTypeId::v1("home-care-service-event"))
+            .with("PatientId", FieldValue::Integer(42))
+            .with("Service", FieldValue::Code("bath & <care>".into()))
+            .with("CareNotes", FieldValue::Text("patient is diabetic".into()));
+        let resp = PrivacyAwareEvent::release(
+            GlobalEventId(5),
+            ActorId(3),
+            details,
+            allowed(&["PatientId", "Service"]),
+        );
+        let pinned = "<PrivacyAwareEvent eventId=\"evt-00000005\" producer=\"act-00000003\"><AllowedFields><Field>PatientId</Field><Field>Service</Field></AllowedFields><HomeCareServiceEvent type=\"home-care-service-event@v1\"><PatientId>42</PatientId><Service>bath &amp; &lt;care&gt;</Service><CareNotes></CareNotes></HomeCareServiceEvent></PrivacyAwareEvent>";
+        assert_eq!(css_xml::to_string(&resp.to_xml(&s)), pinned);
+        let mut streamed = String::new();
+        resp.encode(&s, &mut css_xml::StreamSink::new(&mut streamed));
+        assert_eq!(streamed, pinned);
+        assert_eq!(
+            PrivacyAwareEvent::decode(&s, &mut Reader::new(pinned)).unwrap(),
+            resp
+        );
     }
 
     #[test]
     fn detail_message_from_xml_requires_src_id() {
         let s = schema();
-        let doc = Element::new("DetailMessage")
-            .attr("producer", "act-00000003")
-            .child(details().to_xml(&s, None));
-        assert!(DetailMessage::from_xml(&s, &doc).is_err());
+        let doc = format!(
+            "<DetailMessage producer=\"act-00000003\">{}</DetailMessage>",
+            css_xml::to_string(&details().to_xml(&s, None))
+        );
+        assert!(DetailMessage::from_xml(&s, &css_xml::parse(&doc).unwrap()).is_err());
     }
 
     fn message() -> DetailMessage {

@@ -6,10 +6,11 @@
 //! details; it validates instances and converts to the `css-xml` schema
 //! form for interchange.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use css_types::{ActorId, CssError, CssResult, EventTypeId};
-use css_xml::Element;
+use css_xml::{Element, TreeSink, TreeSource, XmlSink, XmlSource};
 
 use crate::details::EventDetails;
 use crate::field::{FieldDef, FieldKind, FieldValue};
@@ -168,74 +169,76 @@ impl EventSchema {
         Ok(())
     }
 
-    /// Serialize the schema itself to XML (for the event catalog).
-    pub fn to_xml(&self) -> Element {
-        let mut root = Element::new("EventSchema")
-            .attr("id", self.id.to_string())
-            .attr("name", self.display_name.clone())
-            .attr("producer", self.producer.to_string());
+    /// Write the schema's own XML form (for the event catalog) into
+    /// `sink` — the one encoder: [`EventSchema::to_xml`] builds its
+    /// tree.
+    pub fn encode(&self, sink: &mut impl XmlSink) {
+        sink.open("EventSchema");
+        sink.attr("id", &self.id);
+        sink.attr("name", &self.display_name);
+        sink.attr("producer", self.producer);
         for f in &self.fields {
-            let mut fe = Element::new("Field")
-                .attr("name", f.name.clone())
-                .attr("kind", kind_code(&f.kind))
-                .attr("required", f.required.to_string())
-                .attr("sensitive", f.sensitive.to_string());
+            sink.open("Field");
+            sink.attr("name", &f.name);
+            sink.attr("kind", kind_code(&f.kind));
+            sink.attr("required", f.required);
+            sink.attr("sensitive", f.sensitive);
             if let FieldKind::Code(allowed) = &f.kind {
                 for code in allowed {
-                    fe = fe.child(Element::leaf("Code", code.clone()));
+                    sink.leaf("Code", code);
                 }
             }
-            root = root.child(fe);
+            sink.close();
         }
-        root
+        sink.close();
     }
 
-    /// Parse a schema from its XML form.
+    /// The schema's XML form as a tree.
+    pub fn to_xml(&self) -> Element {
+        TreeSink::build(|tree| self.encode(tree))
+    }
+
+    /// Parse a schema from its XML form: the decoder fed from the tree.
     pub fn from_xml(e: &Element) -> CssResult<Self> {
-        let bad = |msg: &str| CssError::Serialization(format!("EventSchema: {msg}"));
-        if e.name != "EventSchema" {
-            return Err(bad("wrong root element"));
-        }
-        let id: EventTypeId = e
-            .attribute("id")
-            .ok_or_else(|| bad("missing id"))?
-            .parse()
-            .map_err(|err| bad(&format!("bad id: {err}")))?;
-        let display_name = e.attribute("name").ok_or_else(|| bad("missing name"))?;
-        let producer: ActorId = e
-            .attribute("producer")
-            .ok_or_else(|| bad("missing producer"))?
-            .parse()
-            .map_err(|err| bad(&format!("bad producer: {err}")))?;
-        let mut schema = EventSchema::new(id, display_name, producer);
-        for fe in e.find_all("Field") {
-            let name = fe
-                .attribute("name")
-                .ok_or_else(|| bad("field without name"))?;
-            if schema.field_def(name).is_some() {
-                return Err(bad(&format!("duplicate field {name:?}")));
+        Self::decode(&mut TreeSource::new(e))
+    }
+
+    /// The one decoder: read a schema's XML form off `src`, to the end
+    /// of the document. Its `Field` children are the fields, in order;
+    /// other children are read past.
+    pub fn decode<'a>(src: &mut impl XmlSource<'a>) -> CssResult<Self> {
+        let bad = |msg: String| CssError::Serialization(format!("EventSchema: {msg}"));
+        src.root_named("EventSchema", bad)?;
+        let (attrs, first) = src.attributes(["id", "name", "producer"])?;
+        let id = attrs.required("id", bad)?;
+        let display_name: String = attrs.required("name", bad)?;
+        let mut schema = EventSchema::new(id, display_name, attrs.required("producer", bad)?);
+        src.each("Field", first, |src| {
+            let (field, first) = src.attributes(["name", "kind", "required", "sensitive"])?;
+            let codes = src.texts("Code", first)?;
+            let name: String = field.required("name", |_| bad("field without name".into()))?;
+            if schema.field_def(&name).is_some() {
+                return Err(bad(format!("duplicate field {name:?}")));
             }
-            let kind_str = fe
-                .attribute("kind")
-                .ok_or_else(|| bad("field without kind"))?;
-            let kind = match kind_str {
+            let kind: String = field.required("kind", |_| bad("field without kind".into()))?;
+            let kind = match kind.as_str() {
                 "text" => FieldKind::Text,
                 "integer" => FieldKind::Integer,
                 "decimal" => FieldKind::Decimal,
                 "boolean" => FieldKind::Boolean,
                 "datetime" => FieldKind::DateTime,
-                "code" => FieldKind::Code(fe.find_all("Code").map(|c| c.text_content()).collect()),
-                other => return Err(bad(&format!("unknown field kind {other:?}"))),
+                "code" => FieldKind::Code(codes.into_iter().map(Cow::into_owned).collect()),
+                other => return Err(bad(format!("unknown field kind {other:?}"))),
             };
-            let required = fe.attribute("required") == Some("true");
-            let sensitive = fe.attribute("sensitive") == Some("true");
             schema.fields.push(FieldDef {
-                name: name.to_string(),
+                name,
                 kind,
-                required,
-                sensitive,
+                required: field.get("required") == Some("true"),
+                sensitive: field.get("sensitive") == Some("true"),
             });
-        }
+            Ok(())
+        })?;
+        src.finish()?;
         Ok(schema)
     }
 }
@@ -355,6 +358,30 @@ mod tests {
         let text = css_xml::to_string_pretty(&xml);
         let parsed = EventSchema::from_xml(&css_xml::parse(&text).unwrap()).unwrap();
         assert_eq!(parsed, schema);
+    }
+
+    /// Every byte the encoder writes is the byte the tree builder
+    /// wrote, escaping included.
+    #[test]
+    fn the_wire_form_is_pinned() {
+        let schema = EventSchema::new(
+            EventTypeId::v1("home-care-service-event"),
+            "Home <Care> & \"Co\"",
+            ActorId(3),
+        )
+        .field(FieldDef::required("PatientId", FieldKind::Integer))
+        .field(FieldDef::required(
+            "Service",
+            FieldKind::Code(vec!["meal".into(), "bath & <care>".into()]),
+        ))
+        .field(FieldDef::optional("CareNotes", FieldKind::Text).sensitive());
+        let pinned = "<EventSchema id=\"home-care-service-event@v1\" name=\"Home &lt;Care&gt; &amp; &quot;Co&quot;\" producer=\"act-00000003\"><Field name=\"PatientId\" kind=\"integer\" required=\"true\" sensitive=\"false\"/><Field name=\"Service\" kind=\"code\" required=\"true\" sensitive=\"false\"><Code>meal</Code><Code>bath &amp; &lt;care&gt;</Code></Field><Field name=\"CareNotes\" kind=\"text\" required=\"false\" sensitive=\"true\"/></EventSchema>";
+        assert_eq!(css_xml::to_string(&schema.to_xml()), pinned);
+        let mut streamed = String::new();
+        schema.encode(&mut css_xml::StreamSink::new(&mut streamed));
+        assert_eq!(streamed, pinned);
+        let decoded = EventSchema::decode(&mut css_xml::Reader::new(pinned)).unwrap();
+        assert_eq!(decoded, schema);
     }
 
     #[test]

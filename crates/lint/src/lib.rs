@@ -29,7 +29,7 @@
 //! |------------------------|------------------------------------------------------|
 //! | `detail-confinement`   | the detail payload type unnameable in controller/bus/registry/health |
 //! | `identity-taint`       | identity-derived values never flow into bus/health/telemetry sinks |
-//! | `dom-free-read-path`   | at-rest records decoded from tokens or the gateway's record decoder, never via `css_xml::parse` |
+//! | `dom-free-read-path`   | at-rest records, policies and messages decoded from tokens or the gateway's record decoder, never via `css_xml::parse` |
 //! | `layering`             | crate dependencies point strictly down the stack     |
 //!
 //! The gateway's detail store is held by rustc instead: its module is

@@ -121,17 +121,24 @@ impl Rule for IdentityTaint {
 /// (`css_xml::Stored`, over the text or the binary form of a payload),
 /// one decoder per stored type; the gateway's detail records are
 /// decoded directly (`css_event::StoredDetail`, which hands the XML
-/// documents stored before them to the token decoder): nothing on the
-/// request or replay path builds an `Element` tree it would only walk
-/// once and drop — and nothing outside the allowed field set is
-/// materialised on the way out of the gateway. `css_xml::parse` stays
-/// for the paper-facing documents read at open (`css-policy`'s XACML
-/// repository); in the crates below it may appear in
-/// tests only, so the carve-out cannot grow back unnoticed.
+/// documents stored before them to the token decoder); a journaled
+/// policy's XACML and every message type decode from `css_xml::Reader`
+/// tokens: nothing on the request or replay path builds an `Element`
+/// tree it would only walk once and drop — and nothing outside the
+/// allowed field set is materialised on the way out of the gateway. In
+/// the crates below `css_xml::parse` may appear in tests only.
 pub struct DomFreeReadPath;
 
-/// Crates whose production code reads at-rest records.
-const DOM_FREE_CRATES: &[&str] = &["css-gateway", "css-audit", "css-controller", "css-storage"];
+/// Crates whose production code reads at-rest records or the documents
+/// they carry.
+const DOM_FREE_CRATES: &[&str] = &[
+    "css-gateway",
+    "css-audit",
+    "css-controller",
+    "css-storage",
+    "css-policy",
+    "css-event",
+];
 
 impl Rule for DomFreeReadPath {
     fn id(&self) -> &'static str {

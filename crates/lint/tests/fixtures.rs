@@ -122,17 +122,31 @@ fn detail_confinement_ignores_unconfined_crates() {
 
 #[test]
 fn dom_free_read_path_fires_and_clean_passes() {
-    for krate in ["css-audit", "css-gateway", "css-controller", "css-storage"] {
+    for krate in [
+        "css-audit",
+        "css-gateway",
+        "css-controller",
+        "css-storage",
+        "css-policy",
+        "css-event",
+    ] {
         let hits = fire(krate, "dom_free/fire.rs", "dom-free-read-path");
         assert_eq!(hits.len(), 2, "import group + path call: {hits:#?}");
         let clean = fire(krate, "dom_free/clean.rs", "dom-free-read-path");
         assert!(clean.is_empty(), "token decode flagged: {clean:#?}");
     }
-    // The paper-facing formats keep the tree: read at open, queried after.
-    for krate in ["css-policy", "css-registry", "css-event"] {
-        let hits = fire(krate, "dom_free/fire.rs", "dom-free-read-path");
-        assert!(hits.is_empty(), "fired outside the read path: {hits:#?}");
-    }
+    // A crate that reads no stored document is not held to it.
+    let hits = fire("css-registry", "dom_free/fire.rs", "dom-free-read-path");
+    assert!(hits.is_empty(), "fired outside the read path: {hits:#?}");
+}
+
+/// The journal fold reads each define's XACML from tokens: a tree
+/// parse put back into css-policy's reader fails the lint.
+#[test]
+fn dom_free_read_path_fires_on_a_tree_parsed_policy() {
+    let hit = only_finding("css-policy", "dom_free/xacml_fire.rs");
+    assert_eq!((hit.rule, hit.line), ("dom-free-read-path", 8), "{hit:#?}");
+    assert!(hit.message.contains("css-policy"), "{hit:#?}");
 }
 
 #[test]

@@ -218,7 +218,7 @@ impl PolicyDecisionPoint {
     }
 
     /// All policies for an event type, in install order.
-    pub fn policies_for(&self, event_type: &EventTypeId) -> &[PrivacyPolicy] {
+    fn policies_for(&self, event_type: &EventTypeId) -> &[PrivacyPolicy] {
         self.by_type
             .get(event_type)
             .map_or(&[], |class| class.policies.as_slice())

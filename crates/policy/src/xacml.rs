@@ -14,275 +14,266 @@
 //! notation"): policies are compiled once at definition time, so the
 //! mapping never runs on the request path (EXPERIMENTS.md E5).
 
-use css_types::{ActorId, CssError, CssResult, PolicyId, Purpose, Timestamp};
-use css_xml::Element;
+use std::borrow::Cow;
+
+use css_types::{CssError, CssResult, Purpose, Timestamp};
+use css_xml::{Element, Reader, Token, TreeSink, TreeSource, XmlSink, XmlSource};
 
 use crate::model::{PrivacyPolicy, ValidityWindow};
 
 const RULE_COMBINING: &str =
     "urn:oasis:names:tc:xacml:1.0:rule-combining-algorithm:permit-overrides";
 const OBLIGATION_FILTER: &str = "urn:css:obligation:filter-fields";
+const STRING_EQUAL: &str = "urn:oasis:names:tc:xacml:1.0:function:string-equal";
 
-/// Serialize a policy to its XACML document.
-pub fn to_xacml(policy: &PrivacyPolicy) -> Element {
-    let mut root = Element::new("Policy")
-        .attr("PolicyId", policy.id.to_string())
-        .attr("RuleCombiningAlgId", RULE_COMBINING)
-        .attr("Producer", policy.producer.to_string());
-    if !policy.label.is_empty() {
-        root = root.attr("Label", policy.label.clone());
-    }
-    if let Some(t) = policy.validity.not_before {
-        root = root.attr("ValidFrom", t.as_millis().to_string());
-    }
-    if let Some(t) = policy.validity.not_after {
-        root = root.attr("ValidUntil", t.as_millis().to_string());
-    }
-    if policy.revoked {
-        root = root.attr("Revoked", "true");
-    }
-    if !policy.description.is_empty() {
-        root = root.child(Element::leaf("Description", policy.description.clone()));
+/// The `Target`'s sections, in document order: the section, the
+/// element per value and the match element holding the value.
+const SECTIONS: [[&str; 3]; 3] = [
+    ["Subjects", "Subject", "SubjectMatch"],
+    ["Resources", "Resource", "ResourceMatch"],
+    ["Actions", "Action", "ActionMatch"],
+];
+
+impl PrivacyPolicy {
+    /// Write the policy's XACML document into `sink` — the one
+    /// encoder: a define's audit record carries its text
+    /// ([`css_xml::StreamSink`]), [`to_xacml`] builds its tree.
+    pub fn encode(&self, sink: &mut impl XmlSink) {
+        sink.open("Policy");
+        sink.attr("PolicyId", self.id);
+        sink.attr("RuleCombiningAlgId", RULE_COMBINING);
+        sink.attr("Producer", self.producer);
+        if !self.label.is_empty() {
+            sink.attr("Label", &self.label);
+        }
+        if let Some(t) = self.validity.not_before {
+            sink.attr("ValidFrom", t.as_millis());
+        }
+        if let Some(t) = self.validity.not_after {
+            sink.attr("ValidUntil", t.as_millis());
+        }
+        if self.revoked {
+            sink.attr("Revoked", "true");
+        }
+        if !self.description.is_empty() {
+            sink.leaf("Description", &self.description);
+        }
+        sink.open("Target");
+        encode_section(sink, SECTIONS[0], [self.actor]);
+        encode_section(sink, SECTIONS[1], [&self.event_type]);
+        encode_section(sink, SECTIONS[2], self.purposes.iter().map(Purpose::code));
+        sink.close();
+        sink.open("Rule");
+        sink.attr("RuleId", format_args!("{}-rule", self.id));
+        sink.attr("Effect", "Permit");
+        sink.close();
+        sink.open("Obligations");
+        sink.open("Obligation");
+        sink.attr("ObligationId", OBLIGATION_FILTER);
+        sink.attr("FulfillOn", "Permit");
+        for field in &self.fields {
+            sink.open("AttributeAssignment");
+            sink.attr("AttributeId", "urn:css:field");
+            sink.text(field);
+            sink.close();
+        }
+        sink.close();
+        sink.close();
+        sink.close();
     }
 
-    let subjects = Element::new("Subjects").child(
-        Element::new("Subject").child(
-            Element::new("SubjectMatch")
-                .attr(
-                    "MatchId",
-                    "urn:oasis:names:tc:xacml:1.0:function:string-equal",
-                )
-                .child(Element::leaf("AttributeValue", policy.actor.to_string())),
-        ),
-    );
-    let resources = Element::new("Resources").child(
-        Element::new("Resource").child(
-            Element::new("ResourceMatch")
-                .attr(
-                    "MatchId",
-                    "urn:oasis:names:tc:xacml:1.0:function:string-equal",
-                )
-                .child(Element::leaf(
-                    "AttributeValue",
-                    policy.event_type.to_string(),
-                )),
-        ),
-    );
-    let mut actions = Element::new("Actions");
-    for purpose in &policy.purposes {
-        actions = actions.child(
-            Element::new("Action").child(
-                Element::new("ActionMatch")
-                    .attr(
-                        "MatchId",
-                        "urn:oasis:names:tc:xacml:1.0:function:string-equal",
-                    )
-                    .child(Element::leaf("AttributeValue", purpose.code())),
-            ),
-        );
+    /// The one decoder: read a policy's XACML document off `src`, to
+    /// its end. Children of any element may come in any order, and
+    /// those it does not know are read past; of a name it reads once,
+    /// the first counts. A match value counts at any depth of its
+    /// section.
+    pub fn decode<'a>(src: &mut impl XmlSource<'a>) -> CssResult<Self> {
+        let bad = |msg: String| CssError::Serialization(format!("XACML: {msg}"));
+        src.root_named("Policy", bad)?;
+        let (attrs, first) = src.attributes([
+            "PolicyId",
+            "Producer",
+            "Label",
+            "ValidFrom",
+            "ValidUntil",
+            "Revoked",
+        ])?;
+        let (mut description, mut target, mut effect, mut fields) = (None, None, None, None);
+        let children = ["Description", "Target", "Rule", "Obligations"];
+        src.children(children, first, |src, _, child| {
+            match child {
+                "Description" => description = Some(src.text_content()?),
+                "Target" => target = Some(decode_target(src)?),
+                "Rule" => {
+                    let (mut rule, rest) = src.attributes(["Effect"])?;
+                    effect = Some(rule.take("Effect"));
+                    src.skip_rest(rest)?;
+                }
+                _ => fields = Some(decode_obligations(src)?),
+            }
+            Ok(())
+        })?;
+        src.finish()?;
+
+        let id = attrs.required("PolicyId", bad)?;
+        let producer = attrs.required("Producer", bad)?;
+        let [subjects, resources, actions] =
+            target.ok_or_else(|| bad("missing <Target>".into()))?;
+        let actor = subjects
+            .first()
+            .ok_or_else(|| bad("missing subject".into()))?
+            .parse()
+            .map_err(|err| bad(format!("bad subject: {err}")))?;
+        let event_type = resources
+            .first()
+            .ok_or_else(|| bad("missing resource".into()))?
+            .parse()
+            .map_err(|err| bad(format!("bad resource: {err}")))?;
+        let purposes: Vec<Purpose> = actions.iter().map(|s| Purpose::from_code(s)).collect();
+        if purposes.is_empty() {
+            return Err(bad("policy allows no purposes".into()));
+        }
+        // Rule must exist and be a Permit (deny-by-default makes Deny rules
+        // meaningless in this subset).
+        match effect.ok_or_else(|| bad("missing <Rule>".into()))? {
+            Some(effect) if effect == "Permit" => {}
+            _ => return Err(bad("only Permit rules are supported".into())),
+        }
+        let at = |attr: &str| -> CssResult<Option<Timestamp>> {
+            let ms = attrs.get(attr).map(str::parse::<u64>).transpose();
+            Ok(ms
+                .map_err(|err| bad(format!("bad {attr}: {err}")))?
+                .map(Timestamp))
+        };
+        let validity = ValidityWindow {
+            not_before: at("ValidFrom")?,
+            not_after: at("ValidUntil")?,
+        };
+        let fields = fields.unwrap_or_default();
+        let mut policy = PrivacyPolicy::new(id, producer, actor, event_type, purposes, fields)
+            .valid(validity)
+            .labeled(
+                attrs.get("Label").unwrap_or_default(),
+                description.unwrap_or_default(),
+            );
+        if attrs.get("Revoked") == Some("true") {
+            policy.revoke();
+        }
+        Ok(policy)
     }
-    let target = Element::new("Target")
-        .child(subjects)
-        .child(resources)
-        .child(actions);
-
-    let rule = Element::new("Rule")
-        .attr("RuleId", format!("{}-rule", policy.id))
-        .attr("Effect", "Permit");
-
-    let mut obligation = Element::new("Obligation")
-        .attr("ObligationId", OBLIGATION_FILTER)
-        .attr("FulfillOn", "Permit");
-    for field in &policy.fields {
-        obligation = obligation.child(
-            Element::new("AttributeAssignment")
-                .attr("AttributeId", "urn:css:field")
-                .text(field.clone()),
-        );
-    }
-    let obligations = Element::new("Obligations").child(obligation);
-
-    root.child(target).child(rule).child(obligations)
 }
 
-/// Parse a policy back from its XACML document.
-pub fn from_xacml(e: &Element) -> CssResult<PrivacyPolicy> {
-    let bad = |msg: String| CssError::Serialization(format!("XACML: {msg}"));
-    if e.name != "Policy" {
-        return Err(bad(format!("wrong root <{}>", e.name)));
+/// One `Target` section: per value, an element holding a string-equal
+/// match on it.
+fn encode_section<T: std::fmt::Display>(
+    sink: &mut impl XmlSink,
+    [section, item, matcher]: [&str; 3],
+    values: impl IntoIterator<Item = T>,
+) {
+    sink.open(section);
+    for value in values {
+        sink.open(item);
+        sink.open(matcher);
+        sink.attr("MatchId", STRING_EQUAL);
+        sink.leaf("AttributeValue", value);
+        sink.close();
+        sink.close();
     }
-    let id: PolicyId = e
-        .attribute("PolicyId")
-        .ok_or_else(|| bad("missing PolicyId".into()))?
-        .parse()
-        .map_err(|err| bad(format!("bad PolicyId: {err}")))?;
-    let producer: ActorId = e
-        .attribute("Producer")
-        .ok_or_else(|| bad("missing Producer".into()))?
-        .parse()
-        .map_err(|err| bad(format!("bad Producer: {err}")))?;
-    let target = e
-        .find("Target")
-        .ok_or_else(|| bad("missing <Target>".into()))?;
+    sink.close();
+}
 
-    let match_values = |section: &str, match_tag: &str| -> Vec<String> {
-        let mut out = Vec::new();
-        if let Some(sec) = target.find(section) {
-            sec.walk(&mut |el| {
-                if el.name == match_tag {
-                    if let Some(v) = el.find("AttributeValue") {
-                        out.push(v.text_content());
-                    }
-                }
-            });
-        }
-        out
-    };
+/// The match values of the `Target` just opened, per section in
+/// [`SECTIONS`] order: those under the first section of each name.
+fn decode_target<'a>(src: &mut impl XmlSource<'a>) -> CssResult<[Vec<Cow<'a, str>>; 3]> {
+    let mut sections: [Vec<_>; 3] = Default::default();
+    let first = src.next()?;
+    src.children(SECTIONS.map(|names| names[0]), first, |src, at, _| {
+        let first = src.next()?;
+        walk(src, SECTIONS[at][2], first, &mut sections[at], None).map(drop)
+    })?;
+    Ok(sections.map(|values| values.into_iter().flatten().collect()))
+}
 
-    let subjects = match_values("Subjects", "SubjectMatch");
-    let actor: ActorId = subjects
-        .first()
-        .ok_or_else(|| bad("missing subject".into()))?
-        .parse()
-        .map_err(|err| bad(format!("bad subject: {err}")))?;
-
-    let resources = match_values("Resources", "ResourceMatch");
-    let event_type = resources
-        .first()
-        .ok_or_else(|| bad("missing resource".into()))?
-        .parse()
-        .map_err(|err| bad(format!("bad resource: {err}")))?;
-
-    let purposes: Vec<Purpose> = match_values("Actions", "ActionMatch")
-        .iter()
-        .map(|s| Purpose::from_code(s))
-        .collect();
-    if purposes.is_empty() {
-        return Err(bad("policy allows no purposes".into()));
-    }
-
-    // Rule must exist and be a Permit (deny-by-default makes Deny rules
-    // meaningless in this subset).
-    let rule = e.find("Rule").ok_or_else(|| bad("missing <Rule>".into()))?;
-    if rule.attribute("Effect") != Some("Permit") {
-        return Err(bad("only Permit rules are supported".into()));
-    }
-
-    let mut fields = Vec::new();
-    if let Some(obligations) = e.find("Obligations") {
-        for ob in obligations.find_all("Obligation") {
-            if ob.attribute("ObligationId") == Some(OBLIGATION_FILTER) {
-                for assign in ob.find_all("AttributeAssignment") {
-                    fields.push(assign.text_content());
+/// Read the rest of the current element, whose content starts with
+/// `token`, and answer its own text runs, concatenated and trimmed.
+/// Each `matcher` element at any depth inside it takes a slot in
+/// `values`, in document order, holding the text of its first
+/// `AttributeValue` child if it has one; `slot` is the current
+/// element's, if it is a match.
+fn walk<'a>(
+    src: &mut impl XmlSource<'a>,
+    matcher: &str,
+    mut token: Token<'a>,
+    values: &mut Vec<Option<Cow<'a, str>>>,
+    slot: Option<usize>,
+) -> CssResult<Cow<'a, str>> {
+    let mut text = Cow::Borrowed("");
+    loop {
+        match token {
+            Token::Text(run) if text.is_empty() => text = run,
+            Token::Text(run) => text.to_mut().push_str(&run),
+            Token::Open(name) => {
+                let inner = (name == matcher).then(|| {
+                    values.push(None);
+                    values.len() - 1
+                });
+                let first = src.next()?;
+                let own = walk(src, matcher, first, values, inner)?;
+                if let Some(slot) = slot.filter(|_| name == "AttributeValue") {
+                    values[slot].get_or_insert(own);
                 }
             }
+            Token::Close | Token::Eof => {
+                return Ok(match text {
+                    Cow::Borrowed(s) => Cow::Borrowed(s.trim()),
+                    Cow::Owned(s) => Cow::Owned(s.trim().to_string()),
+                })
+            }
+            Token::Attr(..) => {}
         }
+        token = src.next()?;
     }
+}
 
-    let parse_ts = |attr: &str| -> CssResult<Option<Timestamp>> {
-        match e.attribute(attr) {
-            None => Ok(None),
-            Some(raw) => raw
-                .parse::<u64>()
-                .map(|ms| Some(Timestamp(ms)))
-                .map_err(|err| bad(format!("bad {attr}: {err}"))),
+/// The fields of the filter obligations among the children of the
+/// `Obligations` element just opened.
+fn decode_obligations<'a>(src: &mut impl XmlSource<'a>) -> CssResult<Vec<String>> {
+    let mut fields = Vec::new();
+    let first = src.next()?;
+    src.each("Obligation", first, |src| {
+        let (attrs, inner) = src.attributes(["ObligationId"])?;
+        if attrs.get("ObligationId") == Some(OBLIGATION_FILTER) {
+            let assigned = src.texts("AttributeAssignment", inner)?;
+            fields.extend(assigned.into_iter().map(Cow::into_owned));
+            Ok(())
+        } else {
+            Ok(src.skip_rest(inner)?)
         }
-    };
-    let validity = ValidityWindow {
-        not_before: parse_ts("ValidFrom")?,
-        not_after: parse_ts("ValidUntil")?,
-    };
+    })?;
+    Ok(fields)
+}
 
-    let mut policy = PrivacyPolicy::new(id, producer, actor, event_type, purposes, fields)
-        .valid(validity)
-        .labeled(
-            e.attribute("Label").unwrap_or_default(),
-            e.child_text("Description").unwrap_or_default(),
-        );
-    if e.attribute("Revoked") == Some("true") {
-        policy.revoke();
-    }
-    Ok(policy)
+/// Serialize a policy to its XACML document, as a tree.
+pub fn to_xacml(policy: &PrivacyPolicy) -> Element {
+    TreeSink::build(|tree| policy.encode(tree))
+}
+
+/// Parse a policy back from its XACML document's tree.
+pub fn from_xacml(e: &Element) -> CssResult<PrivacyPolicy> {
+    PrivacyPolicy::decode(&mut TreeSource::new(e))
 }
 
 /// Parse a policy from the text of its XACML document, as a
-/// `PolicyChange` audit record carries it.
+/// `PolicyChange` audit record carries it: from its tokens, building
+/// no tree.
 pub fn from_xacml_text(text: &str) -> CssResult<PrivacyPolicy> {
-    let doc = css_xml::parse(text).map_err(|e| CssError::Serialization(e.to_string()))?;
-    from_xacml(&doc)
-}
-
-/// Map a detail request to an XACML `Request` context (Fig. 5: "the
-/// request for details of the data consumer is mapped to an XACML
-/// request by the policy enforcer").
-pub fn to_xacml_request(request: &crate::request::DetailRequest) -> Element {
-    let attribute = |id: &str, value: String| {
-        Element::new("Attribute")
-            .attr("AttributeId", id)
-            .child(Element::leaf("AttributeValue", value))
-    };
-    Element::new("Request")
-        .child(Element::new("Subject").child(attribute(
-            "urn:css:subject:actor",
-            request.actor.to_string(),
-        )))
-        .child(
-            Element::new("Resource")
-                .child(attribute(
-                    "urn:css:resource:event-type",
-                    request.event_type.to_string(),
-                ))
-                .child(attribute(
-                    "urn:css:resource:event-id",
-                    request.event_id.to_string(),
-                )),
-        )
-        .child(Element::new("Action").child(attribute(
-            "urn:css:action:purpose",
-            request.purpose.code().to_string(),
-        )))
-        .child(Element::new("Environment").child(attribute(
-            "urn:css:environment:request-id",
-            request.request_id.to_string(),
-        )))
-}
-
-/// Parse a detail request back from its XACML `Request` context.
-pub fn from_xacml_request(e: &Element) -> CssResult<crate::request::DetailRequest> {
-    let bad = |msg: String| CssError::Serialization(format!("XACML Request: {msg}"));
-    if e.name != "Request" {
-        return Err(bad(format!("wrong root <{}>", e.name)));
-    }
-    let find_attr = |section: &str, id: &str| -> CssResult<String> {
-        e.find(section)
-            .ok_or_else(|| bad(format!("missing <{section}>")))?
-            .find_all("Attribute")
-            .find(|a| a.attribute("AttributeId") == Some(id))
-            .and_then(|a| a.child_text("AttributeValue"))
-            .ok_or_else(|| bad(format!("missing attribute {id}")))
-    };
-    let actor: ActorId = find_attr("Subject", "urn:css:subject:actor")?
-        .parse()
-        .map_err(|err| bad(format!("bad actor: {err}")))?;
-    let event_type = find_attr("Resource", "urn:css:resource:event-type")?
-        .parse()
-        .map_err(|err| bad(format!("bad event type: {err}")))?;
-    let event_id = find_attr("Resource", "urn:css:resource:event-id")?
-        .parse()
-        .map_err(|err| bad(format!("bad event id: {err}")))?;
-    let purpose = Purpose::from_code(&find_attr("Action", "urn:css:action:purpose")?);
-    let request_id = find_attr("Environment", "urn:css:environment:request-id")?
-        .parse()
-        .map_err(|err| bad(format!("bad request id: {err}")))?;
-    Ok(crate::request::DetailRequest::new(
-        request_id, actor, event_type, event_id, purpose,
-    ))
+    PrivacyPolicy::decode(&mut Reader::new(text))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use css_types::EventTypeId;
+    use css_types::{ActorId, EventTypeId, PolicyId};
 
     fn fig8_like_policy() -> PrivacyPolicy {
         // Fig. 8: family doctor may access HomeCareServiceEvent for
@@ -354,62 +345,133 @@ mod tests {
         assert!(back.fields.is_empty());
     }
 
+    /// Fig. 8's policy, as the tree writer wrote it.
+    const FIG8: &str = "<Policy PolicyId=\"pol-00000008\" RuleCombiningAlgId=\"urn:oasis:names:tc:xacml:1.0:rule-combining-algorithm:permit-overrides\" Producer=\"act-00000030\" Label=\"family-doctor-homecare\"><Description>Fig. 8 example policy</Description><Target><Subjects><Subject><SubjectMatch MatchId=\"urn:oasis:names:tc:xacml:1.0:function:string-equal\"><AttributeValue>act-00000012</AttributeValue></SubjectMatch></Subject></Subjects><Resources><Resource><ResourceMatch MatchId=\"urn:oasis:names:tc:xacml:1.0:function:string-equal\"><AttributeValue>home-care-service-event@v1</AttributeValue></ResourceMatch></Resource></Resources><Actions><Action><ActionMatch MatchId=\"urn:oasis:names:tc:xacml:1.0:function:string-equal\"><AttributeValue>healthcare-treatment</AttributeValue></ActionMatch></Action></Actions></Target><Rule RuleId=\"pol-00000008-rule\" Effect=\"Permit\"/><Obligations><Obligation ObligationId=\"urn:css:obligation:filter-fields\" FulfillOn=\"Permit\"><AttributeAssignment AttributeId=\"urn:css:field\">Name</AttributeAssignment><AttributeAssignment AttributeId=\"urn:css:field\">PatientId</AttributeAssignment><AttributeAssignment AttributeId=\"urn:css:field\">Surname</AttributeAssignment></Obligation></Obligations></Policy>";
+
+    fn text_of(p: &PrivacyPolicy) -> String {
+        let mut text = String::new();
+        p.encode(&mut css_xml::StreamSink::new(&mut text));
+        text
+    }
+
     #[test]
     fn document_shape_matches_fig8() {
-        let doc = to_xacml(&fig8_like_policy());
-        assert_eq!(doc.name, "Policy");
-        let target = doc.find("Target").unwrap();
-        assert!(target.find("Subjects").is_some());
-        assert!(target.find("Resources").is_some());
-        assert!(target.find("Actions").is_some());
+        let p = fig8_like_policy();
+        assert_eq!(css_xml::to_string(&to_xacml(&p)), FIG8);
+        assert_eq!(text_of(&p), FIG8);
+    }
+
+    /// Every byte the encoder writes is the byte the tree builder
+    /// wrote: escaping, validity bounds and the revocation included.
+    #[test]
+    fn the_wire_form_is_pinned() {
+        let mut p = PrivacyPolicy::new(
+            PolicyId(8),
+            ActorId(30),
+            ActorId(12),
+            EventTypeId::v1("home-care-service-event"),
+            [
+                Purpose::HealthcareTreatment,
+                Purpose::Custom("pilot <&> \"study\"".into()),
+            ],
+            ["PatientId", "Name", "Surname"].map(String::from),
+        )
+        .valid(ValidityWindow::between(Timestamp(1_000), Timestamp(2_000)))
+        .labeled("<doctor's> \"home\" & care", "Fig. 8 & <more>");
+        p.revoke();
+        let pinned = "<Policy PolicyId=\"pol-00000008\" RuleCombiningAlgId=\"urn:oasis:names:tc:xacml:1.0:rule-combining-algorithm:permit-overrides\" Producer=\"act-00000030\" Label=\"&lt;doctor&apos;s&gt; &quot;home&quot; &amp; care\" ValidFrom=\"1000\" ValidUntil=\"2000\" Revoked=\"true\"><Description>Fig. 8 &amp; &lt;more&gt;</Description><Target><Subjects><Subject><SubjectMatch MatchId=\"urn:oasis:names:tc:xacml:1.0:function:string-equal\"><AttributeValue>act-00000012</AttributeValue></SubjectMatch></Subject></Subjects><Resources><Resource><ResourceMatch MatchId=\"urn:oasis:names:tc:xacml:1.0:function:string-equal\"><AttributeValue>home-care-service-event@v1</AttributeValue></ResourceMatch></Resource></Resources><Actions><Action><ActionMatch MatchId=\"urn:oasis:names:tc:xacml:1.0:function:string-equal\"><AttributeValue>healthcare-treatment</AttributeValue></ActionMatch></Action><Action><ActionMatch MatchId=\"urn:oasis:names:tc:xacml:1.0:function:string-equal\"><AttributeValue>pilot &lt;&amp;&gt; \"study\"</AttributeValue></ActionMatch></Action></Actions></Target><Rule RuleId=\"pol-00000008-rule\" Effect=\"Permit\"/><Obligations><Obligation ObligationId=\"urn:css:obligation:filter-fields\" FulfillOn=\"Permit\"><AttributeAssignment AttributeId=\"urn:css:field\">Name</AttributeAssignment><AttributeAssignment AttributeId=\"urn:css:field\">PatientId</AttributeAssignment><AttributeAssignment AttributeId=\"urn:css:field\">Surname</AttributeAssignment></Obligation></Obligations></Policy>";
+        assert_eq!(css_xml::to_string(&to_xacml(&p)), pinned);
+        assert_eq!(text_of(&p), pinned);
+        assert_eq!(from_xacml_text(pinned).unwrap(), p);
+    }
+
+    /// What the tree reader accepted: children in any order, unknown
+    /// ones read past, the first of a repeated one, match values at any
+    /// depth of their section, and whitespace and comments anywhere.
+    #[test]
+    fn lenient_documents_read_as_they_did() {
+        let text = r#"<Policy Extra="x" Producer="act-00000030" PolicyId="pol-00000009">
+            <Unknown><Target/></Unknown>
+            <Rule Effect="Permit"><Condition/></Rule>
+            <Rule Effect="Deny"/>
+            <Obligations>
+              <Obligation ObligationId="other"><AttributeAssignment>Secret</AttributeAssignment></Obligation>
+              <Obligation ObligationId="urn:css:obligation:filter-fields">
+                <AttributeAssignment> Name </AttributeAssignment><!-- c -->
+                <Note>x</Note>
+              </Obligation>
+            </Obligations>
+            <Target>
+              <Actions><Group><Action><ActionMatch>
+                <Other>no</Other>
+                <AttributeValue>administration<b>x</b></AttributeValue>
+                <AttributeValue>ignored</AttributeValue>
+              </ActionMatch></Action></Group><ActionMatch/></Actions>
+              <Subjects><SubjectMatch><AttributeValue>act-00000002</AttributeValue></SubjectMatch></Subjects>
+              <Subjects><SubjectMatch><AttributeValue>act-00000003</AttributeValue></SubjectMatch></Subjects>
+              <Resources><Resource><Deep><ResourceMatch><AttributeValue><![CDATA[x@v1]]></AttributeValue></ResourceMatch></Deep></Resource></Resources>
+            </Target>
+            <Target/>
+            <Description>first</Description><Description>second</Description>
+          </Policy>"#;
+        let expected = PrivacyPolicy::new(
+            PolicyId(9),
+            ActorId(30),
+            ActorId(2),
+            EventTypeId::v1("x"),
+            [Purpose::Administration],
+            ["Name".to_string()],
+        )
+        .labeled("", "first");
+        assert_eq!(from_xacml_text(text).unwrap(), expected);
         assert_eq!(
-            doc.find("Rule").unwrap().attribute("Effect"),
-            Some("Permit")
+            from_xacml(&css_xml::parse(text).unwrap()).unwrap(),
+            expected
         );
-        let fields: Vec<String> = doc
-            .find("Obligations")
-            .unwrap()
-            .find("Obligation")
-            .unwrap()
-            .find_all("AttributeAssignment")
-            .map(|a| a.text_content())
-            .collect();
-        assert_eq!(fields.len(), 3);
+    }
+
+    /// The text of `p`'s document with the element starting `<{name}`
+    /// cut out.
+    fn without(p: &PrivacyPolicy, name: &str) -> String {
+        let text = text_of(p);
+        let start = text.find(&format!("<{name}")).unwrap();
+        let end = match text.find(&format!("</{name}>")) {
+            Some(at) => at + name.len() + 3,
+            None => start + text[start..].find("/>").unwrap() + 2,
+        };
+        format!("{}{}", &text[..start], &text[end..])
     }
 
     #[test]
     fn from_xacml_rejects_deny_rule() {
-        let mut doc = to_xacml(&fig8_like_policy());
         // Flip the rule effect.
-        for child in &mut doc.children {
-            if let css_xml::Node::Element(el) = child {
-                if el.name == "Rule" {
-                    el.attributes.retain(|(k, _)| k != "Effect");
-                    el.attributes.push(("Effect".into(), "Deny".into()));
-                }
-            }
+        let text = text_of(&fig8_like_policy()).replace("Effect=\"Permit\"", "Effect=\"Deny\"");
+        let refused = "XACML: only Permit rules are supported";
+        for err in [
+            from_xacml_text(&text).unwrap_err(),
+            from_xacml(&css_xml::parse(&text).unwrap()).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&err, CssError::Serialization(m) if m == refused),
+                "{err}"
+            );
         }
-        assert!(from_xacml(&doc).is_err());
     }
 
     #[test]
     fn from_xacml_rejects_missing_parts() {
         let p = fig8_like_policy();
-        let full = to_xacml(&p);
-        // Remove Target → error.
-        let mut no_target = full.clone();
-        no_target
-            .children
-            .retain(|c| !matches!(c, css_xml::Node::Element(e) if e.name == "Target"));
-        assert!(from_xacml(&no_target).is_err());
-        // Remove Rule → error.
-        let mut no_rule = full.clone();
-        no_rule
-            .children
-            .retain(|c| !matches!(c, css_xml::Node::Element(e) if e.name == "Rule"));
-        assert!(from_xacml(&no_rule).is_err());
+        // Remove Target → error; remove Rule → error.
+        for (part, message) in [("Target", "missing <Target>"), ("Rule", "missing <Rule>")] {
+            let text = without(&p, part);
+            assert!(!text.contains(&format!("<{part}")), "{text}");
+            let err = from_xacml_text(&text).unwrap_err();
+            assert!(err.to_string().contains(message), "{err}");
+            assert!(from_xacml(&css_xml::parse(&text).unwrap()).is_err());
+        }
         // Wrong root → error.
         assert!(from_xacml(&Element::new("PolicySet")).is_err());
+        assert!(from_xacml_text("<PolicySet/>").is_err());
     }
 
     #[test]
@@ -422,57 +484,15 @@ mod tests {
             Vec::<Purpose>::new(),
             ["a".to_string()],
         );
-        assert!(from_xacml(&to_xacml(&p)).is_err());
-    }
-}
-
-#[cfg(test)]
-mod request_tests {
-    use super::*;
-    use crate::request::DetailRequest;
-    use css_types::{EventTypeId, GlobalEventId, RequestId};
-
-    fn request() -> DetailRequest {
-        DetailRequest::new(
-            RequestId(44),
-            ActorId(12),
-            EventTypeId::v1("home-care-service-event"),
-            GlobalEventId(9),
-            Purpose::HealthcareTreatment,
-        )
-    }
-
-    #[test]
-    fn request_roundtrip() {
-        let r = request();
-        let text = css_xml::to_string_pretty(&to_xacml_request(&r));
-        let back = from_xacml_request(&css_xml::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn request_context_shape() {
-        let doc = to_xacml_request(&request());
-        assert_eq!(doc.name, "Request");
-        for section in ["Subject", "Resource", "Action", "Environment"] {
-            assert!(doc.find(section).is_some(), "missing <{section}>");
+        let refused = "XACML: policy allows no purposes";
+        for err in [
+            from_xacml(&to_xacml(&p)).unwrap_err(),
+            from_xacml_text(&text_of(&p)).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&err, CssError::Serialization(m) if m == refused),
+                "{err}"
+            );
         }
-    }
-
-    #[test]
-    fn request_parse_rejects_malformed() {
-        assert!(from_xacml_request(&Element::new("Response")).is_err());
-        let mut doc = to_xacml_request(&request());
-        doc.children
-            .retain(|c| !matches!(c, css_xml::Node::Element(e) if e.name == "Action"));
-        assert!(from_xacml_request(&doc).is_err());
-    }
-
-    #[test]
-    fn request_roundtrip_custom_purpose() {
-        let mut r = request();
-        r.purpose = Purpose::Custom("pilot-study".into());
-        let back = from_xacml_request(&to_xacml_request(&r)).unwrap();
-        assert_eq!(back.purpose, r.purpose);
     }
 }

@@ -289,7 +289,7 @@ impl IdGenerator {
     }
 
     /// Issue the next raw value.
-    pub fn next_value(&self) -> u64 {
+    fn next_value(&self) -> u64 {
         self.next.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     }
 

@@ -1,6 +1,6 @@
-//! The XML element tree and its builder API.
-
-use std::fmt;
+//! The XML element tree: a name, attributes and children, no methods
+//! beyond its constructor. What reads a tree replays it through
+//! [`crate::TreeSource`].
 
 /// A node inside an element: either a child element or a run of text.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,157 +31,76 @@ impl Element {
             children: Vec::new(),
         }
     }
-
-    /// Builder: add an attribute.
-    pub fn attr(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.attributes.push((key.into(), value.into()));
-        self
-    }
-
-    /// Builder: add a child element.
-    pub fn child(mut self, child: Element) -> Self {
-        self.children.push(Node::Element(child));
-        self
-    }
-
-    /// Builder: add several child elements.
-    pub fn children(mut self, kids: impl IntoIterator<Item = Element>) -> Self {
-        self.children.extend(kids.into_iter().map(Node::Element));
-        self
-    }
-
-    /// Builder: add a text node.
-    pub fn text(mut self, text: impl Into<String>) -> Self {
-        self.children.push(Node::Text(text.into()));
-        self
-    }
-
-    /// Builder: a leaf element containing only text.
-    pub fn leaf(name: impl Into<String>, text: impl Into<String>) -> Self {
-        Element::new(name).text(text)
-    }
-
-    /// Value of an attribute, if present.
-    pub fn attribute(&self, key: &str) -> Option<&str> {
-        self.attributes
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// First child element with the given name.
-    pub fn find(&self, name: &str) -> Option<&Element> {
-        self.elements().find(|e| e.name == name)
-    }
-
-    /// All child elements with the given name.
-    pub fn find_all<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Element> + 'a {
-        self.elements().filter(move |e| e.name == name)
-    }
-
-    /// All child elements, any name.
-    pub fn elements(&self) -> impl Iterator<Item = &Element> {
-        self.children.iter().filter_map(|n| match n {
-            Node::Element(e) => Some(e),
-            Node::Text(_) => None,
-        })
-    }
-
-    /// Concatenated text content of this element's direct text children,
-    /// trimmed.
-    pub fn text_content(&self) -> String {
-        let mut out = String::new();
-        for n in &self.children {
-            if let Node::Text(t) = n {
-                out.push_str(t);
-            }
-        }
-        out.trim().to_string()
-    }
-
-    /// Text content of the first child element with the given name.
-    pub fn child_text(&self, name: &str) -> Option<String> {
-        self.find(name).map(|e| e.text_content())
-    }
-
-    /// Whether the element has no attributes and no children.
-    pub fn is_empty(&self) -> bool {
-        self.attributes.is_empty() && self.children.is_empty()
-    }
-
-    /// Depth-first walk over this element and all descendants.
-    pub fn walk<'a>(&'a self, visit: &mut dyn FnMut(&'a Element)) {
-        visit(self);
-        for e in self.elements() {
-            e.walk(visit);
-        }
-    }
-
-    /// Total number of elements in the subtree (including self).
-    pub fn subtree_size(&self) -> usize {
-        let mut n = 0;
-        self.walk(&mut |_| n += 1);
-        n
-    }
-}
-
-impl fmt::Display for Element {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&crate::writer::to_string(self))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{parse, Token, TreeSource, XmlSource};
 
+    /// A tree is read through a [`TreeSource`], whose answers are the
+    /// ones the tree's accessors gave before decoders became its only
+    /// readers.
     fn sample() -> Element {
-        Element::new("Event")
-            .attr("id", "evt-1")
-            .child(Element::leaf("Who", "Mario Rossi"))
-            .child(Element::leaf("What", "blood test"))
-            .child(
-                Element::new("Where")
-                    .attr("org", "hospital")
-                    .text("Laboratory"),
-            )
+        let text = r#"<Event id="evt-1"><Who>Mario Rossi</Who><What>blood test</What><Where org="hospital">Laboratory</Where></Event>"#;
+        parse(text).unwrap()
     }
 
     #[test]
     fn builder_and_accessors() {
         let e = sample();
-        assert_eq!(e.attribute("id"), Some("evt-1"));
-        assert_eq!(e.attribute("missing"), None);
-        assert_eq!(e.child_text("Who").unwrap(), "Mario Rossi");
-        assert_eq!(e.find("Where").unwrap().attribute("org"), Some("hospital"));
-        assert!(e.find("Nope").is_none());
+        let mut src = TreeSource::new(&e);
+        assert_eq!(src.root().unwrap(), "Event");
+        let (attrs, first) = src.attributes(["id", "missing"]).unwrap();
+        assert_eq!(attrs.get("id"), Some("evt-1"));
+        assert_eq!(attrs.get("missing"), None);
+        let mut found = Vec::new();
+        src.children(["Who", "Nope", "Where"], first, |src, _, name| {
+            found.push((name, src.text_content()?.into_owned()));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(
+            found,
+            [
+                ("Who", "Mario Rossi".into()),
+                ("Where", "Laboratory".into())
+            ]
+        );
     }
 
     #[test]
     fn find_all_filters_by_name() {
-        let e = Element::new("Fields")
-            .child(Element::leaf("Field", "a"))
-            .child(Element::leaf("Field", "b"))
-            .child(Element::leaf("Other", "c"));
-        let values: Vec<String> = e.find_all("Field").map(|f| f.text_content()).collect();
-        assert_eq!(values, vec!["a", "b"]);
+        let e = parse("<Fields><Field>a</Field><Field>b</Field><Other>c</Other></Fields>").unwrap();
+        let mut src = TreeSource::new(&e);
+        src.root().unwrap();
+        let first = src.next().unwrap();
+        assert_eq!(src.texts("Field", first).unwrap(), ["a", "b"]);
     }
 
     #[test]
     fn text_content_concatenates_and_trims() {
-        let e = Element::new("t").text("  hello ").text("world  ");
-        assert_eq!(e.text_content(), "hello world");
+        let e = Element {
+            children: vec![Node::Text("  hello ".into()), Node::Text("world  ".into())],
+            ..Element::new("t")
+        };
+        let mut src = TreeSource::new(&e);
+        src.root().unwrap();
+        assert_eq!(src.text_content().unwrap(), "hello world");
     }
 
     #[test]
     fn walk_and_subtree_size() {
-        assert_eq!(sample().subtree_size(), 4);
-    }
-
-    #[test]
-    fn is_empty() {
-        assert!(Element::new("e").is_empty());
-        assert!(!Element::new("e").attr("a", "1").is_empty());
-        assert!(!Element::new("e").text("x").is_empty());
+        let e = sample();
+        let mut src = TreeSource::new(&e);
+        let mut elements = 0;
+        loop {
+            match src.next().unwrap() {
+                Token::Open(_) => elements += 1,
+                Token::Eof => break,
+                _ => {}
+            }
+        }
+        assert_eq!(elements, 4);
     }
 }

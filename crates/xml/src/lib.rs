@@ -6,7 +6,8 @@
 //! over the service bus. This crate provides the small, dependency-free
 //! XML subset the platform needs:
 //!
-//! - an element tree model with a builder API ([`Element`]),
+//! - an element tree ([`Element`]), which only the macrobench's probes
+//!   still build and read,
 //! - a sink interface types encode themselves through ([`sink`]):
 //!   streamed straight to text, or built into a tree,
 //! - a writer with correct escaping ([`writer`]),

@@ -1,10 +1,9 @@
 //! Parsing serialized text into an [`Element`] tree.
 //!
 //! The grammar lives in [`crate::reader`]; [`parse`] is its tokens
-//! folded into a tree, for the documents that are queried or shown
-//! after they are read (XACML policies, registry objects, wire
-//! messages). What is only ever decoded — the at-rest logs — pulls the
-//! tokens itself and builds no tree.
+//! folded into a tree. No platform path calls it: every document the
+//! platform reads back is decoded from [`crate::Reader`] tokens, and
+//! the tree stays for the macrobench's probes, its last reader.
 
 use std::fmt;
 
@@ -65,24 +64,52 @@ pub fn parse(input: &str) -> Result<Element, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::doc::Node;
     use crate::writer::{to_string, to_string_pretty};
+
+    fn pair(key: &str, value: &str) -> (String, String) {
+        (key.into(), value.into())
+    }
 
     #[test]
     fn parses_simple_document() {
-        let doc = parse(r#"<a k="v"><b>text</b><c/></a>"#).unwrap();
+        let text = r#"<a k="v"><b>text</b><c/></a>"#;
+        let doc = parse(text).unwrap();
         assert_eq!(doc.name, "a");
-        assert_eq!(doc.attribute("k"), Some("v"));
-        assert_eq!(doc.child_text("b").unwrap(), "text");
-        assert!(doc.find("c").unwrap().is_empty());
+        assert_eq!(doc.attributes, [pair("k", "v")]);
+        let b = Element {
+            children: vec![Node::Text("text".into())],
+            ..Element::new("b")
+        };
+        assert_eq!(
+            doc.children,
+            [Node::Element(b), Node::Element(Element::new("c"))]
+        );
+        assert_eq!(to_string(&doc), text);
     }
 
     #[test]
     fn writer_parser_roundtrip() {
-        let e = Element::new("Policy")
-            .attr("PolicyId", "p-1")
-            .attr("note", r#"quotes " and ' here"#)
-            .child(Element::new("Target").child(Element::leaf("Subject", "family doctor & co")))
-            .child(Element::new("Rule").attr("Effect", "Permit"));
+        let e = Element {
+            attributes: vec![
+                pair("PolicyId", "p-1"),
+                pair("note", r#"quotes " and ' here"#),
+            ],
+            children: vec![
+                Node::Element(Element {
+                    children: vec![Node::Element(Element {
+                        children: vec![Node::Text("family doctor & co".into())],
+                        ..Element::new("Subject")
+                    })],
+                    ..Element::new("Target")
+                }),
+                Node::Element(Element {
+                    attributes: vec![pair("Effect", "Permit")],
+                    ..Element::new("Rule")
+                }),
+            ],
+            ..Element::new("Policy")
+        };
         let compact = parse(&to_string(&e)).unwrap();
         assert_eq!(compact, e);
         let pretty = parse(&to_string_pretty(&e)).unwrap();
@@ -95,13 +122,13 @@ mod tests {
             "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<!-- header -->\n<root>\n  <!-- inner -->\n  <x>1</x>\n</root>\n<!-- trailer -->",
         )
         .unwrap();
-        assert_eq!(doc.child_text("x").unwrap(), "1");
+        assert_eq!(to_string(&doc), "<root><x>1</x></root>");
     }
 
     #[test]
     fn cdata_preserved_verbatim() {
         let doc = parse("<r><![CDATA[a <raw> & b]]></r>").unwrap();
-        assert_eq!(doc.text_content(), "a <raw> & b");
+        assert_eq!(doc.children, [Node::Text("a <raw> & b".into())]);
     }
 
     #[test]
@@ -142,7 +169,7 @@ mod tests {
     #[test]
     fn single_quoted_attributes() {
         let doc = parse("<a k='v \"w\"'/>").unwrap();
-        assert_eq!(doc.attribute("k"), Some("v \"w\""));
+        assert_eq!(doc.attributes, [pair("k", "v \"w\"")]);
     }
 
     #[test]
@@ -154,17 +181,21 @@ mod tests {
     #[test]
     fn entities_in_text_and_attrs() {
         let doc = parse(r#"<a k="1 &lt; 2">&amp;&#65;</a>"#).unwrap();
-        assert_eq!(doc.attribute("k"), Some("1 < 2"));
-        assert_eq!(doc.text_content(), "&A");
+        assert_eq!(doc.attributes, [pair("k", "1 < 2")]);
+        assert_eq!(doc.children, [Node::Text("&A".into())]);
     }
 
     #[test]
     fn deeply_nested_roundtrip() {
-        let mut e = Element::leaf("leaf", "bottom");
-        for i in 0..64 {
-            e = Element::new(format!("level{i}")).child(e);
+        let text = (0..64).fold("<leaf>bottom</leaf>".to_string(), |inner, i| {
+            format!("<level{i}>{inner}</level{i}>")
+        });
+        let parsed = parse(&text).unwrap();
+        assert_eq!(to_string(&parsed), text);
+        let (mut depth, mut at) = (1, &parsed);
+        while let [Node::Element(child)] = at.children.as_slice() {
+            (depth, at) = (depth + 1, child);
         }
-        let parsed = parse(&to_string(&e)).unwrap();
-        assert_eq!(parsed.subtree_size(), 65);
+        assert_eq!((depth, at.name.as_str()), (65, "leaf"));
     }
 }

@@ -6,9 +6,11 @@
 //! closes. Where the tokens come from decides what is read:
 //!
 //! - [`Reader`] tokenizes serialized text in place — the read path of
-//!   the at-rest logs, which hold the bytes and never need the tree;
-//! - [`TreeSource`] replays an [`Element`] tree — for documents that
-//!   were parsed, built or received as one.
+//!   every document the platform reads back: the at-rest logs, a
+//!   journaled policy's XACML, a message;
+//! - [`TreeSource`] replays an [`Element`] tree — what a type's
+//!   `from_xml(&Element)` feeds its decoder, kept for the macrobench's
+//!   probes, the tree's last reader.
 //!
 //! [`crate::parse`] is a fold of a [`Reader`] into a
 //! [`crate::TreeSink`], so the grammar, the name rules and every
@@ -21,6 +23,10 @@
 //! declaration, external entities.
 
 use std::borrow::Cow;
+use std::fmt;
+use std::str::FromStr;
+
+use css_types::{CssError, CssResult};
 
 use crate::doc::{Element, Node};
 use crate::escape::unescape;
@@ -49,7 +55,7 @@ pub enum Token<'a> {
 }
 
 /// Supplier of one document's tokens, pulled one at a time.
-pub trait XmlSource<'a> {
+pub trait XmlSource<'a>: Sized {
     /// The next token. After [`Token::Eof`] every further call returns
     /// it again; after an error the source is spent.
     fn next(&mut self) -> Result<Token<'a>, ParseError>;
@@ -130,9 +136,8 @@ pub trait XmlSource<'a> {
     }
 
     /// The text of the element just opened, read through its end: its
-    /// own text runs concatenated, then trimmed — what
-    /// [`Element::text_content`] answers on the tree. Its attributes
-    /// and child elements are read past.
+    /// own text runs concatenated, then trimmed. Its attributes and
+    /// child elements are read past.
     fn text_content(&mut self) -> Result<Cow<'a, str>, ParseError> {
         let mut text = Cow::Borrowed("");
         loop {
@@ -151,6 +156,75 @@ pub trait XmlSource<'a> {
         })
     }
 
+    /// Open the root element, which must be named `name`; otherwise the
+    /// error is `bad`'s, given `wrong root <found>`.
+    fn root_named(&mut self, name: &str, bad: impl Fn(String) -> CssError) -> CssResult<()> {
+        match self.root()? {
+            root if root == name => Ok(()),
+            root => Err(bad(format!("wrong root <{root}>"))),
+        }
+    }
+
+    /// Read the children of the current element, whose remaining
+    /// content starts with the token `first`, through the element's
+    /// end: `visit` reads the first child of each of `names` from just
+    /// after its name (and is given the name's index and the name),
+    /// every other child is read past.
+    fn children<const N: usize>(
+        &mut self,
+        names: [&str; N],
+        first: Token<'a>,
+        mut visit: impl FnMut(&mut Self, usize, &'a str) -> CssResult<()>,
+    ) -> CssResult<()> {
+        let mut seen = [false; N];
+        let mut token = first;
+        while let Some(child) = self.child(token)? {
+            match names.iter().position(|name| *name == child) {
+                Some(at) if !seen[at] => {
+                    seen[at] = true;
+                    visit(self, at, child)?;
+                }
+                _ => self.skip_element()?,
+            }
+            token = self.next()?;
+        }
+        Ok(())
+    }
+
+    /// Read the children of the current element, whose remaining
+    /// content starts with the token `first`, through the element's
+    /// end: `visit` reads each child named `name` from just after its
+    /// name, every other child is read past.
+    fn each(
+        &mut self,
+        name: &str,
+        first: Token<'a>,
+        mut visit: impl FnMut(&mut Self) -> CssResult<()>,
+    ) -> CssResult<()> {
+        let mut token = first;
+        while let Some(child) = self.child(token)? {
+            if child == name {
+                visit(self)?;
+            } else {
+                self.skip_element()?;
+            }
+            token = self.next()?;
+        }
+        Ok(())
+    }
+
+    /// The text ([`XmlSource::text_content`]) of each child named `name`
+    /// of the current element, whose remaining content starts with the
+    /// token `first`, read through the element's end ([`XmlSource::each`]).
+    fn texts(&mut self, name: &str, first: Token<'a>) -> CssResult<Vec<Cow<'a, str>>> {
+        let mut texts = Vec::new();
+        self.each(name, first, |src| {
+            texts.push(src.text_content()?);
+            Ok(())
+        })?;
+        Ok(texts)
+    }
+
     /// Read to the end of the document: a decoder that has what it
     /// needs still owes the check that the rest is well-formed.
     fn finish(&mut self) -> Result<(), ParseError> {
@@ -160,8 +234,7 @@ pub trait XmlSource<'a> {
 }
 
 /// The attributes a decoder asked an element for by name
-/// ([`XmlSource::attributes`]) — what [`Element::attribute`] answers on
-/// the tree.
+/// ([`XmlSource::attributes`]); of a name given twice, the first.
 pub struct Attributes<'a, const N: usize> {
     names: [&'static str; N],
     values: [Option<Value<'a>>; N],
@@ -196,9 +269,23 @@ impl<'a, const N: usize> Attributes<'a, N> {
         }
     }
 
+    /// The text of an attribute the document must have, parsed as `T`.
+    /// Absent or unparsable, the error is `bad`'s, given `missing
+    /// <name>` or `bad <name>: <why>`.
+    pub fn required<T: FromStr>(&self, name: &str, bad: impl Fn(String) -> CssError) -> CssResult<T>
+    where
+        T::Err: fmt::Display,
+    {
+        let text = self
+            .get(name)
+            .ok_or_else(|| bad(format!("missing {name}")))?;
+        text.parse()
+            .map_err(|err| bad(format!("bad {name}: {err}")))
+    }
+
     /// A number [`crate::XmlSink::attr_int`] wrote: parsed from its
     /// text form, or taken as stored.
-    pub fn int<T: std::str::FromStr + From<u64>>(&self, name: &str) -> Option<Result<T, T::Err>> {
+    pub fn int<T: FromStr + From<u64>>(&self, name: &str) -> Option<Result<T, T::Err>> {
         match self.value(name)? {
             Value::Text(text) => Some(text.parse()),
             Value::Int(n) => Some(Ok(T::from(*n))),
@@ -676,13 +763,49 @@ mod tests {
             src.finish().unwrap();
             out
         }
-        let expected: Vec<String> = ["v", "e", "w"]
-            .iter()
-            .map(|name| tree.child_text(name).unwrap())
-            .collect();
-        assert_eq!(expected, ["ab c", "", ""]);
+        // What the tree's `child_text` answered for `v`, `e` and `w`.
+        let expected = ["ab c", "", ""];
         assert_eq!(drive(Reader::new(text)), expected);
         assert_eq!(drive(TreeSource::new(&tree)), expected);
+    }
+
+    /// The decoders' helpers: the root checked by name, the first child
+    /// of each name visited, every child of one name, required
+    /// attributes worded by the caller.
+    #[test]
+    fn decoder_helpers_read_both_sources_alike() {
+        let text = "<r id='7' bad='x'><a>1</a><b k='v'/><a>2</a><c>3</c><a>4</a></r>";
+        let tree = parse(text).unwrap();
+        fn drive<'a>(mut src: impl XmlSource<'a>) -> Vec<String> {
+            let bad = |msg: String| CssError::Serialization(msg);
+            src.root_named("r", bad).unwrap();
+            let (attrs, first) = src.attributes(["id", "bad", "absent"]).unwrap();
+            assert_eq!(attrs.required::<u64>("id", bad).unwrap(), 7);
+            let err = |name| attrs.required::<u64>(name, bad).unwrap_err().to_string();
+            assert!(err("bad").ends_with("bad bad: invalid digit found in string"));
+            assert!(err("absent").ends_with("missing absent"));
+            let mut firsts = Vec::new();
+            src.children(["c", "a"], first, |src, at, name| {
+                firsts.push(format!("{at} {name} {}", src.text_content()?));
+                Ok(())
+            })
+            .unwrap();
+            src.finish().unwrap();
+            firsts
+        }
+        fn every<'a>(mut src: impl XmlSource<'a>) -> Vec<String> {
+            src.root().unwrap();
+            let first = src.next().unwrap();
+            let texts = src.texts("a", first).unwrap();
+            texts.into_iter().map(Cow::into_owned).collect()
+        }
+        let expected = ["1 a 1", "0 c 3"];
+        assert_eq!(drive(Reader::new(text)), expected);
+        assert_eq!(drive(TreeSource::new(&tree)), expected);
+        assert_eq!(every(Reader::new(text)), ["1", "2", "4"]);
+        assert_eq!(every(TreeSource::new(&tree)), ["1", "2", "4"]);
+        let wrong = Reader::new("<q/>").root_named("r", CssError::Serialization);
+        assert!(matches!(wrong, Err(CssError::Serialization(m)) if m == "wrong root <q>"));
     }
 
     /// Every construct the grammar rejects, with the message and byte
@@ -823,7 +946,10 @@ mod tests {
         // whitespace separates as well as ASCII does.
         assert_eq!(
             parse("<a\u{a0}b = '1'c=\"2\"\u{b}/>").unwrap(),
-            Element::new("a").attr("b", "1").attr("c", "2")
+            Element {
+                attributes: vec![("b".into(), "1".into()), ("c".into(), "2".into())],
+                ..Element::new("a")
+            }
         );
         // Names: any alphanumeric of any script, `:` may lead.
         assert_eq!(parse("<:٣é/>").unwrap(), Element::new(":٣é"));
@@ -831,7 +957,10 @@ mod tests {
         // unescapes to whitespace is none.
         assert_eq!(
             parse("<a><![CDATA[]]>&#32;\u{2028}<![CDATA[ ]]></a>").unwrap(),
-            Element::new("a").text("").text(" ")
+            Element {
+                children: vec![Node::Text("".into()), Node::Text(" ".into())],
+                ..Element::new("a")
+            }
         );
     }
 }

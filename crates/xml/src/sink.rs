@@ -7,8 +7,8 @@
 //! - [`StreamSink`] appends the serialized text straight to a `String`
 //!   — the write path of the at-rest logs, which need the bytes and
 //!   never the tree;
-//! - [`TreeSink`] builds the [`Element`] tree — for documents that are
-//!   read back, queried or shown.
+//! - [`TreeSink`] builds the [`Element`] tree — what a type's `to_xml()`
+//!   returns, kept for the macrobench's probes, the tree's last reader.
 //!
 //! [`crate::to_string`] is a tree walk into a [`StreamSink`], so both
 //! routes produce the same bytes and tag syntax and escaping are
@@ -268,14 +268,23 @@ mod tests {
             r#"<a k="v&quot;1&quot;" n="42"><b>1 &lt; 2</b><c/><d></d></a>"#
         );
         let tree = TreeSink::build(sample);
+        let leaf = |name: &str, text: &str| {
+            Node::Element(Element {
+                children: vec![Node::Text(text.into())],
+                ..Element::new(name)
+            })
+        };
         assert_eq!(
             tree,
-            Element::new("a")
-                .attr("k", "v\"1\"")
-                .attr("n", "42")
-                .child(Element::leaf("b", "1 < 2"))
-                .child(Element::new("c"))
-                .child(Element::leaf("d", ""))
+            Element {
+                attributes: vec![("k".into(), "v\"1\"".into()), ("n".into(), "42".into())],
+                children: vec![
+                    leaf("b", "1 < 2"),
+                    Node::Element(Element::new("c")),
+                    leaf("d", "")
+                ],
+                ..Element::new("a")
+            }
         );
         assert_eq!(crate::to_string(&tree), streamed);
     }

@@ -48,24 +48,48 @@ fn walk(e: &Element, sink: &mut StreamSink<'_>) {
 mod tests {
     use super::*;
 
+    /// The tree of one element, written out as a struct literal.
+    fn element(name: &str, attributes: &[(&str, &str)], children: Vec<Node>) -> Element {
+        Element {
+            name: name.into(),
+            attributes: attributes
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            children,
+        }
+    }
+
+    fn text(t: &str) -> Node {
+        Node::Text(t.into())
+    }
+
     #[test]
     fn compact_serialization() {
-        let e = Element::new("a")
-            .attr("k", "v")
-            .child(Element::leaf("b", "text"))
-            .child(Element::new("c"));
+        let e = element(
+            "a",
+            &[("k", "v")],
+            vec![
+                Node::Element(element("b", &[], vec![text("text")])),
+                Node::Element(Element::new("c")),
+            ],
+        );
         assert_eq!(to_string(&e), r#"<a k="v"><b>text</b><c/></a>"#);
     }
 
     #[test]
     fn escaping_applied() {
-        let e = Element::new("a").attr("q", r#"x"y"#).text("1 < 2 & 3");
+        let e = element("a", &[("q", r#"x"y"#)], vec![text("1 < 2 & 3")]);
         assert_eq!(to_string(&e), r#"<a q="x&quot;y">1 &lt; 2 &amp; 3</a>"#);
     }
 
     #[test]
     fn pretty_keeps_text_leaves_inline() {
-        let e = Element::new("root").child(Element::leaf("name", "Mario"));
+        let e = element(
+            "root",
+            &[],
+            vec![Node::Element(element("name", &[], vec![text("Mario")]))],
+        );
         let s = to_string_pretty(&e);
         assert_eq!(s, "<root>\n  <name>Mario</name>\n</root>\n");
     }
@@ -77,7 +101,11 @@ mod tests {
 
     #[test]
     fn document_string_has_declaration_and_parses() {
-        let e = Element::new("Notification").child(Element::leaf("What", "x"));
+        let e = element(
+            "Notification",
+            &[],
+            vec![Node::Element(element("What", &[], vec![text("x")]))],
+        );
         let doc = to_document_string(&e);
         assert!(doc.starts_with("<?xml version=\"1.0\""));
         assert_eq!(crate::parser::parse(&doc).unwrap(), e);
@@ -85,7 +113,12 @@ mod tests {
 
     #[test]
     fn pretty_nested() {
-        let e = Element::new("a").child(Element::new("b").child(Element::leaf("c", "x")));
+        let c = element("c", &[], vec![text("x")]);
+        let e = element(
+            "a",
+            &[],
+            vec![Node::Element(element("b", &[], vec![Node::Element(c)]))],
+        );
         let s = to_string_pretty(&e);
         assert_eq!(s, "<a>\n  <b>\n    <c>x</c>\n  </b>\n</a>\n");
     }

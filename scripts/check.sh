@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Repo-wide quality gate, eleven steps: formatting, unsafe allowlist,
+# Repo-wide quality gate, twelve steps: formatting, unsafe allowlist,
 # clippy, warning-free rustdoc, css-lint, release build, tests (and the
-# css package's again on one CPU), the runnable examples, then the
+# css package's again on one CPU, and the release-only tests), the
+# runnable examples, then the
 # macrobench package
 # (its tests and a smoke run). Those are the two gates — the tests
 # carry every correctness claim, the macrobench is the one timing
@@ -57,6 +58,11 @@ step "tier-1: tests (whole workspace; one red test hides no suite after it)" \
 # Pinned to one CPU, `default_shard_count()` is 1 whatever the host, so
 # every test that takes the default runs on the one-shard plane too.
 step "tier-1: the css package on one CPU" taskset -c 0 cargo test -q -p css
+# A debug build compiles out the tests that pin what release builds
+# carry: the clock's uncounted reads and the lock shim's std-sized
+# locks. They run here, in release.
+step "tier-1: the release-only tests (css-telemetry, parking_lot)" \
+  cargo test -q --release -p css-telemetry -p parking_lot
 
 # `cargo test` compiles the README's runnable examples but never runs
 # them: each must exit 0. `ops_demo` serves its plane until a deadline

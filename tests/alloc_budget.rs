@@ -789,6 +789,101 @@ fn counter_reads_copy_no_dead_letter() {
     );
 }
 
+/// A policy of Fig. 8's size: one subject, one class, one purpose,
+/// three fields, a label and a description.
+fn fig8_policy(
+    id: css::types::PolicyId,
+    producer: ActorId,
+    actor: ActorId,
+    ty: &EventTypeId,
+) -> PrivacyPolicy {
+    PrivacyPolicy::new(
+        id,
+        producer,
+        actor,
+        ty.clone(),
+        [Purpose::HealthcareTreatment],
+        ["PatientId", "CollectedAt", "Result"].map(String::from),
+    )
+    .labeled("family-doctor-homecare", "Fig. 8 example policy")
+}
+
+/// A define writes the policy's XACML into its audit record.
+#[test]
+fn define_policy_of_fig8_size() {
+    let w = world();
+    let controller = w.platform.controller();
+    let measured = allocations_per_op(
+        |_| {
+            fig8_policy(
+                controller.next_policy_id(),
+                w.hospital,
+                w.consumers[0],
+                &w.ty,
+            )
+        },
+        |policy| controller.define_policy(policy).unwrap(),
+    );
+    assert_within("define_policy of a Fig. 8 policy", measured, DEFINE_POLICY);
+}
+
+/// Heap blocks of reopening, on one shard, a directory whose journal
+/// holds `policies` Fig. 8-sized defines.
+fn reopen_journaling(policies: u64) -> u64 {
+    let dir =
+        std::env::temp_dir().join(format!("css-alloc-fold-{policies}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || {
+        CssPlatform::builder()
+            .provider(css::core::DirProvider::new(&dir).unwrap())
+            .clock(Arc::new(SimClock::starting_at(Timestamp(1_000))))
+            .shards(1)
+            .build()
+            .unwrap()
+    };
+    {
+        let mut platform = open();
+        let hospital = platform.register_organization("Hospital").unwrap();
+        let doctor = platform.register_organization("Doctor").unwrap();
+        platform.join(hospital, Role::Producer).unwrap();
+        platform.join(doctor, Role::Consumer).unwrap();
+        let ty = EventTypeId::v1("blood-test");
+        let schema = ["PatientId", "CollectedAt", "Result"].into_iter().fold(
+            EventSchema::new(ty.clone(), "Blood Test", hospital),
+            |schema, name| schema.field(FieldDef::required(name, FieldKind::Text)),
+        );
+        platform
+            .producer(hospital)
+            .unwrap()
+            .declare(&schema, None)
+            .unwrap();
+        let controller = platform.controller();
+        for _ in 0..policies {
+            let policy = fig8_policy(controller.next_policy_id(), hospital, doctor, &ty);
+            controller.define_policy(policy).unwrap();
+        }
+    }
+    let before = ALLOCATIONS.with(Cell::get);
+    let reopened = open();
+    let counted = ALLOCATIONS.with(Cell::get) - before;
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+    counted
+}
+
+/// Each journaled define is folded back into the decision point at
+/// open: its audit record decoded, its XACML read, the policy
+/// installed.
+#[test]
+fn journaled_policy_folded_at_open() {
+    let (few, many) = (reopen_journaling(8), reopen_journaling(40));
+    assert_within(
+        "journaled Fig. 8 policy folded at open",
+        (many - few) * 100 / 32,
+        FOLD_POLICY,
+    );
+}
+
 // Budgets, in hundredths of an allocation per operation, each what was
 // measured plus ten per cent (EXPERIMENTS.md E23 keeps the history of
 // each). An event class id shares its code, so every audit record,
@@ -815,6 +910,11 @@ const FROM_CANONICAL: u64 = 100;
 const PROFILE_TEN: u64 = 5611;
 const AUDIT_TRAIL_TEN: u64 = 2970;
 const INQUIRY_BETWEEN_TEN: u64 = 6711;
+// A define of a Fig. 8-sized policy 20.02 (106.02 when its XACML was
+// built as a tree and then written), a journaled one folded at open
+// 21.43 (114.43 when its XACML was parsed into a tree and walked).
+const DEFINE_POLICY: u64 = 2202;
+const FOLD_POLICY: u64 = 2357;
 
 // Histogram observations per publish + deliver at fan-out 3, per
 // permitted and per denied detail request: exact counts, not budgets.

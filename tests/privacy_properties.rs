@@ -269,61 +269,88 @@ proptest! {
     /// XML escaping round-trips arbitrary text.
     #[test]
     fn xml_text_roundtrip(text in "[ -~]{0,64}") {
-        let doc = css::xml::Element::new("t").text(text.clone());
+        let doc = css::xml::Element {
+            children: vec![css::xml::Node::Text(text.clone())],
+            ..css::xml::Element::new("t")
+        };
         let parsed = css::xml::parse(&css::xml::to_string(&doc)).unwrap();
-        // Leading/trailing whitespace is normalized away by content
-        // handling; compare trimmed.
-        prop_assert_eq!(parsed.text_content(), text.trim());
+        // A run of only whitespace is no text node; any other keeps its
+        // leading and trailing whitespace.
+        let expected = match text.trim() {
+            "" => vec![],
+            _ => vec![css::xml::Node::Text(text)],
+        };
+        prop_assert_eq!(parsed.children, expected);
     }
 
     /// XML attribute values round-trip exactly (no trimming there).
     #[test]
     fn xml_attr_roundtrip(value in "[ -~]{0,64}") {
-        let doc = css::xml::Element::new("t").attr("v", value.clone());
+        let doc = css::xml::Element {
+            attributes: vec![("v".to_string(), value)],
+            ..css::xml::Element::new("t")
+        };
         let parsed = css::xml::parse(&css::xml::to_string(&doc)).unwrap();
-        prop_assert_eq!(parsed.attribute("v").unwrap(), value);
+        prop_assert_eq!(parsed.attributes, doc.attributes);
     }
 }
 
 // ---- structured XML round-trip -------------------------------------
 
 fn arb_element(depth: u32) -> impl Strategy<Value = css::xml::Element> {
-    let name = "[A-Za-z][A-Za-z0-9]{0,8}";
-    let attr = ("[A-Za-z][A-Za-z0-9]{0,6}", "[ -~]{0,12}");
-    let leaf = (name, proptest::collection::vec(attr, 0..3), "[ -~]{1,16}").prop_map(
-        |(n, attrs, text)| {
-            let mut e = css::xml::Element::new(n);
-            for (k, v) in attrs {
-                if e.attribute(&k).is_none() {
-                    e.attributes.push((k, v));
+    use css::xml::{Element, Node};
+    // Attributes come in any order; a repeated name keeps its first
+    // occurrence, so names stay unique.
+    let attrs = || {
+        proptest::collection::vec(("[A-Za-z][A-Za-z0-9]{0,6}", "[ -~]{0,12}"), 0..3).prop_map(
+            |pairs| {
+                let mut attributes: Vec<(String, String)> = Vec::new();
+                for (k, v) in pairs {
+                    if !attributes.iter().any(|(n, _)| *n == k) {
+                        attributes.push((k, v));
+                    }
                 }
-            }
+                attributes
+            },
+        )
+    };
+    let leaf = ("[A-Za-z][A-Za-z0-9]{0,8}", attrs(), "[ -~]{1,16}").prop_map(
+        |(name, attributes, text)| {
             // Whitespace-only text normalizes away in parsing, so only
             // attach a text node when something survives trimming.
             let text = text.trim().to_string();
-            if text.is_empty() {
-                e
-            } else {
-                e.text(text)
+            let children = match text.is_empty() {
+                true => vec![],
+                false => vec![Node::Text(text)],
+            };
+            Element {
+                name,
+                attributes,
+                children,
             }
         },
     );
     leaf.prop_recursive(depth, 24, 4, move |inner| {
         (
             "[A-Za-z][A-Za-z0-9]{0,8}",
-            proptest::collection::vec(("[A-Za-z][A-Za-z0-9]{0,6}", "[ -~]{0,12}"), 0..3),
+            attrs(),
             proptest::collection::vec(inner, 0..4),
         )
-            .prop_map(|(n, attrs, kids)| {
-                let mut e = css::xml::Element::new(n);
-                for (k, v) in attrs {
-                    if e.attribute(&k).is_none() {
-                        e.attributes.push((k, v));
-                    }
-                }
-                e.children(kids)
+            .prop_map(|(name, attributes, kids)| Element {
+                name,
+                attributes,
+                children: kids.into_iter().map(Node::Element).collect(),
             })
     })
+}
+
+/// Elements in the subtree of `e`, itself included.
+fn subtree_size(e: &css::xml::Element) -> usize {
+    let children = e.children.iter().map(|node| match node {
+        css::xml::Node::Element(child) => subtree_size(child),
+        css::xml::Node::Text(_) => 0,
+    });
+    1 + children.sum::<usize>()
 }
 
 proptest! {
@@ -338,6 +365,6 @@ proptest! {
         // (text inside mixed-content nodes keeps its value because the
         // generator only puts text in leaves).
         let pretty = css::xml::parse(&css::xml::to_string_pretty(&tree)).unwrap();
-        prop_assert_eq!(pretty.subtree_size(), tree.subtree_size());
+        prop_assert_eq!(subtree_size(&pretty), subtree_size(&tree));
     }
 }
