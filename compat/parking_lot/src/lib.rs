@@ -15,10 +15,11 @@
 //! already holds, for read or for write; and a storage write
 //! ([`assert_write_guarded`]) while a lock that does not guard the
 //! written value is held — unless that lock is a *journal* lock
-//! ([`Mutex::journal`]), whose purpose is to order the writes made under
-//! it. Release builds compile all of it out: ranks
-//! and held entries are empty types there, and the checks empty
-//! functions.
+//! ([`Mutex::journal`], [`RwLock::journal`]), whose purpose is to order
+//! the writes made under it. Beside the stack each thread counts its
+//! acquisitions per lock class ([`acquisitions`]). Release builds
+//! compile all of it out: ranks and held entries are empty types there,
+//! the checks empty functions, and nothing is counted.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -288,6 +289,17 @@ impl<T> RwLock<T> {
             inner: sync::RwLock::new(value),
         }
     }
+
+    /// Create a ranked reader-writer lock that orders a journal, as
+    /// [`Mutex::journal`] does: a thread holding it, for read or for
+    /// write, may write storage its value does not hold. Every other
+    /// check holds.
+    pub const fn journal(class: &'static str, rank: u32, value: T) -> Self {
+        RwLock {
+            rank: order::Rank::new(class, rank, true),
+            inner: sync::RwLock::new(value),
+        }
+    }
 }
 
 impl<T: ?Sized> RwLock<T> {
@@ -332,12 +344,23 @@ impl<'a, T: ?Sized> DerefMut for RwLockWriteGuard<'a, T> {
 
 /// Check a storage write of `log` against the locks this thread holds:
 /// it may hold none, or only locks whose value holds `log` (the write
-/// goes through their guard) and journal locks ([`Mutex::journal`]). Anything else panics, naming the write's
-/// site and the held lock's. Compiled out of release builds.
+/// goes through their guard) and journal locks ([`Mutex::journal`],
+/// [`RwLock::journal`]). Anything else panics, naming the write's site
+/// and the held lock's. Compiled out of release builds.
 #[cfg_attr(debug_assertions, track_caller)]
 #[inline(always)]
 pub fn assert_write_guarded<T: ?Sized>(log: &T) {
     order::write(log);
+}
+
+/// The locks this thread has acquired so far, per lock class, classes
+/// in name order: every `lock`, `read`, `write` and successful
+/// `try_lock`. `None` in a release build, which keeps no count.
+pub fn acquisitions() -> Option<Vec<(&'static str, u64)>> {
+    #[cfg(debug_assertions)]
+    return Some(order::acquisitions());
+    #[cfg(not(debug_assertions))]
+    None
 }
 
 /// The held-lock stack of debug builds (see the crate docs). In release
@@ -347,7 +370,7 @@ mod order {
     pub(crate) const LEAF: u32 = u32::MAX;
 
     #[cfg(debug_assertions)]
-    pub(crate) use checked::{released_while, write, Held, Rank};
+    pub(crate) use checked::{acquisitions, released_while, write, Held, Rank};
     #[cfg(not(debug_assertions))]
     pub(crate) use unchecked::{released_while, write, Held, Rank};
 
@@ -397,6 +420,8 @@ mod order {
 
         thread_local! {
             static HELD: RefCell<Vec<Entry>> = const { RefCell::new(Vec::new()) };
+            /// Acquisitions made, per lock class.
+            static TAKEN: RefCell<Vec<(&'static str, u64)>> = const { RefCell::new(Vec::new()) };
         }
 
         fn at<T: ?Sized>(value: &T) -> usize {
@@ -443,6 +468,12 @@ mod order {
                 let bytes = at(lock)..at(lock) + std::mem::size_of_val(lock);
                 let (rank, site) = (*self, Location::caller());
                 HELD.with_borrow_mut(|held| held.push(Entry { bytes, rank, site }));
+                TAKEN.with_borrow_mut(|taken| {
+                    match taken.iter_mut().find(|(class, _)| *class == self.0) {
+                        Some((_, n)) => *n += 1,
+                        None => taken.push((self.0, 1)),
+                    }
+                });
                 Held(at(lock))
             }
         }
@@ -473,6 +504,12 @@ mod order {
                 HELD.with_borrow_mut(|held| held.insert(i.min(held.len()), entry));
             }
             out
+        }
+
+        pub(crate) fn acquisitions() -> Vec<(&'static str, u64)> {
+            let mut taken = TAKEN.with_borrow(Vec::clone);
+            taken.sort_unstable();
+            taken
         }
 
         #[track_caller]
@@ -570,6 +607,53 @@ mod tests {
         assert_eq!(*l.read(), 5);
         *l.write() = 7;
         assert_eq!(*l.read(), 7);
+    }
+
+    /// Each thread counts its own acquisitions, per class; a failed
+    /// `try_lock` acquires nothing.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn every_acquisition_is_counted_per_class_on_its_own_thread() {
+        let count = |class| {
+            let taken = acquisitions().unwrap();
+            taken
+                .iter()
+                .find(|(c, _)| *c == class)
+                .map_or(0, |(_, n)| *n)
+        };
+        let routes = RwLock::journal("counted routes", 10, ());
+        let shard = Arc::new(Mutex::ranked("counted shard", 50, ()));
+        drop(routes.read());
+        drop(routes.write());
+        let held = shard.lock();
+        let other = Arc::clone(&shard);
+        let failed = std::thread::spawn(move || {
+            assert!(other.try_lock().is_none());
+            count("counted shard")
+        });
+        assert_eq!(failed.join().unwrap(), 0);
+        drop(held);
+        drop(shard.try_lock());
+        assert_eq!((count("counted routes"), count("counted shard")), (2, 2));
+        let elsewhere = std::thread::spawn(move || {
+            drop(shard.lock());
+            count("counted routes")
+        });
+        assert_eq!(elsewhere.join().unwrap(), 0);
+        assert_eq!(count("counted shard"), 2);
+    }
+
+    /// Release builds count no acquisition.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn release_acquisitions_are_not_counted() {
+        drop(RwLock::journal("routes", 10, ()).read());
+        drop(Mutex::new(0).lock());
+        assert_eq!(acquisitions(), None);
+        assert_eq!(
+            std::mem::size_of::<RwLockReadGuard<'_, u64>>(),
+            std::mem::size_of::<sync::RwLockReadGuard<'_, u64>>()
+        );
     }
 
     /// Release builds carry no rank and no key: a lock is its std lock.

@@ -1,33 +1,33 @@
-//! What a publish passes and gets back ([`PublishOptions`],
-//! [`PublishOutcome`]) and what a member reads of its delivery group
-//! ([`GroupSnapshot`]). The verbs themselves are [`crate::Bus`]'s and
-//! [`crate::SubscriberHandle`]'s own methods, over the one broker state;
-//! every method is a plain blocking call: no async runtime enters the
-//! platform.
+//! What a publish passes ([`PublishOptions`]). The verbs themselves
+//! are [`crate::Bus`]'s, [`crate::Admission`]'s and
+//! [`crate::SubscriberHandle`]'s own methods, over the one broker
+//! state; every method is a plain blocking call: no async runtime
+//! enters the platform.
 
 use css_trace::TraceContext;
 
-use crate::stats::SubscriptionStats;
-
-/// Per-publish options: an idempotency key and an optional trace.
+/// Per-publish options: an optional trace, and a key the broker ignores.
 ///
 /// Borrowed and `Copy`, so hot paths build one on the stack per call.
 #[derive(Default, Clone, Copy)]
 pub struct PublishOptions<'a> {
-    /// Producer-chosen idempotency key. A publish whose key was already
-    /// seen within the topic's dedup window is dropped, not routed.
+    /// Ignored: no key deduplicates a publish. The events index's claim
+    /// of each source event is the platform's idempotence check. The
+    /// field is kept only because the frozen E23 macrobench
+    /// (`crates/bench/examples/macrobench`) passes a key.
     pub dedup_key: Option<&'a str>,
     /// Trace to continue: routing and delivery record spans under it.
     pub trace: Option<&'a TraceContext>,
 }
 
 impl<'a> PublishOptions<'a> {
-    /// Options with no dedup key and no trace.
+    /// Options with no key and no trace.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Attach an idempotency key.
+    /// Attach a key, which the broker ignores (see
+    /// [`PublishOptions::dedup_key`]).
     pub fn dedup_key(mut self, key: &'a str) -> Self {
         self.dedup_key = Some(key);
         self
@@ -38,42 +38,6 @@ impl<'a> PublishOptions<'a> {
         self.trace = Some(ctx);
         self
     }
-}
-
-/// What happened to a publish.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PublishOutcome {
-    /// Enqueued for this many delivery groups (0 = no subscribers).
-    Routed(usize),
-    /// Dropped: the dedup key was already seen in the topic's window.
-    DuplicateDropped,
-}
-
-impl PublishOutcome {
-    /// Delivery groups the message was enqueued for (0 for a duplicate).
-    pub fn routed(&self) -> usize {
-        match self {
-            PublishOutcome::Routed(n) => *n,
-            PublishOutcome::DuplicateDropped => 0,
-        }
-    }
-
-    /// Whether the publish was dropped as a duplicate.
-    pub fn is_duplicate(&self) -> bool {
-        matches!(self, PublishOutcome::DuplicateDropped)
-    }
-}
-
-/// One delivery group as a member sees it
-/// ([`crate::SubscriberHandle::group`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GroupSnapshot {
-    /// Messages queued for the group (excluding in-flight).
-    pub queued: usize,
-    /// Deliveries currently awaiting ack/nack.
-    pub in_flight: usize,
-    /// The group's counters, shared by all its members.
-    pub stats: SubscriptionStats,
 }
 
 #[cfg(test)]
@@ -87,14 +51,6 @@ mod tests {
         let opts = PublishOptions::new().dedup_key("k");
         assert_eq!(opts.dedup_key, Some("k"));
         assert!(opts.trace.is_none());
-    }
-
-    #[test]
-    fn outcome_accessors() {
-        assert_eq!(PublishOutcome::Routed(3).routed(), 3);
-        assert!(!PublishOutcome::Routed(3).is_duplicate());
-        assert_eq!(PublishOutcome::DuplicateDropped.routed(), 0);
-        assert!(PublishOutcome::DuplicateDropped.is_duplicate());
     }
 
     #[test]

@@ -8,16 +8,18 @@
 //! [`Bus`]: a cloneable handle over the shared state, whose clones are
 //! the one broker.
 //!
-//! - the verbs are methods of the two handles: [`Bus`] declares topics
+//! - the verbs are methods of the handles: [`Bus`] declares topics
 //!   (`create_topic`), attaches members (`subscribe`,
 //!   `subscribe_group`), closes a member's group to later publishes
-//!   (`close`) and routes (`publish_opts`); a [`SubscriberHandle`]
+//!   (`close`) and admits a publish (`admit`), whose [`Admission`]
+//!   enqueues it (`send`) or, dropped unsent, gives its slots back
+//!   (`publish_opts` is the two in one call); a [`SubscriberHandle`]
 //!   takes and holds (`poll`, `poll_for`), acknowledges (`ack`,
 //!   `nack`), takes and acknowledges in one visit (`take`,
-//!   `take_for`), reads its group (`group`, `backlog`, `in_flight`,
-//!   `stats`) and leaves
-//!   (`unsubscribe`); [`Bus::stats`] reads the broker's counters and
-//!   [`Bus::dead_letters`] alone copies the dead-letter queue,
+//!   `take_for`), reads its group (`backlog`, `in_flight`, `stats`)
+//!   and leaves (`unsubscribe`); [`Bus::stats`] reads the broker's
+//!   counters and [`Bus::dead_letters`] alone copies the dead-letter
+//!   queue,
 //! - named **topics** (one per class of events),
 //! - **delivery groups** with explicit acknowledgement: a private group
 //!   per subscriber gives classic fan-out, while N members of a named
@@ -27,12 +29,9 @@
 //!   back at the head of the queue for another attempt; the nack of its
 //!   [`MAX_ATTEMPTS`]th delivery moves it to the **dead-letter queue**,
 //!   with the original publish trace preserved,
-//! - publish **dedup keys** (a bounded per-topic idempotency window,
-//!   forgotten at a restart; no platform path sets one: the events
-//!   index's claim of each source event is the controller's idempotence
-//!   check) and **bounded queues** per group ([`QUEUE_CAPACITY`] messages): a
-//!   publish that finds one full is rejected for every group
-//!   (all-or-nothing back-pressure),
+//! - **bounded queues** per group ([`QUEUE_CAPACITY`] messages, the
+//!   slots of admitted publishes included): an admission that finds one
+//!   full is refused for every group (all-or-nothing back-pressure),
 //! - per-group and broker-wide **statistics** used by experiments
 //!   E1/E2/E18.
 //!
@@ -56,7 +55,9 @@ pub mod driver;
 pub mod stats;
 pub mod subscription;
 
-pub use broker::{Bus, SubscriberHandle, SubscriptionConfig, MAX_ATTEMPTS, QUEUE_CAPACITY};
-pub use driver::{GroupSnapshot, PublishOptions, PublishOutcome};
+pub use broker::{
+    Admission, Bus, SubscriberHandle, SubscriptionConfig, MAX_ATTEMPTS, QUEUE_CAPACITY,
+};
+pub use driver::PublishOptions;
 pub use stats::{BrokerStats, SubscriptionStats};
 pub use subscription::{DeadLetter, Delivery};

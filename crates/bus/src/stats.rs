@@ -22,8 +22,6 @@ pub struct BrokerStats {
     pub published: u64,
     /// Publish calls rejected (no such topic, or a full group queue).
     pub rejected: u64,
-    /// Publishes dropped because their dedup key was already seen.
-    pub dedup_dropped: u64,
     /// Total fan-out: message copies enqueued across delivery groups.
     pub fanned_out: u64,
 }
@@ -37,6 +35,6 @@ mod tests {
         let s = SubscriptionStats::default();
         assert_eq!(s.enqueued + s.delivered + s.acked + s.dead_lettered, 0);
         let b = BrokerStats::default();
-        assert_eq!(b.published + b.rejected + b.fanned_out + b.dedup_dropped, 0);
+        assert_eq!(b.published + b.rejected + b.fanned_out, 0);
     }
 }

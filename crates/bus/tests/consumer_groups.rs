@@ -133,26 +133,6 @@ fn poison_message_dead_letters_with_original_trace() {
     assert_eq!(a.stats().unwrap().dead_lettered, 1);
 }
 
-// ---- dedup ----------------------------------------------------------------
-
-/// The same dedup key delivers once.
-#[test]
-fn dedup_key_delivers_once() {
-    let bus: Bus<u32> = Bus::in_memory();
-    bus.create_topic("t");
-    let sub = bus.subscribe("t", SubscriptionConfig::default()).unwrap();
-    let first = bus
-        .publish_opts("t", 1, PublishOptions::new().dedup_key("retry-1"))
-        .unwrap();
-    let second = bus
-        .publish_opts("t", 1, PublishOptions::new().dedup_key("retry-1"))
-        .unwrap();
-    assert!(!first.is_duplicate());
-    assert!(second.is_duplicate());
-    assert_eq!(sub.drain().unwrap(), vec![1]);
-    assert_eq!(bus.stats().dedup_dropped, 1);
-}
-
 // ---- partition ------------------------------------------------------------
 
 proptest! {

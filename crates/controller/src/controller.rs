@@ -9,11 +9,16 @@
 //!
 //! Lock ordering (to stay deadlock-free) is the rank table of
 //! [`css_types::lock_order`]: `routes` → `pdp` → `actors` → an index
-//! shard, the bus state last; a policy or consent change takes the
-//! control journal's lock first and commits its audit record under it;
-//! every other audit shard lock is taken with no other guard held, and
-//! cross-shard operations hold one shard lock at a time. Debug builds
-//! check every acquisition against it.
+//! shard, the bus state last; cross-shard operations hold one shard
+//! lock at a time. Debug builds check every acquisition against it.
+//!
+//! One write order holds for every audited mutation: its record is
+//! written first, and the effect follows only once the write returned,
+//! under the journal lock that orders the two (`routes` for a
+//! subscribe, a detachment and a publish, `control` for a policy or
+//! consent change). A mutation whose record cannot be written has no
+//! effect; one that fails after its record leaves the record standing
+//! as an audited attempt.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -21,7 +26,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 
 use css_audit::{AuditAction, AuditQuery, AuditRecord, AuditReport, AuditShards};
-use css_bus::{Bus, PublishOptions, SubscriberHandle, SubscriptionConfig};
+use css_bus::{Bus, SubscriberHandle, SubscriptionConfig};
 use css_event::{EventSchema, NotificationMessage};
 use css_policy::cache::StabilityInterval;
 use css_policy::{DetailRequest, PolicyDecisionPoint, PrivacyPolicy};
@@ -144,9 +149,6 @@ struct ClassRoute {
     /// decision, not a second policy store. `None` until the first
     /// publish, and after every subscribe.
     authorised: Option<(u64, StabilityInterval)>,
-    /// Receivers detached whose detachment is not on the audit log
-    /// yet; empty whenever the route is stamped.
-    unaudited: Vec<(SubscriptionId, ActorId)>,
 }
 
 impl ClassRoute {
@@ -190,7 +192,9 @@ pub struct DataController<B: LogBackend> {
     pub(crate) audit: AuditShards<B>,
     pub(crate) gateways: RwLock<HashMap<ActorId, Arc<dyn GatewayClient>>>,
     /// What a publish needs to route a declared class, written at
-    /// declare / subscribe / unsubscribe.
+    /// declare / subscribe / unsubscribe. A journal lock: a subscribe,
+    /// a re-authorisation and a publish write their audit records
+    /// under it before they change who receives what.
     routes: RwLock<HashMap<EventTypeId, ClassRoute>>,
     clock: Arc<dyn Clock>,
     telemetry: MetricsRegistry,
@@ -255,7 +259,7 @@ impl<B: LogBackend> DataController<B> {
             consent: RwLock::ranked("consent", lock_order::CONSENT, consent),
             audit,
             gateways: RwLock::ranked("gateways", lock_order::GATEWAYS, HashMap::new()),
-            routes: RwLock::ranked("routes", lock_order::ROUTES, HashMap::new()),
+            routes: RwLock::journal("routes", lock_order::ROUTES, HashMap::new()),
             clock: config.clock,
             counters: RequestCounters::resolve(&config.telemetry),
             telemetry: config.telemetry,
@@ -358,7 +362,6 @@ impl<B: LogBackend> DataController<B> {
                 topic,
                 receivers: Vec::new(),
                 authorised: None,
-                unaudited: Vec::new(),
             });
         Ok(())
     }
@@ -381,12 +384,25 @@ impl<B: LogBackend> DataController<B> {
     /// Validates ownership (only the declaring producer may protect its
     /// classes) and that `F` only names declared fields, and refuses an
     /// id already installed — revoked or not, whoever owns it — with
-    /// `AlreadyExists`, writing no audit record. The define's audit
-    /// record, which carries the policy, is committed before the policy
-    /// is installed: a define whose commit fails installs nothing. Ids
+    /// `AlreadyExists`, writing no audit record. A custom purpose the
+    /// journal cannot carry back as itself is `Invalid`: its XACML
+    /// reads match values trimmed and a standard purpose's code as that
+    /// purpose, so a custom purpose with outer whitespace or named like
+    /// a standard one would come back from a restart as another
+    /// purpose. The define's audit record, which
+    /// carries the policy, is committed before the policy is
+    /// installed: a define whose commit fails installs nothing. Ids
     /// minted after it are past its id.
     pub fn define_policy(&self, policy: PrivacyPolicy) -> CssResult<()> {
         self.contracts.read().require_producer(policy.producer)?;
+        let unkept = |p: &&Purpose| Purpose::from_code(p.code().trim()) != **p;
+        if let Some(purpose) = policy.purposes.iter().find(unkept) {
+            return Err(CssError::Invalid(format!(
+                "policy {} grants the custom purpose {:?}, which its journal reads back as another",
+                policy.id,
+                purpose.code()
+            )));
+        }
         {
             let catalog = self.catalog.read();
             let schema = catalog.schema(&policy.event_type)?;
@@ -472,7 +488,9 @@ impl<B: LogBackend> DataController<B> {
     /// Consumer subscribes to a class of events.
     ///
     /// Deny-by-default: rejected unless a privacy policy authorizes this
-    /// consumer for the class (Section 5.2).
+    /// consumer for the class (Section 5.2). The subscribe's audit
+    /// record is written before the receiver is attached: a subscribe
+    /// whose record cannot be written attaches nothing.
     pub fn subscribe(
         &self,
         consumer: ActorId,
@@ -528,6 +546,9 @@ impl<B: LogBackend> DataController<B> {
         let route = routes
             .get_mut(event_type)
             .ok_or_else(|| CssError::NotFound(format!("event class {event_type} not declared")))?;
+        self.audit.append(
+            AuditRecord::new(now, consumer, AuditAction::Subscribe).event_type(event_type.clone()),
+        )?;
         let config = SubscriptionConfig::default();
         let handle = match group {
             Some(g) => self.bus.subscribe_group(&route.topic, g, config)?,
@@ -540,16 +561,6 @@ impl<B: LogBackend> DataController<B> {
         // Authorised above, under a generation and at an instant the
         // route's stamp may not cover: the next publish checks again.
         route.authorised = None;
-        drop(routes);
-        let record =
-            AuditRecord::new(now, consumer, AuditAction::Subscribe).event_type(event_type.clone());
-        if let Err(unlogged) = self.audit.append(record) {
-            // A dropped handle stays attached (subscriptions are
-            // durable): left in place, its queue fills with nobody to
-            // drain it and then rejects every publish of the class.
-            let _ = self.unsubscribe(handle);
-            return Err(unlogged);
-        }
         Ok(handle)
     }
 
@@ -564,8 +575,8 @@ impl<B: LogBackend> DataController<B> {
     // ---- publish --------------------------------------------------------
 
     /// Producer publishes an event: the notification is validated,
-    /// consent-checked, indexed (identity sealed) and routed to every
-    /// authorized subscriber. The detail message must already be
+    /// consent-checked, audited, indexed (identity sealed) and routed to
+    /// every authorized subscriber. The detail message must already be
     /// persisted in the producer's gateway under `src_event_id`.
     ///
     /// A source event is published once. Before the consent gate, the
@@ -577,16 +588,25 @@ impl<B: LogBackend> DataController<B> {
     /// publishes, and across a restart — and the refusal mints no id,
     /// routes nothing and writes no index entry or audit record. A
     /// publish refused before its entry is linked (consent withheld, an
-    /// undeclared class, a full queue, a failed index write) gives the
-    /// claim back, so its retry is admitted; a failed index write has
-    /// routed the notification already (ROADMAP item 18).
+    /// undeclared class, a full queue, a failed audit or index write)
+    /// gives the claim back, so its retry is admitted.
+    ///
+    /// Record, then act, under one read guard of the class's route, so
+    /// no subscribe or detachment changes the receivers in between: the
+    /// bus admits the notification (a full queue refuses the publish
+    /// before anything is written), the Publish and Delivery records
+    /// are appended, the index entry is written, and only then is the
+    /// notification sent. A notification is therefore pollable only
+    /// once its entry and its records exist. A failed audit write
+    /// leaves nothing behind; a failed index write leaves the records
+    /// standing as an audited attempt.
     ///
     /// The publish is one timed pass under a fresh `publish` root span,
-    /// from the consent gate through the audit group commit: each stage
-    /// is a child span, `bus.route` (and its `bus.deliver`s) a child
-    /// too, and the trace id is stamped into the Publish and Delivery
-    /// audit records. A publish refused on consent closes its root
-    /// `Denied`, one that fails after the gate `Error`.
+    /// its stages `consent_gate`, `audit`, `index` and `route`: each
+    /// stage is a child span, `bus.route` (and its `bus.deliver`s) a
+    /// child too, and the trace id is stamped into the Publish and
+    /// Delivery audit records. A publish refused on consent closes its
+    /// root `Denied`, one that fails after the gate `Error`.
     ///
     /// Concurrency: publishes about different citizens touch disjoint
     /// index and audit shards, so they serialize only on the bus topic.
@@ -633,8 +653,8 @@ impl<B: LogBackend> DataController<B> {
         pass.stage("consent_gate");
         let global_id: GlobalEventId = self.eid_gen.next_id();
         pass.attr(|| SpanAttr::event(global_id));
-        // Built by move and held once: the bus, every delivery and the
-        // index insert below read this one allocation.
+        // Built by move and held once: the index insert, the bus and
+        // every delivery read this one allocation.
         let notification = Arc::new(NotificationMessage {
             global_id,
             event_type,
@@ -645,29 +665,18 @@ impl<B: LogBackend> DataController<B> {
         });
         let event_type = &notification.event_type;
         let person = notification.person.id;
-        // Route first (all-or-nothing on a full queue), then index.
-        let ctx = pass.context();
         let routes = self.authorised_routes(event_type, now)?;
         let route = routes
             .get(event_type)
             .ok_or_else(|| CssError::NotFound(format!("event class {event_type} not declared")))?;
-        self.bus.publish_opts(
-            &route.topic,
-            Arc::clone(&notification),
-            PublishOptions::new().traced(&ctx),
-        )?;
-        pass.stage("route");
+        let admission = self.bus.admit(&route.topic)?;
         // Ascending (the class list is kept so), for the receipt, for
         // the index entry, which keeps them as its sorted `Notified`,
         // and for the Delivery records: the bytes of the audit log must
         // not depend on a hash seed. A consumer holding several
         // subscriptions to the class is one receiver.
         let mut receivers: Vec<ActorId> = route.receivers.iter().map(|(_, actor)| *actor).collect();
-        drop(routes);
         receivers.dedup();
-        self.index
-            .insert_notified(&notification, source, receivers.clone().into())?;
-        pass.stage("index");
         // One group commit for the Publish record and the per-consumer
         // Delivery fan-out: a single storage write instead of 1 + N.
         // Every record carries the same person, so the whole batch
@@ -691,6 +700,13 @@ impl<B: LogBackend> DataController<B> {
         }
         self.audit.append_batch(records)?;
         pass.stage("audit");
+        self.index
+            .insert_notified(&notification, source, receivers.clone().into())?;
+        pass.stage("index");
+        let ctx = pass.context();
+        admission.send(notification, Some(&ctx));
+        drop(routes);
+        pass.stage("route");
         pass.finish();
         self.counters.published.inc();
         Ok(PublishReceipt {
@@ -708,8 +724,8 @@ impl<B: LogBackend> DataController<B> {
     /// re-authorised once, under the write lock; the ones no longer
     /// authorised are detached — their bus group closed to this and
     /// every later publish, what it already holds still theirs to
-    /// poll — and each detachment is audited. A re-grant needs a new
-    /// subscribe.
+    /// poll — once their detachments are on the audit log. A re-grant
+    /// needs a new subscribe.
     fn authorised_routes(
         &self,
         event_type: &EventTypeId,
@@ -729,21 +745,18 @@ impl<B: LogBackend> DataController<B> {
         }
     }
 
-    /// Re-authorise the receivers of `event_type`'s route at `now`,
-    /// detach the unauthorised ones, audit every detachment not yet on
-    /// the log and stamp the route. A no-op when another publish did it
-    /// first.
-    ///
-    /// The audit write runs outside the `routes` lock. Until it
-    /// succeeds its detachments sit in the route's `unaudited` list and
-    /// the route stays unstamped, so a failed write is retried by the
-    /// next publish of the class.
+    /// Re-authorise the receivers of `event_type`'s route at `now`
+    /// under the `routes` write lock: audit the detachment of every
+    /// receiver no longer authorised, as one batch, and only then close
+    /// their groups, drop them from the route and stamp it. A write
+    /// that fails detaches nothing, and the next publish of the class
+    /// re-authorises again. A no-op when another publish did it first.
     fn reauthorise(&self, event_type: &EventTypeId, now: Timestamp) -> CssResult<()> {
-        let (stamp, unaudited) = {
-            let mut routes = self.routes.write();
-            let Some(route) = routes.get_mut(event_type) else {
-                return Ok(());
-            };
+        let mut routes = self.routes.write();
+        let Some(route) = routes.get_mut(event_type) else {
+            return Ok(());
+        };
+        let (stamp, detached) = {
             let pdp = self.pdp.read();
             let generation = pdp.generation();
             if route.is_authorised(generation, now) {
@@ -756,41 +769,22 @@ impl<B: LogBackend> DataController<B> {
                 .filter(|(_, consumer)| !pdp.is_authorized(*consumer, event_type, &actors, now))
                 .copied()
                 .collect();
-            // Closed before the route forgets them: a failure leaves
-            // them listed, to be closed again by the next publish.
-            for (subscription, _) in &detached {
-                self.bus.close(*subscription)?;
-            }
-            route
-                .receivers
-                .retain(|receiver| !detached.contains(receiver));
-            route.unaudited.extend(detached);
-            let stamp = (generation, pdp.stability(event_type, now));
-            if route.unaudited.is_empty() {
-                route.authorised = Some(stamp);
-                return Ok(());
-            }
-            (stamp, std::mem::take(&mut route.unaudited))
+            ((generation, pdp.stability(event_type, now)), detached)
         };
-        let records = unaudited.iter().map(|(subscription, consumer)| {
+        let records = detached.iter().map(|(subscription, consumer)| {
             AuditRecord::new(now, *consumer, AuditAction::Subscribe)
                 .event_type(event_type.clone())
                 .denied(DenyReason::NoMatchingPolicy.to_string())
                 .with_detail(format!("detached {subscription}"))
         });
-        if let Err(unlogged) = self.audit.append_batch(records.collect()) {
-            if let Some(route) = self.routes.write().get_mut(event_type) {
-                route.unaudited.extend(unaudited);
-                route.authorised = None;
-            }
-            return Err(unlogged);
+        self.audit.append_batch(records.collect())?;
+        for (subscription, _) in &detached {
+            self.bus.close(*subscription)?;
         }
-        if let Some(route) = self.routes.write().get_mut(event_type) {
-            // Another publish's write may have failed meanwhile.
-            if route.unaudited.is_empty() {
-                route.authorised = Some(stamp);
-            }
-        }
+        route
+            .receivers
+            .retain(|receiver| !detached.contains(receiver));
+        route.authorised = Some(stamp);
         Ok(())
     }
 

@@ -18,11 +18,13 @@
 //! arm and on every deny arm it can reach — the arm whose data subject
 //! cannot be had through the world reopened under another master key.
 //!
-//! Publishing is the one release path not covered yet. The bus makes a
-//! publish's notification pollable before the publish's audit batch is
-//! committed, so a publish whose audit write fails has already been
-//! delivered. Covering it waits on ROADMAP item 18's reorder: index
-//! and audit the publish, then route it.
+//! Publishing releases a notification to its subscribers, and its
+//! records are written before it is sent. With the audit writes
+//! failing, a publish returns the injected error, and nothing is
+//! pollable, inquirable or indexed; with the index writes failing,
+//! nothing is pollable. Either way the retry is delivered once. A
+//! publish the bus refuses for a full queue writes nothing, and a
+//! detachment whose record cannot be written detaches nothing.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -30,7 +32,8 @@ use std::sync::Arc;
 use css_audit::{AuditAction, AuditOutcome, AuditQuery, AuditRecord};
 use css_bus::SubscriberHandle;
 use css_controller::{
-    ConsentDecision, ConsentScope, ControllerConfig, DataController, ParticipantRole, SharedGateway,
+    ConsentDecision, ConsentScope, ControllerConfig, DataController, ParticipantRole,
+    PublishReceipt, SharedGateway,
 };
 use css_event::{
     DetailMessage, EventDetails, EventSchema, FieldDef, FieldKind, FieldValue, NotificationMessage,
@@ -40,7 +43,7 @@ use css_policy::PrivacyPolicy;
 use css_storage::{LogBackend, MemBackend};
 use css_types::{
     Actor, ActorId, Clock, CssError, CssResult, DenyReason, EventTypeId, GlobalEventId, PersonId,
-    PersonIdentity, Purpose, SimClock, SourceEventId, Timestamp,
+    PersonIdentity, PolicyId, Purpose, SimClock, SourceEventId, Timestamp,
 };
 use parking_lot::{Mutex, RwLock};
 
@@ -102,8 +105,14 @@ struct World {
     backends: (Vec<Probe>, Vec<Probe>),
     /// Raised: every audit append fails.
     audit_fails: Arc<AtomicBool>,
+    /// Raised: every index append fails.
+    index_fails: Arc<AtomicBool>,
+    /// Successful appends over every audit backend.
+    audit_appends: Arc<AtomicUsize>,
     /// Successful appends over every index backend.
     index_appends: Arc<AtomicUsize>,
+    /// The doctor's grant of blood tests.
+    doctor_grant: PolicyId,
     /// A blood test about Mario whose details the gateway holds.
     stored: GlobalEventId,
     /// A blood test about Luigi, who opted out after it was published.
@@ -112,7 +121,8 @@ struct World {
     unstored: GlobalEventId,
     /// An x-ray about Mario, from a producer with no gateway.
     ungated: GlobalEventId,
-    _subscriptions: Vec<SubscriberHandle<Arc<NotificationMessage>>>,
+    /// The doctor's subscriptions: blood tests, then x-rays.
+    subscriptions: Vec<SubscriberHandle<Arc<NotificationMessage>>>,
 }
 
 fn blood_test() -> EventTypeId {
@@ -187,8 +197,10 @@ fn world(shards: usize) -> World {
         .unwrap();
     c.declare_event_class(&schema(x_ray(), CLINIC), None)
         .unwrap();
+    let doctor_grant = policy(&c, HOSPITAL, DOCTOR, blood_test(), HEALTHCARE);
+    let doctor_grant_id = doctor_grant.id;
     for p in [
-        policy(&c, HOSPITAL, DOCTOR, blood_test(), HEALTHCARE),
+        doctor_grant,
         policy(&c, CLINIC, DOCTOR, x_ray(), HEALTHCARE),
         policy(
             &c,
@@ -243,12 +255,15 @@ fn world(shards: usize) -> World {
         controller: c,
         backends,
         audit_fails,
+        index_fails,
+        audit_appends,
         index_appends,
+        doctor_grant: doctor_grant_id,
         stored,
         withheld,
         unstored,
         ungated,
-        _subscriptions: subscriptions,
+        subscriptions,
     }
 }
 
@@ -539,5 +554,176 @@ fn every_release_is_audited_and_none_outlives_a_failed_audit_write() {
 fn a_request_whose_data_subject_cannot_be_had_is_audited() {
     for shards in [1, 2, 8] {
         check_in(world(shards).rekeyed(), &SUBJECT_UNAVAILABLE, shards);
+    }
+}
+
+/// A blood test about Mario with source id `src`, published now.
+fn publish_mario(w: &World, src: u64) -> CssResult<PublishReceipt> {
+    w.controller.publish(
+        HOSPITAL,
+        person(MARIO, "Mario"),
+        "done".into(),
+        blood_test(),
+        w.controller.now(),
+        SourceEventId(src),
+    )
+}
+
+/// The blood tests the doctor's subscription holds, taken off it.
+fn polled(w: &World) -> Vec<GlobalEventId> {
+    let taken = w.subscriptions[0].drain().unwrap();
+    taken.iter().map(|n| n.global_id).collect()
+}
+
+/// The events about Mario the doctor's inquiry returns.
+fn inquirable(w: &World) -> Vec<GlobalEventId> {
+    let found = w.controller.inquire_by_person(DOCTOR, MARIO).unwrap();
+    found.iter().map(|n| n.global_id).collect()
+}
+
+fn count(w: &World, action: AuditAction) -> usize {
+    records(w).iter().filter(|r| r.action == action).count()
+}
+
+/// The audited detachments of the doctor.
+fn detachments(w: &World) -> usize {
+    let denied = AuditQuery::new()
+        .action(AuditAction::Subscribe)
+        .actor(DOCTOR)
+        .denied_only();
+    let found = w.controller.audit_query(&denied).unwrap();
+    found
+        .iter()
+        .filter(|r| r.detail.starts_with("detached "))
+        .count()
+}
+
+fn is_injected<T: std::fmt::Debug>(result: &CssResult<T>) -> bool {
+    matches!(result, Err(CssError::Storage(m)) if m == "injected")
+}
+
+/// A publish whose Publish and Delivery records cannot be written
+/// releases nothing: not to its subscriber, not to an inquiry, not to
+/// the index. Its retry is delivered once.
+#[test]
+fn a_publish_whose_audit_write_fails_releases_nothing_and_its_retry_publishes_once() {
+    for shards in [1, 2, 8] {
+        let w = world(shards);
+        polled(&w);
+        let seen = inquirable(&w);
+        let (indexed, before) = (w.controller.index_len(), records(&w));
+
+        w.audit_fails.store(true, Ordering::SeqCst);
+        let failed = publish_mario(&w, 10);
+        w.audit_fails.store(false, Ordering::SeqCst);
+        assert!(is_injected(&failed), "{shards} shard(s): {failed:?}");
+        assert_eq!(polled(&w), [], "{shards} shard(s): pollable unaudited");
+        assert_eq!(w.controller.index_len(), indexed, "{shards} shard(s)");
+        assert_eq!(records(&w), before, "{shards} shard(s)");
+        assert_eq!(
+            inquirable(&w),
+            seen,
+            "{shards} shard(s): inquirable unaudited"
+        );
+
+        let retry = publish_mario(&w, 10).unwrap();
+        assert_eq!(retry.notified, [DOCTOR], "{shards} shard(s)");
+        assert_eq!(polled(&w), [retry.global_id], "{shards} shard(s)");
+        assert_eq!(w.controller.index_len(), indexed + 1, "{shards} shard(s)");
+    }
+}
+
+/// A publish whose index entry cannot be written is not delivered; its
+/// records stand as an audited attempt, and its retry is delivered
+/// once.
+#[test]
+fn a_publish_whose_index_write_fails_is_not_delivered_and_its_retry_is_delivered_once() {
+    for shards in [1, 2, 8] {
+        let w = world(shards);
+        polled(&w);
+        let (indexed, published) = (w.controller.index_len(), count(&w, AuditAction::Publish));
+
+        w.index_fails.store(true, Ordering::SeqCst);
+        let failed = publish_mario(&w, 10);
+        w.index_fails.store(false, Ordering::SeqCst);
+        assert!(is_injected(&failed), "{shards} shard(s): {failed:?}");
+        assert_eq!(polled(&w), [], "{shards} shard(s): pollable unindexed");
+
+        let retry = publish_mario(&w, 10).unwrap();
+        assert_eq!(polled(&w), [retry.global_id], "{shards} shard(s)");
+        assert_eq!(w.controller.index_len(), indexed + 1, "{shards} shard(s)");
+        let attempts = count(&w, AuditAction::Publish) - published;
+        assert_eq!(
+            attempts, 2,
+            "{shards} shard(s): the failed attempt and the retry"
+        );
+    }
+}
+
+/// A publish the bus refuses for a full queue is refused before any
+/// write: no audit append, no index append.
+#[test]
+fn a_publish_refused_for_a_full_queue_makes_no_append() {
+    for shards in [1, 2, 8] {
+        let w = world(shards);
+        polled(&w);
+        for src in 0..css_bus::QUEUE_CAPACITY as u64 {
+            publish_mario(&w, 100 + src).unwrap();
+        }
+        let appends = || {
+            (
+                w.audit_appends.load(Ordering::SeqCst),
+                w.index_appends.load(Ordering::SeqCst),
+            )
+        };
+        let before = appends();
+        let refused = publish_mario(&w, 10);
+        assert!(
+            matches!(refused, Err(CssError::Bus(_))),
+            "{shards} shard(s): {refused:?}"
+        );
+        assert_eq!(appends(), before, "{shards} shard(s)");
+        assert_eq!(
+            polled(&w).len(),
+            css_bus::QUEUE_CAPACITY,
+            "{shards} shard(s)"
+        );
+        let retry = publish_mario(&w, 10).unwrap();
+        assert_eq!(polled(&w), [retry.global_id], "{shards} shard(s)");
+    }
+}
+
+/// A revoked consumer whose detachment cannot be audited stays
+/// attached: the publish that found it fails and detaches nothing.
+/// After recovery the next publish detaches it and audits that once;
+/// re-granted first, the consumer is still a receiver.
+#[test]
+fn a_detachment_that_cannot_be_audited_detaches_nothing() {
+    for shards in [1, 2, 8] {
+        for regrant in [false, true] {
+            let at = format!("{shards} shard(s), re-granted: {regrant}");
+            let w = world(shards);
+            polled(&w);
+            w.controller
+                .revoke_policy(HOSPITAL, w.doctor_grant)
+                .unwrap();
+            w.audit_fails.store(true, Ordering::SeqCst);
+            let failed = publish_mario(&w, 10);
+            w.audit_fails.store(false, Ordering::SeqCst);
+            assert!(is_injected(&failed), "{at}: {failed:?}");
+            assert_eq!(detachments(&w), 0, "{at}");
+
+            if regrant {
+                let grant = policy(&w.controller, HOSPITAL, DOCTOR, blood_test(), HEALTHCARE);
+                w.controller.define_policy(grant).unwrap();
+            }
+            let receipt = publish_mario(&w, 10).unwrap();
+            let notified: &[ActorId] = if regrant { &[DOCTOR] } else { &[] };
+            assert_eq!(receipt.notified, notified, "{at}");
+            let delivered: &[GlobalEventId] = if regrant { &[receipt.global_id] } else { &[] };
+            assert_eq!(polled(&w), delivered, "{at}");
+            assert_eq!(detachments(&w), usize::from(!regrant), "{at}");
+            w.controller.verify_audit().unwrap();
+        }
     }
 }

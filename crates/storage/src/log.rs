@@ -592,7 +592,7 @@ mod tests {
     #[cfg(debug_assertions)]
     mod write_discipline {
         use super::*;
-        use parking_lot::Mutex;
+        use parking_lot::{Mutex, RwLock};
 
         fn shard(class: &'static str, rank: u32) -> Mutex<RecordLog<MemBackend>> {
             Mutex::ranked(class, rank, RecordLog::new(MemBackend::new()))
@@ -623,6 +623,49 @@ mod tests {
             let mut log = audit.lock();
             log.append(b"journaled").unwrap();
             log.sync().unwrap();
+        }
+
+        /// The same holds for a journal reader-writer lock, read or
+        /// written: a publish writes under the routing table's read
+        /// guard, a re-authorisation under its write guard.
+        #[test]
+        fn a_write_under_a_journal_read_or_write_guard_passes() {
+            let routes = RwLock::journal("routes", 10, ());
+            let audit = shard("audit shard", 70);
+            let read = routes.read();
+            audit.lock().append(b"under the read guard").unwrap();
+            drop(read);
+            let _write = routes.write();
+            audit.lock().append(b"under the write guard").unwrap();
+        }
+
+        #[test]
+        #[should_panic(expected = "`routes` (rank 10) is held")]
+        fn a_write_under_a_ranked_read_guard_panics() {
+            let routes = RwLock::ranked("routes", 10, ());
+            let audit = shard("audit shard", 70);
+            let _read = routes.read();
+            audit.lock().append(b"under a ranked read guard").unwrap();
+        }
+
+        #[test]
+        #[should_panic(expected = "`routes` (rank 10) is held")]
+        fn a_write_under_a_ranked_write_guard_panics() {
+            let routes = RwLock::ranked("routes", 10, ());
+            let audit = shard("audit shard", 70);
+            let _write = routes.write();
+            audit.lock().append(b"under a ranked write guard").unwrap();
+        }
+
+        /// A journal lock orders writes, not locks: taken under a lock
+        /// of a higher rank, it panics like any other.
+        #[test]
+        #[should_panic(expected = "lock order: `routes` (rank 10) taken at")]
+        fn a_journal_lock_is_still_ranked() {
+            let routes = RwLock::journal("routes", 10, ());
+            let audit = shard("audit shard", 70);
+            let _audit = audit.lock();
+            let _routes = routes.read();
         }
 
         #[test]

@@ -14,8 +14,12 @@ pub const OPS_SAMPLE: u32 = 0;
 /// The pending access-request queue: a decision checks the request
 /// against the event catalog while it holds the queue.
 pub const PENDING: u32 = 5;
-/// The controller's routing table: a publish holds it across the bus
-/// publish, and a re-authorisation across the PDP and the registry.
+/// The controller's routing table, a journal lock (storage is written
+/// under it). A publish holds its read guard from the route's
+/// authorisation through the bus admission, the audit batch, the index
+/// insert and the send; a re-authorisation holds its write guard across
+/// the PDP and the registry, the detachments' audit batch and the bus
+/// closes; a subscribe across its audit record and the bus attach.
 pub const ROUTES: u32 = 10;
 /// The controller's control journal: a policy or consent change commits
 /// its audit record, then applies to the PDP or the consent registry,

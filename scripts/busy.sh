@@ -35,7 +35,7 @@ if [ "$loops" -gt "$cpus" ]; then
     loops=$cpus
 fi
 
-bin=$(cargo test -q --test "$target" --no-run --message-format=json |
+bin=$(cargo test -q -p css --test "$target" --no-run --message-format=json |
     python3 -c '
 import json, sys
 for line in sys.stdin:

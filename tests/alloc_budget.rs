@@ -758,6 +758,75 @@ fn clock_reads_per_operation() {
     );
 }
 
+/// Locks `op` acquires on this thread per call, per lock class, over
+/// `OPS` calls after `OPS` warm-up calls: the classes it acquires at
+/// all, in name order. The count exists in debug builds only.
+#[cfg(debug_assertions)]
+fn acquisitions_per_op<I>(
+    input: impl Fn(u64) -> I,
+    mut op: impl FnMut(I),
+) -> Vec<(&'static str, u64)> {
+    for i in 0..OPS {
+        op(input(i));
+    }
+    let before = parking_lot::acquisitions().unwrap();
+    for i in OPS..2 * OPS {
+        op(input(i));
+    }
+    let after = parking_lot::acquisitions().unwrap();
+    after
+        .into_iter()
+        .filter_map(|(class, total)| {
+            let earlier = before
+                .iter()
+                .find(|(c, _)| *c == class)
+                .map_or(0, |(_, n)| *n);
+            let taken = total - earlier;
+            assert_eq!(
+                taken % OPS,
+                0,
+                "{class}: {taken} acquisitions over {OPS} calls"
+            );
+            (taken > 0).then_some((class, taken / OPS))
+        })
+        .collect()
+}
+
+/// A publish takes the routing table once, across its audit, index and
+/// send; the bus state once to admit, once to send, and once per
+/// delivery taken. What else each operation locks is pinned beside it.
+#[cfg(debug_assertions)]
+#[test]
+fn lock_acquisitions_per_operation() {
+    let w = world();
+    let producer = w.platform.producer(w.hospital).unwrap();
+    let subs = subscriptions(&w);
+    let publish = acquisitions_per_op(
+        |i| event(&w.ty, i % 16 + 1),
+        |event| drop(publish_and_deliver(&w, &producer, &subs, event)),
+    );
+    let events: Vec<Delivered> = (1..=16)
+        .map(|patient| publish_and_deliver(&w, &producer, &subs, event(&w.ty, patient)))
+        .collect();
+    let consumer = w.platform.consumer(*w.consumers.last().unwrap()).unwrap();
+    let notification = |i: u64| &events[i as usize % events.len()].message;
+    let permitted = acquisitions_per_op(notification, |n| {
+        consumer
+            .request_details(n, Purpose::HealthcareTreatment)
+            .unwrap();
+    });
+    let denied = acquisitions_per_op(notification, |n| {
+        let refused = consumer.request_details(n, Purpose::StatisticalAnalysis);
+        assert!(matches!(refused, Err(CssError::AccessDenied(_))));
+    });
+    eprintln!("alloc_budget: lock acquisitions: publish + deliver {publish:?}, permitted {permitted:?}, denied {denied:?}");
+    assert_eq!(
+        [publish, permitted, denied],
+        LOCK_ACQUISITIONS,
+        "lock acquisitions per class per publish + deliver (fan-out 3), permitted and denied detail request"
+    );
+}
+
 /// Heap blocks a subscriber's `backlog` and the bus's `stats` each ask
 /// for per call, on a bus holding `dead` dead letters.
 fn counter_reads_beside_dead_letters(dead: u64) -> (u64, u64) {
@@ -937,3 +1006,41 @@ const CIPHERTEXTS: [(u64, u64); 4] = [(100, 0), (0, 0), (0, 0), (0, 100)];
 // and (18, 26, 16).
 #[cfg(debug_assertions)]
 const CLOCK_READS: [(u64, u64, u64); 2] = [(5, 8, 6), (13, 14, 6)];
+
+// Lock acquisitions per class per publish + deliver at fan-out 3, per
+// permitted and per denied detail request: exact counts, not budgets.
+// `leaf` is every unranked lock (the contract registry among them). A
+// publish takes `routes` once and the bus state five times: admit, send
+// and three takes; `gateway` is the producer's detail persist.
+#[cfg(debug_assertions)]
+const LOCK_ACQUISITIONS: [&[(&str, u64)]; 3] = [
+    &[
+        ("audit shard", 1),
+        ("bus state", 5),
+        ("catalog", 1),
+        ("consent", 1),
+        ("gateway", 1),
+        ("index shard", 1),
+        ("leaf", 1),
+        ("pdp", 1),
+        ("routes", 1),
+    ],
+    &[
+        ("actors", 3),
+        ("audit shard", 1),
+        ("consent", 1),
+        ("gateway", 1),
+        ("gateways", 1),
+        ("index shard", 1),
+        ("leaf", 2),
+        ("pdp", 1),
+    ],
+    &[
+        ("actors", 3),
+        ("audit shard", 1),
+        ("consent", 1),
+        ("index shard", 1),
+        ("leaf", 2),
+        ("pdp", 1),
+    ],
+];

@@ -125,9 +125,9 @@ fn concurrent_producers_and_detail_requests() {
 /// asks for the details of events whose publish has returned, while
 /// the publishers keep indexing. Every request resolves — none reads
 /// `NotFound` — and the lock shim (debug builds) panics on no thread.
-/// It covers only publishes that have returned: a request for an event
-/// delivered while its publish is still indexing can read `NotFound`
-/// (ROADMAP item 18).
+/// It covers publishes that have returned; a request made as soon as
+/// its notification is delivered is
+/// `a_detail_request_on_delivery_finds_its_event`.
 #[test]
 fn detail_requests_racing_publishes_resolve_every_returned_event() {
     let (platform, hospital, doctor, clock) = build_platform_on(Some(8));
@@ -189,6 +189,53 @@ fn detail_requests_racing_publishes_resolve_every_returned_event() {
     });
     assert_eq!(permits.load(Ordering::SeqCst), 300);
     assert_eq!(platform.controller().index_shard_lens().len(), 8);
+}
+
+/// At 2 shards one thread publishes 2 000 events while the subscriber
+/// asks for the details of each as soon as it is delivered. A
+/// notification is pollable only once its index entry is written, so no
+/// request reads `NotFound`. A publish the full queue turns away is
+/// published again; the wait bound only ends a hung run.
+#[test]
+fn a_detail_request_on_delivery_finds_its_event() {
+    const EVENTS: u64 = 2_000;
+    let (platform, hospital, doctor, clock) = build_platform_on(Some(2));
+    let consumer = platform.consumer(doctor).unwrap();
+    let sub = consumer.subscribe(&EventTypeId::v1("obs")).unwrap();
+    let consuming = AtomicBool::new(true);
+    let (mut permits, mut not_found, mut other) = (0, 0, Vec::new());
+    std::thread::scope(|scope| {
+        let (platform, clock, consuming) = (&platform, &clock, &consuming);
+        scope.spawn(move || {
+            let producer = platform.producer(hospital).unwrap();
+            for i in 0..EVENTS {
+                while consuming.load(Ordering::SeqCst) {
+                    let details = EventDetails::new(EventTypeId::v1("obs"))
+                        .with("PatientId", FieldValue::Integer(i as i64));
+                    match producer.publish(person(i), "obs", details, clock.now()) {
+                        Err(CssError::Bus(_)) => std::thread::yield_now(),
+                        published => {
+                            published.unwrap();
+                            break;
+                        }
+                    }
+                }
+            }
+        });
+        for _ in 0..EVENTS {
+            let wait = std::time::Duration::from_secs(60);
+            let Some(delivered) = sub.next_wait(wait).unwrap() else {
+                break;
+            };
+            match consumer.request_details(&delivered.message, Purpose::HealthcareTreatment) {
+                Ok(_) => permits += 1,
+                Err(CssError::NotFound(_)) => not_found += 1,
+                Err(err) => other.push(err),
+            }
+        }
+        consuming.store(false, Ordering::SeqCst);
+    });
+    assert_eq!((permits, not_found, other), (EVENTS, 0, vec![]));
 }
 
 /// Two threads publish one source event at once, 200 times over, at 8

@@ -466,6 +466,67 @@ fn a_define_through_the_controller_is_in_force_after_a_reopen() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A custom purpose answers alike on both sides of a restart. The
+/// journal carries a define's XACML, whose match values the fold reads
+/// trimmed and a standard purpose's code as that purpose, so a custom
+/// purpose with outer whitespace or named like a standard one is
+/// refused at the define, naming it: granted, it would come back from a
+/// restart as another purpose, and the request it was granted for would
+/// be denied after the restart that it was permitted before.
+#[test]
+fn a_custom_purpose_answers_alike_before_and_after_a_reopen() {
+    for code in [" pilot study ", "audit"] {
+        let dir = temp_dir("custom-purpose");
+        let visit = visit_schema().id;
+        let custom = Purpose::Custom(code.into());
+        let answer = |platform: &CssPlatform<css::core::DirProvider>, doctor| {
+            let consumer = platform.consumer(doctor).unwrap();
+            let found = consumer.inquire_by_person(PersonId(1)).unwrap();
+            consumer.request_details(&found[0], custom.clone()).is_ok()
+        };
+        let (defined, before) = {
+            let mut platform = reopen(&dir);
+            let [hospital, _, doctor, _, _] = set_up_the_sequences_actors(&mut platform);
+            grant_visits(&platform, hospital, doctor, "treatment");
+            let controller = platform.controller();
+            let defined = controller.define_policy(PrivacyPolicy::new(
+                controller.next_policy_id(),
+                hospital,
+                doctor,
+                visit.clone(),
+                [custom.clone()],
+                ["PatientId".to_string()],
+            ));
+            let person = PersonIdentity {
+                id: PersonId(1),
+                fiscal_code: "FC1".into(),
+                name: "Ada".into(),
+                surname: "Rossi".into(),
+            };
+            let details =
+                EventDetails::new(visit.clone()).with("PatientId", FieldValue::Integer(1));
+            let producer = platform.producer(hospital).unwrap();
+            producer
+                .publish(person, "visit", details, platform.clock().now())
+                .unwrap();
+            (defined, answer(&platform, doctor))
+        };
+        let (platform, doctor) = reopen_as_operators(&dir);
+        assert_eq!(
+            answer(&platform, doctor),
+            before,
+            "{code:?}: answered otherwise after the reopen"
+        );
+        let named = format!("{code:?}");
+        assert!(
+            matches!(&defined, Err(CssError::Invalid(m)) if m.contains(&named)),
+            "{code:?}: {defined:?}"
+        );
+        drop(platform);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// A reopened platform that never reloads its policies mints the next
 /// policy id past every stored one, so its first grant is stored beside
 /// the earlier grant instead of over it.
